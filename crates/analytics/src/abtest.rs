@@ -8,21 +8,14 @@
 //! binary per-session metric).
 
 use uli_core::session::SessionSequence;
+use uli_warehouse::{fnv1a64, fnv1a64_fold};
 
 /// Deterministic experiment assignment: hashes `(experiment, user)` into
 /// one of `buckets` arms, so every log record of a user lands in the same
 /// arm without any assignment table.
 pub fn bucket_of(experiment: &str, user_id: i64, buckets: u32) -> u32 {
     assert!(buckets > 0);
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in experiment.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    for &b in user_id.to_le_bytes().iter() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
+    let h = fnv1a64_fold(fnv1a64(experiment.as_bytes()), &user_id.to_le_bytes());
     (h >> 33) as u32 % buckets
 }
 

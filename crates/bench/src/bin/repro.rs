@@ -9,7 +9,7 @@
 //!
 //! `--smoke` runs the sweep experiments at reduced scale (small day, two
 //! worker counts) for CI; smoke runs never overwrite the BENCH_*.json
-//! artifacts. `--layout {row,columnar,columnar-plain}` picks the default
+//! artifacts. `--layout {row,columnar}` picks the default
 //! warehouse landing layout (columnar unless overridden) — E19 records
 //! which ablation arm that choice corresponds to. `--scale
 //! {smoke,default,1m}` sizes E20's synthetic day (default `1m`: one
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
             layout = match valued("--layout", &mut skip_value).and_then(Layout::parse) {
                 Some(l) => l,
                 None => {
-                    eprintln!("--layout takes one of: row, columnar, columnar-plain");
+                    eprintln!("--layout takes one of: row, columnar");
                     return ExitCode::FAILURE;
                 }
             };

@@ -25,10 +25,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use uli_core::client_event::{ClientEventLoader, CLIENT_EVENT_SCHEMA};
+use uli_core::client_event::{ClientEventLoader, CLIENT_EVENTS_CATEGORY, CLIENT_EVENT_SCHEMA};
+use uli_core::columnar::{write_client_events_columnar, DEFAULT_ROWS_PER_GROUP};
 use uli_core::session::day_dir;
 use uli_dataflow::prelude::*;
-use uli_warehouse::Warehouse;
+use uli_warehouse::{HourlyPartition, Warehouse};
 use uli_workload::{
     generate_day, write_client_events, write_client_events_layout, Layout, WorkloadConfig,
 };
@@ -65,7 +66,6 @@ pub fn default_arm_label(layout: Layout) -> &'static str {
     match layout {
         Layout::Row => "row-pushdown",
         Layout::Columnar => "columnar+dict",
-        Layout::ColumnarPlain => "columnar",
     }
 }
 
@@ -146,8 +146,22 @@ fn land(arm: Arm, events: &[uli_core::ClientEvent]) -> Warehouse {
             write_client_events(&wh, events, 4).expect("fresh warehouse");
         }
         Arm::Columnar => {
-            write_client_events_layout(&wh, events, 4, Layout::ColumnarPlain)
-                .expect("fresh warehouse");
+            // The no-dictionary arm exists only in this ablation: the
+            // default landing's partitioning (hour directories, four part
+            // files, round-robin by event index) with every name inline.
+            let mut files: BTreeMap<(u64, usize), Vec<uli_core::ClientEvent>> = BTreeMap::new();
+            for (i, ev) in events.iter().enumerate() {
+                files
+                    .entry((ev.timestamp.hour_index(), i % 4))
+                    .or_default()
+                    .push(ev.clone());
+            }
+            for ((hour, slot), bucket) in files {
+                let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
+                let path = dir.child(&format!("part-{slot:05}")).expect("valid name");
+                write_client_events_columnar(&wh, &path, &bucket, false, DEFAULT_ROWS_PER_GROUP)
+                    .expect("fresh warehouse");
+            }
         }
         Arm::ColumnarDict => {
             write_client_events_layout(&wh, events, 4, Layout::Columnar).expect("fresh warehouse");

@@ -36,7 +36,7 @@ use uli_core::session::day_dir;
 use uli_scribe::message::LogEntry;
 use uli_scribe::{run_chaos, ChaosConfig, DeliveryTap, PipelineConfig, ScribePipeline};
 use uli_thrift::ThriftRecord;
-use uli_warehouse::{HourlyPartition, Parallelism};
+use uli_warehouse::{fnv1a64_fold, HourlyPartition, Parallelism, FNV1A64_OFFSET};
 use uli_workload::{DayStream, Scale};
 
 use crate::cells;
@@ -118,19 +118,8 @@ pub struct Measurements {
     pub cores: Option<usize>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
+    fnv1a64_fold(h, &v.to_le_bytes())
 }
 
 /// Digests the tap dispatch stream without retaining it: payload order is
@@ -144,7 +133,7 @@ impl DeliveryTap for DigestTap {
         h = fnv_u64(h, partition.hour_index());
         for p in payloads {
             h = fnv_u64(h, p.len() as u64);
-            h = fnv_bytes(h, p);
+            h = fnv1a64_fold(h, p);
         }
         self.0.store(h, std::sync::atomic::Ordering::Relaxed);
     }
@@ -167,7 +156,7 @@ fn deliver_day(
         ..Default::default()
     };
     let mut pipe = ScribePipeline::new(config);
-    let tap_digest = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(FNV_OFFSET));
+    let tap_digest = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(FNV1A64_OFFSET));
     pipe.add_delivery_tap(Box::new(DigestTap(tap_digest.clone())));
 
     let mut records = 0u64;
@@ -207,15 +196,15 @@ fn deliver_day(
         .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
         .expect("day landed");
     files.sort();
-    let mut landed = FNV_OFFSET;
+    let mut landed = FNV1A64_OFFSET;
     for f in &files {
-        landed = fnv_bytes(landed, f.as_str().as_bytes());
+        landed = fnv1a64_fold(landed, f.as_str().as_bytes());
         landed = fnv_u64(landed, wh.file_digest(f).expect("landed file digests"));
     }
 
     // Seen-set digest plus the compaction shape.
     let (watermarks, residual) = pipe.seen_snapshot();
-    let mut seen = FNV_OFFSET;
+    let mut seen = FNV1A64_OFFSET;
     for (host, next) in &watermarks {
         seen = fnv_u64(seen, *host);
         seen = fnv_u64(seen, *next);

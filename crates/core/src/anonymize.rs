@@ -6,6 +6,8 @@
 //! `userId`, `userid`, `user_id`, and `user_Id` through every format; with
 //! client events, one policy applied to fields 3–5 covers the entire log.
 
+use uli_warehouse::{fnv1a64_fold, FNV1A64_OFFSET};
+
 use crate::client_event::ClientEvent;
 
 /// A deterministic, keyed anonymization policy.
@@ -29,12 +31,7 @@ pub const SENSITIVE_DETAIL_KEYS: [&str; 3] = ["user_agent", "request_id", "targe
 fn keyed_hash(key: u64, bytes: &[u8]) -> u64 {
     // FNV-1a seeded with the key; ample for pseudonymization in a
     // simulation (a production system would use a keyed PRF).
-    let mut h = 0xcbf29ce484222325u64 ^ key;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a64_fold(FNV1A64_OFFSET ^ key, bytes)
 }
 
 impl Anonymizer {

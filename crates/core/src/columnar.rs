@@ -18,9 +18,9 @@
 use std::collections::BTreeMap;
 
 use uli_dataflow::{ColumnarCodec, Value};
-use uli_thrift::ThriftRecord;
+use uli_thrift::{varint, ThriftRecord};
 use uli_warehouse::{
-    tag_hash, ColumnCell, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding,
+    tag_hash, ColumnCell, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding, ScanFile,
     Warehouse, WarehouseResult, WhPath,
 };
 
@@ -37,36 +37,10 @@ pub const NAME_COLUMN: usize = 1;
 /// zone maps prune at sub-file granularity.
 pub const DEFAULT_ROWS_PER_GROUP: usize = 512;
 
-fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
 fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *bytes.get(*pos)?;
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return None; // overflows u64
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
+    let (v, n) = varint::read_u64(bytes.get(*pos..)?).ok()?;
+    *pos += n;
+    Some(v)
 }
 
 /// Encodes one event as its seven column cells, index-aligned with
@@ -77,11 +51,11 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// varint-counted sequence of length-prefixed key/value pairs in map order.
 pub fn client_event_cells(ev: &ClientEvent) -> [Vec<u8>; 7] {
     let mut details = Vec::new();
-    write_varint(&mut details, ev.details.len() as u64);
+    varint::write_u64(&mut details, ev.details.len() as u64);
     for (k, v) in &ev.details {
-        write_varint(&mut details, k.len() as u64);
+        varint::write_u64(&mut details, k.len() as u64);
         details.extend_from_slice(k.as_bytes());
-        write_varint(&mut details, v.len() as u64);
+        varint::write_u64(&mut details, v.len() as u64);
         details.extend_from_slice(v.as_bytes());
     }
     [
@@ -207,6 +181,48 @@ pub fn client_event_from_group(
         timestamp: Timestamp(millis),
         details,
     })
+}
+
+/// Decodes scan unit `unit` of a landed client-events file — a block of a
+/// row file, a row group of a columnar one — handing each event to `f` in
+/// stored order. Returns `(events, skipped)`: how many records decoded and
+/// how many did not (every reader tolerates those; none treats them as
+/// fatal). This is the one place that knows how a client event comes out of
+/// either layout. Events are handed over one at a time so a caller that
+/// only inspects them never holds a unit's worth of decoded strings.
+pub fn for_each_client_event(
+    file: &ScanFile,
+    unit: usize,
+    mut f: impl FnMut(ClientEvent),
+) -> WarehouseResult<(u64, u64)> {
+    let mut events = 0u64;
+    let mut skipped = 0u64;
+    match file {
+        // Borrowing visit: each record decodes in place, so a row scan
+        // charges no `alloc_bytes`.
+        ScanFile::Row(blocks) => {
+            blocks.for_each_record(unit, |record| match ClientEvent::from_bytes(record) {
+                Ok(ev) => {
+                    events += 1;
+                    f(ev);
+                }
+                Err(_) => skipped += 1,
+            })?;
+        }
+        ScanFile::Columnar(col) => {
+            let group = col.read_group(unit, &vec![true; col.columns()])?;
+            for row in 0..group.rows() {
+                match client_event_from_group(col, &group, row) {
+                    Some(ev) => {
+                        events += 1;
+                        f(ev);
+                    }
+                    None => skipped += 1,
+                }
+            }
+        }
+    }
+    Ok((events, skipped))
 }
 
 fn read_slice<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
@@ -380,7 +396,7 @@ mod tests {
         assert_eq!(c.decode(6, &[0, 0]), None, "trailing bytes after details");
         // A hostile count larger than the buffer is rejected outright.
         let mut hostile = Vec::new();
-        write_varint(&mut hostile, u64::MAX);
+        varint::write_u64(&mut hostile, u64::MAX);
         assert_eq!(c.decode(6, &hostile), None, "absurd pair count");
         assert_eq!(c.decode(7, b""), None, "column out of range");
     }

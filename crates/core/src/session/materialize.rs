@@ -8,19 +8,19 @@
 //! from the raw client event logs … These sequences of event names are then
 //! encoded using the dictionary."
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
-    sniff_columnar, ColumnarFile, ExternalByteSorter, FileBlocks, HourlyPartition, MemoryTracker,
-    Parallelism, ScanPool, Warehouse, WarehouseResult, WhPath,
+    ExternalByteSorter, HourlyPartition, MemoryTracker, Parallelism, ScanFile, ScanPool, Warehouse,
+    WarehouseResult, WhPath,
 };
 
 use super::dictionary::EventDictionary;
 use super::sequence::SessionSequence;
 use super::sessionize::{SessionRecord, Sessionizer};
 use crate::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
-use crate::columnar::client_event_from_group;
+use crate::columnar::for_each_client_event;
 use crate::event::EventName;
 use crate::time::Timestamp;
 
@@ -112,9 +112,9 @@ impl MaterializeReport {
 pub struct Materializer {
     warehouse: Warehouse,
     sessionizer: Sessionizer,
-    /// Worker threads for the scan and encode shards. Serial keeps the
-    /// original single-threaded code path; any worker count produces
-    /// byte-identical output (shards merge in scan order).
+    /// Worker threads for the scan, sessionize and encode shards. Any
+    /// worker count produces byte-identical output (shards merge in scan
+    /// order); one worker runs the same shards inline.
     parallelism: Parallelism,
     /// Samples of each event type retained for the catalog.
     samples_per_event: usize,
@@ -122,15 +122,9 @@ pub struct Materializer {
     records_per_file: u64,
 }
 
-/// Sessions per parallel encode shard in pass 2. Output bytes do not depend
+/// Sessions per encode shard in pass 2. Output bytes do not depend
 /// on this (shard results concatenate in order); it only balances work.
 const ENCODE_CHUNK: usize = 1024;
-
-/// One open client-event file in a sharded day scan, either layout.
-enum DayScanHandle {
-    Row(FileBlocks),
-    Col(ColumnarFile),
-}
 
 impl Materializer {
     /// A materializer with the standard 30-minute sessionizer.
@@ -150,8 +144,7 @@ impl Materializer {
         self
     }
 
-    /// Sets the scan/encode worker count. `Parallelism::serial()` restores
-    /// the original single-threaded passes exactly.
+    /// Sets the scan/sessionize/encode worker count.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Materializer {
         self.parallelism = parallelism;
         self
@@ -162,144 +155,67 @@ impl Materializer {
         self.parallelism
     }
 
-    /// Scans one hour partition, invoking `f` per decoded event. Returns
-    /// `(events, skipped)` for the hour.
-    fn scan_hour(&self, hour: u64, mut f: impl FnMut(ClientEvent)) -> WarehouseResult<(u64, u64)> {
-        let mut events = 0;
-        let mut skipped = 0;
+    /// The landed client-event files of one hour, sorted (scan order).
+    /// A missing hour directory is an empty hour.
+    fn hour_files(&self, hour: u64) -> WarehouseResult<Vec<WhPath>> {
         let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
         if !self.warehouse.exists(&dir) {
-            return Ok((0, 0));
+            return Ok(Vec::new());
         }
-        for file in self.warehouse.list_files_recursive(&dir)? {
-            // Landings can mix layouts (the mover migrated mid-day, or a
-            // backfill used the other format) — sniff per file.
-            if sniff_columnar(&self.warehouse, &file)?.is_some() {
-                let handle = ColumnarFile::open(&self.warehouse, &file)?;
-                let all = vec![true; handle.columns()];
-                for g in 0..handle.group_count() {
-                    let group = handle.read_group(g, &all)?;
-                    for row in 0..group.rows() {
-                        match client_event_from_group(&handle, &group, row) {
-                            Some(ev) => {
-                                events += 1;
-                                f(ev);
-                            }
-                            None => skipped += 1,
-                        }
-                    }
-                }
-                continue;
-            }
-            let mut reader = self.warehouse.open(&file)?;
-            while let Some(record) = reader.next_record()? {
-                match ClientEvent::from_bytes(record) {
-                    Ok(ev) => {
-                        events += 1;
-                        f(ev);
-                    }
-                    Err(_) => skipped += 1,
-                }
-            }
-        }
-        Ok((events, skipped))
+        self.warehouse.list_files_recursive(&dir)
     }
 
-    /// Scans one day of client events, invoking `f` per decoded event.
-    fn scan_day(
+    /// Scans one landed file unit by unit, invoking `f` per decoded event in
+    /// stored order. Returns `(events, skipped)` for the file.
+    fn scan_file(
         &self,
-        day_index: u64,
+        path: &WhPath,
         mut f: impl FnMut(ClientEvent),
     ) -> WarehouseResult<(u64, u64)> {
+        let file = ScanFile::open(&self.warehouse, path)?;
         let mut events = 0;
         let mut skipped = 0;
-        for hour in day_index * 24..(day_index + 1) * 24 {
-            let (e, s) = self.scan_hour(hour, &mut f)?;
+        for unit in 0..file.units() {
+            let (e, s) = for_each_client_event(&file, unit, &mut f)?;
             events += e;
             skipped += s;
         }
         Ok((events, skipped))
     }
 
-    /// All client-event files of a day, in the order the serial scan visits
-    /// them (hours ascending, files sorted within each hour).
-    fn day_files(&self, day_index: u64) -> WarehouseResult<Vec<WhPath>> {
-        let mut files = Vec::new();
-        for hour in day_index * 24..(day_index + 1) * 24 {
-            let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
-            if !self.warehouse.exists(&dir) {
-                continue;
-            }
-            files.extend(self.warehouse.list_files_recursive(&dir)?);
+    /// Scans one hour partition, invoking `f` per decoded event in scan
+    /// order. Returns `(events, skipped)` for the hour.
+    fn scan_hour(&self, hour: u64, mut f: impl FnMut(ClientEvent)) -> WarehouseResult<(u64, u64)> {
+        let mut events = 0;
+        let mut skipped = 0;
+        for path in self.hour_files(hour)? {
+            let (e, s) = self.scan_file(&path, &mut f)?;
+            events += e;
+            skipped += s;
         }
-        Ok(files)
+        Ok((events, skipped))
     }
 
-    /// Sharded day scan: every block of every file is one shard, folded by
-    /// `fold` into a fresh `init()` state on a pool worker. Returns shard
-    /// states **in scan order** (the serial scan's visit order) plus total
-    /// decoded/skipped counts, so merging shard states front-to-back
-    /// reproduces exactly what the serial fold would have seen.
-    fn scan_day_sharded<T, I, F>(
-        &self,
-        day_index: u64,
-        init: I,
-        fold: F,
-    ) -> WarehouseResult<(Vec<T>, u64, u64)>
+    /// Sharded day scan: every file of the day (hours ascending, files
+    /// sorted — *scan order*) is one shard, folded event by event by `fold`
+    /// into a fresh `T::default()` on a pool worker. Returns shard states in
+    /// scan order plus total decoded/skipped counts, so merging shard states
+    /// front-to-back sees the day's events in exactly one order whatever
+    /// the worker count. A file, not a scan unit, is the shard: per-shard
+    /// state (a histogram, candidate samples) is paid once per shard, and a
+    /// delivered day has many more files than workers.
+    fn scan_day_sharded<T, F>(&self, day_index: u64, fold: F) -> WarehouseResult<(Vec<T>, u64, u64)>
     where
-        T: Send,
-        I: Fn() -> T + Sync,
+        T: Default + Send,
         F: Fn(&mut T, ClientEvent) + Sync,
     {
-        let files = self.day_files(day_index)?;
-        let mut handles: Vec<DayScanHandle> = Vec::with_capacity(files.len());
-        let mut work: Vec<(usize, usize)> = Vec::new();
-        for file in &files {
-            // Row files shard per block, columnar files per row group —
-            // either way one work unit ≈ one map task.
-            let hi = handles.len();
-            if sniff_columnar(&self.warehouse, file)?.is_some() {
-                let handle = ColumnarFile::open(&self.warehouse, file)?;
-                work.extend((0..handle.group_count()).map(|g| (hi, g)));
-                handles.push(DayScanHandle::Col(handle));
-            } else {
-                let handle = self.warehouse.open_blocks(file)?;
-                work.extend((0..handle.block_count()).map(|bi| (hi, bi)));
-                handles.push(DayScanHandle::Row(handle));
-            }
+        let mut paths = Vec::new();
+        for hour in day_index * 24..(day_index + 1) * 24 {
+            paths.extend(self.hour_files(hour)?);
         }
-        let results = ScanPool::new(self.parallelism).map(work, |_, (hi, bi)| {
-            let mut state = init();
-            let mut events = 0u64;
-            let mut skipped = 0u64;
-            match &handles[hi] {
-                // Borrowing visit: decoding reads the record in place, so the
-                // sharded scan charges the same zero `alloc_bytes` as the
-                // serial `next_record` scan — cost counters stay
-                // worker-invariant.
-                DayScanHandle::Row(handle) => {
-                    handle.for_each_record(bi, |record| match ClientEvent::from_bytes(record) {
-                        Ok(ev) => {
-                            events += 1;
-                            fold(&mut state, ev);
-                        }
-                        Err(_) => skipped += 1,
-                    })?;
-                }
-                DayScanHandle::Col(handle) => {
-                    let all = vec![true; handle.columns()];
-                    let group = handle.read_group(bi, &all)?;
-                    for row in 0..group.rows() {
-                        match client_event_from_group(handle, &group, row) {
-                            Some(ev) => {
-                                events += 1;
-                                fold(&mut state, ev);
-                            }
-                            None => skipped += 1,
-                        }
-                    }
-                }
-            }
+        let results = ScanPool::new(self.parallelism).map(paths, |_, path| {
+            let mut state = T::default();
+            let (events, skipped) = self.scan_file(&path, |ev| fold(&mut state, ev))?;
             Ok::<_, uli_warehouse::WarehouseError>((state, events, skipped))
         });
         let mut states = Vec::with_capacity(results.len());
@@ -317,45 +233,38 @@ impl Materializer {
     /// Pass 1: histogram + samples + dictionary, persisted under
     /// [`dictionary_dir`]. Returns the dictionary.
     ///
-    /// With parallelism, per-shard histograms merge into one `BTreeMap` in
-    /// scan order; counts are order-independent sums and samples keep the
-    /// first `samples_per_event` occurrences in scan order, so the persisted
-    /// dictionary and samples are byte-identical to a serial run. Rank order
+    /// Per-shard histograms merge into one `BTreeMap` in scan order; counts
+    /// are order-independent sums and samples keep the first
+    /// `samples_per_event` occurrences in scan order, so the persisted
+    /// dictionary and samples do not depend on the worker count. Rank order
     /// (count descending, ties by name ascending) is fixed by
-    /// [`EventDictionary::from_counts`] and cannot depend on worker count.
+    /// [`EventDictionary::from_counts`].
+    ///
+    /// A shard is a hash map (its iteration order never reaches the output:
+    /// the merge is per name) costing one lookup per event; candidate
+    /// samples are serialized as they are taken, so no decoded event
+    /// outlives its visit.
     pub fn build_dictionary(&self, day_index: u64) -> WarehouseResult<EventDictionary> {
+        let per_event = self.samples_per_event;
+        type Shard = HashMap<EventName, (u64, Vec<Vec<u8>>)>;
+        let (shards, _, _) = self.scan_day_sharded(day_index, |shard: &mut Shard, ev| {
+            let (n, first) = match shard.get_mut(&ev.name) {
+                Some(entry) => entry,
+                None => shard.entry(ev.name.clone()).or_default(),
+            };
+            *n += 1;
+            if first.len() < per_event {
+                first.push(ev.to_bytes());
+            }
+        })?;
         let mut counts: BTreeMap<EventName, u64> = BTreeMap::new();
         let mut samples: BTreeMap<EventName, Vec<Vec<u8>>> = BTreeMap::new();
-        let per_event = self.samples_per_event;
-        if self.parallelism.is_serial() {
-            self.scan_day(day_index, |ev| {
-                *counts.entry(ev.name.clone()).or_insert(0) += 1;
-                let bucket = samples.entry(ev.name.clone()).or_default();
-                if bucket.len() < per_event {
-                    bucket.push(ev.to_bytes());
-                }
-            })?;
-        } else {
-            type Shard = (BTreeMap<EventName, u64>, BTreeMap<EventName, Vec<Vec<u8>>>);
-            let (shards, _, _) =
-                self.scan_day_sharded(day_index, Shard::default, |(counts, samples), ev| {
-                    *counts.entry(ev.name.clone()).or_insert(0) += 1;
-                    let bucket = samples.entry(ev.name.clone()).or_default();
-                    if bucket.len() < per_event {
-                        bucket.push(ev.to_bytes());
-                    }
-                })?;
-            for (shard_counts, shard_samples) in shards {
-                for (name, n) in shard_counts {
-                    *counts.entry(name).or_insert(0) += n;
-                }
-                for (name, bucket) in shard_samples {
-                    let merged = samples.entry(name).or_default();
-                    if merged.len() < per_event {
-                        merged.extend(bucket);
-                        merged.truncate(per_event);
-                    }
-                }
+        for shard in shards {
+            for (name, (n, first)) in shard {
+                let bucket = samples.entry(name.clone()).or_default();
+                let room = per_event.saturating_sub(bucket.len());
+                bucket.extend(first.into_iter().take(room));
+                *counts.entry(name).or_insert(0) += n;
             }
         }
         let dict = EventDictionary::from_counts(counts.into_iter().collect());
@@ -403,103 +312,99 @@ impl Materializer {
             .collect())
     }
 
-    /// Parallel sessionization: events partition by a user-id hash, each
-    /// shard sessionizes independently on the pool, and the shard outputs
-    /// merge back into the serial output order.
+    /// Sharded sessionization: events partition by a user-id hash, each
+    /// partition sessionizes independently on the pool, and the partition
+    /// outputs merge back into [`Sessionizer::sessionize`]'s output order.
+    /// `scan_shards` are the day's events as the scan produced them, in scan
+    /// order; each is freed as soon as it is drained, so the day's events
+    /// are never held twice.
     ///
     /// This is safe because a session never spans users — the group key is
     /// `(user_id, session_id)` — so hashing on user id puts every event of
-    /// a group in exactly one shard. Each shard's output is already sorted
-    /// by `(user_id, session_id)` (then start time within a group), and no
-    /// group key appears in two shards, so a k-way merge on
-    /// `(user_id, session_id)` reproduces the serial order byte for byte,
-    /// independent of the worker count.
-    fn sessionize_sharded(&self, events: Vec<ClientEvent>) -> Vec<SessionRecord> {
-        let n = self.parallelism.workers().max(1);
-        let mut shards: Vec<Vec<ClientEvent>> = (0..n).map(|_| Vec::new()).collect();
-        for ev in events {
-            // SplitMix-style mix so contiguous user ids spread over shards.
-            let h = (ev.user_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            shards[(h >> 32) as usize % n].push(ev);
+    /// a group in exactly one partition, in scan order. Each partition's
+    /// output is already sorted by `(user_id, session_id)` (then start time
+    /// within a group), and no group key appears in two partitions, so a
+    /// k-way merge on `(user_id, session_id)` reproduces the unpartitioned
+    /// order byte for byte, independent of the worker count.
+    fn sessionize_sharded(&self, scan_shards: Vec<Vec<ClientEvent>>) -> Vec<SessionRecord> {
+        let n = self.parallelism.workers();
+        let total: usize = scan_shards.iter().map(Vec::len).sum();
+        let mut parts: Vec<Vec<ClientEvent>> =
+            (0..n).map(|_| Vec::with_capacity(total / n + 1)).collect();
+        for shard in scan_shards {
+            for ev in shard {
+                // SplitMix-style mix so contiguous user ids spread over
+                // partitions.
+                let h = (ev.user_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                parts[(h >> 32) as usize % n].push(ev);
+            }
         }
         let sessionizer = self.sessionizer;
-        let outs = ScanPool::new(self.parallelism)
-            .map(shards, move |_, shard| sessionizer.sessionize(shard));
+        let mut runs: Vec<std::vec::IntoIter<SessionRecord>> = ScanPool::new(self.parallelism)
+            .map(parts, move |_, part| sessionizer.sessionize(part))
+            .into_iter()
+            .map(Vec::into_iter)
+            .collect();
 
-        // K-way merge by group key. Ties across shards are impossible (one
-        // user, one shard), so the pick order is total and deterministic.
-        let total = outs.iter().map(Vec::len).sum();
-        let mut iters: Vec<_> = outs.into_iter().map(|o| o.into_iter().peekable()).collect();
-        let mut merged = Vec::with_capacity(total);
-        loop {
-            let next = iters
-                .iter_mut()
-                .filter_map(|it| it.peek().map(|r| (r.user_id, r.session_id.clone())))
-                .min();
-            let Some(key) = next else { break };
-            // Drain the whole group from its shard: sessions of one group
-            // stay in shard-internal (start-time) order.
-            for it in iters.iter_mut() {
-                while it
-                    .peek()
-                    .is_some_and(|r| (r.user_id, r.session_id.as_str()) == (key.0, key.1.as_str()))
-                {
-                    merged.push(it.next().expect("peeked above"));
-                }
-            }
+        // K-way merge by group key. Ties across runs are impossible (one
+        // user, one partition), so the pick order is total and
+        // deterministic. Keys are compared in place, never cloned.
+        let mut merged = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+        while let Some((_, src)) = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, run)| {
+                let head = run.as_slice().first()?;
+                Some(((head.user_id, head.session_id.as_str()), i))
+            })
+            .min()
+        {
+            // Drain the whole group from its run: sessions of one group
+            // stay in run-internal (start-time) order.
+            let run = &mut runs[src];
+            let head = run.next().expect("run has a head");
+            let rest = run
+                .as_slice()
+                .iter()
+                .take_while(|r| r.user_id == head.user_id && r.session_id == head.session_id)
+                .count();
+            merged.push(head);
+            merged.extend(run.take(rest));
         }
         merged
     }
 
     /// Pass 2: reconstruct sessions, encode, and write the relation under
     /// [`sequences_dir`]. Requires the dictionary from pass 1.
-    /// With parallelism, the scan shards per block (events concatenate in
-    /// scan order, so sessionization sees the serial event order), the
-    /// sessionize pass shards by user-id hash with a deterministic merge
-    /// (see [`Self::sessionize_sharded`]), and the encode shards over fixed
+    /// The scan shards per unit (shards stay in scan order, so
+    /// sessionization sees one event order), the sessionize pass shards by
+    /// user-id hash with a deterministic merge (see
+    /// [`Self::sessionize_sharded`]), and the encode shards over fixed
     /// chunks of the session list; encoded records are written back in
-    /// session order, so part files are byte-identical to a serial run.
+    /// session order, so part files do not depend on the worker count.
     pub fn materialize_sequences(
         &self,
         day_index: u64,
         dict: &EventDictionary,
     ) -> WarehouseResult<MaterializeReport> {
-        let mut all_events = Vec::new();
-        let (events, skipped) = if self.parallelism.is_serial() {
-            self.scan_day(day_index, |ev| all_events.push(ev))?
-        } else {
-            let (shards, events, skipped) =
-                self.scan_day_sharded(day_index, Vec::new, |shard, ev| shard.push(ev))?;
-            all_events = shards.into_iter().flatten().collect();
-            (events, skipped)
-        };
-        let sessions = if self.parallelism.is_serial() {
-            self.sessionizer.sessionize(all_events)
-        } else {
-            self.sessionize_sharded(all_events)
-        };
+        let (scan_shards, events, skipped) =
+            self.scan_day_sharded(day_index, |shard: &mut Vec<ClientEvent>, ev| shard.push(ev))?;
+        let sessions = self.sessionize_sharded(scan_shards);
 
         // Encode ahead of the write loop. `None` marks a session whose event
         // is missing from the dictionary (impossible when both passes saw
-        // the same data; tolerated like the serial path).
-        let encoded: Vec<Option<Vec<u8>>> = if self.parallelism.is_serial() {
-            sessions
-                .iter()
-                .map(|s| SessionSequence::encode(s, dict).map(|seq| seq.to_bytes()))
-                .collect()
-        } else {
-            let chunks: Vec<&[_]> = sessions.chunks(ENCODE_CHUNK).collect();
-            ScanPool::new(self.parallelism)
-                .map(chunks, |_, chunk| {
-                    chunk
-                        .iter()
-                        .map(|s| SessionSequence::encode(s, dict).map(|seq| seq.to_bytes()))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-        };
+        // the same data; tolerated, not fatal).
+        let chunks: Vec<&[_]> = sessions.chunks(ENCODE_CHUNK).collect();
+        let encoded: Vec<Option<Vec<u8>>> = ScanPool::new(self.parallelism)
+            .map(chunks, |_, chunk| {
+                chunk
+                    .iter()
+                    .map(|s| SessionSequence::encode(s, dict).map(|seq| seq.to_bytes()))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
 
         let dir = sequences_dir(day_index);
         if self.warehouse.exists(&dir) {
@@ -740,28 +645,53 @@ mod tests {
         EventName::parse(s).unwrap()
     }
 
+    /// One hour of the synthetic day, in the order the fixtures write it.
+    fn hour_events(hour: u64, users: i64, events_per_user: usize) -> Vec<ClientEvent> {
+        let mut events = Vec::new();
+        for u in 0..users {
+            for i in 0..events_per_user {
+                let action = if i % 5 == 0 { "click" } else { "impression" };
+                events.push(ClientEvent::new(
+                    EventInitiator::CLIENT_USER,
+                    n(&format!("web:home:home:stream:tweet:{action}")),
+                    u,
+                    format!("s-{u}"),
+                    "10.0.0.1",
+                    Timestamp::from_hour_index(hour).plus(i as i64 * 1000),
+                ));
+            }
+        }
+        events
+    }
+
+    fn write_row_file(wh: &Warehouse, hour: u64, part: &str, events: &[ClientEvent]) {
+        let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
+        let mut w = wh.create(&dir.child(part).unwrap()).unwrap();
+        for ev in events {
+            w.append_record(&ev.to_bytes());
+        }
+        w.finish().unwrap();
+    }
+
+    fn write_columnar_file(wh: &Warehouse, hour: u64, part: &str, events: &[ClientEvent]) {
+        let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
+        crate::columnar::write_client_events_columnar(
+            wh,
+            &dir.child(part).unwrap(),
+            events,
+            true,
+            64,
+        )
+        .unwrap();
+    }
+
     /// Writes a day of synthetic client events into hour partitions.
     fn fixture(wh: &Warehouse, day: u64, users: i64, events_per_user: usize) -> u64 {
         let mut total = 0;
         for hour in day * 24..day * 24 + 2 {
-            let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
-            let mut w = wh.create(&dir.child("part-00000").unwrap()).unwrap();
-            for u in 0..users {
-                for i in 0..events_per_user {
-                    let action = if i % 5 == 0 { "click" } else { "impression" };
-                    let ev = ClientEvent::new(
-                        EventInitiator::CLIENT_USER,
-                        n(&format!("web:home:home:stream:tweet:{action}")),
-                        u,
-                        format!("s-{u}"),
-                        "10.0.0.1",
-                        Timestamp::from_hour_index(hour).plus(i as i64 * 1000),
-                    );
-                    w.append_record(&ev.to_bytes());
-                    total += 1;
-                }
-            }
-            w.finish().unwrap();
+            let events = hour_events(hour, users, events_per_user);
+            write_row_file(wh, hour, "part-00000", &events);
+            total += events.len() as u64;
         }
         total
     }
@@ -863,28 +793,111 @@ mod tests {
         out
     }
 
+    /// What a day's events must materialize to, computed from the event
+    /// list (in scan order) with the public primitives alone — no scan, no
+    /// pool, no shards: a plain histogram ranked by
+    /// [`EventDictionary::from_counts`], the first `per_event` occurrences
+    /// of each name, and [`Sessionizer::sessionize`] +
+    /// [`SessionSequence::encode`] cut into files of `records_per_file`.
+    fn expected_artifacts(
+        day: u64,
+        events: &[ClientEvent],
+        per_event: usize,
+        records_per_file: usize,
+    ) -> Vec<(String, Vec<Vec<u8>>)> {
+        let mut counts: BTreeMap<EventName, u64> = BTreeMap::new();
+        let mut samples: BTreeMap<EventName, Vec<Vec<u8>>> = BTreeMap::new();
+        for ev in events {
+            *counts.entry(ev.name.clone()).or_insert(0) += 1;
+            let bucket = samples.entry(ev.name.clone()).or_default();
+            if bucket.len() < per_event {
+                bucket.push(ev.to_bytes());
+            }
+        }
+        let dict = EventDictionary::from_counts(counts.into_iter().collect());
+        let sequences: Vec<Vec<u8>> = Sessionizer::new()
+            .sessionize(events.to_vec())
+            .iter()
+            .map(|s| SessionSequence::encode(s, &dict).unwrap().to_bytes())
+            .collect();
+        let mut out: Vec<(String, Vec<Vec<u8>>)> = sequences
+            .chunks(records_per_file)
+            .enumerate()
+            .map(|(part, chunk)| {
+                let path = sequences_dir(day)
+                    .child(&format!("part-{part:05}"))
+                    .unwrap();
+                (path.as_str().to_string(), chunk.to_vec())
+            })
+            .collect();
+        let dir = dictionary_dir(day);
+        out.push((
+            dir.child("dictionary").unwrap().as_str().to_string(),
+            dict.to_records(),
+        ));
+        out.push((
+            dir.child("samples").unwrap().as_str().to_string(),
+            samples.into_values().flatten().collect(),
+        ));
+        out
+    }
+
+    /// A day whose files each span several scan units and whose second hour
+    /// mixes layouts: hour 0 is one row file, hour 1 a columnar file plus a
+    /// row sibling. Returns the events in scan order.
+    fn fixture_mixed(wh: &Warehouse) -> Vec<ClientEvent> {
+        let actions = ["impression", "click", "impression", "follow", "hover"];
+        let day: Vec<Vec<ClientEvent>> = (0..2u64)
+            .map(|hour| {
+                let mut events = hour_events(hour, 24, 20);
+                for (i, ev) in events.iter_mut().enumerate() {
+                    let action = actions[(i * 7 + i / 11) % actions.len()];
+                    ev.name = n(&format!("web:home:home:stream:tweet:{action}"));
+                }
+                events
+            })
+            .collect();
+        write_row_file(wh, 0, "part-00000", &day[0]);
+        let (columnar, row) = day[1].split_at(day[1].len() / 2);
+        write_columnar_file(wh, 1, "part-00000", columnar);
+        write_row_file(wh, 1, "part-00001", row);
+        for hour in 0..2 {
+            let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
+            for path in wh.list_files_recursive(&dir).unwrap() {
+                let units = ScanFile::open(wh, &path).unwrap().units();
+                assert!(units >= 3, "{path} has only {units} scan units");
+            }
+        }
+        day.concat()
+    }
+
     #[test]
     fn materialized_output_is_byte_identical_across_worker_counts() {
-        // Enough users that the user-id hash spreads groups over every
-        // shard, and a small file cap so multiple part files exist.
-        let baseline = {
-            let wh = Warehouse::new();
-            fixture(&wh, 0, 24, 20);
-            let m = Materializer::new(wh.clone()).with_parallelism(Parallelism::serial());
-            m.run_day(0).unwrap();
-            day_artifacts(&wh, 0)
-        };
-        assert!(baseline.len() >= 3, "fixture must produce several files");
-        for workers in [4usize, 8] {
-            let wh = Warehouse::new();
-            fixture(&wh, 0, 24, 20);
-            let m = Materializer::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
+        // One worker and many run the same shards, so comparing them only
+        // proves scheduling independence. The reference here is computed
+        // from the event list itself, which the pool cannot influence.
+        let mut expected = None;
+        for workers in [1usize, 4, 8] {
+            // Small blocks so every row file spans several units; a small
+            // file cap so several part files exist.
+            let wh = Warehouse::with_block_capacity(4096);
+            let events = fixture_mixed(&wh);
+            let mut m = Materializer::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
+            m.records_per_file = 7;
             let report = m.run_day(0).unwrap();
-            assert!(report.sessions > 0);
+            assert_eq!(report.events, events.len() as u64);
+            assert_eq!(report.skipped, 0);
+            let expected = expected.get_or_insert_with(|| {
+                expected_artifacts(0, &events, m.samples_per_event, m.records_per_file as usize)
+            });
+            assert!(
+                expected.len() >= 5,
+                "several part files plus the dictionary"
+            );
             assert_eq!(
-                day_artifacts(&wh, 0),
-                baseline,
-                "materialized files must be byte-identical at {workers} workers"
+                &day_artifacts(&wh, 0),
+                expected,
+                "materialized files diverged from the event list at {workers} workers"
             );
         }
     }
@@ -893,30 +906,9 @@ mod tests {
     fn fixture_columnar(wh: &Warehouse, day: u64, users: i64, events_per_user: usize) -> u64 {
         let mut total = 0;
         for hour in day * 24..day * 24 + 2 {
-            let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
-            let mut events = Vec::new();
-            for u in 0..users {
-                for i in 0..events_per_user {
-                    let action = if i % 5 == 0 { "click" } else { "impression" };
-                    events.push(ClientEvent::new(
-                        EventInitiator::CLIENT_USER,
-                        n(&format!("web:home:home:stream:tweet:{action}")),
-                        u,
-                        format!("s-{u}"),
-                        "10.0.0.1",
-                        Timestamp::from_hour_index(hour).plus(i as i64 * 1000),
-                    ));
-                    total += 1;
-                }
-            }
-            crate::columnar::write_client_events_columnar(
-                wh,
-                &dir.child("part-00000").unwrap(),
-                &events,
-                true,
-                64,
-            )
-            .unwrap();
+            let events = hour_events(hour, users, events_per_user);
+            write_columnar_file(wh, hour, "part-00000", &events);
+            total += events.len() as u64;
         }
         total
     }
@@ -1055,16 +1047,21 @@ mod tests {
 
     #[test]
     fn sharded_sessionize_matches_serial_on_interleaved_users() {
-        let wh = Warehouse::new();
-        fixture(&wh, 0, 17, 9);
-        let mut events = Vec::new();
-        let serial = Materializer::new(wh.clone()).with_parallelism(Parallelism::serial());
-        serial.scan_day(0, |ev| events.push(ev)).unwrap();
-        let expected = serial.sessionizer.sessionize(events.clone());
-        for workers in [2usize, 4, 8] {
-            let m = Materializer::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
+        // Interleave users within each scan shard so every partition gets
+        // events from every shard.
+        let shards: Vec<Vec<ClientEvent>> = (0..2u64)
+            .map(|hour| {
+                let mut events = hour_events(hour, 17, 9);
+                events.sort_by_key(|ev| ev.timestamp);
+                events
+            })
+            .collect();
+        let expected = Sessionizer::new().sessionize(shards.concat());
+        for workers in [1usize, 2, 4, 8] {
+            let m =
+                Materializer::new(Warehouse::new()).with_parallelism(Parallelism::fixed(workers));
             assert_eq!(
-                m.sessionize_sharded(events.clone()),
+                m.sessionize_sharded(shards.clone()),
                 expected,
                 "{workers} workers"
             );

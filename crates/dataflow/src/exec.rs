@@ -14,8 +14,7 @@ use std::sync::Arc;
 
 use uli_obs::{Counter, Gauge, Registry};
 use uli_warehouse::{
-    sniff_columnar, ColumnarFile, FileBlocks, MemoryTracker, Parallelism, ScanPool, Warehouse,
-    ZoneMapPruner,
+    MemoryTracker, Parallelism, ScanFile, ScanPool, ScanStats, Warehouse, ZoneMapPruner,
 };
 
 use crate::batch::scan_group;
@@ -295,10 +294,10 @@ pub struct Engine {
     warehouse: Warehouse,
     cost: CostModel,
     /// Worker threads for the map phase (LOAD → FILTER → FOREACH chains run
-    /// per-block on a [`ScanPool`]); results are byte-identical to serial.
+    /// per scan unit on a [`ScanPool`]); results do not depend on it.
     parallelism: Parallelism,
-    /// Which scan-pushdown layers the planner applies; results are
-    /// byte-identical to the eager path at every setting.
+    /// Which scan-pushdown layers the planner applies; rows are
+    /// byte-identical at every setting, only the bytes decoded differ.
     pushdown: Pushdown,
     /// Records per simulated reduce task.
     reduce_keys_per_task: u64,
@@ -362,15 +361,15 @@ impl Engine {
         self
     }
 
-    /// Sets the map-phase worker count. `Parallelism::serial()` restores the
-    /// original single-threaded execution path exactly.
+    /// Sets the map-phase worker count. One worker runs the same per-unit
+    /// scan inline on the calling thread.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
     }
 
-    /// Sets the pushdown configuration. `Pushdown::disabled()` restores the
-    /// eager scan path exactly.
+    /// Sets the pushdown configuration. `Pushdown::disabled()` decodes every
+    /// column of every record and evaluates every FILTER on full tuples.
     pub fn with_pushdown(mut self, pushdown: Pushdown) -> Self {
         self.pushdown = pushdown;
         self
@@ -447,157 +446,140 @@ impl Engine {
         }
     }
 
-    /// Runs a map chain per block on the scan pool, applying `per_block` to
-    /// each block's mapped rows. Returns block results in block order plus
-    /// the pending map input, and charges `stats` from the per-handle scan
-    /// counters (exact even while other scans hit the same warehouse).
+    /// Runs a map chain per scan unit (row block or columnar row group) on
+    /// the scan pool, applying `per_block` to each unit's mapped rows.
+    /// Returns unit results in scan order plus the pending map input, and
+    /// charges `stats` from the per-handle scan counters (exact even while
+    /// other scans hit the same warehouse).
     fn exec_chain_blocks<T: Send>(
         &self,
         chain: &MapChain<'_>,
         stats: &mut JobStats,
         per_block: impl Fn(Vec<Tuple>) -> DataflowResult<T> + Sync,
     ) -> DataflowResult<(Vec<T>, MapInput)> {
-        let files = self.warehouse.list_files_recursive(chain.dir)?;
-        let mut handles: Vec<ScanHandle> = Vec::with_capacity(files.len());
-        // (handle index, block/group index), in the serial scan's visit
-        // order. Columnar files contribute one work unit per row group.
+        let paths = self.warehouse.list_files_recursive(chain.dir)?;
+        let mut files: Vec<ScanFile> = Vec::with_capacity(paths.len());
+        // (file index, unit index) in scan order: files sorted, units
+        // ascending. Pruned units are billed as skipped here and never
+        // become work.
         let mut work: Vec<(usize, usize)> = Vec::new();
         let codec = chain.loader.columnar();
-        for file in &files {
-            if codec.is_some() && sniff_columnar(&self.warehouse, file)?.is_some() {
-                let handle = ColumnarFile::open(&self.warehouse, file)?;
-                if handle.columns() != chain.spec.width {
-                    return Err(DataflowError::MalformedRecord {
-                        loader: chain.loader.name(),
-                    });
-                }
-                let hi = handles.len();
-                // Block pruners index row blocks, which columnar files do
-                // not have; zone maps are the columnar pruning layer.
-                for g in 0..handle.group_count() {
-                    if let Some(zone) = &chain.zone {
-                        if !zone.keep(handle.zone_map(g).as_ref()) {
-                            handle.skip_group(g);
-                            continue;
-                        }
+        for path in &paths {
+            // A loader without a columnar codec reads every file as opaque
+            // rows and skips the records it cannot decode.
+            let file = match codec {
+                Some(_) => ScanFile::open(&self.warehouse, path)?,
+                None => ScanFile::Row(self.warehouse.open_blocks(path)?),
+            };
+            // Block pruners index row blocks, which columnar files do not
+            // have; zone maps prune either layout.
+            let mask = match &file {
+                ScanFile::Row(_) => chain
+                    .pruner
+                    .as_ref()
+                    .and_then(|p| p.prune(&self.warehouse, path, file.units())),
+                ScanFile::Columnar(col) => {
+                    if col.columns() != chain.spec.width {
+                        return Err(DataflowError::MalformedRecord {
+                            loader: chain.loader.name(),
+                        });
                     }
-                    work.push((hi, g));
+                    None
                 }
-                handles.push(ScanHandle::Col(handle));
-                continue;
-            }
-            let handle = self.warehouse.open_blocks(file)?;
-            let blocks = handle.block_count();
-            let mask = chain
-                .pruner
-                .as_ref()
-                .and_then(|p| p.prune(&self.warehouse, file, blocks));
+            };
             if let Some(mask) = &mask {
-                assert_eq!(mask.len(), blocks, "filter length mismatch");
+                assert_eq!(mask.len(), file.units(), "filter length mismatch");
             }
-            let hi = handles.len();
-            for bi in 0..blocks {
-                // A block excluded by either pruner counts as skipped exactly
-                // once and is never decompressed (or served from cache).
-                if !mask.as_ref().is_none_or(|m| m[bi]) {
-                    handle.skip_block(bi);
-                    continue;
+            for unit in 0..file.units() {
+                let keep = mask.as_ref().is_none_or(|m| m[unit])
+                    && chain
+                        .zone
+                        .as_ref()
+                        .is_none_or(|z| z.keep(file.zone_map(unit).as_ref()));
+                if keep {
+                    work.push((files.len(), unit));
+                } else {
+                    file.skip_unit(unit);
                 }
-                if let Some(zone) = &chain.zone {
-                    if !zone.keep(handle.zone_map(bi).as_ref()) {
-                        handle.skip_block(bi);
-                        continue;
-                    }
-                }
-                work.push((hi, bi));
             }
-            handles.push(ScanHandle::Row(handle));
+            files.push(file);
         }
-        let results = ScanPool::new(self.parallelism).map(work, |_, (hi, bi)| {
-            let handle = match &handles[hi] {
-                ScanHandle::Row(handle) => handle,
-                ScanHandle::Col(file) => {
+        let results = ScanPool::new(self.parallelism).map(work, |_, (fi, unit)| {
+            let file = &files[fi];
+            let rows = match file {
+                ScanFile::Columnar(col) => {
                     // Vectorized scan: one batch per row group, predicates
                     // over whole columns, selection mask in place of the
                     // per-record admit loop. The reader already charged
                     // `fields_skipped` for masked columns.
-                    let codec = codec.expect("columnar handles require a codec");
-                    let (rows, records_skipped) = scan_group(file, bi, codec, &chain.spec)?;
+                    let codec = codec.expect("columnar files are opened only with a codec");
+                    let (rows, records_skipped) = scan_group(col, unit, codec, &chain.spec)?;
                     file.charge_pushdown(records_skipped, 0);
-                    return per_block(chain.apply_ops(rows)?);
+                    rows
+                }
+                ScanFile::Row(blocks) => {
+                    // Borrowing visit: the loader decodes each record in
+                    // place, so the scan never pays the one-Vec-per-record
+                    // copy that `read_block` charges to `alloc_bytes`.
+                    let mut rows = Vec::with_capacity(blocks.block_records(unit) as usize);
+                    let mut records_skipped = 0u64;
+                    let mut fields_skipped = 0u64;
+                    let mut scan_err: Option<DataflowError> = None;
+                    blocks.for_each_record(unit, |record| {
+                        if scan_err.is_some() {
+                            return;
+                        }
+                        match chain.loader.scan(record, &chain.spec) {
+                            Ok(outcome) => {
+                                fields_skipped += outcome.fields_skipped;
+                                if outcome.skipped_by_predicate {
+                                    records_skipped += 1;
+                                }
+                                if let Some(tuple) = outcome.tuple {
+                                    rows.push(tuple);
+                                }
+                            }
+                            Err(e) => scan_err = Some(e),
+                        }
+                    })?;
+                    if let Some(e) = scan_err {
+                        return Err(e);
+                    }
+                    file.charge_pushdown(records_skipped, fields_skipped);
+                    rows
                 }
             };
-            // Borrowing visit: the loader decodes each record in place, so
-            // the scan never pays the one-Vec-per-record copy that
-            // `read_block` charges to `alloc_bytes`.
-            let mut rows = Vec::with_capacity(handle.block_records(bi) as usize);
-            let mut records_skipped = 0u64;
-            let mut fields_skipped = 0u64;
-            let mut scan_err: Option<DataflowError> = None;
-            handle.for_each_record(bi, |record| {
-                if scan_err.is_some() {
-                    return;
-                }
-                match chain.loader.scan(record, &chain.spec) {
-                    Ok(outcome) => {
-                        fields_skipped += outcome.fields_skipped;
-                        if outcome.skipped_by_predicate {
-                            records_skipped += 1;
-                        }
-                        if let Some(tuple) = outcome.tuple {
-                            rows.push(tuple);
-                        }
-                    }
-                    Err(e) => scan_err = Some(e),
-                }
-            })?;
-            if let Some(e) = scan_err {
-                return Err(e);
-            }
-            handle.charge_pushdown(records_skipped, fields_skipped);
             per_block(chain.apply_ops(rows)?)
         });
-        // First error in block order, matching what a serial scan surfaces.
+        // First error in scan order, whatever order the workers finished in.
         let mut out = Vec::with_capacity(results.len());
         for r in results {
             out.push(r?);
         }
-        let mut delta = uli_warehouse::ScanStats::default();
-        for handle in &handles {
-            let local = match handle {
-                ScanHandle::Row(h) => h.local_stats(),
-                ScanHandle::Col(f) => f.local_stats(),
-            };
-            delta.records_read += local.records_read;
-            delta.blocks_read += local.blocks_read;
-            delta.blocks_skipped += local.blocks_skipped;
-            delta.compressed_bytes_read += local.compressed_bytes_read;
-            delta.uncompressed_bytes_read += local.uncompressed_bytes_read;
-            delta.records_skipped_by_predicate += local.records_skipped_by_predicate;
-            delta.fields_skipped += local.fields_skipped;
-        }
-        stats.input_records += delta.records_read;
-        stats.input_blocks += delta.blocks_read;
-        stats.blocks_skipped += delta.blocks_skipped;
-        stats.input_bytes_compressed += delta.compressed_bytes_read;
-        stats.input_bytes_uncompressed += delta.uncompressed_bytes_read;
-        stats.records_skipped_by_predicate += delta.records_skipped_by_predicate;
-        stats.fields_skipped += delta.fields_skipped;
+        let read = files
+            .iter()
+            .fold(ScanStats::default(), |sum, f| sum.plus(&f.local_stats()));
+        stats.input_records += read.records_read;
+        stats.input_blocks += read.blocks_read;
+        stats.blocks_skipped += read.blocks_skipped;
+        stats.input_bytes_compressed += read.compressed_bytes_read;
+        stats.input_bytes_uncompressed += read.uncompressed_bytes_read;
+        stats.records_skipped_by_predicate += read.records_skipped_by_predicate;
+        stats.fields_skipped += read.fields_skipped;
         Ok((
             out,
             MapInput {
-                tasks: delta.blocks_read,
-                bytes: delta.uncompressed_bytes_read,
+                tasks: read.blocks_read,
+                bytes: read.uncompressed_bytes_read,
             },
         ))
     }
 
-    /// Parallel map phase feeding an algebraic aggregate: each block's rows
-    /// collapse into per-group partial [`AggState`]s map-side, and partials
-    /// merge at the shuffle boundary in block order. `shuffle_records` is
-    /// the *actual* combiner output — what really crosses the shuffle —
-    /// rather than the serial path's upper-bound estimate.
-    fn exec_parallel_aggregate(
+    /// Map phase feeding an algebraic aggregate: each unit's rows collapse
+    /// into per-group partial [`AggState`]s map-side, and partials merge at
+    /// the shuffle boundary in scan order. `shuffle_records` is the *actual*
+    /// combiner output — what really crosses the shuffle.
+    fn exec_chain_aggregate(
         &self,
         chain: &MapChain<'_>,
         keys: &[usize],
@@ -696,81 +678,20 @@ impl Engine {
         mem: &MemoryTracker,
         stats: &mut JobStats,
     ) -> DataflowResult<(Vec<Tuple>, MapInput)> {
-        // A LOAD → FILTER → FOREACH chain is a pure map phase: run it
-        // per-block on the scan pool. Block results concatenate in block
-        // order, so rows come out exactly as the serial scan produces them.
-        // Pushdown routes serial engines through the same path (the pool
-        // runs inline at ≤1 worker) so accounting stays worker-invariant.
-        if !self.parallelism.is_serial() || self.pushdown.any() {
-            if let Some(chain) = MapChain::extract(plan, self.pushdown) {
-                let (blocks, pending) = self.exec_chain_blocks(&chain, stats, Ok)?;
-                let mut rows = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
-                for block_rows in blocks {
-                    rows.extend(block_rows);
-                }
-                return Ok((rows, pending));
+        // A LOAD, bare or under FILTER/FOREACH, is a pure map phase: it runs
+        // per scan unit on the pool (inline at one worker). Unit results
+        // concatenate in scan order, so rows and accounting do not depend on
+        // the worker count.
+        if let Some(chain) = MapChain::extract(plan, self.pushdown) {
+            let (blocks, pending) = self.exec_chain_blocks(&chain, stats, Ok)?;
+            let mut rows = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
+            for block_rows in blocks {
+                rows.extend(block_rows);
             }
+            return Ok((rows, pending));
         }
         match &plan.node {
-            PlanNode::Load {
-                dir,
-                loader,
-                schema,
-                pruner,
-            } => {
-                let before = self.warehouse.stats();
-                let mut rows = Vec::new();
-                for file in self.warehouse.list_files_recursive(dir)? {
-                    // Columnar files scan group by group even on the eager
-                    // path, so a pushdown-disabled serial engine still reads
-                    // a columnar directory correctly.
-                    if let Some(codec) = loader.columnar() {
-                        if sniff_columnar(&self.warehouse, &file)?.is_some() {
-                            let handle = ColumnarFile::open(&self.warehouse, &file)?;
-                            if handle.columns() != schema.len() {
-                                return Err(DataflowError::MalformedRecord {
-                                    loader: loader.name(),
-                                });
-                            }
-                            let spec = ScanSpec::eager(schema.len());
-                            for g in 0..handle.group_count() {
-                                let (group_rows, _) = scan_group(&handle, g, codec, &spec)?;
-                                rows.extend(group_rows);
-                            }
-                            continue;
-                        }
-                    }
-                    let mut reader = self.warehouse.open(&file)?;
-                    if let Some(pruner) = pruner {
-                        if let Some(mask) =
-                            pruner.prune(&self.warehouse, &file, reader.block_count())
-                        {
-                            reader.set_block_filter(mask);
-                        }
-                    }
-                    while let Some(record) = reader.next_record()? {
-                        if let Some(tuple) = loader.parse(record)? {
-                            if tuple.len() != schema.len() {
-                                return Err(DataflowError::MalformedRecord {
-                                    loader: loader.name(),
-                                });
-                            }
-                            rows.push(tuple);
-                        }
-                    }
-                }
-                let delta = self.warehouse.stats().since(&before);
-                stats.input_records += delta.records_read;
-                stats.input_blocks += delta.blocks_read;
-                stats.blocks_skipped += delta.blocks_skipped;
-                stats.input_bytes_compressed += delta.compressed_bytes_read;
-                stats.input_bytes_uncompressed += delta.uncompressed_bytes_read;
-                let pending = MapInput {
-                    tasks: delta.blocks_read,
-                    bytes: delta.uncompressed_bytes_read,
-                };
-                Ok((rows, pending))
-            }
+            PlanNode::Load { .. } => unreachable!("every LOAD is a map chain"),
             PlanNode::Values { rows, .. } => Ok((rows.clone(), MapInput::default())),
             PlanNode::Filter { input, predicate } => {
                 let (rows, pending) = self.exec(input, mem, stats)?;
@@ -858,11 +779,9 @@ impl Engine {
                 // phase — scan, filter, project, map-side combine — per
                 // block in parallel; per-block partial states merge at the
                 // shuffle boundary in block order.
-                if (!self.parallelism.is_serial() || self.pushdown.any())
-                    && aggs.iter().all(|a| a.func.is_algebraic())
-                {
+                if aggs.iter().all(|a| a.func.is_algebraic()) {
                     if let Some(chain) = MapChain::extract(input, self.pushdown) {
-                        return self.exec_parallel_aggregate(&chain, keys, aggs, mem, stats);
+                        return self.exec_chain_aggregate(&chain, keys, aggs, mem, stats);
                     }
                 }
                 let (rows, pending) = self.exec(input, mem, stats)?;
@@ -1070,15 +989,6 @@ impl Engine {
             }
         }
     }
-}
-
-/// One open input file of a map phase: a block-structured row file, or a
-/// columnar file scanned group by group through [`ColumnBatch`].
-///
-/// [`ColumnBatch`]: crate::batch::ColumnBatch
-enum ScanHandle {
-    Row(FileBlocks),
-    Col(ColumnarFile),
 }
 
 /// One mapper-side operator above a LOAD.
@@ -1803,7 +1713,8 @@ mod tests {
                     .unwrap();
                 assert_eq!(r.rows, reference.rows, "plan {pi} workers {workers}");
             }
-            // Pushdown disabled + serial drives the eager Load arm.
+            // One worker, nothing pushed down: every column of every row
+            // decoded, every operator evaluated on full tuples.
             let (wh, dir) = columnar_fixture(64);
             let eager = Engine::new(wh)
                 .with_pushdown(Pushdown::disabled())

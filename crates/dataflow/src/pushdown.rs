@@ -41,7 +41,8 @@ impl Default for Pushdown {
 }
 
 impl Pushdown {
-    /// Every layer off — the eager scan path, bit for bit.
+    /// Every layer off: full decode of every record, every FILTER and
+    /// FOREACH evaluated on materialized tuples.
     pub fn disabled() -> Pushdown {
         Pushdown {
             projection: false,

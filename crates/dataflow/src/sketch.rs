@@ -21,6 +21,8 @@
 
 use std::collections::BTreeSet;
 
+use uli_warehouse::{fnv1a64_fold, FNV1A64_OFFSET};
+
 use crate::value::Value;
 
 /// Precision: 2^12 = 4096 registers, ~1.6% relative standard error.
@@ -34,17 +36,13 @@ pub const HLL_REGISTERS: usize = 1 << HLL_P;
 /// top bits — the finalizer's shift-xor-multiply rounds avalanche every
 /// input bit across the whole word. Deterministic and dependency-free.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_seeded(0xcbf2_9ce4_8422_2325, bytes)
+    fnv1a_seeded(FNV1A64_OFFSET, bytes)
 }
 
 /// FNV-1a with a caller-chosen offset basis, for families of independent
 /// hash functions (one per Count-Min row). Same finalizer as [`fnv1a`].
 fn fnv1a_seeded(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h: u64 = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
+    let mut h = fnv1a64_fold(seed, bytes);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -253,7 +251,7 @@ pub const CM_DEPTH: usize = 4;
 
 /// Per-row FNV offset bases (arbitrary distinct odd constants).
 const CM_SEEDS: [u64; CM_DEPTH] = [
-    0xcbf2_9ce4_8422_2325,
+    FNV1A64_OFFSET,
     0x9e37_79b9_7f4a_7c15,
     0xa076_1d64_78bd_642f,
     0xe703_7ed1_a0b4_28db,

@@ -56,15 +56,6 @@ pub struct CategoryRegistry {
     configs: BTreeMap<String, CategoryConfig>,
 }
 
-fn message_hash(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 impl CategoryRegistry {
     /// An empty registry: every category gets [`CategoryConfig::default`].
     pub fn new() -> Self {
@@ -93,7 +84,7 @@ impl CategoryRegistry {
         if config.sample_rate < 1.0 {
             // Deterministic per-message sampling: the same message is kept
             // or dropped identically on every replay and every aggregator.
-            let u = (message_hash(message) >> 11) as f64 / (1u64 << 53) as f64;
+            let u = (uli_warehouse::fnv1a64(message) >> 11) as f64 / (1u64 << 53) as f64;
             if u >= config.sample_rate {
                 return Disposition::DropSampled;
             }

@@ -60,8 +60,20 @@ fn engine(warehouse: &Warehouse, workers: usize) -> Engine {
     Engine::new(warehouse.clone()).with_parallelism(Parallelism::fixed(workers))
 }
 
-/// Batch answer to `user-events <user> <hour>`: full scan of the hour,
-/// filtered to the user.
+/// The reference plan behind `user-events <user> <hour>`: a full scan of
+/// the hour, filtered to the user. `None` when the hour never landed.
+pub fn user_events_plan(
+    warehouse: &Warehouse,
+    category: &str,
+    hour: u64,
+    user: i64,
+) -> Option<Plan> {
+    let plan = union_all(hour_plans(warehouse, category, [hour]))?;
+    Some(plan.filter(Expr::col(2).eq(Expr::lit(user))))
+}
+
+/// Batch answer to `user-events <user> <hour>`: [`user_events_plan`] run
+/// through the engine.
 pub fn batch_user_events(
     warehouse: &Warehouse,
     category: &str,
@@ -69,11 +81,10 @@ pub fn batch_user_events(
     user: i64,
     workers: usize,
 ) -> DataflowResult<Vec<Tuple>> {
-    let Some(plan) = union_all(hour_plans(warehouse, category, [hour])) else {
-        return Ok(Vec::new());
-    };
-    let plan = plan.filter(Expr::col(2).eq(Expr::lit(user)));
-    Ok(engine(warehouse, workers).run(&plan)?.rows)
+    match user_events_plan(warehouse, category, hour, user) {
+        Some(plan) => Ok(engine(warehouse, workers).run(&plan)?.rows),
+        None => Ok(Vec::new()),
+    }
 }
 
 /// Batch answer to `count <name>` over a span of hours: full scan,

@@ -11,10 +11,9 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use uli_core::{client_event_from_group, ClientEvent, SessionRecord, Sessionizer};
+use uli_core::{for_each_client_event, ClientEvent, SessionRecord, Sessionizer};
 use uli_dataflow::{Tuple, Value};
-use uli_thrift::record::ThriftRecord;
-use uli_warehouse::{ColumnarFile, HourlyPartition, Warehouse, WarehouseResult};
+use uli_warehouse::{HourlyPartition, ScanFile, Warehouse, WarehouseResult};
 
 use crate::hour::HourIndex;
 use crate::maintain::Inner;
@@ -190,7 +189,8 @@ impl ServeHandle {
 
 /// Decodes the user's events out of one indexed hour, reading only the
 /// posted groups, in engine scan order (files sorted, groups ascending,
-/// rows in order). Charges the decoded bytes to `answer`.
+/// rows in order). Charges `answer` the decoded bytes of exactly the file
+/// handles this lookup opened.
 fn collect_user_events(
     warehouse: &Warehouse,
     category: &str,
@@ -199,9 +199,7 @@ fn collect_user_events(
     user: i64,
     answer: &mut ServeAnswer,
 ) -> WarehouseResult<Vec<ClientEvent>> {
-    let before = warehouse.stats();
     let mut events = Vec::new();
-    let total_groups = index.total_groups();
     let mut groups_read = 0u64;
     if let Some(postings) = index.user_postings.get(&user) {
         let dir = HourlyPartition::from_hour_index(category, hour).main_dir();
@@ -209,38 +207,32 @@ fn collect_user_events(
             let Some(entry) = index.files.get(file_no as usize) else {
                 continue;
             };
-            let path = dir.child(&entry.name)?;
+            let file = ScanFile::open(warehouse, &dir.child(&entry.name)?)?;
             answer.stats.files_visited += 1;
-            if entry.columnar {
-                let file = ColumnarFile::open(warehouse, &path)?;
-                let projection = vec![true; file.columns()];
-                for &g in groups {
-                    let group = file.read_group(g as usize, &projection)?;
-                    groups_read += 1;
-                    for row in 0..group.rows() {
-                        if let Some(ev) = client_event_from_group(&file, &group, row) {
-                            if ev.user_id == user {
-                                events.push(ev);
-                            }
-                        }
+            groups_read += groups.len() as u64;
+            let mut read = |unit: usize| {
+                for_each_client_event(&file, unit, |ev| {
+                    if ev.user_id == user {
+                        events.push(ev);
                     }
+                })
+            };
+            if entry.columnar {
+                for &g in groups {
+                    read(g as usize)?;
                 }
             } else {
-                // Row-format sibling: one pseudo-group, whole file.
-                groups_read += 1;
-                for record in warehouse.open(&path)?.read_all()? {
-                    if let Ok(ev) = ClientEvent::from_bytes(&record) {
-                        if ev.user_id == user {
-                            events.push(ev);
-                        }
-                    }
+                // A row-format sibling is posted as one pseudo-group: the
+                // whole file, every block of it.
+                for unit in 0..file.units() {
+                    read(unit)?;
                 }
             }
+            answer.stats.decoded_bytes += file.local_stats().uncompressed_bytes_read;
         }
     }
     answer.stats.groups_read += groups_read;
-    answer.stats.groups_pruned += total_groups - groups_read;
-    answer.stats.decoded_bytes += warehouse.stats().since(&before).uncompressed_bytes_read;
+    answer.stats.groups_pruned += index.total_groups() - groups_read;
     Ok(events)
 }
 

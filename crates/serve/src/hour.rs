@@ -14,11 +14,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uli_core::{client_event_from_group, ClientEvent};
-use uli_thrift::record::ThriftRecord;
+use uli_core::{for_each_client_event, ClientEvent};
 use uli_warehouse::{
-    sniff_columnar, ColumnarFile, HourlyPartition, Parallelism, ScanPool, Warehouse,
-    WarehouseError, WarehouseResult, WhPath,
+    HourlyPartition, Parallelism, ScanFile, ScanPool, ScanStats, Warehouse, WarehouseError,
+    WarehouseResult, WhPath,
 };
 
 /// One landed file the index knows how to address.
@@ -108,50 +107,45 @@ fn serve_dir(root: &str, p: &HourlyPartition) -> WhPath {
 /// The single index file inside the committed hour directory.
 const INDEX_FILE: &str = "hour.idx";
 
-/// Builds the index for one delivered hour by scanning the landed files.
-/// A missing hour directory yields an empty index (zero files) — the form
-/// a delivered-but-empty hour takes.
-pub fn build_hour_index(
-    warehouse: &Warehouse,
-    category: &str,
-    hour_index: u64,
-) -> WarehouseResult<HourIndex> {
-    build_hour_index_parallel(warehouse, category, hour_index, Parallelism::serial())
-}
-
 /// One file's contribution to the hour index: a complete partial index
 /// (postings already keyed by the file's preassigned number) plus the raw
 /// per-user session-id sets, which only fold to counts once every file's
-/// partial is merged.
+/// partial is merged, and what scanning the file cost.
 struct FilePartial {
     entry: FileEntry,
     partial: HourIndex,
     sessions: BTreeMap<i64, BTreeSet<String>>,
+    scanned: ScanStats,
 }
 
-/// [`build_hour_index`] with the per-file scans sharded across `workers`.
+/// Builds the index for one delivered hour by scanning the landed files,
+/// the per-file scans sharded across `workers`. Returns the index plus what
+/// the scan cost — summed from the files' own handles, so it is exact even
+/// while other readers use the warehouse. A missing hour directory yields
+/// an empty index (zero files) — the form a delivered-but-empty hour takes.
 ///
 /// Each file's number is preassigned from the sorted listing before any
 /// scan runs, so the postings a file contributes are identical regardless
 /// of which worker scans it or when; the merge folds partials in file
 /// order using only commutative operations (counter sums, map unions,
-/// min/max). The result is therefore equal to the serial build at any
-/// worker count — pinned by the determinism tests.
-pub fn build_hour_index_parallel(
+/// min/max). The result therefore does not depend on the worker count —
+/// pinned by the determinism tests.
+pub fn build_hour_index(
     warehouse: &Warehouse,
     category: &str,
     hour_index: u64,
     workers: Parallelism,
-) -> WarehouseResult<HourIndex> {
+) -> WarehouseResult<(HourIndex, ScanStats)> {
     let partition = HourlyPartition::from_hour_index(category, hour_index);
     let dir = partition.main_dir();
     let mut index = HourIndex {
         hour_index,
         ..HourIndex::default()
     };
+    let mut scanned = ScanStats::default();
     let files = match warehouse.list_files_recursive(&dir) {
         Ok(f) => f,
-        Err(WarehouseError::NotFound(_)) => return Ok(index),
+        Err(WarehouseError::NotFound(_)) => return Ok((index, scanned)),
         Err(e) => return Err(e),
     };
     let numbered: Vec<(u32, WhPath)> = files
@@ -171,7 +165,9 @@ pub fn build_hour_index_parallel(
             entry,
             partial,
             sessions: file_sessions,
+            scanned: file_scanned,
         } = partial?;
+        scanned = scanned.plus(&file_scanned);
         index.records += partial.records;
         index.events += partial.events;
         index.files.push(entry);
@@ -216,7 +212,7 @@ pub fn build_hour_index_parallel(
             .expect("summary exists for every user with sessions")
             .sessions = ids.len() as u64;
     }
-    Ok(index)
+    Ok((index, scanned))
 }
 
 /// Scans one landed file into its partial index — the parallel unit of the
@@ -224,41 +220,27 @@ pub fn build_hour_index_parallel(
 fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseResult<FilePartial> {
     let mut partial = HourIndex::default();
     let mut sessions: BTreeMap<i64, BTreeSet<String>> = BTreeMap::new();
-    let name = path.name().to_string();
-    let entry = if sniff_columnar(warehouse, path)?.is_some() {
-        let file = ColumnarFile::open(warehouse, path)?;
-        let projection = vec![true; file.columns()];
-        for g in 0..file.group_count() {
-            let group = file.read_group(g, &projection)?;
-            for row in 0..group.rows() {
-                partial.records += 1;
-                if let Some(ev) = client_event_from_group(&file, &group, row) {
-                    post_event(&mut partial, &mut sessions, file_no, g as u32, &ev);
-                }
-            }
-        }
-        FileEntry {
-            name,
-            groups: file.group_count() as u32,
-            columnar: true,
-        }
-    } else {
-        for record in warehouse.open(path)?.read_all()? {
-            partial.records += 1;
-            if let Ok(ev) = ClientEvent::from_bytes(&record) {
-                post_event(&mut partial, &mut sessions, file_no, 0, &ev);
-            }
-        }
-        FileEntry {
-            name,
-            groups: 1,
-            columnar: false,
-        }
-    };
+    let file = ScanFile::open(warehouse, path)?;
+    // Row groups are addressable, so a columnar file posts the group an
+    // event sits in; a row-format sibling posts as one pseudo-group, the
+    // whole file.
+    let columnar = matches!(file, ScanFile::Columnar(_));
+    for unit in 0..file.units() {
+        let group = if columnar { unit as u32 } else { 0 };
+        let (events, skipped) = for_each_client_event(&file, unit, |ev| {
+            post_event(&mut partial, &mut sessions, file_no, group, &ev)
+        })?;
+        partial.records += events + skipped;
+    }
     Ok(FilePartial {
-        entry,
+        entry: FileEntry {
+            name: path.name().to_string(),
+            groups: if columnar { file.units() as u32 } else { 1 },
+            columnar,
+        },
         partial,
         sessions,
+        scanned: file.local_stats(),
     })
 }
 
@@ -463,6 +445,7 @@ mod tests {
     use uli_core::{
         write_client_events_columnar, ClientEvent, EventInitiator, EventName, Timestamp,
     };
+    use uli_thrift::record::ThriftRecord;
 
     fn event(user: i64, session: &str, name: &str, millis: i64) -> ClientEvent {
         ClientEvent::new(
@@ -481,6 +464,12 @@ mod tests {
         write_client_events_columnar(wh, &path, events, true, rows_per_group).unwrap();
     }
 
+    fn build(wh: &Warehouse, hour: u64) -> HourIndex {
+        build_hour_index(wh, "client_events", hour, Parallelism::serial())
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn build_posts_users_and_names_to_their_groups() {
         let wh = Warehouse::new();
@@ -495,7 +484,7 @@ mod tests {
         }
         // Rows-per-group 4 → groups {0,1,2}; both users appear in each.
         land_hour(&wh, 0, &events, 4);
-        let idx = build_hour_index(&wh, "client_events", 0).unwrap();
+        let idx = build(&wh, 0);
         assert_eq!(idx.records, 10);
         assert_eq!(idx.events, 10);
         assert_eq!(idx.files.len(), 1);
@@ -517,7 +506,7 @@ mod tests {
     #[test]
     fn missing_hour_builds_empty() {
         let wh = Warehouse::new();
-        let idx = build_hour_index(&wh, "client_events", 7).unwrap();
+        let idx = build(&wh, 7);
         assert_eq!(idx.records, 0);
         assert!(idx.files.is_empty());
     }
@@ -540,7 +529,7 @@ mod tests {
             })
             .collect();
         land_hour(&wh, 3, &events, 8);
-        let idx = build_hour_index(&wh, "client_events", 3).unwrap();
+        let idx = build(&wh, 3);
         let decoded = decode(&encode(&idx)).expect("round trip");
         assert_eq!(decoded, idx);
     }
@@ -579,15 +568,21 @@ mod tests {
         }
         row.finish().unwrap();
 
-        let serial = build_hour_index(&wh, "client_events", hour).unwrap();
+        let (serial, serial_cost) =
+            build_hour_index(&wh, "client_events", hour, Parallelism::serial()).unwrap();
         assert_eq!(serial.files.len(), 6, "fixture should span several files");
         assert!(serial.user_summaries.len() >= 7);
-        for workers in [1, 4, 8] {
-            let parallel =
-                build_hour_index_parallel(&wh, "client_events", hour, Parallelism::fixed(workers))
-                    .unwrap();
+        assert_eq!(serial_cost.files_opened, 6);
+        assert_eq!(serial_cost.records_read, serial.records);
+        for workers in [4, 8] {
+            let (parallel, cost) =
+                build_hour_index(&wh, "client_events", hour, Parallelism::fixed(workers)).unwrap();
             assert_eq!(parallel, serial, "divergence at {workers} workers");
             assert_eq!(encode(&parallel), encode(&serial));
+            assert_eq!(
+                cost.uncompressed_bytes_read, serial_cost.uncompressed_bytes_read,
+                "scan bill at {workers} workers"
+            );
         }
     }
 
@@ -595,7 +590,7 @@ mod tests {
     fn commit_then_load_and_recommit_replaces() {
         let wh = Warehouse::new();
         land_hour(&wh, 5, &[event(9, "s", "a:b:c:d:e:f", 10)], 8);
-        let idx = build_hour_index(&wh, "client_events", 5).unwrap();
+        let idx = build(&wh, 5);
         let bytes = commit_hour_index(&wh, "client_events", &idx).unwrap();
         assert!(bytes > 0);
         let loaded = load_hour_index(&wh, "client_events", 5).unwrap().unwrap();

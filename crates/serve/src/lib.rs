@@ -27,11 +27,13 @@ pub mod hour;
 pub mod maintain;
 pub mod repl;
 
-pub use batch::{batch_count, batch_sessions, batch_top_names, batch_user_events, tuple_event};
+pub use batch::{
+    batch_count, batch_sessions, batch_top_names, batch_user_events, tuple_event, user_events_plan,
+};
 pub use handle::{event_tuple, LookupStats, ServeAnswer, ServeHandle};
 pub use hour::{
-    build_hour_index, build_hour_index_parallel, commit_hour_index, index_dir, load_hour_index,
-    FileEntry, HourIndex, Postings, UserHourSummary,
+    build_hour_index, commit_hour_index, index_dir, load_hour_index, FileEntry, HourIndex,
+    Postings, UserHourSummary,
 };
 pub use maintain::IndexMaintainer;
 pub use repl::run_repl;

@@ -24,9 +24,7 @@ use uli_obs::{Counter, Gauge, Registry};
 use uli_scribe::DeliveryTap;
 use uli_warehouse::{HourlyPartition, Warehouse, WarehouseResult, WhPath};
 
-use crate::hour::{
-    build_hour_index_parallel, commit_hour_index, encode, load_hour_index, HourIndex,
-};
+use crate::hour::{build_hour_index, commit_hour_index, encode, load_hour_index, HourIndex};
 
 /// Registry mirrors, `set_total` discipline: the maintainer state stays
 /// authoritative and the registry can only show values it computed.
@@ -101,13 +99,9 @@ impl Inner {
     /// Builds and commits the index for one delivered hour, replacing any
     /// previous index for that hour wholesale.
     fn index_hour(&mut self, hour: u64) -> WarehouseResult<()> {
-        let before = self.warehouse.stats();
-        let index = build_hour_index_parallel(&self.warehouse, &self.category, hour, self.workers)?;
-        self.build_decoded_bytes += self
-            .warehouse
-            .stats()
-            .since(&before)
-            .uncompressed_bytes_read;
+        let (index, scanned) =
+            build_hour_index(&self.warehouse, &self.category, hour, self.workers)?;
+        self.build_decoded_bytes += scanned.uncompressed_bytes_read;
         let bytes = commit_hour_index(&self.warehouse, &self.category, &index)?;
         if let Some(old) = self.hours.insert(hour, index) {
             self.postings_bytes -= encode(&old).len() as u64;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use uli_obs::{Counter, Gauge, Registry};
 use uli_scribe::DeliveryTap;
-use uli_warehouse::HourlyPartition;
+use uli_warehouse::{fnv1a64, HourlyPartition};
 
 use crate::state::{StreamState, DEFAULT_TRENDING_K};
 
@@ -37,17 +37,6 @@ impl Default for StreamConfig {
             trending_k: DEFAULT_TRENDING_K,
         }
     }
-}
-
-/// FNV-1a payload hash for shard routing (which shard a record lands in
-/// never affects the merged view; it only has to be deterministic).
-fn route_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 /// Registry mirrors for the running view. Counters use `set_total` —
@@ -239,7 +228,9 @@ impl DeliveryTap for StreamAnalytics {
             // in payload order, before any worker touches a state.
             let mut routed: Vec<Vec<usize>> = vec![Vec::new(); shards];
             for (i, payload) in payloads.iter().enumerate() {
-                routed[(route_hash(payload) % shards as u64) as usize].push(i);
+                // FNV-1a routing: which shard a record lands in never
+                // affects the merged view; it only has to be deterministic.
+                routed[(fnv1a64(payload) % shards as u64) as usize].push(i);
             }
             // Fold each shard independently — shards share nothing, so the
             // pool only changes wall-clock, never a state.

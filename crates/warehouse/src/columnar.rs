@@ -12,20 +12,16 @@
 //! task), which is exactly why the paper's mapper-count problem survives
 //! this layout — the experiment the `layout` ablation reproduces.
 //!
-//! Two generations coexist:
-//!
-//! * the original headerless v1 ([`ColumnarWriter`]/[`ColumnarReader`]),
-//!   kept for the layout ablation's like-for-like comparison; and
-//! * the **v2 warehouse format** ([`ColumnarFileWriter`]/[`ColumnarFile`]),
-//!   the default landing layout. A v2 file opens with a header block
-//!   (`ULCF` magic, a format-version byte, the column count, and an
-//!   optional embedded dictionary for one designated column), and then maps
-//!   each row group onto exactly one block so group-level zone maps and
-//!   skipping reuse the ordinary block machinery. Dictionary-column cells
-//!   store a small integer code instead of the value; values missing from
-//!   the dictionary fall back to inline bytes, so the file never refuses a
-//!   row. Decompressed column chunks are cached content-addressed in the
-//!   shared block cache, keyed by chunk checksum + decoded length.
+//! This is the **v2 warehouse format** ([`ColumnarFileWriter`] /
+//! [`ColumnarFile`]), the default landing layout. A v2 file opens with a
+//! header block (`ULCF` magic, a format-version byte, the column count, and
+//! an optional embedded dictionary for one designated column), and then maps
+//! each row group onto exactly one block so group-level zone maps and
+//! skipping reuse the ordinary block machinery. Dictionary-column cells
+//! store a small integer code instead of the value; values missing from
+//! the dictionary fall back to inline bytes, so the file never refuses a
+//! row. Decompressed column chunks are cached content-addressed in the
+//! shared block cache, keyed by chunk checksum + decoded length.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,10 +29,12 @@ use std::sync::Arc;
 use crate::cache::BlockKey;
 use crate::compress;
 use crate::error::{WarehouseError, WarehouseResult};
-use crate::file::{fnv1a64, FileBlocks};
+use crate::file::{FileBlocks, FileData};
+use crate::hash::fnv1a64;
 use crate::path::WhPath;
 use crate::stats::ScanStats;
 use crate::store::Warehouse;
+use crate::varint::{read_varint, write_varint};
 use crate::zone::ZoneMap;
 
 /// Magic prefix of a v2 columnar file's header record.
@@ -44,214 +42,6 @@ pub const COLUMNAR_MAGIC: [u8; 4] = *b"ULCF";
 
 /// The format version this build writes and reads.
 pub const COLUMNAR_VERSION: u8 = 2;
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *input.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
-}
-
-/// Writes rows of `columns` byte-cells into row groups of `rows_per_group`.
-pub struct ColumnarWriter {
-    inner: crate::file::RecordFileWriter,
-    columns: usize,
-    rows_per_group: usize,
-    /// Per-column buffered cells (length-prefixed concatenation).
-    buffers: Vec<Vec<u8>>,
-    buffered_rows: usize,
-}
-
-impl ColumnarWriter {
-    /// Opens a columnar file at `path`.
-    pub fn create(
-        warehouse: &Warehouse,
-        path: &WhPath,
-        columns: usize,
-        rows_per_group: usize,
-    ) -> WarehouseResult<ColumnarWriter> {
-        assert!(columns > 0 && rows_per_group > 0);
-        Ok(ColumnarWriter {
-            inner: warehouse.create(path)?,
-            columns,
-            rows_per_group,
-            buffers: vec![Vec::new(); columns],
-            buffered_rows: 0,
-        })
-    }
-
-    /// Appends one row; `cells.len()` must equal the column count.
-    pub fn append_row(&mut self, cells: &[&[u8]]) {
-        assert_eq!(cells.len(), self.columns, "row width");
-        for (buf, cell) in self.buffers.iter_mut().zip(cells) {
-            write_varint(buf, cell.len() as u64);
-            buf.extend_from_slice(cell);
-        }
-        self.buffered_rows += 1;
-        if self.buffered_rows >= self.rows_per_group {
-            self.seal_group();
-        }
-    }
-
-    fn seal_group(&mut self) {
-        if self.buffered_rows == 0 {
-            return;
-        }
-        // Row group record: varint row count, varint column count, then per
-        // column varint compressed length + compressed cells.
-        let mut record = Vec::new();
-        write_varint(&mut record, self.buffered_rows as u64);
-        write_varint(&mut record, self.columns as u64);
-        for buf in &mut self.buffers {
-            let compressed = compress::compress(buf);
-            write_varint(&mut record, compressed.len() as u64);
-            record.extend_from_slice(&compressed);
-            buf.clear();
-        }
-        self.inner.append_record(&record);
-        self.buffered_rows = 0;
-    }
-
-    /// Seals the final group and installs the file.
-    pub fn finish(mut self) -> WarehouseResult<()> {
-        self.seal_group();
-        self.inner.finish()?;
-        Ok(())
-    }
-}
-
-/// Per-scan accounting for columnar reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ColumnarScanStats {
-    /// Row groups visited (≈ map tasks — unchanged by projection).
-    pub row_groups: u64,
-    /// Rows yielded.
-    pub rows: u64,
-    /// Bytes actually decompressed (only the projected columns).
-    pub bytes_decompressed: u64,
-    /// Compressed bytes of column chunks that were skipped.
-    pub bytes_skipped: u64,
-}
-
-/// Reads a projection of columns; yields rows of owned cells.
-pub struct ColumnarReader {
-    reader: crate::file::RecordFileReader,
-    projection: Vec<usize>,
-    /// Decoded rows of the current group, reversed for pop().
-    pending: Vec<Vec<Vec<u8>>>,
-    stats: ColumnarScanStats,
-}
-
-impl ColumnarReader {
-    /// Opens `path`, reading only the columns in `projection` (indexes).
-    pub fn open(
-        warehouse: &Warehouse,
-        path: &WhPath,
-        projection: &[usize],
-    ) -> WarehouseResult<ColumnarReader> {
-        assert!(!projection.is_empty(), "project at least one column");
-        Ok(ColumnarReader {
-            reader: warehouse.open(path)?,
-            projection: projection.to_vec(),
-            pending: Vec::new(),
-            stats: ColumnarScanStats::default(),
-        })
-    }
-
-    /// Scan accounting so far.
-    pub fn stats(&self) -> ColumnarScanStats {
-        self.stats
-    }
-
-    fn load_group(&mut self) -> WarehouseResult<bool> {
-        let Some(record) = self.reader.next_record()? else {
-            return Ok(false);
-        };
-        let mut pos = 0;
-        let rows = read_varint(record, &mut pos)
-            .ok_or(WarehouseError::Corrupt("row group header"))? as usize;
-        let cols = read_varint(record, &mut pos)
-            .ok_or(WarehouseError::Corrupt("row group header"))? as usize;
-        if self.projection.iter().any(|p| *p >= cols) {
-            return Err(WarehouseError::Corrupt("projection out of range"));
-        }
-        // Slice out each column chunk; decompress only projected ones.
-        let mut columns: Vec<Option<Vec<u8>>> = Vec::with_capacity(cols);
-        for c in 0..cols {
-            let len = read_varint(record, &mut pos)
-                .ok_or(WarehouseError::Corrupt("column length"))? as usize;
-            let chunk = record
-                .get(pos..pos + len)
-                .ok_or(WarehouseError::Corrupt("column body"))?;
-            pos += len;
-            if self.projection.contains(&c) {
-                let cells = compress::decompress(chunk)
-                    .ok_or(WarehouseError::Corrupt("column decompress"))?;
-                self.stats.bytes_decompressed += cells.len() as u64;
-                columns.push(Some(cells));
-            } else {
-                self.stats.bytes_skipped += len as u64;
-                columns.push(None);
-            }
-        }
-        // Decode the projected columns into row-major order.
-        let mut cursors = vec![0usize; cols];
-        let mut group_rows = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let mut row = Vec::with_capacity(self.projection.len());
-            for &p in &self.projection {
-                let cells = columns[p].as_ref().expect("projected column decoded");
-                let len = read_varint(cells, &mut cursors[p])
-                    .ok_or(WarehouseError::Corrupt("cell length"))?
-                    as usize;
-                let start = cursors[p];
-                let cell = cells
-                    .get(start..start + len)
-                    .ok_or(WarehouseError::Corrupt("cell body"))?;
-                cursors[p] += len;
-                row.push(cell.to_vec());
-            }
-            group_rows.push(row);
-        }
-        group_rows.reverse();
-        self.pending = group_rows;
-        self.stats.row_groups += 1;
-        Ok(true)
-    }
-
-    /// Yields the next projected row, or `None` at end of file.
-    pub fn next_row(&mut self) -> WarehouseResult<Option<Vec<Vec<u8>>>> {
-        while self.pending.is_empty() {
-            if !self.load_group()? {
-                return Ok(None);
-            }
-        }
-        self.stats.rows += 1;
-        Ok(self.pending.pop())
-    }
-}
 
 /// Writes a v2 columnar file: header block first, then one row group per
 /// block. Rows may carry zone annotations; a group whose every row was
@@ -366,8 +156,8 @@ impl ColumnarFileWriter {
         if self.buffered_rows == 0 {
             return;
         }
-        // Same row-group record shape as v1: varint rows, varint columns,
-        // then per column varint compressed length + compressed cells.
+        // Row group record: varint row count, varint column count, then per
+        // column varint compressed length + compressed cells.
         let mut record = Vec::new();
         write_varint(&mut record, self.buffered_rows as u64);
         write_varint(&mut record, self.columns as u64);
@@ -408,29 +198,33 @@ pub trait ColumnarLanding: Send + Sync {
     ) -> WarehouseResult<Vec<usize>>;
 }
 
+/// The first record of a file's first block — where a columnar file keeps
+/// its header. File metadata, read once per open: decompressed directly,
+/// uncharged and uncached, like the block footers the row path reads.
+/// `None` for an empty file or a first block that is not a framed record.
+pub(crate) fn first_record(data: &FileData) -> Option<Vec<u8>> {
+    let mut payload = compress::decompress(&data.blocks.first()?.compressed)?;
+    let mut pos = 0;
+    let len = usize::try_from(read_varint(&payload, &mut pos)?).ok()?;
+    let end = pos.checked_add(len).filter(|end| *end <= payload.len())?;
+    payload.truncate(end);
+    payload.drain(..pos);
+    Some(payload)
+}
+
+/// The format version a header record declares, when it carries the magic.
+pub(crate) fn header_version(record: &[u8]) -> Option<u8> {
+    (record.len() > COLUMNAR_MAGIC.len() && record[..4] == COLUMNAR_MAGIC).then(|| record[4])
+}
+
 /// Peeks at a file's first block without charging scan counters or touching
 /// the cache: `Ok(Some(version))` when it carries the columnar magic,
-/// `Ok(None)` for anything else (row-format files, v1 columnar files,
-/// garbage — those surface their own errors on their own read paths).
+/// `Ok(None)` for anything else (row-format files, headerless column
+/// files, garbage — those surface their own errors on their own read
+/// paths).
 pub fn sniff_columnar(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<Option<u8>> {
     let data = warehouse.file_data(path)?;
-    let Some(block) = data.blocks.first() else {
-        return Ok(None);
-    };
-    let Some(payload) = compress::decompress(&block.compressed) else {
-        return Ok(None);
-    };
-    let mut pos = 0;
-    let Some(len) = read_varint(&payload, &mut pos) else {
-        return Ok(None);
-    };
-    let Some(record) = payload.get(pos..pos + len as usize) else {
-        return Ok(None);
-    };
-    if record.len() < COLUMNAR_MAGIC.len() + 1 || record[..4] != COLUMNAR_MAGIC {
-        return Ok(None);
-    }
-    Ok(Some(record[4]))
+    Ok(first_record(&data).as_deref().and_then(header_version))
 }
 
 /// One decoded cell of a projected column.
@@ -508,28 +302,21 @@ impl ColumnarFile {
     /// understand.
     pub fn open(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<ColumnarFile> {
         let fb = warehouse.open_blocks(path)?;
-        let block = fb
-            .data
-            .blocks
-            .first()
-            .ok_or(WarehouseError::Corrupt("columnar file has no header"))?;
-        // The header is file metadata, read once per open: decompressed
-        // directly, uncharged, like the block footers the row path reads.
-        let payload = compress::decompress(&block.compressed)
-            .ok_or(WarehouseError::Corrupt("columnar header decompress"))?;
-        let mut pos = 0;
-        let len = read_varint(&payload, &mut pos)
-            .ok_or(WarehouseError::Corrupt("columnar header framing"))? as usize;
-        let record = payload
-            .get(pos..pos + len)
-            .ok_or(WarehouseError::Corrupt("columnar header framing"))?;
-        if record.len() < COLUMNAR_MAGIC.len() + 1 || record[..4] != COLUMNAR_MAGIC {
-            return Err(WarehouseError::Corrupt("not a columnar file"));
-        }
-        if record[4] != COLUMNAR_VERSION {
-            return Err(WarehouseError::Corrupt(
-                "unsupported columnar format version",
-            ));
+        let header =
+            first_record(&fb.data).ok_or(WarehouseError::Corrupt("not a columnar file"))?;
+        ColumnarFile::with_header(fb, &header)
+    }
+
+    /// Parses `record`, the first record of `fb`'s file, as the v2 header.
+    pub(crate) fn with_header(fb: FileBlocks, record: &[u8]) -> WarehouseResult<ColumnarFile> {
+        match header_version(record) {
+            None => return Err(WarehouseError::Corrupt("not a columnar file")),
+            Some(COLUMNAR_VERSION) => {}
+            Some(_) => {
+                return Err(WarehouseError::Corrupt(
+                    "unsupported columnar format version",
+                ))
+            }
         }
         let mut pos = 5;
         let columns = read_varint(record, &mut pos)
@@ -781,84 +568,11 @@ mod tests {
         WhPath::parse(s).unwrap()
     }
 
-    fn write_fixture(wh: &Warehouse, rows: usize, group: usize) {
-        let mut w = ColumnarWriter::create(wh, &p("/col"), 3, group).unwrap();
-        for i in 0..rows {
-            let a = format!("user-{}", i % 7);
-            let b = format!("action-{}", i % 3);
-            let c = format!("payload-{i}-{}", "x".repeat(40));
-            w.append_row(&[a.as_bytes(), b.as_bytes(), c.as_bytes()]);
-        }
-        w.finish().unwrap();
-    }
-
-    #[test]
-    fn full_projection_round_trips() {
-        let wh = Warehouse::new();
-        write_fixture(&wh, 250, 64);
-        let mut r = ColumnarReader::open(&wh, &p("/col"), &[0, 1, 2]).unwrap();
-        let mut n = 0;
-        while let Some(row) = r.next_row().unwrap() {
-            assert_eq!(row.len(), 3);
-            assert_eq!(row[0], format!("user-{}", n % 7).into_bytes());
-            assert_eq!(row[1], format!("action-{}", n % 3).into_bytes());
-            n += 1;
-        }
-        assert_eq!(n, 250);
-        assert_eq!(r.stats().row_groups, 4); // ceil(250/64)
-    }
-
-    #[test]
-    fn narrow_projection_decompresses_less_but_visits_all_groups() {
-        let wh = Warehouse::new();
-        write_fixture(&wh, 500, 100);
-
-        let mut wide = ColumnarReader::open(&wh, &p("/col"), &[0, 1, 2]).unwrap();
-        while wide.next_row().unwrap().is_some() {}
-        let mut narrow = ColumnarReader::open(&wh, &p("/col"), &[1]).unwrap();
-        while narrow.next_row().unwrap().is_some() {}
-
-        let w = wide.stats();
-        let n = narrow.stats();
-        assert_eq!(w.rows, 500);
-        assert_eq!(n.rows, 500);
-        // The paper's point, in two assertions: per-task bytes shrink…
-        assert!(
-            n.bytes_decompressed * 3 < w.bytes_decompressed,
-            "projection must cut decompressed bytes: {} vs {}",
-            n.bytes_decompressed,
-            w.bytes_decompressed
-        );
-        assert!(n.bytes_skipped > 0);
-        // …but the number of scan units (mappers) does not.
-        assert_eq!(n.row_groups, w.row_groups);
-    }
-
-    #[test]
-    fn projection_order_is_respected() {
-        let wh = Warehouse::new();
-        write_fixture(&wh, 10, 4);
-        let mut r = ColumnarReader::open(&wh, &p("/col"), &[2, 0]).unwrap();
-        let row = r.next_row().unwrap().unwrap();
-        assert!(row[0].starts_with(b"payload-0"));
-        assert_eq!(row[1], b"user-0".to_vec());
-    }
-
-    #[test]
-    fn empty_file() {
-        let wh = Warehouse::new();
-        let w = ColumnarWriter::create(&wh, &p("/empty"), 2, 8).unwrap();
-        w.finish().unwrap();
-        let mut r = ColumnarReader::open(&wh, &p("/empty"), &[0]).unwrap();
-        assert!(r.next_row().unwrap().is_none());
-        assert_eq!(r.stats().row_groups, 0);
-    }
-
     #[test]
     #[should_panic(expected = "row width")]
     fn wrong_width_panics() {
         let wh = Warehouse::new();
-        let mut w = ColumnarWriter::create(&wh, &p("/x"), 2, 8).unwrap();
+        let mut w = ColumnarFileWriter::create(&wh, &p("/x"), 2, 8, None).unwrap();
         w.append_row(&[b"only-one"]);
     }
 
@@ -878,40 +592,30 @@ mod tests {
                     0..60,
                 ),
                 group in 1usize..16,
-                project_first in any::<bool>(),
+                project_second in any::<bool>(),
             ) {
                 let wh = Warehouse::new();
                 let path = WhPath::parse("/prop").unwrap();
-                let mut w = ColumnarWriter::create(&wh, &path, 2, group).unwrap();
+                let mut w = ColumnarFileWriter::create(&wh, &path, 2, group, None).unwrap();
                 for (a, b) in &rows {
                     w.append_row(&[a.as_slice(), b.as_slice()]);
                 }
                 w.finish().unwrap();
-                let projection: Vec<usize> =
-                    if project_first { vec![0] } else { vec![0, 1] };
-                let mut r = ColumnarReader::open(&wh, &path, &projection).unwrap();
+                let f = ColumnarFile::open(&wh, &path).unwrap();
+                prop_assert_eq!(f.group_count(), rows.len().div_ceil(group));
                 let mut i = 0;
-                while let Some(row) = r.next_row().unwrap() {
-                    prop_assert_eq!(&row[0], &rows[i].0);
-                    if !project_first {
-                        prop_assert_eq!(&row[1], &rows[i].1);
+                for g in 0..f.group_count() {
+                    let grp = f.read_group(g, &[true, project_second]).unwrap();
+                    for r in 0..grp.rows() {
+                        prop_assert_eq!(grp.cell(0, r), Some(ColumnCell::Bytes(&rows[i].0)));
+                        let second = project_second.then_some(ColumnCell::Bytes(&rows[i].1));
+                        prop_assert_eq!(grp.cell(1, r), second);
+                        i += 1;
                     }
-                    i += 1;
                 }
                 prop_assert_eq!(i, rows.len());
             }
         }
-    }
-
-    #[test]
-    fn out_of_range_projection_is_an_error() {
-        let wh = Warehouse::new();
-        write_fixture(&wh, 10, 4);
-        let mut r = ColumnarReader::open(&wh, &p("/col"), &[9]).unwrap();
-        assert!(matches!(
-            r.next_row(),
-            Err(WarehouseError::Corrupt("projection out of range"))
-        ));
     }
 
     mod v2 {
@@ -1105,9 +809,18 @@ mod tests {
             w.append_record(b"plain record");
             w.finish().unwrap();
             assert_eq!(sniff_columnar(&wh, &p("/row")).unwrap(), None);
-            // v1 columnar file: headerless, sniffs as a row file.
-            let mut w = ColumnarWriter::create(&wh, &p("/v1"), 2, 4).unwrap();
-            w.append_row(&[b"a", b"b"]);
+            // A headerless column file (the retired v1 shape: row-group
+            // records from the first block on) sniffs as a row file.
+            let mut group = Vec::new();
+            write_varint(&mut group, 1); // rows
+            write_varint(&mut group, 2); // columns
+            for cells in [b"\x01a", b"\x01b"] {
+                let chunk = compress::compress(cells);
+                write_varint(&mut group, chunk.len() as u64);
+                group.extend_from_slice(&chunk);
+            }
+            let mut w = wh.create(&p("/v1")).unwrap();
+            w.append_record(&group);
             w.finish().unwrap();
             assert_eq!(sniff_columnar(&wh, &p("/v1")).unwrap(), None);
             // Empty file.

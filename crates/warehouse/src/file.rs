@@ -10,52 +10,10 @@ use std::sync::Arc;
 use crate::cache::{BlockCache, BlockKey};
 use crate::compress;
 use crate::error::{WarehouseError, WarehouseResult};
+use crate::hash::fnv1a64;
 use crate::stats::{ScanStats, StatsCell};
+use crate::varint::{encode_varint, read_varint};
 use crate::zone::ZoneMap;
-
-/// FNV-1a 64-bit hash, used as a block checksum.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Encodes `v` as a varint into `buf` (which must hold 10 bytes), returning
-/// the encoded length. Writing into a stack array keeps the record-append
-/// hot path free of intermediate heap buffers.
-fn encode_varint(buf: &mut [u8; 10], mut v: u64) -> usize {
-    let mut n = 0;
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf[n] = b;
-            return n + 1;
-        }
-        buf[n] = b | 0x80;
-        n += 1;
-    }
-}
-
-fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *input.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
-}
 
 /// One sealed block.
 #[derive(Debug, Clone)]
@@ -126,8 +84,7 @@ pub struct RecordFileWriter {
 impl RecordFileWriter {
     /// Appends one record.
     pub fn append_record(&mut self, record: &[u8]) {
-        let mut prefix = [0u8; 10];
-        let n = encode_varint(&mut prefix, record.len() as u64);
+        let (prefix, n) = encode_varint(record.len() as u64);
         self.compressor.write(&prefix[..n]);
         self.compressor.write(record);
         self.pending_records += 1;
@@ -160,8 +117,7 @@ impl RecordFileWriter {
         if !self.compressor.is_empty() {
             self.seal_block();
         }
-        let mut prefix = [0u8; 10];
-        let n = encode_varint(&mut prefix, record.len() as u64);
+        let (prefix, n) = encode_varint(record.len() as u64);
         self.compressor.write(&prefix[..n]);
         self.compressor.write(record);
         self.pending_records = 1;
@@ -221,7 +177,6 @@ pub struct RecordFileReader {
     pub(crate) data: Arc<FileData>,
     pub(crate) stats: Arc<StatsCell>,
     pub(crate) cache: Arc<BlockCache>,
-    pub(crate) block_filter: Option<Vec<bool>>,
     next_block: usize,
     cur_block: Option<usize>,
     buf: Arc<Vec<u8>>,
@@ -234,7 +189,6 @@ impl RecordFileReader {
         data: Arc<FileData>,
         stats: Arc<StatsCell>,
         cache: Arc<BlockCache>,
-        block_filter: Option<Vec<bool>>,
     ) -> Self {
         stats.file_opened();
         RecordFileReader {
@@ -242,7 +196,6 @@ impl RecordFileReader {
             data,
             stats,
             cache,
-            block_filter,
             next_block: 0,
             cur_block: None,
             buf: Arc::new(Vec::new()),
@@ -250,7 +203,7 @@ impl RecordFileReader {
         }
     }
 
-    /// Number of blocks in the file (before any filter).
+    /// Number of blocks in the file.
     pub fn block_count(&self) -> usize {
         self.data.blocks.len()
     }
@@ -268,33 +221,16 @@ impl RecordFileReader {
         self.cur_block
     }
 
-    /// Restricts reading to blocks whose entry in `keep` is true — the
-    /// index-pushdown hook used by Elephant Twin-style scans. Skipped blocks
-    /// are never decompressed and count as `blocks_skipped`.
-    pub fn set_block_filter(&mut self, keep: Vec<bool>) {
-        assert_eq!(keep.len(), self.data.blocks.len(), "filter length mismatch");
-        self.block_filter = Some(keep);
-    }
-
     fn load_next_block(&mut self) -> WarehouseResult<bool> {
-        loop {
-            if self.next_block >= self.data.blocks.len() {
-                return Ok(false);
-            }
-            let idx = self.next_block;
-            self.next_block += 1;
-            if let Some(filter) = &self.block_filter {
-                if !filter[idx] {
-                    self.stats.block_skipped();
-                    continue;
-                }
-            }
-            let block = &self.data.blocks[idx];
-            self.buf = read_block_payload(&self.path, block, idx, &self.cache, &[&self.stats])?;
-            self.cur_block = Some(idx);
-            self.buf_pos = 0;
-            return Ok(true);
-        }
+        let Some(block) = self.data.blocks.get(self.next_block) else {
+            return Ok(false);
+        };
+        let idx = self.next_block;
+        self.next_block += 1;
+        self.buf = read_block_payload(&self.path, block, idx, &self.cache, &[&self.stats])?;
+        self.cur_block = Some(idx);
+        self.buf_pos = 0;
+        Ok(true)
     }
 
     /// Yields the next record, or `None` at end of file.

@@ -46,25 +46,30 @@ pub mod columnar;
 pub mod compress;
 pub mod error;
 pub mod file;
+pub mod hash;
 pub mod hourly;
 pub mod path;
 pub mod pool;
+pub mod scan;
 pub mod spill;
 pub mod stats;
 pub mod store;
+mod varint;
 pub mod zone;
 
 pub use cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};
 pub use columnar::{
     sniff_columnar, ColumnCell, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding,
-    ColumnarReader, ColumnarScanStats, ColumnarWriter, COLUMNAR_MAGIC, COLUMNAR_VERSION,
+    COLUMNAR_MAGIC, COLUMNAR_VERSION,
 };
 pub use compress::CompressorPool;
 pub use error::{WarehouseError, WarehouseResult};
 pub use file::{FileBlocks, RecordFileReader, RecordFileWriter};
+pub use hash::{fnv1a64, fnv1a64_fold, FNV1A64_OFFSET};
 pub use hourly::HourlyPartition;
 pub use path::WhPath;
 pub use pool::{Parallelism, ScanPool};
+pub use scan::ScanFile;
 pub use spill::{
     scratch_dir, spill_root, ExternalByteSorter, MemoryTracker, SortedRuns, SpillDirGuard,
     ENTRY_OVERHEAD,

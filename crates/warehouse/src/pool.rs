@@ -8,9 +8,10 @@
 //! ones.
 //!
 //! [`Parallelism`] is the knob threaded through every layer that scans
-//! (dataflow engine, sessionizer, benches): `Parallelism::serial()` restores
-//! the original single-threaded code paths exactly; the default follows the
-//! host's available parallelism.
+//! (dataflow engine, sessionizer, benches). It only sets how many threads
+//! the pool may use: one worker runs the same shards inline on the calling
+//! thread, so there is no separate serial code path anywhere above this
+//! module. The default follows the host's available parallelism.
 
 use parking_lot::Mutex;
 
@@ -19,8 +20,8 @@ use parking_lot::Mutex;
 pub struct Parallelism(usize);
 
 impl Parallelism {
-    /// One worker: scans run inline on the calling thread, exactly as they
-    /// did before the pool existed.
+    /// One worker: every [`ScanPool::map`] runs inline on the calling
+    /// thread.
     pub fn serial() -> Self {
         Parallelism(1)
     }
@@ -41,11 +42,6 @@ impl Parallelism {
     /// The worker count.
     pub fn workers(self) -> usize {
         self.0
-    }
-
-    /// True when scans run inline on the calling thread.
-    pub fn is_serial(self) -> bool {
-        self.0 == 1
     }
 }
 
@@ -150,7 +146,6 @@ mod tests {
     #[test]
     fn parallelism_clamps_and_defaults() {
         assert_eq!(Parallelism::serial().workers(), 1);
-        assert!(Parallelism::serial().is_serial());
         assert_eq!(Parallelism::fixed(0).workers(), 1);
         assert_eq!(Parallelism::fixed(6).workers(), 6);
         assert!(Parallelism::auto().workers() >= 1);

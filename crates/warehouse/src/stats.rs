@@ -60,6 +60,25 @@ impl ScanStats {
         }
     }
 
+    /// Field-wise sum of two snapshots (for totalling the handles of one
+    /// query).
+    pub fn plus(&self, other: &ScanStats) -> ScanStats {
+        ScanStats {
+            files_opened: self.files_opened + other.files_opened,
+            blocks_read: self.blocks_read + other.blocks_read,
+            compressed_bytes_read: self.compressed_bytes_read + other.compressed_bytes_read,
+            uncompressed_bytes_read: self.uncompressed_bytes_read + other.uncompressed_bytes_read,
+            records_read: self.records_read + other.records_read,
+            blocks_skipped: self.blocks_skipped + other.blocks_skipped,
+            cache_hits: self.cache_hits + other.cache_hits,
+            cache_misses: self.cache_misses + other.cache_misses,
+            records_skipped_by_predicate: self.records_skipped_by_predicate
+                + other.records_skipped_by_predicate,
+            fields_skipped: self.fields_skipped + other.fields_skipped,
+            alloc_bytes: self.alloc_bytes + other.alloc_bytes,
+        }
+    }
+
     /// Cache hits as a fraction of blocks read (0.0 when nothing was read).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -235,6 +254,18 @@ mod tests {
         assert_eq!(delta.blocks_read, 1);
         assert_eq!(delta.compressed_bytes_read, 5);
         assert_eq!(delta.uncompressed_bytes_read, 9);
+    }
+
+    #[test]
+    fn plus_inverts_since() {
+        let cell = StatsCell::default();
+        cell.block_read(10, 20);
+        cell.pushdown_skips(1, 2);
+        let first = cell.snapshot();
+        cell.block_cache_hit(9);
+        cell.record_alloc(4);
+        let second = cell.snapshot();
+        assert_eq!(first.plus(&second.since(&first)), second);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use parking_lot::Mutex;
 use crate::cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};
 use crate::error::{WarehouseError, WarehouseResult};
 use crate::file::{FileBlocks, FileData, RecordFileReader, RecordFileWriter};
+use crate::hash::{fnv1a64, fnv1a64_fold, FNV1A64_OFFSET};
 use crate::path::WhPath;
 use crate::stats::{ScanStats, StatsCell};
 use crate::zone::ZoneMap;
@@ -314,7 +315,6 @@ impl Warehouse {
             data,
             Arc::clone(&self.stats),
             Arc::clone(&self.cache),
-            None,
         ))
     }
 
@@ -336,24 +336,17 @@ impl Warehouse {
     /// the parallel mover's identity tests fold across worker counts,
     /// without exposing raw bytes or charging scan counters.
     pub fn file_digest(&self, path: &WhPath) -> WarehouseResult<u64> {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         let data = self.file_data(path)?;
-        let mut h = OFFSET;
-        let fold_u64 = |h: u64, v: u64| -> u64 {
-            let mut h = h;
-            for b in v.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-            h
-        };
+        let mut h = FNV1A64_OFFSET;
         for block in &data.blocks {
-            h = fold_u64(h, block.compressed.len() as u64);
-            h = fold_u64(h, block.uncompressed_len);
-            h = fold_u64(h, block.num_records);
-            for &b in &block.compressed {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+            for v in [
+                block.compressed.len() as u64,
+                block.uncompressed_len,
+                block.num_records,
+            ] {
+                h = fnv1a64_fold(h, &v.to_le_bytes());
             }
+            h = fnv1a64_fold(h, &block.compressed);
         }
         Ok(h)
     }
@@ -415,7 +408,7 @@ impl Warehouse {
         self.mutate_block(path, block, |b| {
             let keep = b.compressed.len() / 2;
             b.compressed.truncate(keep);
-            b.checksum = crate::file::fnv1a64(&b.compressed);
+            b.checksum = fnv1a64(&b.compressed);
         })
     }
 
@@ -670,24 +663,6 @@ mod tests {
         assert_eq!(m.records, 50);
         assert!(m.blocks >= 2);
         assert!(m.compressed_bytes > 0);
-    }
-
-    #[test]
-    fn block_filter_skips_blocks() {
-        let wh = Warehouse::with_block_capacity(128);
-        write_records(&wh, "/f", 100);
-        let meta = wh.file_meta(&p("/f")).unwrap();
-        assert!(meta.blocks >= 4);
-        wh.reset_stats();
-        let mut r = wh.open(&p("/f")).unwrap();
-        let mut keep = vec![false; meta.blocks as usize];
-        keep[0] = true;
-        r.set_block_filter(keep);
-        let got = r.read_all().unwrap();
-        assert!(!got.is_empty() && (got.len() as u64) < meta.records);
-        let s = wh.stats();
-        assert_eq!(s.blocks_read, 1);
-        assert_eq!(s.blocks_skipped, meta.blocks - 1);
     }
 
     #[test]

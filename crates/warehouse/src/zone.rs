@@ -11,7 +11,7 @@
 //! Everything here fails open: a block with no zone map (legacy writer, log
 //! mover copying opaque bytes) is always read.
 
-use crate::file::fnv1a64;
+use crate::hash::fnv1a64;
 
 /// The hash that folds tags (event names) into a zone-map bitmap. Writers
 /// and pruners must agree on it, so it is public and the only one used.

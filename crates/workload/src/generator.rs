@@ -454,8 +454,6 @@ pub enum Layout {
     /// landing format.
     #[default]
     Columnar,
-    /// Columnar v2 without the name dictionary (ablation arm).
-    ColumnarPlain,
 }
 
 impl Layout {
@@ -464,7 +462,6 @@ impl Layout {
         match s {
             "row" => Some(Layout::Row),
             "columnar" => Some(Layout::Columnar),
-            "columnar-plain" => Some(Layout::ColumnarPlain),
             _ => None,
         }
     }
@@ -504,11 +501,9 @@ pub fn write_client_events_layout(
     files_per_hour: usize,
     layout: Layout,
 ) -> WarehouseResult<u64> {
-    let dictionary = match layout {
-        Layout::Row => return write_client_events(warehouse, events, files_per_hour),
-        Layout::Columnar => true,
-        Layout::ColumnarPlain => false,
-    };
+    if layout == Layout::Row {
+        return write_client_events(warehouse, events, files_per_hour);
+    }
     assert!(files_per_hour > 0);
     let mut buckets: BTreeMap<u64, Vec<Vec<ClientEvent>>> = BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
@@ -529,7 +524,7 @@ pub fn write_client_events_layout(
                 warehouse,
                 &path,
                 &bucket,
-                dictionary,
+                true,
                 uli_core::columnar::DEFAULT_ROWS_PER_GROUP,
             )?;
         }
@@ -658,16 +653,9 @@ mod tests {
 
     /// FNV-1a 64 over every event's encoded bytes, in stream order.
     fn fingerprint(events: impl Iterator<Item = ClientEvent>) -> (u64, u64) {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut n = 0u64;
-        for ev in events {
-            for b in ev.to_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            n += 1;
-        }
-        (h, n)
+        events.fold((uli_warehouse::FNV1A64_OFFSET, 0), |(h, n), ev| {
+            (uli_warehouse::fnv1a64_fold(h, &ev.to_bytes()), n + 1)
+        })
     }
 
     /// These hashes were computed from the batch generator BEFORE the
@@ -888,7 +876,11 @@ mod tests {
     fn layout_flag_parses() {
         assert_eq!(Layout::parse("row"), Some(Layout::Row));
         assert_eq!(Layout::parse("columnar"), Some(Layout::Columnar));
-        assert_eq!(Layout::parse("columnar-plain"), Some(Layout::ColumnarPlain));
+        assert_eq!(
+            Layout::parse("columnar-plain"),
+            None,
+            "retired with the variant"
+        );
         assert_eq!(Layout::parse("parquet"), None);
         assert_eq!(Layout::default(), Layout::Columnar);
     }

@@ -10,8 +10,12 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test"
+# Twice: tests that share a fixture must pass both beside each other and
+# one at a time, whatever the host's core count.
+echo "== cargo test (default test threads)"
 cargo test --workspace -q
+echo "== cargo test (RUST_TEST_THREADS=1)"
+RUST_TEST_THREADS=1 cargo test --workspace -q
 
 echo "== repro smoke (e14 parallel sweep, e15 pushdown sweep)"
 cargo run --release -q -p uli-bench --bin repro -- --smoke e14 e15
@@ -20,159 +24,89 @@ echo "== chaos gate (seeded sweep + delivery-invariant checker)"
 cargo test -q --test chaos
 cargo run --release -q -p uli-bench --bin repro -- --smoke e16
 
-echo "== obs gate (e17 smoke snapshot vs golden)"
-cargo run --release -q -p uli-bench --bin repro -- --smoke e17
-if ! diff -u crates/bench/golden/e17_smoke.golden.json target/e17_smoke.metrics.json; then
-    echo "obs gate: smoke snapshot drifted from the golden file." >&2
-    echo "If the change is intentional, refresh it with:" >&2
-    echo "  cp target/e17_smoke.metrics.json crates/bench/golden/e17_smoke.golden.json" >&2
-    exit 1
-fi
-if grep -q '"duplicate_registrations": \["' target/e17_smoke.metrics.json; then
-    echo "obs gate: a metric was registered twice." >&2
-    exit 1
-fi
-
-echo "== ingest gate (e18 smoke metrics vs golden)"
-cargo run --release -q -p uli-bench --bin repro -- --smoke e18
-if ! diff -u crates/bench/golden/e18_smoke.golden.json target/e18_smoke.metrics.json; then
-    echo "ingest gate: smoke metrics drifted from the golden file." >&2
-    echo "If the change is intentional, refresh it with:" >&2
-    echo "  cp target/e18_smoke.metrics.json crates/bench/golden/e18_smoke.golden.json" >&2
-    exit 1
-fi
-
-echo "== columnar gate (e19 smoke metrics vs golden)"
-cargo run --release -q -p uli-bench --bin repro -- --smoke e19
-if ! diff -u crates/bench/golden/e19_smoke.golden.json target/e19_smoke.metrics.json; then
-    echo "columnar gate: smoke metrics drifted from the golden file." >&2
-    echo "If the change is intentional, refresh it with:" >&2
-    echo "  cp target/e19_smoke.metrics.json crates/bench/golden/e19_smoke.golden.json" >&2
-    exit 1
-fi
-if ! grep -q '"outputs_identical": true' target/e19_smoke.metrics.json; then
-    echo "columnar gate: columnar arms diverged from the row reference." >&2
-    exit 1
-fi
-
-echo "== bounded-memory gate (e20 smoke metrics vs golden)"
-# Tiny budgets on a real (smoke-sized) day: every budgeted stage must
-# spill, return byte-identical output, and keep its high-water mark under
-# the budget. The repro binary exits nonzero if any invariant fails; the
-# greps keep the gate honest against accidental gate removal.
-cargo run --release -q -p uli-bench --bin repro -- --smoke e20
-if ! diff -u crates/bench/golden/e20_smoke.golden.json target/e20_smoke.metrics.json; then
-    echo "bounded-memory gate: smoke metrics drifted from the golden file." >&2
-    echo "If the change is intentional, refresh it with:" >&2
-    echo "  cp target/e20_smoke.metrics.json crates/bench/golden/e20_smoke.golden.json" >&2
-    exit 1
-fi
-if ! grep -q '"queries_identical": true' target/e20_smoke.metrics.json; then
-    echo "bounded-memory gate: budgeted query rows diverged from unbounded." >&2
-    exit 1
-fi
-if ! grep -q '"mat_matches_batch": true' target/e20_smoke.metrics.json; then
-    echo "bounded-memory gate: streaming materialization diverged from batch." >&2
-    exit 1
-fi
-if ! grep -q '"peaks_within_budget": true' target/e20_smoke.metrics.json; then
-    echo "bounded-memory gate: a stage exceeded its memory budget." >&2
-    exit 1
-fi
-if grep -q '"budgeted_spill_runs": 0,' target/e20_smoke.metrics.json; then
-    echo "bounded-memory gate: no stage spilled — the tiny budgets are not binding." >&2
-    exit 1
-fi
-
-echo "== lambda gate (e21 smoke metrics vs golden)"
-# Streaming analytics vs batch over the pinned smoke day plus a seeded
-# chaos sweep: views must be identical across worker counts, equal batch
-# exactly for exact aggregates, stay within every sketch's declared error
-# bound, and reconcile against the audited delivered partition. The repro
-# binary exits nonzero if any invariant fails; the greps keep the gate
-# honest against accidental gate removal.
-cargo run --release -q -p uli-bench --bin repro -- --smoke e21
-if ! diff -u crates/bench/golden/e21_smoke.golden.json target/e21_smoke.metrics.json; then
-    echo "lambda gate: smoke metrics drifted from the golden file." >&2
-    echo "If the change is intentional, refresh it with:" >&2
-    echo "  cp target/e21_smoke.metrics.json crates/bench/golden/e21_smoke.golden.json" >&2
-    exit 1
-fi
-if ! grep -q '"streaming_matches_batch": true' target/e21_smoke.metrics.json; then
-    echo "lambda gate: streaming did not converge to batch." >&2
-    exit 1
-fi
-for bound in hll_within_bound topk_within_bound percentile_within_bound; do
-    if ! grep -q "\"$bound\": true" target/e21_smoke.metrics.json; then
-        echo "lambda gate: $bound violated — a sketch left its declared error bound." >&2
+# golden_gate <exp> <label> [required-grep…]
+# Runs `repro --smoke <exp>` (which exits nonzero if any of the experiment's
+# own invariants fails), diffs the machine-independent metrics it writes
+# against the committed golden, and requires every grep pattern in them —
+# the greps keep a gate honest against accidental removal of an invariant
+# from the experiment.
+golden_gate() {
+    local exp=$1 label=$2
+    shift 2
+    local out=target/${exp}_smoke.metrics.json
+    local golden=crates/bench/golden/${exp}_smoke.golden.json
+    echo "== $label gate ($exp smoke metrics vs golden)"
+    cargo run --release -q -p uli-bench --bin repro -- --smoke "$exp"
+    if ! diff -u "$golden" "$out"; then
+        echo "$label gate: smoke metrics drifted from the golden file." >&2
+        echo "If the change is intentional, refresh it with:" >&2
+        echo "  cp $out $golden" >&2
         exit 1
     fi
-done
-if ! grep -q '"chaos_reconciled": true' target/e21_smoke.metrics.json; then
-    echo "lambda gate: chaos streaming totals diverged from the delivered partition." >&2
-    exit 1
-fi
+    local pattern
+    for pattern in "$@"; do
+        if ! grep -q -- "$pattern" "$out"; then
+            echo "$label gate: $out lacks $pattern" >&2
+            exit 1
+        fi
+    done
+}
 
-echo "== serving gate (e22 smoke metrics vs golden)"
-# Point lookups off the incrementally-maintained index vs the batch
-# engine over the pinned smoke day: every answer must be byte-identical
-# to batch at every worker count, the suite must decode at least 50x
-# fewer bytes than the batch path, the serve/* registry must reconcile
-# against the maintainer state, and chaos indexes (with crash-window
-# injection between hour-land and index-commit) must account for exactly
-# the delivered partition after recovery. The repro binary exits nonzero
-# if any invariant fails; the greps keep the gate honest against
-# accidental gate removal.
-cargo run --release -q -p uli-bench --bin repro -- --smoke e22
-if ! diff -u crates/bench/golden/e22_smoke.golden.json target/e22_smoke.metrics.json; then
-    echo "serving gate: smoke metrics drifted from the golden file." >&2
-    echo "If the change is intentional, refresh it with:" >&2
-    echo "  cp target/e22_smoke.metrics.json crates/bench/golden/e22_smoke.golden.json" >&2
-    exit 1
-fi
-if ! grep -q '"answers_match": true' target/e22_smoke.metrics.json; then
-    echo "serving gate: a serving answer diverged from the batch engine." >&2
-    exit 1
-fi
-if ! grep -q '"index_lag_hours": 0,' target/e22_smoke.metrics.json; then
-    echo "serving gate: the index lagged the delivered day." >&2
-    exit 1
-fi
-if ! grep -q '"obs_reconciled": true' target/e22_smoke.metrics.json; then
-    echo "serving gate: serve/* registry metrics diverged from maintainer state." >&2
-    exit 1
-fi
-if ! grep -q '"chaos_consistent": true' target/e22_smoke.metrics.json; then
-    echo "serving gate: chaos indexes diverged from the delivered partition." >&2
-    exit 1
-fi
+# forbid <exp> <grep> <why>: the metrics of <exp> must not contain <grep>.
+forbid() {
+    if grep -q -- "$2" "target/$1_smoke.metrics.json"; then
+        echo "$1 gate: $3" >&2
+        exit 1
+    fi
+}
 
-echo "== delivery gate (e23 smoke metrics vs golden)"
-# The parallel mover over the pinned smoke day: landed files, seen-set,
-# and tap dispatch must be byte-identical to the serial mover at workers
-# {1,4,8}, the seeded chaos sweep must stay invariant-clean and identical
-# to serial with the 8-worker mover, and the machine-independent cost
-# model must show >=3x at 8 workers. The repro binary exits nonzero if
-# any invariant fails; the greps keep the gate honest against accidental
-# gate removal.
-cargo run --release -q -p uli-bench --bin repro -- --smoke e23
-if ! diff -u crates/bench/golden/e23_smoke.golden.json target/e23_smoke.metrics.json; then
-    echo "delivery gate: smoke metrics drifted from the golden file." >&2
-    echo "If the change is intentional, refresh it with:" >&2
-    echo "  cp target/e23_smoke.metrics.json crates/bench/golden/e23_smoke.golden.json" >&2
-    exit 1
-fi
-if ! grep -q '"identical_across_workers": true' target/e23_smoke.metrics.json; then
-    echo "delivery gate: parallel delivery diverged from serial." >&2
-    exit 1
-fi
-if ! grep -q '"chaos_clean": true' target/e23_smoke.metrics.json; then
-    echo "delivery gate: a chaos seed violated a delivery invariant." >&2
-    exit 1
-fi
-if ! grep -q '"chaos_matches_serial": true' target/e23_smoke.metrics.json; then
-    echo "delivery gate: parallel chaos outcome diverged from serial." >&2
-    exit 1
-fi
+# e17: the registry snapshot of one instrumented run.
+golden_gate e17 obs
+forbid e17 '"duplicate_registrations": \["' "a metric was registered twice."
+
+# e18: batched ingest.
+golden_gate e18 ingest
+
+# e19: every columnar arm returns the row reference's rows.
+golden_gate e19 columnar '"outputs_identical": true'
+
+# e20: tiny budgets on a real (smoke-sized) day: every budgeted stage must
+# spill, return byte-identical output, and keep its high-water mark under
+# the budget.
+golden_gate e20 bounded-memory \
+    '"queries_identical": true' \
+    '"mat_matches_batch": true' \
+    '"peaks_within_budget": true'
+forbid e20 '"budgeted_spill_runs": 0,' "no stage spilled — the tiny budgets are not binding."
+
+# e21: streaming analytics vs batch over the pinned smoke day plus a seeded
+# chaos sweep: views identical across worker counts, equal to batch for
+# exact aggregates, within every sketch's declared error bound, and
+# reconciled against the audited delivered partition.
+golden_gate e21 lambda \
+    '"streaming_matches_batch": true' \
+    '"hll_within_bound": true' \
+    '"topk_within_bound": true' \
+    '"percentile_within_bound": true' \
+    '"chaos_reconciled": true'
+
+# e22: point lookups off the incrementally-maintained index vs the batch
+# engine: byte-identical answers at every worker count, >=50x fewer decoded
+# bytes, serve/* registry reconciled against the maintainer, and chaos
+# indexes (with crash-window injection between hour-land and index-commit)
+# accounting for exactly the delivered partition after recovery.
+golden_gate e22 serving \
+    '"answers_match": true' \
+    '"index_lag_hours": 0,' \
+    '"obs_reconciled": true' \
+    '"chaos_consistent": true'
+
+# e23: the parallel mover: landed files, seen-set and tap dispatch
+# byte-identical at workers {1,4,8}, the seeded chaos sweep invariant-clean
+# and identical at 8 workers, and >=3x at 8 workers in the cost model.
+golden_gate e23 delivery \
+    '"identical_across_workers": true' \
+    '"chaos_clean": true' \
+    '"chaos_matches_serial": true'
 
 echo "ci: all green"

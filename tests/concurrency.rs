@@ -168,3 +168,164 @@ fn scribe_network_delivery_from_many_threads() {
     let report = agg.flush(0);
     assert_eq!(report.flushed_records, 8 * 500);
 }
+
+/// What one reader of the shared warehouse reported for its own work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Bills {
+    /// Engine: `(input_records, input_blocks, input_bytes_uncompressed)`.
+    engine: (u64, u64, u64),
+    /// Serve lookup: `(decoded_bytes, groups_read, files_visited)`.
+    serve: (u64, u64, u64),
+    /// Decoded bytes of one index build of the hour.
+    build: u64,
+}
+
+/// `ClientEventLoader`, except that the first row record of the first scan
+/// after [`GatedLoader::arm`] parks the scanning thread between two
+/// barriers — the hook that lets a test run other readers strictly inside
+/// an engine query's scan.
+struct GatedLoader {
+    armed: std::sync::atomic::AtomicBool,
+    entered: std::sync::Barrier,
+    resume: std::sync::Barrier,
+}
+
+impl Loader for GatedLoader {
+    fn name(&self) -> &'static str {
+        "GatedLoader"
+    }
+    fn parse(&self, record: &[u8]) -> unified_logging::dataflow::DataflowResult<Option<Tuple>> {
+        if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            self.entered.wait();
+            self.resume.wait();
+        }
+        ClientEventLoader.parse(record)
+    }
+    fn columnar(&self) -> Option<&dyn unified_logging::dataflow::ColumnarCodec> {
+        ClientEventLoader.columnar()
+    }
+}
+
+#[test]
+fn concurrent_readers_are_each_billed_exactly_their_own_bytes() {
+    use unified_logging::core::write_client_events_columnar;
+    use unified_logging::thrift::ThriftRecord;
+    use unified_logging::warehouse::HourlyPartition;
+
+    // One delivered hour holding both layouts, each file several scan units
+    // long: a columnar part and a row-format sibling.
+    let wh = Warehouse::with_block_capacity(2048);
+    let partition = HourlyPartition::from_hour_index("client_events", 3);
+    let dir = partition.main_dir();
+    let events: Vec<ClientEvent> = (0..400i64)
+        .map(|i| {
+            ClientEvent::new(
+                EventInitiator::CLIENT_USER,
+                EventName::parse("web:home:home:stream:tweet:click").unwrap(),
+                i % 9,
+                format!("s-{}", i % 9),
+                "10.0.0.1",
+                Timestamp::from_hour_index(3).plus(i * 1000),
+            )
+        })
+        .collect();
+    write_client_events_columnar(
+        &wh,
+        &dir.child("part-00000").unwrap(),
+        &events[..200],
+        true,
+        32,
+    )
+    .unwrap();
+    let mut w = wh.create(&dir.child("part-00001").unwrap()).unwrap();
+    for ev in &events[200..] {
+        w.append_record(&ev.to_bytes());
+    }
+    w.finish().unwrap();
+
+    let maintainer = IndexMaintainer::new(wh.clone(), "client_events");
+    let handle = maintainer.handle();
+    let loader = Arc::new(GatedLoader {
+        armed: std::sync::atomic::AtomicBool::new(false),
+        entered: std::sync::Barrier::new(2),
+        resume: std::sync::Barrier::new(2),
+    });
+    let engine = Engine::new(wh.clone())
+        .with_parallelism(Parallelism::serial())
+        .with_pushdown(Pushdown::disabled());
+    let plan = Plan::load(dir.clone(), loader.clone(), CLIENT_EVENT_SCHEMA.to_vec());
+
+    let run_engine = || {
+        let s = engine.run(&plan).unwrap().stats;
+        (s.input_records, s.input_blocks, s.input_bytes_uncompressed)
+    };
+    let run_serve_and_build = || {
+        let before = maintainer.build_decoded_bytes();
+        maintainer.tap().hour_delivered(&partition, &[]);
+        let build = maintainer.build_decoded_bytes() - before;
+        let s = handle.user_events(4, 3).unwrap().stats;
+        ((s.decoded_bytes, s.groups_read, s.files_visited), build)
+    };
+
+    // Alone: nothing else touches the warehouse, so the global counters
+    // must agree with what each reader says it cost.
+    let before = wh.stats();
+    let engine_alone = run_engine();
+    assert_eq!(
+        wh.stats().since(&before).uncompressed_bytes_read,
+        engine_alone.2,
+        "engine self-accounts"
+    );
+    let before = wh.stats();
+    let (serve_alone, build_alone) = run_serve_and_build();
+    assert_eq!(
+        wh.stats().since(&before).uncompressed_bytes_read,
+        serve_alone.0 + build_alone,
+        "serve and index build self-account"
+    );
+    let alone = Bills {
+        engine: engine_alone,
+        serve: serve_alone,
+        build: build_alone,
+    };
+    assert_eq!(alone.engine.0, 400);
+    assert!(alone.serve.0 > 0 && alone.build > 0);
+
+    // Forced interleaving: the lookup and the index build run strictly
+    // inside the engine's scan, between its first and second row record.
+    loader
+        .armed
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    let nested = thread::scope(|scope| {
+        let engine_thread = scope.spawn(run_engine);
+        loader.entered.wait();
+        let (serve, build) = run_serve_and_build();
+        loader.resume.wait();
+        Bills {
+            engine: engine_thread.join().expect("engine thread"),
+            serve,
+            build,
+        }
+    });
+    assert_eq!(nested, alone, "readers nested inside an engine scan");
+
+    // Free-running: both sides hammer the warehouse from a common start.
+    let start = std::sync::Barrier::new(2);
+    thread::scope(|scope| {
+        let engine_thread = scope.spawn(|| {
+            start.wait();
+            for round in 0..40 {
+                assert_eq!(run_engine(), alone.engine, "engine round {round}");
+            }
+        });
+        start.wait();
+        for round in 0..40 {
+            assert_eq!(
+                run_serve_and_build(),
+                (alone.serve, alone.build),
+                "serve round {round}"
+            );
+        }
+        engine_thread.join().expect("engine thread");
+    });
+}
