@@ -471,25 +471,23 @@ impl Engine {
                 Some(_) => ScanFile::open(&self.warehouse, path)?,
                 None => ScanFile::Row(self.warehouse.open_blocks(path)?),
             };
-            // Block pruners index row blocks, which columnar files do not
-            // have; zone maps prune either layout.
-            let mask = match &file {
-                ScanFile::Row(_) => chain
-                    .pruner
-                    .as_ref()
-                    .and_then(|p| p.prune(&self.warehouse, path, file.units())),
-                ScanFile::Columnar(col) => {
-                    if col.columns() != chain.spec.width {
-                        return Err(DataflowError::MalformedRecord {
-                            loader: chain.loader.name(),
-                        });
-                    }
-                    None
+            if let ScanFile::Columnar(col) = &file {
+                if col.columns() != chain.spec.width {
+                    return Err(DataflowError::MalformedRecord {
+                        loader: chain.loader.name(),
+                    });
                 }
-            };
-            if let Some(mask) = &mask {
-                assert_eq!(mask.len(), file.units(), "filter length mismatch");
             }
+            // One constraint, two kinds of evidence: the pruner's
+            // alongside-the-data postings and the file's own zone maps. A
+            // mask that does not fit the file as it now stands (a stale
+            // index) fails open.
+            let mask = chain
+                .zone
+                .as_ref()
+                .zip(chain.pruner.as_ref())
+                .and_then(|(constraint, pruner)| pruner.prune(path, &file, constraint))
+                .filter(|mask| mask.len() == file.units());
             for unit in 0..file.units() {
                 let keep = mask.as_ref().is_none_or(|m| m[unit])
                     && chain
@@ -1007,6 +1005,7 @@ struct MapChain<'a> {
     spec: ScanSpec,
     /// Block-skipping constraints derived from the pushed predicates, when
     /// they are provably total (pruning can never hide an eval error).
+    /// Checked against each unit's zone map and handed to `pruner`.
     zone: Option<ZoneMapPruner>,
     /// Operators in application order (innermost first), minus any filters
     /// that were pushed into `spec`.
@@ -1077,7 +1076,6 @@ impl<'a> MapChain<'a> {
                         let tag_col =
                             (0..width).find(|c| loader.zone_column(*c) == Some(ZoneColumn::Tag));
                         zone_constraints(&spec.predicate, key_col, tag_col)
-                            .filter(|p| !p.is_trivial())
                     } else {
                         None
                     };

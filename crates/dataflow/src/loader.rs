@@ -7,13 +7,15 @@
 //!
 //! [`BlockPruner`] is the Elephant Twin integration point (§6): indexes
 //! "integrate with Hadoop at the level of InputFormats", so a pruner decides
-//! per file which blocks a scan may skip *before* decompression.
+//! per file which scan units a constrained scan may skip *before*
+//! decompression. It is evidence kept alongside the data, checked against
+//! the same planner-derived constraint as the in-file zone maps.
 
 use crate::batch::{ColumnarCodec, TextCodec};
 use crate::error::{DataflowError, DataflowResult};
 use crate::pushdown::{ScanOutcome, ScanSpec, ZoneColumn};
 use crate::value::{Tuple, Value};
-use uli_warehouse::{Warehouse, WhPath};
+use uli_warehouse::{ScanFile, WhPath, ZoneMapPruner};
 
 /// Parses raw warehouse records into tuples.
 pub trait Loader: Send + Sync {
@@ -75,10 +77,22 @@ pub trait Loader: Send + Sync {
     }
 }
 
-/// Decides which blocks of a file a scan must read.
+/// Decides which scan units of a file a constrained scan must read.
+///
+/// The executor consults a pruner only when the planner derived a
+/// `constraint` from provably total pushed predicates — the gate zone maps
+/// pass through — so a pruner never states the query a second time and can
+/// never disagree with the FILTER above it.
 pub trait BlockPruner: Send + Sync {
-    /// Returns a keep-mask of length `block_count`, or `None` to read all.
-    fn prune(&self, warehouse: &Warehouse, file: &WhPath, block_count: usize) -> Option<Vec<bool>>;
+    /// Returns a keep-mask over `file`'s units (row blocks or columnar row
+    /// groups) for rows that can satisfy `constraint`, or `None` to read
+    /// all. A mask of any other length is ignored: the file is scanned.
+    fn prune(
+        &self,
+        path: &WhPath,
+        file: &ScanFile,
+        constraint: &ZoneMapPruner,
+    ) -> Option<Vec<bool>>;
 }
 
 /// A simple comma-separated loader used by tests, examples, and docs.

@@ -247,7 +247,11 @@ impl Plan {
         }
     }
 
-    /// Attaches an index-pushdown pruner to a LOAD plan.
+    /// Attaches an index-pushdown pruner to a LOAD plan. The executor asks
+    /// it which units to skip only under a constraint it derived itself from
+    /// the FILTERs above the LOAD, on either file layout; with no such
+    /// constraint (a UDF or non-total predicate, pushdown disabled) the
+    /// pruner is never consulted.
     ///
     /// # Panics
     /// If the plan root is not a LOAD.

@@ -12,11 +12,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use uli_core::{for_each_client_event, ClientEvent, SessionRecord, Sessionizer};
-use uli_dataflow::{Tuple, Value};
+use uli_dataflow::{BlockPruner, Tuple, Value};
 use uli_warehouse::{HourlyPartition, ScanFile, Warehouse, WarehouseResult};
 
 use crate::hour::HourIndex;
 use crate::maintain::Inner;
+use crate::pruner::PostingsPruner;
 
 /// What one lookup cost, in the decoded-bytes currency the cost model and
 /// E22 use.
@@ -79,8 +80,18 @@ impl ServeHandle {
         (inner.warehouse.clone(), inner.category.clone())
     }
 
-    fn hour(&self, hour: u64) -> Option<HourIndex> {
+    fn hour(&self, hour: u64) -> Option<Arc<HourIndex>> {
         self.inner.lock().hours.get(&hour).cloned()
+    }
+
+    /// A scan-time pruner over the hours committed so far, for
+    /// [`uli_dataflow::Plan::with_pruner`]: the engine hands it the tag
+    /// constraint it derived from the plan's own FILTERs and skips every
+    /// row group (or whole row-format sibling) the name postings prove
+    /// irrelevant. Files outside the indexed hours are read in full.
+    pub fn pruner(&self) -> Arc<dyn BlockPruner> {
+        let inner = self.inner.lock();
+        Arc::new(PostingsPruner::new(&inner.category, inner.hours.values()))
     }
 
     fn note_lookup(&self, stats: &LookupStats) {
@@ -139,20 +150,21 @@ impl ServeHandle {
     /// alone.
     pub fn top_names(&self, hour: u64, k: usize) -> ServeAnswer {
         let mut stats = LookupStats::default();
-        let mut counts: Vec<(String, u64)> = match self.hour(hour) {
+        let index = self.hour(hour);
+        let mut counts: Vec<(&String, u64)> = match &index {
             Some(index) => {
                 stats.groups_pruned = index.total_groups();
-                index.name_counts.into_iter().collect()
+                index.name_counts.iter().map(|(n, c)| (n, *c)).collect()
             }
             None => Vec::new(),
         };
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         counts.truncate(k);
         self.note_lookup(&stats);
         ServeAnswer {
             rows: counts
                 .into_iter()
-                .map(|(name, count)| vec![Value::Str(name), Value::Int(count as i64)])
+                .map(|(name, count)| vec![Value::Str(name.clone()), Value::Int(count as i64)])
                 .collect(),
             stats,
         }
@@ -210,22 +222,16 @@ fn collect_user_events(
             let file = ScanFile::open(warehouse, &dir.child(&entry.name)?)?;
             answer.stats.files_visited += 1;
             groups_read += groups.len() as u64;
-            let mut read = |unit: usize| {
-                for_each_client_event(&file, unit, |ev| {
-                    if ev.user_id == user {
-                        events.push(ev);
-                    }
-                })
-            };
-            if entry.columnar {
-                for &g in groups {
-                    read(g as usize)?;
-                }
-            } else {
-                // A row-format sibling is posted as one pseudo-group: the
-                // whole file, every block of it.
-                for unit in 0..file.units() {
-                    read(unit)?;
+            // No mask means the file no longer matches the index: read it
+            // all — the user filter below keeps the answer right.
+            let mask = index.unit_mask(file_no, &file, groups);
+            for unit in 0..file.units() {
+                if mask.as_ref().is_none_or(|m| m[unit]) {
+                    for_each_client_event(&file, unit, |ev| {
+                        if ev.user_id == user {
+                            events.push(ev);
+                        }
+                    })?;
                 }
             }
             answer.stats.decoded_bytes += file.local_stats().uncompressed_bytes_read;

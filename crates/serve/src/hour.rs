@@ -84,6 +84,40 @@ impl HourIndex {
             .map(|p| p.values().map(|g| g.len() as u64).sum())
             .unwrap_or(0)
     }
+
+    /// Keep-mask over the scan units of `file`, the hour's file number
+    /// `file_no`, given the groups `posted` for it. A columnar file keeps
+    /// exactly the posted row groups; a row-format sibling is posted as one
+    /// pseudo-group, so it is all-or-nothing across its blocks.
+    ///
+    /// `None` when the index does not describe the file as it now stands —
+    /// an unknown file number, the other layout, another group count (the
+    /// hour was re-landed since the index committed): the caller must read
+    /// every unit. A re-landing that keeps the group count is not detected;
+    /// the mover re-indexes every hour it lands, so only writes that bypass
+    /// it can leave one.
+    pub fn unit_mask<'a>(
+        &self,
+        file_no: u32,
+        file: &ScanFile,
+        posted: impl IntoIterator<Item = &'a u32>,
+    ) -> Option<Vec<bool>> {
+        let entry = self.files.get(file_no as usize)?;
+        let mut posted = posted.into_iter();
+        match file {
+            ScanFile::Columnar(_) if entry.columnar && entry.groups as usize == file.units() => {
+                let mut mask = vec![false; file.units()];
+                for &group in posted {
+                    *mask.get_mut(group as usize)? = true;
+                }
+                Some(mask)
+            }
+            ScanFile::Row(_) if !entry.columnar => {
+                Some(vec![posted.next().is_some(); file.units()])
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Index directory for one hour: `/index/serve/<category>/YYYY/MM/DD/HH`.
@@ -424,7 +458,8 @@ pub fn commit_hour_index(
 }
 
 /// Loads a committed index, or `None` when the hour has never committed
-/// (or its record does not decode — treated as absent, forcing a rebuild).
+/// (or its file is corrupt or does not decode — treated as absent, forcing
+/// a rebuild from the landed hour, which is the source of truth).
 pub fn load_hour_index(
     warehouse: &Warehouse,
     category: &str,
@@ -435,8 +470,11 @@ pub fn load_hour_index(
     if !warehouse.exists(&file) {
         return Ok(None);
     }
-    let records = warehouse.open(&file)?.read_all()?;
-    Ok(records.first().and_then(|r| decode(r)))
+    match warehouse.open(&file).and_then(|reader| reader.read_all()) {
+        Ok(records) => Ok(records.first().and_then(|r| decode(r))),
+        Err(WarehouseError::ChecksumMismatch { .. } | WarehouseError::Corrupt(_)) => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 #[cfg(test)]

@@ -17,6 +17,10 @@
 //! - [`handle`] — [`ServeHandle`], the programmatic query front-end:
 //!   point lookups that consult the index, prune to posted row groups,
 //!   and decode only those — never a full-day scan.
+//! - `pruner` — the same name postings as scan-time evidence: the
+//!   [`uli_dataflow::BlockPruner`] that [`ServeHandle::pruner`] hands the
+//!   batch engine, so selective scans skip row groups "for free" (§6's
+//!   InputFormat-level Elephant Twin integration).
 //! - [`batch`] — the batch-engine reference answers the serving layer is
 //!   held byte-identical to.
 //! - [`repl`] — the `uli serve` command surface.
@@ -25,6 +29,7 @@ pub mod batch;
 pub mod handle;
 pub mod hour;
 pub mod maintain;
+mod pruner;
 pub mod repl;
 
 pub use batch::{

@@ -51,8 +51,9 @@ impl ServeObs {
 pub(crate) struct Inner {
     pub(crate) warehouse: Warehouse,
     pub(crate) category: String,
-    /// Committed hour indexes, cached for the query side.
-    pub(crate) hours: BTreeMap<u64, HourIndex>,
+    /// Committed hour indexes, cached for the query side. Shared, never
+    /// copied: lookups and pruners hold the `Arc` outside the lock.
+    pub(crate) hours: BTreeMap<u64, Arc<HourIndex>>,
     /// Newest hour the mover has delivered (observed via the tap).
     pub(crate) newest_delivered: Option<u64>,
     /// Sum of committed index sizes, in serialized bytes.
@@ -103,7 +104,7 @@ impl Inner {
             build_hour_index(&self.warehouse, &self.category, hour, self.workers)?;
         self.build_decoded_bytes += scanned.uncompressed_bytes_read;
         let bytes = commit_hour_index(&self.warehouse, &self.category, &index)?;
-        if let Some(old) = self.hours.insert(hour, index) {
+        if let Some(old) = self.hours.insert(hour, Arc::new(index)) {
             self.postings_bytes -= encode(&old).len() as u64;
         }
         self.postings_bytes += bytes;
@@ -198,7 +199,7 @@ impl IndexMaintainer {
             match load_hour_index(&inner.warehouse, &inner.category, hour)? {
                 Some(index) => {
                     inner.postings_bytes += encode(&index).len() as u64;
-                    inner.hours.insert(hour, index);
+                    inner.hours.insert(hour, Arc::new(index));
                 }
                 None => {
                     inner.index_hour(hour)?;
@@ -217,7 +218,11 @@ impl IndexMaintainer {
 
     /// The committed index for one hour, if any.
     pub fn hour_index(&self, hour: u64) -> Option<HourIndex> {
-        self.inner.lock().hours.get(&hour).cloned()
+        self.inner
+            .lock()
+            .hours
+            .get(&hour)
+            .map(|i| HourIndex::clone(i))
     }
 
     /// Newest hour the mover has delivered, if any.
@@ -367,6 +372,36 @@ mod tests {
         // Recovering again is a no-op: wholesale rebuilds never add.
         assert_eq!(m.recover().unwrap(), 0);
         assert_eq!(m.hour_index(1).unwrap().events, 24);
+    }
+
+    #[test]
+    fn corrupt_index_file_is_rebuilt_from_the_landed_hour() {
+        use crate::batch::{batch_count, batch_user_events};
+
+        let wh = Warehouse::new();
+        let m = IndexMaintainer::new(wh.clone(), "client_events");
+        land_hour(&wh, 0, 20);
+        deliver(&m, 0);
+        let partition = HourlyPartition::from_hour_index("client_events", 0);
+        let idx = crate::hour::index_dir(&partition)
+            .child("hour.idx")
+            .unwrap();
+        wh.corrupt_block(&idx, 0).unwrap();
+        // The log is the source of truth: a fresh maintainer treats the
+        // unreadable index as absent and rebuilds it.
+        let restarted = IndexMaintainer::new(wh.clone(), "client_events");
+        assert_eq!(restarted.recover().unwrap(), 1);
+        assert_eq!(restarted.hour_index(0), m.hour_index(0));
+        let handle = restarted.handle();
+        assert_eq!(
+            handle.user_events(3, 0).unwrap().rows,
+            batch_user_events(&wh, "client_events", 0, 3, 1).unwrap()
+        );
+        let name = "web:home:timeline:tweet:avatar:click";
+        assert_eq!(
+            handle.count(name, [0]).rows,
+            batch_count(&wh, "client_events", [0], name, 1).unwrap()
+        );
     }
 
     #[test]

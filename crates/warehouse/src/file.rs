@@ -178,7 +178,6 @@ pub struct RecordFileReader {
     pub(crate) stats: Arc<StatsCell>,
     pub(crate) cache: Arc<BlockCache>,
     next_block: usize,
-    cur_block: Option<usize>,
     buf: Arc<Vec<u8>>,
     buf_pos: usize,
 }
@@ -197,28 +196,9 @@ impl RecordFileReader {
             stats,
             cache,
             next_block: 0,
-            cur_block: None,
             buf: Arc::new(Vec::new()),
             buf_pos: 0,
         }
-    }
-
-    /// Number of blocks in the file.
-    pub fn block_count(&self) -> usize {
-        self.data.blocks.len()
-    }
-
-    /// Number of records stored in block `idx`. Index builders use this to
-    /// map record offsets back to blocks without decompressing.
-    pub fn block_records(&self, idx: usize) -> u64 {
-        self.data.blocks[idx].num_records
-    }
-
-    /// Index of the block the most recent record came from (`None` before
-    /// the first record). Index builders use this to attribute records to
-    /// blocks while scanning.
-    pub fn current_block(&self) -> Option<usize> {
-        self.cur_block
     }
 
     fn load_next_block(&mut self) -> WarehouseResult<bool> {
@@ -228,7 +208,6 @@ impl RecordFileReader {
         let idx = self.next_block;
         self.next_block += 1;
         self.buf = read_block_payload(&self.path, block, idx, &self.cache, &[&self.stats])?;
-        self.cur_block = Some(idx);
         self.buf_pos = 0;
         Ok(true)
     }

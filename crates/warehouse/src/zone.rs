@@ -1,12 +1,12 @@
 //! Per-block zone maps: Elephant Twin-style block skipping, built in.
 //!
 //! §6's Elephant Twin indexes skip input "at the InputFormat level" — before
-//! a block is ever decompressed. The external event index (`uli-index`)
-//! covers the cases where an index was *built*; zone maps cover every file
-//! written through the annotated writer path for free: each sealed block
-//! records the min/max of a sort-ish key (the event timestamp) and a 64-bit
-//! membership bitmap over a tag dimension (the event name), and a pushed
-//! predicate can prove a block irrelevant from the footer alone.
+//! a block is ever decompressed. The serving layer's alongside-the-data
+//! postings cover the hours where an index was *built*; zone maps cover
+//! every file written through the annotated writer path for free: each
+//! sealed block records the min/max of a sort-ish key (the event timestamp)
+//! and a 64-bit membership bitmap over a tag dimension (the event name), and
+//! a pushed predicate can prove a block irrelevant from the footer alone.
 //!
 //! Everything here fails open: a block with no zone map (legacy writer, log
 //! mover copying opaque bytes) is always read.
@@ -85,11 +85,6 @@ pub struct ZoneMapPruner {
 }
 
 impl ZoneMapPruner {
-    /// True when no constraint was derived (pruning would be a no-op).
-    pub fn is_trivial(&self) -> bool {
-        self.min_key.is_none() && self.max_key.is_none() && self.tags.is_none()
-    }
-
     /// Decides whether a block must be read. Fails open: `None` (no zone map
     /// for the block) always keeps it.
     pub fn keep(&self, zone: Option<&ZoneMap>) -> bool {
@@ -185,10 +180,8 @@ mod tests {
 
     #[test]
     fn trivial_pruner_keeps_everything() {
-        let p = ZoneMapPruner::default();
-        assert!(p.is_trivial());
         let mut z = ZoneMap::empty();
         z.fold(1, 1);
-        assert!(p.keep(Some(&z)));
+        assert!(ZoneMapPruner::default().keep(Some(&z)));
     }
 }

@@ -20,6 +20,18 @@ RUST_TEST_THREADS=1 cargo test --workspace -q
 echo "== repro smoke (e14 parallel sweep, e15 pushdown sweep)"
 cargo run --release -q -p uli-bench --bin repro -- --smoke e14 e15
 
+# e11's own asserts are the gate: indexed and unindexed answers agree, the
+# serve index never skips fewer row groups than zone maps alone and skips
+# strictly more on a selective pattern, drop-and-rebuild restores it.
+echo "== index gate (e11: serve hour index as the scan pruner)"
+cargo run --release -q -p uli-bench --bin repro -- e11
+
+# There is one index crate (uli-serve); the folded one must not come back.
+if grep -rnE 'uli[-_]index' Cargo.toml crates src tests examples; then
+    echo "index gate: a manifest or source names the removed index crate." >&2
+    exit 1
+fi
+
 echo "== chaos gate (seeded sweep + delivery-invariant checker)"
 cargo test -q --test chaos
 cargo run --release -q -p uli-bench --bin repro -- --smoke e16

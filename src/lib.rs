@@ -14,8 +14,7 @@
 //! | [`oink`] | `uli-oink` | Workflow manager + roll-ups (§3, §3.2) |
 //! | [`core`] | `uli-core` | Client events + session sequences (§3.2, §4) |
 //! | [`analytics`] | `uli-analytics` | Counting, funnels, user modeling (§5) |
-//! | [`index`] | `uli-index` | Elephant Twin indexing (§6) |
-//! | [`serve`] | `uli-serve` | Interactive serving layer with incremental indexes (§6) |
+//! | [`serve`] | `uli-serve` | Interactive serving layer; its hour indexes also prune batch scans, Elephant Twin-style (§6) |
 //! | [`obs`] | `uli-obs` | Deterministic metrics + span tracing across all layers |
 //! | [`workload`] | `uli-workload` | Synthetic traffic with ground truth |
 //!
@@ -49,7 +48,6 @@ pub use uli_analytics as analytics;
 pub use uli_coord as coord;
 pub use uli_core as core;
 pub use uli_dataflow as dataflow;
-pub use uli_index as index;
 pub use uli_obs as obs;
 pub use uli_oink as oink;
 pub use uli_scribe as scribe;

@@ -5,7 +5,6 @@
 use std::sync::Arc;
 
 use unified_logging::core::session::{day_dir, sequences_dir};
-use unified_logging::index::{build_client_event_index, EventIndexPruner};
 use unified_logging::prelude::*;
 
 struct Fixture {
@@ -36,7 +35,12 @@ fn fixture() -> Fixture {
     }
 }
 
-fn count_raw(f: &Fixture, pattern: &EventPattern) -> (i64, JobStats) {
+/// The raw-log count, stated once as a FILTER; `pruner` only adds evidence.
+fn count_raw(
+    f: &Fixture,
+    pattern: &EventPattern,
+    pruner: Option<Arc<dyn BlockPruner>>,
+) -> (i64, JobStats) {
     let matching: Vec<String> = f
         .dict
         .iter()
@@ -47,13 +51,15 @@ fn count_raw(f: &Fixture, pattern: &EventPattern) -> (i64, JobStats) {
     for name in &matching {
         predicate = predicate.or(Expr::col(1).eq(Expr::lit(name.as_str())));
     }
-    let plan = Plan::load(
+    let mut plan = Plan::load(
         day_dir("client_events", 0),
         Arc::new(ClientEventLoader),
         CLIENT_EVENT_SCHEMA.to_vec(),
-    )
-    .filter(predicate)
-    .aggregate(vec![Agg::count()]);
+    );
+    if let Some(pruner) = pruner {
+        plan = plan.with_pruner(pruner);
+    }
+    let plan = plan.filter(predicate).aggregate(vec![Agg::count()]);
     let r = Engine::new(f.wh.clone()).run(&plan).unwrap();
     (r.rows[0][0].as_int().unwrap(), r.stats)
 }
@@ -83,7 +89,7 @@ fn raw_and_sequence_counts_agree_across_patterns() {
         "web:search:*",
     ] {
         let p = EventPattern::parse(pattern).unwrap();
-        let (raw, raw_stats) = count_raw(&f, &p);
+        let (raw, raw_stats) = count_raw(&f, &p, None);
         let (seq, seq_stats) = count_sequences(&f, &p);
         assert_eq!(raw, seq, "pattern {pattern}");
         // Ground truth cross-check against the generator's event list.
@@ -127,42 +133,20 @@ fn sessions_containing_variant_agrees() {
 #[test]
 fn index_pushdown_preserves_results_and_skips_blocks() {
     let f = fixture();
-    let data_dir = day_dir("client_events", 0);
-    let index = Arc::new(build_client_event_index(&f.wh, &data_dir).unwrap());
+    // The serving layer's hour indexes, rebuilt from the landed log, are
+    // the alongside-the-data index.
+    let maintainer = IndexMaintainer::new(f.wh.clone(), "client_events");
+    assert!(maintainer.recover().unwrap() > 0);
 
     // A selective pattern: funnel submits only occur in a few sessions.
     let p = EventPattern::parse("web:signup:*").unwrap();
-    let (unindexed, unindexed_stats) = count_raw(&f, &p);
-
-    let matching: Vec<String> = f
-        .dict
-        .iter()
-        .filter(|(_, n, _)| p.matches(n))
-        .map(|(_, n, _)| n.as_str().to_string())
-        .collect();
-    let mut predicate = Expr::lit(false);
-    for name in &matching {
-        predicate = predicate.or(Expr::col(1).eq(Expr::lit(name.as_str())));
-    }
-    let pruner = EventIndexPruner::new(index, p.clone());
-    let plan = Plan::load(
-        data_dir,
-        Arc::new(ClientEventLoader),
-        CLIENT_EVENT_SCHEMA.to_vec(),
-    )
-    .with_pruner(pruner)
-    .filter(predicate)
-    .aggregate(vec![Agg::count()]);
-    let r = Engine::new(f.wh.clone()).run(&plan).unwrap();
-    let indexed = r.rows[0][0].as_int().unwrap();
+    let (unindexed, unindexed_stats) = count_raw(&f, &p, None);
+    let (indexed, stats) = count_raw(&f, &p, Some(maintainer.handle().pruner()));
 
     assert_eq!(indexed, unindexed, "index must not change the answer");
     assert!(indexed > 0, "the workload plants funnel events");
-    assert!(
-        r.stats.blocks_skipped > 0,
-        "selective query must skip blocks"
-    );
-    assert!(r.stats.input_blocks < unindexed_stats.input_blocks);
+    assert!(stats.blocks_skipped > 0, "selective query must skip blocks");
+    assert!(stats.input_blocks < unindexed_stats.input_blocks);
 }
 
 #[test]
