@@ -249,6 +249,14 @@ fn main() -> ExitCode {
                 );
                 failed = true;
             }
+            if m.projection_bytes_ratio > e19::PROJECTION_GATE {
+                eprintln!(
+                    "e19: events-per-user decodes {:.4} of its full-width bytes (gate {})",
+                    m.projection_bytes_ratio,
+                    e19::PROJECTION_GATE
+                );
+                failed = true;
+            }
             let (path, payload) = if smoke {
                 ("target/e19_smoke.metrics.json", e19::to_json(&m))
             } else {

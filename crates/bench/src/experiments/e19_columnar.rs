@@ -15,6 +15,11 @@
 //! 4. **columnar+dict** — the default landing: the event-name column is
 //!    dictionary-coded, so the name predicate compares integer codes.
 //!
+//! Two more cells run E20's `events-per-user` — an aggregate straight over
+//! the LOAD, which declares the one column it reads — over the default
+//! landing with and without pushdown. CI gates on the ratio of their decoded
+//! bytes, so the aggregate's projection cannot silently stop applying.
+//!
 //! Rows must be byte-identical across every arm and worker count. The
 //! headline number is *decoded bytes* (`input_bytes_uncompressed`): the
 //! row path charges every decompressed block in full, the columnar path
@@ -39,6 +44,9 @@ use crate::harness::{detected_cores, timed, Table};
 
 /// Width of the client-event load schema.
 const WIDTH: u64 = CLIENT_EVENT_SCHEMA.len() as u64;
+
+/// The most `events-per-user` may decode of its full-width scan's bytes.
+pub const PROJECTION_GATE: f64 = 0.20;
 
 /// One landing arm of the ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +116,9 @@ pub struct Measurements {
     pub decoded_bytes_ratio: f64,
     /// Decoded fields, row-eager ÷ columnar+dict (single-worker cells).
     pub decode_work_ratio: f64,
+    /// Decoded bytes of `events-per-user` over the default landing,
+    /// projected ÷ full width; CI fails above [`PROJECTION_GATE`].
+    pub projection_bytes_ratio: f64,
     /// Users in the generated day.
     pub users: u64,
     /// The event name the query selects.
@@ -204,40 +215,64 @@ pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout)
         zone_maps: true,
     };
     let mut samples = Vec::new();
+    // One cell: a fresh landing, one query, its sample and its rows.
+    let mut run_cell = |config, arm, pushdown, workers, plan: &Plan| {
+        let engine = Engine::new(land(arm, &day.events))
+            .with_parallelism(Parallelism::fixed(workers))
+            .with_pushdown(pushdown);
+        let (result, query_ms) = timed(|| engine.run(plan).expect("runs"));
+        let s = &result.stats;
+        samples.push(ArmSample {
+            config,
+            workers,
+            query_ms,
+            cost_model_ms: result.estimated_cluster_ms,
+            input_blocks: s.input_blocks,
+            blocks_skipped: s.blocks_skipped,
+            input_records: s.input_records,
+            records_skipped_by_predicate: s.records_skipped_by_predicate,
+            fields_skipped: s.fields_skipped,
+            input_bytes_uncompressed: s.input_bytes_uncompressed,
+            decoded_fields: s.input_records * WIDTH - s.fields_skipped,
+            output_rows: result.rows.len() as u64,
+        });
+        result.rows
+    };
     let mut reference: Option<Vec<Tuple>> = None;
     let mut outputs_identical = true;
     for (label, arm) in ARMS {
         for &workers in worker_counts {
-            let wh = land(arm, &day.events);
             let pushdown = match arm {
                 Arm::RowEager => Pushdown::disabled(),
                 _ => full,
             };
-            let engine = Engine::new(wh)
-                .with_parallelism(Parallelism::fixed(workers))
-                .with_pushdown(pushdown);
-            let (result, query_ms) = timed(|| engine.run(&plan).expect("runs"));
+            let rows = run_cell(label, arm, pushdown, workers, &plan);
             match &reference {
-                None => reference = Some(result.rows.clone()),
-                Some(rows0) => outputs_identical &= *rows0 == result.rows,
+                None => reference = Some(rows),
+                Some(rows0) => outputs_identical &= *rows0 == rows,
             }
-            let s = &result.stats;
-            samples.push(ArmSample {
-                config: label,
-                workers,
-                query_ms,
-                cost_model_ms: result.estimated_cluster_ms,
-                input_blocks: s.input_blocks,
-                blocks_skipped: s.blocks_skipped,
-                input_records: s.input_records,
-                records_skipped_by_predicate: s.records_skipped_by_predicate,
-                fields_skipped: s.fields_skipped,
-                input_bytes_uncompressed: s.input_bytes_uncompressed,
-                decoded_fields: s.input_records * WIDTH - s.fields_skipped,
-                output_rows: result.rows.len() as u64,
-            });
         }
     }
+    let per_user = Plan::load(
+        day_dir("client_events", 0),
+        Arc::new(ClientEventLoader),
+        CLIENT_EVENT_SCHEMA.to_vec(),
+    )
+    .aggregate_by(vec![2], vec![Agg::count()]);
+    let [projected, full_width] = [
+        ("events-per-user", full),
+        ("events-per-user-full-width", Pushdown::disabled()),
+    ]
+    .map(|(label, pushdown)| {
+        run_cell(
+            label,
+            Arm::ColumnarDict,
+            pushdown,
+            worker_counts[0],
+            &per_user,
+        )
+    });
+    outputs_identical &= projected == full_width;
     // Ratios compare single-worker cells; the byte counters are
     // worker-invariant anyway (the chunk cache charges decoded bytes on
     // hits and misses alike), but this keeps the definition obvious.
@@ -251,6 +286,10 @@ pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout)
     let row_pushdown = cell("row-pushdown");
     let columnar_dict = cell("columnar+dict");
     Measurements {
+        projection_bytes_ratio: cell("events-per-user").input_bytes_uncompressed as f64
+            / cell("events-per-user-full-width")
+                .input_bytes_uncompressed
+                .max(1) as f64,
         decoded_bytes_ratio: row_pushdown.input_bytes_uncompressed as f64
             / columnar_dict.input_bytes_uncompressed.max(1) as f64,
         decode_work_ratio: row_eager.decoded_fields as f64
@@ -320,8 +359,9 @@ pub fn render(m: &Measurements) -> String {
     out.push_str(&format!(
         "\ndecoded bytes: row-pushdown / columnar+dict = {:.2}x\n\
          decoded fields: row-eager / columnar+dict = {:.2}x\n\
+         decoded bytes: events-per-user / its full-width scan = {:.4}\n\
          outputs identical across all arms and worker counts: {}\n",
-        m.decoded_bytes_ratio, m.decode_work_ratio, m.outputs_identical
+        m.decoded_bytes_ratio, m.decode_work_ratio, m.projection_bytes_ratio, m.outputs_identical
     ));
     if let Some(cores) = m.cores {
         out.push_str(&format!(
@@ -375,7 +415,8 @@ pub fn to_json(m: &Measurements) -> String {
         "{{\n  \"experiment\": \"columnar\",\n  \"schema\": \"uli-columnar-v1\",\n\
          {}  \"users\": {},\n  \"event_name\": \"{}\",\n  \"default_layout\": \"{}\",\n  \
          \"outputs_identical\": {},\n  \"decoded_bytes_ratio\": {:.4},\n  \
-         \"decode_work_ratio\": {:.4},\n  \"samples\": [\n{}\n  ]\n}}\n",
+         \"decode_work_ratio\": {:.4},\n  \"projection_bytes_ratio\": {:.4},\n  \
+         \"samples\": [\n{}\n  ]\n}}\n",
         cores,
         m.users,
         m.event_name,
@@ -383,6 +424,7 @@ pub fn to_json(m: &Measurements) -> String {
         m.outputs_identical,
         m.decoded_bytes_ratio,
         m.decode_work_ratio,
+        m.projection_bytes_ratio,
         rows.join(",\n")
     )
 }
@@ -400,7 +442,7 @@ mod tests {
     fn columnar_dict_cuts_decoded_bytes_4x_with_identical_rows() {
         let m = measure_with(200, &[1, 4], Layout::default());
         assert!(m.outputs_identical, "columnar arms changed query results");
-        assert_eq!(m.samples.len(), ARMS.len() * 2);
+        assert_eq!(m.samples.len(), ARMS.len() * 2 + 2);
         assert_eq!(m.default_layout, "columnar+dict");
         let cell = |label: &str, workers: usize| {
             m.samples
@@ -445,6 +487,10 @@ mod tests {
                 "{label}: decoded bytes varied with worker count"
             );
         }
+        // An aggregate straight over the LOAD reads one column of seven.
+        assert!(cell("events-per-user", 1).fields_skipped > 0);
+        assert_eq!(cell("events-per-user-full-width", 1).fields_skipped, 0);
+        assert!(m.projection_bytes_ratio <= PROJECTION_GATE);
         let json = to_json(&m);
         assert!(json.contains("\"experiment\": \"columnar\""));
         assert!(json.contains("\"arm\": \"columnar+dict\""));

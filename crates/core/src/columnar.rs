@@ -15,13 +15,13 @@
 //! and the warehouse block compressor squeezes each column chunk (now full
 //! of same-shaped values) far better than it does interleaved rows.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use uli_dataflow::{ColumnarCodec, Value};
 use uli_thrift::{varint, ThriftRecord};
 use uli_warehouse::{
-    tag_hash, ColumnCell, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding, ScanFile,
-    Warehouse, WarehouseResult, WhPath,
+    tag_hash, ColumnCell, ColumnarFileWriter, ColumnarLanding, ScanFile, Warehouse, WarehouseError,
+    WarehouseResult, WhPath,
 };
 
 use crate::client_event::ClientEvent;
@@ -31,6 +31,32 @@ use crate::time::Timestamp;
 
 /// Column index of the dictionary-encoded event name.
 pub const NAME_COLUMN: usize = 1;
+/// Column index of the user id.
+pub const USER_COLUMN: usize = 2;
+/// Column index of the session id.
+pub const SESSION_COLUMN: usize = 3;
+/// Column index of the IP address.
+pub const IP_COLUMN: usize = 4;
+/// Column index of the event timestamp.
+pub const TIMESTAMP_COLUMN: usize = 5;
+
+/// The columns of a client event a reader declares it reads, index-aligned
+/// with [`CLIENT_EVENT_SCHEMA`](crate::client_event::CLIENT_EVENT_SCHEMA).
+pub type EventColumns = [bool; 7];
+
+/// Every column: what a reader that wants whole [`ClientEvent`]s declares.
+pub const ALL_COLUMNS: EventColumns = [true; 7];
+
+/// The column set holding exactly `columns`.
+pub const fn event_columns<const N: usize>(columns: [usize; N]) -> EventColumns {
+    let mut set = [false; 7];
+    let mut i = 0;
+    while i < N {
+        set[columns[i]] = true;
+        i += 1;
+    }
+    set
+}
 
 /// Rows per sealed row group. Matches the spirit of the row writer's block
 /// target: large enough to amortize per-group footers, small enough that
@@ -90,21 +116,14 @@ impl ColumnarCodec for ClientEventColumnar {
 
     fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value> {
         match col {
-            0 => {
-                let [code] = bytes else { return None };
-                let initiator = EventInitiator::from_code(*code as i8)?;
-                Some(Value::Str(initiator.to_string()))
-            }
+            0 => Some(Value::Str(decode_initiator(bytes)?.to_string())),
             1 => {
                 let s = std::str::from_utf8(bytes).ok()?;
                 // Same validation as the Thrift readers: a string that is
                 // not a six-level name drops the record.
                 EventName::is_valid(s).then(|| Value::Str(s.to_string()))
             }
-            2 | 5 => {
-                let fixed: [u8; 8] = bytes.try_into().ok()?;
-                Some(Value::Int(i64::from_le_bytes(fixed)))
-            }
+            2 | 5 => Some(Value::Int(decode_i64(bytes)?)),
             3 | 4 => {
                 let s = std::str::from_utf8(bytes).ok()?;
                 Some(Value::Str(s.to_string()))
@@ -123,77 +142,168 @@ impl ColumnarCodec for ClientEventColumnar {
     }
 }
 
-fn parse_details(bytes: &[u8]) -> Option<BTreeMap<String, String>> {
+fn decode_initiator(bytes: &[u8]) -> Option<EventInitiator> {
+    let [code] = bytes else { return None };
+    EventInitiator::from_code(*code as i8)
+}
+
+fn decode_i64(bytes: &[u8]) -> Option<i64> {
+    Some(i64::from_le_bytes(bytes.try_into().ok()?))
+}
+
+/// Walks a details cell, handing each pair to `pair`; `None` when the cell
+/// is malformed. Allocates nothing itself.
+fn walk_details<'a>(bytes: &'a [u8], mut pair: impl FnMut(&'a str, &'a str)) -> Option<()> {
     let mut pos = 0usize;
     let count = read_varint(bytes, &mut pos)?;
     // A count can't exceed the remaining bytes (each pair costs at least
-    // two length bytes) — reject before reserving.
+    // two length bytes) — reject before walking.
     if count > bytes.len() as u64 {
         return None;
     }
-    let mut map = BTreeMap::new();
     for _ in 0..count {
         let k = read_slice(bytes, &mut pos)?;
         let v = read_slice(bytes, &mut pos)?;
+        pair(k, v);
+    }
+    (pos == bytes.len()).then_some(())
+}
+
+fn parse_details(bytes: &[u8]) -> Option<BTreeMap<String, String>> {
+    let mut map = BTreeMap::new();
+    walk_details(bytes, |k, v| {
         map.insert(k.to_string(), v.to_string());
-    }
-    (pos == bytes.len()).then_some(map)
+    })?;
+    Some(map)
 }
 
-fn cell_bytes<'a>(
-    file: &'a ColumnarFile,
-    group: &'a ColumnGroup,
-    col: usize,
-    row: usize,
-) -> Option<&'a [u8]> {
-    match group.cell(col, row)? {
-        ColumnCell::Bytes(b) => Some(b),
-        ColumnCell::Code(c) => file.dictionary_value(c),
+/// Where a row's details live until someone asks for the whole event.
+#[derive(Clone, Copy)]
+enum Details<'a> {
+    /// A columnar cell, already walked once and known to parse.
+    Cell(&'a [u8]),
+    /// The map of a decoded row-format record.
+    Map(&'a BTreeMap<String, String>),
+}
+
+/// One client event of a landed file, as far as the reader declared it:
+/// accessors borrow from the row group's cells (or from the decoded record
+/// of a row-format file) and allocate nothing. A row is only handed out
+/// once every declared column of it decoded, so accessors never fail on the
+/// data; asking for a column *outside* the declared set is a bug in the
+/// caller — it panics in debug builds and is
+/// [`WarehouseError::UnreadColumn`] in release, never a made-up value.
+pub struct EventRow<'a> {
+    initiator: Option<EventInitiator>,
+    name: Option<&'a EventName>,
+    user_id: Option<i64>,
+    session_id: Option<&'a str>,
+    ip: Option<&'a str>,
+    timestamp: Option<Timestamp>,
+    details: Option<Details<'a>>,
+}
+
+fn declared<T>(field: Option<T>, col: usize) -> WarehouseResult<T> {
+    debug_assert!(field.is_some(), "column {col} was not declared");
+    field.ok_or(WarehouseError::UnreadColumn(col))
+}
+
+impl EventRow<'_> {
+    /// The event name, validated.
+    pub fn name(&self) -> WarehouseResult<&EventName> {
+        declared(self.name, NAME_COLUMN)
+    }
+
+    /// The user id.
+    pub fn user_id(&self) -> WarehouseResult<i64> {
+        declared(self.user_id, USER_COLUMN)
+    }
+
+    /// The session id.
+    pub fn session_id(&self) -> WarehouseResult<&str> {
+        declared(self.session_id, SESSION_COLUMN)
+    }
+
+    /// The IP address.
+    pub fn ip(&self) -> WarehouseResult<&str> {
+        declared(self.ip, IP_COLUMN)
+    }
+
+    /// The event timestamp.
+    pub fn timestamp(&self) -> WarehouseResult<Timestamp> {
+        declared(self.timestamp, TIMESTAMP_COLUMN)
+    }
+
+    /// Builds the whole struct — the only place a columnar row allocates.
+    /// Needs [`ALL_COLUMNS`] declared.
+    pub fn to_event(&self) -> WarehouseResult<ClientEvent> {
+        let details = match declared(self.details, 6)? {
+            Details::Map(map) => map.clone(),
+            Details::Cell(cell) => {
+                parse_details(cell).ok_or(WarehouseError::Corrupt("details cell"))?
+            }
+        };
+        Ok(ClientEvent {
+            initiator: declared(self.initiator, 0)?,
+            name: self.name()?.clone(),
+            user_id: self.user_id()?,
+            session_id: self.session_id()?.to_string(),
+            ip: self.ip()?.to_string(),
+            timestamp: self.timestamp()?,
+            details,
+        })
     }
 }
 
-/// Decodes one row of a fully projected group back into a [`ClientEvent`]
-/// struct — the form the materializer and log mover work in, as opposed to
-/// the dataflow tuple the codec produces. `None` drops the row, exactly as
-/// `ClientEvent::from_bytes` failing drops a row-format record.
-pub fn client_event_from_group(
-    file: &ColumnarFile,
-    group: &ColumnGroup,
-    row: usize,
-) -> Option<ClientEvent> {
-    let [code] = cell_bytes(file, group, 0, row)? else {
-        return None;
-    };
-    let initiator = EventInitiator::from_code(*code as i8)?;
-    let name =
-        EventName::parse(std::str::from_utf8(cell_bytes(file, group, 1, row)?).ok()?).ok()?;
-    let user_id = i64::from_le_bytes(cell_bytes(file, group, 2, row)?.try_into().ok()?);
-    let session_id = std::str::from_utf8(cell_bytes(file, group, 3, row)?).ok()?;
-    let ip = std::str::from_utf8(cell_bytes(file, group, 4, row)?).ok()?;
-    let millis = i64::from_le_bytes(cell_bytes(file, group, 5, row)?.try_into().ok()?);
-    let details = parse_details(cell_bytes(file, group, 6, row)?)?;
-    Some(ClientEvent {
-        initiator,
+/// `Some(None)`: the column is not declared. `None`: its cell is
+/// undecodable, which drops the row.
+fn column<'a, T>(
+    cell: Option<&'a [u8]>,
+    decode: impl FnOnce(&'a [u8]) -> Option<T>,
+) -> Option<Option<T>> {
+    cell.map_or(Some(None), |bytes| decode(bytes).map(Some))
+}
+
+/// The view of one columnar row from the cells of its declared columns
+/// (`None` for the others; the name is resolved by the caller). `None`
+/// when any declared cell is undecodable.
+fn cells_row<'a>(
+    cells: [Option<&'a [u8]>; 7],
+    name: Option<&'a EventName>,
+) -> Option<EventRow<'a>> {
+    let text = |bytes| std::str::from_utf8(bytes).ok();
+    Some(EventRow {
+        initiator: column(cells[0], decode_initiator)?,
         name,
-        user_id,
-        session_id: session_id.to_string(),
-        ip: ip.to_string(),
-        timestamp: Timestamp(millis),
-        details,
+        user_id: column(cells[USER_COLUMN], decode_i64)?,
+        session_id: column(cells[SESSION_COLUMN], text)?,
+        ip: column(cells[IP_COLUMN], text)?,
+        timestamp: column(cells[TIMESTAMP_COLUMN], decode_i64)?.map(Timestamp),
+        details: column(cells[6], |bytes| {
+            walk_details(bytes, |_, _| {}).map(|()| Details::Cell(bytes))
+        })?,
     })
 }
 
-/// Decodes scan unit `unit` of a landed client-events file — a block of a
-/// row file, a row group of a columnar one — handing each event to `f` in
-/// stored order. Returns `(events, skipped)`: how many records decoded and
-/// how many did not (every reader tolerates those; none treats them as
-/// fatal). This is the one place that knows how a client event comes out of
-/// either layout. Events are handed over one at a time so a caller that
-/// only inspects them never holds a unit's worth of decoded strings.
-pub fn for_each_client_event(
+/// Visits the client events of `units` of a landed file — blocks of a row
+/// file, row groups of a columnar one — in stored order, handing `f` the
+/// unit index and a borrowed [`EventRow`] over the `columns` the caller
+/// declares it reads. Nothing else is decompressed, split, decoded or
+/// allocated: a columnar group is read under exactly that projection, and a
+/// dictionary-coded name is validated once per dictionary entry of the
+/// file, not once per row.
+///
+/// Returns `(events, skipped)`: rows handed to `f`, and rows dropped because
+/// a *declared* column of theirs did not decode (every reader tolerates
+/// those; none treats them as fatal). A cell that would not decode in a
+/// column nobody reads drops nothing. A row-format record is one Thrift
+/// struct, so it decodes, or is skipped, as a whole. This is the one place
+/// that knows how a client event comes out of either layout.
+pub fn for_each_event_row(
     file: &ScanFile,
-    unit: usize,
-    mut f: impl FnMut(ClientEvent),
+    units: impl IntoIterator<Item = usize>,
+    columns: EventColumns,
+    mut f: impl FnMut(usize, &EventRow<'_>) -> WarehouseResult<()>,
 ) -> WarehouseResult<(u64, u64)> {
     let mut events = 0u64;
     let mut skipped = 0u64;
@@ -201,23 +311,70 @@ pub fn for_each_client_event(
         // Borrowing visit: each record decodes in place, so a row scan
         // charges no `alloc_bytes`.
         ScanFile::Row(blocks) => {
-            blocks.for_each_record(unit, |record| match ClientEvent::from_bytes(record) {
-                Ok(ev) => {
+            for unit in units {
+                let mut result = Ok(());
+                blocks.for_each_record(unit, |record| {
+                    if result.is_err() {
+                        return;
+                    }
+                    let Ok(ev) = ClientEvent::from_bytes(record) else {
+                        skipped += 1;
+                        return;
+                    };
                     events += 1;
-                    f(ev);
-                }
-                Err(_) => skipped += 1,
-            })?;
+                    let view = EventRow {
+                        initiator: columns[0].then_some(ev.initiator),
+                        name: columns[NAME_COLUMN].then_some(&ev.name),
+                        user_id: columns[USER_COLUMN].then_some(ev.user_id),
+                        session_id: columns[SESSION_COLUMN].then_some(&ev.session_id),
+                        ip: columns[IP_COLUMN].then_some(&ev.ip),
+                        timestamp: columns[TIMESTAMP_COLUMN].then_some(ev.timestamp),
+                        details: columns[6].then_some(Details::Map(&ev.details)),
+                    };
+                    result = f(unit, &view);
+                })?;
+                result?;
+            }
         }
         ScanFile::Columnar(col) => {
-            let group = col.read_group(unit, &vec![true; col.columns()])?;
-            for row in 0..group.rows() {
-                match client_event_from_group(col, &group, row) {
-                    Some(ev) => {
-                        events += 1;
-                        f(ev);
+            if col.columns() != columns.len() {
+                return Err(WarehouseError::Corrupt("client-event file width"));
+            }
+            // Dictionary code → validated name, resolved on first sight;
+            // `None`: not a six-level name, so its rows are skipped.
+            let mut names: HashMap<u32, Option<EventName>> = HashMap::new();
+            fn parse(bytes: &[u8]) -> Option<EventName> {
+                EventName::parse(std::str::from_utf8(bytes).ok()?).ok()
+            }
+            for unit in units {
+                let group = col.read_group(unit, &columns)?;
+                for row in 0..group.rows() {
+                    let mut cells = [None; 7];
+                    for c in (0..7).filter(|c| columns[*c] && *c != NAME_COLUMN) {
+                        cells[c] = Some(col.cell_bytes(&group, c, row)?);
                     }
-                    None => skipped += 1,
+                    let inline;
+                    let name = match columns[NAME_COLUMN] {
+                        false => Some(None),
+                        true => match group.read_cell(NAME_COLUMN, row)? {
+                            ColumnCell::Bytes(bytes) => {
+                                inline = parse(bytes);
+                                inline.as_ref().map(Some)
+                            }
+                            ColumnCell::Code(code) => names
+                                .entry(code)
+                                .or_insert_with(|| col.dictionary_value(code).and_then(parse))
+                                .as_ref()
+                                .map(Some),
+                        },
+                    };
+                    match name.and_then(|name| cells_row(cells, name)) {
+                        Some(view) => {
+                            events += 1;
+                            f(unit, &view)?;
+                        }
+                        None => skipped += 1,
+                    }
                 }
             }
         }
@@ -336,6 +493,7 @@ mod tests {
     use crate::client_event::ClientEventLoader;
     use crate::time::Timestamp;
     use uli_dataflow::{scan_group, Loader, ScanSpec};
+    use uli_warehouse::ColumnarFile;
 
     fn sample(i: i64) -> ClientEvent {
         let name = if i % 3 == 0 {
@@ -460,32 +618,117 @@ mod tests {
             .write_file(&wh, &path, &payloads)
             .unwrap();
         assert_eq!(rejected, vec![2]);
-        let file = ColumnarFile::open(&wh, &path).unwrap();
-        let all = vec![true; file.columns()];
-        let group = file.read_group(0, &all).unwrap();
-        assert_eq!(group.rows(), 5);
-        assert_eq!(
-            client_event_from_group(&file, &group, 0).as_ref(),
-            Some(&events[0])
-        );
+        assert_eq!(read_back(&wh, &path), (events, 0));
+    }
+
+    /// Every event of the file at `path` through the row view, plus the
+    /// visit's skipped count.
+    fn read_back(wh: &Warehouse, path: &WhPath) -> (Vec<ClientEvent>, u64) {
+        let file = ScanFile::open(wh, path).unwrap();
+        let mut back = Vec::new();
+        let (events, skipped) =
+            for_each_event_row(&file, 0..file.units(), ALL_COLUMNS, |_, row| {
+                back.push(row.to_event()?);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(events, back.len() as u64);
+        (back, skipped)
     }
 
     #[test]
-    fn events_reconstruct_from_groups() {
+    fn events_reconstruct_from_either_layout() {
+        let wh = Warehouse::new();
+        let events: Vec<ClientEvent> = (0..50).map(sample).collect();
+        let columnar = WhPath::parse("/logs/ce/part-0").unwrap();
+        write_client_events_columnar(&wh, &columnar, &events, true, 16).unwrap();
+        assert_eq!(read_back(&wh, &columnar), (events.clone(), 0));
+        // No dictionary: every name is an inline cell, parsed per row.
+        let inline = WhPath::parse("/logs/ce/part-1").unwrap();
+        write_client_events_columnar(&wh, &inline, &events, false, 16).unwrap();
+        assert_eq!(read_back(&wh, &inline), (events.clone(), 0));
+        let rows = WhPath::parse("/logs/ce/part-2").unwrap();
+        let mut w = wh.create(&rows).unwrap();
+        w.append_record(b"not a client event");
+        for ev in &events {
+            w.append_record(&ev.to_bytes());
+        }
+        w.finish().unwrap();
+        assert_eq!(read_back(&wh, &rows), (events, 1));
+    }
+
+    /// A 3-row columnar file whose middle row carries `bad` in column `col`.
+    fn file_with_bad_cell(wh: &Warehouse, col: usize, bad: &[u8]) -> ScanFile {
+        let path = WhPath::parse("/logs/ce/bad").unwrap();
+        let mut w = ColumnarFileWriter::create(wh, &path, 7, 8, None).unwrap();
+        for i in 0..3 {
+            let cells = client_event_cells(&sample(i));
+            let mut refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
+            if i == 1 {
+                refs[col] = bad;
+            }
+            w.append_row(&refs);
+        }
+        w.finish().unwrap();
+        ScanFile::open(wh, &path).unwrap()
+    }
+
+    #[test]
+    fn only_a_declared_column_can_drop_a_row() {
+        let narrow = event_columns([NAME_COLUMN, USER_COLUMN]);
+        let users = |file: &ScanFile, columns| {
+            let mut users = Vec::new();
+            let counts = for_each_event_row(file, 0..file.units(), columns, |_, row| {
+                users.push(row.user_id()?);
+                Ok(())
+            })
+            .unwrap();
+            (users, counts)
+        };
+        // Truncated details: nobody who does not read details notices.
+        let file = file_with_bad_cell(&Warehouse::new(), 6, &[5]);
+        assert_eq!(users(&file, narrow), (vec![0, 1, 2], (3, 0)));
+        assert_eq!(users(&file, ALL_COLUMNS), (vec![0, 2], (2, 1)));
+        // A short user id is in the declared set of both.
+        let file = file_with_bad_cell(&Warehouse::new(), USER_COLUMN, &[1, 2, 3]);
+        assert_eq!(users(&file, narrow), (vec![0, 2], (2, 1)));
+        assert_eq!(users(&file, ALL_COLUMNS), (vec![0, 2], (2, 1)));
+        // So is a name that is not a six-level name.
+        let file = file_with_bad_cell(&Warehouse::new(), NAME_COLUMN, b"not-a-name");
+        assert_eq!(users(&file, narrow), (vec![0, 2], (2, 1)));
+    }
+
+    /// Reads `user_id` through a view that declared only the name.
+    fn read_an_undeclared_column(columnar: bool) {
         let wh = Warehouse::new();
         let path = WhPath::parse("/logs/ce/part-0").unwrap();
-        let events: Vec<ClientEvent> = (0..50).map(sample).collect();
-        write_client_events_columnar(&wh, &path, &events, true, 16).unwrap();
-        let file = ColumnarFile::open(&wh, &path).unwrap();
-        let all = vec![true; file.columns()];
-        let mut back = Vec::new();
-        for g in 0..file.group_count() {
-            let group = file.read_group(g, &all).unwrap();
-            for row in 0..group.rows() {
-                back.push(client_event_from_group(&file, &group, row).unwrap());
-            }
+        if columnar {
+            write_client_events_columnar(&wh, &path, &[sample(0)], true, 16).unwrap();
+        } else {
+            let mut w = wh.create(&path).unwrap();
+            w.append_record(&sample(0).to_bytes());
+            w.finish().unwrap();
         }
-        assert_eq!(back, events);
+        let file = ScanFile::open(&wh, &path).unwrap();
+        let visit = for_each_event_row(&file, 0..1, event_columns([NAME_COLUMN]), |_, row| {
+            row.name()?;
+            row.user_id().map(|_| ())
+        });
+        assert_eq!(visit, Err(WarehouseError::UnreadColumn(USER_COLUMN)));
+    }
+
+    // A column outside the declared set is a caller bug on either layout: a
+    // panic under `debug_assertions`, a typed error without — never a value.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "was not declared"))]
+    fn an_undeclared_column_of_a_columnar_row_is_never_fabricated() {
+        read_an_undeclared_column(true);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "was not declared"))]
+    fn an_undeclared_column_of_a_row_record_is_never_fabricated() {
+        read_an_undeclared_column(false);
     }
 
     #[test]

@@ -18,9 +18,12 @@ use uli_warehouse::{
 
 use super::dictionary::EventDictionary;
 use super::sequence::SessionSequence;
-use super::sessionize::{SessionRecord, Sessionizer};
+use super::sessionize::{SessionEvent, SessionRecord, Sessionizer};
 use crate::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
-use crate::columnar::for_each_client_event;
+use crate::columnar::{
+    event_columns, for_each_event_row, EventColumns, EventRow, ALL_COLUMNS, IP_COLUMN, NAME_COLUMN,
+    SESSION_COLUMN, TIMESTAMP_COLUMN, USER_COLUMN,
+};
 use crate::event::EventName;
 use crate::time::Timestamp;
 
@@ -126,6 +129,25 @@ pub struct Materializer {
 /// on this (shard results concatenate in order); it only balances work.
 const ENCODE_CHUNK: usize = 1024;
 
+/// What pass 2 reads of an event: [`SessionEvent`]'s fields, nothing else.
+const SESSION_COLUMNS: EventColumns = event_columns([
+    NAME_COLUMN,
+    USER_COLUMN,
+    SESSION_COLUMN,
+    IP_COLUMN,
+    TIMESTAMP_COLUMN,
+]);
+
+fn session_event(row: &EventRow<'_>) -> WarehouseResult<SessionEvent> {
+    Ok(SessionEvent {
+        name: row.name()?.clone(),
+        user_id: row.user_id()?,
+        session_id: row.session_id()?.to_string(),
+        ip: row.ip()?.to_string(),
+        timestamp: row.timestamp()?,
+    })
+}
+
 impl Materializer {
     /// A materializer with the standard 30-minute sessionizer.
     pub fn new(warehouse: Warehouse) -> Materializer {
@@ -165,35 +187,17 @@ impl Materializer {
         self.warehouse.list_files_recursive(&dir)
     }
 
-    /// Scans one landed file unit by unit, invoking `f` per decoded event in
-    /// stored order. Returns `(events, skipped)` for the file.
+    /// Scans one landed file unit by unit, invoking `f` per event in stored
+    /// order with a view over `columns`. Returns `(events, skipped)` for the
+    /// file.
     fn scan_file(
         &self,
         path: &WhPath,
-        mut f: impl FnMut(ClientEvent),
+        columns: EventColumns,
+        mut f: impl FnMut(&EventRow<'_>) -> WarehouseResult<()>,
     ) -> WarehouseResult<(u64, u64)> {
         let file = ScanFile::open(&self.warehouse, path)?;
-        let mut events = 0;
-        let mut skipped = 0;
-        for unit in 0..file.units() {
-            let (e, s) = for_each_client_event(&file, unit, &mut f)?;
-            events += e;
-            skipped += s;
-        }
-        Ok((events, skipped))
-    }
-
-    /// Scans one hour partition, invoking `f` per decoded event in scan
-    /// order. Returns `(events, skipped)` for the hour.
-    fn scan_hour(&self, hour: u64, mut f: impl FnMut(ClientEvent)) -> WarehouseResult<(u64, u64)> {
-        let mut events = 0;
-        let mut skipped = 0;
-        for path in self.hour_files(hour)? {
-            let (e, s) = self.scan_file(&path, &mut f)?;
-            events += e;
-            skipped += s;
-        }
-        Ok((events, skipped))
+        for_each_event_row(&file, 0..file.units(), columns, |_, row| f(row))
     }
 
     /// Sharded day scan: every file of the day (hours ascending, files
@@ -204,10 +208,15 @@ impl Materializer {
     /// the worker count. A file, not a scan unit, is the shard: per-shard
     /// state (a histogram, candidate samples) is paid once per shard, and a
     /// delivered day has many more files than workers.
-    fn scan_day_sharded<T, F>(&self, day_index: u64, fold: F) -> WarehouseResult<(Vec<T>, u64, u64)>
+    fn scan_day_sharded<T, F>(
+        &self,
+        day_index: u64,
+        columns: EventColumns,
+        fold: F,
+    ) -> WarehouseResult<(Vec<T>, u64, u64)>
     where
         T: Default + Send,
-        F: Fn(&mut T, ClientEvent) + Sync,
+        F: Fn(&mut T, &EventRow<'_>) -> WarehouseResult<()> + Sync,
     {
         let mut paths = Vec::new();
         for hour in day_index * 24..(day_index + 1) * 24 {
@@ -215,7 +224,7 @@ impl Materializer {
         }
         let results = ScanPool::new(self.parallelism).map(paths, |_, path| {
             let mut state = T::default();
-            let (events, skipped) = self.scan_file(&path, |ev| fold(&mut state, ev))?;
+            let (events, skipped) = self.scan_file(&path, columns, |row| fold(&mut state, row))?;
             Ok::<_, uli_warehouse::WarehouseError>((state, events, skipped))
         });
         let mut states = Vec::with_capacity(results.len());
@@ -241,22 +250,26 @@ impl Materializer {
     /// [`EventDictionary::from_counts`].
     ///
     /// A shard is a hash map (its iteration order never reaches the output:
-    /// the merge is per name) costing one lookup per event; candidate
-    /// samples are serialized as they are taken, so no decoded event
-    /// outlives its visit.
+    /// the merge is per name) costing one lookup per event. A row is read by
+    /// name alone; the whole event is built only for a candidate sample,
+    /// and serialized as it is taken, so no decoded event outlives its
+    /// visit.
     pub fn build_dictionary(&self, day_index: u64) -> WarehouseResult<EventDictionary> {
         let per_event = self.samples_per_event;
         type Shard = HashMap<EventName, (u64, Vec<Vec<u8>>)>;
-        let (shards, _, _) = self.scan_day_sharded(day_index, |shard: &mut Shard, ev| {
-            let (n, first) = match shard.get_mut(&ev.name) {
+        let fold = |shard: &mut Shard, row: &EventRow<'_>| {
+            let name = row.name()?;
+            let (n, first) = match shard.get_mut(name) {
                 Some(entry) => entry,
-                None => shard.entry(ev.name.clone()).or_default(),
+                None => shard.entry(name.clone()).or_default(),
             };
             *n += 1;
             if first.len() < per_event {
-                first.push(ev.to_bytes());
+                first.push(row.to_event()?.to_bytes());
             }
-        })?;
+            Ok(())
+        };
+        let (shards, _, _) = self.scan_day_sharded(day_index, ALL_COLUMNS, fold)?;
         let mut counts: BTreeMap<EventName, u64> = BTreeMap::new();
         let mut samples: BTreeMap<EventName, Vec<Vec<u8>>> = BTreeMap::new();
         for shard in shards {
@@ -326,10 +339,10 @@ impl Materializer {
     /// within a group), and no group key appears in two partitions, so a
     /// k-way merge on `(user_id, session_id)` reproduces the unpartitioned
     /// order byte for byte, independent of the worker count.
-    fn sessionize_sharded(&self, scan_shards: Vec<Vec<ClientEvent>>) -> Vec<SessionRecord> {
+    fn sessionize_sharded(&self, scan_shards: Vec<Vec<SessionEvent>>) -> Vec<SessionRecord> {
         let n = self.parallelism.workers();
         let total: usize = scan_shards.iter().map(Vec::len).sum();
-        let mut parts: Vec<Vec<ClientEvent>> =
+        let mut parts: Vec<Vec<SessionEvent>> =
             (0..n).map(|_| Vec::with_capacity(total / n + 1)).collect();
         for shard in scan_shards {
             for ev in shard {
@@ -387,8 +400,14 @@ impl Materializer {
         day_index: u64,
         dict: &EventDictionary,
     ) -> WarehouseResult<MaterializeReport> {
-        let (scan_shards, events, skipped) =
-            self.scan_day_sharded(day_index, |shard: &mut Vec<ClientEvent>, ev| shard.push(ev))?;
+        let (scan_shards, events, skipped) = self.scan_day_sharded(
+            day_index,
+            SESSION_COLUMNS,
+            |shard: &mut Vec<SessionEvent>, row| {
+                shard.push(session_event(row)?);
+                Ok(())
+            },
+        )?;
         let sessions = self.sessionize_sharded(scan_shards);
 
         // Encode ahead of the write loop. `None` marks a session whose event
@@ -504,7 +523,7 @@ impl Materializer {
             sorter: &mut ExternalByteSorter,
             user_id: i64,
             session_id: &str,
-            run: Vec<ClientEvent>,
+            run: Vec<SessionEvent>,
             dict: &EventDictionary,
         ) -> WarehouseResult<()> {
             let record = Sessionizer::seal(user_id, session_id, run);
@@ -520,17 +539,21 @@ impl Materializer {
 
         let mut events = 0u64;
         let mut skipped = 0u64;
-        let mut open: BTreeMap<(i64, String), Vec<ClientEvent>> = BTreeMap::new();
+        let mut open: BTreeMap<(i64, String), Vec<SessionEvent>> = BTreeMap::new();
         for hour in day_index * 24..(day_index + 1) * 24 {
-            let mut arrivals: BTreeMap<(i64, String), Vec<ClientEvent>> = BTreeMap::new();
-            let (e, s) = self.scan_hour(hour, |ev| {
-                arrivals
-                    .entry((ev.user_id, ev.session_id.clone()))
-                    .or_default()
-                    .push(ev);
-            })?;
-            events += e;
-            skipped += s;
+            let mut arrivals: BTreeMap<(i64, String), Vec<SessionEvent>> = BTreeMap::new();
+            for path in self.hour_files(hour)? {
+                let (e, s) = self.scan_file(&path, SESSION_COLUMNS, |row| {
+                    let ev = session_event(row)?;
+                    arrivals
+                        .entry((ev.user_id, ev.session_id.clone()))
+                        .or_default()
+                        .push(ev);
+                    Ok(())
+                })?;
+                events += e;
+                skipped += s;
+            }
             for ((user_id, session_id), mut new_evs) in arrivals {
                 // Stable sort: equal timestamps keep arrival order, and all
                 // prior hours' events sort strictly earlier, so appending to
@@ -1057,6 +1080,10 @@ mod tests {
             })
             .collect();
         let expected = Sessionizer::new().sessionize(shards.concat());
+        let shards: Vec<Vec<SessionEvent>> = shards
+            .into_iter()
+            .map(|shard| shard.into_iter().map(SessionEvent::from).collect())
+            .collect();
         for workers in [1usize, 2, 4, 8] {
             let m =
                 Materializer::new(Warehouse::new()).with_parallelism(Parallelism::fixed(workers));

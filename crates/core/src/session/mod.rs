@@ -8,4 +8,4 @@ pub mod sessionize;
 pub use dictionary::EventDictionary;
 pub use materialize::{day_dir, dictionary_dir, sequences_dir, MaterializeReport, Materializer};
 pub use sequence::{SessionSequence, SessionSequenceLoader, SESSION_SEQUENCE_SCHEMA};
-pub use sessionize::{SessionRecord, Sessionizer};
+pub use sessionize::{SessionEvent, SessionRecord, Sessionizer};

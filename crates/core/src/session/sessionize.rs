@@ -29,6 +29,35 @@ pub struct SessionRecord {
     pub events: Vec<EventName>,
 }
 
+/// What session reconstruction reads of a client event — five of its seven
+/// fields. A day held for sessionizing is held as these, so it never carries
+/// the events' `details` maps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionEvent {
+    /// The event name.
+    pub name: EventName,
+    /// The user.
+    pub user_id: i64,
+    /// The cookie-derived session id.
+    pub session_id: String,
+    /// The user's IP address.
+    pub ip: String,
+    /// When the event happened.
+    pub timestamp: Timestamp,
+}
+
+impl From<ClientEvent> for SessionEvent {
+    fn from(ev: ClientEvent) -> SessionEvent {
+        SessionEvent {
+            name: ev.name,
+            user_id: ev.user_id,
+            session_id: ev.session_id,
+            ip: ev.ip,
+            timestamp: ev.timestamp,
+        }
+    }
+}
+
 /// Groups client events into sessions.
 #[derive(Debug, Clone, Copy)]
 pub struct Sessionizer {
@@ -68,11 +97,13 @@ impl Sessionizer {
     /// start time.
     pub fn sessionize<I>(&self, events: I) -> Vec<SessionRecord>
     where
-        I: IntoIterator<Item = ClientEvent>,
+        I: IntoIterator,
+        I::Item: Into<SessionEvent>,
     {
         // The group-by.
-        let mut groups: BTreeMap<(i64, String), Vec<ClientEvent>> = BTreeMap::new();
+        let mut groups: BTreeMap<(i64, String), Vec<SessionEvent>> = BTreeMap::new();
         for ev in events {
+            let ev: SessionEvent = ev.into();
             groups
                 .entry((ev.user_id, ev.session_id.clone()))
                 .or_default()
@@ -84,7 +115,7 @@ impl Sessionizer {
             // arrival order breaks ties (the logs are only *partially*
             // time-ordered, §2, so this sort is mandatory).
             evs.sort_by_key(|e| e.timestamp);
-            let mut current: Vec<ClientEvent> = Vec::new();
+            let mut current: Vec<SessionEvent> = Vec::new();
             for ev in evs {
                 let split = current
                     .last()
@@ -105,16 +136,23 @@ impl Sessionizer {
         out
     }
 
-    pub(crate) fn seal(user_id: i64, session_id: &str, events: Vec<ClientEvent>) -> SessionRecord {
-        let first = events.first().expect("seal is called with events");
-        let last = events.last().expect("non-empty");
+    pub(crate) fn seal(
+        user_id: i64,
+        session_id: &str,
+        mut events: Vec<SessionEvent>,
+    ) -> SessionRecord {
+        let start = events
+            .first()
+            .expect("seal is called with events")
+            .timestamp;
+        let end = events.last().expect("non-empty").timestamp;
         SessionRecord {
             user_id,
             session_id: session_id.to_string(),
-            ip: first.ip.clone(),
-            start: first.timestamp,
-            duration_secs: last.timestamp.since(first.timestamp) / 1000,
-            events: events.iter().map(|e| e.name.clone()).collect(),
+            ip: std::mem::take(&mut events[0].ip),
+            start,
+            duration_secs: end.since(start) / 1000,
+            events: events.into_iter().map(|e| e.name).collect(),
         }
     }
 }
@@ -201,7 +239,9 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(Sessionizer::new().sessionize(Vec::new()).is_empty());
+        assert!(Sessionizer::new()
+            .sessionize(Vec::<ClientEvent>::new())
+            .is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Column batches: vectorized scan units over columnar warehouse files.
 //!
 //! The row path hands the loader one record at a time; the columnar path
-//! hands this module one *row group* at a time. A [`ColumnBatch`] is a
+//! hands this module one *row group* at a time. A `ColumnBatch` is a
 //! fixed-size batch of decoded columns plus a selection mask: pushed
 //! predicates evaluate over whole columns (keep-masks become selection
 //! masks), and output tuples materialize only for surviving rows. Columns
@@ -46,13 +46,19 @@ pub trait ColumnarCodec: Send + Sync {
 }
 
 /// One row group's decoded columns plus a selection mask.
-pub struct ColumnBatch<'a> {
+///
+/// Decoding is late: a column is decoded when a predicate first reads it,
+/// and then only for the rows earlier predicates left selected; every other
+/// projected column is decoded in [`ColumnBatch::take_rows`], for surviving
+/// rows only, straight into the output tuple.
+struct ColumnBatch<'a> {
     file: &'a ColumnarFile,
     group: &'a ColumnGroup,
     codec: &'a dyn ColumnarCodec,
-    /// Lazily decoded columns. `columns[c][r]` is `None` when the cell was
-    /// undecodable (the row is dead) — distinct from a column that simply
-    /// has not been materialized yet (outer `None`).
+    /// Columns a predicate has read (outer `None`: not decoded yet).
+    /// `columns[c][r]` is `None` for a row that was already deselected when
+    /// the column was decoded, or whose cell was undecodable (which also
+    /// marks the row dead).
     columns: Vec<Option<Vec<Option<Value>>>>,
     /// Selection mask: rows still admitted by the predicates run so far.
     selection: Vec<bool>,
@@ -63,7 +69,7 @@ pub struct ColumnBatch<'a> {
 
 impl<'a> ColumnBatch<'a> {
     /// Wraps one row group read from `file` with `codec`.
-    pub fn new(
+    fn new(
         file: &'a ColumnarFile,
         group: &'a ColumnGroup,
         codec: &'a dyn ColumnarCodec,
@@ -80,36 +86,32 @@ impl<'a> ColumnBatch<'a> {
     }
 
     /// Rows in the batch (before selection).
-    pub fn rows(&self) -> usize {
+    fn rows(&self) -> usize {
         self.selection.len()
     }
 
-    /// The current selection mask.
-    pub fn selection(&self) -> &[bool] {
-        &self.selection
+    /// Decodes one cell; `Ok(None)` marks it undecodable. Errors when the
+    /// group was read without `col` — a column missing from the planner's
+    /// mask must never read as "every row is undecodable".
+    fn decode_cell(&self, col: usize, row: usize) -> DataflowResult<Option<Value>> {
+        let bytes = self.file.cell_bytes(self.group, col, row)?;
+        Ok(self.codec.decode(col, bytes))
     }
 
-    /// Resolves one cell to raw bytes (dictionary codes resolve through the
-    /// file's embedded dictionary). `None` when the column was not read.
-    fn cell_bytes(&self, col: usize, row: usize) -> Option<&'a [u8]> {
-        match self.group.cell(col, row)? {
-            ColumnCell::Bytes(b) => Some(b),
-            ColumnCell::Code(c) => self.file.dictionary_value(c),
-        }
-    }
-
-    /// Materializes column `col` for every row, marking rows with
+    /// Decodes column `col` for the rows still selected, marking rows with
     /// undecodable cells dead.
-    fn ensure_column(&mut self, col: usize) {
+    fn ensure_column(&mut self, col: usize) -> DataflowResult<()> {
         if self.columns[col].is_some() {
-            return;
+            return Ok(());
         }
         let rows = self.rows();
         let mut out = Vec::with_capacity(rows);
         for r in 0..rows {
-            let v = self
-                .cell_bytes(col, r)
-                .and_then(|b| self.codec.decode(col, b));
+            if !self.selection[r] {
+                out.push(None);
+                continue;
+            }
+            let v = self.decode_cell(col, r)?;
             if v.is_none() {
                 self.alive[r] = false;
                 self.selection[r] = false;
@@ -117,25 +119,15 @@ impl<'a> ColumnBatch<'a> {
             out.push(v);
         }
         self.columns[col] = Some(out);
+        Ok(())
     }
 
-    /// Applies the spec's pushed predicates to the whole batch, narrowing
-    /// the selection mask. Predicates run in order with FILTER semantics.
-    /// Returns the number of rows dropped by predicates (not by dead cells).
-    pub fn apply_predicates(&mut self, spec: &ScanSpec) -> DataflowResult<u64> {
-        if spec.predicate.is_empty() {
-            return Ok(0);
-        }
-        let width = spec.width;
-        if spec.predicate.iter().all(|p| total_boolean(p, width)) {
-            for pred in &spec.predicate {
-                self.apply_total(pred)?;
-            }
-        } else {
-            // A pushed predicate that may error must evaluate against fully
-            // materialized tuples, row by row in row order, so the failing
-            // row is the one the eager path reports.
-            self.apply_row_at_a_time(spec)?;
+    /// Applies the spec's pushed predicates — all provably total — to the
+    /// whole batch, in order, narrowing the selection mask. Returns the
+    /// number of rows dropped by predicates (not by dead cells).
+    fn apply_predicates(&mut self, spec: &ScanSpec) -> DataflowResult<u64> {
+        for pred in &spec.predicate {
+            self.apply_total(pred)?;
         }
         // Alive-but-deselected rows were dropped by a predicate; rows whose
         // cells failed to decode are loader skips and count nowhere, exactly
@@ -146,10 +138,6 @@ impl<'a> ColumnBatch<'a> {
             .zip(&self.selection)
             .filter(|(alive, sel)| **alive && !**sel)
             .count() as u64)
-    }
-
-    fn selected_rows(&self) -> u64 {
-        self.selection.iter().filter(|s| **s).count() as u64
     }
 
     /// Vectorized evaluation of one total-boolean predicate.
@@ -164,10 +152,9 @@ impl<'a> ColumnBatch<'a> {
                 if !self.selection[r] {
                     continue;
                 }
-                let hit = match self.group.cell(dict_col, r) {
-                    Some(ColumnCell::Code(c)) => Some(c) == code,
-                    Some(ColumnCell::Bytes(b)) => b == literal.as_bytes(),
-                    None => false,
+                let hit = match self.group.read_cell(dict_col, r)? {
+                    ColumnCell::Code(c) => Some(c) == code,
+                    ColumnCell::Bytes(b) => b == literal.as_bytes(),
                 };
                 if hit != positive {
                     self.selection[r] = false;
@@ -209,8 +196,11 @@ impl<'a> ColumnBatch<'a> {
             }
             Expr::Bin(op, a, b) => {
                 // total_boolean admits only Col/Lit operands here.
-                self.ensure_operand(a);
-                self.ensure_operand(b);
+                for operand in [a, b] {
+                    if let Expr::Col(c) = operand.as_ref() {
+                        self.ensure_column(*c)?;
+                    }
+                }
                 let mut out = Vec::with_capacity(rows);
                 for r in 0..rows {
                     let left = self.operand(a, r);
@@ -225,7 +215,7 @@ impl<'a> ColumnBatch<'a> {
                             BinOp::Ge => l >= r,
                             _ => unreachable!("total_boolean admits comparisons only"),
                         },
-                        // A dead row's result is never observed.
+                        // A dead or deselected row's result is never observed.
                         _ => false,
                     };
                     out.push(pass);
@@ -233,12 +223,6 @@ impl<'a> ColumnBatch<'a> {
                 Ok(out)
             }
             _ => unreachable!("total_boolean admits Lit(Bool)/Not/And/Or/cmp only"),
-        }
-    }
-
-    fn ensure_operand(&mut self, e: &Expr) {
-        if let Expr::Col(c) = e {
-            self.ensure_column(*c);
         }
     }
 
@@ -250,61 +234,35 @@ impl<'a> ColumnBatch<'a> {
         }
     }
 
-    /// Fallback for predicates that may error: gather full tuples (over the
-    /// projected columns) and run [`ScanSpec::admit`] per row in row order.
-    fn apply_row_at_a_time(&mut self, spec: &ScanSpec) -> DataflowResult<()> {
+    /// Materializes output tuples for the selected rows, and only for them:
+    /// a projected column no predicate read is decoded here, per surviving
+    /// row; values a predicate already decoded are moved, not cloned. Masked
+    /// columns come back as [`Value::Null`] exactly as the lazy row loader
+    /// produces them.
+    fn take_rows(mut self, spec: &ScanSpec) -> DataflowResult<Vec<Tuple>> {
         let projected: Vec<usize> = (0..spec.width)
             .filter(|c| spec.projection.as_ref().is_none_or(|m| m[*c]))
             .collect();
-        for &c in &projected {
-            self.ensure_column(c);
-        }
-        for r in 0..self.rows() {
+        let selected = self.selection.iter().filter(|s| **s).count();
+        let mut out = Vec::with_capacity(selected);
+        'rows: for r in 0..self.rows() {
             if !self.selection[r] {
                 continue;
             }
             let mut tuple = vec![Value::Null; spec.width];
             for &c in &projected {
-                tuple[c] = self.columns[c].as_ref().expect("ensured")[r]
-                    .clone()
-                    .expect("alive row has decoded cells");
-            }
-            if !spec.admit(&tuple)? {
-                self.selection[r] = false;
-            }
-        }
-        Ok(())
-    }
-
-    /// Materializes output tuples for the selected rows: projected columns
-    /// decode (for rows that survived selection), masked columns come back
-    /// as [`Value::Null`] exactly as the lazy row loader produces them.
-    pub fn take_rows(mut self, spec: &ScanSpec) -> DataflowResult<Vec<Tuple>> {
-        let projected: Vec<usize> = (0..spec.width)
-            .filter(|c| spec.projection.as_ref().is_none_or(|m| m[*c]))
-            .collect();
-        for &c in &projected {
-            self.ensure_column(c);
-        }
-        let mut out = Vec::with_capacity(self.selected_rows() as usize);
-        for r in 0..self.rows() {
-            if !self.selection[r] {
-                continue;
-            }
-            let mut tuple = vec![Value::Null; spec.width];
-            let mut dead = false;
-            for &c in &projected {
-                match &self.columns[c].as_ref().expect("ensured")[r] {
-                    Some(v) => tuple[c] = v.clone(),
-                    None => {
-                        dead = true;
-                        break;
-                    }
+                let cell = match &mut self.columns[c] {
+                    Some(decoded) => decoded[r].take(),
+                    None => self.decode_cell(c, r)?,
+                };
+                match cell {
+                    Some(v) => tuple[c] = v,
+                    // An undecodable cell drops the row, like a record the
+                    // row loader's `parse` rejected.
+                    None => continue 'rows,
                 }
             }
-            if !dead {
-                out.push(tuple);
-            }
+            out.push(tuple);
         }
         Ok(out)
     }
@@ -342,14 +300,26 @@ pub fn scan_group(
     codec: &dyn ColumnarCodec,
     spec: &ScanSpec,
 ) -> DataflowResult<(Vec<Tuple>, u64)> {
-    let projection: Vec<bool> = match &spec.projection {
-        Some(mask) => mask.clone(),
-        None => vec![true; file.columns()],
+    let group = match &spec.projection {
+        Some(mask) => file.read_group(group_index, mask)?,
+        None => file.read_group(group_index, &vec![true; file.columns()])?,
     };
-    let group = file.read_group(group_index, &projection)?;
     let mut batch = ColumnBatch::new(file, &group, codec);
-    let skipped = batch.apply_predicates(spec)?;
-    let rows = batch.take_rows(spec)?;
+    if spec.predicate.iter().all(|p| total_boolean(p, spec.width)) {
+        let skipped = batch.apply_predicates(spec)?;
+        return Ok((batch.take_rows(spec)?, skipped));
+    }
+    // A pushed predicate that may error runs against materialized tuples,
+    // row by row in row order, so the failing row is the one the eager path
+    // reports.
+    let mut rows = Vec::new();
+    let mut skipped = 0;
+    for tuple in batch.take_rows(spec)? {
+        match spec.admit(&tuple)? {
+            true => rows.push(tuple),
+            false => skipped += 1,
+        }
+    }
     Ok((rows, skipped))
 }
 
@@ -400,7 +370,7 @@ pub fn string_map(pairs: impl IntoIterator<Item = (String, String)>) -> Value {
 mod tests {
     use super::*;
     use crate::error::DataflowError;
-    use uli_warehouse::{ColumnarFileWriter, Warehouse, WhPath};
+    use uli_warehouse::{ColumnarFileWriter, Warehouse, WarehouseError, WhPath};
 
     fn p(s: &str) -> WhPath {
         WhPath::parse(s).unwrap()
@@ -505,6 +475,117 @@ mod tests {
         assert_eq!(rows[0][0], Value::Null);
         assert_eq!(rows[0][1], Value::str("click"));
         assert_eq!(rows[0][2], Value::Null);
+    }
+
+    /// A spec whose mask leaves out a column it then reads — the planner
+    /// slip that used to mark every row dead and return nothing.
+    fn spec_reading_past_its_mask(predicate: Vec<Expr>) -> ScanSpec {
+        ScanSpec {
+            projection: Some(vec![true, false, true]),
+            predicate,
+            width: 3,
+        }
+    }
+
+    fn scan_with_bad_spec(spec: &ScanSpec) {
+        let wh = Warehouse::new();
+        let f = fixture(&wh, 10);
+        let group = f.read_group(0, &[true, false, true]).unwrap();
+        let codec = TextCodec::new(3);
+        let mut batch = ColumnBatch::new(&f, &group, &codec);
+        let unread = DataflowError::Warehouse(WarehouseError::UnreadColumn(1));
+        let scanned = batch
+            .apply_predicates(spec)
+            .and_then(|_| batch.take_rows(&ScanSpec::eager(3)));
+        assert_eq!(scanned.err(), Some(unread));
+    }
+
+    // Reading a column the projection left out is a panic under
+    // `debug_assertions` and a typed error without; never an empty result.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "column 1 was not read"))]
+    fn a_predicate_on_an_unread_column_is_an_error_not_an_empty_result() {
+        // The generic evaluator, then the dictionary fast path.
+        scan_with_bad_spec(&spec_reading_past_its_mask(vec![
+            Expr::col(1).ge(Expr::lit("a"))
+        ]));
+        scan_with_bad_spec(&spec_reading_past_its_mask(vec![
+            Expr::col(1).eq(Expr::lit("click"))
+        ]));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "column 1 was not read"))]
+    fn materializing_an_unread_column_is_an_error_not_an_empty_result() {
+        scan_with_bad_spec(&spec_reading_past_its_mask(vec![]));
+    }
+
+    #[test]
+    fn late_materialization_decodes_only_surviving_rows() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Counts decodes per column.
+        struct Counting(TextCodec, [AtomicUsize; 3]);
+        impl ColumnarCodec for Counting {
+            fn columns(&self) -> usize {
+                3
+            }
+            fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value> {
+                self.1[col].fetch_add(1, Ordering::Relaxed);
+                self.0.decode(col, bytes)
+            }
+        }
+        let wh = Warehouse::new();
+        let f = fixture(&wh, 64); // one group
+        let codec = Counting(TextCodec::new(3), Default::default());
+        // user == 3 keeps rows 3, 13, …, 63; of those amount >= 40 keeps 3.
+        let spec = ScanSpec {
+            projection: None,
+            predicate: vec![
+                Expr::col(0).eq(Expr::lit(3i64)),
+                Expr::col(2).ge(Expr::lit(40i64)),
+            ],
+            width: 3,
+        };
+        let (rows, skipped) = scan_group(&f, 0, &codec, &spec).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(skipped, 61);
+        let decoded = codec.1.map(|n| n.into_inner());
+        assert_eq!(
+            decoded,
+            [64, 3, 7],
+            "the first predicate's column for every row, the second's for \
+             the 7 rows still selected, the unfiltered column for the 3 \
+             that survived"
+        );
+    }
+
+    #[test]
+    fn a_bad_cell_drops_its_row_only_when_its_column_is_read() {
+        let wh = Warehouse::new();
+        // Column 1 of the middle row is invalid UTF-8.
+        let mut w = ColumnarFileWriter::create(&wh, &p("/bad"), 3, 8, None).unwrap();
+        w.append_row(&[b"1", b"ok", b"10"]);
+        w.append_row(&[b"2", &[0xff, 0xfe], b"20"]);
+        w.append_row(&[b"3", b"ok", b"30"]);
+        w.finish().unwrap();
+        let f = ColumnarFile::open(&wh, &p("/bad")).unwrap();
+        let scan = |projection: Option<Vec<bool>>| {
+            let spec = ScanSpec {
+                projection,
+                predicate: vec![Expr::col(2).ge(Expr::lit(0i64))],
+                width: 3,
+            };
+            let (rows, skipped) = scan_group(&f, 0, &TextCodec::new(3), &spec).unwrap();
+            assert_eq!(skipped, 0, "a loader skip is not a predicate skip");
+            rows.iter().map(|t| t[0].clone()).collect::<Vec<_>>()
+        };
+        let all = [Value::Int(1), Value::Int(2), Value::Int(3)];
+        assert_eq!(scan(Some(vec![true, false, true])), all, "unread: kept");
+        assert_eq!(
+            scan(None),
+            [all[0].clone(), all[2].clone()],
+            "read: dropped"
+        );
     }
 
     #[test]

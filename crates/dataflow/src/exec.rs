@@ -26,7 +26,7 @@ use crate::pushdown::{
     collect_columns, expr_has_udf, total_boolean, zone_constraints, Pushdown, ScanSpec, ZoneColumn,
 };
 use crate::spill::{AggSpiller, RowOrder, RowSpillSorter};
-use crate::udf::AggState;
+use crate::udf::{AggFunc, AggState};
 use crate::value::{tuple_wire_size, Tuple, Value};
 
 /// Counters for one executed query (possibly several chained MR jobs).
@@ -680,7 +680,7 @@ impl Engine {
         // per scan unit on the pool (inline at one worker). Unit results
         // concatenate in scan order, so rows and accounting do not depend on
         // the worker count.
-        if let Some(chain) = MapChain::extract(plan, self.pushdown) {
+        if let Some(chain) = MapChain::extract(plan, self.pushdown, None) {
             let (blocks, pending) = self.exec_chain_blocks(&chain, stats, Ok)?;
             let mut rows = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
             for block_rows in blocks {
@@ -776,9 +776,20 @@ impl Engine {
                 // Algebraic aggregates over a map chain run the whole map
                 // phase — scan, filter, project, map-side combine — per
                 // block in parallel; per-block partial states merge at the
-                // shuffle boundary in block order.
+                // shuffle boundary in block order. The aggregate is the
+                // chain's consumer, so it declares what it reads of a row:
+                // its keys and the inputs of every aggregate but COUNT.
                 if aggs.iter().all(|a| a.func.is_algebraic()) {
-                    if let Some(chain) = MapChain::extract(input, self.pushdown) {
+                    let reads: Vec<usize> = keys
+                        .iter()
+                        .copied()
+                        .chain(
+                            aggs.iter()
+                                .filter(|a| a.func != AggFunc::Count)
+                                .map(|a| a.col),
+                        )
+                        .collect();
+                    if let Some(chain) = MapChain::extract(input, self.pushdown, Some(&reads)) {
                         return self.exec_chain_aggregate(&chain, keys, aggs, mem, stats);
                     }
                 }
@@ -1020,14 +1031,19 @@ impl<'a> MapChain<'a> {
     ///   in-range columns moves into [`ScanSpec::predicate`] (order
     ///   preserved; FILTER semantics are replicated exactly by
     ///   [`ScanSpec::admit`]);
-    /// * **projection** — when the loader decodes lazily and a FOREACH
-    ///   narrows the chain, the spec masks every load column that neither
-    ///   the surviving pre-FOREACH operators, the FOREACH itself, nor the
-    ///   pushed predicates read;
+    /// * **projection** — when the loader decodes lazily and something
+    ///   bounds what is read of a row — a FOREACH in the chain, or `consumer`,
+    ///   the columns of the chain's output its consuming node declares it
+    ///   reads (`None`: all of them) — the spec masks every load column
+    ///   outside that bound (see [`projection_mask`]);
     /// * **zone maps** — pushed predicates that provably cannot error are
     ///   analyzed into a [`ZoneMapPruner`] over the loader's declared
     ///   key/tag columns.
-    fn extract(plan: &'a Plan, config: Pushdown) -> Option<MapChain<'a>> {
+    fn extract(
+        plan: &'a Plan,
+        config: Pushdown,
+        consumer: Option<&[usize]>,
+    ) -> Option<MapChain<'a>> {
         let mut ops = Vec::new();
         let mut node = &plan.node;
         loop {
@@ -1065,7 +1081,7 @@ impl<'a> MapChain<'a> {
                         }
                     }
                     if config.projection && loader.supports_projection() {
-                        spec.projection = projection_mask(&ops, &spec.predicate, width);
+                        spec.projection = projection_mask(&ops, &spec.predicate, consumer, width);
                     }
                     let zone = if config.zone_maps
                         && !spec.predicate.is_empty()
@@ -1140,14 +1156,26 @@ fn pushable_predicate(pred: &Expr, width: usize) -> bool {
 }
 
 /// The keep-mask over the load schema, or `None` when every column is
-/// needed. A mask exists only when a FOREACH bounds the chain's output —
-/// without one the chain yields raw load tuples and any column may be read
-/// upstream. Columns read by the pushed predicates, the pre-FOREACH
-/// operators, or the FOREACH itself stay materialized.
-fn projection_mask(ops: &[MapOp<'_>], pushed: &[Expr], width: usize) -> Option<Vec<bool>> {
-    let first_foreach = ops.iter().position(|op| matches!(op, MapOp::Foreach(_)))?;
+/// needed. A mask exists only when something bounds what is read of a row:
+/// the chain's first FOREACH, or, in a chain without one (whose output is the
+/// raw load tuple), the columns its `consumer` declares. Unbounded, any
+/// column may be read upstream. Columns read by the pushed predicates, the
+/// operators up to the bound, and the bound itself stay materialized.
+fn projection_mask(
+    ops: &[MapOp<'_>],
+    pushed: &[Expr],
+    consumer: Option<&[usize]>,
+    width: usize,
+) -> Option<Vec<bool>> {
     let mut cols = Vec::new();
-    for op in &ops[..=first_foreach] {
+    let bounded = match ops.iter().position(|op| matches!(op, MapOp::Foreach(_))) {
+        Some(first_foreach) => &ops[..=first_foreach],
+        None => {
+            cols.extend_from_slice(consumer?);
+            ops
+        }
+    };
+    for op in bounded {
         match op {
             MapOp::Filter(pred) => collect_columns(pred, &mut cols),
             MapOp::Foreach(exprs) => {
@@ -1188,8 +1216,7 @@ fn accumulate_groups(
             .entry(key)
             .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
         for (agg, state) in aggs.iter().zip(states.iter_mut()) {
-            let v = row.get(agg.col).cloned().unwrap_or(Value::Null);
-            state.accumulate(&v)?;
+            state.accumulate(row.get(agg.col).unwrap_or(&Value::Null))?;
         }
     }
     Ok(groups)

@@ -59,7 +59,7 @@ pub mod udf;
 pub mod value;
 pub mod wire;
 
-pub use batch::{scan_group, ColumnBatch, ColumnarCodec, TextCodec};
+pub use batch::{scan_group, ColumnarCodec, TextCodec};
 pub use error::{DataflowError, DataflowResult};
 pub use exec::{CostModel, Engine, JobStats, QueryResult};
 pub use expr::Expr;

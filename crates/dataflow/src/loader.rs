@@ -42,8 +42,8 @@ pub trait Loader: Send + Sync {
 
     /// The codec for this loader's columnar warehouse layout, when one
     /// exists. The executor sniffs each file in a load directory and scans
-    /// columnar files through [`ColumnBatch`](crate::batch::ColumnBatch)
-    /// with this codec; `None` (the default) makes it treat them as opaque
+    /// columnar files through [`scan_group`](crate::batch::scan_group) with
+    /// this codec; `None` (the default) makes it treat them as opaque
     /// row files, whose undecodable records the loader then skips.
     fn columnar(&self) -> Option<&dyn ColumnarCodec> {
         None

@@ -11,7 +11,8 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use uli_core::{for_each_client_event, ClientEvent, SessionRecord, Sessionizer};
+use uli_core::columnar::{for_each_event_row, ALL_COLUMNS};
+use uli_core::{ClientEvent, SessionRecord, Sessionizer};
 use uli_dataflow::{BlockPruner, Tuple, Value};
 use uli_warehouse::{HourlyPartition, ScanFile, Warehouse, WarehouseResult};
 
@@ -225,15 +226,15 @@ fn collect_user_events(
             // No mask means the file no longer matches the index: read it
             // all — the user filter below keeps the answer right.
             let mask = index.unit_mask(file_no, &file, groups);
-            for unit in 0..file.units() {
-                if mask.as_ref().is_none_or(|m| m[unit]) {
-                    for_each_client_event(&file, unit, |ev| {
-                        if ev.user_id == user {
-                            events.push(ev);
-                        }
-                    })?;
+            let units = (0..file.units()).filter(|unit| mask.as_ref().is_none_or(|m| m[*unit]));
+            // An answer row is the whole event, so every column is read;
+            // but a row is built only once its user id cell matched.
+            for_each_event_row(&file, units, ALL_COLUMNS, |_, row| {
+                if row.user_id()? == user {
+                    events.push(row.to_event()?);
                 }
-            }
+                Ok(())
+            })?;
             answer.stats.decoded_bytes += file.local_stats().uncompressed_bytes_read;
         }
     }
@@ -298,6 +299,57 @@ mod tests {
         assert_eq!(absent.stats.groups_read, 0);
         assert_eq!(absent.stats.decoded_bytes, 0);
         assert_eq!(absent.stats.groups_pruned, 4);
+    }
+
+    #[test]
+    fn a_lookup_builds_only_the_matching_rows_and_is_billed_full_width() {
+        use uli_core::columnar::{event_columns, USER_COLUMN};
+        // 24 events in 3 groups of 8; user 7 owns exactly one row, in the
+        // middle group.
+        let events: Vec<ClientEvent> = (0..24)
+            .map(|i| event(if i == 12 { 7 } else { 1 }, "a:b:c:d:e:f", i * 10))
+            .collect();
+        let handle = serve_over(0, &events, 8);
+        let (warehouse, category) = handle.context();
+        let index = handle.hour(0).unwrap();
+        let mut answer = ServeAnswer::default();
+        let found = collect_user_events(&warehouse, &category, &index, 0, 7, &mut answer).unwrap();
+        assert_eq!(
+            found,
+            [events[12].clone()],
+            "one row matched, one event built"
+        );
+        assert_eq!(answer.stats.groups_read, 1);
+
+        // An answer row is the whole event, so the lookup is billed the
+        // posted group at full width — what it always cost.
+        let dir = HourlyPartition::from_hour_index(&category, 0).main_dir();
+        let open = || ScanFile::open(&warehouse, &dir.child("part-00000").unwrap()).unwrap();
+        let full = open();
+        let ScanFile::Columnar(col) = &full else {
+            panic!("the landing is columnar");
+        };
+        col.read_group(1, &[true; 7]).unwrap();
+        assert_eq!(
+            answer.stats.decoded_bytes,
+            full.local_stats().uncompressed_bytes_read
+        );
+
+        // The user test itself needs one 8-byte cell per row: the view over
+        // that column alone sees all 8 rows of the group, matches one, and
+        // decodes a fraction of the bytes.
+        let narrow = open();
+        let mut matched = 0;
+        let (rows, _) = for_each_event_row(&narrow, [1], event_columns([USER_COLUMN]), |_, row| {
+            matched += u64::from(row.user_id()? == 7);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((rows, matched), (8, 1));
+        assert!(
+            narrow.local_stats().uncompressed_bytes_read * 4
+                < full.local_stats().uncompressed_bytes_read
+        );
     }
 
     #[test]

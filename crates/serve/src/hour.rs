@@ -14,7 +14,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uli_core::{for_each_client_event, ClientEvent};
+use uli_core::columnar::{
+    event_columns, for_each_event_row, EventColumns, EventRow, NAME_COLUMN, SESSION_COLUMN,
+    TIMESTAMP_COLUMN, USER_COLUMN,
+};
 use uli_warehouse::{
     HourlyPartition, Parallelism, ScanFile, ScanPool, ScanStats, Warehouse, WarehouseError,
     WarehouseResult, WhPath,
@@ -249,6 +252,10 @@ pub fn build_hour_index(
     Ok((index, scanned))
 }
 
+/// What the index posts of an event — the only columns the build reads.
+const INDEXED_COLUMNS: EventColumns =
+    event_columns([NAME_COLUMN, USER_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN]);
+
 /// Scans one landed file into its partial index — the parallel unit of the
 /// hour build. Pure per-file work: nothing here touches shared state.
 fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseResult<FilePartial> {
@@ -259,13 +266,12 @@ fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseRes
     // event sits in; a row-format sibling posts as one pseudo-group, the
     // whole file.
     let columnar = matches!(file, ScanFile::Columnar(_));
-    for unit in 0..file.units() {
-        let group = if columnar { unit as u32 } else { 0 };
-        let (events, skipped) = for_each_client_event(&file, unit, |ev| {
-            post_event(&mut partial, &mut sessions, file_no, group, &ev)
+    let (events, skipped) =
+        for_each_event_row(&file, 0..file.units(), INDEXED_COLUMNS, |unit, row| {
+            let group = if columnar { unit as u32 } else { 0 };
+            post_event(&mut partial, &mut sessions, file_no, group, row)
         })?;
-        partial.records += events + skipped;
-    }
+    partial.records += events + skipped;
     Ok(FilePartial {
         entry: FileEntry {
             name: path.name().to_string(),
@@ -283,29 +289,39 @@ fn post_event(
     sessions: &mut BTreeMap<i64, BTreeSet<String>>,
     file: u32,
     group: u32,
-    ev: &ClientEvent,
-) {
+    row: &EventRow<'_>,
+) -> WarehouseResult<()> {
     index.events += 1;
-    let name = ev.name.as_str().to_string();
-    *index.name_counts.entry(name.clone()).or_insert(0) += 1;
+    let name = row.name()?.as_str();
+    // A name owns its map keys once, when first seen in the file.
+    match index.name_counts.get_mut(name) {
+        Some(count) => *count += 1,
+        None => {
+            index.name_counts.insert(name.to_string(), 1);
+            index
+                .name_postings
+                .insert(name.to_string(), Postings::new());
+        }
+    }
     index
         .name_postings
-        .entry(name)
-        .or_default()
+        .get_mut(name)
+        .expect("inserted with its count")
         .entry(file)
         .or_default()
         .insert(group);
+    let user_id = row.user_id()?;
     index
         .user_postings
-        .entry(ev.user_id)
+        .entry(user_id)
         .or_default()
         .entry(file)
         .or_default()
         .insert(group);
-    let millis = ev.timestamp.millis();
+    let millis = row.timestamp()?.millis();
     let summary = index
         .user_summaries
-        .entry(ev.user_id)
+        .entry(user_id)
         .or_insert(UserHourSummary {
             events: 0,
             sessions: 0,
@@ -315,10 +331,12 @@ fn post_event(
     summary.events += 1;
     summary.first_millis = summary.first_millis.min(millis);
     summary.last_millis = summary.last_millis.max(millis);
-    sessions
-        .entry(ev.user_id)
-        .or_default()
-        .insert(ev.session_id.clone());
+    let ids = sessions.entry(user_id).or_default();
+    let session_id = row.session_id()?;
+    if !ids.contains(session_id) {
+        ids.insert(session_id.to_string());
+    }
+    Ok(())
 }
 
 /// Serializes the index as one tab-separated record per fact. Event names

@@ -275,6 +275,16 @@ impl ColumnGroup {
             ColumnCell::Bytes(&chunk.data[r.start as usize..(r.start + r.len) as usize])
         })
     }
+
+    /// The cell at `(col, row)` of a column the caller declared it reads.
+    /// Asking for a column the projection left out is a bug in the caller's
+    /// mask: it panics in debug builds and is a typed error in release, so
+    /// it can never pass for "no such row".
+    pub fn read_cell(&self, col: usize, row: usize) -> WarehouseResult<ColumnCell<'_>> {
+        let cell = self.cell(col, row);
+        debug_assert!(cell.is_some(), "column {col} was not read");
+        cell.ok_or(WarehouseError::UnreadColumn(col))
+    }
 }
 
 /// Random-access, thread-safe reader of a v2 columnar file — the columnar
@@ -390,6 +400,23 @@ impl ColumnarFile {
     /// The value behind a dictionary code.
     pub fn dictionary_value(&self, code: u32) -> Option<&[u8]> {
         self.dict.get(code as usize).map(Vec::as_slice)
+    }
+
+    /// The bytes of cell `(col, row)` of `group`, dictionary codes resolved
+    /// through the embedded dictionary. Errors (see
+    /// [`ColumnGroup::read_cell`]) when `group` was read without `col`.
+    pub fn cell_bytes<'a>(
+        &'a self,
+        group: &'a ColumnGroup,
+        col: usize,
+        row: usize,
+    ) -> WarehouseResult<&'a [u8]> {
+        match group.read_cell(col, row)? {
+            ColumnCell::Bytes(b) => Ok(b),
+            ColumnCell::Code(c) => self
+                .dictionary_value(c)
+                .ok_or(WarehouseError::Corrupt("cell code")),
+        }
     }
 
     /// Zone map of group `g`, if it was written fully annotated.

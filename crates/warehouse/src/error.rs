@@ -26,6 +26,9 @@ pub enum WarehouseError {
     Corrupt(&'static str),
     /// The warehouse is unavailable (fault injection: simulated HDFS outage).
     Unavailable,
+    /// A reader asked for a cell of a column its projection did not read —
+    /// a bug in whoever derived the projection, never a property of the data.
+    UnreadColumn(usize),
 }
 
 impl fmt::Display for WarehouseError {
@@ -41,6 +44,9 @@ impl fmt::Display for WarehouseError {
             }
             WarehouseError::Corrupt(what) => write!(f, "corrupt data: {what}"),
             WarehouseError::Unavailable => write!(f, "warehouse unavailable"),
+            WarehouseError::UnreadColumn(col) => {
+                write!(f, "column {col} was not read by the projection")
+            }
         }
     }
 }

@@ -851,25 +851,24 @@ mod tests {
             .collect();
         assert_eq!(row_files, col_files);
         // Every file sniffs columnar, and the events read back exactly.
-        let mut read_back = 0usize;
+        let mut read_back = 0u64;
         for f in col
             .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
             .unwrap()
         {
             assert!(uli_warehouse::sniff_columnar(&col, &f).unwrap().is_some());
-            let file = uli_warehouse::ColumnarFile::open(&col, &f).unwrap();
-            let all = vec![true; file.columns()];
-            for g in 0..file.group_count() {
-                let group = file.read_group(g, &all).unwrap();
-                for r in 0..group.rows() {
-                    assert!(
-                        uli_core::columnar::client_event_from_group(&file, &group, r).is_some()
-                    );
-                    read_back += 1;
-                }
-            }
+            let file = uli_warehouse::ScanFile::open(&col, &f).unwrap();
+            let (events, skipped) = uli_core::for_each_event_row(
+                &file,
+                0..file.units(),
+                uli_core::columnar::ALL_COLUMNS,
+                |_, row| row.to_event().map(|_| ()),
+            )
+            .unwrap();
+            assert_eq!(skipped, 0);
+            read_back += events;
         }
-        assert_eq!(read_back, day.events.len());
+        assert_eq!(read_back, day.events.len() as u64);
     }
 
     #[test]

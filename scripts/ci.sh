@@ -32,6 +32,15 @@ if grep -rnE 'uli[-_]index' Cargo.toml crates src tests examples; then
     exit 1
 fi
 
+# There is one way to read a landed client event (the row view of
+# uli_core::for_each_event_row, under the columns its caller declares); the
+# whole-struct-per-row visitor must not come back.
+if grep -rnE 'for_each_client_event|client_event_from_group|vec!\[true; col\.columns\(\)\]' \
+    crates src tests examples; then
+    echo "read gate: a full-width per-row client-event read is back." >&2
+    exit 1
+fi
+
 echo "== chaos gate (seeded sweep + delivery-invariant checker)"
 cargo test -q --test chaos
 cargo run --release -q -p uli-bench --bin repro -- --smoke e16
@@ -79,8 +88,17 @@ forbid e17 '"duplicate_registrations": \["' "a metric was registered twice."
 # e18: batched ingest.
 golden_gate e18 ingest
 
-# e19: every columnar arm returns the row reference's rows.
+# e19: every columnar arm returns the row reference's rows, and an aggregate
+# straight over the LOAD still reads only the column it declares: a ratio of
+# two byte counts, so the gate holds on any machine.
 golden_gate e19 columnar '"outputs_identical": true'
+forbid e19 '"arm": "events-per-user", .*"fields_skipped": 0,' \
+    "events-per-user skipped no field — the aggregate's projection mask is not applied."
+ratio=$(sed -n 's/.*"projection_bytes_ratio": \([0-9.]*\).*/\1/p' target/e19_smoke.metrics.json)
+if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 <= 0.20) }'; then
+    echo "e19 gate: events-per-user decodes ${ratio:-?} of its full-width bytes (limit 0.20)." >&2
+    exit 1
+fi
 
 # e20: tiny budgets on a real (smoke-sized) day: every budgeted stage must
 # spill, return byte-identical output, and keep its high-water mark under
