@@ -17,9 +17,11 @@
 //!    mover's same-seed outcome.
 //! 3. **throughput** — delivery records/sec per worker count (full runs
 //!    only), plus a machine-independent cost model derived from the move
-//!    reports' byte counters. Per the repro honesty convention, single-core
-//!    hosts gate on the cost model (`speedup_basis = "cost_model"`) since
-//!    wall-clock parallel speedup is unobservable there.
+//!    reports' byte counters. Per the repro honesty convention, a host
+//!    with fewer hardware threads than the gated worker count gates on the
+//!    cost model (`speedup_basis = "cost_model"`): the wall-clock speedup
+//!    of 8 workers is unobservable there, and the wall-clock columns are
+//!    that host's record, not a verdict.
 //!
 //! The cost model: decode and encode/compress shard perfectly across `w`
 //! workers (pure per-file / per-chunk work), while the dedup merge stays
@@ -336,19 +338,21 @@ pub fn measure_with(scale: Scale, chaos_seeds: u64, timed_moves: bool) -> Measur
 }
 
 /// The full run: the 1m-user day end-to-end, 16 chaos seeds, wall-clock
-/// per pass. Single-core hosts gate on the cost model — wall-clock
-/// parallel speedup is unobservable there and reporting it as a win (or a
-/// regression) would be dishonest either way.
+/// per pass. A host with fewer hardware threads than the gated worker count
+/// gates on the cost model — what 8 workers gain in wall-clock is
+/// unobservable there and reporting it as a win (or a regression) would be
+/// dishonest either way.
 pub fn measure() -> Measurements {
     let mut m = measure_with(Scale::OneM, 16, true);
     let cores = detected_cores();
     m.cores = Some(cores);
-    m.speedup_basis = Some(if cores == 1 {
-        "cost_model"
-    } else {
+    let wall_clock = cores >= WORKER_COUNTS[WORKER_COUNTS.len() - 1];
+    m.speedup_basis = Some(if wall_clock {
         "wall_clock"
+    } else {
+        "cost_model"
     });
-    if cores > 1 {
+    if wall_clock {
         m.gate_speedup_at_8 = m
             .runs
             .iter()

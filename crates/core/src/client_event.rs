@@ -13,10 +13,15 @@ use uli_dataflow::{
     ZoneColumn,
 };
 use uli_thrift::{
-    CompactReader, CompactWriter, FieldCursor, Requiredness, StructDescriptor, TType, ThriftError,
+    varint, CompactReader, CompactWriter, Requiredness, StructDescriptor, TType, ThriftError,
     ThriftRecord, ThriftResult,
 };
+use uli_warehouse::{WarehouseError, WarehouseResult};
 
+use crate::columnar::{
+    EventColumns, ALL_COLUMNS, IP_COLUMN, NAME_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN,
+    USER_COLUMN,
+};
 use crate::event::{EventInitiator, EventName};
 use crate::time::Timestamp;
 
@@ -111,6 +116,183 @@ impl ThriftRecord for ClientEvent {
     }
 
     fn read(r: &mut CompactReader<'_>) -> ThriftResult<Self> {
+        let (row, _) = EventRow::read(r, &ALL_COLUMNS)?;
+        Ok(row.to_event().expect("every column was declared"))
+    }
+}
+
+/// The `event_details` of a row, wherever they live until someone asks for
+/// the whole event.
+#[derive(Clone, Copy)]
+pub(crate) enum Details<'a> {
+    /// `count` length-prefixed key/value strings back to back, already
+    /// walked once and known to parse: the body of a Thrift map on the
+    /// wire, and of a columnar cell. `in_map_order`: the keys ascend
+    /// strictly and every length is a minimal varint, so these bytes are
+    /// exactly what the map they decode to encodes back to.
+    Pairs {
+        count: usize,
+        pairs: &'a [u8],
+        in_map_order: bool,
+    },
+    /// The map of a decoded event.
+    Map(&'a BTreeMap<String, String>),
+}
+
+/// Whether the pairs walked so far stand as their map would encode them.
+#[derive(Default)]
+struct MapOrder<'a> {
+    broken: bool,
+    last_key: Option<&'a str>,
+}
+
+impl<'a> MapOrder<'a> {
+    /// Folds in the next pair, which took `encoded` bytes.
+    fn pair(&mut self, key: &'a str, value: &str, encoded: usize) {
+        let minimal = |text: &str| varint::encoded_len_u64(text.len() as u64) + text.len();
+        self.broken |= encoded != minimal(key) + minimal(value)
+            || self.last_key.is_some_and(|last| last >= key);
+        self.last_key = Some(key);
+    }
+}
+
+fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
+    let (len, n) = varint::read_u64(bytes.get(*pos..)?).ok()?;
+    let start = *pos + n;
+    let end = start.checked_add(usize::try_from(len).ok()?)?;
+    *pos = end;
+    std::str::from_utf8(bytes.get(start..end)?).ok()
+}
+
+impl<'a> Details<'a> {
+    const EMPTY: Details<'static> = Details::Pairs {
+        count: 0,
+        pairs: &[],
+        in_map_order: true,
+    };
+
+    /// Walks `count` pairs spanning exactly `pairs`; `None` when they do
+    /// not parse. Allocates nothing.
+    pub(crate) fn parse(count: usize, pairs: &'a [u8]) -> Option<Details<'a>> {
+        let mut pos = 0;
+        let mut order = MapOrder::default();
+        for _ in 0..count {
+            let start = pos;
+            let key = read_str(pairs, &mut pos)?;
+            order.pair(key, read_str(pairs, &mut pos)?, pos - start);
+        }
+        (pos == pairs.len()).then_some(Details::Pairs {
+            count,
+            pairs,
+            in_map_order: !order.broken,
+        })
+    }
+
+    /// Reads the value of a Thrift string map with exactly the reads (and
+    /// so the errors) of [`CompactReader::read_string_map`], keeping the
+    /// bytes where they are.
+    fn read(r: &mut CompactReader<'a>) -> ThriftResult<Details<'a>> {
+        let (_, _, count) = r.map_begin()?;
+        let start = r.position();
+        let mut order = MapOrder::default();
+        for _ in 0..count {
+            let at = r.position();
+            let key = r.read_string()?;
+            order.pair(key, r.read_string()?, r.position() - at);
+        }
+        Ok(Details::Pairs {
+            count,
+            pairs: r.consumed_since(start),
+            in_map_order: !order.broken,
+        })
+    }
+
+    /// Hands each pair to `pair`, in stored order.
+    fn for_each(&self, mut pair: impl FnMut(&'a str, &'a str)) {
+        match *self {
+            Details::Pairs { count, pairs, .. } => {
+                let mut pos = 0;
+                for _ in 0..count {
+                    let key = read_str(pairs, &mut pos).expect("pairs were walked");
+                    pair(key, read_str(pairs, &mut pos).expect("pairs were walked"));
+                }
+            }
+            Details::Map(map) => map.iter().for_each(|(k, v)| pair(k, v)),
+        }
+    }
+
+    pub(crate) fn to_map(self) -> BTreeMap<String, String> {
+        let mut map = BTreeMap::new();
+        self.for_each(|k, v| {
+            map.insert(k.to_string(), v.to_string());
+        });
+        map
+    }
+
+    /// Appends the columnar details cell: a varint pair count, then the
+    /// pairs in map order. Pairs already in that order are copied as they
+    /// stand; duplicate or unsorted keys (no writer of ours sends them, a
+    /// hostile one may) go through a map, last occurrence winning, like the
+    /// decoded event's.
+    pub(crate) fn write_cell(&self, out: &mut Vec<u8>) {
+        if let Details::Pairs {
+            count,
+            pairs,
+            in_map_order: true,
+        } = *self
+        {
+            varint::write_u64(out, count as u64);
+            out.extend_from_slice(pairs);
+            return;
+        }
+        let mut map = BTreeMap::new();
+        self.for_each(|k, v| {
+            map.insert(k, v);
+        });
+        varint::write_u64(out, map.len() as u64);
+        for text in map.iter().flat_map(|(k, v)| [k, v]) {
+            varint::write_u64(out, text.len() as u64);
+            out.extend_from_slice(text.as_bytes());
+        }
+    }
+}
+
+/// One client event, as far as the reader declared it: accessors borrow
+/// from where the event lies — a Thrift payload, the cells of a row group,
+/// a [`ClientEvent`] — and allocate nothing. A row is only handed out once
+/// every field of it decoded, so accessors never fail on the data; asking
+/// for a column *outside* the declared set is a bug in the caller — it
+/// panics in debug builds and is [`WarehouseError::UnreadColumn`] in
+/// release, never a made-up value.
+pub struct EventRow<'a> {
+    pub(crate) initiator: Option<EventInitiator>,
+    pub(crate) name: Option<&'a str>,
+    pub(crate) user_id: Option<i64>,
+    pub(crate) session_id: Option<&'a str>,
+    pub(crate) ip: Option<&'a str>,
+    pub(crate) timestamp: Option<Timestamp>,
+    pub(crate) details: Option<Details<'a>>,
+}
+
+fn declared<T>(field: Option<T>, col: usize) -> WarehouseResult<T> {
+    debug_assert!(field.is_some(), "column {col} was not declared");
+    field.ok_or(WarehouseError::UnreadColumn(col))
+}
+
+impl<'a> EventRow<'a> {
+    /// Walks one client-event struct — the only function that knows its
+    /// field ids — returning the view over `columns` and how many known
+    /// fields outside them it passed over. Every field is read with its
+    /// declared type whether or not it is declared, so a record is accepted
+    /// or rejected (and the stream stays in step on type drift) the same
+    /// under every column set: the last occurrence of an id wins, an
+    /// invalid initiator code or event name makes the field count as
+    /// missing, every string and details entry must be UTF-8, unknown ids
+    /// are skipped, and a missing required field 1–6 is an error.
+    pub fn read(
+        r: &mut CompactReader<'a>,
+        columns: &EventColumns,
+    ) -> ThriftResult<(EventRow<'a>, u64)> {
         r.struct_begin()?;
         let mut initiator = None;
         let mut name = None;
@@ -118,37 +300,134 @@ impl ThriftRecord for ClientEvent {
         let mut session_id = None;
         let mut ip = None;
         let mut timestamp = None;
-        let mut details = BTreeMap::new();
+        let mut details = Details::EMPTY;
+        let mut undeclared = 0;
         while let Some(h) = r.field_begin()? {
-            match h.id {
+            let column = match h.id {
                 1 => {
                     initiator = EventInitiator::from_code(r.read_i8()?);
+                    0
                 }
                 2 => {
                     let s = r.read_string()?;
-                    name = EventName::parse(s).ok();
+                    name = EventName::is_valid(s).then_some(s);
+                    NAME_COLUMN
                 }
-                3 => user_id = Some(r.read_i64()?),
-                4 => session_id = Some(r.read_string()?.to_owned()),
-                5 => ip = Some(r.read_string()?.to_owned()),
-                6 => timestamp = Some(Timestamp(r.read_i64()?)),
-                7 => details = r.read_string_map()?,
-                _ => r.skip(h.ttype)?,
-            }
+                3 => {
+                    user_id = Some(r.read_i64()?);
+                    USER_COLUMN
+                }
+                4 => {
+                    session_id = Some(r.read_string()?);
+                    SESSION_COLUMN
+                }
+                5 => {
+                    ip = Some(r.read_string()?);
+                    IP_COLUMN
+                }
+                6 => {
+                    timestamp = Some(Timestamp(r.read_i64()?));
+                    TIMESTAMP_COLUMN
+                }
+                7 => {
+                    details = Details::read(r)?;
+                    6
+                }
+                _ => {
+                    r.skip(h.ttype)?;
+                    continue;
+                }
+            };
+            undeclared += u64::from(!columns[column]);
         }
         r.struct_end();
-        let missing = |id: i16| ThriftError::MissingField {
-            strukt: "ClientEvent",
-            field_id: id,
+        let required = |present: bool, field_id| {
+            present.then_some(()).ok_or(ThriftError::MissingField {
+                strukt: "ClientEvent",
+                field_id,
+            })
         };
+        required(initiator.is_some(), 1)?;
+        required(name.is_some(), 2)?;
+        required(user_id.is_some(), 3)?;
+        required(session_id.is_some(), 4)?;
+        required(ip.is_some(), 5)?;
+        required(timestamp.is_some(), 6)?;
+        let row = EventRow {
+            initiator: initiator.filter(|_| columns[0]),
+            name: name.filter(|_| columns[NAME_COLUMN]),
+            user_id: user_id.filter(|_| columns[USER_COLUMN]),
+            session_id: session_id.filter(|_| columns[SESSION_COLUMN]),
+            ip: ip.filter(|_| columns[IP_COLUMN]),
+            timestamp: timestamp.filter(|_| columns[TIMESTAMP_COLUMN]),
+            details: columns[6].then_some(details),
+        };
+        Ok((row, undeclared))
+    }
+
+    /// The whole event of one Thrift payload, borrowed.
+    pub fn from_bytes(payload: &'a [u8]) -> ThriftResult<EventRow<'a>> {
+        EventRow::read(&mut CompactReader::new(payload), &ALL_COLUMNS).map(|(row, _)| row)
+    }
+
+    /// A view over every column of a decoded event.
+    pub fn of(ev: &'a ClientEvent) -> EventRow<'a> {
+        EventRow {
+            initiator: Some(ev.initiator),
+            name: Some(ev.name.as_str()),
+            user_id: Some(ev.user_id),
+            session_id: Some(&ev.session_id),
+            ip: Some(&ev.ip),
+            timestamp: Some(ev.timestamp),
+            details: Some(Details::Map(&ev.details)),
+        }
+    }
+
+    /// The initiator.
+    pub fn initiator(&self) -> WarehouseResult<EventInitiator> {
+        declared(self.initiator, 0)
+    }
+
+    /// The event name: a valid six-level name.
+    pub fn name(&self) -> WarehouseResult<&'a str> {
+        declared(self.name, NAME_COLUMN)
+    }
+
+    /// The user id.
+    pub fn user_id(&self) -> WarehouseResult<i64> {
+        declared(self.user_id, USER_COLUMN)
+    }
+
+    /// The session id.
+    pub fn session_id(&self) -> WarehouseResult<&'a str> {
+        declared(self.session_id, SESSION_COLUMN)
+    }
+
+    /// The IP address.
+    pub fn ip(&self) -> WarehouseResult<&'a str> {
+        declared(self.ip, IP_COLUMN)
+    }
+
+    /// The event timestamp.
+    pub fn timestamp(&self) -> WarehouseResult<Timestamp> {
+        declared(self.timestamp, TIMESTAMP_COLUMN)
+    }
+
+    pub(crate) fn details(&self) -> WarehouseResult<Details<'a>> {
+        declared(self.details, 6)
+    }
+
+    /// Builds the whole struct — the only place a row allocates. Needs
+    /// [`ALL_COLUMNS`] declared.
+    pub fn to_event(&self) -> WarehouseResult<ClientEvent> {
         Ok(ClientEvent {
-            initiator: initiator.ok_or_else(|| missing(1))?,
-            name: name.ok_or_else(|| missing(2))?,
-            user_id: user_id.ok_or_else(|| missing(3))?,
-            session_id: session_id.ok_or_else(|| missing(4))?,
-            ip: ip.ok_or_else(|| missing(5))?,
-            timestamp: timestamp.ok_or_else(|| missing(6))?,
-            details,
+            initiator: self.initiator()?,
+            name: EventName::from_valid(self.name()?),
+            user_id: self.user_id()?,
+            session_id: self.session_id()?.to_string(),
+            ip: self.ip()?.to_string(),
+            timestamp: self.timestamp()?,
+            details: self.details()?.to_map(),
         })
     }
 }
@@ -213,23 +492,42 @@ impl Loader for ClientEventLoader {
         Some(&crate::columnar::CLIENT_EVENT_COLUMNAR)
     }
 
-    /// Lazy scan: walks the record once with a [`FieldCursor`], performing
-    /// for every known field *the same typed read* the eager decoder does
-    /// (so malformed records fail identically and the stream never
-    /// desynchronizes on type drift), but materializing only projected
-    /// columns. Unprojected slots come back as [`Value::Null`]; the planner
-    /// guarantees nothing downstream reads them.
+    /// Lazy scan: the one walk of the record ([`EventRow::read`]) under the
+    /// projected columns, so malformed records fail exactly as the eager
+    /// decoder's do, but only projected columns are materialized. Unprojected
+    /// slots come back as [`Value::Null`]; the planner guarantees nothing
+    /// downstream reads them.
     fn scan(&self, record: &[u8], spec: &ScanSpec) -> DataflowResult<ScanOutcome> {
-        let mut keep = [true; 7];
+        let mut keep = ALL_COLUMNS;
         if let Some(mask) = &spec.projection {
             for (k, m) in keep.iter_mut().zip(mask) {
                 *k = *m;
             }
         }
         // Any Thrift error skips the record, exactly as the eager parse does.
-        let Ok(Some((tuple, fields_skipped))) = scan_lazy(record, &keep) else {
+        let Ok((row, fields_skipped)) = EventRow::read(&mut CompactReader::new(record), &keep)
+        else {
             return Ok(ScanOutcome::skipped());
         };
+        let text = |s: Option<&str>| s.map_or(Value::Null, |s| Value::Str(s.to_string()));
+        let tuple = vec![
+            row.initiator
+                .map_or(Value::Null, |i| Value::Str(i.to_string())),
+            text(row.name),
+            row.user_id.map_or(Value::Null, Value::Int),
+            text(row.session_id),
+            text(row.ip),
+            row.timestamp
+                .map_or(Value::Null, |t| Value::Int(t.millis())),
+            row.details.map_or(Value::Null, |d| {
+                Value::Map(
+                    d.to_map()
+                        .into_iter()
+                        .map(|(k, v)| (k, Value::Str(v)))
+                        .collect(),
+                )
+            }),
+        ];
         if tuple.len() != spec.width {
             return Err(DataflowError::MalformedRecord {
                 loader: self.name(),
@@ -248,127 +546,6 @@ impl Loader for ClientEventLoader {
             skipped_by_predicate: false,
         })
     }
-}
-
-/// One lazy decode pass. Mirrors [`ClientEvent::read`] byte for byte: the
-/// same typed read per field id (last occurrence wins, an invalid initiator
-/// code or event name makes the field count as missing), unknown ids
-/// structurally skipped, and a missing required field 1–6 dropping the
-/// record (`Ok(None)`). Unprojected strings and map entries are still walked
-/// with validating reads — `skip` would not check UTF-8, and the eager path
-/// does — but never copied out of the record buffer.
-fn scan_lazy(record: &[u8], keep: &[bool; 7]) -> ThriftResult<Option<(Tuple, u64)>> {
-    let mut c = FieldCursor::begin(record)?;
-    let mut initiator: Option<EventInitiator> = None;
-    let mut name: Option<&str> = None;
-    let mut user_id: Option<i64> = None;
-    let mut session: Option<&str> = None;
-    let mut ip: Option<&str> = None;
-    let mut ts: Option<i64> = None;
-    let mut details: Option<BTreeMap<String, String>> = None;
-    while let Some(h) = c.next_field()? {
-        match h.id {
-            1 => {
-                initiator = EventInitiator::from_code(c.reader().read_i8()?);
-                if !keep[0] {
-                    c.note_skipped();
-                }
-            }
-            2 => {
-                let s = c.reader().read_string()?;
-                name = EventName::is_valid(s).then_some(s);
-                if !keep[1] {
-                    c.note_skipped();
-                }
-            }
-            3 => {
-                user_id = Some(c.reader().read_i64()?);
-                if !keep[2] {
-                    c.note_skipped();
-                }
-            }
-            4 => {
-                session = Some(c.reader().read_string()?);
-                if !keep[3] {
-                    c.note_skipped();
-                }
-            }
-            5 => {
-                ip = Some(c.reader().read_string()?);
-                if !keep[4] {
-                    c.note_skipped();
-                }
-            }
-            6 => {
-                ts = Some(c.reader().read_i64()?);
-                if !keep[5] {
-                    c.note_skipped();
-                }
-            }
-            7 => {
-                if keep[6] {
-                    details = Some(c.reader().read_string_map()?);
-                } else {
-                    // Same reads and errors as read_string_map, no allocation.
-                    let (_, _, count) = c.reader().map_begin()?;
-                    for _ in 0..count {
-                        c.reader().read_string()?;
-                        c.reader().read_string()?;
-                    }
-                    c.note_skipped();
-                }
-            }
-            // Unknown ids are skipped by eager and lazy alike: not a
-            // projection saving, so not counted.
-            _ => c.reader().skip(h.ttype)?,
-        }
-    }
-    let fields_skipped = c.fields_skipped();
-    let (Some(initiator), Some(name), Some(user_id), Some(session), Some(ip), Some(ts)) =
-        (initiator, name, user_id, session, ip, ts)
-    else {
-        return Ok(None); // missing required field: eager errors, loader skips
-    };
-    let tuple = vec![
-        if keep[0] {
-            Value::Str(initiator.to_string())
-        } else {
-            Value::Null
-        },
-        if keep[1] {
-            Value::Str(name.to_string())
-        } else {
-            Value::Null
-        },
-        if keep[2] {
-            Value::Int(user_id)
-        } else {
-            Value::Null
-        },
-        if keep[3] {
-            Value::Str(session.to_string())
-        } else {
-            Value::Null
-        },
-        if keep[4] {
-            Value::Str(ip.to_string())
-        } else {
-            Value::Null
-        },
-        if keep[5] { Value::Int(ts) } else { Value::Null },
-        if keep[6] {
-            Value::Map(
-                details
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|(k, v)| (k, Value::Str(v)))
-                    .collect(),
-            )
-        } else {
-            Value::Null
-        },
-    ];
-    Ok(Some((tuple, fields_skipped)))
 }
 
 #[cfg(test)]

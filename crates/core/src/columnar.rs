@@ -15,19 +15,21 @@
 //! and the warehouse block compressor squeezes each column chunk (now full
 //! of same-shaped values) far better than it does interleaved rows.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use uli_dataflow::{ColumnarCodec, Value};
-use uli_thrift::{varint, ThriftRecord};
+use uli_thrift::{varint, CompactReader};
 use uli_warehouse::{
     tag_hash, ColumnCell, ColumnarFileWriter, ColumnarLanding, ScanFile, Warehouse, WarehouseError,
     WarehouseResult, WhPath,
 };
 
-use crate::client_event::ClientEvent;
+use crate::client_event::{ClientEvent, Details};
 use crate::event::{EventInitiator, EventName};
-use crate::session::EventDictionary;
+use crate::session::dictionary::by_frequency;
 use crate::time::Timestamp;
+
+pub use crate::client_event::EventRow;
 
 /// Column index of the dictionary-encoded event name.
 pub const NAME_COLUMN: usize = 1;
@@ -63,36 +65,49 @@ pub const fn event_columns<const N: usize>(columns: [usize; N]) -> EventColumns 
 /// zone maps prune at sub-file granularity.
 pub const DEFAULT_ROWS_PER_GROUP: usize = 512;
 
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let (v, n) = varint::read_u64(bytes.get(*pos..)?).ok()?;
-    *pos += n;
-    Some(v)
+/// Where the cells of a row that are not already bytes somewhere get
+/// encoded; one per file written, reused row after row.
+#[derive(Default)]
+struct CellScratch {
+    initiator: [u8; 1],
+    user_id: [u8; 8],
+    timestamp: [u8; 8],
+    details: Vec<u8>,
 }
 
-/// Encodes one event as its seven column cells, index-aligned with
-/// [`CLIENT_EVENT_SCHEMA`](crate::client_event::CLIENT_EVENT_SCHEMA):
-/// initiator as its one-byte wire code, name as raw UTF-8 (the writer's
-/// dictionary substitutes codes for known names), the two integers as
-/// fixed 8-byte little-endian, the two strings raw, and details as a
-/// varint-counted sequence of length-prefixed key/value pairs in map order.
-pub fn client_event_cells(ev: &ClientEvent) -> [Vec<u8>; 7] {
-    let mut details = Vec::new();
-    varint::write_u64(&mut details, ev.details.len() as u64);
-    for (k, v) in &ev.details {
-        varint::write_u64(&mut details, k.len() as u64);
-        details.extend_from_slice(k.as_bytes());
-        varint::write_u64(&mut details, v.len() as u64);
-        details.extend_from_slice(v.as_bytes());
+impl CellScratch {
+    /// The seven column cells of `row` (every column declared), index-aligned
+    /// with [`CLIENT_EVENT_SCHEMA`](crate::client_event::CLIENT_EVENT_SCHEMA):
+    /// initiator as its one-byte wire code, name as raw UTF-8 (the writer's
+    /// dictionary substitutes codes for known names), the two integers as
+    /// fixed 8-byte little-endian, the two strings raw, and details as a
+    /// varint-counted sequence of length-prefixed key/value pairs in map
+    /// order. The one cell encoder: every writer of client events goes
+    /// through it.
+    fn cells<'s>(&'s mut self, row: &EventRow<'s>) -> WarehouseResult<[&'s [u8]; 7]> {
+        self.initiator = [row.initiator()?.code() as u8];
+        self.user_id = row.user_id()?.to_le_bytes();
+        self.timestamp = row.timestamp()?.millis().to_le_bytes();
+        self.details.clear();
+        row.details()?.write_cell(&mut self.details);
+        Ok([
+            &self.initiator,
+            row.name()?.as_bytes(),
+            &self.user_id,
+            row.session_id()?.as_bytes(),
+            row.ip()?.as_bytes(),
+            &self.timestamp,
+            &self.details,
+        ])
     }
-    [
-        vec![ev.initiator.code() as u8],
-        ev.name.as_str().as_bytes().to_vec(),
-        ev.user_id.to_le_bytes().to_vec(),
-        ev.session_id.as_bytes().to_vec(),
-        ev.ip.as_bytes().to_vec(),
-        ev.timestamp.millis().to_le_bytes().to_vec(),
-        details,
-    ]
+}
+
+/// One event's seven column cells, owned (see [`CellScratch::cells`]).
+pub fn client_event_cells(ev: &ClientEvent) -> [Vec<u8>; 7] {
+    CellScratch::default()
+        .cells(&EventRow::of(ev))
+        .expect("a view of an event declares every column")
+        .map(<[u8]>::to_vec)
 }
 
 /// Columnar codec for client events: decodes the cells written by
@@ -128,15 +143,13 @@ impl ColumnarCodec for ClientEventColumnar {
                 let s = std::str::from_utf8(bytes).ok()?;
                 Some(Value::Str(s.to_string()))
             }
-            6 => {
-                let details = parse_details(bytes)?;
-                Some(Value::Map(
-                    details
-                        .into_iter()
-                        .map(|(k, v)| (k, Value::Str(v)))
-                        .collect(),
-                ))
-            }
+            6 => Some(Value::Map(
+                details_cell(bytes)?
+                    .to_map()
+                    .into_iter()
+                    .map(|(k, v)| (k, Value::Str(v)))
+                    .collect(),
+            )),
             _ => None,
         }
     }
@@ -151,108 +164,16 @@ fn decode_i64(bytes: &[u8]) -> Option<i64> {
     Some(i64::from_le_bytes(bytes.try_into().ok()?))
 }
 
-/// Walks a details cell, handing each pair to `pair`; `None` when the cell
-/// is malformed. Allocates nothing itself.
-fn walk_details<'a>(bytes: &'a [u8], mut pair: impl FnMut(&'a str, &'a str)) -> Option<()> {
-    let mut pos = 0usize;
-    let count = read_varint(bytes, &mut pos)?;
+/// A details cell, walked once; `None` when it is malformed. Allocates
+/// nothing.
+fn details_cell(bytes: &[u8]) -> Option<Details<'_>> {
+    let (count, pairs_at) = varint::read_u64(bytes).ok()?;
     // A count can't exceed the remaining bytes (each pair costs at least
     // two length bytes) — reject before walking.
     if count > bytes.len() as u64 {
         return None;
     }
-    for _ in 0..count {
-        let k = read_slice(bytes, &mut pos)?;
-        let v = read_slice(bytes, &mut pos)?;
-        pair(k, v);
-    }
-    (pos == bytes.len()).then_some(())
-}
-
-fn parse_details(bytes: &[u8]) -> Option<BTreeMap<String, String>> {
-    let mut map = BTreeMap::new();
-    walk_details(bytes, |k, v| {
-        map.insert(k.to_string(), v.to_string());
-    })?;
-    Some(map)
-}
-
-/// Where a row's details live until someone asks for the whole event.
-#[derive(Clone, Copy)]
-enum Details<'a> {
-    /// A columnar cell, already walked once and known to parse.
-    Cell(&'a [u8]),
-    /// The map of a decoded row-format record.
-    Map(&'a BTreeMap<String, String>),
-}
-
-/// One client event of a landed file, as far as the reader declared it:
-/// accessors borrow from the row group's cells (or from the decoded record
-/// of a row-format file) and allocate nothing. A row is only handed out
-/// once every declared column of it decoded, so accessors never fail on the
-/// data; asking for a column *outside* the declared set is a bug in the
-/// caller — it panics in debug builds and is
-/// [`WarehouseError::UnreadColumn`] in release, never a made-up value.
-pub struct EventRow<'a> {
-    initiator: Option<EventInitiator>,
-    name: Option<&'a EventName>,
-    user_id: Option<i64>,
-    session_id: Option<&'a str>,
-    ip: Option<&'a str>,
-    timestamp: Option<Timestamp>,
-    details: Option<Details<'a>>,
-}
-
-fn declared<T>(field: Option<T>, col: usize) -> WarehouseResult<T> {
-    debug_assert!(field.is_some(), "column {col} was not declared");
-    field.ok_or(WarehouseError::UnreadColumn(col))
-}
-
-impl EventRow<'_> {
-    /// The event name, validated.
-    pub fn name(&self) -> WarehouseResult<&EventName> {
-        declared(self.name, NAME_COLUMN)
-    }
-
-    /// The user id.
-    pub fn user_id(&self) -> WarehouseResult<i64> {
-        declared(self.user_id, USER_COLUMN)
-    }
-
-    /// The session id.
-    pub fn session_id(&self) -> WarehouseResult<&str> {
-        declared(self.session_id, SESSION_COLUMN)
-    }
-
-    /// The IP address.
-    pub fn ip(&self) -> WarehouseResult<&str> {
-        declared(self.ip, IP_COLUMN)
-    }
-
-    /// The event timestamp.
-    pub fn timestamp(&self) -> WarehouseResult<Timestamp> {
-        declared(self.timestamp, TIMESTAMP_COLUMN)
-    }
-
-    /// Builds the whole struct — the only place a columnar row allocates.
-    /// Needs [`ALL_COLUMNS`] declared.
-    pub fn to_event(&self) -> WarehouseResult<ClientEvent> {
-        let details = match declared(self.details, 6)? {
-            Details::Map(map) => map.clone(),
-            Details::Cell(cell) => {
-                parse_details(cell).ok_or(WarehouseError::Corrupt("details cell"))?
-            }
-        };
-        Ok(ClientEvent {
-            initiator: declared(self.initiator, 0)?,
-            name: self.name()?.clone(),
-            user_id: self.user_id()?,
-            session_id: self.session_id()?.to_string(),
-            ip: self.ip()?.to_string(),
-            timestamp: self.timestamp()?,
-            details,
-        })
-    }
+    Details::parse(count as usize, &bytes[pairs_at..])
 }
 
 /// `Some(None)`: the column is not declared. `None`: its cell is
@@ -267,10 +188,7 @@ fn column<'a, T>(
 /// The view of one columnar row from the cells of its declared columns
 /// (`None` for the others; the name is resolved by the caller). `None`
 /// when any declared cell is undecodable.
-fn cells_row<'a>(
-    cells: [Option<&'a [u8]>; 7],
-    name: Option<&'a EventName>,
-) -> Option<EventRow<'a>> {
+fn cells_row<'a>(cells: [Option<&'a [u8]>; 7], name: Option<&'a str>) -> Option<EventRow<'a>> {
     let text = |bytes| std::str::from_utf8(bytes).ok();
     Some(EventRow {
         initiator: column(cells[0], decode_initiator)?,
@@ -279,9 +197,7 @@ fn cells_row<'a>(
         session_id: column(cells[SESSION_COLUMN], text)?,
         ip: column(cells[IP_COLUMN], text)?,
         timestamp: column(cells[TIMESTAMP_COLUMN], decode_i64)?.map(Timestamp),
-        details: column(cells[6], |bytes| {
-            walk_details(bytes, |_, _| {}).map(|()| Details::Cell(bytes))
-        })?,
+        details: column(cells[6], details_cell)?,
     })
 }
 
@@ -317,20 +233,12 @@ pub fn for_each_event_row(
                     if result.is_err() {
                         return;
                     }
-                    let Ok(ev) = ClientEvent::from_bytes(record) else {
+                    let Ok((view, _)) = EventRow::read(&mut CompactReader::new(record), &columns)
+                    else {
                         skipped += 1;
                         return;
                     };
                     events += 1;
-                    let view = EventRow {
-                        initiator: columns[0].then_some(ev.initiator),
-                        name: columns[NAME_COLUMN].then_some(&ev.name),
-                        user_id: columns[USER_COLUMN].then_some(ev.user_id),
-                        session_id: columns[SESSION_COLUMN].then_some(&ev.session_id),
-                        ip: columns[IP_COLUMN].then_some(&ev.ip),
-                        timestamp: columns[TIMESTAMP_COLUMN].then_some(ev.timestamp),
-                        details: columns[6].then_some(Details::Map(&ev.details)),
-                    };
                     result = f(unit, &view);
                 })?;
                 result?;
@@ -342,9 +250,10 @@ pub fn for_each_event_row(
             }
             // Dictionary code → validated name, resolved on first sight;
             // `None`: not a six-level name, so its rows are skipped.
-            let mut names: HashMap<u32, Option<EventName>> = HashMap::new();
-            fn parse(bytes: &[u8]) -> Option<EventName> {
-                EventName::parse(std::str::from_utf8(bytes).ok()?).ok()
+            let mut names: HashMap<u32, Option<&str>> = HashMap::new();
+            fn parse(bytes: &[u8]) -> Option<&str> {
+                let name = std::str::from_utf8(bytes).ok()?;
+                EventName::is_valid(name).then_some(name)
             }
             for unit in units {
                 let group = col.read_group(unit, &columns)?;
@@ -353,18 +262,13 @@ pub fn for_each_event_row(
                     for c in (0..7).filter(|c| columns[*c] && *c != NAME_COLUMN) {
                         cells[c] = Some(col.cell_bytes(&group, c, row)?);
                     }
-                    let inline;
                     let name = match columns[NAME_COLUMN] {
                         false => Some(None),
                         true => match group.read_cell(NAME_COLUMN, row)? {
-                            ColumnCell::Bytes(bytes) => {
-                                inline = parse(bytes);
-                                inline.as_ref().map(Some)
-                            }
+                            ColumnCell::Bytes(bytes) => parse(bytes).map(Some),
                             ColumnCell::Code(code) => names
                                 .entry(code)
                                 .or_insert_with(|| col.dictionary_value(code).and_then(parse))
-                                .as_ref()
                                 .map(Some),
                         },
                     };
@@ -382,36 +286,76 @@ pub fn for_each_event_row(
     Ok((events, skipped))
 }
 
-fn read_slice<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
-    let len = read_varint(bytes, pos)?;
-    let end = pos.checked_add(usize::try_from(len).ok()?)?;
-    let slice = bytes.get(*pos..end)?;
-    *pos = end;
-    std::str::from_utf8(slice).ok()
-}
-
-/// Builds the per-file name dictionary: frequency-ranked over this file's
-/// events via [`EventDictionary::from_counts`], entries in rank order so
-/// entry index = code. Frequent names get small codes, exactly the
-/// variable-length-coding argument the session dictionary makes.
-pub fn name_dictionary(events: &[ClientEvent]) -> Vec<Vec<u8>> {
-    let mut counts: BTreeMap<&EventName, u64> = BTreeMap::new();
-    for ev in events {
-        *counts.entry(&ev.name).or_insert(0) += 1;
+/// The per-file name dictionary of `rows` and the code it gives each row's
+/// name: ranked by frequency in these rows under the rule of
+/// [`EventDictionary::from_counts`](crate::session::EventDictionary::from_counts)
+/// (more frequent first, ties by name), entries in rank order so entry
+/// index = code. Frequent names get small codes, exactly the
+/// variable-length-coding argument the session dictionary makes. One hash
+/// of the borrowed name per row; nothing is allocated per row.
+fn name_codes<'a>(rows: &[EventRow<'a>]) -> WarehouseResult<(Vec<&'a [u8]>, Vec<u32>)> {
+    let mut slots: HashMap<&str, u32> = HashMap::new();
+    let mut counts: Vec<(&str, u64)> = Vec::new();
+    let mut codes = Vec::with_capacity(rows.len());
+    for row in rows {
+        let name = row.name()?;
+        let slot = *slots.entry(name).or_insert_with(|| {
+            counts.push((name, 0));
+            counts.len() as u32 - 1
+        });
+        counts[slot as usize].1 += 1;
+        codes.push(slot);
     }
-    let dict =
-        EventDictionary::from_counts(counts.into_iter().map(|(n, c)| (n.clone(), c)).collect());
-    dict.iter()
-        .map(|(_, name, _)| name.as_str().as_bytes().to_vec())
-        .collect()
+    let mut ranked: Vec<u32> = (0..counts.len() as u32).collect();
+    ranked.sort_by(|a, b| by_frequency(counts[*a as usize], counts[*b as usize]));
+    let mut code_of_slot = vec![0; counts.len()];
+    for (code, slot) in ranked.iter().enumerate() {
+        code_of_slot[*slot as usize] = code as u32;
+    }
+    for code in &mut codes {
+        *code = code_of_slot[*code as usize];
+    }
+    let entries = ranked
+        .iter()
+        .map(|slot| counts[*slot as usize].0.as_bytes())
+        .collect();
+    Ok((entries, codes))
 }
 
-/// Writes events to one columnar file. With `dictionary` set, the name
-/// column is dictionary-encoded from this file's own frequency histogram;
-/// without, every name is stored inline (the E19 ablation arm). Every row
-/// carries the same zone annotations as the row-format writer — timestamp
-/// as the key dimension, event name as the tag dimension — so zone-map
-/// pruning works identically across layouts.
+/// Writes `rows` (every column declared) to one columnar file. With
+/// `dictionary` set, the name column is dictionary-encoded from this file's
+/// own frequency histogram; without, every name is stored inline (the E19
+/// ablation arm). Every row carries the same zone annotations as the
+/// row-format writer — timestamp as the key dimension, event name as the
+/// tag dimension — so zone-map pruning works identically across layouts.
+fn write_event_rows(
+    warehouse: &Warehouse,
+    path: &WhPath,
+    rows: &[EventRow<'_>],
+    dictionary: bool,
+    rows_per_group: usize,
+) -> WarehouseResult<()> {
+    let coded = dictionary.then(|| name_codes(rows)).transpose()?;
+    let mut w = ColumnarFileWriter::create(
+        warehouse,
+        path,
+        7,
+        rows_per_group,
+        coded
+            .as_ref()
+            .map(|(entries, _)| (NAME_COLUMN, entries.as_slice())),
+    )?;
+    let mut scratch = CellScratch::default();
+    for (i, row) in rows.iter().enumerate() {
+        let cells = scratch.cells(row)?;
+        let code = coded.as_ref().map(|(_, codes)| codes[i]);
+        let tag = tag_hash(cells[NAME_COLUMN]);
+        w.append_row_coded(&cells, code, row.timestamp()?.millis(), tag);
+    }
+    w.finish()
+}
+
+/// Writes events to one columnar file (see [`write_event_rows`]).
 pub fn write_client_events_columnar(
     warehouse: &Warehouse,
     path: &WhPath,
@@ -419,31 +363,16 @@ pub fn write_client_events_columnar(
     dictionary: bool,
     rows_per_group: usize,
 ) -> WarehouseResult<u64> {
-    let entries = dictionary.then(|| name_dictionary(events));
-    let mut w = ColumnarFileWriter::create(
-        warehouse,
-        path,
-        7,
-        rows_per_group,
-        entries.as_deref().map(|e| (NAME_COLUMN, e)),
-    )?;
-    for ev in events {
-        let cells = client_event_cells(ev);
-        let refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
-        w.append_row_annotated(
-            &refs,
-            ev.timestamp.millis(),
-            tag_hash(ev.name.as_str().as_bytes()),
-        );
-    }
-    w.finish()?;
+    let rows: Vec<EventRow<'_>> = events.iter().map(EventRow::of).collect();
+    write_event_rows(warehouse, path, &rows, dictionary, rows_per_group)?;
     Ok(events.len() as u64)
 }
 
-/// The log mover's columnar landing for the client-events category:
-/// Thrift payloads decode to [`ClientEvent`]s and land through
-/// [`write_client_events_columnar`]; payloads that fail to decode are
-/// reported back so the mover keeps them in a row-format sibling file.
+/// The log mover's columnar landing for the client-events category: each
+/// Thrift payload is walked once, borrowed ([`EventRow::from_bytes`]), and
+/// its cells land through [`write_event_rows`] with no [`ClientEvent`] in
+/// between; payloads that fail to decode are reported back so the mover
+/// keeps them in a row-format sibling file.
 #[derive(Debug, Clone)]
 pub struct ClientEventLanding {
     /// Dictionary-encode the name column from each file's own histogram.
@@ -468,21 +397,15 @@ impl ColumnarLanding for ClientEventLanding {
         path: &WhPath,
         payloads: &[Vec<u8>],
     ) -> WarehouseResult<Vec<usize>> {
-        let mut events = Vec::with_capacity(payloads.len());
+        let mut rows = Vec::with_capacity(payloads.len());
         let mut rejected = Vec::new();
         for (i, p) in payloads.iter().enumerate() {
-            match ClientEvent::from_bytes(p) {
-                Ok(ev) => events.push(ev),
+            match EventRow::from_bytes(p) {
+                Ok(row) => rows.push(row),
                 Err(_) => rejected.push(i),
             }
         }
-        write_client_events_columnar(
-            warehouse,
-            path,
-            &events,
-            self.dictionary,
-            self.rows_per_group,
-        )?;
+        write_event_rows(warehouse, path, &rows, self.dictionary, self.rows_per_group)?;
         Ok(rejected)
     }
 }
@@ -492,7 +415,9 @@ mod tests {
     use super::*;
     use crate::client_event::ClientEventLoader;
     use crate::time::Timestamp;
+    use std::collections::BTreeMap;
     use uli_dataflow::{scan_group, Loader, ScanSpec};
+    use uli_thrift::ThriftRecord;
     use uli_warehouse::ColumnarFile;
 
     fn sample(i: i64) -> ClientEvent {
@@ -563,8 +488,10 @@ mod tests {
     fn dictionary_ranks_by_frequency() {
         let events: Vec<ClientEvent> = (0..9).map(sample).collect();
         // impression appears 6 times, click 3 — impression gets code 0.
-        let entries = name_dictionary(&events);
+        let rows: Vec<EventRow<'_>> = events.iter().map(EventRow::of).collect();
+        let (entries, codes) = name_codes(&rows).unwrap();
         assert_eq!(entries.len(), 2);
+        assert_eq!(codes, [1, 0, 0, 1, 0, 0, 1, 0, 0]);
         assert_eq!(entries[0], b"web:home:home:stream:tweet:impression");
         assert_eq!(entries[1], b"web:home:home:stream:tweet:click");
     }

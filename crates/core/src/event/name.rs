@@ -69,6 +69,14 @@ fn component_ok(s: &str) -> bool {
         .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
 }
 
+/// A name hashes, compares and orders as its string, so maps keyed by names
+/// can be probed with a borrowed, already validated `&str`.
+impl std::borrow::Borrow<str> for EventName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl EventName {
     /// Parses and validates `client:page:section:component:element:action`.
     pub fn parse(s: &str) -> Result<EventName, EventNameError> {
@@ -88,6 +96,12 @@ impl EventName {
             return Err(EventNameError::EmptyAction);
         }
         Ok(EventName(s.to_string()))
+    }
+
+    /// The name `s`, which [`is_valid`](Self::is_valid) already passed.
+    pub(crate) fn from_valid(s: &str) -> EventName {
+        debug_assert!(EventName::is_valid(s), "{s:?} was not validated");
+        EventName(s.to_string())
     }
 
     /// Builds a name from its six components.

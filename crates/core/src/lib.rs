@@ -58,8 +58,8 @@ pub use anonymize::Anonymizer;
 pub use catalog::ClientEventCatalog;
 pub use client_event::{client_event_descriptor, ClientEvent, ClientEventLoader};
 pub use columnar::{
-    client_event_cells, for_each_event_row, name_dictionary, write_client_events_columnar,
-    ClientEventColumnar, ClientEventLanding, EventRow, CLIENT_EVENT_COLUMNAR,
+    client_event_cells, for_each_event_row, write_client_events_columnar, ClientEventColumnar,
+    ClientEventLanding, EventRow, CLIENT_EVENT_COLUMNAR,
 };
 pub use event::{EventInitiator, EventName, EventPattern};
 pub use scrape::FormatScrape;

@@ -48,6 +48,12 @@ pub fn rank_for_char(c: char) -> Option<u32> {
     Some(v - 1)
 }
 
+/// The rank order of two `(name, count)` histogram entries: more frequent
+/// first, ties broken lexicographically for determinism.
+pub(crate) fn by_frequency(a: (&str, u64), b: (&str, u64)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+}
+
 /// A frequency-ranked bijection between event names and code points.
 #[derive(Debug, Clone, Default)]
 pub struct EventDictionary {
@@ -58,10 +64,10 @@ pub struct EventDictionary {
 
 impl EventDictionary {
     /// Builds a dictionary from an event histogram. More frequent events get
-    /// smaller ranks; ties break lexicographically for determinism.
+    /// smaller ranks ([`by_frequency`]).
     pub fn from_counts(counts: Vec<(EventName, u64)>) -> EventDictionary {
         let mut entries = counts;
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        entries.sort_by(|a, b| by_frequency((a.0.as_str(), a.1), (b.0.as_str(), b.1)));
         let mut by_rank = Vec::with_capacity(entries.len());
         let mut by_name = HashMap::with_capacity(entries.len());
         let mut freq = Vec::with_capacity(entries.len());

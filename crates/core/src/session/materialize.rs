@@ -140,7 +140,7 @@ const SESSION_COLUMNS: EventColumns = event_columns([
 
 fn session_event(row: &EventRow<'_>) -> WarehouseResult<SessionEvent> {
     Ok(SessionEvent {
-        name: row.name()?.clone(),
+        name: EventName::from_valid(row.name()?),
         user_id: row.user_id()?,
         session_id: row.session_id()?.to_string(),
         ip: row.ip()?.to_string(),
@@ -261,7 +261,7 @@ impl Materializer {
             let name = row.name()?;
             let (n, first) = match shard.get_mut(name) {
                 Some(entry) => entry,
-                None => shard.entry(name.clone()).or_default(),
+                None => shard.entry(EventName::from_valid(name)).or_default(),
             };
             *n += 1;
             if first.len() < per_event {

@@ -85,7 +85,7 @@ fn land_rows(events: &[ClientEvent], seed: u64) -> Warehouse {
 fn land_columnar(events: &[ClientEvent], dict_names: &[&str], rows_per_group: usize) -> Warehouse {
     let wh = Warehouse::new();
     let dir = day_dir("client_events", 0);
-    let entries: Vec<Vec<u8>> = dict_names.iter().map(|n| n.as_bytes().to_vec()).collect();
+    let entries: Vec<&[u8]> = dict_names.iter().map(|n| n.as_bytes()).collect();
     let dictionary = (!entries.is_empty()).then_some((NAME_COLUMN, entries.as_slice()));
     let mut w = ColumnarFileWriter::create(
         &wh,
@@ -98,8 +98,10 @@ fn land_columnar(events: &[ClientEvent], dict_names: &[&str], rows_per_group: us
     for ev in events {
         let cells = client_event_cells(ev);
         let refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
-        w.append_row_annotated(
+        let code = dict_names.iter().position(|n| *n == ev.name.as_str());
+        w.append_row_coded(
             &refs,
+            code.map(|c| c as u32),
             ev.timestamp.millis(),
             tag_hash(ev.name.as_str().as_bytes()),
         );

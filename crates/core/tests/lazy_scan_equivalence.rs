@@ -1,10 +1,17 @@
-//! Property tests for the pushdown scan path: the lazy [`FieldCursor`]
-//! decode in `ClientEventLoader::scan` must agree with the eager
-//! `ClientEvent::read` on every input — well-formed records, records with
+//! Property tests for the one walk of a client-event struct
+//! (`EventRow::read`) and everything built on it. The walk must agree with
+//! the eager, allocating decoder this repo started from — kept here as
+//! `reference_read` — on every input: well-formed records, records with
 //! missing/duplicate/unknown fields (v1 readers meeting v2 writers and vice
-//! versa), type drift, truncation, and raw byte soup — and a whole query
-//! under projection + predicate pushdown must return byte-identical rows to
-//! the eager plan at every worker count.
+//! versa), type drift, truncation, raw byte soup, and what only a hostile
+//! writer sends: repeated ids, details with unsorted or duplicate keys or
+//! over-long varints, bytes that are not UTF-8 in any string, bad initiator
+//! codes, five- and seven-level names. The columnar landing must reject
+//! exactly the payloads the reference rejects and land, for the rest, the
+//! cells the reference's event encodes to; the pushdown scan in
+//! `ClientEventLoader::scan` must agree with the eager parse, and a whole
+//! query under projection + predicate pushdown must return byte-identical
+//! rows to the eager plan at every worker count.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -12,12 +19,15 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use uli_core::client_event::{ClientEvent, ClientEventLoader, CLIENT_EVENT_SCHEMA};
+use uli_core::columnar::{ClientEventLanding, EventRow};
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::session::day_dir;
 use uli_core::time::Timestamp;
 use uli_dataflow::{Agg, Engine, Expr, Loader, Parallelism, Plan, Pushdown, ScanSpec, Value};
-use uli_thrift::{CompactWriter, ThriftRecord};
-use uli_warehouse::{tag_hash, Warehouse};
+use uli_thrift::{
+    varint, CompactReader, CompactWriter, TType, ThriftError, ThriftRecord, ThriftResult,
+};
+use uli_warehouse::{tag_hash, ColumnarFile, ColumnarLanding, Warehouse, WhPath};
 
 /// One wire field of a synthetic record. Known ids may carry the declared
 /// type or a drifted one; unknown ids model a newer (v2) writer.
@@ -158,6 +168,137 @@ fn arb_complete_record() -> impl Strategy<Value = Vec<u8>> {
         )
 }
 
+/// One field as a hostile writer may send it: always the long header form
+/// (type byte, then the id as a varint), so any id may follow any other.
+#[derive(Debug, Clone)]
+enum RawField {
+    Initiator(i8),
+    /// Field 2, 4 or 5 as arbitrary bytes.
+    Text(i16, Vec<u8>),
+    Int(i16, i64),
+    /// Field 7: pairs in the order given, keys repeating freely; with
+    /// `overlong`, every length is a two-byte varint where one would do.
+    Details {
+        pairs: Vec<(Vec<u8>, Vec<u8>)>,
+        overlong: bool,
+    },
+}
+
+fn encode_raw(fields: &[RawField]) -> Vec<u8> {
+    fn header(out: &mut Vec<u8>, id: i16, ttype: TType) {
+        out.push(ttype as u8);
+        varint::write_i64(out, i64::from(id));
+    }
+    fn text(out: &mut Vec<u8>, bytes: &[u8], overlong: bool) {
+        if overlong {
+            assert!(bytes.len() < 128);
+            out.extend_from_slice(&[bytes.len() as u8 | 0x80, 0]);
+        } else {
+            varint::write_u64(out, bytes.len() as u64);
+        }
+        out.extend_from_slice(bytes);
+    }
+    let mut out = Vec::new();
+    for f in fields {
+        match f {
+            RawField::Initiator(code) => {
+                header(&mut out, 1, TType::I8);
+                out.push(*code as u8);
+            }
+            RawField::Text(id, bytes) => {
+                header(&mut out, *id, TType::Binary);
+                text(&mut out, bytes, false);
+            }
+            RawField::Int(id, v) => {
+                header(&mut out, *id, TType::I64);
+                varint::write_i64(&mut out, *v);
+            }
+            RawField::Details { pairs, overlong } => {
+                header(&mut out, 7, TType::Map);
+                varint::write_u64(&mut out, pairs.len() as u64);
+                if !pairs.is_empty() {
+                    out.push((TType::Binary as u8) << 4 | TType::Binary as u8);
+                }
+                for (k, v) in pairs {
+                    text(&mut out, k, *overlong);
+                    text(&mut out, v, *overlong);
+                }
+            }
+        }
+    }
+    out.push(0); // stop
+    out
+}
+
+/// Mostly text, now and then bytes that are not UTF-8.
+fn arb_text(pattern: &'static str) -> BoxedStrategy<Vec<u8>> {
+    prop_oneof![
+        pattern.prop_map(String::into_bytes).boxed(),
+        pattern.prop_map(String::into_bytes).boxed(),
+        pattern.prop_map(String::into_bytes).boxed(),
+        prop::collection::vec(any::<u8>(), 0..6).boxed(),
+    ]
+    .boxed()
+}
+
+fn arb_raw_field() -> BoxedStrategy<RawField> {
+    let name = prop_oneof![
+        // Six levels, then five and seven.
+        "[a-z]{1,4}".prop_map(|a| format!("web:home::stream:tweet:{a}")),
+        "[a-z]{1,4}".prop_map(|a| format!("web:home:stream:tweet:{a}")),
+        "[a-z]{1,4}".prop_map(|a| format!("web:home:x::stream:tweet:{a}")),
+    ];
+    prop_oneof![
+        (-1i8..6).prop_map(RawField::Initiator).boxed(),
+        name.prop_map(|n| RawField::Text(2, n.into_bytes())).boxed(),
+        arb_text("[a-z:]{0,8}")
+            .prop_map(|b| RawField::Text(2, b))
+            .boxed(),
+        (3i16..7, any::<i64>())
+            .prop_map(|(id, v)| RawField::Int(if id < 5 { 3 } else { 6 }, v))
+            .boxed(),
+        (4i16..6, arb_text("[a-z0-9.-]{0,10}"))
+            .prop_map(|(id, b)| RawField::Text(id, b))
+            .boxed(),
+        (
+            prop::collection::vec((arb_text("[a-c]{0,2}"), arb_text("[a-z0-9 ]{0,6}")), 0..5),
+            any::<bool>()
+        )
+            .prop_map(|(pairs, overlong)| RawField::Details { pairs, overlong })
+            .boxed(),
+    ]
+    .boxed()
+}
+
+/// A record from a hostile writer: one of each required field, valid, in
+/// any order (so that many of these decode), then whatever else — repeats
+/// of any id that override or break what came before.
+fn arb_hostile_record() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(arb_raw_field(), 0..6),
+        any::<u64>(),
+        any::<bool>(),
+    )
+        .prop_map(|(extra, seed, extra_last)| {
+            let mut fields = vec![
+                RawField::Initiator(2),
+                RawField::Text(2, b"web:home:home:stream:tweet:click".to_vec()),
+                RawField::Int(3, 7),
+                RawField::Text(4, b"s-1".to_vec()),
+                RawField::Text(5, b"10.0.0.1".to_vec()),
+                RawField::Int(6, 1_000),
+            ];
+            if extra_last {
+                shuffle(&mut fields, seed);
+                fields.extend(extra);
+            } else {
+                fields.extend(extra);
+                shuffle(&mut fields, seed);
+            }
+            encode_raw(&fields)
+        })
+}
+
 /// Any record: complete, arbitrary field soup (missing/duplicate/drifting
 /// fields in any order), a truncated encoding, or raw bytes.
 fn arb_record() -> impl Strategy<Value = Vec<u8>> {
@@ -176,11 +317,138 @@ fn arb_record() -> impl Strategy<Value = Vec<u8>> {
             })
             .boxed(),
         prop::collection::vec(any::<u8>(), 0..64).boxed(),
+        arb_hostile_record().boxed(),
+        arb_hostile_record().boxed(),
+    ]
+}
+
+/// The eager decoder the repo started from: a `String` per string, a map
+/// per details field, field by field. What the one borrowed walk is held to.
+fn reference_read(bytes: &[u8]) -> ThriftResult<ClientEvent> {
+    let mut r = CompactReader::new(bytes);
+    r.struct_begin()?;
+    let mut initiator = None;
+    let mut name = None;
+    let mut user_id = None;
+    let mut session_id = None;
+    let mut ip = None;
+    let mut timestamp = None;
+    let mut details = BTreeMap::new();
+    while let Some(h) = r.field_begin()? {
+        match h.id {
+            1 => initiator = EventInitiator::from_code(r.read_i8()?),
+            2 => name = EventName::parse(r.read_string()?).ok(),
+            3 => user_id = Some(r.read_i64()?),
+            4 => session_id = Some(r.read_string()?.to_owned()),
+            5 => ip = Some(r.read_string()?.to_owned()),
+            6 => timestamp = Some(Timestamp(r.read_i64()?)),
+            7 => details = r.read_string_map()?,
+            _ => r.skip(h.ttype)?,
+        }
+    }
+    r.struct_end();
+    let missing = |field_id| ThriftError::MissingField {
+        strukt: "ClientEvent",
+        field_id,
+    };
+    Ok(ClientEvent {
+        initiator: initiator.ok_or_else(|| missing(1))?,
+        name: name.ok_or_else(|| missing(2))?,
+        user_id: user_id.ok_or_else(|| missing(3))?,
+        session_id: session_id.ok_or_else(|| missing(4))?,
+        ip: ip.ok_or_else(|| missing(5))?,
+        timestamp: timestamp.ok_or_else(|| missing(6))?,
+        details,
+    })
+}
+
+/// The seven cells of an event, as first written.
+fn reference_cells(ev: &ClientEvent) -> [Vec<u8>; 7] {
+    let mut details = Vec::new();
+    varint::write_u64(&mut details, ev.details.len() as u64);
+    for (k, v) in &ev.details {
+        varint::write_u64(&mut details, k.len() as u64);
+        details.extend_from_slice(k.as_bytes());
+        varint::write_u64(&mut details, v.len() as u64);
+        details.extend_from_slice(v.as_bytes());
+    }
+    [
+        vec![ev.initiator.code() as u8],
+        ev.name.as_str().as_bytes().to_vec(),
+        ev.user_id.to_le_bytes().to_vec(),
+        ev.session_id.as_bytes().to_vec(),
+        ev.ip.as_bytes().to_vec(),
+        ev.timestamp.millis().to_le_bytes().to_vec(),
+        details,
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The borrowed walk is the reference decoder: the same payloads are
+    /// accepted, with the same error otherwise, and every field it hands
+    /// out — and the event built from them — equals the reference's.
+    #[test]
+    fn borrowed_walk_equals_the_reference_decoder(bytes in arb_record()) {
+        let reference = reference_read(&bytes);
+        prop_assert_eq!(&ClientEvent::from_bytes(&bytes), &reference);
+        match (EventRow::from_bytes(&bytes), reference) {
+            (Ok(row), Ok(ev)) => {
+                prop_assert_eq!(row.initiator().unwrap(), ev.initiator);
+                prop_assert_eq!(row.name().unwrap(), ev.name.as_str());
+                prop_assert_eq!(row.user_id().unwrap(), ev.user_id);
+                prop_assert_eq!(row.session_id().unwrap(), ev.session_id.as_str());
+                prop_assert_eq!(row.ip().unwrap(), ev.ip.as_str());
+                prop_assert_eq!(row.timestamp().unwrap(), ev.timestamp);
+                prop_assert_eq!(row.to_event().unwrap(), ev);
+            }
+            (Err(walk), Err(reference)) => prop_assert_eq!(walk, reference),
+            (walk, reference) => prop_assert!(
+                false,
+                "accept diverged: walk {:?}, reference {:?}",
+                walk.map(|row| row.to_event()),
+                reference
+            ),
+        }
+    }
+
+    /// The landing rejects exactly the payloads the reference decoder
+    /// rejects (what the mover keeps in the `-rows` sibling), and every
+    /// other payload lands as the cells its decoded event encodes to —
+    /// whether its details were copied off the wire or went through a map.
+    #[test]
+    fn landing_rejects_and_encodes_as_the_reference(
+        payloads in prop::collection::vec(arb_record(), 1..40),
+        dictionary in any::<bool>(),
+    ) {
+        let wh = Warehouse::new();
+        let path = WhPath::parse("/logs/ce/part-00000").unwrap();
+        let landing = ClientEventLanding { dictionary, rows_per_group: 8 };
+        let rejected = landing.write_file(&wh, &path, &payloads).unwrap();
+        let decoded: Vec<_> = payloads.iter().map(|p| reference_read(p)).collect();
+        let expected_rejects: Vec<usize> =
+            (0..payloads.len()).filter(|i| decoded[*i].is_err()).collect();
+        prop_assert_eq!(&rejected, &expected_rejects);
+
+        let file = ColumnarFile::open(&wh, &path).unwrap();
+        let mut landed = Vec::new();
+        for g in 0..file.group_count() {
+            let group = file.read_group(g, &[true; 7]).unwrap();
+            for row in 0..group.rows() {
+                let cells: Vec<Vec<u8>> = (0..7)
+                    .map(|c| file.cell_bytes(&group, c, row).unwrap().to_vec())
+                    .collect();
+                landed.push(cells);
+            }
+        }
+        let expected: Vec<Vec<Vec<u8>>> = decoded
+            .iter()
+            .flatten()
+            .map(|ev| reference_cells(ev).to_vec())
+            .collect();
+        prop_assert_eq!(landed, expected);
+    }
 
     /// Full-projection lazy scan is the eager parse, bit for bit: the same
     /// records decode, the same records are dropped, the same tuples come

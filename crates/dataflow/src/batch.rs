@@ -378,7 +378,7 @@ mod tests {
 
     /// 3 text columns: user (int), action (dictionary), amount (int).
     fn fixture(wh: &Warehouse, rows: i64) -> ColumnarFile {
-        let dict = vec![b"click".to_vec(), b"impression".to_vec()];
+        let dict: [&[u8]; 2] = [b"click", b"impression"];
         let mut w = ColumnarFileWriter::create(wh, &p("/col"), 3, 64, Some((1, &dict))).unwrap();
         for i in 0..rows {
             let user = (i % 10).to_string();
@@ -390,8 +390,10 @@ mod tests {
                 "impression".to_string()
             };
             let amount = i.to_string();
-            w.append_row_annotated(
+            let code = dict.iter().position(|entry| *entry == action.as_bytes());
+            w.append_row_coded(
                 &[user.as_bytes(), action.as_bytes(), amount.as_bytes()],
+                code.map(|c| c as u32),
                 i,
                 uli_warehouse::tag_hash(action.as_bytes()),
             );

@@ -1692,7 +1692,7 @@ mod tests {
         let wh = Warehouse::new();
         let dir = WhPath::parse("/logs/c").unwrap();
         wh.mkdirs(&dir).unwrap();
-        let dict = vec![b"click".to_vec(), b"impression".to_vec()];
+        let dict: [&[u8]; 2] = [b"click", b"impression"];
         let mut w = uli_warehouse::ColumnarFileWriter::create(
             &wh,
             &dir.child("part-0").unwrap(),
@@ -1705,8 +1705,9 @@ mod tests {
             let action = if i % 3 == 0 { "click" } else { "impression" };
             let user = (i % 10).to_string();
             let amount = i.to_string();
-            w.append_row_annotated(
+            w.append_row_coded(
                 &[user.as_bytes(), action.as_bytes(), amount.as_bytes()],
+                Some(u32::from(i % 3 != 0)),
                 i,
                 uli_warehouse::tag_hash(action.as_bytes()),
             );

@@ -73,6 +73,11 @@ impl Hll {
     /// Folds in one value. Values hash via their wire encoding, so any two
     /// equal `Value`s (including across clones) collide by construction.
     pub fn insert(&mut self, v: &Value) {
+        // An integer — a user id, the common distinct-count key — is hashed
+        // from the stack.
+        if let Value::Int(i) = v {
+            return self.insert_hash(fnv1a(&crate::wire::encode_int(*i)));
+        }
         let mut bytes = Vec::with_capacity(16);
         crate::wire::encode_value(v, &mut bytes);
         self.insert_hash(fnv1a(&bytes));
@@ -422,6 +427,17 @@ impl TopK {
     /// Adds one occurrence of `key`.
     pub fn insert(&mut self, key: &[u8]) {
         self.add(key, 1);
+    }
+
+    /// True when adding all of `keys` (distinct) leaves the candidate set
+    /// within its capacity. No add of them prunes then, so they commute: any
+    /// order, and `add(key, n)` for `n` adds of one, reach the same state.
+    pub fn admits<'k>(&self, keys: impl IntoIterator<Item = &'k [u8]>) -> bool {
+        let new = keys
+            .into_iter()
+            .filter(|key| !self.candidates.contains(*key))
+            .count();
+        self.candidates.len() + new <= TOPK_CANDIDATES
     }
 
     /// Merges another tracker in (same `k` expected; the larger wins so

@@ -29,16 +29,20 @@ fn corrupt() -> DataflowError {
     }
 }
 
+/// The encoding of `Value::Int(i)`.
+pub(crate) fn encode_int(i: i64) -> [u8; 9] {
+    let mut out = [TAG_INT; 9];
+    out[1..].copy_from_slice(&i.to_be_bytes());
+    out
+}
+
 /// Appends one value to `out`.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(false) => out.push(TAG_BOOL_FALSE),
         Value::Bool(true) => out.push(TAG_BOOL_TRUE),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_be_bytes());
-        }
+        Value::Int(i) => out.extend_from_slice(&encode_int(*i)),
         Value::Double(d) => {
             out.push(TAG_DOUBLE);
             out.extend_from_slice(&d.to_bits().to_be_bytes());

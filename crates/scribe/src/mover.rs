@@ -461,46 +461,50 @@ impl LogMover {
 }
 
 /// Decode-stage worker: reads one staged file whole, applies the sanity
-/// checks, and strips envelopes. Corrupt or truncated blocks reject the
-/// file without poisoning the slide; any other failure is fatal.
+/// checks, and strips envelopes; each surviving payload is copied once,
+/// straight out of its decompressed block. Corrupt or truncated blocks
+/// reject the file without poisoning the slide; any other failure is fatal.
 fn decode_staged_file(wh: &Warehouse, file: &WhPath) -> Result<DecodedFile, WarehouseError> {
-    let records = match wh.open(file).and_then(|r| r.read_all()) {
-        Ok(r) => r,
-        Err(WarehouseError::ChecksumMismatch { .. }) | Err(WarehouseError::Corrupt(_)) => {
-            return Ok(DecodedFile::Rejected);
-        }
-        Err(e) => return Err(e),
-    };
-    let framed = staged::is_framed(&records);
-    let body = if framed { &records[1..] } else { &records[..] };
+    // A framed file announces itself with its first record.
+    let mut framed = None;
     let mut dropped = 0u64;
     let mut bytes = 0u64;
-    let mut out = Vec::with_capacity(body.len());
-    for record in body {
-        bytes += record.len() as u64;
-        let (id, payload) = if framed {
-            match staged::decode(record) {
-                Some(x) => x,
-                None => {
-                    dropped += 1;
-                    continue;
+    let mut records = Vec::new();
+    let visit = wh.open_blocks(file).and_then(|blocks| {
+        (0..blocks.block_count()).try_for_each(|block| {
+            blocks.for_each_record(block, |record| {
+                if framed.is_none() {
+                    framed = Some(record == staged::MAGIC);
+                    if framed == Some(true) {
+                        return;
+                    }
                 }
-            }
-        } else {
-            (None, record.as_slice())
-        };
-        // Sanity check: drop empty messages.
-        if payload.is_empty() {
-            dropped += 1;
-            continue;
+                bytes += record.len() as u64;
+                let decoded = match framed {
+                    Some(true) => staged::decode(record),
+                    _ => Some((None, record)),
+                };
+                match decoded {
+                    // Sanity check: drop bad envelopes and empty messages.
+                    Some((id, payload)) if !payload.is_empty() => {
+                        records.push((id, payload.to_vec()))
+                    }
+                    _ => dropped += 1,
+                }
+            })
+        })
+    });
+    match visit {
+        Ok(()) => Ok(DecodedFile::Decoded {
+            dropped,
+            bytes,
+            records,
+        }),
+        Err(WarehouseError::ChecksumMismatch { .. }) | Err(WarehouseError::Corrupt(_)) => {
+            Ok(DecodedFile::Rejected)
         }
-        out.push((id, payload.to_vec()));
+        Err(e) => Err(e),
     }
-    Ok(DecodedFile::Decoded {
-        dropped,
-        bytes,
-        records: out,
-    })
 }
 
 /// Land-stage worker: writes one chunk of the accepted sequence as

@@ -70,11 +70,6 @@ pub fn decode(record: &[u8]) -> Option<(Option<EntryId>, &[u8])> {
     }
 }
 
-/// True if a file's records begin with the framing magic.
-pub fn is_framed(records: &[Vec<u8>]) -> bool {
-    records.first().map(Vec::as_slice) == Some(MAGIC)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,12 +109,5 @@ mod tests {
             assert_eq!(scratch, encode(id, payload));
             assert_eq!(decode(&scratch), Some((id, payload)));
         }
-    }
-
-    #[test]
-    fn framing_detection() {
-        assert!(is_framed(&[MAGIC.to_vec(), vec![1, 2]]));
-        assert!(!is_framed(&[b"raw".to_vec()]));
-        assert!(!is_framed(&[]));
     }
 }

@@ -12,11 +12,11 @@
 //! the same assemble-then-rename discipline the log mover uses, so a
 //! restarted server reloads committed hours and rebuilds missing ones.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use uli_core::columnar::{
-    event_columns, for_each_event_row, EventColumns, EventRow, NAME_COLUMN, SESSION_COLUMN,
-    TIMESTAMP_COLUMN, USER_COLUMN,
+    event_columns, for_each_event_row, EventColumns, NAME_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN,
+    USER_COLUMN,
 };
 use uli_warehouse::{
     HourlyPartition, Parallelism, ScanFile, ScanPool, ScanStats, Warehouse, WarehouseError,
@@ -208,6 +208,15 @@ pub fn build_hour_index(
         index.records += partial.records;
         index.events += partial.events;
         index.files.push(entry);
+        // The first file's maps are the index so far; the others merge in.
+        if index.files.len() == 1 {
+            index.name_counts = partial.name_counts;
+            index.name_postings = partial.name_postings;
+            index.user_postings = partial.user_postings;
+            index.user_summaries = partial.user_summaries;
+            sessions = file_sessions;
+            continue;
+        }
         for (name, count) in partial.name_counts {
             *index.name_counts.entry(name).or_insert(0) += count;
         }
@@ -256,11 +265,36 @@ pub fn build_hour_index(
 const INDEXED_COLUMNS: EventColumns =
     event_columns([NAME_COLUMN, USER_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN]);
 
+/// What one file posts under an event name.
+#[derive(Default)]
+struct NamePosted {
+    count: u64,
+    /// The groups holding the name, ascending.
+    groups: Vec<u32>,
+}
+
+/// What one file posts under a user.
+struct UserPosted {
+    /// The groups holding the user, ascending.
+    groups: Vec<u32>,
+    summary: UserHourSummary,
+    sessions: BTreeSet<String>,
+}
+
+/// Posts `group` once: the scan visits groups in ascending order.
+fn post_group(groups: &mut Vec<u32>, group: u32) {
+    if groups.last() != Some(&group) {
+        groups.push(group);
+    }
+}
+
 /// Scans one landed file into its partial index — the parallel unit of the
-/// hour build. Pure per-file work: nothing here touches shared state.
+/// hour build. Pure per-file work: nothing here touches shared state. A row
+/// costs one hash probe by name and one by user; the ordered maps of the
+/// index are built once per file, from what the probes gathered.
 fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseResult<FilePartial> {
-    let mut partial = HourIndex::default();
-    let mut sessions: BTreeMap<i64, BTreeSet<String>> = BTreeMap::new();
+    let mut names: HashMap<String, NamePosted> = HashMap::new();
+    let mut users: HashMap<i64, UserPosted> = HashMap::new();
     let file = ScanFile::open(warehouse, path)?;
     // Row groups are addressable, so a columnar file posts the group an
     // event sits in; a row-format sibling posts as one pseudo-group, the
@@ -269,9 +303,54 @@ fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseRes
     let (events, skipped) =
         for_each_event_row(&file, 0..file.units(), INDEXED_COLUMNS, |unit, row| {
             let group = if columnar { unit as u32 } else { 0 };
-            post_event(&mut partial, &mut sessions, file_no, group, row)
+            let name = row.name()?;
+            // A name owns its key once, when first seen in the file.
+            let posted = match names.get_mut(name) {
+                Some(posted) => posted,
+                None => names.entry(name.to_string()).or_default(),
+            };
+            posted.count += 1;
+            post_group(&mut posted.groups, group);
+            let millis = row.timestamp()?.millis();
+            let posted = users.entry(row.user_id()?).or_insert_with(|| UserPosted {
+                groups: Vec::new(),
+                summary: UserHourSummary {
+                    events: 0,
+                    sessions: 0,
+                    first_millis: millis,
+                    last_millis: millis,
+                },
+                sessions: BTreeSet::new(),
+            });
+            post_group(&mut posted.groups, group);
+            posted.summary.events += 1;
+            posted.summary.first_millis = posted.summary.first_millis.min(millis);
+            posted.summary.last_millis = posted.summary.last_millis.max(millis);
+            let session_id = row.session_id()?;
+            if !posted.sessions.contains(session_id) {
+                posted.sessions.insert(session_id.to_string());
+            }
+            Ok(())
         })?;
-    partial.records += events + skipped;
+    let mut partial = HourIndex {
+        records: events + skipped,
+        events,
+        ..HourIndex::default()
+    };
+    let postings = |groups: Vec<u32>| Postings::from([(file_no, BTreeSet::from_iter(groups))]);
+    for (name, posted) in names {
+        partial.name_counts.insert(name.clone(), posted.count);
+        partial.name_postings.insert(name, postings(posted.groups));
+    }
+    // In key order, so that every insert lands at the end of its map.
+    let mut users: Vec<(i64, UserPosted)> = users.into_iter().collect();
+    users.sort_unstable_by_key(|(user, _)| *user);
+    let mut sessions = BTreeMap::new();
+    for (user, posted) in users {
+        partial.user_postings.insert(user, postings(posted.groups));
+        partial.user_summaries.insert(user, posted.summary);
+        sessions.insert(user, posted.sessions);
+    }
     Ok(FilePartial {
         entry: FileEntry {
             name: path.name().to_string(),
@@ -282,61 +361,6 @@ fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseRes
         sessions,
         scanned: file.local_stats(),
     })
-}
-
-fn post_event(
-    index: &mut HourIndex,
-    sessions: &mut BTreeMap<i64, BTreeSet<String>>,
-    file: u32,
-    group: u32,
-    row: &EventRow<'_>,
-) -> WarehouseResult<()> {
-    index.events += 1;
-    let name = row.name()?.as_str();
-    // A name owns its map keys once, when first seen in the file.
-    match index.name_counts.get_mut(name) {
-        Some(count) => *count += 1,
-        None => {
-            index.name_counts.insert(name.to_string(), 1);
-            index
-                .name_postings
-                .insert(name.to_string(), Postings::new());
-        }
-    }
-    index
-        .name_postings
-        .get_mut(name)
-        .expect("inserted with its count")
-        .entry(file)
-        .or_default()
-        .insert(group);
-    let user_id = row.user_id()?;
-    index
-        .user_postings
-        .entry(user_id)
-        .or_default()
-        .entry(file)
-        .or_default()
-        .insert(group);
-    let millis = row.timestamp()?.millis();
-    let summary = index
-        .user_summaries
-        .entry(user_id)
-        .or_insert(UserHourSummary {
-            events: 0,
-            sessions: 0,
-            first_millis: millis,
-            last_millis: millis,
-        });
-    summary.events += 1;
-    summary.first_millis = summary.first_millis.min(millis);
-    summary.last_millis = summary.last_millis.max(millis);
-    let ids = sessions.entry(user_id).or_default();
-    let session_id = row.session_id()?;
-    if !ids.contains(session_id) {
-        ids.insert(session_id.to_string());
-    }
-    Ok(())
 }
 
 /// Serializes the index as one tab-separated record per fact. Event names

@@ -4,19 +4,20 @@
 //!
 //! [`StreamAnalytics`] implements [`uli_scribe::DeliveryTap`], so it can
 //! be attached to a [`uli_scribe::ScribePipeline`] and observe exactly the
-//! records each successful atomic slide makes visible. Records route to a
-//! shard by payload hash — the routing is pure partitioning, so because
-//! every [`StreamState`] operation commutes, the merged view is identical
-//! at *any* shard count and any merge order. The lambda invariant suite
-//! pins that: views at 1, 4, and 8 shards are asserted byte-equal.
+//! records each successful atomic slide makes visible. A delivered hour is
+//! cut into one contiguous run of records per shard — the routing is pure
+//! partitioning and reads no payload, so because every [`StreamState`]
+//! operation commutes, the merged view is identical at *any* shard count
+//! and any merge order. The lambda invariant suite pins that: views at 1,
+//! 4, and 8 shards are asserted byte-equal.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use uli_obs::{Counter, Gauge, Registry};
 use uli_scribe::DeliveryTap;
-use uli_warehouse::{fnv1a64, HourlyPartition};
+use uli_warehouse::HourlyPartition;
 
 use crate::state::{StreamState, DEFAULT_TRENDING_K};
 
@@ -43,6 +44,9 @@ impl Default for StreamConfig {
 /// the streaming state stays authoritative, the registry can only show a
 /// value the monoid computed.
 struct StreamObs {
+    /// Every delivery so far, merged: advanced by each hour's own states,
+    /// so mirroring never re-merges the hours before it.
+    running: StreamState,
     records: Counter,
     events: Counter,
     malformed: Counter,
@@ -55,8 +59,9 @@ struct StreamObs {
 }
 
 impl StreamObs {
-    fn new(registry: &Registry) -> StreamObs {
+    fn new(registry: &Registry, trending_k: usize) -> StreamObs {
         StreamObs {
+            running: StreamState::new(trending_k),
             records: registry.counter("stream", "records"),
             events: registry.counter("stream", "events"),
             malformed: registry.counter("stream", "malformed"),
@@ -102,23 +107,17 @@ impl Inner {
         out
     }
 
-    fn sync_obs(&mut self) {
-        let running = self.running();
-        let hours_open = self.hours.len();
-        let hour_views: Vec<(u64, u64)> = self
-            .hours
-            .iter()
-            .map(|(h, states)| (*h, states.iter().map(|s| s.records()).sum()))
-            .collect();
+    /// Mirrors the running view, and the window of `hour`, into the registry.
+    fn sync_obs(&mut self, hour: u64) {
         let Some(obs) = &mut self.obs else { return };
-        obs.records.set_total(running.records());
-        obs.events.set_total(running.events());
-        obs.malformed.set_total(running.malformed());
+        obs.records.set_total(obs.running.records());
+        obs.events.set_total(obs.running.events());
+        obs.malformed.set_total(obs.running.malformed());
         obs.hours_moved.set_total(self.hours_moved);
         obs.distinct_users_est
-            .set(running.distinct_users_estimate().min(i64::MAX as u64) as i64);
-        obs.hours_open.set(hours_open as i64);
-        for (hour, records) in hour_views {
+            .set(obs.running.distinct_users_estimate().min(i64::MAX as u64) as i64);
+        obs.hours_open.set(self.hours.len() as i64);
+        if let Some(states) = self.hours.get(&hour) {
             let counter = obs.hour_records.entry(hour).or_insert_with(|| {
                 obs.registry.counter_labeled(
                     "stream",
@@ -126,7 +125,7 @@ impl Inner {
                     &[("hour", &hour.to_string())],
                 )
             });
-            counter.set_total(records);
+            counter.set_total(states.iter().map(|s| s.records()).sum());
         }
     }
 }
@@ -147,7 +146,7 @@ impl StreamAnalytics {
     /// A speed layer whose running and windowed views mirror into
     /// `stream/*` registry metrics on every delivered hour.
     pub fn with_obs(config: StreamConfig, registry: &Registry) -> StreamAnalytics {
-        Self::build(config, Some(StreamObs::new(registry)))
+        Self::build(config, Some(StreamObs::new(registry, config.trending_k)))
     }
 
     fn build(config: StreamConfig, obs: Option<StreamObs>) -> StreamAnalytics {
@@ -163,9 +162,10 @@ impl StreamAnalytics {
         }
     }
 
-    /// Folds each delivered hour's shards across `workers`. Shard routing
-    /// stays serial (it fixes every shard's observe order), so the states
-    /// — and therefore every view — are identical at any worker count.
+    /// Folds each delivered hour's shards across `workers`. Which records a
+    /// shard folds, and in what order, is fixed by their position in the
+    /// delivery, so the states — and therefore every view — are identical
+    /// at any worker count.
     pub fn with_parallelism(self, workers: uli_warehouse::Parallelism) -> Self {
         self.inner.lock().workers = workers;
         self
@@ -220,30 +220,32 @@ impl DeliveryTap for StreamAnalytics {
         // An hour can slide with zero records (all its data was lost,
         // dropped, or never logged); no window opens for it.
         if !payloads.is_empty() {
-            let states = inner
-                .hours
-                .entry(partition.hour_index())
-                .or_insert_with(|| vec![StreamState::new(k); shards]);
-            // Route serially: each shard's observe sequence is fixed here,
-            // in payload order, before any worker touches a state.
-            let mut routed: Vec<Vec<usize>> = vec![Vec::new(); shards];
-            for (i, payload) in payloads.iter().enumerate() {
-                // FNV-1a routing: which shard a record lands in never
-                // affects the merged view; it only has to be deterministic.
-                routed[(fnv1a64(payload) % shards as u64) as usize].push(i);
-            }
-            // Fold each shard independently — shards share nothing, so the
-            // pool only changes wall-clock, never a state.
-            let taken = std::mem::take(states);
-            let work: Vec<(StreamState, Vec<usize>)> = taken.into_iter().zip(routed).collect();
-            *states = uli_warehouse::ScanPool::new(workers).map(work, |_i, (mut state, idxs)| {
-                for i in idxs {
-                    state.observe(&payloads[i]);
-                }
+            // Shard `s` folds the `s`-th contiguous run of the delivery.
+            // Shards share nothing, so the pool only changes wall-clock,
+            // never a state.
+            let run = payloads.len().div_ceil(shards);
+            let mut runs: Vec<&[Vec<u8>]> = payloads.chunks(run).collect();
+            runs.resize(shards, &[]);
+            let delivered = uli_warehouse::ScanPool::new(workers).map(runs, |_i, run| {
+                let mut state = StreamState::new(k);
+                state.fold(run);
                 state
             });
+            if let Some(obs) = &mut inner.obs {
+                delivered.iter().for_each(|state| obs.running.merge(state));
+            }
+            match inner.hours.entry(partition.hour_index()) {
+                Entry::Vacant(window) => {
+                    window.insert(delivered);
+                }
+                Entry::Occupied(mut window) => {
+                    for (state, more) in window.get_mut().iter_mut().zip(&delivered) {
+                        state.merge(more);
+                    }
+                }
+            }
         }
-        inner.sync_obs();
+        inner.sync_obs(partition.hour_index());
     }
 }
 
@@ -349,5 +351,47 @@ mod tests {
             Some(a.running_view().distinct_users_estimate() as i64)
         );
         assert!(registry.duplicate_registrations().is_empty());
+    }
+
+    #[test]
+    fn obs_running_state_equals_the_full_re_merge_after_every_hour() {
+        let registry = Registry::new();
+        let a = StreamAnalytics::with_obs(StreamConfig::default(), &registry);
+        let mut p: Vec<Vec<u8>> = (0..90).map(payload).collect();
+        p.push(b"not thrift".to_vec());
+        // Out of order, one hour delivered twice, one delivery empty.
+        let deliveries = [
+            (3, 0..20),
+            (1, 20..50),
+            (3, 50..70),
+            (2, 70..70),
+            (0, 70..91),
+        ];
+        for (hour, range) in deliveries {
+            deliver(&a, hour, &p[range]);
+            // `running_view` merges every shard of every window afresh.
+            let merged = a.running_view();
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter_value("stream/records"), Some(merged.records()));
+            assert_eq!(snap.counter_value("stream/events"), Some(merged.events()));
+            assert_eq!(
+                snap.counter_value("stream/malformed"),
+                Some(merged.malformed())
+            );
+            assert_eq!(
+                snap.gauge_value("stream/distinct_users_est"),
+                Some(merged.distinct_users_estimate() as i64)
+            );
+            assert_eq!(
+                snap.gauge_value("stream/hours_open"),
+                Some(a.hours().len() as i64)
+            );
+            assert_eq!(a.inner.lock().obs.as_ref().unwrap().running, merged);
+        }
+        assert_eq!(
+            registry.snapshot().counter_value("stream/hours_moved"),
+            Some(5)
+        );
+        assert_eq!(a.hour_view(3).unwrap().records(), 40);
     }
 }

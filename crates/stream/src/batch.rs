@@ -10,8 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uli_core::ClientEvent;
-use uli_thrift::record::ThriftRecord;
+use uli_core::columnar::EventRow;
 use uli_warehouse::{HourlyPartition, Warehouse, WarehouseError};
 
 use crate::state::StreamState;
@@ -41,19 +40,18 @@ impl BatchSummary {
     pub fn observe(&mut self, payload: &[u8]) {
         self.records += 1;
         self.payload_sizes.push(payload.len() as u64);
-        match ClientEvent::from_bytes(payload) {
+        match EventRow::from_bytes(payload) {
             Ok(ev) => {
+                let name = ev.name().expect("every column is declared");
                 self.events += 1;
-                *self
-                    .by_name
-                    .entry(ev.name.as_str().to_string())
-                    .or_insert(0) += 1;
-                *self
-                    .by_client
-                    .entry(ev.name.client().to_string())
-                    .or_insert(0) += 1;
-                if ev.user_id != 0 {
-                    self.distinct_users.insert(ev.user_id);
+                *self.by_name.entry(name.to_string()).or_insert(0) += 1;
+                let client = name.split(':').next().expect("split yields a first part");
+                *self.by_client.entry(client.to_string()).or_insert(0) += 1;
+                match ev.user_id().expect("every column is declared") {
+                    0 => {}
+                    user => {
+                        self.distinct_users.insert(user);
+                    }
                 }
             }
             Err(_) => self.malformed += 1,
@@ -206,7 +204,8 @@ pub fn check_convergence(stream: &StreamState, batch: &BatchSummary) -> Converge
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uli_core::{EventInitiator, EventName, Timestamp};
+    use uli_core::{ClientEvent, EventInitiator, EventName, Timestamp};
+    use uli_thrift::ThriftRecord;
 
     fn payload(i: i64) -> Vec<u8> {
         ClientEvent::new(

@@ -14,8 +14,9 @@
 //!   distinct users, Count-Min/TopK trending names, log-linear payload
 //!   percentiles), all merging commutatively and associatively.
 //! * [`StreamAnalytics`] — the speed layer: implements
-//!   [`uli_scribe::DeliveryTap`], shards delivered records by payload
-//!   hash, and serves windowed (per-hour) and running (day-so-far) views,
+//!   [`uli_scribe::DeliveryTap`], cuts each delivery into one run of
+//!   records per shard, and serves windowed (per-hour) and running
+//!   (day-so-far) views,
 //!   mirrored into `uli-obs` registry metrics.
 //! * [`BatchSummary`] / [`check_convergence`] — the batch layer and the
 //!   lambda invariant: streaming views over the delivered partition must

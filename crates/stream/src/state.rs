@@ -16,12 +16,21 @@
 //! sketches), no matter how many workers, shards, or merge orders the
 //! delivery schedule produced.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use uli_core::ClientEvent;
+use uli_core::columnar::{event_columns, EventColumns, EventRow, NAME_COLUMN, USER_COLUMN};
 use uli_dataflow::sketch::{Hll, PercentileSketch, TopK};
 use uli_dataflow::Value;
-use uli_thrift::record::ThriftRecord;
+use uli_thrift::CompactReader;
+
+/// What the fold reads of an event.
+const FOLDED_COLUMNS: EventColumns = event_columns([NAME_COLUMN, USER_COLUMN]);
+
+/// The name and user id of `payload`, when it is a client event.
+fn event(payload: &[u8]) -> Option<(&str, i64)> {
+    let (row, _) = EventRow::read(&mut CompactReader::new(payload), &FOLDED_COLUMNS).ok()?;
+    Some((row.name().ok()?, row.user_id().ok()?))
+}
 
 /// How many trending event names the speed layer reports by default.
 pub const DEFAULT_TRENDING_K: usize = 5;
@@ -64,32 +73,67 @@ impl StreamState {
         }
     }
 
-    /// Folds one delivered record payload into the state.
-    ///
-    /// Every operation here commutes (counter add, register max, bucket
-    /// add), so the order records arrive in — across shards, hours, or
-    /// re-merged partials — never changes the final state.
+    /// Folds one delivered record payload into the state: [`fold`](Self::fold)
+    /// of a batch of one.
     pub fn observe(&mut self, payload: &[u8]) {
+        self.fold(&[payload]);
+    }
+
+    /// Folds a batch of delivered record payloads into the state, reaching
+    /// exactly the state folding them one at a time, in order, reaches.
+    ///
+    /// Each payload is walked once, borrowed; what it adds to the counters
+    /// and sketches that commute (counter add, register max, bucket add) is
+    /// applied per record or, for everything keyed by event name, once per
+    /// distinct name of the batch. Only the trending tracker's bounded
+    /// candidate set is order-sensitive, and only once it is full: a batch
+    /// that could overflow it is replayed into the tracker record by
+    /// record.
+    pub fn fold<P: AsRef<[u8]>>(&mut self, payloads: &[P]) {
+        let mut batch: HashMap<&str, u64> = HashMap::new();
+        for name in payloads.iter().filter_map(|p| self.count(p.as_ref())) {
+            *batch.entry(name).or_insert(0) += 1;
+        }
+        let mut batch: Vec<(&str, u64)> = batch.into_iter().collect();
+        batch.sort_unstable();
+        let add = |map: &mut BTreeMap<String, u64>, key: &str, n| match map.get_mut(key) {
+            Some(count) => *count += n,
+            None => {
+                map.insert(key.to_string(), n);
+            }
+        };
+        let commutes = self
+            .trending
+            .admits(batch.iter().map(|(name, _)| name.as_bytes()));
+        for &(name, n) in &batch {
+            add(&mut self.by_name, name, n);
+            let client = name.split(':').next().expect("split yields a first part");
+            add(&mut self.by_client, client, n);
+            if commutes {
+                self.trending.add(name.as_bytes(), n);
+            }
+        }
+        if !commutes {
+            for (name, _) in payloads.iter().filter_map(|p| event(p.as_ref())) {
+                self.trending.insert(name.as_bytes());
+            }
+        }
+    }
+
+    /// Counts one record in everything not keyed by its event name, and
+    /// returns the name when the record is a client event.
+    fn count<'a>(&mut self, payload: &'a [u8]) -> Option<&'a str> {
         self.records += 1;
         self.payload_bytes.record(payload.len() as u64);
-        match ClientEvent::from_bytes(payload) {
-            Ok(ev) => {
-                self.events += 1;
-                *self
-                    .by_name
-                    .entry(ev.name.as_str().to_string())
-                    .or_insert(0) += 1;
-                *self
-                    .by_client
-                    .entry(ev.name.client().to_string())
-                    .or_insert(0) += 1;
-                if ev.user_id != 0 {
-                    self.users.insert(&Value::Int(ev.user_id));
-                }
-                self.trending.insert(ev.name.as_str().as_bytes());
-            }
-            Err(_) => self.malformed += 1,
+        let Some((name, user_id)) = event(payload) else {
+            self.malformed += 1;
+            return None;
+        };
+        self.events += 1;
+        if user_id != 0 {
+            self.users.insert(&Value::Int(user_id));
         }
+        Some(name)
     }
 
     /// Merges another shard's partial in. Commutative, associative, and
@@ -174,7 +218,8 @@ impl StreamState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uli_core::{EventInitiator, EventName, Timestamp};
+    use uli_core::{ClientEvent, EventInitiator, EventName, Timestamp};
+    use uli_thrift::ThriftRecord;
 
     fn event(name: &str, user: i64, at: i64) -> Vec<u8> {
         ClientEvent::new(

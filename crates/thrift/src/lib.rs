@@ -11,9 +11,9 @@
 //!   compact protocol;
 //! * **forward/backward compatibility**: readers skip unknown fields, writers
 //!   omit unset optional fields ([`record::ThriftRecord`]);
-//! * **lazy, zero-copy decoding** ([`lazy`]): a [`lazy::FieldCursor`] walks
-//!   field tags and skips non-requested fields without allocating, so scans
-//!   can push column projections down to the decode loop;
+//! * **zero-copy decoding**: [`protocol::CompactReader`] hands out strings
+//!   and binaries borrowed from the record and allocates nothing itself, so
+//!   a reader can walk a struct field by field and copy only what it keeps;
 //! * a **dynamic value model** ([`value::TValue`]) so tooling (the client
 //!   event catalog, log scrapers) can inspect messages without compiled
 //!   schemas; and
@@ -41,7 +41,6 @@
 //! ```
 
 pub mod error;
-pub mod lazy;
 pub mod protocol;
 pub mod record;
 pub mod schema;
@@ -49,7 +48,6 @@ pub mod value;
 pub mod varint;
 
 pub use error::{ThriftError, ThriftResult};
-pub use lazy::{FieldCursor, LazyRecord, Projection};
 pub use protocol::{CompactReader, CompactWriter, FieldHeader};
 pub use record::ThriftRecord;
 pub use schema::{FieldDescriptor, Requiredness, SchemaRegistry, StructDescriptor};

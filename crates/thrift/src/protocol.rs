@@ -280,7 +280,10 @@ impl CompactWriter {
 pub struct CompactReader<'a> {
     input: &'a [u8],
     pos: usize,
-    last_field_id: Vec<i16>,
+    /// Last field id of every open struct scope, innermost at `depth - 1`.
+    /// Inline, so that reading a record allocates nothing.
+    last_field_id: [i16; MAX_DEPTH],
+    depth: usize,
 }
 
 impl<'a> CompactReader<'a> {
@@ -289,13 +292,20 @@ impl<'a> CompactReader<'a> {
         CompactReader {
             input,
             pos: 0,
-            last_field_id: Vec::new(),
+            last_field_id: [0; MAX_DEPTH],
+            depth: 0,
         }
     }
 
     /// Bytes consumed so far.
     pub fn position(&self) -> usize {
         self.pos
+    }
+
+    /// The bytes consumed since the reader stood at `start` (an earlier
+    /// [`position`](Self::position)), borrowed from the input.
+    pub fn consumed_since(&self, start: usize) -> &'a [u8] {
+        &self.input[start..self.pos]
     }
 
     /// Bytes remaining.
@@ -330,17 +340,19 @@ impl<'a> CompactReader<'a> {
 
     /// Enters a struct scope.
     pub fn struct_begin(&mut self) -> ThriftResult<()> {
-        if self.last_field_id.len() >= MAX_DEPTH {
+        if self.depth >= MAX_DEPTH {
             return Err(ThriftError::DepthLimitExceeded);
         }
-        self.last_field_id.push(0);
+        self.last_field_id[self.depth] = 0;
+        self.depth += 1;
         Ok(())
     }
 
     /// Leaves a struct scope. Must be called after `field_begin` returned `None`.
     pub fn struct_end(&mut self) {
-        self.last_field_id
-            .pop()
+        self.depth = self
+            .depth
+            .checked_sub(1)
             .expect("struct_end without struct_begin");
     }
 
@@ -352,10 +364,11 @@ impl<'a> CompactReader<'a> {
         }
         let ttype = TType::from_wire(byte & 0x0f)?;
         let delta = (byte >> 4) as i16;
-        let last = self
-            .last_field_id
-            .last_mut()
+        let scope = self
+            .depth
+            .checked_sub(1)
             .expect("field_begin outside a struct");
+        let last = &mut self.last_field_id[scope];
         let id = if delta != 0 {
             *last + delta
         } else {

@@ -18,7 +18,8 @@
 //! an optional embedded dictionary for one designated column), and then maps
 //! each row group onto exactly one block so group-level zone maps and
 //! skipping reuse the ordinary block machinery. Dictionary-column cells
-//! store a small integer code instead of the value; values missing from
+//! store a small integer code instead of the value — the code its writer,
+//! who built the dictionary, hands over with the row; values missing from
 //! the dictionary fall back to inline bytes, so the file never refuses a
 //! row. Decompressed column chunks are cached content-addressed in the
 //! shared block cache, keyed by chunk checksum + decoded length.
@@ -51,8 +52,8 @@ pub struct ColumnarFileWriter {
     inner: crate::file::RecordFileWriter,
     columns: usize,
     rows_per_group: usize,
-    dict_col: Option<usize>,
-    dict_index: HashMap<Vec<u8>, u32>,
+    /// The dictionary-coded column and how many entries its dictionary has.
+    dictionary: Option<(usize, usize)>,
     buffers: Vec<Vec<u8>>,
     buffered_rows: usize,
     group_zone: ZoneMap,
@@ -61,14 +62,15 @@ pub struct ColumnarFileWriter {
 
 impl ColumnarFileWriter {
     /// Opens a v2 columnar file at `path`. `dictionary` optionally names one
-    /// column plus its code table (index = code); cells of that column whose
-    /// value appears in the table are stored as the code, others inline.
+    /// column plus its code table (index = code); a cell of that column
+    /// appended with its code ([`append_row_coded`](Self::append_row_coded))
+    /// is stored as the code, any other inline.
     pub fn create(
         warehouse: &Warehouse,
         path: &WhPath,
         columns: usize,
         rows_per_group: usize,
-        dictionary: Option<(usize, &[Vec<u8>])>,
+        dictionary: Option<(usize, &[&[u8]])>,
     ) -> WarehouseResult<ColumnarFileWriter> {
         assert!(columns > 0 && rows_per_group > 0);
         if let Some((col, _)) = dictionary {
@@ -79,17 +81,13 @@ impl ColumnarFileWriter {
         header.extend_from_slice(&COLUMNAR_MAGIC);
         header.push(COLUMNAR_VERSION);
         write_varint(&mut header, columns as u64);
-        let mut dict_index = HashMap::new();
         match dictionary {
             Some((col, entries)) => {
                 write_varint(&mut header, col as u64 + 1);
                 write_varint(&mut header, entries.len() as u64);
-                for (code, value) in entries.iter().enumerate() {
+                for value in entries {
                     write_varint(&mut header, value.len() as u64);
                     header.extend_from_slice(value);
-                    // First occurrence wins; duplicate values keep the
-                    // smaller (more frequent) code.
-                    dict_index.entry(value.clone()).or_insert(code as u32);
                 }
             }
             None => write_varint(&mut header, 0),
@@ -99,8 +97,7 @@ impl ColumnarFileWriter {
             inner,
             columns,
             rows_per_group,
-            dict_col: dictionary.map(|(col, _)| col),
-            dict_index,
+            dictionary: dictionary.map(|(col, entries)| (col, entries.len())),
             buffers: vec![Vec::new(); columns],
             buffered_rows: 0,
             group_zone: ZoneMap::empty(),
@@ -108,40 +105,52 @@ impl ColumnarFileWriter {
         })
     }
 
-    /// Appends one row; `cells.len()` must equal the column count.
+    /// Appends one row, every cell inline; `cells.len()` must equal the
+    /// column count.
     pub fn append_row(&mut self, cells: &[&[u8]]) {
-        self.push_cells(cells);
+        self.push_cells(cells, None);
         self.maybe_seal();
     }
 
-    /// Appends one row with zone annotations: `key` folds into the group's
-    /// min/max range and `tag` into its membership bitmap, like
-    /// `append_record_annotated` does for row-format blocks.
+    /// Appends one row, every cell inline, with zone annotations: `key`
+    /// folds into the group's min/max range and `tag` into its membership
+    /// bitmap, like `append_record_annotated` does for row-format blocks.
     pub fn append_row_annotated(&mut self, cells: &[&[u8]], key: i64, tag: u64) {
+        self.append_row_coded(cells, None, key, tag);
+    }
+
+    /// [`append_row_annotated`](Self::append_row_annotated) with the
+    /// dictionary column's cell stored as `code` — the index, in the
+    /// dictionary given to [`create`](Self::create), of an entry equal to
+    /// that cell. `None` stores the cell inline, as a value the dictionary
+    /// lacks must be. The writer looks nothing up: whoever built the
+    /// dictionary knows its codes.
+    pub fn append_row_coded(&mut self, cells: &[&[u8]], code: Option<u32>, key: i64, tag: u64) {
         self.group_zone.fold(key, tag);
         self.group_annotated += 1;
-        self.push_cells(cells);
+        self.push_cells(cells, code);
         self.maybe_seal();
     }
 
-    fn push_cells(&mut self, cells: &[&[u8]]) {
+    fn push_cells(&mut self, cells: &[&[u8]], code: Option<u32>) {
         assert_eq!(cells.len(), self.columns, "row width");
+        let (dict_col, dict_len) = self.dictionary.unzip();
+        assert!(
+            code.is_none_or(|code| (code as usize) < dict_len.unwrap_or(0)),
+            "dictionary code in range"
+        );
         for (c, (buf, cell)) in self.buffers.iter_mut().zip(cells).enumerate() {
-            if Some(c) == self.dict_col {
+            if Some(c) == dict_col {
                 // Dictionary cell: varint(code + 1) on a hit, or a 0 marker
                 // followed by the ordinary length-prefixed inline bytes.
-                match self.dict_index.get(*cell) {
-                    Some(code) => write_varint(buf, u64::from(*code) + 1),
-                    None => {
-                        buf.push(0);
-                        write_varint(buf, cell.len() as u64);
-                        buf.extend_from_slice(cell);
-                    }
+                if let Some(code) = code {
+                    write_varint(buf, u64::from(code) + 1);
+                    continue;
                 }
-            } else {
-                write_varint(buf, cell.len() as u64);
-                buf.extend_from_slice(cell);
+                buf.push(0);
             }
+            write_varint(buf, cell.len() as u64);
+            buf.extend_from_slice(cell);
         }
         self.buffered_rows += 1;
     }
@@ -158,11 +167,18 @@ impl ColumnarFileWriter {
         }
         // Row group record: varint row count, varint column count, then per
         // column varint compressed length + compressed cells.
-        let mut record = Vec::new();
+        // Sized for chunks that compress to half: one allocation, seldom two.
+        let cells: usize = self.buffers.iter().map(Vec::len).sum();
+        let mut record = Vec::with_capacity(cells / 2 + 16);
         write_varint(&mut record, self.buffered_rows as u64);
         write_varint(&mut record, self.columns as u64);
+        // Every group is sealed into a block of its own, so between groups
+        // the file writer's compressor is idle: the chunks borrow it.
+        let compressor = &mut self.inner.compressor;
+        debug_assert!(compressor.is_empty(), "a block is open between groups");
         for buf in &mut self.buffers {
-            let compressed = compress::compress(buf);
+            compressor.write(buf);
+            let compressed = compressor.finish_block();
             write_varint(&mut record, compressed.len() as u64);
             record.extend_from_slice(&compressed);
             buf.clear();
@@ -653,7 +669,7 @@ mod tests {
         /// dictionary (inline fallback). Rows are zone-annotated with
         /// key = row index and tag = hash of the col-1 value.
         fn write_v2(wh: &Warehouse, path: &str, rows: usize, group: usize) -> Vec<[Vec<u8>; 3]> {
-            let dict = vec![b"click".to_vec(), b"view".to_vec()];
+            let dict: [&[u8]; 2] = [b"click", b"view"];
             let mut w =
                 ColumnarFileWriter::create(wh, &p(path), 3, group, Some((1, &dict))).unwrap();
             let mut expect = Vec::with_capacity(rows);
@@ -667,7 +683,8 @@ mod tests {
                     b"view".to_vec()
                 };
                 let c = format!("payload-{i}-{}", "x".repeat(40)).into_bytes();
-                w.append_row_annotated(&[&a, &b, &c], i as i64, crate::zone::tag_hash(&b));
+                let code = dict.iter().position(|entry| *entry == b).map(|c| c as u32);
+                w.append_row_coded(&[&a, &b, &c], code, i as i64, crate::zone::tag_hash(&b));
                 expect.push([a, b, c]);
             }
             w.finish().unwrap();

@@ -28,12 +28,6 @@ const WINDOW: usize = 1 << 16;
 /// Hash table size (power of two).
 const HASH_BITS: u32 = 15;
 
-#[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
-}
-
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
@@ -63,8 +57,133 @@ fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// What an empty table slot holds. Slots hold `base + position`, and
+/// `base` is never below 1, so no position ever encodes to this.
+const EMPTY: u32 = 0;
+/// `base` is kept at or under this, and a block under `u32::MAX - BASE_LIMIT`
+/// bytes, so `base + position` never wraps.
+const BASE_LIMIT: u32 = 1 << 31;
+
+#[inline]
+fn load4(input: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(input[at..at + 4].try_into().expect("4 bytes"))
+}
+
+#[inline]
+fn hash4(v: u32) -> usize {
+    (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the common prefix of `input[a..]` and `input[b..]` (`a < b`),
+/// capped at `max`; eight bytes a step.
+#[inline]
+fn match_len(input: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let (left, right) = (&input[a..a + max], &input[b..b + max]);
+    let mut len = 0;
+    while len + 8 <= max {
+        let x = u64::from_le_bytes(left[len..len + 8].try_into().expect("8 bytes"));
+        let y = u64::from_le_bytes(right[len..len + 8].try_into().expect("8 bytes"));
+        if x != y {
+            return len + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < max && left[len] == right[len] {
+        len += 1;
+    }
+    len
+}
+
+/// The greedy matcher every `ulz` stream comes from, resumable: tokens for
+/// `input[*pos..]` are appended to `tokens` as far as their outcome is
+/// final. A match can extend up to [`MAX_MATCH`] bytes and seeds the table
+/// up to [`MIN_MATCH`] bytes short of its end, so unless `finalize` a
+/// position is deferred until `MAX_MATCH + MIN_MATCH` lookahead bytes
+/// exist; that margin makes the stream independent of how the input was
+/// chunked.
+///
+/// `table` slots hold `base + position` of the last sighting of a hash in
+/// this block; anything below `base` is a leftover of an earlier block (or
+/// [`EMPTY`]) and is no candidate, which is what lets a caller start the
+/// next block by moving `base` past this one instead of clearing the table.
+fn advance(
+    table: &mut [u32],
+    base: u32,
+    input: &[u8],
+    tokens: &mut Vec<u8>,
+    pos: &mut usize,
+    literal_start: &mut usize,
+    finalize: bool,
+) {
+    let table: &mut [u32; 1 << HASH_BITS] = table.try_into().expect("table size");
+    let len = input.len();
+    assert!(
+        len < (u32::MAX - BASE_LIMIT) as usize,
+        "ulz block too large"
+    );
+    let lookahead = if finalize {
+        MIN_MATCH
+    } else {
+        MAX_MATCH + MIN_MATCH
+    };
+    let (mut at, mut literals) = (*pos, *literal_start);
+    while at + lookahead <= len {
+        let here = load4(input, at);
+        let slot = &mut table[hash4(here)];
+        let seen = *slot;
+        *slot = base + at as u32;
+        // `seen - base` is an earlier position of this block, so below `at`.
+        let candidate = seen.wrapping_sub(base) as usize;
+        if seen < base || at - candidate > WINDOW || load4(input, candidate) != here {
+            at += 1;
+            continue;
+        }
+        let max = (len - at).min(MAX_MATCH) - MIN_MATCH;
+        let mlen = MIN_MATCH + match_len(input, candidate + MIN_MATCH, at + MIN_MATCH, max);
+        flush_literals(tokens, &input[literals..at]);
+        tokens.push(0x80 | (mlen - MIN_MATCH) as u8);
+        write_varint(tokens, (at - candidate) as u64);
+        // Seed the table inside the match so later data can refer to it:
+        // every position of it that still has `MIN_MATCH` bytes to hash.
+        let end = at + mlen;
+        let seeds = &input[at + 1..end.min(len - (MIN_MATCH - 1)) + (MIN_MATCH - 1)];
+        for (p, four) in (at + 1..).zip(seeds.windows(MIN_MATCH)) {
+            let four = u32::from_le_bytes(four.try_into().expect("4 bytes"));
+            table[hash4(four)] = base + p as u32;
+        }
+        at = end;
+        literals = end;
+    }
+    (*pos, *literal_start) = (at, literals);
+}
+
 /// Compresses `input`, returning the `ulz` byte stream.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    write_varint(&mut out, input.len() as u64);
+    let mut table = vec![EMPTY; 1 << HASH_BITS];
+    let (mut pos, mut literal_start) = (0, 0);
+    advance(
+        &mut table,
+        1,
+        input,
+        &mut out,
+        &mut pos,
+        &mut literal_start,
+        true,
+    );
+    flush_literals(&mut out, &input[literal_start..]);
+    out
+}
+
+/// The matcher as first written, kept as the reference [`compress`] and
+/// [`Compressor`] are tested against byte for byte.
+#[cfg(test)]
+fn compress_reference(input: &[u8]) -> Vec<u8> {
+    fn hash4(bytes: &[u8]) -> usize {
+        let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+    }
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     write_varint(&mut out, input.len() as u64);
     if input.is_empty() {
@@ -124,16 +243,15 @@ fn flush_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
 /// fresh 32 K-entry table plus output buffer per block.
 ///
 /// Feed bytes with [`Compressor::write`]; tokens are emitted incrementally,
-/// but only for positions whose greedy outcome is already fixed — a match
-/// can extend up to [`MAX_MATCH`] bytes and seeds the hash table up to
-/// [`MIN_MATCH`] bytes short of its end, so a position is deferred until
-/// `MAX_MATCH + MIN_MATCH` lookahead bytes exist (or the block is being
-/// finished). That margin makes the token stream, and the hash-table state
-/// it leaves behind, byte-for-byte identical to running [`compress`] on the
+/// but only for positions whose greedy outcome is already fixed, so the
+/// token stream is byte-for-byte identical to running [`compress`] on the
 /// concatenated input, regardless of how the input was chunked.
 #[derive(Debug)]
 pub struct Compressor {
-    table: Vec<usize>,
+    table: Vec<u32>,
+    /// What the table holds for position 0 of the current block: one past
+    /// everything an earlier block left in it.
+    base: u32,
     /// Uncompressed bytes of the current block — also the match window.
     input: Vec<u8>,
     /// Token stream; the length header is prepended at `finish_block`.
@@ -152,7 +270,8 @@ impl Compressor {
     /// A fresh compressor with an empty current block.
     pub fn new() -> Self {
         Compressor {
-            table: vec![usize::MAX; 1 << HASH_BITS],
+            table: vec![EMPTY; 1 << HASH_BITS],
+            base: 1,
             input: Vec::new(),
             tokens: Vec::new(),
             pos: 0,
@@ -186,7 +305,14 @@ impl Compressor {
         let mut out = Vec::with_capacity(self.tokens.len() + 10);
         write_varint(&mut out, self.input.len() as u64);
         out.extend_from_slice(&self.tokens);
-        self.table.fill(usize::MAX);
+        // Everything this block left in the table now reads as stale, so a
+        // reset costs nothing; the table is only cleared when `base` has
+        // run through half the `u32` range, once per 2 GiB compressed.
+        self.base += self.input.len() as u32;
+        if self.base > BASE_LIMIT {
+            self.table.fill(EMPTY);
+            self.base = 1;
+        }
         self.input.clear();
         self.tokens.clear();
         self.pos = 0;
@@ -194,53 +320,16 @@ impl Compressor {
         out
     }
 
-    /// The incremental core: the same greedy matcher as [`compress`], run
-    /// only over positions whose outcome no future input can change (unless
-    /// `finalize`, when the whole tail is drained).
     fn advance(&mut self, finalize: bool) {
-        let Compressor {
-            table,
-            input,
-            tokens,
-            pos,
-            literal_start,
-        } = self;
-        let len = input.len();
-        while *pos + MIN_MATCH <= len {
-            // A match starting here could reach MAX_MATCH bytes and seed
-            // the table for positions needing MIN_MATCH of lookahead; defer
-            // until that horizon is buffered so the outcome is final.
-            if !finalize && *pos + MAX_MATCH + MIN_MATCH > len {
-                break;
-            }
-            let h = hash4(&input[*pos..]);
-            let candidate = table[h];
-            table[h] = *pos;
-
-            let found = candidate != usize::MAX
-                && *pos - candidate <= WINDOW
-                && input[candidate..candidate + MIN_MATCH] == input[*pos..*pos + MIN_MATCH];
-            if found {
-                let mut mlen = MIN_MATCH;
-                let max = (len - *pos).min(MAX_MATCH);
-                while mlen < max && input[candidate + mlen] == input[*pos + mlen] {
-                    mlen += 1;
-                }
-                flush_literals(tokens, &input[*literal_start..*pos]);
-                tokens.push(0x80 | (mlen - MIN_MATCH) as u8);
-                write_varint(tokens, (*pos - candidate) as u64);
-                let end = *pos + mlen;
-                *pos += 1;
-                while *pos < end && *pos + MIN_MATCH <= len {
-                    table[hash4(&input[*pos..])] = *pos;
-                    *pos += 1;
-                }
-                *pos = end;
-                *literal_start = end;
-            } else {
-                *pos += 1;
-            }
-        }
+        advance(
+            &mut self.table,
+            self.base,
+            &self.input,
+            &mut self.tokens,
+            &mut self.pos,
+            &mut self.literal_start,
+            finalize,
+        );
     }
 }
 
@@ -531,6 +620,100 @@ mod tests {
         c.extend_from_slice(&[0x80]);
         c.extend_from_slice(&[0xff; 11]);
         assert_eq!(decompress(&c), None);
+    }
+
+    /// A deterministic byte soup that no 4-byte window of repeats for long.
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_reused_compressor_never_matches_into_an_earlier_block() {
+        // The large block leaves a table full of positions; the small one
+        // repeats its opening bytes, so any slot that still read as live
+        // would turn up as a match the one-shot matcher cannot see.
+        let mut large = b"session=abcdef0123456789;".repeat(400);
+        large.extend_from_slice(&noise(70_000, 7));
+        let small = &large[..300];
+        let mut c = Compressor::new();
+        for _ in 0..3 {
+            assert_eq!(
+                stream_compress(&mut c, &large, &[4096]),
+                compress_reference(&large)
+            );
+            assert_eq!(
+                stream_compress(&mut c, small, &[]),
+                compress_reference(small)
+            );
+            assert_eq!(
+                stream_compress(&mut c, b"abc", &[]),
+                compress_reference(b"abc")
+            );
+        }
+    }
+
+    #[test]
+    fn the_table_is_cleared_when_base_runs_out() {
+        let data = b"the quick brown fox jumps over the quick brown fox".repeat(30);
+        let mut c = Compressor::new();
+        c.base = BASE_LIMIT - 100;
+        // This block ends past the limit, so the next one starts over at
+        // base 1 on a cleared table.
+        assert_eq!(
+            stream_compress(&mut c, &data, &[]),
+            compress_reference(&data)
+        );
+        assert_eq!(c.base, 1);
+        assert!(c.table.iter().all(|slot| *slot == EMPTY));
+        assert_eq!(
+            stream_compress(&mut c, &data, &[7]),
+            compress_reference(&data)
+        );
+    }
+
+    /// Inputs of the four kinds the write path compresses: repetitive log
+    /// text, noise, an already-compressed stream, and a few bytes.
+    fn arb_input() -> impl Strategy<Value = Vec<u8>> {
+        let text = proptest::collection::vec("[a-f]{1,10}", 0..600)
+            .prop_map(|words| words.join("|").into_bytes());
+        prop_oneof![
+            text.clone().boxed(),
+            proptest::collection::vec(any::<u8>(), 0..6000).boxed(),
+            text.prop_map(|t| compress_reference(&t)).boxed(),
+            proptest::collection::vec(any::<u8>(), 0..9).boxed(),
+            // Long runs: matches at the token cap and overlapping copies.
+            (any::<u8>(), 0usize..3000)
+                .prop_map(|(b, n)| vec![b; n])
+                .boxed(),
+        ]
+    }
+
+    proptest! {
+        /// One core behind both entry points, and it is the matcher as
+        /// first written: same bytes on every kind of input, however the
+        /// input is chunked, from a compressor that has sealed other
+        /// blocks before.
+        #[test]
+        fn both_entry_points_equal_the_reference_matcher(
+            first in arb_input(),
+            second in arb_input(),
+            chunks in proptest::collection::vec(1usize..700, 0..12),
+        ) {
+            let mut c = Compressor::new();
+            for data in [&first, &second, &first] {
+                let expected = compress_reference(data);
+                prop_assert_eq!(&compress(data), &expected);
+                prop_assert_eq!(&stream_compress(&mut c, data, &chunks), &expected);
+                prop_assert_eq!(decompress(&expected).as_deref(), Some(&data[..]));
+            }
+        }
     }
 
     proptest! {

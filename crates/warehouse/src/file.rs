@@ -74,7 +74,7 @@ pub struct RecordFileWriter {
     /// Pool the compressor came from; `finish` hands it back so concurrent
     /// writers converge on one warm allocation set per worker instead of
     /// paying a fresh hash table per file.
-    pub(crate) recycle: Option<std::sync::Arc<compress::CompressorPool>>,
+    pub(crate) recycle: std::sync::Arc<compress::CompressorPool>,
     pub(crate) pending_records: u64,
     pub(crate) pending_zone: ZoneMap,
     pub(crate) pending_annotated: u64,
@@ -161,11 +161,8 @@ impl RecordFileWriter {
     pub fn finish(mut self) -> WarehouseResult<FileMeta> {
         self.seal_block();
         let meta = self.data.meta();
-        let data = std::mem::take(&mut self.data);
-        if let Some(pool) = self.recycle.take() {
-            pool.recycle(std::mem::take(&mut self.compressor));
-        }
-        (self.install)(data)?;
+        self.recycle.recycle(self.compressor);
+        (self.install)(self.data)?;
         Ok(meta)
     }
 }

@@ -290,7 +290,7 @@ impl Warehouse {
             install,
             block_capacity: self.block_capacity,
             compressor: self.compressors.checkout(),
-            recycle: Some(Arc::clone(&self.compressors)),
+            recycle: Arc::clone(&self.compressors),
             pending_records: 0,
             pending_zone: ZoneMap::empty(),
             pending_annotated: 0,

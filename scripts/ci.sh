@@ -41,6 +41,23 @@ if grep -rnE 'for_each_client_event|client_event_from_group|vec!\[true; col\.col
     exit 1
 fi
 
+# There is one walk of a client-event payload on the delivery path, borrowed
+# (uli_core::EventRow::read): the mover's landing, the stream fold and the
+# serve index build must not decode a ClientEvent per record again. Code
+# under a file's `#[cfg(test)]` module may.
+for f in $(find crates/scribe/src crates/stream/src crates/serve/src -name '*.rs'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'ClientEvent::from_bytes'; then
+        echo "write-path gate: $f decodes a whole ClientEvent per record." >&2
+        exit 1
+    fi
+done
+
+# The benchmark package stands outside the workspace and calls the crates'
+# public API; build and test it here, so that an API break against it fails
+# locally and not in the driver.
+echo "== benchmark package (builds and passes against this tree)"
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== chaos gate (seeded sweep + delivery-invariant checker)"
 cargo test -q --test chaos
 cargo run --release -q -p uli-bench --bin repro -- --smoke e16
