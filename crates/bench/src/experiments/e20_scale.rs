@@ -485,6 +485,47 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uli_dataflow::wire::encode_tuple;
+    use uli_warehouse::{fnv1a64_fold, FNV1A64_OFFSET};
+
+    /// Every output row in order, in the lossless spill wire encoding.
+    fn rows_digest(rows: &[Tuple]) -> u64 {
+        let fold_u64 = |h, v: u64| fnv1a64_fold(h, &v.to_le_bytes());
+        let mut h = fold_u64(FNV1A64_OFFSET, rows.len() as u64);
+        for row in rows {
+            let bytes = encode_tuple(row);
+            h = fold_u64(h, bytes.len() as u64);
+            h = fnv1a64_fold(h, &bytes);
+        }
+        h
+    }
+
+    /// Rows of the three smoke queries from the unbudgeted in-memory
+    /// operators, recorded before they were deleted.
+    const RECORDED_ROWS: [(&str, u64); 3] = [
+        ("events-per-user", 0x3aad_3a78_8a9f_ad45),
+        ("sketch-by-name", 0xde3e_e72a_8897_62c4),
+        ("top-20-latest", 0xa80c_023a_e193_be64),
+    ];
+
+    #[test]
+    fn smoke_query_rows_match_the_recorded_digests() {
+        let wh = Warehouse::new();
+        land_day_stream(
+            &wh,
+            DayStream::new(&Scale::Smoke.config(), 0),
+            FILES_PER_HOUR,
+        )
+        .expect("fresh warehouse");
+        for workers in [1usize, 4] {
+            let engine = Engine::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
+            for ((label, plan), (pinned, digest)) in queries().into_iter().zip(RECORDED_ROWS) {
+                assert_eq!(label, pinned);
+                let rows = engine.run(&plan).expect("query runs").rows;
+                assert_eq!(rows_digest(&rows), digest, "{label} at {workers} workers");
+            }
+        }
+    }
 
     #[test]
     fn smoke_pipeline_spills_stays_bounded_and_matches() {

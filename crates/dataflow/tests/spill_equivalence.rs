@@ -9,8 +9,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use uli_dataflow::prelude::*;
+use uli_dataflow::wire::encode_tuple;
 use uli_dataflow::{CsvLoader, Engine, Parallelism, QueryResult};
-use uli_warehouse::{spill_root, Warehouse, WhPath};
+use uli_warehouse::{fnv1a64_fold, spill_root, Warehouse, WhPath, FNV1A64_OFFSET};
 
 fn seeded_warehouse(seed: u64) -> (Warehouse, WhPath) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -104,6 +105,106 @@ fn assert_no_spill_debris(wh: &Warehouse) {
         !wh.exists(&root) || wh.list_files_recursive(&root).unwrap().is_empty(),
         "spill scratch files survived the query"
     );
+}
+
+fn fold_u64(h: u64, v: u64) -> u64 {
+    fnv1a64_fold(h, &v.to_le_bytes())
+}
+
+/// Every output row in order, in the lossless spill wire encoding.
+fn rows_digest(rows: &[Tuple]) -> u64 {
+    let mut h = fold_u64(FNV1A64_OFFSET, rows.len() as u64);
+    for row in rows {
+        let bytes = encode_tuple(row);
+        h = fold_u64(h, bytes.len() as u64);
+        h = fnv1a64_fold(h, &bytes);
+    }
+    h
+}
+
+/// The cost-model side of a result: what the simulated cluster was billed.
+fn bill_digest(r: &QueryResult) -> u64 {
+    let s = &r.stats;
+    [
+        s.mr_jobs,
+        s.map_tasks,
+        s.reduce_tasks,
+        s.shuffle_records,
+        s.shuffle_bytes,
+        s.output_records,
+        r.estimated_cluster_ms.to_bits(),
+    ]
+    .into_iter()
+    .fold(FNV1A64_OFFSET, fold_u64)
+}
+
+/// `(seed, plan, rows digest, bill digest)` of the unbudgeted in-memory
+/// operators, recorded before they were deleted. They were this suite's
+/// reference; these constants are what is left of them.
+const RECORDED: [(u64, &str, u64, u64); 14] = [
+    (11, "order", 0x0ad0_1bd6_60ca_f72e, 0xc5c3_42d1_9351_160b),
+    (11, "group", 0x44f7_1d93_94b1_5de6, 0xe554_b0a0_e7eb_cf61),
+    (11, "agg", 0xe623_0c9e_09ad_41df, 0x449b_263d_a99a_7a6b),
+    (
+        11,
+        "holistic agg",
+        0xdbd3_99fc_4467_3126,
+        0x28f5_dc34_9b7a_7a6f,
+    ),
+    (
+        11,
+        "sketch agg",
+        0x1997_bee7_bf84_3071,
+        0xd92a_9e27_52f2_66d9,
+    ),
+    (11, "distinct", 0x8931_a0f3_9b40_90e1, 0x202e_129f_b04c_317b),
+    (
+        11,
+        "order+limit",
+        0x65fa_5988_41c3_09b7,
+        0xba5f_5c0f_aa08_5eb9,
+    ),
+    (137, "order", 0xdb59_5829_4a07_a670, 0xe6e6_ee6a_542c_08fb),
+    (137, "group", 0xab49_4bfb_3fe8_d396, 0x4b1b_7964_6778_9aed),
+    (137, "agg", 0xe9ee_2023_ddd7_bffc, 0xedf3_3f3e_f590_31d6),
+    (
+        137,
+        "holistic agg",
+        0xdbd3_99fc_4467_3126,
+        0xbfe2_67f2_83be_64c2,
+    ),
+    (
+        137,
+        "sketch agg",
+        0xcd4e_9162_56f8_19f1,
+        0x970e_3873_da8a_4ca7,
+    ),
+    (
+        137,
+        "distinct",
+        0x8931_a0f3_9b40_90e1,
+        0xe3a3_8eff_c7fa_81c4,
+    ),
+    (
+        137,
+        "order+limit",
+        0x9416_7335_5102_8b27,
+        0x3814_8d8e_65dc_3255,
+    ),
+];
+
+#[test]
+fn rows_and_bill_match_the_recorded_digests() {
+    for (seed, name, rows, bill) in RECORDED {
+        for workers in [1usize, 4] {
+            let (r, _) = run_one(seed, name, workers, None);
+            assert_eq!(
+                (rows_digest(&r.rows), bill_digest(&r)),
+                (rows, bill),
+                "plan {name:?} seed {seed} workers {workers}: (rows, bill) digests"
+            );
+        }
+    }
 }
 
 #[test]
