@@ -12,12 +12,14 @@
 //! 2. **materialize** — the streaming sessionizer reconstructs sessions
 //!    under a memory budget, spilling sort runs to scratch files, and must
 //!    produce byte-identical part files to the batch materializer;
-//! 3. **query** — each query runs twice, unbounded and under a budget;
-//!    budgeted runs must spill, stay under the budget's high-water mark,
-//!    and return byte-identical rows.
+//! 3. **query** — each query runs twice, at the engine's default budget
+//!    and under a tight one; the tight runs must spill, both must stay
+//!    under their budget's high-water mark, and the rows must be
+//!    byte-identical.
 //!
 //! The full run (`--scale 1m`: one million users, >10M events) persists
-//! `BENCH_scale.json`; the smoke run writes machine-independent counters
+//! `BENCH_scale.json` and must finish under [`ONE_M_PEAK_RSS_CEILING_MB`]
+//! of resident memory; the smoke run writes machine-independent counters
 //! CI diffs against a golden file.
 
 use std::sync::Arc;
@@ -25,20 +27,25 @@ use std::sync::Arc;
 use uli_core::client_event::{ClientEventLoader, CLIENT_EVENTS_CATEGORY, CLIENT_EVENT_SCHEMA};
 use uli_core::session::{day_dir, sequences_dir, Materializer};
 use uli_dataflow::prelude::*;
-use uli_warehouse::Warehouse;
+use uli_warehouse::{Warehouse, DEFAULT_MEM_BUDGET};
 use uli_workload::{land_day_stream, DayStream, Scale};
 
 use crate::cells;
-use crate::harness::{detected_cores, timed, Table};
+use crate::harness::{detected_cores, peak_rss_mb, timed, Table};
 
 /// Part files per hour partition for the streamed landing.
 const FILES_PER_HOUR: usize = 4;
+
+/// Peak resident memory (`VmHWM`) the `--scale 1m` run may reach, MB: about
+/// twice what it takes (mostly the in-memory warehouse's landed day, not
+/// operator state) and a fifth of the 15 GB reference host.
+pub const ONE_M_PEAK_RSS_CEILING_MB: f64 = 3072.0;
 
 /// One (query, arm) cell.
 pub struct QuerySample {
     /// Query label.
     pub query: &'static str,
-    /// `"unbounded"` or `"budgeted"`.
+    /// `"default"` (the engine's default budget) or `"tight"`.
     pub arm: &'static str,
     /// Wall-clock, milliseconds (full runs only in the JSON).
     pub query_ms: f64,
@@ -94,49 +101,54 @@ pub struct Measurements {
     /// byte-for-byte (`None` when the comparison was skipped — the batch
     /// path needs the whole day in memory, so full-scale runs skip it).
     pub mat_matches_batch: Option<bool>,
-    /// Memory budget for the budgeted query arms, bytes.
+    /// Memory budget of the tight query arms, bytes.
     pub query_budget: u64,
-    /// Query cells, query-major with the unbounded arm first.
+    /// Query cells, query-major with the default arm first.
     pub samples: Vec<QuerySample>,
-    /// True when every budgeted arm returned rows byte-identical to its
-    /// unbounded arm.
+    /// True when every tight arm returned rows byte-identical to its
+    /// default arm.
     pub queries_identical: bool,
-    /// Scan throughput of the first unbounded query, MB/second
+    /// Scan throughput of the first default-arm query, MB/second
     /// (wall-clock-derived).
     pub scan_mb_per_sec: f64,
     /// Hardware threads on the measuring host; `None` for smoke runs so
     /// the CI golden stays machine-independent.
     pub cores: Option<usize>,
+    /// Peak resident memory (`VmHWM`) of the process when the run ended,
+    /// MB; `None` for smoke runs.
+    pub peak_rss_mb: Option<f64>,
 }
 
 impl Measurements {
-    /// Spill runs across every budgeted stage — the "bounded memory was
-    /// actually exercised" gate.
-    pub fn budgeted_spill_runs(&self) -> u64 {
-        self.mat_spill_runs
-            + self
-                .samples
-                .iter()
-                .filter(|s| s.arm == "budgeted")
-                .map(|s| s.spill_runs)
-                .sum::<u64>()
+    /// Spill runs of the tight query arms.
+    pub fn tight_query_spill_runs(&self) -> u64 {
+        self.samples
+            .iter()
+            .filter(|s| s.arm == "tight")
+            .map(|s| s.spill_runs)
+            .sum()
     }
 
-    /// True when every budgeted stage stayed within its budget.
+    /// Spill runs across every tightly budgeted stage — the "bounded memory
+    /// was actually exercised" gate.
+    pub fn budgeted_spill_runs(&self) -> u64 {
+        self.mat_spill_runs + self.tight_query_spill_runs()
+    }
+
+    /// True when every stage stayed within its budget.
     pub fn peaks_within_budget(&self) -> bool {
         self.mat_high_water_bytes <= self.mat_budget
-            && self
-                .samples
-                .iter()
-                .filter(|s| s.arm == "budgeted")
-                .all(|s| s.mem_high_water_bytes <= self.query_budget)
+            && self.samples.iter().all(|s| match s.arm {
+                "tight" => s.mem_high_water_bytes <= self.query_budget,
+                _ => s.mem_high_water_bytes <= DEFAULT_MEM_BUDGET,
+            })
     }
 }
 
 /// The query suite. All aggregates are algebraic, so the engine's
 /// map-chain path accumulates per-block partial states instead of
 /// materializing the day; grouping by user id makes the state itself
-/// O(users), which is what forces the budgeted arm to spill.
+/// O(users), which is what forces the tight arm to spill.
 fn queries() -> Vec<(&'static str, Plan)> {
     let load = || {
         Plan::load(
@@ -214,7 +226,7 @@ pub fn measure_with(
     let dict = materializer.build_dictionary(0).expect("pass 1 runs");
     let (mat, mat_ms) = timed(|| {
         materializer
-            .materialize_sequences_streaming(0, &dict, Some(mat_budget))
+            .materialize_sequences_streaming(0, &dict, mat_budget)
             .expect("streaming pass 2 runs")
     });
     let mat_matches_batch = compare_batch.then(|| {
@@ -229,19 +241,16 @@ pub fn measure_with(
     let mut queries_identical = true;
     let mut scan_mb_per_sec = 0.0;
     for (label, plan) in queries() {
-        let mut unbounded_rows: Option<Vec<Tuple>> = None;
-        for (arm, budget) in [("unbounded", None), ("budgeted", Some(query_budget))] {
-            let mut engine = Engine::new(wh.clone());
-            if let Some(b) = budget {
-                engine = engine.with_mem_budget(b);
-            }
+        let mut default_rows: Option<Vec<Tuple>> = None;
+        for (arm, budget) in [("default", DEFAULT_MEM_BUDGET), ("tight", query_budget)] {
+            let engine = Engine::new(wh.clone()).with_mem_budget(budget);
             let (result, query_ms) = timed(|| engine.run(&plan).expect("query runs"));
-            match &unbounded_rows {
-                None => unbounded_rows = Some(result.rows.clone()),
+            let s = result.stats;
+            match &default_rows {
+                None => default_rows = Some(result.rows),
                 Some(reference) => queries_identical &= *reference == result.rows,
             }
-            let s = &result.stats;
-            if label == "events-per-user" && arm == "unbounded" {
+            if label == "events-per-user" && arm == "default" {
                 scan_mb_per_sec =
                     s.input_bytes_uncompressed as f64 / 1_000_000.0 / (query_ms / 1000.0).max(1e-9);
             }
@@ -255,7 +264,7 @@ pub fn measure_with(
                 spill_runs: s.spill_runs,
                 spill_bytes: s.spill_bytes,
                 mem_high_water_bytes: s.mem_high_water_bytes,
-                output_rows: result.rows.len() as u64,
+                output_rows: s.output_records,
             });
         }
     }
@@ -282,25 +291,27 @@ pub fn measure_with(
         queries_identical,
         scan_mb_per_sec,
         cores: None,
+        peak_rss_mb: None,
     }
 }
 
-/// Per-scale defaults for the two stage budgets, each sized well below
-/// the scale's working set so the budgeted arms genuinely spill.
-fn default_budgets(scale: Scale) -> (u64, u64) {
+/// Per-scale tight budgets for the two stages, each sized well below the
+/// scale's working set so the stage genuinely spills (at `1m` the per-user
+/// table peaks at ~35 MB, inside the default budget and far past 8 MB).
+fn tight_budgets(scale: Scale) -> (u64, u64) {
     match scale {
         Scale::Smoke => (2048, 32 * 1024),
         Scale::Default => (4096, 64 * 1024),
-        Scale::OneM => (16 << 20, 64 << 20),
+        Scale::OneM => (16 << 20, 8 << 20),
     }
 }
 
 /// A full (wall-clock) run at `scale`, with an optional `--mem-budget`
-/// override for the query arms. The batch byte-identity comparison only
-/// runs below `1m` — the batch materializer holds the whole day in
+/// override for the tight query arms. The batch byte-identity comparison
+/// only runs below `1m` — the batch materializer holds the whole day in
 /// memory, which is exactly what this experiment exists to avoid.
 pub fn measure_at(scale: Scale, query_budget_override: Option<u64>) -> Measurements {
-    let (mat_budget, query_budget) = default_budgets(scale);
+    let (mat_budget, query_budget) = tight_budgets(scale);
     let mut m = measure_with(
         scale,
         mat_budget,
@@ -308,17 +319,18 @@ pub fn measure_at(scale: Scale, query_budget_override: Option<u64>) -> Measureme
         !matches!(scale, Scale::OneM),
     );
     m.cores = Some(detected_cores());
+    m.peak_rss_mb = Some(peak_rss_mb());
     m
 }
 
 /// The full run: a million users, >10M events, budgets far below the
-/// day's working set (16 MB materialize, 64 MB queries).
+/// day's working set (16 MB materialize, 8 MB tight queries).
 pub fn measure() -> Measurements {
     measure_at(Scale::OneM, None)
 }
 
 /// The smoke run CI diffs against the checked-in golden: tiny budgets
-/// sized so every budgeted stage actually spills (the sketch states are
+/// sized so every tight stage actually spills (the sketch states are
 /// ~6 KB per group, so the query budget must sit above one entry but far
 /// below the group count × entry size).
 pub fn smoke_snapshot() -> Measurements {
@@ -384,19 +396,19 @@ pub fn render(m: &Measurements) -> String {
     }
     out.push_str(&t.render());
     out.push_str(&format!(
-        "\nbudgeted arms byte-identical to unbounded: {}\n\
-         budgeted spill runs across stages: {}\n\
+        "\ntight arms byte-identical to default: {}\n\
+         tight-budget spill runs across stages: {}\n\
          every stage within its budget: {}\n\
-         scan throughput (events-per-user, unbounded): {:.1} MB/s\n",
+         scan throughput (events-per-user, default): {:.1} MB/s\n",
         m.queries_identical,
         m.budgeted_spill_runs(),
         m.peaks_within_budget(),
         m.scan_mb_per_sec
     ));
-    if let Some(cores) = m.cores {
+    if let (Some(cores), Some(rss)) = (m.cores, m.peak_rss_mb) {
         out.push_str(&format!(
             "{cores} hardware thread(s) visible; throughput numbers are \
-             wall-clock on this host.\n"
+             wall-clock on this host.\npeak resident memory: {rss:.0} MB\n"
         ));
     }
     out
@@ -434,12 +446,10 @@ pub fn to_json(m: &Measurements) -> String {
     let full = m.cores.is_some();
     let rows: Vec<String> = m.samples.iter().map(|s| sample_json(s, full)).collect();
     let mut head = String::new();
-    if let Some(c) = m.cores {
-        head.push_str(&format!("  \"cores\": {c},\n"));
-    }
-    if full {
+    if let (Some(cores), Some(rss)) = (m.cores, m.peak_rss_mb) {
         head.push_str(&format!(
-            "  \"land_ms\": {:.1},\n  \"ingest_records_per_sec\": {:.1},\n  \
+            "  \"cores\": {cores},\n  \"peak_rss_mb\": {rss:.1},\n  \
+             \"land_ms\": {:.1},\n  \"ingest_records_per_sec\": {:.1},\n  \
              \"mat_ms\": {:.1},\n  \"scan_mb_per_sec\": {:.2},\n",
             m.land_ms, m.ingest_records_per_sec, m.mat_ms, m.scan_mb_per_sec
         ));
@@ -517,12 +527,20 @@ mod tests {
             FILES_PER_HOUR,
         )
         .expect("fresh warehouse");
-        for workers in [1usize, 4] {
-            let engine = Engine::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
-            for ((label, plan), (pinned, digest)) in queries().into_iter().zip(RECORDED_ROWS) {
-                assert_eq!(label, pinned);
-                let rows = engine.run(&plan).expect("query runs").rows;
-                assert_eq!(rows_digest(&rows), digest, "{label} at {workers} workers");
+        for workers in [1usize, 4, 8] {
+            for budget in [32 * 1024, DEFAULT_MEM_BUDGET, u64::MAX] {
+                let engine = Engine::new(wh.clone())
+                    .with_parallelism(Parallelism::fixed(workers))
+                    .with_mem_budget(budget);
+                for ((label, plan), (pinned, digest)) in queries().into_iter().zip(RECORDED_ROWS) {
+                    assert_eq!(label, pinned);
+                    let rows = engine.run(&plan).expect("query runs").rows;
+                    assert_eq!(
+                        rows_digest(&rows),
+                        digest,
+                        "{label} at {workers} workers, budget {budget}"
+                    );
+                }
             }
         }
     }
@@ -535,20 +553,21 @@ mod tests {
         // The pinned generator goldens fix the smoke day exactly.
         assert_eq!(m.events, 2657);
         assert_eq!(m.sessions, 223);
-        assert!(m.queries_identical, "budgeted rows diverged");
+        assert!(m.queries_identical, "tight-arm rows diverged");
         assert_eq!(m.mat_matches_batch, Some(true));
         assert!(m.mat_spill_runs > 0, "materializer never spilled");
-        assert!(
-            m.samples
-                .iter()
-                .any(|s| s.arm == "budgeted" && s.spill_runs > 0),
-            "no budgeted query spilled"
-        );
+        assert!(m.tight_query_spill_runs() > 0, "no tight query spilled");
         assert!(m.peaks_within_budget());
-        // Unbounded arms must not track (or spill) anything.
-        for s in m.samples.iter().filter(|s| s.arm == "unbounded") {
-            assert_eq!(s.spill_runs, 0, "{}: unbounded arm spilled", s.query);
-            assert_eq!(s.mem_high_water_bytes, 0);
+        // The smoke day is far below the default budget: those arms track
+        // their reduce state and never spill it.
+        for s in m.samples.iter().filter(|s| s.arm == "default") {
+            assert_eq!(s.spill_runs, 0, "{}: default arm spilled", s.query);
+            assert!(
+                (1..=DEFAULT_MEM_BUDGET).contains(&s.mem_high_water_bytes),
+                "{}: peak {}",
+                s.query,
+                s.mem_high_water_bytes
+            );
         }
         let top = m
             .samples
@@ -576,8 +595,10 @@ mod tests {
         let mut m = measure_with(Scale::Smoke, 2048, 32 * 1024, false);
         assert!(m.mat_matches_batch.is_none());
         m.cores = Some(2);
+        m.peak_rss_mb = Some(1234.5);
         let json = to_json(&m);
         assert!(json.contains("\"cores\": 2"));
+        assert!(json.contains("\"peak_rss_mb\": 1234.5"));
         assert!(json.contains("ingest_records_per_sec"));
         assert!(json.contains("scan_mb_per_sec"));
         assert!(!json.contains("mat_matches_batch"));

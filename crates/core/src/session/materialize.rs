@@ -95,8 +95,8 @@ pub struct MaterializeReport {
     pub spill_runs: u64,
     /// Bytes written to spill runs.
     pub spill_bytes: u64,
-    /// Peak tracked memory of the streaming sorter, bytes (0 when
-    /// unbudgeted or batch).
+    /// Peak tracked memory of the streaming sorter, bytes (0 on the batch
+    /// path).
     pub mem_high_water_bytes: u64,
 }
 
@@ -510,13 +510,10 @@ impl Materializer {
         &self,
         day_index: u64,
         dict: &EventDictionary,
-        budget: Option<u64>,
+        budget: u64,
     ) -> WarehouseResult<MaterializeReport> {
         let gap = self.sessionizer.gap_ms();
-        let tracker = match budget {
-            Some(b) => MemoryTracker::with_budget(b),
-            None => MemoryTracker::unbounded(),
-        };
+        let tracker = MemoryTracker::with_budget(budget);
         let mut sorter =
             ExternalByteSorter::new(self.warehouse.clone(), tracker.clone(), "sessionize");
         fn push_session(
@@ -663,6 +660,7 @@ mod tests {
     use super::*;
     use crate::event::EventInitiator;
     use crate::time::Timestamp;
+    use uli_warehouse::DEFAULT_MEM_BUDGET;
 
     fn n(s: &str) -> EventName {
         EventName::parse(s).unwrap()
@@ -982,9 +980,14 @@ mod tests {
             fixture(&wh, 0, 24, 20);
             let m = Materializer::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
             let dict = m.build_dictionary(0).unwrap();
-            let report = m.materialize_sequences_streaming(0, &dict, None).unwrap();
+            let report = m
+                .materialize_sequences_streaming(0, &dict, DEFAULT_MEM_BUDGET)
+                .unwrap();
             assert!(report.sessions > 0);
-            assert_eq!(report.spill_runs, 0, "unbudgeted run must not spill");
+            assert_eq!(
+                report.spill_runs, 0,
+                "a fixture this small must not spill at the default budget"
+            );
             assert_eq!(
                 day_artifacts(&wh, 0),
                 reference,
@@ -1006,9 +1009,7 @@ mod tests {
         let m = Materializer::new(wh.clone());
         let dict = m.build_dictionary(0).unwrap();
         let budget = 2048;
-        let report = m
-            .materialize_sequences_streaming(0, &dict, Some(budget))
-            .unwrap();
+        let report = m.materialize_sequences_streaming(0, &dict, budget).unwrap();
         assert!(report.spill_runs > 0, "tiny budget must force spills");
         assert!(report.spill_bytes > 0);
         assert!(report.mem_high_water_bytes <= budget);
@@ -1062,7 +1063,9 @@ mod tests {
         let dict = m.build_dictionary(0).unwrap();
         let batch = m.materialize_sequences(0, &dict).unwrap();
         let batch_files = day_artifacts(&wh, 0);
-        let streaming = m.materialize_sequences_streaming(0, &dict, None).unwrap();
+        let streaming = m
+            .materialize_sequences_streaming(0, &dict, DEFAULT_MEM_BUDGET)
+            .unwrap();
         assert_eq!(batch.sessions, 3, "two idle gaps → three sessions");
         assert_eq!(streaming.sessions, batch.sessions);
         assert_eq!(day_artifacts(&wh, 0), batch_files);

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use uli_obs::{Counter, Gauge, Registry};
 use uli_warehouse::{
     MemoryTracker, Parallelism, ScanFile, ScanPool, ScanStats, Warehouse, ZoneMapPruner,
+    DEFAULT_MEM_BUDGET,
 };
 
 use crate::batch::scan_group;
@@ -25,7 +26,7 @@ use crate::plan::{Agg, Plan, PlanNode, SortOrder};
 use crate::pushdown::{
     collect_columns, expr_has_udf, total_boolean, zone_constraints, Pushdown, ScanSpec, ZoneColumn,
 };
-use crate::spill::{AggSpiller, RowOrder, RowSpillSorter};
+use crate::spill::{AggSpiller, RowOrder, RowSpillSorter, SortedRowStream, TopK};
 use crate::udf::{AggFunc, AggState};
 use crate::value::{tuple_wire_size, Tuple, Value};
 
@@ -60,12 +61,12 @@ pub struct JobStats {
     /// Fields a lazy loader skipped without materializing (projection
     /// pushdown).
     pub fields_skipped: u64,
-    /// Run files spilled by budgeted operators (0 without a memory budget).
+    /// Run files spilled by operators whose state outgrew the memory budget.
     pub spill_runs: u64,
     /// Bytes written to spill run files.
     pub spill_bytes: u64,
     /// Peak operator-buffer bytes, in the deterministic wire-size cost
-    /// currency (0 without a memory budget).
+    /// currency; never above the budget while one entry fits in it.
     pub mem_high_water_bytes: u64,
 }
 
@@ -137,6 +138,9 @@ struct MapInput {
     tasks: u64,
     bytes: u64,
 }
+
+/// Scan units per worker in one map window (see [`Engine::map_window`]).
+const UNITS_PER_WORKER: usize = 8;
 
 /// Plan-stage kinds, in the fixed order their per-stage counters register.
 const STAGE_KINDS: [&str; 11] = [
@@ -301,10 +305,9 @@ pub struct Engine {
     pushdown: Pushdown,
     /// Records per simulated reduce task.
     reduce_keys_per_task: u64,
-    /// Operator memory budget in cost-model bytes; `None` = unbounded.
-    /// When set, ORDER/GROUP/DISTINCT/aggregation spill to warehouse run
-    /// files instead of growing beyond the budget.
-    mem_budget: Option<u64>,
+    /// Operator memory budget in cost-model bytes: ORDER/GROUP/DISTINCT/
+    /// aggregation spill to warehouse run files instead of growing beyond it.
+    mem_budget: u64,
     /// Registry-backed telemetry, when attached.
     obs: Option<EngineObs>,
 }
@@ -312,15 +315,7 @@ pub struct Engine {
 impl Engine {
     /// Engine with the default cost model and host-default parallelism.
     pub fn new(warehouse: Warehouse) -> Self {
-        Engine {
-            warehouse,
-            cost: CostModel::default(),
-            parallelism: Parallelism::default(),
-            pushdown: Pushdown::default(),
-            reduce_keys_per_task: 1 << 20,
-            mem_budget: None,
-            obs: None,
-        }
+        Engine::with_cost_model(warehouse, CostModel::default())
     }
 
     /// Engine with a custom cost model.
@@ -331,24 +326,19 @@ impl Engine {
             parallelism: Parallelism::default(),
             pushdown: Pushdown::default(),
             reduce_keys_per_task: 1 << 20,
-            mem_budget: None,
+            mem_budget: DEFAULT_MEM_BUDGET,
             obs: None,
         }
     }
 
-    /// Caps operator buffer memory (in deterministic cost-model bytes).
-    /// Budgeted operators spill sorted run files to the warehouse and
-    /// k-way merge them back, producing rows byte-identical to the
-    /// unbounded path at any budget. The budget must fit at least one
-    /// entry (one row, or one group's aggregate states).
+    /// Caps operator buffer memory (in deterministic cost-model bytes) at
+    /// something other than [`DEFAULT_MEM_BUDGET`]. Operators spill sorted
+    /// run files to the warehouse and k-way merge them back, producing the
+    /// same rows at any budget. The budget must fit at least one entry (one
+    /// row, or one group's aggregate states).
     pub fn with_mem_budget(mut self, bytes: u64) -> Self {
-        self.mem_budget = Some(bytes);
+        self.mem_budget = bytes;
         self
-    }
-
-    /// The configured memory budget, if any.
-    pub fn mem_budget(&self) -> Option<u64> {
-        self.mem_budget
     }
 
     /// Attaches registry-backed telemetry under the `dataflow` component:
@@ -399,10 +389,7 @@ impl Engine {
         });
         // Fresh tracker per query: spill counters and the high-water mark
         // are per-query quantities (mirrored cumulatively by EngineObs).
-        let mem = match self.mem_budget {
-            Some(b) => MemoryTracker::with_budget(b),
-            None => MemoryTracker::unbounded(),
-        };
+        let mem = MemoryTracker::with_budget(self.mem_budget);
         let (rows, pending) = self.exec(plan, &mem, &mut stats)?;
         stats.spill_runs = mem.spill_runs();
         stats.spill_bytes = mem.spill_bytes();
@@ -446,17 +433,47 @@ impl Engine {
         }
     }
 
+    /// Feeds `rows` to an external merge sort under this query's budget and
+    /// returns the merged stream.
+    fn sorted(
+        &self,
+        rows: Vec<Tuple>,
+        order: RowOrder,
+        label: &str,
+        mem: &MemoryTracker,
+    ) -> DataflowResult<SortedRowStream> {
+        let mut sorter = RowSpillSorter::new(self.warehouse.clone(), mem.clone(), order, label);
+        for row in rows {
+            sorter.push(row)?;
+        }
+        sorter.finish()
+    }
+
+    /// Scan units mapped between two folds: what bounds live map output. One
+    /// unit at one worker (nothing to keep busy); otherwise enough per worker
+    /// that a straggler unit does not idle the rest of the pool.
+    fn map_window(&self) -> usize {
+        match self.parallelism.workers() {
+            1 => 1,
+            workers => workers * UNITS_PER_WORKER,
+        }
+    }
+
     /// Runs a map chain per scan unit (row block or columnar row group) on
-    /// the scan pool, applying `per_block` to each unit's mapped rows.
-    /// Returns unit results in scan order plus the pending map input, and
-    /// charges `stats` from the per-handle scan counters (exact even while
-    /// other scans hit the same warehouse).
+    /// the scan pool, applying `per_block` to each unit's mapped rows, one
+    /// window of units at a time, and hands every unit's result to `fold`
+    /// in scan order — so the map output alive at any moment is one window's,
+    /// not the day's, and what `fold` builds cannot depend on the window or
+    /// the worker count. Returns the pending map input and charges `stats`
+    /// from the per-handle scan counters (exact even while other scans hit
+    /// the same warehouse).
     fn exec_chain_blocks<T: Send>(
         &self,
         chain: &MapChain<'_>,
         stats: &mut JobStats,
         per_block: impl Fn(Vec<Tuple>) -> DataflowResult<T> + Sync,
-    ) -> DataflowResult<(Vec<T>, MapInput)> {
+        mut fold: impl FnMut(T) -> DataflowResult<()>,
+    ) -> DataflowResult<MapInput> {
         let paths = self.warehouse.list_files_recursive(chain.dir)?;
         let mut files: Vec<ScanFile> = Vec::with_capacity(paths.len());
         // (file index, unit index) in scan order: files sorted, units
@@ -502,7 +519,7 @@ impl Engine {
             }
             files.push(file);
         }
-        let results = ScanPool::new(self.parallelism).map(work, |_, (fi, unit)| {
+        let map_unit = |_: usize, (fi, unit): (usize, usize)| {
             let file = &files[fi];
             let rows = match file {
                 ScanFile::Columnar(col) => {
@@ -548,11 +565,14 @@ impl Engine {
                 }
             };
             per_block(chain.apply_ops(rows)?)
-        });
-        // First error in scan order, whatever order the workers finished in.
-        let mut out = Vec::with_capacity(results.len());
-        for r in results {
-            out.push(r?);
+        };
+        let pool = ScanPool::new(self.parallelism);
+        for window in work.chunks(self.map_window()) {
+            // First error in scan order, whatever order the workers
+            // finished in.
+            for result in pool.map(window.to_vec(), map_unit) {
+                fold(result?)?;
+            }
         }
         let read = files
             .iter()
@@ -564,19 +584,17 @@ impl Engine {
         stats.input_bytes_uncompressed += read.uncompressed_bytes_read;
         stats.records_skipped_by_predicate += read.records_skipped_by_predicate;
         stats.fields_skipped += read.fields_skipped;
-        Ok((
-            out,
-            MapInput {
-                tasks: read.blocks_read,
-                bytes: read.uncompressed_bytes_read,
-            },
-        ))
+        Ok(MapInput {
+            tasks: read.blocks_read,
+            bytes: read.uncompressed_bytes_read,
+        })
     }
 
     /// Map phase feeding an algebraic aggregate: each unit's rows collapse
-    /// into per-group partial [`AggState`]s map-side, and partials merge at
-    /// the shuffle boundary in scan order. `shuffle_records` is the *actual*
-    /// combiner output — what really crosses the shuffle.
+    /// into per-group partial [`AggState`]s map-side, and partials merge into
+    /// the one budgeted table at the shuffle boundary, in scan order, as each
+    /// window of units completes. `shuffle_records` is the *actual* combiner
+    /// output — what really crosses the shuffle.
     fn exec_chain_aggregate(
         &self,
         chain: &MapChain<'_>,
@@ -585,49 +603,29 @@ impl Engine {
         mem: &MemoryTracker,
         stats: &mut JobStats,
     ) -> DataflowResult<(Vec<Tuple>, MapInput)> {
-        let (partials, pending) = self.exec_chain_blocks(chain, stats, |rows| {
-            let bytes: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
-            let groups = accumulate_groups(&rows, keys, aggs)?;
-            Ok((rows.len() as u64, bytes, groups))
-        })?;
         let mut rows_in = 0u64;
         let mut bytes_in = 0u64;
         let mut combiner_records = 0u64;
-        let out = if mem.budget().is_some() {
-            // Bounded-memory combine: the merged partial map spills
-            // key-sorted runs; block order is preserved (partials arrive in
-            // block order, runs merge earliest-first).
-            let mut spiller = AggSpiller::new(self.warehouse.clone(), mem.clone(), aggs);
-            for (n, bytes, partial) in partials {
+        let mut spiller = AggSpiller::new(self.warehouse.clone(), mem.clone(), aggs);
+        let pending = self.exec_chain_blocks(
+            chain,
+            stats,
+            |rows| {
+                let bytes: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
+                let groups = accumulate_groups(&rows, keys, aggs)?;
+                Ok((rows.len() as u64, bytes, groups))
+            },
+            |(n, bytes, partial)| {
                 rows_in += n;
                 bytes_in += bytes;
                 combiner_records += partial.len() as u64;
                 for (key, states) in partial {
                     spiller.merge_partial(key, states)?;
                 }
-            }
-            spiller.finish(keys.is_empty())?
-        } else {
-            let mut merged: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-            for (n, bytes, partial) in partials {
-                rows_in += n;
-                bytes_in += bytes;
-                combiner_records += partial.len() as u64;
-                for (key, states) in partial {
-                    match merged.entry(key) {
-                        std::collections::btree_map::Entry::Vacant(slot) => {
-                            slot.insert(states);
-                        }
-                        std::collections::btree_map::Entry::Occupied(mut slot) => {
-                            for (acc, state) in slot.get_mut().iter_mut().zip(states) {
-                                acc.merge(state)?;
-                            }
-                        }
-                    }
-                }
-            }
-            finish_groups(merged, keys, aggs)
-        };
+                Ok(())
+            },
+        )?;
+        let out = spiller.finish(keys.is_empty())?;
         let n_groups = out.len() as u64;
         let avg_record = bytes_in.checked_div(rows_in).unwrap_or(0);
         let shuffle_bytes = combiner_records * avg_record.max(8);
@@ -681,11 +679,11 @@ impl Engine {
         // concatenate in scan order, so rows and accounting do not depend on
         // the worker count.
         if let Some(chain) = MapChain::extract(plan, self.pushdown, None) {
-            let (blocks, pending) = self.exec_chain_blocks(&chain, stats, Ok)?;
-            let mut rows = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
-            for block_rows in blocks {
-                rows.extend(block_rows);
-            }
+            let mut rows = Vec::new();
+            let pending = self.exec_chain_blocks(&chain, stats, Ok, |unit_rows| {
+                rows.extend(unit_rows);
+                Ok(())
+            })?;
             return Ok((rows, pending));
         }
         match &plan.node {
@@ -719,54 +717,24 @@ impl Engine {
                 let (rows, pending) = self.exec(input, mem, stats)?;
                 let rows_in = rows.len() as u64;
                 let bytes_in: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
-                let out: Vec<Tuple> = if mem.budget().is_some() {
-                    // Bounded-memory grouping: external sort on the key
-                    // columns (sequence numbers keep insertion order within
-                    // a key), then one consecutive-grouping pass. Key order
-                    // and bag order match the BTreeMap path exactly.
-                    let order = RowOrder::Cols(keys.iter().map(|k| (*k, SortOrder::Asc)).collect());
-                    let mut sorter =
-                        RowSpillSorter::new(self.warehouse.clone(), mem.clone(), order, "group_by");
-                    for row in rows {
-                        sorter.push(row)?;
-                    }
-                    let mut stream = sorter.finish()?;
-                    let mut out = Vec::new();
-                    let mut cur: Option<(Vec<Value>, Vec<Tuple>)> = None;
-                    while let Some(row) = stream.next_row()? {
-                        let key: Vec<Value> = keys.iter().map(|k| row[*k].clone()).collect();
-                        match &mut cur {
-                            Some((k, bag)) if *k == key => bag.push(row),
-                            _ => {
-                                if let Some((mut k, bag)) = cur.take() {
-                                    k.push(Value::Bag(bag));
-                                    out.push(k);
-                                }
-                                cur = Some((key, vec![row]));
-                            }
+                // External sort on the key columns (sequence numbers keep
+                // arrival order within a key), then one consecutive-grouping
+                // pass: groups in ascending key order, bags in arrival
+                // order. GROUP ALL over an empty input yields no group (Pig
+                // semantics: the group simply does not exist).
+                let order = RowOrder::Cols(keys.iter().map(|k| (*k, SortOrder::Asc)).collect());
+                let mut stream = self.sorted(rows, order, "group_by", mem)?;
+                let mut out: Vec<Tuple> = Vec::new();
+                while let Some(row) = stream.next_row()? {
+                    let mut key: Vec<Value> = keys.iter().map(|k| row[*k].clone()).collect();
+                    match out.last_mut().and_then(|group| group.split_last_mut()) {
+                        Some((Value::Bag(bag), k)) if *k == key[..] => bag.push(row),
+                        _ => {
+                            key.push(Value::Bag(vec![row]));
+                            out.push(key);
                         }
                     }
-                    if let Some((mut k, bag)) = cur.take() {
-                        k.push(Value::Bag(bag));
-                        out.push(k);
-                    }
-                    out
-                } else {
-                    let mut groups: BTreeMap<Vec<Value>, Vec<Tuple>> = BTreeMap::new();
-                    for row in rows {
-                        let key: Vec<Value> = keys.iter().map(|k| row[*k].clone()).collect();
-                        groups.entry(key).or_default().push(row);
-                    }
-                    // GROUP ALL over an empty input still yields no group
-                    // (Pig semantics: the group simply does not exist).
-                    groups
-                        .into_iter()
-                        .map(|(mut key, bag)| {
-                            key.push(Value::Bag(bag));
-                            key
-                        })
-                        .collect()
-                };
+                }
                 let n_groups = out.len() as u64;
                 // Bags are holistic: every row crosses the shuffle.
                 let next = self.charge_shuffle(stats, pending, rows_in, bytes_in, n_groups);
@@ -795,18 +763,14 @@ impl Engine {
                 }
                 let (rows, pending) = self.exec(input, mem, stats)?;
                 let rows_in = rows.len() as u64;
-                let out = if mem.budget().is_some() {
-                    // Bounded-memory reduce: the group→state map spills
-                    // key-sorted runs; runs merge back in arrival order.
-                    let mut spiller = AggSpiller::new(self.warehouse.clone(), mem.clone(), aggs);
-                    for row in &rows {
-                        let key: Vec<Value> = keys.iter().map(|k| row[*k].clone()).collect();
-                        spiller.accumulate_row(key, row)?;
-                    }
-                    spiller.finish(keys.is_empty())?
-                } else {
-                    aggregate_rows(&rows, keys, aggs)?
-                };
+                // The group→state table spills key-sorted runs when it
+                // outgrows the budget; runs merge back in arrival order.
+                let mut spiller = AggSpiller::new(self.warehouse.clone(), mem.clone(), aggs);
+                for row in &rows {
+                    let key: Vec<Value> = keys.iter().map(|k| row[*k].clone()).collect();
+                    spiller.accumulate_row(key, row)?;
+                }
+                let out = spiller.finish(keys.is_empty())?;
                 let n_groups = out.len() as u64;
                 // Combiner: algebraic aggregates shuffle at most
                 // (groups × map tasks) records; holistic ones shuffle all.
@@ -866,25 +830,15 @@ impl Engine {
                 Ok((out, next))
             }
             PlanNode::OrderBy { input, keys } => {
-                let (mut rows, pending) = self.exec(input, mem, stats)?;
+                let (rows, pending) = self.exec(input, mem, stats)?;
                 let shuffle_records = rows.len() as u64;
                 let shuffle_bytes: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
-                let order = RowOrder::Cols(keys.clone());
-                if mem.budget().is_some() {
-                    // External merge sort; sequence numbers reproduce the
-                    // in-memory sort's stability exactly.
-                    let mut sorter =
-                        RowSpillSorter::new(self.warehouse.clone(), mem.clone(), order, "order_by");
-                    for row in rows {
-                        sorter.push(row)?;
-                    }
-                    let mut stream = sorter.finish()?;
-                    rows = Vec::new();
-                    while let Some(row) = stream.next_row()? {
-                        rows.push(row);
-                    }
-                } else {
-                    rows.sort_by(|a, b| order.cmp_rows(a, b));
+                // External merge sort; sequence numbers make it stable.
+                let mut stream =
+                    self.sorted(rows, RowOrder::Cols(keys.clone()), "order_by", mem)?;
+                let mut rows = Vec::with_capacity(shuffle_records as usize);
+                while let Some(row) = stream.next_row()? {
+                    rows.push(row);
                 }
                 let next = self.charge_shuffle(
                     stats,
@@ -898,34 +852,15 @@ impl Engine {
             PlanNode::Distinct { input } => {
                 let (rows, pending) = self.exec(input, mem, stats)?;
                 let rows_in = rows.len() as u64;
-                let out: Vec<Tuple> = if mem.budget().is_some() {
-                    // Bounded-memory dedup: whole-tuple external sort, then
-                    // drop consecutive duplicates. Output order (ascending
-                    // tuples) matches the BTreeMap path.
-                    let mut sorter = RowSpillSorter::new(
-                        self.warehouse.clone(),
-                        mem.clone(),
-                        RowOrder::WholeTuple,
-                        "distinct",
-                    );
-                    for row in rows {
-                        sorter.push(row)?;
+                // Whole-tuple external sort, then drop consecutive
+                // duplicates: distinct tuples in ascending order.
+                let mut stream = self.sorted(rows, RowOrder::WholeTuple, "distinct", mem)?;
+                let mut out: Vec<Tuple> = Vec::new();
+                while let Some(row) = stream.next_row()? {
+                    if out.last().is_none_or(|prev| *prev != row) {
+                        out.push(row);
                     }
-                    let mut stream = sorter.finish()?;
-                    let mut out: Vec<Tuple> = Vec::new();
-                    while let Some(row) = stream.next_row()? {
-                        if out.last().is_none_or(|prev| *prev != row) {
-                            out.push(row);
-                        }
-                    }
-                    out
-                } else {
-                    let mut set: BTreeMap<Tuple, ()> = BTreeMap::new();
-                    for row in rows {
-                        set.insert(row, ());
-                    }
-                    set.into_keys().collect()
-                };
+                }
                 let n_groups = out.len() as u64;
                 // DISTINCT has a combiner (dedup map-side).
                 let shuffle_records = rows_in.min(n_groups.saturating_mul(pending.tasks.max(1)));
@@ -948,41 +883,45 @@ impl Engine {
             PlanNode::Limit { input, n } => {
                 // ORDER → LIMIT(k): top-K short-circuit. Instead of fully
                 // sorting the input (O(n log n) time, O(n) reducer state),
-                // keep a bounded buffer of the best k rows. Sequence
-                // numbers break ties, so the output equals the stable full
-                // sort truncated to k. The ORDER's shuffle is still charged
-                // — rows cross the shuffle either way; only reducer work
-                // and memory shrink.
+                // keep the best k rows, ties to the earlier arrival, so the
+                // output equals the stable full sort truncated to k. Over a
+                // map chain each unit keeps its own best k map-side and only
+                // those reach the running best, in (unit, row) order — no
+                // more than k rows per unit of the window plus k are ever
+                // held. The ORDER's shuffle is still charged for every row —
+                // rows cross the shuffle either way; only reducer work and
+                // memory shrink.
                 if let PlanNode::OrderBy { input: inner, keys } = &input.node {
-                    let (rows, pending) = self.exec(inner, mem, stats)?;
-                    let shuffle_records = rows.len() as u64;
-                    let shuffle_bytes: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
                     let order = RowOrder::Cols(keys.clone());
-                    let k = *n;
-                    let mut best: Vec<(u64, Tuple)> = Vec::with_capacity(k.saturating_add(1));
-                    for (seq, row) in rows.into_iter().enumerate() {
-                        if k == 0 {
-                            break;
+                    let mut best = TopK::new(&order, *n, Some(mem));
+                    let mut shuffle_records = 0u64;
+                    let mut shuffle_bytes = 0u64;
+                    let pending = match MapChain::extract(inner, self.pushdown, None) {
+                        Some(chain) => self.exec_chain_blocks(
+                            &chain,
+                            stats,
+                            |rows| {
+                                let records = rows.len() as u64;
+                                let bytes: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
+                                let mut unit_best = TopK::new(&order, *n, None);
+                                rows.into_iter().for_each(|row| unit_best.offer(row));
+                                Ok((records, bytes, unit_best.into_rows()))
+                            },
+                            |(records, bytes, unit_best)| {
+                                shuffle_records += records;
+                                shuffle_bytes += bytes;
+                                unit_best.into_iter().for_each(|row| best.offer(row));
+                                Ok(())
+                            },
+                        )?,
+                        None => {
+                            let (rows, pending) = self.exec(inner, mem, stats)?;
+                            shuffle_records = rows.len() as u64;
+                            shuffle_bytes = rows.iter().map(|t| tuple_wire_size(t)).sum();
+                            rows.into_iter().for_each(|row| best.offer(row));
+                            pending
                         }
-                        let entry = (seq as u64, row);
-                        if best.len() == k
-                            && order
-                                .cmp_rows(&entry.1, &best[k - 1].1)
-                                .then(entry.0.cmp(&best[k - 1].0))
-                                != std::cmp::Ordering::Less
-                        {
-                            continue;
-                        }
-                        let at = best
-                            .binary_search_by(|probe| {
-                                order
-                                    .cmp_rows(&probe.1, &entry.1)
-                                    .then(probe.0.cmp(&entry.0))
-                            })
-                            .unwrap_err();
-                        best.insert(at, entry);
-                        best.truncate(k);
-                    }
+                    };
                     let next = self.charge_shuffle(
                         stats,
                         pending,
@@ -990,7 +929,7 @@ impl Engine {
                         shuffle_bytes,
                         shuffle_records,
                     );
-                    return Ok((best.into_iter().map(|(_, row)| row).collect(), next));
+                    return Ok((best.into_rows(), next));
                 }
                 let (mut rows, pending) = self.exec(input, mem, stats)?;
                 rows.truncate(*n);
@@ -1222,38 +1161,6 @@ fn accumulate_groups(
     Ok(groups)
 }
 
-/// Reduce-side finish: grouped states → output rows.
-fn finish_groups(
-    mut groups: BTreeMap<Vec<Value>, Vec<AggState>>,
-    keys: &[usize],
-    aggs: &[Agg],
-) -> Vec<Tuple> {
-    // GROUP ALL over empty input produces one row of "empty" aggregates,
-    // matching SQL's SELECT COUNT(*) over an empty table.
-    if groups.is_empty() && keys.is_empty() {
-        groups.insert(
-            Vec::new(),
-            aggs.iter().map(|a| AggState::new(a.func)).collect(),
-        );
-    }
-    groups
-        .into_iter()
-        .map(|(mut key, states)| {
-            key.extend(states.into_iter().map(AggState::finish));
-            key
-        })
-        .collect()
-}
-
-/// Grouped aggregation shared by the executor (and tested directly).
-fn aggregate_rows(rows: &[Tuple], keys: &[usize], aggs: &[Agg]) -> DataflowResult<Vec<Tuple>> {
-    Ok(finish_groups(
-        accumulate_groups(rows, keys, aggs)?,
-        keys,
-        aggs,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1294,6 +1201,57 @@ mod tests {
         assert!(r.stats.map_tasks >= 2, "512-byte blocks → several splits");
         assert_eq!(r.stats.input_records, 300);
         assert_eq!(r.stats.shuffle_bytes, 0);
+    }
+
+    #[test]
+    fn live_map_output_is_bounded_by_the_window() {
+        use std::sync::atomic::AtomicUsize;
+        /// One unit's map output: alive from `per_block` until the fold
+        /// lets go of it.
+        struct Live<'a>(&'a AtomicUsize);
+        impl Drop for Live<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let wh = Warehouse::with_block_capacity(128);
+        let dir = WhPath::parse("/logs/many-units").unwrap();
+        let mut w = wh.create(&dir.child("part-0").unwrap()).unwrap();
+        for i in 0..1_000i64 {
+            w.append_record(format!("{},click,{}", i % 10, i).as_bytes());
+        }
+        w.finish().unwrap();
+        let plan = load(&dir);
+        for workers in [1usize, 4] {
+            let engine = Engine::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
+            let chain = MapChain::extract(&plan, engine.pushdown, None).unwrap();
+            let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut units = 0usize;
+            engine
+                .exec_chain_blocks(
+                    &chain,
+                    &mut JobStats::default(),
+                    |_rows| {
+                        peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                        Ok(Live(&live))
+                    },
+                    |unit| {
+                        units += 1;
+                        drop(unit);
+                        Ok(())
+                    },
+                )
+                .unwrap();
+            assert!(units >= 64, "{units} units is too few to tell");
+            assert!(engine.map_window() < units);
+            assert!(
+                peak.load(Ordering::SeqCst) <= engine.map_window(),
+                "{} unit results alive at once, window {} ({workers} workers)",
+                peak.load(Ordering::SeqCst),
+                engine.map_window()
+            );
+            assert_eq!(live.load(Ordering::SeqCst), 0);
+        }
     }
 
     #[test]

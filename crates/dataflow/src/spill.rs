@@ -1,16 +1,16 @@
 //! Spillable operator state: external row sort and external aggregation.
 //!
-//! When the engine has a memory budget, the operators whose state grows
-//! with the input — ORDER, GROUP, DISTINCT, and the aggregate hash map —
-//! route through this module. Buffered rows/states are accounted against a
-//! [`MemoryTracker`] in the same deterministic wire-size currency as the
-//! engine's shuffle accounting; when the next insert would exceed the
-//! budget, the buffer is sorted and written to a temporary run file in
-//! warehouse record-file format, and `finish` k-way merges the runs with
-//! the in-memory remainder. A sequence number assigned at insert breaks
-//! every comparison tie, so the merged order equals what a *stable*
-//! in-memory sort would produce — the spilled path is byte-identical to
-//! the unspilled one at any budget and any worker count.
+//! Every query runs under a memory budget, and this module is the only
+//! implementation of the operators whose state grows with the input —
+//! ORDER, GROUP, DISTINCT, and the aggregate table. Buffered rows/states are
+//! accounted against a [`MemoryTracker`] in the same deterministic wire-size
+//! currency as the engine's shuffle accounting; when the next insert would
+//! exceed the budget, the buffer is sorted and written to a temporary run
+//! file in warehouse record-file format, and `finish` k-way merges the runs
+//! with the in-memory remainder (all there is, under a budget the state
+//! never reaches). A sequence number assigned at insert breaks every
+//! comparison tie, so the merged order equals what a *stable* in-memory sort
+//! would produce — the same rows at any budget and any worker count.
 //!
 //! Cleanup is RAII: run files live in a scratch directory owned by a
 //! [`SpillDirGuard`], deleted when the sorter/stream drops — on success,
@@ -35,8 +35,7 @@ use crate::wire::{decode_tuple, decode_value_prefix, encode_tuple, encode_value}
 pub(crate) enum RowOrder {
     /// ORDER BY / GROUP BY: compare the listed columns in order.
     Cols(Vec<(usize, SortOrder)>),
-    /// DISTINCT: compare whole tuples (`Vec<Value>` lexicographic order,
-    /// exactly the `BTreeMap<Tuple, ()>` key order of the in-memory path).
+    /// DISTINCT: compare whole tuples (`Vec<Value>` lexicographic order).
     WholeTuple,
 }
 
@@ -247,6 +246,72 @@ impl SortedRowStream {
 impl Drop for SortedRowStream {
     fn drop(&mut self) {
         self.tracker.shrink(self.tail_bytes);
+    }
+}
+
+/// The best `k` rows offered so far, ties to the earlier offer: the first
+/// `k` rows of a stable sort of everything offered.
+pub(crate) struct TopK<'a> {
+    order: &'a RowOrder,
+    k: usize,
+    /// Ascending under `(order, seq)`; never longer than `k`.
+    best: Vec<(u64, Tuple)>,
+    next_seq: u64,
+    /// Billed for the rows held when this is the reduce side's running best.
+    /// A unit's own best is built on a pool worker and stays off the bill,
+    /// which is deterministic only because it is kept from one thread.
+    tracker: Option<&'a MemoryTracker>,
+}
+
+impl<'a> TopK<'a> {
+    pub(crate) fn new(
+        order: &'a RowOrder,
+        k: usize,
+        tracker: Option<&'a MemoryTracker>,
+    ) -> TopK<'a> {
+        TopK {
+            order,
+            k,
+            best: Vec::new(),
+            next_seq: 0,
+            tracker,
+        }
+    }
+
+    fn cost(row: &Tuple) -> u64 {
+        tuple_wire_size(row) + ENTRY_OVERHEAD
+    }
+
+    /// Offers the next row in arrival order.
+    pub(crate) fn offer(&mut self, row: Tuple) {
+        let entry = (self.next_seq, row);
+        self.next_seq += 1;
+        // Sequence numbers are unique, so no kept row compares equal: a later
+        // arrival lands behind every row it ties with.
+        let at = self
+            .best
+            .partition_point(|kept| self.order.cmp_entries(kept, &entry) == Ordering::Less);
+        if at == self.k {
+            return;
+        }
+        if let Some(tracker) = self.tracker {
+            tracker.grow(Self::cost(&entry.1));
+        }
+        self.best.insert(at, entry);
+        if self.best.len() > self.k {
+            let (_, evicted) = self.best.pop().expect("longer than k");
+            if let Some(tracker) = self.tracker {
+                tracker.shrink(Self::cost(&evicted));
+            }
+        }
+    }
+
+    /// The kept rows in sort order.
+    pub(crate) fn into_rows(self) -> Vec<Tuple> {
+        if let Some(tracker) = self.tracker {
+            tracker.shrink(self.best.iter().map(|(_, row)| Self::cost(row)).sum());
+        }
+        self.best.into_iter().map(|(_, row)| row).collect()
     }
 }
 
@@ -602,9 +667,9 @@ impl<'a> AggSpiller<'a> {
     }
 
     /// Merges runs and the in-memory remainder into finished output rows,
-    /// in ascending key order. Replicates the in-memory reduce's GROUP-ALL
-    /// semantics: empty input with no keys yields one row of empty
-    /// aggregates.
+    /// in ascending key order. GROUP ALL over an empty input yields one row
+    /// of empty aggregates, matching SQL's `SELECT COUNT(*)` over an empty
+    /// table.
     pub(crate) fn finish(mut self, group_keys_empty: bool) -> DataflowResult<Vec<Tuple>> {
         let mut readers = Vec::with_capacity(self.runs.len());
         for path in &self.runs {
@@ -803,7 +868,7 @@ mod tests {
     }
 
     #[test]
-    fn agg_spiller_matches_in_memory_reduce() {
+    fn agg_spiller_spilled_matches_unspilled() {
         let aggs = vec![
             Agg::count(),
             Agg::sum(1),
@@ -814,22 +879,19 @@ mod tests {
         let rows: Vec<Tuple> = (0..400)
             .map(|i| vec![Value::Int(i % 23), Value::Int((i * 31) % 67)])
             .collect();
-        // Reference: unbounded spiller (never spills) over the same rows.
-        let run = |budget: Option<u64>| -> (Vec<Tuple>, u64) {
+        // Reference: the same rows under a budget they never reach.
+        let run = |budget: u64| -> (Vec<Tuple>, u64) {
             let wh = Warehouse::new();
-            let tracker = match budget {
-                Some(b) => MemoryTracker::with_budget(b),
-                None => MemoryTracker::unbounded(),
-            };
+            let tracker = MemoryTracker::with_budget(budget);
             let mut sp = AggSpiller::new(wh, tracker.clone(), &aggs);
             for row in &rows {
                 sp.accumulate_row(vec![row[0].clone()], row).unwrap();
             }
             (sp.finish(false).unwrap(), tracker.spill_runs())
         };
-        let (unspilled, zero_runs) = run(None);
+        let (unspilled, zero_runs) = run(u64::MAX);
         assert_eq!(zero_runs, 0);
-        let (spilled, n_runs) = run(Some(2_000));
+        let (spilled, n_runs) = run(2_000);
         assert!(n_runs > 1, "tiny budget must spill");
         assert_eq!(spilled, unspilled, "spilled reduce must be byte-identical");
     }

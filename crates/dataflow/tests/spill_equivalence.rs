@@ -1,8 +1,10 @@
-//! A memory budget must be invisible in results: for every spillable plan
-//! shape, rows from budgeted runs (which spill to warehouse run files)
-//! must equal the unbounded rows byte-for-byte, across random budgets ×
-//! worker counts {1, 4, 8}. Tiny budgets must actually spill, the peak
-//! gauge must respect the budget, and no spill debris may survive a query.
+//! The memory budget must be invisible in results: for every spillable plan
+//! shape, rows from runs that spill to warehouse run files must equal the
+//! rows at the default budget (which nothing here reaches) byte-for-byte,
+//! across random budgets × worker counts {1, 4, 8} — and both must equal
+//! the rows recorded from the in-memory operators the spilling ones
+//! replaced. Tiny budgets must actually spill, the peak gauge must respect
+//! the budget, and no spill debris may survive a query.
 
 use std::sync::Arc;
 
@@ -11,7 +13,9 @@ use rand::{Rng, SeedableRng};
 use uli_dataflow::prelude::*;
 use uli_dataflow::wire::encode_tuple;
 use uli_dataflow::{CsvLoader, Engine, Parallelism, QueryResult};
-use uli_warehouse::{fnv1a64_fold, spill_root, Warehouse, WhPath, FNV1A64_OFFSET};
+use uli_warehouse::{
+    fnv1a64_fold, spill_root, Warehouse, WhPath, DEFAULT_MEM_BUDGET, FNV1A64_OFFSET,
+};
 
 fn seeded_warehouse(seed: u64) -> (Warehouse, WhPath) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -89,6 +93,7 @@ fn plans(dir: &WhPath) -> Vec<(&'static str, Plan)> {
     ]
 }
 
+/// Runs one plan shape; `None` is the engine's default budget.
 fn run_one(seed: u64, name: &str, workers: usize, budget: Option<u64>) -> (QueryResult, Warehouse) {
     let (wh, dir) = seeded_warehouse(seed);
     let mut engine = Engine::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
@@ -193,46 +198,79 @@ const RECORDED: [(u64, &str, u64, u64); 14] = [
     ),
 ];
 
+/// A budget far below the plan's reduce state. Aggregates hold one state
+/// per group (25 groups, or 4 of ~6 KB sketches), far less than the row
+/// operators' ~700 buffered rows — squeeze them harder so the spiller
+/// actually fires.
+fn tight_budget(name: &str) -> u64 {
+    match name {
+        "sketch agg" => 16 * 1024,
+        _ if name.contains("agg") => 1024,
+        _ => 6 * 1024,
+    }
+}
+
 #[test]
 fn rows_and_bill_match_the_recorded_digests() {
     for (seed, name, rows, bill) in RECORDED {
-        for workers in [1usize, 4] {
-            let (r, _) = run_one(seed, name, workers, None);
-            assert_eq!(
-                (rows_digest(&r.rows), bill_digest(&r)),
-                (rows, bill),
-                "plan {name:?} seed {seed} workers {workers}: (rows, bill) digests"
-            );
+        for workers in [1usize, 4, 8] {
+            for budget in [None, Some(tight_budget(name)), Some(u64::MAX)] {
+                let (r, _) = run_one(seed, name, workers, budget);
+                assert_eq!(
+                    (rows_digest(&r.rows), bill_digest(&r)),
+                    (rows, bill),
+                    "plan {name:?} seed {seed} workers {workers} budget {budget:?}: \
+                     (rows, bill) digests"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn tiny_budget_spills_and_matches_unbounded() {
-    for name in ["order", "group", "agg", "holistic agg", "distinct"] {
-        let (unbounded, _) = run_one(11, name, 1, None);
-        assert_eq!(unbounded.stats.spill_runs, 0);
-        assert_eq!(unbounded.stats.mem_high_water_bytes, 0);
-        // Aggregates hold one state per group (25 groups), far less than the
-        // row operators' ~700 buffered rows — squeeze them harder so the
-        // spiller actually fires.
-        let budget = if name.contains("agg") { 1024 } else { 6 * 1024 };
-        let (spilled, wh) = run_one(11, name, 1, Some(budget));
+fn tiny_budget_spills_and_matches_the_default_budget() {
+    // "agg" and "sketch agg" are chain aggregates: their partials reach the
+    // one budgeted table window by window, so the worker count moves where
+    // the windows fall but not what spills or what comes out.
+    for name in [
+        "order",
+        "group",
+        "agg",
+        "holistic agg",
+        "sketch agg",
+        "distinct",
+    ] {
+        let (default, _) = run_one(11, name, 1, None);
+        assert_eq!(default.stats.spill_runs, 0);
         assert!(
-            spilled.stats.spill_runs > 0,
-            "plan {name:?}: tiny budget must force spills"
+            (1..=DEFAULT_MEM_BUDGET).contains(&default.stats.mem_high_water_bytes),
+            "plan {name:?}: reduce state is tracked at every budget, peak {}",
+            default.stats.mem_high_water_bytes
         );
-        assert!(spilled.stats.spill_bytes > 0, "plan {name:?}");
-        assert!(
-            spilled.stats.mem_high_water_bytes <= budget,
-            "plan {name:?}: peak {} exceeded budget {budget}",
-            spilled.stats.mem_high_water_bytes
-        );
-        assert_eq!(
-            spilled.rows, unbounded.rows,
-            "plan {name:?}: spilled rows must be byte-identical"
-        );
-        assert_no_spill_debris(&wh);
+        let budget = tight_budget(name);
+        let (serial, _) = run_one(11, name, 1, Some(budget));
+        for workers in [1usize, 4, 8] {
+            let (spilled, wh) = run_one(11, name, workers, Some(budget));
+            assert!(
+                spilled.stats.spill_runs > 0,
+                "plan {name:?}: tiny budget must force spills"
+            );
+            assert!(spilled.stats.spill_bytes > 0, "plan {name:?}");
+            assert!(
+                spilled.stats.mem_high_water_bytes <= budget,
+                "plan {name:?}: peak {} exceeded budget {budget}",
+                spilled.stats.mem_high_water_bytes
+            );
+            assert_eq!(
+                spilled.rows, default.rows,
+                "plan {name:?}: spilled rows must be byte-identical"
+            );
+            assert_eq!(
+                spilled.stats, serial.stats,
+                "plan {name:?}: spills and peak at {workers} workers"
+            );
+            assert_no_spill_debris(&wh);
+        }
     }
 }
 
@@ -291,10 +329,11 @@ fn approx_aggregates_track_exact_within_bounds() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random budgets × workers {1, 4, 8}: rows identical to the unbounded
-    /// serial run for every spillable plan shape, and no scratch debris.
+    /// Random budgets × workers {1, 4, 8}: rows identical to the serial run
+    /// at the default budget for every spillable plan shape, and no scratch
+    /// debris.
     #[test]
-    fn budgeted_rows_match_unbounded_for_any_budget_and_workers(
+    fn rows_match_the_default_budget_for_any_budget_and_workers(
         seed in 1u64..200,
         budget in 4_096u64..262_144,
         plan_idx in 0usize..7,
@@ -302,6 +341,7 @@ proptest! {
         let name = ["order", "group", "agg", "holistic agg", "sketch agg",
                     "distinct", "order+limit"][plan_idx];
         let (reference, _) = run_one(seed, name, 1, None);
+        prop_assert_eq!(reference.stats.spill_runs, 0);
         for workers in [1usize, 4, 8] {
             let (budgeted, wh) = run_one(seed, name, workers, Some(budget));
             prop_assert_eq!(
@@ -311,6 +351,48 @@ proptest! {
             );
             prop_assert!(budgeted.stats.mem_high_water_bytes <= budget);
             assert_no_spill_debris(&wh);
+        }
+    }
+
+    /// ORDER+LIMIT over a map chain keeps k rows per unit and a running best
+    /// k, and still returns the stable full sort truncated to k: the sort
+    /// key is the user alone (25 users over ~35 scan units, so every key
+    /// ties across units and within them), and the reference is the bare
+    /// LOAD sorted here, stably. The shuffle is billed for every row, as the
+    /// full ORDER's is.
+    #[test]
+    fn order_limit_over_a_chain_equals_the_stable_sort_truncated(
+        seed in 1u64..200,
+        descending in any::<bool>(),
+    ) {
+        let direction = if descending { SortOrder::Desc } else { SortOrder::Asc };
+        let (wh, dir) = seeded_warehouse(seed);
+        let mut sorted = Engine::new(wh.clone()).run(&load(&dir)).unwrap().rows;
+        sorted.sort_by(|a, b| {
+            let by_user = a[0].cmp(&b[0]);
+            if descending { by_user.reverse() } else { by_user }
+        });
+        let ordered = Engine::new(wh.clone())
+            .run(&load(&dir).order_by(vec![(0, direction)]))
+            .unwrap();
+        prop_assert_eq!(&ordered.rows, &sorted);
+        for k in [0usize, 1, 17, sorted.len() + 5] {
+            let plan = load(&dir).order_by(vec![(0, direction)]).limit(k);
+            for workers in [1usize, 4] {
+                let top = Engine::new(wh.clone())
+                    .with_parallelism(Parallelism::fixed(workers))
+                    .run(&plan)
+                    .unwrap();
+                prop_assert_eq!(
+                    &top.rows[..], &sorted[..k.min(sorted.len())],
+                    "k {} workers {} seed {}", k, workers, seed
+                );
+                prop_assert_eq!(top.stats.shuffle_records, ordered.stats.shuffle_records);
+                prop_assert_eq!(top.stats.shuffle_bytes, ordered.stats.shuffle_bytes);
+                prop_assert_eq!(top.stats.map_tasks, ordered.stats.map_tasks);
+                prop_assert_eq!(top.stats.reduce_tasks, ordered.stats.reduce_tasks);
+                assert_no_spill_debris(&wh);
+            }
         }
     }
 }

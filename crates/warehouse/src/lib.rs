@@ -72,7 +72,7 @@ pub use pool::{Parallelism, ScanPool};
 pub use scan::ScanFile;
 pub use spill::{
     scratch_dir, spill_root, ExternalByteSorter, MemoryTracker, SortedRuns, SpillDirGuard,
-    ENTRY_OVERHEAD,
+    DEFAULT_MEM_BUDGET, ENTRY_OVERHEAD,
 };
 pub use stats::ScanStats;
 pub use store::{FileMeta, Warehouse};

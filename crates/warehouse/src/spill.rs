@@ -40,9 +40,14 @@ pub fn spill_root() -> WhPath {
 /// payload bytes. A fixed constant keeps the accounting deterministic.
 pub const ENTRY_OVERHEAD: u64 = 32;
 
+/// The operator memory budget of a job whose caller names none: what the
+/// million-user day's queries run in (E20), and far above the reduce state
+/// of any test or benchmark fixture, so none of those spill under it.
+pub const DEFAULT_MEM_BUDGET: u64 = 64 << 20;
+
 #[derive(Debug, Default)]
 struct TrackerInner {
-    budget: Option<u64>,
+    budget: u64,
     current: AtomicU64,
     high_water: AtomicU64,
     spill_runs: AtomicU64,
@@ -56,28 +61,22 @@ struct TrackerInner {
 /// `current` is the bytes presently buffered across operators; `high_water`
 /// is its peak. Both are *cost-model* quantities — computed from wire sizes
 /// at deterministic points in the (serial) reduce phase — so they are
-/// byte-identical across worker counts and hosts. When a budget is set,
+/// byte-identical across worker counts and hosts. There is always a budget:
 /// operators consult [`MemoryTracker::would_exceed`] *before* buffering and
 /// spill first, so `high_water` never exceeds the budget as long as a
 /// single entry fits in it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MemoryTracker {
     inner: Arc<TrackerInner>,
 }
 
 impl MemoryTracker {
-    /// A tracker with no budget: nothing ever spills, but the high-water
-    /// mark is still maintained.
-    pub fn unbounded() -> MemoryTracker {
-        MemoryTracker::default()
-    }
-
     /// A tracker that asks operators to spill before `budget` bytes of
     /// buffered state are exceeded.
     pub fn with_budget(budget: u64) -> MemoryTracker {
         MemoryTracker {
             inner: Arc::new(TrackerInner {
-                budget: Some(budget),
+                budget,
                 ..Default::default()
             }),
         }
@@ -96,17 +95,9 @@ impl MemoryTracker {
         }
     }
 
-    /// The configured budget, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.inner.budget
-    }
-
     /// True when buffering `incoming` more bytes would exceed the budget.
     pub fn would_exceed(&self, incoming: u64) -> bool {
-        match self.inner.budget {
-            Some(b) => self.inner.current.load(Ordering::Relaxed) + incoming > b,
-            None => false,
-        }
+        self.current().saturating_add(incoming) > self.inner.budget
     }
 
     /// Accounts `bytes` of newly buffered state and updates the peak.
@@ -443,9 +434,9 @@ mod tests {
     }
 
     #[test]
-    fn unbudgeted_sorter_never_spills() {
+    fn sorter_under_a_budget_it_never_reaches_never_spills() {
         let wh = Warehouse::new();
-        let mut s = ExternalByteSorter::new(wh.clone(), MemoryTracker::unbounded(), "t");
+        let mut s = ExternalByteSorter::new(wh.clone(), MemoryTracker::with_budget(u64::MAX), "t");
         for i in (0..100u64).rev() {
             s.push(i.to_be_bytes().to_vec(), vec![i as u8]).unwrap();
         }
@@ -456,7 +447,7 @@ mod tests {
         let spill_root = spill_root();
         assert!(
             !wh.exists(&spill_root) || wh.list_files_recursive(&spill_root).unwrap().is_empty(),
-            "no run files without a budget"
+            "no run files under a budget never reached"
         );
     }
 

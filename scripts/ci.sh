@@ -52,6 +52,14 @@ for f in $(find crates/scribe/src crates/stream/src crates/serve/src -name '*.rs
     fi
 done
 
+# There is one implementation of every reducing operator, the spilling one,
+# and every query runs under a budget: no tracker without a budget and no
+# fork on whether one is set.
+if grep -rnE 'budget\(\)\.is_some\(\)|MemoryTracker::unbounded|fn unbounded' crates src; then
+    echo "reduce gate: an unbudgeted tracker or a budget-is-set fork is back." >&2
+    exit 1
+fi
+
 # The benchmark package stands outside the workspace and calls the crates'
 # public API; build and test it here, so that an API break against it fails
 # locally and not in the driver.
@@ -117,14 +125,18 @@ if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 <= 0.20) }'; then
     exit 1
 fi
 
-# e20: tiny budgets on a real (smoke-sized) day: every budgeted stage must
-# spill, return byte-identical output, and keep its high-water mark under
-# the budget.
+# e20: tiny budgets on a real (smoke-sized) day: the materializer and the
+# tight arm of every query that holds state must spill, return the default
+# arm's rows byte for byte, and keep their high-water marks under the budget.
 golden_gate e20 bounded-memory \
     '"queries_identical": true' \
     '"mat_matches_batch": true' \
     '"peaks_within_budget": true'
 forbid e20 '"budgeted_spill_runs": 0,' "no stage spilled — the tiny budgets are not binding."
+if ! grep -q '"arm": "tight", .*"spill_runs": [1-9]' target/e20_smoke.metrics.json; then
+    echo "e20 gate: no tight-arm query spilled — the tight budget is not binding." >&2
+    exit 1
+fi
 
 # e21: streaming analytics vs batch over the pinned smoke day plus a seeded
 # chaos sweep: views identical across worker counts, equal to batch for

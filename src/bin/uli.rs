@@ -22,10 +22,10 @@
 //! restores the serial path — results are identical either way),
 //! `--no-pushdown` (disable projection/predicate pushdown and zone-map
 //! pruning in `script` queries; results are identical, only the amount of
-//! decode work changes), `--mem-budget BYTES` (cap `script` operator memory:
-//! sorts and group-bys spill warehouse-format runs past the budget — results
-//! are identical at any budget, and the spill counters/high-water gauge land
-//! in `--metrics`), `--metrics PATH` (write the unified observability
+//! decode work changes), `--mem-budget BYTES` (override the `script` operator
+//! memory budget, default 64 MiB: sorts, group-bys and aggregates spill
+//! warehouse-format runs past it — results are identical at any budget, and
+//! the spill counters/high-water gauge land in `--metrics`), `--metrics PATH` (write the unified observability
 //! snapshot — warehouse/dataflow counters, span forest, critical path — on
 //! exit; `.prom` extension selects Prometheus text, anything else JSON).
 //!

@@ -271,7 +271,8 @@ proptest! {
     /// a pushable filter, a non-pushable one, or both) reads only the
     /// columns it declares under `Pushdown::default()`, every column under
     /// `Pushdown::disabled()` — and returns the same rows either way, at
-    /// workers {1, 4}, with and without a (tiny) memory budget.
+    /// workers {1, 4}, at the default memory budget, a tiny one and one
+    /// nothing can reach.
     #[test]
     fn aggregates_read_only_their_columns_and_return_the_full_width_rows(
         seed in 0u64..10_000,
@@ -311,7 +312,7 @@ proptest! {
         prop_assert_eq!(full.stats.fields_skipped, 0, "the full-width reference");
         prop_assert_eq!(full.stats.blocks_skipped, 0);
         for workers in [1, 4] {
-            for budget in [None, Some(2048)] {
+            for budget in [None, Some(2048), Some(u64::MAX)] {
                 let narrow = run(Pushdown::default(), workers, budget);
                 prop_assert_eq!(&narrow.rows, &full.rows, "workers {} budget {:?}", workers, budget);
                 let wide = run(Pushdown::disabled(), workers, budget);
