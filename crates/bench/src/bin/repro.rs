@@ -300,14 +300,15 @@ fn main() -> ExitCode {
                 eprintln!("e20: a tightly budgeted stage never spilled — budgets too generous");
                 failed = true;
             }
-            if let Some(rss) = m.peak_rss_mb.filter(|_| m.scale == "1m") {
-                if rss > e20::ONE_M_PEAK_RSS_CEILING_MB {
-                    eprintln!(
-                        "e20: peak resident memory {rss:.0} MB is over the {:.0} MB ceiling",
-                        e20::ONE_M_PEAK_RSS_CEILING_MB
-                    );
-                    failed = true;
-                }
+            let ceiling = e20::ONE_M_PEAK_RSS_CEILING_MB;
+            if let Some(rss) = m
+                .peak_rss_mb
+                .filter(|rss| m.scale == "1m" && *rss > ceiling)
+            {
+                eprintln!(
+                    "e20: peak resident memory {rss:.0} MB is over the {ceiling:.0} MB ceiling"
+                );
+                failed = true;
             }
             if !m.peaks_within_budget() {
                 eprintln!("e20: a stage's memory high-water mark exceeded its budget");

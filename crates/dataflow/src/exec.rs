@@ -747,7 +747,8 @@ impl Engine {
                 // shuffle boundary in block order. The aggregate is the
                 // chain's consumer, so it declares what it reads of a row:
                 // its keys and the inputs of every aggregate but COUNT.
-                if aggs.iter().all(|a| a.func.is_algebraic()) {
+                let algebraic = aggs.iter().all(|a| a.func.is_algebraic());
+                if algebraic {
                     let reads: Vec<usize> = keys
                         .iter()
                         .copied()
@@ -774,7 +775,6 @@ impl Engine {
                 let n_groups = out.len() as u64;
                 // Combiner: algebraic aggregates shuffle at most
                 // (groups × map tasks) records; holistic ones shuffle all.
-                let algebraic = aggs.iter().all(|a| a.func.is_algebraic());
                 let shuffle_records = if algebraic {
                     rows_in.min(n_groups.saturating_mul(pending.tasks.max(1)))
                 } else {

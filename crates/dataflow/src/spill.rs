@@ -65,6 +65,11 @@ impl RowOrder {
     }
 }
 
+/// What one buffered row is billed.
+fn row_cost(row: &Tuple) -> u64 {
+    tuple_wire_size(row) + ENTRY_OVERHEAD
+}
+
 /// An external merge sort over rows: in-memory until the budget says spill.
 pub(crate) struct RowSpillSorter {
     warehouse: Warehouse,
@@ -102,7 +107,7 @@ impl RowSpillSorter {
     /// Adds one row, spilling the buffer first if the budget would be
     /// exceeded.
     pub(crate) fn push(&mut self, row: Tuple) -> DataflowResult<()> {
-        let cost = tuple_wire_size(&row) + ENTRY_OVERHEAD;
+        let cost = row_cost(&row);
         if self.tracker.would_exceed(cost) && !self.buf.is_empty() {
             self.spill()?;
         }
@@ -278,10 +283,6 @@ impl<'a> TopK<'a> {
         }
     }
 
-    fn cost(row: &Tuple) -> u64 {
-        tuple_wire_size(row) + ENTRY_OVERHEAD
-    }
-
     /// Offers the next row in arrival order.
     pub(crate) fn offer(&mut self, row: Tuple) {
         let entry = (self.next_seq, row);
@@ -295,13 +296,13 @@ impl<'a> TopK<'a> {
             return;
         }
         if let Some(tracker) = self.tracker {
-            tracker.grow(Self::cost(&entry.1));
+            tracker.grow(row_cost(&entry.1));
         }
         self.best.insert(at, entry);
         if self.best.len() > self.k {
             let (_, evicted) = self.best.pop().expect("longer than k");
             if let Some(tracker) = self.tracker {
-                tracker.shrink(Self::cost(&evicted));
+                tracker.shrink(row_cost(&evicted));
             }
         }
     }
@@ -309,7 +310,7 @@ impl<'a> TopK<'a> {
     /// The kept rows in sort order.
     pub(crate) fn into_rows(self) -> Vec<Tuple> {
         if let Some(tracker) = self.tracker {
-            tracker.shrink(self.best.iter().map(|(_, row)| Self::cost(row)).sum());
+            tracker.shrink(self.best.iter().map(|(_, row)| row_cost(row)).sum());
         }
         self.best.into_iter().map(|(_, row)| row).collect()
     }

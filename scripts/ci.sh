@@ -125,9 +125,10 @@ if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 <= 0.20) }'; then
     exit 1
 fi
 
-# e20: tiny budgets on a real (smoke-sized) day: the materializer and the
-# tight arm of every query that holds state must spill, return the default
-# arm's rows byte for byte, and keep their high-water marks under the budget.
+# e20: tiny budgets on a real (smoke-sized) day: the materializer and at
+# least one query's tight arm must spill, every tight arm must return the
+# default arm's rows byte for byte, and every stage must keep its high-water
+# mark under its budget.
 golden_gate e20 bounded-memory \
     '"queries_identical": true' \
     '"mat_matches_batch": true' \
