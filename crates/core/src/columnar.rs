@@ -625,6 +625,73 @@ mod tests {
         assert_eq!(users(&file, narrow), (vec![0, 2], (2, 1)));
     }
 
+    /// What `file` decodes to under `columns`: every declared column of
+    /// every row handed out, in stored order, then the visit's counts.
+    fn decoded_digest(file: &ScanFile, columns: EventColumns) -> u64 {
+        use uli_warehouse::{fnv1a64_fold, FNV1A64_OFFSET};
+        let mut h = FNV1A64_OFFSET;
+        let mut cell = Vec::new();
+        let (events, skipped) = for_each_event_row(file, 0..file.units(), columns, |_, row| {
+            cell.clear();
+            for c in (0..7).filter(|c| columns[*c]) {
+                match c {
+                    0 => cell.push(row.initiator()?.code() as u8),
+                    NAME_COLUMN => cell.extend_from_slice(row.name()?.as_bytes()),
+                    USER_COLUMN => cell.extend_from_slice(&row.user_id()?.to_le_bytes()),
+                    SESSION_COLUMN => cell.extend_from_slice(row.session_id()?.as_bytes()),
+                    IP_COLUMN => cell.extend_from_slice(row.ip()?.as_bytes()),
+                    TIMESTAMP_COLUMN => {
+                        cell.extend_from_slice(&row.timestamp()?.millis().to_le_bytes())
+                    }
+                    _ => row.details()?.write_cell(&mut cell),
+                }
+                cell.push(0xff);
+            }
+            h = fnv1a64_fold(h, &cell);
+            Ok(())
+        })
+        .unwrap();
+        fnv1a64_fold(
+            fnv1a64_fold(h, &events.to_le_bytes()),
+            &skipped.to_le_bytes(),
+        )
+    }
+
+    /// Recorded from the format as it stood before typed chunks: a cell
+    /// that does not fit its column's kind must still come back as the
+    /// bytes that were written, and drop (or not drop) the same rows.
+    #[test]
+    fn bad_cell_fixtures_decode_to_the_recorded_digests() {
+        let narrow = event_columns([NAME_COLUMN, USER_COLUMN]);
+        // Pairs out of key order, and one key twice: cells no writer of ours
+        // produces, which decode through a map (last occurrence wins).
+        let unsorted = [2, 1, b'b', 1, b'x', 1, b'a', 1, b'y'];
+        let duplicate = [2, 1, b'a', 1, b'x', 1, b'a', 1, b'y'];
+        // The middle row dropped, and all three rows kept.
+        const TWO_ROWS: (u64, u64) = (9776231977043857231, 12040047780805572083);
+        const ALL_NARROW: u64 = 8312493058707573376;
+        let fixtures: [(usize, &[u8], u64, u64); 7] = [
+            (6, &[5], TWO_ROWS.0, ALL_NARROW),
+            (6, &unsorted, 2431056907248152995, ALL_NARROW),
+            (6, &duplicate, 5252390381555452002, ALL_NARROW),
+            (USER_COLUMN, &[1, 2, 3], TWO_ROWS.0, TWO_ROWS.1),
+            (TIMESTAMP_COLUMN, &[0; 9], TWO_ROWS.0, ALL_NARROW),
+            (TIMESTAMP_COLUMN, &[], TWO_ROWS.0, ALL_NARROW),
+            (NAME_COLUMN, b"not-a-name", TWO_ROWS.0, TWO_ROWS.1),
+        ];
+        for (col, bad, full, name_and_user) in fixtures {
+            let file = file_with_bad_cell(&Warehouse::new(), col, bad);
+            assert_eq!(
+                (
+                    decoded_digest(&file, ALL_COLUMNS),
+                    decoded_digest(&file, narrow)
+                ),
+                (full, name_and_user),
+                "column {col} holding {bad:?}"
+            );
+        }
+    }
+
     /// Reads `user_id` through a view that declared only the name.
     fn read_an_undeclared_column(columnar: bool) {
         let wh = Warehouse::new();

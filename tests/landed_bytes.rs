@@ -13,10 +13,18 @@
 //! groups and slips an undecodable payload into every traffic hour, so
 //! multi-file hours, multi-group files, the `-rows` sibling and the
 //! stream's malformed count are pinned too.
+//!
+//! Beside the bytes, what the bytes *decode to* is pinned: every landed
+//! row at full width through the one row view, in scan order, with the
+//! visit's `(events, skipped)`, and the dictionary and samples the nightly
+//! materializer derives from them. A format change re-pins the byte
+//! digests; these must not move.
 
 use std::sync::Arc;
 
 use uli_core::client_event::CLIENT_EVENTS_CATEGORY;
+use uli_core::columnar::{for_each_event_row, ALL_COLUMNS};
+use uli_core::session::{dictionary_dir, Materializer};
 use uli_core::ClientEventLanding;
 use uli_scribe::message::LogEntry;
 use uli_scribe::{PipelineConfig, ScribePipeline};
@@ -25,7 +33,7 @@ use uli_serve::IndexMaintainer;
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
-    fnv1a64_fold, HourlyPartition, Parallelism, Warehouse, WhPath, FNV1A64_OFFSET,
+    fnv1a64_fold, HourlyPartition, Parallelism, ScanFile, Warehouse, WhPath, FNV1A64_OFFSET,
 };
 use uli_workload::{DayStream, Scale};
 
@@ -57,6 +65,26 @@ fn dir_digest(wh: &Warehouse, dir: &WhPath) -> u64 {
     h
 }
 
+/// Every row of every file under `dir`, in scan order, at full width: the
+/// seven columns as the event they make encodes, then what the visit of
+/// each file counted.
+fn rows_digest(wh: &Warehouse, dir: &WhPath) -> u64 {
+    let mut files = wh.list_files_recursive(dir).expect("directory exists");
+    files.sort();
+    let mut h = FNV1A64_OFFSET;
+    for path in &files {
+        let file = ScanFile::open(wh, path).expect("landed file opens");
+        let (events, skipped) =
+            for_each_event_row(&file, 0..file.units(), ALL_COLUMNS, |_, row| {
+                h = fnv1a64_fold(h, &row.to_event()?.to_bytes());
+                Ok(())
+            })
+            .expect("landed file scans");
+        h = fold_u64(fold_u64(h, events), skipped);
+    }
+    h
+}
+
 /// The order-invariant content of a merged stream view.
 fn view_digest(view: &StreamState) -> u64 {
     let mut h = FNV1A64_OFFSET;
@@ -83,6 +111,12 @@ struct Delivered {
     indexes: u64,
     seen: u64,
     views: u64,
+    /// What the landed files decode to ([`rows_digest`], hour by hour).
+    rows: u64,
+    /// The day's `dictionary` and `samples` files as the materializer's
+    /// first pass writes them.
+    dictionary: u64,
+    samples: u64,
 }
 
 fn deliver(
@@ -118,6 +152,9 @@ fn deliver(
         indexes: FNV1A64_OFFSET,
         seen: FNV1A64_OFFSET,
         views: FNV1A64_OFFSET,
+        rows: FNV1A64_OFFSET,
+        dictionary: 0,
+        samples: 0,
     };
     for (hour, events) in by_hour.iter().enumerate() {
         for (i, (user, bytes)) in events.iter().enumerate() {
@@ -143,11 +180,24 @@ fn deliver(
         let partition = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour);
         out.landed = fold_u64(out.landed, dir_digest(wh, &partition.main_dir()));
         out.indexes = fold_u64(out.indexes, dir_digest(wh, &index_dir(&partition)));
+        if wh.exists(&partition.main_dir()) {
+            out.rows = fold_u64(out.rows, rows_digest(wh, &partition.main_dir()));
+        }
         if let Some(view) = stream.hour_view(hour) {
             out.views = fold_u64(out.views, view_digest(&view));
         }
     }
     out.views = fold_u64(out.views, view_digest(&stream.running_view()));
+    Materializer::new(wh.clone())
+        .with_parallelism(workers)
+        .build_dictionary(0)
+        .expect("pass 1 over a landed day");
+    let artifact = |name| {
+        let file = dictionary_dir(0).child(name).expect("valid name");
+        wh.file_digest(&file).expect("pass 1 wrote it")
+    };
+    out.dictionary = artifact("dictionary");
+    out.samples = artifact("samples");
     let (watermarks, residual) = pipe.seen_snapshot();
     for (host, next) in watermarks {
         out.seen = fold_u64(fold_u64(out.seen, host), next);
@@ -167,6 +217,9 @@ fn delivered_day_matches_the_recorded_digests() {
         indexes: 3046250732861548078,
         seen: 6951604800847287054,
         views: 6885118719456885022,
+        rows: 16754135527137346865,
+        dictionary: 9461612444177250603,
+        samples: 8120602851900117742,
     };
     let stress_shape = Delivered {
         records: 2679,
@@ -175,6 +228,9 @@ fn delivered_day_matches_the_recorded_digests() {
         indexes: 1467962946771897450,
         seen: 4063383774541676972,
         views: 17971858508380815314,
+        rows: 17396466383406638498,
+        dictionary: 9461612444177250603,
+        samples: 8120602851900117742,
     };
     for workers in [1, 4] {
         assert_eq!(
