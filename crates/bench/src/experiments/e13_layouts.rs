@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use uli_core::client_event::ClientEvent;
 use uli_core::session::{day_dir, sequences_dir};
 use uli_thrift::ThriftRecord;
-use uli_warehouse::{ColumnarFile, ColumnarFileWriter, Warehouse, WhPath};
+use uli_warehouse::{ColumnKind, ColumnarFile, ColumnarFileWriter, Warehouse, WhPath};
 
 use crate::cells;
 use crate::harness::{prepare_day, standard_config, Table};
@@ -57,7 +57,8 @@ fn materialize_columnar(wh: &Warehouse, events: &[ClientEvent]) -> (WhPath, u64)
     let dir = WhPath::parse("/layouts/columnar").expect("valid");
     let path = dir.child("part-00000").expect("valid");
     let mut logical_bytes = 0u64;
-    let mut w = ColumnarFileWriter::create(wh, &path, 7, 256, None).expect("fresh dir");
+    let mut w = ColumnarFileWriter::create(wh, &path, &[ColumnKind::Bytes; 7], 256, None)
+        .expect("fresh dir");
     for ev in events {
         let initiator = ev.initiator.to_string();
         let ts = ev.timestamp.millis().to_string();

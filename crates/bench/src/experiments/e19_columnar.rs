@@ -20,6 +20,10 @@
 //! landing with and without pushdown. CI gates on the ratio of their decoded
 //! bytes, so the aggregate's projection cannot silently stop applying.
 //!
+//! The default landing's stored bytes are also broken down by column, read
+//! off the row-group headers — where the day's bytes sit on disk, before
+//! any query decodes one.
+//!
 //! Rows must be byte-identical across every arm and worker count. The
 //! headline number is *decoded bytes* (`input_bytes_uncompressed`): the
 //! row path charges every decompressed block in full, the columnar path
@@ -31,10 +35,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use uli_core::client_event::{ClientEventLoader, CLIENT_EVENTS_CATEGORY, CLIENT_EVENT_SCHEMA};
-use uli_core::columnar::{write_client_events_columnar, DEFAULT_ROWS_PER_GROUP};
+use uli_core::columnar::{
+    write_client_events_columnar, CLIENT_EVENT_KINDS, DEFAULT_ROWS_PER_GROUP,
+};
 use uli_core::session::day_dir;
 use uli_dataflow::prelude::*;
-use uli_warehouse::{HourlyPartition, Warehouse};
+use uli_warehouse::{ColumnarFile, HourlyPartition, Warehouse};
 use uli_workload::{
     generate_day, write_client_events, write_client_events_layout, Layout, WorkloadConfig,
 };
@@ -119,6 +125,11 @@ pub struct Measurements {
     /// Decoded bytes of `events-per-user` over the default landing,
     /// projected ÷ full width; CI fails above [`PROJECTION_GATE`].
     pub projection_bytes_ratio: f64,
+    /// Stored bytes of the default landing by column, in schema order, summed
+    /// over the chunk lengths in its row-group headers.
+    pub stored_bytes_by_column: Vec<(&'static str, u64)>,
+    /// Chunks of a typed column that some cell kept from its kind's layout.
+    pub fallback_chunks: u64,
     /// Users in the generated day.
     pub users: u64,
     /// The event name the query selects.
@@ -179,6 +190,28 @@ fn land(arm: Arm, events: &[uli_core::ClientEvent]) -> Warehouse {
         }
     }
     wh
+}
+
+/// Where the bytes of a columnar landing sit: stored chunk bytes by column,
+/// and how many chunks are not stored as their column's kind.
+fn stored_by_column(wh: &Warehouse) -> (Vec<(&'static str, u64)>, u64) {
+    let mut by_column: Vec<(&'static str, u64)> =
+        CLIENT_EVENT_SCHEMA.iter().map(|name| (*name, 0)).collect();
+    let mut fallbacks = 0;
+    let files = wh
+        .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
+        .expect("landed day");
+    for path in files {
+        let file = ColumnarFile::open(wh, &path).expect("columnar landing");
+        for g in 0..file.group_count() {
+            let chunks = file.stored_chunks(g).expect("clean group");
+            for (c, (stored_as, bytes)) in chunks.into_iter().enumerate() {
+                by_column[c].1 += bytes;
+                fallbacks += u64::from(stored_as != CLIENT_EVENT_KINDS[c]);
+            }
+        }
+    }
+    (by_column, fallbacks)
 }
 
 /// Runs the sweep over `users` with the given worker counts.
@@ -285,7 +318,11 @@ pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout)
     let row_eager = cell("row-eager");
     let row_pushdown = cell("row-pushdown");
     let columnar_dict = cell("columnar+dict");
+    let (stored_bytes_by_column, fallback_chunks) =
+        stored_by_column(&land(Arm::ColumnarDict, &day.events));
     Measurements {
+        stored_bytes_by_column,
+        fallback_chunks,
         projection_bytes_ratio: cell("events-per-user").input_bytes_uncompressed as f64
             / cell("events-per-user-full-width")
                 .input_bytes_uncompressed
@@ -363,6 +400,18 @@ pub fn render(m: &Measurements) -> String {
          outputs identical across all arms and worker counts: {}\n",
         m.decoded_bytes_ratio, m.decode_work_ratio, m.projection_bytes_ratio, m.outputs_identical
     ));
+    let records = m.samples[0].input_records.max(1) as f64;
+    out.push_str("\nstored bytes of the default landing, by column (bytes a record):\n");
+    for (column, bytes) in &m.stored_bytes_by_column {
+        out.push_str(&format!(
+            "  {column:<16} {bytes:>10}  {:>7.2}\n",
+            *bytes as f64 / records
+        ));
+    }
+    out.push_str(&format!(
+        "chunks of a typed column not stored as its kind: {}\n",
+        m.fallback_chunks
+    ));
     if let Some(cores) = m.cores {
         out.push_str(&format!(
             "{cores} hardware thread(s) visible; on a 1-core host compare the \
@@ -411,11 +460,17 @@ pub fn to_json(m: &Measurements) -> String {
     let cores = m
         .cores
         .map_or(String::new(), |c| format!("  \"cores\": {c},\n"));
+    let stored: Vec<String> = m
+        .stored_bytes_by_column
+        .iter()
+        .map(|(column, bytes)| format!("\"{column}\": {bytes}"))
+        .collect();
     format!(
         "{{\n  \"experiment\": \"columnar\",\n  \"schema\": \"uli-columnar-v1\",\n\
          {}  \"users\": {},\n  \"event_name\": \"{}\",\n  \"default_layout\": \"{}\",\n  \
          \"outputs_identical\": {},\n  \"decoded_bytes_ratio\": {:.4},\n  \
          \"decode_work_ratio\": {:.4},\n  \"projection_bytes_ratio\": {:.4},\n  \
+         \"stored_bytes_by_column\": {{{}}},\n  \"fallback_chunks\": {},\n  \
          \"samples\": [\n{}\n  ]\n}}\n",
         cores,
         m.users,
@@ -425,6 +480,8 @@ pub fn to_json(m: &Measurements) -> String {
         m.decoded_bytes_ratio,
         m.decode_work_ratio,
         m.projection_bytes_ratio,
+        stored.join(", "),
+        m.fallback_chunks,
         rows.join(",\n")
     )
 }
@@ -491,6 +548,15 @@ mod tests {
         assert!(cell("events-per-user", 1).fields_skipped > 0);
         assert_eq!(cell("events-per-user-full-width", 1).fields_skipped, 0);
         assert!(m.projection_bytes_ratio <= PROJECTION_GATE);
+        // Every chunk of the generated day fits its column's kind, and the
+        // details column is where the bytes are.
+        assert_eq!(m.fallback_chunks, 0);
+        let stored = |column: &str| {
+            let entry = m.stored_bytes_by_column.iter().find(|(c, _)| *c == column);
+            entry.expect("a schema column").1
+        };
+        assert!(stored("details") > stored("timestamp"));
+        assert!(stored("timestamp") > stored("name"));
         let json = to_json(&m);
         assert!(json.contains("\"experiment\": \"columnar\""));
         assert!(json.contains("\"arm\": \"columnar+dict\""));

@@ -16,6 +16,7 @@ use uli_thrift::{
     varint, CompactReader, CompactWriter, Requiredness, StructDescriptor, TType, ThriftError,
     ThriftRecord, ThriftResult,
 };
+use uli_warehouse::chunk::{read_string, write_string_map_count, write_string_map_pair};
 use uli_warehouse::{WarehouseError, WarehouseResult};
 
 use crate::columnar::{
@@ -157,11 +158,7 @@ impl<'a> MapOrder<'a> {
 }
 
 fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
-    let (len, n) = varint::read_u64(bytes.get(*pos..)?).ok()?;
-    let start = *pos + n;
-    let end = start.checked_add(usize::try_from(len).ok()?)?;
-    *pos = end;
-    std::str::from_utf8(bytes.get(start..end)?).ok()
+    std::str::from_utf8(read_string(bytes, pos)?).ok()
 }
 
 impl<'a> Details<'a> {
@@ -229,11 +226,12 @@ impl<'a> Details<'a> {
         map
     }
 
-    /// Appends the columnar details cell: a varint pair count, then the
-    /// pairs in map order. Pairs already in that order are copied as they
-    /// stand; duplicate or unsorted keys (no writer of ours sends them, a
-    /// hostile one may) go through a map, last occurrence winning, like the
-    /// decoded event's.
+    /// Appends the columnar details cell, a canonical string-map cell
+    /// ([`uli_warehouse::chunk`]): the pair count, then the pairs in map
+    /// order. Pairs already in that order are copied as they stand;
+    /// duplicate or unsorted keys (no writer of ours sends them, a hostile
+    /// one may) go through a map, last occurrence winning, like the decoded
+    /// event's.
     pub(crate) fn write_cell(&self, out: &mut Vec<u8>) {
         if let Details::Pairs {
             count,
@@ -241,7 +239,7 @@ impl<'a> Details<'a> {
             in_map_order: true,
         } = *self
         {
-            varint::write_u64(out, count as u64);
+            write_string_map_count(out, count);
             out.extend_from_slice(pairs);
             return;
         }
@@ -249,10 +247,9 @@ impl<'a> Details<'a> {
         self.for_each(|k, v| {
             map.insert(k, v);
         });
-        varint::write_u64(out, map.len() as u64);
-        for text in map.iter().flat_map(|(k, v)| [k, v]) {
-            varint::write_u64(out, text.len() as u64);
-            out.extend_from_slice(text.as_bytes());
+        write_string_map_count(out, map.len());
+        for (k, v) in map {
+            write_string_map_pair(out, k.as_bytes(), v.as_bytes());
         }
     }
 }

@@ -9,19 +9,23 @@
 //! codes for frequent events), and name predicates compare integer codes
 //! instead of strings.
 //!
-//! Cell encodings are deliberately trivial — fixed-width integers and raw
-//! UTF-8 — because the interesting compression already happens at two other
-//! layers: the dictionary replaces repeated name strings with varint codes,
-//! and the warehouse block compressor squeezes each column chunk (now full
-//! of same-shaped values) far better than it does interleaved rows.
+//! Cell encodings are deliberately trivial — fixed-width integers, raw
+//! UTF-8, the details map as counted pairs — because the compression
+//! happens at three other layers: the dictionary replaces repeated name
+//! strings with varint codes; the warehouse writer, told each column's kind
+//! ([`CLIENT_EVENT_KINDS`]), stores a row group's integers as distances
+//! from their minimum and its details one key at a time; and the block
+//! compressor squeezes each column chunk (now full of same-shaped values)
+//! far better than it does interleaved rows.
 
 use std::collections::HashMap;
 
 use uli_dataflow::{ColumnarCodec, Value};
-use uli_thrift::{varint, CompactReader};
+use uli_thrift::CompactReader;
+use uli_warehouse::chunk::string_map_cell;
 use uli_warehouse::{
-    tag_hash, ColumnCell, ColumnarFileWriter, ColumnarLanding, ScanFile, Warehouse, WarehouseError,
-    WarehouseResult, WhPath,
+    tag_hash, ColumnCell, ColumnKind, ColumnarFileWriter, ColumnarLanding, ScanFile, Warehouse,
+    WarehouseError, WarehouseResult, WhPath,
 };
 
 use crate::client_event::{ClientEvent, Details};
@@ -41,6 +45,19 @@ pub const SESSION_COLUMN: usize = 3;
 pub const IP_COLUMN: usize = 4;
 /// Column index of the event timestamp.
 pub const TIMESTAMP_COLUMN: usize = 5;
+
+/// What the cells of each column are ([`CellScratch::cells`]), index-aligned
+/// with [`CLIENT_EVENT_SCHEMA`](crate::client_event::CLIENT_EVENT_SCHEMA):
+/// what every writer of client events tells the columnar file.
+pub const CLIENT_EVENT_KINDS: [ColumnKind; 7] = [
+    ColumnKind::Bytes,
+    ColumnKind::Bytes,
+    ColumnKind::I64,
+    ColumnKind::Bytes,
+    ColumnKind::Bytes,
+    ColumnKind::I64,
+    ColumnKind::StringMap,
+];
 
 /// The columns of a client event a reader declares it reads, index-aligned
 /// with [`CLIENT_EVENT_SCHEMA`](crate::client_event::CLIENT_EVENT_SCHEMA).
@@ -81,9 +98,8 @@ impl CellScratch {
     /// initiator as its one-byte wire code, name as raw UTF-8 (the writer's
     /// dictionary substitutes codes for known names), the two integers as
     /// fixed 8-byte little-endian, the two strings raw, and details as a
-    /// varint-counted sequence of length-prefixed key/value pairs in map
-    /// order. The one cell encoder: every writer of client events goes
-    /// through it.
+    /// string-map cell ([`uli_warehouse::chunk`]) in map order. The one cell
+    /// encoder: every writer of client events goes through it.
     fn cells<'s>(&'s mut self, row: &EventRow<'s>) -> WarehouseResult<[&'s [u8]; 7]> {
         self.initiator = [row.initiator()?.code() as u8];
         self.user_id = row.user_id()?.to_le_bytes();
@@ -167,13 +183,8 @@ fn decode_i64(bytes: &[u8]) -> Option<i64> {
 /// A details cell, walked once; `None` when it is malformed. Allocates
 /// nothing.
 fn details_cell(bytes: &[u8]) -> Option<Details<'_>> {
-    let (count, pairs_at) = varint::read_u64(bytes).ok()?;
-    // A count can't exceed the remaining bytes (each pair costs at least
-    // two length bytes) — reject before walking.
-    if count > bytes.len() as u64 {
-        return None;
-    }
-    Details::parse(count as usize, &bytes[pairs_at..])
+    let (count, pairs) = string_map_cell(bytes)?;
+    Details::parse(count, pairs)
 }
 
 /// `Some(None)`: the column is not declared. `None`: its cell is
@@ -201,10 +212,21 @@ fn cells_row<'a>(cells: [Option<&'a [u8]>; 7], name: Option<&'a str>) -> Option<
     })
 }
 
+/// Where a visited row is stored: its scan unit, and its position among the
+/// rows of that unit — every stored row has one, whether or not it decodes,
+/// so a position means the same row under any projection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RowAt {
+    /// Block of a row file, row group of a columnar one.
+    pub unit: usize,
+    /// Position in the unit, from zero.
+    pub row: usize,
+}
+
 /// Visits the client events of `units` of a landed file — blocks of a row
-/// file, row groups of a columnar one — in stored order, handing `f` the
-/// unit index and a borrowed [`EventRow`] over the `columns` the caller
-/// declares it reads. Nothing else is decompressed, split, decoded or
+/// file, row groups of a columnar one — in stored order, handing `f` where
+/// the row is stored and a borrowed [`EventRow`] over the `columns` the
+/// caller declares it reads. Nothing else is decompressed, split, decoded or
 /// allocated: a columnar group is read under exactly that projection, and a
 /// dictionary-coded name is validated once per dictionary entry of the
 /// file, not once per row.
@@ -219,7 +241,7 @@ pub fn for_each_event_row(
     file: &ScanFile,
     units: impl IntoIterator<Item = usize>,
     columns: EventColumns,
-    mut f: impl FnMut(usize, &EventRow<'_>) -> WarehouseResult<()>,
+    mut f: impl FnMut(RowAt, &EventRow<'_>) -> WarehouseResult<()>,
 ) -> WarehouseResult<(u64, u64)> {
     let mut events = 0u64;
     let mut skipped = 0u64;
@@ -229,7 +251,10 @@ pub fn for_each_event_row(
         ScanFile::Row(blocks) => {
             for unit in units {
                 let mut result = Ok(());
+                let mut at = RowAt { unit, row: 0 };
                 blocks.for_each_record(unit, |record| {
+                    let here = at;
+                    at.row += 1;
                     if result.is_err() {
                         return;
                     }
@@ -239,7 +264,7 @@ pub fn for_each_event_row(
                         return;
                     };
                     events += 1;
-                    result = f(unit, &view);
+                    result = f(here, &view);
                 })?;
                 result?;
             }
@@ -275,7 +300,7 @@ pub fn for_each_event_row(
                     match name.and_then(|name| cells_row(cells, name)) {
                         Some(view) => {
                             events += 1;
-                            f(unit, &view)?;
+                            f(RowAt { unit, row }, &view)?;
                         }
                         None => skipped += 1,
                     }
@@ -339,7 +364,7 @@ fn write_event_rows(
     let mut w = ColumnarFileWriter::create(
         warehouse,
         path,
-        7,
+        &CLIENT_EVENT_KINDS,
         rows_per_group,
         coded
             .as_ref()
@@ -479,7 +504,7 @@ mod tests {
         assert_eq!(c.decode(6, &[0, 0]), None, "trailing bytes after details");
         // A hostile count larger than the buffer is rejected outright.
         let mut hostile = Vec::new();
-        varint::write_u64(&mut hostile, u64::MAX);
+        uli_thrift::varint::write_u64(&mut hostile, u64::MAX);
         assert_eq!(c.decode(6, &hostile), None, "absurd pair count");
         assert_eq!(c.decode(7, b""), None, "column out of range");
     }
@@ -587,7 +612,7 @@ mod tests {
     /// A 3-row columnar file whose middle row carries `bad` in column `col`.
     fn file_with_bad_cell(wh: &Warehouse, col: usize, bad: &[u8]) -> ScanFile {
         let path = WhPath::parse("/logs/ce/bad").unwrap();
-        let mut w = ColumnarFileWriter::create(wh, &path, 7, 8, None).unwrap();
+        let mut w = ColumnarFileWriter::create(wh, &path, &CLIENT_EVENT_KINDS, 8, None).unwrap();
         for i in 0..3 {
             let cells = client_event_cells(&sample(i));
             let mut refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap};
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
     ExternalByteSorter, HourlyPartition, MemoryTracker, Parallelism, ScanFile, ScanPool, Warehouse,
-    WarehouseResult, WhPath,
+    WarehouseError, WarehouseResult, WhPath,
 };
 
 use super::dictionary::EventDictionary;
@@ -21,8 +21,8 @@ use super::sequence::SessionSequence;
 use super::sessionize::{SessionEvent, SessionRecord, Sessionizer};
 use crate::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
 use crate::columnar::{
-    event_columns, for_each_event_row, EventColumns, EventRow, ALL_COLUMNS, IP_COLUMN, NAME_COLUMN,
-    SESSION_COLUMN, TIMESTAMP_COLUMN, USER_COLUMN,
+    event_columns, for_each_event_row, EventColumns, EventRow, RowAt, ALL_COLUMNS, IP_COLUMN,
+    NAME_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN, USER_COLUMN,
 };
 use crate::event::EventName;
 use crate::time::Timestamp;
@@ -206,8 +206,8 @@ impl Materializer {
     /// scan order plus total decoded/skipped counts, so merging shard states
     /// front-to-back sees the day's events in exactly one order whatever
     /// the worker count. A file, not a scan unit, is the shard: per-shard
-    /// state (a histogram, candidate samples) is paid once per shard, and a
-    /// delivered day has many more files than workers.
+    /// state is paid once per shard, and a delivered day has many more
+    /// files than workers.
     fn scan_day_sharded<T, F>(
         &self,
         day_index: u64,
@@ -218,14 +218,11 @@ impl Materializer {
         T: Default + Send,
         F: Fn(&mut T, &EventRow<'_>) -> WarehouseResult<()> + Sync,
     {
-        let mut paths = Vec::new();
-        for hour in day_index * 24..(day_index + 1) * 24 {
-            paths.extend(self.hour_files(hour)?);
-        }
+        let paths = self.day_files(day_index)?;
         let results = ScanPool::new(self.parallelism).map(paths, |_, path| {
             let mut state = T::default();
             let (events, skipped) = self.scan_file(&path, columns, |row| fold(&mut state, row))?;
-            Ok::<_, uli_warehouse::WarehouseError>((state, events, skipped))
+            Ok::<_, WarehouseError>((state, events, skipped))
         });
         let mut states = Vec::with_capacity(results.len());
         let mut events = 0u64;
@@ -239,46 +236,89 @@ impl Materializer {
         Ok((states, events, skipped))
     }
 
+    /// The landed client-event files of a day in *scan order*: hours
+    /// ascending, files sorted within an hour.
+    fn day_files(&self, day_index: u64) -> WarehouseResult<Vec<WhPath>> {
+        let mut paths = Vec::new();
+        for hour in day_index * 24..(day_index + 1) * 24 {
+            paths.extend(self.hour_files(hour)?);
+        }
+        Ok(paths)
+    }
+
     /// Pass 1: histogram + samples + dictionary, persisted under
     /// [`dictionary_dir`]. Returns the dictionary.
     ///
-    /// Per-shard histograms merge into one `BTreeMap` in scan order; counts
-    /// are order-independent sums and samples keep the first
-    /// `samples_per_event` occurrences in scan order, so the persisted
-    /// dictionary and samples do not depend on the worker count. Rank order
-    /// (count descending, ties by name ascending) is fixed by
-    /// [`EventDictionary::from_counts`].
-    ///
-    /// A shard is a hash map (its iteration order never reaches the output:
-    /// the merge is per name) costing one lookup per event. A row is read by
-    /// name alone; the whole event is built only for a candidate sample,
-    /// and serialized as it is taken, so no decoded event outlives its
-    /// visit.
+    /// Names are counted under the name column alone: every row pass 2
+    /// sessionizes has a name that decodes, so it is counted here whatever
+    /// else of it does not, and the dictionary covers every session by
+    /// construction. Each file is a shard — a hash map costing one lookup
+    /// per event, whose iteration order never reaches the output — that
+    /// also remembers where each name's first `samples_per_event` rows are
+    /// stored. Shards merge in scan order into one `BTreeMap`: counts are
+    /// order-independent sums and the candidates kept are the day's first
+    /// per name, so nothing persisted depends on the worker count. Only the
+    /// scan units holding a kept candidate are then read at full width; a
+    /// candidate that does not decode there yields no sample, and moves no
+    /// other. Rank order (count descending, ties by name ascending) is
+    /// fixed by [`EventDictionary::from_counts`].
     pub fn build_dictionary(&self, day_index: u64) -> WarehouseResult<EventDictionary> {
         let per_event = self.samples_per_event;
-        type Shard = HashMap<EventName, (u64, Vec<Vec<u8>>)>;
-        let fold = |shard: &mut Shard, row: &EventRow<'_>| {
-            let name = row.name()?;
-            let (n, first) = match shard.get_mut(name) {
-                Some(entry) => entry,
-                None => shard.entry(EventName::from_valid(name)).or_default(),
-            };
-            *n += 1;
-            if first.len() < per_event {
-                first.push(row.to_event()?.to_bytes());
-            }
-            Ok(())
-        };
-        let (shards, _, _) = self.scan_day_sharded(day_index, ALL_COLUMNS, fold)?;
+        let pool = ScanPool::new(self.parallelism);
+        let paths = self.day_files(day_index)?;
+        type Shard = HashMap<EventName, (u64, Vec<RowAt>)>;
+        let shards = pool.map(paths.iter().collect(), |_, path| {
+            let file = ScanFile::open(&self.warehouse, path)?;
+            let mut shard = Shard::new();
+            let named = event_columns([NAME_COLUMN]);
+            for_each_event_row(&file, 0..file.units(), named, |at, row| {
+                let name = row.name()?;
+                let (n, first) = match shard.get_mut(name) {
+                    Some(entry) => entry,
+                    None => shard.entry(EventName::from_valid(name)).or_default(),
+                };
+                *n += 1;
+                if first.len() < per_event {
+                    first.push(at);
+                }
+                Ok(())
+            })?;
+            Ok::<_, WarehouseError>(shard)
+        });
         let mut counts: BTreeMap<EventName, u64> = BTreeMap::new();
-        let mut samples: BTreeMap<EventName, Vec<Vec<u8>>> = BTreeMap::new();
-        for shard in shards {
-            for (name, (n, first)) in shard {
-                let bucket = samples.entry(name.clone()).or_default();
-                let room = per_event.saturating_sub(bucket.len());
-                bucket.extend(first.into_iter().take(room));
+        // Per name, its first rows of the day as (file, position).
+        let mut candidates: BTreeMap<EventName, Vec<(usize, RowAt)>> = BTreeMap::new();
+        for (file, shard) in shards.into_iter().enumerate() {
+            for (name, (n, first)) in shard? {
+                let kept = candidates.entry(name.clone()).or_default();
+                let room = per_event.saturating_sub(kept.len());
+                kept.extend(first.into_iter().take(room).map(|at| (file, at)));
                 *counts.entry(name).or_insert(0) += n;
             }
+        }
+
+        // Per file, the candidate rows to serialize, in stored order.
+        let mut wanted: BTreeMap<usize, Vec<RowAt>> = BTreeMap::new();
+        for (file, at) in candidates.values().flatten() {
+            wanted.entry(*file).or_default().push(*at);
+        }
+        let taken = pool.map(wanted.into_iter().collect(), |_, (file, mut rows)| {
+            rows.sort_unstable();
+            let scan = ScanFile::open(&self.warehouse, &paths[file])?;
+            let mut units: Vec<usize> = rows.iter().map(|at| at.unit).collect();
+            units.dedup();
+            let mut samples = Vec::with_capacity(rows.len());
+            for_each_event_row(&scan, units, ALL_COLUMNS, |at, row| {
+                if rows.binary_search(&at).is_ok() {
+                    samples.push(((file, at), row.to_event()?.to_bytes()));
+                }
+                Ok(())
+            })?;
+            Ok::<_, WarehouseError>(samples)
+        });
+        let mut samples: HashMap<(usize, RowAt), Vec<u8>> = HashMap::new();
+        for file_samples in taken {
+            samples.extend(file_samples?);
         }
         let dict = EventDictionary::from_counts(counts.into_iter().collect());
 
@@ -297,10 +337,12 @@ impl Materializer {
         let mut w = self
             .warehouse
             .create(&dir.child("samples").expect("valid"))?;
-        for bucket in samples.values() {
-            for sample in bucket {
-                w.append_record(sample);
-            }
+        for sample in candidates
+            .values()
+            .flatten()
+            .filter_map(|at| samples.get(at))
+        {
+            w.append_record(sample);
         }
         w.finish()?;
         Ok(dict)
@@ -920,6 +962,94 @@ mod tests {
                 expected,
                 "materialized files diverged from the event list at {workers} workers"
             );
+        }
+    }
+
+    /// Regression: pass 1 used to scan at full width while pass 2 reads five
+    /// columns, so a row whose `details` cell does not decode was sessionized
+    /// but never counted — its name missing from the same-day dictionary,
+    /// its session dropped (a `debug_assert` in debug builds).
+    #[test]
+    fn a_row_with_undecodable_details_is_counted_and_sessionized_but_not_sampled() {
+        use crate::columnar::{client_event_cells, CLIENT_EVENT_KINDS};
+        use uli_warehouse::ColumnarFileWriter;
+        let garbled = n("web:home:home:stream:tweet:garbled");
+        let impression = n("web:home:home:stream:tweet:impression");
+        // 4 users × 10 events, and one more user whose only event is the one
+        // `garbled`. Its details cell is garbage, and so is that of the
+        // day's second impression.
+        let mut events = hour_events(0, 4, 10);
+        events.push(ClientEvent::new(
+            EventInitiator::CLIENT_USER,
+            garbled.clone(),
+            99,
+            "s-99",
+            "10.0.0.1",
+            Timestamp::from_hour_index(0).plus(77),
+        ));
+        let impressions: Vec<usize> = (0..events.len())
+            .filter(|i| events[*i].name == impression)
+            .collect();
+        let bad_rows = [impressions[1], events.len() - 1];
+        for workers in [1usize, 4] {
+            let wh = Warehouse::new();
+            let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, 0).main_dir();
+            // Groups of 8, so candidates sit in several units of two files.
+            for (part, rows) in [(0, 0..20), (1, 20..events.len())] {
+                let path = dir.child(&format!("part-{part:05}")).unwrap();
+                let mut w =
+                    ColumnarFileWriter::create(&wh, &path, &CLIENT_EVENT_KINDS, 8, None).unwrap();
+                for i in rows {
+                    let cells = client_event_cells(&events[i]);
+                    let mut refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
+                    if bad_rows.contains(&i) {
+                        refs[6] = &[5];
+                    }
+                    w.append_row(&refs);
+                }
+                w.finish().unwrap();
+            }
+            let m = Materializer::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
+            let dict = m.build_dictionary(0).unwrap();
+            let rank = dict.rank_of(&garbled).expect("counted by name alone");
+            assert_eq!(dict.count_of(rank), Some(1));
+            let impression_rank = dict.rank_of(&impression).unwrap();
+            assert_eq!(dict.count_of(impression_rank), Some(32));
+
+            let report = m.materialize_sequences(0, &dict).unwrap();
+            assert_eq!(report.events, events.len() as u64);
+            assert_eq!(report.sessions, 5, "the garbled row's session included");
+            let streamed = m
+                .materialize_sequences_streaming(0, &dict, DEFAULT_MEM_BUDGET)
+                .unwrap();
+            assert_eq!(streamed.sessions, 5);
+
+            // The first three rows of each name are its candidates; one that
+            // does not decode at full width leaves a gap, not a shift.
+            let samples = m.load_samples(0).unwrap();
+            let sampled = |name: &EventName| -> Vec<ClientEvent> {
+                samples
+                    .iter()
+                    .filter(|s| s.name == *name)
+                    .cloned()
+                    .collect()
+            };
+            assert_eq!(sampled(&garbled), []);
+            assert_eq!(
+                sampled(&impression),
+                [
+                    events[impressions[0]].clone(),
+                    events[impressions[2]].clone()
+                ]
+            );
+            let click = n("web:home:home:stream:tweet:click");
+            let clicks: Vec<ClientEvent> = events
+                .iter()
+                .filter(|ev| ev.name == click)
+                .take(3)
+                .cloned()
+                .collect();
+            assert_eq!(sampled(&click), clicks);
         }
     }
 

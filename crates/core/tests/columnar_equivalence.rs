@@ -10,7 +10,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use uli_core::client_event::{ClientEvent, ClientEventLoader, CLIENT_EVENT_SCHEMA};
-use uli_core::columnar::{client_event_cells, NAME_COLUMN};
+use uli_core::columnar::{client_event_cells, CLIENT_EVENT_KINDS, NAME_COLUMN};
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::session::day_dir;
 use uli_core::time::Timestamp;
@@ -90,7 +90,7 @@ fn land_columnar(events: &[ClientEvent], dict_names: &[&str], rows_per_group: us
     let mut w = ColumnarFileWriter::create(
         &wh,
         &dir.child("part-00000").unwrap(),
-        CLIENT_EVENT_SCHEMA.len(),
+        &CLIENT_EVENT_KINDS,
         rows_per_group,
         dictionary,
     )

@@ -370,7 +370,7 @@ pub fn string_map(pairs: impl IntoIterator<Item = (String, String)>) -> Value {
 mod tests {
     use super::*;
     use crate::error::DataflowError;
-    use uli_warehouse::{ColumnarFileWriter, Warehouse, WarehouseError, WhPath};
+    use uli_warehouse::{ColumnKind, ColumnarFileWriter, Warehouse, WarehouseError, WhPath};
 
     fn p(s: &str) -> WhPath {
         WhPath::parse(s).unwrap()
@@ -379,7 +379,14 @@ mod tests {
     /// 3 text columns: user (int), action (dictionary), amount (int).
     fn fixture(wh: &Warehouse, rows: i64) -> ColumnarFile {
         let dict: [&[u8]; 2] = [b"click", b"impression"];
-        let mut w = ColumnarFileWriter::create(wh, &p("/col"), 3, 64, Some((1, &dict))).unwrap();
+        let mut w = ColumnarFileWriter::create(
+            wh,
+            &p("/col"),
+            &[ColumnKind::Bytes; 3],
+            64,
+            Some((1, &dict)),
+        )
+        .unwrap();
         for i in 0..rows {
             let user = (i % 10).to_string();
             let action = if i % 3 == 0 {
@@ -565,7 +572,8 @@ mod tests {
     fn a_bad_cell_drops_its_row_only_when_its_column_is_read() {
         let wh = Warehouse::new();
         // Column 1 of the middle row is invalid UTF-8.
-        let mut w = ColumnarFileWriter::create(&wh, &p("/bad"), 3, 8, None).unwrap();
+        let mut w =
+            ColumnarFileWriter::create(&wh, &p("/bad"), &[ColumnKind::Bytes; 3], 8, None).unwrap();
         w.append_row(&[b"1", b"ok", b"10"]);
         w.append_row(&[b"2", &[0xff, 0xfe], b"20"]);
         w.append_row(&[b"3", b"ok", b"30"]);
@@ -621,7 +629,8 @@ mod tests {
     fn undecodable_cells_drop_rows_not_batches() {
         let wh = Warehouse::new();
         // No dictionary; column 1 row 1 is invalid UTF-8.
-        let mut w = ColumnarFileWriter::create(&wh, &p("/bad"), 2, 8, None).unwrap();
+        let mut w =
+            ColumnarFileWriter::create(&wh, &p("/bad"), &[ColumnKind::Bytes; 2], 8, None).unwrap();
         w.append_row(&[b"1", b"ok"]);
         w.append_row(&[b"2", &[0xff, 0xfe]]);
         w.append_row(&[b"3", b"ok"]);

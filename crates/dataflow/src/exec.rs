@@ -1654,7 +1654,7 @@ mod tests {
         let mut w = uli_warehouse::ColumnarFileWriter::create(
             &wh,
             &dir.child("part-0").unwrap(),
-            3,
+            &[uli_warehouse::ColumnKind::Bytes; 3],
             group_rows,
             Some((1, &dict)),
         )

@@ -832,7 +832,13 @@ mod tests {
             path: &uli_warehouse::WhPath,
             payloads: &[Vec<u8>],
         ) -> WarehouseResult<Vec<usize>> {
-            let mut w = uli_warehouse::ColumnarFileWriter::create(warehouse, path, 2, 64, None)?;
+            let mut w = uli_warehouse::ColumnarFileWriter::create(
+                warehouse,
+                path,
+                &[uli_warehouse::ColumnKind::Bytes; 2],
+                64,
+                None,
+            )?;
             let mut rejected = Vec::new();
             for (i, p) in payloads.iter().enumerate() {
                 let cell_count = p.iter().filter(|b| **b == b',').count();

@@ -18,6 +18,8 @@ use uli_core::columnar::{
     event_columns, for_each_event_row, EventColumns, NAME_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN,
     USER_COLUMN,
 };
+use uli_core::time::MS_PER_HOUR;
+use uli_thrift::varint;
 use uli_warehouse::{
     HourlyPartition, Parallelism, ScanFile, ScanPool, ScanStats, Warehouse, WarehouseError,
     WarehouseResult, WhPath,
@@ -301,8 +303,8 @@ fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseRes
     // whole file.
     let columnar = matches!(file, ScanFile::Columnar(_));
     let (events, skipped) =
-        for_each_event_row(&file, 0..file.units(), INDEXED_COLUMNS, |unit, row| {
-            let group = if columnar { unit as u32 } else { 0 };
+        for_each_event_row(&file, 0..file.units(), INDEXED_COLUMNS, |at, row| {
+            let group = if columnar { at.unit as u32 } else { 0 };
             let name = row.name()?;
             // A name owns its key once, when first seen in the file.
             let posted = match names.get_mut(name) {
@@ -363,110 +365,212 @@ fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseRes
     })
 }
 
-/// Serializes the index as one tab-separated record per fact. Event names
-/// are validated six-level names (no tabs), so no escaping is needed.
+/// Magic prefix of an encoded index: what tells it from anything else that
+/// may sit under its name (the text format it replaced began with `H`).
+const INDEX_MAGIC: [u8; 4] = *b"UHI\x01";
+
+fn put_text(out: &mut Vec<u8>, text: &str) {
+    varint::write_u64(out, text.len() as u64);
+    out.extend_from_slice(text.as_bytes());
+}
+
+/// `count`, then the ascending `values` each as its distance from the one
+/// before (the first from zero).
+fn put_ascending(out: &mut Vec<u8>, count: usize, values: impl Iterator<Item = u32>) {
+    varint::write_u64(out, count as u64);
+    let mut last = 0;
+    for v in values {
+        varint::write_u64(out, u64::from(v - last));
+        last = v;
+    }
+}
+
+fn put_postings(out: &mut Vec<u8>, postings: &Postings) {
+    put_ascending(out, postings.len(), postings.keys().copied());
+    for groups in postings.values() {
+        put_ascending(out, groups.len(), groups.iter().copied());
+    }
+}
+
+/// Serializes the index: varints throughout, every ascending run — user
+/// ids, file numbers, the row groups of a posting — as distances from the
+/// value before, and a user's first event relative to the start of the
+/// hour, its last relative to its first. After the magic: hour, records,
+/// events; the files; then per event name its count and postings, and per
+/// user its postings and summary. [`decode`] is the exact inverse.
 pub fn encode(index: &HourIndex) -> Vec<u8> {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "H\t{}\t{}\t{}\n",
-        index.hour_index, index.records, index.events
-    ));
+    let mut out = Vec::new();
+    out.extend_from_slice(&INDEX_MAGIC);
+    for v in [index.hour_index, index.records, index.events] {
+        varint::write_u64(&mut out, v);
+    }
+    varint::write_u64(&mut out, index.files.len() as u64);
     for f in &index.files {
-        out.push_str(&format!(
-            "F\t{}\t{}\t{}\n",
-            f.name,
-            f.groups,
-            u8::from(f.columnar)
-        ));
+        put_text(&mut out, &f.name);
+        varint::write_u64(&mut out, u64::from(f.groups));
+        out.push(u8::from(f.columnar));
     }
+    // The two maps of a key kind share their keys in every index the build
+    // produces, but the type does not say so: each has its own run.
+    varint::write_u64(&mut out, index.name_counts.len() as u64);
     for (name, count) in &index.name_counts {
-        out.push_str(&format!("N\t{name}\t{count}\n"));
+        put_text(&mut out, name);
+        varint::write_u64(&mut out, *count);
     }
+    varint::write_u64(&mut out, index.name_postings.len() as u64);
     for (name, postings) in &index.name_postings {
-        for (file, groups) in postings {
-            out.push_str(&format!("NP\t{name}\t{file}\t{}\n", join_groups(groups)));
-        }
+        put_text(&mut out, name);
+        put_postings(&mut out, postings);
     }
+    let hour_start = (index.hour_index as i64).wrapping_mul(MS_PER_HOUR);
+    // A user id as its distance from the one before in its run.
+    fn put_user(out: &mut Vec<u8>, user: i64, last: &mut i64) {
+        varint::write_i64(out, user.wrapping_sub(*last));
+        *last = user;
+    }
+    let mut last = 0;
+    varint::write_u64(&mut out, index.user_postings.len() as u64);
     for (user, postings) in &index.user_postings {
-        for (file, groups) in postings {
-            out.push_str(&format!("UP\t{user}\t{file}\t{}\n", join_groups(groups)));
-        }
+        put_user(&mut out, *user, &mut last);
+        put_postings(&mut out, postings);
     }
+    last = 0;
+    varint::write_u64(&mut out, index.user_summaries.len() as u64);
     for (user, s) in &index.user_summaries {
-        out.push_str(&format!(
-            "US\t{user}\t{}\t{}\t{}\t{}\n",
-            s.events, s.sessions, s.first_millis, s.last_millis
-        ));
+        put_user(&mut out, *user, &mut last);
+        varint::write_u64(&mut out, s.events);
+        varint::write_u64(&mut out, s.sessions);
+        varint::write_i64(&mut out, s.first_millis.wrapping_sub(hour_start));
+        varint::write_i64(&mut out, s.last_millis.wrapping_sub(s.first_millis));
     }
-    out.into_bytes()
+    out
 }
 
-fn join_groups(groups: &BTreeSet<u32>) -> String {
-    groups
-        .iter()
-        .map(|g| g.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
+/// What is left to decode of an encoded index.
+struct IndexBytes<'a>(&'a [u8]);
 
-/// Tolerant inverse of [`encode`]: malformed lines are skipped, the same
-/// posture every reader in the pipeline takes toward corrupt records.
-pub fn decode(bytes: &[u8]) -> Option<HourIndex> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let mut index = HourIndex::default();
-    let mut saw_header = false;
-    for line in text.lines() {
-        let fields: Vec<&str> = line.split('\t').collect();
-        match fields.as_slice() {
-            ["H", hour, records, events] => {
-                index.hour_index = hour.parse().ok()?;
-                index.records = records.parse().ok()?;
-                index.events = events.parse().ok()?;
-                saw_header = true;
+impl<'a> IndexBytes<'a> {
+    fn u64(&mut self) -> Option<u64> {
+        let (v, n) = varint::read_u64(self.0).ok()?;
+        self.0 = &self.0[n..];
+        Some(v)
+    }
+
+    fn i64(&mut self) -> Option<i64> {
+        self.u64().map(varint::zigzag_decode)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.u64()?).ok()
+    }
+
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn text(&mut self) -> Option<String> {
+        let len = usize::try_from(self.u64()?).ok()?;
+        Some(std::str::from_utf8(self.bytes(len)?).ok()?.to_string())
+    }
+
+    /// A count of things that cost a byte each at least: one larger than
+    /// what is left is a lie, caught before anything is sized by it.
+    fn count(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?)
+            .ok()
+            .filter(|n| *n <= self.0.len())
+    }
+
+    /// The inverse of [`put_ascending`]: strictly ascending, or `None`.
+    fn ascending(&mut self) -> Option<Vec<u32>> {
+        let count = self.count()?;
+        let mut values: Vec<u32> = Vec::with_capacity(count);
+        for i in 0..count {
+            let step = self.u32()?;
+            let last = values.last().copied().unwrap_or(0);
+            if i > 0 && step == 0 {
+                return None;
             }
-            ["F", name, groups, columnar] => index.files.push(FileEntry {
-                name: name.to_string(),
-                groups: groups.parse().ok()?,
-                columnar: *columnar == "1",
-            }),
-            ["N", name, count] => {
-                index
-                    .name_counts
-                    .insert(name.to_string(), count.parse().ok()?);
-            }
-            ["NP", name, file, groups] => {
-                index
-                    .name_postings
-                    .entry(name.to_string())
-                    .or_default()
-                    .insert(file.parse().ok()?, parse_groups(groups)?);
-            }
-            ["UP", user, file, groups] => {
-                index
-                    .user_postings
-                    .entry(user.parse().ok()?)
-                    .or_default()
-                    .insert(file.parse().ok()?, parse_groups(groups)?);
-            }
-            ["US", user, events, sessions, first, last] => {
-                index.user_summaries.insert(
-                    user.parse().ok()?,
-                    UserHourSummary {
-                        events: events.parse().ok()?,
-                        sessions: sessions.parse().ok()?,
-                        first_millis: first.parse().ok()?,
-                        last_millis: last.parse().ok()?,
-                    },
-                );
-            }
-            _ => continue,
+            values.push(last.checked_add(step)?);
         }
+        Some(values)
     }
-    saw_header.then_some(index)
+
+    fn postings(&mut self) -> Option<Postings> {
+        let mut postings = Postings::new();
+        for file in self.ascending()? {
+            postings.insert(file, self.ascending()?.into_iter().collect());
+        }
+        Some(postings)
+    }
+
+    /// One run of `(key, value)` entries into `map`; a key seen twice is a
+    /// structural error, as a non-ascending one is.
+    fn run<K: Ord, V>(
+        &mut self,
+        map: &mut BTreeMap<K, V>,
+        mut entry: impl FnMut(&mut Self) -> Option<(K, V)>,
+    ) -> Option<()> {
+        for _ in 0..self.count()? {
+            let (key, value) = entry(self)?;
+            if map.last_key_value().is_some_and(|(last, _)| *last >= key) {
+                return None;
+            }
+            map.insert(key, value);
+        }
+        Some(())
+    }
 }
 
-fn parse_groups(s: &str) -> Option<BTreeSet<u32>> {
-    s.split(',').map(|g| g.parse().ok()).collect()
+/// Inverse of [`encode`]. `None` on any structural error — a missing magic,
+/// truncation, an overlong varint, a count the remaining bytes cannot hold,
+/// a run that does not ascend, trailing bytes: a committed index that does
+/// not decode is treated as absent and rebuilt from the landed hour.
+pub fn decode(bytes: &[u8]) -> Option<HourIndex> {
+    let mut r = IndexBytes(bytes.strip_prefix(&INDEX_MAGIC)?);
+    let mut index = HourIndex {
+        hour_index: r.u64()?,
+        records: r.u64()?,
+        events: r.u64()?,
+        ..HourIndex::default()
+    };
+    for _ in 0..r.count()? {
+        index.files.push(FileEntry {
+            name: r.text()?,
+            groups: r.u32()?,
+            columnar: match r.bytes(1)? {
+                [0] => false,
+                [1] => true,
+                _ => return None,
+            },
+        });
+    }
+    r.run(&mut index.name_counts, |r| Some((r.text()?, r.u64()?)))?;
+    r.run(&mut index.name_postings, |r| {
+        Some((r.text()?, r.postings()?))
+    })?;
+    let hour_start = (index.hour_index as i64).wrapping_mul(MS_PER_HOUR);
+    let mut last_user = 0i64;
+    r.run(&mut index.user_postings, |r| {
+        last_user = last_user.wrapping_add(r.i64()?);
+        Some((last_user, r.postings()?))
+    })?;
+    last_user = 0;
+    r.run(&mut index.user_summaries, |r| {
+        last_user = last_user.wrapping_add(r.i64()?);
+        let (events, sessions) = (r.u64()?, r.u64()?);
+        let first_millis = hour_start.wrapping_add(r.i64()?);
+        let summary = UserHourSummary {
+            events,
+            sessions,
+            first_millis,
+            last_millis: first_millis.wrapping_add(r.i64()?),
+        };
+        Some((last_user, summary))
+    })?;
+    r.0.is_empty().then_some(index)
 }
 
 /// Commits an index beside its hour with the mover's assemble-then-rename
@@ -612,6 +716,133 @@ mod tests {
         let idx = build(&wh, 3);
         let decoded = decode(&encode(&idx)).expect("round trip");
         assert_eq!(decoded, idx);
+    }
+
+    #[test]
+    fn decode_rejects_what_encode_never_writes() {
+        let wh = Warehouse::new();
+        land_hour(
+            &wh,
+            2,
+            &[event(9, "s", "a:b:c:d:e:f", 2 * 3_600_000 + 10)],
+            8,
+        );
+        let good = encode(&build(&wh, 2));
+        assert!(decode(&good).is_some());
+        for cut in 0..good.len() {
+            assert!(decode(&good[..cut]).is_none(), "truncated at {cut}");
+        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(decode(&trailing).is_none(), "trailing byte");
+        // The text format this replaced, and an index of nothing at all.
+        assert!(decode(b"H\t2\t1\t1\nF\tpart-00000\t1\t1\n").is_none());
+        assert!(decode(b"").is_none());
+        // A count the remaining bytes cannot hold is refused before
+        // anything is sized by it, and an overlong varint is no number.
+        let header = |tail: &[u8]| [&INDEX_MAGIC[..], &[2, 1, 1], tail].concat();
+        assert!(decode(&header(&[0xff, 0xff, 0xff, 0xff, 0x0f])).is_none());
+        assert!(decode(&header(&[0x80; 11])).is_none());
+        assert!(decode(&header(&[0, 0, 0, 0, 0])).is_some(), "an empty hour");
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn postings() -> impl Strategy<Value = Postings> {
+            proptest::collection::btree_map(
+                prop_oneof![0u32..6, any::<u32>()],
+                proptest::collection::btree_set(prop_oneof![0u32..40, any::<u32>()], 0..6),
+                0..4,
+            )
+        }
+
+        fn user() -> impl Strategy<Value = i64> {
+            prop_oneof![0i64..50, any::<i64>()]
+        }
+
+        fn hour_index() -> impl Strategy<Value = HourIndex> {
+            (
+                (
+                    prop_oneof![0u64..48, any::<u64>()],
+                    any::<u64>(),
+                    any::<u64>(),
+                ),
+                proptest::collection::vec(("[a-z0-9-]{0,12}", any::<u32>(), any::<bool>()), 0..4),
+                proptest::collection::btree_map("[a-z:_]{0,20}", any::<u64>(), 0..5),
+                proptest::collection::btree_map("[a-z:_]{0,20}", postings(), 0..5),
+                proptest::collection::btree_map(user(), postings(), 0..8),
+                proptest::collection::btree_map(
+                    user(),
+                    (any::<u64>(), any::<u64>(), any::<i64>(), any::<i64>()),
+                    0..8,
+                ),
+            )
+                .prop_map(
+                    |(counts, files, names, name_postings, user_postings, summaries)| HourIndex {
+                        hour_index: counts.0,
+                        records: counts.1,
+                        events: counts.2,
+                        files: files
+                            .into_iter()
+                            .map(|(name, groups, columnar)| FileEntry {
+                                name,
+                                groups,
+                                columnar,
+                            })
+                            .collect(),
+                        name_counts: names,
+                        name_postings,
+                        user_postings,
+                        user_summaries: summaries
+                            .into_iter()
+                            .map(|(user, (events, sessions, first_millis, last_millis))| {
+                                let summary = UserHourSummary {
+                                    events,
+                                    sessions,
+                                    first_millis,
+                                    last_millis,
+                                };
+                                (user, summary)
+                            })
+                            .collect(),
+                    },
+                )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Any index the type can hold — key sets that differ between
+            /// the maps, empty postings, extreme ids and times — comes back
+            /// as it went in.
+            #[test]
+            fn any_index_round_trips(index in hour_index()) {
+                prop_assert_eq!(decode(&encode(&index)), Some(index));
+            }
+
+            /// A damaged encoding decodes to an index or to `None`, never
+            /// to a panic, whether it was cut short or had a byte changed.
+            #[test]
+            fn damaged_encodings_never_panic(
+                index in hour_index(),
+                at in any::<prop::sample::Index>(),
+                byte in any::<u8>(),
+            ) {
+                let mut bytes = encode(&index);
+                let at = at.index(bytes.len());
+                prop_assert_eq!(decode(&bytes[..at]), None);
+                bytes[at] = byte;
+                let _ = decode(&bytes);
+            }
+
+            #[test]
+            fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+                let _ = decode(&bytes);
+                let _ = decode(&[&INDEX_MAGIC[..], &bytes].concat());
+            }
+        }
     }
 
     #[test]

@@ -27,12 +27,27 @@ pub trait ThriftRecord: Sized {
         *buf = w.into_bytes();
     }
 
-    /// Serializes to a fresh byte vector (a thin wrapper over
-    /// [`ThriftRecord::encode_into`]).
+    /// Serializes to a fresh byte vector holding exactly the encoding:
+    /// `capacity() == len()`. A payload is kept — in a `LogEntry`, in every
+    /// staged copy of it — far longer than it takes to encode, so the slack
+    /// a growing buffer ends with (512 bytes of capacity under a 308-byte
+    /// client event) would be carried by every one of them. The record is
+    /// encoded into a per-thread scratch buffer ([`encode_into`], so the
+    /// same bytes) and copied out once.
+    ///
+    /// [`encode_into`]: ThriftRecord::encode_into
     fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
-        self.encode_into(&mut buf);
-        buf
+        thread_local! {
+            static SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+        }
+        // Taken, not borrowed: a record whose `write` serializes another
+        // through `to_bytes` finds an empty scratch, not a locked one.
+        let mut scratch = SCRATCH.take();
+        scratch.clear();
+        self.encode_into(&mut scratch);
+        let bytes = scratch.as_slice().to_vec();
+        SCRATCH.set(scratch);
+        bytes
     }
 
     /// Deserializes from `bytes`, requiring full consumption is *not*
@@ -194,6 +209,23 @@ mod tests {
         p.encode_into(&mut buf);
         assert!(buf.capacity() >= cap);
         assert_eq!(PointV1::from_bytes(&buf).unwrap(), p);
+    }
+
+    #[test]
+    fn to_bytes_hands_out_a_buffer_with_no_slack() {
+        // Long enough that a buffer grown by doubling ends half empty.
+        let p = PointV2 {
+            x: 1,
+            y: 2,
+            label: Some("x".repeat(300)),
+        };
+        for _ in 0..2 {
+            let bytes = p.to_bytes();
+            assert_eq!(bytes.capacity(), bytes.len());
+            let mut appended = Vec::new();
+            p.encode_into(&mut appended);
+            assert_eq!(bytes, appended);
+        }
     }
 
     mod props {

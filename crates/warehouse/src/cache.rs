@@ -6,10 +6,12 @@
 //! byte-capacity LRU cache of **decompressed** block payloads shared by all
 //! readers of a [`crate::Warehouse`].
 //!
-//! Entries are keyed by `(checksum, uncompressed_len)` — content-addressed,
-//! so renames and deletes need no invalidation, and a re-written block with
-//! different bytes can never alias a stale entry (up to FNV-64 collision,
-//! which also bounds the existing checksum verification). Payloads are
+//! Entries are keyed by what the block footer or group header already
+//! stores about the bytes — their checksum, a length and how they are
+//! encoded — so the key is content-addressed and costs no hashing: renames
+//! and deletes need no invalidation, and a re-written block with different
+//! bytes can never alias a stale entry (up to a 64-bit checksum collision,
+//! which also bounds the checksum verification itself). Payloads are
 //! handed out as `Arc<Vec<u8>>`, so concurrent scans share one copy.
 
 use std::collections::{BTreeMap, HashMap};
@@ -22,12 +24,36 @@ use parking_lot::Mutex;
 /// small enough to be invisible next to the datasets the benches build.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024 * 1024;
 
-/// Content address of a block: its compressed-payload checksum plus the
-/// decompressed length (cheap extra guard against checksum collisions).
+/// Content address of a cached payload: the stored checksum of the bytes
+/// it was decoded from, plus a length (cheap extra guard against checksum
+/// collisions) and the encoding that says what "decoded" meant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct BlockKey {
-    pub(crate) checksum: u64,
-    pub(crate) uncompressed_len: u64,
+    checksum: u64,
+    len: u64,
+    encoding: u8,
+}
+
+impl BlockKey {
+    /// A row block: the checksum of its `ulz` stream and the length it
+    /// decompresses to.
+    pub(crate) fn row_block(checksum: u64, uncompressed_len: u64) -> BlockKey {
+        BlockKey {
+            checksum,
+            len: uncompressed_len,
+            encoding: u8::MAX,
+        }
+    }
+
+    /// A column chunk: its encoding tag, stored checksum and stored length,
+    /// all read off the row group's header.
+    pub(crate) fn chunk(tag: u8, checksum: u64, stored_len: u64) -> BlockKey {
+        BlockKey {
+            checksum,
+            len: stored_len,
+            encoding: tag,
+        }
+    }
 }
 
 struct CacheEntry {
@@ -200,10 +226,7 @@ mod tests {
     use super::*;
 
     fn key(n: u64) -> BlockKey {
-        BlockKey {
-            checksum: n,
-            uncompressed_len: 10,
-        }
+        BlockKey::row_block(n, 10)
     }
 
     fn block(n: usize) -> Arc<Vec<u8>> {

@@ -12,75 +12,95 @@
 //! task), which is exactly why the paper's mapper-count problem survives
 //! this layout — the experiment the `layout` ablation reproduces.
 //!
-//! This is the **v2 warehouse format** ([`ColumnarFileWriter`] /
-//! [`ColumnarFile`]), the default landing layout. A v2 file opens with a
+//! This is the **v3 warehouse format** ([`ColumnarFileWriter`] /
+//! [`ColumnarFile`]), the default landing layout. A file opens with a
 //! header block (`ULCF` magic, a format-version byte, the column count, and
 //! an optional embedded dictionary for one designated column), and then maps
 //! each row group onto exactly one block so group-level zone maps and
-//! skipping reuse the ordinary block machinery. Dictionary-column cells
-//! store a small integer code instead of the value — the code its writer,
-//! who built the dictionary, hands over with the row; values missing from
-//! the dictionary fall back to inline bytes, so the file never refuses a
-//! row. Decompressed column chunks are cached content-addressed in the
-//! shared block cache, keyed by chunk checksum + decoded length.
+//! skipping reuse the ordinary block machinery.
+//!
+//! A row group's block is stored as it stands — every chunk in it is
+//! already compressed, once — and opens with a header: the row count, then
+//! per column the chunk's encoding tag, stored length and checksum. The
+//! block's own checksum covers that header. A read verifies the header,
+//! then verifies, decompresses and is charged for only the chunks its
+//! projection names; the stored chunk checksum doubles as the key of the
+//! shared cache of decoded chunks, so a warm read hashes nothing.
+//!
+//! The writer is told each column's [`ColumnKind`]; a chunk whose cells all
+//! fit the kind is transposed before compression (see [`crate::chunk`]) and
+//! rebuilt on read to exactly the cells that were appended, so nothing
+//! above [`ColumnGroup`] can tell. Dictionary-column cells store a small
+//! integer code instead of the value — the code its writer, who built the
+//! dictionary, hands over with the row; values missing from the dictionary
+//! fall back to inline bytes, so the file never refuses a row.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::cache::BlockKey;
+use crate::chunk::{self, ColumnKind};
 use crate::compress;
 use crate::error::{WarehouseError, WarehouseResult};
 use crate::file::{FileBlocks, FileData};
-use crate::hash::fnv1a64;
+use crate::hash::block_checksum;
 use crate::path::WhPath;
 use crate::stats::ScanStats;
 use crate::store::Warehouse;
 use crate::varint::{read_varint, write_varint};
 use crate::zone::ZoneMap;
 
-/// Magic prefix of a v2 columnar file's header record.
+/// Magic prefix of a columnar file's header record.
 pub const COLUMNAR_MAGIC: [u8; 4] = *b"ULCF";
 
 /// The format version this build writes and reads.
-pub const COLUMNAR_VERSION: u8 = 2;
+pub const COLUMNAR_VERSION: u8 = 3;
 
-/// Writes a v2 columnar file: header block first, then one row group per
+/// Writes a v3 columnar file: header block first, then one row group per
 /// block. Rows may carry zone annotations; a group whose every row was
 /// annotated gets a zone map in the block footer (fail open otherwise),
 /// exactly like the row-format writer.
 pub struct ColumnarFileWriter {
     inner: crate::file::RecordFileWriter,
-    columns: usize,
+    /// Each column's declared kind; its length is the row width.
+    schema: Vec<ColumnKind>,
     rows_per_group: usize,
     /// The dictionary-coded column and how many entries its dictionary has.
     dictionary: Option<(usize, usize)>,
+    /// Per column, the open group's cells, each behind its varint length.
     buffers: Vec<Vec<u8>>,
+    /// Where a typed chunk is transposed before it is compressed.
+    transposer: chunk::Transposer,
     buffered_rows: usize,
     group_zone: ZoneMap,
     group_annotated: usize,
 }
 
 impl ColumnarFileWriter {
-    /// Opens a v2 columnar file at `path`. `dictionary` optionally names one
-    /// column plus its code table (index = code); a cell of that column
-    /// appended with its code ([`append_row_coded`](Self::append_row_coded))
-    /// is stored as the code, any other inline.
+    /// Opens a v3 columnar file at `path` whose rows have one cell per
+    /// entry of `schema`. `dictionary` optionally names one column plus its
+    /// code table (index = code); a cell of that column appended with its
+    /// code ([`append_row_coded`](Self::append_row_coded)) is stored as the
+    /// code, any other inline.
     pub fn create(
         warehouse: &Warehouse,
         path: &WhPath,
-        columns: usize,
+        schema: &[ColumnKind],
         rows_per_group: usize,
         dictionary: Option<(usize, &[&[u8]])>,
     ) -> WarehouseResult<ColumnarFileWriter> {
-        assert!(columns > 0 && rows_per_group > 0);
+        assert!(!schema.is_empty() && rows_per_group > 0);
         if let Some((col, _)) = dictionary {
-            assert!(col < columns, "dictionary column in range");
+            assert!(
+                schema.get(col) == Some(&ColumnKind::Bytes),
+                "the dictionary column is an opaque-bytes column in range"
+            );
         }
         let mut inner = warehouse.create(path)?;
         let mut header = Vec::new();
         header.extend_from_slice(&COLUMNAR_MAGIC);
         header.push(COLUMNAR_VERSION);
-        write_varint(&mut header, columns as u64);
+        write_varint(&mut header, schema.len() as u64);
         match dictionary {
             Some((col, entries)) => {
                 write_varint(&mut header, col as u64 + 1);
@@ -92,13 +112,14 @@ impl ColumnarFileWriter {
             }
             None => write_varint(&mut header, 0),
         }
-        inner.append_record_sealed(&header, None);
+        inner.append_header_record(&header);
         Ok(ColumnarFileWriter {
             inner,
-            columns,
+            schema: schema.to_vec(),
             rows_per_group,
             dictionary: dictionary.map(|(col, entries)| (col, entries.len())),
-            buffers: vec![Vec::new(); columns],
+            buffers: vec![Vec::new(); schema.len()],
+            transposer: chunk::Transposer::default(),
             buffered_rows: 0,
             group_zone: ZoneMap::empty(),
             group_annotated: 0,
@@ -133,7 +154,7 @@ impl ColumnarFileWriter {
     }
 
     fn push_cells(&mut self, cells: &[&[u8]], code: Option<u32>) {
-        assert_eq!(cells.len(), self.columns, "row width");
+        assert_eq!(cells.len(), self.schema.len(), "row width");
         let (dict_col, dict_len) = self.dictionary.unzip();
         assert!(
             code.is_none_or(|code| (code as usize) < dict_len.unwrap_or(0)),
@@ -161,30 +182,45 @@ impl ColumnarFileWriter {
         }
     }
 
+    /// Seals the open group into one stored block: the header (varint row
+    /// count, then per column a tag byte, the varint stored length and the
+    /// eight checksum bytes of its chunk), then the chunks back to back.
+    /// Each chunk is one `ulz` stream — of the column's transposed cells
+    /// when they all fit its kind, of the cells as buffered otherwise — and
+    /// that is the only time these bytes meet the compressor.
     fn seal_group(&mut self) {
         if self.buffered_rows == 0 {
             return;
         }
-        // Row group record: varint row count, varint column count, then per
-        // column varint compressed length + compressed cells.
-        // Sized for chunks that compress to half: one allocation, seldom two.
-        let cells: usize = self.buffers.iter().map(Vec::len).sum();
-        let mut record = Vec::with_capacity(cells / 2 + 16);
-        write_varint(&mut record, self.buffered_rows as u64);
-        write_varint(&mut record, self.columns as u64);
         // Every group is sealed into a block of its own, so between groups
         // the file writer's compressor is idle: the chunks borrow it.
         let compressor = &mut self.inner.compressor;
         debug_assert!(compressor.is_empty(), "a block is open between groups");
-        for buf in &mut self.buffers {
-            compressor.write(buf);
-            let compressed = compressor.finish_block();
-            write_varint(&mut record, compressed.len() as u64);
-            record.extend_from_slice(&compressed);
+        let mut header = Vec::with_capacity(4 + 12 * self.schema.len());
+        write_varint(&mut header, self.buffered_rows as u64);
+        let mut chunks = Vec::with_capacity(self.schema.len());
+        for (kind, buf) in self.schema.iter().zip(&mut self.buffers) {
+            let (stored_as, cells) = match self.transposer.transpose(*kind, buf, self.buffered_rows)
+            {
+                Some(transposed) => (*kind, transposed),
+                None => (ColumnKind::Bytes, &buf[..]),
+            };
+            compressor.write(cells);
+            let stored = compressor.finish_block();
+            header.push(stored_as.tag());
+            write_varint(&mut header, stored.len() as u64);
+            header.extend_from_slice(&block_checksum(&stored).to_le_bytes());
+            chunks.push(stored);
             buf.clear();
         }
+        let checksum = block_checksum(&header);
+        let mut block = header;
+        block.reserve_exact(chunks.iter().map(Vec::len).sum());
+        for stored in &chunks {
+            block.extend_from_slice(stored);
+        }
         let zone = (self.group_annotated == self.buffered_rows).then_some(self.group_zone);
-        self.inner.append_record_sealed(&record, zone);
+        self.inner.append_stored_block(block, checksum, zone);
         self.buffered_rows = 0;
         self.group_zone = ZoneMap::empty();
         self.group_annotated = 0;
@@ -303,16 +339,65 @@ impl ColumnGroup {
     }
 }
 
-/// Random-access, thread-safe reader of a v2 columnar file — the columnar
+/// What a row group's header says of one chunk.
+struct ChunkHeader {
+    stored_as: ColumnKind,
+    /// Where the chunk's stored bytes sit in the block.
+    start: usize,
+    len: usize,
+    checksum: u64,
+}
+
+/// Parses the header of a `columns`-wide row group's block: the row count,
+/// one [`ChunkHeader`] per column — the chunk lengths adding up to exactly
+/// the rest of the block — and the header's own length. Nothing is
+/// allocated beyond what the bytes present can pay for, and nothing of it
+/// is to be trusted until the caller has checked the header's checksum.
+fn group_header(block: &[u8], columns: usize) -> Option<(usize, Vec<ChunkHeader>, usize)> {
+    let mut pos = 0;
+    let rows = usize::try_from(read_varint(block, &mut pos)?).ok()?;
+    // A column costs ten header bytes at least.
+    let mut chunks = Vec::with_capacity(columns.min(block.len() / 10));
+    let mut start = 0usize;
+    for _ in 0..columns {
+        let stored_as = ColumnKind::from_tag(*block.get(pos)?)?;
+        pos += 1;
+        let len = usize::try_from(read_varint(block, &mut pos)?).ok()?;
+        let checksum = u64::from_le_bytes(block.get(pos..pos + 8)?.try_into().ok()?);
+        pos += 8;
+        chunks.push(ChunkHeader {
+            stored_as,
+            start,
+            len,
+            checksum,
+        });
+        start = start.checked_add(len)?;
+    }
+    if start != block.len() - pos {
+        return None;
+    }
+    for chunk in &mut chunks {
+        chunk.start += pos;
+    }
+    // Cell offsets are 32-bit.
+    (rows <= u32::MAX as usize).then_some((rows, chunks, pos))
+}
+
+/// Random-access, thread-safe reader of a v3 columnar file — the columnar
 /// counterpart of [`FileBlocks`]. Groups can be read from any thread in any
 /// order (each group ≈ one map task); every read is charged both to the
 /// warehouse-global counters and to a per-handle cell.
 ///
-/// Accounting: reading a group charges one `blocks_read` plus the group
-/// envelope's compressed bytes; `uncompressed_bytes_read` counts only the
-/// *decoded column chunks* — the bytes a projection actually materializes,
-/// and exactly what the chunk cache serves on a hit. A skipped group counts
-/// `blocks_skipped` and never consults the cache.
+/// Accounting: reading a group charges one `blocks_read` and, as
+/// `compressed_bytes_read`, the stored bytes the read addresses — the group
+/// header plus every *projected* chunk; each projected chunk also charges
+/// its decoded bytes as `uncompressed_bytes_read`, the bytes a projection
+/// actually materializes. Both are charged on cache hits and misses alike,
+/// so the byte counters of a scan depend on neither the worker count nor
+/// what an earlier scan left in the cache; what a hit saves is the verify,
+/// decompress and rebuild work (`cache_hits`). A chunk outside the
+/// projection charges nothing. A skipped group counts `blocks_skipped` and
+/// never consults the cache.
 #[derive(Clone)]
 pub struct ColumnarFile {
     fb: FileBlocks,
@@ -323,7 +408,7 @@ pub struct ColumnarFile {
 }
 
 impl ColumnarFile {
-    /// Opens a v2 columnar file, parsing the header block. Rejects files
+    /// Opens a v3 columnar file, parsing the header block. Rejects files
     /// that lack the magic or declare a format version this build does not
     /// understand.
     pub fn open(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<ColumnarFile> {
@@ -333,7 +418,7 @@ impl ColumnarFile {
         ColumnarFile::with_header(fb, &header)
     }
 
-    /// Parses `record`, the first record of `fb`'s file, as the v2 header.
+    /// Parses `record`, the first record of `fb`'s file, as the v3 header.
     pub(crate) fn with_header(fb: FileBlocks, record: &[u8]) -> WarehouseResult<ColumnarFile> {
         match header_version(record) {
             None => return Err(WarehouseError::Corrupt("not a columnar file")),
@@ -458,9 +543,29 @@ impl ColumnarFile {
         self.fb.local_stats()
     }
 
+    /// How each column of group `g` is stored: the encoding of its chunk (a
+    /// typed column's reads `Bytes` where the group fell back) and the
+    /// chunk's stored bytes. File metadata like the zone map: read off the
+    /// group header, uncharged, for whoever asks where a file's bytes went.
+    pub fn stored_chunks(&self, g: usize) -> WarehouseResult<Vec<(ColumnKind, u64)>> {
+        let block = self
+            .fb
+            .data
+            .blocks
+            .get(g + 1)
+            .ok_or(WarehouseError::Corrupt("row group out of range"))?;
+        let (_, chunks, _) = group_header(&block.compressed, self.columns)
+            .ok_or(WarehouseError::Corrupt("row group header"))?;
+        Ok(chunks
+            .iter()
+            .map(|chunk| (chunk.stored_as, chunk.len as u64))
+            .collect())
+    }
+
     /// Reads group `g`, decoding only the columns whose entry in
     /// `projection` is true (`projection.len()` must equal the column
-    /// count). Unprojected columns charge `fields_skipped` for every row.
+    /// count). Unprojected columns charge `fields_skipped` for every row
+    /// and are neither verified nor decompressed.
     pub fn read_group(&self, g: usize, projection: &[bool]) -> WarehouseResult<ColumnGroup> {
         assert_eq!(projection.len(), self.columns, "projection width");
         let idx = g + 1;
@@ -470,54 +575,37 @@ impl ColumnarFile {
             .blocks
             .get(idx)
             .ok_or(WarehouseError::Corrupt("row group out of range"))?;
-        if fnv1a64(&block.compressed) != block.checksum {
-            return Err(WarehouseError::ChecksumMismatch {
-                path: self.fb.path.clone(),
-                block: idx,
-            });
+        let mismatch = || WarehouseError::ChecksumMismatch {
+            path: self.fb.path.clone(),
+            block: idx,
+        };
+        let stored = &block.compressed;
+        let (rows, chunks, header_len) = group_header(stored, self.columns)
+            .ok_or(WarehouseError::Corrupt("row group header"))?;
+        if block_checksum(&stored[..header_len]) != block.checksum {
+            return Err(mismatch());
         }
-        let payload = compress::decompress(&block.compressed)
-            .ok_or(WarehouseError::Corrupt("block failed to decompress"))?;
-        if payload.len() as u64 != block.uncompressed_len {
-            return Err(WarehouseError::Corrupt("block length mismatch"));
-        }
-        // The envelope pass: one logical block read, compressed bytes off
-        // "disk". Decoded bytes are charged per projected chunk below.
-        self.fb.stats.block_read(block.compressed.len() as u64, 0);
-        self.fb.local.block_read(block.compressed.len() as u64, 0);
+        // One logical block read: the header and the projected chunks are
+        // the stored bytes it addresses. Decoded bytes are charged per chunk
+        // below.
+        let addressed = chunks
+            .iter()
+            .zip(projection)
+            .filter(|(_, projected)| **projected)
+            .fold(header_len, |sum, (chunk, _)| sum + chunk.len) as u64;
+        self.fb.stats.block_read(addressed, 0);
+        self.fb.local.block_read(addressed, 0);
 
-        let mut pos = 0;
-        let len = read_varint(&payload, &mut pos)
-            .ok_or(WarehouseError::Corrupt("row group framing"))? as usize;
-        let record = payload
-            .get(pos..pos + len)
-            .ok_or(WarehouseError::Corrupt("row group framing"))?;
-        if pos + len != payload.len() {
-            return Err(WarehouseError::Corrupt("row group framing"));
-        }
-        let mut pos = 0;
-        let rows = read_varint(record, &mut pos)
-            .ok_or(WarehouseError::Corrupt("row group header"))? as usize;
-        let cols = read_varint(record, &mut pos)
-            .ok_or(WarehouseError::Corrupt("row group header"))? as usize;
-        if cols != self.columns {
-            return Err(WarehouseError::Corrupt("row group column count"));
-        }
-        let mut columns: Vec<Option<ColumnChunk>> = Vec::with_capacity(cols);
+        let mut columns: Vec<Option<ColumnChunk>> = Vec::with_capacity(chunks.len());
         let mut fields_skipped = 0u64;
-        for (c, &projected) in projection.iter().enumerate().take(cols) {
-            let len = read_varint(record, &mut pos)
-                .ok_or(WarehouseError::Corrupt("column length"))? as usize;
-            let chunk = record
-                .get(pos..pos + len)
-                .ok_or(WarehouseError::Corrupt("column body"))?;
-            pos += len;
+        for (c, (chunk, &projected)) in chunks.iter().zip(projection).enumerate() {
             if !projected {
                 fields_skipped += rows as u64;
                 columns.push(None);
                 continue;
             }
-            let data = self.chunk_payload(chunk)?;
+            let bytes = &stored[chunk.start..chunk.start + chunk.len];
+            let data = self.chunk_cells(chunk, bytes, rows)?.ok_or_else(mismatch)?;
             let dict_len = (Some(c) == self.dict_col).then(|| self.dict.len() as u64);
             let cells = split_cells(&data, rows, dict_len)?;
             columns.push(Some(ColumnChunk { data, cells }));
@@ -530,32 +618,38 @@ impl ColumnarFile {
         Ok(ColumnGroup { rows, columns })
     }
 
-    /// Fetches one column chunk's decoded bytes — content-addressed from the
-    /// shared cache when hot, decompressing (and populating the cache) when
-    /// cold. Hits charge decoded bytes but no `blocks_read` (the group
-    /// envelope already counted) and no compressed traffic.
-    fn chunk_payload(&self, chunk: &[u8]) -> WarehouseResult<Arc<Vec<u8>>> {
-        // The ulz stream's varint prefix declares the decoded length, so the
-        // cache key is known without decompressing.
-        let mut pos = 0;
-        let decoded_len =
-            read_varint(chunk, &mut pos).ok_or(WarehouseError::Corrupt("column chunk header"))?;
-        let key = BlockKey {
-            checksum: fnv1a64(chunk),
-            uncompressed_len: decoded_len,
-        };
+    /// Fetches one chunk's cells (each behind its varint length, as the
+    /// writer buffered them) — from the shared cache when hot, keyed by what
+    /// the group header already says of the chunk; verified, decompressed
+    /// and rebuilt (and cached) when cold. `Ok(None)`: the stored bytes fail
+    /// their checksum. Hits and misses charge the same decoded bytes.
+    fn chunk_cells(
+        &self,
+        chunk: &ChunkHeader,
+        stored: &[u8],
+        rows: usize,
+    ) -> WarehouseResult<Option<Arc<Vec<u8>>>> {
+        let key = BlockKey::chunk(chunk.stored_as.tag(), chunk.checksum, chunk.len as u64);
         if let Some(data) = self.fb.cache.get(key) {
             self.fb.stats.chunk_cache_hit(data.len() as u64);
             self.fb.local.chunk_cache_hit(data.len() as u64);
-            return Ok(data);
+            return Ok(Some(data));
         }
-        let decoded = compress::decompress(chunk)
+        if block_checksum(stored) != chunk.checksum {
+            return Ok(None);
+        }
+        let payload = compress::decompress(stored)
             .ok_or(WarehouseError::Corrupt("column chunk decompress"))?;
-        self.fb.stats.chunk_cache_miss(decoded.len() as u64);
-        self.fb.local.chunk_cache_miss(decoded.len() as u64);
-        let data = Arc::new(decoded);
+        let cells = match chunk.stored_as {
+            ColumnKind::Bytes => payload,
+            typed => chunk::rebuild(typed, &payload, rows)
+                .ok_or(WarehouseError::Corrupt("column chunk layout"))?,
+        };
+        self.fb.stats.chunk_cache_miss(cells.len() as u64);
+        self.fb.local.chunk_cache_miss(cells.len() as u64);
+        let data = Arc::new(cells);
         self.fb.cache.insert(key, Arc::clone(&data));
-        Ok(data)
+        Ok(Some(data))
     }
 }
 
@@ -606,72 +700,171 @@ fn split_cells(data: &[u8], rows: usize, dict_len: Option<u64>) -> WarehouseResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::{write_string_map_count, write_string_map_pair};
+
+    const KINDS: [ColumnKind; 3] = [ColumnKind::Bytes, ColumnKind::I64, ColumnKind::StringMap];
 
     fn p(s: &str) -> WhPath {
         WhPath::parse(s).unwrap()
+    }
+
+    /// The header of group `g` of the file at `path`, and the stored bytes
+    /// of its block.
+    fn stored_group(
+        wh: &Warehouse,
+        path: &WhPath,
+        g: usize,
+        columns: usize,
+    ) -> (Vec<ChunkHeader>, usize, Vec<u8>) {
+        let block = wh.file_data(path).unwrap().blocks[g + 1].compressed.clone();
+        let (_, chunks, header_len) = group_header(&block, columns).expect("a written group");
+        (chunks, header_len, block)
+    }
+
+    fn map_cell(pairs: &[(&str, &str)]) -> Vec<u8> {
+        let mut cell = Vec::new();
+        write_string_map_count(&mut cell, pairs.len());
+        for (k, v) in pairs {
+            write_string_map_pair(&mut cell, k.as_bytes(), v.as_bytes());
+        }
+        cell
     }
 
     #[test]
     #[should_panic(expected = "row width")]
     fn wrong_width_panics() {
         let wh = Warehouse::new();
-        let mut w = ColumnarFileWriter::create(&wh, &p("/x"), 2, 8, None).unwrap();
+        let mut w =
+            ColumnarFileWriter::create(&wh, &p("/x"), &[ColumnKind::Bytes; 2], 8, None).unwrap();
         w.append_row(&[b"only-one"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "opaque-bytes column")]
+    fn a_typed_column_cannot_carry_the_dictionary() {
+        let wh = Warehouse::new();
+        let dict: [&[u8]; 1] = [b"x"];
+        let _ = ColumnarFileWriter::create(&wh, &p("/x"), &KINDS, 8, Some((1, &dict)));
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            /// Arbitrary cell contents round-trip through any projection.
-            #[test]
-            fn round_trips_any_projection(
-                rows in proptest::collection::vec(
-                    (proptest::collection::vec(any::<u8>(), 0..40),
-                     proptest::collection::vec(any::<u8>(), 0..40)),
-                    0..60,
-                ),
-                group in 1usize..16,
-                project_second in any::<bool>(),
-            ) {
-                let wh = Warehouse::new();
-                let path = WhPath::parse("/prop").unwrap();
-                let mut w = ColumnarFileWriter::create(&wh, &path, 2, group, None).unwrap();
-                for (a, b) in &rows {
-                    w.append_row(&[a.as_slice(), b.as_slice()]);
+        /// A cell that fits `kind`; for `Bytes`, anything.
+        fn cell_of(kind: ColumnKind) -> BoxedStrategy<Vec<u8>> {
+            match kind {
+                ColumnKind::Bytes => proptest::collection::vec(any::<u8>(), 0..20).boxed(),
+                ColumnKind::I64 => any::<i64>().prop_map(|v| v.to_le_bytes().to_vec()).boxed(),
+                ColumnKind::StringMap => {
+                    proptest::collection::btree_map("[a-d]{0,2}", "[a-z0-9]{0,9}", 0..5)
+                        .prop_map(|map| {
+                            let pairs: Vec<(&str, &str)> =
+                                map.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+                            map_cell(&pairs)
+                        })
+                        .boxed()
                 }
-                w.finish().unwrap();
-                let f = ColumnarFile::open(&wh, &path).unwrap();
-                prop_assert_eq!(f.group_count(), rows.len().div_ceil(group));
-                let mut i = 0;
-                for g in 0..f.group_count() {
-                    let grp = f.read_group(g, &[true, project_second]).unwrap();
-                    for r in 0..grp.rows() {
-                        prop_assert_eq!(grp.cell(0, r), Some(ColumnCell::Bytes(&rows[i].0)));
-                        let second = project_second.then_some(ColumnCell::Bytes(&rows[i].1));
-                        prop_assert_eq!(grp.cell(1, r), second);
-                        i += 1;
+            }
+        }
+
+        /// Rows of three columns whose cells are of the three kinds in some
+        /// order — so under any schema some columns fit their declared kind
+        /// and some never do — with, sometimes, one cell of one row replaced
+        /// by bytes that fit nothing.
+        fn rows() -> impl Strategy<Value = Vec<[Vec<u8>; 3]>> {
+            (
+                0usize..6,
+                proptest::collection::vec(
+                    (cell_of(KINDS[0]), cell_of(KINDS[1]), cell_of(KINDS[2])),
+                    0..40,
+                ),
+                any::<prop::sample::Index>(),
+                prop_oneof![
+                    Just(None),
+                    proptest::collection::vec(any::<u8>(), 0..7).prop_map(Some)
+                ],
+            )
+                .prop_map(|(order, rows, at, spoiler)| {
+                    const ORDERS: [[usize; 3]; 6] = [
+                        [0, 1, 2],
+                        [0, 2, 1],
+                        [1, 0, 2],
+                        [1, 2, 0],
+                        [2, 0, 1],
+                        [2, 1, 0],
+                    ];
+                    let mut rows: Vec<[Vec<u8>; 3]> = rows
+                        .into_iter()
+                        .map(|(a, b, c)| {
+                            let by_kind = [a, b, c];
+                            ORDERS[order].map(|k| by_kind[k].clone())
+                        })
+                        .collect();
+                    if let (Some(bad), false) = (spoiler, rows.is_empty()) {
+                        let i = at.index(rows.len() * 3);
+                        rows[i / 3][i % 3] = bad;
+                    }
+                    rows
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Any rows × every assignment of kinds to the columns × every
+            /// projection × group sizes {1, 8, 512}: every projected cell
+            /// comes back byte for byte, whether its chunk was transposed
+            /// or fell back.
+            #[test]
+            fn round_trips_under_every_schema_and_projection(rows in rows()) {
+                for schema in 0..27usize {
+                    let schema = [KINDS[schema % 3], KINDS[schema / 3 % 3], KINDS[schema / 9]];
+                    for group in [1usize, 8, 512] {
+                        let wh = Warehouse::new();
+                        let path = p("/prop");
+                        let mut w =
+                            ColumnarFileWriter::create(&wh, &path, &schema, group, None).unwrap();
+                        for row in &rows {
+                            w.append_row(&[&row[0], &row[1], &row[2]]);
+                        }
+                        w.finish().unwrap();
+                        let f = ColumnarFile::open(&wh, &path).unwrap();
+                        prop_assert_eq!(f.group_count(), rows.len().div_ceil(group));
+                        for projection in 0..8usize {
+                            let projection = [0, 1, 2].map(|c| projection >> c & 1 == 1);
+                            let mut i = 0;
+                            for g in 0..f.group_count() {
+                                let grp = f.read_group(g, &projection).unwrap();
+                                for r in 0..grp.rows() {
+                                    for c in 0..3 {
+                                        let want = projection[c]
+                                            .then_some(ColumnCell::Bytes(&rows[i][c]));
+                                        prop_assert_eq!(grp.cell(c, r), want);
+                                    }
+                                    i += 1;
+                                }
+                            }
+                            prop_assert_eq!(i, rows.len());
+                        }
                     }
                 }
-                prop_assert_eq!(i, rows.len());
             }
         }
     }
 
-    mod v2 {
+    mod v3 {
         use super::*;
 
         /// A 3-column fixture: col 1 is dictionary-encoded over two known
         /// values, with every 10th row carrying a value outside the
         /// dictionary (inline fallback). Rows are zone-annotated with
         /// key = row index and tag = hash of the col-1 value.
-        fn write_v2(wh: &Warehouse, path: &str, rows: usize, group: usize) -> Vec<[Vec<u8>; 3]> {
+        fn write_v3(wh: &Warehouse, path: &str, rows: usize, group: usize) -> Vec<[Vec<u8>; 3]> {
             let dict: [&[u8]; 2] = [b"click", b"view"];
+            let schema = [ColumnKind::Bytes; 3];
             let mut w =
-                ColumnarFileWriter::create(wh, &p(path), 3, group, Some((1, &dict))).unwrap();
+                ColumnarFileWriter::create(wh, &p(path), &schema, group, Some((1, &dict))).unwrap();
             let mut expect = Vec::with_capacity(rows);
             for i in 0..rows {
                 let a = format!("user-{}", i % 7).into_bytes();
@@ -691,6 +884,30 @@ mod tests {
             expect
         }
 
+        /// A typed 3-column file (`KINDS`), `rows` rows in groups of
+        /// `group`, whose every cell fits its column.
+        fn write_typed(wh: &Warehouse, path: &str, rows: usize, group: usize) -> Vec<[Vec<u8>; 3]> {
+            let mut w = ColumnarFileWriter::create(wh, &p(path), &KINDS, group, None).unwrap();
+            let mut expect = Vec::with_capacity(rows);
+            for i in 0..rows {
+                let a = format!("session-{}", i % 7).into_bytes();
+                let b = (1_344_000_000_000 + i as i64 * 977).to_le_bytes().to_vec();
+                let rank = (i % 20).to_string();
+                let c = match i % 3 {
+                    0 => map_cell(&[("lang", "en"), ("rank", &rank)]),
+                    1 => map_cell(&[
+                        ("lang", "en"),
+                        ("request_id", &format!("{:016x}", i * 7919)),
+                    ]),
+                    _ => map_cell(&[]),
+                };
+                w.append_row(&[&a, &b, &c]);
+                expect.push([a, b, c]);
+            }
+            w.finish().unwrap();
+            expect
+        }
+
         fn resolve<'a>(f: &'a ColumnarFile, cell: ColumnCell<'a>) -> &'a [u8] {
             match cell {
                 ColumnCell::Bytes(b) => b,
@@ -698,45 +915,115 @@ mod tests {
             }
         }
 
-        #[test]
-        fn round_trips_with_dictionary_and_inline_fallback() {
-            let wh = Warehouse::new();
-            let expect = write_v2(&wh, "/v2", 95, 32);
-            let f = ColumnarFile::open(&wh, &p("/v2")).unwrap();
-            assert_eq!(f.columns(), 3);
-            assert_eq!(f.group_count(), 3); // ceil(95/32)
-            assert_eq!(f.dict_column(), Some(1));
-            assert_eq!(f.dictionary_code(b"click"), Some(0));
-            assert_eq!(f.dictionary_code(b"nope"), None);
+        fn read_back(f: &ColumnarFile, expect: &[[Vec<u8>; 3]]) {
             let mut i = 0;
             for g in 0..f.group_count() {
                 let grp = f.read_group(g, &[true, true, true]).unwrap();
                 for r in 0..grp.rows() {
                     for (c, want) in expect[i].iter().enumerate() {
                         let cell = grp.cell(c, r).unwrap();
-                        assert_eq!(resolve(&f, cell), want.as_slice(), "row {i} col {c}");
-                    }
-                    // Dictionary hits come back as codes, misses inline.
-                    match grp.cell(1, r).unwrap() {
-                        ColumnCell::Code(code) => assert!(code < 2),
-                        ColumnCell::Bytes(b) => assert!(b.starts_with(b"rare-")),
+                        assert_eq!(resolve(f, cell), want.as_slice(), "row {i} col {c}");
                     }
                     i += 1;
                 }
             }
-            assert_eq!(i, 95);
+            assert_eq!(i, expect.len());
         }
 
         #[test]
-        fn projection_decodes_only_requested_chunks() {
+        fn round_trips_with_dictionary_and_inline_fallback() {
+            let wh = Warehouse::new();
+            let expect = write_v3(&wh, "/v3", 95, 32);
+            let f = ColumnarFile::open(&wh, &p("/v3")).unwrap();
+            assert_eq!(f.columns(), 3);
+            assert_eq!(f.group_count(), 3); // ceil(95/32)
+            assert_eq!(f.dict_column(), Some(1));
+            assert_eq!(f.dictionary_code(b"click"), Some(0));
+            assert_eq!(f.dictionary_code(b"nope"), None);
+            read_back(&f, &expect);
+            // Dictionary hits come back as codes, misses inline.
+            let grp = f.read_group(0, &[false, true, false]).unwrap();
+            for r in 0..grp.rows() {
+                match grp.cell(1, r).unwrap() {
+                    ColumnCell::Code(code) => assert!(code < 2),
+                    ColumnCell::Bytes(b) => assert!(b.starts_with(b"rare-")),
+                }
+            }
+        }
+
+        #[test]
+        fn a_group_is_stored_once_and_typed_chunks_are_transposed() {
+            let wh = Warehouse::new();
+            let expect = write_typed(&wh, "/typed", 100, 64);
+            let data = wh.file_data(&p("/typed")).unwrap();
+            for block in &data.blocks[1..] {
+                assert_eq!(
+                    block.uncompressed_len,
+                    block.compressed.len() as u64,
+                    "a group block is stored, not compressed again"
+                );
+            }
+            let (chunks, header_len, block) = stored_group(&wh, &p("/typed"), 0, 3);
+            let stored_as: Vec<ColumnKind> = chunks.iter().map(|c| c.stored_as).collect();
+            assert_eq!(stored_as, KINDS);
+            assert_eq!(
+                data.blocks[1].checksum,
+                block_checksum(&block[..header_len])
+            );
+            for chunk in &chunks {
+                let stored = &block[chunk.start..chunk.start + chunk.len];
+                assert_eq!(chunk.checksum, block_checksum(stored));
+            }
+            // 64 timestamps 977 ms apart: a few bytes of minimum, two a row.
+            assert!(chunks[1].len < 64 * 3, "{} bytes", chunks[1].len);
+            read_back(&ColumnarFile::open(&wh, &p("/typed")).unwrap(), &expect);
+        }
+
+        #[test]
+        fn a_cell_that_does_not_fit_stores_its_groups_chunk_as_bytes() {
+            let unsorted = map_cell(&[("b", "y"), ("a", "x")]);
+            let duplicate = map_cell(&[("a", "x"), ("a", "y")]);
+            let cases: [(usize, &[u8]); 6] = [
+                (1, &[1, 2, 3]),
+                (1, &[]),
+                (2, &[5]),
+                (2, &unsorted),
+                (2, &duplicate),
+                (2, &[0x80, 0x00]),
+            ];
+            for (col, bad) in cases {
+                let wh = Warehouse::new();
+                let mut expect = write_typed(&wh, "/scratch", 20, 8);
+                // The misfit sits in the second of three groups.
+                expect[11][col] = bad.to_vec();
+                let mut w = ColumnarFileWriter::create(&wh, &p("/f"), &KINDS, 8, None).unwrap();
+                for row in &expect {
+                    w.append_row(&[&row[0], &row[1], &row[2]]);
+                }
+                w.finish().unwrap();
+                for g in 0..3 {
+                    let (chunks, _, _) = stored_group(&wh, &p("/f"), g, 3);
+                    let mut want = KINDS;
+                    if g == 1 {
+                        want[col] = ColumnKind::Bytes;
+                    }
+                    let stored_as: Vec<ColumnKind> = chunks.iter().map(|c| c.stored_as).collect();
+                    assert_eq!(stored_as, want, "group {g}, column {col} holding {bad:?}");
+                }
+                read_back(&ColumnarFile::open(&wh, &p("/f")).unwrap(), &expect);
+            }
+        }
+
+        #[test]
+        fn a_read_is_charged_the_header_and_the_chunks_it_projects() {
             let wh = Warehouse::with_config(64 * 1024, 0); // cache off
-            write_v2(&wh, "/v2", 200, 64);
-            let wide = ColumnarFile::open(&wh, &p("/v2")).unwrap();
+            write_v3(&wh, "/v3", 200, 64);
+            let wide = ColumnarFile::open(&wh, &p("/v3")).unwrap();
             for g in 0..wide.group_count() {
                 wide.read_group(g, &[true, true, true]).unwrap();
             }
             let w = wide.local_stats();
-            let narrow = ColumnarFile::open(&wh, &p("/v2")).unwrap();
+            let narrow = ColumnarFile::open(&wh, &p("/v3")).unwrap();
             for g in 0..narrow.group_count() {
                 let grp = narrow.read_group(g, &[false, true, false]).unwrap();
                 assert!(grp.cell(0, 0).is_none(), "unprojected column");
@@ -745,10 +1032,15 @@ mod tests {
             let n = narrow.local_stats();
             assert_eq!(n.blocks_read, w.blocks_read, "groups visited unchanged");
             assert_eq!(n.records_read, w.records_read);
-            assert_eq!(
-                n.compressed_bytes_read, w.compressed_bytes_read,
-                "the envelope always comes off disk"
-            );
+            let (mut headers, mut names, mut all) = (0u64, 0u64, 0u64);
+            for g in 0..wide.group_count() {
+                let (chunks, header_len, block) = stored_group(&wh, &p("/v3"), g, 3);
+                headers += header_len as u64;
+                names += chunks[1].len as u64;
+                all += block.len() as u64;
+            }
+            assert_eq!(w.compressed_bytes_read, all, "every stored byte, once");
+            assert_eq!(n.compressed_bytes_read, headers + names);
             assert!(
                 n.uncompressed_bytes_read * 3 < w.uncompressed_bytes_read,
                 "projection must cut decoded bytes: {} vs {}",
@@ -761,15 +1053,15 @@ mod tests {
         #[test]
         fn chunk_cache_serves_repeat_reads() {
             let wh = Warehouse::new();
-            write_v2(&wh, "/v2", 100, 50);
-            let f = ColumnarFile::open(&wh, &p("/v2")).unwrap();
+            write_typed(&wh, "/typed", 100, 50);
+            let f = ColumnarFile::open(&wh, &p("/typed")).unwrap();
             for g in 0..f.group_count() {
                 f.read_group(g, &[true, true, true]).unwrap();
             }
             let cold = f.local_stats();
             assert_eq!(cold.cache_hits, 0);
             assert_eq!(cold.cache_misses, 6, "3 chunks × 2 groups");
-            let f2 = ColumnarFile::open(&wh, &p("/v2")).unwrap();
+            let f2 = ColumnarFile::open(&wh, &p("/typed")).unwrap();
             for g in 0..f2.group_count() {
                 f2.read_group(g, &[true, true, true]).unwrap();
             }
@@ -778,19 +1070,19 @@ mod tests {
             assert_eq!(hot.cache_misses, 0);
             assert_eq!(
                 hot.uncompressed_bytes_read, cold.uncompressed_bytes_read,
-                "hits charge the same decoded bytes"
+                "hits charge the same decoded bytes: the cells as they were appended"
             );
             assert_eq!(
                 hot.compressed_bytes_read, cold.compressed_bytes_read,
-                "the envelope is never cached"
+                "and the same stored bytes: the bill does not depend on the cache"
             );
         }
 
         #[test]
         fn zone_maps_cover_groups_and_skips_never_hit_the_cache() {
             let wh = Warehouse::new();
-            write_v2(&wh, "/v2", 100, 50);
-            let f = ColumnarFile::open(&wh, &p("/v2")).unwrap();
+            write_v3(&wh, "/v3", 100, 50);
+            let f = ColumnarFile::open(&wh, &p("/v3")).unwrap();
             let z0 = f.zone_map(0).expect("fully annotated group");
             let z1 = f.zone_map(1).expect("fully annotated group");
             assert_eq!((z0.min_key, z0.max_key), (0, 49));
@@ -802,7 +1094,7 @@ mod tests {
             for g in 0..f.group_count() {
                 f.read_group(g, &[true, true, true]).unwrap();
             }
-            let f2 = ColumnarFile::open(&wh, &p("/v2")).unwrap();
+            let f2 = ColumnarFile::open(&wh, &p("/v3")).unwrap();
             f2.skip_group(0);
             f2.read_group(1, &[true, true, true]).unwrap();
             let s = f2.local_stats();
@@ -815,13 +1107,13 @@ mod tests {
         fn pruned_but_cached_group_pins_through_both_obs_exports() {
             let registry = uli_obs::Registry::new();
             let wh = Warehouse::new_with_obs(&registry);
-            write_v2(&wh, "/v2", 100, 50);
-            let f = ColumnarFile::open(&wh, &p("/v2")).unwrap();
+            write_v3(&wh, "/v3", 100, 50);
+            let f = ColumnarFile::open(&wh, &p("/v3")).unwrap();
             for g in 0..f.group_count() {
                 f.read_group(g, &[true, true, true]).unwrap();
             }
             let hits_before = wh.stats().cache_hits;
-            let f2 = ColumnarFile::open(&wh, &p("/v2")).unwrap();
+            let f2 = ColumnarFile::open(&wh, &p("/v3")).unwrap();
             f2.skip_group(0);
             f2.skip_group(1);
             assert_eq!(wh.stats().blocks_skipped, 2);
@@ -846,8 +1138,11 @@ mod tests {
         #[test]
         fn sniff_tells_layouts_apart() {
             let wh = Warehouse::new();
-            write_v2(&wh, "/v2", 10, 4);
-            assert_eq!(sniff_columnar(&wh, &p("/v2")).unwrap(), Some(2));
+            write_v3(&wh, "/v3", 10, 4);
+            assert_eq!(
+                sniff_columnar(&wh, &p("/v3")).unwrap(),
+                Some(COLUMNAR_VERSION)
+            );
             // Row-format file: no magic.
             let mut w = wh.create(&p("/row")).unwrap();
             w.append_record(b"plain record");
@@ -873,25 +1168,43 @@ mod tests {
             assert_eq!(sniff_columnar(&wh, &p("/empty")).unwrap(), None);
         }
 
-        #[test]
-        fn unknown_format_version_is_rejected_cleanly() {
-            let wh = Warehouse::new();
-            // Forge a header that claims version 9.
+        /// A file header for `cols` columns declaring `version`, optionally
+        /// with a two-entry dictionary on column 0.
+        fn file_header(version: u8, cols: u64, dict: bool) -> Vec<u8> {
             let mut header = Vec::new();
             header.extend_from_slice(&COLUMNAR_MAGIC);
-            header.push(9);
-            write_varint(&mut header, 3);
-            write_varint(&mut header, 0);
-            let mut w = wh.create(&p("/future")).unwrap();
-            w.append_record_sealed(&header, None);
-            w.finish().unwrap();
-            assert_eq!(sniff_columnar(&wh, &p("/future")).unwrap(), Some(9));
-            assert!(matches!(
-                ColumnarFile::open(&wh, &p("/future")),
-                Err(WarehouseError::Corrupt(
-                    "unsupported columnar format version"
-                ))
-            ));
+            header.push(version);
+            write_varint(&mut header, cols);
+            if dict {
+                write_varint(&mut header, 1); // dictionary on column 0
+                write_varint(&mut header, 2);
+                for v in [b"aa".as_slice(), b"bb".as_slice()] {
+                    write_varint(&mut header, v.len() as u64);
+                    header.extend_from_slice(v);
+                }
+            } else {
+                write_varint(&mut header, 0);
+            }
+            header
+        }
+
+        #[test]
+        fn other_format_versions_are_rejected_cleanly() {
+            let wh = Warehouse::new();
+            // A header of the retired v2, and one from the future.
+            for version in [2, 9] {
+                let path = p(&format!("/version-{version}"));
+                let mut w = wh.create(&path).unwrap();
+                w.append_header_record(&file_header(version, 3, false));
+                w.finish().unwrap();
+                assert_eq!(sniff_columnar(&wh, &path).unwrap(), Some(version));
+                assert!(matches!(
+                    ColumnarFile::open(&wh, &path),
+                    Err(WarehouseError::Corrupt(
+                        "unsupported columnar format version"
+                    ))
+                ));
+            }
             // And a non-columnar file is "not a columnar file", not a panic.
             let mut w = wh.create(&p("/row")).unwrap();
             w.append_record(b"some record");
@@ -902,144 +1215,312 @@ mod tests {
             ));
         }
 
-        #[test]
-        fn hostile_row_counts_are_rejected_before_allocation() {
-            let wh = Warehouse::new();
-            // Valid header, then a group record claiming u64::MAX rows.
-            let mut header = Vec::new();
-            header.extend_from_slice(&COLUMNAR_MAGIC);
-            header.push(COLUMNAR_VERSION);
-            write_varint(&mut header, 1);
-            write_varint(&mut header, 0);
-            let mut group = Vec::new();
-            write_varint(&mut group, u64::MAX); // rows
-            write_varint(&mut group, 1); // cols
-            let chunk = compress::compress(b"\x00");
-            write_varint(&mut group, chunk.len() as u64);
-            group.extend_from_slice(&chunk);
-            let mut w = wh.create(&p("/hostile")).unwrap();
-            w.append_record_sealed(&header, None);
-            w.append_record_sealed(&group, None);
+        /// One chunk of a forged group.
+        struct Forged {
+            tag: u8,
+            /// The length the header claims (`None`: the truth).
+            claimed_len: Option<u64>,
+            stored: Vec<u8>,
+            honest_checksum: bool,
+        }
+
+        impl Forged {
+            /// An honest chunk of `kind` whose decompressed payload is
+            /// `payload`.
+            fn of(kind: ColumnKind, payload: &[u8]) -> Forged {
+                Forged {
+                    tag: kind.tag(),
+                    claimed_len: None,
+                    stored: compress::compress(payload),
+                    honest_checksum: true,
+                }
+            }
+        }
+
+        /// Builds a file whose single row group is forged from `chunks`
+        /// under a well-formed file header, the group header's own checksum
+        /// honest — so a read gets as far as the forgery lets it.
+        fn forge(wh: &Warehouse, rows: u64, dict: bool, chunks: &[Forged]) -> WhPath {
+            let mut block = Vec::new();
+            write_varint(&mut block, rows);
+            for chunk in chunks {
+                block.push(chunk.tag);
+                write_varint(
+                    &mut block,
+                    chunk.claimed_len.unwrap_or(chunk.stored.len() as u64),
+                );
+                let sum = block_checksum(&chunk.stored) ^ u64::from(!chunk.honest_checksum);
+                block.extend_from_slice(&sum.to_le_bytes());
+            }
+            let checksum = block_checksum(&block);
+            for chunk in chunks {
+                block.extend_from_slice(&chunk.stored);
+            }
+            forge_block(wh, chunks.len() as u64, dict, block, checksum)
+        }
+
+        /// A file whose single row group's block is `block`, as it stands.
+        fn forge_block(
+            wh: &Warehouse,
+            cols: u64,
+            dict: bool,
+            block: Vec<u8>,
+            checksum: u64,
+        ) -> WhPath {
+            let path = p("/forged");
+            let mut w = wh.create(&path).unwrap();
+            w.append_header_record(&file_header(COLUMNAR_VERSION, cols, dict));
+            w.append_stored_block(block, checksum, None);
             w.finish().unwrap();
-            let f = ColumnarFile::open(&wh, &p("/hostile")).unwrap();
-            assert!(f.read_group(0, &[true]).is_err());
+            path
+        }
+
+        fn cells(cells: &[&[u8]]) -> Vec<u8> {
+            let mut out = Vec::new();
+            for cell in cells {
+                write_varint(&mut out, cell.len() as u64);
+                out.extend_from_slice(cell);
+            }
+            out
+        }
+
+        #[test]
+        fn hostile_headers_are_rejected_before_allocation() {
+            let one_cell = || Forged::of(ColumnKind::Bytes, &cells(&[b"x"]));
+            let read = |rows, chunks: &[Forged]| {
+                let wh = Warehouse::new();
+                let path = forge(&wh, rows, false, chunks);
+                let f = ColumnarFile::open(&wh, &path).unwrap();
+                f.read_group(0, &vec![true; chunks.len()]).map(|g| g.rows())
+            };
+            assert_eq!(read(1, &[one_cell()]), Ok(1), "the forger can be honest");
+            // Row counts no chunk could pay for, under every encoding.
+            let mut min_only = Vec::new();
+            write_varint(&mut min_only, 0);
+            for rows in [u64::MAX, 1 << 40, u32::MAX as u64, 2] {
+                for chunk in [
+                    one_cell(),
+                    Forged::of(ColumnKind::I64, &min_only),
+                    Forged::of(ColumnKind::StringMap, &[2, 0]),
+                ] {
+                    assert!(read(rows, &[chunk]).is_err(), "{rows} rows");
+                }
+            }
+            // A chunk length past the block, and one short of it.
+            for claimed in [u64::MAX, 1 << 20, 1] {
+                let mut chunk = one_cell();
+                chunk.claimed_len = Some(claimed);
+                assert_eq!(
+                    read(1, &[chunk, one_cell()]),
+                    Err(WarehouseError::Corrupt("row group header"))
+                );
+            }
+            // An encoding tag nobody wrote.
+            let mut chunk = one_cell();
+            chunk.tag = 3;
+            assert_eq!(
+                read(1, &[chunk]),
+                Err(WarehouseError::Corrupt("row group header"))
+            );
+            // A map chunk declaring absurd key counts, sub-chunk lengths and
+            // rebuilt lengths.
+            for payload in [
+                &[2, 0xff, 0xff, 0xff, 0xff, 0x0f][..],
+                &[2, 1, 1, b'k', 0xff, 0xff, 0x03],
+                &[0xff, 0xff, 0xff, 0xff, 0x7f, 0],
+            ] {
+                let chunk = Forged::of(ColumnKind::StringMap, payload);
+                assert_eq!(
+                    read(1, &[chunk]),
+                    Err(WarehouseError::Corrupt("column chunk layout"))
+                );
+            }
+            // A chunk whose stored bytes are not what its checksum says.
+            let mut chunk = one_cell();
+            chunk.honest_checksum = false;
+            assert!(matches!(
+                read(1, &[chunk]),
+                Err(WarehouseError::ChecksumMismatch { block: 1, .. })
+            ));
+        }
+
+        #[test]
+        fn damage_is_seen_by_exactly_the_reads_that_touch_it() {
+            let wh = Warehouse::new();
+            let expect = write_typed(&wh, "/typed", 40, 20);
+            let path = p("/typed");
+            let (chunks, header_len, _) = stored_group(&wh, &path, 1, 3);
+            // Warm the cache: the fault hooks clear it, so what follows are
+            // cold reads — a cache hit is the one read that verifies nothing.
+            read_back(&ColumnarFile::open(&wh, &path).unwrap(), &expect);
+            let mismatch = Err(WarehouseError::ChecksumMismatch {
+                path: "/typed".to_string(),
+                block: 2,
+            });
+            // A handle reads the file as it stood when it was opened.
+            let read = |g, projection: [bool; 3]| {
+                let f = ColumnarFile::open(&wh, &path).unwrap();
+                f.read_group(g, &projection).map(|g| g.rows())
+            };
+            let rows = |projection| read(1, projection);
+
+            // A flipped byte in the middle of the timestamp chunk.
+            let in_chunk = chunks[1].start + chunks[1].len / 2;
+            wh.corrupt_block_at(&path, 2, in_chunk).unwrap();
+            assert_eq!(rows([false, true, false]), mismatch);
+            assert_eq!(rows([true, true, true]), mismatch);
+            assert_eq!(rows([true, false, true]), Ok(20), "never touches it");
+            assert_eq!(rows([false, false, false]), Ok(20));
+            assert_eq!(read(0, [true; 3]), Ok(20));
+            wh.corrupt_block_at(&path, 2, in_chunk).unwrap(); // flip it back
+            assert_eq!(rows([true, true, true]), Ok(20));
+
+            // A flipped byte anywhere in the header fails every read of the
+            // group, whatever it projects.
+            for at in [0, 1, 2, header_len / 2, header_len - 1] {
+                wh.corrupt_block_at(&path, 2, at).unwrap();
+                for projection in [[false; 3], [true, false, false], [true; 3]] {
+                    assert!(rows(projection).is_err(), "header byte {at}");
+                }
+                wh.corrupt_block_at(&path, 2, at).unwrap();
+            }
+            read_back(&ColumnarFile::open(&wh, &path).unwrap(), &expect);
         }
 
         #[test]
         fn truncated_group_is_rejected_whole() {
             let wh = Warehouse::new();
-            write_v2(&wh, "/v2", 40, 20);
-            // Drop the tail of group 1's block (checksum recomputed): the
-            // read must fail as a unit, not yield a partial group.
-            wh.truncate_block(&p("/v2"), 2).unwrap();
-            let f = ColumnarFile::open(&wh, &p("/v2")).unwrap();
+            write_v3(&wh, "/v3", 40, 20);
+            // Drop the tail of group 1's block: the read must fail as a
+            // unit, not yield a partial group.
+            wh.truncate_block(&p("/v3"), 2).unwrap();
+            let f = ColumnarFile::open(&wh, &p("/v3")).unwrap();
             assert!(f.read_group(0, &[true, true, true]).is_ok());
             assert!(f.read_group(1, &[true, true, true]).is_err());
+            assert!(f.read_group(1, &[false, false, false]).is_err());
         }
 
         mod hostile_properties {
             use super::*;
             use proptest::prelude::*;
 
-            /// Builds a file whose single "row group" record is `body`,
-            /// behind a well-formed v2 header for `cols` columns.
-            fn forge(wh: &Warehouse, cols: u64, dict: bool, body: &[u8]) -> WhPath {
-                let path = p("/forged");
-                let mut header = Vec::new();
-                header.extend_from_slice(&COLUMNAR_MAGIC);
-                header.push(COLUMNAR_VERSION);
-                write_varint(&mut header, cols);
-                if dict {
-                    write_varint(&mut header, 1); // dictionary on column 0
-                    write_varint(&mut header, 2);
-                    for v in [b"aa".as_slice(), b"bb".as_slice()] {
-                        write_varint(&mut header, v.len() as u64);
-                        header.extend_from_slice(v);
-                    }
-                } else {
-                    write_varint(&mut header, 0);
-                }
-                let mut w = wh.create(&path).unwrap();
-                w.append_record_sealed(&header, None);
-                w.append_record_sealed(body, None);
-                w.finish().unwrap();
-                path
+            fn forged_chunk() -> impl Strategy<Value = Forged> {
+                (
+                    0u8..4,
+                    proptest::collection::vec(any::<u8>(), 0..60),
+                    any::<bool>(),
+                    prop_oneof![
+                        Just(None),
+                        any::<u64>().prop_map(Some),
+                        (0u64..80).prop_map(Some)
+                    ],
+                    0u8..8,
+                )
+                    .prop_map(|(tag, payload, compressed, claimed_len, lie)| {
+                        Forged {
+                            tag,
+                            // Mostly the truth: a lie in every header would
+                            // never let a read past it.
+                            claimed_len: if lie == 0 { claimed_len } else { None },
+                            stored: if compressed {
+                                compress::compress(&payload)
+                            } else {
+                                payload
+                            },
+                            honest_checksum: lie != 1,
+                        }
+                    })
             }
 
-            proptest! {
-                #![proptest_config(ProptestConfig::with_cases(64))]
-
-                /// Arbitrary bytes in place of a row group must never panic
-                /// and never yield a half-decoded group: either a clean
-                /// error, or a structurally valid group whose every cell is
-                /// addressable.
-                #[test]
-                fn garbage_groups_never_panic(
-                    body in proptest::collection::vec(any::<u8>(), 0..200),
-                    dict in any::<bool>(),
-                ) {
-                    let wh = Warehouse::new();
-                    let path = forge(&wh, 2, dict, &body);
-                    let f = ColumnarFile::open(&wh, &path).unwrap();
-                    if let Ok(g) = f.read_group(0, &[true, true]) {
-                        for r in 0..g.rows() {
-                            for c in 0..2 {
-                                let cell = g.cell(c, r).unwrap();
-                                if let ColumnCell::Code(code) = cell {
-                                    prop_assert!(f.dictionary_value(code).is_some());
+            /// A group that reads must be whole: every projected cell
+            /// addressable, every code in the dictionary.
+            fn check_group(f: &ColumnarFile, projection: &[bool]) {
+                if let Ok(g) = f.read_group(0, projection) {
+                    for r in 0..g.rows().min(1000) {
+                        for (c, projected) in projection.iter().enumerate() {
+                            match g.cell(c, r) {
+                                Some(ColumnCell::Code(code)) => {
+                                    assert!(f.dictionary_value(code).is_some())
                                 }
+                                Some(ColumnCell::Bytes(_)) => {}
+                                None => assert!(!projected),
                             }
                         }
                     }
                 }
+            }
 
-                /// Truncating a valid group record anywhere must reject the
-                /// group whole.
+            proptest! {
+                #![proptest_config(ProptestConfig::with_cases(256))]
+
+                /// Arbitrary bytes in place of a row group's block must
+                /// never panic and never yield a half-decoded group.
                 #[test]
-                fn truncated_groups_are_rejected(cut_pct in 0u64..100) {
+                fn garbage_groups_never_panic(
+                    block in proptest::collection::vec(any::<u8>(), 0..200),
+                    dict in any::<bool>(),
+                    sum in any::<u64>(),
+                ) {
                     let wh = Warehouse::new();
-                    // A valid group: 3 rows × 2 cols, col 0 dictionary.
-                    let mut body = Vec::new();
-                    write_varint(&mut body, 3);
-                    write_varint(&mut body, 2);
-                    let mut col0 = Vec::new();
-                    for code in [1u64, 2, 0] {
-                        write_varint(&mut col0, code);
-                        if code == 0 {
-                            write_varint(&mut col0, 4);
-                            col0.extend_from_slice(b"miss");
-                        }
+                    let path = forge_block(&wh, 2, dict, block, sum);
+                    let f = ColumnarFile::open(&wh, &path).unwrap();
+                    check_group(&f, &[true, true]);
+                }
+
+                /// A well-framed group — the header's checksum honest, so a
+                /// read gets past it — of hostile row counts, tags, lengths,
+                /// checksums and chunk bytes, under every projection.
+                #[test]
+                fn forged_groups_never_panic(
+                    rows in prop_oneof![0u64..6, any::<u64>()],
+                    a in forged_chunk(),
+                    b in forged_chunk(),
+                    dict in any::<bool>(),
+                ) {
+                    let wh = Warehouse::new();
+                    let path = forge(&wh, rows, dict, &[a, b]);
+                    let f = ColumnarFile::open(&wh, &path).unwrap();
+                    for projection in [[true, true], [true, false], [false, true]] {
+                        check_group(&f, &projection);
                     }
-                    let mut col1 = Vec::new();
-                    for v in [b"x".as_slice(), b"yy", b"zzz"] {
-                        write_varint(&mut col1, v.len() as u64);
-                        col1.extend_from_slice(v);
-                    }
-                    for chunk in [compress::compress(&col0), compress::compress(&col1)] {
-                        write_varint(&mut body, chunk.len() as u64);
-                        body.extend_from_slice(&chunk);
-                    }
-                    let full = body.len();
-                    let cut = (full as u64 * cut_pct / 100) as usize;
-                    let wh2 = Warehouse::new();
-                    let whole = forge(&wh, 2, true, &body);
-                    let truncated = forge(&wh2, 2, true, &body[..cut]);
-                    let f = ColumnarFile::open(&wh, &whole).unwrap();
-                    prop_assert!(f.read_group(0, &[true, true]).is_ok());
-                    let t = ColumnarFile::open(&wh2, &truncated).unwrap();
-                    if cut < full {
-                        prop_assert!(t.read_group(0, &[true, true]).is_err());
+                }
+
+                /// Truncating a valid group's block anywhere must reject
+                /// the group whole, even with the checksum recomputed.
+                #[test]
+                fn truncated_groups_are_rejected(cut_pct in 0u64..100, rehash in any::<bool>()) {
+                    let wh = Warehouse::new();
+                    write_typed(&wh, "/typed", 12, 12);
+                    let (_, header_len, block) = stored_group(&wh, &p("/typed"), 0, 3);
+                    let cut = (block.len() as u64 * cut_pct / 100) as usize;
+                    let kept = block[..cut].to_vec();
+                    let sum = match rehash {
+                        true => block_checksum(&kept[..header_len.min(cut)]),
+                        false => block_checksum(&block[..header_len]),
+                    };
+                    let path = forge_block(&wh, 3, false, kept, sum);
+                    let f = ColumnarFile::open(&wh, &path).unwrap();
+                    for projection in [[true; 3], [false; 3]] {
+                        prop_assert!(f.read_group(0, &projection).is_err());
                     }
                 }
 
                 /// Overlong varints (11+ continuation bytes) anywhere in the
                 /// group header are structural errors, not panics or hangs.
                 #[test]
-                fn overlong_varints_are_rejected(tail in proptest::collection::vec(any::<u8>(), 0..20)) {
+                fn overlong_varints_are_rejected(
+                    tail in proptest::collection::vec(any::<u8>(), 0..40),
+                    in_length in any::<bool>(),
+                ) {
                     let wh = Warehouse::new();
-                    let mut body = vec![0x80u8; 11]; // overlong rows varint
-                    body.extend_from_slice(&tail);
-                    let path = forge(&wh, 2, false, &body);
+                    let mut block = Vec::new();
+                    if in_length {
+                        block.extend_from_slice(&[1, 0]); // one row, a Bytes chunk
+                    }
+                    block.extend_from_slice(&[0x80u8; 11]);
+                    block.extend_from_slice(&tail);
+                    let sum = block_checksum(&block);
+                    let path = forge_block(&wh, 2, false, block, sum);
                     let f = ColumnarFile::open(&wh, &path).unwrap();
                     prop_assert!(f.read_group(0, &[true, true]).is_err());
                 }

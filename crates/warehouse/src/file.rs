@@ -10,7 +10,7 @@ use std::sync::Arc;
 use crate::cache::{BlockCache, BlockKey};
 use crate::compress;
 use crate::error::{WarehouseError, WarehouseResult};
-use crate::hash::fnv1a64;
+use crate::hash::block_checksum;
 use crate::stats::{ScanStats, StatsCell};
 use crate::varint::{encode_varint, read_varint};
 use crate::zone::ZoneMap;
@@ -18,8 +18,12 @@ use crate::zone::ZoneMap;
 /// One sealed block.
 #[derive(Debug, Clone)]
 pub(crate) struct Block {
+    /// The block as it sits on disk: a `ulz` stream of framed records, or —
+    /// a columnar row group — the group's envelope, stored as it stands.
     pub(crate) compressed: Vec<u8>,
     pub(crate) uncompressed_len: u64,
+    /// [`block_checksum`] of `compressed`; of a row group, of its header
+    /// alone, which carries the checksum of every chunk behind it.
     pub(crate) checksum: u64,
     pub(crate) num_records: u64,
     /// Zone-map footer entry. Present only when *every* record in the block
@@ -109,26 +113,42 @@ impl RecordFileWriter {
         self.data.total_records + self.pending_records
     }
 
-    /// Appends one record and seals it into a block of its own, carrying the
-    /// caller-computed zone map verbatim. The columnar writer uses this to
-    /// map one row group onto exactly one block, so group-level skipping
-    /// rides the ordinary block machinery (`zone_map`, `skip_block`).
-    pub(crate) fn append_record_sealed(&mut self, record: &[u8], zone: Option<ZoneMap>) {
-        if !self.compressor.is_empty() {
-            self.seal_block();
-        }
-        let (prefix, n) = encode_varint(record.len() as u64);
-        self.compressor.write(&prefix[..n]);
-        self.compressor.write(record);
-        self.pending_records = 1;
-        match zone {
-            Some(z) => {
-                self.pending_zone = z;
-                self.pending_annotated = 1;
-            }
-            None => self.pending_annotated = 0,
-        }
+    /// Seals `record` into the file's first block, on its own: where a
+    /// columnar file keeps its header. Nothing else goes through here — a
+    /// row group is compressed chunk by chunk by its writer and stored
+    /// ([`append_stored_block`](Self::append_stored_block)), never fed to
+    /// the compressor a second time.
+    pub(crate) fn append_header_record(&mut self, record: &[u8]) {
+        debug_assert!(
+            self.data.blocks.is_empty() && self.compressor.is_empty(),
+            "only a file's header record is sealed through the compressor"
+        );
+        self.append_record(record);
         self.seal_block();
+    }
+
+    /// Appends `stored` as a block of its own, verbatim: one row group of a
+    /// columnar file, so group-level skipping rides the ordinary block
+    /// machinery (`zone_map`, `skip_block`). `checksum` is the caller's —
+    /// it knows which prefix of the block is the header a reader verifies.
+    pub(crate) fn append_stored_block(
+        &mut self,
+        stored: Vec<u8>,
+        checksum: u64,
+        zone: Option<ZoneMap>,
+    ) {
+        self.seal_block();
+        let len = stored.len() as u64;
+        self.data.total_compressed += len;
+        self.data.total_uncompressed += len;
+        self.data.total_records += 1;
+        self.data.blocks.push(Block {
+            compressed: stored,
+            uncompressed_len: len,
+            checksum,
+            num_records: 1,
+            zone,
+        });
     }
 
     fn seal_block(&mut self) {
@@ -137,7 +157,7 @@ impl RecordFileWriter {
         }
         let uncompressed_len = self.compressor.pending_len() as u64;
         let compressed = self.compressor.finish_block();
-        let checksum = fnv1a64(&compressed);
+        let checksum = block_checksum(&compressed);
         self.data.total_compressed += compressed.len() as u64;
         self.data.total_uncompressed += uncompressed_len;
         self.data.total_records += self.pending_records;
@@ -257,17 +277,14 @@ fn read_block_payload(
     cache: &BlockCache,
     cells: &[&StatsCell],
 ) -> WarehouseResult<Arc<Vec<u8>>> {
-    let key = BlockKey {
-        checksum: block.checksum,
-        uncompressed_len: block.uncompressed_len,
-    };
+    let key = BlockKey::row_block(block.checksum, block.uncompressed_len);
     if let Some(data) = cache.get(key) {
         for cell in cells {
             cell.block_cache_hit(data.len() as u64);
         }
         return Ok(data);
     }
-    if fnv1a64(&block.compressed) != block.checksum {
+    if block_checksum(&block.compressed) != block.checksum {
         return Err(WarehouseError::ChecksumMismatch {
             path: path.to_string(),
             block: idx,

@@ -42,6 +42,7 @@
 //! ```
 
 pub mod cache;
+pub mod chunk;
 pub mod columnar;
 pub mod compress;
 pub mod error;
@@ -58,6 +59,7 @@ mod varint;
 pub mod zone;
 
 pub use cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};
+pub use chunk::ColumnKind;
 pub use columnar::{
     sniff_columnar, ColumnCell, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding,
     COLUMNAR_MAGIC, COLUMNAR_VERSION,
@@ -65,7 +67,7 @@ pub use columnar::{
 pub use compress::CompressorPool;
 pub use error::{WarehouseError, WarehouseResult};
 pub use file::{FileBlocks, RecordFileReader, RecordFileWriter};
-pub use hash::{fnv1a64, fnv1a64_fold, FNV1A64_OFFSET};
+pub use hash::{block_checksum, fnv1a64, fnv1a64_fold, FNV1A64_OFFSET};
 pub use hourly::HourlyPartition;
 pub use path::WhPath;
 pub use pool::{Parallelism, ScanPool};

@@ -90,6 +90,7 @@ impl ScanFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ColumnKind;
     use crate::columnar::ColumnarFileWriter;
     use crate::error::WarehouseError;
 
@@ -105,7 +106,8 @@ mod tests {
             w.append_record(format!("record-{i:06}").as_bytes());
         }
         let blocks = w.finish().unwrap().blocks as usize;
-        let mut w = ColumnarFileWriter::create(&wh, &p("/col"), 2, 4, None).unwrap();
+        let mut w =
+            ColumnarFileWriter::create(&wh, &p("/col"), &[ColumnKind::Bytes; 2], 4, None).unwrap();
         for i in 0..10 {
             w.append_row(&[b"a", i.to_string().as_bytes()]);
         }
@@ -121,7 +123,8 @@ mod tests {
         assert_eq!(col.units(), 3, "ceil(10/4) groups, header excluded");
         let empty = ScanFile::open(&wh, &p("/empty")).unwrap();
         assert_eq!(empty.units(), 0);
-        let w = ColumnarFileWriter::create(&wh, &p("/col-empty"), 2, 4, None).unwrap();
+        let w = ColumnarFileWriter::create(&wh, &p("/col-empty"), &[ColumnKind::Bytes; 2], 4, None)
+            .unwrap();
         w.finish().unwrap();
         let col_empty = ScanFile::open(&wh, &p("/col-empty")).unwrap();
         assert!(matches!(col_empty, ScanFile::Columnar(_)));
@@ -135,7 +138,8 @@ mod tests {
     #[test]
     fn skips_and_reads_bill_the_handle_that_made_them() {
         let wh = Warehouse::new();
-        let mut w = ColumnarFileWriter::create(&wh, &p("/col"), 1, 4, None).unwrap();
+        let mut w =
+            ColumnarFileWriter::create(&wh, &p("/col"), &[ColumnKind::Bytes], 4, None).unwrap();
         for i in 0..12 {
             w.append_row_annotated(&[i.to_string().as_bytes()], i, 0);
         }

@@ -184,9 +184,9 @@ impl StatsCell {
     }
 
     /// A column chunk served from the decompressed-chunk cache: its
-    /// uncompressed bytes were logically read, but the chunk came from
-    /// memory, so no compressed bytes and — unlike a whole-block hit — no
-    /// additional `blocks_read` (the enclosing row group already counted).
+    /// uncompressed bytes were logically read, and — unlike a whole-block
+    /// hit — no additional `blocks_read` (the enclosing row group already
+    /// counted, with the stored bytes of the chunks its read addressed).
     pub(crate) fn chunk_cache_hit(&self, uncompressed: u64) {
         self.uncompressed_bytes_read.add(uncompressed);
         self.cache_hits.inc();

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 use crate::cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};
 use crate::error::{WarehouseError, WarehouseResult};
 use crate::file::{FileBlocks, FileData, RecordFileReader, RecordFileWriter};
-use crate::hash::{fnv1a64, fnv1a64_fold, FNV1A64_OFFSET};
+use crate::hash::{block_checksum, fnv1a64_fold, FNV1A64_OFFSET};
 use crate::path::WhPath;
 use crate::stats::{ScanStats, StatsCell};
 use crate::zone::ZoneMap;
@@ -389,26 +389,41 @@ impl Warehouse {
         }
     }
 
-    /// Fault hook: flips a byte in one stored block of `path` *without*
-    /// updating its checksum, so the next read fails verification with
-    /// [`WarehouseError::ChecksumMismatch`]. Clears the block cache — a
+    /// Fault hook: flips the first byte of one stored block of `path`
+    /// *without* updating its checksum, so the next read fails verification
+    /// with [`WarehouseError::ChecksumMismatch`]. Clears the block cache — a
     /// cached payload would otherwise keep serving the pre-corruption bytes.
     pub fn corrupt_block(&self, path: &WhPath, block: usize) -> WarehouseResult<()> {
-        self.mutate_block(path, block, |b| match b.compressed.first_mut() {
+        self.corrupt_block_at(path, block, 0)
+    }
+
+    /// [`corrupt_block`](Self::corrupt_block) at a chosen byte: a row
+    /// group's block is verified a piece at a time (its header, then each
+    /// chunk a read decodes), so where the damage sits decides which reads
+    /// see it. An offset past the end appends a byte.
+    pub fn corrupt_block_at(
+        &self,
+        path: &WhPath,
+        block: usize,
+        offset: usize,
+    ) -> WarehouseResult<()> {
+        self.mutate_block(path, block, |b| match b.compressed.get_mut(offset) {
             Some(byte) => *byte ^= 0xFF,
             None => b.compressed.push(0xFF),
         })
     }
 
-    /// Fault hook: drops the tail half of one block's compressed bytes and
-    /// recomputes the checksum — a half-written file whose checksum was
-    /// nonetheless persisted. Reads pass verification but fail to
-    /// decompress, surfacing [`WarehouseError::Corrupt`].
+    /// Fault hook: drops the tail half of one block's stored bytes and
+    /// recomputes the checksum over what is left — a half-written file
+    /// whose checksum was nonetheless persisted. Reads of a row block pass
+    /// verification but fail to decompress, surfacing
+    /// [`WarehouseError::Corrupt`]; a row group's checksum covers its header
+    /// alone, so there the read fails verification instead.
     pub fn truncate_block(&self, path: &WhPath, block: usize) -> WarehouseResult<()> {
         self.mutate_block(path, block, |b| {
             let keep = b.compressed.len() / 2;
             b.compressed.truncate(keep);
-            b.checksum = fnv1a64(&b.compressed);
+            b.checksum = block_checksum(&b.compressed);
         })
     }
 

@@ -26,13 +26,18 @@ pub(crate) fn write_varint(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Decodes one varint at `*pos`, advancing it. `None` on truncation or an
-/// encoding longer than a `u64` can hold.
+/// encoding that holds more than a `u64` can (an eleventh byte, or a tenth
+/// carrying more than the one bit left) — the rule of `uli_thrift::varint`,
+/// so a cell means the same to every reader.
 pub(crate) fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
         let b = *input.get(*pos)?;
         *pos += 1;
+        if shift == 63 && b & 0x7f > 1 {
+            return None;
+        }
         v |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
             return Some(v);

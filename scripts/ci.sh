@@ -60,6 +60,42 @@ if grep -rnE 'budget\(\)\.is_some\(\)|MemoryTracker::unbounded|fn unbounded' cra
     exit 1
 fi
 
+# Block integrity is `block_checksum`'s job (word-wide lanes): the
+# byte-at-a-time FNV must not come back at any site that runs over stored
+# bytes — the block seal and the cold-read check of file.rs, the group
+# header and chunk checks of columnar.rs, the truncation fault hook.
+if grep -n 'fnv1a64' crates/warehouse/src/file.rs crates/warehouse/src/columnar.rs ||
+    sed -n '/pub fn truncate_block/,/^    }/p' crates/warehouse/src/store.rs | grep -n 'fnv1a64'; then
+    echo "integrity gate: FNV is back on a block-integrity path." >&2
+    exit 1
+fi
+
+# A row group is compressed once, chunk by chunk, and stored: the only
+# record the columnar writer seals through the block compressor is the file
+# header (a debug_assert in `append_header_record` holds it to the first
+# block), and the retired seal-a-compressed-envelope call must not return.
+columnar_src=$(sed '/#\[cfg(test)\]/,$d' crates/warehouse/src/columnar.rs)
+if grep -rn 'append_record_sealed' crates src tests examples benchmark/src ||
+    [ "$(grep -c 'append_header_record(' <<<"$columnar_src")" != 1 ] ||
+    [ "$(grep -c 'append_stored_block(' <<<"$columnar_src")" != 1 ] ||
+    ! grep -q 'debug_assert!' <(sed -n '/fn append_header_record/,/^    }/p' crates/warehouse/src/file.rs); then
+    echo "single-pass gate: a row group can reach the block compressor a second time." >&2
+    exit 1
+fi
+
+# One columnar format: the version this build writes and reads is 3.
+if grep -rn 'COLUMNAR_VERSION' crates | grep -E 'COLUMNAR_VERSION: u8 = ' | grep -v '= 3;'; then
+    echo "format gate: COLUMNAR_VERSION is not 3." >&2
+    exit 1
+fi
+
+# Counts, so they hold on any host: the smoke day's landed bytes a record
+# under the recorded ceiling, a name-only pass reading under a twentieth of
+# a full-width pass's stored bytes, every landed byte and decoded row at
+# its recorded digest.
+echo "== bytes gate (landed smoke day: digests, bytes/record ceiling, narrow-read share)"
+cargo test -q --test landed_bytes
+
 # The benchmark package stands outside the workspace and calls the crates'
 # public API; build and test it here, so that an API break against it fails
 # locally and not in the driver.

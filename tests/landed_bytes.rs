@@ -3,11 +3,13 @@
 //! The 120-user smoke day goes through the E22/E23 pipeline shape — two
 //! datacenters, the client-event columnar landing, the serve index and the
 //! stream fold riding the mover's delivery tap — and everything the
-//! delivery leaves behind is digested against constants recorded from the
-//! writer as it stood when this test was added: every landed file (block
-//! streams and zone maps), every `hour.idx`, the mover's seen-set snapshot
-//! and the merged stream views. A write-path change that moves a single
-//! landed byte, at any worker count, fails here.
+//! delivery leaves behind is digested against recorded constants: every
+//! landed file (block streams and zone maps), every `hour.idx`, the mover's
+//! seen-set snapshot and the merged stream views. A write-path change that
+//! moves a single landed byte, at any worker count, fails here. The seen
+//! set and the views stand as first recorded; the landed files and the
+//! indexes were recorded again when their formats changed (columnar v3,
+//! the varint `hour.idx`), against the decoded-row digests below.
 //!
 //! The second shape cuts the same day into 40-record files of 16-row
 //! groups and slips an undecodable payload into every traffic hour, so
@@ -23,8 +25,8 @@
 use std::sync::Arc;
 
 use uli_core::client_event::CLIENT_EVENTS_CATEGORY;
-use uli_core::columnar::{for_each_event_row, ALL_COLUMNS};
-use uli_core::session::{dictionary_dir, Materializer};
+use uli_core::columnar::{event_columns, for_each_event_row, ALL_COLUMNS, NAME_COLUMN};
+use uli_core::session::{day_dir, dictionary_dir, Materializer};
 use uli_core::ClientEventLanding;
 use uli_scribe::message::LogEntry;
 use uli_scribe::{PipelineConfig, ScribePipeline};
@@ -33,7 +35,8 @@ use uli_serve::IndexMaintainer;
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
-    fnv1a64_fold, HourlyPartition, Parallelism, ScanFile, Warehouse, WhPath, FNV1A64_OFFSET,
+    fnv1a64_fold, ColumnarFile, HourlyPartition, Parallelism, ScanFile, ScanStats, Warehouse,
+    WhPath, FNV1A64_OFFSET,
 };
 use uli_workload::{DayStream, Scale};
 
@@ -124,7 +127,7 @@ fn deliver(
     landing: ClientEventLanding,
     records_per_file: u64,
     garbage: bool,
-) -> Delivered {
+) -> (Delivered, Warehouse) {
     let workers = Parallelism::fixed(workers);
     let mut pipe = ScribePipeline::new(PipelineConfig {
         datacenters: 2,
@@ -205,7 +208,7 @@ fn deliver(
     for id in residual {
         out.seen = fold_u64(fold_u64(out.seen, id.host), id.seq);
     }
-    out
+    (out, wh.clone())
 }
 
 #[test]
@@ -213,8 +216,8 @@ fn delivered_day_matches_the_recorded_digests() {
     let pipeline_shape = Delivered {
         records: 2657,
         output_files: 22,
-        landed: 5246164676030603047,
-        indexes: 3046250732861548078,
+        landed: 14057884691486395708,
+        indexes: 16007908304700007370,
         seen: 6951604800847287054,
         views: 6885118719456885022,
         rows: 16754135527137346865,
@@ -224,8 +227,8 @@ fn delivered_day_matches_the_recorded_digests() {
     let stress_shape = Delivered {
         records: 2679,
         output_files: 102,
-        landed: 18294854447467800347,
-        indexes: 1467962946771897450,
+        landed: 5304281326904256963,
+        indexes: 1001091379892497489,
         seen: 4063383774541676972,
         views: 17971858508380815314,
         rows: 17396466383406638498,
@@ -234,7 +237,7 @@ fn delivered_day_matches_the_recorded_digests() {
     };
     for workers in [1, 4] {
         assert_eq!(
-            deliver(workers, ClientEventLanding::default(), 10_000, false),
+            deliver(workers, ClientEventLanding::default(), 10_000, false).0,
             pipeline_shape,
             "E22/E23 shape at {workers} workers"
         );
@@ -243,9 +246,51 @@ fn delivered_day_matches_the_recorded_digests() {
             rows_per_group: 16,
         };
         assert_eq!(
-            deliver(workers, small, 40, true),
+            deliver(workers, small, 40, true).0,
             stress_shape,
             "40-record files of 16-row groups at {workers} workers"
         );
     }
+}
+
+/// Counts, not timings, so they gate on any host: what the day costs to
+/// keep, and how little of it a one-column question takes off disk.
+#[test]
+fn the_landed_day_stays_small_and_a_name_only_pass_reads_a_sliver_of_it() {
+    let (delivered, wh) = deliver(1, ClientEventLanding::default(), 10_000, false);
+    let day = day_dir(CLIENT_EVENTS_CATEGORY, 0);
+    let stored = wh.dir_meta(&day).expect("a landed day").compressed_bytes;
+    // 78.3 bytes a record when this was recorded (columnar v2 landed 90.1):
+    // an hour of the smoke day is one group of some 120 rows, so it pays
+    // the fixed cost of a group far more often than a real day does.
+    let ceiling = 80 * delivered.records;
+    assert!(
+        stored <= ceiling,
+        "{stored} bytes landed for {} records: over {ceiling}",
+        delivered.records
+    );
+
+    let mut files = wh.list_files_recursive(&day).expect("a landed day");
+    files.sort();
+    let pass = |columns: [bool; 7]| {
+        wh.clear_cache();
+        let mut read = ScanStats::default();
+        for path in &files {
+            let file = ColumnarFile::open(&wh, path).expect("a columnar landing");
+            for g in 0..file.group_count() {
+                file.read_group(g, &columns).expect("a clean group");
+            }
+            read = read.plus(&file.local_stats());
+        }
+        read
+    };
+    let (full, named) = (pass(ALL_COLUMNS), pass(event_columns([NAME_COLUMN])));
+    assert_eq!(named.records_read, delivered.records);
+    assert_eq!(named.blocks_read, full.blocks_read);
+    assert!(
+        named.compressed_bytes_read * 20 <= full.compressed_bytes_read,
+        "a name-only pass read {} of the {} stored bytes a full-width pass reads",
+        named.compressed_bytes_read,
+        full.compressed_bytes_read
+    );
 }

@@ -189,3 +189,23 @@ fn materializer_end_to_end_property_smoke() {
         assert_eq!(total, day.events.len(), "seed {seed}");
     }
 }
+
+/// Every payload a daemon logs is kept — in its `LogEntry`, in each staged
+/// copy — so a buffer handed out half empty is carried half empty: over the
+/// generated smoke day, `to_bytes` returns exactly the bytes `encode_into`
+/// appends, in a buffer exactly that long.
+#[test]
+fn to_bytes_is_exact_over_the_smoke_day() {
+    use unified_logging::workload::{DayStream, Scale};
+    let mut appended = Vec::new();
+    let mut events = 0;
+    for ev in DayStream::new(&Scale::Smoke.config(), 0) {
+        let bytes = ev.to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len(), "event {events}");
+        appended.clear();
+        ev.encode_into(&mut appended);
+        assert_eq!(bytes, appended, "event {events}");
+        events += 1;
+    }
+    assert!(events > 2000, "the smoke day has {events} events");
+}
