@@ -200,44 +200,10 @@ impl Materializer {
         for_each_event_row(&file, 0..file.units(), columns, |_, row| f(row))
     }
 
-    /// Sharded day scan: every file of the day (hours ascending, files
-    /// sorted — *scan order*) is one shard, folded event by event by `fold`
-    /// into a fresh `T::default()` on a pool worker. Returns shard states in
-    /// scan order plus total decoded/skipped counts, so merging shard states
-    /// front-to-back sees the day's events in exactly one order whatever
-    /// the worker count. A file, not a scan unit, is the shard: per-shard
-    /// state is paid once per shard, and a delivered day has many more
-    /// files than workers.
-    fn scan_day_sharded<T, F>(
-        &self,
-        day_index: u64,
-        columns: EventColumns,
-        fold: F,
-    ) -> WarehouseResult<(Vec<T>, u64, u64)>
-    where
-        T: Default + Send,
-        F: Fn(&mut T, &EventRow<'_>) -> WarehouseResult<()> + Sync,
-    {
-        let paths = self.day_files(day_index)?;
-        let results = ScanPool::new(self.parallelism).map(paths, |_, path| {
-            let mut state = T::default();
-            let (events, skipped) = self.scan_file(&path, columns, |row| fold(&mut state, row))?;
-            Ok::<_, WarehouseError>((state, events, skipped))
-        });
-        let mut states = Vec::with_capacity(results.len());
-        let mut events = 0u64;
-        let mut skipped = 0u64;
-        for r in results {
-            let (state, e, s) = r?;
-            events += e;
-            skipped += s;
-            states.push(state);
-        }
-        Ok((states, events, skipped))
-    }
-
     /// The landed client-event files of a day in *scan order*: hours
-    /// ascending, files sorted within an hour.
+    /// ascending, files sorted within an hour. A file, not a scan unit, is
+    /// the shard both passes hand the pool: per-shard state is paid once per
+    /// shard, and a delivered day has many more files than workers.
     fn day_files(&self, day_index: u64) -> WarehouseResult<Vec<WhPath>> {
         let mut paths = Vec::new();
         for hour in day_index * 24..(day_index + 1) * 24 {
@@ -442,14 +408,24 @@ impl Materializer {
         day_index: u64,
         dict: &EventDictionary,
     ) -> WarehouseResult<MaterializeReport> {
-        let (scan_shards, events, skipped) = self.scan_day_sharded(
-            day_index,
-            SESSION_COLUMNS,
-            |shard: &mut Vec<SessionEvent>, row| {
+        // One shard per file, on the pool, kept in scan order: whatever the
+        // worker count, sessionization sees the day's events in one order.
+        let scanned = ScanPool::new(self.parallelism).map(self.day_files(day_index)?, |_, path| {
+            let mut shard = Vec::new();
+            let counts = self.scan_file(&path, SESSION_COLUMNS, |row| {
                 shard.push(session_event(row)?);
                 Ok(())
-            },
-        )?;
+            })?;
+            Ok::<_, WarehouseError>((shard, counts))
+        });
+        let mut scan_shards = Vec::with_capacity(scanned.len());
+        let (mut events, mut skipped) = (0, 0);
+        for shard in scanned {
+            let (shard, counts) = shard?;
+            scan_shards.push(shard);
+            events += counts.0;
+            skipped += counts.1;
+        }
         let sessions = self.sessionize_sharded(scan_shards);
 
         // Encode ahead of the write loop. `None` marks a session whose event

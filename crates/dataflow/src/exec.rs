@@ -1643,7 +1643,7 @@ mod tests {
         assert_eq!(serial, run_with(8));
     }
 
-    /// The zoned CSV data written in the columnar v2 layout: same 300
+    /// The zoned CSV data written in the columnar layout: same 300
     /// logical rows, action column dictionary-encoded, groups annotated
     /// with the amount as zone key (matching `ZonedCsv::zone_column`).
     fn columnar_fixture(group_rows: usize) -> (Warehouse, WhPath) {

@@ -392,12 +392,40 @@ fn put_postings(out: &mut Vec<u8>, postings: &Postings) {
     }
 }
 
+/// The keys of `a` and `b` in ascending order, each with what either map
+/// holds under it: the two maps of a key kind share their keys in every
+/// index the build produces, but the type does not say so.
+fn joined<'a, K: Ord, A, B>(
+    a: &'a BTreeMap<K, A>,
+    b: &'a BTreeMap<K, B>,
+) -> impl Iterator<Item = (&'a K, Option<&'a A>, Option<&'a B>)> {
+    use std::cmp::Ordering::{Greater, Less};
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Less,
+            (None, Some(_)) => Greater,
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+        };
+        let left = if order != Greater { a.next() } else { None };
+        let right = if order != Less { b.next() } else { None };
+        let key = match (left, right) {
+            (Some((key, _)), _) | (None, Some((key, _))) => key,
+            (None, None) => return None,
+        };
+        Some((key, left.map(|(_, v)| v), right.map(|(_, v)| v)))
+    })
+}
+
 /// Serializes the index: varints throughout, every ascending run — user
 /// ids, file numbers, the row groups of a posting — as distances from the
 /// value before, and a user's first event relative to the start of the
 /// hour, its last relative to its first. After the magic: hour, records,
-/// events; the files; then per event name its count and postings, and per
-/// user its postings and summary. [`decode`] is the exact inverse.
+/// events; the files; then one run of event names, each once, with its
+/// count and its postings, and one run of users, each with its postings
+/// and its summary (a flag byte says which of the two an entry has).
+/// [`decode`] is the exact inverse.
 pub fn encode(index: &HourIndex) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&INDEX_MAGIC);
@@ -410,38 +438,36 @@ pub fn encode(index: &HourIndex) -> Vec<u8> {
         varint::write_u64(&mut out, u64::from(f.groups));
         out.push(u8::from(f.columnar));
     }
-    // The two maps of a key kind share their keys in every index the build
-    // produces, but the type does not say so: each has its own run.
-    varint::write_u64(&mut out, index.name_counts.len() as u64);
-    for (name, count) in &index.name_counts {
+    let flags = |a: bool, b: bool| u8::from(a) | u8::from(b) << 1;
+    let names = || joined(&index.name_counts, &index.name_postings);
+    varint::write_u64(&mut out, names().count() as u64);
+    for (name, count, postings) in names() {
         put_text(&mut out, name);
-        varint::write_u64(&mut out, *count);
-    }
-    varint::write_u64(&mut out, index.name_postings.len() as u64);
-    for (name, postings) in &index.name_postings {
-        put_text(&mut out, name);
-        put_postings(&mut out, postings);
+        out.push(flags(count.is_some(), postings.is_some()));
+        if let Some(count) = count {
+            varint::write_u64(&mut out, *count);
+        }
+        if let Some(postings) = postings {
+            put_postings(&mut out, postings);
+        }
     }
     let hour_start = (index.hour_index as i64).wrapping_mul(MS_PER_HOUR);
-    // A user id as its distance from the one before in its run.
-    fn put_user(out: &mut Vec<u8>, user: i64, last: &mut i64) {
-        varint::write_i64(out, user.wrapping_sub(*last));
-        *last = user;
-    }
-    let mut last = 0;
-    varint::write_u64(&mut out, index.user_postings.len() as u64);
-    for (user, postings) in &index.user_postings {
-        put_user(&mut out, *user, &mut last);
-        put_postings(&mut out, postings);
-    }
-    last = 0;
-    varint::write_u64(&mut out, index.user_summaries.len() as u64);
-    for (user, s) in &index.user_summaries {
-        put_user(&mut out, *user, &mut last);
-        varint::write_u64(&mut out, s.events);
-        varint::write_u64(&mut out, s.sessions);
-        varint::write_i64(&mut out, s.first_millis.wrapping_sub(hour_start));
-        varint::write_i64(&mut out, s.last_millis.wrapping_sub(s.first_millis));
+    let users = || joined(&index.user_postings, &index.user_summaries);
+    varint::write_u64(&mut out, users().count() as u64);
+    let mut last_user = 0i64;
+    for (user, postings, summary) in users() {
+        varint::write_i64(&mut out, user.wrapping_sub(last_user));
+        last_user = *user;
+        out.push(flags(postings.is_some(), summary.is_some()));
+        if let Some(postings) = postings {
+            put_postings(&mut out, postings);
+        }
+        if let Some(s) = summary {
+            varint::write_u64(&mut out, s.events);
+            varint::write_u64(&mut out, s.sessions);
+            varint::write_i64(&mut out, s.first_millis.wrapping_sub(hour_start));
+            varint::write_i64(&mut out, s.last_millis.wrapping_sub(s.first_millis));
+        }
     }
     out
 }
@@ -506,19 +532,33 @@ impl<'a> IndexBytes<'a> {
         Some(postings)
     }
 
-    /// One run of `(key, value)` entries into `map`; a key seen twice is a
-    /// structural error, as a non-ascending one is.
-    fn run<K: Ord, V>(
+    /// One run of entries, each a key and then — as its flag byte says —
+    /// a value for `left`, for `right`, or for both. A key that does not
+    /// ascend, and a flag byte naming neither map, are structural errors.
+    fn run<K: Ord + Clone, A, B>(
         &mut self,
-        map: &mut BTreeMap<K, V>,
-        mut entry: impl FnMut(&mut Self) -> Option<(K, V)>,
+        (left, right): (&mut BTreeMap<K, A>, &mut BTreeMap<K, B>),
+        mut key: impl FnMut(&mut Self) -> Option<K>,
+        mut a: impl FnMut(&mut Self) -> Option<A>,
+        mut b: impl FnMut(&mut Self) -> Option<B>,
     ) -> Option<()> {
+        let mut last: Option<K> = None;
         for _ in 0..self.count()? {
-            let (key, value) = entry(self)?;
-            if map.last_key_value().is_some_and(|(last, _)| *last >= key) {
+            let key = key(self)?;
+            if last.as_ref().is_some_and(|last| *last >= key) {
                 return None;
             }
-            map.insert(key, value);
+            let flags = *self.bytes(1)?.first()?;
+            if !(1..=3).contains(&flags) {
+                return None;
+            }
+            if flags & 1 != 0 {
+                left.insert(key.clone(), a(self)?);
+            }
+            if flags & 2 != 0 {
+                right.insert(key.clone(), b(self)?);
+            }
+            last = Some(key);
         }
         Some(())
     }
@@ -547,29 +587,32 @@ pub fn decode(bytes: &[u8]) -> Option<HourIndex> {
             },
         });
     }
-    r.run(&mut index.name_counts, |r| Some((r.text()?, r.u64()?)))?;
-    r.run(&mut index.name_postings, |r| {
-        Some((r.text()?, r.postings()?))
-    })?;
+    r.run(
+        (&mut index.name_counts, &mut index.name_postings),
+        IndexBytes::text,
+        IndexBytes::u64,
+        IndexBytes::postings,
+    )?;
     let hour_start = (index.hour_index as i64).wrapping_mul(MS_PER_HOUR);
     let mut last_user = 0i64;
-    r.run(&mut index.user_postings, |r| {
-        last_user = last_user.wrapping_add(r.i64()?);
-        Some((last_user, r.postings()?))
-    })?;
-    last_user = 0;
-    r.run(&mut index.user_summaries, |r| {
-        last_user = last_user.wrapping_add(r.i64()?);
-        let (events, sessions) = (r.u64()?, r.u64()?);
-        let first_millis = hour_start.wrapping_add(r.i64()?);
-        let summary = UserHourSummary {
-            events,
-            sessions,
-            first_millis,
-            last_millis: first_millis.wrapping_add(r.i64()?),
-        };
-        Some((last_user, summary))
-    })?;
+    r.run(
+        (&mut index.user_postings, &mut index.user_summaries),
+        |r| {
+            last_user = last_user.wrapping_add(r.i64()?);
+            Some(last_user)
+        },
+        IndexBytes::postings,
+        |r| {
+            let (events, sessions) = (r.u64()?, r.u64()?);
+            let first_millis = hour_start.wrapping_add(r.i64()?);
+            Some(UserHourSummary {
+                events,
+                sessions,
+                first_millis,
+                last_millis: first_millis.wrapping_add(r.i64()?),
+            })
+        },
+    )?;
     r.0.is_empty().then_some(index)
 }
 
@@ -743,7 +786,7 @@ mod tests {
         let header = |tail: &[u8]| [&INDEX_MAGIC[..], &[2, 1, 1], tail].concat();
         assert!(decode(&header(&[0xff, 0xff, 0xff, 0xff, 0x0f])).is_none());
         assert!(decode(&header(&[0x80; 11])).is_none());
-        assert!(decode(&header(&[0, 0, 0, 0, 0])).is_some(), "an empty hour");
+        assert!(decode(&header(&[0, 0, 0])).is_some(), "an empty hour");
     }
 
     mod properties {

@@ -24,7 +24,7 @@
 //! ([`ColumnKind::Bytes`]), so the file never refuses a row and
 //! [`rebuild`] always returns exactly the bytes that were buffered.
 
-use crate::varint::{read_varint, write_varint};
+use crate::varint::{read_varint, varint_len, write_varint};
 
 /// The declared type of a column's cells, and the tag of a stored chunk's
 /// encoding (a chunk of a typed column is tagged `Bytes` when it fell back).
@@ -56,10 +56,6 @@ const MAX_REBUILT: usize = 1 << 30;
 /// Output reserved up front when rebuilding; the rest is grown only as real
 /// output accumulates, so a hostile length cannot force an allocation.
 const REBUILD_PREALLOC: usize = 64 * 1024;
-
-fn varint_len(v: u64) -> usize {
-    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
-}
 
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -265,15 +261,16 @@ fn transpose_i64(cells: &[u8], rows: usize, out: &mut Vec<u8>) -> Option<()> {
 
 // -------------------------------------------------------------------- rebuild
 
-/// The inverse of [`Transposer::transpose`]: the `rows` length-prefixed cells a
-/// transposed `payload` stands for, byte for byte what the writer buffered.
-/// `None` on any structural error; hostile input never panics and never
-/// allocates past what it really decodes to.
-pub(crate) fn rebuild(kind: ColumnKind, payload: &[u8], rows: usize) -> Option<Vec<u8>> {
+/// The inverse of [`Transposer::transpose`]: the `rows` length-prefixed
+/// cells the decompressed `payload` of a chunk stored as `kind` stands for,
+/// byte for byte what the writer buffered (of a `Bytes` chunk, the payload
+/// itself). `None` on any structural error; hostile input never panics and
+/// never allocates past what it really decodes to.
+pub(crate) fn rebuild(kind: ColumnKind, payload: Vec<u8>, rows: usize) -> Option<Vec<u8>> {
     match kind {
-        ColumnKind::Bytes => None,
-        ColumnKind::I64 => rebuild_i64(payload, rows),
-        ColumnKind::StringMap => rebuild_string_map(payload, rows),
+        ColumnKind::Bytes => Some(payload),
+        ColumnKind::I64 => rebuild_i64(&payload, rows),
+        ColumnKind::StringMap => rebuild_string_map(&payload, rows),
     }
 }
 
@@ -375,7 +372,10 @@ mod tests {
         // Twice: the second chunk meets the buffers the first one left.
         transposer.transpose(kind, &buf, cells.len())?;
         let out = transposer.transpose(kind, &buf, cells.len())?;
-        assert_eq!(rebuild(kind, out, cells.len()).as_deref(), Some(&buf[..]));
+        assert_eq!(
+            rebuild(kind, out.to_vec(), cells.len()).as_deref(),
+            Some(&buf[..])
+        );
         Some(out.len())
     }
 
@@ -429,7 +429,7 @@ mod tests {
             .transpose(ColumnKind::StringMap, &buf, 4)
             .expect("canonical cells");
         assert_eq!(
-            rebuild(ColumnKind::StringMap, out, 4).as_deref(),
+            rebuild(ColumnKind::StringMap, out.to_vec(), 4).as_deref(),
             Some(&buf[..])
         );
         // Each key string appears once in the transposed chunk.
@@ -515,7 +515,7 @@ mod tests {
                 typed in any::<bool>(),
             ) {
                 let kind = if typed { ColumnKind::I64 } else { ColumnKind::StringMap };
-                if let Some(cells) = rebuild(kind, &payload, rows) {
+                if let Some(cells) = rebuild(kind, payload, rows) {
                     let mut pos = 0;
                     for _ in 0..rows {
                         prop_assert!(read_string(&cells, &mut pos).is_some());

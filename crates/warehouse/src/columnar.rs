@@ -543,17 +543,21 @@ impl ColumnarFile {
         self.fb.local_stats()
     }
 
+    /// The block holding group `g`, and its index in the file.
+    fn group_block(&self, g: usize) -> WarehouseResult<(usize, &crate::file::Block)> {
+        let block = self.fb.data.blocks.get(g + 1);
+        Ok((
+            g + 1,
+            block.ok_or(WarehouseError::Corrupt("row group out of range"))?,
+        ))
+    }
+
     /// How each column of group `g` is stored: the encoding of its chunk (a
     /// typed column's reads `Bytes` where the group fell back) and the
     /// chunk's stored bytes. File metadata like the zone map: read off the
     /// group header, uncharged, for whoever asks where a file's bytes went.
     pub fn stored_chunks(&self, g: usize) -> WarehouseResult<Vec<(ColumnKind, u64)>> {
-        let block = self
-            .fb
-            .data
-            .blocks
-            .get(g + 1)
-            .ok_or(WarehouseError::Corrupt("row group out of range"))?;
+        let (_, block) = self.group_block(g)?;
         let (_, chunks, _) = group_header(&block.compressed, self.columns)
             .ok_or(WarehouseError::Corrupt("row group header"))?;
         Ok(chunks
@@ -568,22 +572,12 @@ impl ColumnarFile {
     /// and are neither verified nor decompressed.
     pub fn read_group(&self, g: usize, projection: &[bool]) -> WarehouseResult<ColumnGroup> {
         assert_eq!(projection.len(), self.columns, "projection width");
-        let idx = g + 1;
-        let block = self
-            .fb
-            .data
-            .blocks
-            .get(idx)
-            .ok_or(WarehouseError::Corrupt("row group out of range"))?;
-        let mismatch = || WarehouseError::ChecksumMismatch {
-            path: self.fb.path.clone(),
-            block: idx,
-        };
+        let (idx, block) = self.group_block(g)?;
         let stored = &block.compressed;
         let (rows, chunks, header_len) = group_header(stored, self.columns)
             .ok_or(WarehouseError::Corrupt("row group header"))?;
         if block_checksum(&stored[..header_len]) != block.checksum {
-            return Err(mismatch());
+            return Err(self.mismatch(idx));
         }
         // One logical block read: the header and the projected chunks are
         // the stored bytes it addresses. Decoded bytes are charged per chunk
@@ -605,7 +599,7 @@ impl ColumnarFile {
                 continue;
             }
             let bytes = &stored[chunk.start..chunk.start + chunk.len];
-            let data = self.chunk_cells(chunk, bytes, rows)?.ok_or_else(mismatch)?;
+            let data = self.chunk_cells(idx, chunk, bytes, rows)?;
             let dict_len = (Some(c) == self.dict_col).then(|| self.dict.len() as u64);
             let cells = split_cells(&data, rows, dict_len)?;
             columns.push(Some(ColumnChunk { data, cells }));
@@ -618,38 +612,43 @@ impl ColumnarFile {
         Ok(ColumnGroup { rows, columns })
     }
 
-    /// Fetches one chunk's cells (each behind its varint length, as the
-    /// writer buffered them) — from the shared cache when hot, keyed by what
-    /// the group header already says of the chunk; verified, decompressed
-    /// and rebuilt (and cached) when cold. `Ok(None)`: the stored bytes fail
-    /// their checksum. Hits and misses charge the same decoded bytes.
+    fn mismatch(&self, block: usize) -> WarehouseError {
+        WarehouseError::ChecksumMismatch {
+            path: self.fb.path.clone(),
+            block,
+        }
+    }
+
+    /// Fetches the cells of one chunk of block `block` (each behind its
+    /// varint length, as the writer buffered them) — from the shared cache
+    /// when hot, keyed by what the group header already says of the chunk;
+    /// verified, decompressed and rebuilt (and cached) when cold. Hits and
+    /// misses charge the same decoded bytes.
     fn chunk_cells(
         &self,
+        block: usize,
         chunk: &ChunkHeader,
         stored: &[u8],
         rows: usize,
-    ) -> WarehouseResult<Option<Arc<Vec<u8>>>> {
+    ) -> WarehouseResult<Arc<Vec<u8>>> {
         let key = BlockKey::chunk(chunk.stored_as.tag(), chunk.checksum, chunk.len as u64);
         if let Some(data) = self.fb.cache.get(key) {
             self.fb.stats.chunk_cache_hit(data.len() as u64);
             self.fb.local.chunk_cache_hit(data.len() as u64);
-            return Ok(Some(data));
+            return Ok(data);
         }
         if block_checksum(stored) != chunk.checksum {
-            return Ok(None);
+            return Err(self.mismatch(block));
         }
         let payload = compress::decompress(stored)
             .ok_or(WarehouseError::Corrupt("column chunk decompress"))?;
-        let cells = match chunk.stored_as {
-            ColumnKind::Bytes => payload,
-            typed => chunk::rebuild(typed, &payload, rows)
-                .ok_or(WarehouseError::Corrupt("column chunk layout"))?,
-        };
+        let cells = chunk::rebuild(chunk.stored_as, payload, rows)
+            .ok_or(WarehouseError::Corrupt("column chunk layout"))?;
         self.fb.stats.chunk_cache_miss(cells.len() as u64);
         self.fb.local.chunk_cache_miss(cells.len() as u64);
         let data = Arc::new(cells);
         self.fb.cache.insert(key, Arc::clone(&data));
-        Ok(Some(data))
+        Ok(data)
     }
 }
 

@@ -25,7 +25,7 @@ use crate::zone::ZoneMap;
 pub enum ScanFile {
     /// Row format: one unit per block.
     Row(FileBlocks),
-    /// Columnar v2: one unit per row group.
+    /// Columnar: one unit per row group.
     Columnar(ColumnarFile),
 }
 

@@ -19,6 +19,11 @@ pub(crate) fn encode_varint(mut v: u64) -> ([u8; 10], usize) {
     }
 }
 
+/// How many bytes [`encode_varint`] uses for `v`.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Appends `v` to `out`.
 pub(crate) fn write_varint(out: &mut Vec<u8>, v: u64) {
     let (buf, n) = encode_varint(v);

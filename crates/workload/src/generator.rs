@@ -450,7 +450,7 @@ pub enum Layout {
     /// One Thrift record per event — the pre-columnar format, kept
     /// writable for migration tests and readable forever.
     Row,
-    /// Columnar v2 with a dictionary-encoded name column: the default
+    /// Columnar with a dictionary-encoded name column: the default
     /// landing format.
     #[default]
     Columnar,

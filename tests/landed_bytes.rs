@@ -217,7 +217,7 @@ fn delivered_day_matches_the_recorded_digests() {
         records: 2657,
         output_files: 22,
         landed: 14057884691486395708,
-        indexes: 16007908304700007370,
+        indexes: 10608923821920458396,
         seen: 6951604800847287054,
         views: 6885118719456885022,
         rows: 16754135527137346865,
@@ -228,7 +228,7 @@ fn delivered_day_matches_the_recorded_digests() {
         records: 2679,
         output_files: 102,
         landed: 5304281326904256963,
-        indexes: 1001091379892497489,
+        indexes: 15263323491467120204,
         seen: 4063383774541676972,
         views: 17971858508380815314,
         rows: 17396466383406638498,
