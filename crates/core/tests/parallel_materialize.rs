@@ -9,7 +9,9 @@ use uli_core::event::{EventInitiator, EventName};
 use uli_core::session::{sequences_dir, EventDictionary, MaterializeReport, Materializer};
 use uli_core::time::Timestamp;
 use uli_thrift::ThriftRecord;
-use uli_warehouse::{HourlyPartition, Parallelism, Warehouse, WhPath};
+use uli_warehouse::{
+    fnv1a64_fold, HourlyPartition, Parallelism, Warehouse, WhPath, FNV1A64_OFFSET,
+};
 
 /// Writes a seeded random day of client events: several hours, several
 /// files per hour, event names with skewed frequencies, sessions that
@@ -67,10 +69,34 @@ fn dump_dir(wh: &Warehouse, dir: &WhPath) -> Vec<(String, Vec<Vec<u8>>)> {
         .collect()
 }
 
+/// The sequence part files of day 0, in path order: each path and its block
+/// streams.
+fn sequences_digest(wh: &Warehouse) -> u64 {
+    let mut h = FNV1A64_OFFSET;
+    for file in wh.list_files_recursive(&sequences_dir(0)).unwrap() {
+        h = fnv1a64_fold(h, file.as_str().as_bytes());
+        h = fnv1a64_fold(h, &wh.file_digest(&file).unwrap().to_le_bytes());
+    }
+    h
+}
+
+/// [`sequences_digest`] of each seeded day, recorded from the whole-day
+/// in-memory pass 2 before it was replaced.
+const RECORDED_SEQUENCES: [(u64, u64); 3] = [
+    (11, 14327779769069026765),
+    (23, 9496805744395632156),
+    (59, 14196915064328515780),
+];
+
 #[test]
 fn parallel_day_is_byte_identical_to_serial() {
-    for seed in [11u64, 23, 59] {
+    for (seed, recorded) in RECORDED_SEQUENCES {
         let (serial_wh, serial_report) = run_day(seed, 1);
+        assert_eq!(
+            sequences_digest(&serial_wh),
+            recorded,
+            "sequence files moved: seed {seed}"
+        );
         let serial_seqs = dump_dir(&serial_wh, &sequences_dir(0));
         let serial_dict = dump_dir(&serial_wh, &uli_core::session::dictionary_dir(0));
         assert!(serial_report.sessions > 0);

@@ -18,15 +18,15 @@
 //!
 //! Beside the bytes, what the bytes *decode to* is pinned: every landed
 //! row at full width through the one row view, in scan order, with the
-//! visit's `(events, skipped)`, and the dictionary and samples the nightly
-//! materializer derives from them. A format change re-pins the byte
-//! digests; these must not move.
+//! visit's `(events, skipped)`, and the dictionary, samples and
+//! session-sequence part files the nightly materializer derives from them.
+//! A format change re-pins the byte digests; these must not move.
 
 use std::sync::Arc;
 
 use uli_core::client_event::CLIENT_EVENTS_CATEGORY;
 use uli_core::columnar::{event_columns, for_each_event_row, ALL_COLUMNS, NAME_COLUMN};
-use uli_core::session::{day_dir, dictionary_dir, Materializer};
+use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer};
 use uli_core::ClientEventLanding;
 use uli_scribe::message::LogEntry;
 use uli_scribe::{PipelineConfig, ScribePipeline};
@@ -88,6 +88,21 @@ fn rows_digest(wh: &Warehouse, dir: &WhPath) -> u64 {
     h
 }
 
+/// Every `/session_sequences` part file of day 0, in path order: its path and
+/// its block streams.
+fn sequences_digest(wh: &Warehouse) -> u64 {
+    let mut files = wh
+        .list_files_recursive(&sequences_dir(0))
+        .expect("pass 2 left its directory");
+    files.sort();
+    let mut h = fold_u64(FNV1A64_OFFSET, files.len() as u64);
+    for file in &files {
+        h = fnv1a64_fold(h, file.as_str().as_bytes());
+        h = fold_u64(h, wh.file_digest(file).expect("file digests"));
+    }
+    h
+}
+
 /// The order-invariant content of a merged stream view.
 fn view_digest(view: &StreamState) -> u64 {
     let mut h = FNV1A64_OFFSET;
@@ -120,6 +135,9 @@ struct Delivered {
     /// first pass writes them.
     dictionary: u64,
     samples: u64,
+    /// The day's session-sequence part files as its second pass writes them
+    /// ([`sequences_digest`]).
+    sequences: u64,
 }
 
 fn deliver(
@@ -158,6 +176,7 @@ fn deliver(
         rows: FNV1A64_OFFSET,
         dictionary: 0,
         samples: 0,
+        sequences: 0,
     };
     for (hour, events) in by_hour.iter().enumerate() {
         for (i, (user, bytes)) in events.iter().enumerate() {
@@ -191,10 +210,14 @@ fn deliver(
         }
     }
     out.views = fold_u64(out.views, view_digest(&stream.running_view()));
-    Materializer::new(wh.clone())
-        .with_parallelism(workers)
+    let materializer = Materializer::new(wh.clone()).with_parallelism(workers);
+    let dict = materializer
         .build_dictionary(0)
         .expect("pass 1 over a landed day");
+    materializer
+        .materialize_sequences(0, &dict)
+        .expect("pass 2 over a landed day");
+    out.sequences = sequences_digest(wh);
     let artifact = |name| {
         let file = dictionary_dir(0).child(name).expect("valid name");
         wh.file_digest(&file).expect("pass 1 wrote it")
@@ -223,6 +246,7 @@ fn delivered_day_matches_the_recorded_digests() {
         rows: 16754135527137346865,
         dictionary: 9461612444177250603,
         samples: 8120602851900117742,
+        sequences: 9860939400279613154,
     };
     let stress_shape = Delivered {
         records: 2679,
@@ -234,6 +258,7 @@ fn delivered_day_matches_the_recorded_digests() {
         rows: 17396466383406638498,
         dictionary: 9461612444177250603,
         samples: 8120602851900117742,
+        sequences: 9860939400279613154,
     };
     for workers in [1, 4] {
         assert_eq!(
