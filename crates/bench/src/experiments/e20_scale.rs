@@ -9,9 +9,10 @@
 //! 1. **generate + land** — [`uli_workload::DayStream`] yields events one
 //!    session at a time and [`uli_workload::land_day_stream`] writes them
 //!    straight into hour partitions (records/sec is the ingest headline);
-//! 2. **materialize** — the streaming sessionizer reconstructs sessions
-//!    under a memory budget, spilling sort runs to scratch files, and must
-//!    produce byte-identical part files to the batch materializer;
+//! 2. **materialize** — pass 2 sorts the day's events under a memory
+//!    budget, spilling sorted runs to scratch files; it runs at the default
+//!    budget and under a tight one, the tight run must spill, and the two
+//!    must leave byte-identical part files;
 //! 3. **query** — each query runs twice, at the engine's default budget
 //!    and under a tight one; the tight runs must spill, both must stay
 //!    under their budget's high-water mark, and the rows must be
@@ -27,7 +28,7 @@ use std::sync::Arc;
 use uli_core::client_event::{ClientEventLoader, CLIENT_EVENTS_CATEGORY, CLIENT_EVENT_SCHEMA};
 use uli_core::session::{day_dir, sequences_dir, Materializer};
 use uli_dataflow::prelude::*;
-use uli_warehouse::{Warehouse, DEFAULT_MEM_BUDGET};
+use uli_warehouse::{fnv1a64_fold, Warehouse, DEFAULT_MEM_BUDGET, FNV1A64_OFFSET};
 use uli_workload::{land_day_stream, DayStream, Scale};
 
 use crate::cells;
@@ -65,6 +66,21 @@ pub struct QuerySample {
     pub output_rows: u64,
 }
 
+/// One run of the materializer's pass 2.
+pub struct MatArm {
+    /// Memory budget of its event sort, bytes.
+    pub budget: u64,
+    /// Runs of sorted events spilled; the merge reads one more stream than
+    /// this, the in-memory remainder.
+    pub spill_runs: u64,
+    /// Bytes written to those runs.
+    pub spill_bytes: u64,
+    /// Peak tracked memory, bytes.
+    pub high_water_bytes: u64,
+    /// Wall-clock, milliseconds.
+    pub ms: f64,
+}
+
 /// The full pipeline measurement.
 pub struct Measurements {
     /// Scale label (`smoke`, `default`, `1m`).
@@ -85,22 +101,14 @@ pub struct Measurements {
     pub land_ms: f64,
     /// Ingest throughput, records/second (wall-clock-derived).
     pub ingest_records_per_sec: f64,
-    /// Memory budget for the streaming materializer, bytes.
-    pub mat_budget: u64,
     /// Sessions materialized.
     pub mat_sessions: u64,
-    /// Sort runs the materializer spilled.
-    pub mat_spill_runs: u64,
-    /// Bytes the materializer spilled.
-    pub mat_spill_bytes: u64,
-    /// Materializer peak tracked memory, bytes.
-    pub mat_high_water_bytes: u64,
-    /// Streaming materialize wall-clock, milliseconds.
-    pub mat_ms: f64,
-    /// Whether streaming part files matched the batch materializer
-    /// byte-for-byte (`None` when the comparison was skipped — the batch
-    /// path needs the whole day in memory, so full-scale runs skip it).
-    pub mat_matches_batch: Option<bool>,
+    /// Pass 2 at the default budget (it spills nothing below the `1m` day).
+    pub mat_default: MatArm,
+    /// Pass 2 at the tight budget.
+    pub mat_tight: MatArm,
+    /// Whether the two budgets left byte-identical part files.
+    pub mat_identical: bool,
     /// Memory budget of the tight query arms, bytes.
     pub query_budget: u64,
     /// Query cells, query-major with the default arm first.
@@ -132,12 +140,14 @@ impl Measurements {
     /// Spill runs across every tightly budgeted stage — the "bounded memory
     /// was actually exercised" gate.
     pub fn budgeted_spill_runs(&self) -> u64 {
-        self.mat_spill_runs + self.tight_query_spill_runs()
+        self.mat_tight.spill_runs + self.tight_query_spill_runs()
     }
 
     /// True when every stage stayed within its budget.
     pub fn peaks_within_budget(&self) -> bool {
-        self.mat_high_water_bytes <= self.mat_budget
+        [&self.mat_default, &self.mat_tight]
+            .iter()
+            .all(|arm| arm.high_water_bytes <= arm.budget)
             && self.samples.iter().all(|s| match s.arm {
                 "tight" => s.mem_high_water_bytes <= self.query_budget,
                 _ => s.mem_high_water_bytes <= DEFAULT_MEM_BUDGET,
@@ -186,30 +196,24 @@ fn queries() -> Vec<(&'static str, Plan)> {
     ]
 }
 
-/// Sequence part files of day 0 as `(path, records)` — the byte-identity
-/// witness for the materializer comparison.
-fn sequence_artifacts(wh: &Warehouse) -> Vec<(String, Vec<Vec<u8>>)> {
-    let dir = sequences_dir(0);
-    let mut out = Vec::new();
-    for file in wh.list_files_recursive(&dir).expect("sequences exist") {
-        let records = wh
-            .open(&file)
-            .and_then(|r| r.read_all())
-            .expect("sequence file reads");
-        out.push((file.as_str().to_string(), records));
-    }
-    out
+/// Sequence part files of day 0, in path order: each path and the digest of
+/// its block streams — the byte-identity witness for the two pass-2 runs,
+/// without holding either relation in memory.
+fn sequences_digest(wh: &Warehouse) -> u64 {
+    let files = wh
+        .list_files_recursive(&sequences_dir(0))
+        .expect("sequences exist");
+    files.iter().fold(FNV1A64_OFFSET, |h, file| {
+        let digest = wh.file_digest(file).expect("sequence file digests");
+        fnv1a64_fold(
+            fnv1a64_fold(h, file.as_str().as_bytes()),
+            &digest.to_le_bytes(),
+        )
+    })
 }
 
-/// Runs the pipeline at `scale` with the given stage budgets.
-/// `compare_batch` additionally runs the batch materializer (which holds
-/// the whole day in memory) and checks byte-identity — smoke scale only.
-pub fn measure_with(
-    scale: Scale,
-    mat_budget: u64,
-    query_budget: u64,
-    compare_batch: bool,
-) -> Measurements {
+/// Runs the pipeline at `scale` with the given tight stage budgets.
+pub fn measure_with(scale: Scale, mat_budget: u64, query_budget: u64) -> Measurements {
     let config = scale.config();
     let wh = Warehouse::new();
     let ((landed, truth), land_ms) = timed(|| {
@@ -222,20 +226,25 @@ pub fn measure_with(
     let landed_files = wh.list_files_recursive(&raw_dir).expect("day landed").len() as u64;
     let raw = wh.dir_meta(&raw_dir).expect("day landed");
 
-    let materializer = Materializer::new(wh.clone());
-    let dict = materializer.build_dictionary(0).expect("pass 1 runs");
-    let (mat, mat_ms) = timed(|| {
-        materializer
-            .materialize_sequences_streaming(0, &dict, mat_budget)
-            .expect("streaming pass 2 runs")
-    });
-    let mat_matches_batch = compare_batch.then(|| {
-        let streamed = sequence_artifacts(&wh);
-        materializer
-            .materialize_sequences(0, &dict)
-            .expect("batch pass 2 runs");
-        streamed == sequence_artifacts(&wh)
-    });
+    let dict = Materializer::new(wh.clone())
+        .build_dictionary(0)
+        .expect("pass 1 runs");
+    let pass_2 = |budget| {
+        let materializer = Materializer::new(wh.clone()).with_mem_budget(budget);
+        let (report, ms) = timed(|| materializer.materialize_sequences(0, &dict));
+        let report = report.expect("pass 2 runs");
+        let arm = MatArm {
+            budget,
+            spill_runs: report.spill_runs,
+            spill_bytes: report.spill_bytes,
+            high_water_bytes: report.mem_high_water_bytes,
+            ms,
+        };
+        (arm, report.sessions, sequences_digest(&wh))
+    };
+    let (mat_default, default_sessions, default_parts) = pass_2(DEFAULT_MEM_BUDGET);
+    let (mat_tight, mat_sessions, tight_parts) = pass_2(mat_budget);
+    let mat_identical = default_parts == tight_parts && default_sessions == mat_sessions;
 
     let mut samples = Vec::new();
     let mut queries_identical = true;
@@ -279,13 +288,10 @@ pub fn measure_with(
         raw_compressed_bytes: raw.compressed_bytes,
         land_ms,
         ingest_records_per_sec: landed as f64 / (land_ms / 1000.0).max(1e-9),
-        mat_budget,
-        mat_sessions: mat.sessions,
-        mat_spill_runs: mat.spill_runs,
-        mat_spill_bytes: mat.spill_bytes,
-        mat_high_water_bytes: mat.mem_high_water_bytes,
-        mat_ms,
-        mat_matches_batch,
+        mat_sessions,
+        mat_default,
+        mat_tight,
+        mat_identical,
         query_budget,
         samples,
         queries_identical,
@@ -307,16 +313,13 @@ fn tight_budgets(scale: Scale) -> (u64, u64) {
 }
 
 /// A full (wall-clock) run at `scale`, with an optional `--mem-budget`
-/// override for the tight query arms. The batch byte-identity comparison
-/// only runs below `1m` — the batch materializer holds the whole day in
-/// memory, which is exactly what this experiment exists to avoid.
+/// override for the tight query arms.
 pub fn measure_at(scale: Scale, query_budget_override: Option<u64>) -> Measurements {
     let (mat_budget, query_budget) = tight_budgets(scale);
     let mut m = measure_with(
         scale,
         mat_budget,
         query_budget_override.unwrap_or(query_budget),
-        !matches!(scale, Scale::OneM),
     );
     m.cores = Some(detected_cores());
     m.peak_rss_mb = Some(peak_rss_mb());
@@ -334,7 +337,7 @@ pub fn measure() -> Measurements {
 /// ~6 KB per group, so the query budget must sit above one entry but far
 /// below the group count × entry size).
 pub fn smoke_snapshot() -> Measurements {
-    measure_with(Scale::Smoke, 2048, 32 * 1024, true)
+    measure_with(Scale::Smoke, 2048, 32 * 1024)
 }
 
 /// Renders the pipeline as the experiment table.
@@ -353,21 +356,24 @@ pub fn render(m: &Measurements) -> String {
         m.land_ms,
         m.ingest_records_per_sec
     ));
-    out.push_str(&format!(
-        "materialize (streaming, {} B budget): {} sessions, {} spill runs \
-         ({} B), peak {} B, {:.0} ms{}\n\n",
-        m.mat_budget,
-        m.mat_sessions,
-        m.mat_spill_runs,
-        m.mat_spill_bytes,
-        m.mat_high_water_bytes,
-        m.mat_ms,
-        match m.mat_matches_batch {
-            Some(true) => ", byte-identical to batch",
-            Some(false) => ", DIVERGED FROM BATCH",
-            None => " (batch comparison skipped at this scale)",
-        }
-    ));
+    out.push_str(&format!("materialize: {} sessions\n", m.mat_sessions));
+    for (label, arm) in [("default", &m.mat_default), ("tight", &m.mat_tight)] {
+        out.push_str(&format!(
+            "  {label} ({} B budget): {} runs of sorted events spilled ({} B), \
+             merge fan-in {}, peak {} B, {:.0} ms\n",
+            arm.budget,
+            arm.spill_runs,
+            arm.spill_bytes,
+            arm.spill_runs + 1,
+            arm.high_water_bytes,
+            arm.ms
+        ));
+    }
+    out.push_str(if m.mat_identical {
+        "  part files byte-identical at both budgets\n\n"
+    } else {
+        "  PART FILES DIVERGED BETWEEN BUDGETS\n\n"
+    });
     let mut t = Table::new(&[
         "query",
         "arm",
@@ -450,20 +456,26 @@ pub fn to_json(m: &Measurements) -> String {
         head.push_str(&format!(
             "  \"cores\": {cores},\n  \"peak_rss_mb\": {rss:.1},\n  \
              \"land_ms\": {:.1},\n  \"ingest_records_per_sec\": {:.1},\n  \
-             \"mat_ms\": {:.1},\n  \"scan_mb_per_sec\": {:.2},\n",
-            m.land_ms, m.ingest_records_per_sec, m.mat_ms, m.scan_mb_per_sec
+             \"mat_ms\": {:.1},\n  \"mat_default_ms\": {:.1},\n  \
+             \"mat_default_spill_runs\": {},\n  \"mat_default_spill_bytes\": {},\n  \
+             \"mat_default_high_water_bytes\": {},\n  \"scan_mb_per_sec\": {:.2},\n",
+            m.land_ms,
+            m.ingest_records_per_sec,
+            m.mat_tight.ms,
+            m.mat_default.ms,
+            m.mat_default.spill_runs,
+            m.mat_default.spill_bytes,
+            m.mat_default.high_water_bytes,
+            m.scan_mb_per_sec
         ));
     }
-    let mat_matches = m.mat_matches_batch.map_or(String::new(), |ok| {
-        format!("  \"mat_matches_batch\": {ok},\n")
-    });
     format!(
         "{{\n  \"experiment\": \"scale\",\n  \"schema\": \"uli-scale-v1\",\n\
          {head}  \"scale\": \"{}\",\n  \"users\": {},\n  \"events\": {},\n  \
          \"sessions\": {},\n  \"landed_files\": {},\n  \
          \"raw_uncompressed_bytes\": {},\n  \"raw_compressed_bytes\": {},\n  \
          \"mat_budget\": {},\n  \"mat_sessions\": {},\n  \"mat_spill_runs\": {},\n  \
-         \"mat_spill_bytes\": {},\n  \"mat_high_water_bytes\": {},\n{mat_matches}  \
+         \"mat_spill_bytes\": {},\n  \"mat_high_water_bytes\": {},\n  \"mat_identical\": {},\n  \
          \"query_budget\": {},\n  \"queries_identical\": {},\n  \
          \"budgeted_spill_runs\": {},\n  \"peaks_within_budget\": {},\n  \
          \"samples\": [\n{}\n  ]\n}}\n",
@@ -474,11 +486,12 @@ pub fn to_json(m: &Measurements) -> String {
         m.landed_files,
         m.raw_uncompressed_bytes,
         m.raw_compressed_bytes,
-        m.mat_budget,
+        m.mat_tight.budget,
         m.mat_sessions,
-        m.mat_spill_runs,
-        m.mat_spill_bytes,
-        m.mat_high_water_bytes,
+        m.mat_tight.spill_runs,
+        m.mat_tight.spill_bytes,
+        m.mat_tight.high_water_bytes,
+        m.mat_identical,
         m.query_budget,
         m.queries_identical,
         m.budgeted_spill_runs(),
@@ -554,8 +567,9 @@ mod tests {
         assert_eq!(m.events, 2657);
         assert_eq!(m.sessions, 223);
         assert!(m.queries_identical, "tight-arm rows diverged");
-        assert_eq!(m.mat_matches_batch, Some(true));
-        assert!(m.mat_spill_runs > 0, "materializer never spilled");
+        assert!(m.mat_identical, "pass 2 part files moved with the budget");
+        assert!(m.mat_tight.spill_runs > 0, "materializer never spilled");
+        assert_eq!(m.mat_default.spill_runs, 0, "the smoke day fits 64 MiB");
         assert!(m.tight_query_spill_runs() > 0, "no tight query spilled");
         assert!(m.peaks_within_budget());
         // The smoke day is far below the default budget: those arms track
@@ -577,7 +591,7 @@ mod tests {
         assert_eq!(top.output_rows, 20);
         let json = to_json(&m);
         assert!(json.contains("\"queries_identical\": true"));
-        assert!(json.contains("\"mat_matches_batch\": true"));
+        assert!(json.contains("\"mat_identical\": true"));
         assert!(json.contains("\"peaks_within_budget\": true"));
         assert!(
             !json.contains("query_ms"),
@@ -592,8 +606,7 @@ mod tests {
 
     #[test]
     fn full_json_records_cores_and_throughput() {
-        let mut m = measure_with(Scale::Smoke, 2048, 32 * 1024, false);
-        assert!(m.mat_matches_batch.is_none());
+        let mut m = measure_with(Scale::Smoke, 2048, 32 * 1024);
         m.cores = Some(2);
         m.peak_rss_mb = Some(1234.5);
         let json = to_json(&m);
@@ -601,6 +614,6 @@ mod tests {
         assert!(json.contains("\"peak_rss_mb\": 1234.5"));
         assert!(json.contains("ingest_records_per_sec"));
         assert!(json.contains("scan_mb_per_sec"));
-        assert!(!json.contains("mat_matches_batch"));
+        assert!(json.contains("\"mat_default_spill_runs\": 0"));
     }
 }

@@ -100,6 +100,11 @@ impl EventDictionary {
 
     /// Rank of a name (0 = most frequent).
     pub fn rank_of(&self, name: &EventName) -> Option<u32> {
+        self.rank_of_str(name.as_str())
+    }
+
+    /// [`Self::rank_of`] for a name still borrowed from where it was read.
+    pub fn rank_of_str(&self, name: &str) -> Option<u32> {
         self.by_name.get(name).copied()
     }
 

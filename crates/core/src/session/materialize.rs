@@ -12,29 +12,32 @@ use std::collections::{BTreeMap, HashMap};
 
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
-    ExternalByteSorter, HourlyPartition, MemoryTracker, Parallelism, ScanFile, ScanPool, Warehouse,
-    WarehouseError, WarehouseResult, WhPath,
+    ExternalByteSorter, HourlyPartition, MemoryTracker, Parallelism, RecordFileWriter, ScanFile,
+    ScanPool, Warehouse, WarehouseError, WarehouseResult, WhPath, DEFAULT_MEM_BUDGET,
 };
 
-use super::dictionary::EventDictionary;
+use super::dictionary::{char_for_rank, EventDictionary};
 use super::sequence::SessionSequence;
-use super::sessionize::{SessionEvent, SessionRecord, Sessionizer};
 use crate::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
 use crate::columnar::{
     event_columns, for_each_event_row, EventColumns, EventRow, RowAt, ALL_COLUMNS, IP_COLUMN,
     NAME_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN, USER_COLUMN,
 };
 use crate::event::EventName;
-use crate::time::Timestamp;
+use crate::time::{Timestamp, SESSION_GAP_MS};
 
-/// Order-preserving byte key for the streaming sorter: sorting these keys
-/// as raw bytes reproduces the batch output order `(user_id, session_id,
-/// start)`. Signed fields flip their sign bit so two's complement orders
-/// correctly; the session id NUL-escapes (`00 → 00 FF`, terminator
-/// `00 00`) so a short id sorts before any extension of it.
-fn session_sort_key(user_id: i64, session_id: &str, start: i64) -> Vec<u8> {
+/// Flips the sign bit, so that big-endian bytes order as the signed value.
+const SIGN: u64 = 1 << 63;
+
+/// Order-preserving byte key of one event: sorting these keys as raw bytes
+/// is "group by user id, session id … order by timestamp" (§4.2), groups in
+/// the output order `(user_id, session_id)`. Signed fields flip their sign
+/// bit so two's complement orders correctly; the session id NUL-escapes
+/// (`00 → 00 FF`, terminator `00 00`) so a short id sorts before any
+/// extension of it.
+fn session_sort_key(user_id: i64, session_id: &str, timestamp: i64) -> Vec<u8> {
     let mut key = Vec::with_capacity(18 + session_id.len());
-    key.extend_from_slice(&((user_id as u64) ^ (1 << 63)).to_be_bytes());
+    key.extend_from_slice(&((user_id as u64) ^ SIGN).to_be_bytes());
     for b in session_id.bytes() {
         if b == 0 {
             key.extend_from_slice(&[0x00, 0xff]);
@@ -43,8 +46,52 @@ fn session_sort_key(user_id: i64, session_id: &str, start: i64) -> Vec<u8> {
         }
     }
     key.extend_from_slice(&[0x00, 0x00]);
-    key.extend_from_slice(&((start as u64) ^ (1 << 63)).to_be_bytes());
+    key.extend_from_slice(&((timestamp as u64) ^ SIGN).to_be_bytes());
     key
+}
+
+/// A sort key or payload [`sort_entry`] cannot have written.
+const CORRUPT_ENTRY: WarehouseError = WarehouseError::Corrupt("session sort entry");
+
+/// Splits a [`session_sort_key`] into its group — the `(user_id,
+/// session_id)` prefix, equal exactly for events of one group — and its
+/// timestamp.
+fn split_sort_key(key: &[u8]) -> WarehouseResult<(&[u8], Timestamp)> {
+    let (group, timestamp) = key.split_last_chunk::<8>().ok_or(CORRUPT_ENTRY)?;
+    let millis = (u64::from_be_bytes(*timestamp) ^ SIGN) as i64;
+    Ok((group, Timestamp(millis)))
+}
+
+/// The `(user_id, session_id)` a group prefix encodes.
+fn decode_group(group: &[u8]) -> WarehouseResult<(i64, String)> {
+    let (user, escaped) = group.split_first_chunk::<8>().ok_or(CORRUPT_ENTRY)?;
+    let mut escaped = escaped.strip_suffix(&[0, 0]).ok_or(CORRUPT_ENTRY)?.iter();
+    let mut session = Vec::with_capacity(escaped.len());
+    while let Some(&b) = escaped.next() {
+        if b == 0 && escaped.next() != Some(&0xff) {
+            return Err(CORRUPT_ENTRY);
+        }
+        session.push(b);
+    }
+    let session = String::from_utf8(session).map_err(|_| CORRUPT_ENTRY)?;
+    Ok(((u64::from_be_bytes(*user) ^ SIGN) as i64, session))
+}
+
+/// What the event sort carries of one event: its [`session_sort_key`], and
+/// as payload its name's dictionary rank (`u32`, big-endian; `u32::MAX`,
+/// which no dictionary holds, for a name the dictionary lacks) and its ip.
+fn sort_entry(row: &EventRow<'_>, dict: &EventDictionary) -> WarehouseResult<(Vec<u8>, Vec<u8>)> {
+    let key = session_sort_key(row.user_id()?, row.session_id()?, row.timestamp()?.millis());
+    let ip = row.ip()?;
+    let mut payload = Vec::with_capacity(4 + ip.len());
+    payload.extend_from_slice(
+        &dict
+            .rank_of_str(row.name()?)
+            .unwrap_or(u32::MAX)
+            .to_be_bytes(),
+    );
+    payload.extend_from_slice(ip.as_bytes());
+    Ok((key, payload))
 }
 
 /// The day directory of a category: `/logs/<cat>/YYYY/MM/DD`.
@@ -90,13 +137,11 @@ pub struct MaterializeReport {
     pub sequences_compressed_bytes: u64,
     /// Files written.
     pub files_written: u64,
-    /// Sort runs spilled to scratch files (streaming path only; the batch
-    /// path never spills and reports 0).
+    /// Runs of sorted events pass 2 spilled to scratch files.
     pub spill_runs: u64,
     /// Bytes written to spill runs.
     pub spill_bytes: u64,
-    /// Peak tracked memory of the streaming sorter, bytes (0 on the batch
-    /// path).
+    /// Peak tracked memory of pass 2's event sort, bytes.
     pub mem_high_water_bytes: u64,
 }
 
@@ -114,22 +159,19 @@ impl MaterializeReport {
 /// The two-pass materializer.
 pub struct Materializer {
     warehouse: Warehouse,
-    sessionizer: Sessionizer,
-    /// Worker threads for the scan, sessionize and encode shards. Any
-    /// worker count produces byte-identical output (shards merge in scan
-    /// order); one worker runs the same shards inline.
+    /// Worker threads for the scan shards. Any worker count produces
+    /// byte-identical output (shards merge in scan order); one worker runs
+    /// the same shards inline.
     parallelism: Parallelism,
+    /// What pass 2's event sort may buffer before it spills a run.
+    mem_budget: u64,
     /// Samples of each event type retained for the catalog.
     samples_per_event: usize,
     /// Records per output part file.
     records_per_file: u64,
 }
 
-/// Sessions per encode shard in pass 2. Output bytes do not depend
-/// on this (shard results concatenate in order); it only balances work.
-const ENCODE_CHUNK: usize = 1024;
-
-/// What pass 2 reads of an event: [`SessionEvent`]'s fields, nothing else.
+/// What pass 2 reads of an event: what a session is made of, nothing else.
 const SESSION_COLUMNS: EventColumns = event_columns([
     NAME_COLUMN,
     USER_COLUMN,
@@ -138,37 +180,89 @@ const SESSION_COLUMNS: EventColumns = event_columns([
     TIMESTAMP_COLUMN,
 ]);
 
-fn session_event(row: &EventRow<'_>) -> WarehouseResult<SessionEvent> {
-    Ok(SessionEvent {
-        name: EventName::from_valid(row.name()?),
-        user_id: row.user_id()?,
-        session_id: row.session_id()?.to_string(),
-        ip: row.ip()?.to_string(),
-        timestamp: row.timestamp()?,
-    })
+/// The session the merge walk of pass 2 is in.
+struct OpenSession {
+    /// The group prefix of its events' sort keys.
+    group: Vec<u8>,
+    /// Ip of its first event.
+    ip: String,
+    /// Its events' code points so far; `None` once one of them had no rank.
+    sequence: Option<String>,
+    start: Timestamp,
+    last: Timestamp,
+}
+
+/// The `part-NNNNN` files of one day's relation, written in order.
+struct PartFiles<'a> {
+    warehouse: &'a Warehouse,
+    dir: &'a WhPath,
+    records_per_file: u64,
+    writer: Option<RecordFileWriter>,
+    files: u64,
+    records: u64,
+}
+
+impl PartFiles<'_> {
+    fn append(&mut self, record: &[u8]) -> WarehouseResult<()> {
+        if self.writer.is_none() {
+            let path = self.dir.child(&format!("part-{:05}", self.files));
+            self.writer = Some(self.warehouse.create(&path.expect("valid"))?);
+            self.files += 1;
+        }
+        self.writer
+            .as_mut()
+            .expect("created above")
+            .append_record(record);
+        self.records += 1;
+        if self.records.is_multiple_of(self.records_per_file) {
+            self.writer.take().expect("present").finish()?;
+        }
+        Ok(())
+    }
+
+    /// Encodes a closed session and appends it.
+    fn append_session(&mut self, session: OpenSession) -> WarehouseResult<()> {
+        let Some(sequence) = session.sequence else {
+            // Dictionary built from the same scan covers every event;
+            // reaching here means passes saw different data.
+            debug_assert!(false, "event missing from same-day dictionary");
+            return Ok(());
+        };
+        let (user_id, session_id) = decode_group(&session.group)?;
+        let record = SessionSequence {
+            user_id,
+            session_id,
+            ip: session.ip,
+            sequence,
+            duration_secs: session.last.since(session.start) / 1000,
+        };
+        self.append(&record.to_bytes())
+    }
 }
 
 impl Materializer {
-    /// A materializer with the standard 30-minute sessionizer.
+    /// A materializer with the standard 30-minute inactivity gap, under the
+    /// default operator memory budget.
     pub fn new(warehouse: Warehouse) -> Materializer {
         Materializer {
             warehouse,
-            sessionizer: Sessionizer::new(),
             parallelism: Parallelism::default(),
+            mem_budget: DEFAULT_MEM_BUDGET,
             samples_per_event: 3,
             records_per_file: 100_000,
         }
     }
 
-    /// Overrides the sessionizer (ablation knob).
-    pub fn with_sessionizer(mut self, s: Sessionizer) -> Materializer {
-        self.sessionizer = s;
+    /// Sets the scan worker count.
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Materializer {
+        self.parallelism = parallelism;
         self
     }
 
-    /// Sets the scan/sessionize/encode worker count.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Materializer {
-        self.parallelism = parallelism;
+    /// Sets what pass 2's event sort may buffer before it spills a run.
+    /// The part files do not depend on it.
+    pub fn with_mem_budget(mut self, budget: u64) -> Materializer {
+        self.mem_budget = budget;
         self
     }
 
@@ -333,151 +427,99 @@ impl Materializer {
             .collect())
     }
 
-    /// Sharded sessionization: events partition by a user-id hash, each
-    /// partition sessionizes independently on the pool, and the partition
-    /// outputs merge back into [`Sessionizer::sessionize`]'s output order.
-    /// `scan_shards` are the day's events as the scan produced them, in scan
-    /// order; each is freed as soon as it is drained, so the day's events
-    /// are never held twice.
-    ///
-    /// This is safe because a session never spans users — the group key is
-    /// `(user_id, session_id)` — so hashing on user id puts every event of
-    /// a group in exactly one partition, in scan order. Each partition's
-    /// output is already sorted by `(user_id, session_id)` (then start time
-    /// within a group), and no group key appears in two partitions, so a
-    /// k-way merge on `(user_id, session_id)` reproduces the unpartitioned
-    /// order byte for byte, independent of the worker count.
-    fn sessionize_sharded(&self, scan_shards: Vec<Vec<SessionEvent>>) -> Vec<SessionRecord> {
-        let n = self.parallelism.workers();
-        let total: usize = scan_shards.iter().map(Vec::len).sum();
-        let mut parts: Vec<Vec<SessionEvent>> =
-            (0..n).map(|_| Vec::with_capacity(total / n + 1)).collect();
-        for shard in scan_shards {
-            for ev in shard {
-                // SplitMix-style mix so contiguous user ids spread over
-                // partitions.
-                let h = (ev.user_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                parts[(h >> 32) as usize % n].push(ev);
-            }
-        }
-        let sessionizer = self.sessionizer;
-        let mut runs: Vec<std::vec::IntoIter<SessionRecord>> = ScanPool::new(self.parallelism)
-            .map(parts, move |_, part| sessionizer.sessionize(part))
-            .into_iter()
-            .map(Vec::into_iter)
-            .collect();
-
-        // K-way merge by group key. Ties across runs are impossible (one
-        // user, one partition), so the pick order is total and
-        // deterministic. Keys are compared in place, never cloned.
-        let mut merged = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
-        while let Some((_, src)) = runs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, run)| {
-                let head = run.as_slice().first()?;
-                Some(((head.user_id, head.session_id.as_str()), i))
-            })
-            .min()
-        {
-            // Drain the whole group from its run: sessions of one group
-            // stay in run-internal (start-time) order.
-            let run = &mut runs[src];
-            let head = run.next().expect("run has a head");
-            let rest = run
-                .as_slice()
-                .iter()
-                .take_while(|r| r.user_id == head.user_id && r.session_id == head.session_id)
-                .count();
-            merged.push(head);
-            merged.extend(run.take(rest));
-        }
-        merged
-    }
-
     /// Pass 2: reconstruct sessions, encode, and write the relation under
     /// [`sequences_dir`]. Requires the dictionary from pass 1.
-    /// The scan shards per unit (shards stay in scan order, so
-    /// sessionization sees one event order), the sessionize pass shards by
-    /// user-id hash with a deterministic merge (see
-    /// [`Self::sessionize_sharded`]), and the encode shards over fixed
-    /// chunks of the session list; encoded records are written back in
-    /// session order, so part files do not depend on the worker count.
+    ///
+    /// Sessionization is an external sort of the day's events. Each hour's
+    /// files are scanned on the pool and, in scan order, every event goes
+    /// into the budgeted sorter as one entry — an order-preserving key of
+    /// `(user_id, session_id, timestamp)`, a payload of dictionary rank and
+    /// ip; the sort is stable, so events of one group with one timestamp
+    /// keep scan order. One walk of
+    /// the merged stream then splits it wherever the group changes or the
+    /// inactivity gap is exceeded, and each session is encoded and written
+    /// as it closes — in `(user_id, session_id, start)` order, because that
+    /// is the order of the sort. Nothing is assumed of which hour directory
+    /// an event landed in (an aggregator that buffered through a staging
+    /// outage lands it under a later hour), the day is never in memory, and
+    /// the part files depend on neither the worker count nor the budget.
     pub fn materialize_sequences(
         &self,
         day_index: u64,
         dict: &EventDictionary,
     ) -> WarehouseResult<MaterializeReport> {
-        // One shard per file, on the pool, kept in scan order: whatever the
-        // worker count, sessionization sees the day's events in one order.
-        let scanned = ScanPool::new(self.parallelism).map(self.day_files(day_index)?, |_, path| {
-            let mut shard = Vec::new();
-            let counts = self.scan_file(&path, SESSION_COLUMNS, |row| {
-                shard.push(session_event(row)?);
-                Ok(())
-            })?;
-            Ok::<_, WarehouseError>((shard, counts))
-        });
-        let mut scan_shards = Vec::with_capacity(scanned.len());
+        let tracker = MemoryTracker::with_budget(self.mem_budget);
+        let mut sorter =
+            ExternalByteSorter::new(self.warehouse.clone(), tracker.clone(), "sessionize");
+        let pool = ScanPool::new(self.parallelism);
         let (mut events, mut skipped) = (0, 0);
-        for shard in scanned {
-            let (shard, counts) = shard?;
-            scan_shards.push(shard);
-            events += counts.0;
-            skipped += counts.1;
+        for hour in day_index * 24..(day_index + 1) * 24 {
+            let scanned = pool.map(self.hour_files(hour)?, |_, path| {
+                let mut entries = Vec::new();
+                let counts = self.scan_file(&path, SESSION_COLUMNS, |row| {
+                    entries.push(sort_entry(row, dict)?);
+                    Ok(())
+                })?;
+                Ok::<_, WarehouseError>((entries, counts))
+            });
+            for file in scanned {
+                let (entries, counts) = file?;
+                events += counts.0;
+                skipped += counts.1;
+                for (key, payload) in entries {
+                    sorter.push(key, payload)?;
+                }
+            }
         }
-        let sessions = self.sessionize_sharded(scan_shards);
-
-        // Encode ahead of the write loop. `None` marks a session whose event
-        // is missing from the dictionary (impossible when both passes saw
-        // the same data; tolerated, not fatal).
-        let chunks: Vec<&[_]> = sessions.chunks(ENCODE_CHUNK).collect();
-        let encoded: Vec<Option<Vec<u8>>> = ScanPool::new(self.parallelism)
-            .map(chunks, |_, chunk| {
-                chunk
-                    .iter()
-                    .map(|s| SessionSequence::encode(s, dict).map(|seq| seq.to_bytes()))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
 
         let dir = sequences_dir(day_index);
         if self.warehouse.exists(&dir) {
             self.warehouse.delete_dir(&dir)?;
         }
-        let mut files_written = 0;
-        let mut writer = None;
-        let mut in_file = 0u64;
-        let mut part = 0u64;
-        let mut materialized = 0u64;
-        for bytes in encoded {
-            let Some(bytes) = bytes else {
-                // Dictionary built from the same scan covers every event;
-                // reaching here means passes saw different data.
-                debug_assert!(false, "event missing from same-day dictionary");
-                continue;
-            };
-            if writer.is_none() {
-                let path = dir.child(&format!("part-{part:05}")).expect("valid");
-                writer = Some(self.warehouse.create(&path)?);
-                part += 1;
+        let mut parts = PartFiles {
+            warehouse: &self.warehouse,
+            dir: &dir,
+            records_per_file: self.records_per_file,
+            writer: None,
+            files: 0,
+            records: 0,
+        };
+        let mut sorted = sorter.finish()?;
+        let mut open: Option<OpenSession> = None;
+        while let Some((key, payload)) = sorted.next_entry()? {
+            let (group, timestamp) = split_sort_key(&key)?;
+            let (rank, ip) = payload.split_first_chunk::<4>().ok_or(CORRUPT_ENTRY)?;
+            let continues = open.as_ref().is_some_and(|session| {
+                session.group == group && timestamp.since(session.last) <= SESSION_GAP_MS
+            });
+            if !continues {
+                let session = OpenSession {
+                    group: group.to_vec(),
+                    ip: String::from_utf8(ip.to_vec()).map_err(|_| CORRUPT_ENTRY)?,
+                    sequence: Some(String::new()),
+                    start: timestamp,
+                    last: timestamp,
+                };
+                if let Some(closed) = open.replace(session) {
+                    parts.append_session(closed)?;
+                }
             }
-            let w = writer.as_mut().expect("created above");
-            w.append_record(&bytes);
-            materialized += 1;
-            in_file += 1;
-            if in_file >= self.records_per_file {
-                writer.take().expect("present").finish()?;
-                files_written += 1;
-                in_file = 0;
+            let session = open.as_mut().expect("opened above");
+            session.last = timestamp;
+            match (
+                &mut session.sequence,
+                char_for_rank(u32::from_be_bytes(*rank)),
+            ) {
+                (Some(sequence), Some(code)) => sequence.push(code),
+                _ => session.sequence = None,
             }
         }
-        if let Some(w) = writer.take() {
+        if let Some(closed) = open {
+            parts.append_session(closed)?;
+        }
+        if let Some(w) = parts.writer.take() {
             w.finish()?;
-            files_written += 1;
-        } else {
+        } else if parts.files == 0 {
             // Even an empty day leaves a marker directory so downstream jobs
             // can distinguish "no sessions" from "not yet materialized".
             self.warehouse.mkdirs(&dir)?;
@@ -498,168 +540,11 @@ impl Materializer {
             events,
             skipped,
             distinct_events: dict.len() as u64,
-            sessions: materialized,
+            sessions: parts.records,
             raw_uncompressed_bytes: raw.uncompressed_bytes,
             raw_compressed_bytes: raw.compressed_bytes,
             sequences_compressed_bytes: seq_meta.compressed_bytes,
-            files_written,
-            spill_runs: 0,
-            spill_bytes: 0,
-            mem_high_water_bytes: 0,
-        })
-    }
-
-    /// Streaming pass 2: identical output to [`Self::materialize_sequences`]
-    /// without ever materializing the day's events or session list.
-    ///
-    /// Events are consumed one hour partition at a time. A bounded window of
-    /// *open runs* (one per active `(user_id, session_id)` group) absorbs
-    /// each hour's arrivals; once the hour watermark passes a run's last
-    /// event by more than the inactivity gap, no future event can extend it
-    /// (hour `H+1` events all have timestamps ≥ the watermark), so the run
-    /// seals. Sealed sessions are dictionary-encoded immediately and fed to
-    /// an external sorter keyed on `(user_id, session_id, start)` — the
-    /// batch output order — which spills to scratch run files whenever
-    /// `budget` is exceeded. Peak state is therefore one hour of arrivals +
-    /// a ~`gap` window of open runs + the sorter's budget, independent of
-    /// day size, and the part files come out byte-identical to the batch
-    /// path at any worker count.
-    pub fn materialize_sequences_streaming(
-        &self,
-        day_index: u64,
-        dict: &EventDictionary,
-        budget: u64,
-    ) -> WarehouseResult<MaterializeReport> {
-        let gap = self.sessionizer.gap_ms();
-        let tracker = MemoryTracker::with_budget(budget);
-        let mut sorter =
-            ExternalByteSorter::new(self.warehouse.clone(), tracker.clone(), "sessionize");
-        fn push_session(
-            sorter: &mut ExternalByteSorter,
-            user_id: i64,
-            session_id: &str,
-            run: Vec<SessionEvent>,
-            dict: &EventDictionary,
-        ) -> WarehouseResult<()> {
-            let record = Sessionizer::seal(user_id, session_id, run);
-            let Some(seq) = SessionSequence::encode(&record, dict) else {
-                // Dictionary built from the same scan covers every event;
-                // reaching here means passes saw different data.
-                debug_assert!(false, "event missing from same-day dictionary");
-                return Ok(());
-            };
-            let key = session_sort_key(record.user_id, &record.session_id, record.start.millis());
-            sorter.push(key, seq.to_bytes())
-        }
-
-        let mut events = 0u64;
-        let mut skipped = 0u64;
-        let mut open: BTreeMap<(i64, String), Vec<SessionEvent>> = BTreeMap::new();
-        for hour in day_index * 24..(day_index + 1) * 24 {
-            let mut arrivals: BTreeMap<(i64, String), Vec<SessionEvent>> = BTreeMap::new();
-            for path in self.hour_files(hour)? {
-                let (e, s) = self.scan_file(&path, SESSION_COLUMNS, |row| {
-                    let ev = session_event(row)?;
-                    arrivals
-                        .entry((ev.user_id, ev.session_id.clone()))
-                        .or_default()
-                        .push(ev);
-                    Ok(())
-                })?;
-                events += e;
-                skipped += s;
-            }
-            for ((user_id, session_id), mut new_evs) in arrivals {
-                // Stable sort: equal timestamps keep arrival order, and all
-                // prior hours' events sort strictly earlier, so appending to
-                // the open run reproduces the batch group-wide stable sort.
-                new_evs.sort_by_key(|ev| ev.timestamp);
-                let run = open.entry((user_id, session_id.clone())).or_default();
-                for ev in new_evs {
-                    let split = run
-                        .last()
-                        .is_some_and(|prev| ev.timestamp.since(prev.timestamp) > gap);
-                    if split {
-                        push_session(&mut sorter, user_id, &session_id, std::mem::take(run), dict)?;
-                    }
-                    run.push(ev);
-                }
-            }
-            // Bounded-window eviction: every event still to come has a
-            // timestamp ≥ the watermark, so a run trailing it by more than
-            // the gap is complete.
-            let watermark = Timestamp::from_hour_index(hour + 1).millis();
-            let expired: Vec<(i64, String)> = open
-                .iter()
-                .filter(|(_, run)| {
-                    run.last()
-                        .is_some_and(|last| watermark - last.timestamp.millis() > gap)
-                })
-                .map(|(k, _)| k.clone())
-                .collect();
-            for key in expired {
-                let run = open.remove(&key).expect("selected above");
-                push_session(&mut sorter, key.0, &key.1, run, dict)?;
-            }
-        }
-        for ((user_id, session_id), run) in std::mem::take(&mut open) {
-            push_session(&mut sorter, user_id, &session_id, run, dict)?;
-        }
-
-        let dir = sequences_dir(day_index);
-        if self.warehouse.exists(&dir) {
-            self.warehouse.delete_dir(&dir)?;
-        }
-        let mut sorted = sorter.finish()?;
-        let mut files_written = 0;
-        let mut writer = None;
-        let mut in_file = 0u64;
-        let mut part = 0u64;
-        let mut materialized = 0u64;
-        while let Some((_, bytes)) = sorted.next_entry()? {
-            if writer.is_none() {
-                let path = dir.child(&format!("part-{part:05}")).expect("valid");
-                writer = Some(self.warehouse.create(&path)?);
-                part += 1;
-            }
-            let w = writer.as_mut().expect("created above");
-            w.append_record(&bytes);
-            materialized += 1;
-            in_file += 1;
-            if in_file >= self.records_per_file {
-                writer.take().expect("present").finish()?;
-                files_written += 1;
-                in_file = 0;
-            }
-        }
-        drop(sorted);
-        if let Some(w) = writer.take() {
-            w.finish()?;
-            files_written += 1;
-        } else {
-            self.warehouse.mkdirs(&dir)?;
-        }
-
-        let raw = self
-            .warehouse
-            .dir_meta(&day_dir(CLIENT_EVENTS_CATEGORY, day_index))
-            .unwrap_or(uli_warehouse::FileMeta {
-                blocks: 0,
-                records: 0,
-                compressed_bytes: 0,
-                uncompressed_bytes: 0,
-            });
-        let seq_meta = self.warehouse.dir_meta(&dir)?;
-        Ok(MaterializeReport {
-            day_index,
-            events,
-            skipped,
-            distinct_events: dict.len() as u64,
-            sessions: materialized,
-            raw_uncompressed_bytes: raw.uncompressed_bytes,
-            raw_compressed_bytes: raw.compressed_bytes,
-            sequences_compressed_bytes: seq_meta.compressed_bytes,
-            files_written,
+            files_written: parts.files,
             spill_runs: tracker.spill_runs(),
             spill_bytes: tracker.spill_bytes(),
             mem_high_water_bytes: tracker.high_water(),
@@ -677,8 +562,7 @@ impl Materializer {
 mod tests {
     use super::*;
     use crate::event::EventInitiator;
-    use crate::time::Timestamp;
-    use uli_warehouse::DEFAULT_MEM_BUDGET;
+    use crate::session::Sessionizer;
 
     fn n(s: &str) -> EventName {
         EventName::parse(s).unwrap()
@@ -995,10 +879,6 @@ mod tests {
             let report = m.materialize_sequences(0, &dict).unwrap();
             assert_eq!(report.events, events.len() as u64);
             assert_eq!(report.sessions, 5, "the garbled row's session included");
-            let streamed = m
-                .materialize_sequences_streaming(0, &dict, DEFAULT_MEM_BUDGET)
-                .unwrap();
-            assert_eq!(streamed.sessions, 5);
 
             // The first three rows of each name are its candidates; one that
             // does not decode at full width leaves a gap, not a shift.
@@ -1068,140 +948,182 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_materialize_matches_batch_at_any_worker_count() {
-        // Sessions that straddle hour boundaries (events 1s apart across
-        // the hour edge) exercise the watermark window, and 24 users give
-        // the batch shards real work. The streaming output must be
-        // byte-identical to every batch configuration.
-        let reference = {
-            let wh = Warehouse::new();
-            fixture(&wh, 0, 24, 20);
-            let m = Materializer::new(wh.clone()).with_parallelism(Parallelism::serial());
-            m.run_day(0).unwrap();
-            day_artifacts(&wh, 0)
-        };
-        for workers in [1usize, 4, 8] {
-            let wh = Warehouse::new();
-            fixture(&wh, 0, 24, 20);
-            let m = Materializer::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
-            let dict = m.build_dictionary(0).unwrap();
-            let report = m
-                .materialize_sequences_streaming(0, &dict, DEFAULT_MEM_BUDGET)
-                .unwrap();
-            assert!(report.sessions > 0);
-            assert_eq!(
-                report.spill_runs, 0,
-                "a fixture this small must not spill at the default budget"
-            );
-            assert_eq!(
-                day_artifacts(&wh, 0),
-                reference,
-                "streaming output diverged at {workers} workers"
-            );
-        }
+    fn spill_scratch_is_empty(wh: &Warehouse) -> bool {
+        let root = uli_warehouse::spill_root();
+        !wh.exists(&root) || wh.list_files_recursive(&root).unwrap().is_empty()
     }
 
-    #[test]
-    fn streaming_materialize_spills_under_budget_and_stays_identical() {
-        let reference = {
-            let wh = Warehouse::new();
-            fixture(&wh, 0, 24, 20);
-            Materializer::new(wh.clone()).run_day(0).unwrap();
-            day_artifacts(&wh, 0)
-        };
-        let wh = Warehouse::new();
-        fixture(&wh, 0, 24, 20);
-        let m = Materializer::new(wh.clone());
-        let dict = m.build_dictionary(0).unwrap();
-        let budget = 2048;
-        let report = m.materialize_sequences_streaming(0, &dict, budget).unwrap();
-        assert!(report.spill_runs > 0, "tiny budget must force spills");
-        assert!(report.spill_bytes > 0);
-        assert!(report.mem_high_water_bytes <= budget);
-        assert_eq!(day_artifacts(&wh, 0), reference);
-        // Scratch runs are cleaned up even though we spilled.
-        let spill_root = uli_warehouse::spill_root();
-        assert!(
-            !wh.exists(&spill_root) || wh.list_files_recursive(&spill_root).unwrap().is_empty(),
-            "spill scratch files survived materialization"
-        );
+    /// Runs both passes over `wh` at every worker count and budget and holds
+    /// the persisted files to [`expected_artifacts`] of `events` (the day in
+    /// scan order). A `tight` budget must spill, stay under itself and leave
+    /// no scratch file; the other two never spill a day this small.
+    fn assert_materializes_as_the_whole_day_does(
+        wh: &Warehouse,
+        events: &[ClientEvent],
+        tight: u64,
+    ) -> MaterializeReport {
+        let mut last = None;
+        for workers in [1usize, 2, 4, 8] {
+            for budget in [tight, DEFAULT_MEM_BUDGET, u64::MAX] {
+                let mut m = Materializer::new(wh.clone())
+                    .with_parallelism(Parallelism::fixed(workers))
+                    .with_mem_budget(budget);
+                m.records_per_file = 7;
+                let report = m.run_day(0).unwrap();
+                let expected = expected_artifacts(0, events, m.samples_per_event, 7);
+                assert_eq!(
+                    day_artifacts(wh, 0),
+                    expected,
+                    "{workers} workers, budget {budget}"
+                );
+                assert_eq!(report.events, events.len() as u64);
+                assert!(report.mem_high_water_bytes <= budget);
+                assert_eq!(report.spill_runs > 0, budget == tight, "budget {budget}");
+                assert_eq!(report.spill_bytes > 0, budget == tight);
+                assert!(spill_scratch_is_empty(wh), "scratch runs survived pass 2");
+                last = Some(report);
+            }
+        }
+        last.expect("ran")
     }
 
-    #[test]
-    fn streaming_materialize_session_splits_match_batch_across_hours() {
-        // A session idle for > gap inside the day must split identically in
-        // both paths, including when the split crosses an hour boundary.
-        let wh = Warehouse::new();
-        let dir0 = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, 0).main_dir();
-        let mut w = wh.create(&dir0.child("part-00000").unwrap()).unwrap();
-        // Two bursts in hour 0 separated by > 30 min, then a burst in hour 2.
-        for (t, action) in [
-            (0, "click"),
-            (1000, "impression"),
-            (40 * 60 * 1000, "click"),
-        ] {
-            let ev = ClientEvent::new(
-                EventInitiator::CLIENT_USER,
-                n(&format!("web:home:home:stream:tweet:{action}")),
-                7,
-                "s-weird",
-                "10.0.0.1",
-                Timestamp(t),
-            );
-            w.append_record(&ev.to_bytes());
-        }
-        w.finish().unwrap();
-        let dir2 = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, 2).main_dir();
-        let mut w = wh.create(&dir2.child("part-00000").unwrap()).unwrap();
-        let ev = ClientEvent::new(
+    fn weird(t: Timestamp, action: &str) -> ClientEvent {
+        ClientEvent::new(
             EventInitiator::CLIENT_USER,
-            n("web:home:home:stream:tweet:follow"),
+            n(&format!("web:home:home:stream:tweet:{action}")),
             7,
             "s-weird",
             "10.0.0.1",
-            Timestamp::from_hour_index(2).plus(5000),
-        );
-        w.append_record(&ev.to_bytes());
-        w.finish().unwrap();
+            t,
+        )
+    }
 
-        let m = Materializer::new(wh.clone());
-        let dict = m.build_dictionary(0).unwrap();
-        let batch = m.materialize_sequences(0, &dict).unwrap();
-        let batch_files = day_artifacts(&wh, 0);
-        let streaming = m
-            .materialize_sequences_streaming(0, &dict, DEFAULT_MEM_BUDGET)
-            .unwrap();
-        assert_eq!(batch.sessions, 3, "two idle gaps → three sessions");
-        assert_eq!(streaming.sessions, batch.sessions);
-        assert_eq!(day_artifacts(&wh, 0), batch_files);
+    /// `Aggregator::flush` lands what it buffered through a staging outage
+    /// under the hour of the flush, so an hour directory can hold an event
+    /// stamped hours earlier. A pass 2 that sealed a run once the hour
+    /// watermark had passed it by the gap cut this day into three sessions.
+    #[test]
+    fn a_late_arrival_joins_the_session_its_timestamp_puts_it_in() {
+        let minute = 60 * 1000;
+        let hour0 = [
+            weird(Timestamp(0), "click"),
+            weird(Timestamp(20 * minute), "impression"),
+        ];
+        let hour2 = [
+            weird(Timestamp(10 * minute), "follow"),
+            weird(Timestamp::from_hour_index(2).plus(5000), "hover"),
+        ];
+        let wh = Warehouse::new();
+        write_row_file(&wh, 0, "part-00000", &hour0);
+        write_row_file(&wh, 2, "part-00000", &hour2);
+        let events = [hour0, hour2].concat();
+        // 150 bytes hold two of these entries: every other event is a run.
+        let report = assert_materializes_as_the_whole_day_does(&wh, &events, 150);
+        assert_eq!(report.sessions, 2, "the late event is inside the first");
+        let first = &day_artifacts(&wh, 0)[0].1[0];
+        let first = SessionSequence::from_bytes(first).unwrap();
+        assert_eq!(first.sequence.chars().count(), 3);
+        assert_eq!(first.duration_secs, 20 * 60);
     }
 
     #[test]
-    fn sharded_sessionize_matches_serial_on_interleaved_users() {
-        // Interleave users within each scan shard so every partition gets
-        // events from every shard.
-        let shards: Vec<Vec<ClientEvent>> = (0..2u64)
-            .map(|hour| {
-                let mut events = hour_events(hour, 17, 9);
-                events.sort_by_key(|ev| ev.timestamp);
-                events
-            })
-            .collect();
-        let expected = Sessionizer::new().sessionize(shards.concat());
-        let shards: Vec<Vec<SessionEvent>> = shards
-            .into_iter()
-            .map(|shard| shard.into_iter().map(SessionEvent::from).collect())
-            .collect();
-        for workers in [1usize, 2, 4, 8] {
-            let m =
-                Materializer::new(Warehouse::new()).with_parallelism(Parallelism::fixed(workers));
-            assert_eq!(
-                m.sessionize_sharded(shards.clone()),
-                expected,
-                "{workers} workers"
-            );
+    fn idle_gaps_split_a_session_within_and_across_hours() {
+        // Two bursts in hour 0 separated by > 30 min, then a burst in hour 2.
+        let hour0 = [
+            weird(Timestamp(0), "click"),
+            weird(Timestamp(1000), "impression"),
+            weird(Timestamp(40 * 60 * 1000), "click"),
+        ];
+        let hour2 = [weird(Timestamp::from_hour_index(2).plus(5000), "follow")];
+        let wh = Warehouse::new();
+        write_row_file(&wh, 0, "part-00000", &hour0);
+        write_row_file(&wh, 2, "part-00000", &hour2);
+        let events = [&hour0[..], &hour2[..]].concat();
+        let report = assert_materializes_as_the_whole_day_does(&wh, &events, 150);
+        assert_eq!(report.sessions, 3, "two idle gaps → three sessions");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// A day whose users interleave within every file and whose sessions
+        /// straddle the hour edge (events 1 s apart across it), with a random
+        /// share of each hour's events displaced into a file of a later hour
+        /// directory — the shape a staging outage leaves. Whatever moved
+        /// where, every worker count and budget writes what whole-day
+        /// [`Sessionizer::sessionize`] + [`SessionSequence::encode`] make of
+        /// the events.
+        #[test]
+        fn displaced_events_sessionize_as_the_whole_day_does(
+            users in 3i64..18,
+            per_user in 2usize..10,
+            displaced in proptest::collection::vec((0usize..1000, 1u64..4), 0..40),
+        ) {
+            let mut hours: Vec<Vec<ClientEvent>> = (0..3u64)
+                .map(|hour| {
+                    let mut events = hour_events(hour, users, per_user);
+                    events.sort_by_key(|ev| ev.timestamp);
+                    events
+                })
+                .collect();
+            let mut late: Vec<Vec<ClientEvent>> = vec![Vec::new(); 6];
+            for (pick, later) in displaced {
+                let hour = pick % 3;
+                let on_time = &mut hours[hour];
+                if on_time.len() > 1 {
+                    let ev = on_time.remove(pick % on_time.len());
+                    late[hour + later as usize].push(ev);
+                }
+            }
+            let wh = Warehouse::new();
+            let mut scan_order = Vec::new();
+            for (hour, late) in late.iter().enumerate() {
+                if let Some(on_time) = hours.get(hour) {
+                    write_row_file(&wh, hour as u64, "part-00000", on_time);
+                    scan_order.extend_from_slice(on_time);
+                }
+                if !late.is_empty() {
+                    write_columnar_file(&wh, hour as u64, "part-00001", late);
+                    scan_order.extend_from_slice(late);
+                }
+            }
+            assert_materializes_as_the_whole_day_does(&wh, &scan_order, 512);
         }
+    }
+
+    #[test]
+    fn sort_keys_order_as_the_tuples_they_encode_and_decode_back() {
+        let users = [i64::MIN, -1, 0, 1, i64::MAX];
+        let sessions = ["", "a", "a\0", "a\0b", "a\u{1}", "ab", "é"];
+        let times = [i64::MIN, -5, 0, 5, i64::MAX];
+        let mut tuples = Vec::new();
+        for user in users {
+            for session in sessions {
+                for t in times {
+                    tuples.push((user, session, t));
+                }
+            }
+        }
+        let keys: Vec<Vec<u8>> = tuples
+            .iter()
+            .map(|(user, session, t)| session_sort_key(*user, session, *t))
+            .collect();
+        for (a, ka) in tuples.iter().zip(&keys) {
+            for (b, kb) in tuples.iter().zip(&keys) {
+                assert_eq!(a.cmp(b), ka.cmp(kb), "{a:?} vs {b:?}");
+            }
+            let (group, t) = split_sort_key(ka).unwrap();
+            assert_eq!(t, Timestamp(a.2));
+            assert_eq!(decode_group(group).unwrap(), (a.0, a.1.to_string()));
+        }
+        for damaged in [
+            &b"short"[..],
+            &[0; 9],
+            &[0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0],
+        ] {
+            assert_eq!(decode_group(damaged), Err(CORRUPT_ENTRY));
+        }
+        assert_eq!(split_sort_key(b"1234567"), Err(CORRUPT_ENTRY));
     }
 
     #[test]

@@ -30,8 +30,7 @@ pub struct SessionRecord {
 }
 
 /// What session reconstruction reads of a client event — five of its seven
-/// fields. A day held for sessionizing is held as these, so it never carries
-/// the events' `details` maps.
+/// fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionEvent {
     /// The event name.
@@ -82,11 +81,6 @@ impl Sessionizer {
     pub fn with_gap_ms(gap_ms: i64) -> Self {
         assert!(gap_ms > 0, "inactivity gap must be positive");
         Sessionizer { gap_ms }
-    }
-
-    /// The inactivity threshold in milliseconds.
-    pub fn gap_ms(&self) -> i64 {
-        self.gap_ms
     }
 
     /// Reconstructs sessions: group by `(user_id, session_id)`, order by

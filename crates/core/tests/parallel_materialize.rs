@@ -1,7 +1,7 @@
-//! Worker-count independence of the sharded materializer: for seeded
+//! Worker-count and budget independence of the materializer: for seeded
 //! random days, every worker count must produce the same report, the same
 //! dictionary (codes and rank order), the same samples, and byte-identical
-//! part files.
+//! part files — the recorded ones, at any budget of pass 2's event sort.
 
 use rand::{Rng, SeedableRng};
 use uli_core::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
@@ -10,7 +10,8 @@ use uli_core::session::{sequences_dir, EventDictionary, MaterializeReport, Mater
 use uli_core::time::Timestamp;
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
-    fnv1a64_fold, HourlyPartition, Parallelism, Warehouse, WhPath, FNV1A64_OFFSET,
+    fnv1a64_fold, HourlyPartition, Parallelism, Warehouse, WhPath, DEFAULT_MEM_BUDGET,
+    FNV1A64_OFFSET,
 };
 
 /// Writes a seeded random day of client events: several hours, several
@@ -51,8 +52,14 @@ fn seeded_day(seed: u64) -> Warehouse {
 }
 
 fn run_day(seed: u64, workers: usize) -> (Warehouse, MaterializeReport) {
+    run_day_within(seed, workers, DEFAULT_MEM_BUDGET)
+}
+
+fn run_day_within(seed: u64, workers: usize, budget: u64) -> (Warehouse, MaterializeReport) {
     let wh = seeded_day(seed);
-    let m = Materializer::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
+    let m = Materializer::new(wh.clone())
+        .with_parallelism(Parallelism::fixed(workers))
+        .with_mem_budget(budget);
     let report = m.run_day(0).unwrap();
     (wh, report)
 }
@@ -81,7 +88,7 @@ fn sequences_digest(wh: &Warehouse) -> u64 {
 }
 
 /// [`sequences_digest`] of each seeded day, recorded from the whole-day
-/// in-memory pass 2 before it was replaced.
+/// in-memory pass 2 that the event sort replaced.
 const RECORDED_SEQUENCES: [(u64, u64); 3] = [
     (11, 14327779769069026765),
     (23, 9496805744395632156),
@@ -120,6 +127,28 @@ fn parallel_day_is_byte_identical_to_serial() {
                 dump_dir(&par_wh, &uli_core::session::dictionary_dir(0)),
                 "dictionary/samples diverged: seed {seed}, {workers} workers"
             );
+        }
+        // The budget moves what spills, never what is written.
+        for workers in [1usize, 4, 8] {
+            for budget in [1024, u64::MAX] {
+                let (wh, report) = run_day_within(seed, workers, budget);
+                assert_eq!(
+                    sequences_digest(&wh),
+                    recorded,
+                    "seed {seed}, {workers} workers, budget {budget}"
+                );
+                assert_eq!(report.spill_runs > 0, budget == 1024);
+                assert!(report.mem_high_water_bytes <= budget);
+                assert_eq!(
+                    MaterializeReport {
+                        spill_runs: 0,
+                        spill_bytes: 0,
+                        mem_high_water_bytes: serial_report.mem_high_water_bytes,
+                        ..report
+                    },
+                    serial_report
+                );
+            }
         }
     }
 }

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use uli_obs::{Counter, Gauge, Registry};
 use uli_warehouse::{
-    MemoryTracker, Parallelism, ScanFile, ScanPool, ScanStats, Warehouse, ZoneMapPruner,
-    DEFAULT_MEM_BUDGET,
+    MemoryTracker, MergedRuns, Parallelism, ScanFile, ScanPool, ScanStats, SpillSorter, Warehouse,
+    ZoneMapPruner, DEFAULT_MEM_BUDGET,
 };
 
 use crate::batch::scan_group;
@@ -26,7 +26,7 @@ use crate::plan::{Agg, Plan, PlanNode, SortOrder};
 use crate::pushdown::{
     collect_columns, expr_has_udf, total_boolean, zone_constraints, Pushdown, ScanSpec, ZoneColumn,
 };
-use crate::spill::{AggSpiller, RowOrder, RowSpillSorter, SortedRowStream, TopK};
+use crate::spill::{row_cost, AggSpiller, RowOrder, RowRuns, TopK};
 use crate::udf::{AggFunc, AggState};
 use crate::value::{tuple_wire_size, Tuple, Value};
 
@@ -441,12 +441,14 @@ impl Engine {
         order: RowOrder,
         label: &str,
         mem: &MemoryTracker,
-    ) -> DataflowResult<SortedRowStream> {
-        let mut sorter = RowSpillSorter::new(self.warehouse.clone(), mem.clone(), order, label);
-        for row in rows {
-            sorter.push(row)?;
+    ) -> DataflowResult<MergedRuns<RowRuns>> {
+        let mut sorter =
+            SpillSorter::new(self.warehouse.clone(), mem.clone(), RowRuns(order), label);
+        for (seq, row) in rows.into_iter().enumerate() {
+            let cost = row_cost(&row);
+            sorter.push((seq as u64, row), cost)?;
         }
-        sorter.finish()
+        Ok(sorter.finish()?)
     }
 
     /// Scan units mapped between two folds: what bounds live map output. One
@@ -725,7 +727,7 @@ impl Engine {
                 let order = RowOrder::Cols(keys.iter().map(|k| (*k, SortOrder::Asc)).collect());
                 let mut stream = self.sorted(rows, order, "group_by", mem)?;
                 let mut out: Vec<Tuple> = Vec::new();
-                while let Some(row) = stream.next_row()? {
+                while let Some((_, row)) = stream.next_entry()? {
                     let mut key: Vec<Value> = keys.iter().map(|k| row[*k].clone()).collect();
                     match out.last_mut().and_then(|group| group.split_last_mut()) {
                         Some((Value::Bag(bag), k)) if *k == key[..] => bag.push(row),
@@ -837,7 +839,7 @@ impl Engine {
                 let mut stream =
                     self.sorted(rows, RowOrder::Cols(keys.clone()), "order_by", mem)?;
                 let mut rows = Vec::with_capacity(shuffle_records as usize);
-                while let Some(row) = stream.next_row()? {
+                while let Some((_, row)) = stream.next_entry()? {
                     rows.push(row);
                 }
                 let next = self.charge_shuffle(
@@ -856,7 +858,7 @@ impl Engine {
                 // duplicates: distinct tuples in ascending order.
                 let mut stream = self.sorted(rows, RowOrder::WholeTuple, "distinct", mem)?;
                 let mut out: Vec<Tuple> = Vec::new();
-                while let Some(row) = stream.next_row()? {
+                while let Some((_, row)) = stream.next_entry()? {
                     if out.last().is_none_or(|prev| *prev != row) {
                         out.push(row);
                     }

@@ -12,15 +12,17 @@
 //! comparison tie, so the merged order equals what a *stable* in-memory sort
 //! would produce — the same rows at any budget and any worker count.
 //!
-//! Cleanup is RAII: run files live in a scratch directory owned by a
-//! [`SpillDirGuard`], deleted when the sorter/stream drops — on success,
-//! error, and panic paths alike.
+//! Writing, reading and merging runs — and deleting them when the operator
+//! drops, on success, error and panic paths alike — is
+//! [`uli_warehouse::RunSet`]'s; this module says what a run record of rows
+//! ([`RowRuns`]) and of aggregate states ([`AggRuns`]) is, and how each
+//! orders.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use uli_warehouse::{
-    scratch_dir, MemoryTracker, RecordFileReader, SpillDirGuard, Warehouse, WhPath, ENTRY_OVERHEAD,
+    MemoryTracker, RunFormat, RunSet, Warehouse, WarehouseError, WarehouseResult, ENTRY_OVERHEAD,
 };
 
 use crate::error::{DataflowError, DataflowResult};
@@ -28,7 +30,7 @@ use crate::plan::{Agg, SortOrder};
 use crate::sketch::{Hll, PercentileSketch};
 use crate::udf::AggState;
 use crate::value::{tuple_wire_size, Tuple, Value};
-use crate::wire::{decode_tuple, decode_value_prefix, encode_tuple, encode_value};
+use crate::wire::{decode_tuple, decode_value_prefix, encode_tuple, encode_value, Cursor};
 
 /// How spilled rows order.
 #[derive(Debug, Clone)]
@@ -66,191 +68,34 @@ impl RowOrder {
 }
 
 /// What one buffered row is billed.
-fn row_cost(row: &Tuple) -> u64 {
+pub(crate) fn row_cost(row: &Tuple) -> u64 {
     tuple_wire_size(row) + ENTRY_OVERHEAD
 }
 
-/// An external merge sort over rows: in-memory until the budget says spill.
-pub(crate) struct RowSpillSorter {
-    warehouse: Warehouse,
-    tracker: MemoryTracker,
-    guard: SpillDirGuard,
-    order: RowOrder,
-    runs: Vec<WhPath>,
-    /// `(seq, row)` — seq is the arrival index, the stability tie-break.
-    buf: Vec<(u64, Tuple)>,
-    buf_bytes: u64,
-    next_seq: u64,
-}
+/// A run record no writer here produces.
+const CORRUPT_RUN: WarehouseError = WarehouseError::Corrupt("spill run record");
 
-impl RowSpillSorter {
-    pub(crate) fn new(
-        warehouse: Warehouse,
-        tracker: MemoryTracker,
-        order: RowOrder,
-        label: &str,
-    ) -> RowSpillSorter {
-        let dir = scratch_dir(label);
-        let guard = SpillDirGuard::new(warehouse.clone(), dir);
-        RowSpillSorter {
-            warehouse,
-            tracker,
-            guard,
-            order,
-            runs: Vec::new(),
-            buf: Vec::new(),
-            buf_bytes: 0,
-            next_seq: 0,
-        }
+/// Rows under a [`RowOrder`], as `(seq, row)` — seq is the arrival index,
+/// the stability tie-break. A run record is the sequence number (`u64`,
+/// big-endian) and the row's wire encoding.
+pub(crate) struct RowRuns(pub(crate) RowOrder);
+
+impl RunFormat for RowRuns {
+    type Entry = (u64, Tuple);
+
+    fn encode(&self, (seq, row): &Self::Entry, record: &mut Vec<u8>) {
+        record.extend_from_slice(&seq.to_be_bytes());
+        record.extend_from_slice(&encode_tuple(row));
     }
 
-    /// Adds one row, spilling the buffer first if the budget would be
-    /// exceeded.
-    pub(crate) fn push(&mut self, row: Tuple) -> DataflowResult<()> {
-        let cost = row_cost(&row);
-        if self.tracker.would_exceed(cost) && !self.buf.is_empty() {
-            self.spill()?;
-        }
-        self.tracker.grow(cost);
-        self.buf_bytes += cost;
-        self.buf.push((self.next_seq, row));
-        self.next_seq += 1;
-        Ok(())
+    fn decode(&self, record: &[u8]) -> WarehouseResult<Self::Entry> {
+        let (seq, row) = record.split_first_chunk::<8>().ok_or(CORRUPT_RUN)?;
+        let row = decode_tuple(row).map_err(|_| CORRUPT_RUN)?;
+        Ok((u64::from_be_bytes(*seq), row))
     }
 
-    fn spill(&mut self) -> DataflowResult<()> {
-        let order = self.order.clone();
-        self.buf.sort_by(|a, b| order.cmp_entries(a, b));
-        let path = self
-            .guard
-            .dir()
-            .child(&format!("run-{:05}", self.runs.len()))
-            .expect("valid run name");
-        let mut w = self.warehouse.create(&path)?;
-        let mut record = Vec::new();
-        for (seq, row) in &self.buf {
-            record.clear();
-            record.extend_from_slice(&seq.to_be_bytes());
-            record.extend_from_slice(&encode_tuple(row));
-            w.append_record(&record);
-        }
-        let meta = w.finish()?;
-        self.tracker.note_spill(meta.compressed_bytes);
-        self.tracker.shrink(self.buf_bytes);
-        self.buf_bytes = 0;
-        self.buf.clear();
-        self.runs.push(path);
-        Ok(())
-    }
-
-    /// Finishes the sort; the returned stream owns the scratch directory.
-    pub(crate) fn finish(mut self) -> DataflowResult<SortedRowStream> {
-        let order = self.order.clone();
-        self.buf.sort_by(|a, b| order.cmp_entries(a, b));
-        let mut readers = Vec::with_capacity(self.runs.len());
-        for path in &self.runs {
-            let mut r = RowRunReader {
-                reader: self.warehouse.open(path)?,
-                next: None,
-            };
-            r.advance()?;
-            readers.push(r);
-        }
-        Ok(SortedRowStream {
-            readers,
-            tail: self.buf.into_iter(),
-            tail_next: None,
-            tail_bytes: self.buf_bytes,
-            order: self.order,
-            tracker: self.tracker,
-            _guard: self.guard,
-        })
-    }
-}
-
-struct RowRunReader {
-    reader: RecordFileReader,
-    next: Option<(u64, Tuple)>,
-}
-
-impl RowRunReader {
-    fn advance(&mut self) -> DataflowResult<()> {
-        self.next = match self.reader.next_record()? {
-            Some(record) => {
-                if record.len() < 8 {
-                    return Err(DataflowError::TypeError {
-                        context: "spill run decode",
-                    });
-                }
-                let seq = u64::from_be_bytes(record[..8].try_into().unwrap());
-                Some((seq, decode_tuple(&record[8..])?))
-            }
-            None => None,
-        };
-        Ok(())
-    }
-}
-
-/// Merged ordered output of a [`RowSpillSorter`].
-pub(crate) struct SortedRowStream {
-    readers: Vec<RowRunReader>,
-    tail: std::vec::IntoIter<(u64, Tuple)>,
-    tail_next: Option<(u64, Tuple)>,
-    tail_bytes: u64,
-    order: RowOrder,
-    tracker: MemoryTracker,
-    _guard: SpillDirGuard,
-}
-
-impl SortedRowStream {
-    /// The next row in sort order (sequence numbers break ties, so equal
-    /// keys come back in arrival order).
-    pub(crate) fn next_row(&mut self) -> DataflowResult<Option<Tuple>> {
-        if self.tail_next.is_none() {
-            self.tail_next = self.tail.next();
-        }
-        let mut best: Option<usize> = None;
-        for (i, r) in self.readers.iter().enumerate() {
-            if let Some(e) = &r.next {
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        self.order
-                            .cmp_entries(e, self.readers[b].next.as_ref().expect("peeked"))
-                            == Ordering::Less
-                    }
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        let tail_wins = match (&self.tail_next, best) {
-            (Some(t), Some(b)) => {
-                self.order
-                    .cmp_entries(t, self.readers[b].next.as_ref().expect("peeked"))
-                    == Ordering::Less
-            }
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if tail_wins {
-            return Ok(self.tail_next.take().map(|(_, row)| row));
-        }
-        match best {
-            Some(i) => {
-                let entry = self.readers[i].next.take();
-                self.readers[i].advance()?;
-                Ok(entry.map(|(_, row)| row))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-impl Drop for SortedRowStream {
-    fn drop(&mut self) {
-        self.tracker.shrink(self.tail_bytes);
+    fn cmp(&self, a: &Self::Entry, b: &Self::Entry) -> Ordering {
+        self.0.cmp_entries(a, b)
     }
 }
 
@@ -522,10 +367,7 @@ pub(crate) fn decode_state(bytes: &[u8]) -> DataflowResult<AggState> {
 /// differ in final bits from the single-pass order (the usual FP
 /// non-associativity caveat, shared with the parallel combine path).
 pub(crate) struct AggSpiller<'a> {
-    warehouse: Warehouse,
-    tracker: MemoryTracker,
-    guard: SpillDirGuard,
-    runs: Vec<WhPath>,
+    runs: RunSet<AggRuns>,
     map: BTreeMap<Vec<Value>, Vec<AggState>>,
     map_bytes: u64,
     aggs: &'a [Agg],
@@ -537,13 +379,8 @@ impl<'a> AggSpiller<'a> {
         tracker: MemoryTracker,
         aggs: &'a [Agg],
     ) -> AggSpiller<'a> {
-        let dir = scratch_dir("aggregate");
-        let guard = SpillDirGuard::new(warehouse.clone(), dir);
         AggSpiller {
-            warehouse,
-            tracker,
-            guard,
-            runs: Vec::new(),
+            runs: RunSet::new(warehouse, tracker, AggRuns, "aggregate"),
             map: BTreeMap::new(),
             map_bytes: 0,
             aggs,
@@ -556,10 +393,10 @@ impl<'a> AggSpiller<'a> {
 
     fn charge(&mut self, delta: i64) {
         if delta >= 0 {
-            self.tracker.grow(delta as u64);
+            self.runs.tracker().grow(delta as u64);
             self.map_bytes += delta as u64;
         } else {
-            self.tracker.shrink((-delta) as u64);
+            self.runs.tracker().shrink((-delta) as u64);
             self.map_bytes = self.map_bytes.saturating_sub((-delta) as u64);
         }
     }
@@ -567,8 +404,10 @@ impl<'a> AggSpiller<'a> {
     /// Spills first when buffering `incoming` more bytes would exceed the
     /// budget (an upper-bound estimate keeps the peak under budget).
     fn reserve(&mut self, incoming: u64) -> DataflowResult<()> {
-        if self.tracker.would_exceed(incoming) && !self.map.is_empty() {
-            self.spill()?;
+        if self.runs.tracker().would_exceed(incoming) && !self.map.is_empty() {
+            // A `BTreeMap` drains in ascending key order: already a run.
+            let bytes = std::mem::take(&mut self.map_bytes);
+            self.runs.spill(std::mem::take(&mut self.map), bytes)?;
         }
         Ok(())
     }
@@ -635,159 +474,93 @@ impl<'a> AggSpiller<'a> {
         Ok(())
     }
 
-    fn spill(&mut self) -> DataflowResult<()> {
-        let path = self
-            .guard
-            .dir()
-            .child(&format!("run-{:05}", self.runs.len()))
-            .expect("valid run name");
-        let mut w = self.warehouse.create(&path)?;
-        let mut record = Vec::new();
-        let map = std::mem::take(&mut self.map);
-        for (key, states) in map {
-            record.clear();
-            let key_bytes = encode_tuple(&key);
-            record.extend_from_slice(&(key_bytes.len() as u32).to_be_bytes());
-            record.extend_from_slice(&key_bytes);
-            record.extend_from_slice(&(states.len() as u32).to_be_bytes());
-            let mut state_bytes = Vec::new();
-            for s in &states {
-                state_bytes.clear();
-                encode_state(s, &mut state_bytes);
-                record.extend_from_slice(&(state_bytes.len() as u32).to_be_bytes());
-                record.extend_from_slice(&state_bytes);
-            }
-            w.append_record(&record);
-        }
-        let meta = w.finish()?;
-        self.tracker.note_spill(meta.compressed_bytes);
-        self.tracker.shrink(self.map_bytes);
-        self.map_bytes = 0;
-        self.runs.push(path);
-        Ok(())
-    }
-
     /// Merges runs and the in-memory remainder into finished output rows,
-    /// in ascending key order. GROUP ALL over an empty input yields one row
-    /// of empty aggregates, matching SQL's `SELECT COUNT(*)` over an empty
-    /// table.
-    pub(crate) fn finish(mut self, group_keys_empty: bool) -> DataflowResult<Vec<Tuple>> {
-        let mut readers = Vec::with_capacity(self.runs.len());
-        for path in &self.runs {
-            let mut r = AggRunReader {
-                reader: self.warehouse.open(path)?,
-                next: None,
-            };
-            r.advance()?;
-            readers.push(r);
+    /// in ascending key order: the merged stream folded over adjacent equal
+    /// keys, which it yields earliest run first and the remainder last —
+    /// chronological arrival order. GROUP ALL over an empty input yields one
+    /// row of empty aggregates, matching SQL's `SELECT COUNT(*)` over an
+    /// empty table.
+    pub(crate) fn finish(self, group_keys_empty: bool) -> DataflowResult<Vec<Tuple>> {
+        fn finished((mut key, states): (Vec<Value>, Vec<AggState>)) -> Tuple {
+            key.extend(states.into_iter().map(AggState::finish));
+            key
         }
-        let map = std::mem::take(&mut self.map);
-        let mut tail = map.into_iter().peekable();
+        let tail = self.map.into_iter().collect();
+        let mut merged = self.runs.merge(tail, self.map_bytes)?;
         let mut out: Vec<Tuple> = Vec::new();
-        loop {
-            // Smallest key across runs (run order for ties) and the tail.
-            let mut min_key: Option<Vec<Value>> = None;
-            for r in &readers {
-                if let Some((k, _)) = &r.next {
-                    if min_key.as_ref().is_none_or(|m| k < m) {
-                        min_key = Some(k.clone());
+        let mut group: Option<(Vec<Value>, Vec<AggState>)> = None;
+        while let Some((key, states)) = merged.next_entry()? {
+            match &mut group {
+                Some((open, acc)) if *open == key => {
+                    for (a, s) in acc.iter_mut().zip(states) {
+                        a.merge(s)?;
                     }
                 }
+                _ => out.extend(group.replace((key, states)).map(finished)),
             }
-            if let Some((k, _)) = tail.peek() {
-                if min_key.as_ref().is_none_or(|m| k < m) {
-                    min_key = Some(k.clone());
-                }
-            }
-            let Some(key) = min_key else { break };
-            // Merge every holder of this key, earliest run first, tail last
-            // — chronological arrival order.
-            let mut acc: Option<Vec<AggState>> = None;
-            for r in &mut readers {
-                if r.next.as_ref().is_some_and(|(k, _)| *k == key) {
-                    let (_, states) = r.next.take().expect("peeked");
-                    acc = Some(match acc {
-                        None => states,
-                        Some(mut a) => {
-                            for (x, s) in a.iter_mut().zip(states) {
-                                x.merge(s)?;
-                            }
-                            a
-                        }
-                    });
-                    r.advance()?;
-                }
-            }
-            if tail.peek().is_some_and(|(k, _)| *k == key) {
-                let (_, states) = tail.next().expect("peeked");
-                acc = Some(match acc {
-                    None => states,
-                    Some(mut a) => {
-                        for (x, s) in a.iter_mut().zip(states) {
-                            x.merge(s)?;
-                        }
-                        a
-                    }
-                });
-            }
-            let states = acc.expect("key came from somewhere");
-            let mut row = key;
-            row.extend(states.into_iter().map(AggState::finish));
-            out.push(row);
         }
+        out.extend(group.map(finished));
         if out.is_empty() && group_keys_empty {
-            let states: Vec<AggState> = self.aggs.iter().map(|a| AggState::new(a.func)).collect();
-            let row: Tuple = states.into_iter().map(AggState::finish).collect();
-            out.push(row);
+            out.push(
+                self.aggs
+                    .iter()
+                    .map(|a| AggState::new(a.func).finish())
+                    .collect(),
+            );
         }
-        self.tracker.shrink(self.map_bytes);
-        self.map_bytes = 0;
         Ok(out)
     }
 }
 
-struct AggRunReader {
-    reader: RecordFileReader,
-    next: Option<(Vec<Value>, Vec<AggState>)>,
-}
+/// Group keys with their partial states, ordered by key. A run record is
+/// the key's wire encoding and each state's ([`encode_state`]), every one
+/// behind its length (`u32`, big-endian), the states behind their count.
+struct AggRuns;
 
-impl AggRunReader {
-    fn advance(&mut self) -> DataflowResult<()> {
-        self.next = match self.reader.next_record()? {
-            Some(record) => {
-                if record.len() < 4 {
-                    return Err(corrupt());
-                }
-                let klen = u32::from_be_bytes(record[..4].try_into().unwrap()) as usize;
-                let key_end = 4 + klen;
-                if record.len() < key_end + 4 {
-                    return Err(corrupt());
-                }
-                let key = decode_tuple(&record[4..key_end])?;
-                let n = u32::from_be_bytes(record[key_end..key_end + 4].try_into().unwrap());
-                let mut pos = key_end + 4;
-                let mut states = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    if record.len() < pos + 4 {
-                        return Err(corrupt());
-                    }
-                    let slen =
-                        u32::from_be_bytes(record[pos..pos + 4].try_into().unwrap()) as usize;
-                    pos += 4;
-                    if record.len() < pos + slen {
-                        return Err(corrupt());
-                    }
-                    states.push(decode_state(&record[pos..pos + slen])?);
-                    pos += slen;
-                }
-                if pos != record.len() {
-                    return Err(corrupt());
-                }
-                Some((key, states))
-            }
-            None => None,
+impl RunFormat for AggRuns {
+    type Entry = (Vec<Value>, Vec<AggState>);
+
+    fn encode(&self, (key, states): &Self::Entry, record: &mut Vec<u8>) {
+        fn field(record: &mut Vec<u8>, bytes: &[u8]) {
+            record.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+            record.extend_from_slice(bytes);
+        }
+        field(record, &encode_tuple(key));
+        record.extend_from_slice(&(states.len() as u32).to_be_bytes());
+        let mut state_bytes = Vec::new();
+        for s in states {
+            state_bytes.clear();
+            encode_state(s, &mut state_bytes);
+            field(record, &state_bytes);
+        }
+    }
+
+    fn decode(&self, record: &[u8]) -> WarehouseResult<Self::Entry> {
+        let mut at = Cursor {
+            buf: record,
+            pos: 0,
         };
-        Ok(())
+        let mut decode = || {
+            let len = at.u32()? as usize;
+            let key = decode_tuple(at.take(len)?)?;
+            let n = at.u32()? as usize;
+            // A state is at least its length prefix: bound `n` before
+            // allocating.
+            let mut states = Vec::with_capacity(n.min(record.len() / 4));
+            for _ in 0..n {
+                let len = at.u32()? as usize;
+                states.push(decode_state(at.take(len)?)?);
+            }
+            Ok::<_, DataflowError>((key, states))
+        };
+        match decode() {
+            Ok(entry) if at.pos == record.len() => Ok(entry),
+            _ => Err(CORRUPT_RUN),
+        }
+    }
+
+    fn cmp(&self, a: &Self::Entry, b: &Self::Entry) -> Ordering {
+        a.0.cmp(&b.0)
     }
 }
 
@@ -795,24 +568,26 @@ impl AggRunReader {
 mod tests {
     use super::*;
     use crate::udf::AggFunc;
+    use uli_warehouse::SpillSorter;
 
     #[test]
     fn row_sorter_spills_and_merges_stably() {
         let wh = Warehouse::new();
         let tracker = MemoryTracker::with_budget(1024);
         let order = RowOrder::Cols(vec![(0, SortOrder::Asc)]);
-        let mut s = RowSpillSorter::new(wh.clone(), tracker.clone(), order.clone(), "t");
+        let mut s = SpillSorter::new(wh.clone(), tracker.clone(), RowRuns(order.clone()), "t");
         let rows: Vec<Tuple> = (0..300)
             .map(|i| vec![Value::Int((i * 7) % 13), Value::Int(i)])
             .collect();
-        for row in rows.clone() {
-            s.push(row).unwrap();
+        for (seq, row) in rows.iter().cloned().enumerate() {
+            let cost = row_cost(&row);
+            s.push((seq as u64, row), cost).unwrap();
         }
         assert!(tracker.spill_runs() > 1, "budget must force runs");
         assert!(tracker.high_water() <= 1024);
         let mut stream = s.finish().unwrap();
         let mut got = Vec::new();
-        while let Some(row) = stream.next_row().unwrap() {
+        while let Some((_, row)) = stream.next_entry().unwrap() {
             got.push(row);
         }
         let mut want = rows;
@@ -866,6 +641,40 @@ mod tests {
         }
         assert!(decode_state(&[99]).is_err());
         assert!(decode_state(&[]).is_err());
+    }
+
+    #[test]
+    fn every_truncation_of_a_run_record_is_corrupt_not_a_panic() {
+        let rows = RowRuns(RowOrder::WholeTuple);
+        let mut record = Vec::new();
+        rows.encode(&(7, vec![Value::Int(1), Value::str("abc")]), &mut record);
+        assert!(rows.decode(&record).is_ok());
+        for cut in 0..record.len() {
+            assert_eq!(
+                rows.decode(&record[..cut]).err(),
+                Some(CORRUPT_RUN),
+                "{cut}"
+            );
+        }
+
+        let entry = (
+            vec![Value::str("key")],
+            vec![AggState::Count(3), AggState::Min(Some(Value::Int(9)))],
+        );
+        record.clear();
+        AggRuns.encode(&entry, &mut record);
+        assert!(AggRuns.decode(&record).is_ok());
+        for cut in 0..record.len() {
+            let cut = AggRuns.decode(&record[..cut]).err();
+            assert_eq!(cut, Some(CORRUPT_RUN));
+        }
+        // So is a byte past the last state, and a state count far past the
+        // record (which allocates nothing).
+        record.push(0);
+        assert_eq!(AggRuns.decode(&record).err(), Some(CORRUPT_RUN));
+        let states_at = 4 + encode_tuple(&entry.0).len();
+        record[states_at..states_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(AggRuns.decode(&record).err(), Some(CORRUPT_RUN));
     }
 
     #[test]

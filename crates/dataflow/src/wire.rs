@@ -91,13 +91,14 @@ pub fn encode_tuple(t: &[Value]) -> Vec<u8> {
     out
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A bounds-checked read position in wire bytes.
+pub(crate) struct Cursor<'a> {
+    pub(crate) buf: &'a [u8],
+    pub(crate) pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> DataflowResult<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> DataflowResult<&'a [u8]> {
         let end = self.pos.checked_add(n).ok_or_else(corrupt)?;
         if end > self.buf.len() {
             return Err(corrupt());
@@ -111,7 +112,7 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> DataflowResult<u32> {
+    pub(crate) fn u32(&mut self) -> DataflowResult<u32> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 

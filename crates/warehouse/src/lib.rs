@@ -73,8 +73,8 @@ pub use path::WhPath;
 pub use pool::{Parallelism, ScanPool};
 pub use scan::ScanFile;
 pub use spill::{
-    scratch_dir, spill_root, ExternalByteSorter, MemoryTracker, SortedRuns, SpillDirGuard,
-    DEFAULT_MEM_BUDGET, ENTRY_OVERHEAD,
+    spill_root, ExternalByteSorter, MemoryTracker, MergedRuns, RunFormat, RunSet, SortedRuns,
+    SpillSorter, DEFAULT_MEM_BUDGET, ENTRY_OVERHEAD,
 };
 pub use stats::ScanStats;
 pub use store::{FileMeta, Warehouse};

@@ -1,5 +1,6 @@
-//! Bounded-memory operator support: deterministic memory accounting,
-//! temporary run files, and an external merge sort over byte keys.
+//! Bounded-memory operator support: deterministic memory accounting, and
+//! the one writer and merger of temporary run files ([`RunSet`]), which an
+//! operator parameterises by what its entries are ([`RunFormat`]).
 //!
 //! The paper's jobs run on clusters where no operator may assume a day of
 //! logs fits in RAM. This module is the single-process analogue: operators
@@ -10,13 +11,15 @@
 //! *spill*: the buffer is sorted and written to a temporary **run file** in
 //! ordinary warehouse record-file format, then the runs are k-way merged
 //! back into one ordered stream. Spill scratch space lives under
-//! [`spill_root`] and is removed by an RAII [`SpillDirGuard`] on success
-//! and error paths alike (including panics mid-query).
+//! [`spill_root`] and is removed by an RAII guard on success and error
+//! paths alike (including panics mid-query).
 
+use std::cmp;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::error::WarehouseResult;
+use crate::error::{WarehouseError, WarehouseResult};
+use crate::file::RecordFileReader;
 use crate::path::WhPath;
 use crate::store::Warehouse;
 
@@ -152,7 +155,7 @@ static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A fresh scratch directory path under [`spill_root`] (`label` is a short
 /// human hint, e.g. the operator name).
-pub fn scratch_dir(label: &str) -> WhPath {
+fn scratch_dir(label: &str) -> WhPath {
     let n = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
     spill_root()
         .child(&format!("{label}-{n}"))
@@ -161,23 +164,11 @@ pub fn scratch_dir(label: &str) -> WhPath {
 
 /// RAII guard for a spill scratch directory: dropping it deletes the
 /// directory (and every run file in it) from the warehouse, whether the
-/// query finished, errored, or panicked.
-pub struct SpillDirGuard {
+/// query finished, errored, or panicked. The directory need not exist yet;
+/// run files are created lazily beneath it.
+struct SpillDirGuard {
     warehouse: Warehouse,
     dir: WhPath,
-}
-
-impl SpillDirGuard {
-    /// Guards `dir` in `warehouse`. The directory need not exist yet; run
-    /// files are created lazily beneath it.
-    pub fn new(warehouse: Warehouse, dir: WhPath) -> SpillDirGuard {
-        SpillDirGuard { warehouse, dir }
-    }
-
-    /// The guarded directory.
-    pub fn dir(&self) -> &WhPath {
-        &self.dir
-    }
 }
 
 impl Drop for SpillDirGuard {
@@ -188,203 +179,259 @@ impl Drop for SpillDirGuard {
     }
 }
 
-/// An external merge sort over `(key, payload)` byte pairs.
-///
-/// Keys order lexicographically (callers needing composite keys encode
-/// them order-preservingly); equal keys preserve **insertion order** — the
-/// in-memory sort is stable, runs spill in insertion order, and the merge
-/// breaks ties by run index — so the output is byte-identical to what a
-/// stable in-memory sort of the whole input would produce, at any budget.
-pub struct ExternalByteSorter {
+/// What one spilling operator keeps in its run files: how an entry becomes
+/// a run record, how it comes back, and how entries order.
+pub trait RunFormat {
+    /// One buffered entry.
+    type Entry;
+
+    /// Appends `entry`'s run record to `record`, which arrives empty.
+    fn encode(&self, entry: &Self::Entry, record: &mut Vec<u8>);
+
+    /// Inverse of [`Self::encode`]. A record `encode` cannot have written is
+    /// [`WarehouseError::Corrupt`], never a panic.
+    fn decode(&self, record: &[u8]) -> WarehouseResult<Self::Entry>;
+
+    /// The order runs are written in and merged by.
+    fn cmp(&self, a: &Self::Entry, b: &Self::Entry) -> cmp::Ordering;
+}
+
+/// The sorted run files of one operator: the only writer of a run and the
+/// only merge over runs. Runs are ordinary warehouse record files under a
+/// scratch directory that lives exactly as long as this value (or the
+/// [`MergedRuns`] it becomes).
+pub struct RunSet<F: RunFormat> {
     warehouse: Warehouse,
     guard: SpillDirGuard,
     tracker: MemoryTracker,
-    buf: Vec<(Vec<u8>, Vec<u8>)>,
-    buf_bytes: u64,
+    format: F,
     runs: Vec<WhPath>,
-    entries: u64,
 }
+
+impl<F: RunFormat> RunSet<F> {
+    /// An empty run set in a fresh scratch directory of `warehouse`, billing
+    /// `tracker`.
+    pub fn new(warehouse: Warehouse, tracker: MemoryTracker, format: F, label: &str) -> RunSet<F> {
+        let guard = SpillDirGuard {
+            warehouse: warehouse.clone(),
+            dir: scratch_dir(label),
+        };
+        RunSet {
+            warehouse,
+            guard,
+            tracker,
+            format,
+            runs: Vec::new(),
+        }
+    }
+
+    /// The tracker this set bills.
+    pub fn tracker(&self) -> &MemoryTracker {
+        &self.tracker
+    }
+
+    /// Writes `sorted` — ascending under the format's order — as the next
+    /// run, and releases the `bytes` its entries were billed.
+    pub fn spill(
+        &mut self,
+        sorted: impl IntoIterator<Item = F::Entry>,
+        bytes: u64,
+    ) -> WarehouseResult<()> {
+        let path = self
+            .guard
+            .dir
+            .child(&format!("run-{:05}", self.runs.len()))
+            .expect("valid run name");
+        let mut w = self.warehouse.create(&path)?;
+        let mut record = Vec::new();
+        for entry in sorted {
+            record.clear();
+            self.format.encode(&entry, &mut record);
+            w.append_record(&record);
+        }
+        let meta = w.finish()?;
+        self.tracker.note_spill(meta.compressed_bytes);
+        self.tracker.shrink(bytes);
+        self.runs.push(path);
+        Ok(())
+    }
+
+    /// Merges the runs with `tail` — the sorted in-memory remainder, still
+    /// billed `tail_bytes` — into one ordered stream.
+    pub fn merge(self, tail: Vec<F::Entry>, tail_bytes: u64) -> WarehouseResult<MergedRuns<F>> {
+        let mut readers = Vec::with_capacity(self.runs.len());
+        for path in &self.runs {
+            let mut reader = self.warehouse.open(path)?;
+            let head = read_head(&mut reader, &self.format)?;
+            readers.push((reader, head));
+        }
+        Ok(MergedRuns {
+            readers,
+            tail: tail.into_iter().peekable(),
+            tail_bytes,
+            set: self,
+        })
+    }
+}
+
+/// The next entry of one run, decoded; `None` at its end.
+fn read_head<F: RunFormat>(
+    reader: &mut RecordFileReader,
+    format: &F,
+) -> WarehouseResult<Option<F::Entry>> {
+    reader
+        .next_record()?
+        .map(|record| format.decode(record))
+        .transpose()
+}
+
+/// The merged output of a [`RunSet`]: one stream in the format's order.
+/// Entries that compare equal come back earliest run first and the tail
+/// last — the order they were buffered in, so a stable sort of each buffer
+/// makes the whole stream a stable sort of the input, at any budget. Owns
+/// the scratch directory: the run files go when the stream drops.
+pub struct MergedRuns<F: RunFormat> {
+    /// Each run with its next entry.
+    readers: Vec<(RecordFileReader, Option<F::Entry>)>,
+    tail: std::iter::Peekable<std::vec::IntoIter<F::Entry>>,
+    tail_bytes: u64,
+    set: RunSet<F>,
+}
+
+impl<F: RunFormat> MergedRuns<F> {
+    /// The next entry in order.
+    pub fn next_entry(&mut self) -> WarehouseResult<Option<F::Entry>> {
+        let format = &self.set.format;
+        let mut best: Option<(usize, &F::Entry)> = None;
+        for (i, (_, head)) in self.readers.iter().enumerate() {
+            if let Some(head) = head {
+                if best.is_none_or(|(_, b)| format.cmp(head, b) == cmp::Ordering::Less) {
+                    best = Some((i, head));
+                }
+            }
+        }
+        let run = match (best, self.tail.peek()) {
+            (Some((_, head)), Some(tail)) if format.cmp(tail, head) == cmp::Ordering::Less => None,
+            (Some((i, _)), _) => Some(i),
+            (None, _) => None,
+        };
+        let Some(run) = run else {
+            return Ok(self.tail.next());
+        };
+        let (reader, head) = &mut self.readers[run];
+        let next = read_head(reader, format)?;
+        Ok(std::mem::replace(head, next))
+    }
+}
+
+impl<F: RunFormat> Drop for MergedRuns<F> {
+    fn drop(&mut self) {
+        self.set.tracker.shrink(self.tail_bytes);
+    }
+}
+
+/// An external merge sort: entries buffer in memory, billed what the caller
+/// says each costs, and the buffer is sorted (stably) and spilled as a run
+/// whenever the next entry would exceed the budget.
+pub struct SpillSorter<F: RunFormat> {
+    runs: RunSet<F>,
+    buf: Vec<F::Entry>,
+    buf_bytes: u64,
+}
+
+impl<F: RunFormat> SpillSorter<F> {
+    /// A sorter spilling into a fresh scratch directory of `warehouse`,
+    /// budgeted by `tracker`.
+    pub fn new(
+        warehouse: Warehouse,
+        tracker: MemoryTracker,
+        format: F,
+        label: &str,
+    ) -> SpillSorter<F> {
+        SpillSorter {
+            runs: RunSet::new(warehouse, tracker, format, label),
+            buf: Vec::new(),
+            buf_bytes: 0,
+        }
+    }
+
+    /// Adds one entry billed `cost`, spilling the buffer first if the budget
+    /// would be exceeded.
+    pub fn push(&mut self, entry: F::Entry, cost: u64) -> WarehouseResult<()> {
+        if self.runs.tracker.would_exceed(cost) && !self.buf.is_empty() {
+            self.sort();
+            let bytes = std::mem::take(&mut self.buf_bytes);
+            self.runs.spill(self.buf.drain(..), bytes)?;
+        }
+        self.runs.tracker.grow(cost);
+        self.buf_bytes += cost;
+        self.buf.push(entry);
+        Ok(())
+    }
+
+    fn sort(&mut self) {
+        let format = &self.runs.format;
+        self.buf.sort_by(|a, b| format.cmp(a, b)); // stable: ties keep order
+    }
+
+    /// Finishes the sort, returning the merged ordered stream.
+    pub fn finish(mut self) -> WarehouseResult<MergedRuns<F>> {
+        self.sort();
+        self.runs.merge(self.buf, self.buf_bytes)
+    }
+}
+
+/// `(key, payload)` byte pairs ordered by key, bytewise (callers needing
+/// composite keys encode them order-preservingly). A run record is the key
+/// length (`u32`, big-endian), the key, the payload.
+pub struct ByteRuns;
+
+impl RunFormat for ByteRuns {
+    type Entry = (Vec<u8>, Vec<u8>);
+
+    fn encode(&self, (key, payload): &Self::Entry, record: &mut Vec<u8>) {
+        record.extend_from_slice(&(key.len() as u32).to_be_bytes());
+        record.extend_from_slice(key);
+        record.extend_from_slice(payload);
+    }
+
+    fn decode(&self, record: &[u8]) -> WarehouseResult<Self::Entry> {
+        const CORRUPT: WarehouseError = WarehouseError::Corrupt("byte run record");
+        let (len, rest) = record.split_first_chunk::<4>().ok_or(CORRUPT)?;
+        let (key, payload) = rest
+            .split_at_checked(u32::from_be_bytes(*len) as usize)
+            .ok_or(CORRUPT)?;
+        Ok((key.to_vec(), payload.to_vec()))
+    }
+
+    fn cmp(&self, a: &Self::Entry, b: &Self::Entry) -> cmp::Ordering {
+        a.0.cmp(&b.0)
+    }
+}
+
+/// An external merge sort over `(key, payload)` byte pairs ([`ByteRuns`]).
+pub struct ExternalByteSorter(SpillSorter<ByteRuns>);
+
+/// The merged output of an [`ExternalByteSorter`].
+pub type SortedRuns = MergedRuns<ByteRuns>;
 
 impl ExternalByteSorter {
     /// A sorter spilling into a fresh scratch directory of `warehouse`,
     /// budgeted by `tracker`.
     pub fn new(warehouse: Warehouse, tracker: MemoryTracker, label: &str) -> ExternalByteSorter {
-        let dir = scratch_dir(label);
-        let guard = SpillDirGuard::new(warehouse.clone(), dir);
-        ExternalByteSorter {
-            warehouse,
-            guard,
-            tracker,
-            buf: Vec::new(),
-            buf_bytes: 0,
-            runs: Vec::new(),
-            entries: 0,
-        }
+        ExternalByteSorter(SpillSorter::new(warehouse, tracker, ByteRuns, label))
     }
 
-    /// The deterministic cost charged for one entry.
-    fn entry_cost(key: &[u8], payload: &[u8]) -> u64 {
-        key.len() as u64 + payload.len() as u64 + ENTRY_OVERHEAD
-    }
-
-    /// Adds one entry, spilling the buffer first if the budget would be
-    /// exceeded.
+    /// Adds one entry at its deterministic cost: its bytes plus
+    /// [`ENTRY_OVERHEAD`].
     pub fn push(&mut self, key: Vec<u8>, payload: Vec<u8>) -> WarehouseResult<()> {
-        let cost = Self::entry_cost(&key, &payload);
-        if self.tracker.would_exceed(cost) && !self.buf.is_empty() {
-            self.spill()?;
-        }
-        self.tracker.grow(cost);
-        self.buf_bytes += cost;
-        self.buf.push((key, payload));
-        self.entries += 1;
-        Ok(())
+        let cost = key.len() as u64 + payload.len() as u64 + ENTRY_OVERHEAD;
+        self.0.push((key, payload), cost)
     }
 
-    /// Entries pushed so far.
-    pub fn len(&self) -> u64 {
-        self.entries
-    }
-
-    /// True when nothing was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Run files spilled by this sorter so far.
-    pub fn runs_spilled(&self) -> u64 {
-        self.runs.len() as u64
-    }
-
-    /// Sorts the buffer and writes it out as one run file.
-    fn spill(&mut self) -> WarehouseResult<()> {
-        self.buf.sort_by(|a, b| a.0.cmp(&b.0)); // stable: ties keep order
-        let path = self
-            .guard
-            .dir()
-            .child(&format!("run-{:05}", self.runs.len()))
-            .expect("valid run name");
-        let mut w = self.warehouse.create(&path)?;
-        let mut record = Vec::new();
-        for (key, payload) in &self.buf {
-            record.clear();
-            record.extend_from_slice(&(key.len() as u32).to_be_bytes());
-            record.extend_from_slice(key);
-            record.extend_from_slice(payload);
-            w.append_record(&record);
-        }
-        let meta = w.finish()?;
-        self.tracker.note_spill(meta.compressed_bytes);
-        self.tracker.shrink(self.buf_bytes);
-        self.buf_bytes = 0;
-        self.buf.clear();
-        self.runs.push(path);
-        Ok(())
-    }
-
-    /// Finishes the sort, returning the merged ordered stream. The scratch
-    /// directory lives as long as the returned iterator and is deleted when
-    /// it drops.
-    pub fn finish(mut self) -> WarehouseResult<SortedRuns> {
-        self.buf.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut readers = Vec::with_capacity(self.runs.len());
-        for path in &self.runs {
-            let mut reader = RunReader::open(&self.warehouse, path)?;
-            reader.advance()?;
-            readers.push(reader);
-        }
-        Ok(SortedRuns {
-            readers,
-            tail: self.buf.into_iter(),
-            tail_next: None,
-            tail_bytes: self.buf_bytes,
-            tracker: self.tracker.clone(),
-            _guard: self.guard,
-        })
-    }
-}
-
-/// A streaming reader over one run file.
-struct RunReader {
-    reader: crate::file::RecordFileReader,
-    next: Option<(Vec<u8>, Vec<u8>)>,
-}
-
-impl RunReader {
-    fn open(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<RunReader> {
-        Ok(RunReader {
-            reader: warehouse.open(path)?,
-            next: None,
-        })
-    }
-
-    fn advance(&mut self) -> WarehouseResult<()> {
-        self.next = match self.reader.next_record()? {
-            Some(record) => {
-                let key_len = u32::from_be_bytes(record[..4].try_into().expect("run header"));
-                let key_end = 4 + key_len as usize;
-                Some((record[4..key_end].to_vec(), record[key_end..].to_vec()))
-            }
-            None => None,
-        };
-        Ok(())
-    }
-}
-
-/// The merged output of an [`ExternalByteSorter`]: an ordered stream of
-/// `(key, payload)` pairs. Holds the scratch-dir guard, so the run files
-/// disappear when the stream is dropped.
-pub struct SortedRuns {
-    readers: Vec<RunReader>,
-    tail: std::vec::IntoIter<(Vec<u8>, Vec<u8>)>,
-    tail_next: Option<(Vec<u8>, Vec<u8>)>,
-    tail_bytes: u64,
-    tracker: MemoryTracker,
-    _guard: SpillDirGuard,
-}
-
-impl SortedRuns {
-    /// The next entry in key order (ties resolve to the earliest-spilled
-    /// run, then the in-memory tail — i.e. insertion order).
-    pub fn next_entry(&mut self) -> WarehouseResult<Option<(Vec<u8>, Vec<u8>)>> {
-        if self.tail_next.is_none() {
-            self.tail_next = self.tail.next();
-        }
-        // Pick the smallest key; scan order makes ties stable.
-        let mut best: Option<usize> = None; // index into readers, or tail
-        for (i, r) in self.readers.iter().enumerate() {
-            if let Some((key, _)) = &r.next {
-                let better = match best {
-                    None => true,
-                    Some(b) => key < &self.readers[b].next.as_ref().expect("peeked").0,
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        let tail_wins = match (&self.tail_next, best) {
-            (Some((tk, _)), Some(b)) => tk < &self.readers[b].next.as_ref().expect("peeked").0,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if tail_wins {
-            return Ok(self.tail_next.take());
-        }
-        match best {
-            Some(i) => {
-                let entry = self.readers[i].next.take();
-                self.readers[i].advance()?;
-                Ok(entry)
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-impl Drop for SortedRuns {
-    fn drop(&mut self) {
-        self.tracker.shrink(self.tail_bytes);
+    /// Finishes the sort, returning the merged ordered stream.
+    pub fn finish(self) -> WarehouseResult<SortedRuns> {
+        self.0.finish()
     }
 }
 
@@ -397,6 +444,10 @@ mod tests {
             i.to_be_bytes().to_vec(),
             format!("p-{tag}-{i}").into_bytes(),
         )
+    }
+
+    fn runs_spilled(s: &ExternalByteSorter) -> usize {
+        s.0.runs.runs.len()
     }
 
     fn drain(mut runs: SortedRuns) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -440,7 +491,7 @@ mod tests {
         for i in (0..100u64).rev() {
             s.push(i.to_be_bytes().to_vec(), vec![i as u8]).unwrap();
         }
-        assert_eq!(s.runs_spilled(), 0);
+        assert_eq!(runs_spilled(&s), 0);
         let out = drain(s.finish().unwrap());
         assert_eq!(out.len(), 100);
         assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
@@ -469,7 +520,7 @@ mod tests {
             let (key, payload) = entry(k, "a");
             s.push(key, payload).unwrap();
         }
-        assert!(s.runs_spilled() > 1, "budget must force several runs");
+        assert!(runs_spilled(&s) > 1, "budget must force several runs");
         assert!(
             tracker.high_water() <= 2048,
             "peak {} exceeded budget",
@@ -487,6 +538,61 @@ mod tests {
             "run files must be deleted when the stream drops"
         );
         assert_eq!(tracker.current(), 0, "all tracked bytes released");
+    }
+
+    #[test]
+    fn a_run_record_is_key_length_key_payload() {
+        let wh = Warehouse::new();
+        let mut s = ExternalByteSorter::new(wh.clone(), MemoryTracker::with_budget(100), "t");
+        s.push(b"kb".to_vec(), b"second".to_vec()).unwrap();
+        s.push(b"ka".to_vec(), b"first".to_vec()).unwrap();
+        s.push(b"kc".to_vec(), b"spills the two before it".to_vec())
+            .unwrap();
+        assert_eq!(runs_spilled(&s), 1);
+        let runs = wh.list_files_recursive(&spill_root()).unwrap();
+        let records = wh.open(&runs[0]).unwrap().read_all().unwrap();
+        assert_eq!(records, [&b"\0\0\0\x02kafirst"[..], b"\0\0\0\x02kbsecond"]);
+    }
+
+    /// A run whose records are `records`, merged with an empty tail.
+    fn merge_forged_run(records: &[&[u8]]) -> WarehouseResult<Vec<(Vec<u8>, Vec<u8>)>> {
+        let wh = Warehouse::new();
+        let mut set = RunSet::new(
+            wh.clone(),
+            MemoryTracker::with_budget(1 << 20),
+            ByteRuns,
+            "t",
+        );
+        let path = set.guard.dir.child("run-00000").unwrap();
+        let mut w = wh.create(&path).unwrap();
+        for record in records {
+            w.append_record(record);
+        }
+        w.finish().unwrap();
+        set.runs.push(path);
+        let mut merged = set.merge(Vec::new(), 0)?;
+        let mut out = Vec::new();
+        while let Some(entry) = merged.next_entry()? {
+            out.push(entry);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn a_short_or_overlong_run_record_is_corrupt_not_a_panic() {
+        let corrupt = Err(WarehouseError::Corrupt("byte run record"));
+        let good: &[u8] = b"\0\0\0\x01kp";
+        assert_eq!(
+            merge_forged_run(&[good]),
+            Ok(vec![(b"k".to_vec(), b"p".to_vec())])
+        );
+        // Truncated inside the length, as a run's first record and as a
+        // later one.
+        assert_eq!(merge_forged_run(&[b"\0\0"]), corrupt);
+        assert_eq!(merge_forged_run(&[good, b""]), corrupt);
+        // A key length past the end of the record.
+        assert_eq!(merge_forged_run(&[b"\0\0\0\x09short"]), corrupt);
+        assert_eq!(merge_forged_run(&[good, b"\xff\xff\xff\xffk"]), corrupt);
     }
 
     #[test]
@@ -561,7 +667,7 @@ mod tests {
                         let (key, payload) = entry(i, &format!("lane{lane}"));
                         s.push(key, payload).unwrap();
                     }
-                    assert!(s.runs_spilled() > 1, "budget must force spills");
+                    assert!(runs_spilled(&s) > 1, "budget must force spills");
                     drain(s.finish().unwrap())
                 })
             })
@@ -591,7 +697,7 @@ mod tests {
             for i in 0..64u64 {
                 s.push(i.to_be_bytes().to_vec(), vec![0u8; 16]).unwrap();
             }
-            assert!(s.runs_spilled() > 0, "panic test must spill first");
+            assert!(runs_spilled(&s) > 0, "panic test must spill first");
             panic!("simulated mid-query failure");
         });
         assert!(result.is_err());

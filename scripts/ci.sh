@@ -60,6 +60,15 @@ if grep -rnE 'budget\(\)\.is_some\(\)|MemoryTracker::unbounded|fn unbounded' cra
     exit 1
 fi
 
+# There is one pass 2 — sessionization as an external sort of the day's
+# events — and one run writer and merger (uli_warehouse::RunSet): the
+# whole-day twin's sharded sessionizer and the hour-watermark twin must not
+# come back.
+if grep -rnE 'materialize_sequences_streaming|sessionize_sharded' crates src tests examples; then
+    echo "materialize gate: a second pass 2 is back." >&2
+    exit 1
+fi
+
 # Block integrity is `block_checksum`'s job (word-wide lanes): the
 # byte-at-a-time FNV must not come back at any site that runs over stored
 # bytes — the block seal and the cold-read check of file.rs, the group
@@ -163,11 +172,12 @@ fi
 
 # e20: tiny budgets on a real (smoke-sized) day: the materializer and at
 # least one query's tight arm must spill, every tight arm must return the
-# default arm's rows byte for byte, and every stage must keep its high-water
-# mark under its budget.
+# default arm's rows — and the tight pass 2 the default pass 2's part
+# files — byte for byte, and every stage must keep its high-water mark
+# under its budget.
 golden_gate e20 bounded-memory \
     '"queries_identical": true' \
-    '"mat_matches_batch": true' \
+    '"mat_identical": true' \
     '"peaks_within_budget": true'
 forbid e20 '"budgeted_spill_runs": 0,' "no stage spilled — the tiny budgets are not binding."
 if ! grep -q '"arm": "tight", .*"spill_runs": [1-9]' target/e20_smoke.metrics.json; then

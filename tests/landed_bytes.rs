@@ -36,7 +36,7 @@ use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
     fnv1a64_fold, ColumnarFile, HourlyPartition, Parallelism, ScanFile, ScanStats, Warehouse,
-    WhPath, FNV1A64_OFFSET,
+    WhPath, DEFAULT_MEM_BUDGET, FNV1A64_OFFSET,
 };
 use uli_workload::{DayStream, Scale};
 
@@ -234,6 +234,30 @@ fn deliver(
     (out, wh.clone())
 }
 
+/// Pass 2 over a delivered day writes the recorded part files whatever its
+/// worker count and whatever its event sort may buffer; 2 KB makes it spill
+/// some hundred runs of this day.
+fn assert_sequences_at_any_worker_count_and_budget(wh: &Warehouse, recorded: u64) {
+    for workers in [1, 4, 8] {
+        for budget in [2048, DEFAULT_MEM_BUDGET, u64::MAX] {
+            let materializer = Materializer::new(wh.clone())
+                .with_parallelism(Parallelism::fixed(workers))
+                .with_mem_budget(budget);
+            let dict = materializer.load_dictionary(0).expect("pass 1 ran");
+            let report = materializer
+                .materialize_sequences(0, &dict)
+                .expect("pass 2 over a landed day");
+            assert_eq!(
+                sequences_digest(wh),
+                recorded,
+                "{workers} workers, budget {budget}"
+            );
+            assert_eq!(report.spill_runs > 0, budget == 2048, "budget {budget}");
+            assert!(report.mem_high_water_bytes <= budget);
+        }
+    }
+}
+
 #[test]
 fn delivered_day_matches_the_recorded_digests() {
     let pipeline_shape = Delivered {
@@ -261,20 +285,24 @@ fn delivered_day_matches_the_recorded_digests() {
         sequences: 9860939400279613154,
     };
     for workers in [1, 4] {
+        let (delivered, wh) = deliver(workers, ClientEventLanding::default(), 10_000, false);
         assert_eq!(
-            deliver(workers, ClientEventLanding::default(), 10_000, false).0,
-            pipeline_shape,
+            delivered, pipeline_shape,
             "E22/E23 shape at {workers} workers"
         );
         let small = ClientEventLanding {
             dictionary: true,
             rows_per_group: 16,
         };
+        let (delivered_small, wh_small) = deliver(workers, small, 40, true);
         assert_eq!(
-            deliver(workers, small, 40, true).0,
-            stress_shape,
+            delivered_small, stress_shape,
             "40-record files of 16-row groups at {workers} workers"
         );
+        if workers == 1 {
+            assert_sequences_at_any_worker_count_and_budget(&wh, pipeline_shape.sequences);
+            assert_sequences_at_any_worker_count_and_budget(&wh_small, stress_shape.sequences);
+        }
     }
 }
 
