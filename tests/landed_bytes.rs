@@ -25,9 +25,11 @@
 use std::sync::Arc;
 
 use uli_core::client_event::CLIENT_EVENTS_CATEGORY;
-use uli_core::columnar::{event_columns, for_each_event_row, ALL_COLUMNS, NAME_COLUMN};
+use uli_core::columnar::{
+    event_columns, for_each_event_row, write_client_events_columnar, ALL_COLUMNS, NAME_COLUMN,
+};
 use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer};
-use uli_core::ClientEventLanding;
+use uli_core::{ClientEvent, ClientEventLanding, EventInitiator, EventName, Timestamp};
 use uli_scribe::message::LogEntry;
 use uli_scribe::{PipelineConfig, ScribePipeline};
 use uli_serve::hour::index_dir;
@@ -346,4 +348,169 @@ fn the_landed_day_stays_small_and_a_name_only_pass_reads_a_sliver_of_it() {
         named.compressed_bytes_read,
         full.compressed_bytes_read
     );
+}
+
+/// Four-row groups of one string each: it is the row's `ip` cell and the
+/// value of its `details` key `v`. Every group but the last few is a near
+/// miss of a shape a value could be stored in — hex digits, a decimal
+/// number, a dotted quad — and the rest are the shapes themselves, so that a
+/// format which stores what a value *is* has every way to get one wrong.
+/// `None` is a row with an empty details map and an empty `ip`.
+const NEAR_MISSES: &[[Option<&str>; 4]] = &[
+    // Hex digits, but not lower-case ones of one even width.
+    [
+        Some("DEADBEEF"),
+        Some("CAFEBABE"),
+        Some("0BADF00D"),
+        Some("FEEDFACE"),
+    ],
+    [
+        Some("deadBEEF"),
+        Some("cafebabe"),
+        Some("0badf00d"),
+        Some("feedface"),
+    ],
+    [Some("abc"), Some("def"), Some("012"), Some("fff")],
+    [Some("abcd"), Some("abcdef"), Some("0123"), Some("ffff")],
+    [
+        Some("https://t.co/00ab12cd34"),
+        Some("https://t.co/00ef56ab7"),
+        None,
+        Some("https://t.co/00"),
+    ],
+    // Digits, but not the one way a `u64` prints.
+    [Some("+1"), Some("2"), Some("3"), Some("4")],
+    [Some("-1"), Some("2"), Some("3"), Some("4")],
+    [Some("007"), Some("8"), Some("9"), Some("10")],
+    [Some(""), Some("5"), Some("6"), Some("7")],
+    [
+        Some("100000000000000000000"),
+        Some("1"),
+        Some("0"),
+        Some("99999999999999999999"),
+    ],
+    [
+        Some("18446744073709551616"),
+        Some("18446744073709551615"),
+        Some("0"),
+        Some("1"),
+    ],
+    [Some("1000"), Some("1001"), Some("1010"), Some("1100")],
+    [Some("12 "), Some("13 "), Some("14 "), Some("15 ")],
+    // Dots and digits, but not four octets as they print.
+    [
+        Some("1.2.3.04"),
+        Some("1.2.3.4"),
+        Some("10.0.0.1"),
+        Some("255.255.255.255"),
+    ],
+    [
+        Some("256.1.1.1"),
+        Some("1.2.3.4"),
+        Some("10.0.0.1"),
+        Some("0.0.0.0"),
+    ],
+    [
+        Some("1.2.3"),
+        Some("1.2.3.4"),
+        Some("10.0.0.1"),
+        Some("0.0.0.0"),
+    ],
+    [
+        Some("1.2.3.4.5"),
+        Some("1.2.3.4"),
+        Some("1..3.4"),
+        Some(".1.2.3"),
+    ],
+    // A key on one row of its group; one value on every row (the whole
+    // value is what the rows have in common); no map at all.
+    [None, Some("4.1.2"), None, None],
+    [Some("4.1.2"), Some("4.1.2"), Some("4.1.2"), Some("4.1.2")],
+    [Some("en"), Some("en"), Some("en"), Some("en")],
+    [None, None, None, None],
+    // The shapes themselves, dense and sparse, bare and behind a prefix.
+    [Some("00ff"), Some("a1b2"), Some("dead"), Some("beef")],
+    [
+        Some("0123456789abcdef0123456789abcdef"),
+        None,
+        Some("ffffffffffffffffffffffffffffffff"),
+        Some("00000000000000000000000000000000"),
+    ],
+    [
+        Some("https://t.co/00ab12cd34"),
+        Some("https://t.co/00ef56ab78"),
+        None,
+        Some("https://t.co/0000000000"),
+    ],
+    [
+        Some("0"),
+        Some("1"),
+        Some("18446744073709551615"),
+        Some("9223372036854775808"),
+    ],
+    [Some("40"), Some("2499"), None, Some("1337")],
+    [Some("id=77"), Some("id=78"), Some("id=1079"), Some("id=0")],
+    [
+        Some("1.2.3.4"),
+        Some("10.0.0.1"),
+        Some("255.255.255.255"),
+        Some("0.0.0.0"),
+    ],
+    [
+        Some("12.34.56.78"),
+        None,
+        Some("12.34.5.1"),
+        Some("12.34.56.79"),
+    ],
+];
+
+/// [`rows_digest`] of the fixture file of [`NEAR_MISSES`].
+const NEAR_MISSES_ROWS: u64 = 11624075471038768402;
+
+/// The fixture file of [`NEAR_MISSES`], decoded: whatever a format makes of
+/// those values on disk, it hands back the rows that were written. Recorded
+/// from columnar v3, which stores every value as the bytes it was given.
+#[test]
+fn near_misses_of_every_value_shape_decode_to_the_recorded_digest() {
+    let name = EventName::parse("web:home:home:stream:tweet:click").expect("a six-level name");
+    let mut events = Vec::new();
+    for (g, group) in NEAR_MISSES.iter().enumerate() {
+        for (r, value) in group.iter().enumerate() {
+            let i = (g * 4 + r) as i64;
+            let mut ev = ClientEvent::new(
+                EventInitiator::CLIENT_USER,
+                name.clone(),
+                i,
+                format!("s-{g}"),
+                value.unwrap_or("").to_string(),
+                Timestamp(1_344_000_000_000 + i),
+            );
+            if let Some(value) = value {
+                ev = ev.with_detail("v", *value).with_detail("lang", "en");
+                if r == 2 {
+                    ev = ev.with_detail("once", *value);
+                }
+            }
+            events.push(ev);
+        }
+    }
+    // What `rows_digest` makes of a file that hands back exactly `events`.
+    let written = events
+        .iter()
+        .fold(FNV1A64_OFFSET, |h, ev| fnv1a64_fold(h, &ev.to_bytes()));
+    let written = fold_u64(fold_u64(written, events.len() as u64), 0);
+    assert_eq!(written, NEAR_MISSES_ROWS);
+    let dir = WhPath::parse("/near-misses").expect("valid path");
+    // Each group of the table a row group of its own, then all in one.
+    for rows_per_group in [4, 512] {
+        let wh = Warehouse::new();
+        let path = dir.child("part-00000").expect("valid name");
+        write_client_events_columnar(&wh, &path, &events, true, rows_per_group)
+            .expect("fresh warehouse");
+        assert_eq!(
+            rows_digest(&wh, &dir),
+            NEAR_MISSES_ROWS,
+            "groups of {rows_per_group} rows"
+        );
+    }
 }
