@@ -22,7 +22,10 @@
 //!
 //! The default landing's stored bytes are also broken down by column, read
 //! off the row-group headers — where the day's bytes sit on disk, before
-//! any query decodes one.
+//! any query decodes one — and, for the `ip` column and each `details` key,
+//! by value run: the shape each group's run took (hex digits, a dotted quad,
+//! a number, or `raw`: the bytes as given), the run's bytes as laid out and
+//! what the block compressor makes of it on its own.
 //!
 //! Rows must be byte-identical across every arm and worker count. The
 //! headline number is *decoded bytes* (`input_bytes_uncompressed`): the
@@ -36,11 +39,12 @@ use std::sync::Arc;
 
 use uli_core::client_event::{ClientEventLoader, CLIENT_EVENTS_CATEGORY, CLIENT_EVENT_SCHEMA};
 use uli_core::columnar::{
-    write_client_events_columnar, CLIENT_EVENT_KINDS, DEFAULT_ROWS_PER_GROUP,
+    write_client_events_columnar, CLIENT_EVENT_KINDS, DEFAULT_ROWS_PER_GROUP, IP_COLUMN,
 };
 use uli_core::session::day_dir;
 use uli_dataflow::prelude::*;
-use uli_warehouse::{ColumnarFile, HourlyPartition, Warehouse};
+use uli_warehouse::compress::compress;
+use uli_warehouse::{ColumnKind, ColumnarFile, HourlyPartition, StoredAs, ValueShape, Warehouse};
 use uli_workload::{
     generate_day, write_client_events, write_client_events_layout, Layout, WorkloadConfig,
 };
@@ -130,6 +134,9 @@ pub struct Measurements {
     pub stored_bytes_by_column: Vec<(&'static str, u64)>,
     /// Chunks of a typed column that some cell kept from its kind's layout.
     pub fallback_chunks: u64,
+    /// The value runs of the default landing: the `ip` column's, then the
+    /// `details` column's by key.
+    pub value_runs: Vec<RunStats>,
     /// Users in the generated day.
     pub users: u64,
     /// The event name the query selects.
@@ -192,26 +199,70 @@ fn land(arm: Arm, events: &[uli_core::ClientEvent]) -> Warehouse {
     wh
 }
 
+/// The value runs of one column, or of one key of the details column, over
+/// a landed day: one run a row group that has the key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunStats {
+    /// The column's name in the load schema.
+    pub column: &'static str,
+    /// The details key; empty for a column's own run.
+    pub key: String,
+    /// Runs by the shape they took, in [`SHAPES`] order.
+    pub by_shape: [u64; 4],
+    /// The runs' bytes as laid out, before the block compressor.
+    pub bytes: u64,
+    /// What the block compressor makes of each run on its own, summed.
+    pub ulz_bytes: u64,
+}
+
+/// The shapes a value run can take, as [`RunStats::by_shape`] counts them.
+pub const SHAPES: [(&str, ValueShape); 4] = [
+    ("raw", ValueShape::Raw),
+    ("hex", ValueShape::Hex),
+    ("quad", ValueShape::Quad),
+    ("decimal", ValueShape::Decimal),
+];
+
 /// Where the bytes of a columnar landing sit: stored chunk bytes by column,
-/// and how many chunks are not stored as their column's kind.
-fn stored_by_column(wh: &Warehouse) -> (Vec<(&'static str, u64)>, u64) {
+/// how many chunks of a typed column are not stored as its kind, and the
+/// value runs of the `ip` and `details` columns.
+pub fn stored_by_column(wh: &Warehouse) -> (Vec<(&'static str, u64)>, u64, Vec<RunStats>) {
     let mut by_column: Vec<(&'static str, u64)> =
         CLIENT_EVENT_SCHEMA.iter().map(|name| (*name, 0)).collect();
     let mut fallbacks = 0;
-    let files = wh
+    let mut runs: BTreeMap<(usize, Vec<u8>), RunStats> = BTreeMap::new();
+    let details = CLIENT_EVENT_SCHEMA.len() - 1;
+    let mut files = wh
         .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
         .expect("landed day");
+    files.sort();
     for path in files {
         let file = ColumnarFile::open(wh, &path).expect("columnar landing");
         for g in 0..file.group_count() {
             let chunks = file.stored_chunks(g).expect("clean group");
             for (c, (stored_as, bytes)) in chunks.into_iter().enumerate() {
                 by_column[c].1 += bytes;
-                fallbacks += u64::from(stored_as != CLIENT_EVENT_KINDS[c]);
+                let typed = CLIENT_EVENT_KINDS[c] != ColumnKind::Bytes;
+                fallbacks += u64::from(typed && stored_as == StoredAs::Cells);
+            }
+            for c in [IP_COLUMN, details] {
+                for run in file.stored_runs(g, c).expect("clean chunk") {
+                    let stats = runs.entry((c, run.key.clone())).or_insert(RunStats {
+                        column: CLIENT_EVENT_SCHEMA[c],
+                        key: String::from_utf8_lossy(&run.key).into_owned(),
+                        by_shape: [0; 4],
+                        bytes: 0,
+                        ulz_bytes: 0,
+                    });
+                    let shape = SHAPES.iter().position(|(_, shape)| *shape == run.shape);
+                    stats.by_shape[shape.expect("a shape of the four")] += 1;
+                    stats.bytes += run.bytes.len() as u64;
+                    stats.ulz_bytes += compress(&run.bytes).len() as u64;
+                }
             }
         }
     }
-    (by_column, fallbacks)
+    (by_column, fallbacks, runs.into_values().collect())
 }
 
 /// Runs the sweep over `users` with the given worker counts.
@@ -318,11 +369,12 @@ pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout)
     let row_eager = cell("row-eager");
     let row_pushdown = cell("row-pushdown");
     let columnar_dict = cell("columnar+dict");
-    let (stored_bytes_by_column, fallback_chunks) =
+    let (stored_bytes_by_column, fallback_chunks, value_runs) =
         stored_by_column(&land(Arm::ColumnarDict, &day.events));
     Measurements {
         stored_bytes_by_column,
         fallback_chunks,
+        value_runs,
         projection_bytes_ratio: cell("events-per-user").input_bytes_uncompressed as f64
             / cell("events-per-user-full-width")
                 .input_bytes_uncompressed
@@ -412,6 +464,7 @@ pub fn render(m: &Measurements) -> String {
         "chunks of a typed column not stored as its kind: {}\n",
         m.fallback_chunks
     ));
+    out.push_str(&render_value_runs(&m.value_runs, records));
     if let Some(cores) = m.cores {
         out.push_str(&format!(
             "{cores} hardware thread(s) visible; on a 1-core host compare the \
@@ -419,6 +472,40 @@ pub fn render(m: &Measurements) -> String {
         ));
     }
     out
+}
+
+/// The value-run table: per `ip` column and `details` key, the shapes its
+/// runs took with each one's share of them, and bytes a record as laid out
+/// and as the block compressor leaves each run on its own.
+pub fn render_value_runs(runs: &[RunStats], records: f64) -> String {
+    let mut t = Table::new(&["value run", "runs", "shape", "laid out", "ulz alone"]);
+    let mut raw = 0;
+    for stats in runs {
+        let total: u64 = stats.by_shape.iter().sum();
+        let shapes: Vec<String> = SHAPES
+            .iter()
+            .zip(stats.by_shape)
+            .filter(|(_, n)| *n > 0)
+            .map(|((name, _), n)| format!("{name} {:.0}%", 100.0 * n as f64 / total as f64))
+            .collect();
+        raw += stats.by_shape[0];
+        let name = match stats.key.as_str() {
+            "" => stats.column.to_string(),
+            key => format!("{}.{key}", stats.column),
+        };
+        t.row(cells![
+            name,
+            total,
+            shapes.join(", "),
+            format!("{:.2}", stats.bytes as f64 / records),
+            format!("{:.2}", stats.ulz_bytes as f64 / records)
+        ]);
+    }
+    format!(
+        "\nvalue runs of the default landing (bytes a record):\n{}\
+         value runs no shape fits (stored raw): {raw}\n",
+        t.render()
+    )
 }
 
 /// Serializes one sample row; smoke runs drop the machine-dependent
@@ -465,13 +552,32 @@ pub fn to_json(m: &Measurements) -> String {
         .iter()
         .map(|(column, bytes)| format!("\"{column}\": {bytes}"))
         .collect();
+    let runs: Vec<String> = m
+        .value_runs
+        .iter()
+        .map(|stats| {
+            let shapes: Vec<String> = SHAPES
+                .iter()
+                .zip(stats.by_shape)
+                .map(|((name, _), n)| format!("\"{name}\": {n}"))
+                .collect();
+            format!(
+                "    {{\"column\": \"{}\", \"key\": \"{}\", {}, \"bytes\": {}, \"ulz_bytes\": {}}}",
+                stats.column,
+                stats.key,
+                shapes.join(", "),
+                stats.bytes,
+                stats.ulz_bytes
+            )
+        })
+        .collect();
     format!(
         "{{\n  \"experiment\": \"columnar\",\n  \"schema\": \"uli-columnar-v1\",\n\
          {}  \"users\": {},\n  \"event_name\": \"{}\",\n  \"default_layout\": \"{}\",\n  \
          \"outputs_identical\": {},\n  \"decoded_bytes_ratio\": {:.4},\n  \
          \"decode_work_ratio\": {:.4},\n  \"projection_bytes_ratio\": {:.4},\n  \
          \"stored_bytes_by_column\": {{{}}},\n  \"fallback_chunks\": {},\n  \
-         \"samples\": [\n{}\n  ]\n}}\n",
+         \"value_runs\": [\n{}\n  ],\n  \"samples\": [\n{}\n  ]\n}}\n",
         cores,
         m.users,
         m.event_name,
@@ -482,6 +588,7 @@ pub fn to_json(m: &Measurements) -> String {
         m.projection_bytes_ratio,
         stored.join(", "),
         m.fallback_chunks,
+        runs.join(",\n"),
         rows.join(",\n")
     )
 }
@@ -557,6 +664,28 @@ mod tests {
         };
         assert!(stored("details") > stored("timestamp"));
         assert!(stored("timestamp") > stored("name"));
+        // Ids, timings and addresses are stored as what they are, in every
+        // group; free text is not.
+        let took = |key: &str, shape: &str| {
+            let run = m.value_runs.iter().find(|run| run.key == key);
+            let by_shape = run.expect("a run of every group").by_shape;
+            let of_shape = SHAPES.iter().position(|(name, _)| *name == shape);
+            let n = by_shape[of_shape.expect("a shape of the four")];
+            n > 0 && n == by_shape.iter().sum::<u64>()
+        };
+        assert!(took("", "quad"), "every ip chunk is a run of quads");
+        for (shape, keys) in [
+            ("hex", &["request_id", "target_url"][..]),
+            (
+                "decimal",
+                &["page_load_ms", "rank", "target_id", "tweet_id"],
+            ),
+            ("raw", &["lang", "referrer", "user_agent"]),
+        ] {
+            for key in keys {
+                assert!(took(key, shape), "{key} is not {shape} in every group");
+            }
+        }
         let json = to_json(&m);
         assert!(json.contains("\"experiment\": \"columnar\""));
         assert!(json.contains("\"arm\": \"columnar+dict\""));

@@ -1,10 +1,17 @@
 //! E4 — §4.2: session-sequence materialization and the "about fifty times
 //! smaller" claim, plus the variable-length-coding ablation.
+//!
+//! The paper's raw log is one Thrift record per event, and that is what the
+//! headline factor is measured against. The same day landed columnar (the
+//! default landing) is a much smaller raw log, so the same sequences are
+//! fewer times smaller than it; the table reports both.
 
 use uli_core::session::dictionary::char_for_rank;
 use uli_core::session::{EventDictionary, Materializer, SessionSequence, Sessionizer};
 use uli_warehouse::Warehouse;
-use uli_workload::{generate_day, write_client_events, WorkloadConfig};
+use uli_workload::{
+    generate_day, write_client_events, write_client_events_layout, Layout, WorkloadConfig,
+};
 
 use crate::cells;
 use crate::harness::Table;
@@ -24,6 +31,8 @@ pub fn run() -> String {
         "raw KB (disk)",
         "seq KB (disk)",
         "factor",
+        "columnar KB (disk)",
+        "factor vs columnar",
     ]);
     let mut factors = Vec::new();
     for mean_len in [4.0, 12.0, 40.0] {
@@ -37,13 +46,22 @@ pub fn run() -> String {
         write_client_events(&wh, &day.events, 4).expect("fresh warehouse");
         let report = Materializer::new(wh).run_day(0).expect("day present");
         factors.push(report.compression_factor());
+        let wh = Warehouse::new();
+        write_client_events_layout(&wh, &day.events, 4, Layout::Columnar).expect("fresh warehouse");
+        let columnar = Materializer::new(wh).run_day(0).expect("day present");
+        assert_eq!(
+            columnar.sequences_compressed_bytes, report.sequences_compressed_bytes,
+            "the sequences do not depend on how the raw log is laid out"
+        );
         t.row(cells![
             format!("{mean_len:.0}"),
             report.events,
             report.sessions,
             report.raw_compressed_bytes / 1024,
             report.sequences_compressed_bytes / 1024,
-            format!("{:.1}x", report.compression_factor())
+            format!("{:.1}x", report.compression_factor()),
+            columnar.raw_compressed_bytes / 1024,
+            format!("{:.1}x", columnar.compression_factor())
         ]);
     }
     out.push_str(&t.render());

@@ -14,9 +14,11 @@
 //! happens at three other layers: the dictionary replaces repeated name
 //! strings with varint codes; the warehouse writer, told each column's kind
 //! ([`CLIENT_EVENT_KINDS`]), stores a row group's integers as distances
-//! from their minimum and its details one key at a time; and the block
-//! compressor squeezes each column chunk (now full of same-shaped values)
-//! far better than it does interleaved rows.
+//! from their minimum, its details one key at a time, and a run of values
+//! that are all hex digits, numbers or dotted quads — a key's, or the `ip`
+//! column's — as those bytes, numbers and octets, not as their print; and
+//! the block compressor squeezes each column chunk (now full of same-shaped
+//! values) far better than it does interleaved rows.
 
 use std::collections::HashMap;
 

@@ -13,13 +13,12 @@
 
 use std::collections::BTreeMap;
 
-use crossbeam::channel::Receiver;
 use uli_coord::{CoordService, CreateMode, Session, SessionId};
 use uli_warehouse::{HourlyPartition, Warehouse, WarehouseError};
 
 use crate::config::{CategoryRegistry, Disposition};
-use crate::message::{EntryId, LogEntry};
-use crate::network::Network;
+use crate::message::EntryId;
+use crate::network::{Inbox, Network};
 use crate::staged;
 
 /// Base path in the coordination service under which aggregators of a
@@ -71,7 +70,7 @@ pub struct Aggregator {
     endpoint: String,
     dc: String,
     session: Session,
-    rx: Receiver<LogEntry>,
+    rx: Inbox,
     network: Network,
     staging: Warehouse,
     /// Per-category entries drained from the network, awaiting flush.
@@ -362,6 +361,7 @@ fn register_member(session: &Session, dc: &str, endpoint: Option<&str>) -> (Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::LogEntry;
     use uli_coord::CoordService;
     use uli_warehouse::WhPath;
 

@@ -1,17 +1,18 @@
 //! The simulated datacenter network.
 //!
-//! Aggregators expose an unbounded channel endpoint under a name; daemons
-//! look the name up (after discovering it in the coordination service) and
-//! send entries. Crashing an aggregator closes its receiving end, so
-//! subsequent sends fail exactly like writes to a dead TCP peer — which is
-//! the signal daemons use to go back to ZooKeeper for a live aggregator.
+//! Aggregators expose an unbounded queue endpoint ([`Inbox`]) under a name;
+//! daemons look the name up (after discovering it in the coordination
+//! service) and send entries. Crashing an aggregator closes its receiving
+//! end, so subsequent sends fail exactly like writes to a dead TCP peer —
+//! which is the signal daemons use to go back to ZooKeeper for a live
+//! aggregator.
 //!
 //! The unit of transfer is a [`MessageBatch`]: daemons coalesce queued
 //! entries into one message, so a wire fault lands at batch granularity — a
 //! dropped packet loses (and re-buffers) a whole batch, a lost ack retries
 //! and therefore duplicates every entry in it, a delayed packet holds the
 //! batch intact until it is due. Receivers still see individual entries:
-//! delivery unpacks the batch into the endpoint's channel, which keeps
+//! delivery unpacks the batch into the endpoint's queue, which keeps
 //! per-entry accounting (aggregator backlog, crash loss) exact.
 //!
 //! For chaos testing the network can additionally sample per-send link
@@ -25,7 +26,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -63,9 +63,61 @@ struct FaultState {
     faults: LinkFaults,
 }
 
+/// The entries delivered to an endpoint and not yet taken off it, and
+/// whether anyone is still there to take them.
+#[derive(Default)]
+struct Queue {
+    entries: VecDeque<LogEntry>,
+    closed: bool,
+}
+
+/// The network's end of an endpoint's queue.
+#[derive(Clone)]
+struct Peer(Arc<Mutex<Queue>>);
+
+impl Peer {
+    /// Queues `entry`, or hands it back when the endpoint's [`Inbox`] is
+    /// gone.
+    fn send(&self, entry: LogEntry) -> Result<(), LogEntry> {
+        let mut queue = self.0.lock();
+        if queue.closed {
+            return Err(entry);
+        }
+        queue.entries.push_back(entry);
+        Ok(())
+    }
+}
+
+/// The receiving end of an endpoint: what [`Network::register`] hands the
+/// aggregator. Dropping it closes the endpoint to further sends.
+pub struct Inbox(Arc<Mutex<Queue>>);
+
+impl Inbox {
+    /// Takes every entry delivered so far, in delivery order.
+    pub fn try_iter(&self) -> impl Iterator<Item = LogEntry> {
+        std::mem::take(&mut self.0.lock().entries).into_iter()
+    }
+
+    /// Entries delivered and not yet taken.
+    pub fn len(&self) -> usize {
+        self.0.lock().entries.len()
+    }
+
+    /// Whether nothing is waiting to be taken.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Drop for Inbox {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+    }
+}
+
 #[derive(Default)]
 struct Shared {
-    peers: HashMap<String, Sender<LogEntry>>,
+    peers: HashMap<String, Peer>,
     faults: Option<FaultState>,
     /// Delayed packets: (due step, endpoint, batch), in send order. A
     /// delayed batch is held whole — it was acked as one message.
@@ -82,7 +134,7 @@ struct Shared {
     half_apply_armed: bool,
 }
 
-/// Registry of live channel endpoints, keyed by aggregator endpoint name.
+/// Registry of live endpoints, keyed by aggregator endpoint name.
 #[derive(Clone, Default)]
 pub struct Network {
     inner: Arc<Mutex<Shared>>,
@@ -103,15 +155,16 @@ impl Network {
     }
 
     /// Registers an endpoint and returns its receiving half.
-    pub fn register(&self, name: &str) -> Receiver<LogEntry> {
-        let (tx, rx) = unbounded();
-        self.inner.lock().peers.insert(name.to_string(), tx);
-        rx
+    pub fn register(&self, name: &str) -> Inbox {
+        let queue = Arc::new(Mutex::new(Queue::default()));
+        let peer = Peer(Arc::clone(&queue));
+        self.inner.lock().peers.insert(name.to_string(), peer);
+        Inbox(queue)
     }
 
     /// Removes an endpoint (crash or clean shutdown). Sends to it fail from
-    /// now on; entries already in the channel stay readable by the holder of
-    /// the receiver (in-flight packets drain).
+    /// now on; entries already queued stay readable by the holder of the
+    /// inbox (in-flight packets drain).
     pub fn unregister(&self, name: &str) {
         self.inner.lock().peers.remove(name);
     }
@@ -145,7 +198,7 @@ impl Network {
     /// drop loses it whole (the sender re-buffers it), ack loss delivers
     /// all entries but reports failure, duplicate re-delivers every entry,
     /// delay holds the batch intact until due. Delivery unpacks entries
-    /// into the endpoint's channel in batch order.
+    /// into the endpoint's queue in batch order.
     pub fn send_batch(&self, name: &str, batch: MessageBatch) -> Result<(), PeerDown> {
         let mut s = self.inner.lock();
         s.messages += 1;
@@ -258,8 +311,8 @@ impl Network {
             match s.peers.get(&name).cloned() {
                 Some(tx) => {
                     for entry in batch.into_entries() {
-                        if let Err(e) = tx.send(entry) {
-                            dead.push(e.0);
+                        if let Err(entry) = tx.send(entry) {
+                            dead.push(entry);
                         }
                     }
                 }
@@ -303,7 +356,7 @@ mod tests {
         let rx = net.register("agg-1");
         net.send("agg-1", LogEntry::new("c", b"m".to_vec()))
             .unwrap();
-        assert_eq!(rx.recv().unwrap().category, "c");
+        assert_eq!(rx.try_iter().next().unwrap().category, "c");
     }
 
     #[test]
@@ -322,7 +375,7 @@ mod tests {
         assert!(!net.is_up("agg-1"));
         assert_eq!(net.send("agg-1", LogEntry::new("c", vec![])), Err(PeerDown));
         // The in-flight entry is still deliverable to the receiver.
-        assert_eq!(rx.recv().unwrap().message, b"1");
+        assert_eq!(rx.try_iter().next().unwrap().message, b"1");
     }
 
     #[test]

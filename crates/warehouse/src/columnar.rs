@@ -12,7 +12,7 @@
 //! task), which is exactly why the paper's mapper-count problem survives
 //! this layout — the experiment the `layout` ablation reproduces.
 //!
-//! This is the **v3 warehouse format** ([`ColumnarFileWriter`] /
+//! This is the **v4 warehouse format** ([`ColumnarFileWriter`] /
 //! [`ColumnarFile`]), the default landing layout. A file opens with a
 //! header block (`ULCF` magic, a format-version byte, the column count, and
 //! an optional embedded dictionary for one designated column), and then maps
@@ -28,9 +28,10 @@
 //! shared cache of decoded chunks, so a warm read hashes nothing.
 //!
 //! The writer is told each column's [`ColumnKind`]; a chunk whose cells all
-//! fit the kind is transposed before compression (see [`crate::chunk`]) and
-//! rebuilt on read to exactly the cells that were appended, so nothing
-//! above [`ColumnGroup`] can tell. Dictionary-column cells store a small
+//! fit the kind is transposed before compression — its values stored in the
+//! shape they have, packed hex digits, numbers, dotted quads, where they have
+//! one (see [`crate::chunk`]) — and rebuilt on read to exactly the cells
+//! that were appended, so nothing above [`ColumnGroup`] can tell. Dictionary-column cells store a small
 //! integer code instead of the value — the code its writer, who built the
 //! dictionary, hands over with the row; values missing from the dictionary
 //! fall back to inline bytes, so the file never refuses a row.
@@ -39,7 +40,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::cache::BlockKey;
-use crate::chunk::{self, ColumnKind};
+use crate::chunk::{self, ColumnKind, StoredAs, StoredRun};
 use crate::compress;
 use crate::error::{WarehouseError, WarehouseResult};
 use crate::file::{FileBlocks, FileData};
@@ -54,9 +55,9 @@ use crate::zone::ZoneMap;
 pub const COLUMNAR_MAGIC: [u8; 4] = *b"ULCF";
 
 /// The format version this build writes and reads.
-pub const COLUMNAR_VERSION: u8 = 3;
+pub const COLUMNAR_VERSION: u8 = 4;
 
-/// Writes a v3 columnar file: header block first, then one row group per
+/// Writes a v4 columnar file: header block first, then one row group per
 /// block. Rows may carry zone annotations; a group whose every row was
 /// annotated gets a zone map in the block footer (fail open otherwise),
 /// exactly like the row-format writer.
@@ -77,7 +78,7 @@ pub struct ColumnarFileWriter {
 }
 
 impl ColumnarFileWriter {
-    /// Opens a v3 columnar file at `path` whose rows have one cell per
+    /// Opens a v4 columnar file at `path` whose rows have one cell per
     /// entry of `schema`. `dictionary` optionally names one column plus its
     /// code table (index = code); a cell of that column appended with its
     /// code ([`append_row_coded`](Self::append_row_coded)) is stored as the
@@ -186,8 +187,9 @@ impl ColumnarFileWriter {
     /// count, then per column a tag byte, the varint stored length and the
     /// eight checksum bytes of its chunk), then the chunks back to back.
     /// Each chunk is one `ulz` stream — of the column's transposed cells
-    /// when they all fit its kind, of the cells as buffered otherwise — and
-    /// that is the only time these bytes meet the compressor.
+    /// when they all fit its kind, of the cells as buffered otherwise (the
+    /// dictionary column's always: they are codes already) — and that is the
+    /// only time these bytes meet the compressor.
     fn seal_group(&mut self) {
         if self.buffered_rows == 0 {
             return;
@@ -199,12 +201,12 @@ impl ColumnarFileWriter {
         let mut header = Vec::with_capacity(4 + 12 * self.schema.len());
         write_varint(&mut header, self.buffered_rows as u64);
         let mut chunks = Vec::with_capacity(self.schema.len());
-        for (kind, buf) in self.schema.iter().zip(&mut self.buffers) {
-            let (stored_as, cells) = match self.transposer.transpose(*kind, buf, self.buffered_rows)
-            {
-                Some(transposed) => (*kind, transposed),
-                None => (ColumnKind::Bytes, &buf[..]),
-            };
+        let dict_col = self.dictionary.map(|(col, _)| col);
+        for (c, (kind, buf)) in self.schema.iter().zip(&mut self.buffers).enumerate() {
+            let transposed = (Some(c) != dict_col)
+                .then(|| self.transposer.transpose(*kind, buf, self.buffered_rows))
+                .flatten();
+            let (stored_as, cells) = transposed.unwrap_or((StoredAs::Cells, buf));
             compressor.write(cells);
             let stored = compressor.finish_block();
             header.push(stored_as.tag());
@@ -341,7 +343,7 @@ impl ColumnGroup {
 
 /// What a row group's header says of one chunk.
 struct ChunkHeader {
-    stored_as: ColumnKind,
+    stored_as: StoredAs,
     /// Where the chunk's stored bytes sit in the block.
     start: usize,
     len: usize,
@@ -360,7 +362,7 @@ fn group_header(block: &[u8], columns: usize) -> Option<(usize, Vec<ChunkHeader>
     let mut chunks = Vec::with_capacity(columns.min(block.len() / 10));
     let mut start = 0usize;
     for _ in 0..columns {
-        let stored_as = ColumnKind::from_tag(*block.get(pos)?)?;
+        let stored_as = StoredAs::from_tag(*block.get(pos)?)?;
         pos += 1;
         let len = usize::try_from(read_varint(block, &mut pos)?).ok()?;
         let checksum = u64::from_le_bytes(block.get(pos..pos + 8)?.try_into().ok()?);
@@ -383,7 +385,7 @@ fn group_header(block: &[u8], columns: usize) -> Option<(usize, Vec<ChunkHeader>
     (rows <= u32::MAX as usize).then_some((rows, chunks, pos))
 }
 
-/// Random-access, thread-safe reader of a v3 columnar file — the columnar
+/// Random-access, thread-safe reader of a v4 columnar file — the columnar
 /// counterpart of [`FileBlocks`]. Groups can be read from any thread in any
 /// order (each group ≈ one map task); every read is charged both to the
 /// warehouse-global counters and to a per-handle cell.
@@ -408,7 +410,7 @@ pub struct ColumnarFile {
 }
 
 impl ColumnarFile {
-    /// Opens a v3 columnar file, parsing the header block. Rejects files
+    /// Opens a v4 columnar file, parsing the header block. Rejects files
     /// that lack the magic or declare a format version this build does not
     /// understand.
     pub fn open(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<ColumnarFile> {
@@ -418,7 +420,7 @@ impl ColumnarFile {
         ColumnarFile::with_header(fb, &header)
     }
 
-    /// Parses `record`, the first record of `fb`'s file, as the v3 header.
+    /// Parses `record`, the first record of `fb`'s file, as the v4 header.
     pub(crate) fn with_header(fb: FileBlocks, record: &[u8]) -> WarehouseResult<ColumnarFile> {
         match header_version(record) {
             None => return Err(WarehouseError::Corrupt("not a columnar file")),
@@ -458,13 +460,8 @@ impl ColumnarFile {
             }
             dict.reserve(entries);
             for code in 0..entries {
-                let len = read_varint(record, &mut pos)
-                    .ok_or(WarehouseError::Corrupt("columnar dictionary entry"))?
-                    as usize;
-                let value = record
-                    .get(pos..pos + len)
+                let value = chunk::read_string(record, &mut pos)
                     .ok_or(WarehouseError::Corrupt("columnar dictionary entry"))?;
-                pos += len;
                 dict_index.entry(value.to_vec()).or_insert(code as u32);
                 dict.push(value.to_vec());
             }
@@ -552,11 +549,11 @@ impl ColumnarFile {
         ))
     }
 
-    /// How each column of group `g` is stored: the encoding of its chunk (a
-    /// typed column's reads `Bytes` where the group fell back) and the
+    /// How each column of group `g` is stored: the layout of its chunk (a
+    /// typed column's reads `Cells` where the group fell back) and the
     /// chunk's stored bytes. File metadata like the zone map: read off the
     /// group header, uncharged, for whoever asks where a file's bytes went.
-    pub fn stored_chunks(&self, g: usize) -> WarehouseResult<Vec<(ColumnKind, u64)>> {
+    pub fn stored_chunks(&self, g: usize) -> WarehouseResult<Vec<(StoredAs, u64)>> {
         let (_, block) = self.group_block(g)?;
         let (_, chunks, _) = group_header(&block.compressed, self.columns)
             .ok_or(WarehouseError::Corrupt("row group header"))?;
@@ -564,6 +561,22 @@ impl ColumnarFile {
             .iter()
             .map(|chunk| (chunk.stored_as, chunk.len as u64))
             .collect())
+    }
+
+    /// The value runs of column `col` of group `g` as they are laid out
+    /// under the block compressor, each with the shape its values took (see
+    /// [`crate::chunk`]). Like [`stored_chunks`](Self::stored_chunks), for
+    /// whoever asks where a file's bytes went: verified and decompressed,
+    /// but neither charged nor cached.
+    pub fn stored_runs(&self, g: usize, col: usize) -> WarehouseResult<Vec<StoredRun>> {
+        let (idx, block) = self.group_block(g)?;
+        let stored = &block.compressed;
+        let (rows, chunks, _) = group_header(stored, self.columns)
+            .ok_or(WarehouseError::Corrupt("row group header"))?;
+        let chunk = chunks.get(col).ok_or(WarehouseError::UnreadColumn(col))?;
+        let payload = self.chunk_payload(idx, chunk, stored)?;
+        chunk::stored_runs(chunk.stored_as, &payload, rows)
+            .ok_or(WarehouseError::Corrupt("column chunk layout"))
     }
 
     /// Reads group `g`, decoding only the columns whose entry in
@@ -598,8 +611,7 @@ impl ColumnarFile {
                 columns.push(None);
                 continue;
             }
-            let bytes = &stored[chunk.start..chunk.start + chunk.len];
-            let data = self.chunk_cells(idx, chunk, bytes, rows)?;
+            let data = self.chunk_cells(idx, chunk, stored, rows)?;
             let dict_len = (Some(c) == self.dict_col).then(|| self.dict.len() as u64);
             let cells = split_cells(&data, rows, dict_len)?;
             columns.push(Some(ColumnChunk { data, cells }));
@@ -617,6 +629,21 @@ impl ColumnarFile {
             path: self.fb.path.clone(),
             block,
         }
+    }
+
+    /// The decompressed payload of `chunk`, one chunk of block `block` whose
+    /// stored bytes are `stored`, verified against its checksum first.
+    fn chunk_payload(
+        &self,
+        block: usize,
+        chunk: &ChunkHeader,
+        stored: &[u8],
+    ) -> WarehouseResult<Vec<u8>> {
+        let stored = &stored[chunk.start..chunk.start + chunk.len];
+        if block_checksum(stored) != chunk.checksum {
+            return Err(self.mismatch(block));
+        }
+        compress::decompress(stored).ok_or(WarehouseError::Corrupt("column chunk decompress"))
     }
 
     /// Fetches the cells of one chunk of block `block` (each behind its
@@ -637,11 +664,7 @@ impl ColumnarFile {
             self.fb.local.chunk_cache_hit(data.len() as u64);
             return Ok(data);
         }
-        if block_checksum(stored) != chunk.checksum {
-            return Err(self.mismatch(block));
-        }
-        let payload = compress::decompress(stored)
-            .ok_or(WarehouseError::Corrupt("column chunk decompress"))?;
+        let payload = self.chunk_payload(block, chunk, stored)?;
         let cells = chunk::rebuild(chunk.stored_as, payload, rows)
             .ok_or(WarehouseError::Corrupt("column chunk layout"))?;
         self.fb.stats.chunk_cache_miss(cells.len() as u64);
@@ -703,6 +726,10 @@ mod tests {
 
     const KINDS: [ColumnKind; 3] = [ColumnKind::Bytes, ColumnKind::I64, ColumnKind::StringMap];
 
+    /// How a group of [`KINDS`] is stored when every cell fits its column's
+    /// kind and the `Bytes` cells have a shape.
+    const STORED: [StoredAs; 3] = [StoredAs::ValueRun, StoredAs::I64, StoredAs::StringMap];
+
     fn p(s: &str) -> WhPath {
         WhPath::parse(s).unwrap()
     }
@@ -750,13 +777,33 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// A string of some shape a value run stores as what it is — hex
+        /// digits, a number, a dotted quad, bare or behind a prefix — or
+        /// nearly of one, or of none.
+        fn value() -> BoxedStrategy<String> {
+            prop_oneof![
+                "[a-z0-9]{0,9}",
+                "[0-9a-f]{8}",
+                "t.co/[0-9a-f]{6}",
+                "[0-9a-fA-F]{2,5}",
+                "[1-9][0-9]{0,19}",
+                "id=[0-9]{1,4}",
+                "[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}",
+            ]
+            .boxed()
+        }
+
         /// A cell that fits `kind`; for `Bytes`, anything.
         fn cell_of(kind: ColumnKind) -> BoxedStrategy<Vec<u8>> {
             match kind {
-                ColumnKind::Bytes => proptest::collection::vec(any::<u8>(), 0..20).boxed(),
+                ColumnKind::Bytes => prop_oneof![
+                    proptest::collection::vec(any::<u8>(), 0..20),
+                    value().prop_map(String::into_bytes),
+                ]
+                .boxed(),
                 ColumnKind::I64 => any::<i64>().prop_map(|v| v.to_le_bytes().to_vec()).boxed(),
                 ColumnKind::StringMap => {
-                    proptest::collection::btree_map("[a-d]{0,2}", "[a-z0-9]{0,9}", 0..5)
+                    proptest::collection::btree_map("[a-d]{0,2}", value(), 0..5)
                         .prop_map(|map| {
                             let pairs: Vec<(&str, &str)> =
                                 map.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
@@ -852,14 +899,14 @@ mod tests {
         }
     }
 
-    mod v3 {
+    mod v4 {
         use super::*;
 
         /// A 3-column fixture: col 1 is dictionary-encoded over two known
         /// values, with every 10th row carrying a value outside the
         /// dictionary (inline fallback). Rows are zone-annotated with
         /// key = row index and tag = hash of the col-1 value.
-        fn write_v3(wh: &Warehouse, path: &str, rows: usize, group: usize) -> Vec<[Vec<u8>; 3]> {
+        fn write_v4(wh: &Warehouse, path: &str, rows: usize, group: usize) -> Vec<[Vec<u8>; 3]> {
             let dict: [&[u8]; 2] = [b"click", b"view"];
             let schema = [ColumnKind::Bytes; 3];
             let mut w =
@@ -932,8 +979,8 @@ mod tests {
         #[test]
         fn round_trips_with_dictionary_and_inline_fallback() {
             let wh = Warehouse::new();
-            let expect = write_v3(&wh, "/v3", 95, 32);
-            let f = ColumnarFile::open(&wh, &p("/v3")).unwrap();
+            let expect = write_v4(&wh, "/v4", 95, 32);
+            let f = ColumnarFile::open(&wh, &p("/v4")).unwrap();
             assert_eq!(f.columns(), 3);
             assert_eq!(f.group_count(), 3); // ceil(95/32)
             assert_eq!(f.dict_column(), Some(1));
@@ -963,8 +1010,8 @@ mod tests {
                 );
             }
             let (chunks, header_len, block) = stored_group(&wh, &p("/typed"), 0, 3);
-            let stored_as: Vec<ColumnKind> = chunks.iter().map(|c| c.stored_as).collect();
-            assert_eq!(stored_as, KINDS);
+            let stored_as: Vec<StoredAs> = chunks.iter().map(|c| c.stored_as).collect();
+            assert_eq!(stored_as, STORED);
             assert_eq!(
                 data.blocks[1].checksum,
                 block_checksum(&block[..header_len])
@@ -1002,11 +1049,11 @@ mod tests {
                 w.finish().unwrap();
                 for g in 0..3 {
                     let (chunks, _, _) = stored_group(&wh, &p("/f"), g, 3);
-                    let mut want = KINDS;
+                    let mut want = STORED;
                     if g == 1 {
-                        want[col] = ColumnKind::Bytes;
+                        want[col] = StoredAs::Cells;
                     }
-                    let stored_as: Vec<ColumnKind> = chunks.iter().map(|c| c.stored_as).collect();
+                    let stored_as: Vec<StoredAs> = chunks.iter().map(|c| c.stored_as).collect();
                     assert_eq!(stored_as, want, "group {g}, column {col} holding {bad:?}");
                 }
                 read_back(&ColumnarFile::open(&wh, &p("/f")).unwrap(), &expect);
@@ -1016,13 +1063,13 @@ mod tests {
         #[test]
         fn a_read_is_charged_the_header_and_the_chunks_it_projects() {
             let wh = Warehouse::with_config(64 * 1024, 0); // cache off
-            write_v3(&wh, "/v3", 200, 64);
-            let wide = ColumnarFile::open(&wh, &p("/v3")).unwrap();
+            write_v4(&wh, "/v4", 200, 64);
+            let wide = ColumnarFile::open(&wh, &p("/v4")).unwrap();
             for g in 0..wide.group_count() {
                 wide.read_group(g, &[true, true, true]).unwrap();
             }
             let w = wide.local_stats();
-            let narrow = ColumnarFile::open(&wh, &p("/v3")).unwrap();
+            let narrow = ColumnarFile::open(&wh, &p("/v4")).unwrap();
             for g in 0..narrow.group_count() {
                 let grp = narrow.read_group(g, &[false, true, false]).unwrap();
                 assert!(grp.cell(0, 0).is_none(), "unprojected column");
@@ -1033,7 +1080,7 @@ mod tests {
             assert_eq!(n.records_read, w.records_read);
             let (mut headers, mut names, mut all) = (0u64, 0u64, 0u64);
             for g in 0..wide.group_count() {
-                let (chunks, header_len, block) = stored_group(&wh, &p("/v3"), g, 3);
+                let (chunks, header_len, block) = stored_group(&wh, &p("/v4"), g, 3);
                 headers += header_len as u64;
                 names += chunks[1].len as u64;
                 all += block.len() as u64;
@@ -1080,8 +1127,8 @@ mod tests {
         #[test]
         fn zone_maps_cover_groups_and_skips_never_hit_the_cache() {
             let wh = Warehouse::new();
-            write_v3(&wh, "/v3", 100, 50);
-            let f = ColumnarFile::open(&wh, &p("/v3")).unwrap();
+            write_v4(&wh, "/v4", 100, 50);
+            let f = ColumnarFile::open(&wh, &p("/v4")).unwrap();
             let z0 = f.zone_map(0).expect("fully annotated group");
             let z1 = f.zone_map(1).expect("fully annotated group");
             assert_eq!((z0.min_key, z0.max_key), (0, 49));
@@ -1093,7 +1140,7 @@ mod tests {
             for g in 0..f.group_count() {
                 f.read_group(g, &[true, true, true]).unwrap();
             }
-            let f2 = ColumnarFile::open(&wh, &p("/v3")).unwrap();
+            let f2 = ColumnarFile::open(&wh, &p("/v4")).unwrap();
             f2.skip_group(0);
             f2.read_group(1, &[true, true, true]).unwrap();
             let s = f2.local_stats();
@@ -1106,13 +1153,13 @@ mod tests {
         fn pruned_but_cached_group_pins_through_both_obs_exports() {
             let registry = uli_obs::Registry::new();
             let wh = Warehouse::new_with_obs(&registry);
-            write_v3(&wh, "/v3", 100, 50);
-            let f = ColumnarFile::open(&wh, &p("/v3")).unwrap();
+            write_v4(&wh, "/v4", 100, 50);
+            let f = ColumnarFile::open(&wh, &p("/v4")).unwrap();
             for g in 0..f.group_count() {
                 f.read_group(g, &[true, true, true]).unwrap();
             }
             let hits_before = wh.stats().cache_hits;
-            let f2 = ColumnarFile::open(&wh, &p("/v3")).unwrap();
+            let f2 = ColumnarFile::open(&wh, &p("/v4")).unwrap();
             f2.skip_group(0);
             f2.skip_group(1);
             assert_eq!(wh.stats().blocks_skipped, 2);
@@ -1137,9 +1184,9 @@ mod tests {
         #[test]
         fn sniff_tells_layouts_apart() {
             let wh = Warehouse::new();
-            write_v3(&wh, "/v3", 10, 4);
+            write_v4(&wh, "/v4", 10, 4);
             assert_eq!(
-                sniff_columnar(&wh, &p("/v3")).unwrap(),
+                sniff_columnar(&wh, &p("/v4")).unwrap(),
                 Some(COLUMNAR_VERSION)
             );
             // Row-format file: no magic.
@@ -1190,8 +1237,8 @@ mod tests {
         #[test]
         fn other_format_versions_are_rejected_cleanly() {
             let wh = Warehouse::new();
-            // A header of the retired v2, and one from the future.
-            for version in [2, 9] {
+            // Headers of the retired v2 and v3, and one from the future.
+            for version in [2, 3, 9] {
                 let path = p(&format!("/version-{version}"));
                 let mut w = wh.create(&path).unwrap();
                 w.append_header_record(&file_header(version, 3, false));
@@ -1224,11 +1271,11 @@ mod tests {
         }
 
         impl Forged {
-            /// An honest chunk of `kind` whose decompressed payload is
-            /// `payload`.
-            fn of(kind: ColumnKind, payload: &[u8]) -> Forged {
+            /// An honest chunk stored as `stored_as` whose decompressed
+            /// payload is `payload`.
+            fn of(stored_as: StoredAs, payload: &[u8]) -> Forged {
                 Forged {
-                    tag: kind.tag(),
+                    tag: stored_as.tag(),
                     claimed_len: None,
                     stored: compress::compress(payload),
                     honest_checksum: true,
@@ -1285,7 +1332,7 @@ mod tests {
 
         #[test]
         fn hostile_headers_are_rejected_before_allocation() {
-            let one_cell = || Forged::of(ColumnKind::Bytes, &cells(&[b"x"]));
+            let one_cell = || Forged::of(StoredAs::Cells, &cells(&[b"x"]));
             let read = |rows, chunks: &[Forged]| {
                 let wh = Warehouse::new();
                 let path = forge(&wh, rows, false, chunks);
@@ -1299,8 +1346,9 @@ mod tests {
             for rows in [u64::MAX, 1 << 40, u32::MAX as u64, 2] {
                 for chunk in [
                     one_cell(),
-                    Forged::of(ColumnKind::I64, &min_only),
-                    Forged::of(ColumnKind::StringMap, &[2, 0]),
+                    Forged::of(StoredAs::I64, &min_only),
+                    Forged::of(StoredAs::StringMap, &[2, 0]),
+                    Forged::of(StoredAs::ValueRun, &[8, 2, 0, 1, 2, 3, 4]),
                 ] {
                     assert!(read(rows, &[chunk]).is_err(), "{rows} rows");
                 }
@@ -1316,7 +1364,7 @@ mod tests {
             }
             // An encoding tag nobody wrote.
             let mut chunk = one_cell();
-            chunk.tag = 3;
+            chunk.tag = 4;
             assert_eq!(
                 read(1, &[chunk]),
                 Err(WarehouseError::Corrupt("row group header"))
@@ -1328,18 +1376,65 @@ mod tests {
                 &[2, 1, 1, b'k', 0xff, 0xff, 0x03],
                 &[0xff, 0xff, 0xff, 0xff, 0x7f, 0],
             ] {
-                let chunk = Forged::of(ColumnKind::StringMap, payload);
+                let chunk = Forged::of(StoredAs::StringMap, payload);
                 assert_eq!(
                     read(1, &[chunk]),
                     Err(WarehouseError::Corrupt("column chunk layout"))
                 );
             }
+            // A value run — a column's, and a map key's — of a shape nobody
+            // wrote, of no hex digits, an odd number of them, more than
+            // there are bytes; with a prefix longer than the run, a bitmap
+            // shorter than the rows, distances of no bytes and of nine.
+            let runs: [(u64, &[u8]); 9] = [
+                (1, &[4, 0, 1, 2, 3, 4]),
+                (1, &[0x21, 0, 2, 0xab]),
+                (1, &[1, 0, 0]),
+                (1, &[1, 0, 3, 0xab, 0xcd]),
+                (1, &[1, 0, 64, 0xab]),
+                (1, &[1, 200, b'x', 2, 0xab]),
+                (100, &[0x12, 0, 0xff, 1, 2, 3, 4]),
+                (1, &[3, 0, 7, 0]),
+                (1, &[3, 0, 7, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+            ];
+            for (rows, run) in runs {
+                let column = [&[40][..], run].concat();
+                let map = [&[40, 1, 1, b'k', run.len() as u8][..], run].concat();
+                for chunk in [
+                    Forged::of(StoredAs::ValueRun, &column),
+                    Forged::of(StoredAs::StringMap, &map),
+                ] {
+                    assert_eq!(
+                        read(rows, &[chunk]),
+                        Err(WarehouseError::Corrupt("column chunk layout")),
+                        "{run:?}"
+                    );
+                }
+            }
+            let quad = Forged::of(StoredAs::ValueRun, &[8, 2, 0, 1, 2, 3, 4]);
+            assert_eq!(read(1, &[quad]), Ok(1), "a run can be honest too");
             // A chunk whose stored bytes are not what its checksum says.
             let mut chunk = one_cell();
             chunk.honest_checksum = false;
             assert!(matches!(
                 read(1, &[chunk]),
                 Err(WarehouseError::ChecksumMismatch { block: 1, .. })
+            ));
+            // A file header whose dictionary entry is longer than a `usize`
+            // can add to.
+            let mut header = Vec::new();
+            header.extend_from_slice(&COLUMNAR_MAGIC);
+            header.push(COLUMNAR_VERSION);
+            for v in [1, 1, 1, u64::MAX] {
+                write_varint(&mut header, v); // columns, dictionary column + 1, entries, length
+            }
+            let wh = Warehouse::new();
+            let mut w = wh.create(&p("/header")).unwrap();
+            w.append_header_record(&header);
+            w.finish().unwrap();
+            assert!(matches!(
+                ColumnarFile::open(&wh, &p("/header")),
+                Err(WarehouseError::Corrupt("columnar dictionary entry"))
             ));
         }
 
@@ -1389,11 +1484,11 @@ mod tests {
         #[test]
         fn truncated_group_is_rejected_whole() {
             let wh = Warehouse::new();
-            write_v3(&wh, "/v3", 40, 20);
+            write_v4(&wh, "/v4", 40, 20);
             // Drop the tail of group 1's block: the read must fail as a
             // unit, not yield a partial group.
-            wh.truncate_block(&p("/v3"), 2).unwrap();
-            let f = ColumnarFile::open(&wh, &p("/v3")).unwrap();
+            wh.truncate_block(&p("/v4"), 2).unwrap();
+            let f = ColumnarFile::open(&wh, &p("/v4")).unwrap();
             assert!(f.read_group(0, &[true, true, true]).is_ok());
             assert!(f.read_group(1, &[true, true, true]).is_err());
             assert!(f.read_group(1, &[false, false, false]).is_err());
@@ -1404,9 +1499,17 @@ mod tests {
             use proptest::prelude::*;
 
             fn forged_chunk() -> impl Strategy<Value = Forged> {
+                // Any bytes; or a value run of any shape byte and any bytes,
+                // framed as a column's and as a map key's.
+                let bytes = || proptest::collection::vec(any::<u8>(), 0..60);
+                let payload = prop_oneof![
+                    bytes(),
+                    bytes().prop_map(|run| [&[60][..], &run].concat()),
+                    bytes().prop_map(|run| [&[60, 1, 1, b'k', run.len() as u8][..], &run].concat()),
+                ];
                 (
-                    0u8..4,
-                    proptest::collection::vec(any::<u8>(), 0..60),
+                    0u8..5,
+                    payload,
                     any::<bool>(),
                     prop_oneof![
                         Just(None),

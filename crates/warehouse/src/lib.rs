@@ -59,7 +59,7 @@ mod varint;
 pub mod zone;
 
 pub use cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};
-pub use chunk::ColumnKind;
+pub use chunk::{ColumnKind, StoredAs, StoredRun, ValueShape};
 pub use columnar::{
     sniff_columnar, ColumnCell, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding,
     COLUMNAR_MAGIC, COLUMNAR_VERSION,

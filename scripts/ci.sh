@@ -92,9 +92,9 @@ if grep -rn 'append_record_sealed' crates src tests examples benchmark/src ||
     exit 1
 fi
 
-# One columnar format: the version this build writes and reads is 3.
-if grep -rn 'COLUMNAR_VERSION' crates | grep -E 'COLUMNAR_VERSION: u8 = ' | grep -v '= 3;'; then
-    echo "format gate: COLUMNAR_VERSION is not 3." >&2
+# One columnar format: the version this build writes and reads is 4.
+if grep -rn 'COLUMNAR_VERSION' crates | grep -E 'COLUMNAR_VERSION: u8 = ' | grep -v '= 4;'; then
+    echo "format gate: COLUMNAR_VERSION is not 4." >&2
     exit 1
 fi
 
@@ -169,6 +169,17 @@ if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 <= 0.20) }'; then
     echo "e19 gate: events-per-user decodes ${ratio:-?} of its full-width bytes (limit 0.20)." >&2
     exit 1
 fi
+# Values are stored as what they are: on the smoke day every run of the ids,
+# timings and ranks of `details`, and every `ip` chunk, took a shape. A
+# count, so a writer that quietly falls back to raw everywhere fails here on
+# any host, not only in the benchmark's bytes a record.
+for run in '"column": "ip", "key": ""' \
+    '"key": "request_id"' '"key": "page_load_ms"' '"key": "target_id"' '"key": "tweet_id"' '"key": "rank"'; do
+    if ! grep -q -- "$run, \"raw\": 0, " target/e19_smoke.metrics.json; then
+        echo "e19 gate: a value run of {$run} is missing or stayed raw." >&2
+        exit 1
+    fi
+done
 
 # e20: tiny budgets on a real (smoke-sized) day: the materializer and at
 # least one query's tight arm must spill, every tight arm must return the
