@@ -216,7 +216,7 @@ const HEX_PAIRS: [[u8; 2]; 256] = {
 #[derive(Clone, Copy)]
 struct Span {
     start: u32,
-    /// [`Span::ABSENT`]'s: the row has no value.
+    /// `u32::MAX` ([`Span::ABSENT`]): the row has no value.
     len: u32,
 }
 
@@ -402,25 +402,14 @@ fn push_run(out: &mut Vec<u8>, cells: &[u8], spans: &[Span], numbers: &mut Vec<u
     ValueShape::Raw
 }
 
-/// How the unread tails of a run decode.
-#[derive(Clone, Copy)]
-enum Tails {
-    Raw,
-    /// Distances of `width` bytes from `min`.
-    Decimal {
-        min: u64,
-        width: usize,
-    },
-    /// `width` bytes of two digits each.
-    Hex {
-        width: usize,
-    },
-    Quad,
-}
-
 /// A value run being read: one [`next`](Run::next) per row.
 struct Run<'a> {
-    tails: Tails,
+    shape: ValueShape,
+    /// The bytes of one tail: of a distance from `min`, of a value's hex
+    /// digits two to a byte, of a quad.
+    width: usize,
+    /// What a `Decimal` run's distances are from.
+    min: u64,
     /// The presence bitmap of a sparse run.
     presence: Option<&'a [u8]>,
     /// The tails (of a `Raw` run: the rows) not read yet.
@@ -437,15 +426,17 @@ impl<'a> Run<'a> {
     /// checked against the bytes there are before anything is allocated.
     fn parse(bytes: &'a [u8], rows: usize) -> Option<Run<'a>> {
         let (&tag, mut unread) = bytes.split_first()?;
+        let shape = ValueShape::from_tag(tag & !SPARSE)?;
         let mut run = Run {
-            tails: Tails::Raw,
+            shape,
+            width: 0,
+            min: 0,
             presence: None,
             unread,
             row: 0,
             value: Vec::new(),
             prefix: 0,
         };
-        let shape = ValueShape::from_tag(tag & !SPARSE)?;
         if shape == ValueShape::Raw {
             // A raw run marks a missing value row by row.
             return (tag & SPARSE == 0).then_some(run);
@@ -466,35 +457,22 @@ impl<'a> Run<'a> {
             run.presence = Some(bitmap);
         }
         let mut pos = 0;
-        let (tails, width) = match shape {
+        run.width = match shape {
             ValueShape::Raw => return None,
-            ValueShape::Decimal => {
-                let min = read_varint(unread, &mut pos)?;
-                let width = usize::from(*unread.get(pos)?);
-                pos += 1;
-                (1..=8)
-                    .contains(&width)
-                    .then_some((Tails::Decimal { min, width }, width))?
-            }
+            ValueShape::Quad => 4,
             ValueShape::Hex => {
                 let digits = usize::try_from(read_varint(unread, &mut pos)?).ok()?;
-                let width = digits / 2;
-                (digits % 2 == 0 && width > 0).then_some((Tails::Hex { width }, width))?
+                (digits % 2 == 0 && digits > 0).then_some(digits / 2)?
             }
-            ValueShape::Quad => (Tails::Quad, 4),
+            ValueShape::Decimal => {
+                run.min = read_varint(unread, &mut pos)?;
+                let width = usize::from(*unread.get(pos)?);
+                pos += 1;
+                (1..=8).contains(&width).then_some(width)?
+            }
         };
-        run.tails = tails;
         run.unread = &unread[pos..];
-        (present.checked_mul(width)? == run.unread.len()).then_some(run)
-    }
-
-    fn shape(&self) -> ValueShape {
-        match self.tails {
-            Tails::Raw => ValueShape::Raw,
-            Tails::Decimal { .. } => ValueShape::Decimal,
-            Tails::Hex { .. } => ValueShape::Hex,
-            Tails::Quad => ValueShape::Quad,
-        }
+        (present.checked_mul(run.width)? == run.unread.len()).then_some(run)
     }
 
     /// The next `len` unread bytes.
@@ -514,38 +492,39 @@ impl<'a> Run<'a> {
                 return Some(None);
             }
         }
+        if self.shape == ValueShape::Raw {
+            let mut pos = 0;
+            let marker = read_varint(self.unread, &mut pos)?;
+            self.unread = &self.unread[pos..];
+            let Some(len) = marker.checked_sub(1) else {
+                return Some(None);
+            };
+            return Some(Some(self.take(usize::try_from(len).ok()?)?));
+        }
+        let tail = self.take(self.width)?;
         self.value.truncate(self.prefix);
-        match self.tails {
-            Tails::Raw => {
-                let mut pos = 0;
-                let marker = read_varint(self.unread, &mut pos)?;
-                self.unread = &self.unread[pos..];
-                let Some(len) = marker.checked_sub(1) else {
-                    return Some(None);
-                };
-                return Some(Some(self.take(usize::try_from(len).ok()?)?));
-            }
-            Tails::Decimal { min, width } => {
-                let mut distance = [0; 8];
-                distance[..width].copy_from_slice(self.take(width)?);
-                let n = min.checked_add(u64::from_le_bytes(distance))?;
-                push_decimal(&mut self.value, n);
-            }
-            Tails::Hex { width } => {
-                let tail = self.take(width)?;
-                self.value.resize(self.prefix + 2 * width, 0);
+        match self.shape {
+            ValueShape::Raw => return None,
+            ValueShape::Hex => {
+                self.value.resize(self.prefix + 2 * tail.len(), 0);
                 let digits = self.value[self.prefix..].chunks_exact_mut(2);
                 for (pair, byte) in digits.zip(tail) {
                     pair.copy_from_slice(&HEX_PAIRS[*byte as usize]);
                 }
             }
-            Tails::Quad => {
-                for (i, octet) in self.take(4)?.iter().enumerate() {
+            ValueShape::Quad => {
+                for (i, octet) in tail.iter().enumerate() {
                     if i > 0 {
                         self.value.push(b'.');
                     }
                     push_decimal(&mut self.value, u64::from(*octet));
                 }
+            }
+            ValueShape::Decimal => {
+                let mut distance = [0; 8];
+                distance[..tail.len()].copy_from_slice(tail);
+                let n = self.min.checked_add(u64::from_le_bytes(distance))?;
+                push_decimal(&mut self.value, n);
             }
         }
         Some(Some(&self.value))
@@ -780,7 +759,7 @@ fn rebuild_values(payload: &[u8], rows: usize) -> Option<Vec<u8>> {
     let mut run = Run::parse(run, rows)?;
     // A column's run has every row, in a shape: one that no shape fits is
     // stored as cells.
-    if run.presence.is_some() || run.shape() == ValueShape::Raw {
+    if run.presence.is_some() || run.shape == ValueShape::Raw {
         return None;
     }
     let mut out = Vec::with_capacity(declared.min(REBUILD_PREALLOC));
@@ -877,12 +856,12 @@ pub(crate) fn stored_runs(stored: StoredAs, payload: &[u8], rows: usize) -> Opti
         StoredAs::Cells => vec![run(&[], ValueShape::Raw, payload)],
         StoredAs::ValueRun => {
             let (_, bytes) = declared_len(payload)?;
-            vec![run(&[], Run::parse(bytes, rows)?.shape(), bytes)]
+            vec![run(&[], Run::parse(bytes, rows)?.shape, bytes)]
         }
         StoredAs::StringMap => {
             let mut runs = Vec::new();
             for (key, bytes) in string_map_runs(payload)?.1 {
-                runs.push(run(key, Run::parse(bytes, rows)?.shape(), bytes));
+                runs.push(run(key, Run::parse(bytes, rows)?.shape, bytes));
             }
             runs
         }
@@ -1024,7 +1003,7 @@ mod tests {
         let mut out = Vec::new();
         let shape = push_run(&mut out, &cells, &spans, &mut Vec::new());
         let mut run = Run::parse(&out, values.len()).expect("a written run");
-        assert_eq!(run.shape(), shape);
+        assert_eq!(run.shape, shape);
         for value in values {
             assert_eq!(run.next(), Some(*value));
         }

@@ -573,7 +573,9 @@ impl ColumnarFile {
         let stored = &block.compressed;
         let (rows, chunks, _) = group_header(stored, self.columns)
             .ok_or(WarehouseError::Corrupt("row group header"))?;
-        let chunk = chunks.get(col).ok_or(WarehouseError::UnreadColumn(col))?;
+        let chunk = chunks
+            .get(col)
+            .ok_or(WarehouseError::Corrupt("column out of range"))?;
         let payload = self.chunk_payload(idx, chunk, stored)?;
         chunk::stored_runs(chunk.stored_as, &payload, rows)
             .ok_or(WarehouseError::Corrupt("column chunk layout"))
