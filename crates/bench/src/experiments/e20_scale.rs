@@ -540,6 +540,22 @@ mod tests {
             FILES_PER_HOUR,
         )
         .expect("fresh warehouse");
+        assert_recorded_rows(&wh);
+    }
+
+    /// The same digests off a columnar-landed smoke day: the layout moves
+    /// bytes, not rows.
+    #[test]
+    fn smoke_query_rows_match_the_recorded_digests_on_a_columnar_day() {
+        use uli_workload::{generate_day, write_client_events_layout, Layout};
+        let wh = Warehouse::new();
+        let day = generate_day(&Scale::Smoke.config(), 0);
+        write_client_events_layout(&wh, &day.events, FILES_PER_HOUR, Layout::Columnar)
+            .expect("fresh warehouse");
+        assert_recorded_rows(&wh);
+    }
+
+    fn assert_recorded_rows(wh: &Warehouse) {
         for workers in [1usize, 4, 8] {
             for budget in [32 * 1024, DEFAULT_MEM_BUDGET, u64::MAX] {
                 let engine = Engine::new(wh.clone())

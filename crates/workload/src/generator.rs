@@ -871,6 +871,48 @@ mod tests {
         assert_eq!(read_back, day.events.len() as u64);
     }
 
+    /// Every landed event of day 0 at full width, decoded and re-encoded,
+    /// folded per file in path order (so per hour, in file order) with each
+    /// file's `(events, skipped)`.
+    fn decoded_digest(wh: &Warehouse) -> u64 {
+        let fold_u64 = |h, v: u64| uli_warehouse::fnv1a64_fold(h, &v.to_le_bytes());
+        let mut files = wh
+            .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
+            .unwrap();
+        files.sort();
+        let mut h = uli_warehouse::FNV1A64_OFFSET;
+        for path in &files {
+            h = uli_warehouse::fnv1a64_fold(h, path.as_str().as_bytes());
+            let file = uli_warehouse::ScanFile::open(wh, path).unwrap();
+            let (events, skipped) = uli_core::for_each_event_row(
+                &file,
+                0..file.units(),
+                uli_core::columnar::ALL_COLUMNS,
+                |_, row| {
+                    h = uli_warehouse::fnv1a64_fold(h, &row.to_event()?.to_bytes());
+                    Ok(())
+                },
+            )
+            .unwrap();
+            h = fold_u64(fold_u64(h, events), skipped);
+        }
+        h
+    }
+
+    /// Recorded before the helpers' landing moved from the row writer to the
+    /// columnar one: which writer lands the smoke day moves bytes, not rows.
+    #[test]
+    fn smoke_day_decodes_to_one_digest_from_the_row_and_the_columnar_writer() {
+        const RECORDED: u64 = 248_631_621_863_002_800;
+        let day = generate_day(&Scale::Smoke.config(), 0);
+        let row = Warehouse::new();
+        write_client_events(&row, &day.events, 4).unwrap();
+        let col = Warehouse::new();
+        write_client_events_layout(&col, &day.events, 4, Layout::Columnar).unwrap();
+        assert_eq!(decoded_digest(&row), RECORDED, "row-landed smoke day");
+        assert_eq!(decoded_digest(&col), RECORDED, "columnar-landed smoke day");
+    }
+
     #[test]
     fn layout_flag_parses() {
         assert_eq!(Layout::parse("row"), Some(Layout::Row));
