@@ -3,15 +3,12 @@
 //! ```text
 //! cargo run --release -p uli-bench --bin repro -- all
 //! cargo run --release -p uli-bench --bin repro -- e4 e5
-//! cargo run --release -p uli-bench --bin repro -- --smoke e14 e15
-//! cargo run --release -p uli-bench --bin repro -- --layout row e19
+//! cargo run --release -p uli-bench --bin repro -- --smoke e19 e20
 //! ```
 //!
 //! `--smoke` runs the sweep experiments at reduced scale (small day, two
 //! worker counts) for CI; smoke runs never overwrite the BENCH_*.json
-//! artifacts. `--layout {row,columnar}` picks the default
-//! warehouse landing layout (columnar unless overridden) — E19 records
-//! which ablation arm that choice corresponds to. `--scale
+//! artifacts. `--scale
 //! {smoke,default,1m}` sizes E20's synthetic day (default `1m`: one
 //! million users, >10M events) and `--mem-budget <bytes>` overrides the
 //! memory budget of E20's tight query arms (the other arm of each query
@@ -20,12 +17,11 @@
 
 use std::process::ExitCode;
 
-use uli_workload::{Layout, Scale};
+use uli_workload::Scale;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let mut layout = Layout::default();
     let mut scale = Scale::OneM;
     let mut mem_budget: Option<u64> = None;
     let mut skip_value = false;
@@ -46,16 +42,6 @@ fn main() -> ExitCode {
                 None
             }
         };
-        if a == "--layout" || a.starts_with("--layout=") {
-            layout = match valued("--layout", &mut skip_value).and_then(Layout::parse) {
-                Some(l) => l,
-                None => {
-                    eprintln!("--layout takes one of: row, columnar");
-                    return ExitCode::FAILURE;
-                }
-            };
-            continue;
-        }
         if a == "--scale" || a.starts_with("--scale=") {
             scale = match valued("--scale", &mut skip_value).and_then(Scale::parse) {
                 Some(s) => s,
@@ -90,53 +76,6 @@ fn main() -> ExitCode {
     };
     let mut failed = false;
     for id in ids {
-        // E14/E15 additionally persist their sweeps for tooling that tracks
-        // the serial-vs-parallel and eager-vs-pushdown numbers across
-        // revisions (full scale only).
-        if id == "e14" {
-            use uli_bench::experiments::e14_parallel as e14;
-            let m = if smoke {
-                e14::measure_with(120, &[1, 2])
-            } else {
-                e14::measure()
-            };
-            println!("{}", "=".repeat(74));
-            println!("{}", e14::render(&m));
-            if !smoke {
-                match std::fs::write("BENCH_parallel_scan.json", e14::to_json(&m)) {
-                    Ok(()) => println!("wrote BENCH_parallel_scan.json"),
-                    Err(e) => {
-                        eprintln!("could not write BENCH_parallel_scan.json: {e}");
-                        failed = true;
-                    }
-                }
-            }
-            continue;
-        }
-        if id == "e15" {
-            use uli_bench::experiments::e15_pushdown as e15;
-            let m = if smoke {
-                e15::measure_with(120, &[2])
-            } else {
-                e15::measure()
-            };
-            println!("{}", "=".repeat(74));
-            println!("{}", e15::render(&m));
-            if !m.outputs_identical {
-                eprintln!("e15: pushdown outputs diverged from eager");
-                failed = true;
-            }
-            if !smoke {
-                match std::fs::write("BENCH_pushdown.json", e15::to_json(&m)) {
-                    Ok(()) => println!("wrote BENCH_pushdown.json"),
-                    Err(e) => {
-                        eprintln!("could not write BENCH_pushdown.json: {e}");
-                        failed = true;
-                    }
-                }
-            }
-            continue;
-        }
         if id == "e16" {
             // The chaos sweep scales by seed count; smoke keeps CI fast
             // while still exercising the checker and the negative control.
@@ -233,9 +172,9 @@ fn main() -> ExitCode {
             // golden file; full scale persists BENCH_columnar.json.
             use uli_bench::experiments::e19_columnar as e19;
             let m = if smoke {
-                e19::smoke_snapshot(layout)
+                e19::smoke_snapshot()
             } else {
-                e19::measure_at(layout)
+                e19::measure()
             };
             println!("{}", "=".repeat(74));
             println!("{}", e19::render(&m));

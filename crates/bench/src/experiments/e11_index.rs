@@ -16,7 +16,7 @@ use uli_core::session::day_dir;
 use uli_dataflow::prelude::*;
 use uli_serve::IndexMaintainer;
 use uli_warehouse::{Warehouse, WhPath};
-use uli_workload::{generate_day, write_client_events_layout, Layout};
+use uli_workload::{generate_day, write_client_events};
 
 use crate::cells;
 use crate::harness::{standard_config, timed, Table};
@@ -25,7 +25,7 @@ use crate::harness::{standard_config, timed, Table};
 pub fn run() -> String {
     let day = generate_day(&standard_config(), 0);
     let wh = Warehouse::new();
-    write_client_events_layout(&wh, &day.events, 4, Layout::Columnar).expect("fresh warehouse");
+    write_client_events(&wh, &day.events, 4).expect("fresh warehouse");
     let data_dir = day_dir(CLIENT_EVENTS_CATEGORY, 0);
     let files = wh.list_files_recursive(&data_dir).expect("day landed");
 

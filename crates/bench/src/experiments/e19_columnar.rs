@@ -9,7 +9,8 @@
 //!
 //! 1. **row-eager** — row blocks, every field of every record decoded;
 //! 2. **row-pushdown** — row blocks with projection + predicate + zone-map
-//!    pushdown (the E15 full-pushdown baseline);
+//!    pushdown (what E15, now a recorded result in EXPERIMENTS.md, measured
+//!    as its best configuration);
 //! 3. **columnar** — column chunks per row group, vectorized batch scan,
 //!    no dictionary;
 //! 4. **columnar+dict** — the default landing: the event-name column is
@@ -45,9 +46,7 @@ use uli_core::session::day_dir;
 use uli_dataflow::prelude::*;
 use uli_warehouse::compress::compress;
 use uli_warehouse::{ColumnKind, ColumnarFile, HourlyPartition, StoredAs, ValueShape, Warehouse};
-use uli_workload::{
-    generate_day, write_client_events, write_client_events_layout, Layout, WorkloadConfig,
-};
+use uli_workload::{generate_day, write_client_events, write_paper_raw_log, WorkloadConfig};
 
 use crate::cells;
 use crate::harness::{detected_cores, timed, Table};
@@ -63,7 +62,7 @@ pub const PROJECTION_GATE: f64 = 0.20;
 pub enum Arm {
     /// Row blocks, pushdown disabled.
     RowEager,
-    /// Row blocks, projection + predicate + zone maps (E15's best config).
+    /// Row blocks, pushdown on.
     RowPushdown,
     /// Columnar row groups without a dictionary column.
     Columnar,
@@ -78,14 +77,6 @@ pub const ARMS: [(&str, Arm); 4] = [
     ("columnar", Arm::Columnar),
     ("columnar+dict", Arm::ColumnarDict),
 ];
-
-/// The arm label a CLI `--layout` choice lands by default.
-pub fn default_arm_label(layout: Layout) -> &'static str {
-    match layout {
-        Layout::Row => "row-pushdown",
-        Layout::Columnar => "columnar+dict",
-    }
-}
 
 /// One (arm, workers) cell of the sweep.
 pub struct ArmSample {
@@ -141,16 +132,14 @@ pub struct Measurements {
     pub users: u64,
     /// The event name the query selects.
     pub event_name: String,
-    /// The arm the CLI's `--layout` choice would land by default.
-    pub default_layout: &'static str,
     /// Hardware threads on the measuring host; `None` for smoke runs so
     /// the CI golden stays machine-independent.
     pub cores: Option<usize>,
 }
 
 /// The selective query: a timestamp window AND one event name, projecting
-/// (user_id, name) before a per-user count — the same shape as E15, so the
-/// row-pushdown arm here is directly comparable to E15's best config.
+/// (user_id, name) before a per-user count — the query E15 ran, so the
+/// row-pushdown arm here is directly comparable to E15's recorded table.
 fn selective_plan(name: &str, t0: i64, t1: i64) -> Plan {
     Plan::load(
         day_dir("client_events", 0),
@@ -172,7 +161,7 @@ fn land(arm: Arm, events: &[uli_core::ClientEvent]) -> Warehouse {
     let wh = Warehouse::new();
     match arm {
         Arm::RowEager | Arm::RowPushdown => {
-            write_client_events(&wh, events, 4).expect("fresh warehouse");
+            write_paper_raw_log(&wh, events, 4).expect("fresh warehouse");
         }
         Arm::Columnar => {
             // The no-dictionary arm exists only in this ablation: the
@@ -193,7 +182,7 @@ fn land(arm: Arm, events: &[uli_core::ClientEvent]) -> Warehouse {
             }
         }
         Arm::ColumnarDict => {
-            write_client_events_layout(&wh, events, 4, Layout::Columnar).expect("fresh warehouse");
+            write_client_events(&wh, events, 4).expect("fresh warehouse");
         }
     }
     wh
@@ -266,7 +255,7 @@ pub fn stored_by_column(wh: &Warehouse) -> (Vec<(&'static str, u64)>, u64, Vec<R
 }
 
 /// Runs the sweep over `users` with the given worker counts.
-pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout) -> Measurements {
+pub fn measure_with(users: u64, worker_counts: &[usize]) -> Measurements {
     let config = WorkloadConfig {
         users,
         ..Default::default()
@@ -275,7 +264,7 @@ pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout)
 
     // Pick the most frequent event name (deterministic tie-break by name)
     // and the middle half of the day's timestamp range, so the query is
-    // selective but never empty — the same recipe as E15.
+    // selective but never empty.
     let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
     let mut t_min = i64::MAX;
     let mut t_max = i64::MIN;
@@ -293,11 +282,6 @@ pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout)
     let (t0, t1) = (t_min + span / 4, t_min + 3 * span / 4);
     let plan = selective_plan(&event_name, t0, t1);
 
-    let full = Pushdown {
-        projection: true,
-        predicate: true,
-        zone_maps: true,
-    };
     let mut samples = Vec::new();
     // One cell: a fresh landing, one query, its sample and its rows.
     let mut run_cell = |config, arm, pushdown, workers, plan: &Plan| {
@@ -327,8 +311,8 @@ pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout)
     for (label, arm) in ARMS {
         for &workers in worker_counts {
             let pushdown = match arm {
-                Arm::RowEager => Pushdown::disabled(),
-                _ => full,
+                Arm::RowEager => Pushdown::Eager,
+                _ => Pushdown::On,
             };
             let rows = run_cell(label, arm, pushdown, workers, &plan);
             match &reference {
@@ -344,8 +328,8 @@ pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout)
     )
     .aggregate_by(vec![2], vec![Agg::count()]);
     let [projected, full_width] = [
-        ("events-per-user", full),
-        ("events-per-user-full-width", Pushdown::disabled()),
+        ("events-per-user", Pushdown::On),
+        ("events-per-user-full-width", Pushdown::Eager),
     ]
     .map(|(label, pushdown)| {
         run_cell(
@@ -387,36 +371,30 @@ pub fn measure_with(users: u64, worker_counts: &[usize], default_layout: Layout)
         outputs_identical,
         users,
         event_name,
-        default_layout: default_arm_label(default_layout),
         cores: None,
     }
 }
 
 /// Runs the standard sweep: 600 users, workers {1, 4}, with the host's
 /// core count recorded for the persisted JSON.
-pub fn measure_at(default_layout: Layout) -> Measurements {
-    let mut m = measure_with(600, &[1, 4], default_layout);
+pub fn measure() -> Measurements {
+    let mut m = measure_with(600, &[1, 4]);
     m.cores = Some(detected_cores());
     m
 }
 
-/// The standard sweep under the default (columnar) landing layout.
-pub fn measure() -> Measurements {
-    measure_at(Layout::default())
-}
-
 /// The smoke-scale sweep CI diffs against the checked-in golden file —
 /// counters only, no wall-clock, no host core count.
-pub fn smoke_snapshot(default_layout: Layout) -> Measurements {
-    measure_with(120, &[1, 4], default_layout)
+pub fn smoke_snapshot() -> Measurements {
+    measure_with(120, &[1, 4])
 }
 
 /// Renders the sweep as the experiment table.
 pub fn render(m: &Measurements) -> String {
     let mut out = format!(
         "E19 — columnar-by-default: timestamp window AND name = {:?}, \
-         project 3 of {WIDTH} columns ({} users, default layout lands {:?})\n\n",
-        m.event_name, m.users, m.default_layout
+         project 3 of {WIDTH} columns ({} users)\n\n",
+        m.event_name, m.users
     );
     let mut t = Table::new(&[
         "arm",
@@ -573,7 +551,7 @@ pub fn to_json(m: &Measurements) -> String {
         .collect();
     format!(
         "{{\n  \"experiment\": \"columnar\",\n  \"schema\": \"uli-columnar-v1\",\n\
-         {}  \"users\": {},\n  \"event_name\": \"{}\",\n  \"default_layout\": \"{}\",\n  \
+         {}  \"users\": {},\n  \"event_name\": \"{}\",\n  \
          \"outputs_identical\": {},\n  \"decoded_bytes_ratio\": {:.4},\n  \
          \"decode_work_ratio\": {:.4},\n  \"projection_bytes_ratio\": {:.4},\n  \
          \"stored_bytes_by_column\": {{{}}},\n  \"fallback_chunks\": {},\n  \
@@ -581,7 +559,6 @@ pub fn to_json(m: &Measurements) -> String {
         cores,
         m.users,
         m.event_name,
-        m.default_layout,
         m.outputs_identical,
         m.decoded_bytes_ratio,
         m.decode_work_ratio,
@@ -604,10 +581,9 @@ mod tests {
 
     #[test]
     fn columnar_dict_cuts_decoded_bytes_4x_with_identical_rows() {
-        let m = measure_with(200, &[1, 4], Layout::default());
+        let m = measure_with(200, &[1, 4]);
         assert!(m.outputs_identical, "columnar arms changed query results");
         assert_eq!(m.samples.len(), ARMS.len() * 2 + 2);
-        assert_eq!(m.default_layout, "columnar+dict");
         let cell = |label: &str, workers: usize| {
             m.samples
                 .iter()
@@ -621,6 +597,13 @@ mod tests {
         assert!(
             pushdown.blocks_skipped > 0,
             "zone maps pruned no row blocks"
+        );
+        // What E15 gated, on the two of its configurations that are left.
+        assert!(
+            eager.decoded_fields >= 2 * pushdown.decoded_fields,
+            "pushdown must halve the fields decoded off the row log ({} vs {})",
+            eager.decoded_fields,
+            pushdown.decoded_fields
         );
         let dict = cell("columnar+dict", 1);
         assert!(dict.blocks_skipped > 0, "zone maps pruned no row groups");
@@ -698,8 +681,7 @@ mod tests {
 
     #[test]
     fn full_json_records_cores_and_timing() {
-        let mut m = measure_with(60, &[1], Layout::Row);
-        assert_eq!(m.default_layout, "row-pushdown");
+        let mut m = measure_with(60, &[1]);
         m.cores = Some(3);
         let json = to_json(&m);
         assert!(json.contains("\"cores\": 3"));

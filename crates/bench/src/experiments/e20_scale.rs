@@ -7,8 +7,10 @@
 //! query — with every stage streaming:
 //!
 //! 1. **generate + land** — [`uli_workload::DayStream`] yields events one
-//!    session at a time and [`uli_workload::land_day_stream`] writes them
-//!    straight into hour partitions (records/sec is the ingest headline);
+//!    session at a time and [`uli_workload::land_day_stream`] lands them
+//!    columnar, as the log mover does, from a bounded buffer per hour (the
+//!    fixture encodes columns, so its records/sec is not a delivery number:
+//!    E23 and the benchmark's `deliver-day` own that one);
 //! 2. **materialize** — pass 2 sorts the day's events under a memory
 //!    budget, spilling sorted runs to scratch files; it runs at the default
 //!    budget and under a tight one, the tight run must spill, and the two
@@ -34,13 +36,10 @@ use uli_workload::{land_day_stream, DayStream, Scale};
 use crate::cells;
 use crate::harness::{detected_cores, peak_rss_mb, timed, Table};
 
-/// Part files per hour partition for the streamed landing.
-const FILES_PER_HOUR: usize = 4;
-
 /// Peak resident memory (`VmHWM`) the `--scale 1m` run may reach, MB: about
 /// twice what it takes (mostly the in-memory warehouse's landed day, not
-/// operator state) and a fifth of the 15 GB reference host.
-pub const ONE_M_PEAK_RSS_CEILING_MB: f64 = 3072.0;
+/// operator state) and an eighth of the 15 GB reference host.
+pub const ONE_M_PEAK_RSS_CEILING_MB: f64 = 2048.0;
 
 /// One (query, arm) cell.
 pub struct QuerySample {
@@ -116,9 +115,6 @@ pub struct Measurements {
     /// True when every tight arm returned rows byte-identical to its
     /// default arm.
     pub queries_identical: bool,
-    /// Scan throughput of the first default-arm query, MB/second
-    /// (wall-clock-derived).
-    pub scan_mb_per_sec: f64,
     /// Hardware threads on the measuring host; `None` for smoke runs so
     /// the CI golden stays machine-independent.
     pub cores: Option<usize>,
@@ -218,8 +214,7 @@ pub fn measure_with(scale: Scale, mat_budget: u64, query_budget: u64) -> Measure
     let wh = Warehouse::new();
     let ((landed, truth), land_ms) = timed(|| {
         let mut stream = DayStream::new(&config, 0);
-        let landed =
-            land_day_stream(&wh, stream.by_ref(), FILES_PER_HOUR).expect("fresh warehouse");
+        let landed = land_day_stream(&wh, stream.by_ref()).expect("fresh warehouse");
         (landed, stream.into_truth())
     });
     let raw_dir = day_dir(CLIENT_EVENTS_CATEGORY, 0);
@@ -248,7 +243,6 @@ pub fn measure_with(scale: Scale, mat_budget: u64, query_budget: u64) -> Measure
 
     let mut samples = Vec::new();
     let mut queries_identical = true;
-    let mut scan_mb_per_sec = 0.0;
     for (label, plan) in queries() {
         let mut default_rows: Option<Vec<Tuple>> = None;
         for (arm, budget) in [("default", DEFAULT_MEM_BUDGET), ("tight", query_budget)] {
@@ -258,10 +252,6 @@ pub fn measure_with(scale: Scale, mat_budget: u64, query_budget: u64) -> Measure
             match &default_rows {
                 None => default_rows = Some(result.rows),
                 Some(reference) => queries_identical &= *reference == result.rows,
-            }
-            if label == "events-per-user" && arm == "default" {
-                scan_mb_per_sec =
-                    s.input_bytes_uncompressed as f64 / 1_000_000.0 / (query_ms / 1000.0).max(1e-9);
             }
             samples.push(QuerySample {
                 query: label,
@@ -295,7 +285,6 @@ pub fn measure_with(scale: Scale, mat_budget: u64, query_budget: u64) -> Measure
         query_budget,
         samples,
         queries_identical,
-        scan_mb_per_sec,
         cores: None,
         peak_rss_mb: None,
     }
@@ -404,12 +393,10 @@ pub fn render(m: &Measurements) -> String {
     out.push_str(&format!(
         "\ntight arms byte-identical to default: {}\n\
          tight-budget spill runs across stages: {}\n\
-         every stage within its budget: {}\n\
-         scan throughput (events-per-user, default): {:.1} MB/s\n",
+         every stage within its budget: {}\n",
         m.queries_identical,
         m.budgeted_spill_runs(),
-        m.peaks_within_budget(),
-        m.scan_mb_per_sec
+        m.peaks_within_budget()
     ));
     if let (Some(cores), Some(rss)) = (m.cores, m.peak_rss_mb) {
         out.push_str(&format!(
@@ -458,15 +445,14 @@ pub fn to_json(m: &Measurements) -> String {
              \"land_ms\": {:.1},\n  \"ingest_records_per_sec\": {:.1},\n  \
              \"mat_ms\": {:.1},\n  \"mat_default_ms\": {:.1},\n  \
              \"mat_default_spill_runs\": {},\n  \"mat_default_spill_bytes\": {},\n  \
-             \"mat_default_high_water_bytes\": {},\n  \"scan_mb_per_sec\": {:.2},\n",
+             \"mat_default_high_water_bytes\": {},\n",
             m.land_ms,
             m.ingest_records_per_sec,
             m.mat_tight.ms,
             m.mat_default.ms,
             m.mat_default.spill_runs,
             m.mat_default.spill_bytes,
-            m.mat_default.high_water_bytes,
-            m.scan_mb_per_sec
+            m.mat_default.high_water_bytes
         ));
     }
     format!(
@@ -534,24 +520,19 @@ mod tests {
     #[test]
     fn smoke_query_rows_match_the_recorded_digests() {
         let wh = Warehouse::new();
-        land_day_stream(
-            &wh,
-            DayStream::new(&Scale::Smoke.config(), 0),
-            FILES_PER_HOUR,
-        )
-        .expect("fresh warehouse");
+        land_day_stream(&wh, DayStream::new(&Scale::Smoke.config(), 0)).expect("fresh warehouse");
         assert_recorded_rows(&wh);
     }
 
-    /// The same digests off a columnar-landed smoke day: the layout moves
-    /// bytes, not rows.
+    /// The same digests off the batch helper's landing (an hour's events
+    /// dealt round-robin over four part files): how the day is cut into
+    /// files moves bytes, not rows.
     #[test]
-    fn smoke_query_rows_match_the_recorded_digests_on_a_columnar_day() {
-        use uli_workload::{generate_day, write_client_events_layout, Layout};
+    fn smoke_query_rows_match_the_recorded_digests_on_the_batch_landing() {
+        use uli_workload::{generate_day, write_client_events};
         let wh = Warehouse::new();
         let day = generate_day(&Scale::Smoke.config(), 0);
-        write_client_events_layout(&wh, &day.events, FILES_PER_HOUR, Layout::Columnar)
-            .expect("fresh warehouse");
+        write_client_events(&wh, &day.events, 4).expect("fresh warehouse");
         assert_recorded_rows(&wh);
     }
 
@@ -629,7 +610,6 @@ mod tests {
         assert!(json.contains("\"cores\": 2"));
         assert!(json.contains("\"peak_rss_mb\": 1234.5"));
         assert!(json.contains("ingest_records_per_sec"));
-        assert!(json.contains("scan_mb_per_sec"));
         assert!(json.contains("\"mat_default_spill_runs\": 0"));
     }
 }

@@ -9,9 +9,7 @@
 use uli_core::session::dictionary::char_for_rank;
 use uli_core::session::{EventDictionary, Materializer, SessionSequence, Sessionizer};
 use uli_warehouse::Warehouse;
-use uli_workload::{
-    generate_day, write_client_events, write_client_events_layout, Layout, WorkloadConfig,
-};
+use uli_workload::{generate_day, write_client_events, write_paper_raw_log, WorkloadConfig};
 
 use crate::cells;
 use crate::harness::Table;
@@ -43,11 +41,11 @@ pub fn run() -> String {
         };
         let day = generate_day(&config, 0);
         let wh = Warehouse::new();
-        write_client_events(&wh, &day.events, 4).expect("fresh warehouse");
+        write_paper_raw_log(&wh, &day.events, 4).expect("fresh warehouse");
         let report = Materializer::new(wh).run_day(0).expect("day present");
         factors.push(report.compression_factor());
         let wh = Warehouse::new();
-        write_client_events_layout(&wh, &day.events, 4, Layout::Columnar).expect("fresh warehouse");
+        write_client_events(&wh, &day.events, 4).expect("fresh warehouse");
         let columnar = Materializer::new(wh).run_day(0).expect("day present");
         assert_eq!(
             columnar.sequences_compressed_bytes, report.sequences_compressed_bytes,

@@ -17,7 +17,7 @@ use uli_core::session::day_dir;
 use uli_core::time::SESSION_GAP_MS;
 use uli_dataflow::prelude::*;
 use uli_warehouse::Warehouse;
-use uli_workload::{generate_day, write_client_events, write_legacy_events, WorkloadConfig};
+use uli_workload::{generate_day, write_legacy_events, write_paper_raw_log, WorkloadConfig};
 
 use crate::cells;
 use crate::harness::{timed, Table};
@@ -30,7 +30,7 @@ pub fn run() -> String {
     };
     let day = generate_day(&config, 0);
     let wh = Warehouse::new();
-    write_client_events(&wh, &day.events, 4).expect("fresh warehouse");
+    write_paper_raw_log(&wh, &day.events, 4).expect("fresh warehouse");
     write_legacy_events(&wh, &day.events, 4).expect("fresh warehouse");
 
     let engine = Engine::new(wh.clone());

@@ -4,8 +4,6 @@ pub mod e10_summary;
 pub mod e11_index;
 pub mod e12_catalog;
 pub mod e13_layouts;
-pub mod e14_parallel;
-pub mod e15_pushdown;
 pub mod e16_chaos;
 pub mod e17_obs;
 pub mod e18_ingest;

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use uli_core::session::Materializer;
 use uli_warehouse::Warehouse;
-use uli_workload::{generate_day, write_client_events, DayWorkload, WorkloadConfig};
+use uli_workload::{generate_day, write_paper_raw_log, DayWorkload, WorkloadConfig};
 
 /// The standard workload used by most experiments: large enough to have
 /// stable statistics, small enough to run in seconds.
@@ -26,11 +26,12 @@ pub struct PreparedDay {
     pub report: uli_core::session::MaterializeReport,
 }
 
-/// Generates, lands, and materializes one day.
+/// Generates one day, lands it as the paper's row-format raw log — the
+/// baseline E1–E13's tables are measured against — and materializes it.
 pub fn prepare_day(config: &WorkloadConfig, day_index: u64) -> PreparedDay {
     let day = generate_day(config, day_index);
     let warehouse = Warehouse::new();
-    write_client_events(&warehouse, &day.events, 4).expect("fresh warehouse");
+    write_paper_raw_log(&warehouse, &day.events, 4).expect("fresh warehouse");
     let report = Materializer::new(warehouse.clone())
         .run_day(day_index)
         .expect("day exists");
@@ -41,13 +42,14 @@ pub fn prepare_day(config: &WorkloadConfig, day_index: u64) -> PreparedDay {
     }
 }
 
-/// Prepares several consecutive days into one warehouse.
+/// Prepares several consecutive days into one warehouse, as [`prepare_day`]
+/// does one.
 pub fn prepare_days(config: &WorkloadConfig, days: u64) -> (Warehouse, Vec<DayWorkload>) {
     let warehouse = Warehouse::new();
     let mut out = Vec::new();
     for d in 0..days {
         let day = generate_day(config, d);
-        write_client_events(&warehouse, &day.events, 4).expect("fresh warehouse");
+        write_paper_raw_log(&warehouse, &day.events, 4).expect("fresh warehouse");
         Materializer::new(warehouse.clone())
             .run_day(d)
             .expect("day exists");

@@ -1,9 +1,9 @@
 //! The coordination service proper: sessions, znode CRUD, watches.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use uli_obs::lock;
 
 use crate::error::{CoordError, CoordResult};
 use crate::znode::{NodeStat, ZnodePath};
@@ -250,7 +250,7 @@ impl CoordService {
         let svc = CoordService {
             state: Arc::new(Mutex::new(State::default())),
         };
-        svc.state.lock().nodes.insert(
+        lock(&svc.state).nodes.insert(
             "/".to_string(),
             Node {
                 data: Vec::new(),
@@ -267,7 +267,7 @@ impl CoordService {
 
     /// Opens a new client session.
     pub fn connect(&self) -> Session {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.next_session += 1;
         let sid = SessionId(st.next_session);
         st.live_sessions.insert(sid);
@@ -281,17 +281,17 @@ impl CoordService {
     /// Forcibly expires a session, as a lost-heartbeat simulation. Its
     /// ephemerals are removed and watches fire exactly as if the client died.
     pub fn expire_session(&self, sid: SessionId) {
-        self.state.lock().end_session(sid);
+        lock(&self.state).end_session(sid);
     }
 
     /// Number of currently live sessions.
     pub fn session_count(&self) -> usize {
-        self.state.lock().live_sessions.len()
+        lock(&self.state).live_sessions.len()
     }
 
     /// Total number of znodes (including the root).
     pub fn node_count(&self) -> usize {
-        self.state.lock().nodes.len()
+        lock(&self.state).nodes.len()
     }
 }
 
@@ -310,7 +310,7 @@ impl Session {
     /// True while the session has not expired. Clients use this to decide
     /// whether to reconnect and re-create their ephemerals.
     pub fn is_live(&self) -> bool {
-        self.state.lock().live_sessions.contains(&self.sid)
+        lock(&self.state).live_sessions.contains(&self.sid)
     }
 
     fn check_live(&self, st: &State) -> CoordResult<()> {
@@ -325,7 +325,7 @@ impl Session {
     /// one for sequential modes).
     pub fn create(&self, path: &str, data: Vec<u8>, mode: CreateMode) -> CoordResult<String> {
         let path = ZnodePath::parse(path)?;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         self.check_live(&st)?;
         st.create_node(self.sid, &path, data, mode)
     }
@@ -336,7 +336,7 @@ impl Session {
         if path.as_str() == "/" {
             return Err(CoordError::BadPath("/".into()));
         }
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         self.check_live(&st)?;
         st.delete_node(&path)
     }
@@ -344,7 +344,7 @@ impl Session {
     /// Returns node metadata if the node exists.
     pub fn exists(&self, path: &str) -> CoordResult<Option<NodeStat>> {
         let path = ZnodePath::parse(path)?;
-        let st = self.state.lock();
+        let st = lock(&self.state);
         self.check_live(&st)?;
         Ok(st.nodes.get(path.as_str()).map(Node::stat))
     }
@@ -352,7 +352,7 @@ impl Session {
     /// Reads a node's data and metadata.
     pub fn get_data(&self, path: &str) -> CoordResult<(Vec<u8>, NodeStat)> {
         let path = ZnodePath::parse(path)?;
-        let st = self.state.lock();
+        let st = lock(&self.state);
         self.check_live(&st)?;
         st.nodes
             .get(path.as_str())
@@ -369,7 +369,7 @@ impl Session {
         expected_version: Option<i64>,
     ) -> CoordResult<NodeStat> {
         let path = ZnodePath::parse(path)?;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         self.check_live(&st)?;
         st.tick += 1;
         let tick = st.tick;
@@ -401,7 +401,7 @@ impl Session {
     /// Lists a node's children, sorted.
     pub fn get_children(&self, path: &str) -> CoordResult<Vec<String>> {
         let path = ZnodePath::parse(path)?;
-        let st = self.state.lock();
+        let st = lock(&self.state);
         self.check_live(&st)?;
         st.nodes
             .get(path.as_str())
@@ -411,7 +411,7 @@ impl Session {
 
     fn watch(&self, path: &str, kind: WatchKind) -> CoordResult<()> {
         let path = ZnodePath::parse(path)?;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         self.check_live(&st)?;
         st.watches
             .entry((path.as_str().to_string(), kind))
@@ -440,7 +440,7 @@ impl Session {
 
     /// Takes the next pending watch event, if any.
     pub fn poll_event(&self) -> Option<WatchEvent> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.event_queues.get_mut(&self.sid)?.pop_front()
     }
 
@@ -450,7 +450,7 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.state.lock().end_session(self.sid);
+        lock(&self.state).end_session(self.sid);
     }
 }
 

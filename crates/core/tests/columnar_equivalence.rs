@@ -184,7 +184,7 @@ proptest! {
 
         let mut reference: Option<Vec<Vec<Value>>> = None;
         for (wh, label) in [(&row_wh, "row"), (&col_wh, "columnar")] {
-            for pushdown in [Pushdown::disabled(), Pushdown::default()] {
+            for pushdown in [Pushdown::Eager, Pushdown::On] {
                 for workers in [1usize, 4, 8] {
                     let engine = Engine::new(wh.clone())
                         .with_parallelism(Parallelism::fixed(workers))

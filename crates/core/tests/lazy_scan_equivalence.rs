@@ -526,8 +526,8 @@ proptest! {
     }
 }
 
-/// Lands a batch of valid events through the annotated path, as
-/// `write_client_events` does.
+/// Lands a batch of valid events as annotated row blocks, one file's worth
+/// of what `uli_workload::write_paper_raw_log` writes.
 fn land(events: &[ClientEvent]) -> Warehouse {
     let wh = Warehouse::with_block_capacity(1024);
     let dir = day_dir("client_events", 0);
@@ -601,13 +601,13 @@ proptest! {
         .aggregate_by(vec![0], vec![Agg::count()]);
 
         let mut reference: Option<Vec<Vec<Value>>> = None;
-        for pushdown in [Pushdown::disabled(), Pushdown::default()] {
+        for pushdown in [Pushdown::Eager, Pushdown::On] {
             for workers in [1usize, 4] {
                 let engine = Engine::new(land(&events))
                     .with_parallelism(Parallelism::fixed(workers))
                     .with_pushdown(pushdown);
                 let result = engine.run(&plan).expect("query runs");
-                if pushdown.any() {
+                if pushdown == Pushdown::On {
                     // Unprojected: initiator, session_id, ip always on the
                     // wire, details only when non-empty — 3 or 4 skips per
                     // scanned record.

@@ -300,8 +300,8 @@ pub struct Engine {
     /// Worker threads for the map phase (LOAD → FILTER → FOREACH chains run
     /// per scan unit on a [`ScanPool`]); results do not depend on it.
     parallelism: Parallelism,
-    /// Which scan-pushdown layers the planner applies; rows are
-    /// byte-identical at every setting, only the bytes decoded differ.
+    /// Whether the planner pushes work into the scan; rows are
+    /// byte-identical either way, only the bytes decoded differ.
     pushdown: Pushdown,
     /// Records per simulated reduce task.
     reduce_keys_per_task: u64,
@@ -324,7 +324,7 @@ impl Engine {
             warehouse,
             cost,
             parallelism: Parallelism::default(),
-            pushdown: Pushdown::default(),
+            pushdown: Pushdown::On,
             reduce_keys_per_task: 1 << 20,
             mem_budget: DEFAULT_MEM_BUDGET,
             obs: None,
@@ -358,7 +358,8 @@ impl Engine {
         self
     }
 
-    /// Sets the pushdown configuration. `Pushdown::disabled()` decodes every
+    /// Sets whether work is pushed into the scan. [`Pushdown::Eager`] —
+    /// the reference the equivalence suites compare against — decodes every
     /// column of every record and evaluates every FILTER on full tuples.
     pub fn with_pushdown(mut self, pushdown: Pushdown) -> Self {
         self.pushdown = pushdown;
@@ -368,11 +369,6 @@ impl Engine {
     /// The configured map-phase parallelism.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
-    }
-
-    /// The configured pushdown layers.
-    pub fn pushdown(&self) -> Pushdown {
-        self.pushdown
     }
 
     /// The warehouse this engine scans.
@@ -966,7 +962,7 @@ struct MapChain<'a> {
 
 impl<'a> MapChain<'a> {
     /// Extracts the chain if `plan` is Filter/Foreach nodes over a Load,
-    /// pushing what `config` allows into the scan spec:
+    /// pushing into the scan spec, unless `pushdown` is the eager reference:
     ///
     /// * **predicate** — the maximal innermost run of UDF-free filters over
     ///   in-range columns moves into [`ScanSpec::predicate`] (order
@@ -982,7 +978,7 @@ impl<'a> MapChain<'a> {
     ///   key/tag columns.
     fn extract(
         plan: &'a Plan,
-        config: Pushdown,
+        pushdown: Pushdown,
         consumer: Option<&[usize]>,
     ) -> Option<MapChain<'a>> {
         let mut ops = Vec::new();
@@ -1006,7 +1002,8 @@ impl<'a> MapChain<'a> {
                     ops.reverse();
                     let width = schema.len();
                     let mut spec = ScanSpec::eager(width);
-                    if config.predicate {
+                    let mut zone = None;
+                    if pushdown == Pushdown::On {
                         let pushed = ops
                             .iter()
                             .take_while(|op| match op {
@@ -1020,22 +1017,22 @@ impl<'a> MapChain<'a> {
                             };
                             spec.predicate.push(pred.clone());
                         }
+                        if loader.supports_projection() {
+                            spec.projection =
+                                projection_mask(&ops, &spec.predicate, consumer, width);
+                        }
+                        if !spec.predicate.is_empty()
+                            && spec.predicate.iter().all(|p| total_boolean(p, width))
+                        {
+                            let zone_col =
+                                |dim| (0..width).find(|c| loader.zone_column(*c) == Some(dim));
+                            zone = zone_constraints(
+                                &spec.predicate,
+                                zone_col(ZoneColumn::Key),
+                                zone_col(ZoneColumn::Tag),
+                            );
+                        }
                     }
-                    if config.projection && loader.supports_projection() {
-                        spec.projection = projection_mask(&ops, &spec.predicate, consumer, width);
-                    }
-                    let zone = if config.zone_maps
-                        && !spec.predicate.is_empty()
-                        && spec.predicate.iter().all(|p| total_boolean(p, width))
-                    {
-                        let key_col =
-                            (0..width).find(|c| loader.zone_column(*c) == Some(ZoneColumn::Key));
-                        let tag_col =
-                            (0..width).find(|c| loader.zone_column(*c) == Some(ZoneColumn::Tag));
-                        zone_constraints(&spec.predicate, key_col, tag_col)
-                    } else {
-                        None
-                    };
                     return Some(MapChain {
                         dir,
                         loader,
@@ -1432,7 +1429,7 @@ mod tests {
     #[test]
     fn pushed_filter_matches_eager_and_counts_records() {
         let (wh, dir) = fixture();
-        let eager_engine = Engine::new(wh).with_pushdown(Pushdown::disabled());
+        let eager_engine = Engine::new(wh).with_pushdown(Pushdown::Eager);
         let plan = load(&dir).filter(Expr::col(1).eq(Expr::lit("click")));
         let eager = eager_engine.run(&plan).unwrap();
         let (wh2, _) = fixture();
@@ -1545,7 +1542,7 @@ mod tests {
         // Eager reference on identical data.
         let (wh2, dir2) = zoned_fixture();
         let eager = Engine::new(wh2)
-            .with_pushdown(Pushdown::disabled())
+            .with_pushdown(Pushdown::Eager)
             .run(&zoned_load(&dir2).filter(Expr::col(2).ge(Expr::lit(250i64))))
             .unwrap();
         assert_eq!(eager.rows, r.rows);
@@ -1703,7 +1700,7 @@ mod tests {
             // decoded, every operator evaluated on full tuples.
             let (wh, dir) = columnar_fixture(64);
             let eager = Engine::new(wh)
-                .with_pushdown(Pushdown::disabled())
+                .with_pushdown(Pushdown::Eager)
                 .with_parallelism(Parallelism::serial())
                 .run(&plan_of(&dir))
                 .unwrap();

@@ -18,43 +18,18 @@ use crate::error::{DataflowError, DataflowResult};
 use crate::expr::{BinOp, Expr};
 use crate::value::{Tuple, Value};
 
-/// Which pushdown layers the engine applies. Mirrors the `--workers` knob:
-/// experiments toggle layers individually, the CLI flips all of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pushdown {
-    /// Push FOREACH column sets into the loader (lazy decoding).
-    pub projection: bool,
-    /// Push UDF-free FILTER predicates below tuple materialization.
-    pub predicate: bool,
-    /// Skip blocks whose zone maps disprove the pushed predicates.
-    pub zone_maps: bool,
-}
-
-impl Default for Pushdown {
-    fn default() -> Self {
-        Pushdown {
-            projection: true,
-            predicate: true,
-            zone_maps: true,
-        }
-    }
-}
-
-impl Pushdown {
-    /// Every layer off: full decode of every record, every FILTER and
-    /// FOREACH evaluated on materialized tuples.
-    pub fn disabled() -> Pushdown {
-        Pushdown {
-            projection: false,
-            predicate: false,
-            zone_maps: false,
-        }
-    }
-
-    /// True when any layer is on.
-    pub fn any(&self) -> bool {
-        self.projection || self.predicate || self.zone_maps
-    }
+/// Whether the engine pushes work into the scan. Rows are byte-identical
+/// either way; only what is read and decoded differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Pushdown {
+    /// What every query runs under: FOREACH and consumer column sets pushed
+    /// into the loader, UDF-free FILTER predicates evaluated below tuple
+    /// materialization, and units whose zone maps disprove them skipped.
+    #[default]
+    On,
+    /// The equivalence suites' reference: full decode of every record,
+    /// every FILTER and FOREACH evaluated on materialized tuples.
+    Eager,
 }
 
 /// What one scan asks of its loader: the columns to materialize and the

@@ -60,3 +60,12 @@ pub use metric::{
 };
 pub use registry::{MetricKey, MetricValue, Registry, Snapshot};
 pub use span::{CriticalPathStep, SpanGuard, SpanNode, SpanRecord};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, taking the data as it stands if a thread panicked while
+/// holding it: every lock in the workspace guards state that is consistent
+/// between statements, so a poisoned lock is recovered, never propagated.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

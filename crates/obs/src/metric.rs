@@ -7,9 +7,9 @@
 //! other and update it without ever touching the registry again.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// A monotonically increasing event count.
 ///
@@ -147,7 +147,7 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let mut d = self.data.lock();
+        let mut d = lock(&self.data);
         *d.buckets.entry(bucket_index(v)).or_insert(0) += 1;
         if d.count == 0 {
             d.min = v;
@@ -162,7 +162,7 @@ impl Histogram {
 
     /// A consistent copy of the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let d = self.data.lock();
+        let d = lock(&self.data);
         HistogramSnapshot {
             buckets: d.buckets.iter().map(|(&b, &c)| (b, c)).collect(),
             count: d.count,

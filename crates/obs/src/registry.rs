@@ -10,10 +10,9 @@
 //! bug the unified registry exists to prevent.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
+use crate::lock;
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::span::{
     build_forest, critical_path, render_critical_path, CriticalPathStep, SpanGuard, SpanNode,
@@ -84,7 +83,7 @@ pub struct Inner {
 
 impl Inner {
     pub(crate) fn close_span(&self, index: usize) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.clock += 1;
         let tick = s.clock;
         if let Some(span) = s.spans.get_mut(index) {
@@ -127,7 +126,7 @@ impl Registry {
     }
 
     fn register(&self, key: MetricKey, make: impl FnOnce() -> MetricValue) -> MetricValue {
-        let mut s = self.inner.state.lock();
+        let mut s = lock(&self.inner.state);
         if let Some(&i) = s.index.get(&key) {
             let display = key.display();
             s.duplicates.push(display);
@@ -193,7 +192,7 @@ impl Registry {
 
     /// Display keys registered more than once (empty in a healthy run).
     pub fn duplicate_registrations(&self) -> Vec<String> {
-        self.inner.state.lock().duplicates.clone()
+        lock(&self.inner.state).duplicates.clone()
     }
 
     /// Opens a span; the returned guard closes it on drop. Coordinator
@@ -209,7 +208,7 @@ impl Registry {
         name: &str,
         labels: &[(&str, V)],
     ) -> SpanGuard {
-        let mut s = self.inner.state.lock();
+        let mut s = lock(&self.inner.state);
         s.clock += 1;
         let start_tick = s.clock;
         let parent = s.stack.last().copied();
@@ -235,13 +234,13 @@ impl Registry {
 
     /// All spans recorded so far (open spans have `end_tick == 0`).
     pub fn finished_spans(&self) -> Vec<SpanRecord> {
-        self.inner.state.lock().spans.clone()
+        lock(&self.inner.state).spans.clone()
     }
 
     /// A deterministic point-in-time snapshot of everything: metrics in
     /// registration order, the span forest, and the critical path.
     pub fn snapshot(&self) -> Snapshot {
-        let s = self.inner.state.lock();
+        let s = lock(&self.inner.state);
         let metrics = s
             .metrics
             .iter()

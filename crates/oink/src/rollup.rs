@@ -13,9 +13,15 @@
 use std::collections::BTreeMap;
 
 use uli_core::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
+use uli_core::columnar::{
+    event_columns, for_each_event_row, EventColumns, IP_COLUMN, NAME_COLUMN, USER_COLUMN,
+};
+use uli_core::event::EventName;
 use uli_core::session::day_dir;
-use uli_thrift::ThriftRecord;
-use uli_warehouse::{Warehouse, WarehouseResult, WhPath};
+use uli_warehouse::{ScanFile, Warehouse, WarehouseError, WarehouseResult, WhPath};
+
+/// What a roll-up reads of an event.
+const ROLLUP_COLUMNS: EventColumns = event_columns([NAME_COLUMN, USER_COLUMN, IP_COLUMN]);
 
 /// The five roll-up schemas: how many leading levels are kept literal
 /// (the action is always kept).
@@ -56,13 +62,17 @@ pub fn country_of_ip(ip: &str) -> &'static str {
 impl RollupTable {
     /// Folds one event into all five schemas.
     pub fn add_event(&mut self, ev: &ClientEvent) {
-        let country = country_of_ip(&ev.ip).to_string();
+        self.add(&ev.name, ev.logged_in(), &ev.ip);
+    }
+
+    fn add(&mut self, name: &EventName, logged_in: bool, ip: &str) {
+        let country = country_of_ip(ip).to_string();
         for level in ROLLUP_LEVELS {
             let key = RollupKey {
                 level,
-                rollup: ev.name.rollup(level),
+                rollup: name.rollup(level),
                 country: country.clone(),
-                logged_in: ev.logged_in(),
+                logged_in,
             };
             *self.counts.entry(key).or_insert(0) += 1;
         }
@@ -175,19 +185,23 @@ pub fn rollup_dir(day_index: u64) -> WhPath {
     WhPath::parse(&day.as_str().replacen("/logs/", "/", 1)).expect("constructed path is valid")
 }
 
-/// The daily roll-up job: scans a day of client events, computes all five
-/// schemas, and persists the table. Returns the table for dashboard use.
+/// The daily roll-up job: scans a day of client events — whichever layout
+/// each file landed in, reading only the name, user id and ip — computes all
+/// five schemas, and persists the table. Records that do not decode are
+/// passed over, as every reader of the raw log does. Returns the table for
+/// dashboard use.
 pub fn compute_rollups(warehouse: &Warehouse, day_index: u64) -> WarehouseResult<RollupTable> {
     let mut table = RollupTable::default();
     let day = day_dir(CLIENT_EVENTS_CATEGORY, day_index);
     if warehouse.exists(&day) {
-        for file in warehouse.list_files_recursive(&day)? {
-            let mut reader = warehouse.open(&file)?;
-            while let Some(record) = reader.next_record()? {
-                if let Ok(ev) = ClientEvent::from_bytes(record) {
-                    table.add_event(&ev);
-                }
-            }
+        for path in warehouse.list_files_recursive(&day)? {
+            let file = ScanFile::open(warehouse, &path)?;
+            for_each_event_row(&file, 0..file.units(), ROLLUP_COLUMNS, |_, row| {
+                let name = EventName::parse(row.name()?)
+                    .map_err(|_| WarehouseError::Corrupt("event name"))?;
+                table.add(&name, row.user_id()? != 0, row.ip()?);
+                Ok(())
+            })?;
         }
     }
     let dir = rollup_dir(day_index);
@@ -213,9 +227,11 @@ pub fn load_rollups(warehouse: &Warehouse, day_index: u64) -> WarehouseResult<Ro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uli_core::event::{EventInitiator, EventName};
+    use uli_core::event::EventInitiator;
     use uli_core::time::Timestamp;
-    use uli_warehouse::HourlyPartition;
+    use uli_core::ClientEventLanding;
+    use uli_thrift::ThriftRecord;
+    use uli_warehouse::{ColumnarLanding, HourlyPartition};
 
     fn ev(name: &str, user: i64, ip: &str) -> ClientEvent {
         ClientEvent::new(
@@ -314,6 +330,45 @@ mod tests {
         // Rebuild is idempotent.
         let again = compute_rollups(&wh, 0).unwrap();
         assert_eq!(again, table);
+    }
+
+    /// A day as the log mover's columnar landing leaves it — a columnar part
+    /// file, and a row-format `-rows` sibling for the payload it could not
+    /// encode — rolls up to the table of the same events landed row-format.
+    #[test]
+    fn columnar_and_row_landed_days_roll_up_to_one_table() {
+        let names = [
+            "web:home:home:stream:tweet:impression",
+            "web:home:mentions:stream:avatar:profile_click",
+            "iphone:profile:::tweet:follow",
+        ];
+        let events: Vec<ClientEvent> = (0..40)
+            .map(|i| ev(names[i % 3], (i % 5) as i64, &format!("{}.0.0.1", i % 7)))
+            .collect();
+        let mut payloads: Vec<Vec<u8>> = events.iter().map(|e| e.to_bytes()).collect();
+        payloads.insert(17, b"not a client event".to_vec());
+        let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, 0).main_dir();
+
+        let row = Warehouse::new();
+        let mut w = row.create(&dir.child("part-00000").unwrap()).unwrap();
+        for p in &payloads {
+            w.append_record(p);
+        }
+        w.finish().unwrap();
+
+        let col = Warehouse::new();
+        let rejected = ClientEventLanding::default()
+            .write_file(&col, &dir.child("part-00000").unwrap(), &payloads)
+            .unwrap();
+        assert_eq!(rejected, vec![17]);
+        let mut w = col.create(&dir.child("part-00000-rows").unwrap()).unwrap();
+        w.append_record(&payloads[17]);
+        w.finish().unwrap();
+
+        let mut expected = RollupTable::default();
+        events.iter().for_each(|e| expected.add_event(e));
+        assert_eq!(compute_rollups(&row, 0).unwrap(), expected);
+        assert_eq!(compute_rollups(&col, 0).unwrap(), expected);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! replayable.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use rand::{Rng, SeedableRng, StdRng};
+use uli_obs::lock;
 
 use crate::message::{EntryId, LogEntry, MessageBatch};
 
@@ -79,7 +79,7 @@ impl Peer {
     /// Queues `entry`, or hands it back when the endpoint's [`Inbox`] is
     /// gone.
     fn send(&self, entry: LogEntry) -> Result<(), LogEntry> {
-        let mut queue = self.0.lock();
+        let mut queue = lock(&self.0);
         if queue.closed {
             return Err(entry);
         }
@@ -95,12 +95,12 @@ pub struct Inbox(Arc<Mutex<Queue>>);
 impl Inbox {
     /// Takes every entry delivered so far, in delivery order.
     pub fn try_iter(&self) -> impl Iterator<Item = LogEntry> {
-        std::mem::take(&mut self.0.lock().entries).into_iter()
+        std::mem::take(&mut lock(&self.0).entries).into_iter()
     }
 
     /// Entries delivered and not yet taken.
     pub fn len(&self) -> usize {
-        self.0.lock().entries.len()
+        lock(&self.0).entries.len()
     }
 
     /// Whether nothing is waiting to be taken.
@@ -111,7 +111,7 @@ impl Inbox {
 
 impl Drop for Inbox {
     fn drop(&mut self) {
-        self.0.lock().closed = true;
+        lock(&self.0).closed = true;
     }
 }
 
@@ -158,7 +158,7 @@ impl Network {
     pub fn register(&self, name: &str) -> Inbox {
         let queue = Arc::new(Mutex::new(Queue::default()));
         let peer = Peer(Arc::clone(&queue));
-        self.inner.lock().peers.insert(name.to_string(), peer);
+        lock(&self.inner).peers.insert(name.to_string(), peer);
         Inbox(queue)
     }
 
@@ -166,7 +166,7 @@ impl Network {
     /// now on; entries already queued stay readable by the holder of the
     /// inbox (in-flight packets drain).
     pub fn unregister(&self, name: &str) {
-        self.inner.lock().peers.remove(name);
+        lock(&self.inner).peers.remove(name);
     }
 
     /// Arms seeded link-fault injection. Replaces any previous fault state,
@@ -176,7 +176,7 @@ impl Network {
             faults.total_rate() <= 1.0,
             "link fault rates must sum to at most 1"
         );
-        self.inner.lock().faults = Some(FaultState {
+        lock(&self.inner).faults = Some(FaultState {
             rng: StdRng::seed_from_u64(seed),
             faults,
         });
@@ -185,7 +185,7 @@ impl Network {
     /// Disarms link-fault injection. Delayed packets already in flight keep
     /// their schedule.
     pub fn clear_faults(&self) {
-        self.inner.lock().faults = None;
+        lock(&self.inner).faults = None;
     }
 
     /// Sends a single entry to the named endpoint — a batch of one.
@@ -200,7 +200,7 @@ impl Network {
     /// delay holds the batch intact until due. Delivery unpacks entries
     /// into the endpoint's queue in batch order.
     pub fn send_batch(&self, name: &str, batch: MessageBatch) -> Result<(), PeerDown> {
-        let mut s = self.inner.lock();
+        let mut s = lock(&self.inner);
         s.messages += 1;
         s.message_bytes += batch.wire_size() as u64;
         // One roll per send, partitioning [0,1) into the fault kinds. The
@@ -282,14 +282,14 @@ impl Network {
     /// entries is partially delivered but fully acked. For negative tests
     /// proving the delivery-invariant checker catches half-applied batches.
     pub fn arm_half_apply(&self) {
-        self.inner.lock().half_apply_armed = true;
+        lock(&self.inner).half_apply_armed = true;
     }
 
     /// Cost model: `(messages, bytes)` ever offered to the network — one
     /// message per [`send_batch`](Self::send_batch) call (including failed
     /// sends, which consumed the wire), bytes as encoded frame sizes.
     pub fn message_cost(&self) -> (u64, u64) {
-        let s = self.inner.lock();
+        let s = lock(&self.inner);
         (s.messages, s.message_bytes)
     }
 
@@ -298,7 +298,7 @@ impl Network {
     /// dead letters: they were acked to the sender, so the caller must
     /// account them as crash losses.
     pub fn advance_step(&self) -> Vec<LogEntry> {
-        let mut s = self.inner.lock();
+        let mut s = lock(&self.inner);
         s.now += 1;
         let now = s.now;
         let mut dead = Vec::new();
@@ -325,14 +325,13 @@ impl Network {
 
     /// Number of delayed packets currently in flight.
     pub fn delayed_count(&self) -> u64 {
-        self.inner.lock().delayed.len() as u64
+        lock(&self.inner).delayed.len() as u64
     }
 
     /// Ids of delayed entries currently in flight (stamped entries only),
     /// flattened across delayed batches.
     pub fn delayed_ids(&self) -> Vec<EntryId> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .delayed
             .iter()
             .flat_map(|(_, _, b)| b.entries())
@@ -342,7 +341,7 @@ impl Network {
 
     /// True if the endpoint is registered.
     pub fn is_up(&self, name: &str) -> bool {
-        self.inner.lock().peers.contains_key(name)
+        lock(&self.inner).peers.contains_key(name)
     }
 }
 

@@ -8,12 +8,12 @@
 //! the tuple shape `ClientEventLoader::parse` produces, in exactly the
 //! engine's scan order (files sorted, groups ascending, rows in order).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use uli_core::columnar::{for_each_event_row, ALL_COLUMNS};
 use uli_core::{ClientEvent, SessionRecord, Sessionizer};
 use uli_dataflow::{BlockPruner, Tuple, Value};
+use uli_obs::lock;
 use uli_warehouse::{HourlyPartition, ScanFile, Warehouse, WarehouseResult};
 
 use crate::hour::HourIndex;
@@ -77,12 +77,12 @@ impl ServeHandle {
     }
 
     fn context(&self) -> (Warehouse, String) {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         (inner.warehouse.clone(), inner.category.clone())
     }
 
     fn hour(&self, hour: u64) -> Option<Arc<HourIndex>> {
-        self.inner.lock().hours.get(&hour).cloned()
+        lock(&self.inner).hours.get(&hour).cloned()
     }
 
     /// A scan-time pruner over the hours committed so far, for
@@ -91,12 +91,12 @@ impl ServeHandle {
     /// row group (or whole row-format sibling) the name postings prove
     /// irrelevant. Files outside the indexed hours are read in full.
     pub fn pruner(&self) -> Arc<dyn BlockPruner> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         Arc::new(PostingsPruner::new(&inner.category, inner.hours.values()))
     }
 
     fn note_lookup(&self, stats: &LookupStats) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.lookups_served += 1;
         inner.row_groups_pruned += stats.groups_pruned;
         inner.sync_obs();
@@ -104,12 +104,12 @@ impl ServeHandle {
 
     /// Hours behind the newest delivered hour the index is.
     pub fn lag_hours(&self) -> u64 {
-        self.inner.lock().lag_hours()
+        lock(&self.inner).lag_hours()
     }
 
     /// Hours with a committed index, ascending.
     pub fn indexed_hours(&self) -> Vec<u64> {
-        self.inner.lock().hours.keys().copied().collect()
+        lock(&self.inner).hours.keys().copied().collect()
     }
 
     /// All events of `user` in `hour`, as engine-shaped tuples. Decodes

@@ -17,10 +17,9 @@
 //! committed hour, the rebuilt index can never double-count.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use uli_obs::{Counter, Gauge, Registry};
+use uli_obs::{lock, Counter, Gauge, Registry};
 use uli_scribe::DeliveryTap;
 use uli_warehouse::{HourlyPartition, Warehouse, WarehouseResult, WhPath};
 
@@ -160,7 +159,7 @@ impl IndexMaintainer {
     /// file numbers are preassigned from the sorted listing and partials
     /// merge in file order.
     pub fn with_parallelism(self, workers: uli_warehouse::Parallelism) -> IndexMaintainer {
-        self.inner.lock().workers = workers;
+        lock(&self.inner).workers = workers;
         self
     }
 
@@ -180,7 +179,7 @@ impl IndexMaintainer {
     /// hour-land and index-commit. [`IndexMaintainer::recover`] must make
     /// the index whole again.
     pub fn fail_next_commits(&self, n: u64) {
-        self.inner.lock().fail_commits = n;
+        lock(&self.inner).fail_commits = n;
     }
 
     /// Restart path: walks every delivered hour under `/logs/<category>`,
@@ -188,7 +187,7 @@ impl IndexMaintainer {
     /// (crash-window victims). Rebuilds replace wholesale, so recovery is
     /// idempotent and can never double-count an hour.
     pub fn recover(&self) -> WarehouseResult<u64> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let delivered = delivered_hours(&inner.warehouse, &inner.category)?;
         let mut rebuilt = 0;
         for hour in delivered {
@@ -213,13 +212,12 @@ impl IndexMaintainer {
 
     /// Hours with a committed index, ascending.
     pub fn indexed_hours(&self) -> Vec<u64> {
-        self.inner.lock().hours.keys().copied().collect()
+        lock(&self.inner).hours.keys().copied().collect()
     }
 
     /// The committed index for one hour, if any.
     pub fn hour_index(&self, hour: u64) -> Option<HourIndex> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .hours
             .get(&hour)
             .map(|i| HourIndex::clone(i))
@@ -227,22 +225,22 @@ impl IndexMaintainer {
 
     /// Newest hour the mover has delivered, if any.
     pub fn newest_delivered(&self) -> Option<u64> {
-        self.inner.lock().newest_delivered
+        lock(&self.inner).newest_delivered
     }
 
     /// Hours the index lags behind the newest delivered hour.
     pub fn lag_hours(&self) -> u64 {
-        self.inner.lock().lag_hours()
+        lock(&self.inner).lag_hours()
     }
 
     /// Sum of committed index sizes in serialized bytes.
     pub fn postings_bytes(&self) -> u64 {
-        self.inner.lock().postings_bytes
+        lock(&self.inner).postings_bytes
     }
 
     /// Decoded bytes spent building indexes so far.
     pub fn build_decoded_bytes(&self) -> u64 {
-        self.inner.lock().build_decoded_bytes
+        lock(&self.inner).build_decoded_bytes
     }
 }
 
@@ -287,7 +285,7 @@ fn delivered_hours(warehouse: &Warehouse, category: &str) -> WarehouseResult<Vec
 
 impl DeliveryTap for IndexMaintainer {
     fn hour_delivered(&mut self, partition: &HourlyPartition, _payloads: &[Vec<u8>]) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if partition.category != inner.category {
             return;
         }

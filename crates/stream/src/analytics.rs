@@ -12,10 +12,9 @@
 //! 4, and 8 shards are asserted byte-equal.
 
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use uli_obs::{Counter, Gauge, Registry};
+use uli_obs::{lock, Counter, Gauge, Registry};
 use uli_scribe::DeliveryTap;
 use uli_warehouse::HourlyPartition;
 
@@ -167,7 +166,7 @@ impl StreamAnalytics {
     /// delivery, so the states — and therefore every view — are identical
     /// at any worker count.
     pub fn with_parallelism(self, workers: uli_warehouse::Parallelism) -> Self {
-        self.inner.lock().workers = workers;
+        lock(&self.inner).workers = workers;
         self
     }
 
@@ -180,25 +179,24 @@ impl StreamAnalytics {
     /// The windowed view for one hour, merged across shards; `None` if no
     /// slide has delivered that hour yet.
     pub fn hour_view(&self, hour_index: u64) -> Option<StreamState> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let k = inner.config.trending_k;
         inner.hours.get(&hour_index).map(|s| Inner::view(s, k))
     }
 
     /// The running (day-so-far) view: every delivered hour merged.
     pub fn running_view(&self) -> StreamState {
-        self.inner.lock().running()
+        lock(&self.inner).running()
     }
 
     /// Hour windows with delivered data, ascending.
     pub fn hours(&self) -> Vec<u64> {
-        self.inner.lock().hours.keys().copied().collect()
+        lock(&self.inner).hours.keys().copied().collect()
     }
 
     /// Raw per-shard partials for one hour (for merge-order tests).
     pub fn shard_states(&self, hour_index: u64) -> Vec<StreamState> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .hours
             .get(&hour_index)
             .cloned()
@@ -207,13 +205,13 @@ impl StreamAnalytics {
 
     /// Successful slides observed.
     pub fn hours_moved(&self) -> u64 {
-        self.inner.lock().hours_moved
+        lock(&self.inner).hours_moved
     }
 }
 
 impl DeliveryTap for StreamAnalytics {
     fn hour_delivered(&mut self, partition: &HourlyPartition, payloads: &[Vec<u8>]) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let (shards, k) = (inner.config.shards, inner.config.trending_k);
         let workers = inner.workers;
         inner.hours_moved += 1;
@@ -386,7 +384,7 @@ mod tests {
                 snap.gauge_value("stream/hours_open"),
                 Some(a.hours().len() as i64)
             );
-            assert_eq!(a.inner.lock().obs.as_ref().unwrap().running, merged);
+            assert_eq!(lock(&a.inner).obs.as_ref().unwrap().running, merged);
         }
         assert_eq!(
             registry.snapshot().counter_value("stream/hours_moved"),

@@ -16,9 +16,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use uli_obs::lock;
 
 /// Default cache capacity: big enough to hold a laptop-scale hot hour,
 /// small enough to be invisible next to the datasets the benches build.
@@ -137,7 +137,7 @@ impl BlockCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let inner = &mut *inner;
         match inner.map.get_mut(&key) {
             Some(entry) => {
@@ -162,7 +162,7 @@ impl BlockCache {
             // Never evict the whole cache for one oversized block.
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.map.contains_key(&key) {
             return; // Racing reader already inserted the same content.
         }
@@ -189,7 +189,7 @@ impl BlockCache {
     /// Counters plus current occupancy.
     pub fn stats(&self) -> CacheStats {
         let (entries, bytes) = {
-            let inner = self.inner.lock();
+            let inner = lock(&self.inner);
             (inner.map.len() as u64, inner.bytes as u64)
         };
         CacheStats {
@@ -205,7 +205,7 @@ impl BlockCache {
 
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.map.clear();
         inner.order.clear();
         inner.bytes = 0;

@@ -19,6 +19,10 @@
 //! *behaviour* (repetitive log text shrinks a lot, random bytes do not), not
 //! a competitive ratio.
 
+use std::sync::Mutex;
+
+use uli_obs::lock;
+
 /// Minimum match length worth encoding.
 const MIN_MATCH: usize = 4;
 /// Maximum match length a single token can express.
@@ -400,7 +404,7 @@ pub fn decompress(input: &[u8]) -> Option<Vec<u8>> {
 /// pool is empty a new compressor is built on the spot.
 #[derive(Debug, Default)]
 pub struct CompressorPool {
-    idle: parking_lot::Mutex<Vec<Compressor>>,
+    idle: Mutex<Vec<Compressor>>,
 }
 
 impl CompressorPool {
@@ -411,7 +415,7 @@ impl CompressorPool {
 
     /// Takes an idle compressor, or builds a fresh one if none is available.
     pub fn checkout(&self) -> Compressor {
-        self.idle.lock().pop().unwrap_or_default()
+        lock(&self.idle).pop().unwrap_or_default()
     }
 
     /// Returns a compressor to the pool for reuse. Any half-written block is
@@ -420,12 +424,12 @@ impl CompressorPool {
         if !compressor.is_empty() {
             let _ = compressor.finish_block();
         }
-        self.idle.lock().push(compressor);
+        lock(&self.idle).push(compressor);
     }
 
     /// Number of compressors currently idle in the pool.
     pub fn idle_len(&self) -> usize {
-        self.idle.lock().len()
+        lock(&self.idle).len()
     }
 }
 

@@ -5,6 +5,7 @@
 //! checksummed. A block models an HDFS block: it is the unit of scan cost
 //! (one simulated map task per block) and the unit an index can skip.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::cache::{BlockCache, BlockKey};
@@ -236,15 +237,9 @@ impl RecordFileReader {
                 return Ok(None);
             }
         }
-        let len = read_varint(&self.buf, &mut self.buf_pos)
-            .ok_or(WarehouseError::Corrupt("record length"))? as usize;
-        if self.buf_pos + len > self.buf.len() {
-            return Err(WarehouseError::Corrupt("record body"));
-        }
-        let start = self.buf_pos;
-        self.buf_pos += len;
+        let body = framed_record(&self.buf, &mut self.buf_pos)?;
         self.stats.record_read();
-        Ok(Some(&self.buf[start..start + len]))
+        Ok(Some(&self.buf[body]))
     }
 
     /// Convenience: collects all remaining records as owned vectors. Each
@@ -311,19 +306,29 @@ fn decode_records(payload: &[u8]) -> WarehouseResult<Vec<Vec<u8>>> {
     Ok(out)
 }
 
+/// Reads the varint length of the record framed at `*pos` and returns where
+/// its body lies, leaving `*pos` behind it. A length that reaches past the
+/// payload — or, added to the cursor, past `usize` — is corruption, never a
+/// slice out of range.
+fn framed_record(payload: &[u8], pos: &mut usize) -> WarehouseResult<Range<usize>> {
+    let len = read_varint(payload, pos).ok_or(WarehouseError::Corrupt("record length"))?;
+    let start = *pos;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| start.checked_add(len))
+        .filter(|end| *end <= payload.len())
+        .ok_or(WarehouseError::Corrupt("record body"))?;
+    *pos = end;
+    Ok(start..end)
+}
+
 /// Walks the varint-framed records of a decompressed block payload, handing
 /// each to `f` as a borrowed slice — no per-record allocation.
 fn visit_records(payload: &[u8], mut f: impl FnMut(&[u8])) -> WarehouseResult<u64> {
     let mut pos = 0usize;
     let mut count = 0u64;
     while pos < payload.len() {
-        let len = read_varint(payload, &mut pos).ok_or(WarehouseError::Corrupt("record length"))?
-            as usize;
-        if pos + len > payload.len() {
-            return Err(WarehouseError::Corrupt("record body"));
-        }
-        f(&payload[pos..pos + len]);
-        pos += len;
+        f(&payload[framed_record(payload, &mut pos)?]);
         count += 1;
     }
     Ok(count)
@@ -444,5 +449,77 @@ impl FileBlocks {
     /// scans did to the warehouse-global counters meanwhile.
     pub fn local_stats(&self) -> ScanStats {
         self.local.snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One well-formed record, then one whose length prefix is `len`.
+    fn hostile_file(len: u64) -> Arc<FileData> {
+        let mut payload = b"\x02ok".to_vec();
+        let (prefix, n) = encode_varint(len);
+        payload.extend_from_slice(&prefix[..n]);
+        payload.extend_from_slice(b"tail");
+        let compressed = compress::compress(&payload);
+        Arc::new(FileData {
+            blocks: vec![Block {
+                checksum: block_checksum(&compressed),
+                compressed,
+                uncompressed_len: payload.len() as u64,
+                num_records: 2,
+                zone: None,
+            }],
+            total_records: 2,
+            ..FileData::default()
+        })
+    }
+
+    /// Both readers over [`hostile_file`]`(len)`.
+    fn readers(len: u64) -> (RecordFileReader, FileBlocks) {
+        let data = hostile_file(len);
+        let stats = Arc::new(StatsCell::default());
+        let cache = Arc::new(BlockCache::new(0));
+        let path = || "/hostile".to_string();
+        (
+            RecordFileReader::new(path(), data.clone(), stats.clone(), cache.clone()),
+            FileBlocks::new(path(), data, stats, cache),
+        )
+    }
+
+    /// A record length that wraps the cursor, runs past `usize`, or ends one
+    /// byte past the block is `Corrupt("record body")` from both readers —
+    /// after the record before it was handed out — and never a panic.
+    #[test]
+    fn a_hostile_record_length_is_corrupt_not_a_panic() {
+        // Behind a ten-byte length the second record's body starts at 13:
+        // the middle length lands the cursor on `usize::MAX + 1` exactly.
+        for len in [u64::MAX, usize::MAX as u64 - 13 + 1, 5] {
+            let (mut reader, blocks) = readers(len);
+            assert_eq!(reader.next_record().unwrap(), Some(&b"ok"[..]));
+            assert!(
+                matches!(
+                    reader.next_record(),
+                    Err(WarehouseError::Corrupt("record body"))
+                ),
+                "streaming reader, length {len}"
+            );
+
+            let mut seen = Vec::new();
+            let walked = blocks.for_each_record(0, |r| seen.push(r.to_vec()));
+            assert!(
+                matches!(walked, Err(WarehouseError::Corrupt("record body"))),
+                "block reader, length {len}"
+            );
+            assert_eq!(seen, vec![b"ok".to_vec()]);
+            assert!(blocks.read_block(0).is_err());
+        }
+        // One byte shorter and the same block reads clean.
+        let (_, blocks) = readers(4);
+        assert_eq!(
+            blocks.read_block(0).unwrap(),
+            vec![b"ok".to_vec(), b"tail".to_vec()]
+        );
     }
 }

@@ -13,7 +13,9 @@
 //! thread, so there is no separate serial code path anywhere above this
 //! module. The default follows the host's available parallelism.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
+use uli_obs::lock;
 
 /// How many worker threads a scan may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,7 +111,7 @@ impl ScanPool {
                         loop {
                             // Take one item per lock so big items don't
                             // serialize behind the queue.
-                            let next = queue.lock().next();
+                            let next = lock(&queue).next();
                             match next {
                                 Some((idx, item)) => done.push((idx, f(idx, item))),
                                 None => return done,
@@ -177,13 +179,13 @@ mod tests {
         let seen = Mutex::new(HashSet::new());
         let items: Vec<usize> = (0..64).collect();
         pool.map(items, |_, _| {
-            seen.lock().insert(std::thread::current().id());
+            lock(&seen).insert(std::thread::current().id());
             // Give other workers a chance to grab queue items.
             std::thread::yield_now();
         });
         // With 4 workers and 64 items at least two threads should have
         // participated; exact count is scheduler-dependent.
-        assert!(seen.lock().len() >= 2, "work never left one thread");
+        assert!(lock(&seen).len() >= 2, "work never left one thread");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use uli_obs::lock;
 
 use crate::cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};
 use crate::error::{WarehouseError, WarehouseResult};
@@ -221,27 +221,27 @@ impl Warehouse {
     /// Creates all directories down to `dir`.
     pub fn mkdirs(&self, dir: &WhPath) -> WarehouseResult<()> {
         self.check_available()?;
-        self.tree.lock().mkdirs(dir)
+        lock(&self.tree).mkdirs(dir)
     }
 
     /// True if a file or directory exists at `path`.
     pub fn exists(&self, path: &WhPath) -> bool {
-        path.as_str() == "/" || self.tree.lock().entries.contains_key(path.as_str())
+        path.as_str() == "/" || lock(&self.tree).entries.contains_key(path.as_str())
     }
 
     /// True if `path` is a directory.
     pub fn is_dir(&self, path: &WhPath) -> bool {
-        self.tree.lock().is_dir(path)
+        lock(&self.tree).is_dir(path)
     }
 
     /// Lists the immediate children of `dir` as `(name, is_dir)`, sorted.
     pub fn list(&self, dir: &WhPath) -> WarehouseResult<Vec<(String, bool)>> {
-        self.tree.lock().list(dir)
+        lock(&self.tree).list(dir)
     }
 
     /// All file paths under `dir`, recursively, sorted.
     pub fn list_files_recursive(&self, dir: &WhPath) -> WarehouseResult<Vec<WhPath>> {
-        let tree = self.tree.lock();
+        let tree = lock(&self.tree);
         if !tree.is_dir(dir) {
             return Err(WarehouseError::NotFound(dir.as_str().to_string()));
         }
@@ -263,7 +263,7 @@ impl Warehouse {
     pub fn create(&self, path: &WhPath) -> WarehouseResult<RecordFileWriter> {
         self.check_available()?;
         {
-            let mut tree = self.tree.lock();
+            let mut tree = lock(&self.tree);
             if tree.entries.contains_key(path.as_str()) {
                 return Err(WarehouseError::AlreadyExists(path.as_str().to_string()));
             }
@@ -278,7 +278,7 @@ impl Warehouse {
             if !available.load(Ordering::SeqCst) {
                 return Err(WarehouseError::Unavailable);
             }
-            let mut tree = tree.lock();
+            let mut tree = lock(&tree);
             if tree.entries.contains_key(&path_str) {
                 return Err(WarehouseError::AlreadyExists(path_str.clone()));
             }
@@ -299,7 +299,7 @@ impl Warehouse {
     }
 
     pub(crate) fn file_data(&self, path: &WhPath) -> WarehouseResult<Arc<FileData>> {
-        let tree = self.tree.lock();
+        let tree = lock(&self.tree);
         match tree.entries.get(path.as_str()) {
             Some(Entry::File(data)) => Ok(Arc::clone(data)),
             Some(Entry::Dir) => Err(WarehouseError::NotAFile(path.as_str().to_string())),
@@ -378,7 +378,7 @@ impl Warehouse {
     /// Deletes a file.
     pub fn delete_file(&self, path: &WhPath) -> WarehouseResult<()> {
         self.check_available()?;
-        let mut tree = self.tree.lock();
+        let mut tree = lock(&self.tree);
         match tree.entries.get(path.as_str()) {
             Some(Entry::File(_)) => {
                 tree.entries.remove(path.as_str());
@@ -440,8 +440,7 @@ impl Warehouse {
             .get_mut(block)
             .ok_or(WarehouseError::Corrupt("no such block to damage"))?;
         f(b);
-        self.tree
-            .lock()
+        lock(&self.tree)
             .entries
             .insert(path.as_str().to_string(), Entry::File(Arc::new(copy)));
         self.cache.clear();
@@ -451,7 +450,7 @@ impl Warehouse {
     /// Recursively deletes a directory and everything under it.
     pub fn delete_dir(&self, dir: &WhPath) -> WarehouseResult<()> {
         self.check_available()?;
-        let mut tree = self.tree.lock();
+        let mut tree = lock(&self.tree);
         if !tree.is_dir(dir) {
             return Err(WarehouseError::NotFound(dir.as_str().to_string()));
         }
@@ -475,7 +474,7 @@ impl Warehouse {
                 "cannot rename {src} into its own subtree {dst}"
             )));
         }
-        let mut tree = self.tree.lock();
+        let mut tree = lock(&self.tree);
         if !tree.entries.contains_key(src.as_str()) {
             return Err(WarehouseError::NotFound(src.as_str().to_string()));
         }

@@ -5,18 +5,18 @@
 //! warehouse in the paper's layout: hourly partitions, several part files
 //! per hour, records only *partially* time-ordered within a file (§2).
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use uli_core::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
+use uli_core::columnar::{write_client_events_columnar, DEFAULT_ROWS_PER_GROUP};
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::legacy::LegacyCategory;
 use uli_core::time::{Timestamp, MS_PER_DAY};
 use uli_thrift::ThriftRecord;
-use uli_warehouse::{HourlyPartition, RecordFileWriter, Warehouse, WarehouseResult};
+use uli_warehouse::{HourlyPartition, Warehouse, WarehouseResult};
 
 use crate::behavior::BehaviorModel;
 use crate::funnels::{signup_funnel, FunnelSpec};
@@ -444,37 +444,55 @@ impl Scale {
     }
 }
 
-/// The warehouse layout a client-events day is landed in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Layout {
-    /// One Thrift record per event — the pre-columnar format, kept
-    /// writable for migration tests and readable forever.
-    Row,
-    /// Columnar with a dictionary-encoded name column: the default
-    /// landing format.
-    #[default]
-    Columnar,
+/// Records per part file of the streamed landing: the `records_per_file`
+/// the delivered day's log mover cuts its columnar files at.
+const STREAM_RECORDS_PER_FILE: usize = 10_000;
+
+/// Lands one part file through the columnar writer the log mover's landing
+/// uses: name dictionary from the file's own events, default row groups.
+fn write_part(
+    warehouse: &Warehouse,
+    hour: u64,
+    part: usize,
+    events: &[ClientEvent],
+) -> WarehouseResult<u64> {
+    let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
+    let path = dir.child(&format!("part-{part:05}")).expect("valid name");
+    write_client_events_columnar(warehouse, &path, events, true, DEFAULT_ROWS_PER_GROUP)
 }
 
-impl Layout {
-    /// Parses a `--layout` flag value.
-    pub fn parse(s: &str) -> Option<Layout> {
-        match s {
-            "row" => Some(Layout::Row),
-            "columnar" => Some(Layout::Columnar),
-            _ => None,
+/// Writes a day's events into the warehouse as the log mover leaves them:
+/// per-hour directories of columnar part files, `files_per_hour` each,
+/// records only partially time-ordered (events are distributed round-robin,
+/// so each file is ordered but the directory as a whole is interleaved).
+pub fn write_client_events(
+    warehouse: &Warehouse,
+    events: &[ClientEvent],
+    files_per_hour: usize,
+) -> WarehouseResult<u64> {
+    assert!(files_per_hour > 0);
+    let mut buckets: BTreeMap<u64, Vec<Vec<ClientEvent>>> = BTreeMap::new();
+    for (i, ev) in events.iter().enumerate() {
+        let files = buckets
+            .entry(ev.timestamp.hour_index())
+            .or_insert_with(|| vec![Vec::new(); files_per_hour]);
+        files[i % files_per_hour].push(ev.clone());
+    }
+    let mut written = 0u64;
+    for (hour, files) in buckets {
+        for (part, bucket) in files.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+            written += write_part(warehouse, hour, part, bucket)?;
         }
     }
+    Ok(written)
 }
 
-/// Writes a day's events into the warehouse as the log mover would leave
-/// them: per-hour directories, `files_per_hour` part files each, records
-/// only partially time-ordered (events are distributed round-robin, so each
-/// file is ordered but the directory as a whole is interleaved).
-///
-/// This helper keeps the original row layout; [`write_client_events_layout`]
-/// is the layout-aware entry point experiments migrate to.
-pub fn write_client_events(
+/// The paper's raw log (§4.1): the same hours and round-robin part files as
+/// [`write_client_events`], one Thrift record per event in row-format files
+/// whose blocks carry zone annotations. Nothing lands this way any more; it
+/// is the baseline the paper-table experiments measure against and the
+/// reference of the row-vs-columnar equivalence suites.
+pub fn write_paper_raw_log(
     warehouse: &Warehouse,
     events: &[ClientEvent],
     files_per_hour: usize,
@@ -490,82 +508,40 @@ pub fn write_client_events(
     })
 }
 
-/// Layout-aware landing: same hour partitioning and round-robin part-file
-/// assignment as [`write_client_events`], with the file format chosen by
-/// `layout`. Columnar files carry the same per-group zone annotations the
-/// row writer puts on blocks, and each builds its name dictionary from its
-/// own events.
-pub fn write_client_events_layout(
-    warehouse: &Warehouse,
-    events: &[ClientEvent],
-    files_per_hour: usize,
-    layout: Layout,
-) -> WarehouseResult<u64> {
-    if layout == Layout::Row {
-        return write_client_events(warehouse, events, files_per_hour);
-    }
-    assert!(files_per_hour > 0);
-    let mut buckets: BTreeMap<u64, Vec<Vec<ClientEvent>>> = BTreeMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        let files = buckets
-            .entry(ev.timestamp.hour_index())
-            .or_insert_with(|| vec![Vec::new(); files_per_hour]);
-        files[i % files_per_hour].push(ev.clone());
-    }
-    let mut written = 0u64;
-    for (hour, files) in buckets {
-        let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
-        for (i, bucket) in files.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let path = dir.child(&format!("part-{i:05}")).expect("valid name");
-            written += uli_core::columnar::write_client_events_columnar(
-                warehouse,
-                &path,
-                &bucket,
-                true,
-                uli_core::columnar::DEFAULT_ROWS_PER_GROUP,
-            )?;
-        }
-    }
-    Ok(written)
-}
-
-/// Streaming equivalent of [`write_client_events`]: lands events from an
-/// iterator without ever holding the day in a `Vec`. Produces byte-identical
-/// warehouse files — same hour partitions, same round-robin part-file
-/// assignment by global event index, same zone annotations — while keeping
-/// at most one open writer per (hour, slot) pair (≤ 24 × `files_per_hour`),
-/// independent of day size.
+/// Streaming landing: events from an iterator, never the day in a `Vec`.
+/// Each hour buffers its arrivals and cuts a part file, through the writer
+/// of [`write_client_events`], every [`STREAM_RECORDS_PER_FILE`] of them —
+/// so an hour's files hold its events in arrival order and at most
+/// 24 × that many events are held, whatever the day's size.
 pub fn land_day_stream(
     warehouse: &Warehouse,
     events: impl IntoIterator<Item = ClientEvent>,
-    files_per_hour: usize,
 ) -> WarehouseResult<u64> {
-    assert!(files_per_hour > 0);
-    let mut writers: BTreeMap<(u64, usize), RecordFileWriter> = BTreeMap::new();
+    land_stream_cut_at(warehouse, events, STREAM_RECORDS_PER_FILE)
+}
+
+fn land_stream_cut_at(
+    warehouse: &Warehouse,
+    events: impl IntoIterator<Item = ClientEvent>,
+    records_per_file: usize,
+) -> WarehouseResult<u64> {
+    // hour → (part files cut so far, arrivals since the last cut).
+    let mut hours: BTreeMap<u64, (usize, Vec<ClientEvent>)> = BTreeMap::new();
     let mut written = 0u64;
-    for (i, ev) in events.into_iter().enumerate() {
+    for ev in events {
         let hour = ev.timestamp.hour_index();
-        let slot = i % files_per_hour;
-        let w = match writers.entry((hour, slot)) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let dir = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour).main_dir();
-                let path = dir.child(&format!("part-{slot:05}")).expect("valid name");
-                e.insert(warehouse.create(&path)?)
-            }
-        };
-        w.append_record_annotated(
-            &ev.to_bytes(),
-            ev.timestamp.millis(),
-            uli_warehouse::tag_hash(ev.name.as_str().as_bytes()),
-        );
-        written += 1;
+        let (parts, buffer) = hours.entry(hour).or_default();
+        buffer.push(ev);
+        if buffer.len() == records_per_file {
+            written += write_part(warehouse, hour, *parts, buffer)?;
+            *parts += 1;
+            buffer.clear();
+        }
     }
-    for (_, w) in writers {
-        w.finish()?;
+    for (hour, (parts, buffer)) in hours {
+        if !buffer.is_empty() {
+            written += write_part(warehouse, hour, parts, &buffer)?;
+        }
     }
     Ok(written)
 }
@@ -710,27 +686,100 @@ mod tests {
         }
     }
 
+    /// Day 0's landed files in path order, each with its decoded events at
+    /// full width in stored order.
+    fn decoded_files(wh: &Warehouse) -> Vec<(uli_warehouse::WhPath, Vec<ClientEvent>)> {
+        let mut files = wh
+            .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
+            .unwrap();
+        files.sort();
+        files
+            .into_iter()
+            .map(|path| {
+                let file = uli_warehouse::ScanFile::open(wh, &path).unwrap();
+                let mut events = Vec::new();
+                let (_, skipped) = uli_core::for_each_event_row(
+                    &file,
+                    0..file.units(),
+                    uli_core::columnar::ALL_COLUMNS,
+                    |_, row| {
+                        events.push(row.to_event()?);
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                assert_eq!(skipped, 0, "{}", path.as_str());
+                (path, events)
+            })
+            .collect()
+    }
+
+    /// Decoded events per hour, files concatenated in path order.
+    fn decoded_by_hour(wh: &Warehouse) -> BTreeMap<u64, Vec<ClientEvent>> {
+        let mut hours: BTreeMap<u64, Vec<ClientEvent>> = BTreeMap::new();
+        for (_, events) in decoded_files(wh) {
+            let hour = events[0].timestamp.hour_index();
+            hours.entry(hour).or_default().extend(events);
+        }
+        hours
+    }
+
     #[test]
-    fn streamed_landing_matches_batch_landing_byte_for_byte() {
+    fn streamed_landing_decodes_to_the_streamed_events_in_arrival_order() {
+        let config = small_config();
+        let streamed: Vec<ClientEvent> = DayStream::new(&config, 0).collect();
+        let mut arrivals: BTreeMap<u64, Vec<ClientEvent>> = BTreeMap::new();
+        for ev in &streamed {
+            let hour = ev.timestamp.hour_index();
+            arrivals.entry(hour).or_default().push(ev.clone());
+        }
+        // A cut the small day crosses many times, one it never reaches, and
+        // the production entry point.
+        for cut in [7usize, 100_000] {
+            let wh = Warehouse::new();
+            let written = land_stream_cut_at(&wh, streamed.iter().cloned(), cut).unwrap();
+            assert_eq!(written as usize, streamed.len());
+            assert_eq!(decoded_by_hour(&wh), arrivals, "cut {cut}");
+            for (path, events) in decoded_files(&wh) {
+                assert!(events.len() <= cut, "{} over the cut", path.as_str());
+                assert!(uli_warehouse::sniff_columnar(&wh, &path).unwrap().is_some());
+                let file = uli_warehouse::ColumnarFile::open(&wh, &path).unwrap();
+                assert_eq!(
+                    file.dict_column(),
+                    Some(uli_core::columnar::NAME_COLUMN),
+                    "{} has no name dictionary",
+                    path.as_str()
+                );
+            }
+        }
+        let wh = Warehouse::new();
+        land_day_stream(&wh, DayStream::new(&config, 0)).unwrap();
+        assert_eq!(decoded_by_hour(&wh), arrivals);
+    }
+
+    #[test]
+    fn streamed_landing_agrees_with_batch_landing_on_decoded_content() {
         let config = small_config();
         let day = generate_day(&config, 0);
         let batch_wh = Warehouse::new();
         write_client_events(&batch_wh, &day.events, 4).unwrap();
         let stream_wh = Warehouse::new();
-        let written = land_day_stream(&stream_wh, DayStream::new(&config, 0), 4).unwrap();
+        let written = land_day_stream(&stream_wh, DayStream::new(&config, 0)).unwrap();
         assert_eq!(written as usize, day.events.len());
-        let files = batch_wh
-            .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
-            .unwrap();
-        let stream_files = stream_wh
-            .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
-            .unwrap();
-        assert_eq!(files, stream_files);
-        for f in &files {
-            let a = batch_wh.open(f).unwrap().read_all().unwrap();
-            let b = stream_wh.open(f).unwrap().read_all().unwrap();
-            assert_eq!(a, b, "{} diverged", f.as_str());
-        }
+        // Same hours, same events in each; the batch helper deals an hour's
+        // events round-robin over its files, so order within an hour is the
+        // one thing that differs.
+        let sorted = |wh: &Warehouse| -> BTreeMap<u64, Vec<Vec<u8>>> {
+            decoded_by_hour(wh)
+                .into_iter()
+                .map(|(hour, events)| {
+                    let mut bytes: Vec<Vec<u8>> = events.iter().map(|e| e.to_bytes()).collect();
+                    bytes.sort();
+                    (hour, bytes)
+                })
+                .collect()
+        };
+        assert_eq!(sorted(&batch_wh), sorted(&stream_wh));
     }
 
     #[test]
@@ -823,78 +872,42 @@ mod tests {
             .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
             .unwrap();
         assert!(files.len() > 4, "many hours × up to 4 files");
-        // Directory-wide record count matches.
-        let meta = wh.dir_meta(&day_dir(CLIENT_EVENTS_CATEGORY, 0)).unwrap();
-        assert_eq!(meta.records, written);
+        // Directory-wide event count matches.
+        let landed: usize = decoded_files(&wh).iter().map(|(_, e)| e.len()).sum();
+        assert_eq!(landed, day.events.len());
     }
 
     #[test]
-    fn columnar_layout_partitions_like_row_layout() {
+    fn raw_log_partitions_like_the_landing() {
         let day = generate_day(&small_config(), 0);
         let row = Warehouse::new();
-        write_client_events(&row, &day.events, 4).unwrap();
-        let col = Warehouse::new();
-        let written = write_client_events_layout(&col, &day.events, 4, Layout::Columnar).unwrap();
+        let written = write_paper_raw_log(&row, &day.events, 4).unwrap();
         assert_eq!(written as usize, day.events.len());
-        // Same directory shape: hour partitions and part-file names match.
-        let row_files: Vec<String> = row
-            .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
-            .unwrap()
-            .iter()
-            .map(|f| f.as_str().to_string())
-            .collect();
-        let col_files: Vec<String> = col
-            .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
-            .unwrap()
-            .iter()
-            .map(|f| f.as_str().to_string())
-            .collect();
+        let col = Warehouse::new();
+        write_client_events(&col, &day.events, 4).unwrap();
+        // Same directory shape — hour partitions and part-file names — and
+        // the same events in each file; only the format differs.
+        let (row_files, col_files) = (decoded_files(&row), decoded_files(&col));
         assert_eq!(row_files, col_files);
-        // Every file sniffs columnar, and the events read back exactly.
-        let mut read_back = 0u64;
-        for f in col
-            .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
-            .unwrap()
-        {
-            assert!(uli_warehouse::sniff_columnar(&col, &f).unwrap().is_some());
-            let file = uli_warehouse::ScanFile::open(&col, &f).unwrap();
-            let (events, skipped) = uli_core::for_each_event_row(
-                &file,
-                0..file.units(),
-                uli_core::columnar::ALL_COLUMNS,
-                |_, row| row.to_event().map(|_| ()),
-            )
-            .unwrap();
-            assert_eq!(skipped, 0);
-            read_back += events;
+        for (path, _) in &row_files {
+            assert!(uli_warehouse::sniff_columnar(&row, path).unwrap().is_none());
+            assert!(uli_warehouse::sniff_columnar(&col, path).unwrap().is_some());
         }
-        assert_eq!(read_back, day.events.len() as u64);
     }
 
     /// Every landed event of day 0 at full width, decoded and re-encoded,
     /// folded per file in path order (so per hour, in file order) with each
-    /// file's `(events, skipped)`.
+    /// file's path and event count.
     fn decoded_digest(wh: &Warehouse) -> u64 {
-        let fold_u64 = |h, v: u64| uli_warehouse::fnv1a64_fold(h, &v.to_le_bytes());
-        let mut files = wh
-            .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
-            .unwrap();
-        files.sort();
         let mut h = uli_warehouse::FNV1A64_OFFSET;
-        for path in &files {
+        for (path, events) in decoded_files(wh) {
             h = uli_warehouse::fnv1a64_fold(h, path.as_str().as_bytes());
-            let file = uli_warehouse::ScanFile::open(wh, path).unwrap();
-            let (events, skipped) = uli_core::for_each_event_row(
-                &file,
-                0..file.units(),
-                uli_core::columnar::ALL_COLUMNS,
-                |_, row| {
-                    h = uli_warehouse::fnv1a64_fold(h, &row.to_event()?.to_bytes());
-                    Ok(())
-                },
-            )
-            .unwrap();
-            h = fold_u64(fold_u64(h, events), skipped);
+            for ev in &events {
+                h = uli_warehouse::fnv1a64_fold(h, &ev.to_bytes());
+            }
+            // (events, skipped), as the scan reports them.
+            h = uli_warehouse::fnv1a64_fold(h, &(events.len() as u64).to_le_bytes());
+            h = uli_warehouse::fnv1a64_fold(h, &0u64.to_le_bytes());
         }
         h
     }
@@ -902,28 +915,15 @@ mod tests {
     /// Recorded before the helpers' landing moved from the row writer to the
     /// columnar one: which writer lands the smoke day moves bytes, not rows.
     #[test]
-    fn smoke_day_decodes_to_one_digest_from_the_row_and_the_columnar_writer() {
+    fn smoke_day_decodes_to_one_digest_from_the_raw_log_and_the_landing() {
         const RECORDED: u64 = 248_631_621_863_002_800;
         let day = generate_day(&Scale::Smoke.config(), 0);
         let row = Warehouse::new();
-        write_client_events(&row, &day.events, 4).unwrap();
+        write_paper_raw_log(&row, &day.events, 4).unwrap();
         let col = Warehouse::new();
-        write_client_events_layout(&col, &day.events, 4, Layout::Columnar).unwrap();
+        write_client_events(&col, &day.events, 4).unwrap();
         assert_eq!(decoded_digest(&row), RECORDED, "row-landed smoke day");
         assert_eq!(decoded_digest(&col), RECORDED, "columnar-landed smoke day");
-    }
-
-    #[test]
-    fn layout_flag_parses() {
-        assert_eq!(Layout::parse("row"), Some(Layout::Row));
-        assert_eq!(Layout::parse("columnar"), Some(Layout::Columnar));
-        assert_eq!(
-            Layout::parse("columnar-plain"),
-            None,
-            "retired with the variant"
-        );
-        assert_eq!(Layout::parse("parquet"), None);
-        assert_eq!(Layout::default(), Layout::Columnar);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * [`funnels`]: the signup flow with configured abandonment (ground
 //!   truth for E6);
 //! * [`generator`]: assembles whole days of [`uli_core::ClientEvent`]s and
-//!   writes them into warehouse hour partitions, plus legacy-format copies
-//!   of the same ground truth for the E9 baseline.
+//!   writes them into warehouse hour partitions as the log mover's
+//!   columnar landing does, plus the paper's row-format raw log and
+//!   legacy-format copies of the same ground truth for the baselines.
 
 pub mod behavior;
 pub mod funnels;
@@ -30,9 +31,8 @@ pub mod zipf;
 pub use behavior::BehaviorModel;
 pub use funnels::{signup_funnel, FunnelSpec};
 pub use generator::{
-    generate_day, land_day_stream, legacy_category_for, write_client_events,
-    write_client_events_layout, write_legacy_events, DayStream, DayWorkload, GroundTruth, Layout,
-    Scale, WorkloadConfig,
+    generate_day, land_day_stream, legacy_category_for, write_client_events, write_legacy_events,
+    write_paper_raw_log, DayStream, DayWorkload, GroundTruth, Scale, WorkloadConfig,
 };
 pub use universe::{build_universe, UniverseConfig};
 pub use zipf::Zipf;

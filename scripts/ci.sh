@@ -17,9 +17,6 @@ cargo test --workspace -q
 echo "== cargo test (RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test --workspace -q
 
-echo "== repro smoke (e14 parallel sweep, e15 pushdown sweep)"
-cargo run --release -q -p uli-bench --bin repro -- --smoke e14 e15
-
 # e11's own asserts are the gate: indexed and unindexed answers agree, the
 # serve index never skips fewer row groups than zone maps alone and skips
 # strictly more on a selective pattern, drop-and-rebuild restores it.
@@ -29,6 +26,22 @@ cargo run --release -q -p uli-bench --bin repro -- e11
 # There is one index crate (uli-serve); the folded one must not come back.
 if grep -rnE 'uli[-_]index' Cargo.toml crates src tests examples; then
     echo "index gate: a manifest or source names the removed index crate." >&2
+    exit 1
+fi
+
+# There is one landed layout behind every helper — the columnar one the log
+# mover's landing writes — and one way to run a query: no layout switch, no
+# layout-taking writer, no flag that turns pushdown off.
+if grep -rnE 'Layout::|write_client_events_layout|--layout|no[-_]pushdown' crates src tests examples; then
+    echo "landing gate: a layout switch or a pushdown-off flag is back." >&2
+    exit 1
+fi
+# The paper's row-format raw log has one writer, and callers only where a
+# number is the paper's baseline (E1-E13's fixture, E4, E9, E19's row arms)
+# or the row layout is the reference of an equivalence check.
+if grep -rln 'write_paper_raw_log' crates src tests examples |
+    grep -vxE 'crates/workload/src/(generator|lib)\.rs|crates/bench/src/harness\.rs|crates/bench/src/experiments/e(4_compression|9_legacy|19_columnar)\.rs|tests/query_equivalence\.rs|crates/core/tests/lazy_scan_equivalence\.rs'; then
+    echo "landing gate: the row-format raw log has a caller outside the paper baselines." >&2
     exit 1
 fi
 

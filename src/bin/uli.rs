@@ -20,9 +20,7 @@
 //! Common flags: `--users N` (default 300), `--seed S`, `--days D`,
 //! `--workers W` (scan/execute worker threads; default: all cores, `1`
 //! restores the serial path — results are identical either way),
-//! `--no-pushdown` (disable projection/predicate pushdown and zone-map
-//! pruning in `script` queries; results are identical, only the amount of
-//! decode work changes), `--mem-budget BYTES` (override the `script` operator
+//! `--mem-budget BYTES` (override the `script` operator
 //! memory budget, default 64 MiB: sorts, group-bys and aggregates spill
 //! warehouse-format runs past it — results are identical at any budget, and
 //! the spill counters/high-water gauge land in `--metrics`), `--metrics PATH` (write the unified observability
@@ -48,7 +46,6 @@ struct Cli {
     seed: u64,
     days: u64,
     workers: Option<usize>,
-    pushdown: bool,
     depth: usize,
     search: Option<String>,
     browse: Option<String>,
@@ -73,7 +70,6 @@ fn parse_args() -> Result<Cli, String> {
         seed: 0x7717_7e4a,
         days: 1,
         workers: None,
-        pushdown: true,
         depth: 3,
         search: None,
         browse: None,
@@ -96,7 +92,6 @@ fn parse_args() -> Result<Cli, String> {
             "--workers" => {
                 cli.workers = Some(value("--workers")?.parse().map_err(|e| format!("{e}"))?)
             }
-            "--no-pushdown" => cli.pushdown = false,
             "--metrics" => cli.metrics = Some(value("--metrics")?),
             "--mem-budget" => {
                 let budget: u64 = value("--mem-budget")?.parse().map_err(|e| format!("{e}"))?;
@@ -195,14 +190,7 @@ fn cmd_script(cli: &Cli) -> Result<(), String> {
     let dict = Materializer::new(wh.clone())
         .load_dictionary(0)
         .expect("materialized");
-    let pushdown = if cli.pushdown {
-        Pushdown::default()
-    } else {
-        Pushdown::disabled()
-    };
-    let mut engine = Engine::new(wh)
-        .with_parallelism(parallelism(cli))
-        .with_pushdown(pushdown);
+    let mut engine = Engine::new(wh).with_parallelism(parallelism(cli));
     if let Some(budget) = cli.mem_budget {
         engine = engine.with_mem_budget(budget);
     }

@@ -252,7 +252,7 @@ fn concurrent_readers_are_each_billed_exactly_their_own_bytes() {
     });
     let engine = Engine::new(wh.clone())
         .with_parallelism(Parallelism::serial())
-        .with_pushdown(Pushdown::disabled());
+        .with_pushdown(Pushdown::Eager);
     let plan = Plan::load(dir.clone(), loader.clone(), CLIENT_EVENT_SCHEMA.to_vec());
 
     let run_engine = || {

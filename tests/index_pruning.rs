@@ -143,13 +143,13 @@ proptest! {
         let (wh, m) = mixed_landing(seed, rows_per_group);
         let names: Vec<&str> = (0..8).filter(|i| picks & (1 << i) != 0).map(|i| NAMES[i]).collect();
         for workers in [1, 4] {
-            for pushdown in [Pushdown::default(), Pushdown::disabled()] {
+            for pushdown in [Pushdown::On, Pushdown::Eager] {
                 let engine = Engine::new(wh.clone())
                     .with_parallelism(Parallelism::fixed(workers))
                     .with_pushdown(pushdown);
                 let (plain, pruned) = both(&engine, &name_is_any_of(&names), m.handle().pruner());
                 prop_assert!(pruned.blocks_skipped >= plain.blocks_skipped);
-                if !pushdown.any() {
+                if pushdown == Pushdown::Eager {
                     prop_assert_eq!(pruned.blocks_skipped, 0, "the full-scan reference");
                 }
             }
@@ -225,7 +225,7 @@ fn pruner_is_consulted_only_under_a_planner_derived_constraint() {
         .clone()
         .and(Expr::col(2).add(Expr::lit(1i64)).gt(Expr::lit(0i64)));
     let on = Engine::new(wh.clone());
-    let off = Engine::new(wh.clone()).with_pushdown(Pushdown::disabled());
+    let off = Engine::new(wh.clone()).with_pushdown(Pushdown::Eager);
     for (engine, predicate, consulted) in
         [(&on, &total, 9), (&on, &non_total, 0), (&off, &total, 0)]
     {

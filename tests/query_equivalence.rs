@@ -14,6 +14,7 @@ use unified_logging::dataflow::{DataflowResult, ScalarUdf};
 use unified_logging::prelude::*;
 use unified_logging::thrift::ThriftRecord;
 use unified_logging::warehouse::tag_hash;
+use unified_logging::workload::write_paper_raw_log;
 
 struct Fixture {
     wh: Warehouse,
@@ -43,8 +44,10 @@ fn fixture() -> Fixture {
     }
 }
 
-/// The raw-log count, stated once as a FILTER; `pruner` only adds evidence.
+/// The raw-log count over the day as `wh` holds it, stated once as a FILTER;
+/// `pruner` only adds evidence.
 fn count_raw(
+    wh: &Warehouse,
     f: &Fixture,
     pattern: &EventPattern,
     pruner: Option<Arc<dyn BlockPruner>>,
@@ -68,7 +71,7 @@ fn count_raw(
         plan = plan.with_pruner(pruner);
     }
     let plan = plan.filter(predicate).aggregate(vec![Agg::count()]);
-    let r = Engine::new(f.wh.clone()).run(&plan).unwrap();
+    let r = Engine::new(wh.clone()).run(&plan).unwrap();
     (r.rows[0][0].as_int().unwrap(), r.stats)
 }
 
@@ -88,6 +91,10 @@ fn count_sequences(f: &Fixture, pattern: &EventPattern) -> (i64, JobStats) {
 #[test]
 fn raw_and_sequence_counts_agree_across_patterns() {
     let f = fixture();
+    // The paper's raw log — one Thrift record per event — beside the
+    // columnar landing the fixture (and everything else) reads.
+    let row_log = Warehouse::new();
+    write_paper_raw_log(&row_log, &f.events, 4).unwrap();
     for pattern in [
         "*:profile_click",
         "*:impression",
@@ -97,20 +104,28 @@ fn raw_and_sequence_counts_agree_across_patterns() {
         "web:search:*",
     ] {
         let p = EventPattern::parse(pattern).unwrap();
-        let (raw, raw_stats) = count_raw(&f, &p, None);
+        let (raw, raw_stats) = count_raw(&f.wh, &f, &p, None);
         let (seq, seq_stats) = count_sequences(&f, &p);
         assert_eq!(raw, seq, "pattern {pattern}");
         // Ground truth cross-check against the generator's event list.
         let truth = f.events.iter().filter(|e| p.matches(&e.name)).count() as i64;
         assert_eq!(raw, truth, "pattern {pattern} vs truth");
-        // The paper's claim: sequences scan dramatically less.
+        // The paper's claim — sequences scan dramatically less — is about
+        // its row-format raw log, where a count decodes every record whole.
+        // The columnar landing's count reads the name column alone, which
+        // is most of that gap closed from the other side.
+        let (row, row_stats) = count_raw(&row_log, &f, &p, None);
+        assert_eq!(row, raw, "pattern {pattern}: row log vs columnar landing");
         assert!(
-            seq_stats.input_bytes_uncompressed * 5 < raw_stats.input_bytes_uncompressed,
-            "pattern {pattern}: {} vs {}",
+            seq_stats.input_bytes_uncompressed * 5 < row_stats.input_bytes_uncompressed,
+            "pattern {pattern}: sequences decode {} bytes, the row-format raw log {} \
+             (the columnar landing {})",
             seq_stats.input_bytes_uncompressed,
+            row_stats.input_bytes_uncompressed,
             raw_stats.input_bytes_uncompressed
         );
-        assert!(seq_stats.map_tasks <= raw_stats.map_tasks);
+        assert!(raw_stats.input_bytes_uncompressed < row_stats.input_bytes_uncompressed);
+        assert!(seq_stats.map_tasks <= row_stats.map_tasks);
     }
 }
 
@@ -148,8 +163,8 @@ fn index_pushdown_preserves_results_and_skips_blocks() {
 
     // A selective pattern: funnel submits only occur in a few sessions.
     let p = EventPattern::parse("web:signup:*").unwrap();
-    let (unindexed, unindexed_stats) = count_raw(&f, &p, None);
-    let (indexed, stats) = count_raw(&f, &p, Some(maintainer.handle().pruner()));
+    let (unindexed, unindexed_stats) = count_raw(&f.wh, &f, &p, None);
+    let (indexed, stats) = count_raw(&f.wh, &f, &p, Some(maintainer.handle().pruner()));
 
     assert_eq!(indexed, unindexed, "index must not change the answer");
     assert!(indexed > 0, "the workload plants funnel events");
@@ -269,8 +284,8 @@ proptest! {
 
     /// A random algebraic aggregate straight over the LOAD (optionally under
     /// a pushable filter, a non-pushable one, or both) reads only the
-    /// columns it declares under `Pushdown::default()`, every column under
-    /// `Pushdown::disabled()` — and returns the same rows either way, at
+    /// columns it declares under `Pushdown::On`, every column under
+    /// `Pushdown::Eager` — and returns the same rows either way, at
     /// workers {1, 4}, at the default memory budget, a tiny one and one
     /// nothing can reach.
     #[test]
@@ -308,14 +323,14 @@ proptest! {
             }
             engine.run(&plan).unwrap()
         };
-        let full = run(Pushdown::disabled(), 1, None);
+        let full = run(Pushdown::Eager, 1, None);
         prop_assert_eq!(full.stats.fields_skipped, 0, "the full-width reference");
         prop_assert_eq!(full.stats.blocks_skipped, 0);
         for workers in [1, 4] {
             for budget in [None, Some(2048), Some(u64::MAX)] {
-                let narrow = run(Pushdown::default(), workers, budget);
+                let narrow = run(Pushdown::On, workers, budget);
                 prop_assert_eq!(&narrow.rows, &full.rows, "workers {} budget {:?}", workers, budget);
-                let wide = run(Pushdown::disabled(), workers, budget);
+                let wide = run(Pushdown::Eager, workers, budget);
                 prop_assert_eq!(&wide.rows, &full.rows, "workers {} budget {:?}", workers, budget);
                 prop_assert_eq!(wide.stats.fields_skipped, 0);
                 // Zone maps may skip whole units under the pushed filter;
