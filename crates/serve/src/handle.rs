@@ -352,6 +352,86 @@ mod tests {
         );
     }
 
+    /// Recorded from the lookup that built every cell of every row before it
+    /// looked at the user: a cell that does not decode drops its row only
+    /// from the answer of the user it belongs to, and a `-rows` sibling is
+    /// answered from record by record.
+    #[test]
+    fn garbage_cells_and_a_rows_sibling_answer_as_recorded() {
+        use uli_core::columnar::{client_event_cells, CLIENT_EVENT_KINDS};
+        use uli_thrift::ThriftRecord;
+        use uli_warehouse::ColumnarFileWriter;
+
+        let wh = Warehouse::new();
+        let dir = HourlyPartition::from_hour_index("client_events", 0).main_dir();
+        // Twelve rows in groups of four, users 7 and 1 by turns; rows 5
+        // (user 1) and 6 (user 7) carry a details cell that is no map.
+        let events: Vec<ClientEvent> = (0..12)
+            .map(|i| {
+                event(if i % 2 == 0 { 7 } else { 1 }, "a:b:c:d:e:f", i * 10)
+                    .with_detail("rank", i.to_string())
+            })
+            .collect();
+        let mut w = ColumnarFileWriter::create(
+            &wh,
+            &dir.child("part-00000").unwrap(),
+            &CLIENT_EVENT_KINDS,
+            4,
+            None,
+        )
+        .unwrap();
+        for (i, ev) in events.iter().enumerate() {
+            let cells = client_event_cells(ev);
+            let mut refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
+            if i == 5 || i == 6 {
+                refs[6] = &[5];
+            }
+            w.append_row(&refs);
+        }
+        w.finish().unwrap();
+        // The sibling: two of user 7's events around a record that is none.
+        let sibling = [event(7, "z:y:x:w:v:u", 500), event(7, "z:y:x:w:v:u", 510)];
+        let mut rows = wh.create(&dir.child("part-00000-rows").unwrap()).unwrap();
+        rows.append_record(&sibling[0].to_bytes());
+        rows.append_record(b"not a client event");
+        rows.append_record(&event(1, "z:y:x:w:v:u", 505).to_bytes());
+        rows.append_record(&sibling[1].to_bytes());
+        rows.finish().unwrap();
+        let m = IndexMaintainer::new(wh, "client_events");
+        m.tap()
+            .hour_delivered(&HourlyPartition::from_hour_index("client_events", 0), &[]);
+        let handle = m.handle();
+
+        let tuples = |events: Vec<&ClientEvent>| -> Vec<Tuple> {
+            events.into_iter().cloned().map(event_tuple).collect()
+        };
+        let seven = handle.user_events(7, 0).unwrap();
+        let kept = [0, 2, 4, 8, 10].map(|i| &events[i]);
+        assert_eq!(
+            seven.rows,
+            tuples(kept.into_iter().chain(&sibling).collect())
+        );
+        assert_eq!(
+            seven.stats,
+            LookupStats {
+                decoded_bytes: 811,
+                groups_read: 4,
+                groups_pruned: 0,
+                files_visited: 2,
+            }
+        );
+        let one = handle.user_events(1, 0).unwrap();
+        assert_eq!(
+            one.rows.len(),
+            6,
+            "five of the file's six, one of the sibling's"
+        );
+        assert_eq!(one.stats, seven.stats, "both users sit in every group");
+        let (sessions, stats) = handle.sessions(7, 0).unwrap();
+        assert_eq!(sessions.iter().map(|s| s.events.len()).sum::<usize>(), 7);
+        assert_eq!(stats, seven.stats);
+    }
+
     #[test]
     fn count_and_top_names_answer_from_the_index_alone() {
         let mut events: Vec<ClientEvent> =

@@ -34,7 +34,7 @@ use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer};
 use uli_core::{ClientEvent, ClientEventLanding, EventInitiator, EventName, Timestamp};
 use uli_scribe::message::LogEntry;
 use uli_scribe::{PipelineConfig, ScribePipeline};
-use uli_serve::hour::index_dir;
+use uli_serve::hour::{index_dir, load_hour_index, Postings};
 use uli_serve::IndexMaintainer;
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::ThriftRecord;
@@ -92,6 +92,59 @@ fn rows_digest(wh: &Warehouse, dir: &WhPath) -> u64 {
     h
 }
 
+/// What one posting list says: each posted file, then its groups.
+fn fold_postings(mut h: u64, postings: &Postings) -> u64 {
+    h = fold_u64(h, postings.len() as u64);
+    for (file, groups) in postings {
+        h = fold_u64(fold_u64(h, u64::from(*file)), groups.len() as u64);
+        for group in groups {
+            h = fold_u64(h, u64::from(*group));
+        }
+    }
+    h
+}
+
+/// What the committed `hour.idx` of `hour` decodes to, less anything no
+/// lookup reads: the hour, its record and event counts, its files, every
+/// name with its count and postings and every user with its postings, in
+/// key order. Whatever the file's layout, this must not move.
+fn index_contents_digest(wh: &Warehouse, hour: u64) -> u64 {
+    let Some(index) = load_hour_index(wh, CLIENT_EVENTS_CATEGORY, hour).expect("index loads")
+    else {
+        return fold_u64(FNV1A64_OFFSET, u64::MAX);
+    };
+    let mut h = FNV1A64_OFFSET;
+    for v in [
+        index.hour_index,
+        index.records,
+        index.events,
+        index.files.len() as u64,
+    ] {
+        h = fold_u64(h, v);
+    }
+    for file in &index.files {
+        h = fnv1a64_fold(h, file.name.as_bytes());
+        h = fold_u64(
+            fold_u64(h, u64::from(file.groups)),
+            u64::from(file.columnar),
+        );
+    }
+    assert!(
+        index.name_counts.keys().eq(index.name_postings.keys()),
+        "a counted name is a posted name"
+    );
+    h = fold_u64(h, index.name_counts.len() as u64);
+    for (name, count) in &index.name_counts {
+        h = fold_u64(fnv1a64_fold(h, name.as_bytes()), *count);
+        h = fold_postings(h, &index.name_postings[name]);
+    }
+    h = fold_u64(h, index.user_postings.len() as u64);
+    for (user, postings) in &index.user_postings {
+        h = fold_postings(fold_u64(h, *user as u64), postings);
+    }
+    h
+}
+
 /// Every `/session_sequences` part file of day 0, in path order: its path and
 /// its block streams.
 fn sequences_digest(wh: &Warehouse) -> u64 {
@@ -131,6 +184,8 @@ struct Delivered {
     output_files: u64,
     landed: u64,
     indexes: u64,
+    /// What the indexes decode to ([`index_contents_digest`], hour by hour).
+    index_contents: u64,
     seen: u64,
     views: u64,
     /// What the landed files decode to ([`rows_digest`], hour by hour).
@@ -175,6 +230,7 @@ fn deliver(
         output_files: 0,
         landed: FNV1A64_OFFSET,
         indexes: FNV1A64_OFFSET,
+        index_contents: FNV1A64_OFFSET,
         seen: FNV1A64_OFFSET,
         views: FNV1A64_OFFSET,
         rows: FNV1A64_OFFSET,
@@ -206,6 +262,7 @@ fn deliver(
         let partition = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour);
         out.landed = fold_u64(out.landed, dir_digest(wh, &partition.main_dir()));
         out.indexes = fold_u64(out.indexes, dir_digest(wh, &index_dir(&partition)));
+        out.index_contents = fold_u64(out.index_contents, index_contents_digest(wh, hour));
         if wh.exists(&partition.main_dir()) {
             out.rows = fold_u64(out.rows, rows_digest(wh, &partition.main_dir()));
         }
@@ -269,6 +326,7 @@ fn delivered_day_matches_the_recorded_digests() {
         output_files: 22,
         landed: 13316955843368080210,
         indexes: 10608923821920458396,
+        index_contents: 10663438817937297951,
         seen: 6951604800847287054,
         views: 6885118719456885022,
         rows: 16754135527137346865,
@@ -281,6 +339,7 @@ fn delivered_day_matches_the_recorded_digests() {
         output_files: 102,
         landed: 6107842078597485247,
         indexes: 15263323491467120204,
+        index_contents: 17429011816230578343,
         seen: 4063383774541676972,
         views: 17971858508380815314,
         rows: 17396466383406638498,
