@@ -7,43 +7,47 @@
 //! a unicode string, the UDF translates into string manipulations after
 //! consulting the client event dictionary."
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use uli_core::event::EventPattern;
+use uli_core::session::dictionary::{char_for_rank, rank_for_char};
 use uli_core::session::EventDictionary;
 use uli_dataflow::{DataflowError, DataflowResult, ScalarUdf, Value};
 
 /// A pattern expanded into the set of matching code points.
 #[derive(Debug, Clone, Default)]
 pub struct EventCharSet {
-    chars: HashSet<char>,
+    /// Whether the event of each dictionary rank matched, index = rank: a
+    /// code point is looked up by the rank it stands for, with no hashing.
+    ranks: Vec<bool>,
+    matched: usize,
 }
 
 impl EventCharSet {
     /// Expands `pattern` against the dictionary.
     pub fn expand(pattern: &EventPattern, dict: &EventDictionary) -> EventCharSet {
-        let chars = dict
+        // In rank order; a rank past the alphabet stands for no code point.
+        let ranks: Vec<bool> = dict
             .iter()
-            .filter(|(_, name, _)| pattern.matches(name))
-            .filter_map(|(rank, _, _)| uli_core::session::dictionary::char_for_rank(rank))
+            .map(|(rank, name, _)| char_for_rank(rank).is_some() && pattern.matches(name))
             .collect();
-        EventCharSet { chars }
+        let matched = ranks.iter().filter(|matched| **matched).count();
+        EventCharSet { ranks, matched }
     }
 
     /// Number of distinct matching events.
     pub fn len(&self) -> usize {
-        self.chars.len()
+        self.matched
     }
 
     /// True if the pattern matched nothing.
     pub fn is_empty(&self) -> bool {
-        self.chars.is_empty()
+        self.matched == 0
     }
 
     /// Whether a code point is in the set.
     pub fn contains(&self, c: char) -> bool {
-        self.chars.contains(&c)
+        rank_for_char(c).is_some_and(|rank| self.ranks.get(rank as usize) == Some(&true))
     }
 
     /// Total occurrences in a session sequence — the SUM variant.
@@ -162,6 +166,29 @@ mod tests {
         assert_eq!(udf.eval(&[Value::Str(seq)]).unwrap(), Value::Int(2));
         assert!(udf.eval(&[Value::Int(3)]).is_err());
         assert!(udf.eval(&[]).is_err());
+    }
+
+    #[test]
+    fn membership_is_by_rank_and_nothing_outside_the_dictionary_is_a_member() {
+        let d = dict();
+        let clicks = EventCharSet::expand(&EventPattern::parse("*:click").unwrap(), &d);
+        let members: Vec<bool> = (0..4)
+            .map(|rank| clicks.contains(char_for_rank(rank).unwrap()))
+            .collect();
+        assert_eq!(members, [false, true, true, false]);
+        for outside in [
+            '\0',
+            char_for_rank(4).unwrap(),
+            '\u{d7ff}',
+            '\u{e000}',
+            char::MAX,
+        ] {
+            assert!(!clicks.contains(outside), "{outside:?}");
+        }
+        let all = EventCharSet::expand(&EventPattern::parse("*").unwrap(), &d);
+        assert_eq!(all.len(), 4);
+        assert!(!all.contains(char_for_rank(4).unwrap()));
+        assert!(!EventCharSet::default().contains('a'));
     }
 
     #[test]

@@ -442,6 +442,7 @@ pub fn measure_with(scale: Scale, chaos_seeds: u64) -> Measurements {
         && snap.counter_value("serve/postings_bytes") == Some(d.maintainer.postings_bytes())
         && snap.counter_value("serve/lookups_served") == Some(lookups)
         && snap.counter_value("serve/row_groups_pruned") == Some(groups_pruned)
+        && snap.counter_value("serve/index_build_failures") == Some(0)
         && snap.gauge_value("serve/index_lag_hours") == Some(0)
         && d.registry.duplicate_registrations().is_empty();
 

@@ -26,8 +26,8 @@ use uli_dataflow::{ColumnarCodec, Value};
 use uli_thrift::CompactReader;
 use uli_warehouse::chunk::string_map_cell;
 use uli_warehouse::{
-    tag_hash, ColumnCell, ColumnKind, ColumnarFileWriter, ColumnarLanding, ScanFile, Warehouse,
-    WarehouseError, WarehouseResult, WhPath,
+    tag_hash, ColumnCell, ColumnGroup, ColumnKind, ColumnarFile, ColumnarFileWriter,
+    ColumnarLanding, ScanFile, Warehouse, WarehouseError, WarehouseResult, WhPath,
 };
 
 use crate::client_event::{ClientEvent, Details};
@@ -243,6 +243,75 @@ pub fn for_each_event_row(
     file: &ScanFile,
     units: impl IntoIterator<Item = usize>,
     columns: EventColumns,
+    f: impl FnMut(RowAt, &EventRow<'_>) -> WarehouseResult<()>,
+) -> WarehouseResult<(u64, u64)> {
+    type NoTest = fn(&EventRow<'_>) -> WarehouseResult<bool>;
+    visit_event_rows(file, units, columns, None::<(usize, NoTest)>, f)
+}
+
+/// [`for_each_event_row`] for a reader that keeps few of the rows it
+/// visits: `test` is asked of a view over `column` alone (one of `columns`),
+/// and only a row it keeps has its other cells decoded — its name resolved,
+/// its details walked — and is handed to `f`. The units are read under
+/// `columns` all the same, so what the visit is charged does not depend on
+/// the test; what it saves is the building of rows nobody wants. A row-format
+/// record is one Thrift walk, so there the test is asked after it. A kept row
+/// with a declared cell that does not decode is skipped, as it always was.
+pub fn for_each_event_row_where(
+    file: &ScanFile,
+    units: impl IntoIterator<Item = usize>,
+    columns: EventColumns,
+    (column, test): (usize, impl FnMut(&EventRow<'_>) -> WarehouseResult<bool>),
+    f: impl FnMut(RowAt, &EventRow<'_>) -> WarehouseResult<()>,
+) -> WarehouseResult<()> {
+    debug_assert!(columns[column], "column {column} was not declared");
+    if !columns[column] {
+        return Err(WarehouseError::UnreadColumn(column));
+    }
+    visit_event_rows(file, units, columns, Some((column, test)), f).map(|_| ())
+}
+
+/// Dictionary code → validated name of one columnar file, resolved on first
+/// sight; `None`: not a six-level name, so its rows are skipped.
+type ResolvedNames<'f> = HashMap<u32, Option<&'f str>>;
+
+/// The view of row `row` of `group` over `columns`; `None` when a cell of
+/// theirs does not decode.
+fn group_row<'g, 'f: 'g>(
+    col: &'f ColumnarFile,
+    group: &'g ColumnGroup,
+    row: usize,
+    columns: &EventColumns,
+    names: &mut ResolvedNames<'f>,
+) -> WarehouseResult<Option<EventRow<'g>>> {
+    fn parse(bytes: &[u8]) -> Option<&str> {
+        let name = std::str::from_utf8(bytes).ok()?;
+        EventName::is_valid(name).then_some(name)
+    }
+    let mut cells = [None; 7];
+    for c in (0..7).filter(|c| columns[*c] && *c != NAME_COLUMN) {
+        cells[c] = Some(col.cell_bytes(group, c, row)?);
+    }
+    let name: Option<Option<&'g str>> = match columns[NAME_COLUMN] {
+        false => Some(None),
+        true => match group.read_cell(NAME_COLUMN, row)? {
+            ColumnCell::Bytes(bytes) => parse(bytes).map(Some),
+            ColumnCell::Code(code) => names
+                .entry(code)
+                .or_insert_with(|| col.dictionary_value(code).and_then(parse))
+                .map(Some),
+        },
+    };
+    Ok(name.and_then(|name| cells_row(cells, name)))
+}
+
+/// The one visit behind [`for_each_event_row`] and
+/// [`for_each_event_row_where`].
+fn visit_event_rows(
+    file: &ScanFile,
+    units: impl IntoIterator<Item = usize>,
+    columns: EventColumns,
+    mut test: Option<(usize, impl FnMut(&EventRow<'_>) -> WarehouseResult<bool>)>,
     mut f: impl FnMut(RowAt, &EventRow<'_>) -> WarehouseResult<()>,
 ) -> WarehouseResult<(u64, u64)> {
     let mut events = 0u64;
@@ -265,8 +334,17 @@ pub fn for_each_event_row(
                         skipped += 1;
                         return;
                     };
-                    events += 1;
-                    result = f(here, &view);
+                    result = match &mut test {
+                        Some((_, test)) => test(&view),
+                        None => Ok(true),
+                    }
+                    .and_then(|keep| match keep {
+                        true => {
+                            events += 1;
+                            f(here, &view)
+                        }
+                        false => Ok(()),
+                    });
                 })?;
                 result?;
             }
@@ -275,31 +353,22 @@ pub fn for_each_event_row(
             if col.columns() != columns.len() {
                 return Err(WarehouseError::Corrupt("client-event file width"));
             }
-            // Dictionary code → validated name, resolved on first sight;
-            // `None`: not a six-level name, so its rows are skipped.
-            let mut names: HashMap<u32, Option<&str>> = HashMap::new();
-            fn parse(bytes: &[u8]) -> Option<&str> {
-                let name = std::str::from_utf8(bytes).ok()?;
-                EventName::is_valid(name).then_some(name)
-            }
+            let mut names = ResolvedNames::new();
             for unit in units {
                 let group = col.read_group(unit, &columns)?;
                 for row in 0..group.rows() {
-                    let mut cells = [None; 7];
-                    for c in (0..7).filter(|c| columns[*c] && *c != NAME_COLUMN) {
-                        cells[c] = Some(col.cell_bytes(&group, c, row)?);
+                    if let Some((column, test)) = &mut test {
+                        let tested = event_columns([*column]);
+                        match group_row(col, &group, row, &tested, &mut names)? {
+                            Some(view) if test(&view)? => {}
+                            Some(_) => continue,
+                            None => {
+                                skipped += 1;
+                                continue;
+                            }
+                        }
                     }
-                    let name = match columns[NAME_COLUMN] {
-                        false => Some(None),
-                        true => match group.read_cell(NAME_COLUMN, row)? {
-                            ColumnCell::Bytes(bytes) => parse(bytes).map(Some),
-                            ColumnCell::Code(code) => names
-                                .entry(code)
-                                .or_insert_with(|| col.dictionary_value(code).and_then(parse))
-                                .map(Some),
-                        },
-                    };
-                    match name.and_then(|name| cells_row(cells, name)) {
+                    match group_row(col, &group, row, &columns, &mut names)? {
                         Some(view) => {
                             events += 1;
                             f(RowAt { unit, row }, &view)?;
@@ -650,6 +719,100 @@ mod tests {
         // So is a name that is not a six-level name.
         let file = file_with_bad_cell(&Warehouse::new(), NAME_COLUMN, b"not-a-name");
         assert_eq!(users(&file, narrow), (vec![0, 2], (2, 1)));
+    }
+
+    /// The users of the rows `for_each_event_row_where` hands out of `file`
+    /// when it keeps those whose `column` passes `test`.
+    fn users_where(
+        file: &ScanFile,
+        column: usize,
+        test: impl Fn(&EventRow<'_>) -> WarehouseResult<bool>,
+    ) -> Vec<i64> {
+        let mut users = Vec::new();
+        for_each_event_row_where(
+            file,
+            0..file.units(),
+            ALL_COLUMNS,
+            (column, test),
+            |_, row| {
+                row.to_event()?;
+                users.push(row.user_id()?);
+                Ok(())
+            },
+        )
+        .unwrap();
+        users
+    }
+
+    #[test]
+    fn a_tested_visit_builds_only_the_rows_its_test_keeps() {
+        let odd = |row: &EventRow<'_>| Ok(row.user_id()? % 2 == 1);
+        // Garbage details on an even user's row: the test drops the row
+        // before anything looks at them. On an odd user's: the row is kept,
+        // does not decode, and is skipped like any other.
+        let file = file_with_bad_cell(&Warehouse::new(), 6, &[5]);
+        assert_eq!(users_where(&file, USER_COLUMN, odd), Vec::<i64>::new());
+        assert_eq!(
+            users_where(&file, USER_COLUMN, |row| Ok(row.user_id()? != 1)),
+            [0, 2]
+        );
+        // A tested cell that does not decode drops its row, whatever the
+        // test would have said.
+        let file = file_with_bad_cell(&Warehouse::new(), USER_COLUMN, &[1, 2, 3]);
+        assert_eq!(users_where(&file, USER_COLUMN, |_| Ok(true)), [0, 2]);
+        // Any declared column can carry the test: the name resolves through
+        // the dictionary, once for the test and once for the row.
+        let wh = Warehouse::new();
+        let events: Vec<ClientEvent> = (0..50).map(sample).collect();
+        let columnar = WhPath::parse("/logs/ce/part-0").unwrap();
+        write_client_events_columnar(&wh, &columnar, &events, true, 16).unwrap();
+        let rows = WhPath::parse("/logs/ce/part-1").unwrap();
+        let mut w = wh.create(&rows).unwrap();
+        w.append_record(b"not a client event");
+        for ev in &events {
+            w.append_record(&ev.to_bytes());
+        }
+        w.finish().unwrap();
+        for path in [&columnar, &rows] {
+            let file = ScanFile::open(&wh, path).unwrap();
+            let clicks = |row: &EventRow<'_>| Ok(row.name()?.ends_with(":click"));
+            let expect: Vec<i64> = (0..50).filter(|i| i % 3 == 0).collect();
+            assert_eq!(users_where(&file, NAME_COLUMN, clicks), expect);
+            let expect: Vec<i64> = (0..50).filter(|i| i % 2 == 1).collect();
+            assert_eq!(users_where(&file, USER_COLUMN, odd), expect);
+        }
+    }
+
+    // The test sees its own column and nothing else; on a row record, which
+    // is walked whole, it sees what the walk declared.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "was not declared"))]
+    fn a_test_reads_the_column_it_named() {
+        let wh = Warehouse::new();
+        let path = WhPath::parse("/logs/ce/part-0").unwrap();
+        write_client_events_columnar(&wh, &path, &[sample(0)], true, 16).unwrap();
+        let file = ScanFile::open(&wh, &path).unwrap();
+        let test = |row: &EventRow<'_>| Ok(row.timestamp()?.millis() > 0);
+        let visit =
+            for_each_event_row_where(&file, 0..1, ALL_COLUMNS, (USER_COLUMN, test), |_, _| Ok(()));
+        assert_eq!(visit, Err(WarehouseError::UnreadColumn(TIMESTAMP_COLUMN)));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "was not declared"))]
+    fn the_tested_column_is_one_of_the_declared() {
+        let wh = Warehouse::new();
+        let path = WhPath::parse("/logs/ce/part-0").unwrap();
+        write_client_events_columnar(&wh, &path, &[sample(0)], true, 16).unwrap();
+        let file = ScanFile::open(&wh, &path).unwrap();
+        let visit = for_each_event_row_where(
+            &file,
+            0..1,
+            event_columns([NAME_COLUMN]),
+            (USER_COLUMN, |_: &EventRow<'_>| Ok(true)),
+            |_, _| Ok(()),
+        );
+        assert_eq!(visit, Err(WarehouseError::UnreadColumn(USER_COLUMN)));
     }
 
     /// What `file` decodes to under `columns`: every declared column of

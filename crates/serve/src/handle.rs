@@ -10,8 +10,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use uli_core::columnar::{for_each_event_row, ALL_COLUMNS};
-use uli_core::{ClientEvent, SessionRecord, Sessionizer};
+use uli_core::columnar::{for_each_event_row_where, ALL_COLUMNS, USER_COLUMN};
+use uli_core::{ClientEvent, EventRow, SessionRecord, Sessionizer};
 use uli_dataflow::{BlockPruner, Tuple, Value};
 use uli_obs::lock;
 use uli_warehouse::{HourlyPartition, ScanFile, Warehouse, WarehouseResult};
@@ -82,7 +82,8 @@ impl ServeHandle {
     }
 
     fn hour(&self, hour: u64) -> Option<Arc<HourIndex>> {
-        lock(&self.inner).hours.get(&hour).cloned()
+        let inner = lock(&self.inner);
+        inner.hours.get(&hour).map(|(index, _)| index.clone())
     }
 
     /// A scan-time pruner over the hours committed so far, for
@@ -92,7 +93,8 @@ impl ServeHandle {
     /// irrelevant. Files outside the indexed hours are read in full.
     pub fn pruner(&self) -> Arc<dyn BlockPruner> {
         let inner = lock(&self.inner);
-        Arc::new(PostingsPruner::new(&inner.category, inner.hours.values()))
+        let hours = inner.hours.values().map(|(index, _)| index);
+        Arc::new(PostingsPruner::new(&inner.category, hours))
     }
 
     fn note_lookup(&self, stats: &LookupStats) {
@@ -134,7 +136,7 @@ impl ServeHandle {
         let mut stats = LookupStats::default();
         for hour in hours {
             if let Some(index) = self.hour(hour) {
-                total += index.name_counts.get(name).copied().unwrap_or(0) as i64;
+                total += index.names.get(name).map_or(0, |(count, _)| *count) as i64;
                 stats.groups_pruned += index.total_groups();
             }
         }
@@ -155,7 +157,7 @@ impl ServeHandle {
         let mut counts: Vec<(&String, u64)> = match &index {
             Some(index) => {
                 stats.groups_pruned = index.total_groups();
-                index.name_counts.iter().map(|(n, c)| (n, *c)).collect()
+                index.names.iter().map(|(n, (c, _))| (n, *c)).collect()
             }
             None => Vec::new(),
         };
@@ -214,7 +216,7 @@ fn collect_user_events(
 ) -> WarehouseResult<Vec<ClientEvent>> {
     let mut events = Vec::new();
     let mut groups_read = 0u64;
-    if let Some(postings) = index.user_postings.get(&user) {
+    if let Some(postings) = index.users.get(&user) {
         let dir = HourlyPartition::from_hour_index(category, hour).main_dir();
         for (&file_no, groups) in postings {
             let Some(entry) = index.files.get(file_no as usize) else {
@@ -228,13 +230,18 @@ fn collect_user_events(
             let mask = index.unit_mask(file_no, &file, groups);
             let units = (0..file.units()).filter(|unit| mask.as_ref().is_none_or(|m| m[*unit]));
             // An answer row is the whole event, so every column is read;
-            // but a row is built only once its user id cell matched.
-            for_each_event_row(&file, units, ALL_COLUMNS, |_, row| {
-                if row.user_id()? == user {
+            // but only the user id cell of a row is decoded until it matched.
+            let is_user = |row: &EventRow<'_>| Ok(row.user_id()? == user);
+            for_each_event_row_where(
+                &file,
+                units,
+                ALL_COLUMNS,
+                (USER_COLUMN, is_user),
+                |_, row| {
                     events.push(row.to_event()?);
-                }
-                Ok(())
-            })?;
+                    Ok(())
+                },
+            )?;
             answer.stats.decoded_bytes += file.local_stats().uncompressed_bytes_read;
         }
     }
@@ -303,7 +310,7 @@ mod tests {
 
     #[test]
     fn a_lookup_builds_only_the_matching_rows_and_is_billed_full_width() {
-        use uli_core::columnar::{event_columns, USER_COLUMN};
+        use uli_core::columnar::{event_columns, for_each_event_row};
         // 24 events in 3 groups of 8; user 7 owns exactly one row, in the
         // middle group.
         let events: Vec<ClientEvent> = (0..24)
@@ -430,6 +437,30 @@ mod tests {
         let (sessions, stats) = handle.sessions(7, 0).unwrap();
         assert_eq!(sessions.iter().map(|s| s.events.len()).sum::<usize>(), 7);
         assert_eq!(stats, seven.stats);
+    }
+
+    #[test]
+    fn a_file_landed_again_under_its_name_is_read_as_it_now_stands() {
+        let first: Vec<ClientEvent> = (0..8).map(|i| event(7, "a:b:c:d:e:f", i * 10)).collect();
+        let handle = serve_over(0, &first, 8);
+        assert_eq!(
+            handle.user_events(7, 0).unwrap().rows,
+            first.iter().cloned().map(event_tuple).collect::<Vec<_>>()
+        );
+        // Same name, same group count, another dictionary and other rows:
+        // nothing of the file the first lookup opened answers the second.
+        let (warehouse, category) = handle.context();
+        let path = HourlyPartition::from_hour_index(&category, 0)
+            .main_dir()
+            .child("part-00000")
+            .unwrap();
+        warehouse.delete_file(&path).unwrap();
+        let second: Vec<ClientEvent> = (0..6).map(|i| event(7, "z:y:x:w:v:u", i * 7)).collect();
+        write_client_events_columnar(&warehouse, &path, &second, true, 8).unwrap();
+        assert_eq!(
+            handle.user_events(7, 0).unwrap().rows,
+            second.iter().cloned().map(event_tuple).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -1,24 +1,23 @@
 //! The per-hour secondary index: postings from user ids and event names to
-//! the row groups that contain them, plus per-hour session summaries.
+//! the row groups that contain them, and each name's exact count.
 //!
 //! One [`HourIndex`] is built per delivered warehouse hour by scanning the
-//! landed files once — columnar files group by group with a narrow
-//! projection, row-format siblings record by record. Because the build is a
+//! landed files once — columnar files group by group under the two columns
+//! it posts, row-format siblings record by record. Because the build is a
 //! wholesale scan of the committed hour, rebuilding after a crash replaces
 //! the index rather than adding to it: an hour can never be double-counted
 //! no matter how many times maintenance retries.
 //!
 //! The index persists beside the landed data under `/index/serve/...` with
 //! the same assemble-then-rename discipline the log mover uses, so a
-//! restarted server reloads committed hours and rebuilds missing ones.
+//! restarted server reloads committed hours and rebuilds missing ones. It
+//! stores what a lookup reads and nothing else.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use uli_core::columnar::{
-    event_columns, for_each_event_row, EventColumns, NAME_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN,
-    USER_COLUMN,
+    event_columns, for_each_event_row, EventColumns, NAME_COLUMN, USER_COLUMN,
 };
-use uli_core::time::MS_PER_HOUR;
 use uli_thrift::varint;
 use uli_warehouse::{
     HourlyPartition, Parallelism, ScanFile, ScanPool, ScanStats, Warehouse, WarehouseError,
@@ -38,19 +37,6 @@ pub struct FileEntry {
     pub columnar: bool,
 }
 
-/// Per-user activity summary for one hour.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UserHourSummary {
-    /// Events attributed to the user this hour.
-    pub events: u64,
-    /// Distinct session ids the user touched this hour.
-    pub sessions: u64,
-    /// Earliest event timestamp (millis).
-    pub first_millis: i64,
-    /// Latest event timestamp (millis).
-    pub last_millis: i64,
-}
-
 /// Postings: file index → the row groups (ascending) containing the key.
 pub type Postings = BTreeMap<u32, BTreeSet<u32>>;
 
@@ -65,15 +51,12 @@ pub struct HourIndex {
     pub events: u64,
     /// Files in the hour, in sorted (scan) order.
     pub files: Vec<FileEntry>,
-    /// Exact per-name event counts — `count` and `top-names` answer from
-    /// these without decoding anything.
-    pub name_counts: BTreeMap<String, u64>,
-    /// Event name → row groups containing at least one such event.
-    pub name_postings: BTreeMap<String, Postings>,
+    /// Event name → its exact event count — `count` and `top-names` answer
+    /// from these without decoding anything — and the row groups containing
+    /// at least one such event.
+    pub names: BTreeMap<String, (u64, Postings)>,
     /// User id → row groups containing at least one of the user's events.
-    pub user_postings: BTreeMap<i64, Postings>,
-    /// Per-user session summaries for the hour.
-    pub user_summaries: BTreeMap<i64, UserHourSummary>,
+    pub users: BTreeMap<i64, Postings>,
 }
 
 impl HourIndex {
@@ -84,7 +67,7 @@ impl HourIndex {
 
     /// Row groups posted for `user`.
     pub fn user_groups(&self, user: i64) -> u64 {
-        self.user_postings
+        self.users
             .get(&user)
             .map(|p| p.values().map(|g| g.len() as u64).sum())
             .unwrap_or(0)
@@ -146,17 +129,6 @@ fn serve_dir(root: &str, p: &HourlyPartition) -> WhPath {
 /// The single index file inside the committed hour directory.
 const INDEX_FILE: &str = "hour.idx";
 
-/// One file's contribution to the hour index: a complete partial index
-/// (postings already keyed by the file's preassigned number) plus the raw
-/// per-user session-id sets, which only fold to counts once every file's
-/// partial is merged, and what scanning the file cost.
-struct FilePartial {
-    entry: FileEntry,
-    partial: HourIndex,
-    sessions: BTreeMap<i64, BTreeSet<String>>,
-    scanned: ScanStats,
-}
-
 /// Builds the index for one delivered hour by scanning the landed files,
 /// the per-file scans sharded across `workers`. Returns the index plus what
 /// the scan cost — summed from the files' own handles, so it is exact even
@@ -166,9 +138,9 @@ struct FilePartial {
 /// Each file's number is preassigned from the sorted listing before any
 /// scan runs, so the postings a file contributes are identical regardless
 /// of which worker scans it or when; the merge folds partials in file
-/// order using only commutative operations (counter sums, map unions,
-/// min/max). The result therefore does not depend on the worker count —
-/// pinned by the determinism tests.
+/// order using only commutative operations (counter sums, map unions). The
+/// result therefore does not depend on the worker count — pinned by the
+/// determinism tests.
 pub fn build_hour_index(
     warehouse: &Warehouse,
     category: &str,
@@ -196,92 +168,34 @@ pub fn build_hour_index(
         scan_file(warehouse, &path, file_no)
     });
 
-    // Merge in file order. Distinct session ids per user fold down to
-    // counts only after every partial is in.
-    let mut sessions: BTreeMap<i64, BTreeSet<String>> = BTreeMap::new();
+    // Merge in file order. Postings merge by plain extension: each partial
+    // only posts its own (unique) file number.
     for partial in partials {
-        let FilePartial {
-            entry,
-            partial,
-            sessions: file_sessions,
-            scanned: file_scanned,
-        } = partial?;
+        let (entry, partial, file_scanned) = partial?;
         scanned = scanned.plus(&file_scanned);
         index.records += partial.records;
         index.events += partial.events;
         index.files.push(entry);
         // The first file's maps are the index so far; the others merge in.
         if index.files.len() == 1 {
-            index.name_counts = partial.name_counts;
-            index.name_postings = partial.name_postings;
-            index.user_postings = partial.user_postings;
-            index.user_summaries = partial.user_summaries;
-            sessions = file_sessions;
+            index.names = partial.names;
+            index.users = partial.users;
             continue;
         }
-        for (name, count) in partial.name_counts {
-            *index.name_counts.entry(name).or_insert(0) += count;
+        for (name, (count, postings)) in partial.names {
+            let merged = index.names.entry(name).or_default();
+            merged.0 += count;
+            merged.1.extend(postings);
         }
-        // Postings merge by plain extension: each partial only posts its
-        // own (unique) file number.
-        for (name, postings) in partial.name_postings {
-            index
-                .name_postings
-                .entry(name)
-                .or_default()
-                .extend(postings);
+        for (user, postings) in partial.users {
+            index.users.entry(user).or_default().extend(postings);
         }
-        for (user, postings) in partial.user_postings {
-            index
-                .user_postings
-                .entry(user)
-                .or_default()
-                .extend(postings);
-        }
-        for (user, s) in partial.user_summaries {
-            let merged = index.user_summaries.entry(user).or_insert(UserHourSummary {
-                events: 0,
-                sessions: 0,
-                first_millis: s.first_millis,
-                last_millis: s.last_millis,
-            });
-            merged.events += s.events;
-            merged.first_millis = merged.first_millis.min(s.first_millis);
-            merged.last_millis = merged.last_millis.max(s.last_millis);
-        }
-        for (user, ids) in file_sessions {
-            sessions.entry(user).or_default().extend(ids);
-        }
-    }
-    for (user, ids) in sessions {
-        index
-            .user_summaries
-            .get_mut(&user)
-            .expect("summary exists for every user with sessions")
-            .sessions = ids.len() as u64;
     }
     Ok((index, scanned))
 }
 
 /// What the index posts of an event — the only columns the build reads.
-const INDEXED_COLUMNS: EventColumns =
-    event_columns([NAME_COLUMN, USER_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN]);
-
-/// What one file posts under an event name.
-#[derive(Default)]
-struct NamePosted {
-    count: u64,
-    /// The groups holding the name, ascending.
-    groups: Vec<u32>,
-}
-
-/// What one file posts under a user.
-struct UserPosted {
-    /// The groups holding the user, ascending.
-    groups: Vec<u32>,
-    summary: UserHourSummary,
-    sessions: BTreeSet<String>,
-}
+const INDEXED_COLUMNS: EventColumns = event_columns([NAME_COLUMN, USER_COLUMN]);
 
 /// Posts `group` once: the scan visits groups in ascending order.
 fn post_group(groups: &mut Vec<u32>, group: u32) {
@@ -290,13 +204,19 @@ fn post_group(groups: &mut Vec<u32>, group: u32) {
     }
 }
 
-/// Scans one landed file into its partial index — the parallel unit of the
-/// hour build. Pure per-file work: nothing here touches shared state. A row
-/// costs one hash probe by name and one by user; the ordered maps of the
-/// index are built once per file, from what the probes gathered.
-fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseResult<FilePartial> {
-    let mut names: HashMap<String, NamePosted> = HashMap::new();
-    let mut users: HashMap<i64, UserPosted> = HashMap::new();
+/// Scans one landed file into its entry, its partial index (postings keyed
+/// by the file's preassigned number) and what the scan cost — the parallel
+/// unit of the hour build. Pure per-file work: nothing here touches shared
+/// state. A row costs one hash probe by name and one by user; the ordered
+/// maps of the index are built once per file, from what the probes gathered.
+fn scan_file(
+    warehouse: &Warehouse,
+    path: &WhPath,
+    file_no: u32,
+) -> WarehouseResult<(FileEntry, HourIndex, ScanStats)> {
+    // Per name its count and its groups, per user its groups, ascending.
+    let mut names: HashMap<String, (u64, Vec<u32>)> = HashMap::new();
+    let mut users: HashMap<i64, Vec<u32>> = HashMap::new();
     let file = ScanFile::open(warehouse, path)?;
     // Row groups are addressable, so a columnar file posts the group an
     // event sits in; a row-format sibling posts as one pseudo-group, the
@@ -311,67 +231,44 @@ fn scan_file(warehouse: &Warehouse, path: &WhPath, file_no: u32) -> WarehouseRes
                 Some(posted) => posted,
                 None => names.entry(name.to_string()).or_default(),
             };
-            posted.count += 1;
-            post_group(&mut posted.groups, group);
-            let millis = row.timestamp()?.millis();
-            let posted = users.entry(row.user_id()?).or_insert_with(|| UserPosted {
-                groups: Vec::new(),
-                summary: UserHourSummary {
-                    events: 0,
-                    sessions: 0,
-                    first_millis: millis,
-                    last_millis: millis,
-                },
-                sessions: BTreeSet::new(),
-            });
-            post_group(&mut posted.groups, group);
-            posted.summary.events += 1;
-            posted.summary.first_millis = posted.summary.first_millis.min(millis);
-            posted.summary.last_millis = posted.summary.last_millis.max(millis);
-            let session_id = row.session_id()?;
-            if !posted.sessions.contains(session_id) {
-                posted.sessions.insert(session_id.to_string());
-            }
+            posted.0 += 1;
+            post_group(&mut posted.1, group);
+            post_group(users.entry(row.user_id()?).or_default(), group);
             Ok(())
         })?;
-    let mut partial = HourIndex {
+    let postings = |groups: Vec<u32>| Postings::from([(file_no, BTreeSet::from_iter(groups))]);
+    // Users in key order, so that every insert lands at the end of its map.
+    let mut users: Vec<(i64, Vec<u32>)> = users.into_iter().collect();
+    users.sort_unstable_by_key(|(user, _)| *user);
+    let partial = HourIndex {
         records: events + skipped,
         events,
+        names: names
+            .into_iter()
+            .map(|(name, (count, groups))| (name, (count, postings(groups))))
+            .collect(),
+        users: users
+            .into_iter()
+            .map(|(user, groups)| (user, postings(groups)))
+            .collect(),
         ..HourIndex::default()
     };
-    let postings = |groups: Vec<u32>| Postings::from([(file_no, BTreeSet::from_iter(groups))]);
-    for (name, posted) in names {
-        partial.name_counts.insert(name.clone(), posted.count);
-        partial.name_postings.insert(name, postings(posted.groups));
-    }
-    // In key order, so that every insert lands at the end of its map.
-    let mut users: Vec<(i64, UserPosted)> = users.into_iter().collect();
-    users.sort_unstable_by_key(|(user, _)| *user);
-    let mut sessions = BTreeMap::new();
-    for (user, posted) in users {
-        partial.user_postings.insert(user, postings(posted.groups));
-        partial.user_summaries.insert(user, posted.summary);
-        sessions.insert(user, posted.sessions);
-    }
-    Ok(FilePartial {
-        entry: FileEntry {
-            name: path.name().to_string(),
-            groups: if columnar { file.units() as u32 } else { 1 },
-            columnar,
-        },
-        partial,
-        sessions,
-        scanned: file.local_stats(),
-    })
+    let entry = FileEntry {
+        name: path.name().to_string(),
+        groups: if columnar { file.units() as u32 } else { 1 },
+        columnar,
+    };
+    Ok((entry, partial, file.local_stats()))
 }
 
 /// Magic prefix of an encoded index: what tells it from anything else that
-/// may sit under its name (the text format it replaced began with `H`).
-const INDEX_MAGIC: [u8; 4] = *b"UHI\x01";
+/// may sit under its name. The last byte is the layout's version: `1` kept
+/// a session summary per user-hour and every name whole.
+const INDEX_MAGIC: [u8; 4] = *b"UHI\x02";
 
-fn put_text(out: &mut Vec<u8>, text: &str) {
+fn put_text(out: &mut Vec<u8>, text: &[u8]) {
     varint::write_u64(out, text.len() as u64);
-    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(text);
 }
 
 /// `count`, then the ascending `values` each as its distance from the one
@@ -392,40 +289,15 @@ fn put_postings(out: &mut Vec<u8>, postings: &Postings) {
     }
 }
 
-/// The keys of `a` and `b` in ascending order, each with what either map
-/// holds under it: the two maps of a key kind share their keys in every
-/// index the build produces, but the type does not say so.
-fn joined<'a, K: Ord, A, B>(
-    a: &'a BTreeMap<K, A>,
-    b: &'a BTreeMap<K, B>,
-) -> impl Iterator<Item = (&'a K, Option<&'a A>, Option<&'a B>)> {
-    use std::cmp::Ordering::{Greater, Less};
-    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
-    std::iter::from_fn(move || {
-        let order = match (a.peek(), b.peek()) {
-            (None, None) => return None,
-            (Some(_), None) => Less,
-            (None, Some(_)) => Greater,
-            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
-        };
-        let left = if order != Greater { a.next() } else { None };
-        let right = if order != Less { b.next() } else { None };
-        let key = match (left, right) {
-            (Some((key, _)), _) | (None, Some((key, _))) => key,
-            (None, None) => return None,
-        };
-        Some((key, left.map(|(_, v)| v), right.map(|(_, v)| v)))
-    })
-}
-
-/// Serializes the index: varints throughout, every ascending run — user
-/// ids, file numbers, the row groups of a posting — as distances from the
-/// value before, and a user's first event relative to the start of the
-/// hour, its last relative to its first. After the magic: hour, records,
-/// events; the files; then one run of event names, each once, with its
-/// count and its postings, and one run of users, each with its postings
-/// and its summary (a flag byte says which of the two an entry has).
-/// [`decode`] is the exact inverse.
+/// Serializes the index: varints throughout, and every ascending run — file
+/// numbers, the row groups of a posting, user ids — as distances from the
+/// value before. After the magic: hour, records, events; the files (name,
+/// groups, a layout byte); then the event names in order, each as the
+/// number of bytes it shares with the name before, the bytes it does not,
+/// its count and its postings; then the users in order, the first as it is,
+/// each other as its distance from the one before, each with its postings.
+/// [`decode`] is the exact inverse for an index whose postings name its own
+/// files and their groups, which every built index does.
 pub fn encode(index: &HourIndex) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&INDEX_MAGIC);
@@ -434,40 +306,30 @@ pub fn encode(index: &HourIndex) -> Vec<u8> {
     }
     varint::write_u64(&mut out, index.files.len() as u64);
     for f in &index.files {
-        put_text(&mut out, &f.name);
+        put_text(&mut out, f.name.as_bytes());
         varint::write_u64(&mut out, u64::from(f.groups));
         out.push(u8::from(f.columnar));
     }
-    let flags = |a: bool, b: bool| u8::from(a) | u8::from(b) << 1;
-    let names = || joined(&index.name_counts, &index.name_postings);
-    varint::write_u64(&mut out, names().count() as u64);
-    for (name, count, postings) in names() {
-        put_text(&mut out, name);
-        out.push(flags(count.is_some(), postings.is_some()));
-        if let Some(count) = count {
-            varint::write_u64(&mut out, *count);
-        }
-        if let Some(postings) = postings {
-            put_postings(&mut out, postings);
-        }
+    varint::write_u64(&mut out, index.names.len() as u64);
+    let mut last: &[u8] = &[];
+    for (name, (count, postings)) in &index.names {
+        let name = name.as_bytes();
+        let shared = name.iter().zip(last).take_while(|(a, b)| a == b).count();
+        varint::write_u64(&mut out, shared as u64);
+        put_text(&mut out, &name[shared..]);
+        varint::write_u64(&mut out, *count);
+        put_postings(&mut out, postings);
+        last = name;
     }
-    let hour_start = (index.hour_index as i64).wrapping_mul(MS_PER_HOUR);
-    let users = || joined(&index.user_postings, &index.user_summaries);
-    varint::write_u64(&mut out, users().count() as u64);
-    let mut last_user = 0i64;
-    for (user, postings, summary) in users() {
-        varint::write_i64(&mut out, user.wrapping_sub(last_user));
-        last_user = *user;
-        out.push(flags(postings.is_some(), summary.is_some()));
-        if let Some(postings) = postings {
-            put_postings(&mut out, postings);
-        }
-        if let Some(s) = summary {
-            varint::write_u64(&mut out, s.events);
-            varint::write_u64(&mut out, s.sessions);
-            varint::write_i64(&mut out, s.first_millis.wrapping_sub(hour_start));
-            varint::write_i64(&mut out, s.last_millis.wrapping_sub(s.first_millis));
-        }
+    varint::write_u64(&mut out, index.users.len() as u64);
+    let mut last = None;
+    for (user, postings) in &index.users {
+        match last {
+            None => varint::write_i64(&mut out, *user),
+            Some(last) => varint::write_u64(&mut out, user.wrapping_sub(last) as u64),
+        };
+        put_postings(&mut out, postings);
+        last = Some(*user);
     }
     out
 }
@@ -482,10 +344,6 @@ impl<'a> IndexBytes<'a> {
         Some(v)
     }
 
-    fn i64(&mut self) -> Option<i64> {
-        self.u64().map(varint::zigzag_decode)
-    }
-
     fn u32(&mut self) -> Option<u32> {
         u32::try_from(self.u64()?).ok()
     }
@@ -496,9 +354,9 @@ impl<'a> IndexBytes<'a> {
         Some(head)
     }
 
-    fn text(&mut self) -> Option<String> {
+    fn text(&mut self) -> Option<&'a [u8]> {
         let len = usize::try_from(self.u64()?).ok()?;
-        Some(std::str::from_utf8(self.bytes(len)?).ok()?.to_string())
+        self.bytes(len)
     }
 
     /// A count of things that cost a byte each at least: one larger than
@@ -509,8 +367,9 @@ impl<'a> IndexBytes<'a> {
             .filter(|n| *n <= self.0.len())
     }
 
-    /// The inverse of [`put_ascending`]: strictly ascending, or `None`.
-    fn ascending(&mut self) -> Option<Vec<u32>> {
+    /// The inverse of [`put_ascending`]: strictly ascending and under
+    /// `limit`, or `None`.
+    fn ascending(&mut self, limit: u64) -> Option<Vec<u32>> {
         let count = self.count()?;
         let mut values: Vec<u32> = Vec::with_capacity(count);
         for i in 0..count {
@@ -519,55 +378,32 @@ impl<'a> IndexBytes<'a> {
             if i > 0 && step == 0 {
                 return None;
             }
-            values.push(last.checked_add(step)?);
+            let value = last.checked_add(step);
+            values.push(value.filter(|v| u64::from(*v) < limit)?);
         }
         Some(values)
     }
 
-    fn postings(&mut self) -> Option<Postings> {
+    /// Postings over `files`: a file number they lack, and a group past the
+    /// groups of its file, are structural errors.
+    fn postings(&mut self, files: &[FileEntry]) -> Option<Postings> {
         let mut postings = Postings::new();
-        for file in self.ascending()? {
-            postings.insert(file, self.ascending()?.into_iter().collect());
+        for file in self.ascending(files.len() as u64)? {
+            let groups = self.ascending(u64::from(files[file as usize].groups))?;
+            postings.insert(file, groups.into_iter().collect());
         }
         Some(postings)
     }
-
-    /// One run of entries, each a key and then — as its flag byte says —
-    /// a value for `left`, for `right`, or for both. A key that does not
-    /// ascend, and a flag byte naming neither map, are structural errors.
-    fn run<K: Ord + Clone, A, B>(
-        &mut self,
-        (left, right): (&mut BTreeMap<K, A>, &mut BTreeMap<K, B>),
-        mut key: impl FnMut(&mut Self) -> Option<K>,
-        mut a: impl FnMut(&mut Self) -> Option<A>,
-        mut b: impl FnMut(&mut Self) -> Option<B>,
-    ) -> Option<()> {
-        let mut last: Option<K> = None;
-        for _ in 0..self.count()? {
-            let key = key(self)?;
-            if last.as_ref().is_some_and(|last| *last >= key) {
-                return None;
-            }
-            let flags = *self.bytes(1)?.first()?;
-            if !(1..=3).contains(&flags) {
-                return None;
-            }
-            if flags & 1 != 0 {
-                left.insert(key.clone(), a(self)?);
-            }
-            if flags & 2 != 0 {
-                right.insert(key.clone(), b(self)?);
-            }
-            last = Some(key);
-        }
-        Some(())
-    }
 }
 
-/// Inverse of [`encode`]. `None` on any structural error — a missing magic,
-/// truncation, an overlong varint, a count the remaining bytes cannot hold,
-/// a run that does not ascend, trailing bytes: a committed index that does
-/// not decode is treated as absent and rebuilt from the landed hour.
+/// Inverse of [`encode`]. `None` on any structural error — a missing magic
+/// or the magic of an older layout, truncation, an overlong varint, a count
+/// the remaining bytes cannot hold, a name that shares more than the name
+/// before has or is not UTF-8, names or users or postings that do not
+/// ascend, a posting outside the hour's files and their groups, a user's
+/// distance that overflows, trailing bytes: a committed index that does not
+/// decode is treated as absent and rebuilt from the landed hour. Nothing is
+/// sized by a count the bytes present could not pay for.
 pub fn decode(bytes: &[u8]) -> Option<HourIndex> {
     let mut r = IndexBytes(bytes.strip_prefix(&INDEX_MAGIC)?);
     let mut index = HourIndex {
@@ -578,7 +414,7 @@ pub fn decode(bytes: &[u8]) -> Option<HourIndex> {
     };
     for _ in 0..r.count()? {
         index.files.push(FileEntry {
-            name: r.text()?,
+            name: std::str::from_utf8(r.text()?).ok()?.to_string(),
             groups: r.u32()?,
             columnar: match r.bytes(1)? {
                 [0] => false,
@@ -587,32 +423,25 @@ pub fn decode(bytes: &[u8]) -> Option<HourIndex> {
             },
         });
     }
-    r.run(
-        (&mut index.name_counts, &mut index.name_postings),
-        IndexBytes::text,
-        IndexBytes::u64,
-        IndexBytes::postings,
-    )?;
-    let hour_start = (index.hour_index as i64).wrapping_mul(MS_PER_HOUR);
-    let mut last_user = 0i64;
-    r.run(
-        (&mut index.user_postings, &mut index.user_summaries),
-        |r| {
-            last_user = last_user.wrapping_add(r.i64()?);
-            Some(last_user)
-        },
-        IndexBytes::postings,
-        |r| {
-            let (events, sessions) = (r.u64()?, r.u64()?);
-            let first_millis = hour_start.wrapping_add(r.i64()?);
-            Some(UserHourSummary {
-                events,
-                sessions,
-                first_millis,
-                last_millis: first_millis.wrapping_add(r.i64()?),
-            })
-        },
-    )?;
+    for _ in 0..r.count()? {
+        let last = index.names.last_key_value().map(|(name, _)| name.as_str());
+        let shared = usize::try_from(r.u64()?).ok()?;
+        let shared = last.unwrap_or("").as_bytes().get(..shared)?;
+        let name = String::from_utf8([shared, r.text()?].concat()).ok()?;
+        if last.is_some_and(|last| last >= name.as_str()) {
+            return None;
+        }
+        let posted = (r.u64()?, r.postings(&index.files)?);
+        index.names.insert(name, posted);
+    }
+    for _ in 0..r.count()? {
+        let user = match index.users.last_key_value() {
+            None => varint::zigzag_decode(r.u64()?),
+            Some((last, _)) => last.checked_add_unsigned(r.u64().filter(|step| *step > 0)?)?,
+        };
+        let postings = r.postings(&index.files)?;
+        index.users.insert(user, postings);
+    }
     r.0.is_empty().then_some(index)
 }
 
@@ -622,7 +451,7 @@ pub fn decode(bytes: &[u8]) -> Option<HourIndex> {
 /// the commit; a crash before the rename leaves nothing partial behind,
 /// only a missing index that [`load_hour_index`] reports as absent and
 /// maintenance rebuilds. Recommitting (a rebuild) replaces the previous
-/// index wholesale.
+/// index wholesale. Returns the committed index's length in bytes.
 pub fn commit_hour_index(
     warehouse: &Warehouse,
     category: &str,
@@ -647,20 +476,32 @@ pub fn commit_hour_index(
 }
 
 /// Loads a committed index, or `None` when the hour has never committed
-/// (or its file is corrupt or does not decode — treated as absent, forcing
-/// a rebuild from the landed hour, which is the source of truth).
+/// (or its file is corrupt, of an older layout, or does not decode —
+/// treated as absent, forcing a rebuild from the landed hour, which is the
+/// source of truth).
 pub fn load_hour_index(
     warehouse: &Warehouse,
     category: &str,
     hour_index: u64,
 ) -> WarehouseResult<Option<HourIndex>> {
+    Ok(load_committed(warehouse, category, hour_index)?.map(|(index, _)| index))
+}
+
+/// [`load_hour_index`], with the committed index's length in bytes.
+pub(crate) fn load_committed(
+    warehouse: &Warehouse,
+    category: &str,
+    hour_index: u64,
+) -> WarehouseResult<Option<(HourIndex, u64)>> {
     let partition = HourlyPartition::from_hour_index(category, hour_index);
     let file = index_dir(&partition).child(INDEX_FILE)?;
     if !warehouse.exists(&file) {
         return Ok(None);
     }
     match warehouse.open(&file).and_then(|reader| reader.read_all()) {
-        Ok(records) => Ok(records.first().and_then(|r| decode(r))),
+        Ok(records) => Ok(records
+            .first()
+            .and_then(|r| Some((decode(r)?, r.len() as u64)))),
         Err(WarehouseError::ChecksumMismatch { .. } | WarehouseError::Corrupt(_)) => Ok(None),
         Err(e) => Err(e),
     }
@@ -717,17 +558,14 @@ mod tests {
         assert_eq!(idx.files.len(), 1);
         assert_eq!(idx.files[0].groups, 3);
         assert!(idx.files[0].columnar);
+        let every_group = Postings::from([(0, BTreeSet::from([0, 1, 2]))]);
         assert_eq!(
-            idx.name_counts.get("web:home:timeline:tweet:avatar:click"),
-            Some(&10)
+            idx.names.get("web:home:timeline:tweet:avatar:click"),
+            Some(&(10, every_group))
         );
         assert_eq!(idx.user_groups(0), 3);
         assert_eq!(idx.user_groups(1), 3);
         assert_eq!(idx.user_groups(42), 0);
-        let s = &idx.user_summaries[&0];
-        assert_eq!(s.events, 5);
-        assert!(s.sessions >= 1 && s.sessions <= 3);
-        assert_eq!(s.first_millis, 1000);
     }
 
     #[test]
@@ -739,38 +577,79 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trips() {
+    fn the_build_reads_the_two_columns_it_posts() {
         let wh = Warehouse::new();
-        let events: Vec<ClientEvent> = (0..20)
-            .map(|i| {
-                event(
-                    i % 4,
-                    &format!("s{i}"),
-                    if i % 2 == 0 {
-                        "web:home:timeline:tweet:avatar:click"
-                    } else {
-                        "iphone:search:results:query:box:submit"
-                    },
-                    i * 50,
-                )
-            })
+        let events: Vec<ClientEvent> = (0..40)
+            .map(|i| event(i % 4, &format!("s{i}"), "a:b:c:d:e:f", i * 50))
             .collect();
-        land_hour(&wh, 3, &events, 8);
-        let idx = build(&wh, 3);
-        let decoded = decode(&encode(&idx)).expect("round trip");
-        assert_eq!(decoded, idx);
+        land_hour(&wh, 0, &events, 8);
+        let (_, cost) = build_hour_index(&wh, "client_events", 0, Parallelism::serial()).unwrap();
+        let dir = HourlyPartition::from_hour_index("client_events", 0).main_dir();
+        let file = ScanFile::open(&wh, &dir.child("part-00000").unwrap()).unwrap();
+        let ScanFile::Columnar(col) = &file else {
+            panic!("the landing is columnar");
+        };
+        for g in 0..col.group_count() {
+            col.read_group(g, &INDEXED_COLUMNS).unwrap();
+        }
+        assert_eq!(
+            cost.uncompressed_bytes_read,
+            file.local_stats().uncompressed_bytes_read
+        );
+        assert_eq!(cost.fields_skipped, 5 * 40, "five columns left alone");
+    }
+
+    /// An hour of two files whose names share long prefixes.
+    fn two_file_index() -> HourIndex {
+        let wh = Warehouse::new();
+        let dir = HourlyPartition::from_hour_index("client_events", 3).main_dir();
+        for f in 0..2 {
+            let events: Vec<ClientEvent> = (0..20)
+                .map(|i| {
+                    let name = match i % 3 {
+                        0 => "web:home:timeline:tweet:avatar:click",
+                        1 => "web:home:timeline:tweet:avatar:hover",
+                        _ => "iphone:search:results:query:box:submit",
+                    };
+                    event(i % 4 + f * 1000, &format!("s{i}"), name, i * 50)
+                })
+                .collect();
+            let path = dir.child(&format!("part-{f:05}")).unwrap();
+            write_client_events_columnar(&wh, &path, &events, true, 8).unwrap();
+        }
+        build(&wh, 3)
+    }
+
+    #[test]
+    fn encode_decode_round_trips() {
+        let idx = two_file_index();
+        assert_eq!(idx.files.len(), 2);
+        let bytes = encode(&idx);
+        assert_eq!(decode(&bytes), Some(idx));
+        // A name is stored as what the name before does not already say.
+        let find = |text: &[u8]| bytes.windows(text.len()).any(|w| w == text);
+        assert!(find(b"web:home:timeline:tweet:avatar:click"));
+        assert!(find(b"hover") && !find(b":hover"));
+    }
+
+    fn varints(values: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for v in values {
+            varint::write_u64(&mut out, *v);
+        }
+        out
+    }
+
+    /// An index of hour 2 over one columnar file of three groups and one
+    /// row-format sibling, holding `names` and `users` as they stand.
+    fn forged(names: &[u8], users: &[u8]) -> Vec<u8> {
+        let files = [&[2, 1, b'a', 3, 1][..], &[1, b'b', 1, 0]].concat();
+        [&INDEX_MAGIC[..], &[2, 9, 9], &files, names, users].concat()
     }
 
     #[test]
     fn decode_rejects_what_encode_never_writes() {
-        let wh = Warehouse::new();
-        land_hour(
-            &wh,
-            2,
-            &[event(9, "s", "a:b:c:d:e:f", 2 * 3_600_000 + 10)],
-            8,
-        );
-        let good = encode(&build(&wh, 2));
+        let good = encode(&two_file_index());
         assert!(decode(&good).is_some());
         for cut in 0..good.len() {
             assert!(decode(&good[..cut]).is_none(), "truncated at {cut}");
@@ -778,8 +657,10 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(decode(&trailing).is_none(), "trailing byte");
-        // The text format this replaced, and an index of nothing at all.
+        // The layouts this replaced — tab-separated text, and the varint
+        // layout that kept a summary per user — and an index of nothing.
         assert!(decode(b"H\t2\t1\t1\nF\tpart-00000\t1\t1\n").is_none());
+        assert!(decode(b"UHI\x01\x02\x01\x01\x00\x00\x00").is_none());
         assert!(decode(b"").is_none());
         // A count the remaining bytes cannot hold is refused before
         // anything is sized by it, and an overlong varint is no number.
@@ -787,18 +668,132 @@ mod tests {
         assert!(decode(&header(&[0xff, 0xff, 0xff, 0xff, 0x0f])).is_none());
         assert!(decode(&header(&[0x80; 11])).is_none());
         assert!(decode(&header(&[0, 0, 0])).is_some(), "an empty hour");
+
+        // One name `ab` counted 7 in group 2 of file 0, and nobody.
+        let posted = |file: u8, group: u8| [1, file, 1, group];
+        let name = |shared: u8, suffix: &[u8], postings: &[u8]| {
+            [&[shared, suffix.len() as u8][..], suffix, &[7], postings].concat()
+        };
+        let one = [&[1][..], &name(0, b"ab", &posted(0, 2))].concat();
+        assert!(
+            decode(&forged(&one, &[0])).is_some(),
+            "the forger can be honest"
+        );
+        let names_of = |entries: &[Vec<u8>]| {
+            let mut names = vec![entries.len() as u8];
+            names.extend(entries.iter().flatten());
+            decode(&forged(&names, &[0])).map(|index| index.names.into_keys().collect::<Vec<_>>())
+        };
+        let ab = || name(0, b"ab", &posted(0, 2));
+        // Front coding: `ab` then `ab` + `c`.
+        assert_eq!(
+            names_of(&[ab(), name(2, b"c", &posted(1, 0))]),
+            Some(vec!["ab".to_string(), "abc".to_string()])
+        );
+        let bad_names: [(&str, Vec<Vec<u8>>); 9] = [
+            (
+                "shares more than the name before has",
+                vec![ab(), name(3, b"c", &[0])],
+            ),
+            ("the first name shares anything", vec![name(1, b"b", &[0])]),
+            ("a suffix past the end", vec![vec![0, 200, b'a', b'b']]),
+            (
+                "a suffix that is not UTF-8",
+                vec![name(0, &[b'a', 0xff], &[0])],
+            ),
+            (
+                "a shared prefix that splits a character",
+                vec![name(0, "é".as_bytes(), &[0]), name(1, b"z", &[0])],
+            ),
+            ("the same name twice", vec![ab(), name(2, b"", &[0])]),
+            ("names out of order", vec![ab(), name(1, b"a", &[0])]),
+            ("a file the hour lacks", vec![name(0, b"ab", &posted(2, 0))]),
+            (
+                "a group past the file's groups",
+                vec![name(0, b"ab", &posted(0, 3))],
+            ),
+        ];
+        for (what, entries) in bad_names {
+            assert_eq!(names_of(&entries), None, "{what}");
+        }
+        assert_eq!(
+            names_of(&[name(0, b"ab", &posted(1, 1))]),
+            None,
+            "a row-format sibling has one pseudo-group"
+        );
+        // Postings: groups that do not ascend, files that do not, a count
+        // of groups no bytes are left for.
+        for postings in [
+            &[1, 0, 2, 1, 0][..],
+            &[2, 0, 0, 1, 0, 1, 0],
+            &[1, 0, 0x80, 0x80, 0x01],
+        ] {
+            assert_eq!(names_of(&[name(0, b"ab", postings)]), None, "{postings:?}");
+        }
+        assert_eq!(
+            names_of(&[name(0, b"ab", &[2, 0, 1, 2, 0, 2, 1, 0])]),
+            Some(vec!["ab".to_string()]),
+            "both files, groups 0 and 2 of the first"
+        );
+
+        // Users: the first as it is, the rest by their distance.
+        let users_of = |count: u8, ids: &[u8]| {
+            let mut users = vec![count];
+            for id in ids.split_inclusive(|b| b & 0x80 == 0) {
+                users.extend_from_slice(id);
+                users.push(0); // posted nowhere
+            }
+            decode(&forged(&[0], &users)).map(|index| index.users.into_keys().collect::<Vec<_>>())
+        };
+        let zigzag = |v: i64| varints(&[varint::zigzag_encode(v)]);
+        assert_eq!(
+            users_of(2, &[zigzag(-3), vec![5]].concat()),
+            Some(vec![-3, 2])
+        );
+        assert_eq!(
+            users_of(2, &[zigzag(4), vec![0]].concat()),
+            None,
+            "a user twice"
+        );
+        let past_the_end = [zigzag(i64::MAX - 1), vec![2]].concat();
+        assert_eq!(
+            users_of(2, &past_the_end),
+            None,
+            "a distance that overflows"
+        );
+        let whole_range = [zigzag(i64::MIN), varints(&[u64::MAX])].concat();
+        assert_eq!(users_of(2, &whole_range), Some(vec![i64::MIN, i64::MAX]));
+        assert_eq!(users_of(200, &zigzag(1)), None, "more users than bytes");
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
-        fn postings() -> impl Strategy<Value = Postings> {
+        type RawPostings = BTreeMap<u32, BTreeSet<u32>>;
+
+        fn raw_postings() -> impl Strategy<Value = RawPostings> {
             proptest::collection::btree_map(
-                prop_oneof![0u32..6, any::<u32>()],
-                proptest::collection::btree_set(prop_oneof![0u32..40, any::<u32>()], 0..6),
+                any::<u32>(),
+                proptest::collection::btree_set(any::<u32>(), 0..6),
                 0..4,
             )
+        }
+
+        /// `raw` folded onto `files`: every file number one of theirs,
+        /// every group one of its file's.
+        fn postings_over(files: &[FileEntry], raw: RawPostings) -> Postings {
+            let mut postings = Postings::new();
+            if files.is_empty() {
+                return postings;
+            }
+            for (file, groups) in raw {
+                let file = file % files.len() as u32;
+                let of_file = files[file as usize].groups;
+                let groups = groups.into_iter().filter_map(|g| g.checked_rem(of_file));
+                postings.entry(file).or_default().extend(groups);
+            }
+            postings
         }
 
         fn user() -> impl Strategy<Value = i64> {
@@ -806,59 +801,53 @@ mod tests {
         }
 
         fn hour_index() -> impl Strategy<Value = HourIndex> {
+            let groups = prop_oneof![0u32..40, any::<u32>()];
             (
                 (
                     prop_oneof![0u64..48, any::<u64>()],
                     any::<u64>(),
                     any::<u64>(),
                 ),
-                proptest::collection::vec(("[a-z0-9-]{0,12}", any::<u32>(), any::<bool>()), 0..4),
-                proptest::collection::btree_map("[a-z:_]{0,20}", any::<u64>(), 0..5),
-                proptest::collection::btree_map("[a-z:_]{0,20}", postings(), 0..5),
-                proptest::collection::btree_map(user(), postings(), 0..8),
+                proptest::collection::vec(("[a-z0-9-]{0,12}", groups, any::<bool>()), 0..4),
                 proptest::collection::btree_map(
-                    user(),
-                    (any::<u64>(), any::<u64>(), any::<i64>(), any::<i64>()),
-                    0..8,
+                    "(web:home:|web:|iphone:)?[a-zé:_]{0,12}",
+                    (any::<u64>(), raw_postings()),
+                    0..6,
                 ),
+                proptest::collection::btree_map(user(), raw_postings(), 0..8),
             )
-                .prop_map(
-                    |(counts, files, names, name_postings, user_postings, summaries)| HourIndex {
+                .prop_map(|(counts, files, names, users)| {
+                    let files: Vec<FileEntry> = files
+                        .into_iter()
+                        .map(|(name, groups, columnar)| FileEntry {
+                            name,
+                            groups,
+                            columnar,
+                        })
+                        .collect();
+                    let over = |raw| postings_over(&files, raw);
+                    HourIndex {
                         hour_index: counts.0,
                         records: counts.1,
                         events: counts.2,
-                        files: files
+                        names: names
                             .into_iter()
-                            .map(|(name, groups, columnar)| FileEntry {
-                                name,
-                                groups,
-                                columnar,
-                            })
+                            .map(|(name, (count, raw))| (name, (count, over(raw))))
                             .collect(),
-                        name_counts: names,
-                        name_postings,
-                        user_postings,
-                        user_summaries: summaries
+                        users: users
                             .into_iter()
-                            .map(|(user, (events, sessions, first_millis, last_millis))| {
-                                let summary = UserHourSummary {
-                                    events,
-                                    sessions,
-                                    first_millis,
-                                    last_millis,
-                                };
-                                (user, summary)
-                            })
+                            .map(|(user, raw)| (user, over(raw)))
                             .collect(),
-                    },
-                )
+                        files,
+                    }
+                })
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// Any index the type can hold — key sets that differ between
-            /// the maps, empty postings, extreme ids and times — comes back
+            /// Any index over its own files — names that share prefixes or
+            /// nothing, empty postings, extreme ids and counts — comes back
             /// as it went in.
             #[test]
             fn any_index_round_trips(index in hour_index()) {
@@ -893,9 +882,9 @@ mod tests {
         let wh = Warehouse::new();
         let hour = 11;
         let dir = HourlyPartition::from_hour_index("client_events", hour).main_dir();
-        // Several columnar files plus a row-format straggler, with users,
-        // names, and sessions deliberately spanning file boundaries so the
-        // merge has real work to do.
+        // Several columnar files plus a row-format straggler, with users
+        // and names deliberately spanning file boundaries so the merge has
+        // real work to do.
         for f in 0..5 {
             let events: Vec<ClientEvent> = (0..30)
                 .map(|i| {
@@ -925,7 +914,8 @@ mod tests {
         let (serial, serial_cost) =
             build_hour_index(&wh, "client_events", hour, Parallelism::serial()).unwrap();
         assert_eq!(serial.files.len(), 6, "fixture should span several files");
-        assert!(serial.user_summaries.len() >= 7);
+        assert!(serial.users.len() >= 7);
+        assert!(serial.users.values().any(|postings| postings.len() == 6));
         assert_eq!(serial_cost.files_opened, 6);
         assert_eq!(serial_cost.records_read, serial.records);
         for workers in [4, 8] {
@@ -947,8 +937,8 @@ mod tests {
         let idx = build(&wh, 5);
         let bytes = commit_hour_index(&wh, "client_events", &idx).unwrap();
         assert!(bytes > 0);
-        let loaded = load_hour_index(&wh, "client_events", 5).unwrap().unwrap();
-        assert_eq!(loaded, idx);
+        let loaded = load_committed(&wh, "client_events", 5).unwrap().unwrap();
+        assert_eq!(loaded, (idx.clone(), bytes));
         // A rebuild recommits over the previous index wholesale.
         commit_hour_index(&wh, "client_events", &idx).unwrap();
         let again = load_hour_index(&wh, "client_events", 5).unwrap().unwrap();

@@ -7,9 +7,9 @@
 //! that tier for the reproduced stack:
 //!
 //! - [`hour`] — the per-hour secondary index ([`HourIndex`]): user-id →
-//!   row-group postings, event-name → row-group postings, exact per-name
-//!   counts, and per-user session summaries, persisted beside the landed
-//!   hour with the mover's assemble-then-rename commit discipline.
+//!   row-group postings, event-name → row-group postings and exact
+//!   per-name counts, persisted beside the landed hour with the mover's
+//!   assemble-then-rename commit discipline.
 //! - [`maintain`] — [`IndexMaintainer`], a [`uli_scribe::DeliveryTap`]
 //!   that builds and commits an hour's index at the mover's exactly-once
 //!   delivery point, recovers crash-window victims by wholesale rebuild
@@ -37,8 +37,7 @@ pub use batch::{
 };
 pub use handle::{event_tuple, LookupStats, ServeAnswer, ServeHandle};
 pub use hour::{
-    build_hour_index, commit_hour_index, index_dir, load_hour_index, FileEntry, HourIndex,
-    Postings, UserHourSummary,
+    build_hour_index, commit_hour_index, index_dir, load_hour_index, FileEntry, HourIndex, Postings,
 };
 pub use maintain::IndexMaintainer;
 pub use repl::run_repl;

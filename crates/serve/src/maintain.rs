@@ -23,7 +23,7 @@ use uli_obs::{lock, Counter, Gauge, Registry};
 use uli_scribe::DeliveryTap;
 use uli_warehouse::{HourlyPartition, Warehouse, WarehouseResult, WhPath};
 
-use crate::hour::{build_hour_index, commit_hour_index, encode, load_hour_index, HourIndex};
+use crate::hour::{build_hour_index, commit_hour_index, load_committed, HourIndex};
 
 /// Registry mirrors, `set_total` discipline: the maintainer state stays
 /// authoritative and the registry can only show values it computed.
@@ -32,6 +32,7 @@ struct ServeObs {
     postings_bytes: Counter,
     lookups_served: Counter,
     row_groups_pruned: Counter,
+    index_build_failures: Counter,
     index_lag_hours: Gauge,
 }
 
@@ -42,6 +43,7 @@ impl ServeObs {
             postings_bytes: registry.counter("serve", "postings_bytes"),
             lookups_served: registry.counter("serve", "lookups_served"),
             row_groups_pruned: registry.counter("serve", "row_groups_pruned"),
+            index_build_failures: registry.counter("serve", "index_build_failures"),
             index_lag_hours: registry.gauge("serve", "index_lag_hours"),
         }
     }
@@ -50,9 +52,10 @@ impl ServeObs {
 pub(crate) struct Inner {
     pub(crate) warehouse: Warehouse,
     pub(crate) category: String,
-    /// Committed hour indexes, cached for the query side. Shared, never
-    /// copied: lookups and pruners hold the `Arc` outside the lock.
-    pub(crate) hours: BTreeMap<u64, Arc<HourIndex>>,
+    /// Committed hour indexes, cached for the query side, each beside its
+    /// serialized length. Shared, never copied: lookups and pruners hold
+    /// the `Arc` outside the lock.
+    pub(crate) hours: BTreeMap<u64, (Arc<HourIndex>, u64)>,
     /// Newest hour the mover has delivered (observed via the tap).
     pub(crate) newest_delivered: Option<u64>,
     /// Sum of committed index sizes, in serialized bytes.
@@ -64,6 +67,10 @@ pub(crate) struct Inner {
     /// Decoded bytes spent building indexes (the maintenance overhead the
     /// serving layer pays once per hour, amortized over every lookup).
     pub(crate) build_decoded_bytes: u64,
+    /// Delivered hours whose build or commit failed: each is unindexed —
+    /// its lookups answer nothing — until [`IndexMaintainer::recover`]
+    /// rebuilds it, and `lag_hours` forgets it once a later hour commits.
+    build_failures: u64,
     /// Fault injection: skip this many build+commit attempts, simulating a
     /// crash between hour-land and index-commit.
     fail_commits: u64,
@@ -92,6 +99,7 @@ impl Inner {
         obs.postings_bytes.set_total(self.postings_bytes);
         obs.lookups_served.set_total(self.lookups_served);
         obs.row_groups_pruned.set_total(self.row_groups_pruned);
+        obs.index_build_failures.set_total(self.build_failures);
         obs.index_lag_hours
             .set(self.lag_hours().min(i64::MAX as u64) as i64);
     }
@@ -103,11 +111,16 @@ impl Inner {
             build_hour_index(&self.warehouse, &self.category, hour, self.workers)?;
         self.build_decoded_bytes += scanned.uncompressed_bytes_read;
         let bytes = commit_hour_index(&self.warehouse, &self.category, &index)?;
-        if let Some(old) = self.hours.insert(hour, Arc::new(index)) {
-            self.postings_bytes -= encode(&old).len() as u64;
-        }
-        self.postings_bytes += bytes;
+        self.cache_hour(hour, index, bytes);
         Ok(())
+    }
+
+    /// Caches `index`, committed at `bytes` long, in place of whatever the
+    /// hour held.
+    fn cache_hour(&mut self, hour: u64, index: HourIndex, bytes: u64) {
+        let replaced = self.hours.insert(hour, (Arc::new(index), bytes));
+        self.postings_bytes -= replaced.map_or(0, |(_, bytes)| bytes);
+        self.postings_bytes += bytes;
     }
 }
 
@@ -147,6 +160,7 @@ impl IndexMaintainer {
                 lookups_served: 0,
                 row_groups_pruned: 0,
                 build_decoded_bytes: 0,
+                build_failures: 0,
                 fail_commits: 0,
                 workers: uli_warehouse::Parallelism::serial(),
                 obs,
@@ -195,11 +209,8 @@ impl IndexMaintainer {
             if inner.hours.contains_key(&hour) {
                 continue;
             }
-            match load_hour_index(&inner.warehouse, &inner.category, hour)? {
-                Some(index) => {
-                    inner.postings_bytes += encode(&index).len() as u64;
-                    inner.hours.insert(hour, Arc::new(index));
-                }
+            match load_committed(&inner.warehouse, &inner.category, hour)? {
+                Some((index, bytes)) => inner.cache_hour(hour, index, bytes),
                 None => {
                     inner.index_hour(hour)?;
                     rebuilt += 1;
@@ -220,7 +231,7 @@ impl IndexMaintainer {
         lock(&self.inner)
             .hours
             .get(&hour)
-            .map(|i| HourIndex::clone(i))
+            .map(|(index, _)| HourIndex::clone(index))
     }
 
     /// Newest hour the mover has delivered, if any.
@@ -295,10 +306,10 @@ impl DeliveryTap for IndexMaintainer {
             // Simulated crash between hour-land and index-commit: the hour
             // is visible, the index is not. recover() repairs this.
             inner.fail_commits -= 1;
-        } else if let Err(e) = inner.index_hour(hour) {
-            // Maintenance must never fail the delivery path; an unindexed
-            // hour surfaces as lag and recover() retries it.
-            debug_assert!(false, "index build failed for hour {hour}: {e}");
+        } else if inner.index_hour(hour).is_err() {
+            // Maintenance must never fail the delivery path: the hour stays
+            // unindexed, counted, and recover() retries it.
+            inner.build_failures += 1;
         }
         inner.sync_obs();
     }
@@ -402,6 +413,113 @@ mod tests {
         );
     }
 
+    fn hour_file(hour: u64) -> WhPath {
+        let dir = HourlyPartition::from_hour_index("client_events", hour).main_dir();
+        dir.child("part-00000").unwrap()
+    }
+
+    #[test]
+    fn a_failed_build_is_counted_and_the_hour_stays_unindexed_until_recovered() {
+        let registry = Registry::new();
+        let wh = Warehouse::new();
+        let m = IndexMaintainer::with_obs(wh.clone(), "client_events", &registry);
+        for hour in 0..3 {
+            land_hour(&wh, hour, 20);
+        }
+        // The middle hour's first row group does not verify: its build
+        // fails, the delivery goes on.
+        wh.corrupt_block(&hour_file(1), 1).unwrap();
+        for hour in 0..3 {
+            deliver(&m, hour);
+        }
+        let failures = || {
+            let snap = registry.snapshot();
+            snap.counter_value("serve/index_build_failures")
+        };
+        assert_eq!(failures(), Some(1));
+        assert_eq!(m.indexed_hours(), vec![0, 2]);
+        assert_eq!(
+            m.lag_hours(),
+            0,
+            "a later hour committed: lag does not show it"
+        );
+        let handle = m.handle();
+        assert!(handle.user_events(3, 1).unwrap().rows.is_empty());
+        assert_eq!(handle.user_events(3, 2).unwrap().rows.len(), 4);
+        // While the damage stands, recovery fails too and says so.
+        assert!(m.recover().is_err());
+        // The block flipped back, recovery rebuilds that hour and only it.
+        wh.corrupt_block(&hour_file(1), 1).unwrap();
+        assert_eq!(m.recover().unwrap(), 1);
+        assert_eq!(m.indexed_hours(), vec![0, 1, 2]);
+        assert_eq!(handle.user_events(3, 1).unwrap().rows.len(), 4);
+        assert_eq!(failures(), Some(1), "failures are counted, not current");
+    }
+
+    #[test]
+    fn an_index_that_does_not_decode_is_rebuilt_and_only_it() {
+        let wh = Warehouse::new();
+        let m = IndexMaintainer::new(wh.clone(), "client_events");
+        for hour in 0..3 {
+            land_hour(&wh, hour, 20);
+            deliver(&m, hour);
+        }
+        let committed = crate::hour::encode(&m.hour_index(1).unwrap());
+        // The layout this one replaced; a valid index cut short; one whose
+        // postings do not ascend (a group of the last user's, posted twice).
+        let mut unsorted = committed.clone();
+        let at = unsorted.len() - 2;
+        unsorted[at] = 0;
+        let hostile: [&[u8]; 4] = [
+            b"UHI\x01\x01\x14\x14\x00\x00\x00",
+            &committed[..committed.len() / 2],
+            &unsorted,
+            b"",
+        ];
+        let partition = HourlyPartition::from_hour_index("client_events", 1);
+        let idx = crate::hour::index_dir(&partition)
+            .child("hour.idx")
+            .unwrap();
+        for bytes in hostile {
+            wh.delete_file(&idx).unwrap();
+            let mut w = wh.create(&idx).unwrap();
+            w.append_record(bytes);
+            w.finish().unwrap();
+            let restarted = IndexMaintainer::new(wh.clone(), "client_events");
+            assert_eq!(restarted.recover().unwrap(), 1, "{bytes:?}");
+            for hour in 0..3 {
+                assert_eq!(restarted.hour_index(hour), m.hour_index(hour));
+            }
+            assert_eq!(restarted.postings_bytes(), m.postings_bytes());
+            // What recovery committed loads as it is.
+            let again = IndexMaintainer::new(wh.clone(), "client_events");
+            assert_eq!(again.recover().unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn postings_bytes_follow_a_rebuild_of_an_hour() {
+        let wh = Warehouse::new();
+        let m = IndexMaintainer::new(wh.clone(), "client_events");
+        land_hour(&wh, 0, 20);
+        deliver(&m, 0);
+        let small = m.postings_bytes();
+        assert_eq!(
+            small,
+            crate::hour::encode(&m.hour_index(0).unwrap()).len() as u64
+        );
+        // The hour landed again, larger, and delivered again: the sum holds
+        // the new length in place of the old.
+        wh.delete_file(&hour_file(0)).unwrap();
+        land_hour(&wh, 0, 200);
+        deliver(&m, 0);
+        assert!(m.postings_bytes() > small);
+        assert_eq!(
+            m.postings_bytes(),
+            crate::hour::encode(&m.hour_index(0).unwrap()).len() as u64
+        );
+    }
+
     #[test]
     fn obs_mirrors_maintainer_state() {
         let registry = Registry::new();
@@ -416,6 +534,7 @@ mod tests {
             Some(m.postings_bytes())
         );
         assert_eq!(snap.gauge_value("serve/index_lag_hours"), Some(0));
+        assert_eq!(snap.counter_value("serve/index_build_failures"), Some(0));
         assert!(registry.duplicate_registrations().is_empty());
     }
 }

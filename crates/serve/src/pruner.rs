@@ -53,10 +53,10 @@ impl BlockPruner for PostingsPruner {
         let index = self.hours.get(&path.parent()?)?;
         let file_no = index.files.iter().position(|f| f.name == path.name())? as u32;
         let posted = index
-            .name_postings
+            .names
             .iter()
             .filter(|(name, _)| tags.contains(&tag_hash(name.as_bytes())))
-            .filter_map(|(_, postings)| postings.get(&file_no))
+            .filter_map(|(_, (_, postings))| postings.get(&file_no))
             .flatten();
         index.unit_mask(file_no, file, posted)
     }

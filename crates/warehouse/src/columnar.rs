@@ -36,14 +36,14 @@
 //! dictionary, hands over with the row; values missing from the dictionary
 //! fall back to inline bytes, so the file never refuses a row.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use crate::cache::BlockKey;
 use crate::chunk::{self, ColumnKind, StoredAs, StoredRun};
 use crate::compress;
 use crate::error::{WarehouseError, WarehouseResult};
-use crate::file::{FileBlocks, FileData};
+use crate::file::FileBlocks;
 use crate::hash::block_checksum;
 use crate::path::WhPath;
 use crate::stats::ScanStats;
@@ -252,23 +252,61 @@ pub trait ColumnarLanding: Send + Sync {
     ) -> WarehouseResult<Vec<usize>>;
 }
 
-/// The first record of a file's first block — where a columnar file keeps
-/// its header. File metadata, read once per open: decompressed directly,
-/// uncharged and uncached, like the block footers the row path reads.
-/// `None` for an empty file or a first block that is not a framed record.
-pub(crate) fn first_record(data: &FileData) -> Option<Vec<u8>> {
-    let mut payload = compress::decompress(&data.blocks.first()?.compressed)?;
-    let mut pos = 0;
-    let len = usize::try_from(read_varint(&payload, &mut pos)?).ok()?;
-    let end = pos.checked_add(len).filter(|end| *end <= payload.len())?;
-    payload.truncate(end);
-    payload.drain(..pos);
-    Some(payload)
+/// A file's first block, decompressed, and where its first record lies in
+/// it — where a columnar file keeps its header.
+pub(crate) struct FirstRecord {
+    block: Arc<Vec<u8>>,
+    at: Range<usize>,
 }
 
-/// The format version a header record declares, when it carries the magic.
-pub(crate) fn header_version(record: &[u8]) -> Option<u8> {
-    (record.len() > COLUMNAR_MAGIC.len() && record[..4] == COLUMNAR_MAGIC).then(|| record[4])
+impl FirstRecord {
+    /// Frames the first record of a decompressed block; `None` when the
+    /// block does not open with a framed record.
+    fn of(block: Arc<Vec<u8>>) -> Option<FirstRecord> {
+        let mut pos = 0;
+        let len = usize::try_from(read_varint(&block, &mut pos)?).ok()?;
+        let end = pos.checked_add(len).filter(|end| *end <= block.len())?;
+        Some(FirstRecord {
+            block,
+            at: pos..end,
+        })
+    }
+
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.block[self.at.clone()]
+    }
+
+    /// The format version the record declares, when it carries the magic.
+    pub(crate) fn version(&self) -> Option<u8> {
+        let record = self.bytes();
+        (record.len() > COLUMNAR_MAGIC.len() && record[..4] == COLUMNAR_MAGIC).then(|| record[4])
+    }
+}
+
+/// The first record of `fb`'s file. File metadata, read on every open and
+/// charged to no one, like the block footers the row path reads — `None`
+/// for an empty file or a first block that is not a framed record. The
+/// decompressed block is taken from the shared cache when it is there, and
+/// a columnar file's header block is left there for the next open: the key
+/// is what the file's footer says of the stored bytes, so a file landed
+/// again under the same name with other content is never answered from
+/// what the name held before.
+pub(crate) fn first_record(fb: &FileBlocks) -> Option<FirstRecord> {
+    let block = fb.data.blocks.first()?;
+    let key = BlockKey::row_block(block.checksum, block.uncompressed_len);
+    if let Some(cached) = fb.cache.get(key) {
+        return FirstRecord::of(cached);
+    }
+    let first = FirstRecord::of(Arc::new(compress::decompress(&block.compressed)?))?;
+    // Only what the key says it is goes under the key; a row file's first
+    // block is left to the read that is charged for it.
+    if first.version().is_some()
+        && first.block.len() as u64 == block.uncompressed_len
+        && block_checksum(&block.compressed) == block.checksum
+    {
+        fb.cache.insert(key, Arc::clone(&first.block));
+    }
+    Some(first)
 }
 
 /// Peeks at a file's first block without charging scan counters or touching
@@ -278,7 +316,11 @@ pub(crate) fn header_version(record: &[u8]) -> Option<u8> {
 /// paths).
 pub fn sniff_columnar(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<Option<u8>> {
     let data = warehouse.file_data(path)?;
-    Ok(first_record(&data).as_deref().and_then(header_version))
+    let block = data.blocks.first();
+    let first = block
+        .and_then(|block| compress::decompress(&block.compressed))
+        .and_then(|block| FirstRecord::of(Arc::new(block)));
+    Ok(first.and_then(|first| first.version()))
 }
 
 /// One decoded cell of a projected column.
@@ -405,8 +447,42 @@ pub struct ColumnarFile {
     fb: FileBlocks,
     columns: usize,
     dict_col: Option<usize>,
-    dict: Arc<Vec<Vec<u8>>>,
-    dict_index: Arc<HashMap<Vec<u8>, u32>>,
+    dict: Arc<Dictionary>,
+}
+
+/// A file's embedded dictionary, kept where it sits in the header record:
+/// opening a file finds where each entry lies and copies none of them, so
+/// what an open allocates does not grow with the entries.
+struct Dictionary {
+    /// The file's header record, in the decompressed block it came in.
+    header: FirstRecord,
+    /// Where in the header the entry of each code lies, index = code.
+    entries: Vec<Range<u32>>,
+    /// The codes in the order of their values (of equal values, the smaller
+    /// code first), sorted when a code is first asked for by its value: a
+    /// read that resolves codes to values never asks.
+    by_value: OnceLock<Vec<u32>>,
+}
+
+impl Dictionary {
+    fn value(&self, code: u32) -> Option<&[u8]> {
+        let at = self.entries.get(code as usize)?;
+        Some(&self.header.bytes()[at.start as usize..at.end as usize])
+    }
+
+    fn code(&self, value: &[u8]) -> Option<u32> {
+        let entry = |code: &u32| self.value(*code).expect("a code of this dictionary");
+        let by_value = self.by_value.get_or_init(|| {
+            let mut codes: Vec<u32> = (0..self.entries.len() as u32).collect();
+            codes.sort_by_key(|code| (entry(code), *code));
+            codes
+        });
+        let at = by_value.partition_point(|code| entry(code) < value);
+        by_value
+            .get(at)
+            .copied()
+            .filter(|code| entry(code) == value)
+    }
 }
 
 impl ColumnarFile {
@@ -415,14 +491,18 @@ impl ColumnarFile {
     /// understand.
     pub fn open(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<ColumnarFile> {
         let fb = warehouse.open_blocks(path)?;
-        let header =
-            first_record(&fb.data).ok_or(WarehouseError::Corrupt("not a columnar file"))?;
-        ColumnarFile::with_header(fb, &header)
+        let header = first_record(&fb).ok_or(WarehouseError::Corrupt("not a columnar file"))?;
+        ColumnarFile::with_header(fb, header)
     }
 
-    /// Parses `record`, the first record of `fb`'s file, as the v4 header.
-    pub(crate) fn with_header(fb: FileBlocks, record: &[u8]) -> WarehouseResult<ColumnarFile> {
-        match header_version(record) {
+    /// Parses `header`, the first record of `fb`'s file, as the v4 header,
+    /// and keeps it: the dictionary's values stay where they are.
+    pub(crate) fn with_header(
+        fb: FileBlocks,
+        header: FirstRecord,
+    ) -> WarehouseResult<ColumnarFile> {
+        let record = header.bytes();
+        match header.version() {
             None => return Err(WarehouseError::Corrupt("not a columnar file")),
             Some(COLUMNAR_VERSION) => {}
             Some(_) => {
@@ -441,37 +521,40 @@ impl ColumnarFile {
         let dict_tag = read_varint(record, &mut pos)
             .ok_or(WarehouseError::Corrupt("columnar header dictionary"))?;
         let mut dict_col = None;
-        let mut dict: Vec<Vec<u8>> = Vec::new();
-        let mut dict_index = HashMap::new();
+        let mut entries = Vec::new();
         if dict_tag != 0 {
             let col = (dict_tag - 1) as usize;
             if col >= columns {
                 return Err(WarehouseError::Corrupt("columnar dictionary column"));
             }
             dict_col = Some(col);
-            let entries = read_varint(record, &mut pos)
+            let count = read_varint(record, &mut pos)
                 .ok_or(WarehouseError::Corrupt("columnar header dictionary"))?
                 as usize;
             // Every entry costs at least one length byte, so a claimed count
             // beyond the remaining header bytes is structurally impossible —
             // reject before allocating.
-            if entries > record.len() - pos {
+            if count > record.len() - pos {
                 return Err(WarehouseError::Corrupt("columnar dictionary entries"));
             }
-            dict.reserve(entries);
-            for code in 0..entries {
+            entries.reserve_exact(count);
+            for _ in 0..count {
                 let value = chunk::read_string(record, &mut pos)
                     .ok_or(WarehouseError::Corrupt("columnar dictionary entry"))?;
-                dict_index.entry(value.to_vec()).or_insert(code as u32);
-                dict.push(value.to_vec());
+                let end = u32::try_from(pos)
+                    .map_err(|_| WarehouseError::Corrupt("columnar dictionary entry"))?;
+                entries.push(end - value.len() as u32..end);
             }
         }
         Ok(ColumnarFile {
             fb,
             columns,
             dict_col,
-            dict: Arc::new(dict),
-            dict_index: Arc::new(dict_index),
+            dict: Arc::new(Dictionary {
+                header,
+                entries,
+                by_value: OnceLock::new(),
+            }),
         })
     }
 
@@ -490,14 +573,15 @@ impl ColumnarFile {
         self.dict_col
     }
 
-    /// The code the embedded dictionary assigns `value`, if any.
+    /// The code the embedded dictionary assigns `value`, if any (of two
+    /// entries holding one value, the first).
     pub fn dictionary_code(&self, value: &[u8]) -> Option<u32> {
-        self.dict_index.get(value).copied()
+        self.dict.code(value)
     }
 
     /// The value behind a dictionary code.
     pub fn dictionary_value(&self, code: u32) -> Option<&[u8]> {
-        self.dict.get(code as usize).map(Vec::as_slice)
+        self.dict.value(code)
     }
 
     /// The bytes of cell `(col, row)` of `group`, dictionary codes resolved
@@ -614,7 +698,7 @@ impl ColumnarFile {
                 continue;
             }
             let data = self.chunk_cells(idx, chunk, stored, rows)?;
-            let dict_len = (Some(c) == self.dict_col).then(|| self.dict.len() as u64);
+            let dict_len = (Some(c) == self.dict_col).then(|| self.dict.entries.len() as u64);
             let cells = split_cells(&data, rows, dict_len)?;
             columns.push(Some(ColumnChunk { data, cells }));
         }
@@ -1434,10 +1518,94 @@ mod tests {
             let mut w = wh.create(&p("/header")).unwrap();
             w.append_header_record(&header);
             w.finish().unwrap();
-            assert!(matches!(
-                ColumnarFile::open(&wh, &p("/header")),
-                Err(WarehouseError::Corrupt("columnar dictionary entry"))
-            ));
+            // On the first open and on the one that finds the header block
+            // where the first left it.
+            for _ in 0..2 {
+                assert!(matches!(
+                    ColumnarFile::open(&wh, &p("/header")),
+                    Err(WarehouseError::Corrupt("columnar dictionary entry"))
+                ));
+            }
+            assert_eq!(wh.cache_stats().entries, 1, "the header block is kept");
+        }
+
+        #[test]
+        fn an_open_reuses_the_header_block_and_never_one_of_other_content() {
+            let wh = Warehouse::new();
+            let expect = write_v4(&wh, "/v4", 30, 8);
+            let before = wh.stats();
+            let first = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            assert_eq!(wh.cache_stats().entries, 1, "the header block");
+            let again = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            assert_eq!(wh.cache_stats().entries, 1);
+            assert_eq!(wh.cache_stats().hits, 1, "the second open found it");
+            // File metadata: two files opened, nothing else charged.
+            let opened = ScanStats {
+                files_opened: 2,
+                ..ScanStats::default()
+            };
+            assert_eq!(wh.stats().since(&before), opened);
+            read_back(&again, &expect);
+            assert_eq!(again.dictionary_code(b"view"), Some(1));
+
+            // The same name landed again with another dictionary: the next
+            // open reads what is there now, and the handle opened before
+            // still reads what it opened.
+            wh.delete_file(&p("/v4")).unwrap();
+            let dict: [&[u8]; 2] = [b"view", b"tap"];
+            let mut w = ColumnarFileWriter::create(
+                &wh,
+                &p("/v4"),
+                &[ColumnKind::Bytes; 3],
+                8,
+                Some((1, &dict)),
+            )
+            .unwrap();
+            w.append_row_coded(&[b"u", b"tap", b"x"], Some(1), 0, 0);
+            w.finish().unwrap();
+            let relanded = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            assert_eq!(relanded.dictionary_value(1), Some(&b"tap"[..]));
+            assert_eq!(relanded.dictionary_code(b"view"), Some(0));
+            assert_eq!(relanded.dictionary_code(b"click"), None);
+            assert_eq!(first.dictionary_value(1), Some(&b"view"[..]));
+
+            // A cleared cache means a cold open: the header is decompressed
+            // again, and kept again.
+            wh.clear_cache();
+            assert_eq!(wh.cache_stats().entries, 0);
+            let cold = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            assert_eq!(cold.dictionary_value(1), Some(&b"tap"[..]));
+            assert_eq!(wh.cache_stats().entries, 1);
+            // A warehouse without a cache opens files all the same.
+            let uncached = Warehouse::with_config(64 * 1024, 0);
+            let expect = write_v4(&uncached, "/v4", 30, 8);
+            read_back(&ColumnarFile::open(&uncached, &p("/v4")).unwrap(), &expect);
+        }
+
+        #[test]
+        fn a_code_is_found_by_its_value_and_the_first_of_equals_wins() {
+            let wh = Warehouse::new();
+            let dict: [&[u8]; 5] = [b"m", b"b", b"", b"b", b"zz"];
+            let w = ColumnarFileWriter::create(
+                &wh,
+                &p("/d"),
+                &[ColumnKind::Bytes],
+                8,
+                Some((0, &dict)),
+            )
+            .unwrap();
+            w.finish().unwrap();
+            let f = ColumnarFile::open(&wh, &p("/d")).unwrap();
+            for (code, value) in dict.iter().enumerate() {
+                assert_eq!(f.dictionary_value(code as u32), Some(*value));
+            }
+            assert_eq!(f.dictionary_value(5), None);
+            let codes = [b"m".as_slice(), b"b", b"", b"zz", b"a", b"zzz", b"n"]
+                .map(|value| f.dictionary_code(value));
+            assert_eq!(
+                codes,
+                [Some(0), Some(1), Some(2), Some(4), None, None, None]
+            );
         }
 
         #[test]

@@ -8,7 +8,7 @@
 //! file's row groups — each ≈ one map task, with the same pruning and
 //! accounting surface. Readers match on the variant only to decode a unit.
 
-use crate::columnar::{first_record, header_version, ColumnarFile};
+use crate::columnar::{first_record, ColumnarFile};
 use crate::error::WarehouseResult;
 use crate::file::FileBlocks;
 use crate::path::WhPath;
@@ -35,9 +35,9 @@ impl ScanFile {
     /// format version, corrupt header) is an error, not a row file.
     pub fn open(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<ScanFile> {
         let fb = warehouse.open_blocks(path)?;
-        match first_record(&fb.data) {
-            Some(header) if header_version(&header).is_some() => {
-                Ok(ScanFile::Columnar(ColumnarFile::with_header(fb, &header)?))
+        match first_record(&fb) {
+            Some(header) if header.version().is_some() => {
+                Ok(ScanFile::Columnar(ColumnarFile::with_header(fb, header)?))
             }
             _ => Ok(ScanFile::Row(fb)),
         }

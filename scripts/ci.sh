@@ -29,6 +29,14 @@ if grep -rnE 'uli[-_]index' Cargo.toml crates src tests examples; then
     exit 1
 fi
 
+# The hour index stores what a lookup reads: the per-user session summaries
+# nobody read, and the join of two maps that held one key set, must not
+# come back.
+if grep -rnE 'UserHourSummary|user_summaries|fn joined' crates src tests examples; then
+    echo "serve gate: the hour index keeps a summary or a second map per key kind again." >&2
+    exit 1
+fi
+
 # There is one landed layout behind every helper — the columnar one the log
 # mover's landing writes — and one way to run a query: no layout switch, no
 # layout-taking writer, no flag that turns pushdown off.

@@ -332,3 +332,48 @@ fn serving_index_reconciles_with_delivered_partition_under_chaos() {
         "no seed exercised the land/commit crash window: sweep too tame"
     );
 }
+
+/// An `hour.idx` of the layout before this one is one more victim: a
+/// restarted maintainer over a chaos-delivered warehouse in which one
+/// committed index was swapped for old-layout bytes rebuilds that hour and
+/// no other, and accounts for the same delivered partition.
+#[test]
+fn an_old_layout_index_is_rebuilt_like_a_crash_window_victim() {
+    use std::cell::RefCell;
+    use uli_serve::hour::index_dir;
+    use uli_serve::IndexMaintainer;
+    use uli_warehouse::{HourlyPartition, Warehouse};
+
+    let cfg = ChaosConfig::default();
+    let slot: RefCell<Option<Warehouse>> = RefCell::new(None);
+    let o = uli_scribe::run_chaos_prepared(700, &cfg, |pipe| {
+        let wh = pipe.main_warehouse().clone();
+        pipe.add_delivery_tap(IndexMaintainer::new(wh.clone(), "client_events").tap());
+        *slot.borrow_mut() = Some(wh);
+    });
+    assert!(o.is_clean());
+    let wh = slot.into_inner().expect("chaos prepare ran");
+    let first = IndexMaintainer::new(wh.clone(), "client_events");
+    assert_eq!(first.recover().unwrap(), 0, "seed 700 injects no crash");
+    let hours = first.indexed_hours();
+    let victim = hours[hours.len() / 2];
+    let partition = HourlyPartition::from_hour_index("client_events", victim);
+    let idx = index_dir(&partition).child("hour.idx").unwrap();
+    wh.delete_file(&idx).unwrap();
+    let mut w = wh.create(&idx).unwrap();
+    w.append_record(b"UHI\x01\x00\x00\x00\x00\x00\x00");
+    w.finish().unwrap();
+
+    let restarted = IndexMaintainer::new(wh.clone(), "client_events");
+    assert_eq!(restarted.recover().unwrap(), 1);
+    assert_eq!(restarted.indexed_hours(), hours);
+    for &hour in &hours {
+        assert_eq!(restarted.hour_index(hour), first.hour_index(hour));
+    }
+    let indexed: u64 = hours
+        .iter()
+        .filter_map(|&h| restarted.hour_index(h))
+        .map(|i| i.records)
+        .sum();
+    assert_eq!(indexed, o.accounting.delivered);
+}

@@ -9,7 +9,8 @@
 //! moves a single landed byte, at any worker count, fails here. The seen
 //! set and the views stand as first recorded; the landed files and the
 //! indexes were recorded again when their formats changed (columnar v3 and
-//! v4, the varint `hour.idx`), against the decoded-row digests below.
+//! v4, the varint `hour.idx` and its v2), against the decoded-row digests
+//! and the decoded-index digest below.
 //!
 //! The second shape cuts the same day into 40-record files of 16-row
 //! groups and slips an undecodable payload into every traffic hour, so
@@ -129,17 +130,13 @@ fn index_contents_digest(wh: &Warehouse, hour: u64) -> u64 {
             u64::from(file.columnar),
         );
     }
-    assert!(
-        index.name_counts.keys().eq(index.name_postings.keys()),
-        "a counted name is a posted name"
-    );
-    h = fold_u64(h, index.name_counts.len() as u64);
-    for (name, count) in &index.name_counts {
+    h = fold_u64(h, index.names.len() as u64);
+    for (name, (count, postings)) in &index.names {
         h = fold_u64(fnv1a64_fold(h, name.as_bytes()), *count);
-        h = fold_postings(h, &index.name_postings[name]);
+        h = fold_postings(h, postings);
     }
-    h = fold_u64(h, index.user_postings.len() as u64);
-    for (user, postings) in &index.user_postings {
+    h = fold_u64(h, index.users.len() as u64);
+    for (user, postings) in &index.users {
         h = fold_postings(fold_u64(h, *user as u64), postings);
     }
     h
@@ -325,7 +322,7 @@ fn delivered_day_matches_the_recorded_digests() {
         records: 2657,
         output_files: 22,
         landed: 13316955843368080210,
-        indexes: 10608923821920458396,
+        indexes: 8316473390055727835,
         index_contents: 10663438817937297951,
         seen: 6951604800847287054,
         views: 6885118719456885022,
@@ -338,7 +335,7 @@ fn delivered_day_matches_the_recorded_digests() {
         records: 2679,
         output_files: 102,
         landed: 6107842078597485247,
-        indexes: 15263323491467120204,
+        indexes: 11914333546098133576,
         index_contents: 17429011816230578343,
         seen: 4063383774541676972,
         views: 17971858508380815314,

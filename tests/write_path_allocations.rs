@@ -19,7 +19,7 @@ use std::cell::Cell;
 use uli_core::ClientEventLanding;
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::ThriftRecord;
-use uli_warehouse::{ColumnarLanding, HourlyPartition, Warehouse, WhPath};
+use uli_warehouse::{ColumnarLanding, HourlyPartition, ScanFile, Warehouse, WhPath};
 use uli_workload::{DayStream, WorkloadConfig};
 
 thread_local! {
@@ -137,4 +137,55 @@ fn landing_and_folding_allocate_nothing_per_record() {
             "{what} ({CHUNK} records) made {allocations} allocations, {per_record:.4} a record"
         );
     }
+}
+
+/// Opening a landed file parses where its dictionary's entries lie and
+/// copies none of them: a file of hundreds of names opens in as many
+/// allocations as a file of one.
+#[test]
+fn opening_a_file_allocates_the_same_whatever_its_dictionary_holds() {
+    let config = WorkloadConfig {
+        users: 2_000,
+        ..Default::default()
+    };
+    let payloads: Vec<Vec<u8>> = DayStream::new(&config, 0)
+        .map(|ev| ev.to_bytes())
+        .take(CHUNK)
+        .collect();
+    let wh = Warehouse::new();
+    let landing = ClientEventLanding::default();
+    let (many, one) = (
+        WhPath::parse("/logs/probe/many").unwrap(),
+        WhPath::parse("/logs/probe/one").unwrap(),
+    );
+    landing.write_file(&wh, &many, &payloads).unwrap();
+    landing.write_file(&wh, &one, &payloads[..1]).unwrap();
+    let names = |path: &WhPath| {
+        let ScanFile::Columnar(file) = ScanFile::open(&wh, path).unwrap() else {
+            panic!("the landing is columnar");
+        };
+        (0..)
+            .take_while(|c| file.dictionary_value(*c).is_some())
+            .count()
+    };
+    assert_eq!(names(&one), 1);
+    assert!(names(&many) >= 300, "{} names", names(&many));
+    let open = |path: &WhPath| allocations_of(|| drop(ScanFile::open(&wh, path).unwrap()));
+    let (of_many, of_one) = (open(&many), open(&one));
+    println!(
+        "opening a file: {of_many} allocations under {} names, {of_one} under one",
+        names(&many)
+    );
+    assert_eq!(of_many, of_one);
+
+    const OPENS: u32 = 2_000;
+    let started = std::time::Instant::now();
+    for _ in 0..OPENS {
+        std::hint::black_box(ScanFile::open(&wh, &many).unwrap());
+    }
+    let micros = started.elapsed().as_secs_f64() * 1e6 / f64::from(OPENS);
+    println!(
+        "a warm open of a {}-name file: {micros:.1} us",
+        names(&many)
+    );
 }
