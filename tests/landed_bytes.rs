@@ -23,7 +23,8 @@
 //! session-sequence part files the nightly materializer derives from them.
 //! A format change re-pins the byte digests; these must not move. Nor must
 //! what a file of values that nearly have a shape — hex digits, a number, a
-//! dotted quad — decodes to, now that the format stores a value by its shape.
+//! dotted quad — decodes to, now that the format stores a value by its shape,
+//! nor what a file of runs at the edges of each layout decodes to.
 
 use std::sync::Arc;
 
@@ -568,6 +569,134 @@ fn near_misses_of_every_value_shape_decode_to_the_recorded_digest() {
         assert_eq!(
             rows_digest(&wh, &dir),
             NEAR_MISSES_ROWS,
+            "groups of {rows_per_group} rows"
+        );
+    }
+}
+
+/// Rows in each group of [`edge_groups`].
+const EDGE_ROWS: usize = 20;
+
+/// One row of [`edge_groups`]: its string (the row's session id, `ip` cell
+/// and the value of its `details` key `v`; `None` lacks the key and leaves
+/// the two columns empty), user id and timestamp.
+type EdgeRow = (Option<String>, i64, i64);
+
+/// Twenty-row groups at the edges of how a run can be laid out: at and one
+/// past the most distinct values a dictionary may hold, an empty value next
+/// to an absent one, values apart only in their last byte, a key on one row
+/// of twenty, numbers whose widest distance is `2^k - 1` and `2^k`, and
+/// integer columns all equal or spanning every `i64`.
+fn edge_groups() -> Vec<Vec<EdgeRow>> {
+    let plain = |g: usize, values: Vec<Option<String>>| -> Vec<EdgeRow> {
+        assert_eq!(values.len(), EDGE_ROWS);
+        let at = |r: usize| (g * EDGE_ROWS + r) as i64;
+        let rows = values.into_iter().enumerate();
+        rows.map(|(r, v)| (v, at(r) % 7, 1_344_000_000_000 + at(r) * 977))
+            .collect()
+    };
+    let words = |distinct: usize| -> Vec<Option<String>> {
+        let word = |i: usize| format!("agent {}", (b'a' + i as u8) as char);
+        (0..EDGE_ROWS).map(|r| Some(word(r % distinct))).collect()
+    };
+    let numbers = |min: u64, widest: u64| -> Vec<Option<String>> {
+        let step = (widest / EDGE_ROWS as u64).max(1);
+        let mut values: Vec<u64> = (0..EDGE_ROWS as u64).map(|r| min + r * step).collect();
+        values[7] = min + widest;
+        values.into_iter().map(|n| Some(n.to_string())).collect()
+    };
+    let mut columns: Vec<Vec<Option<String>>> = vec![
+        words(16),
+        words(17),
+        (0..EDGE_ROWS)
+            .map(|r| match r % 4 {
+                0 => Some(String::new()),
+                1 => None,
+                _ => Some(format!("x{r}")),
+            })
+            .collect(),
+        (0..EDGE_ROWS)
+            .map(|r| Some(format!("caf{}", ['\u{e8}', '\u{e9}'][r % 2])))
+            .collect(),
+        (0..EDGE_ROWS)
+            .map(|r| Some(format!("{:032x}", r % 3)))
+            .collect(),
+        (0..EDGE_ROWS)
+            .map(|r| (r == 13).then(|| "only here".to_string()))
+            .collect(),
+    ];
+    for k in [8u32, 12, 63] {
+        columns.push(numbers(1_000, (1 << k) - 1));
+        columns.push(numbers(1_000, 1 << k));
+    }
+    columns.push(numbers(0, u64::MAX));
+    let mut groups: Vec<Vec<EdgeRow>> = columns
+        .into_iter()
+        .enumerate()
+        .map(|(g, values)| plain(g, values))
+        .collect();
+    // Integers all equal, and integers from one end of `i64` to the other.
+    let g = groups.len();
+    let same = plain(g, words(3)).into_iter();
+    groups.push(same.map(|(v, _, _)| (v, 42, 1_344_000_000_000)).collect());
+    let ends = [i64::MIN, i64::MAX, 0, -1, i64::MIN + 1, i64::MAX - 1];
+    let spread = plain(g + 1, numbers(5, 300)).into_iter().enumerate();
+    groups.push(
+        spread
+            .map(|(r, (v, _, _))| {
+                let end = ends[r % ends.len()];
+                (v, end, end.wrapping_mul(3))
+            })
+            .collect(),
+    );
+    groups
+}
+
+/// [`rows_digest`] of the fixture file of [`edge_groups`].
+const EDGE_RUNS_ROWS: u64 = 3123710722856102352;
+
+/// The fixture file of [`edge_groups`], decoded, one row group to a table
+/// group and all in one: like the near misses, it hands back the rows that
+/// were written. Recorded from columnar v4.
+#[test]
+fn runs_at_the_edges_of_every_layout_decode_to_the_recorded_digest() {
+    let name = EventName::parse("web:home:home:stream:tweet:click").expect("a six-level name");
+    let mut events = Vec::new();
+    for (g, group) in edge_groups().iter().enumerate() {
+        for (r, (value, user, millis)) in group.iter().enumerate() {
+            let initiator = match (g + r) % 3 {
+                0 => EventInitiator::CLIENT_APP,
+                _ => EventInitiator::CLIENT_USER,
+            };
+            let value = value.as_deref();
+            let mut ev = ClientEvent::new(
+                initiator,
+                name.clone(),
+                *user,
+                value.unwrap_or("").to_string(),
+                value.unwrap_or("").to_string(),
+                Timestamp(*millis),
+            );
+            if let Some(value) = value {
+                ev = ev.with_detail("v", value).with_detail("lang", "en");
+            }
+            events.push(ev);
+        }
+    }
+    let written = events
+        .iter()
+        .fold(FNV1A64_OFFSET, |h, ev| fnv1a64_fold(h, &ev.to_bytes()));
+    let written = fold_u64(fold_u64(written, events.len() as u64), 0);
+    assert_eq!(written, EDGE_RUNS_ROWS);
+    let dir = WhPath::parse("/edge-runs").expect("valid path");
+    for rows_per_group in [EDGE_ROWS, 512] {
+        let wh = Warehouse::new();
+        let path = dir.child("part-00000").expect("valid name");
+        write_client_events_columnar(&wh, &path, &events, true, rows_per_group)
+            .expect("fresh warehouse");
+        assert_eq!(
+            rows_digest(&wh, &dir),
+            EDGE_RUNS_ROWS,
             "groups of {rows_per_group} rows"
         );
     }
