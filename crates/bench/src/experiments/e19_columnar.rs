@@ -23,10 +23,12 @@
 //!
 //! The default landing's stored bytes are also broken down by column, read
 //! off the row-group headers — where the day's bytes sit on disk, before
-//! any query decodes one — and, for the `ip` column and each `details` key,
-//! by value run: the shape each group's run took (hex digits, a dotted quad,
-//! a number, or `raw`: the bytes as given), the run's bytes as laid out and
-//! what the block compressor makes of it on its own.
+//! any query decodes one — with the layout each group's integer chunks took
+//! (varints or bit-packed), and, for every other column but the name and for
+//! each `details` key, by value run: the shape each group's run took (a
+//! dictionary of a few values, hex digits, a dotted quad, a number, or `raw`:
+//! the bytes as given), the run's bytes as laid out and what the block
+//! compressor makes of it on its own.
 //!
 //! Rows must be byte-identical across every arm and worker count. The
 //! headline number is *decoded bytes* (`input_bytes_uncompressed`): the
@@ -40,7 +42,7 @@ use std::sync::Arc;
 
 use uli_core::client_event::{ClientEventLoader, CLIENT_EVENTS_CATEGORY, CLIENT_EVENT_SCHEMA};
 use uli_core::columnar::{
-    write_client_events_columnar, CLIENT_EVENT_KINDS, DEFAULT_ROWS_PER_GROUP, IP_COLUMN,
+    write_client_events_columnar, CLIENT_EVENT_KINDS, DEFAULT_ROWS_PER_GROUP, NAME_COLUMN,
 };
 use uli_core::session::day_dir;
 use uli_dataflow::prelude::*;
@@ -125,8 +127,11 @@ pub struct Measurements {
     pub stored_bytes_by_column: Vec<(&'static str, u64)>,
     /// Chunks of a typed column that some cell kept from its kind's layout.
     pub fallback_chunks: u64,
-    /// The value runs of the default landing: the `ip` column's, then the
-    /// `details` column's by key.
+    /// Per integer column, in schema order, its chunks by the layout they
+    /// took, in [`I64_LAYOUTS`] order.
+    pub i64_layouts: Vec<(&'static str, [u64; 2])>,
+    /// The value runs of the default landing: the columns' in schema order,
+    /// then the `details` column's by key.
     pub value_runs: Vec<RunStats>,
     /// Users in the generated day.
     pub users: u64,
@@ -197,7 +202,7 @@ pub struct RunStats {
     /// The details key; empty for a column's own run.
     pub key: String,
     /// Runs by the shape they took, in [`SHAPES`] order.
-    pub by_shape: [u64; 4],
+    pub by_shape: [u64; 5],
     /// The runs' bytes as laid out, before the block compressor.
     pub bytes: u64,
     /// What the block compressor makes of each run on its own, summed.
@@ -205,22 +210,42 @@ pub struct RunStats {
 }
 
 /// The shapes a value run can take, as [`RunStats::by_shape`] counts them.
-pub const SHAPES: [(&str, ValueShape); 4] = [
+pub const SHAPES: [(&str, ValueShape); 5] = [
     ("raw", ValueShape::Raw),
     ("hex", ValueShape::Hex),
     ("quad", ValueShape::Quad),
     ("decimal", ValueShape::Decimal),
+    ("dict", ValueShape::Dict),
 ];
 
+/// The layouts an integer chunk can take, as [`Measurements::i64_layouts`]
+/// counts them.
+pub const I64_LAYOUTS: [(&str, StoredAs); 2] =
+    [("varints", StoredAs::I64), ("packed", StoredAs::PackedI64)];
+
+/// Where the bytes of a columnar landing sit.
+pub struct StoredBytes {
+    /// Stored chunk bytes by column, in schema order.
+    pub by_column: Vec<(&'static str, u64)>,
+    /// Chunks of a typed column not stored as its kind.
+    pub fallbacks: u64,
+    /// Per integer column, its chunks by layout.
+    pub i64_layouts: Vec<(&'static str, [u64; 2])>,
+    /// The value runs of every column but the name and the integers, then
+    /// of each `details` key.
+    pub runs: Vec<RunStats>,
+}
+
 /// Where the bytes of a columnar landing sit: stored chunk bytes by column,
-/// how many chunks of a typed column are not stored as its kind, and the
-/// value runs of the `ip` and `details` columns.
-pub fn stored_by_column(wh: &Warehouse) -> (Vec<(&'static str, u64)>, u64, Vec<RunStats>) {
+/// how many chunks of a typed column are not stored as its kind, the
+/// layouts the integer chunks took, and the value runs of every other column
+/// but the dictionary-coded name.
+pub fn stored_by_column(wh: &Warehouse) -> StoredBytes {
     let mut by_column: Vec<(&'static str, u64)> =
         CLIENT_EVENT_SCHEMA.iter().map(|name| (*name, 0)).collect();
     let mut fallbacks = 0;
+    let mut layouts = [[0u64; 2]; CLIENT_EVENT_SCHEMA.len()];
     let mut runs: BTreeMap<(usize, Vec<u8>), RunStats> = BTreeMap::new();
-    let details = CLIENT_EVENT_SCHEMA.len() - 1;
     let mut files = wh
         .list_files_recursive(&day_dir(CLIENT_EVENTS_CATEGORY, 0))
         .expect("landed day");
@@ -233,25 +258,39 @@ pub fn stored_by_column(wh: &Warehouse) -> (Vec<(&'static str, u64)>, u64, Vec<R
                 by_column[c].1 += bytes;
                 let typed = CLIENT_EVENT_KINDS[c] != ColumnKind::Bytes;
                 fallbacks += u64::from(typed && stored_as == StoredAs::Cells);
+                if let Some(l) = I64_LAYOUTS.iter().position(|(_, s)| *s == stored_as) {
+                    layouts[c][l] += 1;
+                }
             }
-            for c in [IP_COLUMN, details] {
+            let run_columns = (0..CLIENT_EVENT_KINDS.len())
+                .filter(|c| *c != NAME_COLUMN && CLIENT_EVENT_KINDS[*c] != ColumnKind::I64);
+            for c in run_columns {
                 for run in file.stored_runs(g, c).expect("clean chunk") {
                     let stats = runs.entry((c, run.key.clone())).or_insert(RunStats {
                         column: CLIENT_EVENT_SCHEMA[c],
                         key: String::from_utf8_lossy(&run.key).into_owned(),
-                        by_shape: [0; 4],
+                        by_shape: [0; 5],
                         bytes: 0,
                         ulz_bytes: 0,
                     });
                     let shape = SHAPES.iter().position(|(_, shape)| *shape == run.shape);
-                    stats.by_shape[shape.expect("a shape of the four")] += 1;
+                    stats.by_shape[shape.expect("a shape of the five")] += 1;
                     stats.bytes += run.bytes.len() as u64;
                     stats.ulz_bytes += compress(&run.bytes).len() as u64;
                 }
             }
         }
     }
-    (by_column, fallbacks, runs.into_values().collect())
+    let i64_layouts = (0..CLIENT_EVENT_KINDS.len())
+        .filter(|c| CLIENT_EVENT_KINDS[*c] == ColumnKind::I64)
+        .map(|c| (CLIENT_EVENT_SCHEMA[c], layouts[c]))
+        .collect();
+    StoredBytes {
+        by_column,
+        fallbacks,
+        i64_layouts,
+        runs: runs.into_values().collect(),
+    }
 }
 
 /// Runs the sweep over `users` with the given worker counts.
@@ -353,12 +392,12 @@ pub fn measure_with(users: u64, worker_counts: &[usize]) -> Measurements {
     let row_eager = cell("row-eager");
     let row_pushdown = cell("row-pushdown");
     let columnar_dict = cell("columnar+dict");
-    let (stored_bytes_by_column, fallback_chunks, value_runs) =
-        stored_by_column(&land(Arm::ColumnarDict, &day.events));
+    let stored = stored_by_column(&land(Arm::ColumnarDict, &day.events));
     Measurements {
-        stored_bytes_by_column,
-        fallback_chunks,
-        value_runs,
+        stored_bytes_by_column: stored.by_column,
+        fallback_chunks: stored.fallbacks,
+        i64_layouts: stored.i64_layouts,
+        value_runs: stored.runs,
         projection_bytes_ratio: cell("events-per-user").input_bytes_uncompressed as f64
             / cell("events-per-user-full-width")
                 .input_bytes_uncompressed
@@ -442,6 +481,14 @@ pub fn render(m: &Measurements) -> String {
         "chunks of a typed column not stored as its kind: {}\n",
         m.fallback_chunks
     ));
+    for (column, counts) in &m.i64_layouts {
+        let layouts: Vec<String> = I64_LAYOUTS
+            .iter()
+            .zip(counts)
+            .map(|((layout, _), n)| format!("{n} {layout}"))
+            .collect();
+        out.push_str(&format!("{column} chunks: {}\n", layouts.join(", ")));
+    }
     out.push_str(&render_value_runs(&m.value_runs, records));
     if let Some(cores) = m.cores {
         out.push_str(&format!(
@@ -530,6 +577,18 @@ pub fn to_json(m: &Measurements) -> String {
         .iter()
         .map(|(column, bytes)| format!("\"{column}\": {bytes}"))
         .collect();
+    let layouts: Vec<String> = m
+        .i64_layouts
+        .iter()
+        .map(|(column, counts)| {
+            let counts: Vec<String> = I64_LAYOUTS
+                .iter()
+                .zip(counts)
+                .map(|((layout, _), n)| format!("\"{layout}\": {n}"))
+                .collect();
+            format!("\"{column}\": {{{}}}", counts.join(", "))
+        })
+        .collect();
     let runs: Vec<String> = m
         .value_runs
         .iter()
@@ -555,6 +614,7 @@ pub fn to_json(m: &Measurements) -> String {
          \"outputs_identical\": {},\n  \"decoded_bytes_ratio\": {:.4},\n  \
          \"decode_work_ratio\": {:.4},\n  \"projection_bytes_ratio\": {:.4},\n  \
          \"stored_bytes_by_column\": {{{}}},\n  \"fallback_chunks\": {},\n  \
+         \"i64_layouts\": {{{}}},\n  \
          \"value_runs\": [\n{}\n  ],\n  \"samples\": [\n{}\n  ]\n}}\n",
         cores,
         m.users,
@@ -565,6 +625,7 @@ pub fn to_json(m: &Measurements) -> String {
         m.projection_bytes_ratio,
         stored.join(", "),
         m.fallback_chunks,
+        layouts.join(", "),
         runs.join(",\n"),
         rows.join(",\n")
     )
@@ -647,28 +708,47 @@ mod tests {
         };
         assert!(stored("details") > stored("timestamp"));
         assert!(stored("timestamp") > stored("name"));
-        // Ids, timings and addresses are stored as what they are, in every
-        // group; free text is not.
-        let took = |key: &str, shape: &str| {
-            let run = m.value_runs.iter().find(|run| run.key == key);
-            let by_shape = run.expect("a run of every group").by_shape;
-            let of_shape = SHAPES.iter().position(|(name, _)| *name == shape);
-            let n = by_shape[of_shape.expect("a shape of the four")];
-            n > 0 && n == by_shape.iter().sum::<u64>()
+        // Ids, timings and addresses are stored as what they are, never as
+        // the bytes given; the few values of the initiator and of free-text
+        // keys as a dictionary, in every group; timestamps mostly packed.
+        let shapes = |column: &str, key: &str| {
+            let run = m
+                .value_runs
+                .iter()
+                .find(|r| r.column == column && r.key == key);
+            run.expect("a run of every group").by_shape
         };
-        assert!(took("", "quad"), "every ip chunk is a run of quads");
-        for (shape, keys) in [
-            ("hex", &["request_id", "target_url"][..]),
-            (
-                "decimal",
-                &["page_load_ms", "rank", "target_id", "tweet_id"],
-            ),
-            ("raw", &["lang", "referrer", "user_agent"]),
+        assert_eq!(shapes("ip", "")[0], 0, "an ip run stayed raw");
+        for key in [
+            "request_id",
+            "target_url",
+            "page_load_ms",
+            "rank",
+            "target_id",
+            "tweet_id",
         ] {
-            for key in keys {
-                assert!(took(key, shape), "{key} is not {shape} in every group");
-            }
+            assert_eq!(shapes("details", key)[0], 0, "a {key} run stayed raw");
         }
+        for (column, key) in [
+            ("initiator", ""),
+            ("details", "client_version"),
+            ("details", "lang"),
+            ("details", "referrer"),
+            ("details", "user_agent"),
+        ] {
+            let by_shape = shapes(column, key);
+            assert!(by_shape[4] > 0, "{column}.{key}: {by_shape:?}");
+            assert_eq!(by_shape[..4], [0; 4], "{column}.{key} is not a dictionary");
+        }
+        let layouts = |column: &str| {
+            let entry = m.i64_layouts.iter().find(|(c, _)| *c == column);
+            entry.expect("an integer column").1
+        };
+        let [varints, packed] = layouts("timestamp");
+        assert!(
+            packed > varints,
+            "{packed} timestamp chunks packed, {varints} not"
+        );
         let json = to_json(&m);
         assert!(json.contains("\"experiment\": \"columnar\""));
         assert!(json.contains("\"arm\": \"columnar+dict\""));

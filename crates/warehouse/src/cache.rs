@@ -26,12 +26,14 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024 * 1024;
 
 /// Content address of a cached payload: the stored checksum of the bytes
 /// it was decoded from, plus a length (cheap extra guard against checksum
-/// collisions) and the encoding that says what "decoded" meant.
+/// collisions), the encoding that says what "decoded" meant and, of a
+/// column chunk, the rows it was decoded into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct BlockKey {
     checksum: u64,
     len: u64,
     encoding: u8,
+    rows: u32,
 }
 
 impl BlockKey {
@@ -42,16 +44,20 @@ impl BlockKey {
             checksum,
             len: uncompressed_len,
             encoding: u8::MAX,
+            rows: 0,
         }
     }
 
     /// A column chunk: its encoding tag, stored checksum and stored length,
-    /// all read off the row group's header.
-    pub(crate) fn chunk(tag: u8, checksum: u64, stored_len: u64) -> BlockKey {
+    /// and the group's row count, all read off the row group's header. The
+    /// rows are part of the address because the same stored bytes can stand
+    /// for groups of different sizes: integers of no bits each.
+    pub(crate) fn chunk(tag: u8, checksum: u64, stored_len: u64, rows: u32) -> BlockKey {
         BlockKey {
             checksum,
             len: stored_len,
             encoding: tag,
+            rows,
         }
     }
 }

@@ -7,9 +7,12 @@
 //! back. In between, a chunk is *transposed*:
 //!
 //! * [`ColumnKind::I64`] — every cell is eight little-endian bytes. Stored
-//!   as the group's minimum (zigzag varint) followed by one varint per row,
-//!   the value's distance from it: a timestamp column spends three bytes a
-//!   row where it spent nine.
+//!   as the group's minimum (zigzag varint) followed by each row's distance
+//!   from it: one varint a row ([`StoredAs::I64`]), or a byte `w` in 0..=64
+//!   and the distances packed at `w` bits, the fewest that hold the largest
+//!   ([`StoredAs::PackedI64`]). The writer keeps whichever layout the block
+//!   compressor makes the shorter stream of, the varints on a tie: a
+//!   timestamp column spends under three bytes a row where it spent nine.
 //! * [`ColumnKind::StringMap`] — every cell is a [string-map
 //!   cell](string_map_cell). Stored as the sorted list of the keys the
 //!   group uses, each with one *value run* over the group's rows. The key
@@ -17,6 +20,10 @@
 //!   and each key's values sit together.
 //! * [`ColumnKind::Bytes`] — the cells are one value run, when a shape fits
 //!   them ([`StoredAs::ValueRun`]).
+//!
+//! A **packed** stream of `n` values of `w` bits is `⌈n·w / 8⌉` bytes: the
+//! values back to back, least significant bit first from the low bit of the
+//! first byte, and the bits past the last value zero.
 //!
 //! A **value run** stores `rows` optional byte strings as what they are
 //! rather than how they were printed. It opens with a shape byte — the
@@ -26,6 +33,11 @@
 //! bytes (sparse runs only), and the *tails* of the present values, what is
 //! left of each behind the prefix:
 //!
+//! * `Dict` — at most sixteen distinct tails. Their number `k` as a varint,
+//!   each of them once in the order they first occur (varint length,
+//!   bytes), then every present value's code — where its tail sits in that
+//!   list — packed at `⌈log₂ k⌉` bits: none at all when the run holds one
+//!   value.
 //! * `Hex` — every tail is the same even number of lower-case hex digits,
 //!   a letter somewhere among them (digits alone are a number). That
 //!   number as a varint, then the digits two to a byte.
@@ -33,19 +45,22 @@
 //!   with a leading zero). Four bytes each.
 //! * `Decimal` — every tail is the one way a `u64` prints (no sign, no
 //!   leading zero but `"0"` itself). The run's minimum as a varint, a byte
-//!   `w` in 1..=8, then each value's distance from the minimum in `w`
-//!   little-endian bytes, `w` the fewest that hold the largest.
+//!   `w` in 0..=64, then each value's distance from the minimum packed at
+//!   `w` bits, the fewest that hold the largest.
 //! * `Raw` — per row, `0` where the row lacks the value, else the value's
 //!   length plus one and the value: the bytes as they were given.
 //!
 //! The prefix is the longest the present values share, cut back past any
 //! trailing character of the shape's own alphabet, so that `1000` and `1001`
-//! are two numbers rather than `100` and two digits. The shapes are tried
-//! in the order above and the first whose grammar every tail matches is
-//! taken;
-//! each grammar admits exactly the strings its decoder prints, so
-//! [`rebuild`] returns the bytes that were buffered. A run no shape fits is
-//! `Raw`.
+//! are two numbers rather than `100` and two digits (a dictionary's tails
+//! have no alphabet: its prefix is all they share). The shapes are tried in
+//! the order above. A dictionary fits any run of sixteen values or fewer,
+//! and a run of one value keeps it; otherwise the first of the other shapes
+//! whose grammar every tail matches is laid out too, and the shorter of the
+//! two is kept, the dictionary on a tie — a few long numbers recurring are a
+//! dictionary, fifteen dotted quads seen once each are quads. Each grammar
+//! admits exactly the strings its decoder prints, so [`rebuild`] returns the
+//! bytes that were buffered. A run no shape fits is `Raw`.
 //!
 //! Whether a chunk is transposed, and into which shapes, is decided by its
 //! data, never by an option: a group holding any cell that does not fit the
@@ -75,12 +90,14 @@ pub enum StoredAs {
     /// The cells as buffered: a `Bytes` column no shape fits, the
     /// dictionary-coded column, a typed column holding a misfit cell.
     Cells,
-    /// An [`ColumnKind::I64`] column, transposed.
+    /// An [`ColumnKind::I64`] column, transposed: a varint a row.
     I64,
     /// A [`ColumnKind::StringMap`] column, transposed.
     StringMap,
     /// A [`ColumnKind::Bytes`] column as one value run.
     ValueRun,
+    /// An [`ColumnKind::I64`] column, transposed: bit-packed.
+    PackedI64,
 }
 
 impl StoredAs {
@@ -90,7 +107,7 @@ impl StoredAs {
 
     pub(crate) fn from_tag(tag: u8) -> Option<StoredAs> {
         use StoredAs::*;
-        [Cells, I64, StringMap, ValueRun]
+        [Cells, I64, StringMap, ValueRun, PackedI64]
             .into_iter()
             .find(|stored| stored.tag() == tag)
     }
@@ -107,15 +124,22 @@ pub enum ValueShape {
     Quad,
     /// A `u64` as it prints.
     Decimal,
+    /// One of a few values, each stored once.
+    Dict,
 }
 
 impl ValueShape {
     /// The shapes a run is tried in, in order.
-    const FITTED: [ValueShape; 3] = [ValueShape::Hex, ValueShape::Quad, ValueShape::Decimal];
+    const FITTED: [ValueShape; 4] = [
+        ValueShape::Dict,
+        ValueShape::Hex,
+        ValueShape::Quad,
+        ValueShape::Decimal,
+    ];
 
     fn from_tag(tag: u8) -> Option<ValueShape> {
         use ValueShape::*;
-        [Raw, Hex, Quad, Decimal]
+        [Raw, Hex, Quad, Decimal, Dict]
             .into_iter()
             .find(|shape| *shape as u8 == tag)
     }
@@ -123,7 +147,7 @@ impl ValueShape {
     /// Whether `byte` can occur in a tail of this shape.
     fn admits(self, byte: u8) -> bool {
         match self {
-            ValueShape::Raw => false,
+            ValueShape::Raw | ValueShape::Dict => false,
             ValueShape::Decimal => byte.is_ascii_digit(),
             ValueShape::Hex => NIBBLE[byte as usize] < 16,
             ValueShape::Quad => byte.is_ascii_digit() || byte == b'.',
@@ -133,6 +157,9 @@ impl ValueShape {
 
 /// Set in a run's shape byte when a presence bitmap follows the prefix.
 const SPARSE: u8 = 0x10;
+
+/// The most distinct values a `Dict` run holds.
+const MAX_ENTRIES: usize = 16;
 
 /// No chunk rebuilds to more than this (the bound `ulz` puts on a block).
 const MAX_REBUILT: usize = 1 << 30;
@@ -147,6 +174,83 @@ fn zigzag(v: i64) -> u64 {
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+// ------------------------------------------------------------------ bit packing
+
+/// The fewest bits that hold `n`.
+fn bit_width(n: u64) -> u32 {
+    u64::BITS - n.leading_zeros()
+}
+
+/// Appends `values` as a packed stream of `width`-bit values; each must be
+/// under `2^width`. The one bit packer of every packed layout.
+fn pack_bits(out: &mut Vec<u8>, width: u32, values: impl IntoIterator<Item = u64>) {
+    // Under 64 bits wait between values, so a value always fits beside them.
+    let (mut pending, mut bits) = (0u128, 0u32);
+    for value in values {
+        debug_assert!(
+            width == 64 || value >> width == 0,
+            "{value} in {width} bits"
+        );
+        pending |= u128::from(value) << bits;
+        bits += width;
+        if bits >= 64 {
+            out.extend_from_slice(&(pending as u64).to_le_bytes());
+            pending >>= 64;
+            bits -= 64;
+        }
+    }
+    out.extend_from_slice(&pending.to_le_bytes()[..bits.div_ceil(8) as usize]);
+}
+
+/// A packed stream being read, a value at a time. The one bit reader of
+/// every packed layout.
+#[derive(Clone, Copy, Default)]
+struct Bits<'a> {
+    width: u32,
+    /// The stream's bytes not loaded yet.
+    unread: &'a [u8],
+    /// Loaded bits not handed out yet, the next value's lowest.
+    loaded: u128,
+    have: u32,
+}
+
+impl<'a> Bits<'a> {
+    /// Opens `bytes` as a packed stream of exactly `count` values of `width`
+    /// bits: `None` when `width` is over 64, or the stream is not exactly
+    /// as long as that, or its bits past the last value are not zero.
+    fn parse(bytes: &'a [u8], count: usize, width: u32) -> Option<Bits<'a>> {
+        let bits = count.checked_mul(width as usize).filter(|_| width <= 64)?;
+        let padded = bytes.len() == bits.div_ceil(8);
+        let clean = bits.is_multiple_of(8) || bytes.last()? >> (bits % 8) == 0;
+        (padded && clean).then_some(Bits {
+            width,
+            unread: bytes,
+            ..Bits::default()
+        })
+    }
+
+    /// The next value; `None` past the end of the stream.
+    fn next(&mut self) -> Option<u64> {
+        while self.have < self.width {
+            // `have` is under 64 here, so a whole word fits beside it.
+            if let Some((word, rest)) = self.unread.split_first_chunk::<8>() {
+                self.loaded |= u128::from(u64::from_le_bytes(*word)) << self.have;
+                self.have += 64;
+                self.unread = rest;
+            } else {
+                let (byte, rest) = self.unread.split_first()?;
+                self.loaded |= u128::from(*byte) << self.have;
+                self.have += 8;
+                self.unread = rest;
+            }
+        }
+        let value = (self.loaded & ((1 << self.width) - 1)) as u64;
+        self.loaded >>= self.width;
+        self.have -= self.width;
+        Some(value)
+    }
 }
 
 // ---------------------------------------------------------------- string map
@@ -297,19 +401,39 @@ fn push_tails<'a>(
 ) -> Option<()> {
     match shape {
         ValueShape::Raw => return None,
+        ValueShape::Dict => {
+            let mut entries = [&[][..]; MAX_ENTRIES];
+            let mut count = 0;
+            numbers.clear();
+            for value in values {
+                let tail = &value[prefix..];
+                let code = match entries[..count].iter().position(|entry| *entry == tail) {
+                    Some(code) => code,
+                    None => {
+                        *entries.get_mut(count)? = tail;
+                        count += 1;
+                        count - 1
+                    }
+                };
+                numbers.push(code as u64);
+            }
+            write_varint(out, count as u64);
+            for entry in &entries[..count] {
+                write_varint(out, entry.len() as u64);
+                out.extend_from_slice(entry);
+            }
+            pack_bits(out, bit_width(count as u64 - 1), numbers.iter().copied());
+        }
         ValueShape::Decimal => {
             numbers.clear();
             for value in values {
                 numbers.push(parse_decimal(&value[prefix..])?);
             }
             let min = *numbers.iter().min()?;
-            let widest = *numbers.iter().max()? - min;
-            let width = (8 - widest.leading_zeros() as usize / 8).max(1);
+            let width = bit_width(*numbers.iter().max()? - min);
             write_varint(out, min);
             out.push(width as u8);
-            for n in &*numbers {
-                out.extend_from_slice(&(n - min).to_le_bytes()[..width]);
-            }
+            pack_bits(out, width, numbers.iter().map(|n| n - min));
         }
         ValueShape::Hex => {
             let first = values.next()?;
@@ -347,8 +471,8 @@ fn push_tails<'a>(
 }
 
 /// Appends `spans` — one per row, into `cells` — to `out` as a value run in
-/// the first shape that fits, and says which; `None`, and nothing appended,
-/// when none does.
+/// a shape that fits (see the module docs for which), and says which;
+/// `None`, and nothing appended, when none does.
 fn push_fitted_run(
     out: &mut Vec<u8>,
     cells: &[u8],
@@ -364,7 +488,13 @@ fn push_fitted_run(
         let same = first[..shared].iter().zip(value);
         same.take_while(|(a, b)| a == b).count()
     });
+    // A run of one value is a dictionary of it: no bits a row, and no
+    // number to print on every row either.
+    let one_value = present().all(|value| value.len() == shared);
+    // Where a dictionary of the run ends, once one is laid out.
+    let mut dict_end = None;
     for shape in ValueShape::FITTED {
+        let at = out.len();
         let own = first[..shared].iter().rev();
         let prefix = shared - own.take_while(|b| shape.admits(**b)).count();
         out.push(shape as u8 | if sparse { SPARSE } else { 0 });
@@ -376,12 +506,27 @@ fn push_fitted_run(
                 bits.fold(0, |bits, span| bits << 1 | u8::from(span.is_present()))
             }));
         }
-        if push_tails(out, shape, prefix, present(), numbers).is_some() {
-            return Some(shape);
+        if push_tails(out, shape, prefix, present(), numbers).is_none() {
+            out.truncate(at);
+            continue;
         }
-        out.truncate(start);
+        match dict_end {
+            None if shape == ValueShape::Dict && !one_value => dict_end = Some(out.len()),
+            None => return Some(shape),
+            // Of a dictionary and a value shape, the shorter; on a tie, the
+            // dictionary.
+            Some(dict_end) if out.len() - dict_end < dict_end - start => {
+                out.copy_within(dict_end.., start);
+                out.truncate(out.len() - (dict_end - start));
+                return Some(shape);
+            }
+            Some(dict_end) => {
+                out.truncate(dict_end);
+                return Some(ValueShape::Dict);
+            }
+        }
     }
-    None
+    dict_end.map(|_| ValueShape::Dict)
 }
 
 /// Appends `spans` to `out` as a value run: fitted, or `Raw`.
@@ -405,11 +550,16 @@ fn push_run(out: &mut Vec<u8>, cells: &[u8], spans: &[Span], numbers: &mut Vec<u
 /// A value run being read: one [`next`](Run::next) per row.
 struct Run<'a> {
     shape: ValueShape,
-    /// The bytes of one tail: of a distance from `min`, of a value's hex
-    /// digits two to a byte, of a quad.
+    /// The bytes of one tail of a `Hex` or `Quad` run: its hex digits two to
+    /// a byte, a quad.
     width: usize,
     /// What a `Decimal` run's distances are from.
     min: u64,
+    /// A `Dict` run's values behind the prefix: the first `entry_count`.
+    entries: [&'a [u8]; MAX_ENTRIES],
+    entry_count: usize,
+    /// The packed codes of a `Dict` run, distances of a `Decimal` run.
+    packed: Bits<'a>,
     /// The presence bitmap of a sparse run.
     presence: Option<&'a [u8]>,
     /// The tails (of a `Raw` run: the rows) not read yet.
@@ -431,6 +581,9 @@ impl<'a> Run<'a> {
             shape,
             width: 0,
             min: 0,
+            entries: [&[]; MAX_ENTRIES],
+            entry_count: 0,
+            packed: Bits::default(),
             presence: None,
             unread,
             row: 0,
@@ -457,22 +610,49 @@ impl<'a> Run<'a> {
             run.presence = Some(bitmap);
         }
         let mut pos = 0;
-        run.width = match shape {
+        let bits = match shape {
             ValueShape::Raw => return None,
-            ValueShape::Quad => 4,
+            ValueShape::Quad => {
+                run.width = 4;
+                None
+            }
             ValueShape::Hex => {
                 let digits = usize::try_from(read_varint(unread, &mut pos)?).ok()?;
-                (digits % 2 == 0 && digits > 0).then_some(digits / 2)?
+                run.width = (digits % 2 == 0 && digits > 0).then_some(digits / 2)?;
+                None
             }
             ValueShape::Decimal => {
                 run.min = read_varint(unread, &mut pos)?;
-                let width = usize::from(*unread.get(pos)?);
+                let width = *unread.get(pos)?;
                 pos += 1;
-                (1..=8).contains(&width).then_some(width)?
+                Some(u32::from(width))
+            }
+            ValueShape::Dict => {
+                let count = usize::try_from(read_varint(unread, &mut pos)?).ok()?;
+                for entry in run.entries.get_mut(..count).filter(|_| count > 0)? {
+                    *entry = read_string(unread, &mut pos)?;
+                }
+                run.entry_count = count;
+                Some(bit_width(count as u64 - 1))
             }
         };
-        run.unread = &unread[pos..];
-        (present.checked_mul(run.width)? == run.unread.len()).then_some(run)
+        unread = &unread[pos..];
+        match bits {
+            Some(width) => {
+                run.packed = Bits::parse(unread, present, width)?;
+                run.unread = &[];
+                Some(run)
+            }
+            None => {
+                run.unread = unread;
+                (present.checked_mul(run.width)? == unread.len()).then_some(run)
+            }
+        }
+    }
+
+    /// Whether every tail has been read.
+    fn is_spent(&self) -> bool {
+        self.unread.is_empty() && self.packed.unread.is_empty()
     }
 
     /// The next `len` unread bytes.
@@ -505,6 +685,11 @@ impl<'a> Run<'a> {
         self.value.truncate(self.prefix);
         match self.shape {
             ValueShape::Raw => return None,
+            ValueShape::Dict => {
+                let entries = &self.entries[..self.entry_count];
+                self.value
+                    .extend_from_slice(entries.get(self.packed.next()? as usize)?);
+            }
             ValueShape::Hex => {
                 self.value.resize(self.prefix + 2 * tail.len(), 0);
                 let digits = self.value[self.prefix..].chunks_exact_mut(2);
@@ -521,9 +706,7 @@ impl<'a> Run<'a> {
                 }
             }
             ValueShape::Decimal => {
-                let mut distance = [0; 8];
-                distance[..tail.len()].copy_from_slice(tail);
-                let n = self.min.checked_add(u64::from_le_bytes(distance))?;
+                let n = self.min.checked_add(self.packed.next()?)?;
                 push_decimal(&mut self.value, n);
             }
         }
@@ -567,14 +750,17 @@ pub(crate) struct Transposer {
 impl Transposer {
     /// Transposes `cells` — the `rows` length-prefixed cells of one column
     /// of one group, as the writer buffered them — into a layout of
-    /// `kind`'s. `None` when a cell does not fit the kind, or no shape the
-    /// values of a `Bytes` column: the chunk is then stored as it stands.
+    /// `kind`'s, and hands back its tag and what `compress` makes of it: of
+    /// an integer column's two layouts, the shorter, the varints on a tie.
+    /// `None` when a cell does not fit the kind, or no shape the values of a
+    /// `Bytes` column: the chunk is then stored as it stands.
     pub(crate) fn transpose(
         &mut self,
         kind: ColumnKind,
         cells: &[u8],
         rows: usize,
-    ) -> Option<(StoredAs, &[u8])> {
+        compress: &mut impl FnMut(&[u8]) -> Vec<u8>,
+    ) -> Option<(StoredAs, Vec<u8>)> {
         self.out.clear();
         // A span is two 32-bit numbers.
         if cells.len() >= u32::MAX as usize {
@@ -585,16 +771,49 @@ impl Transposer {
                 self.transpose_values(cells, rows)?;
                 StoredAs::ValueRun
             }
-            ColumnKind::I64 => {
-                transpose_i64(cells, rows, &mut self.out)?;
-                StoredAs::I64
-            }
+            ColumnKind::I64 => return self.transpose_i64(cells, rows, compress),
             ColumnKind::StringMap => {
                 self.transpose_string_map(cells, rows)?;
                 StoredAs::StringMap
             }
         };
-        Some((stored, &self.out))
+        Some((stored, compress(&self.out)))
+    }
+
+    fn transpose_i64(
+        &mut self,
+        cells: &[u8],
+        rows: usize,
+        compress: &mut impl FnMut(&[u8]) -> Vec<u8>,
+    ) -> Option<(StoredAs, Vec<u8>)> {
+        let value = |cell: &[u8]| i64::from_le_bytes(cell[1..].try_into().expect("9-byte cell"));
+        if cells.len() != rows * 9 || cells.chunks_exact(9).any(|cell| cell[0] != 8) {
+            return None;
+        }
+        let min = cells.chunks_exact(9).map(value).min()?;
+        let distances = &mut self.numbers;
+        distances.clear();
+        distances.extend(
+            cells
+                .chunks_exact(9)
+                .map(|cell| value(cell).wrapping_sub(min) as u64),
+        );
+        let out = &mut self.out;
+        write_varint(out, zigzag(min));
+        let head = out.len();
+        for distance in &*distances {
+            write_varint(out, *distance);
+        }
+        let varints = compress(out);
+        out.truncate(head);
+        let width = bit_width(distances.iter().copied().max()?);
+        out.push(width as u8);
+        pack_bits(out, width, distances.iter().copied());
+        let packed = compress(out);
+        Some(match packed.len() < varints.len() {
+            true => (StoredAs::PackedI64, packed),
+            false => (StoredAs::I64, varints),
+        })
     }
 
     fn transpose_values(&mut self, cells: &[u8], rows: usize) -> Option<()> {
@@ -701,19 +920,6 @@ impl Transposer {
     }
 }
 
-fn transpose_i64(cells: &[u8], rows: usize, out: &mut Vec<u8>) -> Option<()> {
-    let value = |cell: &[u8]| i64::from_le_bytes(cell[1..].try_into().expect("9-byte cell"));
-    if cells.len() != rows * 9 || cells.chunks_exact(9).any(|cell| cell[0] != 8) {
-        return None;
-    }
-    let min = cells.chunks_exact(9).map(value).min()?;
-    write_varint(out, zigzag(min));
-    for cell in cells.chunks_exact(9) {
-        write_varint(out, value(cell).wrapping_sub(min) as u64);
-    }
-    Some(())
-}
-
 // -------------------------------------------------------------------- rebuild
 
 /// The inverse of [`Transposer::transpose`]: the `rows` length-prefixed
@@ -724,27 +930,43 @@ fn transpose_i64(cells: &[u8], rows: usize, out: &mut Vec<u8>) -> Option<()> {
 pub(crate) fn rebuild(stored: StoredAs, payload: Vec<u8>, rows: usize) -> Option<Vec<u8>> {
     match stored {
         StoredAs::Cells => Some(payload),
-        StoredAs::I64 => rebuild_i64(&payload, rows),
+        StoredAs::I64 | StoredAs::PackedI64 => rebuild_i64(stored, &payload, rows),
         StoredAs::StringMap => rebuild_string_map(&payload, rows),
         StoredAs::ValueRun => rebuild_values(&payload, rows),
     }
 }
 
-fn rebuild_i64(payload: &[u8], rows: usize) -> Option<Vec<u8>> {
+fn rebuild_i64(stored: StoredAs, payload: &[u8], rows: usize) -> Option<Vec<u8>> {
     let mut pos = 0;
     let min = unzigzag(read_varint(payload, &mut pos)?);
-    // Every row costs a byte at least: reject a hostile count before
-    // allocating for it.
-    if rows > payload.len() - pos {
+    let mut varints = &payload[pos..];
+    let mut packed = None;
+    if stored == StoredAs::PackedI64 {
+        let (width, bits) = varints.split_first()?;
+        packed = Some(Bits::parse(bits, rows, u32::from(*width))?);
+    } else if rows > varints.len() {
+        // Every varint costs a byte at least: reject a hostile count before
+        // allocating for it.
         return None;
     }
-    let mut out = Vec::with_capacity(rows * 9);
+    // Nine bytes a cell; a packed row may cost no bits at all, so what is
+    // reserved up front is bounded too.
+    let len = rows.checked_mul(9).filter(|len| *len <= MAX_REBUILT)?;
+    let mut out = Vec::with_capacity(len.min(REBUILD_PREALLOC));
     for _ in 0..rows {
-        let delta = read_varint(payload, &mut pos)?;
+        let distance = match &mut packed {
+            Some(bits) => bits.next()?,
+            None => {
+                let mut at = 0;
+                let distance = read_varint(varints, &mut at)?;
+                varints = &varints[at..];
+                distance
+            }
+        };
         out.push(8);
-        out.extend_from_slice(&min.wrapping_add(delta as i64).to_le_bytes());
+        out.extend_from_slice(&min.wrapping_add(distance as i64).to_le_bytes());
     }
-    (pos == payload.len()).then_some(out)
+    (packed.is_some() || varints.is_empty()).then_some(out)
 }
 
 /// The length a transposed payload says it rebuilds to, and the rest of it.
@@ -826,7 +1048,7 @@ fn rebuild_string_map(payload: &[u8], rows: usize) -> Option<Vec<u8>> {
         write_varint(&mut out, count);
         out.extend_from_slice(&pairs);
     }
-    let spent = subs.iter().all(|(_, run)| run.unread.is_empty());
+    let spent = subs.iter().all(|(_, run)| run.is_spent());
     (spent && out.len() == declared).then_some(out)
 }
 
@@ -852,7 +1074,7 @@ pub(crate) fn stored_runs(stored: StoredAs, payload: &[u8], rows: usize) -> Opti
         bytes: bytes.to_vec(),
     };
     Some(match stored {
-        StoredAs::I64 => Vec::new(),
+        StoredAs::I64 | StoredAs::PackedI64 => Vec::new(),
         StoredAs::Cells => vec![run(&[], ValueShape::Raw, payload)],
         StoredAs::ValueRun => {
             let (_, bytes) = declared_len(payload)?;
@@ -891,17 +1113,40 @@ mod tests {
         cell
     }
 
-    fn round_trip(kind: ColumnKind, cells: &[&[u8]]) -> Option<usize> {
+    /// The layout `cells` are transposed into, which must rebuild to them,
+    /// and its length, under a compressor that leaves the bytes as they are.
+    fn round_trip(kind: ColumnKind, cells: &[&[u8]]) -> Option<(StoredAs, usize)> {
+        round_trip_through(kind, cells, &mut |bytes| bytes.to_vec(), &mut |stored| {
+            Some(stored.to_vec())
+        })
+    }
+
+    /// [`round_trip`] through `compress` and its inverse, `decompress`.
+    fn round_trip_through(
+        kind: ColumnKind,
+        cells: &[&[u8]],
+        compress: &mut impl FnMut(&[u8]) -> Vec<u8>,
+        decompress: &mut impl FnMut(&[u8]) -> Option<Vec<u8>>,
+    ) -> Option<(StoredAs, usize)> {
         let buf = buffered(cells);
         let mut transposer = Transposer::default();
         // Twice: the second chunk meets the buffers the first one left.
-        transposer.transpose(kind, &buf, cells.len())?;
-        let (stored, out) = transposer.transpose(kind, &buf, cells.len())?;
+        transposer.transpose(kind, &buf, cells.len(), compress)?;
+        let (stored, out) = transposer.transpose(kind, &buf, cells.len(), compress)?;
+        let payload = decompress(&out).expect("a stream the compressor made");
         assert_eq!(
-            rebuild(stored, out.to_vec(), cells.len()).as_deref(),
+            rebuild(stored, payload, cells.len()).as_deref(),
             Some(&buf[..])
         );
-        Some(out.len())
+        Some((stored, out.len()))
+    }
+
+    fn integer_cells(values: &[i64]) -> Vec<[u8; 8]> {
+        values.iter().map(|v| v.to_le_bytes()).collect()
+    }
+
+    fn as_cells<const N: usize>(cells: &[[u8; N]]) -> Vec<&[u8]> {
+        cells.iter().map(|c| &c[..]).collect()
     }
 
     #[test]
@@ -917,16 +1162,67 @@ mod tests {
     }
 
     #[test]
-    fn integers_store_their_distance_from_the_group_minimum() {
-        let values = [1_344_000_123_456i64, 1_344_000_000_000, 1_344_003_599_999];
-        let cells: Vec<[u8; 8]> = values.iter().map(|v| v.to_le_bytes()).collect();
-        let cells: Vec<&[u8]> = cells.iter().map(|c| &c[..]).collect();
-        // Six bytes of minimum, then 3 + 1 + 4.
-        assert_eq!(round_trip(ColumnKind::I64, &cells), Some(6 + 8));
-        let extremes = [i64::MIN, i64::MAX, 0, -1];
-        let cells: Vec<[u8; 8]> = extremes.iter().map(|v| v.to_le_bytes()).collect();
-        let cells: Vec<&[u8]> = cells.iter().map(|c| &c[..]).collect();
-        assert!(round_trip(ColumnKind::I64, &cells).is_some());
+    fn integers_store_their_distance_from_the_group_minimum_in_the_shorter_layout() {
+        const T0: i64 = 1_344_000_000_000;
+        let hour: Vec<i64> = (0..64).map(|i| T0 + i * 56_249).collect();
+        let cases: [(&str, &[i64], StoredAs, usize); 4] = [
+            // Six bytes of minimum, then varints of 3 + 1 + 4 bytes, where
+            // three 22-bit distances would take a byte of width and nine.
+            (
+                "three timestamps",
+                &[T0 + 123_456, T0, T0 + 3_599_999],
+                StoredAs::I64,
+                6 + 8,
+            ),
+            // An hour of them: 22 bits apiece packed, where a varint takes
+            // three bytes or four.
+            ("an hour", &hour, StoredAs::PackedI64, 6 + 1 + 64 * 22 / 8),
+            // One value on every row: a distance of no bits.
+            ("all equal", &[7; 5], StoredAs::PackedI64, 1 + 1),
+            // Eight 7-bit distances are eight bytes either way, and a tie
+            // keeps the varints.
+            ("a tie", &[0, 127, 1, 2, 3, 4, 5, 6], StoredAs::I64, 1 + 8),
+        ];
+        for (what, values, stored, len) in cases {
+            let cells = integer_cells(values);
+            assert_eq!(
+                round_trip(ColumnKind::I64, &as_cells(&cells)),
+                Some((stored, len)),
+                "{what}"
+            );
+        }
+        let extremes = integer_cells(&[i64::MIN, i64::MAX, 0, -1]);
+        assert!(round_trip(ColumnKind::I64, &as_cells(&extremes)).is_some());
+    }
+
+    /// What decides is the stream the block compressor makes, not the
+    /// layout: five ids up to 15 bits apart are shorter packed than as
+    /// varints of three bytes, but recurring in no order, their varints are
+    /// byte strings `ulz` matches and their packed bits are not.
+    #[test]
+    fn an_integer_column_keeps_the_layout_the_compressor_makes_shorter() {
+        let mut state = 1u64;
+        let ids: Vec<i64> = (0..200)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (1 << 40) + [0, 20_000, 21_000, 22_000, 23_000][(state >> 60) as usize % 5]
+            })
+            .collect();
+        let cells = integer_cells(&ids);
+        let cells = as_cells(&cells);
+        assert_eq!(
+            round_trip(ColumnKind::I64, &cells).map(|(stored, _)| stored),
+            Some(StoredAs::PackedI64)
+        );
+        let ulz = round_trip_through(
+            ColumnKind::I64,
+            &cells,
+            &mut |bytes| crate::compress::compress(bytes),
+            &mut |stored| crate::compress::decompress(stored),
+        );
+        assert_eq!(ulz.map(|(stored, _)| stored), Some(StoredAs::I64));
     }
 
     #[test]
@@ -951,7 +1247,7 @@ mod tests {
         let buf = buffered(&cells);
         let mut transposer = Transposer::default();
         let (_, out) = transposer
-            .transpose(ColumnKind::StringMap, &buf, 4)
+            .transpose(ColumnKind::StringMap, &buf, 4, &mut |bytes| bytes.to_vec())
             .expect("canonical cells");
         assert_eq!(
             rebuild(StoredAs::StringMap, out.to_vec(), 4).as_deref(),
@@ -962,7 +1258,10 @@ mod tests {
         assert_eq!(count(b"lang"), 1);
         assert_eq!(count(b"tweet_id"), 1);
         // A group of empty maps is a key list of none.
-        assert_eq!(round_trip(ColumnKind::StringMap, &[&[0], &[0]]), Some(2));
+        assert_eq!(
+            round_trip(ColumnKind::StringMap, &[&[0], &[0]]),
+            Some((StoredAs::StringMap, 2))
+        );
     }
 
     #[test]
@@ -1007,7 +1306,7 @@ mod tests {
         for value in values {
             assert_eq!(run.next(), Some(*value));
         }
-        assert!(run.unread.is_empty());
+        assert!(run.is_spent());
         (shape, out)
     }
 
@@ -1015,60 +1314,73 @@ mod tests {
         values.iter().map(|value| Some(value.as_bytes())).collect()
     }
 
+    fn owned(values: &[Option<String>]) -> Vec<Option<&[u8]>> {
+        values
+            .iter()
+            .map(|v| v.as_deref().map(str::as_bytes))
+            .collect()
+    }
+
     #[test]
-    fn values_are_stored_as_what_they_are() {
+    fn the_packer_and_the_reader_agree_at_every_width() {
+        let mut rng = proptest::test_runner::TestRng::deterministic("bits");
+        for width in 0..=64u32 {
+            for count in [0, 1, 7, 8, 9, 64, 65] {
+                let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+                let values: Vec<u64> = (0..count).map(|_| rng.next_u64() & mask).collect();
+                let mut packed = Vec::new();
+                pack_bits(&mut packed, width, values.iter().copied());
+                assert_eq!(packed.len(), (count * width as usize).div_ceil(8));
+                let mut bits = Bits::parse(&packed, count, width).expect("a packed stream");
+                for value in &values {
+                    assert_eq!(bits.next(), Some(*value), "{width} bits");
+                }
+                assert!(bits.unread.is_empty());
+            }
+        }
+        // Low bits first: 1, 2, 3 at three bits are 0b011_010_001.
+        let mut packed = Vec::new();
+        pack_bits(&mut packed, 3, [1, 2, 3]);
+        assert_eq!(packed, [0b1101_0001, 0b0]);
+    }
+
+    #[test]
+    fn a_few_values_are_stored_once_each_and_coded() {
         use ValueShape::*;
         type Values<'a> = [Option<&'a [u8]>];
-        let cases: [(&Values, ValueShape, &[u8]); 10] = [
-            // Numbers: no prefix, the minimum, two bytes of distance each.
+        const MAX: &str = "18446744073709551615";
+        let cases: [(&Values, ValueShape, &[u8]); 7] = [
+            // No prefix; two values, each once; codes of one bit.
+            (
+                &present(&["en", "fr", "en"]),
+                Dict,
+                b"\x04\x00\x02\x02en\x02fr\x02",
+            ),
+            // One value on every row: the value once, as the prefix, and
+            // no code at all — though it is also a number behind a prefix.
+            (
+                &present(&["4.1.2", "4.1.2"]),
+                Dict,
+                b"\x04\x054.1.2\x01\x00",
+            ),
+            // A bit a row, then codes for the rows that have the value.
+            (
+                &[Some(b"en"), None, Some(b"fr")],
+                Dict,
+                b"\x14\x00\x05\x02\x02en\x02fr\x02",
+            ),
+            // Long numbers recurring: shorter as a dictionary than as four
+            // 64-bit distances.
+            (
+                &present(&[MAX, "0", MAX, "0"]),
+                Dict,
+                &[b"\x04\x00\x02\x14", MAX.as_bytes(), b"\x010\x0a"].concat(),
+            ),
+            // Numbers seen once each: shorter as 12-bit distances.
             (
                 &present(&["40", "2499", "41"]),
                 Decimal,
-                &[3, 0, 40, 2, 0, 0, 0x9b, 0x09, 1, 0],
-            ),
-            // Digits in common are part of the numbers, not a prefix.
-            (
-                &present(&["1000", "1001"]),
-                Decimal,
-                &[3, 0, 0xe8, 0x07, 1, 0, 1],
-            ),
-            (
-                &present(&["0", "1", "18446744073709551615"]),
-                Decimal,
-                &[
-                    &[3, 0, 0, 8][..],
-                    &[0; 8],
-                    &[1, 0, 0, 0, 0, 0, 0, 0],
-                    &[0xff; 8],
-                ]
-                .concat(),
-            ),
-            // One value on every row: what changes is the last number in it.
-            (
-                &present(&["4.1.2", "4.1.2"]),
-                Decimal,
-                b"\x03\x044.1.\x02\x01\x00\x00",
-            ),
-            (
-                &present(&["00ff", "a1b2"]),
-                Hex,
-                &[1, 0, 4, 0x00, 0xff, 0xa1, 0xb2],
-            ),
-            // A prefix once, a bit a row, and the rows that have the value.
-            (
-                &[Some(b"https://t.co/00ab"), None, Some(b"https://t.co/00cd")],
-                Hex,
-                b"\x11\x0dhttps://t.co/\x05\x04\x00\xab\x00\xcd",
-            ),
-            (
-                &present(&["1.2.3.4", "10.0.0.255"]),
-                Quad,
-                &[2, 0, 1, 2, 3, 4, 10, 0, 0, 255],
-            ),
-            (
-                &[Some(b"en"), None, Some(b"fr")],
-                Raw,
-                b"\x00\x03en\x00\x03fr",
+                &[3, 0, 40, 12, 0x00, 0xb0, 0x99, 0x01, 0x00],
             ),
             (&[None, None], Raw, &[0, 0, 0]),
             (&[], Raw, &[0]),
@@ -1078,67 +1390,172 @@ mod tests {
         }
     }
 
+    /// Seventeen values and more are past what a dictionary holds; those of
+    /// a shape are stored as what they are.
+    #[test]
+    fn past_sixteen_values_are_stored_as_what_they_are() {
+        use ValueShape::*;
+        let some = |values: Vec<String>| values.into_iter().map(Some).collect::<Vec<_>>();
+        let numbers = |ns: &mut dyn Iterator<Item = u64>| some(ns.map(|n| n.to_string()).collect());
+        let mut hex_behind_a_prefix =
+            some((0..17).map(|i| format!("https://t.co/ab{i:02x}")).collect());
+        for row in [3, 7, 11] {
+            hex_behind_a_prefix.insert(row, None);
+        }
+        // The values, the shape they take, how their run starts, its length.
+        type Case<'a> = (Vec<Option<String>>, ValueShape, &'a [u8], usize);
+        let cases: [Case; 6] = [
+            // The minimum, a byte of width, then 12-bit distances.
+            (
+                numbers(&mut [40, 2499].into_iter().chain(41..56)),
+                Decimal,
+                &[3, 0, 40, 12, 0x00, 0xb0, 0x99, 0x01],
+                4 + (17 * 12usize).div_ceil(8),
+            ),
+            // Digits in common are part of the numbers, not a prefix.
+            (
+                numbers(&mut (1000..1017)),
+                Decimal,
+                &[3, 0, 0xe8, 0x07, 5, 0x20],
+                5 + (17 * 5usize).div_ceil(8),
+            ),
+            (
+                some((0..17).map(|i| format!("0a{i:02x}")).collect()),
+                Hex,
+                &[1, 0, 4, 0x0a, 0x00, 0x0a, 0x01],
+                3 + 17 * 2,
+            ),
+            // A prefix once, a bit a row, and the rows that have the value.
+            (
+                hex_behind_a_prefix,
+                Hex,
+                b"\x11\x0dhttps://t.co/\x77\xf7\x0f\x04\xab\x00\xab\x01",
+                2 + 13 + 3 + 1 + 17 * 2,
+            ),
+            (
+                some((0..17).map(|i| format!("10.0.{i}.255")).collect()),
+                Quad,
+                &[2, 0, 10, 0, 0, 255, 10, 0, 1, 255],
+                2 + 17 * 4,
+            ),
+            (
+                some((0..17).map(|i| format!("{i}-en")).collect()),
+                Raw,
+                b"\x00\x050-en\x051-en",
+                1 + 10 * 5 + 7 * 6,
+            ),
+        ];
+        for (values, shape, head, len) in cases {
+            let (took, run) = run_of(&owned(&values));
+            assert_eq!((took, &run[..head.len()], run.len()), (shape, head, len));
+        }
+        // The width of the widest distance, in bits: `2^k - 1` takes k.
+        for (widest, width) in [(31, 5), (32, 6), (255, 8), (256, 9)].into_iter().chain([
+            (u64::MAX >> 1, 63),
+            (1 << 63, 64),
+            (u64::MAX, 64),
+        ]) {
+            let (took, run) = run_of(&owned(&numbers(&mut (0..16).chain([widest]))));
+            assert_eq!((took, run[3]), (Decimal, width), "{widest}");
+            assert_eq!(run.len(), 4 + (17 * width as usize).div_ceil(8));
+        }
+    }
+
+    /// Families of values that nearly have a shape — hex digits, a number, a
+    /// dotted quad — twenty each, so no dictionary holds them: each run is
+    /// stored raw.
     #[test]
     fn a_value_that_is_not_how_its_shape_prints_keeps_its_run_raw() {
-        let near_misses: [&[&str]; 17] = [
-            &["DEADBEEF", "CAFEBABE"],
-            &["deadBEEF", "cafebabe"],
-            &["abc", "def"],
-            &["abcd", "abcdef"],
-            &["+1", "2"],
-            &["-1", "2"],
-            &["007", "8"],
-            &["", "5"],
-            &["12 ", "13 "],
-            &["100000000000000000000", "1"],
-            &["18446744073709551616", "1"],
-            &["1.2.3.04", "1.2.3.4"],
-            &["256.1.1.1", "1.2.3.4"],
-            &["1.2.3", "1.2.3.4"],
-            &["1.2.3.4.5", "1.2.3.4"],
-            &["1..3.4", "1.2.3.4"],
-            &["en", "en"],
+        let alternate = |i: u32, odd: String| {
+            if i.is_multiple_of(2) {
+                i.to_string()
+            } else {
+                odd
+            }
+        };
+        let near_misses: [(&str, &dyn Fn(u32) -> String); 18] = [
+            ("upper-case hex", &|i| format!("{:08X}", 0xDEAD_BEE0 + i)),
+            ("mixed-case hex", &|i| format!("dead{:04X}", 0xBEE0 + i)),
+            ("an odd number of digits", &|i| format!("a{i:02x}")),
+            ("two widths of digits", &|i| match i % 2 {
+                0 => format!("ab{i:02x}"),
+                _ => format!("ab{i:04x}"),
+            }),
+            ("digits alone, zero-padded", &|i| format!("{i:04}")),
+            ("a plus sign", &|i| alternate(i, format!("+{i}"))),
+            ("a minus sign", &|i| alternate(i, format!("-{i}"))),
+            ("leading zeros", &|i| format!("00{i}")),
+            ("an empty value", &|i| match i {
+                1 => String::new(),
+                _ => i.to_string(),
+            }),
+            ("a trailing space", &|i| format!("{i} ")),
+            ("twenty-one digits", &|i| format!("1{i:020}")),
+            ("past u64::MAX", &|i| {
+                format!("1844674407370955161{}", 6 + i)
+            }),
+            ("an octet with a leading zero", &|i| format!("1.2.{i}.04")),
+            ("an octet past 255", &|i| format!("{}.1.1.1", 256 + i)),
+            ("three octets", &|i| format!("1.{i}.3")),
+            ("five octets", &|i| format!("{i}.1.2.3.4")),
+            ("an empty octet", &|i| format!("{i}..3.4")),
+            ("words", &|i| format!("en-{}", (b'a' + i as u8) as char)),
         ];
-        for values in near_misses {
-            assert_eq!(run_of(&present(values)).0, ValueShape::Raw, "{values:?}");
-            // On one row of a group, whatever it then is, it reads back.
-            run_of(&[None, Some(values[0].as_bytes()), None]);
+        for (what, family) in near_misses {
+            let values: Vec<Option<String>> = (0..20).map(|i| Some(family(i))).collect();
+            assert_eq!(run_of(&owned(&values)).0, ValueShape::Raw, "{what}");
+            // Two of a family, and one on one row of a group, whatever they
+            // then are, read back.
+            run_of(&owned(&values[..2]));
+            run_of(&[None, values[0].as_deref().map(str::as_bytes), None]);
         }
     }
 
     /// Tails of each shape — hex of every even width up to 64, numbers that
-    /// need every width of distance, quads — behind three prefixes, on every
-    /// row, every other row and one row: each run takes the shape its values
-    /// were drawn from and is as long as that shape's layout says.
+    /// need every width of distance from six bits up, quads — forty distinct
+    /// ones, behind three prefixes, on every row, every other row and one
+    /// row: twenty values and more take the shape they were drawn from, one
+    /// is a dictionary of itself, and each run is as long as its layout says.
     #[test]
     fn values_drawn_from_a_shape_take_it_behind_any_prefix_at_any_presence() {
-        let mut rng = proptest::test_runner::TestRng::deterministic("value runs");
+        type Rng = proptest::test_runner::TestRng;
+        let mut rng = Rng::deterministic("value runs");
+        // `first` and then draws, until `n` are distinct.
+        let distinct = |rng: &mut Rng, first: Vec<String>, draw: &dyn Fn(&mut Rng) -> String| {
+            let mut tails = first;
+            while tails.len() < 40 {
+                let tail = draw(rng);
+                if !tails.contains(&tail) {
+                    tails.push(tail);
+                }
+            }
+            tails
+        };
         let mut drawn: Vec<(ValueShape, Vec<String>)> = Vec::new();
         for digits in (2..=64).step_by(2) {
             // A letter first, or a narrow one would pass for a number.
-            let tail = |rng: &mut proptest::test_runner::TestRng| {
+            let tail = |rng: &mut Rng| {
                 let digit = |i| b"abcdef0123456789"[rng.below(if i == 0 { 6 } else { 16 })];
                 String::from_utf8((0..digits).map(digit).collect()).expect("ascii")
             };
-            drawn.push((ValueShape::Hex, (0..9).map(|_| tail(&mut rng)).collect()));
+            drawn.push((ValueShape::Hex, distinct(&mut rng, Vec::new(), &tail)));
         }
-        for width in 1..=8u32 {
-            let widest = u64::MAX >> (64 - 8 * width);
+        for width in 6..=64u32 {
+            let widest = u64::MAX >> (64 - width);
             let min = rng.next_u64() % (u64::MAX - widest).max(1);
-            let mut numbers = vec![min, min + widest, min + (widest >> 8) + 1];
-            numbers.extend((0..6).map(|_| min + rng.next_u64() % widest));
-            let tails = numbers.iter().map(u64::to_string).collect();
-            drawn.push((ValueShape::Decimal, tails));
+            let ends = vec![min.to_string(), (min + widest).to_string()];
+            let tail = |rng: &mut Rng| (min + rng.next_u64() % widest).to_string();
+            drawn.push((ValueShape::Decimal, distinct(&mut rng, ends, &tail)));
         }
-        let edges = [0, 1, u64::MAX, u64::MAX - 1, 0, 9, 10, 1 << 32, 255];
-        let tails = edges.iter().map(u64::to_string).collect();
-        drawn.push((ValueShape::Decimal, tails));
-        let mut quads = vec!["0.0.0.0".to_string(), "255.255.255.255".to_string()];
-        quads.extend((0..7).map(|_| {
+        let edges = (1..64).flat_map(|k| [1u64 << k, (1 << k) - 1]);
+        let edges = [0, u64::MAX].into_iter().chain(edges);
+        drawn.push((ValueShape::Decimal, edges.map(|n| n.to_string()).collect()));
+        let quads = vec!["0.0.0.0".to_string(), "255.255.255.255".to_string()];
+        let quad = |rng: &mut Rng| {
             let [a, b, c, d, ..] = rng.next_u64().to_le_bytes();
             format!("{a}.{b}.{c}.{d}")
-        }));
-        drawn.push((ValueShape::Quad, quads));
+        };
+        drawn.push((ValueShape::Quad, distinct(&mut rng, quads, &quad)));
 
         for (shape, tails) in &drawn {
             for prefix in ["", "id=", "https://t.co/"] {
@@ -1152,17 +1569,27 @@ mod tests {
                         .map(|row| tails[row].as_str())
                         .collect();
                     let (took, run) = run_of(&rows);
+                    let bitmap = match kept.len() < rows.len() {
+                        true => rows.len().div_ceil(8),
+                        false => 0,
+                    };
+                    if kept.len() == 1 {
+                        // The value is the prefix, and the dictionary's one
+                        // entry is empty.
+                        let value = values[3].len();
+                        assert_eq!(took, ValueShape::Dict);
+                        assert_eq!(run.len(), 1 + varint_len(value as u64) + value + bitmap + 2);
+                        continue;
+                    }
                     assert_eq!(took, *shape, "{prefix:?} {kept:?}");
-                    let bitmap = if kept.len() < rows.len() { 2 } else { 0 };
                     let layout = match shape {
                         ValueShape::Hex => 1 + kept.len() * kept[0].len() / 2,
                         ValueShape::Quad => kept.len() * 4,
                         _ => {
                             let numbers = kept.iter().map(|t| t.parse::<u64>().expect("drawn"));
                             let min = numbers.clone().min().expect("a row kept");
-                            let widest = numbers.max().expect("a row kept") - min;
-                            let width = (1..8).find(|w| widest >> (8 * w) == 0).unwrap_or(8);
-                            varint_len(min) + 1 + kept.len() * width
+                            let width = bit_width(numbers.max().expect("a row kept") - min);
+                            varint_len(min) + 1 + (kept.len() * width as usize).div_ceil(8)
                         }
                     };
                     assert_eq!(
@@ -1191,9 +1618,11 @@ mod tests {
         const DECIMAL: u8 = ValueShape::Decimal as u8;
         const HEX: u8 = ValueShape::Hex as u8;
         const QUAD: u8 = ValueShape::Quad as u8;
-        let forged: [(&str, &[u8], usize); 16] = [
+        const DICT: u8 = ValueShape::Dict as u8;
+        let seventeen = [&[DICT, 0, 17][..], &[0; 17], &[0]].concat();
+        let forged: [(&str, &[u8], usize); 26] = [
             ("no shape byte", &[], 0),
-            ("a shape nobody wrote", &[4, 0], 0),
+            ("a shape nobody wrote", &[5, 0], 0),
             ("a raw run with a bitmap", &[SPARSE, 1], 1),
             ("hex digits: none", &[HEX, 0, 0], 0),
             ("hex digits: an odd number", &[HEX, 0, 3, 0xab, 0xcd], 1),
@@ -1224,11 +1653,53 @@ mod tests {
                 &[QUAD | SPARSE, 0, 0b1000_0001, 1, 2, 3, 4, 5, 6, 7, 8],
                 3,
             ),
-            ("a distance of no bytes", &[DECIMAL, 0, 7, 0], 1),
             (
-                "a distance of nine bytes",
-                &[DECIMAL, 0, 7, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+                "a distance wider than 64 bits",
+                &[DECIMAL, 0, 7, 65, 1, 2, 3, 4, 5, 6, 7, 8, 0],
                 1,
+            ),
+            ("distances a byte short", &[DECIMAL, 0, 7, 12, 0xff], 1),
+            (
+                "distances a byte long",
+                &[DECIMAL, 0, 7, 12, 0xff, 0x0f, 0],
+                1,
+            ),
+            (
+                "distances padded with bits that are not zero",
+                &[DECIMAL, 0, 7, 12, 0xff, 0x1f],
+                1,
+            ),
+            ("a dictionary of no values", &[DICT, 0, 0], 1),
+            ("a dictionary of seventeen values", &seventeen, 1),
+            (
+                "a dictionary of more values than there are bytes",
+                &[DICT, 0, 3, 1, b'a'],
+                1,
+            ),
+            (
+                "a dictionary value longer than the bytes",
+                &[DICT, 0, 1, 5, b'a'],
+                1,
+            ),
+            (
+                "codes a byte short",
+                &[DICT, 0, 3, 1, b'a', 1, b'b', 1, b'c'],
+                4,
+            ),
+            (
+                "codes a byte long",
+                &[DICT, 0, 2, 1, b'a', 1, b'b', 0, 0],
+                1,
+            ),
+            (
+                "codes padded with bits that are not zero",
+                &[DICT, 0, 2, 1, b'a', 1, b'b', 0b10],
+                1,
+            ),
+            (
+                "more codes than could be",
+                &[DICT, 0, 2, 1, b'a', 1, b'b', 0],
+                usize::MAX,
             ),
             ("fewer tails than rows", &[QUAD, 0, 1, 2, 3, 4], 2),
             (
@@ -1251,10 +1722,14 @@ mod tests {
             assert!(Run::parse(bytes, rows).is_none(), "{what}");
             assert_eq!(rebuild_run(bytes, rows), [None, None], "{what}");
         }
-        // A number past u64::MAX is found out when its row is read.
+        // A number past u64::MAX, and a code past the dictionary's values,
+        // are found out when their row is read.
         let past = [&[DECIMAL, 0][..], &[0xff; 9], &[0x01, 1, 1]].concat();
-        assert!(Run::parse(&past, 1).is_some_and(|mut run| run.next().is_none()));
-        assert_eq!(rebuild_run(&past, 1), [None, None]);
+        let code = [DICT, 0, 3, 1, b'a', 1, b'b', 1, b'c', 0b11];
+        for bytes in [&past[..], &code] {
+            assert!(Run::parse(bytes, 1).is_some_and(|mut run| run.next().is_none()));
+            assert_eq!(rebuild_run(bytes, 1), [None, None]);
+        }
         // The forger can be honest; a column's run cannot be sparse or raw,
         // nor rebuild to another length than its chunk declares.
         let column = |declared: u8, run: &[u8], rows| {
@@ -1332,7 +1807,7 @@ mod tests {
             fn runs_of_shaped_and_nearly_shaped_values_round_trip(
                 rows in proptest::collection::vec(
                     (drawn_values(), 0usize..150, 0usize..60, any::<bool>()),
-                    1..24,
+                    1..40,
                 ),
                 kind in 0usize..5,
                 prefix in "[a-z0-9:/=.]{0,6}",
@@ -1367,11 +1842,36 @@ mod tests {
                 prop_assert!(round_trip(ColumnKind::StringMap, &cells).is_some());
             }
 
+            /// Any integers round-trip, and both layouts of them rebuild
+            /// them, whichever the writer keeps.
             #[test]
-            fn any_integers_round_trip(values in proptest::collection::vec(any::<i64>(), 1..80)) {
-                let cells: Vec<[u8; 8]> = values.iter().map(|v| v.to_le_bytes()).collect();
-                let cells: Vec<&[u8]> = cells.iter().map(|c| &c[..]).collect();
+            fn any_integers_round_trip(
+                values in prop_oneof![
+                    proptest::collection::vec(any::<i64>(), 1..80),
+                    proptest::collection::vec(-3000i64..3000, 1..80),
+                    (any::<i64>(), 1usize..80).prop_map(|(v, n)| vec![v; n]),
+                ],
+            ) {
+                let cells = integer_cells(&values);
+                let cells = as_cells(&cells);
                 prop_assert!(round_trip(ColumnKind::I64, &cells).is_some());
+                let min = *values.iter().min().expect("a row");
+                let distances: Vec<u64> =
+                    values.iter().map(|v| v.wrapping_sub(min) as u64).collect();
+                let mut varints = Vec::new();
+                write_varint(&mut varints, zigzag(min));
+                let mut packed = varints.clone();
+                for distance in &distances {
+                    write_varint(&mut varints, *distance);
+                }
+                let width = bit_width(*distances.iter().max().expect("a row"));
+                packed.push(width as u8);
+                pack_bits(&mut packed, width, distances.iter().copied());
+                let buf = buffered(&cells);
+                for (stored, payload) in [(StoredAs::I64, varints), (StoredAs::PackedI64, packed)] {
+                    let cells = rebuild(stored, payload, values.len());
+                    prop_assert_eq!(cells.as_deref(), Some(&buf[..]));
+                }
             }
 
             #[test]
@@ -1380,6 +1880,72 @@ mod tests {
             ) {
                 let cells: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
                 prop_assert!(round_trip(ColumnKind::StringMap, &cells).is_some());
+            }
+
+            /// A dictionary or a run of numbers, spoiled each way a forger
+            /// could — a code past the values, a value count or length past
+            /// the bytes, a width over 64 bits, packed bits a byte short or
+            /// long or padded with a bit set — is an error as a column's run
+            /// and as a map key's, never a panic; so is every tag past the
+            /// chunk layouts there are.
+            #[test]
+            fn spoiled_packed_runs_are_rejected(
+                picks in proptest::collection::vec(0usize..40, 1..40),
+                pool in 1usize..17,
+                base in any::<u64>(),
+                step in 1u64..5000,
+                dict in any::<bool>(),
+                tag in 0u8..251,
+            ) {
+                prop_assert!(StoredAs::from_tag(StoredAs::PackedI64.tag() + 1 + tag).is_none());
+                // Seventeen rows or more of distinct numbers; a dictionary
+                // of as many values as the pool has.
+                let rows = if dict { picks.len() } else { picks.len() + 17 };
+                let values: Vec<Option<String>> = (0..rows)
+                    .map(|i| Some(match dict {
+                        true => format!("w{}", (b'a' + (picks[i] % pool) as u8) as char),
+                        false => (base / 2 + i as u64 * step).to_string(),
+                    }))
+                    .collect();
+                let (shape, run) = run_of(&owned(&values));
+                prop_assert_eq!(shape, if dict { ValueShape::Dict } else { ValueShape::Decimal });
+                // Walk to the packed bits: past the prefix, then a count of
+                // values (one byte) and the values, or a minimum and a width.
+                let mut pos = 1;
+                read_string(&run, &mut pos).expect("a prefix");
+                let count = run[pos];
+                let width = if dict {
+                    read_varint(&run, &mut pos).expect("a count");
+                    for _ in 0..count {
+                        read_string(&run, &mut pos).expect("a value");
+                    }
+                    bit_width(u64::from(count) - 1)
+                } else {
+                    read_varint(&run, &mut pos).expect("a minimum");
+                    pos += 1;
+                    u32::from(run[pos - 1])
+                };
+                let bits = rows * width as usize;
+                let entries_at = 1 + run[1] as usize + 2;
+                for spoil in 0..7 {
+                    let mut spoiled = run.clone();
+                    match spoil {
+                        // The first code names the value past the last.
+                        0 if dict && u64::from(count) < 1 << width => {
+                            spoiled[pos] = spoiled[pos] >> width << width | count;
+                        }
+                        // The values end before the count of them does.
+                        1 if dict => spoiled.truncate(pos - 1),
+                        // The first value is longer than the bytes left.
+                        2 if dict => spoiled[entries_at] = 0x7f,
+                        3 if !dict => spoiled[pos - 1] = 65 + tag % 191,
+                        4 if bits > 0 => drop(spoiled.pop()),
+                        5 => spoiled.push(0),
+                        6 if !bits.is_multiple_of(8) => *spoiled.last_mut().expect("a byte") |= 0x80,
+                        _ => continue,
+                    }
+                    prop_assert_eq!(rebuild_run(&spoiled, rows), [None, None], "spoil {}", spoil);
+                }
             }
 
             /// Whatever a cell holds, a chunk either round-trips or says it
@@ -1403,10 +1969,15 @@ mod tests {
             fn garbage_payloads_never_panic(
                 payload in proptest::collection::vec(any::<u8>(), 0..120),
                 rows in prop_oneof![0usize..40, Just(usize::MAX), Just(1usize << 40)],
-                stored in 0usize..3,
+                stored in 0usize..4,
                 framed in any::<bool>(),
             ) {
-                let stored = [StoredAs::I64, StoredAs::StringMap, StoredAs::ValueRun][stored];
+                let stored = [
+                    StoredAs::I64,
+                    StoredAs::PackedI64,
+                    StoredAs::StringMap,
+                    StoredAs::ValueRun,
+                ][stored];
                 let payload = match (framed, stored) {
                     (true, StoredAs::StringMap) => {
                         [&[90, 1, 1, b'k', payload.len() as u8][..], &payload].concat()

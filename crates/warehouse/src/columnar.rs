@@ -12,7 +12,7 @@
 //! task), which is exactly why the paper's mapper-count problem survives
 //! this layout — the experiment the `layout` ablation reproduces.
 //!
-//! This is the **v4 warehouse format** ([`ColumnarFileWriter`] /
+//! This is the **v5 warehouse format** ([`ColumnarFileWriter`] /
 //! [`ColumnarFile`]), the default landing layout. A file opens with a
 //! header block (`ULCF` magic, a format-version byte, the column count, and
 //! an optional embedded dictionary for one designated column), and then maps
@@ -55,9 +55,9 @@ use crate::zone::ZoneMap;
 pub const COLUMNAR_MAGIC: [u8; 4] = *b"ULCF";
 
 /// The format version this build writes and reads.
-pub const COLUMNAR_VERSION: u8 = 4;
+pub const COLUMNAR_VERSION: u8 = 5;
 
-/// Writes a v4 columnar file: header block first, then one row group per
+/// Writes a v5 columnar file: header block first, then one row group per
 /// block. Rows may carry zone annotations; a group whose every row was
 /// annotated gets a zone map in the block footer (fail open otherwise),
 /// exactly like the row-format writer.
@@ -78,7 +78,7 @@ pub struct ColumnarFileWriter {
 }
 
 impl ColumnarFileWriter {
-    /// Opens a v4 columnar file at `path` whose rows have one cell per
+    /// Opens a v5 columnar file at `path` whose rows have one cell per
     /// entry of `schema`. `dictionary` optionally names one column plus its
     /// code table (index = code); a cell of that column appended with its
     /// code ([`append_row_coded`](Self::append_row_coded)) is stored as the
@@ -189,7 +189,8 @@ impl ColumnarFileWriter {
     /// Each chunk is one `ulz` stream — of the column's transposed cells
     /// when they all fit its kind, of the cells as buffered otherwise (the
     /// dictionary column's always: they are codes already) — and that is the
-    /// only time these bytes meet the compressor.
+    /// only time these bytes meet the compressor (an integer column's two
+    /// layouts meet it once each, and the shorter stream is kept).
     fn seal_group(&mut self) {
         if self.buffered_rows == 0 {
             return;
@@ -198,17 +199,23 @@ impl ColumnarFileWriter {
         // the file writer's compressor is idle: the chunks borrow it.
         let compressor = &mut self.inner.compressor;
         debug_assert!(compressor.is_empty(), "a block is open between groups");
+        let mut compress = |bytes: &[u8]| {
+            compressor.write(bytes);
+            compressor.finish_block()
+        };
         let mut header = Vec::with_capacity(4 + 12 * self.schema.len());
         write_varint(&mut header, self.buffered_rows as u64);
         let mut chunks = Vec::with_capacity(self.schema.len());
         let dict_col = self.dictionary.map(|(col, _)| col);
         for (c, (kind, buf)) in self.schema.iter().zip(&mut self.buffers).enumerate() {
-            let transposed = (Some(c) != dict_col)
-                .then(|| self.transposer.transpose(*kind, buf, self.buffered_rows))
-                .flatten();
-            let (stored_as, cells) = transposed.unwrap_or((StoredAs::Cells, buf));
-            compressor.write(cells);
-            let stored = compressor.finish_block();
+            let transposed = match Some(c) == dict_col {
+                true => None,
+                false => self
+                    .transposer
+                    .transpose(*kind, buf, self.buffered_rows, &mut compress),
+            };
+            let (stored_as, stored) =
+                transposed.unwrap_or_else(|| (StoredAs::Cells, compress(buf)));
             header.push(stored_as.tag());
             write_varint(&mut header, stored.len() as u64);
             header.extend_from_slice(&block_checksum(&stored).to_le_bytes());
@@ -427,7 +434,7 @@ fn group_header(block: &[u8], columns: usize) -> Option<(usize, Vec<ChunkHeader>
     (rows <= u32::MAX as usize).then_some((rows, chunks, pos))
 }
 
-/// Random-access, thread-safe reader of a v4 columnar file — the columnar
+/// Random-access, thread-safe reader of a v5 columnar file — the columnar
 /// counterpart of [`FileBlocks`]. Groups can be read from any thread in any
 /// order (each group ≈ one map task); every read is charged both to the
 /// warehouse-global counters and to a per-handle cell.
@@ -486,7 +493,7 @@ impl Dictionary {
 }
 
 impl ColumnarFile {
-    /// Opens a v4 columnar file, parsing the header block. Rejects files
+    /// Opens a v5 columnar file, parsing the header block. Rejects files
     /// that lack the magic or declare a format version this build does not
     /// understand.
     pub fn open(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<ColumnarFile> {
@@ -495,7 +502,7 @@ impl ColumnarFile {
         ColumnarFile::with_header(fb, header)
     }
 
-    /// Parses `header`, the first record of `fb`'s file, as the v4 header,
+    /// Parses `header`, the first record of `fb`'s file, as the v5 header,
     /// and keeps it: the dictionary's values stay where they are.
     pub(crate) fn with_header(
         fb: FileBlocks,
@@ -744,7 +751,13 @@ impl ColumnarFile {
         stored: &[u8],
         rows: usize,
     ) -> WarehouseResult<Arc<Vec<u8>>> {
-        let key = BlockKey::chunk(chunk.stored_as.tag(), chunk.checksum, chunk.len as u64);
+        // `group_header` holds a group's rows to 32 bits.
+        let key = BlockKey::chunk(
+            chunk.stored_as.tag(),
+            chunk.checksum,
+            chunk.len as u64,
+            rows as u32,
+        );
         if let Some(data) = self.fb.cache.get(key) {
             self.fb.stats.chunk_cache_hit(data.len() as u64);
             self.fb.local.chunk_cache_hit(data.len() as u64);
@@ -813,8 +826,9 @@ mod tests {
     const KINDS: [ColumnKind; 3] = [ColumnKind::Bytes, ColumnKind::I64, ColumnKind::StringMap];
 
     /// How a group of [`KINDS`] is stored when every cell fits its column's
-    /// kind and the `Bytes` cells have a shape.
-    const STORED: [StoredAs; 3] = [StoredAs::ValueRun, StoredAs::I64, StoredAs::StringMap];
+    /// kind, the `Bytes` cells have a shape and the integers are timestamps
+    /// close together: packed.
+    const STORED: [StoredAs; 3] = [StoredAs::ValueRun, StoredAs::PackedI64, StoredAs::StringMap];
 
     fn p(s: &str) -> WhPath {
         WhPath::parse(s).unwrap()
@@ -985,14 +999,14 @@ mod tests {
         }
     }
 
-    mod v4 {
+    mod v5 {
         use super::*;
 
         /// A 3-column fixture: col 1 is dictionary-encoded over two known
         /// values, with every 10th row carrying a value outside the
         /// dictionary (inline fallback). Rows are zone-annotated with
         /// key = row index and tag = hash of the col-1 value.
-        fn write_v4(wh: &Warehouse, path: &str, rows: usize, group: usize) -> Vec<[Vec<u8>; 3]> {
+        fn write_v5(wh: &Warehouse, path: &str, rows: usize, group: usize) -> Vec<[Vec<u8>; 3]> {
             let dict: [&[u8]; 2] = [b"click", b"view"];
             let schema = [ColumnKind::Bytes; 3];
             let mut w =
@@ -1065,8 +1079,8 @@ mod tests {
         #[test]
         fn round_trips_with_dictionary_and_inline_fallback() {
             let wh = Warehouse::new();
-            let expect = write_v4(&wh, "/v4", 95, 32);
-            let f = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            let expect = write_v5(&wh, "/v5", 95, 32);
+            let f = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             assert_eq!(f.columns(), 3);
             assert_eq!(f.group_count(), 3); // ceil(95/32)
             assert_eq!(f.dict_column(), Some(1));
@@ -1106,7 +1120,8 @@ mod tests {
                 let stored = &block[chunk.start..chunk.start + chunk.len];
                 assert_eq!(chunk.checksum, block_checksum(stored));
             }
-            // 64 timestamps 977 ms apart: a few bytes of minimum, two a row.
+            // 64 timestamps 977 ms apart: a few bytes of minimum and width,
+            // then sixteen bits a row.
             assert!(chunks[1].len < 64 * 3, "{} bytes", chunks[1].len);
             read_back(&ColumnarFile::open(&wh, &p("/typed")).unwrap(), &expect);
         }
@@ -1139,6 +1154,11 @@ mod tests {
                     if g == 1 {
                         want[col] = StoredAs::Cells;
                     }
+                    // Of the four-row tail's timestamps, `ulz` makes the
+                    // varints the shorter stream.
+                    if g == 2 {
+                        want[1] = StoredAs::I64;
+                    }
                     let stored_as: Vec<StoredAs> = chunks.iter().map(|c| c.stored_as).collect();
                     assert_eq!(stored_as, want, "group {g}, column {col} holding {bad:?}");
                 }
@@ -1149,13 +1169,13 @@ mod tests {
         #[test]
         fn a_read_is_charged_the_header_and_the_chunks_it_projects() {
             let wh = Warehouse::with_config(64 * 1024, 0); // cache off
-            write_v4(&wh, "/v4", 200, 64);
-            let wide = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            write_v5(&wh, "/v5", 200, 64);
+            let wide = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             for g in 0..wide.group_count() {
                 wide.read_group(g, &[true, true, true]).unwrap();
             }
             let w = wide.local_stats();
-            let narrow = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            let narrow = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             for g in 0..narrow.group_count() {
                 let grp = narrow.read_group(g, &[false, true, false]).unwrap();
                 assert!(grp.cell(0, 0).is_none(), "unprojected column");
@@ -1166,7 +1186,7 @@ mod tests {
             assert_eq!(n.records_read, w.records_read);
             let (mut headers, mut names, mut all) = (0u64, 0u64, 0u64);
             for g in 0..wide.group_count() {
-                let (chunks, header_len, block) = stored_group(&wh, &p("/v4"), g, 3);
+                let (chunks, header_len, block) = stored_group(&wh, &p("/v5"), g, 3);
                 headers += header_len as u64;
                 names += chunks[1].len as u64;
                 all += block.len() as u64;
@@ -1210,11 +1230,46 @@ mod tests {
             );
         }
 
+        /// Twelve rows of one integer in groups of eight: both groups store
+        /// the same chunk, no bits a row, and the cache must not hand the
+        /// cells of one to the other.
+        #[test]
+        fn groups_of_two_sizes_storing_one_chunk_are_read_apart() {
+            let wh = Warehouse::new();
+            let path = p("/same");
+            let mut w =
+                ColumnarFileWriter::create(&wh, &path, &[ColumnKind::I64], 8, None).unwrap();
+            let cell = 42i64.to_le_bytes();
+            for _ in 0..12 {
+                w.append_row(&[&cell]);
+            }
+            w.finish().unwrap();
+            let (a, _, block_a) = stored_group(&wh, &path, 0, 1);
+            let (b, _, block_b) = stored_group(&wh, &path, 1, 1);
+            assert_eq!(
+                (a[0].stored_as, b[0].stored_as),
+                (StoredAs::PackedI64, StoredAs::PackedI64)
+            );
+            assert_eq!(
+                block_a[a[0].start..][..a[0].len],
+                block_b[b[0].start..][..b[0].len]
+            );
+            let f = ColumnarFile::open(&wh, &path).unwrap();
+            for (g, rows) in [(0, 8), (1, 4), (0, 8), (1, 4)] {
+                let grp = f.read_group(g, &[true]).unwrap();
+                assert_eq!(grp.rows(), rows);
+                for r in 0..rows {
+                    assert_eq!(grp.cell(0, r), Some(ColumnCell::Bytes(&cell)));
+                }
+            }
+            assert_eq!(f.local_stats().cache_hits, 2);
+        }
+
         #[test]
         fn zone_maps_cover_groups_and_skips_never_hit_the_cache() {
             let wh = Warehouse::new();
-            write_v4(&wh, "/v4", 100, 50);
-            let f = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            write_v5(&wh, "/v5", 100, 50);
+            let f = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             let z0 = f.zone_map(0).expect("fully annotated group");
             let z1 = f.zone_map(1).expect("fully annotated group");
             assert_eq!((z0.min_key, z0.max_key), (0, 49));
@@ -1226,7 +1281,7 @@ mod tests {
             for g in 0..f.group_count() {
                 f.read_group(g, &[true, true, true]).unwrap();
             }
-            let f2 = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            let f2 = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             f2.skip_group(0);
             f2.read_group(1, &[true, true, true]).unwrap();
             let s = f2.local_stats();
@@ -1239,13 +1294,13 @@ mod tests {
         fn pruned_but_cached_group_pins_through_both_obs_exports() {
             let registry = uli_obs::Registry::new();
             let wh = Warehouse::new_with_obs(&registry);
-            write_v4(&wh, "/v4", 100, 50);
-            let f = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            write_v5(&wh, "/v5", 100, 50);
+            let f = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             for g in 0..f.group_count() {
                 f.read_group(g, &[true, true, true]).unwrap();
             }
             let hits_before = wh.stats().cache_hits;
-            let f2 = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            let f2 = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             f2.skip_group(0);
             f2.skip_group(1);
             assert_eq!(wh.stats().blocks_skipped, 2);
@@ -1270,9 +1325,9 @@ mod tests {
         #[test]
         fn sniff_tells_layouts_apart() {
             let wh = Warehouse::new();
-            write_v4(&wh, "/v4", 10, 4);
+            write_v5(&wh, "/v5", 10, 4);
             assert_eq!(
-                sniff_columnar(&wh, &p("/v4")).unwrap(),
+                sniff_columnar(&wh, &p("/v5")).unwrap(),
                 Some(COLUMNAR_VERSION)
             );
             // Row-format file: no magic.
@@ -1323,8 +1378,8 @@ mod tests {
         #[test]
         fn other_format_versions_are_rejected_cleanly() {
             let wh = Warehouse::new();
-            // Headers of the retired v2 and v3, and one from the future.
-            for version in [2, 3, 9] {
+            // Headers of the retired v2, v3 and v4, and one from the future.
+            for version in [2, 3, 4, 9] {
                 let path = p(&format!("/version-{version}"));
                 let mut w = wh.create(&path).unwrap();
                 w.append_header_record(&file_header(version, 3, false));
@@ -1433,12 +1488,21 @@ mod tests {
                 for chunk in [
                     one_cell(),
                     Forged::of(StoredAs::I64, &min_only),
+                    Forged::of(StoredAs::PackedI64, &[0, 8, 0xff]),
                     Forged::of(StoredAs::StringMap, &[2, 0]),
                     Forged::of(StoredAs::ValueRun, &[8, 2, 0, 1, 2, 3, 4]),
                 ] {
                     assert!(read(rows, &[chunk]).is_err(), "{rows} rows");
                 }
             }
+            // Integers of no bits each cost nothing stored, so the count is
+            // held to what a chunk may rebuild to instead.
+            let same = || Forged::of(StoredAs::PackedI64, &[0, 0]);
+            assert_eq!(read(2, &[same()]), Ok(2));
+            assert_eq!(
+                read(u32::MAX as u64, &[same()]),
+                Err(WarehouseError::Corrupt("column chunk layout"))
+            );
             // A chunk length past the block, and one short of it.
             for claimed in [u64::MAX, 1 << 20, 1] {
                 let mut chunk = one_cell();
@@ -1448,9 +1512,9 @@ mod tests {
                     Err(WarehouseError::Corrupt("row group header"))
                 );
             }
-            // An encoding tag nobody wrote.
+            // An encoding tag nobody wrote, next to the packed integers'.
             let mut chunk = one_cell();
-            chunk.tag = 4;
+            chunk.tag = StoredAs::PackedI64.tag() + 1;
             assert_eq!(
                 read(1, &[chunk]),
                 Err(WarehouseError::Corrupt("row group header"))
@@ -1471,17 +1535,23 @@ mod tests {
             // A value run — a column's, and a map key's — of a shape nobody
             // wrote, of no hex digits, an odd number of them, more than
             // there are bytes; with a prefix longer than the run, a bitmap
-            // shorter than the rows, distances of no bytes and of nine.
-            let runs: [(u64, &[u8]); 9] = [
-                (1, &[4, 0, 1, 2, 3, 4]),
+            // shorter than the rows, distances 65 bits wide, packed a byte
+            // long, padded with a bit set; a dictionary of no values, codes
+            // padded with a bit set, a code past the values.
+            let runs: [(u64, &[u8]); 13] = [
+                (1, &[5, 0, 1, 2, 3, 4]),
                 (1, &[0x21, 0, 2, 0xab]),
                 (1, &[1, 0, 0]),
                 (1, &[1, 0, 3, 0xab, 0xcd]),
                 (1, &[1, 0, 64, 0xab]),
                 (1, &[1, 200, b'x', 2, 0xab]),
                 (100, &[0x12, 0, 0xff, 1, 2, 3, 4]),
-                (1, &[3, 0, 7, 0]),
+                (1, &[3, 0, 7, 65, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
                 (1, &[3, 0, 7, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+                (1, &[3, 0, 7, 12, 0xff, 0x1f]),
+                (1, &[4, 0, 0]),
+                (1, &[4, 0, 2, 1, b'a', 1, b'b', 0b10]),
+                (1, &[4, 0, 3, 1, b'a', 1, b'b', 1, b'c', 0b11]),
             ];
             for (rows, run) in runs {
                 let column = [&[40][..], run].concat();
@@ -1532,11 +1602,11 @@ mod tests {
         #[test]
         fn an_open_reuses_the_header_block_and_never_one_of_other_content() {
             let wh = Warehouse::new();
-            let expect = write_v4(&wh, "/v4", 30, 8);
+            let expect = write_v5(&wh, "/v5", 30, 8);
             let before = wh.stats();
-            let first = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            let first = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             assert_eq!(wh.cache_stats().entries, 1, "the header block");
-            let again = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            let again = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             assert_eq!(wh.cache_stats().entries, 1);
             assert_eq!(wh.cache_stats().hits, 1, "the second open found it");
             // File metadata: two files opened, nothing else charged.
@@ -1551,11 +1621,11 @@ mod tests {
             // The same name landed again with another dictionary: the next
             // open reads what is there now, and the handle opened before
             // still reads what it opened.
-            wh.delete_file(&p("/v4")).unwrap();
+            wh.delete_file(&p("/v5")).unwrap();
             let dict: [&[u8]; 2] = [b"view", b"tap"];
             let mut w = ColumnarFileWriter::create(
                 &wh,
-                &p("/v4"),
+                &p("/v5"),
                 &[ColumnKind::Bytes; 3],
                 8,
                 Some((1, &dict)),
@@ -1563,7 +1633,7 @@ mod tests {
             .unwrap();
             w.append_row_coded(&[b"u", b"tap", b"x"], Some(1), 0, 0);
             w.finish().unwrap();
-            let relanded = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            let relanded = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             assert_eq!(relanded.dictionary_value(1), Some(&b"tap"[..]));
             assert_eq!(relanded.dictionary_code(b"view"), Some(0));
             assert_eq!(relanded.dictionary_code(b"click"), None);
@@ -1573,13 +1643,13 @@ mod tests {
             // again, and kept again.
             wh.clear_cache();
             assert_eq!(wh.cache_stats().entries, 0);
-            let cold = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            let cold = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             assert_eq!(cold.dictionary_value(1), Some(&b"tap"[..]));
             assert_eq!(wh.cache_stats().entries, 1);
             // A warehouse without a cache opens files all the same.
             let uncached = Warehouse::with_config(64 * 1024, 0);
-            let expect = write_v4(&uncached, "/v4", 30, 8);
-            read_back(&ColumnarFile::open(&uncached, &p("/v4")).unwrap(), &expect);
+            let expect = write_v5(&uncached, "/v5", 30, 8);
+            read_back(&ColumnarFile::open(&uncached, &p("/v5")).unwrap(), &expect);
         }
 
         #[test]
@@ -1654,11 +1724,11 @@ mod tests {
         #[test]
         fn truncated_group_is_rejected_whole() {
             let wh = Warehouse::new();
-            write_v4(&wh, "/v4", 40, 20);
+            write_v5(&wh, "/v5", 40, 20);
             // Drop the tail of group 1's block: the read must fail as a
             // unit, not yield a partial group.
-            wh.truncate_block(&p("/v4"), 2).unwrap();
-            let f = ColumnarFile::open(&wh, &p("/v4")).unwrap();
+            wh.truncate_block(&p("/v5"), 2).unwrap();
+            let f = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             assert!(f.read_group(0, &[true, true, true]).is_ok());
             assert!(f.read_group(1, &[true, true, true]).is_err());
             assert!(f.read_group(1, &[false, false, false]).is_err());
@@ -1678,7 +1748,7 @@ mod tests {
                     bytes().prop_map(|run| [&[60, 1, 1, b'k', run.len() as u8][..], &run].concat()),
                 ];
                 (
-                    0u8..5,
+                    0u8..6,
                     payload,
                     any::<bool>(),
                     prop_oneof![

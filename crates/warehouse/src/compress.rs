@@ -384,10 +384,14 @@ pub fn decompress(input: &[u8]) -> Option<Vec<u8>> {
             }
             grow(&mut out, len)?;
             let start = out.len() - dist;
-            // Overlapping copies must proceed byte by byte.
-            for i in 0..len {
-                let b = out[start + i];
-                out.push(b);
+            if dist >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // An overlapping copy reads bytes it writes: byte by byte.
+                for i in 0..len {
+                    let b = out[start + i];
+                    out.push(b);
+                }
             }
         }
     }

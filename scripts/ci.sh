@@ -113,9 +113,9 @@ if grep -rn 'append_record_sealed' crates src tests examples benchmark/src ||
     exit 1
 fi
 
-# One columnar format: the version this build writes and reads is 4.
-if grep -rn 'COLUMNAR_VERSION' crates | grep -E 'COLUMNAR_VERSION: u8 = ' | grep -v '= 4;'; then
-    echo "format gate: COLUMNAR_VERSION is not 4." >&2
+# One columnar format: the version this build writes and reads is 5.
+if grep -rn 'COLUMNAR_VERSION' crates | grep -E 'COLUMNAR_VERSION: u8 = ' | grep -v '= 5;'; then
+    echo "format gate: COLUMNAR_VERSION is not 5." >&2
     exit 1
 fi
 
@@ -201,6 +201,23 @@ for run in '"column": "ip", "key": ""' \
         exit 1
     fi
 done
+# A few values are stored once each: the initiator column and the free-text
+# details keys took the dictionary shape in every group, and timestamps the
+# bit-packed layout in most.
+for run in '"column": "initiator", "key": ""' '"key": "user_agent"' '"key": "referrer"' \
+    '"key": "lang"' '"key": "client_version"'; do
+    if ! grep -qE -- "$run, \"raw\": 0, \"hex\": 0, \"quad\": 0, \"decimal\": 0, \"dict\": [1-9]" \
+        target/e19_smoke.metrics.json; then
+        echo "e19 gate: a value run of {$run} is missing or not a dictionary in every group." >&2
+        exit 1
+    fi
+done
+layouts=$(sed -n 's/.*"timestamp": {"varints": \([0-9]*\), "packed": \([0-9]*\)}.*/\1 \2/p' \
+    target/e19_smoke.metrics.json)
+if ! awk -v l="$layouts" 'BEGIN { split(l, n, " "); exit !(l != "" && n[2] + 0 > n[1] + 0) }'; then
+    echo "e19 gate: timestamp chunks (varints, packed) = (${layouts:-?}): packing is not taken." >&2
+    exit 1
+fi
 
 # e20: tiny budgets on a real (smoke-sized) day: the materializer and at
 # least one query's tight arm must spill, every tight arm must return the

@@ -34,9 +34,14 @@
 //! at every setting; only the message/allocation cost changes.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use unified_logging::analytics::{register_analytics, LifeFlow};
+use unified_logging::core::client_event::CLIENT_EVENTS_CATEGORY;
+use unified_logging::core::session::day_dir;
+use unified_logging::core::ClientEventLanding;
 use unified_logging::prelude::*;
+use unified_logging::serve::run_repl;
 use unified_logging::thrift::ThriftRecord;
 
 struct Cli {
@@ -368,7 +373,9 @@ fn batch_policy(cli: &Cli) -> BatchPolicy {
 /// Drives the requested days through the Scribe delivery tier — daemons,
 /// aggregators, staging, the hourly mover — and prints the ingest cost
 /// accounting under the chosen batch policy.
-fn cmd_ingest(cli: &Cli) {
+/// A pipeline of the E22/E23 shape whose mover lands client events
+/// columnar, as `uli serve`, the benchmark and E22 land them.
+fn columnar_pipeline(cli: &Cli) -> (ScribePipeline, PipelineConfig) {
     let config = PipelineConfig {
         datacenters: 2,
         hosts_per_dc: 4,
@@ -377,14 +384,20 @@ fn cmd_ingest(cli: &Cli) {
         batch: batch_policy(cli),
         workers: parallelism(cli),
     };
+    let mut pipe = match &cli.registry {
+        Some(registry) => ScribePipeline::new_with_obs(config, registry),
+        None => ScribePipeline::new(config),
+    };
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
+    (pipe, config)
+}
+
+/// Logs the requested days through `pipe` and moves them hour by hour.
+fn deliver_days(cli: &Cli, pipe: &mut ScribePipeline, config: &PipelineConfig) {
     let workload = WorkloadConfig {
         users: cli.users,
         seed: cli.seed,
         ..Default::default()
-    };
-    let mut pipe = match &cli.registry {
-        Some(registry) => ScribePipeline::new_with_obs(config, registry),
-        None => ScribePipeline::new(config),
     };
     for d in 0..cli.days {
         let day = generate_day(&workload, d);
@@ -399,16 +412,21 @@ fn cmd_ingest(cli: &Cli) {
                 pipe.log(
                     dc,
                     i % config.hosts_per_dc,
-                    LogEntry::new("client_events", ev.to_bytes()),
+                    LogEntry::new(CLIENT_EVENTS_CATEGORY, ev.to_bytes()),
                 );
             }
             pipe.step();
             pipe.flush_hour(hour);
-            pipe.seal_hour("client_events", hour);
-            pipe.move_hour("client_events", hour)
+            pipe.seal_hour(CLIENT_EVENTS_CATEGORY, hour);
+            pipe.move_hour(CLIENT_EVENTS_CATEGORY, hour)
                 .expect("fault-free ingest: every hour moves");
         }
     }
+}
+
+fn cmd_ingest(cli: &Cli) {
+    let (mut pipe, config) = columnar_pipeline(cli);
+    deliver_days(cli, &mut pipe, &config);
     let report = pipe.report();
     let (messages, wire_bytes) = pipe.network().message_cost();
     let policy = batch_policy(cli);
@@ -427,65 +445,33 @@ fn cmd_ingest(cli: &Cli) {
         report.batches_sent,
         report.logged as f64 / report.batches_sent.max(1) as f64
     );
+    let warehouse = pipe.main_warehouse();
+    let stored: u64 = (0..cli.days)
+        .filter_map(|d| warehouse.dir_meta(&day_dir(CLIENT_EVENTS_CATEGORY, d)).ok())
+        .map(|meta| meta.compressed_bytes)
+        .sum();
+    println!(
+        "  landed columnar: {stored} stored bytes, {:.2} a record",
+        stored as f64 / report.moved.max(1) as f64
+    );
 }
 
 /// Lands the requested days through the Scribe tier with a columnar
 /// landing and the serving layer's index maintainer tapped at the mover's
 /// delivery point, then answers point lookups from stdin until EOF.
 fn cmd_serve(cli: &Cli) -> Result<(), String> {
-    use std::sync::Arc;
-    use unified_logging::core::ClientEventLanding;
-    use unified_logging::serve::{run_repl, IndexMaintainer};
-
-    let config = PipelineConfig {
-        datacenters: 2,
-        hosts_per_dc: 4,
-        aggregators_per_dc: 2,
-        records_per_file: 10_000,
-        batch: batch_policy(cli),
-        workers: parallelism(cli),
-    };
-    let workload = WorkloadConfig {
-        users: cli.users,
-        seed: cli.seed,
-        ..Default::default()
-    };
-    let mut pipe = match &cli.registry {
-        Some(registry) => ScribePipeline::new_with_obs(config, registry),
-        None => ScribePipeline::new(config),
-    };
-    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
+    let (mut pipe, config) = columnar_pipeline(cli);
     let maintainer = match &cli.registry {
-        Some(registry) => {
-            IndexMaintainer::with_obs(pipe.main_warehouse().clone(), "client_events", registry)
-        }
-        None => IndexMaintainer::new(pipe.main_warehouse().clone(), "client_events"),
+        Some(registry) => IndexMaintainer::with_obs(
+            pipe.main_warehouse().clone(),
+            CLIENT_EVENTS_CATEGORY,
+            registry,
+        ),
+        None => IndexMaintainer::new(pipe.main_warehouse().clone(), CLIENT_EVENTS_CATEGORY),
     }
     .with_parallelism(parallelism(cli));
     pipe.add_delivery_tap(maintainer.tap());
-    for d in 0..cli.days {
-        let day = generate_day(&workload, d);
-        for hour in d * 24..(d + 1) * 24 {
-            for (i, ev) in day
-                .events
-                .iter()
-                .filter(|e| e.timestamp.hour_index() == hour)
-                .enumerate()
-            {
-                let dc = (ev.user_id as usize) % config.datacenters;
-                pipe.log(
-                    dc,
-                    i % config.hosts_per_dc,
-                    LogEntry::new("client_events", ev.to_bytes()),
-                );
-            }
-            pipe.step();
-            pipe.flush_hour(hour);
-            pipe.seal_hour("client_events", hour);
-            pipe.move_hour("client_events", hour)
-                .expect("fault-free ingest: every hour moves");
-        }
-    }
+    deliver_days(cli, &mut pipe, &config);
     let handle = maintainer.handle();
     eprintln!(
         "serve: {} day(s) delivered and indexed ({} hours, lag {}); try `help`",
