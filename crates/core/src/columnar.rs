@@ -16,7 +16,9 @@
 //! ([`CLIENT_EVENT_KINDS`]), stores a row group's integers as distances
 //! from their minimum, its details one key at a time, and a run of values
 //! that are all hex digits, numbers or dotted quads — a key's, or the `ip`
-//! column's — as those bytes, numbers and octets, not as their print; and
+//! column's — as those bytes, numbers and octets, not as their print, and a
+//! run of a few values (a user agent, the initiator) as each value once and
+//! a code a row; and
 //! the block compressor squeezes each column chunk (now full of same-shaped
 //! values) far better than it does interleaved rows.
 

@@ -189,10 +189,8 @@ fn pack_bits(out: &mut Vec<u8>, width: u32, values: impl IntoIterator<Item = u64
     // Under 64 bits wait between values, so a value always fits beside them.
     let (mut pending, mut bits) = (0u128, 0u32);
     for value in values {
-        debug_assert!(
-            width == 64 || value >> width == 0,
-            "{value} in {width} bits"
-        );
+        // A wider value would spill into its neighbour's bits.
+        assert!(u128::from(value) >> width == 0, "{value} in {width} bits");
         pending |= u128::from(value) << bits;
         bits += width;
         if bits >= 64 {
@@ -610,7 +608,8 @@ impl<'a> Run<'a> {
             run.presence = Some(bitmap);
         }
         let mut pos = 0;
-        let bits = match shape {
+        // The width in bits of a packed layout's values; `None` for bytes.
+        let packed_width = match shape {
             ValueShape::Raw => return None,
             ValueShape::Quad => {
                 run.width = 4;
@@ -637,7 +636,7 @@ impl<'a> Run<'a> {
             }
         };
         unread = &unread[pos..];
-        match bits {
+        match packed_width {
             Some(width) => {
                 run.packed = Bits::parse(unread, present, width)?;
                 run.unread = &[];
@@ -1145,7 +1144,7 @@ mod tests {
         values.iter().map(|v| v.to_le_bytes()).collect()
     }
 
-    fn as_cells<const N: usize>(cells: &[[u8; N]]) -> Vec<&[u8]> {
+    fn as_cells(cells: &[[u8; 8]]) -> Vec<&[u8]> {
         cells.iter().map(|c| &c[..]).collect()
     }
 

@@ -29,8 +29,9 @@
 //!
 //! The writer is told each column's [`ColumnKind`]; a chunk whose cells all
 //! fit the kind is transposed before compression — its values stored in the
-//! shape they have, packed hex digits, numbers, dotted quads, where they have
-//! one (see [`crate::chunk`]) — and rebuilt on read to exactly the cells
+//! shape they have, packed hex digits, numbers and timestamps at their bit
+//! width, dotted quads, a few values once each and a code a row, where they
+//! have one (see [`crate::chunk`]) — and rebuilt on read to exactly the cells
 //! that were appended, so nothing above [`ColumnGroup`] can tell. Dictionary-column cells store a small
 //! integer code instead of the value — the code its writer, who built the
 //! dictionary, hands over with the row; values missing from the dictionary

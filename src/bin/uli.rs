@@ -370,9 +370,6 @@ fn batch_policy(cli: &Cli) -> BatchPolicy {
     policy
 }
 
-/// Drives the requested days through the Scribe delivery tier — daemons,
-/// aggregators, staging, the hourly mover — and prints the ingest cost
-/// accounting under the chosen batch policy.
 /// A pipeline of the E22/E23 shape whose mover lands client events
 /// columnar, as `uli serve`, the benchmark and E22 land them.
 fn columnar_pipeline(cli: &Cli) -> (ScribePipeline, PipelineConfig) {
@@ -424,6 +421,10 @@ fn deliver_days(cli: &Cli, pipe: &mut ScribePipeline, config: &PipelineConfig) {
     }
 }
 
+/// Drives the requested days through the Scribe delivery tier — daemons,
+/// aggregators, staging, the hourly mover — and prints the ingest cost
+/// accounting under the chosen batch policy and the landed days' stored
+/// bytes a record.
 fn cmd_ingest(cli: &Cli) {
     let (mut pipe, config) = columnar_pipeline(cli);
     deliver_days(cli, &mut pipe, &config);
