@@ -25,26 +25,34 @@
 //! what a file of values that nearly have a shape — hex digits, a number, a
 //! dotted quad — decodes to, now that the format stores a value by its shape,
 //! nor what a file of runs at the edges of each layout decodes to.
+//!
+//! Last, what a decoded event hands out is pinned apart from any landing:
+//! every generated event of two days, and events decoded from details a
+//! hostile writer sends (duplicate, unsorted or over-long keys, an empty map,
+//! bytes that are not UTF-8), through its encoding, its printed details, the
+//! row loader's tuple and its columnar cells.
 
 use std::sync::Arc;
 
-use uli_core::client_event::CLIENT_EVENTS_CATEGORY;
+use uli_core::client_event::{ClientEventLoader, CLIENT_EVENTS_CATEGORY};
 use uli_core::columnar::{
-    event_columns, for_each_event_row, write_client_events_columnar, ALL_COLUMNS, NAME_COLUMN,
+    client_event_cells, event_columns, for_each_event_row, write_client_events_columnar,
+    ALL_COLUMNS, NAME_COLUMN,
 };
 use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer};
 use uli_core::{ClientEvent, ClientEventLanding, EventInitiator, EventName, Timestamp};
+use uli_dataflow::{Loader, ScanSpec};
 use uli_scribe::message::LogEntry;
 use uli_scribe::{PipelineConfig, ScribePipeline};
 use uli_serve::hour::{index_dir, load_hour_index, Postings};
 use uli_serve::IndexMaintainer;
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
-use uli_thrift::ThriftRecord;
+use uli_thrift::{varint, CompactWriter, TType, ThriftRecord};
 use uli_warehouse::{
-    fnv1a64_fold, ColumnarFile, HourlyPartition, Parallelism, ScanFile, ScanStats, Warehouse,
-    WhPath, DEFAULT_MEM_BUDGET, FNV1A64_OFFSET,
+    fnv1a64_fold, ColumnarFile, ColumnarLanding, HourlyPartition, Parallelism, ScanFile, ScanStats,
+    Warehouse, WhPath, DEFAULT_MEM_BUDGET, FNV1A64_OFFSET,
 };
-use uli_workload::{DayStream, Scale};
+use uli_workload::{DayStream, Scale, WorkloadConfig};
 
 fn fold_u64(h: u64, v: u64) -> u64 {
     fnv1a64_fold(h, &v.to_le_bytes())
@@ -701,4 +709,162 @@ fn runs_at_the_edges_of_every_layout_decode_to_the_recorded_digest() {
             "groups of {rows_per_group} rows"
         );
     }
+}
+
+/// Everything a decoded event hands out, folded into `h`: its Thrift
+/// encoding, how its details print, the tuple the row loader makes of that
+/// encoding, and the seven columnar cells of its row view.
+fn fold_event(mut h: u64, ev: &ClientEvent) -> u64 {
+    let bytes = ev.to_bytes();
+    h = fnv1a64_fold(h, &bytes);
+    h = fnv1a64_fold(h, format!("{:?}", ev.details).as_bytes());
+    let tuple = ClientEventLoader
+        .parse(&bytes)
+        .expect("the loader skips, never fails");
+    h = fnv1a64_fold(h, format!("{tuple:?}").as_bytes());
+    for cell in client_event_cells(ev) {
+        h = fnv1a64_fold(fold_u64(h, cell.len() as u64), &cell);
+    }
+    h
+}
+
+/// [`fold_event`] over every event of day 0 of `config`, then the count.
+fn decoded_events_digest(config: &WorkloadConfig) -> u64 {
+    let (h, n) = DayStream::new(config, 0).fold((FNV1A64_OFFSET, 0), |(h, n), ev| {
+        (fold_event(h, &ev), n + 1)
+    });
+    fold_u64(h, n)
+}
+
+/// Every generated event of the smoke day and of a 600-user day, decoded
+/// as the generator hands it out. Recorded while a decoded event's details
+/// were a `BTreeMap<String, String>`.
+#[test]
+fn every_generated_event_hands_out_the_recorded_bytes() {
+    const DECODED_EVENTS: [u64; 2] = [3191051975857617753, 13314037568215191587];
+    let wider = WorkloadConfig {
+        users: 600,
+        ..Default::default()
+    };
+    assert_eq!(
+        [
+            decoded_events_digest(&Scale::Smoke.config()),
+            decoded_events_digest(&wider),
+        ],
+        DECODED_EVENTS
+    );
+}
+
+/// Pairs of a details map as a hostile writer may send them: in the order
+/// given, keys repeating freely, any bytes.
+type RawPairs<'a> = &'a [(&'a [u8], &'a [u8])];
+
+/// A client event whose fields 1–6 are well formed and whose field 7 is
+/// `details` as written: `None` leaves the field out; `Some((pairs,
+/// overlong))` writes the map with every length a two-byte varint where one
+/// byte would do when `overlong`, minimal otherwise.
+fn hostile_payload(details: Option<(RawPairs<'_>, bool)>) -> Vec<u8> {
+    let mut w = CompactWriter::new();
+    w.struct_begin();
+    w.field_i8(1, 0);
+    w.field_string(2, "web:home:home:stream:tweet:click");
+    w.field_i64(3, 7);
+    w.field_string(4, "s-7");
+    w.field_string(5, "10.0.0.7");
+    w.field_i64(6, 1_344_000_000_000);
+    w.struct_end();
+    let mut out = w.into_bytes();
+    let stop = out.pop();
+    assert_eq!(stop, Some(0));
+    if let Some((pairs, overlong)) = details {
+        // Field 7 follows field 6: a delta of one in the header's high nibble.
+        out.push(1 << 4 | TType::Map as u8);
+        varint::write_u64(&mut out, pairs.len() as u64);
+        if !pairs.is_empty() {
+            out.push((TType::Binary as u8) << 4 | TType::Binary as u8);
+        }
+        for text in pairs.iter().flat_map(|(k, v)| [*k, *v]) {
+            if overlong {
+                assert!(text.len() < 128);
+                out.extend_from_slice(&[text.len() as u8 | 0x80, 0]);
+            } else {
+                varint::write_u64(&mut out, text.len() as u64);
+            }
+            out.extend_from_slice(text);
+        }
+    }
+    out.push(0);
+    out
+}
+
+/// Details payloads no writer of ours sends, one to a row.
+fn hostile_payloads() -> Vec<Vec<u8>> {
+    let long = vec![b'v'; 200];
+    let cases: &[Option<(RawPairs<'_>, bool)>] = &[
+        None,
+        // An empty map on the wire, against the absent field above.
+        Some((&[], false)),
+        Some((&[(b"lang", b"en")], false)),
+        // Duplicate keys: the last one wins.
+        Some((&[(b"a", b"1"), (b"b", b"2"), (b"a", b"3")], false)),
+        Some((&[(b"", b""), (b"", b"x")], false)),
+        // Unsorted keys.
+        Some((
+            &[(b"lang", b"en"), (b"client_version", b"4.1.2"), (b"b", b"")],
+            false,
+        )),
+        // Non-minimal varint lengths, sorted and not.
+        Some((&[(b"a", b"1"), (b"b", b"2")], true)),
+        Some((&[(b"b", b"x"), (b"a", b"1"), (b"b", b"y")], true)),
+        // A two-byte length that is minimal, and text that is not ASCII.
+        Some((&[(b"k", &long)], false)),
+        Some((&[("\u{e9}".as_bytes(), "\u{fc}".as_bytes())], false)),
+        // Bytes that are not UTF-8, in a value and in a key: rejected.
+        Some((&[(b"a", &[0xff, 0xfe])], false)),
+        Some((&[(&[0xc3], b"x"), (b"b", b"2")], false)),
+    ];
+    cases.iter().map(|c| hostile_payload(*c)).collect()
+}
+
+/// Hostile details payloads, each decoded, then what the row loader makes of
+/// the payload as sent, then all of them landed columnar: which ones the
+/// landing rejects, the cells of the rows it writes and the events those
+/// decode to. Recorded while a decoded event's details were a
+/// `BTreeMap<String, String>`.
+#[test]
+fn hostile_details_decode_and_reencode_to_the_recorded_bytes() {
+    const HOSTILE_DETAILS: u64 = 35046792791077855;
+    let payloads = hostile_payloads();
+    let mut h = FNV1A64_OFFSET;
+    for payload in &payloads {
+        h = match ClientEvent::from_bytes(payload) {
+            Ok(ev) => fold_event(fold_u64(h, 1), &ev),
+            Err(e) => fnv1a64_fold(fold_u64(h, 0), format!("{e:?}").as_bytes()),
+        };
+        let parsed = ClientEventLoader.parse(payload).expect("the loader skips");
+        h = fnv1a64_fold(h, format!("{parsed:?}").as_bytes());
+        let scanned = ClientEventLoader
+            .scan(payload, &ScanSpec::eager(7))
+            .expect("the loader skips");
+        h = fnv1a64_fold(h, format!("{:?}", scanned.tuple).as_bytes());
+    }
+    let wh = Warehouse::new();
+    let dir = WhPath::parse("/hostile").expect("valid path");
+    let path = dir.child("part-00000").expect("valid name");
+    let rejected = ClientEventLanding::default()
+        .write_file(&wh, &path, &payloads)
+        .expect("fresh warehouse");
+    h = fnv1a64_fold(h, format!("{rejected:?}").as_bytes());
+    let file = ColumnarFile::open(&wh, &path).expect("a columnar file");
+    for g in 0..file.group_count() {
+        let group = file.read_group(g, &ALL_COLUMNS).expect("a clean group");
+        for row in 0..group.rows() {
+            for c in 0..7 {
+                let cell = file.cell_bytes(&group, c, row).expect("a read column");
+                h = fnv1a64_fold(fold_u64(h, cell.len() as u64), cell);
+            }
+        }
+    }
+    h = fold_u64(h, rows_digest(&wh, &dir));
+    assert_eq!(h, HOSTILE_DETAILS);
 }
