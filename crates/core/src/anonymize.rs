@@ -128,7 +128,7 @@ mod tests {
         assert_eq!(ev.ip, "203.0.0.0");
         assert!(!ev.details.contains_key("user_agent"));
         assert!(!ev.details.contains_key("request_id"));
-        assert_eq!(ev.details.get("rank").map(String::as_str), Some("3"));
+        assert_eq!(ev.details.get("rank"), Some("3"));
         // The event name (the analytics payload) is untouched.
         assert_eq!(ev.name.action(), "click");
     }

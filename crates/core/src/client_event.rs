@@ -6,7 +6,7 @@
 //! for log anonymization". The `event_details` field holds free-form
 //! key-value pairs that teams extend "without any central coordination".
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use uli_dataflow::{
     ColumnarCodec, DataflowError, DataflowResult, Loader, ScanOutcome, ScanSpec, Tuple, Value,
@@ -16,7 +16,9 @@ use uli_thrift::{
     varint, CompactReader, CompactWriter, Requiredness, StructDescriptor, TType, ThriftError,
     ThriftRecord, ThriftResult,
 };
-use uli_warehouse::chunk::{read_string, write_string_map_count, write_string_map_pair};
+use uli_warehouse::chunk::{
+    read_string, string_map_cell, write_string_map_count, write_string_map_pair,
+};
 use uli_warehouse::{WarehouseError, WarehouseResult};
 
 use crate::columnar::{
@@ -65,7 +67,7 @@ pub struct ClientEvent {
     /// Field 6: event timestamp.
     pub timestamp: Timestamp,
     /// Field 7: event-specific details as key-value pairs.
-    pub details: BTreeMap<String, String>,
+    pub details: EventDetails,
 }
 
 impl ClientEvent {
@@ -85,13 +87,13 @@ impl ClientEvent {
             session_id: session_id.into(),
             ip: ip.into(),
             timestamp,
-            details: BTreeMap::new(),
+            details: EventDetails::default(),
         }
     }
 
     /// Adds one detail pair (builder style).
-    pub fn with_detail(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.details.insert(key.into(), value.into());
+    pub fn with_detail(mut self, key: impl AsRef<str>, value: impl AsRef<str>) -> Self {
+        self.details.insert(key.as_ref(), value.as_ref());
         self
     }
 
@@ -111,7 +113,8 @@ impl ThriftRecord for ClientEvent {
         w.field_string(5, &self.ip);
         w.field_i64(6, self.timestamp.millis());
         if !self.details.is_empty() {
-            w.field_string_map(7, &self.details);
+            let Details { count, pairs, .. } = self.details.view();
+            w.field_string_map_encoded(7, count, pairs);
         }
         w.struct_end();
     }
@@ -122,22 +125,174 @@ impl ThriftRecord for ClientEvent {
     }
 }
 
-/// The `event_details` of a row, wherever they live until someone asks for
-/// the whole event.
+/// The `event_details` of a decoded event: one buffer of canonical pairs —
+/// the pair count, then each key and its value as length-prefixed strings,
+/// keys strictly ascending, every length a minimal varint. Those are the
+/// bytes of the event's Thrift map after its header, and exactly its columnar
+/// details cell ([`uli_warehouse::chunk`]), so encoding the event copies them
+/// and landing it borrows them. An empty map holds no buffer at all.
+///
+/// It answers as a `BTreeMap<String, String>` of the same pairs would —
+/// lookups, iteration in key order, last-write-wins `insert` — and prints as
+/// one. Equal maps are equal buffers.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct EventDetails {
+    cell: Box<[u8]>,
+}
+
+impl EventDetails {
+    /// The map of `pairs`, the last pair of a repeated key winning. Sorts
+    /// `pairs` by key in place and allocates once.
+    pub fn from_pairs(pairs: &mut [(&str, &str)]) -> EventDetails {
+        if pairs.is_empty() {
+            return EventDetails::default();
+        }
+        let mut cell = Vec::new();
+        write_canonical(pairs, &mut cell);
+        EventDetails {
+            cell: cell.into_boxed_slice(),
+        }
+    }
+
+    /// The pairs as a row view holds them.
+    fn view(&self) -> Details<'_> {
+        match string_map_cell(&self.cell) {
+            Some((count, pairs)) => Details {
+                count,
+                pairs,
+                in_map_order: true,
+            },
+            None => Details::EMPTY,
+        }
+    }
+
+    /// The number of pairs.
+    pub fn len(&self) -> usize {
+        self.view().count
+    }
+
+    /// True when there are no pairs.
+    pub fn is_empty(&self) -> bool {
+        self.cell.is_empty()
+    }
+
+    /// The pairs in ascending key order.
+    pub fn iter(&self) -> DetailsIter<'_> {
+        self.view().iter()
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        let (k, v) = self.iter().find(|(k, _)| *k >= key)?;
+        (k == key).then_some(v)
+    }
+
+    /// True when `key` has a value.
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Sets `key` to `value`, returning what it held.
+    pub fn insert(&mut self, key: &str, value: &str) -> Option<String> {
+        let old = self.get(key).map(str::to_string);
+        let mut pairs: Vec<(&str, &str)> = self.iter().collect();
+        pairs.push((key, value));
+        let details = EventDetails::from_pairs(&mut pairs);
+        *self = details;
+        old
+    }
+
+    /// Removes `key`, returning what it held.
+    pub fn remove(&mut self, key: &str) -> Option<String> {
+        let old = self.get(key)?.to_string();
+        let mut pairs: Vec<(&str, &str)> = self.iter().filter(|(k, _)| *k != key).collect();
+        let details = EventDetails::from_pairs(&mut pairs);
+        *self = details;
+        Some(old)
+    }
+}
+
+impl fmt::Debug for EventDetails {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<K: AsRef<str>, V: AsRef<str>> FromIterator<(K, V)> for EventDetails {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> EventDetails {
+        let owned: Vec<(K, V)> = iter.into_iter().collect();
+        let mut pairs: Vec<(&str, &str)> = owned
+            .iter()
+            .map(|(k, v)| (k.as_ref(), v.as_ref()))
+            .collect();
+        EventDetails::from_pairs(&mut pairs)
+    }
+}
+
+impl<'a> IntoIterator for &'a EventDetails {
+    type Item = (&'a str, &'a str);
+    type IntoIter = DetailsIter<'a>;
+
+    fn into_iter(self) -> DetailsIter<'a> {
+        self.iter()
+    }
+}
+
+/// The pairs of a details map, in stored order.
+pub struct DetailsIter<'a> {
+    pairs: &'a [u8],
+    pos: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for DetailsIter<'a> {
+    type Item = (&'a str, &'a str);
+
+    fn next(&mut self) -> Option<(&'a str, &'a str)> {
+        self.left = self.left.checked_sub(1)?;
+        let key = read_str(self.pairs, &mut self.pos).expect("pairs were walked");
+        let value = read_str(self.pairs, &mut self.pos).expect("pairs were walked");
+        Some((key, value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for DetailsIter<'_> {}
+
+/// Sorts `pairs` by key, equal keys staying in order, and appends the
+/// canonical string-map cell of the map they make — the last pair of each
+/// key winning — reserving exactly its size.
+fn write_canonical(pairs: &mut [(&str, &str)], out: &mut Vec<u8>) {
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
+    let pairs = &*pairs;
+    let kept = || {
+        let last_of_key = |i: &usize| pairs.get(i + 1).is_none_or(|next| next.0 != pairs[*i].0);
+        (0..pairs.len()).filter(last_of_key).map(|i| pairs[i])
+    };
+    let len = |text: &str| varint::encoded_len_u64(text.len() as u64) + text.len();
+    let count = kept().count();
+    let bytes: usize = kept().map(|(k, v)| len(k) + len(v)).sum();
+    out.reserve_exact(varint::encoded_len_u64(count as u64) + bytes);
+    write_string_map_count(out, count);
+    for (k, v) in kept() {
+        write_string_map_pair(out, k.as_bytes(), v.as_bytes());
+    }
+}
+
+/// The `event_details` of a row, where they lie — a Thrift payload, a
+/// columnar cell, a decoded event's [`EventDetails`] — until someone asks
+/// for the whole event: `count` length-prefixed key/value strings back to
+/// back, already walked once and known to parse. `in_map_order`: the keys
+/// ascend strictly and every length is a minimal varint, so these bytes are
+/// exactly what the map they decode to encodes back to.
 #[derive(Clone, Copy)]
-pub(crate) enum Details<'a> {
-    /// `count` length-prefixed key/value strings back to back, already
-    /// walked once and known to parse: the body of a Thrift map on the
-    /// wire, and of a columnar cell. `in_map_order`: the keys ascend
-    /// strictly and every length is a minimal varint, so these bytes are
-    /// exactly what the map they decode to encodes back to.
-    Pairs {
-        count: usize,
-        pairs: &'a [u8],
-        in_map_order: bool,
-    },
-    /// The map of a decoded event.
-    Map(&'a BTreeMap<String, String>),
+pub(crate) struct Details<'a> {
+    count: usize,
+    pairs: &'a [u8],
+    in_map_order: bool,
 }
 
 /// Whether the pairs walked so far stand as their map would encode them.
@@ -162,7 +317,7 @@ fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
 }
 
 impl<'a> Details<'a> {
-    const EMPTY: Details<'static> = Details::Pairs {
+    const EMPTY: Details<'static> = Details {
         count: 0,
         pairs: &[],
         in_map_order: true,
@@ -178,7 +333,7 @@ impl<'a> Details<'a> {
             let key = read_str(pairs, &mut pos)?;
             order.pair(key, read_str(pairs, &mut pos)?, pos - start);
         }
-        (pos == pairs.len()).then_some(Details::Pairs {
+        (pos == pairs.len()).then_some(Details {
             count,
             pairs,
             in_map_order: !order.broken,
@@ -197,59 +352,58 @@ impl<'a> Details<'a> {
             let key = r.read_string()?;
             order.pair(key, r.read_string()?, r.position() - at);
         }
-        Ok(Details::Pairs {
+        Ok(Details {
             count,
             pairs: r.consumed_since(start),
             in_map_order: !order.broken,
         })
     }
 
-    /// Hands each pair to `pair`, in stored order.
-    fn for_each(&self, mut pair: impl FnMut(&'a str, &'a str)) {
-        match *self {
-            Details::Pairs { count, pairs, .. } => {
-                let mut pos = 0;
-                for _ in 0..count {
-                    let key = read_str(pairs, &mut pos).expect("pairs were walked");
-                    pair(key, read_str(pairs, &mut pos).expect("pairs were walked"));
-                }
-            }
-            Details::Map(map) => map.iter().for_each(|(k, v)| pair(k, v)),
+    /// The pairs, in stored order.
+    fn iter(&self) -> DetailsIter<'a> {
+        DetailsIter {
+            pairs: self.pairs,
+            pos: 0,
+            left: self.count,
         }
     }
 
-    pub(crate) fn to_map(self) -> BTreeMap<String, String> {
-        let mut map = BTreeMap::new();
-        self.for_each(|k, v| {
-            map.insert(k.to_string(), v.to_string());
-        });
-        map
+    /// The map the pairs make, as the loaders hand it out: the last pair
+    /// of a repeated key wins.
+    pub(crate) fn value(&self) -> Value {
+        Value::Map(
+            self.iter()
+                .map(|(k, v)| (k.to_string(), Value::str(v)))
+                .collect(),
+        )
+    }
+
+    /// The owned map, its cell written once ([`Details::write_cell`]).
+    fn to_owned_details(self) -> EventDetails {
+        if self.count == 0 {
+            return EventDetails::default();
+        }
+        let mut cell = Vec::new();
+        self.write_cell(&mut cell);
+        EventDetails {
+            cell: cell.into_boxed_slice(),
+        }
     }
 
     /// Appends the columnar details cell, a canonical string-map cell
     /// ([`uli_warehouse::chunk`]): the pair count, then the pairs in map
-    /// order. Pairs already in that order are copied as they stand;
-    /// duplicate or unsorted keys (no writer of ours sends them, a hostile
-    /// one may) go through a map, last occurrence winning, like the decoded
-    /// event's.
+    /// order, reserving exactly its size. Pairs already in that order are
+    /// copied as they stand; duplicate or unsorted keys (no writer of ours
+    /// sends them, a hostile one may) are sorted, last occurrence winning,
+    /// like the decoded event's.
     pub(crate) fn write_cell(&self, out: &mut Vec<u8>) {
-        if let Details::Pairs {
-            count,
-            pairs,
-            in_map_order: true,
-        } = *self
-        {
-            write_string_map_count(out, count);
-            out.extend_from_slice(pairs);
-            return;
-        }
-        let mut map = BTreeMap::new();
-        self.for_each(|k, v| {
-            map.insert(k, v);
-        });
-        write_string_map_count(out, map.len());
-        for (k, v) in map {
-            write_string_map_pair(out, k.as_bytes(), v.as_bytes());
+        if self.in_map_order {
+            out.reserve_exact(varint::encoded_len_u64(self.count as u64) + self.pairs.len());
+            write_string_map_count(out, self.count);
+            out.extend_from_slice(self.pairs);
+        } else {
+            let mut pairs: Vec<(&str, &str)> = self.iter().collect();
+            write_canonical(&mut pairs, out);
         }
     }
 }
@@ -376,7 +530,7 @@ impl<'a> EventRow<'a> {
             session_id: Some(&ev.session_id),
             ip: Some(&ev.ip),
             timestamp: Some(ev.timestamp),
-            details: Some(Details::Map(&ev.details)),
+            details: Some(ev.details.view()),
         }
     }
 
@@ -424,7 +578,7 @@ impl<'a> EventRow<'a> {
             session_id: self.session_id()?.to_string(),
             ip: self.ip()?.to_string(),
             timestamp: self.timestamp()?,
-            details: self.details()?.to_map(),
+            details: self.details()?.to_owned_details(),
         })
     }
 }
@@ -457,11 +611,6 @@ impl Loader for ClientEventLoader {
         let Ok(ev) = ClientEvent::from_bytes(record) else {
             return Ok(None);
         };
-        let details = ev
-            .details
-            .into_iter()
-            .map(|(k, v)| (k, Value::Str(v)))
-            .collect();
         Ok(Some(vec![
             Value::Str(ev.initiator.to_string()),
             Value::Str(ev.name.as_str().to_string()),
@@ -469,7 +618,7 @@ impl Loader for ClientEventLoader {
             Value::Str(ev.session_id),
             Value::Str(ev.ip),
             Value::Int(ev.timestamp.millis()),
-            Value::Map(details),
+            ev.details.view().value(),
         ]))
     }
 
@@ -516,14 +665,7 @@ impl Loader for ClientEventLoader {
             text(row.ip),
             row.timestamp
                 .map_or(Value::Null, |t| Value::Int(t.millis())),
-            row.details.map_or(Value::Null, |d| {
-                Value::Map(
-                    d.to_map()
-                        .into_iter()
-                        .map(|(k, v)| (k, Value::Str(v)))
-                        .collect(),
-                )
-            }),
+            row.details.map_or(Value::Null, |d| d.value()),
         ];
         if tuple.len() != spec.width {
             return Err(DataflowError::MalformedRecord {
@@ -572,7 +714,7 @@ mod tests {
     #[test]
     fn empty_details_omitted_from_wire() {
         let mut ev = sample();
-        ev.details.clear();
+        ev.details = EventDetails::default();
         let without = ev.to_bytes().len();
         let with = sample().to_bytes().len();
         assert!(without < with);

@@ -163,13 +163,7 @@ impl ColumnarCodec for ClientEventColumnar {
                 let s = std::str::from_utf8(bytes).ok()?;
                 Some(Value::Str(s.to_string()))
             }
-            6 => Some(Value::Map(
-                details_cell(bytes)?
-                    .to_map()
-                    .into_iter()
-                    .map(|(k, v)| (k, Value::Str(v)))
-                    .collect(),
-            )),
+            6 => Some(details_cell(bytes)?.value()),
             _ => None,
         }
     }
@@ -555,7 +549,7 @@ mod tests {
     #[test]
     fn empty_details_decode_to_an_empty_map() {
         let mut ev = sample(1);
-        ev.details.clear();
+        ev.details = crate::client_event::EventDetails::default();
         let cells = client_event_cells(&ev);
         assert_eq!(
             CLIENT_EVENT_COLUMNAR.decode(6, &cells[6]),

@@ -56,7 +56,7 @@ pub mod time;
 
 pub use anonymize::Anonymizer;
 pub use catalog::ClientEventCatalog;
-pub use client_event::{client_event_descriptor, ClientEvent, ClientEventLoader};
+pub use client_event::{client_event_descriptor, ClientEvent, ClientEventLoader, EventDetails};
 pub use columnar::{
     client_event_cells, for_each_event_row, write_client_events_columnar, ClientEventColumnar,
     ClientEventLanding, EventRow, CLIENT_EVENT_COLUMNAR,

@@ -3,19 +3,24 @@
 //! row-format landing of the same events — regardless of the thrift field
 //! order the row writer happened to use, of which event names made the
 //! embedded dictionary (misses fall back to the inline-encoded cell), and
-//! of the worker count {1, 4, 8} or pushdown configuration.
+//! of the worker count {1, 4, 8} or pushdown configuration. Beside it, a
+//! random details map round-trips through a decoded event's details buffer
+//! into the columnar cell the map itself would make.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use uli_core::client_event::{ClientEvent, ClientEventLoader, CLIENT_EVENT_SCHEMA};
-use uli_core::columnar::{client_event_cells, CLIENT_EVENT_KINDS, NAME_COLUMN};
+use uli_core::columnar::{
+    client_event_cells, ClientEventColumnar, CLIENT_EVENT_KINDS, NAME_COLUMN,
+};
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::session::day_dir;
 use uli_core::time::Timestamp;
-use uli_dataflow::{Agg, Engine, Expr, Parallelism, Plan, Pushdown, Value};
-use uli_thrift::CompactWriter;
+use uli_dataflow::{Agg, ColumnarCodec, Engine, Expr, Parallelism, Plan, Pushdown, Value};
+use uli_thrift::{varint, CompactWriter};
 use uli_warehouse::{tag_hash, ColumnarFileWriter, Warehouse};
 
 /// The name pool: queries select the first entry; the dictionary subset is
@@ -110,18 +115,26 @@ fn land_columnar(events: &[ClientEvent], dict_names: &[&str], rows_per_group: us
     wh
 }
 
+/// Details maps: empty now and then, keys that may be empty, values that
+/// now and then need a two-byte length.
+fn arb_details() -> impl Strategy<Value = BTreeMap<String, String>> {
+    let value = prop_oneof![
+        "[a-z0-9 .:/]{0,12}".boxed(),
+        "[a-z0-9 .:/]{0,12}".boxed(),
+        "[a-z]{120,140}".boxed(),
+    ];
+    prop::collection::btree_map("[a-z_]{0,6}", value, 0..6)
+}
+
 fn arb_event() -> impl Strategy<Value = ClientEvent> {
     (
         0i8..4,
         0usize..NAMES.len(),
         0i64..40,
         0i64..10_000,
-        prop_oneof![
-            ("[a-z]{1,5}", "[a-z0-9]{0,6}").prop_map(Some).boxed(),
-            Just(None).boxed(),
-        ],
+        arb_details(),
     )
-        .prop_map(|(init, name, uid, ts, detail)| {
+        .prop_map(|(init, name, uid, ts, details)| {
             let mut ev = ClientEvent::new(
                 EventInitiator::from_code(init).expect("0..4 are valid"),
                 EventName::parse(NAMES[name]).expect("pool names are valid"),
@@ -130,9 +143,7 @@ fn arb_event() -> impl Strategy<Value = ClientEvent> {
                 "10.0.0.1",
                 Timestamp(ts),
             );
-            if let Some((k, v)) = detail {
-                ev = ev.with_detail(k, v);
-            }
+            ev.details = details.iter().collect();
             ev
         })
 }
@@ -204,5 +215,37 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A details map round-trips through an event's details buffer: the
+    /// columnar cell of the event's row view is the cell the map makes —
+    /// its count, then its pairs in key order — the event prints its
+    /// details as the map prints, and the columnar codec decodes the cell
+    /// to the loader's map of the same pairs.
+    #[test]
+    fn a_details_map_round_trips_into_its_columnar_cell(details in arb_details()) {
+        let mut ev = ClientEvent::new(
+            EventInitiator::CLIENT_USER,
+            EventName::parse(NAMES[0]).expect("pool names are valid"),
+            7,
+            "s-7",
+            "10.0.0.1",
+            Timestamp(0),
+        );
+        ev.details = details.iter().collect();
+        let mut cell = Vec::new();
+        varint::write_u64(&mut cell, details.len() as u64);
+        for text in details.iter().flat_map(|(k, v)| [k, v]) {
+            varint::write_u64(&mut cell, text.len() as u64);
+            cell.extend_from_slice(text.as_bytes());
+        }
+        prop_assert_eq!(&client_event_cells(&ev)[6], &cell);
+        prop_assert_eq!(format!("{:?}", ev.details), format!("{details:?}"));
+        let loaded = details.iter().map(|(k, v)| (k.clone(), Value::str(v))).collect();
+        prop_assert_eq!(ClientEventColumnar.decode(6, &cell), Some(Value::Map(loaded)));
     }
 }

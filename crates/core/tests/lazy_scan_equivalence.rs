@@ -11,14 +11,16 @@
 //! cells the reference's event encodes to; the pushdown scan in
 //! `ClientEventLoader::scan` must agree with the eager parse, and a whole
 //! query under projection + predicate pushdown must return byte-identical
-//! rows to the eager plan at every worker count.
+//! rows to the eager plan at every worker count. And a decoded event's
+//! details buffer answers as the map it was built from: the same Thrift
+//! bytes, the same printout, the same lookups and edits.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use uli_core::client_event::{ClientEvent, ClientEventLoader, CLIENT_EVENT_SCHEMA};
+use uli_core::client_event::{ClientEvent, ClientEventLoader, EventDetails, CLIENT_EVENT_SCHEMA};
 use uli_core::columnar::{ClientEventLanding, EventRow};
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::session::day_dir;
@@ -358,7 +360,7 @@ fn reference_read(bytes: &[u8]) -> ThriftResult<ClientEvent> {
         session_id: session_id.ok_or_else(|| missing(4))?,
         ip: ip.ok_or_else(|| missing(5))?,
         timestamp: timestamp.ok_or_else(|| missing(6))?,
-        details,
+        details: details.iter().collect(),
     })
 }
 
@@ -523,6 +525,117 @@ proptest! {
                 prop_assert_eq!(lazy.skipped_by_predicate, !passes);
             }
         }
+    }
+}
+
+/// The answers of `details` and `map` to every read, as one comparable
+/// value: the printout, the size, the pairs in order and each key's lookup
+/// (and those of `probes`).
+#[allow(clippy::type_complexity)]
+fn reads_of_details(
+    details: &EventDetails,
+    probes: &[&str],
+) -> (
+    String,
+    usize,
+    bool,
+    Vec<(String, String)>,
+    Vec<(Option<String>, bool)>,
+) {
+    let pairs: Vec<(String, String)> = details
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    let lookups = pairs
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .chain(probes.iter().copied())
+        .map(|k| (details.get(k).map(str::to_string), details.contains_key(k)))
+        .collect();
+    (
+        format!("{details:?}"),
+        details.len(),
+        details.is_empty(),
+        pairs,
+        lookups,
+    )
+}
+
+#[allow(clippy::type_complexity)]
+fn reads_of_map(
+    map: &BTreeMap<String, String>,
+    probes: &[&str],
+) -> (
+    String,
+    usize,
+    bool,
+    Vec<(String, String)>,
+    Vec<(Option<String>, bool)>,
+) {
+    let pairs: Vec<(String, String)> = map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    let lookups = pairs
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .chain(probes.iter().copied())
+        .map(|k| (map.get(k).cloned(), map.contains_key(k)))
+        .collect();
+    (
+        format!("{map:?}"),
+        map.len(),
+        map.is_empty(),
+        pairs,
+        lookups,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A random map round-trips through a decoded event's details buffer:
+    /// the event encodes to the bytes the writer makes of the map, reads
+    /// back to the same buffer, and the buffer answers every read, insert
+    /// and remove as the map does — last write winning — and equal maps
+    /// make equal buffers.
+    #[test]
+    fn details_answer_as_the_map_they_were_built_from(
+        map in prop::collection::btree_map("[a-d]{0,3}", "[a-z0-9 ]{0,8}", 0..6),
+        edits in prop::collection::vec((any::<bool>(), "[a-d]{0,3}", "[a-z0-9]{0,4}"), 0..12),
+    ) {
+        let mut map = map;
+        let mut details: EventDetails = map.iter().collect();
+        let mut ev = ClientEvent::new(
+            EventInitiator::CLIENT_USER,
+            EventName::parse("web:home:feed:stream:tweet:click").expect("a valid name"),
+            7,
+            "s-7",
+            "10.0.0.1",
+            Timestamp(1_000),
+        );
+        ev.details = details.clone();
+        let mut fields = vec![
+            Field::Initiator(0),
+            Field::Name("web:home:feed:stream:tweet:click".to_string()),
+            Field::UserId(7),
+            Field::SessionId("s-7".to_string()),
+            Field::Ip("10.0.0.1".to_string()),
+            Field::Ts(1_000),
+        ];
+        if !map.is_empty() {
+            fields.push(Field::Details(map.clone()));
+        }
+        prop_assert_eq!(ev.to_bytes(), encode(&fields));
+        prop_assert_eq!(&ClientEvent::from_bytes(&ev.to_bytes()).unwrap().details, &details);
+        let probes = ["", "a", "b", "cc", "zz"];
+        prop_assert_eq!(reads_of_details(&details, &probes), reads_of_map(&map, &probes));
+        for (insert, key, value) in edits {
+            if insert {
+                prop_assert_eq!(details.insert(&key, &value), map.insert(key.clone(), value));
+            } else {
+                prop_assert_eq!(details.remove(&key), map.remove(&key));
+            }
+            prop_assert_eq!(reads_of_details(&details, &probes), reads_of_map(&map, &probes));
+        }
+        prop_assert_eq!(details, map.iter().collect::<EventDetails>());
     }
 }
 

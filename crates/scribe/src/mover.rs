@@ -35,6 +35,18 @@
 //! The **commit** — atomic slide, seen-set extend + compaction, tap
 //! dispatch — stays serial and runs only after every chunk landed, so taps
 //! fire exactly once per successful slide, in payload order, same as serial.
+//!
+//! ## Staging keeps an hour, not a day
+//!
+//! Once the slide commits, the landed hour is what every reader and every
+//! rebuild reads; nothing reads the staged copy again. So after the commit
+//! the mover deletes the hour's directory on every staging cluster — it
+//! *moves* the hour, as §2 says, rather than copying it. The delete is
+//! best-effort: a staging cluster that is down keeps its files, and since the
+//! hour is already in the main warehouse, a later move of it is refused as
+//! [`MoveError::AlreadyMoved`] before any staged file is read. A move that
+//! fails before the commit deletes nothing, so its retry reads every staged
+//! file again.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -451,6 +463,10 @@ impl LogMover {
         if let Some(obs) = &self.obs {
             obs.record(&report, &self.seen);
         }
+        for (_dc, wh) in staging {
+            // Best-effort: what a staging outage keeps is never read again.
+            let _ = wh.delete_dir(&src_dir);
+        }
         Ok(report)
     }
 
@@ -630,6 +646,29 @@ mod tests {
             .unwrap();
         assert_eq!(report.records, 2);
         assert_eq!(report.input_files, 2);
+    }
+
+    #[test]
+    fn staging_keeps_an_hour_until_it_is_moved() {
+        let p = part();
+        let dc1 = staging_with(&p, &[b"a"]);
+        let dc2 = staging_with(&p, &[b"b"]);
+        seal_hour(&dc1, &p).unwrap();
+        let staging = [("dc1", &dc1), ("dc2", &dc2)];
+        let mut mover = LogMover::new(Warehouse::new(), 1000);
+        assert!(mover.move_hour(&p, &staging).is_err());
+        for wh in [&dc1, &dc2] {
+            assert!(wh.exists(&p.main_dir()), "a refused move deletes nothing");
+        }
+        seal_hour(&dc2, &p).unwrap();
+        mover.move_hour(&p, &staging).unwrap();
+        for wh in [&dc1, &dc2] {
+            assert!(!wh.exists(&p.main_dir()), "a moved hour leaves staging");
+        }
+        assert_eq!(
+            mover.move_hour(&p, &staging).unwrap_err(),
+            MoveError::AlreadyMoved
+        );
     }
 
     #[test]

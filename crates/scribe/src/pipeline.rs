@@ -11,6 +11,7 @@
 
 use uli_coord::CoordService;
 use uli_obs::{Counter, Gauge, Registry};
+use uli_warehouse::store::DEFAULT_BLOCK_CAPACITY;
 use uli_warehouse::{HourlyPartition, Warehouse};
 
 use crate::aggregator::Aggregator;
@@ -206,7 +207,9 @@ impl ScribePipeline {
         let mut datacenters = Vec::with_capacity(config.datacenters);
         for dc_idx in 0..config.datacenters {
             let name = format!("dc{dc_idx}");
-            let staging = Warehouse::new();
+            // The mover reads each staged file once and then deletes its
+            // hour, so a block cache would only hold what nobody rereads.
+            let staging = Warehouse::with_config(DEFAULT_BLOCK_CAPACITY, 0);
             let aggregators = (0..config.aggregators_per_dc)
                 .map(|_| Some(Aggregator::spawn(&coord, &network, &name, staging.clone())))
                 .collect();

@@ -9,13 +9,12 @@
 //!
 //! [`ServeHandle`]: crate::ServeHandle
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use uli_core::client_event::CLIENT_EVENT_SCHEMA;
 use uli_core::{
-    ClientEvent, ClientEventLoader, EventInitiator, EventName, SessionRecord, Sessionizer,
-    Timestamp,
+    ClientEvent, ClientEventLoader, EventDetails, EventInitiator, EventName, SessionRecord,
+    Sessionizer, Timestamp,
 };
 use uli_dataflow::{Agg, DataflowResult, Engine, Expr, Parallelism, Plan, SortOrder, Tuple, Value};
 use uli_warehouse::{HourlyPartition, Warehouse};
@@ -169,7 +168,7 @@ pub fn tuple_event(tuple: Tuple) -> Option<ClientEvent> {
     let Value::Map(details) = details else {
         return None;
     };
-    let details: BTreeMap<String, String> = details
+    let details: EventDetails = details
         .into_iter()
         .map(|(k, v)| match v {
             Value::Str(s) => Some((k, s)),
@@ -207,7 +206,7 @@ mod tests {
             "10.1.2.3",
             Timestamp(123_456),
         );
-        ev.details.insert("k".to_string(), "v".to_string());
+        ev.details.insert("k", "v");
         let back = tuple_event(event_tuple(ev.clone())).expect("round trip");
         assert_eq!(back, ev);
     }

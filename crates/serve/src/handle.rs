@@ -49,8 +49,8 @@ pub struct ServeAnswer {
 pub fn event_tuple(ev: ClientEvent) -> Tuple {
     let details = ev
         .details
-        .into_iter()
-        .map(|(k, v)| (k, Value::Str(v)))
+        .iter()
+        .map(|(k, v)| (k.to_string(), Value::str(v)))
         .collect();
     vec![
         Value::Str(ev.initiator.to_string()),

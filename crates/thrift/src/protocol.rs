@@ -29,11 +29,22 @@ pub struct FieldHeader {
 
 /// Streaming encoder for the compact protocol.
 ///
-/// The writer is infallible: it only appends to an in-memory buffer.
-#[derive(Debug, Default)]
+/// The writer is infallible: it only appends to an in-memory buffer. Like
+/// the reader, it keeps the field id of each open struct inline, so writing
+/// a record allocates nothing beyond the buffer's growth; structs nest at
+/// most [`MAX_DEPTH`] deep, as deep as the reader accepts.
+#[derive(Debug)]
 pub struct CompactWriter {
     buf: Vec<u8>,
-    last_field_id: Vec<i16>,
+    /// Last field id of every open struct scope, innermost at `depth - 1`.
+    last_field_id: [i16; MAX_DEPTH],
+    depth: usize,
+}
+
+impl Default for CompactWriter {
+    fn default() -> Self {
+        CompactWriter::over_buffer(Vec::new())
+    }
 }
 
 impl CompactWriter {
@@ -44,10 +55,7 @@ impl CompactWriter {
 
     /// Creates a writer with a pre-sized buffer, for hot encode loops.
     pub fn with_capacity(cap: usize) -> Self {
-        CompactWriter {
-            buf: Vec::with_capacity(cap),
-            last_field_id: Vec::new(),
-        }
+        CompactWriter::over_buffer(Vec::with_capacity(cap))
     }
 
     /// Creates a writer that appends to an existing buffer, so a caller
@@ -57,16 +65,14 @@ impl CompactWriter {
     pub fn over_buffer(buf: Vec<u8>) -> Self {
         CompactWriter {
             buf,
-            last_field_id: Vec::new(),
+            last_field_id: [0; MAX_DEPTH],
+            depth: 0,
         }
     }
 
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        debug_assert!(
-            self.last_field_id.is_empty(),
-            "unbalanced struct_begin/struct_end"
-        );
+        debug_assert!(self.depth == 0, "unbalanced struct_begin/struct_end");
         self.buf
     }
 
@@ -82,22 +88,23 @@ impl CompactWriter {
 
     /// Begins a struct scope. Field-id deltas reset inside.
     pub fn struct_begin(&mut self) {
-        self.last_field_id.push(0);
+        assert!(self.depth < MAX_DEPTH, "structs nest over {MAX_DEPTH} deep");
+        self.last_field_id[self.depth] = 0;
+        self.depth += 1;
     }
 
     /// Ends the current struct scope, emitting the stop byte.
     pub fn struct_end(&mut self) {
         self.buf.push(STOP);
-        self.last_field_id
-            .pop()
+        self.depth = self
+            .depth
+            .checked_sub(1)
             .expect("struct_end without struct_begin");
     }
 
     fn field_header(&mut self, id: i16, ttype: TType) {
-        let last = self
-            .last_field_id
-            .last_mut()
-            .expect("field outside a struct");
+        let scope = self.depth.checked_sub(1).expect("field outside a struct");
+        let last = &mut self.last_field_id[scope];
         let delta = i32::from(id) - i32::from(*last);
         if (1..=15).contains(&delta) {
             self.buf.push(((delta as u8) << 4) | ttype as u8);
@@ -160,14 +167,32 @@ impl CompactWriter {
         self.write_len_prefixed(value);
     }
 
-    /// Writes a string→string map field (the shape of `event_details`).
-    pub fn field_string_map(&mut self, id: i16, entries: &BTreeMap<String, String>) {
+    /// Writes a string→string map field (the shape of `event_details`):
+    /// the entries in the order given, each a length-prefixed key then a
+    /// length-prefixed value.
+    pub fn field_string_map<K: AsRef<str>, V: AsRef<str>>(
+        &mut self,
+        id: i16,
+        entries: impl IntoIterator<Item = (K, V), IntoIter: ExactSizeIterator>,
+    ) {
+        let entries = entries.into_iter();
         self.field_header(id, TType::Map);
         self.map_begin(entries.len(), TType::Binary, TType::Binary);
         for (k, v) in entries {
-            self.write_len_prefixed(k.as_bytes());
-            self.write_len_prefixed(v.as_bytes());
+            self.write_len_prefixed(k.as_ref().as_bytes());
+            self.write_len_prefixed(v.as_ref().as_bytes());
         }
+    }
+
+    /// Writes a string→string map field whose `count` entries are already
+    /// encoded back to back in `entries`, as [`field_string_map`] encodes
+    /// them: a copy, not a walk.
+    ///
+    /// [`field_string_map`]: CompactWriter::field_string_map
+    pub fn field_string_map_encoded(&mut self, id: i16, count: usize, entries: &[u8]) {
+        self.field_header(id, TType::Map);
+        self.map_begin(count, TType::Binary, TType::Binary);
+        self.buf.extend_from_slice(entries);
     }
 
     /// Opens a nested struct field; caller must pair with `struct_end`.
@@ -766,7 +791,7 @@ mod tests {
 
     #[test]
     fn empty_map_is_one_byte() {
-        let empty = BTreeMap::new();
+        let empty: BTreeMap<String, String> = BTreeMap::new();
         let mut w = CompactWriter::new();
         w.struct_begin();
         w.field_string_map(1, &empty);

@@ -6,11 +6,13 @@
 //! per hour, records only *partially* time-ordered within a file (§2).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use uli_core::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
+use uli_core::client_event::{ClientEvent, EventDetails, CLIENT_EVENTS_CATEGORY};
 use uli_core::columnar::{write_client_events_columnar, DEFAULT_ROWS_PER_GROUP};
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::legacy::LegacyCategory;
@@ -110,20 +112,29 @@ fn poisson<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> u64 {
     }
 }
 
-fn ip_of_user(user: u64) -> String {
+fn write_ip_of_user(out: &mut String, user: u64) {
     let h = user.wrapping_mul(0x9e3779b97f4a7c15);
-    format!(
+    write!(
+        out,
         "{}.{}.{}.{}",
         (h >> 24) & 0xff,
         (h >> 16) & 0xff,
         (h >> 8) & 0xff,
         h & 0xff
     )
+    .expect("a String takes any text");
 }
+
+/// Most detail pairs an event carries.
+const MAX_DETAILS: usize = 9;
 
 /// Builds one fully-decorated event. RNG call order is load-bearing: the
 /// golden generator hashes pin the exact draw sequence, so any reordering
 /// here changes every downstream golden.
+///
+/// The detail values are written into `text`, which the stream reuses, and
+/// the details built from them in one allocation: an event costs its name,
+/// session id, ip and details buffer, and nothing else.
 fn emit_event(
     name: EventName,
     t: i64,
@@ -131,21 +142,13 @@ fn emit_event(
     session_id: &str,
     ip: &str,
     rng: &mut StdRng,
+    text: &mut String,
 ) -> ClientEvent {
     let initiator = if name.action() == "impression" && rng.gen::<f64>() < 0.3 {
         EventInitiator::CLIENT_APP
     } else {
         EventInitiator::CLIENT_USER
     };
-    let referrer = format!("/{}", name.page());
-    let mut ev = ClientEvent::new(
-        initiator,
-        name,
-        user_id,
-        session_id.to_string(),
-        ip.to_string(),
-        Timestamp(t),
-    );
     // Client events are verbose — the §4.1 downside the
     // sequences exist to offset. Every event carries the
     // boilerplate a real client attaches.
@@ -157,36 +160,54 @@ fn emit_event(
         "Mozilla/5.0 (X11; Linux x86_64) Chrome/21.0.1180.57",
         "Mozilla/5.0 (Windows NT 5.1) Chrome/20.0.1132.57 Safari/536.11",
     ];
-    ev = ev
-        .with_detail("client_version", "4.1.2")
-        .with_detail(
-            "user_agent",
-            USER_AGENTS[rng.gen_range(0..USER_AGENTS.len())],
-        )
-        .with_detail("lang", "en")
-        .with_detail("referrer", referrer)
-        // High-entropy request id: the incompressible part
-        // of real log payloads (trace ids, URLs, tweet ids).
-        .with_detail(
-            "request_id",
-            format!("{:016x}{:016x}", rng.gen::<u64>(), rng.gen::<u64>()),
-        )
-        .with_detail("page_load_ms", format!("{}", rng.gen_range(40..2500)));
-    match ev.name.action() {
+    text.clear();
+    let mut values: [(&str, Range<usize>); MAX_DETAILS] = Default::default();
+    let mut n = 0;
+    let mut put = |key, value: fmt::Arguments<'_>| {
+        let start = text.len();
+        text.write_fmt(value).expect("a String takes any text");
+        values[n] = (key, start..text.len());
+        n += 1;
+    };
+    put("client_version", format_args!("4.1.2"));
+    put(
+        "user_agent",
+        format_args!("{}", USER_AGENTS[rng.gen_range(0..USER_AGENTS.len())]),
+    );
+    put("lang", format_args!("en"));
+    put("referrer", format_args!("/{}", name.page()));
+    // High-entropy request id: the incompressible part
+    // of real log payloads (trace ids, URLs, tweet ids).
+    put(
+        "request_id",
+        format_args!("{:016x}{:016x}", rng.gen::<u64>(), rng.gen::<u64>()),
+    );
+    put("page_load_ms", format_args!("{}", rng.gen_range(40..2500)));
+    match name.action() {
         "click" | "profile_click" | "follow" => {
-            ev = ev
-                .with_detail("target_id", format!("{}", rng.gen::<u32>()))
-                .with_detail(
-                    "target_url",
-                    format!("https://t.co/{:010x}", rng.gen::<u64>() & 0xff_ffff_ffff),
-                )
-                .with_detail("rank", format!("{}", rng.gen_range(0..20)));
+            put("target_id", format_args!("{}", rng.gen::<u32>()));
+            put(
+                "target_url",
+                format_args!("https://t.co/{:010x}", rng.gen::<u64>() & 0xff_ffff_ffff),
+            );
+            put("rank", format_args!("{}", rng.gen_range(0..20)));
         }
-        "impression" => {
-            ev = ev.with_detail("tweet_id", format!("{}", rng.gen::<u64>()));
-        }
+        "impression" => put("tweet_id", format_args!("{}", rng.gen::<u64>())),
         _ => {}
     }
+    let mut pairs = [("", ""); MAX_DETAILS];
+    for (pair, (key, range)) in pairs.iter_mut().zip(&values[..n]) {
+        *pair = (*key, &text[range.clone()]);
+    }
+    let mut ev = ClientEvent::new(
+        initiator,
+        name,
+        user_id,
+        session_id.to_string(),
+        ip.to_string(),
+        Timestamp(t),
+    );
+    ev.details = EventDetails::from_pairs(&mut pairs[..n]);
     ev
 }
 
@@ -205,13 +226,22 @@ pub struct DayStream {
     weight_total: f64,
     day_start: i64,
     truth: GroundTruth,
-    distinct: BTreeSet<EventName>,
+    /// Which names of each client's universe occurred, parallel to
+    /// `per_client`.
+    seen: Vec<Vec<bool>>,
+    /// Which funnel stages occurred.
+    seen_stages: Vec<bool>,
     /// User whose sessions are currently being drawn (1-based; 0 = before
     /// the first user).
     user: u64,
     sessions_left: u64,
     session_index: u64,
     buffered: VecDeque<ClientEvent>,
+    /// The current session's id and ip, and an event's detail values:
+    /// reused text, so that drawing a session allocates only its events.
+    session_id: String,
+    ip: String,
+    text: String,
 }
 
 impl DayStream {
@@ -250,6 +280,11 @@ impl DayStream {
                 .unwrap_or_default(),
             ..Default::default()
         };
+        let seen = per_client
+            .iter()
+            .map(|(_, model)| vec![false; model.universe().len()])
+            .collect();
+        let seen_stages = vec![false; config.funnel.as_ref().map_or(0, FunnelSpec::len)];
         DayStream {
             config: config.clone(),
             day_index,
@@ -258,12 +293,36 @@ impl DayStream {
             weight_total,
             day_start: day_index as i64 * MS_PER_DAY,
             truth,
-            distinct: BTreeSet::new(),
+            seen,
+            seen_stages,
             user: 0,
             sessions_left: 0,
             session_index: 0,
             buffered: VecDeque::new(),
+            session_id: String::new(),
+            ip: String::new(),
+            text: String::new(),
         }
+    }
+
+    /// Distinct event names among those drawn so far: a funnel stage may
+    /// share its name with a client's universe.
+    fn distinct_events(&self) -> u64 {
+        let universes = self
+            .per_client
+            .iter()
+            .zip(&self.seen)
+            .flat_map(|((_, model), seen)| model.universe().iter().zip(seen));
+        let stages = self
+            .config
+            .funnel
+            .iter()
+            .flat_map(|f| f.stages.iter().zip(&self.seen_stages));
+        let names: BTreeSet<&EventName> = universes
+            .chain(stages)
+            .filter_map(|(name, seen)| seen.then_some(name))
+            .collect();
+        names.len() as u64
     }
 
     /// The ground truth accumulated so far. Complete only after the
@@ -276,7 +335,7 @@ impl DayStream {
     /// Consumes the stream and returns the ground truth for everything it
     /// yielded (the full day iff the stream was exhausted).
     pub fn into_truth(mut self) -> GroundTruth {
-        self.truth.distinct_events = self.distinct.len() as u64;
+        self.truth.distinct_events = self.distinct_events();
         self.truth
     }
 
@@ -299,8 +358,11 @@ impl DayStream {
 
         let logged_out = self.rng.gen::<f64>() < self.config.logged_out_fraction;
         let user_id = if logged_out { 0 } else { user as i64 };
-        let session_id = format!("s-{user}-{}-{s}", self.day_index);
-        let ip = ip_of_user(user);
+        self.session_id.clear();
+        write!(self.session_id, "s-{user}-{}-{s}", self.day_index)
+            .expect("a String takes any text");
+        self.ip.clear();
+        write_ip_of_user(&mut self.ip, user);
         // Sessions start early enough that even long ones stay within
         // the day (keeps ground truth exact for day-scoped jobs).
         let start = self.day_start + (self.rng.gen::<f64>() * (MS_PER_DAY as f64 * 0.9)) as i64;
@@ -317,8 +379,16 @@ impl DayStream {
             self.truth.funnel_sessions += 1;
             for (i, stage) in funnel.stages.iter().take(depth).enumerate() {
                 self.truth.funnel_stage_counts[i] += 1;
-                let ev = emit_event(stage.clone(), t, user_id, &session_id, &ip, &mut self.rng);
-                self.distinct.insert(ev.name.clone());
+                self.seen_stages[i] = true;
+                let ev = emit_event(
+                    stage.clone(),
+                    t,
+                    user_id,
+                    &self.session_id,
+                    &self.ip,
+                    &mut self.rng,
+                    &mut self.text,
+                );
                 self.buffered.push_back(ev);
                 emitted += 1;
                 t += 1 + (-(self.rng.gen::<f64>()).ln() * self.config.mean_event_gap_ms) as i64;
@@ -328,15 +398,16 @@ impl DayStream {
             let cont = 1.0 - 1.0 / self.config.mean_session_len.max(1.0);
             let mut cur = model.start(&mut self.rng);
             loop {
+                self.seen[client_idx][cur] = true;
                 let ev = emit_event(
                     model.universe()[cur].clone(),
                     t,
                     user_id,
-                    &session_id,
-                    &ip,
+                    &self.session_id,
+                    &self.ip,
                     &mut self.rng,
+                    &mut self.text,
                 );
-                self.distinct.insert(ev.name.clone());
                 self.buffered.push_back(ev);
                 emitted += 1;
                 if self.rng.gen::<f64>() >= cont {
@@ -346,10 +417,14 @@ impl DayStream {
                 t += 1 + (-(self.rng.gen::<f64>()).ln() * self.config.mean_event_gap_ms) as i64;
             }
         }
-        let client = client.clone();
         self.truth.sessions += 1;
         self.truth.events += emitted;
-        *self.truth.sessions_by_client.entry(client).or_insert(0) += 1;
+        match self.truth.sessions_by_client.get_mut(client) {
+            Some(sessions) => *sessions += 1,
+            None => {
+                self.truth.sessions_by_client.insert(client.clone(), 1);
+            }
+        }
     }
 }
 
@@ -373,7 +448,7 @@ impl Iterator for DayStream {
                 self.sessions_left = poisson(self.config.mean_sessions_per_user, &mut self.rng);
                 continue;
             }
-            self.truth.distinct_events = self.distinct.len() as u64;
+            self.truth.distinct_events = self.distinct_events();
             return None;
         }
     }

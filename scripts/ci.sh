@@ -73,6 +73,16 @@ for f in $(find crates/scribe/src crates/stream/src crates/serve/src -name '*.rs
     fi
 done
 
+# A decoded event's details are one buffer of canonical pairs
+# (uli_core::EventDetails), the bytes of its wire map and its columnar cell:
+# the map a row view once borrowed beside them, and a map of two Strings a
+# pair on ClientEvent, must not come back.
+if grep -rn 'Details::Map' crates src tests examples ||
+    sed -n '/^pub struct ClientEvent {/,/^}/p' crates/core/src/client_event.rs | grep -n 'BTreeMap'; then
+    echo "details gate: a decoded event's details are a map beside their buffer again." >&2
+    exit 1
+fi
+
 # There is one implementation of every reducing operator, the spilling one,
 # and every query runs under a budget: no tracker without a budget and no
 # fork on whether one is set.

@@ -1,8 +1,13 @@
 //! Integration-level fault injection: the pipeline's delivery guarantees
-//! under aggregator crashes, staging outages, and lagging datacenters (§2).
+//! under aggregator crashes, staging outages, and lagging datacenters (§2),
+//! and the staging tier's lifecycle: a moved hour leaves staging, a refused
+//! move leaves it where it was.
 
 use unified_logging::prelude::*;
 use unified_logging::scribe::message::LogEntry;
+use unified_logging::scribe::mover::MoveError;
+use unified_logging::scribe::{check_invariants, DeliveryTap};
+use unified_logging::warehouse::HourlyPartition;
 
 fn config() -> PipelineConfig {
     PipelineConfig {
@@ -143,4 +148,104 @@ fn warehouse_checksums_catch_corruption() {
         records,
         Err(WarehouseError::ChecksumMismatch { .. })
     ));
+}
+
+/// Files of hour 0 on each datacenter's staging cluster, done marker
+/// included.
+fn staged_files(pipe: &ScribePipeline) -> Vec<usize> {
+    let dir = HourlyPartition::from_hour_index("client_events", 0).main_dir();
+    (0..pipe.datacenter_count())
+        .map(|dc| {
+            let staging = pipe.staging_warehouse(dc);
+            staging.list_files_recursive(&dir).map_or(0, |f| f.len())
+        })
+        .collect()
+}
+
+/// Logs a batch and stages and seals it as hour 0; returns what was logged.
+fn staged_hour(pipe: &mut ScribePipeline) -> u64 {
+    let logged = log_batch(pipe, 6, "a");
+    pipe.step();
+    pipe.flush_hour(0);
+    pipe.seal_hour("client_events", 0);
+    assert!(
+        staged_files(pipe).iter().all(|&files| files > 1),
+        "every staging cluster holds data files and a done marker"
+    );
+    logged
+}
+
+/// The delivery audit holds and counts every logged id as delivered.
+fn assert_delivered_exactly_once(pipe: &ScribePipeline, logged: u64) {
+    let audit = check_invariants(pipe);
+    assert!(audit.violations.is_empty(), "{:?}", audit.violations);
+    assert_eq!((audit.logged, audit.delivered), (logged, logged));
+}
+
+#[test]
+fn a_moved_hour_leaves_nothing_on_staging() {
+    let mut pipe = ScribePipeline::new(config());
+    let logged = staged_hour(&mut pipe);
+    assert_eq!(pipe.move_hour("client_events", 0).unwrap().records, logged);
+    assert_eq!(staged_files(&pipe), vec![0, 0]);
+    for dc in 0..pipe.datacenter_count() {
+        let cache = pipe.staging_warehouse(dc).cache_stats();
+        assert_eq!(
+            (cache.bytes, cache.entries),
+            (0, 0),
+            "dc{dc} cached a staged block"
+        );
+    }
+    assert_delivered_exactly_once(&pipe, logged);
+}
+
+#[test]
+fn a_move_refused_under_a_main_outage_keeps_every_staged_file() {
+    let mut pipe = ScribePipeline::new(config());
+    let logged = staged_hour(&mut pipe);
+    let staged = staged_files(&pipe);
+    pipe.set_main_available(false);
+    assert!(pipe.move_hour("client_events", 0).is_err());
+    assert_eq!(
+        staged_files(&pipe),
+        staged,
+        "a refused move deletes nothing"
+    );
+    pipe.set_main_available(true);
+    assert_eq!(pipe.move_hour("client_events", 0).unwrap().records, logged);
+    assert_eq!(staged_files(&pipe), vec![0, 0]);
+    assert_delivered_exactly_once(&pipe, logged);
+}
+
+/// Takes every staging cluster down as an hour is delivered: after the
+/// commit, before the mover cleans staging up.
+struct StagingOutage(Vec<Warehouse>);
+
+impl DeliveryTap for StagingOutage {
+    fn hour_delivered(&mut self, _partition: &HourlyPartition, _payloads: &[Vec<u8>]) {
+        for staging in &self.0 {
+            staging.set_available(false);
+        }
+    }
+}
+
+#[test]
+fn a_staging_outage_during_cleanup_keeps_the_files_of_a_delivered_hour() {
+    let mut pipe = ScribePipeline::new(config());
+    let staging: Vec<Warehouse> = (0..pipe.datacenter_count())
+        .map(|dc| pipe.staging_warehouse(dc).clone())
+        .collect();
+    pipe.add_delivery_tap(Box::new(StagingOutage(staging.clone())));
+    let logged = staged_hour(&mut pipe);
+    let staged = staged_files(&pipe);
+    assert_eq!(pipe.move_hour("client_events", 0).unwrap().records, logged);
+    for cluster in &staging {
+        cluster.set_available(true);
+    }
+    assert_eq!(staged_files(&pipe), staged, "the outage kept the files");
+    assert_eq!(
+        pipe.move_hour("client_events", 0).unwrap_err(),
+        MoveError::AlreadyMoved
+    );
+    assert_delivered_exactly_once(&pipe, logged);
 }

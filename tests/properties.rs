@@ -34,7 +34,7 @@ fn arb_event() -> impl Strategy<Value = ClientEvent> {
                 "10.1.2.3",
                 Timestamp(t),
             );
-            ev.details = details;
+            ev.details = details.iter().collect();
             ev
         })
 }

@@ -12,11 +12,15 @@
 //! has. The fold is therefore measured twice: into a state that already
 //! holds the names, and through the delivery tap as the difference between
 //! an hour and the same hour with every record delivered twice.
+//!
+//! Where a record *is* decoded, it costs four buffers — name, session id, ip
+//! and one details buffer — whether the generator draws it or a row view
+//! builds it, and encoding it allocates its payload and nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use uli_core::ClientEventLanding;
+use uli_core::{ClientEvent, ClientEventLanding, EventRow};
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{ColumnarLanding, HourlyPartition, ScanFile, Warehouse, WhPath};
@@ -188,4 +192,46 @@ fn opening_a_file_allocates_the_same_whatever_its_dictionary_holds() {
         "a warm open of a {}-name file: {micros:.1} us",
         names(&many)
     );
+}
+
+#[test]
+fn a_decoded_event_is_four_buffers_and_its_payload_one() {
+    let config = WorkloadConfig {
+        users: 2_000,
+        ..Default::default()
+    };
+    let mut stream = DayStream::new(&config, 0);
+    // The stream's reused text and session buffer reach their size, every
+    // client has drawn a session, and the encoder's scratch has grown.
+    let warm: Vec<Vec<u8>> = stream
+        .by_ref()
+        .take(CHUNK)
+        .map(|ev| ev.to_bytes())
+        .collect();
+    assert_eq!(warm.len(), CHUNK);
+    let mut events: Vec<ClientEvent> = Vec::with_capacity(CHUNK);
+    let generated = allocations_of(|| events.extend(stream.by_ref().take(CHUNK)));
+    assert_eq!(events.len(), CHUNK, "the day is large enough");
+    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(CHUNK);
+    let encoded = allocations_of(|| payloads.extend(events.iter().map(|ev| ev.to_bytes())));
+    let mut decoded: Vec<ClientEvent> = Vec::with_capacity(CHUNK);
+    let rebuilt = allocations_of(|| {
+        decoded.extend(payloads.iter().map(|p| {
+            let row = EventRow::from_bytes(p).expect("a generated payload decodes");
+            row.to_event().expect("every column was read")
+        }))
+    });
+    assert_eq!(decoded, events);
+    for (what, allocations, ceiling) in [
+        ("generating an event", generated, 4),
+        ("building an event from its payload", rebuilt, 4),
+        ("encoding an event", encoded, 1),
+    ] {
+        let per_record = allocations as f64 / CHUNK as f64;
+        println!("{what}: {allocations} allocations, {per_record:.4} a record");
+        assert!(
+            allocations <= ceiling * CHUNK as u64,
+            "{what} made {per_record:.4} allocations a record, over {ceiling}"
+        );
+    }
 }
