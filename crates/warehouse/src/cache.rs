@@ -20,8 +20,12 @@ use std::sync::{Arc, Mutex};
 
 use uli_obs::lock;
 
-/// Default cache capacity: big enough to hold a laptop-scale hot hour,
-/// small enough to be invisible next to the datasets the benches build.
+/// Default cache capacity: big enough to hold a laptop-scale hot hour. It
+/// is not small: 64 MB is eight times the benchmark's whole landed day, and
+/// a cache fills to its capacity with whatever is read, reread or not. A
+/// warehouse whose blocks are each read once — a staging cluster, which the
+/// log mover drains an hour at a time — is built without one
+/// (`Warehouse::with_config(_, 0)`).
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024 * 1024;
 
 /// Content address of a cached payload: the stored checksum of the bytes
