@@ -299,13 +299,14 @@ pub(crate) struct Details<'a> {
 #[derive(Default)]
 struct MapOrder<'a> {
     broken: bool,
-    last_key: Option<&'a str>,
+    last_key: Option<&'a [u8]>,
 }
 
 impl<'a> MapOrder<'a> {
-    /// Folds in the next pair, which took `encoded` bytes.
-    fn pair(&mut self, key: &'a str, value: &str, encoded: usize) {
-        let minimal = |text: &str| varint::encoded_len_u64(text.len() as u64) + text.len();
+    /// Folds in the next pair, which took `encoded` bytes. Keys compare as
+    /// bytes, which is how UTF-8 strings order.
+    fn pair(&mut self, key: &'a [u8], value: &[u8], encoded: usize) {
+        let minimal = |text: &[u8]| varint::encoded_len_u64(text.len() as u64) + text.len();
         self.broken |= encoded != minimal(key) + minimal(value)
             || self.last_key.is_some_and(|last| last >= key);
         self.last_key = Some(key);
@@ -331,7 +332,8 @@ impl<'a> Details<'a> {
         for _ in 0..count {
             let start = pos;
             let key = read_str(pairs, &mut pos)?;
-            order.pair(key, read_str(pairs, &mut pos)?, pos - start);
+            let value = read_str(pairs, &mut pos)?;
+            order.pair(key.as_bytes(), value.as_bytes(), pos - start);
         }
         (pos == pairs.len()).then_some(Details {
             count,
@@ -340,21 +342,23 @@ impl<'a> Details<'a> {
         })
     }
 
-    /// Reads the value of a Thrift string map with exactly the reads (and
-    /// so the errors) of [`CompactReader::read_string_map`], keeping the
-    /// bytes where they are.
-    fn read(r: &mut CompactReader<'a>) -> ThriftResult<Details<'a>> {
+    /// Reads the value of a Thrift string map, accepting and rejecting as
+    /// [`CompactReader::read_string_map`] does, with its first error,
+    /// keeping the bytes where they are: the pairs are read by
+    /// [`CompactReader::read_string_pairs`], which checks UTF-8 once a run
+    /// of pairs, not once a string. Whether they stand in map order is
+    /// worked out only for a reader that `keeps` them.
+    fn read(r: &mut CompactReader<'a>, keeps: bool) -> ThriftResult<Details<'a>> {
         let (_, _, count) = r.map_begin()?;
-        let start = r.position();
         let mut order = MapOrder::default();
-        for _ in 0..count {
-            let at = r.position();
-            let key = r.read_string()?;
-            order.pair(key, r.read_string()?, r.position() - at);
-        }
+        let pairs = r.read_string_pairs(count, |key, value, encoded| {
+            if keeps {
+                order.pair(key, value, encoded)
+            }
+        })?;
         Ok(Details {
             count,
-            pairs: r.consumed_since(start),
+            pairs,
             in_map_order: !order.broken,
         })
     }
@@ -425,6 +429,15 @@ pub struct EventRow<'a> {
     pub(crate) details: Option<Details<'a>>,
 }
 
+/// The string field at `r`: its text when the reader `keeps` it, else `""`
+/// once it is known to be UTF-8.
+fn text<'a>(r: &mut CompactReader<'a>, keeps: bool) -> ThriftResult<&'a str> {
+    match keeps {
+        true => r.read_string(),
+        false => r.skip_string().map(|()| ""),
+    }
+}
+
 fn declared<T>(field: Option<T>, col: usize) -> WarehouseResult<T> {
     debug_assert!(field.is_some(), "column {col} was not declared");
     field.ok_or(WarehouseError::UnreadColumn(col))
@@ -439,7 +452,14 @@ impl<'a> EventRow<'a> {
     /// under every column set: the last occurrence of an id wins, an
     /// invalid initiator code or event name makes the field count as
     /// missing, every string and details entry must be UTF-8, unknown ids
-    /// are skipped, and a missing required field 1–6 is an error.
+    /// are skipped, and a missing required field 1–6 is an error. The
+    /// first error in the stream is the one returned.
+    ///
+    /// One pass, and no more work than a declared column needs: the name is
+    /// checked in one pass over a byte-class table, the details' UTF-8 once
+    /// a run of pairs ([`CompactReader::read_string_pairs`]) and their map
+    /// order only when they are declared, and a string nobody declared is
+    /// checked to be UTF-8 but not made a `&str`.
     pub fn read(
         r: &mut CompactReader<'a>,
         columns: &EventColumns,
@@ -469,11 +489,11 @@ impl<'a> EventRow<'a> {
                     USER_COLUMN
                 }
                 4 => {
-                    session_id = Some(r.read_string()?);
+                    session_id = Some(text(r, columns[SESSION_COLUMN])?);
                     SESSION_COLUMN
                 }
                 5 => {
-                    ip = Some(r.read_string()?);
+                    ip = Some(text(r, columns[IP_COLUMN])?);
                     IP_COLUMN
                 }
                 6 => {
@@ -481,7 +501,7 @@ impl<'a> EventRow<'a> {
                     TIMESTAMP_COLUMN
                 }
                 7 => {
-                    details = Details::read(r)?;
+                    details = Details::read(r, columns[6])?;
                     6
                 }
                 _ => {
@@ -686,6 +706,9 @@ impl Loader for ClientEventLoader {
         })
     }
 }
+
+#[cfg(test)]
+mod walk_tests;
 
 #[cfg(test)]
 mod tests {

@@ -428,6 +428,11 @@ fn write_event_rows(
     rows_per_group: usize,
 ) -> WarehouseResult<()> {
     let coded = dictionary.then(|| name_codes(rows)).transpose()?;
+    // A coded name's zone-map tag, hashed once an entry, not once a row.
+    let entry_tags: Vec<u64> = coded
+        .iter()
+        .flat_map(|(entries, _)| entries.iter().map(|name| tag_hash(name)))
+        .collect();
     let mut w = ColumnarFileWriter::create(
         warehouse,
         path,
@@ -441,7 +446,10 @@ fn write_event_rows(
     for (i, row) in rows.iter().enumerate() {
         let cells = scratch.cells(row)?;
         let code = coded.as_ref().map(|(_, codes)| codes[i]);
-        let tag = tag_hash(cells[NAME_COLUMN]);
+        let tag = code.map_or_else(
+            || tag_hash(cells[NAME_COLUMN]),
+            |code| entry_tags[code as usize],
+        );
         w.append_row_coded(&cells, code, row.timestamp()?.millis(), tag);
     }
     w.finish()

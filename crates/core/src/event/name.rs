@@ -69,6 +69,27 @@ fn component_ok(s: &str) -> bool {
         .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
 }
 
+/// [`BYTE_CLASS`] of `:`.
+const SEPARATOR: u8 = 1;
+/// [`BYTE_CLASS`] of a byte no name holds.
+const OTHER: u8 = 2;
+
+/// The class of every byte in a name: 0 for `[a-z0-9_]`, [`SEPARATOR`],
+/// or [`OTHER`].
+static BYTE_CLASS: [u8; 256] = {
+    let mut table = [OTHER; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        if byte.is_ascii_lowercase() || byte.is_ascii_digit() || byte == b'_' {
+            table[b] = 0;
+        }
+        b += 1;
+    }
+    table[b':' as usize] = SEPARATOR;
+    table
+};
+
 /// A name hashes, compares and orders as its string, so maps keyed by names
 /// can be probed with a borrowed, already validated `&str`.
 impl std::borrow::Borrow<str> for EventName {
@@ -109,19 +130,18 @@ impl EventName {
         EventName::parse(&parts.join(":"))
     }
 
-    /// True when `s` would parse as a valid name, without allocating.
-    /// Lazy decoders use this to validate a name they are not materializing.
+    /// True when `s` would parse as a valid name, without allocating: one
+    /// pass over its bytes, each looked up in a byte-class table, counting
+    /// separators. Every decoder of a name validates it here.
     pub fn is_valid(s: &str) -> bool {
-        let mut levels = 0usize;
-        let mut last = "";
-        for part in s.split(':') {
-            if levels == COMPONENTS || !component_ok(part) {
-                return false;
-            }
-            levels += 1;
-            last = part;
+        let mut classes = 0u8;
+        let mut separators = 0usize;
+        for &b in s.as_bytes() {
+            let class = BYTE_CLASS[usize::from(b)];
+            classes |= class;
+            separators += usize::from(class & SEPARATOR);
         }
-        levels == COMPONENTS && !last.is_empty()
+        classes & OTHER == 0 && separators == COMPONENTS - 1 && !s.ends_with(':')
     }
 
     /// The full name string.
@@ -215,6 +235,7 @@ impl std::str::FromStr for EventName {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const PAPER_EXAMPLE: &str = "web:home:mentions:stream:avatar:profile_click";
 
@@ -297,8 +318,29 @@ mod tests {
         assert_eq!(n.as_str(), "web:home:::tweet:click");
     }
 
+    /// Any text: names of every arity over the name alphabet and its near
+    /// misses, and printable text including multi-byte characters.
+    fn arb_text() -> impl Strategy<Value = String> {
+        prop_oneof![
+            prop::collection::vec("[a-z0-9_]{0,4}", 0..9).prop_map(|parts| parts.join(":")),
+            prop::collection::vec("[a-z0-9_]{0,3}", 6..7).prop_map(|parts| parts.join(":")),
+            "[a-z_:]{0,24}",
+            "[a-zA-Z0-9_: .-]{0,24}",
+            "\\PC{0,24}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn is_valid_agrees_with_parse(s in arb_text()) {
+            prop_assert_eq!(EventName::is_valid(&s), EventName::parse(&s).is_ok(), "on {:?}", s);
+        }
+    }
+
     #[test]
-    fn is_valid_agrees_with_parse() {
+    fn is_valid_agrees_with_parse_on_the_edges() {
         for s in [
             PAPER_EXAMPLE,
             "iphone:home:::tweet:impression",
@@ -310,6 +352,7 @@ mod tests {
             ":::::click",
             "::::::",
             "web:ho me:a:b:c:click",
+            "web:home:a:b:c:clické",
         ] {
             assert_eq!(
                 EventName::is_valid(s),

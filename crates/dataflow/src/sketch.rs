@@ -440,6 +440,23 @@ impl TopK {
         self.candidates.len() + new <= TOPK_CANDIDATES
     }
 
+    /// [`add`](Self::add)s each `(key, count)` of a batch the tracker
+    /// [`admits`](Self::admits), reaching the state adding them one by one
+    /// reaches. A tracker with no candidates yet takes the batch's keys as
+    /// its candidate set in one go, which costs least when they come in
+    /// ascending order.
+    pub fn add_admitted(&mut self, counts: &[(&[u8], u64)]) {
+        debug_assert!(self.admits(counts.iter().map(|(key, _)| *key)));
+        if !self.candidates.is_empty() {
+            counts.iter().for_each(|(key, count)| self.add(key, *count));
+            return;
+        }
+        for (key, count) in counts {
+            self.cms.add(key, *count);
+        }
+        self.candidates = counts.iter().map(|(key, _)| key.to_vec()).collect();
+    }
+
     /// Merges another tracker in (same `k` expected; the larger wins so
     /// the merge stays commutative).
     pub fn merge(&mut self, other: &TopK) {

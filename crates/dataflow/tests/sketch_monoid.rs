@@ -234,4 +234,31 @@ proptest! {
             },
         );
     }
+
+    /// A batch the tracker admits, added at once, is the batch added key
+    /// by key — into an empty tracker, which takes the batch's keys as its
+    /// candidates, and into one that already holds some.
+    #[test]
+    fn topk_adds_an_admitted_batch_as_it_adds_its_keys(
+        before in arb_items(),
+        batch in arb_items(),
+        k in 1usize..12,
+    ) {
+        let mut counts: std::collections::BTreeMap<Vec<u8>, u64> = Default::default();
+        for (key, weight) in &batch {
+            *counts.entry(key_bytes(*key)).or_default() += u64::from(*weight);
+        }
+        let counts: Vec<(&[u8], u64)> = counts.iter().map(|(k, n)| (k.as_slice(), *n)).collect();
+        let mut at_once = TopK::new(k);
+        for (key, weight) in &before {
+            at_once.add(&key_bytes(*key), u64::from(*weight));
+        }
+        let mut key_by_key = at_once.clone();
+        prop_assert!(at_once.admits(counts.iter().map(|(key, _)| *key)));
+        at_once.add_admitted(&counts);
+        for (key, n) in &counts {
+            key_by_key.add(key, *n);
+        }
+        prop_assert_eq!(at_once, key_by_key);
+    }
 }

@@ -32,6 +32,28 @@ fn event(payload: &[u8]) -> Option<(&str, i64)> {
     Some((row.name().ok()?, row.user_id().ok()?))
 }
 
+/// The client of an event name: its first level.
+fn client(name: &str) -> &str {
+    name.split(':').next().expect("split yields a first part")
+}
+
+/// Adds counts sorted by key, one a key, to `map`; an empty map — every map
+/// of a fresh state — is built from them in one go.
+fn add_sorted<'k>(map: &mut BTreeMap<String, u64>, counts: impl Iterator<Item = (&'k str, u64)>) {
+    if map.is_empty() {
+        *map = counts.map(|(key, n)| (key.to_string(), n)).collect();
+        return;
+    }
+    for (key, n) in counts {
+        match map.get_mut(key) {
+            Some(count) => *count += n,
+            None => {
+                map.insert(key.to_string(), n);
+            }
+        }
+    }
+}
+
 /// How many trending event names the speed layer reports by default.
 pub const DEFAULT_TRENDING_K: usize = 5;
 
@@ -85,7 +107,8 @@ impl StreamState {
     /// Each payload is walked once, borrowed; what it adds to the counters
     /// and sketches that commute (counter add, register max, bucket add) is
     /// applied per record or, for everything keyed by event name, once per
-    /// distinct name of the batch. Only the trending tracker's bounded
+    /// distinct name of the batch, in name order — into a fresh state, in
+    /// one go. Only the trending tracker's bounded
     /// candidate set is order-sensitive, and only once it is full: a batch
     /// that could overflow it is replayed into the tracker record by
     /// record.
@@ -96,24 +119,21 @@ impl StreamState {
         }
         let mut batch: Vec<(&str, u64)> = batch.into_iter().collect();
         batch.sort_unstable();
-        let add = |map: &mut BTreeMap<String, u64>, key: &str, n| match map.get_mut(key) {
-            Some(count) => *count += n,
-            None => {
-                map.insert(key.to_string(), n);
-            }
-        };
-        let commutes = self
-            .trending
-            .admits(batch.iter().map(|(name, _)| name.as_bytes()));
-        for &(name, n) in &batch {
-            add(&mut self.by_name, name, n);
-            let client = name.split(':').next().expect("split yields a first part");
-            add(&mut self.by_client, client, n);
-            if commutes {
-                self.trending.add(name.as_bytes(), n);
-            }
-        }
-        if !commutes {
+        add_sorted(&mut self.by_name, batch.iter().copied());
+        // Names sharing a client are adjacent in name order.
+        add_sorted(
+            &mut self.by_client,
+            batch
+                .chunk_by(|a, b| client(a.0) == client(b.0))
+                .map(|run| (client(run[0].0), run.iter().map(|(_, n)| n).sum())),
+        );
+        let keys: Vec<(&[u8], u64)> = batch
+            .iter()
+            .map(|(name, n)| (name.as_bytes(), *n))
+            .collect();
+        if self.trending.admits(keys.iter().map(|(key, _)| *key)) {
+            self.trending.add_admitted(&keys);
+        } else {
             for (name, _) in payloads.iter().filter_map(|p| event(p.as_ref())) {
                 self.trending.insert(name.as_bytes());
             }
@@ -139,16 +159,13 @@ impl StreamState {
     /// Merges another shard's partial in. Commutative, associative, and
     /// identical to having observed both input streams serially — the
     /// same contract as the dataflow engine's combiner merge.
-    pub fn merge(&mut self, other: &StreamState) {
+    pub fn merge<'o>(&mut self, other: &'o StreamState) {
         self.records += other.records;
         self.events += other.events;
         self.malformed += other.malformed;
-        for (name, count) in &other.by_name {
-            *self.by_name.entry(name.clone()).or_insert(0) += count;
-        }
-        for (client, count) in &other.by_client {
-            *self.by_client.entry(client.clone()).or_insert(0) += count;
-        }
+        let counts = |(key, n): (&'o String, &u64)| (key.as_str(), *n);
+        add_sorted(&mut self.by_name, other.by_name.iter().map(counts));
+        add_sorted(&mut self.by_client, other.by_client.iter().map(counts));
         self.users.merge(&other.users);
         self.trending.merge(&other.trending);
         self.payload_bytes.merge(&other.payload_bytes);

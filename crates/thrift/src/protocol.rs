@@ -18,6 +18,30 @@ const STOP: u8 = 0x00;
 /// Maximum nesting depth accepted when decoding (guards hostile input).
 const MAX_DEPTH: usize = 64;
 
+/// `Ok` when `bytes` are UTF-8; ASCII, the common case, is checked first.
+#[inline]
+fn utf8(bytes: &[u8]) -> ThriftResult<()> {
+    match is_ascii(bytes) || std::str::from_utf8(bytes).is_ok() {
+        true => Ok(()),
+        false => Err(ThriftError::InvalidUtf8),
+    }
+}
+
+/// True when no byte of `bytes` has its high bit set: the bytes OR-ed
+/// together eight at a time, the last word overlapping the one before, so
+/// that no byte is looked at alone past the first seven.
+#[inline]
+fn is_ascii(bytes: &[u8]) -> bool {
+    let word = |eight: &[u8]| u64::from_le_bytes(eight.try_into().expect("8 bytes"));
+    let Some(last) = bytes.len().checked_sub(8) else {
+        return bytes.iter().all(u8::is_ascii);
+    };
+    let any = bytes
+        .chunks_exact(8)
+        .fold(word(&bytes[last..]), |any, eight| any | word(eight));
+    any & 0x8080_8080_8080_8080 == 0
+}
+
 /// A decoded field header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FieldHeader {
@@ -323,6 +347,7 @@ impl<'a> CompactReader<'a> {
     }
 
     /// Bytes consumed so far.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
@@ -334,10 +359,12 @@ impl<'a> CompactReader<'a> {
     }
 
     /// Bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.input.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize, reading: &'static str) -> ThriftResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(ThriftError::UnexpectedEof { reading });
@@ -347,16 +374,24 @@ impl<'a> CompactReader<'a> {
         Ok(s)
     }
 
+    #[inline]
     fn take_byte(&mut self, reading: &'static str) -> ThriftResult<u8> {
-        Ok(self.take(1, reading)?[0])
+        let byte = *self
+            .input
+            .get(self.pos)
+            .ok_or(ThriftError::UnexpectedEof { reading })?;
+        self.pos += 1;
+        Ok(byte)
     }
 
+    #[inline]
     fn read_varint_u64(&mut self) -> ThriftResult<u64> {
         let (v, n) = varint::read_u64(&self.input[self.pos..])?;
         self.pos += n;
         Ok(v)
     }
 
+    #[inline]
     fn read_varint_i64(&mut self) -> ThriftResult<i64> {
         let (v, n) = varint::read_i64(&self.input[self.pos..])?;
         self.pos += n;
@@ -364,6 +399,7 @@ impl<'a> CompactReader<'a> {
     }
 
     /// Enters a struct scope.
+    #[inline]
     pub fn struct_begin(&mut self) -> ThriftResult<()> {
         if self.depth >= MAX_DEPTH {
             return Err(ThriftError::DepthLimitExceeded);
@@ -374,6 +410,7 @@ impl<'a> CompactReader<'a> {
     }
 
     /// Leaves a struct scope. Must be called after `field_begin` returned `None`.
+    #[inline]
     pub fn struct_end(&mut self) {
         self.depth = self
             .depth
@@ -381,7 +418,11 @@ impl<'a> CompactReader<'a> {
             .expect("struct_end without struct_begin");
     }
 
-    /// Reads the next field header, or `None` at the stop byte.
+    /// Reads the next field header, or `None` at the stop byte. A short-form
+    /// header whose delta would carry the id past `i16::MAX` (a long-form id
+    /// near the top, then any delta) is [`ThriftError::InvalidLength`] of
+    /// that id, as a long-form id outside `i16` is.
+    #[inline]
     pub fn field_begin(&mut self) -> ThriftResult<Option<FieldHeader>> {
         let byte = self.take_byte("field header")?;
         if byte == STOP {
@@ -395,7 +436,9 @@ impl<'a> CompactReader<'a> {
             .expect("field_begin outside a struct");
         let last = &mut self.last_field_id[scope];
         let id = if delta != 0 {
-            *last + delta
+            last.checked_add(delta).ok_or(ThriftError::InvalidLength(
+                i64::from(*last) + i64::from(delta),
+            ))?
         } else {
             let (v, n) = varint::read_i64(&self.input[self.pos..])?;
             self.pos += n;
@@ -406,6 +449,7 @@ impl<'a> CompactReader<'a> {
     }
 
     /// Reads an `i8` value.
+    #[inline]
     pub fn read_i8(&mut self) -> ThriftResult<i8> {
         Ok(self.take_byte("i8")? as i8)
     }
@@ -423,6 +467,7 @@ impl<'a> CompactReader<'a> {
     }
 
     /// Reads an `i64` value.
+    #[inline]
     pub fn read_i64(&mut self) -> ThriftResult<i64> {
         self.read_varint_i64()
     }
@@ -434,6 +479,7 @@ impl<'a> CompactReader<'a> {
     }
 
     /// Reads a length-prefixed byte slice.
+    #[inline]
     pub fn read_bytes(&mut self) -> ThriftResult<&'a [u8]> {
         let len = self.read_varint_u64()?;
         if len > self.remaining() as u64 {
@@ -443,9 +489,75 @@ impl<'a> CompactReader<'a> {
     }
 
     /// Reads a UTF-8 string.
+    #[inline]
     pub fn read_string(&mut self) -> ThriftResult<&'a str> {
         let bytes = self.read_bytes()?;
         std::str::from_utf8(bytes).map_err(|_| ThriftError::InvalidUtf8)
+    }
+
+    /// Reads a string as [`read_string`](Self::read_string) does, failing
+    /// as it fails, without handing it out: its bytes are only checked to
+    /// be UTF-8.
+    #[inline]
+    pub fn skip_string(&mut self) -> ThriftResult<()> {
+        utf8(self.read_bytes()?)
+    }
+
+    /// Reads `count` key/value string pairs, the body of a string→string
+    /// map after [`map_begin`](Self::map_begin), accepting and rejecting
+    /// exactly as `count` × two [`read_string`](Self::read_string) calls
+    /// do, with the same first error. Hands `pair` each key and value, and
+    /// the bytes the pair took, before their UTF-8 is known; a caller keeps
+    /// what `pair` learned only if the read succeeds. Returns the bytes of
+    /// all the pairs, borrowed.
+    ///
+    /// UTF-8 is checked once per run of strings whose length prefixes are
+    /// single bytes, over the run's bytes, prefixes included. A byte below
+    /// 0x80 is a whole character: it neither continues a multi-byte sequence
+    /// nor starts one, so the run is UTF-8 exactly when each string in it
+    /// is. A string behind a longer prefix is checked alone. When a string
+    /// fails to read, the run before it is checked first: an invalid string
+    /// comes earlier in the stream than the failure after it.
+    pub fn read_string_pairs(
+        &mut self,
+        count: usize,
+        mut pair: impl FnMut(&'a [u8], &'a [u8], usize),
+    ) -> ThriftResult<&'a [u8]> {
+        let start = self.pos;
+        let mut run = self.pos;
+        for _ in 0..count {
+            let at = self.pos;
+            let key = self.read_run_string(&mut run)?;
+            let value = self.read_run_string(&mut run)?;
+            pair(key, value, self.pos - at);
+        }
+        utf8(&self.input[run..self.pos])?;
+        Ok(&self.input[start..self.pos])
+    }
+
+    /// One string of [`read_string_pairs`](Self::read_string_pairs): behind
+    /// a one-byte prefix it joins the unchecked run that starts at `run`.
+    #[inline]
+    fn read_run_string(&mut self, run: &mut usize) -> ThriftResult<&'a [u8]> {
+        match self.input.get(self.pos) {
+            Some(&len) if len < 0x80 && usize::from(len) < self.remaining() => {
+                let body = self.pos + 1;
+                self.pos = body + usize::from(len);
+                Ok(&self.input[body..self.pos])
+            }
+            _ => self.read_string_after_run(run),
+        }
+    }
+
+    /// A string of [`read_string_pairs`](Self::read_string_pairs) that ends
+    /// the run before it: the run is checked, then the string is read and
+    /// checked alone, and a new run starts after it.
+    fn read_string_after_run(&mut self, run: &mut usize) -> ThriftResult<&'a [u8]> {
+        utf8(&self.input[*run..self.pos])?;
+        let bytes = self.read_bytes()?;
+        utf8(bytes)?;
+        *run = self.pos;
+        Ok(bytes)
     }
 
     /// Reads a list header: (element type, count).
@@ -467,6 +579,7 @@ impl<'a> CompactReader<'a> {
 
     /// Reads a map header: (key type, value type, count). Types are `Binary`
     /// for an empty map (they are absent on the wire).
+    #[inline]
     pub fn map_begin(&mut self) -> ThriftResult<(TType, TType, usize)> {
         let count = self.read_varint_u64()?;
         if count == 0 {
@@ -626,6 +739,7 @@ impl<'a> CompactReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip(value: &TValue) -> TValue {
         let mut w = CompactWriter::new();
@@ -787,6 +901,118 @@ mod tests {
         let h = r.field_begin().unwrap().unwrap();
         assert_eq!(h.id, 7);
         assert_eq!(r.read_string_map().unwrap(), details);
+    }
+
+    #[test]
+    fn a_delta_past_the_largest_field_id_is_an_error() {
+        // Field 32767 in long form (an i64, 1), then a short-form header one
+        // past it: an id no i16 holds.
+        let payload = [0x06, 0xfe, 0xff, 0x03, 0x02, 0x16, 0x02, 0x00];
+        let mut r = CompactReader::new(&payload);
+        r.struct_begin().unwrap();
+        let h = r.field_begin().unwrap().unwrap();
+        assert_eq!((h.id, h.ttype), (i16::MAX, TType::I64));
+        r.skip(h.ttype).unwrap();
+        assert_eq!(r.field_begin(), Err(ThriftError::InvalidLength(32768)));
+        assert_eq!(
+            CompactReader::new(&payload).read_struct_value(),
+            Err(ThriftError::InvalidLength(32768))
+        );
+    }
+
+    /// `count` pairs read string by string, as `read_string_map` reads
+    /// them: each pair, the bytes it took, and where the reader stopped.
+    #[allow(clippy::type_complexity)]
+    fn pairs_one_by_one(
+        bytes: &[u8],
+        count: usize,
+    ) -> ThriftResult<(Vec<(&[u8], &[u8], usize)>, usize)> {
+        let mut r = CompactReader::new(bytes);
+        let mut pairs = Vec::new();
+        for _ in 0..count {
+            let at = r.position();
+            let key = r.read_string()?.as_bytes();
+            let value = r.read_string()?.as_bytes();
+            pairs.push((key, value, r.position() - at));
+        }
+        Ok((pairs, r.position()))
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn pairs_in_runs(
+        bytes: &[u8],
+        count: usize,
+    ) -> ThriftResult<(Vec<(&[u8], &[u8], usize)>, usize)> {
+        let mut r = CompactReader::new(bytes);
+        let mut pairs = Vec::new();
+        let all = r.read_string_pairs(count, |k, v, n| pairs.push((k, v, n)))?;
+        assert_eq!(all, &bytes[..r.position()]);
+        Ok((pairs, r.position()))
+    }
+
+    /// A string of a pair: text, multi-byte text, bytes that may not be
+    /// UTF-8 (lone continuations, cut sequences), or text of 128 bytes and
+    /// more, whose length takes two bytes.
+    fn arb_string() -> BoxedStrategy<Vec<u8>> {
+        prop_oneof![
+            "[a-z0-9_]{0,8}".prop_map(String::into_bytes).boxed(),
+            "\\PC{0,6}".prop_map(String::into_bytes).boxed(),
+            prop::collection::vec(
+                prop_oneof![
+                    Just(0x80u8),
+                    Just(0xbf),
+                    Just(0xc3),
+                    Just(0xe4),
+                    Just(0xff),
+                    0u8..0x80
+                ],
+                0..6
+            )
+            .boxed(),
+            (128usize..300).prop_map(|n| vec![b'x'; n]).boxed(),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn word_wise_ascii_is_ascii(
+            bytes in prop::collection::vec(prop_oneof![0u8..0x80, 0u8..0x80, 0u8..0x80, any::<u8>()], 0..40),
+        ) {
+            prop_assert_eq!(is_ascii(&bytes), bytes.is_ascii());
+        }
+
+        /// Reading pairs in runs is reading them one string at a time: the
+        /// same pairs and end, or the same first error — on pairs whose
+        /// lengths may be non-minimal, cut anywhere, or short of `count`.
+        #[test]
+        fn string_pairs_read_as_one_string_at_a_time(
+            strings in prop::collection::vec((arb_string(), any::<bool>()), 0..12),
+            extra_count in 0usize..2,
+            cut in any::<u16>(),
+            flip in (any::<u16>(), any::<u8>()),
+        ) {
+            let mut bytes = Vec::new();
+            for (s, overlong) in &strings {
+                if *overlong && s.len() < 128 {
+                    bytes.extend_from_slice(&[s.len() as u8 | 0x80, 0]);
+                } else {
+                    varint::write_u64(&mut bytes, s.len() as u64);
+                }
+                bytes.extend_from_slice(s);
+            }
+            let count = strings.len() / 2 + extra_count;
+            let whole = bytes.clone();
+            if !bytes.is_empty() {
+                let at = usize::from(flip.0) % bytes.len();
+                bytes[at] ^= flip.1;
+            }
+            for input in [&whole[..], &bytes[..], &whole[..usize::from(cut) % (whole.len() + 1)]] {
+                prop_assert_eq!(pairs_in_runs(input, count), pairs_one_by_one(input, count));
+            }
+        }
     }
 
     #[test]

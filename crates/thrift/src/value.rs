@@ -43,6 +43,7 @@ pub enum TType {
 
 impl TType {
     /// Decodes a type nibble from the wire.
+    #[inline]
     pub fn from_wire(b: u8) -> ThriftResult<TType> {
         Ok(match b {
             0x01 => TType::BoolTrue,

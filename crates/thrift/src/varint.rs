@@ -35,7 +35,16 @@ pub fn write_i64(out: &mut Vec<u8>, value: i64) -> usize {
 /// Decodes an unsigned LEB128 varint from the front of `input`.
 ///
 /// Returns the decoded value and the number of bytes consumed.
+#[inline]
 pub fn read_u64(input: &[u8]) -> ThriftResult<(u64, usize)> {
+    match input.first() {
+        Some(&byte) if byte < 0x80 => Ok((u64::from(byte), 1)),
+        _ => read_u64_multibyte(input),
+    }
+}
+
+/// [`read_u64`] of a varint longer than one byte, or of no byte at all.
+fn read_u64_multibyte(input: &[u8]) -> ThriftResult<(u64, usize)> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
     for (i, &byte) in input.iter().enumerate() {
@@ -57,6 +66,7 @@ pub fn read_u64(input: &[u8]) -> ThriftResult<(u64, usize)> {
 }
 
 /// Decodes a zigzag-encoded signed varint from the front of `input`.
+#[inline]
 pub fn read_i64(input: &[u8]) -> ThriftResult<(i64, usize)> {
     let (raw, n) = read_u64(input)?;
     Ok((zigzag_decode(raw), n))

@@ -73,6 +73,26 @@ for f in $(find crates/scribe/src crates/stream/src crates/serve/src -name '*.rs
     fi
 done
 
+# And that walk is the only one anywhere outside tests: the walk it replaced
+# is kept as a reference under `#[cfg(test)]` (EventRow::read is held to it
+# by a differential test), never as a fast, slow or reference twin beside
+# it. A walk reads field 1 as an initiator code; one function may. And the
+# walk and the reader under it stay safe code: UTF-8 is checked, never
+# assumed.
+walks=0
+for f in $(find crates/*/src src -name '*.rs'); do
+    n=$(sed '/cfg(test)/,$d' "$f" | grep -cE 'from_code\([a-z_]*\.read_i8\(\)' || true)
+    walks=$((walks + n))
+done
+if [ "$walks" != 1 ]; then
+    echo "walk gate: $walks client-event walks outside #[cfg(test)], not one." >&2
+    exit 1
+fi
+if grep -rnwE 'unsafe|from_utf8_unchecked' crates/thrift/src crates/core/src crates/stream/src; then
+    echo "walk gate: unsafe code or unchecked UTF-8 under the reader, the walk or the fold." >&2
+    exit 1
+fi
+
 # A decoded event's details are one buffer of canonical pairs
 # (uli_core::EventDetails), the bytes of its wire map and its columnar cell:
 # the map a row view once borrowed beside them, and a map of two Strings a

@@ -19,15 +19,19 @@
 //! seed or its shard count in the assertion message, so any failure
 //! reproduces deterministically.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use uli_core::ClientEventLanding;
 use uli_scribe::message::LogEntry;
 use uli_scribe::network::LinkFaults;
 use uli_scribe::{run_chaos_tapped, ChaosConfig, FaultConfig, PipelineConfig, ScribePipeline};
 use uli_stream::{
     batch_reference, check_convergence, BatchSummary, StreamAnalytics, StreamConfig, StreamState,
 };
-use uli_thrift::ThriftRecord;
+use uli_thrift::{CompactWriter, ThriftRecord};
+use uli_warehouse::{HourlyPartition, Parallelism, ScanFile};
 use uli_workload::{generate_day, DayStream, WorkloadConfig};
 
 const CATEGORY: &str = "client_events";
@@ -339,6 +343,152 @@ fn daystream_edge_cases_match_batch_byte_for_byte() {
     assert_eq!(tbatch.records as usize, truncated.len());
     let tc = check_convergence(&tstream.running_view(), &tbatch);
     assert!(tc.streaming_matches_batch, "truncated day: {tc:?}");
+}
+
+/// A generated event's payload as a writer that got it nearly right sends
+/// it: `name` in place of its name, `details` in place of its details
+/// (pairs of raw bytes, written as they come), field 5 left out unless
+/// `with_ip`.
+fn near_miss(
+    ev: &uli_core::ClientEvent,
+    name: &[u8],
+    details: &[(&[u8], &[u8])],
+    with_ip: bool,
+) -> Vec<u8> {
+    let mut pairs = Vec::new();
+    for (key, value) in details {
+        for text in [key, value] {
+            uli_thrift::varint::write_u64(&mut pairs, text.len() as u64);
+            pairs.extend_from_slice(text);
+        }
+    }
+    let mut w = CompactWriter::new();
+    w.struct_begin();
+    w.field_i8(1, ev.initiator.code());
+    w.field_binary(2, name);
+    w.field_i64(3, ev.user_id);
+    w.field_string(4, &ev.session_id);
+    if with_ip {
+        w.field_string(5, &ev.ip);
+    }
+    w.field_i64(6, ev.timestamp.millis());
+    w.field_string_map_encoded(7, details.len(), &pairs);
+    w.struct_end();
+    w.into_bytes()
+}
+
+/// Files of `dir` that the mover landed columnar, and its `-rows` siblings
+/// — the payloads the landing rejected — as (rows, records).
+fn landed_rows_and_rejects(
+    wh: &uli_warehouse::Warehouse,
+    dir: &uli_warehouse::WhPath,
+) -> (u64, u64) {
+    let (mut rows, mut rejects) = (0, 0);
+    for path in wh.list_files_recursive(dir).expect("the hour landed") {
+        match ScanFile::open(wh, &path).expect("a landed file opens") {
+            ScanFile::Columnar(file) => {
+                assert!(!path.as_str().ends_with("-rows"), "{path:?}");
+                for group in 0..file.group_count() {
+                    rows += file
+                        .read_group(group, &[false; 7])
+                        .expect("a group reads")
+                        .rows() as u64;
+                }
+            }
+            ScanFile::Row(blocks) => {
+                assert!(path.as_str().ends_with("-rows"), "{path:?}");
+                for block in 0..blocks.block_count() {
+                    blocks
+                        .for_each_record(block, |_| rejects += 1)
+                        .expect("a block reads");
+                }
+            }
+        }
+    }
+    (rows, rejects)
+}
+
+/// The stream fold and the columnar landing walk each delivered payload
+/// with the same reader, so they must tell the same payloads apart: an hour
+/// of generated events with near misses slipped in — a name that is not six
+/// levels, a detail that is not UTF-8, a missing field, a field id carried
+/// past `i16::MAX`, and, accepted by both, a 200-byte detail value — folds
+/// to as many events as landed rows, and to as many malformed records as
+/// the `-rows` siblings hold, at every worker count.
+#[test]
+fn the_stream_and_the_landing_reject_the_same_payloads() {
+    let day = generate_day(&smoke_config(120), 0);
+    let hour = (0..24u64)
+        .max_by_key(|h| {
+            day.events
+                .iter()
+                .filter(|e| e.timestamp.hour_index() == *h)
+                .count()
+        })
+        .expect("a day has hours");
+    let events: Vec<&uli_core::ClientEvent> = day
+        .events
+        .iter()
+        .filter(|e| e.timestamp.hour_index() == hour)
+        .collect();
+    assert!(
+        events.len() > 100,
+        "hour {hour} carries {} events",
+        events.len()
+    );
+    let name = |ev: &uli_core::ClientEvent| ev.name.as_str().as_bytes().to_vec();
+    let long_value = vec![b'v'; 200];
+    let near_misses: Vec<(Vec<u8>, bool)> = vec![
+        (near_miss(events[0], b"web:home:Click", &[], true), false),
+        (
+            near_miss(events[1], &name(events[1]), &[(b"lang", b"e\xffn")], true),
+            false,
+        ),
+        (
+            near_miss(events[2], &name(events[2]), &[(b"k", &long_value)], true),
+            true,
+        ),
+        (near_miss(events[3], &name(events[3]), &[], false), false),
+        (vec![0x06, 0xfe, 0xff, 0x03, 0x02, 0x16, 0x02, 0x00], false),
+    ];
+    let mut payloads: Vec<Vec<u8>> = events.iter().map(|ev| ev.to_bytes()).collect();
+    for (i, (payload, _)) in near_misses.iter().enumerate() {
+        payloads.insert(i * payloads.len() / near_misses.len(), payload.clone());
+    }
+    let accepted = events.len() as u64 + near_misses.iter().filter(|(_, ok)| *ok).count() as u64;
+    let rejected = payloads.len() as u64 - accepted;
+    for workers in [1usize, 4] {
+        let workers = Parallelism::fixed(workers);
+        let mut pipe = ScribePipeline::new(PipelineConfig {
+            datacenters: 2,
+            hosts_per_dc: 4,
+            aggregators_per_dc: 2,
+            records_per_file: 10_000,
+            workers,
+            ..Default::default()
+        });
+        pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
+        let analytics = StreamAnalytics::new(StreamConfig::default()).with_parallelism(workers);
+        pipe.add_delivery_tap(analytics.tap());
+        for (i, payload) in payloads.iter().enumerate() {
+            pipe.log(i % 2, i % 4, LogEntry::new(CATEGORY, payload.clone()));
+        }
+        pipe.step();
+        pipe.flush_hour(hour);
+        pipe.seal_hour(CATEGORY, hour);
+        pipe.move_hour(CATEGORY, hour).expect("all DCs sealed");
+
+        let view = analytics.hour_view(hour).expect("the hour delivered");
+        let dir = HourlyPartition::from_hour_index(CATEGORY, hour).main_dir();
+        let (rows, rejects) = landed_rows_and_rejects(pipe.main_warehouse(), &dir);
+        assert_eq!(
+            (view.events(), view.malformed()),
+            (rows, rejects),
+            "{workers:?}"
+        );
+        assert_eq!((rows, rejects), (accepted, rejected), "{workers:?}");
+        assert_eq!(view.records(), payloads.len() as u64, "{workers:?}");
+    }
 }
 
 /// Single-user smoke: the smallest day the generator will make. Exercises
