@@ -346,16 +346,12 @@ impl<'a> Details<'a> {
     /// [`CompactReader::read_string_map`] does, with its first error,
     /// keeping the bytes where they are: the pairs are read by
     /// [`CompactReader::read_string_pairs`], which checks UTF-8 once a run
-    /// of pairs, not once a string. Whether they stand in map order is
-    /// worked out only for a reader that `keeps` them.
-    fn read(r: &mut CompactReader<'a>, keeps: bool) -> ThriftResult<Details<'a>> {
+    /// of pairs, not once a string.
+    fn read(r: &mut CompactReader<'a>) -> ThriftResult<Details<'a>> {
         let (_, _, count) = r.map_begin()?;
         let mut order = MapOrder::default();
-        let pairs = r.read_string_pairs(count, |key, value, encoded| {
-            if keeps {
-                order.pair(key, value, encoded)
-            }
-        })?;
+        let pairs =
+            r.read_string_pairs(count, |key, value, encoded| order.pair(key, value, encoded))?;
         Ok(Details {
             count,
             pairs,
@@ -429,15 +425,6 @@ pub struct EventRow<'a> {
     pub(crate) details: Option<Details<'a>>,
 }
 
-/// The string field at `r`: its text when the reader `keeps` it, else `""`
-/// once it is known to be UTF-8.
-fn text<'a>(r: &mut CompactReader<'a>, keeps: bool) -> ThriftResult<&'a str> {
-    match keeps {
-        true => r.read_string(),
-        false => r.skip_string().map(|()| ""),
-    }
-}
-
 fn declared<T>(field: Option<T>, col: usize) -> WarehouseResult<T> {
     debug_assert!(field.is_some(), "column {col} was not declared");
     field.ok_or(WarehouseError::UnreadColumn(col))
@@ -455,11 +442,9 @@ impl<'a> EventRow<'a> {
     /// are skipped, and a missing required field 1–6 is an error. The
     /// first error in the stream is the one returned.
     ///
-    /// One pass, and no more work than a declared column needs: the name is
-    /// checked in one pass over a byte-class table, the details' UTF-8 once
-    /// a run of pairs ([`CompactReader::read_string_pairs`]) and their map
-    /// order only when they are declared, and a string nobody declared is
-    /// checked to be UTF-8 but not made a `&str`.
+    /// One pass: the name is checked in one pass over a byte-class table
+    /// and the details' UTF-8 once a run of pairs
+    /// ([`CompactReader::read_string_pairs`]).
     pub fn read(
         r: &mut CompactReader<'a>,
         columns: &EventColumns,
@@ -489,11 +474,11 @@ impl<'a> EventRow<'a> {
                     USER_COLUMN
                 }
                 4 => {
-                    session_id = Some(text(r, columns[SESSION_COLUMN])?);
+                    session_id = Some(r.read_string()?);
                     SESSION_COLUMN
                 }
                 5 => {
-                    ip = Some(text(r, columns[IP_COLUMN])?);
+                    ip = Some(r.read_string()?);
                     IP_COLUMN
                 }
                 6 => {
@@ -501,7 +486,7 @@ impl<'a> EventRow<'a> {
                     TIMESTAMP_COLUMN
                 }
                 7 => {
-                    details = Details::read(r, columns[6])?;
+                    details = Details::read(r)?;
                     6
                 }
                 _ => {

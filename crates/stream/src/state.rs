@@ -37,11 +37,17 @@ fn client(name: &str) -> &str {
     name.split(':').next().expect("split yields a first part")
 }
 
-/// Adds counts sorted by key, one a key, to `map`; an empty map — every map
-/// of a fresh state — is built from them in one go.
-fn add_sorted<'k>(map: &mut BTreeMap<String, u64>, counts: impl Iterator<Item = (&'k str, u64)>) {
+/// Adds `counts` to `map`. Each key comes at most once, in any order: an
+/// empty map — every map of a fresh state — is built from them in one go,
+/// where a repeated key would keep only its last count.
+fn add_counts<'k>(map: &mut BTreeMap<String, u64>, counts: impl Iterator<Item = (&'k str, u64)>) {
     if map.is_empty() {
-        *map = counts.map(|(key, n)| (key.to_string(), n)).collect();
+        let mut added = 0;
+        *map = counts
+            .inspect(|_| added += 1)
+            .map(|(key, n)| (key.to_string(), n))
+            .collect();
+        debug_assert_eq!(map.len(), added, "a key came twice");
         return;
     }
     for (key, n) in counts {
@@ -119,9 +125,10 @@ impl StreamState {
         }
         let mut batch: Vec<(&str, u64)> = batch.into_iter().collect();
         batch.sort_unstable();
-        add_sorted(&mut self.by_name, batch.iter().copied());
-        // Names sharing a client are adjacent in name order.
-        add_sorted(
+        add_counts(&mut self.by_name, batch.iter().copied());
+        // Names sharing a client share the prefix "client:", so they are
+        // adjacent in name order and each client makes one run.
+        add_counts(
             &mut self.by_client,
             batch
                 .chunk_by(|a, b| client(a.0) == client(b.0))
@@ -164,8 +171,8 @@ impl StreamState {
         self.events += other.events;
         self.malformed += other.malformed;
         let counts = |(key, n): (&'o String, &u64)| (key.as_str(), *n);
-        add_sorted(&mut self.by_name, other.by_name.iter().map(counts));
-        add_sorted(&mut self.by_client, other.by_client.iter().map(counts));
+        add_counts(&mut self.by_name, other.by_name.iter().map(counts));
+        add_counts(&mut self.by_client, other.by_client.iter().map(counts));
         self.users.merge(&other.users);
         self.trending.merge(&other.trending);
         self.payload_bytes.merge(&other.payload_bytes);
@@ -268,6 +275,26 @@ mod tests {
             s.trending().top()[0].0,
             b"web:home:timeline:tweet:avatar:click".to_vec()
         );
+    }
+
+    #[test]
+    fn a_client_that_sorts_between_another_clients_names_counts_once() {
+        // "a0:…" sorts before "a:…" ('0' < ':') though "a0" sorts after "a".
+        let payloads = [
+            event("a:home:timeline:tweet:avatar:click", 1, 1000),
+            event("a0:home:timeline:tweet:avatar:click", 2, 2000),
+            event("a:search:results:query:box:submit", 3, 3000),
+            event("a0:search:results:query:box:submit", 4, 4000),
+            event("a0:search:results:query:box:submit", 5, 5000),
+        ];
+        let mut s = StreamState::new(3);
+        s.fold(&payloads);
+        let by_client: Vec<(&str, u64)> = s
+            .by_client()
+            .iter()
+            .map(|(k, n)| (k.as_str(), *n))
+            .collect();
+        assert_eq!(by_client, [("a", 2), ("a0", 3)]);
     }
 
     #[test]

@@ -495,14 +495,6 @@ impl<'a> CompactReader<'a> {
         std::str::from_utf8(bytes).map_err(|_| ThriftError::InvalidUtf8)
     }
 
-    /// Reads a string as [`read_string`](Self::read_string) does, failing
-    /// as it fails, without handing it out: its bytes are only checked to
-    /// be UTF-8.
-    #[inline]
-    pub fn skip_string(&mut self) -> ThriftResult<()> {
-        utf8(self.read_bytes()?)
-    }
-
     /// Reads `count` key/value string pairs, the body of a string→string
     /// map after [`map_begin`](Self::map_begin), accepting and rejecting
     /// exactly as `count` × two [`read_string`](Self::read_string) calls
