@@ -6,17 +6,20 @@
 //! cargo run --release -p uli-bench --bin repro -- --smoke e19 e20
 //! ```
 //!
-//! `--smoke` runs the sweep experiments at reduced scale (small day, two
-//! worker counts) for CI; smoke runs never overwrite the BENCH_*.json
-//! artifacts. `--scale
+//! `--smoke` runs the measured experiments (E16–E23) on the pinned smoke
+//! day and seeds and writes their metrics to `target/<id>_smoke.metrics.json`
+//! for CI's golden diff; smoke runs never overwrite the BENCH_*.json
+//! artifacts, which full runs write in the current directory. `--scale
 //! {smoke,default,1m}` sizes E20's synthetic day (default `1m`: one
 //! million users, >10M events) and `--mem-budget <bytes>` overrides the
 //! memory budget of E20's tight query arms (the other arm of each query
 //! runs at the engine's default, 64 MiB); smoke E20 ignores both so the CI
-//! golden stays fixed.
+//! golden stays fixed. Any experiment's failed gate makes the exit status
+//! nonzero.
 
 use std::process::ExitCode;
 
+use uli_bench::{harness, Run, ALL_EXPERIMENTS};
 use uli_workload::Scale;
 
 fn main() -> ExitCode {
@@ -69,369 +72,46 @@ fn main() -> ExitCode {
             named.push(a);
         }
     }
+    let run = Run {
+        smoke,
+        scale: if smoke { Scale::Smoke } else { scale },
+        mem_budget: mem_budget.filter(|_| !smoke),
+    };
     let ids: Vec<&str> = if named.is_empty() || named.contains(&"all") {
-        uli_bench::ALL_EXPERIMENTS.to_vec()
+        ALL_EXPERIMENTS.to_vec()
     } else {
         named
     };
     let mut failed = false;
     for id in ids {
-        if id == "e16" {
-            // The chaos sweep scales by seed count; smoke keeps CI fast
-            // while still exercising the checker and the negative control.
-            use uli_bench::experiments::e16_chaos as e16;
-            let report = if smoke { e16::run_with(8) } else { e16::run() };
-            println!("{}", "=".repeat(74));
-            println!("{report}");
+        let Some(outcome) = uli_bench::run_experiment(id, &run) else {
+            eprintln!(
+                "unknown experiment {id:?}; valid: {} or 'all'",
+                ALL_EXPERIMENTS.join(", ")
+            );
+            failed = true;
             continue;
+        };
+        println!("{}", "=".repeat(74));
+        println!("{}", outcome.report);
+        for (message, passed) in &outcome.gates {
+            if !passed {
+                eprintln!("{id}: {message}");
+                failed = true;
+            }
         }
-        if id == "e17" {
-            // The observability sweep gates on its own invariants:
-            // cross-layer reconciliation, worker-invariant snapshots, and a
-            // clean duplicate-registration list. Smoke writes the snapshot
-            // CI diffs against the checked-in golden file; full scale
-            // persists BENCH_obs.json.
-            use uli_bench::experiments::e17_obs as e17;
-            let m = if smoke {
-                e17::smoke_snapshot()
-            } else {
-                e17::measure()
-            };
-            println!("{}", "=".repeat(74));
-            println!("{}", e17::render(&m));
-            if !m.reconciled {
-                eprintln!("e17: cross-layer totals did not reconcile");
-                failed = true;
-            }
-            if !m.snapshots_identical {
-                eprintln!("e17: snapshot differs across worker counts");
-                failed = true;
-            }
-            if !m.duplicates_clean {
-                eprintln!("e17: duplicate metric registrations found");
-                failed = true;
-            }
-            let (path, payload) = if smoke {
-                (
-                    "target/e17_smoke.metrics.json",
-                    m.samples[0].snapshot_json.clone(),
-                )
-            } else {
-                ("BENCH_obs.json", e17::to_json(&m))
-            };
-            match std::fs::write(path, payload) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    failed = true;
-                }
-            }
+        let Some(metrics) = outcome.metrics else {
             continue;
-        }
-        if id == "e18" {
-            // The ingest ablation gates on its own invariants: batching
-            // must not change the landed bytes, and the streaming
-            // compressor must match one-shot compression exactly. Smoke
-            // writes the metrics CI diffs against the checked-in golden
-            // file; full scale persists BENCH_ingest.json.
-            use uli_bench::experiments::e18_ingest as e18;
-            let m = if smoke {
-                e18::smoke_snapshot()
-            } else {
-                e18::measure()
-            };
-            println!("{}", "=".repeat(74));
-            println!("{}", e18::render(&m));
-            if !m.landed_identical {
-                eprintln!("e18: batching changed the landed warehouse bytes");
-                failed = true;
-            }
-            if !m.streaming_matches_oneshot {
-                eprintln!("e18: streaming compression diverged from one-shot");
-                failed = true;
-            }
-            let (path, payload) = if smoke {
-                ("target/e18_smoke.metrics.json", e18::to_json(&m))
-            } else {
-                ("BENCH_ingest.json", e18::to_json(&m))
-            };
-            match std::fs::write(path, payload) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    failed = true;
-                }
-            }
-            continue;
-        }
-        if id == "e19" {
-            // The columnar ablation gates on its own invariants: identical
-            // rows across every arm and worker count, and the ≥4x
-            // decoded-bytes drop vs row-pushdown. Smoke writes the
-            // machine-independent metrics CI diffs against the checked-in
-            // golden file; full scale persists BENCH_columnar.json.
-            use uli_bench::experiments::e19_columnar as e19;
-            let m = if smoke {
-                e19::smoke_snapshot()
-            } else {
-                e19::measure()
-            };
-            println!("{}", "=".repeat(74));
-            println!("{}", e19::render(&m));
-            if !m.outputs_identical {
-                eprintln!("e19: columnar arms diverged from the row reference");
-                failed = true;
-            }
-            if m.decoded_bytes_ratio < 4.0 {
-                eprintln!(
-                    "e19: columnar+dict decoded-bytes drop below 4x ({:.2}x)",
-                    m.decoded_bytes_ratio
-                );
-                failed = true;
-            }
-            if m.projection_bytes_ratio > e19::PROJECTION_GATE {
-                eprintln!(
-                    "e19: events-per-user decodes {:.4} of its full-width bytes (gate {})",
-                    m.projection_bytes_ratio,
-                    e19::PROJECTION_GATE
-                );
-                failed = true;
-            }
-            let (path, payload) = if smoke {
-                ("target/e19_smoke.metrics.json", e19::to_json(&m))
-            } else {
-                ("BENCH_columnar.json", e19::to_json(&m))
-            };
-            match std::fs::write(path, payload) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    failed = true;
-                }
-            }
-            continue;
-        }
-        if id == "e20" {
-            // The scale run gates on the bounded-memory invariants: tight
-            // arms byte-identical to the default-budget arms, spills
-            // actually exercised, every stage's high-water mark under its
-            // budget, pass 2's part files byte-identical at the default and
-            // the tight budget, and (at 1m) the process under its
-            // resident-memory ceiling. Smoke pins the scale and budgets so
-            // the golden file stays fixed; full scale persists
-            // BENCH_scale.json.
-            use uli_bench::experiments::e20_scale as e20;
-            let m = if smoke {
-                e20::smoke_snapshot()
-            } else {
-                e20::measure_at(scale, mem_budget)
-            };
-            println!("{}", "=".repeat(74));
-            println!("{}", e20::render(&m));
-            if !m.queries_identical {
-                eprintln!("e20: tight-budget query rows diverged from the default budget's");
-                failed = true;
-            }
-            if !m.mat_identical {
-                eprintln!(
-                    "e20: pass 2's part files differ between the default and the tight budget"
-                );
-                failed = true;
-            }
-            if m.mat_tight.spill_runs == 0 || m.tight_query_spill_runs() == 0 {
-                eprintln!("e20: a tightly budgeted stage never spilled — budgets too generous");
-                failed = true;
-            }
-            let ceiling = e20::ONE_M_PEAK_RSS_CEILING_MB;
-            if let Some(rss) = m
-                .peak_rss_mb
-                .filter(|rss| m.scale == "1m" && *rss > ceiling)
-            {
-                eprintln!(
-                    "e20: peak resident memory {rss:.0} MB is over the {ceiling:.0} MB ceiling"
-                );
-                failed = true;
-            }
-            if !m.peaks_within_budget() {
-                eprintln!("e20: a stage's memory high-water mark exceeded its budget");
-                failed = true;
-            }
-            let (path, payload) = if smoke {
-                ("target/e20_smoke.metrics.json", e20::to_json(&m))
-            } else {
-                ("BENCH_scale.json", e20::to_json(&m))
-            };
-            match std::fs::write(path, payload) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    failed = true;
-                }
-            }
-            continue;
-        }
-        if id == "e21" {
-            // The lambda run gates on its own invariants: streaming views
-            // identical across worker counts and equal to batch (exactly
-            // for exact aggregates, within bounds for sketches), and chaos
-            // streaming totals equal to the audited delivered partition.
-            // Smoke pins the day and seed count so the golden stays fixed;
-            // full scale persists BENCH_stream.json with host cores.
-            use uli_bench::experiments::e21_stream as e21;
-            let m = if smoke {
-                e21::smoke_snapshot()
-            } else {
-                e21::measure()
-            };
-            println!("{}", "=".repeat(74));
-            println!("{}", e21::render(&m));
-            if !m.shard_invariant {
-                eprintln!("e21: streaming views diverged across worker counts");
-                failed = true;
-            }
-            if !m.streaming_matches_batch {
-                eprintln!("e21: streaming did not converge to batch");
-                failed = true;
-            }
-            if !(m.hll_within_bound && m.topk_within_bound && m.percentile_within_bound) {
-                eprintln!("e21: a sketch left its declared error bound");
-                failed = true;
-            }
-            if !m.chaos_reconciled {
-                eprintln!("e21: chaos streaming totals diverged from the delivered partition");
-                failed = true;
-            }
-            let (path, payload) = if smoke {
-                ("target/e21_smoke.metrics.json", e21::to_json(&m))
-            } else {
-                ("BENCH_stream.json", e21::to_json(&m))
-            };
-            match std::fs::write(path, payload) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    failed = true;
-                }
-            }
-            continue;
-        }
-        if id == "e22" {
-            // The serving-layer run gates on its own invariants: every
-            // point-lookup answer byte-identical to the batch engine at
-            // every worker count, a >=50x decoded-bytes reduction over
-            // the suite, the serve/* registry reconciling against the
-            // maintainer state, and chaos indexes (with crash-window
-            // injection) accounting for exactly the delivered partition.
-            // Smoke pins the day and seed count so the golden stays
-            // fixed; full scale persists BENCH_serve.json.
-            use uli_bench::experiments::e22_serve as e22;
-            let m = if smoke {
-                e22::smoke_snapshot()
-            } else {
-                e22::measure()
-            };
-            println!("{}", "=".repeat(74));
-            println!("{}", e22::render(&m));
-            if !m.answers_match {
-                eprintln!("e22: a serving answer diverged from the batch engine");
-                failed = true;
-            }
-            if m.decoded_bytes_ratio < 50.0 {
-                eprintln!(
-                    "e22: decoded-bytes reduction {:.1}x under the 50x gate",
-                    m.decoded_bytes_ratio
-                );
-                failed = true;
-            }
-            if m.index_lag_hours != 0 {
-                eprintln!(
-                    "e22: index lag {} hours after the day landed",
-                    m.index_lag_hours
-                );
-                failed = true;
-            }
-            if !m.obs_reconciled {
-                eprintln!("e22: serve/* registry metrics diverged from maintainer state");
-                failed = true;
-            }
-            if !m.chaos_consistent {
-                eprintln!("e22: chaos indexes diverged from the delivered partition");
-                failed = true;
-            }
-            let (path, payload) = if smoke {
-                ("target/e22_smoke.metrics.json", e22::to_json(&m))
-            } else {
-                ("BENCH_serve.json", e22::to_json(&m))
-            };
-            match std::fs::write(path, payload) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    failed = true;
-                }
-            }
-            continue;
-        }
-        if id == "e23" {
-            // The delivery run gates on its own invariants: landed files,
-            // seen-set, and tap dispatch byte-identical to the serial
-            // mover at workers {1,4,8}; the chaos sweep clean and
-            // identical to serial with the 8-worker mover; and >=3x
-            // speedup at 8 workers (cost-model basis on single-core
-            // hosts, per the honesty convention). Smoke pins the day and
-            // seed count so the golden stays fixed; full scale drives the
-            // 1m-user day and persists BENCH_delivery.json.
-            use uli_bench::experiments::e23_delivery as e23;
-            let m = if smoke {
-                e23::smoke_snapshot()
-            } else {
-                e23::measure()
-            };
-            println!("{}", "=".repeat(74));
-            println!("{}", e23::render(&m));
-            if !m.identical_across_workers {
-                eprintln!("e23: parallel delivery diverged from serial");
-                failed = true;
-            }
-            if !m.chaos_clean {
-                eprintln!("e23: a chaos seed violated a delivery invariant");
-                failed = true;
-            }
-            if !m.chaos_matches_serial {
-                eprintln!("e23: parallel chaos outcome diverged from serial");
-                failed = true;
-            }
-            if m.gate_speedup_at_8 < 3.0 {
-                eprintln!(
-                    "e23: speedup at 8 workers {:.2}x under the 3x gate",
-                    m.gate_speedup_at_8
-                );
-                failed = true;
-            }
-            let (path, payload) = if smoke {
-                ("target/e23_smoke.metrics.json", e23::to_json(&m))
-            } else {
-                ("BENCH_delivery.json", e23::to_json(&m))
-            };
-            match std::fs::write(path, payload) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    failed = true;
-                }
-            }
-            continue;
-        }
-        match uli_bench::run_experiment(id) {
-            Some(report) => {
-                println!("{}", "=".repeat(74));
-                println!("{report}");
-            }
-            None => {
-                eprintln!(
-                    "unknown experiment {id:?}; valid: {} or 'all'",
-                    uli_bench::ALL_EXPERIMENTS.join(", ")
-                );
+        };
+        let path = if smoke {
+            format!("target/{id}_smoke.metrics.json")
+        } else {
+            metrics.bench_file.to_string()
+        };
+        match std::fs::write(&path, harness::envelope(&metrics, smoke)) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => {
+                eprintln!("could not write {path}: {e}");
                 failed = true;
             }
         }

@@ -15,9 +15,11 @@ use uli_scribe::{run_chaos, run_chaos_with, ChaosConfig, FaultConfig, Sabotage};
 use crate::cells;
 use crate::harness::Table;
 
-/// Sweeps `seeds` chaos schedules; panics (failing `repro`) on any
-/// invariant violation. Returns the rendered report.
-pub fn run_with(seeds: u64) -> String {
+/// Sweeps 32 chaos schedules (8 for a smoke run, which keeps CI fast while
+/// still exercising the checker and the negative control); panics (failing
+/// `repro`) on any invariant violation. Returns the rendered report.
+pub fn measure(smoke: bool) -> String {
+    let seeds: u64 = if smoke { 8 } else { 32 };
     let cfg = ChaosConfig::default();
     let mut out = format!(
         "E16 — chaos sweep over the Scribe delivery path (§2)\n\
@@ -101,9 +103,4 @@ pub fn run_with(seeds: u64) -> String {
             .unwrap_or("<none>")
     ));
     out
-}
-
-/// Runs the experiment at full scale.
-pub fn run() -> String {
-    run_with(32)
 }

@@ -30,8 +30,8 @@ use uli_scribe::{LogEntry, ScribePipeline};
 use uli_thrift::ThriftRecord;
 use uli_workload::{generate_day, WorkloadConfig};
 
-use crate::cells;
 use crate::harness::Table;
+use crate::{cells, Measured, Metrics};
 
 /// One run of the instrumented day at a fixed worker count.
 pub struct ObsSample {
@@ -71,9 +71,6 @@ pub struct Measurements {
     pub reconciled: bool,
     /// True when no sample recorded a duplicate metric registration.
     pub duplicates_clean: bool,
-    /// Hardware threads on the measuring host; `None` for smoke runs (the
-    /// CI-diffed smoke snapshot must stay machine-independent).
-    pub cores: Option<usize>,
 }
 
 /// Drives one instrumented day: Scribe delivery with E1's fault plan, the
@@ -196,20 +193,18 @@ fn run_once(users: u64, workers: usize) -> ObsSample {
     }
 }
 
-/// Runs the sweep at full scale.
-pub fn measure() -> Measurements {
-    let mut m = measure_with(300, &[1, 4, 8]);
-    m.cores = Some(crate::harness::detected_cores());
-    m
-}
-
-/// The sweep at a chosen scale — `--smoke` uses a small day and two worker
-/// counts; CI golden-diffs the smoke snapshot.
-pub fn measure_with(users: u64, worker_counts: &[usize]) -> Measurements {
-    let mut samples = Vec::new();
-    for &workers in worker_counts {
-        samples.push(run_once(users, workers));
-    }
+/// Runs the sweep: 300 users at workers {1, 4, 8}, or for a smoke run the
+/// 120-user day at workers {1, 2}, whose snapshot CI golden-diffs.
+pub fn measure(smoke: bool) -> Measurements {
+    let (users, worker_counts): (u64, &[usize]) = if smoke {
+        (120, &[1, 2])
+    } else {
+        (300, &[1, 4, 8])
+    };
+    let samples: Vec<ObsSample> = worker_counts
+        .iter()
+        .map(|&workers| run_once(users, workers))
+        .collect();
     let snapshots_identical = samples
         .windows(2)
         .all(|w| w[0].snapshot_json == w[1].snapshot_json);
@@ -224,102 +219,118 @@ pub fn measure_with(users: u64, worker_counts: &[usize]) -> Measurements {
         snapshots_identical,
         reconciled,
         duplicates_clean,
-        cores: None,
     }
 }
 
-/// Renders the sweep as the experiment table.
-pub fn render(m: &Measurements) -> String {
-    let mut out = String::from(
-        "E17 — unified observability: one registry across scribe, warehouse,\n\
-         oink, and dataflow; E1 fault plan; Oink-scheduled mover + daily jobs\n\n",
-    );
-    let mut t = Table::new(&[
-        "workers",
-        "logged",
-        "moved",
-        "crash-lost",
-        "scanned",
-        "counted",
-        "sessions",
-        "mover-failures",
-        "snapshot-bytes",
-    ]);
-    for s in &m.samples {
-        t.row(cells![
-            s.workers,
-            s.logged,
-            s.moved,
-            s.crash_lost,
-            s.scanned,
-            s.counted,
-            s.sessions,
-            s.oink_failures,
-            s.snapshot_json.len()
+impl Measured for Measurements {
+    fn render(&self) -> String {
+        let m = self;
+        let mut out = String::from(
+            "E17 — unified observability: one registry across scribe, warehouse,\n\
+             oink, and dataflow; E1 fault plan; Oink-scheduled mover + daily jobs\n\n",
+        );
+        let mut t = Table::new(&[
+            "workers",
+            "logged",
+            "moved",
+            "crash-lost",
+            "scanned",
+            "counted",
+            "sessions",
+            "mover-failures",
+            "snapshot-bytes",
         ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\nreconciled (logged == scanned + crash-lost + dropped): {}\n\
-         snapshots byte-identical across worker counts: {}\n\
-         duplicate registrations: {}\n\ncritical path (workers={}):\n{}",
-        m.reconciled,
-        m.snapshots_identical,
-        if m.duplicates_clean { "none" } else { "FOUND" },
-        m.samples[0].workers,
-        m.samples[0].critical_path,
-    ));
-    out
-}
-
-/// Serializes the sweep as the `BENCH_obs.json` payload. The first
-/// sample's full snapshot is embedded verbatim (it is byte-identical to
-/// every other sample's whenever `snapshots_identical` holds).
-pub fn to_json(m: &Measurements) -> String {
-    let mut rows = Vec::new();
-    for s in &m.samples {
-        rows.push(format!(
-            "    {{\"workers\": {}, \"logged\": {}, \"moved\": {}, \"crash_lost\": {}, \
-             \"scanned\": {}, \"counted\": {}, \"sessions\": {}, \"oink_failures\": {}}}",
-            s.workers,
-            s.logged,
-            s.moved,
-            s.crash_lost,
-            s.scanned,
-            s.counted,
-            s.sessions,
-            s.oink_failures
+        for s in &m.samples {
+            t.row(cells![
+                s.workers,
+                s.logged,
+                s.moved,
+                s.crash_lost,
+                s.scanned,
+                s.counted,
+                s.sessions,
+                s.oink_failures,
+                s.snapshot_json.len()
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push_str(&format!(
+            "\nreconciled (logged == scanned + crash-lost + dropped): {}\n\
+             snapshots byte-identical across worker counts: {}\n\
+             duplicate registrations: {}\n\ncritical path (workers={}):\n{}",
+            m.reconciled,
+            m.snapshots_identical,
+            if m.duplicates_clean { "none" } else { "FOUND" },
+            m.samples[0].workers,
+            m.samples[0].critical_path,
         ));
+        out
     }
-    let snapshot = m.samples[0]
-        .snapshot_json
-        .lines()
-        .collect::<Vec<_>>()
-        .join("\n  ");
-    let cores = m
-        .cores
-        .map_or(String::new(), |c| format!("  \"cores\": {c},\n"));
-    format!(
-        "{{\n  \"experiment\": \"obs\",\n{}  \"reconciled\": {},\n  \
-         \"snapshots_identical\": {},\n  \"duplicates_clean\": {},\n  \
-         \"samples\": [\n{}\n  ],\n  \"snapshot\": {}\n}}\n",
-        cores,
-        m.reconciled,
-        m.snapshots_identical,
-        m.duplicates_clean,
-        rows.join(",\n"),
-        snapshot
-    )
-}
 
-/// The smoke-scale snapshot CI diffs against the checked-in golden file.
-pub fn smoke_snapshot() -> Measurements {
-    measure_with(120, &[1, 2])
-}
+    fn gates(&self) -> Vec<(String, bool)> {
+        vec![
+            (
+                "cross-layer totals did not reconcile".into(),
+                self.reconciled,
+            ),
+            (
+                "snapshot differs across worker counts".into(),
+                self.snapshots_identical,
+            ),
+            (
+                "duplicate metric registrations found".into(),
+                self.duplicates_clean,
+            ),
+        ]
+    }
 
-/// Runs the experiment.
-pub fn run() -> String {
-    render(&measure())
+    /// The first sample's registry snapshot, byte-identical to every other
+    /// sample's whenever `snapshots_identical` holds: on a smoke run the
+    /// file is the snapshot, on a full run the sweep's verdicts and samples
+    /// come ahead of its members.
+    fn metrics(&self, smoke: bool) -> Metrics {
+        let snapshot = self.samples[0]
+            .snapshot_json
+            .strip_prefix("{\n  \"schema\": \"uli-obs-v1\",\n")
+            .and_then(|s| s.strip_suffix("\n}\n"))
+            .expect("a uli-obs-v1 export");
+        let body = if smoke {
+            snapshot.to_string()
+        } else {
+            let rows: Vec<String> = self
+                .samples
+                .iter()
+                .map(|s| {
+                    format!(
+                        "    {{\"workers\": {}, \"logged\": {}, \"moved\": {}, \"crash_lost\": {}, \
+                         \"scanned\": {}, \"counted\": {}, \"sessions\": {}, \"oink_failures\": {}}}",
+                        s.workers,
+                        s.logged,
+                        s.moved,
+                        s.crash_lost,
+                        s.scanned,
+                        s.counted,
+                        s.sessions,
+                        s.oink_failures
+                    )
+                })
+                .collect();
+            format!(
+                "  \"reconciled\": {},\n  \"snapshots_identical\": {},\n  \
+                 \"duplicates_clean\": {},\n  \"samples\": [\n{}\n  ],\n{snapshot}",
+                self.reconciled,
+                self.snapshots_identical,
+                self.duplicates_clean,
+                rows.join(",\n"),
+            )
+        };
+        Metrics {
+            experiment: (!smoke).then_some("obs"),
+            schema: "uli-obs-v1",
+            body,
+            bench_file: "BENCH_obs.json",
+        }
+    }
 }
 
 #[cfg(test)]
@@ -328,7 +339,7 @@ mod tests {
 
     #[test]
     fn snapshots_reconcile_and_are_worker_invariant() {
-        let m = measure_with(60, &[1, 4, 8]);
+        let m = measure(true);
         assert!(m.reconciled, "cross-layer totals must reconcile");
         assert!(
             m.snapshots_identical,
@@ -343,12 +354,11 @@ mod tests {
             m.samples.iter().all(|s| s.oink_failures > 0),
             "the staging outage must make the mover retry"
         );
-        assert_eq!(
-            m.samples[0].critical_path, m.samples[2].critical_path,
-            "critical-path report must be identical at 1 and 8 workers"
+        assert!(
+            m.samples
+                .windows(2)
+                .all(|w| w[0].critical_path == w[1].critical_path),
+            "critical-path report must not depend on worker count"
         );
-        let json = to_json(&m);
-        assert!(json.contains("\"experiment\": \"obs\""));
-        assert!(json.contains("\"schema\": \"uli-obs-v1\""));
     }
 }

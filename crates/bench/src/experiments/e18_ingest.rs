@@ -27,8 +27,8 @@ use uli_thrift::ThriftRecord;
 use uli_warehouse::compress::{compress, Compressor};
 use uli_workload::{generate_day, WorkloadConfig};
 
-use crate::cells;
 use crate::harness::Table;
+use crate::{cells, Measured, Metrics};
 
 /// Replay block size for the streaming-vs-one-shot comparison, roughly the
 /// warehouse's block granularity.
@@ -81,9 +81,6 @@ pub struct Measurements {
     pub landed_identical: bool,
     /// True when the streaming compressor matched one-shot everywhere.
     pub streaming_matches_oneshot: bool,
-    /// Hardware threads on the measuring host; `None` for smoke runs (the
-    /// CI-diffed smoke metrics must stay machine-independent).
-    pub cores: Option<usize>,
 }
 
 /// The ablation grid: the unbatched baseline plus three batch sizes under
@@ -219,16 +216,10 @@ fn run_once(users: u64, label: &str, batch: BatchPolicy) -> IngestSample {
     }
 }
 
-/// Runs the ablation at full scale.
-pub fn measure() -> Measurements {
-    let mut m = measure_with(300);
-    m.cores = Some(crate::harness::detected_cores());
-    m
-}
-
-/// The ablation at a chosen day size — `--smoke` uses a small day; CI
-/// golden-diffs the smoke metrics.
-pub fn measure_with(users: u64) -> Measurements {
+/// Runs the ablation over a 300-user day, or for a smoke run the 120-user
+/// day whose metrics CI golden-diffs.
+pub fn measure(smoke: bool) -> Measurements {
+    let users = if smoke { 120 } else { 300 };
     let samples: Vec<IngestSample> = grid()
         .into_iter()
         .map(|(label, batch)| run_once(users, &label, batch))
@@ -239,115 +230,120 @@ pub fn measure_with(users: u64) -> Measurements {
         samples,
         landed_identical,
         streaming_matches_oneshot,
-        cores: None,
     }
 }
 
-/// Renders the ablation as the experiment table.
-pub fn render(m: &Measurements) -> String {
-    let mut out = String::from(
-        "E18 — ingest fast path: message batching x streaming compression;\n\
-         fault-free day, landed files gated byte-identical across settings\n\n",
-    );
-    let mut t = Table::new(&[
-        "policy",
-        "logged",
-        "messages",
-        "wire-bytes",
-        "avg-batch",
-        "alloc-legacy",
-        "alloc-scratch",
-        "compress-in",
-        "compress-out",
-    ]);
-    for s in &m.samples {
-        t.row(cells![
-            s.label,
-            s.logged,
-            s.network_messages,
-            s.wire_bytes,
-            format!("{:.1}", s.avg_batch),
-            s.enc_alloc_legacy,
-            s.enc_alloc_scratch,
-            s.compress_bytes_in,
-            s.compress_bytes_out
+impl Measured for Measurements {
+    fn render(&self) -> String {
+        let m = self;
+        let mut out = String::from(
+            "E18 — ingest fast path: message batching x streaming compression;\n\
+             fault-free day, landed files gated byte-identical across settings\n\n",
+        );
+        let mut t = Table::new(&[
+            "policy",
+            "logged",
+            "messages",
+            "wire-bytes",
+            "avg-batch",
+            "alloc-legacy",
+            "alloc-scratch",
+            "compress-in",
+            "compress-out",
         ]);
-    }
-    out.push_str(&t.render());
-    let base = &m.samples[0];
-    let batched = &m.samples[m.samples.len() - 1];
-    out.push_str(&format!(
-        "\nlanded files byte-identical across all settings: {}\n\
-         streaming compressor matches one-shot: {}\n\
-         messages: {} -> {} ({:.1}x fewer at {})\n\
-         encode allocation bytes (cost model): {} -> {} ({:.1}x fewer)\n",
-        m.landed_identical,
-        m.streaming_matches_oneshot,
-        base.network_messages,
-        batched.network_messages,
-        base.network_messages as f64 / batched.network_messages.max(1) as f64,
-        batched.label,
-        base.enc_alloc_legacy,
-        base.enc_alloc_scratch,
-        base.enc_alloc_legacy as f64 / base.enc_alloc_scratch.max(1) as f64,
-    ));
-    out
-}
-
-/// Serializes the ablation as the `BENCH_ingest.json` payload.
-pub fn to_json(m: &Measurements) -> String {
-    let mut rows = Vec::new();
-    for s in &m.samples {
-        rows.push(format!(
-            "    {{\"policy\": \"{}\", \"max_records\": {}, \"logged\": {}, \
-             \"moved\": {}, \"network_messages\": {}, \"wire_bytes\": {}, \
-             \"batches_sent\": {}, \"avg_batch\": {:.2}, \"retried\": {}, \
-             \"enc_alloc_legacy\": {}, \"enc_alloc_scratch\": {}, \
-             \"compress_bytes_in\": {}, \"compress_blocks\": {}, \
-             \"compress_bytes_out\": {}}}",
-            s.label,
-            s.max_records,
-            s.logged,
-            s.moved,
-            s.network_messages,
-            s.wire_bytes,
-            s.batches_sent,
-            s.avg_batch,
-            s.retried,
-            s.enc_alloc_legacy,
-            s.enc_alloc_scratch,
-            s.compress_bytes_in,
-            s.compress_blocks,
-            s.compress_bytes_out,
+        for s in &m.samples {
+            t.row(cells![
+                s.label,
+                s.logged,
+                s.network_messages,
+                s.wire_bytes,
+                format!("{:.1}", s.avg_batch),
+                s.enc_alloc_legacy,
+                s.enc_alloc_scratch,
+                s.compress_bytes_in,
+                s.compress_bytes_out
+            ]);
+        }
+        out.push_str(&t.render());
+        let base = &m.samples[0];
+        let batched = &m.samples[m.samples.len() - 1];
+        out.push_str(&format!(
+            "\nlanded files byte-identical across all settings: {}\n\
+             streaming compressor matches one-shot: {}\n\
+             messages: {} -> {} ({:.1}x fewer at {})\n\
+             encode allocation bytes (cost model): {} -> {} ({:.1}x fewer)\n",
+            m.landed_identical,
+            m.streaming_matches_oneshot,
+            base.network_messages,
+            batched.network_messages,
+            base.network_messages as f64 / batched.network_messages.max(1) as f64,
+            batched.label,
+            base.enc_alloc_legacy,
+            base.enc_alloc_scratch,
+            base.enc_alloc_legacy as f64 / base.enc_alloc_scratch.max(1) as f64,
         ));
+        out
     }
-    let base = &m.samples[0];
-    let batched = &m.samples[m.samples.len() - 1];
-    let cores = m
-        .cores
-        .map_or(String::new(), |c| format!("  \"cores\": {c},\n"));
-    format!(
-        "{{\n  \"experiment\": \"ingest\",\n  \"schema\": \"uli-ingest-v1\",\n\
-         {}  \"landed_identical\": {},\n  \"streaming_matches_oneshot\": {},\n  \
-         \"message_reduction\": {:.2},\n  \"alloc_reduction\": {:.2},\n  \
-         \"samples\": [\n{}\n  ]\n}}\n",
-        cores,
-        m.landed_identical,
-        m.streaming_matches_oneshot,
-        base.network_messages as f64 / batched.network_messages.max(1) as f64,
-        base.enc_alloc_legacy as f64 / base.enc_alloc_scratch.max(1) as f64,
-        rows.join(",\n"),
-    )
-}
 
-/// The smoke-scale metrics CI diffs against the checked-in golden file.
-pub fn smoke_snapshot() -> Measurements {
-    measure_with(120)
-}
+    fn gates(&self) -> Vec<(String, bool)> {
+        vec![
+            (
+                "batching changed the landed warehouse bytes".into(),
+                self.landed_identical,
+            ),
+            (
+                "streaming compression diverged from one-shot".into(),
+                self.streaming_matches_oneshot,
+            ),
+        ]
+    }
 
-/// Runs the experiment.
-pub fn run() -> String {
-    render(&measure())
+    fn metrics(&self, _smoke: bool) -> Metrics {
+        let m = self;
+        let mut rows = Vec::new();
+        for s in &m.samples {
+            rows.push(format!(
+                "    {{\"policy\": \"{}\", \"max_records\": {}, \"logged\": {}, \
+                 \"moved\": {}, \"network_messages\": {}, \"wire_bytes\": {}, \
+                 \"batches_sent\": {}, \"avg_batch\": {:.2}, \"retried\": {}, \
+                 \"enc_alloc_legacy\": {}, \"enc_alloc_scratch\": {}, \
+                 \"compress_bytes_in\": {}, \"compress_blocks\": {}, \
+                 \"compress_bytes_out\": {}}}",
+                s.label,
+                s.max_records,
+                s.logged,
+                s.moved,
+                s.network_messages,
+                s.wire_bytes,
+                s.batches_sent,
+                s.avg_batch,
+                s.retried,
+                s.enc_alloc_legacy,
+                s.enc_alloc_scratch,
+                s.compress_bytes_in,
+                s.compress_blocks,
+                s.compress_bytes_out,
+            ));
+        }
+        let base = &m.samples[0];
+        let batched = &m.samples[m.samples.len() - 1];
+        let body = format!(
+            "  \"landed_identical\": {},\n  \"streaming_matches_oneshot\": {},\n  \
+             \"message_reduction\": {:.2},\n  \"alloc_reduction\": {:.2},\n  \
+             \"samples\": [\n{}\n  ]",
+            m.landed_identical,
+            m.streaming_matches_oneshot,
+            base.network_messages as f64 / batched.network_messages.max(1) as f64,
+            base.enc_alloc_legacy as f64 / base.enc_alloc_scratch.max(1) as f64,
+            rows.join(",\n"),
+        );
+        Metrics {
+            experiment: Some("ingest"),
+            schema: "uli-ingest-v1",
+            body,
+            bench_file: "BENCH_ingest.json",
+        }
+    }
 }
 
 #[cfg(test)]
@@ -356,7 +352,7 @@ mod tests {
 
     #[test]
     fn batching_reduces_cost_without_changing_landed_bytes() {
-        let m = measure_with(60);
+        let m = measure(true);
         assert!(
             m.landed_identical,
             "batching must not change what lands in the warehouse"
@@ -394,8 +390,5 @@ mod tests {
             base.enc_alloc_scratch,
             base.enc_alloc_legacy
         );
-        let json = to_json(&m);
-        assert!(json.contains("\"experiment\": \"ingest\""));
-        assert!(json.contains("\"schema\": \"uli-ingest-v1\""));
     }
 }

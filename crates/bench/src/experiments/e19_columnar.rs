@@ -33,9 +33,10 @@
 //! Rows must be byte-identical across every arm and worker count. The
 //! headline number is *decoded bytes* (`input_bytes_uncompressed`): the
 //! row path charges every decompressed block in full, the columnar path
-//! charges only the column chunks it actually decodes. Timings are
-//! reported both as wall-clock and in deterministic cost-model units
-//! (`CostModel::estimate_ms`), so the comparison survives 1-core CI hosts.
+//! charges only the column chunks it actually decodes. Cost is reported in
+//! the deterministic cost model's units (`CostModel::estimate_ms`), labelled
+//! as a model; the wall-clock of a selective query is the benchmark's
+//! `q_selective_*` metrics.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -50,8 +51,8 @@ use uli_warehouse::compress::compress;
 use uli_warehouse::{ColumnKind, ColumnarFile, HourlyPartition, StoredAs, ValueShape, Warehouse};
 use uli_workload::{generate_day, write_client_events, write_paper_raw_log, WorkloadConfig};
 
-use crate::cells;
-use crate::harness::{detected_cores, timed, Table};
+use crate::harness::Table;
+use crate::{cells, Measured, Metrics};
 
 /// Width of the client-event load schema.
 const WIDTH: u64 = CLIENT_EVENT_SCHEMA.len() as u64;
@@ -86,8 +87,6 @@ pub struct ArmSample {
     pub config: &'static str,
     /// Scan/execute worker count.
     pub workers: usize,
-    /// Query wall-clock, milliseconds (machine-dependent; full runs only).
-    pub query_ms: f64,
     /// Deterministic cost-model estimate for the same job, milliseconds.
     pub cost_model_ms: f64,
     /// Row blocks / column row groups decompressed and scanned.
@@ -137,9 +136,6 @@ pub struct Measurements {
     pub users: u64,
     /// The event name the query selects.
     pub event_name: String,
-    /// Hardware threads on the measuring host; `None` for smoke runs so
-    /// the CI golden stays machine-independent.
-    pub cores: Option<usize>,
 }
 
 /// The selective query: a timestamp window AND one event name, projecting
@@ -293,8 +289,11 @@ pub fn stored_by_column(wh: &Warehouse) -> StoredBytes {
     }
 }
 
-/// Runs the sweep over `users` with the given worker counts.
-pub fn measure_with(users: u64, worker_counts: &[usize]) -> Measurements {
+/// Runs the sweep at workers {1, 4} over a 600-user day, or for a smoke run
+/// the 120-user day whose metrics CI golden-diffs.
+pub fn measure(smoke: bool) -> Measurements {
+    let users = if smoke { 120 } else { 600 };
+    let worker_counts = [1, 4];
     let config = WorkloadConfig {
         users,
         ..Default::default()
@@ -327,12 +326,11 @@ pub fn measure_with(users: u64, worker_counts: &[usize]) -> Measurements {
         let engine = Engine::new(land(arm, &day.events))
             .with_parallelism(Parallelism::fixed(workers))
             .with_pushdown(pushdown);
-        let (result, query_ms) = timed(|| engine.run(plan).expect("runs"));
+        let result = engine.run(plan).expect("runs");
         let s = &result.stats;
         samples.push(ArmSample {
             config,
             workers,
-            query_ms,
             cost_model_ms: result.estimated_cluster_ms,
             input_blocks: s.input_blocks,
             blocks_skipped: s.blocks_skipped,
@@ -348,7 +346,7 @@ pub fn measure_with(users: u64, worker_counts: &[usize]) -> Measurements {
     let mut reference: Option<Vec<Tuple>> = None;
     let mut outputs_identical = true;
     for (label, arm) in ARMS {
-        for &workers in worker_counts {
+        for workers in worker_counts {
             let pushdown = match arm {
                 Arm::RowEager => Pushdown::Eager,
                 _ => Pushdown::On,
@@ -410,99 +408,185 @@ pub fn measure_with(users: u64, worker_counts: &[usize]) -> Measurements {
         outputs_identical,
         users,
         event_name,
-        cores: None,
     }
 }
 
-/// Runs the standard sweep: 600 users, workers {1, 4}, with the host's
-/// core count recorded for the persisted JSON.
-pub fn measure() -> Measurements {
-    let mut m = measure_with(600, &[1, 4]);
-    m.cores = Some(detected_cores());
-    m
-}
-
-/// The smoke-scale sweep CI diffs against the checked-in golden file —
-/// counters only, no wall-clock, no host core count.
-pub fn smoke_snapshot() -> Measurements {
-    measure_with(120, &[1, 4])
-}
-
-/// Renders the sweep as the experiment table.
-pub fn render(m: &Measurements) -> String {
-    let mut out = format!(
-        "E19 — columnar-by-default: timestamp window AND name = {:?}, \
-         project 3 of {WIDTH} columns ({} users)\n\n",
-        m.event_name, m.users
-    );
-    let mut t = Table::new(&[
-        "arm",
-        "workers",
-        "query ms",
-        "cost-model ms",
-        "blocks read",
-        "blocks skipped",
-        "records",
-        "pred-skipped",
-        "decoded bytes",
-        "decoded fields",
-    ]);
-    for s in &m.samples {
-        t.row(cells![
-            s.config,
-            s.workers,
-            format!("{:.1}", s.query_ms),
-            format!("{:.1}", s.cost_model_ms),
-            s.input_blocks,
-            s.blocks_skipped,
-            s.input_records,
-            s.records_skipped_by_predicate,
-            s.input_bytes_uncompressed,
-            s.decoded_fields
+impl Measured for Measurements {
+    fn render(&self) -> String {
+        let m = self;
+        let mut out = format!(
+            "E19 — columnar-by-default: timestamp window AND name = {:?}, \
+             project 3 of {WIDTH} columns ({} users)\n\n",
+            m.event_name, m.users
+        );
+        let mut t = Table::new(&[
+            "arm",
+            "workers",
+            "cost-model ms",
+            "blocks read",
+            "blocks skipped",
+            "records",
+            "pred-skipped",
+            "decoded bytes",
+            "decoded fields",
         ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\ndecoded bytes: row-pushdown / columnar+dict = {:.2}x\n\
-         decoded fields: row-eager / columnar+dict = {:.2}x\n\
-         decoded bytes: events-per-user / its full-width scan = {:.4}\n\
-         outputs identical across all arms and worker counts: {}\n",
-        m.decoded_bytes_ratio, m.decode_work_ratio, m.projection_bytes_ratio, m.outputs_identical
-    ));
-    let records = m.samples[0].input_records.max(1) as f64;
-    out.push_str("\nstored bytes of the default landing, by column (bytes a record):\n");
-    for (column, bytes) in &m.stored_bytes_by_column {
+        for s in &m.samples {
+            t.row(cells![
+                s.config,
+                s.workers,
+                format!("{:.1}", s.cost_model_ms),
+                s.input_blocks,
+                s.blocks_skipped,
+                s.input_records,
+                s.records_skipped_by_predicate,
+                s.input_bytes_uncompressed,
+                s.decoded_fields
+            ]);
+        }
+        out.push_str(&t.render());
         out.push_str(&format!(
-            "  {column:<16} {bytes:>10}  {:>7.2}\n",
-            *bytes as f64 / records
+            "\ndecoded bytes: row-pushdown / columnar+dict = {:.2}x\n\
+             decoded fields: row-eager / columnar+dict = {:.2}x\n\
+             decoded bytes: events-per-user / its full-width scan = {:.4}\n\
+             outputs identical across all arms and worker counts: {}\n",
+            m.decoded_bytes_ratio,
+            m.decode_work_ratio,
+            m.projection_bytes_ratio,
+            m.outputs_identical
         ));
+        let records = m.samples[0].input_records.max(1) as f64;
+        out.push_str("\nstored bytes of the default landing, by column (bytes a record):\n");
+        for (column, bytes) in &m.stored_bytes_by_column {
+            out.push_str(&format!(
+                "  {column:<16} {bytes:>10}  {:>7.2}\n",
+                *bytes as f64 / records
+            ));
+        }
+        out.push_str(&format!(
+            "chunks of a typed column not stored as its kind: {}\n",
+            m.fallback_chunks
+        ));
+        for (column, counts) in &m.i64_layouts {
+            let layouts: Vec<String> = I64_LAYOUTS
+                .iter()
+                .zip(counts)
+                .map(|((layout, _), n)| format!("{n} {layout}"))
+                .collect();
+            out.push_str(&format!("{column} chunks: {}\n", layouts.join(", ")));
+        }
+        out.push_str(&render_value_runs(&m.value_runs, records));
+        out
     }
-    out.push_str(&format!(
-        "chunks of a typed column not stored as its kind: {}\n",
-        m.fallback_chunks
-    ));
-    for (column, counts) in &m.i64_layouts {
-        let layouts: Vec<String> = I64_LAYOUTS
+
+    fn gates(&self) -> Vec<(String, bool)> {
+        vec![
+            ("columnar arms diverged from the row reference".into(), self.outputs_identical),
+            (
+                format!("columnar+dict decoded-bytes drop below 4x ({:.2}x)", self.decoded_bytes_ratio),
+                self.decoded_bytes_ratio >= 4.0,
+            ),
+            (
+                format!(
+                    "events-per-user decodes {:.4} of its full-width bytes (gate {PROJECTION_GATE})",
+                    self.projection_bytes_ratio
+                ),
+                self.projection_bytes_ratio <= PROJECTION_GATE,
+            ),
+        ]
+    }
+
+    fn metrics(&self, _smoke: bool) -> Metrics {
+        let m = self;
+        let rows: Vec<String> = m.samples.iter().map(sample_json).collect();
+        let stored: Vec<String> = m
+            .stored_bytes_by_column
             .iter()
-            .zip(counts)
-            .map(|((layout, _), n)| format!("{n} {layout}"))
+            .map(|(column, bytes)| format!("\"{column}\": {bytes}"))
             .collect();
-        out.push_str(&format!("{column} chunks: {}\n", layouts.join(", ")));
+        let layouts: Vec<String> = m
+            .i64_layouts
+            .iter()
+            .map(|(column, counts)| {
+                let counts: Vec<String> = I64_LAYOUTS
+                    .iter()
+                    .zip(counts)
+                    .map(|((layout, _), n)| format!("\"{layout}\": {n}"))
+                    .collect();
+                format!("\"{column}\": {{{}}}", counts.join(", "))
+            })
+            .collect();
+        let runs: Vec<String> = m
+            .value_runs
+            .iter()
+            .map(|stats| {
+                let shapes: Vec<String> = SHAPES
+                    .iter()
+                    .zip(stats.by_shape)
+                    .map(|((name, _), n)| format!("\"{name}\": {n}"))
+                    .collect();
+                format!(
+                "    {{\"column\": \"{}\", \"key\": \"{}\", {}, \"bytes\": {}, \"ulz_bytes\": {}}}",
+                stats.column,
+                stats.key,
+                shapes.join(", "),
+                stats.bytes,
+                stats.ulz_bytes
+            )
+            })
+            .collect();
+        let body = format!(
+            "  \"users\": {},\n  \"event_name\": \"{}\",\n  \
+             \"outputs_identical\": {},\n  \"decoded_bytes_ratio\": {:.4},\n  \
+             \"decode_work_ratio\": {:.4},\n  \"projection_bytes_ratio\": {:.4},\n  \
+             \"stored_bytes_by_column\": {{{}}},\n  \"fallback_chunks\": {},\n  \
+             \"i64_layouts\": {{{}}},\n  \
+             \"value_runs\": [\n{}\n  ],\n  \"samples\": [\n{}\n  ]",
+            m.users,
+            m.event_name,
+            m.outputs_identical,
+            m.decoded_bytes_ratio,
+            m.decode_work_ratio,
+            m.projection_bytes_ratio,
+            stored.join(", "),
+            m.fallback_chunks,
+            layouts.join(", "),
+            runs.join(",\n"),
+            rows.join(",\n")
+        );
+        Metrics {
+            experiment: Some("columnar"),
+            schema: "uli-columnar-v1",
+            body,
+            bench_file: "BENCH_columnar.json",
+        }
     }
-    out.push_str(&render_value_runs(&m.value_runs, records));
-    if let Some(cores) = m.cores {
-        out.push_str(&format!(
-            "{cores} hardware thread(s) visible; on a 1-core host compare the \
-             cost-model column, not wall-clock.\n"
-        ));
-    }
-    out
+}
+
+/// Serializes one sample row.
+fn sample_json(s: &ArmSample) -> String {
+    format!(
+        "    {{\"arm\": \"{}\", \"workers\": {}, \"cost_model_ms\": {:.3}, \
+         \"input_blocks\": {}, \"blocks_skipped\": {}, \"input_records\": {}, \
+         \"records_skipped_by_predicate\": {}, \"fields_skipped\": {}, \
+         \"input_bytes_uncompressed\": {}, \"decoded_fields\": {}, \"output_rows\": {}}}",
+        s.config,
+        s.workers,
+        s.cost_model_ms,
+        s.input_blocks,
+        s.blocks_skipped,
+        s.input_records,
+        s.records_skipped_by_predicate,
+        s.fields_skipped,
+        s.input_bytes_uncompressed,
+        s.decoded_fields,
+        s.output_rows
+    )
 }
 
 /// The value-run table: per `ip` column and `details` key, the shapes its
 /// runs took with each one's share of them, and bytes a record as laid out
 /// and as the block compressor leaves each run on its own.
-pub fn render_value_runs(runs: &[RunStats], records: f64) -> String {
+fn render_value_runs(runs: &[RunStats], records: f64) -> String {
     let mut t = Table::new(&["value run", "runs", "shape", "laid out", "ulz alone"]);
     let mut raw = 0;
     for stats in runs {
@@ -533,116 +617,13 @@ pub fn render_value_runs(runs: &[RunStats], records: f64) -> String {
     )
 }
 
-/// Serializes one sample row; smoke runs drop the machine-dependent
-/// wall-clock so the CI golden is stable across hosts.
-fn sample_json(s: &ArmSample, include_timing: bool) -> String {
-    let timing = if include_timing {
-        format!("\"query_ms\": {:.3}, ", s.query_ms)
-    } else {
-        String::new()
-    };
-    format!(
-        "    {{\"arm\": \"{}\", \"workers\": {}, {}\"cost_model_ms\": {:.3}, \
-         \"input_blocks\": {}, \"blocks_skipped\": {}, \"input_records\": {}, \
-         \"records_skipped_by_predicate\": {}, \"fields_skipped\": {}, \
-         \"input_bytes_uncompressed\": {}, \"decoded_fields\": {}, \"output_rows\": {}}}",
-        s.config,
-        s.workers,
-        timing,
-        s.cost_model_ms,
-        s.input_blocks,
-        s.blocks_skipped,
-        s.input_records,
-        s.records_skipped_by_predicate,
-        s.fields_skipped,
-        s.input_bytes_uncompressed,
-        s.decoded_fields,
-        s.output_rows
-    )
-}
-
-/// Serializes the sweep as the `BENCH_columnar.json` payload (full runs)
-/// or the machine-independent smoke metrics (when `cores` is unset).
-pub fn to_json(m: &Measurements) -> String {
-    let rows: Vec<String> = m
-        .samples
-        .iter()
-        .map(|s| sample_json(s, m.cores.is_some()))
-        .collect();
-    let cores = m
-        .cores
-        .map_or(String::new(), |c| format!("  \"cores\": {c},\n"));
-    let stored: Vec<String> = m
-        .stored_bytes_by_column
-        .iter()
-        .map(|(column, bytes)| format!("\"{column}\": {bytes}"))
-        .collect();
-    let layouts: Vec<String> = m
-        .i64_layouts
-        .iter()
-        .map(|(column, counts)| {
-            let counts: Vec<String> = I64_LAYOUTS
-                .iter()
-                .zip(counts)
-                .map(|((layout, _), n)| format!("\"{layout}\": {n}"))
-                .collect();
-            format!("\"{column}\": {{{}}}", counts.join(", "))
-        })
-        .collect();
-    let runs: Vec<String> = m
-        .value_runs
-        .iter()
-        .map(|stats| {
-            let shapes: Vec<String> = SHAPES
-                .iter()
-                .zip(stats.by_shape)
-                .map(|((name, _), n)| format!("\"{name}\": {n}"))
-                .collect();
-            format!(
-                "    {{\"column\": \"{}\", \"key\": \"{}\", {}, \"bytes\": {}, \"ulz_bytes\": {}}}",
-                stats.column,
-                stats.key,
-                shapes.join(", "),
-                stats.bytes,
-                stats.ulz_bytes
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"columnar\",\n  \"schema\": \"uli-columnar-v1\",\n\
-         {}  \"users\": {},\n  \"event_name\": \"{}\",\n  \
-         \"outputs_identical\": {},\n  \"decoded_bytes_ratio\": {:.4},\n  \
-         \"decode_work_ratio\": {:.4},\n  \"projection_bytes_ratio\": {:.4},\n  \
-         \"stored_bytes_by_column\": {{{}}},\n  \"fallback_chunks\": {},\n  \
-         \"i64_layouts\": {{{}}},\n  \
-         \"value_runs\": [\n{}\n  ],\n  \"samples\": [\n{}\n  ]\n}}\n",
-        cores,
-        m.users,
-        m.event_name,
-        m.outputs_identical,
-        m.decoded_bytes_ratio,
-        m.decode_work_ratio,
-        m.projection_bytes_ratio,
-        stored.join(", "),
-        m.fallback_chunks,
-        layouts.join(", "),
-        runs.join(",\n"),
-        rows.join(",\n")
-    )
-}
-
-/// Runs the experiment.
-pub fn run() -> String {
-    render(&measure())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn columnar_dict_cuts_decoded_bytes_4x_with_identical_rows() {
-        let m = measure_with(200, &[1, 4]);
+        let m = measure(true);
         assert!(m.outputs_identical, "columnar arms changed query results");
         assert_eq!(m.samples.len(), ARMS.len() * 2 + 2);
         let cell = |label: &str, workers: usize| {
@@ -749,22 +730,5 @@ mod tests {
             packed > varints,
             "{packed} timestamp chunks packed, {varints} not"
         );
-        let json = to_json(&m);
-        assert!(json.contains("\"experiment\": \"columnar\""));
-        assert!(json.contains("\"arm\": \"columnar+dict\""));
-        assert!(
-            !json.contains("query_ms"),
-            "smoke json must omit wall-clock"
-        );
-        assert!(!json.contains("cores"), "smoke json must omit host cores");
-    }
-
-    #[test]
-    fn full_json_records_cores_and_timing() {
-        let mut m = measure_with(60, &[1]);
-        m.cores = Some(3);
-        let json = to_json(&m);
-        assert!(json.contains("\"cores\": 3"));
-        assert!(json.contains("query_ms"));
     }
 }

@@ -33,8 +33,8 @@ use uli_dataflow::prelude::*;
 use uli_warehouse::{fnv1a64_fold, Warehouse, DEFAULT_MEM_BUDGET, FNV1A64_OFFSET};
 use uli_workload::{land_day_stream, DayStream, Scale};
 
-use crate::cells;
-use crate::harness::{detected_cores, peak_rss_mb, timed, Table};
+use crate::harness::{peak_rss_mb, timed, Table};
+use crate::{cells, Measured, Metrics};
 
 /// Peak resident memory (`VmHWM`) the `--scale 1m` run may reach, MB: about
 /// twice what it takes (mostly the in-memory warehouse's landed day, not
@@ -115,12 +115,8 @@ pub struct Measurements {
     /// True when every tight arm returned rows byte-identical to its
     /// default arm.
     pub queries_identical: bool,
-    /// Hardware threads on the measuring host; `None` for smoke runs so
-    /// the CI golden stays machine-independent.
-    pub cores: Option<usize>,
-    /// Peak resident memory (`VmHWM`) of the process when the run ended,
-    /// MB; `None` for smoke runs.
-    pub peak_rss_mb: Option<f64>,
+    /// Peak resident memory (`VmHWM`) of the process when the run ended, MB.
+    pub peak_rss_mb: f64,
 }
 
 impl Measurements {
@@ -208,8 +204,14 @@ fn sequences_digest(wh: &Warehouse) -> u64 {
     })
 }
 
-/// Runs the pipeline at `scale` with the given tight stage budgets.
-pub fn measure_with(scale: Scale, mat_budget: u64, query_budget: u64) -> Measurements {
+/// Runs the pipeline at `scale` under the scale's tight stage budgets, the
+/// query one overridden by `query_budget` if given. The smoke run
+/// (`Scale::Smoke`, no override) is what CI golden-diffs; the full run is
+/// `Scale::OneM`: a million users, >10M events, budgets far below the day's
+/// working set.
+pub fn measure(scale: Scale, query_budget: Option<u64>) -> Measurements {
+    let (mat_budget, default_query_budget) = tight_budgets(scale);
+    let query_budget = query_budget.unwrap_or(default_query_budget);
     let config = scale.config();
     let wh = Warehouse::new();
     let ((landed, truth), land_ms) = timed(|| {
@@ -285,14 +287,15 @@ pub fn measure_with(scale: Scale, mat_budget: u64, query_budget: u64) -> Measure
         query_budget,
         samples,
         queries_identical,
-        cores: None,
-        peak_rss_mb: None,
+        peak_rss_mb: peak_rss_mb(),
     }
 }
 
 /// Per-scale tight budgets for the two stages, each sized well below the
 /// scale's working set so the stage genuinely spills (at `1m` the per-user
-/// table peaks at ~35 MB, inside the default budget and far past 8 MB).
+/// table peaks at ~35 MB, inside the default budget and far past 8 MB; on
+/// the smoke day the sketch states are ~6 KB per group, so the query budget
+/// sits above one entry but far below the group count × entry size).
 fn tight_budgets(scale: Scale) -> (u64, u64) {
     match scale {
         Scale::Smoke => (2048, 32 * 1024),
@@ -301,114 +304,173 @@ fn tight_budgets(scale: Scale) -> (u64, u64) {
     }
 }
 
-/// A full (wall-clock) run at `scale`, with an optional `--mem-budget`
-/// override for the tight query arms.
-pub fn measure_at(scale: Scale, query_budget_override: Option<u64>) -> Measurements {
-    let (mat_budget, query_budget) = tight_budgets(scale);
-    let mut m = measure_with(
-        scale,
-        mat_budget,
-        query_budget_override.unwrap_or(query_budget),
-    );
-    m.cores = Some(detected_cores());
-    m.peak_rss_mb = Some(peak_rss_mb());
-    m
-}
-
-/// The full run: a million users, >10M events, budgets far below the
-/// day's working set (16 MB materialize, 8 MB tight queries).
-pub fn measure() -> Measurements {
-    measure_at(Scale::OneM, None)
-}
-
-/// The smoke run CI diffs against the checked-in golden: tiny budgets
-/// sized so every tight stage actually spills (the sketch states are
-/// ~6 KB per group, so the query budget must sit above one entry but far
-/// below the group count × entry size).
-pub fn smoke_snapshot() -> Measurements {
-    measure_with(Scale::Smoke, 2048, 32 * 1024)
-}
-
-/// Renders the pipeline as the experiment table.
-pub fn render(m: &Measurements) -> String {
-    let mut out = format!(
-        "E20 — million-user day at --scale {}: {} users, {} events, \
-         {} sessions; no stage holds the day in memory\n\n",
-        m.scale, m.users, m.events, m.sessions
-    );
-    out.push_str(&format!(
-        "generate+land (streaming): {} files, {} raw bytes ({} on disk), \
-         {:.0} ms, {:.0} records/sec\n",
-        m.landed_files,
-        m.raw_uncompressed_bytes,
-        m.raw_compressed_bytes,
-        m.land_ms,
-        m.ingest_records_per_sec
-    ));
-    out.push_str(&format!("materialize: {} sessions\n", m.mat_sessions));
-    for (label, arm) in [("default", &m.mat_default), ("tight", &m.mat_tight)] {
+impl Measured for Measurements {
+    fn render(&self) -> String {
+        let m = self;
+        let mut out = format!(
+            "E20 — million-user day at --scale {}: {} users, {} events, \
+             {} sessions; no stage holds the day in memory\n\n",
+            m.scale, m.users, m.events, m.sessions
+        );
         out.push_str(&format!(
-            "  {label} ({} B budget): {} runs of sorted events spilled ({} B), \
-             merge fan-in {}, peak {} B, {:.0} ms\n",
-            arm.budget,
-            arm.spill_runs,
-            arm.spill_bytes,
-            arm.spill_runs + 1,
-            arm.high_water_bytes,
-            arm.ms
+            "generate+land (streaming): {} files, {} raw bytes ({} on disk), \
+             {:.0} ms, {:.0} records/sec\n",
+            m.landed_files,
+            m.raw_uncompressed_bytes,
+            m.raw_compressed_bytes,
+            m.land_ms,
+            m.ingest_records_per_sec
         ));
-    }
-    out.push_str(if m.mat_identical {
-        "  part files byte-identical at both budgets\n\n"
-    } else {
-        "  PART FILES DIVERGED BETWEEN BUDGETS\n\n"
-    });
-    let mut t = Table::new(&[
-        "query",
-        "arm",
-        "query ms",
-        "cost-model ms",
-        "records",
-        "decoded bytes",
-        "spill runs",
-        "spill bytes",
-        "peak bytes",
-        "rows",
-    ]);
-    for s in &m.samples {
-        t.row(cells![
-            s.query,
-            s.arm,
-            format!("{:.1}", s.query_ms),
-            format!("{:.1}", s.cost_model_ms),
-            s.input_records,
-            s.input_bytes_uncompressed,
-            s.spill_runs,
-            s.spill_bytes,
-            s.mem_high_water_bytes,
-            s.output_rows
+        out.push_str(&format!("materialize: {} sessions\n", m.mat_sessions));
+        for (label, arm) in [("default", &m.mat_default), ("tight", &m.mat_tight)] {
+            out.push_str(&format!(
+                "  {label} ({} B budget): {} runs of sorted events spilled ({} B), \
+                 merge fan-in {}, peak {} B, {:.0} ms\n",
+                arm.budget,
+                arm.spill_runs,
+                arm.spill_bytes,
+                arm.spill_runs + 1,
+                arm.high_water_bytes,
+                arm.ms
+            ));
+        }
+        out.push_str(if m.mat_identical {
+            "  part files byte-identical at both budgets\n\n"
+        } else {
+            "  PART FILES DIVERGED BETWEEN BUDGETS\n\n"
+        });
+        let mut t = Table::new(&[
+            "query",
+            "arm",
+            "query ms",
+            "cost-model ms",
+            "records",
+            "decoded bytes",
+            "spill runs",
+            "spill bytes",
+            "peak bytes",
+            "rows",
         ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\ntight arms byte-identical to default: {}\n\
-         tight-budget spill runs across stages: {}\n\
-         every stage within its budget: {}\n",
-        m.queries_identical,
-        m.budgeted_spill_runs(),
-        m.peaks_within_budget()
-    ));
-    if let (Some(cores), Some(rss)) = (m.cores, m.peak_rss_mb) {
+        for s in &m.samples {
+            t.row(cells![
+                s.query,
+                s.arm,
+                format!("{:.1}", s.query_ms),
+                format!("{:.1}", s.cost_model_ms),
+                s.input_records,
+                s.input_bytes_uncompressed,
+                s.spill_runs,
+                s.spill_bytes,
+                s.mem_high_water_bytes,
+                s.output_rows
+            ]);
+        }
+        out.push_str(&t.render());
         out.push_str(&format!(
-            "{cores} hardware thread(s) visible; throughput numbers are \
-             wall-clock on this host.\npeak resident memory: {rss:.0} MB\n"
+            "\ntight arms byte-identical to default: {}\n\
+             tight-budget spill runs across stages: {}\n\
+             every stage within its budget: {}\n",
+            m.queries_identical,
+            m.budgeted_spill_runs(),
+            m.peaks_within_budget()
         ));
+        out.push_str(&format!("peak resident memory: {:.0} MB\n", m.peak_rss_mb));
+        out
     }
-    out
+
+    fn gates(&self) -> Vec<(String, bool)> {
+        let ceiling = ONE_M_PEAK_RSS_CEILING_MB;
+        vec![
+            (
+                "tight-budget query rows diverged from the default budget's".into(),
+                self.queries_identical,
+            ),
+            (
+                "pass 2's part files differ between the default and the tight budget".into(),
+                self.mat_identical,
+            ),
+            (
+                "a tightly budgeted stage never spilled — budgets too generous".into(),
+                self.mat_tight.spill_runs > 0 && self.tight_query_spill_runs() > 0,
+            ),
+            (
+                format!(
+                    "peak resident memory {:.0} MB is over the {ceiling:.0} MB ceiling",
+                    self.peak_rss_mb
+                ),
+                self.scale != "1m" || self.peak_rss_mb <= ceiling,
+            ),
+            (
+                "a stage's memory high-water mark exceeded its budget".into(),
+                self.peaks_within_budget(),
+            ),
+        ]
+    }
+
+    /// The run's counts; a full run also persists its peak resident memory
+    /// and stage times, the only 1m-day timings there are until the
+    /// benchmark runs that day.
+    fn metrics(&self, smoke: bool) -> Metrics {
+        let m = self;
+        let full = !smoke;
+        let rows: Vec<String> = m.samples.iter().map(|s| sample_json(s, full)).collect();
+        let mut head = String::new();
+        if full {
+            head.push_str(&format!(
+                "  \"peak_rss_mb\": {:.1},\n  \
+                 \"land_ms\": {:.1},\n  \"ingest_records_per_sec\": {:.1},\n  \
+                 \"mat_ms\": {:.1},\n  \"mat_default_ms\": {:.1},\n  \
+                 \"mat_default_spill_runs\": {},\n  \"mat_default_spill_bytes\": {},\n  \
+                 \"mat_default_high_water_bytes\": {},\n",
+                m.peak_rss_mb,
+                m.land_ms,
+                m.ingest_records_per_sec,
+                m.mat_tight.ms,
+                m.mat_default.ms,
+                m.mat_default.spill_runs,
+                m.mat_default.spill_bytes,
+                m.mat_default.high_water_bytes
+            ));
+        }
+        let body = format!(
+            "{head}  \"scale\": \"{}\",\n  \"users\": {},\n  \"events\": {},\n  \
+             \"sessions\": {},\n  \"landed_files\": {},\n  \
+             \"raw_uncompressed_bytes\": {},\n  \"raw_compressed_bytes\": {},\n  \
+             \"mat_budget\": {},\n  \"mat_sessions\": {},\n  \"mat_spill_runs\": {},\n  \
+             \"mat_spill_bytes\": {},\n  \"mat_high_water_bytes\": {},\n  \"mat_identical\": {},\n  \
+             \"query_budget\": {},\n  \"queries_identical\": {},\n  \
+             \"budgeted_spill_runs\": {},\n  \"peaks_within_budget\": {},\n  \
+             \"samples\": [\n{}\n  ]",
+            m.scale,
+            m.users,
+            m.events,
+            m.sessions,
+            m.landed_files,
+            m.raw_uncompressed_bytes,
+            m.raw_compressed_bytes,
+            m.mat_tight.budget,
+            m.mat_sessions,
+            m.mat_tight.spill_runs,
+            m.mat_tight.spill_bytes,
+            m.mat_tight.high_water_bytes,
+            m.mat_identical,
+            m.query_budget,
+            m.queries_identical,
+            m.budgeted_spill_runs(),
+            m.peaks_within_budget(),
+            rows.join(",\n")
+        );
+        Metrics {
+            experiment: Some("scale"),
+            schema: "uli-scale-v1",
+            body,
+            bench_file: "BENCH_scale.json",
+        }
+    }
 }
 
-/// Serializes one query cell; smoke runs drop wall-clock so the CI golden
-/// is stable across hosts.
+/// Serializes one query cell; a smoke run leaves out its wall-clock so the
+/// CI golden is stable across hosts.
 fn sample_json(s: &QuerySample, include_timing: bool) -> String {
     let timing = if include_timing {
         format!("\"query_ms\": {:.3}, ", s.query_ms)
@@ -431,64 +493,6 @@ fn sample_json(s: &QuerySample, include_timing: bool) -> String {
         s.mem_high_water_bytes,
         s.output_rows
     )
-}
-
-/// Serializes the run as the `BENCH_scale.json` payload (full runs) or
-/// the machine-independent smoke metrics (when `cores` is unset).
-pub fn to_json(m: &Measurements) -> String {
-    let full = m.cores.is_some();
-    let rows: Vec<String> = m.samples.iter().map(|s| sample_json(s, full)).collect();
-    let mut head = String::new();
-    if let (Some(cores), Some(rss)) = (m.cores, m.peak_rss_mb) {
-        head.push_str(&format!(
-            "  \"cores\": {cores},\n  \"peak_rss_mb\": {rss:.1},\n  \
-             \"land_ms\": {:.1},\n  \"ingest_records_per_sec\": {:.1},\n  \
-             \"mat_ms\": {:.1},\n  \"mat_default_ms\": {:.1},\n  \
-             \"mat_default_spill_runs\": {},\n  \"mat_default_spill_bytes\": {},\n  \
-             \"mat_default_high_water_bytes\": {},\n",
-            m.land_ms,
-            m.ingest_records_per_sec,
-            m.mat_tight.ms,
-            m.mat_default.ms,
-            m.mat_default.spill_runs,
-            m.mat_default.spill_bytes,
-            m.mat_default.high_water_bytes
-        ));
-    }
-    format!(
-        "{{\n  \"experiment\": \"scale\",\n  \"schema\": \"uli-scale-v1\",\n\
-         {head}  \"scale\": \"{}\",\n  \"users\": {},\n  \"events\": {},\n  \
-         \"sessions\": {},\n  \"landed_files\": {},\n  \
-         \"raw_uncompressed_bytes\": {},\n  \"raw_compressed_bytes\": {},\n  \
-         \"mat_budget\": {},\n  \"mat_sessions\": {},\n  \"mat_spill_runs\": {},\n  \
-         \"mat_spill_bytes\": {},\n  \"mat_high_water_bytes\": {},\n  \"mat_identical\": {},\n  \
-         \"query_budget\": {},\n  \"queries_identical\": {},\n  \
-         \"budgeted_spill_runs\": {},\n  \"peaks_within_budget\": {},\n  \
-         \"samples\": [\n{}\n  ]\n}}\n",
-        m.scale,
-        m.users,
-        m.events,
-        m.sessions,
-        m.landed_files,
-        m.raw_uncompressed_bytes,
-        m.raw_compressed_bytes,
-        m.mat_tight.budget,
-        m.mat_sessions,
-        m.mat_tight.spill_runs,
-        m.mat_tight.spill_bytes,
-        m.mat_tight.high_water_bytes,
-        m.mat_identical,
-        m.query_budget,
-        m.queries_identical,
-        m.budgeted_spill_runs(),
-        m.peaks_within_budget(),
-        rows.join(",\n")
-    )
-}
-
-/// Runs the experiment at full scale.
-pub fn run() -> String {
-    render(&measure())
 }
 
 #[cfg(test)]
@@ -557,7 +561,7 @@ mod tests {
 
     #[test]
     fn smoke_pipeline_spills_stays_bounded_and_matches() {
-        let m = smoke_snapshot();
+        let m = measure(Scale::Smoke, None);
         assert_eq!(m.scale, "smoke");
         assert_eq!(m.users, 120);
         // The pinned generator goldens fix the smoke day exactly.
@@ -586,30 +590,5 @@ mod tests {
             .find(|s| s.query == "top-20-latest")
             .expect("query measured");
         assert_eq!(top.output_rows, 20);
-        let json = to_json(&m);
-        assert!(json.contains("\"queries_identical\": true"));
-        assert!(json.contains("\"mat_identical\": true"));
-        assert!(json.contains("\"peaks_within_budget\": true"));
-        assert!(
-            !json.contains("query_ms"),
-            "smoke json must omit wall-clock"
-        );
-        assert!(!json.contains("cores"), "smoke json must omit host cores");
-        assert!(
-            !json.contains("mb_per_sec"),
-            "smoke json must omit throughput"
-        );
-    }
-
-    #[test]
-    fn full_json_records_cores_and_throughput() {
-        let mut m = measure_with(Scale::Smoke, 2048, 32 * 1024);
-        m.cores = Some(2);
-        m.peak_rss_mb = Some(1234.5);
-        let json = to_json(&m);
-        assert!(json.contains("\"cores\": 2"));
-        assert!(json.contains("\"peak_rss_mb\": 1234.5"));
-        assert!(json.contains("ingest_records_per_sec"));
-        assert!(json.contains("\"mat_default_spill_runs\": 0"));
     }
 }

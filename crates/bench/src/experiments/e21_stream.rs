@@ -16,12 +16,11 @@
 //!    delivered partition for every seed.
 //! 3. **memory** — the sketch state's fixed bytes against the exact state
 //!    a batch job holds for the same answers.
-//! 4. **throughput** (full runs only) — events/sec through the delivery
-//!    tap over pre-encoded payloads.
 //!
-//! The smoke run's counters are machine-independent (delivery, hashing,
-//! and chaos schedules are all deterministic), so CI diffs them against a
-//! checked-in golden; the full run persists `BENCH_stream.json`.
+//! Every figure is a count (delivery, hashing, and chaos schedules are all
+//! deterministic), so CI diffs the smoke run against a checked-in golden;
+//! the full run persists `BENCH_stream.json`. What the tap costs a record
+//! is the benchmark's `stream.fold_ns_per_record`.
 
 use uli_core::client_event::CLIENT_EVENTS_CATEGORY;
 use uli_scribe::message::LogEntry;
@@ -31,11 +30,10 @@ use uli_stream::{
     CHECKED_QUANTILES,
 };
 use uli_thrift::ThriftRecord;
-use uli_warehouse::HourlyPartition;
 use uli_workload::{DayStream, Scale, WorkloadConfig};
 
-use crate::cells;
-use crate::harness::{detected_cores, timed, Table};
+use crate::harness::Table;
+use crate::{cells, Measured, Metrics};
 
 /// Worker (shard) counts the lambda invariant is checked under.
 pub const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
@@ -100,11 +98,6 @@ pub struct Measurements {
     pub chaos_duplicates_merged: u64,
     /// Streaming totals equalled the delivered partition for every seed.
     pub chaos_reconciled: bool,
-    /// Tap throughput, events/second (full runs only).
-    pub tap_events_per_sec: Option<f64>,
-    /// Hardware threads on the measuring host; `None` for smoke runs so
-    /// the CI golden stays machine-independent.
-    pub cores: Option<usize>,
 }
 
 /// Delivers one generated day through the Scribe pipeline with a
@@ -146,32 +139,15 @@ fn deliver_day(config: &WorkloadConfig, shards: usize) -> (StreamAnalytics, Batc
     (analytics, batch)
 }
 
-/// Times a pure tap feed — pre-encoded payloads pushed straight through
-/// `hour_delivered` in per-hour batches — and returns events/second.
-fn tap_throughput(config: &WorkloadConfig) -> f64 {
-    let mut by_hour: Vec<Vec<Vec<u8>>> = vec![Vec::new(); 24];
-    let mut total = 0u64;
-    for ev in DayStream::new(config, 0) {
-        by_hour[ev.timestamp.hour_index() as usize].push(ev.to_bytes());
-        total += 1;
-    }
-    let analytics = StreamAnalytics::new(StreamConfig::default());
-    let mut tap = analytics.tap();
-    let ((), feed_ms) = timed(|| {
-        for (hour, payloads) in by_hour.iter().enumerate() {
-            if payloads.is_empty() {
-                continue;
-            }
-            let partition = HourlyPartition::from_hour_index(CLIENT_EVENTS_CATEGORY, hour as u64);
-            tap.hour_delivered(&partition, payloads);
-        }
-    });
-    assert_eq!(analytics.running_view().records(), total);
-    total as f64 / (feed_ms / 1000.0).max(1e-9)
-}
-
-/// Runs the lambda measurement at `scale` with `chaos_seeds` chaos runs.
-pub fn measure_with(scale: Scale, chaos_seeds: u64) -> Measurements {
+/// Runs the lambda measurement over the default day with 16 chaos seeds,
+/// or for a smoke run the pinned smoke day with 4, whose metrics CI
+/// golden-diffs.
+pub fn measure(smoke: bool) -> Measurements {
+    let (scale, chaos_seeds) = if smoke {
+        (Scale::Smoke, 4)
+    } else {
+        (Scale::Default, 16)
+    };
     let config = scale.config();
 
     // Lambda convergence at each worker count; views must be identical.
@@ -237,157 +213,143 @@ pub fn measure_with(scale: Scale, chaos_seeds: u64) -> Measurements {
         chaos_delivered,
         chaos_duplicates_merged,
         chaos_reconciled,
-        tap_events_per_sec: None,
-        cores: None,
     }
 }
 
-/// The full run: the default day for convergence, 16 chaos seeds, plus a
-/// throughput pass over a larger pre-encoded day. Persists host cores.
-pub fn measure() -> Measurements {
-    let mut m = measure_with(Scale::Default, 16);
-    m.tap_events_per_sec = Some(tap_throughput(&WorkloadConfig {
-        users: 5_000,
-        ..WorkloadConfig::default()
-    }));
-    m.cores = Some(detected_cores());
-    m
-}
-
-/// The smoke run CI diffs against the checked-in golden: the pinned smoke
-/// day, 4 chaos seeds, no wall-clock anywhere.
-pub fn smoke_snapshot() -> Measurements {
-    measure_with(Scale::Smoke, 4)
-}
-
-/// Renders the measurement as the experiment table.
-pub fn render(m: &Measurements) -> String {
-    let mut out = format!(
-        "E21 — lambda invariant at --scale {}: {} users, {} records through \
-         the delivery tap across {} traffic hours\n\n",
-        m.scale, m.users, m.records, m.hours_with_traffic
-    );
-    out.push_str(&format!(
-        "views identical across workers {SHARD_COUNTS:?}: {}\n\
-         exact aggregates match batch byte-for-byte: {}\n\n",
-        m.shard_invariant, m.exact_match
-    ));
-    let mut t = Table::new(&["aggregate", "streaming", "batch (exact)", "within bound"]);
-    t.row(cells![
-        "distinct users (HLL)",
-        format!(
-            "{} (±{:.2}%)",
-            m.distinct_users_est,
-            m.hll_rel_error * 100.0
-        ),
-        m.distinct_users_exact,
-        m.hll_within_bound
-    ]);
-    t.row(cells![
-        "trending names (CM/TopK)",
-        format!("max over-count {}", m.topk_max_over),
-        format!("bound {}", m.topk_error_bound),
-        m.topk_within_bound
-    ]);
-    for q in &m.quantiles {
-        t.row(cells![
-            format!("payload p{}", q.q_bp / 100),
-            q.estimate,
-            q.exact,
-            m.percentile_within_bound
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\nsketch state: {} B fixed vs {} B exact batch state \
-         ({} B streaming exact maps)\n",
-        m.sketch_bytes, m.batch_exact_bytes, m.stream_exact_bytes
-    ));
-    out.push_str(&format!(
-        "chaos sweep: {} seeds, {} records delivered, {} duplicates \
-         squashed, streaming == delivered partition: {}\n",
-        m.chaos_seeds, m.chaos_delivered, m.chaos_duplicates_merged, m.chaos_reconciled
-    ));
-    out.push_str(&format!(
-        "lambda invariant (streaming_matches_batch): {}\n",
-        m.streaming_matches_batch
-    ));
-    if let Some(eps) = m.tap_events_per_sec {
-        out.push_str(&format!("tap throughput: {eps:.0} events/sec\n"));
-    }
-    if let Some(cores) = m.cores {
+impl Measured for Measurements {
+    fn render(&self) -> String {
+        let m = self;
+        let mut out = format!(
+            "E21 — lambda invariant at --scale {}: {} users, {} records through \
+             the delivery tap across {} traffic hours\n\n",
+            m.scale, m.users, m.records, m.hours_with_traffic
+        );
         out.push_str(&format!(
-            "{cores} hardware thread(s) visible; throughput is wall-clock \
-             on this host.\n"
+            "views identical across workers {SHARD_COUNTS:?}: {}\n\
+             exact aggregates match batch byte-for-byte: {}\n\n",
+            m.shard_invariant, m.exact_match
         ));
-    }
-    out
-}
-
-/// Serializes the run as the `BENCH_stream.json` payload (full runs) or
-/// the machine-independent smoke metrics (when `cores` is unset).
-pub fn to_json(m: &Measurements) -> String {
-    let mut head = String::new();
-    if let Some(c) = m.cores {
-        head.push_str(&format!("  \"cores\": {c},\n"));
-    }
-    if let Some(eps) = m.tap_events_per_sec {
-        head.push_str(&format!("  \"tap_events_per_sec\": {eps:.1},\n"));
-    }
-    let quantiles: Vec<String> = m
-        .quantiles
-        .iter()
-        .map(|q| {
+        let mut t = Table::new(&["aggregate", "streaming", "batch (exact)", "within bound"]);
+        t.row(cells![
+            "distinct users (HLL)",
             format!(
-                "    {{\"q_bp\": {}, \"estimate\": {}, \"exact\": {}}}",
-                q.q_bp, q.estimate, q.exact
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"stream\",\n  \"schema\": \"uli-stream-v1\",\n\
-         {head}  \"scale\": \"{}\",\n  \"users\": {},\n  \"records\": {},\n  \
-         \"events\": {},\n  \"hours_with_traffic\": {},\n  \
-         \"shard_counts\": [1, 4, 8],\n  \"shard_invariant\": {},\n  \
-         \"exact_match\": {},\n  \"distinct_users_exact\": {},\n  \
-         \"distinct_users_est\": {},\n  \"hll_rel_error\": {:.4},\n  \
-         \"hll_within_bound\": {},\n  \"topk_max_over\": {},\n  \
-         \"topk_error_bound\": {},\n  \"topk_within_bound\": {},\n  \
-         \"quantiles\": [\n{}\n  ],\n  \"percentile_within_bound\": {},\n  \
-         \"sketch_bytes\": {},\n  \"stream_exact_bytes\": {},\n  \
-         \"batch_exact_bytes\": {},\n  \"chaos_seeds\": {},\n  \
-         \"chaos_delivered\": {},\n  \"chaos_duplicates_merged\": {},\n  \
-         \"chaos_reconciled\": {},\n  \"streaming_matches_batch\": {}\n}}\n",
-        m.scale,
-        m.users,
-        m.records,
-        m.events,
-        m.hours_with_traffic,
-        m.shard_invariant,
-        m.exact_match,
-        m.distinct_users_exact,
-        m.distinct_users_est,
-        m.hll_rel_error,
-        m.hll_within_bound,
-        m.topk_max_over,
-        m.topk_error_bound,
-        m.topk_within_bound,
-        quantiles.join(",\n"),
-        m.percentile_within_bound,
-        m.sketch_bytes,
-        m.stream_exact_bytes,
-        m.batch_exact_bytes,
-        m.chaos_seeds,
-        m.chaos_delivered,
-        m.chaos_duplicates_merged,
-        m.chaos_reconciled,
-        m.streaming_matches_batch,
-    )
-}
+                "{} (±{:.2}%)",
+                m.distinct_users_est,
+                m.hll_rel_error * 100.0
+            ),
+            m.distinct_users_exact,
+            m.hll_within_bound
+        ]);
+        t.row(cells![
+            "trending names (CM/TopK)",
+            format!("max over-count {}", m.topk_max_over),
+            format!("bound {}", m.topk_error_bound),
+            m.topk_within_bound
+        ]);
+        for q in &m.quantiles {
+            t.row(cells![
+                format!("payload p{}", q.q_bp / 100),
+                q.estimate,
+                q.exact,
+                m.percentile_within_bound
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push_str(&format!(
+            "\nsketch state: {} B fixed vs {} B exact batch state \
+             ({} B streaming exact maps)\n",
+            m.sketch_bytes, m.batch_exact_bytes, m.stream_exact_bytes
+        ));
+        out.push_str(&format!(
+            "chaos sweep: {} seeds, {} records delivered, {} duplicates \
+             squashed, streaming == delivered partition: {}\n",
+            m.chaos_seeds, m.chaos_delivered, m.chaos_duplicates_merged, m.chaos_reconciled
+        ));
+        out.push_str(&format!(
+            "lambda invariant (streaming_matches_batch): {}\n",
+            m.streaming_matches_batch
+        ));
+        out
+    }
 
-/// Runs the experiment at full scale.
-pub fn run() -> String {
-    render(&measure())
+    fn gates(&self) -> Vec<(String, bool)> {
+        vec![
+            (
+                "streaming views diverged across worker counts".into(),
+                self.shard_invariant,
+            ),
+            (
+                "streaming did not converge to batch".into(),
+                self.streaming_matches_batch,
+            ),
+            (
+                "a sketch left its declared error bound".into(),
+                self.hll_within_bound && self.topk_within_bound && self.percentile_within_bound,
+            ),
+            (
+                "chaos streaming totals diverged from the delivered partition".into(),
+                self.chaos_reconciled,
+            ),
+        ]
+    }
+
+    fn metrics(&self, _smoke: bool) -> Metrics {
+        let m = self;
+        let quantiles: Vec<String> = m
+            .quantiles
+            .iter()
+            .map(|q| {
+                format!(
+                    "    {{\"q_bp\": {}, \"estimate\": {}, \"exact\": {}}}",
+                    q.q_bp, q.estimate, q.exact
+                )
+            })
+            .collect();
+        let body = format!(
+            "  \"scale\": \"{}\",\n  \"users\": {},\n  \"records\": {},\n  \
+             \"events\": {},\n  \"hours_with_traffic\": {},\n  \
+             \"shard_counts\": [1, 4, 8],\n  \"shard_invariant\": {},\n  \
+             \"exact_match\": {},\n  \"distinct_users_exact\": {},\n  \
+             \"distinct_users_est\": {},\n  \"hll_rel_error\": {:.4},\n  \
+             \"hll_within_bound\": {},\n  \"topk_max_over\": {},\n  \
+             \"topk_error_bound\": {},\n  \"topk_within_bound\": {},\n  \
+             \"quantiles\": [\n{}\n  ],\n  \"percentile_within_bound\": {},\n  \
+             \"sketch_bytes\": {},\n  \"stream_exact_bytes\": {},\n  \
+             \"batch_exact_bytes\": {},\n  \"chaos_seeds\": {},\n  \
+             \"chaos_delivered\": {},\n  \"chaos_duplicates_merged\": {},\n  \
+             \"chaos_reconciled\": {},\n  \"streaming_matches_batch\": {}",
+            m.scale,
+            m.users,
+            m.records,
+            m.events,
+            m.hours_with_traffic,
+            m.shard_invariant,
+            m.exact_match,
+            m.distinct_users_exact,
+            m.distinct_users_est,
+            m.hll_rel_error,
+            m.hll_within_bound,
+            m.topk_max_over,
+            m.topk_error_bound,
+            m.topk_within_bound,
+            quantiles.join(",\n"),
+            m.percentile_within_bound,
+            m.sketch_bytes,
+            m.stream_exact_bytes,
+            m.batch_exact_bytes,
+            m.chaos_seeds,
+            m.chaos_delivered,
+            m.chaos_duplicates_merged,
+            m.chaos_reconciled,
+            m.streaming_matches_batch,
+        );
+        Metrics {
+            experiment: Some("stream"),
+            schema: "uli-stream-v1",
+            body,
+            bench_file: "BENCH_stream.json",
+        }
+    }
 }
 
 #[cfg(test)]
@@ -395,8 +357,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_lambda_invariant_holds_and_json_is_machine_independent() {
-        let m = smoke_snapshot();
+    fn smoke_lambda_invariant_holds() {
+        let m = measure(true);
         assert_eq!(m.scale, "smoke");
         assert_eq!(m.users, 120);
         // The pinned generator goldens fix the smoke day exactly.
@@ -417,24 +379,5 @@ mod tests {
             m.sketch_bytes,
             m.batch_exact_bytes
         );
-        let json = to_json(&m);
-        assert!(json.contains("\"streaming_matches_batch\": true"));
-        assert!(json.contains("\"chaos_reconciled\": true"));
-        assert!(!json.contains("cores"), "smoke json must omit host cores");
-        assert!(
-            !json.contains("events_per_sec"),
-            "smoke json must omit wall-clock throughput"
-        );
-    }
-
-    #[test]
-    fn full_json_records_cores_and_throughput() {
-        let mut m = measure_with(Scale::Smoke, 2);
-        m.cores = Some(2);
-        m.tap_events_per_sec = Some(1234.5);
-        let json = to_json(&m);
-        assert!(json.contains("\"cores\": 2"));
-        assert!(json.contains("\"tap_events_per_sec\": 1234.5"));
-        assert!(json.contains("\"chaos_seeds\": 2"));
     }
 }

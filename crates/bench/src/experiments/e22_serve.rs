@@ -25,10 +25,11 @@
 //!    indexed record totals must equal the audited delivered partition
 //!    for every seed — never a lost hour, never a double-count.
 //!
-//! The smoke run's counters are machine-independent (generation,
-//! delivery, landing, indexing, and the cost model are deterministic), so
-//! CI diffs them against a checked-in golden; the full run persists
-//! `BENCH_serve.json` with host cores and wall-clock lookup latency.
+//! Every figure is a count or a cost-model figure (generation, delivery,
+//! landing, indexing, and the cost model are deterministic), so CI diffs the
+//! smoke run against a checked-in golden; the full run persists
+//! `BENCH_serve.json`. What a lookup takes in wall-clock is the benchmark's
+//! `lookup_rps` and `user_events_p50_us`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -48,8 +49,8 @@ use uli_thrift::ThriftRecord;
 use uli_warehouse::Warehouse;
 use uli_workload::{DayStream, Scale, WorkloadConfig};
 
-use crate::cells;
-use crate::harness::{detected_cores, timed, Table};
+use crate::harness::Table;
+use crate::{cells, Measured, Metrics};
 
 /// Worker counts the serve/batch equivalence is checked under.
 pub const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
@@ -125,11 +126,6 @@ pub struct Measurements {
     pub chaos_rebuilt_hours: u64,
     /// Clean invariants and indexed == delivered for every seed.
     pub chaos_consistent: bool,
-    /// Mean wall-clock per serve lookup, microseconds (full runs only).
-    pub serve_lookup_wall_us: Option<f64>,
-    /// Hardware threads on the measuring host; `None` for smoke runs so
-    /// the CI golden stays machine-independent.
-    pub cores: Option<usize>,
 }
 
 /// The delivered day the suite runs against.
@@ -375,8 +371,15 @@ fn class_stats(label: &'static str, stats: &[LookupStats]) -> LookupClass {
     }
 }
 
-/// Runs the serving measurement at `scale` with `chaos_seeds` chaos runs.
-pub fn measure_with(scale: Scale, chaos_seeds: u64) -> Measurements {
+/// Runs the serving measurement over the default day with 16 chaos seeds,
+/// or for a smoke run the pinned smoke day with 4, whose metrics CI
+/// golden-diffs.
+pub fn measure(smoke: bool) -> Measurements {
+    let (scale, chaos_seeds) = if smoke {
+        (Scale::Smoke, 4)
+    } else {
+        (Scale::Default, 16)
+    };
     let config = scale.config();
     let d = deliver_day(&config);
     let suite = pick_suite(&d.events);
@@ -501,172 +504,164 @@ pub fn measure_with(scale: Scale, chaos_seeds: u64) -> Measurements {
         chaos_indexed_records,
         chaos_rebuilt_hours,
         chaos_consistent,
-        serve_lookup_wall_us: None,
-        cores: None,
     }
 }
 
-/// The full run: the default day, 16 chaos seeds, wall-clock lookup
-/// latency, host cores.
-pub fn measure() -> Measurements {
-    let mut m = measure_with(Scale::Default, 16);
-    // Wall-clock pass: re-deliver the day and time the whole suite.
-    let config = Scale::Default.config();
-    let d = deliver_day(&config);
-    let suite = pick_suite(&d.events);
-    let handle = d.maintainer.handle();
-    let ((), ms) = timed(|| {
-        run_serve_suite(&handle, &suite);
-    });
-    m.serve_lookup_wall_us = Some(ms * 1000.0 / m.lookups.max(1) as f64);
-    m.cores = Some(detected_cores());
-    m
-}
-
-/// The smoke run CI diffs against the checked-in golden: the pinned smoke
-/// day, 4 chaos seeds, no wall-clock anywhere.
-pub fn smoke_snapshot() -> Measurements {
-    measure_with(Scale::Smoke, 4)
-}
-
-/// Renders the measurement as the experiment table.
-pub fn render(m: &Measurements) -> String {
-    let mut out = format!(
-        "E22 — serving layer at --scale {}: {} users, {} records landed \
-         columnar ({} rows/group), {} hours indexed, lag {}\n\n",
-        m.scale, m.users, m.records, m.rows_per_group, m.hours_indexed, m.index_lag_hours
-    );
-    out.push_str(&format!(
-        "index: {} B postings committed, {} B decoded building them\n\
-         answers byte-identical to batch at workers {WORKER_COUNTS:?}: {}\n\n",
-        m.postings_bytes, m.index_build_decoded_bytes, m.answers_match
-    ));
-    let mut t = Table::new(&[
-        "lookup class",
-        "lookups",
-        "serve B decoded",
-        "batch B decoded",
-        "groups read",
-        "groups pruned",
-    ]);
-    for c in &m.classes {
-        t.row(cells![
-            c.label,
-            c.lookups,
-            c.serve_decoded_bytes,
-            c.batch_decoded_bytes,
-            c.serve_groups_read,
-            c.serve_groups_pruned
-        ]);
-    }
-    t.row(cells![
-        "total",
-        m.lookups,
-        m.serve_decoded_bytes,
-        m.batch_decoded_bytes,
-        "",
-        ""
-    ]);
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\ndecoded-bytes reduction: {:.1}x (gate: >= 50x)\n\
-         cost model: serve {:.2} ms vs batch {:.0} ms for the suite\n",
-        m.decoded_bytes_ratio, m.serve_cost_ms, m.batch_cost_ms
-    ));
-    out.push_str(&format!(
-        "obs: serve/* registry reconciles against maintainer state: {}\n",
-        m.obs_reconciled
-    ));
-    out.push_str(&format!(
-        "chaos sweep: {} seeds, {} records delivered, {} indexed, {} \
-         crash-window hours rebuilt, consistent: {}\n",
-        m.chaos_seeds,
-        m.chaos_delivered,
-        m.chaos_indexed_records,
-        m.chaos_rebuilt_hours,
-        m.chaos_consistent
-    ));
-    if let Some(us) = m.serve_lookup_wall_us {
-        out.push_str(&format!("serve lookup wall clock: {us:.1} us/lookup\n"));
-    }
-    if let Some(cores) = m.cores {
+impl Measured for Measurements {
+    fn render(&self) -> String {
+        let m = self;
+        let mut out = format!(
+            "E22 — serving layer at --scale {}: {} users, {} records landed \
+             columnar ({} rows/group), {} hours indexed, lag {}\n\n",
+            m.scale, m.users, m.records, m.rows_per_group, m.hours_indexed, m.index_lag_hours
+        );
         out.push_str(&format!(
-            "{cores} hardware thread(s) visible; wall clock is from this host.\n"
+            "index: {} B postings committed, {} B decoded building them\n\
+             answers byte-identical to batch at workers {WORKER_COUNTS:?}: {}\n\n",
+            m.postings_bytes, m.index_build_decoded_bytes, m.answers_match
         ));
-    }
-    out
-}
-
-/// Serializes the run as the `BENCH_serve.json` payload (full runs) or
-/// the machine-independent smoke metrics (when `cores` is unset).
-pub fn to_json(m: &Measurements) -> String {
-    let mut head = String::new();
-    if let Some(c) = m.cores {
-        head.push_str(&format!("  \"cores\": {c},\n"));
-    }
-    if let Some(us) = m.serve_lookup_wall_us {
-        head.push_str(&format!("  \"serve_lookup_wall_us\": {us:.1},\n"));
-    }
-    let classes: Vec<String> = m
-        .classes
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"label\": \"{}\", \"lookups\": {}, \
-                 \"serve_decoded_bytes\": {}, \"batch_decoded_bytes\": {}, \
-                 \"groups_read\": {}, \"groups_pruned\": {}}}",
+        let mut t = Table::new(&[
+            "lookup class",
+            "lookups",
+            "serve B decoded",
+            "batch B decoded",
+            "groups read",
+            "groups pruned",
+        ]);
+        for c in &m.classes {
+            t.row(cells![
                 c.label,
                 c.lookups,
                 c.serve_decoded_bytes,
                 c.batch_decoded_bytes,
                 c.serve_groups_read,
                 c.serve_groups_pruned
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"serve\",\n  \"schema\": \"uli-serve-v1\",\n\
-         {head}  \"scale\": \"{}\",\n  \"users\": {},\n  \"records\": {},\n  \
-         \"events\": {},\n  \"hours_indexed\": {},\n  \
-         \"index_lag_hours\": {},\n  \"rows_per_group\": {},\n  \
-         \"postings_bytes\": {},\n  \"index_build_decoded_bytes\": {},\n  \
-         \"worker_counts\": [1, 4, 8],\n  \"answers_match\": {},\n  \
-         \"classes\": [\n{}\n  ],\n  \"lookups\": {},\n  \
-         \"serve_decoded_bytes\": {},\n  \"batch_decoded_bytes\": {},\n  \
-         \"decoded_bytes_ratio\": {:.1},\n  \"serve_cost_ms\": {:.3},\n  \
-         \"batch_cost_ms\": {:.1},\n  \"obs_reconciled\": {},\n  \
-         \"chaos_seeds\": {},\n  \"chaos_delivered\": {},\n  \
-         \"chaos_indexed_records\": {},\n  \"chaos_rebuilt_hours\": {},\n  \
-         \"chaos_consistent\": {}\n}}\n",
-        m.scale,
-        m.users,
-        m.records,
-        m.events,
-        m.hours_indexed,
-        m.index_lag_hours,
-        m.rows_per_group,
-        m.postings_bytes,
-        m.index_build_decoded_bytes,
-        m.answers_match,
-        classes.join(",\n"),
-        m.lookups,
-        m.serve_decoded_bytes,
-        m.batch_decoded_bytes,
-        m.decoded_bytes_ratio,
-        m.serve_cost_ms,
-        m.batch_cost_ms,
-        m.obs_reconciled,
-        m.chaos_seeds,
-        m.chaos_delivered,
-        m.chaos_indexed_records,
-        m.chaos_rebuilt_hours,
-        m.chaos_consistent,
-    )
-}
+            ]);
+        }
+        t.row(cells![
+            "total",
+            m.lookups,
+            m.serve_decoded_bytes,
+            m.batch_decoded_bytes,
+            "",
+            ""
+        ]);
+        out.push_str(&t.render());
+        out.push_str(&format!(
+            "\ndecoded-bytes reduction: {:.1}x (gate: >= 50x)\n\
+             cost model: serve {:.2} ms vs batch {:.0} ms for the suite\n",
+            m.decoded_bytes_ratio, m.serve_cost_ms, m.batch_cost_ms
+        ));
+        out.push_str(&format!(
+            "obs: serve/* registry reconciles against maintainer state: {}\n",
+            m.obs_reconciled
+        ));
+        out.push_str(&format!(
+            "chaos sweep: {} seeds, {} records delivered, {} indexed, {} \
+             crash-window hours rebuilt, consistent: {}\n",
+            m.chaos_seeds,
+            m.chaos_delivered,
+            m.chaos_indexed_records,
+            m.chaos_rebuilt_hours,
+            m.chaos_consistent
+        ));
+        out
+    }
 
-/// Runs the experiment at full scale.
-pub fn run() -> String {
-    render(&measure())
+    fn gates(&self) -> Vec<(String, bool)> {
+        vec![
+            (
+                "a serving answer diverged from the batch engine".into(),
+                self.answers_match,
+            ),
+            (
+                format!(
+                    "decoded-bytes reduction {:.1}x under the 50x gate",
+                    self.decoded_bytes_ratio
+                ),
+                self.decoded_bytes_ratio >= 50.0,
+            ),
+            (
+                format!(
+                    "index lag {} hours after the day landed",
+                    self.index_lag_hours
+                ),
+                self.index_lag_hours == 0,
+            ),
+            (
+                "serve/* registry metrics diverged from maintainer state".into(),
+                self.obs_reconciled,
+            ),
+            (
+                "chaos indexes diverged from the delivered partition".into(),
+                self.chaos_consistent,
+            ),
+        ]
+    }
+
+    fn metrics(&self, _smoke: bool) -> Metrics {
+        let m = self;
+        let classes: Vec<String> = m
+            .classes
+            .iter()
+            .map(|c| {
+                format!(
+                    "    {{\"label\": \"{}\", \"lookups\": {}, \
+                     \"serve_decoded_bytes\": {}, \"batch_decoded_bytes\": {}, \
+                     \"groups_read\": {}, \"groups_pruned\": {}}}",
+                    c.label,
+                    c.lookups,
+                    c.serve_decoded_bytes,
+                    c.batch_decoded_bytes,
+                    c.serve_groups_read,
+                    c.serve_groups_pruned
+                )
+            })
+            .collect();
+        let body = format!(
+            "  \"scale\": \"{}\",\n  \"users\": {},\n  \"records\": {},\n  \
+             \"events\": {},\n  \"hours_indexed\": {},\n  \
+             \"index_lag_hours\": {},\n  \"rows_per_group\": {},\n  \
+             \"postings_bytes\": {},\n  \"index_build_decoded_bytes\": {},\n  \
+             \"worker_counts\": [1, 4, 8],\n  \"answers_match\": {},\n  \
+             \"classes\": [\n{}\n  ],\n  \"lookups\": {},\n  \
+             \"serve_decoded_bytes\": {},\n  \"batch_decoded_bytes\": {},\n  \
+             \"decoded_bytes_ratio\": {:.1},\n  \"serve_cost_ms\": {:.3},\n  \
+             \"batch_cost_ms\": {:.1},\n  \"obs_reconciled\": {},\n  \
+             \"chaos_seeds\": {},\n  \"chaos_delivered\": {},\n  \
+             \"chaos_indexed_records\": {},\n  \"chaos_rebuilt_hours\": {},\n  \
+             \"chaos_consistent\": {}",
+            m.scale,
+            m.users,
+            m.records,
+            m.events,
+            m.hours_indexed,
+            m.index_lag_hours,
+            m.rows_per_group,
+            m.postings_bytes,
+            m.index_build_decoded_bytes,
+            m.answers_match,
+            classes.join(",\n"),
+            m.lookups,
+            m.serve_decoded_bytes,
+            m.batch_decoded_bytes,
+            m.decoded_bytes_ratio,
+            m.serve_cost_ms,
+            m.batch_cost_ms,
+            m.obs_reconciled,
+            m.chaos_seeds,
+            m.chaos_delivered,
+            m.chaos_indexed_records,
+            m.chaos_rebuilt_hours,
+            m.chaos_consistent,
+        );
+        Metrics {
+            experiment: Some("serve"),
+            schema: "uli-serve-v1",
+            body,
+            bench_file: "BENCH_serve.json",
+        }
+    }
 }
 
 #[cfg(test)]
@@ -675,7 +670,7 @@ mod tests {
 
     #[test]
     fn smoke_serving_layer_matches_batch_and_prunes_50x() {
-        let m = smoke_snapshot();
+        let m = measure(true);
         assert_eq!(m.scale, "smoke");
         assert_eq!(m.users, 120);
         assert_eq!(m.records, 2657);
@@ -694,24 +689,5 @@ mod tests {
         assert!(m.chaos_consistent);
         assert!(m.chaos_rebuilt_hours > 0, "no crash-window was exercised");
         assert!(m.serve_cost_ms < m.batch_cost_ms);
-        let json = to_json(&m);
-        assert!(json.contains("\"answers_match\": true"));
-        assert!(json.contains("\"chaos_consistent\": true"));
-        assert!(!json.contains("cores"), "smoke json must omit host cores");
-        assert!(
-            !json.contains("wall_us"),
-            "smoke json must omit wall-clock latency"
-        );
-    }
-
-    #[test]
-    fn full_json_records_cores_and_wall_clock() {
-        let mut m = measure_with(Scale::Smoke, 2);
-        m.cores = Some(2);
-        m.serve_lookup_wall_us = Some(321.5);
-        let json = to_json(&m);
-        assert!(json.contains("\"cores\": 2"));
-        assert!(json.contains("\"serve_lookup_wall_us\": 321.5"));
-        assert!(json.contains("\"chaos_seeds\": 2"));
     }
 }

@@ -15,13 +15,10 @@
 //! 2. **chaos** — the default seeded fault mix swept with the 8-worker
 //!    mover must stay invariant-clean and byte-identical to the serial
 //!    mover's same-seed outcome.
-//! 3. **throughput** — delivery records/sec per worker count (full runs
-//!    only), plus a machine-independent cost model derived from the move
-//!    reports' byte counters. Per the repro honesty convention, a host
-//!    with fewer hardware threads than the gated worker count gates on the
-//!    cost model (`speedup_basis = "cost_model"`): the wall-clock speedup
-//!    of 8 workers is unobservable there, and the wall-clock columns are
-//!    that host's record, not a verdict.
+//! 3. **speedup, in a cost model** — a machine-independent model derived
+//!    from the move reports' byte counters, labelled as a model on every
+//!    host and gated at >= 3x at 8 workers. The delivery's wall-clock is
+//!    the benchmark's: `deliver_rps` and `deliver.rps_w2`.
 //!
 //! The cost model: decode and encode/compress shard perfectly across `w`
 //! workers (pure per-file / per-chunk work), while the dedup merge stays
@@ -29,9 +26,9 @@
 //! `units(w) = (decode_bytes + encode_bytes)/w + 16·(records + duplicates)`
 //! — Amdahl's law with the measured byte totals as the parallel fraction.
 //!
-//! The smoke run is fully deterministic (pinned day, pinned seeds, no
-//! wall-clock, no cores), so CI diffs it against a checked-in golden; the
-//! full run persists `BENCH_delivery.json`.
+//! The smoke run is fully deterministic (pinned day, pinned seeds), so CI
+//! diffs it against a checked-in golden; the full run persists
+//! `BENCH_delivery.json`.
 
 use uli_core::client_event::CLIENT_EVENTS_CATEGORY;
 use uli_core::session::day_dir;
@@ -41,8 +38,8 @@ use uli_thrift::ThriftRecord;
 use uli_warehouse::{fnv1a64_fold, HourlyPartition, Parallelism, FNV1A64_OFFSET};
 use uli_workload::{DayStream, Scale};
 
-use crate::cells;
-use crate::harness::{detected_cores, timed, Table};
+use crate::harness::Table;
+use crate::{cells, Measured, Metrics};
 
 /// Worker counts the delivery identity and speedup are checked under.
 pub const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
@@ -71,12 +68,6 @@ pub struct WorkerRun {
     pub cost_units: f64,
     /// `units(1) / units(workers)` — the machine-independent speedup.
     pub speedup_cost_model: f64,
-    /// Wall-clock milliseconds spent inside `move_hour` (full runs only).
-    pub move_ms: Option<f64>,
-    /// Delivery throughput over the move calls (full runs only).
-    pub records_per_sec: Option<f64>,
-    /// Wall-clock speedup over the serial pass (full runs only).
-    pub speedup_wall_clock: Option<f64>,
 }
 
 /// The full delivery measurement.
@@ -110,14 +101,8 @@ pub struct Measurements {
     pub chaos_clean: bool,
     /// Every swept seed byte-identical to the serial mover's outcome.
     pub chaos_matches_serial: bool,
-    /// `"wall_clock"` or `"cost_model"`; `None` for smoke runs.
-    pub speedup_basis: Option<&'static str>,
-    /// The ≥3× gate value: speedup at 8 workers on the chosen basis
-    /// (cost model for smoke runs, which have no wall-clock).
+    /// The ≥3× gate value: the cost model's speedup at 8 workers.
     pub gate_speedup_at_8: f64,
-    /// Hardware threads on the measuring host; `None` for smoke runs so
-    /// the CI golden stays machine-independent.
-    pub cores: Option<usize>,
 }
 
 fn fnv_u64(h: u64, v: u64) -> u64 {
@@ -142,12 +127,10 @@ impl DeliveryTap for DigestTap {
 }
 
 /// Drives the pre-encoded day through the full topology at one worker
-/// count. `timed_moves` controls whether `move_hour` wall-clock is
-/// collected (full runs) or skipped (smoke, machine-independent).
+/// count.
 fn deliver_day(
     by_hour: &[Vec<(i64, Vec<u8>)>],
     workers: usize,
-    timed_moves: bool,
 ) -> (WorkerRun, u64, u64, (u64, u64)) {
     let config = PipelineConfig {
         datacenters: 2,
@@ -166,7 +149,6 @@ fn deliver_day(
     let mut output_files = 0u64;
     let mut decode_bytes = 0u64;
     let mut encode_bytes = 0u64;
-    let mut move_ms = 0f64;
     for (hour, events) in by_hour.iter().enumerate() {
         for (i, (user, bytes)) in events.iter().enumerate() {
             pipe.log(
@@ -178,13 +160,9 @@ fn deliver_day(
         pipe.step();
         pipe.flush_hour(hour as u64);
         pipe.seal_hour(CLIENT_EVENTS_CATEGORY, hour as u64);
-        let (report, ms) = timed(|| {
-            pipe.move_hour(CLIENT_EVENTS_CATEGORY, hour as u64)
-                .expect("fault-free day: every hour moves")
-        });
-        if timed_moves {
-            move_ms += ms;
-        }
+        let report = pipe
+            .move_hour(CLIENT_EVENTS_CATEGORY, hour as u64)
+            .expect("fault-free day: every hour moves");
         records += report.records;
         duplicates += report.duplicates;
         output_files += report.output_files;
@@ -226,9 +204,6 @@ fn deliver_day(
         seen_digest: seen,
         cost_units: 0.0,
         speedup_cost_model: 0.0,
-        move_ms: timed_moves.then_some(move_ms),
-        records_per_sec: timed_moves.then(|| records as f64 / (move_ms / 1000.0).max(1e-9)),
-        speedup_wall_clock: None,
     };
     (
         run,
@@ -244,8 +219,15 @@ fn cost_units(decode_bytes: u64, encode_bytes: u64, examined: u64, workers: usiz
     parallel + MERGE_UNITS_PER_RECORD * examined as f64
 }
 
-/// Runs the delivery measurement at `scale` with `chaos_seeds` chaos runs.
-pub fn measure_with(scale: Scale, chaos_seeds: u64, timed_moves: bool) -> Measurements {
+/// Runs the delivery measurement over the 1m-user day with 16 chaos seeds,
+/// or for a smoke run the pinned smoke day with 4, whose metrics CI
+/// golden-diffs.
+pub fn measure(smoke: bool) -> Measurements {
+    let (scale, chaos_seeds) = if smoke {
+        (Scale::Smoke, 4)
+    } else {
+        (Scale::OneM, 16)
+    };
     let config = scale.config();
 
     // Generate once, deliver once per worker count: the day's bytes are
@@ -263,7 +245,7 @@ pub fn measure_with(scale: Scale, chaos_seeds: u64, timed_moves: bool) -> Measur
     let mut encode_bytes = 0u64;
     let mut seen_shape = (0u64, 0u64);
     for &workers in &WORKER_COUNTS {
-        let (run, d, e, shape) = deliver_day(&by_hour, workers, timed_moves);
+        let (run, d, e, shape) = deliver_day(&by_hour, workers);
         decode_bytes = d;
         encode_bytes = e;
         seen_shape = shape;
@@ -283,14 +265,9 @@ pub fn measure_with(scale: Scale, chaos_seeds: u64, timed_moves: bool) -> Measur
     // Cost model from the serial pass's byte counters.
     let examined = runs[0].records + runs[0].duplicates;
     let serial_units = cost_units(decode_bytes, encode_bytes, examined, 1);
-    let serial_ms = runs[0].move_ms;
     for run in &mut runs {
         run.cost_units = cost_units(decode_bytes, encode_bytes, examined, run.workers);
         run.speedup_cost_model = serial_units / run.cost_units;
-        run.speedup_wall_clock = match (serial_ms, run.move_ms) {
-            (Some(s), Some(m)) => Some(s / m.max(1e-9)),
-            _ => None,
-        };
     }
 
     // Chaos: the 8-worker mover through the default fault mix, each seed
@@ -331,175 +308,134 @@ pub fn measure_with(scale: Scale, chaos_seeds: u64, timed_moves: bool) -> Measur
         chaos_delivered,
         chaos_clean,
         chaos_matches_serial,
-        speedup_basis: None,
         gate_speedup_at_8,
-        cores: None,
     }
 }
 
-/// The full run: the 1m-user day end-to-end, 16 chaos seeds, wall-clock
-/// per pass. A host with fewer hardware threads than the gated worker count
-/// gates on the cost model — what 8 workers gain in wall-clock is
-/// unobservable there and reporting it as a win (or a regression) would be
-/// dishonest either way.
-pub fn measure() -> Measurements {
-    let mut m = measure_with(Scale::OneM, 16, true);
-    let cores = detected_cores();
-    m.cores = Some(cores);
-    let wall_clock = cores >= WORKER_COUNTS[WORKER_COUNTS.len() - 1];
-    m.speedup_basis = Some(if wall_clock {
-        "wall_clock"
-    } else {
-        "cost_model"
-    });
-    if wall_clock {
-        m.gate_speedup_at_8 = m
-            .runs
-            .iter()
-            .find(|r| r.workers == 8)
-            .and_then(|r| r.speedup_wall_clock)
-            .unwrap_or(0.0);
-    }
-    m
-}
-
-/// The smoke run CI diffs against the checked-in golden: the pinned smoke
-/// day, 4 chaos seeds, no wall-clock anywhere.
-pub fn smoke_snapshot() -> Measurements {
-    measure_with(Scale::Smoke, 4, false)
-}
-
-/// Renders the measurement as the experiment table.
-pub fn render(m: &Measurements) -> String {
-    let mut out = format!(
-        "E23 — parallel pipelined delivery at --scale {}: {} users, {} events \
-         through daemon→aggregator→mover across {} traffic hours\n\n",
-        m.scale, m.users, m.events, m.hours_moved
-    );
-    out.push_str(&format!(
-        "landed files, seen-set, tap stream identical across workers \
-         {WORKER_COUNTS:?}: {}\n\n",
-        m.identical_across_workers
-    ));
-    let mut t = Table::new(&[
-        "workers",
-        "records",
-        "duplicates",
-        "files",
-        "cost units",
-        "speedup (model)",
-        "records/sec",
-        "speedup (wall)",
-    ]);
-    for r in &m.runs {
-        t.row(cells![
-            r.workers,
-            r.records,
-            r.duplicates,
-            r.output_files,
-            format!("{:.0}", r.cost_units),
-            format!("{:.2}x", r.speedup_cost_model),
-            r.records_per_sec
-                .map(|v| format!("{v:.0}"))
-                .unwrap_or_else(|| "-".into()),
-            r.speedup_wall_clock
-                .map(|v| format!("{v:.2}x"))
-                .unwrap_or_else(|| "-".into())
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\ndecode {} B staged, encode {} B accepted; seen-set compacted to \
-         {} host watermarks + {} residual ids\n",
-        m.decode_bytes, m.encode_bytes, m.seen_watermark_hosts, m.seen_residual_ids
-    ));
-    out.push_str(&format!(
-        "chaos sweep (8-worker mover): {} seeds, {} records delivered, \
-         clean: {}, identical to serial: {}\n",
-        m.chaos_seeds, m.chaos_delivered, m.chaos_clean, m.chaos_matches_serial
-    ));
-    out.push_str(&format!(
-        "speedup at 8 workers ({}): {:.2}x (gate: >= 3x)\n",
-        m.speedup_basis.unwrap_or("cost_model"),
-        m.gate_speedup_at_8
-    ));
-    if let Some(cores) = m.cores {
+impl Measured for Measurements {
+    fn render(&self) -> String {
+        let m = self;
+        let mut out = format!(
+            "E23 — parallel pipelined delivery at --scale {}: {} users, {} events \
+             through daemon→aggregator→mover across {} traffic hours\n\n",
+            m.scale, m.users, m.events, m.hours_moved
+        );
         out.push_str(&format!(
-            "{cores} hardware thread(s) visible; wall-clock columns are \
-             this host's, the cost model is machine-independent.\n"
+            "landed files, seen-set, tap stream identical across workers \
+             {WORKER_COUNTS:?}: {}\n\n",
+            m.identical_across_workers
         ));
-    }
-    out
-}
-
-/// Serializes the run as the `BENCH_delivery.json` payload (full runs) or
-/// the machine-independent smoke metrics (when `cores` is unset).
-pub fn to_json(m: &Measurements) -> String {
-    let mut head = String::new();
-    if let Some(c) = m.cores {
-        head.push_str(&format!("  \"cores\": {c},\n"));
-    }
-    if let Some(basis) = m.speedup_basis {
-        head.push_str(&format!("  \"speedup_basis\": \"{basis}\",\n"));
-    }
-    let runs: Vec<String> = m
-        .runs
-        .iter()
-        .map(|r| {
-            let mut wall = String::new();
-            if let (Some(ms), Some(rps)) = (r.move_ms, r.records_per_sec) {
-                wall.push_str(&format!(
-                    "\"move_ms\": {ms:.1}, \"records_per_sec\": {rps:.0}, "
-                ));
-            }
-            if let Some(s) = r.speedup_wall_clock {
-                wall.push_str(&format!("\"speedup_wall_clock\": {s:.3}, "));
-            }
-            format!(
-                "    {{\"workers\": {}, \"records\": {}, \"duplicates\": {}, \
-                 \"output_files\": {}, {}\"cost_units\": {:.0}, \
-                 \"speedup_cost_model\": {:.3}}}",
+        let mut t = Table::new(&[
+            "workers",
+            "records",
+            "duplicates",
+            "files",
+            "cost units",
+            "speedup (model)",
+        ]);
+        for r in &m.runs {
+            t.row(cells![
                 r.workers,
                 r.records,
                 r.duplicates,
                 r.output_files,
-                wall,
-                r.cost_units,
-                r.speedup_cost_model,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"delivery\",\n  \"schema\": \"uli-delivery-v1\",\n\
-         {head}  \"scale\": \"{}\",\n  \"users\": {},\n  \"events\": {},\n  \
-         \"hours_moved\": {},\n  \"worker_counts\": [1, 4, 8],\n  \
-         \"decode_bytes\": {},\n  \"encode_bytes\": {},\n  \
-         \"seen_watermark_hosts\": {},\n  \"seen_residual_ids\": {},\n  \
-         \"runs\": [\n{}\n  ],\n  \"identical_across_workers\": {},\n  \
-         \"chaos_seeds\": {},\n  \"chaos_delivered\": {},\n  \
-         \"chaos_clean\": {},\n  \"chaos_matches_serial\": {},\n  \
-         \"gate_speedup_at_8\": {:.3}\n}}\n",
-        m.scale,
-        m.users,
-        m.events,
-        m.hours_moved,
-        m.decode_bytes,
-        m.encode_bytes,
-        m.seen_watermark_hosts,
-        m.seen_residual_ids,
-        runs.join(",\n"),
-        m.identical_across_workers,
-        m.chaos_seeds,
-        m.chaos_delivered,
-        m.chaos_clean,
-        m.chaos_matches_serial,
-        m.gate_speedup_at_8,
-    )
-}
+                format!("{:.0}", r.cost_units),
+                format!("{:.2}x", r.speedup_cost_model)
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push_str(&format!(
+            "\ndecode {} B staged, encode {} B accepted; seen-set compacted to \
+             {} host watermarks + {} residual ids\n",
+            m.decode_bytes, m.encode_bytes, m.seen_watermark_hosts, m.seen_residual_ids
+        ));
+        out.push_str(&format!(
+            "chaos sweep (8-worker mover): {} seeds, {} records delivered, \
+             clean: {}, identical to serial: {}\n",
+            m.chaos_seeds, m.chaos_delivered, m.chaos_clean, m.chaos_matches_serial
+        ));
+        out.push_str(&format!(
+            "speedup at 8 workers (cost model): {:.2}x (gate: >= 3x)\n",
+            m.gate_speedup_at_8
+        ));
+        out
+    }
 
-/// Runs the experiment at full scale.
-pub fn run() -> String {
-    render(&measure())
+    fn gates(&self) -> Vec<(String, bool)> {
+        vec![
+            (
+                "parallel delivery diverged from serial".into(),
+                self.identical_across_workers,
+            ),
+            (
+                "a chaos seed violated a delivery invariant".into(),
+                self.chaos_clean,
+            ),
+            (
+                "parallel chaos outcome diverged from serial".into(),
+                self.chaos_matches_serial,
+            ),
+            (
+                format!(
+                    "cost-model speedup at 8 workers {:.2}x under the 3x gate",
+                    self.gate_speedup_at_8
+                ),
+                self.gate_speedup_at_8 >= 3.0,
+            ),
+        ]
+    }
+
+    fn metrics(&self, _smoke: bool) -> Metrics {
+        let m = self;
+        let runs: Vec<String> = m
+            .runs
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"workers\": {}, \"records\": {}, \"duplicates\": {}, \
+                     \"output_files\": {}, \"cost_units\": {:.0}, \
+                     \"speedup_cost_model\": {:.3}}}",
+                    r.workers,
+                    r.records,
+                    r.duplicates,
+                    r.output_files,
+                    r.cost_units,
+                    r.speedup_cost_model,
+                )
+            })
+            .collect();
+        let body = format!(
+            "  \"scale\": \"{}\",\n  \"users\": {},\n  \"events\": {},\n  \
+             \"hours_moved\": {},\n  \"worker_counts\": [1, 4, 8],\n  \
+             \"decode_bytes\": {},\n  \"encode_bytes\": {},\n  \
+             \"seen_watermark_hosts\": {},\n  \"seen_residual_ids\": {},\n  \
+             \"runs\": [\n{}\n  ],\n  \"identical_across_workers\": {},\n  \
+             \"chaos_seeds\": {},\n  \"chaos_delivered\": {},\n  \
+             \"chaos_clean\": {},\n  \"chaos_matches_serial\": {},\n  \
+             \"gate_speedup_at_8\": {:.3}",
+            m.scale,
+            m.users,
+            m.events,
+            m.hours_moved,
+            m.decode_bytes,
+            m.encode_bytes,
+            m.seen_watermark_hosts,
+            m.seen_residual_ids,
+            runs.join(",\n"),
+            m.identical_across_workers,
+            m.chaos_seeds,
+            m.chaos_delivered,
+            m.chaos_clean,
+            m.chaos_matches_serial,
+            m.gate_speedup_at_8,
+        );
+        Metrics {
+            experiment: Some("delivery"),
+            schema: "uli-delivery-v1",
+            body,
+            bench_file: "BENCH_delivery.json",
+        }
+    }
 }
 
 #[cfg(test)]
@@ -507,8 +443,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_delivery_is_identical_and_json_is_machine_independent() {
-        let m = smoke_snapshot();
+    fn smoke_delivery_is_identical() {
+        let m = measure(true);
         assert_eq!(m.scale, "smoke");
         assert_eq!(m.users, 120);
         assert!(m.events > 0);
@@ -531,30 +467,6 @@ mod tests {
             m.seen_watermark_hosts > 0,
             "the day should compact to host watermarks"
         );
-        let json = to_json(&m);
-        assert!(json.contains("\"identical_across_workers\": true"));
-        assert!(json.contains("\"chaos_clean\": true"));
-        assert!(!json.contains("cores"), "smoke json must omit host cores");
-        assert!(
-            !json.contains("records_per_sec"),
-            "smoke json must omit wall-clock throughput"
-        );
-        assert!(
-            !json.contains("speedup_basis"),
-            "smoke json must omit the basis (it has no wall-clock)"
-        );
-    }
-
-    #[test]
-    fn full_json_records_cores_and_basis() {
-        let mut m = measure_with(Scale::Smoke, 2, true);
-        m.cores = Some(1);
-        m.speedup_basis = Some("cost_model");
-        let json = to_json(&m);
-        assert!(json.contains("\"cores\": 1"));
-        assert!(json.contains("\"speedup_basis\": \"cost_model\""));
-        assert!(json.contains("\"records_per_sec\""));
-        assert!(json.contains("\"chaos_seeds\": 2"));
     }
 
     #[test]

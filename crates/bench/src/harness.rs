@@ -1,8 +1,10 @@
 //! Shared fixtures and formatting for the experiments.
 
 use std::fmt::Write as _;
+use std::process::Command;
 use std::time::Instant;
 
+use crate::Metrics;
 use uli_core::session::Materializer;
 use uli_warehouse::Warehouse;
 use uli_workload::{generate_day, write_paper_raw_log, DayWorkload, WorkloadConfig};
@@ -58,12 +60,37 @@ pub fn prepare_days(config: &WorkloadConfig, days: u64) -> (Warehouse, Vec<DayWo
     (warehouse, out)
 }
 
-/// Hardware threads visible to this process. Recorded in every full-scale
-/// `BENCH_*.json` so readers can judge whether a wall-clock speedup was
-/// measurable on the machine that produced it; smoke outputs omit it so the
-/// CI goldens stay machine-independent.
-pub fn detected_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// A persisted metrics file: `{`, the head, the experiment's body, `}`.
+///
+/// The head is the experiment and its schema and, on full runs only, the
+/// host, recorded as `benchmark/`'s header records it: the hardware
+/// threads visible to the process and `git rev-parse --short HEAD`
+/// ("unknown" outside a checkout). A smoke head names no host, so the CI
+/// goldens stay machine-independent.
+pub fn envelope(metrics: &Metrics, smoke: bool) -> String {
+    let mut out = String::from("{\n");
+    if let Some(experiment) = metrics.experiment {
+        let _ = writeln!(out, "  \"experiment\": \"{experiment}\",");
+    }
+    let _ = writeln!(out, "  \"schema\": \"{}\",", metrics.schema);
+    if !smoke {
+        let git = Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .filter(|rev| !rev.is_empty())
+            .unwrap_or_else(|| "unknown".to_string());
+        let _ = writeln!(
+            out,
+            "  \"cores\": {},\n  \"git\": \"{git}\",",
+            std::thread::available_parallelism().map_or(0, usize::from)
+        );
+    }
+    out.push_str(&metrics.body);
+    out.push_str("\n}\n");
+    out
 }
 
 /// Peak resident memory (`VmHWM`) of this process so far, MB; 0 where
@@ -82,7 +109,8 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Times a closure, returning (result, milliseconds).
+/// Times a closure, returning (result, milliseconds): E20's stage times
+/// only, until the benchmark runs the 1m day.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let v = f();

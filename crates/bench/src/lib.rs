@@ -1,45 +1,182 @@
 //! The experiment harness: regenerates every table/figure-level claim of
-//! the paper (see DESIGN.md's experiment index E1–E12).
+//! the paper (see DESIGN.md's experiment index, E1–E23).
 //!
-//! Each experiment lives in [`experiments`] as a `run() -> String` that
-//! prints a self-contained table; the `repro` binary dispatches on ids.
-//! Criterion benches under `benches/` cover the timing-sensitive pieces.
+//! E1–E13, the paper's own tables, are each a `run() -> String` that prints
+//! a self-contained table. E16–E23 measure counts — records, bytes, blocks,
+//! identity flags, cost-model units named as such — and gate on them: each
+//! exposes `measure(smoke)` and implements [`Measured`]. The `repro` binary
+//! runs every id through [`EXPERIMENTS`]. Nothing here reports wall-clock
+//! time: that is the `benchmark/` package's job, with repeats and a
+//! recorded host.
+
+use uli_workload::Scale;
 
 pub mod experiments;
 pub mod harness;
 
-/// Runs one experiment by id (`"e1"`…`"e23"`; E14 and E15 are recorded
-/// results in EXPERIMENTS.md, no longer runnable), returning its report.
-pub fn run_experiment(id: &str) -> Option<String> {
-    let out = match id {
-        "e1" => experiments::e1_scribe::run(),
-        "e2" => experiments::e2_rollups::run(),
-        "e3" => experiments::e3_codec::run(),
-        "e4" => experiments::e4_compression::run(),
-        "e5" => experiments::e5_query_cost::run(),
-        "e6" => experiments::e6_funnel::run(),
-        "e7" => experiments::e7_ngram::run(),
-        "e8" => experiments::e8_collocations::run(),
-        "e9" => experiments::e9_legacy::run(),
-        "e10" => experiments::e10_summary::run(),
-        "e11" => experiments::e11_index::run(),
-        "e12" => experiments::e12_catalog::run(),
-        "e13" => experiments::e13_layouts::run(),
-        "e16" => experiments::e16_chaos::run(),
-        "e17" => experiments::e17_obs::run(),
-        "e18" => experiments::e18_ingest::run(),
-        "e19" => experiments::e19_columnar::run(),
-        "e20" => experiments::e20_scale::run(),
-        "e21" => experiments::e21_stream::run(),
-        "e22" => experiments::e22_serve::run(),
-        "e23" => experiments::e23_delivery::run(),
-        _ => return None,
-    };
-    Some(out)
+use experiments::*;
+
+/// How `repro` was asked to run.
+#[derive(Debug, Clone, Copy)]
+pub struct Run {
+    /// `--smoke`: the pinned smoke day and seeds, metrics written to
+    /// `target/<id>_smoke.metrics.json` for CI's golden diff. Otherwise full
+    /// scale, metrics written to the experiment's `BENCH_*.json`.
+    pub smoke: bool,
+    /// E20's day (`--scale`; always [`Scale::Smoke`] under `--smoke`).
+    pub scale: Scale,
+    /// E20's tight query budget (`--mem-budget`; ignored under `--smoke`).
+    pub mem_budget: Option<u64>,
 }
+
+/// A metrics file an experiment persists: [`harness::envelope`] writes its
+/// head, the experiment its body.
+pub struct Metrics {
+    /// The head's `experiment`; `None` for E17's smoke file, which is the
+    /// registry's own export and heads with its schema alone.
+    pub experiment: Option<&'static str>,
+    /// The head's `schema`.
+    pub schema: &'static str,
+    /// The members after the head, one per line, indented two spaces,
+    /// without the enclosing braces or a trailing newline.
+    pub body: String,
+    /// The file a full run writes in the current directory.
+    pub bench_file: &'static str,
+}
+
+/// An experiment that measures counts and gates on them (E17–E23).
+pub trait Measured {
+    /// The report `repro` prints.
+    fn render(&self) -> String;
+    /// Each gate as (what failing it means, whether it held); `repro` exits
+    /// nonzero if any is false.
+    fn gates(&self) -> Vec<(String, bool)>;
+    /// The metrics a run persists; `smoke` drops what the golden must not
+    /// hold.
+    fn metrics(&self, smoke: bool) -> Metrics;
+}
+
+/// One experiment's run, as the runner handles it.
+pub struct Outcome {
+    /// The report `repro` prints.
+    pub report: String,
+    /// The gates it checked; see [`Measured::gates`].
+    pub gates: Vec<(String, bool)>,
+    /// What it persists, if anything.
+    pub metrics: Option<Metrics>,
+}
+
+impl Outcome {
+    /// A printed table with no gates and nothing persisted.
+    fn table(report: String) -> Outcome {
+        Outcome {
+            report,
+            gates: Vec::new(),
+            metrics: None,
+        }
+    }
+}
+
+/// A measured experiment's report, gates and metrics.
+fn measured(m: &impl Measured, run: &Run) -> Outcome {
+    Outcome {
+        report: m.render(),
+        gates: m.gates(),
+        metrics: Some(m.metrics(run.smoke)),
+    }
+}
+
+/// How the runner runs one experiment.
+pub type Experiment = fn(&Run) -> Outcome;
+
+/// Every runnable experiment by id (E14 and E15 are recorded results in
+/// EXPERIMENTS.md, no longer runnable), in [`ALL_EXPERIMENTS`] order.
+pub const EXPERIMENTS: [(&str, Experiment); 21] = [
+    ("e1", |_| Outcome::table(e1_scribe::run())),
+    ("e2", |_| Outcome::table(e2_rollups::run())),
+    ("e3", |_| Outcome::table(e3_codec::run())),
+    ("e4", |_| Outcome::table(e4_compression::run())),
+    ("e5", |_| Outcome::table(e5_query_cost::run())),
+    ("e6", |_| Outcome::table(e6_funnel::run())),
+    ("e7", |_| Outcome::table(e7_ngram::run())),
+    ("e8", |_| Outcome::table(e8_collocations::run())),
+    ("e9", |_| Outcome::table(e9_legacy::run())),
+    ("e10", |_| Outcome::table(e10_summary::run())),
+    ("e11", |_| Outcome::table(e11_index::run())),
+    ("e12", |_| Outcome::table(e12_catalog::run())),
+    ("e13", |_| Outcome::table(e13_layouts::run())),
+    ("e16", |r| Outcome::table(e16_chaos::measure(r.smoke))),
+    ("e17", |r| measured(&e17_obs::measure(r.smoke), r)),
+    ("e18", |r| measured(&e18_ingest::measure(r.smoke), r)),
+    ("e19", |r| measured(&e19_columnar::measure(r.smoke), r)),
+    ("e20", |r| {
+        measured(&e20_scale::measure(r.scale, r.mem_budget), r)
+    }),
+    ("e21", |r| measured(&e21_stream::measure(r.smoke), r)),
+    ("e22", |r| measured(&e22_serve::measure(r.smoke), r)),
+    ("e23", |r| measured(&e23_delivery::measure(r.smoke), r)),
+];
 
 /// All experiment ids in order.
 pub const ALL_EXPERIMENTS: [&str; 21] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e16", "e17",
     "e18", "e19", "e20", "e21", "e22", "e23",
 ];
+
+/// Runs one experiment by id, or `None` for an unknown id.
+pub fn run_experiment(id: &str, run: &Run) -> Option<Outcome> {
+    EXPERIMENTS
+        .iter()
+        .find(|(name, _)| *name == id)
+        .map(|(_, experiment)| experiment(run))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use uli_core::json::Json;
+
+    #[test]
+    fn every_experiment_appears_in_the_table_exactly_once() {
+        for id in ALL_EXPERIMENTS {
+            let entries = EXPERIMENTS.iter().filter(|(name, _)| *name == id).count();
+            assert_eq!(
+                entries, 1,
+                "{id} has {entries} entries in the runner's table"
+            );
+        }
+        assert_eq!(EXPERIMENTS.len(), ALL_EXPERIMENTS.len());
+    }
+
+    /// The head of every persisted file: a smoke head carries no host
+    /// field, a full head carries cores and git rev, and every measured
+    /// experiment's smoke file is a JSON document that passes its gates.
+    #[test]
+    fn every_smoke_file_parses_and_only_a_full_head_names_the_host() {
+        let smoke = Run {
+            smoke: true,
+            scale: Scale::Smoke,
+            mem_budget: None,
+        };
+        for id in ["e17", "e18", "e19", "e20", "e21", "e22", "e23"] {
+            let outcome = run_experiment(id, &smoke).expect("a runnable id");
+            for (message, passed) in &outcome.gates {
+                assert!(passed, "{id}: {message}");
+            }
+            let metrics = outcome.metrics.expect("a measured experiment persists");
+            assert!(metrics.bench_file.starts_with("BENCH_"), "{id}");
+            let file = harness::envelope(&metrics, true);
+            let json = Json::parse(&file).unwrap_or_else(|e| panic!("{id}: {e}"));
+            assert_eq!(
+                json.get("schema").and_then(Json::as_str),
+                Some(metrics.schema)
+            );
+            for host in ["cores", "git"] {
+                assert!(json.get(host).is_none(), "{id}'s smoke head names {host}");
+            }
+            let full = Json::parse(&harness::envelope(&metrics, false)).expect("parses");
+            assert!(full.get("cores").and_then(Json::as_f64).is_some(), "{id}");
+            assert!(full.get("git").and_then(Json::as_str).is_some(), "{id}");
+        }
+    }
+}

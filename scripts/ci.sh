@@ -143,6 +143,18 @@ if grep -rn 'append_record_sealed' crates src tests examples benchmark/src ||
     exit 1
 fi
 
+# One way to run an experiment: `repro` runs every id through the runner's
+# table, with no arm of its own for any id. And the measured experiments
+# report counts: wall-clock is the benchmark package's, so only E20's stage
+# times (until the benchmark runs the 1m day) take a stopwatch, and the host
+# is recorded once, by the envelope every persisted file is written through.
+if grep -n 'if id == "e' crates/bench/src/bin/repro.rs ||
+    grep -nE 'timed\(|Instant|detected_cores' crates/bench/src/experiments/e1[7-9]_*.rs \
+        crates/bench/src/experiments/e2[1-3]_*.rs; then
+    echo "experiment gate: a per-id arm in repro, or a clock or host probe in a counts-only experiment." >&2
+    exit 1
+fi
+
 # One columnar format: the version this build writes and reads is 5.
 if grep -rn 'COLUMNAR_VERSION' crates | grep -E 'COLUMNAR_VERSION: u8 = ' | grep -v '= 5;'; then
     echo "format gate: COLUMNAR_VERSION is not 5." >&2
@@ -293,5 +305,17 @@ golden_gate e23 delivery \
     '"identical_across_workers": true' \
     '"chaos_clean": true' \
     '"chaos_matches_serial": true'
+
+# Counts, not clocks: no smoke metrics file, and no persisted BENCH file but
+# E20's, carries a wall-clock key (a cost-model figure says `cost` in its
+# name), and none carries a wall-clock speedup or a basis switching to one.
+for f in target/e*_smoke.metrics.json BENCH_*.json; do
+    [ "$f" = BENCH_scale.json ] && continue
+    if grep -oE '"[a-z_]*_(ms|us|per_sec)":' "$f" | grep -v cost ||
+        grep -nE 'speedup_basis|speedup_wall_clock' "$f"; then
+        echo "clock gate: $f carries a wall-clock field." >&2
+        exit 1
+    fi
+done
 
 echo "ci: all green"
