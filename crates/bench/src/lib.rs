@@ -5,9 +5,9 @@
 //! a self-contained table. E16–E23 measure counts — records, bytes, blocks,
 //! identity flags, cost-model units named as such — and gate on them: each
 //! exposes `measure(smoke)` and implements [`Measured`]. The `repro` binary
-//! runs every id through [`EXPERIMENTS`]. Nothing here reports wall-clock
-//! time: that is the `benchmark/` package's job, with repeats and a
-//! recorded host.
+//! runs every id through [`EXPERIMENTS`]. Wall-clock time is the
+//! `benchmark/` package's job, with repeats and a recorded host; of E16–E23
+//! only E20 still takes it, for the 1m day the benchmark does not run.
 
 use uli_workload::Scale;
 
