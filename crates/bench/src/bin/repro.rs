@@ -19,7 +19,7 @@
 
 use std::process::ExitCode;
 
-use uli_bench::{harness, Run, ALL_EXPERIMENTS};
+use uli_bench::{harness, Run, EXPERIMENTS};
 use uli_workload::Scale;
 
 fn main() -> ExitCode {
@@ -77,8 +77,9 @@ fn main() -> ExitCode {
         scale: if smoke { Scale::Smoke } else { scale },
         mem_budget: mem_budget.filter(|_| !smoke),
     };
+    let all: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
     let ids: Vec<&str> = if named.is_empty() || named.contains(&"all") {
-        ALL_EXPERIMENTS.to_vec()
+        all.clone()
     } else {
         named
     };
@@ -87,7 +88,7 @@ fn main() -> ExitCode {
         let Some(outcome) = uli_bench::run_experiment(id, &run) else {
             eprintln!(
                 "unknown experiment {id:?}; valid: {} or 'all'",
-                ALL_EXPERIMENTS.join(", ")
+                all.join(", ")
             );
             failed = true;
             continue;

@@ -196,11 +196,15 @@ fn run_once(users: u64, workers: usize) -> ObsSample {
 /// Runs the sweep: 300 users at workers {1, 4, 8}, or for a smoke run the
 /// 120-user day at workers {1, 2}, whose snapshot CI golden-diffs.
 pub fn measure(smoke: bool) -> Measurements {
-    let (users, worker_counts): (u64, &[usize]) = if smoke {
-        (120, &[1, 2])
+    if smoke {
+        sweep(120, &[1, 2])
     } else {
-        (300, &[1, 4, 8])
-    };
+        sweep(300, &[1, 4, 8])
+    }
+}
+
+/// One instrumented day per worker count, and the verdicts across them.
+fn sweep(users: u64, worker_counts: &[usize]) -> Measurements {
     let samples: Vec<ObsSample> = worker_counts
         .iter()
         .map(|&workers| run_once(users, workers))
@@ -339,7 +343,7 @@ mod tests {
 
     #[test]
     fn snapshots_reconcile_and_are_worker_invariant() {
-        let m = measure(true);
+        let m = sweep(60, &[1, 4, 8]);
         assert!(m.reconciled, "cross-layer totals must reconcile");
         assert!(
             m.snapshots_identical,
@@ -354,11 +358,17 @@ mod tests {
             m.samples.iter().all(|s| s.oink_failures > 0),
             "the staging outage must make the mover retry"
         );
-        assert!(
-            m.samples
-                .windows(2)
-                .all(|w| w[0].critical_path == w[1].critical_path),
-            "critical-path report must not depend on worker count"
+        assert_eq!(
+            m.samples[0].critical_path, m.samples[2].critical_path,
+            "critical-path report must be identical at 1 and 8 workers"
+        );
+        // What a smoke run writes: the registry's export, headed by its
+        // schema alone.
+        let json = crate::tests::assert_smoke_run(&m);
+        assert!(json.get("experiment").is_none());
+        assert_eq!(
+            json.get("schema").and_then(uli_core::json::Json::as_str),
+            Some("uli-obs-v1")
         );
     }
 }

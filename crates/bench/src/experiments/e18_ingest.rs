@@ -353,6 +353,7 @@ mod tests {
     #[test]
     fn batching_reduces_cost_without_changing_landed_bytes() {
         let m = measure(true);
+        crate::tests::assert_smoke_run(&m);
         assert!(
             m.landed_identical,
             "batching must not change what lands in the warehouse"

@@ -624,6 +624,7 @@ mod tests {
     #[test]
     fn columnar_dict_cuts_decoded_bytes_4x_with_identical_rows() {
         let m = measure(true);
+        crate::tests::assert_smoke_run(&m);
         assert!(m.outputs_identical, "columnar arms changed query results");
         assert_eq!(m.samples.len(), ARMS.len() * 2 + 2);
         let cell = |label: &str, workers: usize| {

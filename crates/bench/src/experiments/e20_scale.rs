@@ -498,6 +498,7 @@ fn sample_json(s: &QuerySample, include_timing: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uli_core::json::Json;
     use uli_dataflow::wire::encode_tuple;
     use uli_warehouse::{fnv1a64_fold, FNV1A64_OFFSET};
 
@@ -590,5 +591,28 @@ mod tests {
             .find(|s| s.query == "top-20-latest")
             .expect("query measured");
         assert_eq!(top.output_rows, 20);
+
+        crate::tests::assert_smoke_run(&m);
+        // A full run's file also carries the peak memory and the stage
+        // times, and each query cell its own.
+        let full = m.metrics(false);
+        let json = Json::parse(&crate::harness::envelope(&full, false)).expect("parses");
+        for key in [
+            "peak_rss_mb",
+            "land_ms",
+            "ingest_records_per_sec",
+            "mat_ms",
+            "mat_default_ms",
+            "mat_default_spill_runs",
+        ] {
+            assert!(json.get(key).and_then(Json::as_f64).is_some(), "{key}");
+        }
+        let Some(Json::Array(samples)) = json.get("samples") else {
+            panic!("no samples array");
+        };
+        assert_eq!(samples.len(), m.samples.len());
+        for sample in samples {
+            assert!(sample.get("query_ms").and_then(Json::as_f64).is_some());
+        }
     }
 }

@@ -359,6 +359,7 @@ mod tests {
     #[test]
     fn smoke_lambda_invariant_holds() {
         let m = measure(true);
+        crate::tests::assert_smoke_run(&m);
         assert_eq!(m.scale, "smoke");
         assert_eq!(m.users, 120);
         // The pinned generator goldens fix the smoke day exactly.

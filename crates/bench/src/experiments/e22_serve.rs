@@ -671,6 +671,7 @@ mod tests {
     #[test]
     fn smoke_serving_layer_matches_batch_and_prunes_50x() {
         let m = measure(true);
+        crate::tests::assert_smoke_run(&m);
         assert_eq!(m.scale, "smoke");
         assert_eq!(m.users, 120);
         assert_eq!(m.records, 2657);

@@ -445,6 +445,7 @@ mod tests {
     #[test]
     fn smoke_delivery_is_identical() {
         let m = measure(true);
+        crate::tests::assert_smoke_run(&m);
         assert_eq!(m.scale, "smoke");
         assert_eq!(m.users, 120);
         assert!(m.events > 0);

@@ -189,6 +189,36 @@ mod tests {
         assert!(text.lines().count() == 4);
     }
 
+    /// A smoke head names no host, so the CI goldens stay
+    /// machine-independent; a full head carries cores and git rev.
+    #[test]
+    fn only_a_full_head_names_the_host() {
+        use uli_core::json::Json;
+        let metrics = Metrics {
+            experiment: Some("example"),
+            schema: "uli-example-v1",
+            body: "  \"records\": 3".to_string(),
+            bench_file: "BENCH_example.json",
+        };
+        let smoke = Json::parse(&envelope(&metrics, true)).expect("parses");
+        assert_eq!(
+            smoke.get("experiment").and_then(Json::as_str),
+            Some("example")
+        );
+        assert_eq!(
+            smoke.get("schema").and_then(Json::as_str),
+            Some("uli-example-v1")
+        );
+        assert_eq!(smoke.get("records").and_then(Json::as_f64), Some(3.0));
+        for host in ["cores", "git"] {
+            assert!(smoke.get(host).is_none(), "the smoke head names {host}");
+        }
+        let full = Json::parse(&envelope(&metrics, false)).expect("parses");
+        assert!(full.get("cores").and_then(Json::as_f64).is_some());
+        assert!(full.get("git").and_then(Json::as_str).is_some());
+        assert_eq!(full.get("records").and_then(Json::as_f64), Some(3.0));
+    }
+
     #[test]
     fn prepare_day_is_consistent() {
         let mut cfg = standard_config();

@@ -89,8 +89,8 @@ fn measured(m: &impl Measured, run: &Run) -> Outcome {
 /// How the runner runs one experiment.
 pub type Experiment = fn(&Run) -> Outcome;
 
-/// Every runnable experiment by id (E14 and E15 are recorded results in
-/// EXPERIMENTS.md, no longer runnable), in [`ALL_EXPERIMENTS`] order.
+/// Every runnable experiment by id, in the order `repro all` runs them (E14
+/// and E15 are recorded results in EXPERIMENTS.md, no longer runnable).
 pub const EXPERIMENTS: [(&str, Experiment); 21] = [
     ("e1", |_| Outcome::table(e1_scribe::run())),
     ("e2", |_| Outcome::table(e2_rollups::run())),
@@ -117,12 +117,6 @@ pub const EXPERIMENTS: [(&str, Experiment); 21] = [
     ("e23", |r| measured(&e23_delivery::measure(r.smoke), r)),
 ];
 
-/// All experiment ids in order.
-pub const ALL_EXPERIMENTS: [&str; 21] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e16", "e17",
-    "e18", "e19", "e20", "e21", "e22", "e23",
-];
-
 /// Runs one experiment by id, or `None` for an unknown id.
 pub fn run_experiment(id: &str, run: &Run) -> Option<Outcome> {
     EXPERIMENTS
@@ -137,46 +131,24 @@ mod tests {
     use uli_core::json::Json;
 
     #[test]
-    fn every_experiment_appears_in_the_table_exactly_once() {
-        for id in ALL_EXPERIMENTS {
-            let entries = EXPERIMENTS.iter().filter(|(name, _)| *name == id).count();
-            assert_eq!(
-                entries, 1,
-                "{id} has {entries} entries in the runner's table"
+    fn no_id_appears_twice_in_the_table() {
+        for (i, (id, _)) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[i + 1..].iter().all(|(other, _)| other != id),
+                "{id} has two entries in the runner's table"
             );
         }
-        assert_eq!(EXPERIMENTS.len(), ALL_EXPERIMENTS.len());
     }
 
-    /// The head of every persisted file: a smoke head carries no host
-    /// field, a full head carries cores and git rev, and every measured
-    /// experiment's smoke file is a JSON document that passes its gates.
-    #[test]
-    fn every_smoke_file_parses_and_only_a_full_head_names_the_host() {
-        let smoke = Run {
-            smoke: true,
-            scale: Scale::Smoke,
-            mem_budget: None,
-        };
-        for id in ["e17", "e18", "e19", "e20", "e21", "e22", "e23"] {
-            let outcome = run_experiment(id, &smoke).expect("a runnable id");
-            for (message, passed) in &outcome.gates {
-                assert!(passed, "{id}: {message}");
-            }
-            let metrics = outcome.metrics.expect("a measured experiment persists");
-            assert!(metrics.bench_file.starts_with("BENCH_"), "{id}");
-            let file = harness::envelope(&metrics, true);
-            let json = Json::parse(&file).unwrap_or_else(|e| panic!("{id}: {e}"));
-            assert_eq!(
-                json.get("schema").and_then(Json::as_str),
-                Some(metrics.schema)
-            );
-            for host in ["cores", "git"] {
-                assert!(json.get(host).is_none(), "{id}'s smoke head names {host}");
-            }
-            let full = Json::parse(&harness::envelope(&metrics, false)).expect("parses");
-            assert!(full.get("cores").and_then(Json::as_f64).is_some(), "{id}");
-            assert!(full.get("git").and_then(Json::as_str).is_some(), "{id}");
+    /// Checks a measured experiment's smoke run as `repro --smoke` does:
+    /// every gate holds and the file it writes parses. Returns that file.
+    pub(crate) fn assert_smoke_run(m: &impl Measured) -> Json {
+        for (message, passed) in m.gates() {
+            assert!(passed, "{message}");
         }
+        let metrics = m.metrics(true);
+        assert!(metrics.bench_file.starts_with("BENCH_"));
+        let file = harness::envelope(&metrics, true);
+        Json::parse(&file).unwrap_or_else(|e| panic!("the smoke file does not parse: {e}"))
     }
 }
