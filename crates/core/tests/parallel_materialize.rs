@@ -1,12 +1,15 @@
 //! Worker-count and budget independence of the materializer: for seeded
 //! random days, every worker count must produce the same report, the same
 //! dictionary (codes and rank order), the same samples, and byte-identical
-//! part files — the recorded ones, at any budget of pass 2's event sort.
+//! part files — the recorded ones, at any budget of pass 2's event sort —
+//! and the recorded sessions when those files are decoded.
 
 use rand::{Rng, SeedableRng};
 use uli_core::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
 use uli_core::event::{EventInitiator, EventName};
-use uli_core::session::{sequences_dir, EventDictionary, MaterializeReport, Materializer};
+use uli_core::session::{
+    sequences_dir, EventDictionary, MaterializeReport, Materializer, SessionSequence,
+};
 use uli_core::time::Timestamp;
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
@@ -87,22 +90,48 @@ fn sequences_digest(wh: &Warehouse) -> u64 {
     h
 }
 
+/// What the sequence part files of day 0 decode to, in path order: each
+/// path, then each session's user, session id, ip, sequence and duration in
+/// part order, every text field behind its length.
+fn sequence_rows_digest(wh: &Warehouse) -> u64 {
+    let fold_u64 = |h, v: u64| fnv1a64_fold(h, &v.to_le_bytes());
+    let mut h = FNV1A64_OFFSET;
+    for file in wh.list_files_recursive(&sequences_dir(0)).unwrap() {
+        h = fnv1a64_fold(h, file.as_str().as_bytes());
+        for record in wh.open(&file).unwrap().read_all().unwrap() {
+            let s = SessionSequence::from_bytes(&record).unwrap();
+            h = fold_u64(h, s.user_id as u64);
+            for text in [&s.session_id, &s.ip, &s.sequence] {
+                h = fnv1a64_fold(fold_u64(h, text.len() as u64), text.as_bytes());
+            }
+            h = fold_u64(h, s.duration_secs as u64);
+        }
+    }
+    h
+}
+
 /// [`sequences_digest`] of each seeded day, recorded from the whole-day
-/// in-memory pass 2 that the event sort replaced.
-const RECORDED_SEQUENCES: [(u64, u64); 3] = [
-    (11, 14327779769069026765),
-    (23, 9496805744395632156),
-    (59, 14196915064328515780),
+/// in-memory pass 2 that the event sort replaced, and its
+/// [`sequence_rows_digest`], recorded before the part files' format moved.
+const RECORDED_SEQUENCES: [(u64, u64, u64); 3] = [
+    (11, 14327779769069026765, 15382723732125573666),
+    (23, 9496805744395632156, 9221895867505228001),
+    (59, 14196915064328515780, 15740313872856570466),
 ];
 
 #[test]
 fn parallel_day_is_byte_identical_to_serial() {
-    for (seed, recorded) in RECORDED_SEQUENCES {
+    for (seed, recorded, recorded_rows) in RECORDED_SEQUENCES {
         let (serial_wh, serial_report) = run_day(seed, 1);
         assert_eq!(
             sequences_digest(&serial_wh),
             recorded,
             "sequence files moved: seed {seed}"
+        );
+        assert_eq!(
+            sequence_rows_digest(&serial_wh),
+            recorded_rows,
+            "decoded sessions moved: seed {seed}"
         );
         let serial_seqs = dump_dir(&serial_wh, &sequences_dir(0));
         let serial_dict = dump_dir(&serial_wh, &uli_core::session::dictionary_dir(0));
@@ -133,8 +162,8 @@ fn parallel_day_is_byte_identical_to_serial() {
             for budget in [1024, u64::MAX] {
                 let (wh, report) = run_day_within(seed, workers, budget);
                 assert_eq!(
-                    sequences_digest(&wh),
-                    recorded,
+                    (sequences_digest(&wh), sequence_rows_digest(&wh)),
+                    (recorded, recorded_rows),
                     "seed {seed}, {workers} workers, budget {budget}"
                 );
                 assert_eq!(report.spill_runs > 0, budget == 1024);

@@ -19,8 +19,9 @@
 //!
 //! Beside the bytes, what the bytes *decode to* is pinned: every landed
 //! row at full width through the one row view, in scan order, with the
-//! visit's `(events, skipped)`, and the dictionary, samples and
-//! session-sequence part files the nightly materializer derives from them.
+//! visit's `(events, skipped)`, and every session of the part files the
+//! nightly materializer derives from them, field by field in part order
+//! (the dictionary and samples files are pinned as bytes alone).
 //! A format change re-pins the byte digests; these must not move. Nor must
 //! what a file of values that nearly have a shape — hex digits, a number, a
 //! dotted quad — decodes to, now that the format stores a value by its shape,
@@ -39,7 +40,7 @@ use uli_core::columnar::{
     client_event_cells, event_columns, for_each_event_row, write_client_events_columnar,
     ALL_COLUMNS, NAME_COLUMN,
 };
-use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer};
+use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer, SessionSequence};
 use uli_core::{ClientEvent, ClientEventLanding, EventInitiator, EventName, Timestamp};
 use uli_dataflow::{Loader, ScanSpec};
 use uli_scribe::message::LogEntry;
@@ -166,6 +167,47 @@ fn sequences_digest(wh: &Warehouse) -> u64 {
     h
 }
 
+/// What every `/session_sequences` part file of day 0 decodes to, in path
+/// order: its path, then each session's user, session id, ip, sequence and
+/// duration in part order. A format change re-pins [`sequences_digest`];
+/// this must not move.
+fn sequence_rows_digest(wh: &Warehouse) -> u64 {
+    let mut files = wh
+        .list_files_recursive(&sequences_dir(0))
+        .expect("pass 2 left its directory");
+    files.sort();
+    let mut h = fold_u64(FNV1A64_OFFSET, files.len() as u64);
+    for file in &files {
+        h = fnv1a64_fold(h, file.as_str().as_bytes());
+        for record in wh
+            .open(file)
+            .expect("part file opens")
+            .read_all()
+            .expect("clean read")
+        {
+            let s = SessionSequence::from_bytes(&record).expect("a session sequence");
+            h = fold_session(
+                h,
+                s.user_id,
+                &s.session_id,
+                &s.ip,
+                &s.sequence,
+                s.duration_secs,
+            );
+        }
+    }
+    h
+}
+
+/// Folds one decoded session: each text field behind its length.
+fn fold_session(mut h: u64, user: i64, session: &str, ip: &str, sequence: &str, secs: i64) -> u64 {
+    h = fold_u64(h, user as u64);
+    for text in [session, ip, sequence] {
+        h = fnv1a64_fold(fold_u64(h, text.len() as u64), text.as_bytes());
+    }
+    fold_u64(h, secs as u64)
+}
+
 /// The order-invariant content of a merged stream view.
 fn view_digest(view: &StreamState) -> u64 {
     let mut h = FNV1A64_OFFSET;
@@ -203,6 +245,8 @@ struct Delivered {
     /// The day's session-sequence part files as its second pass writes them
     /// ([`sequences_digest`]).
     sequences: u64,
+    /// What those part files decode to ([`sequence_rows_digest`]).
+    sequence_rows: u64,
 }
 
 fn deliver(
@@ -243,6 +287,7 @@ fn deliver(
         dictionary: 0,
         samples: 0,
         sequences: 0,
+        sequence_rows: 0,
     };
     for (hour, events) in by_hour.iter().enumerate() {
         for (i, (user, bytes)) in events.iter().enumerate() {
@@ -285,6 +330,7 @@ fn deliver(
         .materialize_sequences(0, &dict)
         .expect("pass 2 over a landed day");
     out.sequences = sequences_digest(wh);
+    out.sequence_rows = sequence_rows_digest(wh);
     let artifact = |name| {
         let file = dictionary_dir(0).child(name).expect("valid name");
         wh.file_digest(&file).expect("pass 1 wrote it")
@@ -304,7 +350,7 @@ fn deliver(
 /// Pass 2 over a delivered day writes the recorded part files whatever its
 /// worker count and whatever its event sort may buffer; 2 KB makes it spill
 /// some hundred runs of this day.
-fn assert_sequences_at_any_worker_count_and_budget(wh: &Warehouse, recorded: u64) {
+fn assert_sequences_at_any_worker_count_and_budget(wh: &Warehouse, recorded: &Delivered) {
     for workers in [1, 4, 8] {
         for budget in [2048, DEFAULT_MEM_BUDGET, u64::MAX] {
             let materializer = Materializer::new(wh.clone())
@@ -315,8 +361,8 @@ fn assert_sequences_at_any_worker_count_and_budget(wh: &Warehouse, recorded: u64
                 .materialize_sequences(0, &dict)
                 .expect("pass 2 over a landed day");
             assert_eq!(
-                sequences_digest(wh),
-                recorded,
+                (sequences_digest(wh), sequence_rows_digest(wh)),
+                (recorded.sequences, recorded.sequence_rows),
                 "{workers} workers, budget {budget}"
             );
             assert_eq!(report.spill_runs > 0, budget == 2048, "budget {budget}");
@@ -339,6 +385,7 @@ fn delivered_day_matches_the_recorded_digests() {
         dictionary: 9461612444177250603,
         samples: 8120602851900117742,
         sequences: 9860939400279613154,
+        sequence_rows: 11853522486906104997,
     };
     let stress_shape = Delivered {
         records: 2679,
@@ -352,6 +399,7 @@ fn delivered_day_matches_the_recorded_digests() {
         dictionary: 9461612444177250603,
         samples: 8120602851900117742,
         sequences: 9860939400279613154,
+        sequence_rows: 11853522486906104997,
     };
     for workers in [1, 4] {
         let (delivered, wh) = deliver(workers, ClientEventLanding::default(), 10_000, false);
@@ -369,8 +417,8 @@ fn delivered_day_matches_the_recorded_digests() {
             "40-record files of 16-row groups at {workers} workers"
         );
         if workers == 1 {
-            assert_sequences_at_any_worker_count_and_budget(&wh, pipeline_shape.sequences);
-            assert_sequences_at_any_worker_count_and_budget(&wh_small, stress_shape.sequences);
+            assert_sequences_at_any_worker_count_and_budget(&wh, &pipeline_shape);
+            assert_sequences_at_any_worker_count_and_budget(&wh_small, &stress_shape);
         }
     }
 }
