@@ -7,7 +7,7 @@
 //! two-proportion z-test over per-bucket funnel conversion (or any other
 //! binary per-session metric).
 
-use uli_core::session::SessionSequence;
+use uli_core::session::SessionRef;
 use uli_warehouse::{fnv1a64, fnv1a64_fold};
 
 /// Deterministic experiment assignment: hashes `(experiment, user)` into
@@ -63,8 +63,8 @@ impl AbResult {
 /// [`bucket_of`]`(experiment, user, 2)` and compares `metric` rates.
 pub fn analyze<'a, I, F>(experiment: &str, sessions: I, metric: F) -> AbResult
 where
-    I: IntoIterator<Item = &'a SessionSequence>,
-    F: Fn(&SessionSequence) -> bool,
+    I: IntoIterator<Item = SessionRef<'a>>,
+    F: Fn(SessionRef<'a>) -> bool,
 {
     let mut arms = [ArmOutcome::default(), ArmOutcome::default()];
     for s in sessions {
@@ -99,6 +99,7 @@ pub fn compare(a: ArmOutcome, b: ArmOutcome) -> AbResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uli_core::session::SessionSequence;
 
     #[test]
     fn assignment_is_deterministic_and_balanced() {
@@ -177,7 +178,9 @@ mod tests {
             duration_secs: 1,
         };
         let sessions: Vec<SessionSequence> = (1..=500).map(mk).collect();
-        let r = analyze("exp", sessions.iter(), |s| s.user_id % 2 == 0);
+        let r = analyze("exp", sessions.iter().map(SessionSequence::view), |s| {
+            s.user_id % 2 == 0
+        });
         assert_eq!(r.a.sessions + r.b.sessions, 500);
         assert!(r.a.sessions > 150 && r.b.sessions > 150);
         // The metric is independent of assignment: no significant lift.

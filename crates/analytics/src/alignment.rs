@@ -11,7 +11,7 @@
 //! sessions by alignment similarity to a probe session.
 
 use uli_core::session::dictionary::rank_for_char;
-use uli_core::session::SessionSequence;
+use uli_core::session::SessionRef;
 
 /// Scoring parameters for global alignment.
 #[derive(Debug, Clone, Copy)]
@@ -149,15 +149,15 @@ fn symbols(seq: &str) -> Vec<u32> {
 
 /// Query-by-example: ranks `corpus` sessions by similarity to `probe`,
 /// returning the top `k` as `(index into corpus, similarity)`.
-pub fn query_by_example(
-    probe: &SessionSequence,
-    corpus: &[SessionSequence],
+pub fn query_by_example<'a>(
+    probe: SessionRef<'_>,
+    corpus: impl IntoIterator<Item = SessionRef<'a>>,
     k: usize,
     scoring: AlignScoring,
 ) -> Vec<(usize, f64)> {
     let probe_syms = symbols(&probe.sequence);
     let mut scored: Vec<(usize, f64)> = corpus
-        .iter()
+        .into_iter()
         .enumerate()
         .filter(|(_, s)| !(s.user_id == probe.user_id && s.session_id == probe.session_id))
         .map(|(i, s)| (i, similarity(&probe_syms, &symbols(&s.sequence), scoring)))
@@ -237,6 +237,7 @@ mod tests {
     #[test]
     fn query_by_example_ranks_similar_sessions_first() {
         use uli_core::session::dictionary::char_for_rank;
+        use uli_core::session::SessionSequence;
         let seq_of = |ranks: &[u32]| -> String {
             ranks.iter().map(|r| char_for_rank(*r).unwrap()).collect()
         };
@@ -248,13 +249,14 @@ mod tests {
             duration_secs: 10,
         };
         let probe = mk(1, &[1, 2, 3, 4, 5]);
-        let corpus = vec![
+        let corpus = [
             probe.clone(),           // self: excluded
             mk(2, &[1, 2, 3, 4, 5]), // identical
             mk(3, &[1, 2, 9, 4, 5]), // one substitution
             mk(4, &[7, 7, 7, 7, 7]), // unrelated
         ];
-        let top = query_by_example(&probe, &corpus, 2, sc());
+        let corpus = corpus.iter().map(SessionSequence::view);
+        let top = query_by_example(probe.view(), corpus, 2, sc());
         assert_eq!(top[0].0, 1);
         assert!((top[0].1 - 1.0).abs() < 1e-9);
         assert_eq!(top[1].0, 2);

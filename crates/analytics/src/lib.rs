@@ -39,7 +39,7 @@ pub mod summary;
 pub use abtest::{analyze as ab_analyze, bucket_of, AbResult, ArmOutcome};
 pub use alignment::{align, query_by_example, AlignScoring, Alignment};
 pub use collocation::{CollocationMiner, CollocationScore};
-pub use corpus::load_sequences;
+pub use corpus::{load_sequences, SequenceCorpus, Sessions};
 pub use counting::{CountClientEvents, EventCharSet};
 pub use funnel::{ClientEventsFunnel, FunnelReport};
 pub use grammar::{induce_from_strings, Grammar};

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use uli_core::session::{EventDictionary, SessionSequence};
+use uli_core::session::{EventDictionary, SessionRef};
 
 /// Session-duration buckets used by the dashboard drill-down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,9 +71,9 @@ pub struct DailySummary {
 impl DailySummary {
     /// Computes the summary from a day's sequences. The dictionary is only
     /// needed for the client drill-down.
-    pub fn compute(
+    pub fn compute<'a>(
         day_index: u64,
-        sequences: &[SessionSequence],
+        sequences: impl IntoIterator<Item = SessionRef<'a>>,
         dict: &EventDictionary,
     ) -> DailySummary {
         let mut s = DailySummary {
@@ -141,6 +141,7 @@ impl DailySummary {
 mod tests {
     use super::*;
     use uli_core::event::EventName;
+    use uli_core::session::SessionSequence;
 
     fn n(s: &str) -> EventName {
         EventName::parse(s).unwrap()
@@ -184,13 +185,13 @@ mod tests {
     #[test]
     fn summary_aggregates_and_drills_down() {
         let d = dict();
-        let seqs = vec![
+        let seqs = [
             seq(1, "web", 10, 30, &d),
             seq(1, "iphone", 4, 700, &d),
             seq(2, "web", 6, 100, &d),
             seq(0, "web", 2, 2000, &d), // logged out
         ];
-        let s = DailySummary::compute(3, &seqs, &d);
+        let s = DailySummary::compute(3, seqs.iter().map(SessionSequence::view), &d);
         assert_eq!(s.sessions, 4);
         assert_eq!(s.events, 22);
         assert_eq!(s.distinct_users, 2, "logged-out user 0 excluded");
@@ -206,7 +207,7 @@ mod tests {
 
     #[test]
     fn empty_day() {
-        let s = DailySummary::compute(0, &[], &dict());
+        let s = DailySummary::compute(0, [], &dict());
         assert_eq!(s.sessions, 0);
         assert_eq!(s.mean_session_len, 0.0);
         assert!(s.by_client.is_empty());
@@ -215,7 +216,7 @@ mod tests {
     #[test]
     fn render_mentions_the_drilldowns() {
         let d = dict();
-        let s = DailySummary::compute(1, &[seq(1, "web", 3, 10, &d)], &d);
+        let s = DailySummary::compute(1, [seq(1, "web", 3, 10, &d).view()], &d);
         let text = s.render();
         assert!(text.contains("1 sessions"));
         assert!(text.contains("web=1"));

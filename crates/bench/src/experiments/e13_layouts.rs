@@ -111,9 +111,23 @@ pub fn run() -> String {
     };
     let raw_bytes = scan_rows(&raw_dir);
     let re_bytes = scan_rows(&re_dir);
-    let seq_bytes = scan_rows(&seq_dir);
-    let (raw_units, re_units, seq_units) =
-        (units_of(raw_bytes), units_of(re_bytes), units_of(seq_bytes));
+    let (raw_units, re_units) = (units_of(raw_bytes), units_of(re_bytes));
+
+    // Sequences: columnar part files, whose names are the sequence column.
+    // Scan units are split over the relation's full decoded volume.
+    let scan_sequences = |projection: &[bool]| -> u64 {
+        let mut bytes = 0;
+        for f in wh.list_files_recursive(&seq_dir).expect("dir exists") {
+            let file = ColumnarFile::open(&wh, &f).expect("file opens");
+            for g in 0..file.group_count() {
+                std::hint::black_box(file.read_group(g, projection).expect("clean read").rows());
+            }
+            bytes += file.local_stats().uncompressed_bytes_read;
+        }
+        bytes
+    };
+    let seq_units = units_of(scan_sequences(&[true; 5]));
+    let seq_bytes = scan_sequences(&[false, false, false, true, false]);
 
     // Columnar: project only the name column.
     let col_path = col_dir.child("part-00000").expect("valid");

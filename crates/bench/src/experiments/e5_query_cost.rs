@@ -84,7 +84,7 @@ pub fn run() -> String {
         "path",
         "answer",
         "mappers",
-        "MB scanned",
+        "KB scanned",
         "shuffle KB",
         "wall ms",
         "est. cluster s",
@@ -102,7 +102,7 @@ pub fn run() -> String {
                 label,
                 r.rows[0][0],
                 r.stats.map_tasks,
-                format!("{:.2}", r.stats.input_bytes_uncompressed as f64 / 1048576.0),
+                format!("{:.1}", r.stats.input_bytes_uncompressed as f64 / 1024.0),
                 r.stats.shuffle_bytes / 1024,
                 format!("{ms:.1}"),
                 format!("{:.2}", r.estimated_cluster_ms / 1000.0)

@@ -64,7 +64,7 @@ pub use columnar::{
 pub use event::{EventInitiator, EventName, EventPattern};
 pub use scrape::FormatScrape;
 pub use session::{
-    EventDictionary, MaterializeReport, SessionRecord, SessionSequence, SessionSequenceLoader,
-    Sessionizer,
+    EventDictionary, MaterializeReport, SessionRecord, SessionRef, SessionSequence,
+    SessionSequenceLoader, Sessionizer,
 };
 pub use time::Timestamp;

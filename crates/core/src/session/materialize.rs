@@ -12,16 +12,16 @@ use std::collections::{BTreeMap, HashMap};
 
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
-    ExternalByteSorter, HourlyPartition, MemoryTracker, Parallelism, RecordFileWriter, ScanFile,
+    ColumnarFileWriter, ExternalByteSorter, HourlyPartition, MemoryTracker, Parallelism, ScanFile,
     ScanPool, Warehouse, WarehouseError, WarehouseResult, WhPath, DEFAULT_MEM_BUDGET,
 };
 
 use super::dictionary::{char_for_rank, EventDictionary};
-use super::sequence::SessionSequence;
+use super::sequence::SESSION_SEQUENCE_KINDS;
 use crate::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
 use crate::columnar::{
-    event_columns, for_each_event_row, EventColumns, EventRow, RowAt, ALL_COLUMNS, IP_COLUMN,
-    NAME_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN, USER_COLUMN,
+    event_columns, for_each_event_row, EventColumns, EventRow, RowAt, ALL_COLUMNS,
+    DEFAULT_ROWS_PER_GROUP, IP_COLUMN, NAME_COLUMN, SESSION_COLUMN, TIMESTAMP_COLUMN, USER_COLUMN,
 };
 use crate::event::EventName;
 use crate::time::{Timestamp, SESSION_GAP_MS};
@@ -62,19 +62,20 @@ fn split_sort_key(key: &[u8]) -> WarehouseResult<(&[u8], Timestamp)> {
     Ok((group, Timestamp(millis)))
 }
 
-/// The `(user_id, session_id)` a group prefix encodes.
-fn decode_group(group: &[u8]) -> WarehouseResult<(i64, String)> {
+/// The `(user_id, session_id)` a group prefix encodes: returns the user and
+/// leaves the session id, checked to be UTF-8, in `session`.
+fn decode_group(group: &[u8], session: &mut Vec<u8>) -> WarehouseResult<i64> {
     let (user, escaped) = group.split_first_chunk::<8>().ok_or(CORRUPT_ENTRY)?;
     let mut escaped = escaped.strip_suffix(&[0, 0]).ok_or(CORRUPT_ENTRY)?.iter();
-    let mut session = Vec::with_capacity(escaped.len());
+    session.clear();
     while let Some(&b) = escaped.next() {
         if b == 0 && escaped.next() != Some(&0xff) {
             return Err(CORRUPT_ENTRY);
         }
         session.push(b);
     }
-    let session = String::from_utf8(session).map_err(|_| CORRUPT_ENTRY)?;
-    Ok(((u64::from_be_bytes(*user) ^ SIGN) as i64, session))
+    std::str::from_utf8(session).map_err(|_| CORRUPT_ENTRY)?;
+    Ok((u64::from_be_bytes(*user) ^ SIGN) as i64)
 }
 
 /// What the event sort carries of one event: its [`session_sort_key`], and
@@ -180,63 +181,85 @@ const SESSION_COLUMNS: EventColumns = event_columns([
     TIMESTAMP_COLUMN,
 ]);
 
-/// The session the merge walk of pass 2 is in.
+/// The session the merge walk of pass 2 is in. The walk keeps one and
+/// refills it as each session opens, so a session allocates nothing.
+#[derive(Default)]
 struct OpenSession {
     /// The group prefix of its events' sort keys.
     group: Vec<u8>,
     /// Ip of its first event.
     ip: String,
-    /// Its events' code points so far; `None` once one of them had no rank.
-    sequence: Option<String>,
+    /// Its events' code points so far.
+    sequence: String,
+    /// False once one of its events had no rank.
+    encoded: bool,
     start: Timestamp,
     last: Timestamp,
 }
 
-/// The `part-NNNNN` files of one day's relation, written in order.
+impl OpenSession {
+    /// Starts the session of `group` at an event of `ip` at `start`.
+    fn reopen(&mut self, group: &[u8], ip: &[u8], start: Timestamp) -> WarehouseResult<()> {
+        self.group.clear();
+        self.group.extend_from_slice(group);
+        self.ip.clear();
+        self.ip
+            .push_str(std::str::from_utf8(ip).map_err(|_| CORRUPT_ENTRY)?);
+        self.sequence.clear();
+        self.encoded = true;
+        self.start = start;
+        self.last = start;
+        Ok(())
+    }
+}
+
+/// The `part-NNNNN` files of one day's relation, written in order, each a
+/// columnar file of [`SESSION_SEQUENCE_KINDS`].
 struct PartFiles<'a> {
     warehouse: &'a Warehouse,
     dir: &'a WhPath,
     records_per_file: u64,
-    writer: Option<RecordFileWriter>,
+    writer: Option<ColumnarFileWriter>,
     files: u64,
     records: u64,
+    /// The session id of the session being appended, unescaped.
+    session_id: Vec<u8>,
 }
 
 impl PartFiles<'_> {
-    fn append(&mut self, record: &[u8]) -> WarehouseResult<()> {
+    /// Appends a closed session as one row.
+    fn append_session(&mut self, session: &OpenSession) -> WarehouseResult<()> {
+        if !session.encoded {
+            // Dictionary built from the same scan covers every event;
+            // reaching here means passes saw different data.
+            debug_assert!(false, "event missing from same-day dictionary");
+            return Ok(());
+        }
+        let user_id = decode_group(&session.group, &mut self.session_id)?;
+        let duration_secs = session.last.since(session.start) / 1000;
         if self.writer.is_none() {
             let path = self.dir.child(&format!("part-{:05}", self.files));
-            self.writer = Some(self.warehouse.create(&path.expect("valid"))?);
+            self.writer = Some(ColumnarFileWriter::create(
+                self.warehouse,
+                &path.expect("valid"),
+                &SESSION_SEQUENCE_KINDS,
+                DEFAULT_ROWS_PER_GROUP,
+                None,
+            )?);
             self.files += 1;
         }
-        self.writer
-            .as_mut()
-            .expect("created above")
-            .append_record(record);
+        self.writer.as_mut().expect("created above").append_row(&[
+            &user_id.to_le_bytes(),
+            &self.session_id,
+            session.ip.as_bytes(),
+            session.sequence.as_bytes(),
+            &duration_secs.to_le_bytes(),
+        ]);
         self.records += 1;
         if self.records.is_multiple_of(self.records_per_file) {
             self.writer.take().expect("present").finish()?;
         }
         Ok(())
-    }
-
-    /// Encodes a closed session and appends it.
-    fn append_session(&mut self, session: OpenSession) -> WarehouseResult<()> {
-        let Some(sequence) = session.sequence else {
-            // Dictionary built from the same scan covers every event;
-            // reaching here means passes saw different data.
-            debug_assert!(false, "event missing from same-day dictionary");
-            return Ok(());
-        };
-        let (user_id, session_id) = decode_group(&session.group)?;
-        let record = SessionSequence {
-            user_id,
-            session_id,
-            ip: session.ip,
-            sequence,
-            duration_secs: session.last.since(session.start) / 1000,
-        };
-        self.append(&record.to_bytes())
     }
 }
 
@@ -483,6 +506,7 @@ impl Materializer {
             writer: None,
             files: 0,
             records: 0,
+            session_id: Vec::new(),
         };
         let mut sorted = sorter.finish()?;
         let mut open: Option<OpenSession> = None;
@@ -493,28 +517,20 @@ impl Materializer {
                 session.group == group && timestamp.since(session.last) <= SESSION_GAP_MS
             });
             if !continues {
-                let session = OpenSession {
-                    group: group.to_vec(),
-                    ip: String::from_utf8(ip.to_vec()).map_err(|_| CORRUPT_ENTRY)?,
-                    sequence: Some(String::new()),
-                    start: timestamp,
-                    last: timestamp,
-                };
-                if let Some(closed) = open.replace(session) {
+                if let Some(closed) = &open {
                     parts.append_session(closed)?;
                 }
+                open.get_or_insert_with(OpenSession::default)
+                    .reopen(group, ip, timestamp)?;
             }
             let session = open.as_mut().expect("opened above");
             session.last = timestamp;
-            match (
-                &mut session.sequence,
-                char_for_rank(u32::from_be_bytes(*rank)),
-            ) {
-                (Some(sequence), Some(code)) => sequence.push(code),
-                _ => session.sequence = None,
+            match char_for_rank(u32::from_be_bytes(*rank)) {
+                Some(code) if session.encoded => session.sequence.push(code),
+                _ => session.encoded = false,
             }
         }
-        if let Some(closed) = open {
+        if let Some(closed) = &open {
             parts.append_session(closed)?;
         }
         if let Some(w) = parts.writer.take() {
@@ -562,7 +578,8 @@ impl Materializer {
 mod tests {
     use super::*;
     use crate::event::EventInitiator;
-    use crate::session::Sessionizer;
+    use crate::session::{SessionSequence, Sessionizer};
+    use uli_warehouse::ColumnarFile;
 
     fn n(s: &str) -> EventName {
         EventName::parse(s).unwrap()
@@ -704,16 +721,54 @@ mod tests {
         assert!(report.sessions > 0);
     }
 
-    /// Every persisted artifact of a day, as `(path, records)` pairs.
-    fn day_artifacts(wh: &Warehouse, day: u64) -> Vec<(String, Vec<Vec<u8>>)> {
+    /// The sessions of one part file, each as its row-format record.
+    fn part_file_records(wh: &Warehouse, path: &WhPath) -> Vec<Vec<u8>> {
+        let file = ColumnarFile::open(wh, path).unwrap();
         let mut out = Vec::new();
-        for dir in [sequences_dir(day), dictionary_dir(day)] {
-            for file in wh.list_files_recursive(&dir).unwrap() {
-                let records = wh.open(&file).unwrap().read_all().unwrap();
-                out.push((file.as_str().to_string(), records));
+        for g in 0..file.group_count() {
+            let group = file.read_group(g, &[true; 5]).unwrap();
+            for row in 0..group.rows() {
+                let cell = |col| file.cell_bytes(&group, col, row).unwrap();
+                let int = |col| i64::from_le_bytes(cell(col).try_into().unwrap());
+                let text = |col| String::from_utf8(cell(col).to_vec()).unwrap();
+                let session = SessionSequence {
+                    user_id: int(0),
+                    session_id: text(1),
+                    ip: text(2),
+                    sequence: text(3),
+                    duration_secs: int(4),
+                };
+                out.push(session.to_bytes());
             }
         }
         out
+    }
+
+    /// Every persisted artifact of a day, as `(path, records)` pairs: each
+    /// part file's sessions as [`part_file_records`], the dictionary's and
+    /// samples' records as stored.
+    fn day_artifacts(wh: &Warehouse, day: u64) -> Vec<(String, Vec<Vec<u8>>)> {
+        let mut out = Vec::new();
+        for file in wh.list_files_recursive(&sequences_dir(day)).unwrap() {
+            out.push((file.as_str().to_string(), part_file_records(wh, &file)));
+        }
+        for file in wh.list_files_recursive(&dictionary_dir(day)).unwrap() {
+            let records = wh.open(&file).unwrap().read_all().unwrap();
+            out.push((file.as_str().to_string(), records));
+        }
+        out
+    }
+
+    /// Every part file of a day and the digest of its stored bytes.
+    fn part_file_digests(wh: &Warehouse, day: u64) -> Vec<(WhPath, u64)> {
+        let files = wh.list_files_recursive(&sequences_dir(day)).unwrap();
+        files
+            .into_iter()
+            .map(|file| {
+                let digest = wh.file_digest(&file).unwrap();
+                (file, digest)
+            })
+            .collect()
     }
 
     /// What a day's events must materialize to, computed from the event
@@ -800,6 +855,7 @@ mod tests {
         // proves scheduling independence. The reference here is computed
         // from the event list itself, which the pool cannot influence.
         let mut expected = None;
+        let mut stored = None;
         for workers in [1usize, 4, 8] {
             // Small blocks so every row file spans several units; a small
             // file cap so several part files exist.
@@ -821,6 +877,12 @@ mod tests {
                 &day_artifacts(&wh, 0),
                 expected,
                 "materialized files diverged from the event list at {workers} workers"
+            );
+            let digests = part_file_digests(&wh, 0);
+            assert_eq!(
+                stored.get_or_insert_with(|| digests.clone()),
+                &digests,
+                "part files' bytes diverged at {workers} workers"
             );
         }
     }
@@ -963,6 +1025,7 @@ mod tests {
         tight: u64,
     ) -> MaterializeReport {
         let mut last = None;
+        let mut stored = None;
         for workers in [1usize, 2, 4, 8] {
             for budget in [tight, DEFAULT_MEM_BUDGET, u64::MAX] {
                 let mut m = Materializer::new(wh.clone())
@@ -975,6 +1038,12 @@ mod tests {
                     day_artifacts(wh, 0),
                     expected,
                     "{workers} workers, budget {budget}"
+                );
+                let digests = part_file_digests(wh, 0);
+                assert_eq!(
+                    stored.get_or_insert_with(|| digests.clone()),
+                    &digests,
+                    "part files' bytes: {workers} workers, budget {budget}"
                 );
                 assert_eq!(report.events, events.len() as u64);
                 assert!(report.mem_high_water_bytes <= budget);
@@ -1114,14 +1183,16 @@ mod tests {
             }
             let (group, t) = split_sort_key(ka).unwrap();
             assert_eq!(t, Timestamp(a.2));
-            assert_eq!(decode_group(group).unwrap(), (a.0, a.1.to_string()));
+            let mut session = Vec::new();
+            assert_eq!(decode_group(group, &mut session), Ok(a.0));
+            assert_eq!(session, a.1.as_bytes());
         }
         for damaged in [
             &b"short"[..],
             &[0; 9],
             &[0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0],
         ] {
-            assert_eq!(decode_group(damaged), Err(CORRUPT_ENTRY));
+            assert_eq!(decode_group(damaged, &mut Vec::new()), Err(CORRUPT_ENTRY));
         }
         assert_eq!(split_sort_key(b"1234567"), Err(CORRUPT_ENTRY));
     }

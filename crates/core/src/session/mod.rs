@@ -7,5 +7,8 @@ pub mod sessionize;
 
 pub use dictionary::EventDictionary;
 pub use materialize::{day_dir, dictionary_dir, sequences_dir, MaterializeReport, Materializer};
-pub use sequence::{SessionSequence, SessionSequenceLoader, SESSION_SEQUENCE_SCHEMA};
+pub use sequence::{
+    Sequence, SessionRef, SessionSequence, SessionSequenceColumnar, SessionSequenceLoader,
+    SESSION_SEQUENCE_KINDS, SESSION_SEQUENCE_SCHEMA,
+};
 pub use sessionize::{SessionEvent, SessionRecord, Sessionizer};

@@ -5,14 +5,97 @@
 //! string, duration: int`" (§4.2). Other than overall duration, sequences
 //! preserve no temporal information — an explicit design choice for compact
 //! encoding.
+//!
+//! The relation is stored columnar, one column a field
+//! ([`SESSION_SEQUENCE_KINDS`]). A reader holds a day of it as borrowed
+//! [`SessionRef`]s; [`SessionSequence`] is the owned form, for fixtures and
+//! for sizing a session as the paper's row-format record.
 
-use uli_dataflow::{DataflowResult, Loader, Tuple, Value};
+use std::ops::Deref;
+
+use uli_dataflow::{ColumnarCodec, DataflowResult, Loader, Tuple, Value};
 use uli_thrift::{CompactReader, CompactWriter, ThriftError, ThriftRecord, ThriftResult};
+use uli_warehouse::ColumnKind;
 
 use super::dictionary::EventDictionary;
 use super::sessionize::SessionRecord;
 
-/// One materialized session.
+/// A session's event code points, borrowed: a `str` whose
+/// [`len`](Sequence::len) counts events, not bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Sequence<'a>(&'a str);
+
+impl<'a> Sequence<'a> {
+    /// Wraps a sequence's code points.
+    pub fn new(codes: &'a str) -> Sequence<'a> {
+        Sequence(codes)
+    }
+
+    /// The code points, borrowed for as long as what they were borrowed from.
+    pub fn as_str(&self) -> &'a str {
+        self.0
+    }
+
+    /// Number of events in the session.
+    pub fn len(&self) -> usize {
+        self.0.chars().count()
+    }
+
+    /// True if the session has no events.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl Deref for Sequence<'_> {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+/// One materialized session, borrowed from wherever it was loaded: the
+/// fields of [`SessionSequence`] without an allocation of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionRef<'a> {
+    /// The user.
+    pub user_id: i64,
+    /// The cookie-derived session id.
+    pub session_id: &'a str,
+    /// IP address associated with the session.
+    pub ip: &'a str,
+    /// The event names as dictionary code points.
+    pub sequence: Sequence<'a>,
+    /// Seconds between first and last event.
+    pub duration_secs: i64,
+}
+
+impl SessionRef<'_> {
+    /// Number of events in the session.
+    pub fn len(&self) -> usize {
+        self.sequence.len()
+    }
+
+    /// True if the session has no events (never materialized in practice).
+    pub fn is_empty(&self) -> bool {
+        self.sequence.is_empty()
+    }
+}
+
+impl From<SessionRef<'_>> for SessionSequence {
+    fn from(s: SessionRef<'_>) -> SessionSequence {
+        SessionSequence {
+            user_id: s.user_id,
+            session_id: s.session_id.to_owned(),
+            ip: s.ip.to_owned(),
+            sequence: s.sequence.as_str().to_owned(),
+            duration_secs: s.duration_secs,
+        }
+    }
+}
+
+/// One materialized session, owned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionSequence {
     /// The user.
@@ -49,6 +132,17 @@ impl SessionSequence {
     /// True if the session has no events (never materialized in practice).
     pub fn is_empty(&self) -> bool {
         self.sequence.is_empty()
+    }
+
+    /// The session, borrowed.
+    pub fn view(&self) -> SessionRef<'_> {
+        SessionRef {
+            user_id: self.user_id,
+            session_id: &self.session_id,
+            ip: &self.ip,
+            sequence: Sequence(&self.sequence),
+            duration_secs: self.duration_secs,
+        }
     }
 }
 
@@ -99,15 +193,55 @@ impl ThriftRecord for SessionSequence {
 pub const SESSION_SEQUENCE_SCHEMA: [&str; 5] =
     ["user_id", "session_id", "ip", "sequence", "duration"];
 
+/// What the cells of each column of a part file are, index-aligned with
+/// [`SESSION_SEQUENCE_SCHEMA`]: the two integers as eight little-endian
+/// bytes, the three strings as their UTF-8.
+pub const SESSION_SEQUENCE_KINDS: [ColumnKind; 5] = [
+    ColumnKind::I64,
+    ColumnKind::Bytes,
+    ColumnKind::Bytes,
+    ColumnKind::Bytes,
+    ColumnKind::I64,
+];
+
+/// Columnar codec of the part files: decodes a cell into the value
+/// [`SessionSequenceLoader::parse`] gives the same field of a row-format
+/// record. A cell that is not what its kind says drops the row.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SessionSequenceColumnar;
+
+impl ColumnarCodec for SessionSequenceColumnar {
+    fn columns(&self) -> usize {
+        SESSION_SEQUENCE_KINDS.len()
+    }
+
+    fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value> {
+        match SESSION_SEQUENCE_KINDS.get(col)? {
+            ColumnKind::I64 => Some(Value::Int(i64::from_le_bytes(bytes.try_into().ok()?))),
+            _ => Some(Value::str(std::str::from_utf8(bytes).ok()?)),
+        }
+    }
+}
+
 /// Dataflow loader — the paper's `SessionSequencesLoader()`, which
 /// "abstracts over details of the physical layout … transparently parsing
-/// each field in the tuple and handling decompression" (§5.2).
+/// each field in the tuple and handling decompression" (§5.2). The part
+/// files are columnar, so a plan over them decodes only the columns it
+/// reads.
 #[derive(Debug, Clone, Default)]
 pub struct SessionSequenceLoader;
 
 impl Loader for SessionSequenceLoader {
     fn name(&self) -> &'static str {
         "SessionSequencesLoader"
+    }
+
+    fn supports_projection(&self) -> bool {
+        true
+    }
+
+    fn columnar(&self) -> Option<&dyn ColumnarCodec> {
+        Some(&SessionSequenceColumnar)
     }
 
     fn parse(&self, record: &[u8]) -> DataflowResult<Option<Tuple>> {

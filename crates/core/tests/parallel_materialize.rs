@@ -7,14 +7,12 @@
 use rand::{Rng, SeedableRng};
 use uli_core::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
 use uli_core::event::{EventInitiator, EventName};
-use uli_core::session::{
-    sequences_dir, EventDictionary, MaterializeReport, Materializer, SessionSequence,
-};
+use uli_core::session::{sequences_dir, EventDictionary, MaterializeReport, Materializer};
 use uli_core::time::Timestamp;
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
-    fnv1a64_fold, HourlyPartition, Parallelism, Warehouse, WhPath, DEFAULT_MEM_BUDGET,
-    FNV1A64_OFFSET,
+    fnv1a64_fold, ColumnarFile, HourlyPartition, Parallelism, Warehouse, WhPath,
+    DEFAULT_MEM_BUDGET, FNV1A64_OFFSET,
 };
 
 /// Writes a seeded random day of client events: several hours, several
@@ -96,27 +94,33 @@ fn sequences_digest(wh: &Warehouse) -> u64 {
 fn sequence_rows_digest(wh: &Warehouse) -> u64 {
     let fold_u64 = |h, v: u64| fnv1a64_fold(h, &v.to_le_bytes());
     let mut h = FNV1A64_OFFSET;
-    for file in wh.list_files_recursive(&sequences_dir(0)).unwrap() {
-        h = fnv1a64_fold(h, file.as_str().as_bytes());
-        for record in wh.open(&file).unwrap().read_all().unwrap() {
-            let s = SessionSequence::from_bytes(&record).unwrap();
-            h = fold_u64(h, s.user_id as u64);
-            for text in [&s.session_id, &s.ip, &s.sequence] {
-                h = fnv1a64_fold(fold_u64(h, text.len() as u64), text.as_bytes());
+    for path in wh.list_files_recursive(&sequences_dir(0)).unwrap() {
+        h = fnv1a64_fold(h, path.as_str().as_bytes());
+        let file = ColumnarFile::open(wh, &path).unwrap();
+        for g in 0..file.group_count() {
+            let group = file.read_group(g, &[true; 5]).unwrap();
+            for row in 0..group.rows() {
+                let cell = |col| file.cell_bytes(&group, col, row).unwrap();
+                let int = |col| u64::from_le_bytes(cell(col).try_into().unwrap());
+                h = fold_u64(h, int(0));
+                for text in [cell(1), cell(2), cell(3)] {
+                    assert!(std::str::from_utf8(text).is_ok());
+                    h = fnv1a64_fold(fold_u64(h, text.len() as u64), text);
+                }
+                h = fold_u64(h, int(4));
             }
-            h = fold_u64(h, s.duration_secs as u64);
         }
     }
     h
 }
 
-/// [`sequences_digest`] of each seeded day, recorded from the whole-day
-/// in-memory pass 2 that the event sort replaced, and its
-/// [`sequence_rows_digest`], recorded before the part files' format moved.
+/// [`sequences_digest`] of each seeded day, recorded again when the part
+/// files became columnar, and its [`sequence_rows_digest`], recorded from
+/// the row-format part files before that and unmoved since.
 const RECORDED_SEQUENCES: [(u64, u64, u64); 3] = [
-    (11, 14327779769069026765, 15382723732125573666),
-    (23, 9496805744395632156, 9221895867505228001),
-    (59, 14196915064328515780, 15740313872856570466),
+    (11, 676725217240754245, 15382723732125573666),
+    (23, 17351529119410256140, 9221895867505228001),
+    (59, 11987316763444178676, 15740313872856570466),
 ];
 
 #[test]
@@ -133,7 +137,6 @@ fn parallel_day_is_byte_identical_to_serial() {
             recorded_rows,
             "decoded sessions moved: seed {seed}"
         );
-        let serial_seqs = dump_dir(&serial_wh, &sequences_dir(0));
         let serial_dict = dump_dir(&serial_wh, &uli_core::session::dictionary_dir(0));
         assert!(serial_report.sessions > 0);
         for workers in [2usize, 4, 8] {
@@ -147,8 +150,8 @@ fn parallel_day_is_byte_identical_to_serial() {
                 par_report.compression_factor()
             );
             assert_eq!(
-                serial_seqs,
-                dump_dir(&par_wh, &sequences_dir(0)),
+                (sequences_digest(&par_wh), sequence_rows_digest(&par_wh)),
+                (recorded, recorded_rows),
                 "sequence files diverged: seed {seed}, {workers} workers"
             );
             assert_eq!(

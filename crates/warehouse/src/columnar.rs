@@ -355,6 +355,16 @@ struct ColumnChunk {
     cells: Vec<CellRef>,
 }
 
+impl ColumnChunk {
+    fn cell(&self, r: CellRef) -> ColumnCell<'_> {
+        if r.code != 0 {
+            ColumnCell::Code(r.code - 1)
+        } else {
+            ColumnCell::Bytes(&self.data[r.start as usize..(r.start + r.len) as usize])
+        }
+    }
+}
+
 /// One decoded row group: the projected columns' chunks, addressable by
 /// `(column, row)`. Unprojected columns answer `None`.
 pub struct ColumnGroup {
@@ -372,12 +382,21 @@ impl ColumnGroup {
     /// projected.
     pub fn cell(&self, col: usize, row: usize) -> Option<ColumnCell<'_>> {
         let chunk = self.columns.get(col)?.as_ref()?;
-        let r = chunk.cells[row];
-        Some(if r.code != 0 {
-            ColumnCell::Code(r.code - 1)
-        } else {
-            ColumnCell::Bytes(&chunk.data[r.start as usize..(r.start + r.len) as usize])
-        })
+        Some(chunk.cell(chunk.cells[row]))
+    }
+
+    /// The decoded bytes of column `col`'s chunk — its cells, each behind
+    /// its length or as a dictionary code — or `None` when the column was
+    /// not projected. No less than the total length of its inline cells.
+    pub fn chunk_len(&self, col: usize) -> Option<usize> {
+        Some(self.columns.get(col)?.as_ref()?.data.len())
+    }
+
+    /// Every cell of column `col`, in row order, or `None` when the column
+    /// was not projected: a whole column read without a lookup a row.
+    pub fn cells(&self, col: usize) -> Option<impl ExactSizeIterator<Item = ColumnCell<'_>>> {
+        let chunk = self.columns.get(col)?.as_ref()?;
+        Some(chunk.cells.iter().map(|r| chunk.cell(*r)))
     }
 
     /// The cell at `(col, row)` of a column the caller declared it reads.

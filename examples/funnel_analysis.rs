@@ -70,7 +70,7 @@ fn main() {
     // An A/A test first: split users into two arms that saw the SAME flow;
     // a sound harness must find no significant difference.
     use unified_logging::analytics::ab_analyze;
-    let completed = |s: &unified_logging::core::session::SessionSequence| {
+    let completed = |s: unified_logging::core::session::SessionRef<'_>| {
         funnel.depth(&s.sequence) == funnel.stages().len()
     };
     let aa = ab_analyze("signup_flow_v2", sequences.iter(), completed);

@@ -89,7 +89,7 @@ fn main() {
         probe.len()
     );
     for (idx, score) in similar {
-        let s = &train[idx];
+        let s = train.get(idx).expect("an index into the corpus");
         println!(
             "  user {:>6} session {:<14} similarity {:.2}",
             s.user_id, s.session_id, score

@@ -120,6 +120,32 @@ if grep -rnE 'materialize_sequences_streaming|sessionize_sharded' crates src tes
     exit 1
 fi
 
+# The session-sequence part files are columnar: `PartFiles` appends a row
+# of cells per session through the columnar writer, never a Thrift record
+# through the row writer. And a day loads column by column into one arena
+# (uli_analytics::load_sequences): outside `#[cfg(test)]` no code decodes a
+# row-format session record but the loader's `parse`, which the `Loader`
+# trait requires (E4 sizes sessions the paper's way by encoding them). The
+# arena's UTF-8 is checked, never assumed.
+if sed -n '/^struct PartFiles/,/^impl Materializer/p' crates/core/src/session/materialize.rs |
+    grep -nE 'RecordFileWriter|\.append_record\('; then
+    echo "sequence gate: PartFiles writes row-format records again." >&2
+    exit 1
+fi
+for f in $(find crates/*/src src examples -name '*.rs'); do
+    n=$(sed '/#\[cfg(test)\]/,$d' "$f" | grep -c 'SessionSequence::from_bytes' || true)
+    allowed=0
+    [ "$f" = crates/core/src/session/sequence.rs ] && allowed=1
+    if [ "$n" -gt "$allowed" ]; then
+        echo "sequence gate: $f decodes row-format session records outside tests." >&2
+        exit 1
+    fi
+done
+if grep -rnwE 'unsafe|from_utf8_unchecked' crates/analytics/src; then
+    echo "sequence gate: unsafe code or unchecked UTF-8 under the analytics crate." >&2
+    exit 1
+fi
+
 # Block integrity is `block_checksum`'s job (word-wide lanes): the
 # byte-at-a-time FNV must not come back at any site that runs over stored
 # bytes — the block seal and the cold-read check of file.rs, the group

@@ -9,8 +9,9 @@
 //! moves a single landed byte, at any worker count, fails here. The seen
 //! set and the views stand as first recorded; the landed files and the
 //! indexes were recorded again when their formats changed (columnar v3, v4
-//! and v5, the varint `hour.idx` and its v2), against the decoded-row digests
-//! and the decoded-index digest below.
+//! and v5, the varint `hour.idx` and its v2), and the session-sequence part
+//! files when they became columnar, against the decoded-row digests and the
+//! decoded-index digest below.
 //!
 //! The second shape cuts the same day into 40-record files of 16-row
 //! groups and slips an undecodable payload into every traffic hour, so
@@ -40,7 +41,7 @@ use uli_core::columnar::{
     client_event_cells, event_columns, for_each_event_row, write_client_events_columnar,
     ALL_COLUMNS, NAME_COLUMN,
 };
-use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer, SessionSequence};
+use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer};
 use uli_core::{ClientEvent, ClientEventLanding, EventInitiator, EventName, Timestamp};
 use uli_dataflow::{Loader, ScanSpec};
 use uli_scribe::message::LogEntry;
@@ -177,35 +178,24 @@ fn sequence_rows_digest(wh: &Warehouse) -> u64 {
         .expect("pass 2 left its directory");
     files.sort();
     let mut h = fold_u64(FNV1A64_OFFSET, files.len() as u64);
-    for file in &files {
-        h = fnv1a64_fold(h, file.as_str().as_bytes());
-        for record in wh
-            .open(file)
-            .expect("part file opens")
-            .read_all()
-            .expect("clean read")
-        {
-            let s = SessionSequence::from_bytes(&record).expect("a session sequence");
-            h = fold_session(
-                h,
-                s.user_id,
-                &s.session_id,
-                &s.ip,
-                &s.sequence,
-                s.duration_secs,
-            );
+    for path in &files {
+        h = fnv1a64_fold(h, path.as_str().as_bytes());
+        let file = ColumnarFile::open(wh, path).expect("a columnar part file");
+        for g in 0..file.group_count() {
+            let group = file.read_group(g, &[true; 5]).expect("a clean group");
+            for row in 0..group.rows() {
+                let cell = |col| file.cell_bytes(&group, col, row).expect("a cell");
+                let int = |col| u64::from_le_bytes(cell(col).try_into().expect("eight bytes"));
+                h = fold_u64(h, int(0));
+                for text in [cell(1), cell(2), cell(3)] {
+                    assert!(std::str::from_utf8(text).is_ok(), "text is UTF-8");
+                    h = fnv1a64_fold(fold_u64(h, text.len() as u64), text);
+                }
+                h = fold_u64(h, int(4));
+            }
         }
     }
     h
-}
-
-/// Folds one decoded session: each text field behind its length.
-fn fold_session(mut h: u64, user: i64, session: &str, ip: &str, sequence: &str, secs: i64) -> u64 {
-    h = fold_u64(h, user as u64);
-    for text in [session, ip, sequence] {
-        h = fnv1a64_fold(fold_u64(h, text.len() as u64), text.as_bytes());
-    }
-    fold_u64(h, secs as u64)
 }
 
 /// The order-invariant content of a merged stream view.
@@ -384,7 +374,7 @@ fn delivered_day_matches_the_recorded_digests() {
         rows: 16754135527137346865,
         dictionary: 9461612444177250603,
         samples: 8120602851900117742,
-        sequences: 9860939400279613154,
+        sequences: 11014605371154240324,
         sequence_rows: 11853522486906104997,
     };
     let stress_shape = Delivered {
@@ -398,7 +388,7 @@ fn delivered_day_matches_the_recorded_digests() {
         rows: 17396466383406638498,
         dictionary: 9461612444177250603,
         samples: 8120602851900117742,
-        sequences: 9860939400279613154,
+        sequences: 11014605371154240324,
         sequence_rows: 11853522486906104997,
     };
     for workers in [1, 4] {

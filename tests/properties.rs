@@ -185,7 +185,7 @@ fn materializer_end_to_end_property_smoke() {
         assert_eq!(report.events as usize, day.events.len(), "seed {seed}");
         assert_eq!(report.sessions, day.truth.sessions, "seed {seed}");
         let seqs = load_sequences(&wh, 0).unwrap();
-        let total: usize = seqs.iter().map(SessionSequence::len).sum();
+        let total: usize = seqs.iter().map(|s| s.len()).sum();
         assert_eq!(total, day.events.len(), "seed {seed}");
     }
 }

@@ -191,7 +191,7 @@ fn dictionary_decode_recovers_exact_sessions() {
             .decode_sequence(&seq.sequence)
             .expect("dictionary covers the day");
         let mut expected = truth
-            .remove(&(seq.user_id, seq.session_id.clone()))
+            .remove(&(seq.user_id, seq.session_id.to_string()))
             .expect("session exists in truth");
         expected.sort_by_key(|e| e.timestamp);
         assert_eq!(decoded.len(), expected.len());

@@ -16,15 +16,23 @@
 //! Where a record *is* decoded, it costs four buffers — name, session id, ip
 //! and one details buffer — whether the generator draws it or a row view
 //! builds it, and encoding it allocates its payload and nothing else.
+//!
+//! On the read side, loading a day's session sequences allocates per part
+//! file and row group — its arena, its columns and each group's reads —
+//! never per session, with a cold cache or a warm one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use uli_analytics::load_sequences;
+use uli_core::session::{sequences_dir, Materializer};
 use uli_core::{ClientEvent, ClientEventLanding, EventRow};
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::ThriftRecord;
-use uli_warehouse::{ColumnarLanding, HourlyPartition, ScanFile, Warehouse, WhPath};
-use uli_workload::{DayStream, WorkloadConfig};
+use uli_warehouse::{
+    ColumnarFile, ColumnarLanding, HourlyPartition, Parallelism, ScanFile, Warehouse, WhPath,
+};
+use uli_workload::{generate_day, write_client_events, DayStream, Scale, WorkloadConfig};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. `const`, and a
@@ -232,6 +240,50 @@ fn a_decoded_event_is_four_buffers_and_its_payload_one() {
         assert!(
             allocations <= ceiling * CHUNK as u64,
             "{what} made {per_record:.4} allocations a record, over {ceiling}"
+        );
+    }
+}
+
+/// What loading a day's sequences may allocate: this many a part file and
+/// a row group, cold or warm, and a fixed few besides. A `String` or `Vec`
+/// a session reads as thousands on the larger day.
+const LOAD_PER_FILE_AND_GROUP: u64 = 24;
+const LOAD_FIXED: u64 = 24;
+
+#[test]
+fn loading_a_day_of_sequences_allocates_per_group_not_per_session() {
+    for config in [
+        Scale::Smoke.config(),
+        WorkloadConfig {
+            users: 2_000,
+            ..Default::default()
+        },
+    ] {
+        let wh = Warehouse::new();
+        write_client_events(&wh, &generate_day(&config, 0).events, 4).unwrap();
+        Materializer::new(wh.clone())
+            .with_parallelism(Parallelism::fixed(1))
+            .run_day(0)
+            .unwrap();
+        let files = wh.list_files_recursive(&sequences_dir(0)).unwrap();
+        let groups: usize = files
+            .iter()
+            .map(|path| ColumnarFile::open(&wh, path).unwrap().group_count())
+            .sum();
+        let bound = LOAD_PER_FILE_AND_GROUP * (files.len() + groups) as u64 + LOAD_FIXED;
+        let sessions = load_sequences(&wh, 0).unwrap().len();
+        wh.clear_cache();
+        let cold = allocations_of(|| drop(load_sequences(&wh, 0).unwrap()));
+        let warm = allocations_of(|| drop(load_sequences(&wh, 0).unwrap()));
+        println!(
+            "loading {sessions} sessions from {} files of {groups} groups: \
+             {cold} allocations cold, {warm} warm (bound {bound})",
+            files.len()
+        );
+        assert!(sessions > 200, "{sessions} sessions");
+        assert!(
+            cold <= bound && warm <= bound,
+            "{cold} cold, {warm} warm, bound {bound}"
         );
     }
 }
