@@ -39,6 +39,7 @@ pub struct SequenceCorpus {
 
 impl SequenceCorpus {
     /// Number of sessions.
+    #[inline]
     pub fn len(&self) -> usize {
         self.user_ids.len()
     }
@@ -49,6 +50,7 @@ impl SequenceCorpus {
     }
 
     /// Session `i`, in part-file order.
+    #[inline]
     pub fn get(&self, i: usize) -> Option<SessionRef<'_>> {
         let n = self.len();
         if i >= n {
@@ -139,6 +141,7 @@ pub struct Sessions<'a> {
 impl<'a> Iterator for Sessions<'a> {
     type Item = SessionRef<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<SessionRef<'a>> {
         self.corpus.get(self.next.next()?)
     }

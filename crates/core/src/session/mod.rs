@@ -8,7 +8,7 @@ pub mod sessionize;
 pub use dictionary::EventDictionary;
 pub use materialize::{day_dir, dictionary_dir, sequences_dir, MaterializeReport, Materializer};
 pub use sequence::{
-    Sequence, SessionRef, SessionSequence, SessionSequenceColumnar, SessionSequenceLoader,
-    SESSION_SEQUENCE_KINDS, SESSION_SEQUENCE_SCHEMA,
+    Sequence, SessionRef, SessionSequence, SessionSequenceLoader, SESSION_SEQUENCE_KINDS,
+    SESSION_SEQUENCE_SCHEMA,
 };
 pub use sessionize::{SessionEvent, SessionRecord, Sessionizer};

@@ -27,11 +27,13 @@ pub struct Sequence<'a>(&'a str);
 
 impl<'a> Sequence<'a> {
     /// Wraps a sequence's code points.
+    #[inline]
     pub fn new(codes: &'a str) -> Sequence<'a> {
         Sequence(codes)
     }
 
     /// The code points, borrowed for as long as what they were borrowed from.
+    #[inline]
     pub fn as_str(&self) -> &'a str {
         self.0
     }
@@ -50,6 +52,7 @@ impl<'a> Sequence<'a> {
 impl Deref for Sequence<'_> {
     type Target = str;
 
+    #[inline]
     fn deref(&self) -> &str {
         self.0
     }
@@ -208,7 +211,7 @@ pub const SESSION_SEQUENCE_KINDS: [ColumnKind; 5] = [
 /// [`SessionSequenceLoader::parse`] gives the same field of a row-format
 /// record. A cell that is not what its kind says drops the row.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SessionSequenceColumnar;
+pub(crate) struct SessionSequenceColumnar;
 
 impl ColumnarCodec for SessionSequenceColumnar {
     fn columns(&self) -> usize {
@@ -332,6 +335,27 @@ mod tests {
         assert_eq!(t.len(), SESSION_SEQUENCE_SCHEMA.len());
         assert_eq!(t[0], Value::Int(7));
         assert_eq!(t[4], Value::Int(95));
+    }
+
+    #[test]
+    fn the_columnar_codec_decodes_what_parse_gives_and_drops_misfit_cells() {
+        let s = SessionSequence::encode(&record(), &dict()).unwrap();
+        let parsed = SessionSequenceLoader.parse(&s.to_bytes()).unwrap().unwrap();
+        let codec = SessionSequenceLoader.columnar().unwrap();
+        assert_eq!(codec.columns(), SESSION_SEQUENCE_SCHEMA.len());
+        let cells: [&[u8]; 5] = [
+            &s.user_id.to_le_bytes(),
+            s.session_id.as_bytes(),
+            s.ip.as_bytes(),
+            s.sequence.as_bytes(),
+            &s.duration_secs.to_le_bytes(),
+        ];
+        for (col, cell) in cells.into_iter().enumerate() {
+            assert_eq!(codec.decode(col, cell).as_ref(), Some(&parsed[col]));
+        }
+        assert_eq!(codec.decode(0, &[1, 2, 3]), None, "not eight bytes");
+        assert_eq!(codec.decode(3, &[0xff]), None, "not UTF-8");
+        assert_eq!(codec.decode(5, b"x"), None, "no such column");
     }
 
     #[test]

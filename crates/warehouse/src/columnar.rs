@@ -356,6 +356,7 @@ struct ColumnChunk {
 }
 
 impl ColumnChunk {
+    #[inline]
     fn cell(&self, r: CellRef) -> ColumnCell<'_> {
         if r.code != 0 {
             ColumnCell::Code(r.code - 1)

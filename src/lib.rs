@@ -34,10 +34,15 @@
 //! assert_eq!(report.sessions, day.truth.sessions);
 //!
 //! // 3. Ask a question the paper's way: how many profile clicks today?
+//! //    The day loads into one corpus, and each session is a borrowed view
+//! //    whose sequence's `len` counts events.
 //! let dict = Materializer::new(wh.clone()).load_dictionary(0).unwrap();
 //! let clicks = EventCharSet::expand(
 //!     &EventPattern::parse("*:profile_click").unwrap(), &dict);
 //! let seqs = load_sequences(&wh, 0).unwrap();
+//! assert_eq!(seqs.len() as u64, report.sessions);
+//! let events: usize = seqs.iter().map(|s| s.sequence.len()).sum();
+//! assert_eq!(events, day.events.len());
 //! let total: u64 = seqs.iter().map(|s| clicks.count_in(&s.sequence)).sum();
 //! let truth = day.events.iter()
 //!     .filter(|e| e.name.action() == "profile_click").count() as u64;
@@ -60,14 +65,14 @@ pub use uli_workload as workload;
 pub mod prelude {
     pub use uli_analytics::{
         load_sequences, ClientEventsFunnel, CollocationMiner, CountClientEvents, DailySummary,
-        EventCharSet, NgramModel,
+        EventCharSet, NgramModel, SequenceCorpus,
     };
     pub use uli_core::catalog::ClientEventCatalog;
     pub use uli_core::client_event::{ClientEvent, ClientEventLoader, CLIENT_EVENT_SCHEMA};
     pub use uli_core::event::{EventInitiator, EventName, EventPattern};
     pub use uli_core::session::{
-        EventDictionary, Materializer, SessionSequence, SessionSequenceLoader, Sessionizer,
-        SESSION_SEQUENCE_SCHEMA,
+        EventDictionary, Materializer, SessionRef, SessionSequence, SessionSequenceLoader,
+        Sessionizer, SESSION_SEQUENCE_SCHEMA,
     };
     pub use uli_core::time::Timestamp;
     pub use uli_dataflow::prelude::*;
