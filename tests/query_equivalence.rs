@@ -13,8 +13,8 @@ use unified_logging::core::write_client_events_columnar;
 use unified_logging::dataflow::{DataflowResult, ScalarUdf};
 use unified_logging::prelude::*;
 use unified_logging::thrift::ThriftRecord;
-use unified_logging::warehouse::tag_hash;
-use unified_logging::workload::write_paper_raw_log;
+use unified_logging::warehouse::{fnv1a64_fold, tag_hash, HourlyPartition, FNV1A64_OFFSET};
+use unified_logging::workload::{write_paper_raw_log, Scale};
 
 struct Fixture {
     wh: Warehouse,
@@ -350,4 +350,121 @@ proptest! {
             }
         }
     }
+}
+
+/// The paper's raw log of `events`, plus one row-format `-rows` sibling
+/// holding only payloads no loader decodes, in a fresh warehouse.
+fn raw_log_with_garbage(events: &[ClientEvent]) -> Warehouse {
+    let wh = Warehouse::new();
+    write_paper_raw_log(&wh, events, 4).unwrap();
+    let first = &events[0];
+    let hour = HourlyPartition::from_hour_index("client_events", first.timestamp.hour_index());
+    let mut w = wh
+        .create(&hour.main_dir().child("part-00000-rows").unwrap())
+        .unwrap();
+    let whole = first.to_bytes();
+    for garbage in [
+        &b"not a thrift payload"[..],
+        &whole[..whole.len() / 2],
+        &whole[..whole.len() - 1],
+        &[0xff, 0xfe, 0x00],
+    ] {
+        w.append_record(garbage);
+    }
+    w.finish().unwrap();
+    wh
+}
+
+/// A predicate the planner keeps above the scan: a UDF over the timestamp.
+struct EvenMillis;
+
+impl ScalarUdf for EvenMillis {
+    fn name(&self) -> &'static str {
+        "EVEN_MILLIS"
+    }
+    fn eval(&self, args: &[Value]) -> DataflowResult<Value> {
+        Ok(Value::Bool(args[0].as_int().is_some_and(|n| n % 2 == 0)))
+    }
+}
+
+/// What six queries over the smoke day's row-format raw log return — the
+/// rows and every `JobStats` counter but `fields_skipped` — at workers
+/// {1, 4} under `Pushdown::On` and `Pushdown::Eager`, each over a fresh
+/// landing, one digest a query.
+/// `fields_skipped` is left out: it counts the fields a lazy row scan
+/// passed over, and that is how the row format was read when these were
+/// recorded.
+#[test]
+fn row_format_queries_match_the_recorded_digests() {
+    const RECORDED: [u64; 6] = [
+        12609775077307326801,
+        17700695374403382077,
+        12430479569247053957,
+        5992772588814731121,
+        16995786048051542113,
+        305915806473434287,
+    ];
+    let events = generate_day(&Scale::Smoke.config(), 0).events;
+    // E19's selective query: the most frequent name over the middle half
+    // of the day.
+    let mut counts: std::collections::BTreeMap<&str, u64> = Default::default();
+    for ev in &events {
+        *counts.entry(ev.name.as_str()).or_default() += 1;
+    }
+    let name = counts
+        .iter()
+        .max_by_key(|(name, n)| (**n, **name))
+        .map(|(name, _)| name.to_string())
+        .unwrap();
+    let t_min = events.iter().map(|e| e.timestamp.millis()).min().unwrap();
+    let t_max = events.iter().map(|e| e.timestamp.millis()).max().unwrap();
+    let span = t_max - t_min;
+    let (t0, t1) = (t_min + span / 4, t_min + 3 * span / 4);
+    let load = || {
+        Plan::load(
+            day_dir("client_events", 0),
+            Arc::new(ClientEventLoader),
+            CLIENT_EVENT_SCHEMA.to_vec(),
+        )
+    };
+    let queries = [
+        load()
+            .filter(
+                Expr::col(5)
+                    .ge(Expr::lit(t0))
+                    .and(Expr::col(5).le(Expr::lit(t1))),
+            )
+            .filter(Expr::col(1).eq(Expr::lit(name.as_str())))
+            .foreach(vec![("user_id", Expr::col(2)), ("name", Expr::col(1))])
+            .aggregate_by(vec![0], vec![Agg::count()]),
+        load().aggregate_by(vec![2], vec![Agg::count()]),
+        load().aggregate(vec![Agg::count()]),
+        load(),
+        load()
+            .order_by(vec![(5, SortOrder::Desc), (2, SortOrder::Asc)])
+            .limit(20),
+        load()
+            .filter(Expr::col(5).ge(Expr::lit(t0)))
+            .filter(Expr::udf(Arc::new(EvenMillis), vec![Expr::col(5)]))
+            .foreach(vec![("user_id", Expr::col(2)), ("ip", Expr::col(4))]),
+    ];
+    let digests = queries.map(|plan| {
+        let mut h = FNV1A64_OFFSET;
+        for pushdown in [Pushdown::On, Pushdown::Eager] {
+            for workers in [1, 4] {
+                let result = Engine::new(raw_log_with_garbage(&events))
+                    .with_pushdown(pushdown)
+                    .with_parallelism(Parallelism::fixed(workers))
+                    .run(&plan)
+                    .unwrap();
+                let stats = JobStats {
+                    fields_skipped: 0,
+                    ..result.stats
+                };
+                h = fnv1a64_fold(h, format!("{:?} {stats:?}", result.rows).as_bytes());
+            }
+        }
+        h
+    });
+    assert_eq!(digests, RECORDED);
 }
