@@ -8,9 +8,10 @@
 //! window AND one event name, project 3 of 7 columns) over four landings —
 //!
 //! 1. **row-eager** — row blocks, every field of every record decoded;
-//! 2. **row-pushdown** — row blocks with projection + predicate + zone-map
-//!    pushdown (what E15, now a recorded result in EXPERIMENTS.md, measured
-//!    as its best configuration);
+//! 2. **row-pushdown** — row blocks with predicate + zone-map pushdown:
+//!    the blocks zone maps disprove are skipped, and every record read is
+//!    decoded whole, as the paper's raw-log jobs decode it (E15, now a
+//!    recorded result in EXPERIMENTS.md, measured a lazy row scan here);
 //! 3. **columnar** — column chunks per row group, vectorized batch scan,
 //!    no dictionary;
 //! 4. **columnar+dict** — the default landing: the event-name column is
@@ -641,12 +642,14 @@ mod tests {
             pushdown.blocks_skipped > 0,
             "zone maps pruned no row blocks"
         );
-        // What E15 gated, on the two of its configurations that are left.
+        // A row record decodes whole under either setting: pushdown saves
+        // only the records of the blocks its zone maps skip.
+        assert_eq!(pushdown.fields_skipped, 0);
         assert!(
-            eager.decoded_fields >= 2 * pushdown.decoded_fields,
-            "pushdown must halve the fields decoded off the row log ({} vs {})",
-            eager.decoded_fields,
-            pushdown.decoded_fields
+            pushdown.decoded_fields < eager.decoded_fields,
+            "zone maps must cut the fields decoded off the row log ({} vs {})",
+            pushdown.decoded_fields,
+            eager.decoded_fields
         );
         let dict = cell("columnar+dict", 1);
         assert!(dict.blocks_skipped > 0, "zone maps pruned no row groups");

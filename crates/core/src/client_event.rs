@@ -8,14 +8,8 @@
 
 use std::fmt;
 
-use uli_dataflow::{
-    ColumnarCodec, DataflowError, DataflowResult, Loader, ScanOutcome, ScanSpec, Tuple, Value,
-    ZoneColumn,
-};
-use uli_thrift::{
-    varint, CompactReader, CompactWriter, Requiredness, StructDescriptor, TType, ThriftError,
-    ThriftRecord, ThriftResult,
-};
+use uli_dataflow::{ColumnarCodec, DataflowResult, Loader, Tuple, Value, ZoneColumn};
+use uli_thrift::{varint, CompactReader, CompactWriter, ThriftError, ThriftRecord, ThriftResult};
 use uli_warehouse::chunk::{
     read_string, string_map_cell, write_string_map_count, write_string_map_pair,
 };
@@ -31,24 +25,6 @@ use crate::time::Timestamp;
 /// Scribe category all client events are logged under — the "single place"
 /// unification (§3.2).
 pub const CLIENT_EVENTS_CATEGORY: &str = "client_events";
-
-/// The declared Thrift schema of [`ClientEvent`] (Table 2), for registries
-/// and drift detection: tooling can validate any decoded message against it
-/// without the compiled type.
-pub fn client_event_descriptor() -> StructDescriptor {
-    StructDescriptor::new(
-        "ClientEvent",
-        [
-            (1, "event_initiator", TType::I8, Requiredness::Required),
-            (2, "event_name", TType::Binary, Requiredness::Required),
-            (3, "user_id", TType::I64, Requiredness::Required),
-            (4, "session_id", TType::Binary, Requiredness::Required),
-            (5, "ip", TType::Binary, Requiredness::Required),
-            (6, "timestamp", TType::I64, Requiredness::Required),
-            (7, "event_details", TType::Map, Requiredness::Optional),
-        ],
-    )
-}
 
 /// A unified log message. Field ids are stable Thrift ids.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +96,7 @@ impl ThriftRecord for ClientEvent {
     }
 
     fn read(r: &mut CompactReader<'_>) -> ThriftResult<Self> {
-        let (row, _) = EventRow::read(r, &ALL_COLUMNS)?;
+        let row = EventRow::read(r, &ALL_COLUMNS)?;
         Ok(row.to_event().expect("every column was declared"))
     }
 }
@@ -432,11 +408,10 @@ fn declared<T>(field: Option<T>, col: usize) -> WarehouseResult<T> {
 
 impl<'a> EventRow<'a> {
     /// Walks one client-event struct — the only function that knows its
-    /// field ids — returning the view over `columns` and how many known
-    /// fields outside them it passed over. Every field is read with its
-    /// declared type whether or not it is declared, so a record is accepted
-    /// or rejected (and the stream stays in step on type drift) the same
-    /// under every column set: the last occurrence of an id wins, an
+    /// field ids — returning the view over `columns`. Every field is read
+    /// with its declared type whether or not it is declared, so a record is
+    /// accepted or rejected (and the stream stays in step on type drift) the
+    /// same under every column set: the last occurrence of an id wins, an
     /// invalid initiator code or event name makes the field count as
     /// missing, every string and details entry must be UTF-8, unknown ids
     /// are skipped, and a missing required field 1–6 is an error. The
@@ -445,10 +420,7 @@ impl<'a> EventRow<'a> {
     /// One pass: the name is checked in one pass over a byte-class table
     /// and the details' UTF-8 once a run of pairs
     /// ([`CompactReader::read_string_pairs`]).
-    pub fn read(
-        r: &mut CompactReader<'a>,
-        columns: &EventColumns,
-    ) -> ThriftResult<(EventRow<'a>, u64)> {
+    pub fn read(r: &mut CompactReader<'a>, columns: &EventColumns) -> ThriftResult<EventRow<'a>> {
         r.struct_begin()?;
         let mut initiator = None;
         let mut name = None;
@@ -457,44 +429,20 @@ impl<'a> EventRow<'a> {
         let mut ip = None;
         let mut timestamp = None;
         let mut details = Details::EMPTY;
-        let mut undeclared = 0;
         while let Some(h) = r.field_begin()? {
-            let column = match h.id {
-                1 => {
-                    initiator = EventInitiator::from_code(r.read_i8()?);
-                    0
-                }
+            match h.id {
+                1 => initiator = EventInitiator::from_code(r.read_i8()?),
                 2 => {
                     let s = r.read_string()?;
                     name = EventName::is_valid(s).then_some(s);
-                    NAME_COLUMN
                 }
-                3 => {
-                    user_id = Some(r.read_i64()?);
-                    USER_COLUMN
-                }
-                4 => {
-                    session_id = Some(r.read_string()?);
-                    SESSION_COLUMN
-                }
-                5 => {
-                    ip = Some(r.read_string()?);
-                    IP_COLUMN
-                }
-                6 => {
-                    timestamp = Some(Timestamp(r.read_i64()?));
-                    TIMESTAMP_COLUMN
-                }
-                7 => {
-                    details = Details::read(r)?;
-                    6
-                }
-                _ => {
-                    r.skip(h.ttype)?;
-                    continue;
-                }
-            };
-            undeclared += u64::from(!columns[column]);
+                3 => user_id = Some(r.read_i64()?),
+                4 => session_id = Some(r.read_string()?),
+                5 => ip = Some(r.read_string()?),
+                6 => timestamp = Some(Timestamp(r.read_i64()?)),
+                7 => details = Details::read(r)?,
+                _ => r.skip(h.ttype)?,
+            }
         }
         r.struct_end();
         let required = |present: bool, field_id| {
@@ -509,7 +457,7 @@ impl<'a> EventRow<'a> {
         required(session_id.is_some(), 4)?;
         required(ip.is_some(), 5)?;
         required(timestamp.is_some(), 6)?;
-        let row = EventRow {
+        Ok(EventRow {
             initiator: initiator.filter(|_| columns[0]),
             name: name.filter(|_| columns[NAME_COLUMN]),
             user_id: user_id.filter(|_| columns[USER_COLUMN]),
@@ -517,13 +465,12 @@ impl<'a> EventRow<'a> {
             ip: ip.filter(|_| columns[IP_COLUMN]),
             timestamp: timestamp.filter(|_| columns[TIMESTAMP_COLUMN]),
             details: columns[6].then_some(details),
-        };
-        Ok((row, undeclared))
+        })
     }
 
     /// The whole event of one Thrift payload, borrowed.
     pub fn from_bytes(payload: &'a [u8]) -> ThriftResult<EventRow<'a>> {
-        EventRow::read(&mut CompactReader::new(payload), &ALL_COLUMNS).map(|(row, _)| row)
+        EventRow::read(&mut CompactReader::new(payload), &ALL_COLUMNS)
     }
 
     /// A view over every column of a decoded event.
@@ -612,18 +559,22 @@ impl Loader for ClientEventLoader {
         "ClientEventLoader"
     }
 
+    /// Decodes the whole record ([`EventRow::from_bytes`]), as the paper's
+    /// raw-log jobs do; the executor nulls the columns a query does not read.
     fn parse(&self, record: &[u8]) -> DataflowResult<Option<Tuple>> {
-        let Ok(ev) = ClientEvent::from_bytes(record) else {
+        // Any Thrift error skips the record.
+        let Ok(row) = EventRow::from_bytes(record) else {
             return Ok(None);
         };
+        let read = "every column was declared";
         Ok(Some(vec![
-            Value::Str(ev.initiator.to_string()),
-            Value::Str(ev.name.as_str().to_string()),
-            Value::Int(ev.user_id),
-            Value::Str(ev.session_id),
-            Value::Str(ev.ip),
-            Value::Int(ev.timestamp.millis()),
-            ev.details.view().value(),
+            Value::Str(row.initiator().expect(read).to_string()),
+            Value::str(row.name().expect(read)),
+            Value::Int(row.user_id().expect(read)),
+            Value::str(row.session_id().expect(read)),
+            Value::str(row.ip().expect(read)),
+            Value::Int(row.timestamp().expect(read).millis()),
+            row.details().expect(read).value(),
         ]))
     }
 
@@ -641,54 +592,6 @@ impl Loader for ClientEventLoader {
 
     fn columnar(&self) -> Option<&dyn ColumnarCodec> {
         Some(&crate::columnar::CLIENT_EVENT_COLUMNAR)
-    }
-
-    /// Lazy scan: the one walk of the record ([`EventRow::read`]) under the
-    /// projected columns, so malformed records fail exactly as the eager
-    /// decoder's do, but only projected columns are materialized. Unprojected
-    /// slots come back as [`Value::Null`]; the planner guarantees nothing
-    /// downstream reads them.
-    fn scan(&self, record: &[u8], spec: &ScanSpec) -> DataflowResult<ScanOutcome> {
-        let mut keep = ALL_COLUMNS;
-        if let Some(mask) = &spec.projection {
-            for (k, m) in keep.iter_mut().zip(mask) {
-                *k = *m;
-            }
-        }
-        // Any Thrift error skips the record, exactly as the eager parse does.
-        let Ok((row, fields_skipped)) = EventRow::read(&mut CompactReader::new(record), &keep)
-        else {
-            return Ok(ScanOutcome::skipped());
-        };
-        let text = |s: Option<&str>| s.map_or(Value::Null, |s| Value::Str(s.to_string()));
-        let tuple = vec![
-            row.initiator
-                .map_or(Value::Null, |i| Value::Str(i.to_string())),
-            text(row.name),
-            row.user_id.map_or(Value::Null, Value::Int),
-            text(row.session_id),
-            text(row.ip),
-            row.timestamp
-                .map_or(Value::Null, |t| Value::Int(t.millis())),
-            row.details.map_or(Value::Null, |d| d.value()),
-        ];
-        if tuple.len() != spec.width {
-            return Err(DataflowError::MalformedRecord {
-                loader: self.name(),
-            });
-        }
-        if !spec.admit(&tuple)? {
-            return Ok(ScanOutcome {
-                tuple: None,
-                fields_skipped,
-                skipped_by_predicate: true,
-            });
-        }
-        Ok(ScanOutcome {
-            tuple: Some(tuple),
-            fields_skipped,
-            skipped_by_predicate: false,
-        })
     }
 }
 
@@ -785,101 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn encoded_events_validate_against_the_declared_schema() {
-        use uli_thrift::{CompactReader, SchemaRegistry};
-        let mut registry = SchemaRegistry::new();
-        registry.register(CLIENT_EVENTS_CATEGORY, client_event_descriptor());
-        let schema = registry.get(CLIENT_EVENTS_CATEGORY).unwrap();
-
-        let bytes = sample().to_bytes();
-        let mut r = CompactReader::new(&bytes);
-        let dynamic = r.read_struct_value().unwrap();
-        assert!(
-            schema.validate(&dynamic).is_empty(),
-            "clean message validates"
-        );
-
-        // A message with a wrong-typed user_id is flagged.
-        let mut w = CompactWriter::new();
-        w.struct_begin();
-        w.field_i8(1, 0);
-        w.field_string(2, "web:a:b:c:d:click");
-        w.field_string(3, "not-an-integer"); // user_id must be i64
-        w.field_string(4, "s");
-        w.field_string(5, "ip");
-        w.field_i64(6, 0);
-        w.struct_end();
-        let bytes = w.into_bytes();
-        let mut r = CompactReader::new(&bytes);
-        let bad = r.read_struct_value().unwrap();
-        let violations = schema.validate(&bad);
-        assert!(!violations.is_empty(), "type drift is reported");
-    }
-
-    #[test]
-    fn lazy_scan_full_projection_matches_eager_parse() {
-        let bytes = sample().to_bytes();
-        let spec = ScanSpec::eager(7);
-        let eager = ClientEventLoader.parse(&bytes).unwrap().unwrap();
-        let lazy = ClientEventLoader.scan(&bytes, &spec).unwrap();
-        assert_eq!(lazy.tuple.as_ref(), Some(&eager));
-        assert_eq!(lazy.fields_skipped, 0);
-        assert!(!lazy.skipped_by_predicate);
-    }
-
-    #[test]
-    fn lazy_scan_projects_and_counts_skips() {
-        let bytes = sample().to_bytes();
-        // Keep name and user_id only.
-        let spec = ScanSpec {
-            projection: Some(vec![false, true, true, false, false, false, false]),
-            predicate: vec![],
-            width: 7,
-        };
-        let out = ClientEventLoader.scan(&bytes, &spec).unwrap();
-        let t = out.tuple.unwrap();
-        assert_eq!(
-            t,
-            vec![
-                Value::Null,
-                Value::str("web:home:mentions:stream:avatar:profile_click"),
-                Value::Int(12345),
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-            ]
-        );
-        assert_eq!(out.fields_skipped, 5, "initiator, session, ip, ts, details");
-    }
-
-    #[test]
-    fn lazy_scan_pushed_predicate_drops_and_counts() {
-        use uli_dataflow::Expr;
-        let bytes = sample().to_bytes();
-        let spec = ScanSpec {
-            projection: None,
-            predicate: vec![Expr::col(2).eq(Expr::lit(999i64))],
-            width: 7,
-        };
-        let out = ClientEventLoader.scan(&bytes, &spec).unwrap();
-        assert!(out.tuple.is_none());
-        assert!(out.skipped_by_predicate);
-        let spec = ScanSpec {
-            projection: None,
-            predicate: vec![Expr::col(2).eq(Expr::lit(12345i64))],
-            width: 7,
-        };
-        let out = ClientEventLoader.scan(&bytes, &spec).unwrap();
-        assert!(out.tuple.is_some());
-        assert!(!out.skipped_by_predicate);
-    }
-
-    #[test]
-    fn lazy_scan_agrees_with_eager_on_malformed_records() {
+    fn loader_skips_exactly_what_the_decoder_rejects() {
         // Garbage, truncation, missing required fields, invalid name, bad
-        // initiator code, and unknown future fields must all land the same
-        // way in both paths.
+        // initiator code, and unknown future fields: the loader skips a
+        // record exactly when the event does not decode.
         let mut cases: Vec<Vec<u8>> = vec![b"not thrift".to_vec(), Vec::new()];
         let good = sample().to_bytes();
         for cut in [1, good.len() / 2, good.len() - 1] {
@@ -923,9 +735,13 @@ mod tests {
         cases.push(w.into_bytes());
         cases.push(good);
         for (i, bytes) in cases.iter().enumerate() {
-            let eager = ClientEventLoader.parse(bytes).unwrap();
-            let lazy = ClientEventLoader.scan(bytes, &ScanSpec::eager(7)).unwrap();
-            assert_eq!(lazy.tuple, eager, "case {i} diverged");
+            let parsed = ClientEventLoader.parse(bytes).unwrap();
+            let decoded = ClientEvent::from_bytes(bytes);
+            assert_eq!(parsed.is_some(), decoded.is_ok(), "case {i} diverged");
+            if let (Some(tuple), Ok(ev)) = (parsed, decoded) {
+                assert_eq!(tuple[2], Value::Int(ev.user_id), "case {i}");
+                assert_eq!(tuple[6], ev.details.view().value(), "case {i}");
+            }
         }
     }
 

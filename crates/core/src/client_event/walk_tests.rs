@@ -17,6 +17,7 @@ use proptest::test_runner::TestRng;
 
 use super::*;
 use crate::columnar::event_columns;
+use uli_thrift::TType;
 
 /// [`EventName::is_valid`] as it was: one pass to split, one per level.
 fn reference_is_valid(s: &str) -> bool {
@@ -58,7 +59,7 @@ fn reference_details<'a>(r: &mut CompactReader<'a>) -> ThriftResult<Details<'a>>
 fn reference_read<'a>(
     r: &mut CompactReader<'a>,
     columns: &EventColumns,
-) -> ThriftResult<(EventRow<'a>, u64)> {
+) -> ThriftResult<EventRow<'a>> {
     r.struct_begin()?;
     let mut initiator = None;
     let mut name = None;
@@ -67,44 +68,20 @@ fn reference_read<'a>(
     let mut ip = None;
     let mut timestamp = None;
     let mut details = Details::EMPTY;
-    let mut undeclared = 0;
     while let Some(h) = r.field_begin()? {
-        let column = match h.id {
-            1 => {
-                initiator = EventInitiator::from_code(r.read_i8()?);
-                0
-            }
+        match h.id {
+            1 => initiator = EventInitiator::from_code(r.read_i8()?),
             2 => {
                 let s = r.read_string()?;
                 name = reference_is_valid(s).then_some(s);
-                NAME_COLUMN
             }
-            3 => {
-                user_id = Some(r.read_i64()?);
-                USER_COLUMN
-            }
-            4 => {
-                session_id = Some(r.read_string()?);
-                SESSION_COLUMN
-            }
-            5 => {
-                ip = Some(r.read_string()?);
-                IP_COLUMN
-            }
-            6 => {
-                timestamp = Some(Timestamp(r.read_i64()?));
-                TIMESTAMP_COLUMN
-            }
-            7 => {
-                details = reference_details(r)?;
-                6
-            }
-            _ => {
-                r.skip(h.ttype)?;
-                continue;
-            }
-        };
-        undeclared += u64::from(!columns[column]);
+            3 => user_id = Some(r.read_i64()?),
+            4 => session_id = Some(r.read_string()?),
+            5 => ip = Some(r.read_string()?),
+            6 => timestamp = Some(Timestamp(r.read_i64()?)),
+            7 => details = reference_details(r)?,
+            _ => r.skip(h.ttype)?,
+        }
     }
     r.struct_end();
     let required = |present: bool, field_id| {
@@ -119,7 +96,7 @@ fn reference_read<'a>(
     required(session_id.is_some(), 4)?;
     required(ip.is_some(), 5)?;
     required(timestamp.is_some(), 6)?;
-    let row = EventRow {
+    Ok(EventRow {
         initiator: initiator.filter(|_| columns[0]),
         name: name.filter(|_| columns[NAME_COLUMN]),
         user_id: user_id.filter(|_| columns[USER_COLUMN]),
@@ -127,14 +104,13 @@ fn reference_read<'a>(
         ip: ip.filter(|_| columns[IP_COLUMN]),
         timestamp: timestamp.filter(|_| columns[TIMESTAMP_COLUMN]),
         details: columns[6].then_some(details),
-    };
-    Ok((row, undeclared))
+    })
 }
 
 /// What a walk of `payload` under `columns` — [`EventRow::read`], or the
 /// `reference` — hands out, printed: every field of the row (an undeclared
-/// one is `None`), the undeclared count, the details' count, bytes and map
-/// order, and where the reader stopped — or the error.
+/// one is `None`), the details' count, bytes and map order, and where the
+/// reader stopped — or the error.
 fn outcome(reference: bool, payload: &[u8], columns: &EventColumns) -> String {
     let mut r = CompactReader::new(payload);
     let walked = match reference {
@@ -142,7 +118,7 @@ fn outcome(reference: bool, payload: &[u8], columns: &EventColumns) -> String {
         true => reference_read(&mut r, columns),
     };
     match walked {
-        Ok((row, undeclared)) => format!(
+        Ok(row) => format!(
             "{:?}",
             (
                 row.initiator,
@@ -152,7 +128,6 @@ fn outcome(reference: bool, payload: &[u8], columns: &EventColumns) -> String {
                 row.ip,
                 row.timestamp,
                 row.details.map(|d| (d.count, d.pairs, d.in_map_order)),
-                undeclared,
                 r.position(),
             )
         ),

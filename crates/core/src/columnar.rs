@@ -325,8 +325,7 @@ fn visit_event_rows(
                     if result.is_err() {
                         return;
                     }
-                    let Ok((view, _)) = EventRow::read(&mut CompactReader::new(record), &columns)
-                    else {
+                    let Ok(view) = EventRow::read(&mut CompactReader::new(record), &columns) else {
                         skipped += 1;
                         return;
                     };

@@ -3,9 +3,7 @@
 pub mod initiator;
 pub mod name;
 pub mod pattern;
-pub mod tree;
 
 pub use initiator::EventInitiator;
 pub use name::{EventName, EventNameError, COMPONENTS};
 pub use pattern::EventPattern;
-pub use tree::TreeEventName;

@@ -6,11 +6,12 @@
 //! * [`event`]: the six-level hierarchical event namespace
 //!   (`client:page:section:component:element:action`, Table 1), wildcard
 //!   patterns for slicing it (`web:home:mentions:*`, `*:profile_click`),
-//!   the event-initiator taxonomy, and the rejected arbitrary-depth tree
-//!   alternative kept for the ablation study;
+//!   and the event-initiator taxonomy;
 //! * [`client_event`]: the `ClientEvent` Thrift message (Table 2) with
 //!   consistent `user_id` / `session_id` / `ip` / `timestamp` semantics and
-//!   free-form key-value `event_details`, plus the dataflow loader;
+//!   free-form key-value `event_details`, its one typed walk
+//!   ([`EventRow::read`], which skips the fields it does not know), and the
+//!   dataflow loader, which decodes each row-format record whole;
 //! * [`session`]: session sequences — the frequency-ranked event dictionary
 //!   mapping names to Unicode code points (variable-length coding), the
 //!   30-minute-inactivity sessionizer, the materialized relation
@@ -56,7 +57,7 @@ pub mod time;
 
 pub use anonymize::Anonymizer;
 pub use catalog::ClientEventCatalog;
-pub use client_event::{client_event_descriptor, ClientEvent, ClientEventLoader, EventDetails};
+pub use client_event::{ClientEvent, ClientEventLoader, EventDetails};
 pub use columnar::{
     client_event_cells, for_each_event_row, write_client_events_columnar, ClientEventColumnar,
     ClientEventLanding, EventRow, CLIENT_EVENT_COLUMNAR,

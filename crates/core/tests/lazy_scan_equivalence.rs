@@ -8,10 +8,9 @@
 //! over-long varints, bytes that are not UTF-8 in any string, bad initiator
 //! codes, five- and seven-level names. The columnar landing must reject
 //! exactly the payloads the reference rejects and land, for the rest, the
-//! cells the reference's event encodes to; the pushdown scan in
-//! `ClientEventLoader::scan` must agree with the eager parse, and a whole
-//! query under projection + predicate pushdown must return byte-identical
-//! rows to the eager plan at every worker count. And a decoded event's
+//! cells the reference's event encodes to; and a whole query under
+//! projection + predicate pushdown must return byte-identical rows to the
+//! eager plan at every worker count. And a decoded event's
 //! details buffer answers as the map it was built from: the same Thrift
 //! bytes, the same printout, the same lookups and edits.
 
@@ -25,7 +24,7 @@ use uli_core::columnar::{ClientEventLanding, EventRow};
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::session::day_dir;
 use uli_core::time::Timestamp;
-use uli_dataflow::{Agg, Engine, Expr, Loader, Parallelism, Plan, Pushdown, ScanSpec, Value};
+use uli_dataflow::{Agg, Engine, Expr, Parallelism, Plan, Pushdown, Value};
 use uli_thrift::{
     varint, CompactReader, CompactWriter, TType, ThriftError, ThriftRecord, ThriftResult,
 };
@@ -451,81 +450,6 @@ proptest! {
             .collect();
         prop_assert_eq!(landed, expected);
     }
-
-    /// Full-projection lazy scan is the eager parse, bit for bit: the same
-    /// records decode, the same records are dropped, the same tuples come
-    /// out, and nothing is counted as skipped.
-    #[test]
-    fn lazy_full_scan_equals_eager(bytes in arb_record()) {
-        let eager = ClientEventLoader.parse(&bytes).unwrap();
-        let lazy = ClientEventLoader.scan(&bytes, &ScanSpec::eager(7)).unwrap();
-        prop_assert_eq!(&lazy.tuple, &eager);
-        prop_assert_eq!(lazy.fields_skipped, 0);
-        prop_assert!(!lazy.skipped_by_predicate);
-    }
-
-    /// Under a random keep-mask the lazy scan admits exactly the records the
-    /// eager parse admits, matches it on every kept column, and nulls the
-    /// rest.
-    #[test]
-    fn projected_scan_agrees_on_kept_columns(
-        bytes in arb_record(),
-        mask_bits in any::<u8>(),
-    ) {
-        let mask: Vec<bool> = (0..7).map(|i| mask_bits & (1 << i) != 0).collect();
-        let eager = ClientEventLoader.parse(&bytes).unwrap();
-        let spec = ScanSpec {
-            projection: Some(mask.clone()),
-            predicate: vec![],
-            width: 7,
-        };
-        let lazy = ClientEventLoader.scan(&bytes, &spec).unwrap();
-        match (&eager, &lazy.tuple) {
-            (None, None) => {
-                prop_assert_eq!(lazy.fields_skipped, 0, "dropped records count nothing");
-            }
-            (Some(e), Some(l)) => {
-                for (i, keep) in mask.iter().enumerate() {
-                    if *keep {
-                        prop_assert_eq!(&l[i], &e[i], "column {} diverged", i);
-                    } else {
-                        prop_assert_eq!(&l[i], &Value::Null, "column {} not nulled", i);
-                    }
-                }
-                if mask.iter().all(|k| *k) {
-                    prop_assert_eq!(lazy.fields_skipped, 0);
-                }
-            }
-            (e, l) => prop_assert!(false, "admit diverged: eager {:?}, lazy {:?}", e, l),
-        }
-    }
-
-    /// A pushed predicate drops exactly the records a post-parse FILTER
-    /// would, and flags them as predicate-skipped rather than undecodable.
-    #[test]
-    fn pushed_predicate_agrees_with_post_filter(
-        bytes in arb_record(),
-        threshold in any::<i64>(),
-    ) {
-        let spec = ScanSpec {
-            projection: None,
-            predicate: vec![Expr::col(2).ge(Expr::lit(threshold))],
-            width: 7,
-        };
-        let eager = ClientEventLoader.parse(&bytes).unwrap();
-        let lazy = ClientEventLoader.scan(&bytes, &spec).unwrap();
-        match eager {
-            None => {
-                prop_assert!(lazy.tuple.is_none());
-                prop_assert!(!lazy.skipped_by_predicate);
-            }
-            Some(t) => {
-                let passes = matches!(t[2], Value::Int(v) if v >= threshold);
-                prop_assert_eq!(lazy.tuple.is_some(), passes);
-                prop_assert_eq!(lazy.skipped_by_predicate, !passes);
-            }
-        }
-    }
 }
 
 /// The answers of `details` and `map` to every read, as one comparable
@@ -691,8 +615,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// End to end: a selective 2-column query returns byte-identical rows
-    /// under every pushdown layer and worker count, with the pushed run
-    /// doing provably less decode work.
+    /// under every pushdown layer and worker count.
     #[test]
     fn query_rows_identical_eager_vs_pushdown(
         events in prop::collection::vec(arb_event(), 1..120),
@@ -720,18 +643,9 @@ proptest! {
                     .with_parallelism(Parallelism::fixed(workers))
                     .with_pushdown(pushdown);
                 let result = engine.run(&plan).expect("query runs");
-                if pushdown == Pushdown::On {
-                    // Unprojected: initiator, session_id, ip always on the
-                    // wire, details only when non-empty — 3 or 4 skips per
-                    // scanned record.
-                    prop_assert!(
-                        result.stats.fields_skipped >= result.stats.input_records * 3
-                            && result.stats.fields_skipped <= result.stats.input_records * 4,
-                        "expected 3..=4 skips per record, got {} over {} records",
-                        result.stats.fields_skipped,
-                        result.stats.input_records
-                    );
-                }
+                // Row records are decoded whole under either setting;
+                // only a columnar file skips the fields it does not read.
+                prop_assert_eq!(result.stats.fields_skipped, 0);
                 match &reference {
                     None => reference = Some(result.rows),
                     Some(rows) => prop_assert_eq!(

@@ -237,8 +237,7 @@ impl<'a> ColumnBatch<'a> {
     /// Materializes output tuples for the selected rows, and only for them:
     /// a projected column no predicate read is decoded here, per surviving
     /// row; values a predicate already decoded are moved, not cloned. Masked
-    /// columns come back as [`Value::Null`] exactly as the lazy row loader
-    /// produces them.
+    /// columns come back as [`Value::Null`], as the row path masks them.
     fn take_rows(mut self, spec: &ScanSpec) -> DataflowResult<Vec<Tuple>> {
         let projected: Vec<usize> = (0..spec.width)
             .filter(|c| spec.projection.as_ref().is_none_or(|m| m[*c]))

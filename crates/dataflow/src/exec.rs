@@ -58,8 +58,8 @@ pub struct JobStats {
     /// Records decoded then dropped by a pushed-down predicate before any
     /// tuple reached the plan.
     pub records_skipped_by_predicate: u64,
-    /// Fields a lazy loader skipped without materializing (projection
-    /// pushdown).
+    /// Cells of masked columns a columnar scan never decoded (projection
+    /// pushdown). Row-format records decode whole and count nothing here.
     pub fields_skipped: u64,
     /// Run files spilled by operators whose state outgrew the memory budget.
     pub spill_runs: u64,
@@ -315,14 +315,9 @@ pub struct Engine {
 impl Engine {
     /// Engine with the default cost model and host-default parallelism.
     pub fn new(warehouse: Warehouse) -> Self {
-        Engine::with_cost_model(warehouse, CostModel::default())
-    }
-
-    /// Engine with a custom cost model.
-    pub fn with_cost_model(warehouse: Warehouse, cost: CostModel) -> Self {
         Engine {
             warehouse,
-            cost,
+            cost: CostModel::default(),
             parallelism: Parallelism::default(),
             pushdown: Pushdown::On,
             reduce_keys_per_task: 1 << 20,
@@ -531,34 +526,46 @@ impl Engine {
                     rows
                 }
                 ScanFile::Row(blocks) => {
-                    // Borrowing visit: the loader decodes each record in
-                    // place, so the scan never pays the one-Vec-per-record
-                    // copy that `read_block` charges to `alloc_bytes`.
+                    // Borrowing visit: the loader decodes each record whole
+                    // in place, so the scan never pays the one-Vec-per-record
+                    // copy that `read_block` charges to `alloc_bytes`. Slots
+                    // outside the projection are nulled before the pushed
+                    // predicates run, as the columnar path hands them out.
+                    let spec = &chain.spec;
                     let mut rows = Vec::with_capacity(blocks.block_records(unit) as usize);
                     let mut records_skipped = 0u64;
-                    let mut fields_skipped = 0u64;
-                    let mut scan_err: Option<DataflowError> = None;
-                    blocks.for_each_record(unit, |record| {
-                        if scan_err.is_some() {
-                            return;
+                    let mut scan = |record: &[u8]| -> DataflowResult<()> {
+                        let Some(mut tuple) = chain.loader.parse(record)? else {
+                            return Ok(());
+                        };
+                        if tuple.len() != spec.width {
+                            return Err(DataflowError::MalformedRecord {
+                                loader: chain.loader.name(),
+                            });
                         }
-                        match chain.loader.scan(record, &chain.spec) {
-                            Ok(outcome) => {
-                                fields_skipped += outcome.fields_skipped;
-                                if outcome.skipped_by_predicate {
-                                    records_skipped += 1;
-                                }
-                                if let Some(tuple) = outcome.tuple {
-                                    rows.push(tuple);
+                        if let Some(mask) = &spec.projection {
+                            for (slot, keep) in tuple.iter_mut().zip(mask) {
+                                if !keep {
+                                    *slot = Value::Null;
                                 }
                             }
-                            Err(e) => scan_err = Some(e),
+                        }
+                        match spec.admit(&tuple)? {
+                            true => rows.push(tuple),
+                            false => records_skipped += 1,
+                        }
+                        Ok(())
+                    };
+                    let mut scan_err = None;
+                    blocks.for_each_record(unit, |record| {
+                        if scan_err.is_none() {
+                            scan_err = scan(record).err();
                         }
                     })?;
                     if let Some(e) = scan_err {
                         return Err(e);
                     }
-                    file.charge_pushdown(records_skipped, fields_skipped);
+                    file.charge_pushdown(records_skipped, 0);
                     rows
                 }
             };
@@ -968,7 +975,7 @@ impl<'a> MapChain<'a> {
     ///   in-range columns moves into [`ScanSpec::predicate`] (order
     ///   preserved; FILTER semantics are replicated exactly by
     ///   [`ScanSpec::admit`]);
-    /// * **projection** — when the loader decodes lazily and something
+    /// * **projection** — when the loader supports a mask and something
     ///   bounds what is read of a row — a FOREACH in the chain, or `consumer`,
     ///   the columns of the chain's output its consuming node declares it
     ///   reads (`None`: all of them) — the spec masks every load column
@@ -1502,8 +1509,8 @@ mod tests {
             (col == 2).then_some(ZoneColumn::Key)
         }
         fn supports_projection(&self) -> bool {
-            // Honored only on the columnar path (the row parse is eager);
-            // masked columns are never read downstream either way.
+            // Masked columns come back Null on both paths; nothing
+            // downstream reads them.
             true
         }
         fn columnar(&self) -> Option<&dyn crate::batch::ColumnarCodec> {

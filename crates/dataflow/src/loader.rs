@@ -12,8 +12,8 @@
 //! the same planner-derived constraint as the in-file zone maps.
 
 use crate::batch::{ColumnarCodec, TextCodec};
-use crate::error::{DataflowError, DataflowResult};
-use crate::pushdown::{ScanOutcome, ScanSpec, ZoneColumn};
+use crate::error::DataflowResult;
+use crate::pushdown::ZoneColumn;
 use crate::value::{Tuple, Value};
 use uli_warehouse::{ScanFile, WhPath, ZoneMapPruner};
 
@@ -26,9 +26,11 @@ pub trait Loader: Send + Sync {
     /// marker or corrupt line the loader chooses to tolerate).
     fn parse(&self, record: &[u8]) -> DataflowResult<Option<Tuple>>;
 
-    /// True when this loader honors [`ScanSpec::projection`] by decoding
-    /// lazily. The default eager loader ignores projections, so the planner
-    /// must not mask columns for it.
+    /// True when the planner may mask this loader's columns
+    /// ([`ScanSpec::projection`](crate::ScanSpec::projection)): its columnar
+    /// codec then reads only the projected columns, and the row path nulls
+    /// the rest of each whole-record parse. False (the default) leaves every
+    /// column unmasked.
     fn supports_projection(&self) -> bool {
         false
     }
@@ -47,33 +49,6 @@ pub trait Loader: Send + Sync {
     /// row files, whose undecodable records the loader then skips.
     fn columnar(&self) -> Option<&dyn ColumnarCodec> {
         None
-    }
-
-    /// Scans one record under a [`ScanSpec`]: parse (lazily, if supported),
-    /// evaluate pushed predicates, and report what was skipped. The default
-    /// implementation parses eagerly and applies the predicates afterwards —
-    /// byte-identical to the unpushed path for any loader.
-    fn scan(&self, record: &[u8], spec: &ScanSpec) -> DataflowResult<ScanOutcome> {
-        let Some(tuple) = self.parse(record)? else {
-            return Ok(ScanOutcome::skipped());
-        };
-        if tuple.len() != spec.width {
-            return Err(DataflowError::MalformedRecord {
-                loader: self.name(),
-            });
-        }
-        if !spec.admit(&tuple)? {
-            return Ok(ScanOutcome {
-                tuple: None,
-                fields_skipped: 0,
-                skipped_by_predicate: true,
-            });
-        }
-        Ok(ScanOutcome {
-            tuple: Some(tuple),
-            fields_skipped: 0,
-            skipped_by_predicate: false,
-        })
     }
 }
 

@@ -4,12 +4,14 @@
 //! (§4.1) decode every column of every record before the first FILTER runs.
 //! This module carries the planner's pushdown decisions to the loader: a
 //! [`ScanSpec`] names the columns a query actually touches and the cheap
-//! predicates it can evaluate on lazily-decoded fields, and
+//! predicates it can evaluate before a tuple reaches the plan, and
 //! [`zone_constraints`] derives the block-level [`ZoneMapPruner`] that skips
-//! whole blocks before decompression.
+//! whole blocks before decompression. A columnar file decodes only the
+//! projected columns; a row-format record is decoded whole, as the paper's
+//! raw-log jobs decode it, and its unprojected slots are nulled.
 //!
-//! Everything fails open. A loader that cannot decode lazily ignores the
-//! projection; a predicate the analyzer cannot prove total stays out of the
+//! Everything fails open. A loader that declares no projection support gets
+//! no mask; a predicate the analyzer cannot prove total stays out of the
 //! zone pruner; a block without a zone map is always read.
 
 use uli_warehouse::ZoneMapPruner;
@@ -37,7 +39,7 @@ pub enum Pushdown {
 #[derive(Debug, Clone, Default)]
 pub struct ScanSpec {
     /// Keep-mask over the load schema, or `None` for all columns. Columns
-    /// masked out may come back as [`Value::Null`]; the planner only masks
+    /// masked out come back as [`Value::Null`]; the planner only masks
     /// columns no downstream operator reads.
     pub projection: Option<Vec<bool>>,
     /// Pushed FILTER predicates, outermost-last — evaluated in order with
@@ -59,11 +61,6 @@ impl ScanSpec {
         }
     }
 
-    /// True when the spec changes nothing about a plain scan.
-    pub fn is_trivial(&self) -> bool {
-        self.projection.is_none() && self.predicate.is_empty()
-    }
-
     /// Evaluates the pushed predicates against a materialized tuple with
     /// FILTER semantics. `Ok(true)` surfaces the tuple, `Ok(false)` drops it.
     pub fn admit(&self, tuple: &Tuple) -> DataflowResult<bool> {
@@ -75,29 +72,6 @@ impl ScanSpec {
             }
         }
         Ok(true)
-    }
-}
-
-/// What one record became under a [`ScanSpec`].
-#[derive(Debug, Clone)]
-pub struct ScanOutcome {
-    /// The materialized tuple, or `None` when the record was dropped (loader
-    /// skip or pushed predicate).
-    pub tuple: Option<Tuple>,
-    /// Fields the loader skipped without materializing.
-    pub fields_skipped: u64,
-    /// True when a pushed predicate (not the loader) dropped the record.
-    pub skipped_by_predicate: bool,
-}
-
-impl ScanOutcome {
-    /// A record the loader itself skipped (marker, tolerated corruption).
-    pub fn skipped() -> ScanOutcome {
-        ScanOutcome {
-            tuple: None,
-            fields_skipped: 0,
-            skipped_by_predicate: false,
-        }
     }
 }
 

@@ -259,11 +259,6 @@ impl LogMover {
         self
     }
 
-    /// In-place form of [`LogMover::with_parallelism`].
-    pub fn set_parallelism(&mut self, workers: Parallelism) {
-        self.workers = workers;
-    }
-
     /// The configured delivery parallelism.
     pub fn parallelism(&self) -> Parallelism {
         self.workers

@@ -28,7 +28,7 @@ const FOLDED_COLUMNS: EventColumns = event_columns([NAME_COLUMN, USER_COLUMN]);
 
 /// The name and user id of `payload`, when it is a client event.
 fn event(payload: &[u8]) -> Option<(&str, i64)> {
-    let (row, _) = EventRow::read(&mut CompactReader::new(payload), &FOLDED_COLUMNS).ok()?;
+    let row = EventRow::read(&mut CompactReader::new(payload), &FOLDED_COLUMNS).ok()?;
     Some((row.name().ok()?, row.user_id().ok()?))
 }
 

@@ -13,12 +13,10 @@
 //!   omit unset optional fields ([`record::ThriftRecord`]);
 //! * **zero-copy decoding**: [`protocol::CompactReader`] hands out strings
 //!   and binaries borrowed from the record and allocates nothing itself, so
-//!   a reader can walk a struct field by field and copy only what it keeps;
-//! * a **dynamic value model** ([`value::TValue`]) so tooling (the client
-//!   event catalog, log scrapers) can inspect messages without compiled
-//!   schemas; and
-//! * a **schema registry** ([`schema`]) mapping category names to message
-//!   descriptors, standing in for Elephant Bird's generated readers/writers.
+//!   a typed reader (Elephant Bird's generated readers, here
+//!   `uli_core::EventRow::read`) walks a struct field by field and copies
+//!   only what it keeps; [`protocol::CompactReader::skip`] is the one walk
+//!   of a value no reader knows.
 //!
 //! # Example
 //!
@@ -43,12 +41,10 @@
 pub mod error;
 pub mod protocol;
 pub mod record;
-pub mod schema;
 pub mod value;
 pub mod varint;
 
 pub use error::{ThriftError, ThriftResult};
 pub use protocol::{CompactReader, CompactWriter, FieldHeader};
 pub use record::ThriftRecord;
-pub use schema::{FieldDescriptor, Requiredness, SchemaRegistry, StructDescriptor};
-pub use value::{TType, TValue};
+pub use value::TType;

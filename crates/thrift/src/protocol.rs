@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::{ThriftError, ThriftResult};
-use crate::value::{TType, TValue};
+use crate::value::TType;
 use crate::varint;
 
 /// Stop byte terminating a struct's field list.
@@ -262,65 +262,6 @@ impl CompactWriter {
     fn write_len_prefixed(&mut self, bytes: &[u8]) {
         varint::write_u64(&mut self.buf, bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Writes a dynamic [`TValue`] as field `id`.
-    pub fn field_value(&mut self, id: i16, value: &TValue) {
-        self.field_header(id, value.ttype());
-        self.write_value_body(value);
-    }
-
-    fn write_value_body(&mut self, value: &TValue) {
-        match value {
-            // Booleans in field position carry no body; in element position
-            // they are a full byte.
-            TValue::Bool(_) => {}
-            TValue::I8(v) => self.buf.push(*v as u8),
-            TValue::I16(v) => {
-                varint::write_i64(&mut self.buf, i64::from(*v));
-            }
-            TValue::I32(v) => {
-                varint::write_i64(&mut self.buf, i64::from(*v));
-            }
-            TValue::I64(v) => {
-                varint::write_i64(&mut self.buf, *v);
-            }
-            TValue::Double(v) => self.buf.extend_from_slice(&v.to_le_bytes()),
-            TValue::String(s) => self.write_len_prefixed(s.as_bytes()),
-            TValue::Binary(b) => self.write_len_prefixed(b),
-            TValue::List(items) => {
-                let elem = items.first().map_or(TType::Binary, TValue::ttype);
-                self.list_begin(items.len(), elem);
-                for item in items {
-                    self.write_element(item);
-                }
-            }
-            TValue::Map(entries) => {
-                let vt = entries.values().next().map_or(TType::Binary, TValue::ttype);
-                self.map_begin(entries.len(), TType::Binary, vt);
-                for (k, v) in entries {
-                    self.write_len_prefixed(k.as_bytes());
-                    self.write_element(v);
-                }
-            }
-            TValue::Struct(fields) => {
-                self.struct_begin();
-                for (id, v) in fields {
-                    self.field_value(*id, v);
-                }
-                self.struct_end();
-            }
-        }
-    }
-
-    /// Writes a value in element position (lists/map values), where booleans
-    /// occupy a full byte.
-    fn write_element(&mut self, value: &TValue) {
-        if let TValue::Bool(b) = value {
-            self.buf.push(if *b { 1 } else { 0 });
-        } else {
-            self.write_value_body(value);
-        }
     }
 }
 
@@ -653,79 +594,6 @@ impl<'a> CompactReader<'a> {
         }
         Ok(())
     }
-
-    /// Decodes a whole struct into a dynamic [`TValue::Struct`].
-    pub fn read_struct_value(&mut self) -> ThriftResult<TValue> {
-        self.read_value_depth(TType::Struct, 0, true, false)
-    }
-
-    fn read_value_depth(
-        &mut self,
-        ttype: TType,
-        depth: usize,
-        field_position: bool,
-        field_bool_value: bool,
-    ) -> ThriftResult<TValue> {
-        if depth > MAX_DEPTH {
-            return Err(ThriftError::DepthLimitExceeded);
-        }
-        Ok(match ttype {
-            TType::BoolTrue | TType::BoolFalse => {
-                if field_position {
-                    TValue::Bool(field_bool_value)
-                } else {
-                    TValue::Bool(self.take_byte("bool element")? != 0)
-                }
-            }
-            TType::I8 => TValue::I8(self.read_i8()?),
-            TType::I16 => TValue::I16(self.read_i16()?),
-            TType::I32 => TValue::I32(self.read_i32()?),
-            TType::I64 => TValue::I64(self.read_i64()?),
-            TType::Double => TValue::Double(self.read_double()?),
-            TType::Binary => {
-                let bytes = self.read_bytes()?;
-                match std::str::from_utf8(bytes) {
-                    Ok(s) => TValue::String(s.to_owned()),
-                    Err(_) => TValue::Binary(bytes.to_vec()),
-                }
-            }
-            TType::List | TType::Set => {
-                let (elem, count) = self.list_begin()?;
-                let mut items = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    items.push(self.read_value_depth(elem, depth + 1, false, false)?);
-                }
-                TValue::List(items)
-            }
-            TType::Map => {
-                let (kt, vt, count) = self.map_begin()?;
-                let mut entries = BTreeMap::new();
-                for _ in 0..count {
-                    let key = match self.read_value_depth(kt, depth + 1, false, false)? {
-                        TValue::String(s) => s,
-                        other => other.to_string(),
-                    };
-                    entries.insert(key, self.read_value_depth(vt, depth + 1, false, false)?);
-                }
-                TValue::Map(entries)
-            }
-            TType::Struct => {
-                self.struct_begin()?;
-                let mut fields = Vec::new();
-                while let Some(h) = self.field_begin()? {
-                    let v = self.read_value_depth(
-                        h.ttype,
-                        depth + 1,
-                        true,
-                        h.ttype == TType::BoolTrue,
-                    )?;
-                    fields.push((h.id, v));
-                }
-                self.struct_end();
-                TValue::Struct(fields)
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -733,57 +601,102 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn round_trip(value: &TValue) -> TValue {
+    /// Skips one whole struct from the front of `bytes`; the bytes left.
+    fn skip_struct(bytes: &[u8]) -> ThriftResult<usize> {
+        let mut r = CompactReader::new(bytes);
+        r.skip(TType::Struct)?;
+        Ok(r.remaining())
+    }
+
+    /// One field of every wire kind, each followed by an `i64` sentinel
+    /// field: a list long enough for the extended header, a map, a nested
+    /// struct holding a list of structs, and field ids past the delta form.
+    fn every_kind() -> Vec<u8> {
         let mut w = CompactWriter::new();
         w.struct_begin();
-        w.field_value(1, value);
+        let mut id = 0;
+        let mut field = |w: &mut CompactWriter, write: &dyn Fn(&mut CompactWriter, i16)| {
+            id += 1;
+            write(w, id);
+            id += 20;
+            w.field_i64(id, i64::from(id));
+        };
+        field(&mut w, &|w, id| w.field_bool(id, true));
+        field(&mut w, &|w, id| w.field_bool(id, false));
+        field(&mut w, &|w, id| w.field_i8(id, -3));
+        field(&mut w, &|w, id| w.field_i16(id, 1234));
+        field(&mut w, &|w, id| w.field_i32(id, -99_999));
+        field(&mut w, &|w, id| w.field_i64(id, 1 << 50));
+        field(&mut w, &|w, id| w.field_double(id, 3.25));
+        field(&mut w, &|w, id| w.field_string(id, "héllo"));
+        field(&mut w, &|w, id| w.field_binary(id, &[0xff, 0x00]));
+        field(&mut w, &|w, id| {
+            w.field_list_begin(id, 100, TType::I64);
+            (0..100).for_each(|v| w.write_raw_i64(v));
+        });
+        field(&mut w, &|w, id| {
+            w.field_string_map(id, [("rank", "3"), ("url", "x")])
+        });
+        field(&mut w, &|w, id| {
+            w.field_struct_begin(id);
+            w.field_string(1, "nested");
+            w.field_list_begin(2, 2, TType::Struct);
+            for v in [5, 6] {
+                w.struct_begin();
+                w.field_i64(1, v);
+                w.struct_end();
+            }
+            w.struct_end();
+        });
+        w.struct_end();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn every_field_kind_is_skipped_exactly() {
+        let bytes = every_kind();
+        assert_eq!(skip_struct(&bytes), Ok(0));
+        // Field by field: after each skip the stream is at the sentinel.
+        let mut r = CompactReader::new(&bytes);
+        r.struct_begin().unwrap();
+        let mut fields = 0;
+        while let Some(h) = r.field_begin().unwrap() {
+            r.skip(h.ttype).unwrap();
+            let sentinel = r.field_begin().unwrap().expect("a sentinel follows");
+            assert_eq!((sentinel.id, sentinel.ttype), (h.id + 20, TType::I64));
+            assert_eq!(r.read_i64().unwrap(), i64::from(sentinel.id));
+            fields += 1;
+        }
+        r.struct_end();
+        assert_eq!((fields, r.remaining()), (12, 0));
+    }
+
+    #[test]
+    fn scalar_fields_read_back() {
+        let mut w = CompactWriter::new();
+        w.struct_begin();
+        w.field_i8(1, -3);
+        w.field_i16(2, 1234);
+        w.field_i32(3, -99_999);
+        w.field_double(4, 3.25);
+        w.field_string(5, "héllo");
         w.struct_end();
         let bytes = w.into_bytes();
         let mut r = CompactReader::new(&bytes);
-        let decoded = r.read_struct_value().unwrap();
-        assert_eq!(r.remaining(), 0, "all bytes consumed");
-        decoded.field(1).unwrap().clone()
-    }
-
-    #[test]
-    fn scalar_fields_round_trip() {
-        assert_eq!(round_trip(&TValue::Bool(true)), TValue::Bool(true));
-        assert_eq!(round_trip(&TValue::Bool(false)), TValue::Bool(false));
-        assert_eq!(round_trip(&TValue::I8(-3)), TValue::I8(-3));
-        assert_eq!(round_trip(&TValue::I16(1234)), TValue::I16(1234));
-        assert_eq!(round_trip(&TValue::I32(-99999)), TValue::I32(-99999));
-        assert_eq!(round_trip(&TValue::I64(1 << 50)), TValue::I64(1 << 50));
-        assert_eq!(round_trip(&TValue::Double(3.25)), TValue::Double(3.25));
-        assert_eq!(
-            round_trip(&TValue::String("héllo".into())),
-            TValue::String("héllo".into())
-        );
-    }
-
-    #[test]
-    fn nested_struct_round_trips() {
-        let inner = TValue::Struct(vec![(1, TValue::I64(9)), (2, TValue::Bool(true))]);
-        let outer = TValue::Struct(vec![(5, inner.clone()), (6, TValue::String("x".into()))]);
-        assert_eq!(round_trip(&outer), outer);
-    }
-
-    #[test]
-    fn list_and_map_round_trip() {
-        let list = TValue::List(vec![TValue::I64(1), TValue::I64(2), TValue::I64(3)]);
-        assert_eq!(round_trip(&list), list);
-
-        let mut m = BTreeMap::new();
-        m.insert("url".to_string(), TValue::String("https://t.co/x".into()));
-        m.insert("rank".to_string(), TValue::String("3".into()));
-        let map = TValue::Map(m);
-        assert_eq!(round_trip(&map), map);
-    }
-
-    #[test]
-    fn long_list_uses_extended_header() {
-        let items: Vec<TValue> = (0..100).map(TValue::I64).collect();
-        let list = TValue::List(items);
-        assert_eq!(round_trip(&list), list);
+        r.struct_begin().unwrap();
+        assert_eq!(r.field_begin().unwrap().unwrap().ttype, TType::I8);
+        assert_eq!(r.read_i8().unwrap(), -3);
+        assert_eq!(r.field_begin().unwrap().unwrap().ttype, TType::I16);
+        assert_eq!(r.read_i16().unwrap(), 1234);
+        assert_eq!(r.field_begin().unwrap().unwrap().ttype, TType::I32);
+        assert_eq!(r.read_i32().unwrap(), -99_999);
+        assert_eq!(r.field_begin().unwrap().unwrap().ttype, TType::Double);
+        assert_eq!(r.read_double().unwrap(), 3.25);
+        assert_eq!(r.field_begin().unwrap().unwrap().ttype, TType::Binary);
+        assert_eq!(r.read_string().unwrap(), "héllo");
+        assert_eq!(r.field_begin().unwrap(), None);
+        r.struct_end();
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -841,15 +754,13 @@ mod tests {
     }
 
     #[test]
-    fn truncated_struct_errors() {
-        let mut w = CompactWriter::new();
-        w.struct_begin();
-        w.field_string(1, "hello world");
-        w.struct_end();
-        let bytes = w.into_bytes();
+    fn every_truncation_is_an_error() {
+        let bytes = every_kind();
         for cut in 0..bytes.len() {
-            let mut r = CompactReader::new(&bytes[..cut]);
-            assert!(r.read_struct_value().is_err(), "cut at {cut} must fail");
+            assert!(
+                skip_struct(&bytes[..cut]).is_err(),
+                "cut at {cut} must fail"
+            );
         }
     }
 
@@ -871,11 +782,7 @@ mod tests {
         // 100 nested structs exceeds MAX_DEPTH = 64.
         let mut buf = vec![0x1c; 100]; // delta 1, type Struct, 100 deep
         buf.extend(std::iter::repeat_n(STOP, 101));
-        let mut r = CompactReader::new(&buf);
-        assert!(matches!(
-            r.read_struct_value(),
-            Err(ThriftError::DepthLimitExceeded)
-        ));
+        assert_eq!(skip_struct(&buf), Err(ThriftError::DepthLimitExceeded));
     }
 
     #[test]
@@ -907,7 +814,7 @@ mod tests {
         r.skip(h.ttype).unwrap();
         assert_eq!(r.field_begin(), Err(ThriftError::InvalidLength(32768)));
         assert_eq!(
-            CompactReader::new(&payload).read_struct_value(),
+            skip_struct(&payload),
             Err(ThriftError::InvalidLength(32768))
         );
     }

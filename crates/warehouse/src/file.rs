@@ -437,8 +437,8 @@ impl FileBlocks {
     }
 
     /// Charges pushdown accounting (records dropped by a pushed predicate,
-    /// fields a lazy decoder never materialized) to both the warehouse-global
-    /// counters and this handle's local cell.
+    /// cells of masked columns a columnar read never decoded) to both the
+    /// warehouse-global counters and this handle's local cell.
     pub fn charge_pushdown(&self, records_skipped: u64, fields_skipped: u64) {
         self.stats.pushdown_skips(records_skipped, fields_skipped);
         self.local.pushdown_skips(records_skipped, fields_skipped);

@@ -32,8 +32,9 @@ pub struct ScanStats {
     /// Records decoded but dropped by a pushed-down predicate before any
     /// tuple reached the query plan.
     pub records_skipped_by_predicate: u64,
-    /// Individual fields a lazy decoder skipped without materializing,
-    /// thanks to projection pushdown.
+    /// Cells of masked columns a columnar read never decoded, thanks to
+    /// projection pushdown: a columnar count. A row-format record is decoded
+    /// whole, so a row scan charges nothing here.
     pub fields_skipped: u64,
     /// Cost-model bytes copied into per-record owned buffers by eager read
     /// paths (`read_all`, `read_block`). The borrowing visitor paths charge
@@ -210,8 +211,8 @@ impl StatsCell {
         self.blocks_skipped.inc();
     }
 
-    /// Pushdown accounting: records dropped by a pushed predicate and fields
-    /// a lazy decoder never materialized.
+    /// Pushdown accounting: records dropped by a pushed predicate and cells
+    /// of masked columns a columnar read never decoded.
     pub(crate) fn pushdown_skips(&self, records_skipped: u64, fields_skipped: u64) {
         self.records_skipped_by_predicate.add(records_skipped);
         self.fields_skipped.add(fields_skipped);

@@ -93,6 +93,19 @@ if grep -rnwE 'unsafe|from_utf8_unchecked' crates/thrift/src crates/core/src cra
     exit 1
 fi
 
+# One decoder per format. A client event has one typed walk
+# (EventRow::read), a field no reader knows has one structural walk
+# (CompactReader::skip), and a row-format record reaches the engine one way,
+# decoded whole by Loader::parse and masked to the projection. The dynamic
+# value decoder and the schema registry that validated it, the lazy row
+# scan beside the parse, the tree event name no experiment compared and the
+# cost-model setter no caller used must not come back.
+if grep -rnwE 'TValue|read_struct_value|SchemaRegistry|StructDescriptor|ScanOutcome|TreeEventName|with_cost_model' \
+    crates src tests examples; then
+    echo "decoder gate: a second decoder of a format, or a removed twin, is back." >&2
+    exit 1
+fi
+
 # A decoded event's details are one buffer of canonical pairs
 # (uli_core::EventDetails), the bytes of its wire map and its columnar cell:
 # the map a row view once borrowed beside them, and a map of two Strings a
