@@ -375,18 +375,6 @@ fn raw_log_with_garbage(events: &[ClientEvent]) -> Warehouse {
     wh
 }
 
-/// A predicate the planner keeps above the scan: a UDF over the timestamp.
-struct EvenMillis;
-
-impl ScalarUdf for EvenMillis {
-    fn name(&self) -> &'static str {
-        "EVEN_MILLIS"
-    }
-    fn eval(&self, args: &[Value]) -> DataflowResult<Value> {
-        Ok(Value::Bool(args[0].as_int().is_some_and(|n| n % 2 == 0)))
-    }
-}
-
 /// What six queries over the smoke day's row-format raw log return — the
 /// rows and every `JobStats` counter but `fields_skipped` — at workers
 /// {1, 4} under `Pushdown::On` and `Pushdown::Eager`, each over a fresh
@@ -445,7 +433,7 @@ fn row_format_queries_match_the_recorded_digests() {
             .limit(20),
         load()
             .filter(Expr::col(5).ge(Expr::lit(t0)))
-            .filter(Expr::udf(Arc::new(EvenMillis), vec![Expr::col(5)]))
+            .filter(Expr::udf(Arc::new(IsEven), vec![Expr::col(5)]))
             .foreach(vec![("user_id", Expr::col(2)), ("ip", Expr::col(4))]),
     ];
     let digests = queries.map(|plan| {
