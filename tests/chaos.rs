@@ -6,11 +6,23 @@
 //! delay), then settles the pipeline, moves every hour, and audits the
 //! delivery invariants. Every assertion message carries the seed, so any
 //! failure reproduces with `run_chaos(<seed>, &cfg)` — no flake hunting.
+//! The three sweeps also fold every run's report and partition of the
+//! logged ids into a digest checked against a recorded constant, so a
+//! delivery-path change that moves one outcome of one seed fails here.
 
 use uli_scribe::network::LinkFaults;
-use uli_scribe::{run_chaos, run_chaos_with, BatchPolicy, ChaosConfig, FaultConfig, Sabotage};
+use uli_scribe::{
+    run_chaos, run_chaos_with, BatchPolicy, ChaosConfig, ChaosOutcome, FaultConfig, Sabotage,
+};
+use uli_warehouse::{fnv1a64_fold, FNV1A64_OFFSET};
 
-fn assert_clean(seed: u64, cfg: &ChaosConfig) -> uli_scribe::ChaosOutcome {
+/// Folds a run's report and its partition of the logged ids into `h`, so a
+/// sweep's outcomes are pinned seed for seed.
+fn fold_outcome(h: u64, o: &ChaosOutcome) -> u64 {
+    fnv1a64_fold(h, format!("{:?} {:?}", o.report, o.accounting).as_bytes())
+}
+
+fn assert_clean(seed: u64, cfg: &ChaosConfig) -> ChaosOutcome {
     let o = run_chaos(seed, cfg);
     assert!(
         o.is_clean(),
@@ -40,8 +52,10 @@ fn assert_clean(seed: u64, cfg: &ChaosConfig) -> uli_scribe::ChaosOutcome {
 fn sweep_default_faults_104_seeds() {
     let cfg = ChaosConfig::default();
     let (mut crash_loss, mut dup_merges, mut disk_drops, mut retries) = (0u64, 0u64, 0u64, 0u64);
+    let mut outcomes = FNV1A64_OFFSET;
     for seed in 0..104 {
         let o = assert_clean(seed, &cfg);
+        outcomes = fold_outcome(outcomes, &o);
         crash_loss += o.report.lost_in_crashes;
         dup_merges += o.report.duplicates_merged;
         disk_drops += o.report.dropped_disk_full;
@@ -52,6 +66,7 @@ fn sweep_default_faults_104_seeds() {
             o.hours
         );
     }
+    assert_eq!(outcomes, 1641296343274048013, "the sweep's outcomes moved");
     assert!(
         crash_loss > 0,
         "no run lost entries to a crash: harness too tame"
@@ -89,10 +104,13 @@ fn sweep_aggressive_link_faults_16_seeds() {
         ..ChaosConfig::default()
     };
     let mut dup_merges = 0u64;
+    let mut outcomes = FNV1A64_OFFSET;
     for seed in 9000..9016 {
         let o = assert_clean(seed, &cfg);
+        outcomes = fold_outcome(outcomes, &o);
         dup_merges += o.report.duplicates_merged;
     }
+    assert_eq!(outcomes, 7093056537164995005, "the sweep's outcomes moved");
     assert!(
         dup_merges > 0,
         "an aggressive ack-loss/duplicate mix must force the mover to squash duplicates"
@@ -197,12 +215,14 @@ fn sweep_batched_delivery_40_seeds() {
             linger_steps: 2,
         },
     ];
+    let mut outcomes = FNV1A64_OFFSET;
     for (pi, policy) in policies.iter().enumerate() {
         let mut cfg = ChaosConfig::default();
         cfg.topology.batch = *policy;
         let (mut multi_entry_batches, mut retries) = (false, 0u64);
         for seed in 5000..5020 {
             let o = assert_clean(seed, &cfg);
+            outcomes = fold_outcome(outcomes, &o);
             multi_entry_batches |= o.report.batches_sent < o.report.logged;
             retries += o.report.retried;
         }
@@ -215,6 +235,7 @@ fn sweep_batched_delivery_40_seeds() {
             "policy {pi}: no run retried a failed batch: harness too tame"
         );
     }
+    assert_eq!(outcomes, 10655167588549775626, "the sweep's outcomes moved");
 }
 
 /// Negative control for batching: a batch stored only halfway but acked
