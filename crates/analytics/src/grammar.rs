@@ -112,11 +112,6 @@ impl Grammar {
         self.rules[i]
     }
 
-    /// Times rule `i` fired during induction.
-    pub fn rule_support(&self, i: usize) -> u64 {
-        self.rule_uses[i]
-    }
-
     /// The rewritten corpus.
     pub fn compressed(&self) -> &[Vec<Symbol>] {
         &self.compressed

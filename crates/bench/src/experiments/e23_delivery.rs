@@ -183,7 +183,7 @@ fn deliver_day(
     }
 
     // Seen-set digest plus the compaction shape.
-    let (watermarks, residual) = pipe.seen_snapshot();
+    let (watermarks, residual) = pipe.seen().snapshot();
     let mut seen = FNV1A64_OFFSET;
     for (host, next) in &watermarks {
         seen = fnv_u64(seen, *host);

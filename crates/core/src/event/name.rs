@@ -7,6 +7,7 @@
 //! does not apply (a page without sections leaves `section` empty).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Number of levels in the naming scheme.
 pub const COMPONENTS: usize = 6;
@@ -57,12 +58,13 @@ impl std::error::Error for EventNameError {}
 
 /// A validated six-level event name.
 ///
-/// Stored as a single interned-style string with the component boundaries
-/// implied by `:` separators; components are accessed by slicing. Event
-/// names are small and compared frequently (dictionary lookups, roll-ups),
-/// so a single allocation beats six.
+/// Stored as a single shared string with the component boundaries implied
+/// by `:` separators; components are accessed by slicing. Event names are
+/// small and compared frequently (dictionary lookups, roll-ups), so a
+/// single allocation beats six — and a clone shares that allocation, so
+/// every event drawn from a name universe holds its name's one text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventName(String);
+pub struct EventName(Arc<str>);
 
 fn component_ok(s: &str) -> bool {
     s.bytes()
@@ -116,13 +118,13 @@ impl EventName {
         if parts[COMPONENTS - 1].is_empty() {
             return Err(EventNameError::EmptyAction);
         }
-        Ok(EventName(s.to_string()))
+        Ok(EventName(Arc::from(s)))
     }
 
     /// The name `s`, which [`is_valid`](Self::is_valid) already passed.
     pub(crate) fn from_valid(s: &str) -> EventName {
         debug_assert!(EventName::is_valid(s), "{s:?} was not validated");
-        EventName(s.to_string())
+        EventName(Arc::from(s))
     }
 
     /// Builds a name from its six components.

@@ -19,8 +19,6 @@
 //! evaluation errors surface against the same row the eager path would
 //! report.
 
-use std::collections::BTreeMap;
-
 use uli_warehouse::{ColumnCell, ColumnGroup, ColumnarFile};
 
 use crate::error::DataflowResult;
@@ -353,16 +351,6 @@ impl ColumnarCodec for TextCodec {
             Value::str(text)
         })
     }
-}
-
-/// `Value::Map` helper for codecs decoding key→string maps.
-pub fn string_map(pairs: impl IntoIterator<Item = (String, String)>) -> Value {
-    Value::Map(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (k, Value::Str(v)))
-            .collect::<BTreeMap<_, _>>(),
-    )
 }
 
 #[cfg(test)]

@@ -172,13 +172,17 @@ impl Aggregator {
         for entry in self.rx.try_iter() {
             match self.registry.disposition(&entry.category, &entry.message) {
                 Disposition::Store(category) => {
-                    self.pending
-                        .entry(category)
-                        .or_default()
-                        .push(PendingRecord {
-                            id: entry.id,
-                            payload: entry.message,
-                        });
+                    let record = PendingRecord {
+                        id: entry.id,
+                        payload: entry.message,
+                    };
+                    // A category owns its key once, when first pending.
+                    match self.pending.get_mut(category) {
+                        Some(records) => records.push(record),
+                        None => {
+                            self.pending.insert(category.to_string(), vec![record]);
+                        }
+                    }
                     n += 1;
                 }
                 Disposition::DropDisabled

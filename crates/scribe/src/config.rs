@@ -26,22 +26,25 @@ pub struct CategoryConfig {
     pub store_as: Option<String>,
 }
 
+/// What an unset category gets.
+static DEFAULT_CONFIG: CategoryConfig = CategoryConfig {
+    enabled: true,
+    sample_rate: 1.0,
+    max_message_bytes: 1 << 20,
+    store_as: None,
+};
+
 impl Default for CategoryConfig {
     fn default() -> Self {
-        CategoryConfig {
-            enabled: true,
-            sample_rate: 1.0,
-            max_message_bytes: 1 << 20,
-            store_as: None,
-        }
+        DEFAULT_CONFIG.clone()
     }
 }
 
 /// What the aggregator should do with one message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Disposition {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Disposition<'a> {
     /// Write it under the given category name.
-    Store(String),
+    Store(&'a str),
     /// Drop: category disabled.
     DropDisabled,
     /// Drop: sampled out.
@@ -72,9 +75,11 @@ impl CategoryRegistry {
         self.configs.get(category).cloned().unwrap_or_default()
     }
 
-    /// Decides a message's fate.
-    pub fn disposition(&self, category: &str, message: &[u8]) -> Disposition {
-        let config = self.get(category);
+    /// Decides a message's fate. Reads the category's configuration in
+    /// place, and names where to store the message by borrowing: deciding
+    /// allocates nothing.
+    pub fn disposition<'a>(&'a self, category: &'a str, message: &[u8]) -> Disposition<'a> {
+        let config = self.configs.get(category).unwrap_or(&DEFAULT_CONFIG);
         if !config.enabled {
             return Disposition::DropDisabled;
         }
@@ -89,7 +94,7 @@ impl CategoryRegistry {
                 return Disposition::DropSampled;
             }
         }
-        Disposition::Store(config.store_as.unwrap_or_else(|| category.to_string()))
+        Disposition::Store(config.store_as.as_deref().unwrap_or(category))
     }
 }
 
@@ -102,7 +107,7 @@ mod tests {
         let reg = CategoryRegistry::new();
         assert_eq!(
             reg.disposition("client_events", b"m"),
-            Disposition::Store("client_events".into())
+            Disposition::Store("client_events")
         );
     }
 
@@ -136,7 +141,7 @@ mod tests {
         );
         assert_eq!(
             reg.disposition("small", b"tiny"),
-            Disposition::Store("small".into())
+            Disposition::Store("small")
         );
         assert_eq!(
             reg.disposition("small", b"way too large"),
@@ -180,7 +185,7 @@ mod tests {
         );
         assert_eq!(
             reg.disposition("rainbird", b"m"),
-            Disposition::Store("web_frontend_legacy".into())
+            Disposition::Store("web_frontend_legacy")
         );
     }
 }

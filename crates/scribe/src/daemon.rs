@@ -339,7 +339,7 @@ impl ScribeDaemon {
         self.lingered = 0;
         let mut attempts = 0u32;
         'drain: while !self.queue.is_empty() {
-            let batch = self.take_batch();
+            let mut batch = self.take_batch();
             loop {
                 if attempts >= self.policy.attempts_per_pump {
                     // Re-queue the whole batch at the front, in order.
@@ -362,14 +362,17 @@ impl ScribeDaemon {
                         }
                     }
                 };
-                match self.network.send_batch(&target, batch.clone()) {
+                let (len, wire_size) = (batch.len() as u64, batch.wire_size() as u64);
+                match self.network.send_batch(&target, batch) {
                     Ok(()) => {
-                        report.sent += batch.len() as u64;
+                        report.sent += len;
                         self.batches_sent += 1;
-                        self.wire_bytes_sent += batch.wire_size() as u64;
+                        self.wire_bytes_sent += wire_size;
                         break;
                     }
-                    Err(_) => {
+                    // The network hands a batch it did not take back whole.
+                    Err(back) => {
+                        batch = back;
                         attempts += 1;
                         self.send_failures += 1;
                         self.current = None;

@@ -480,25 +480,36 @@ pub fn check_invariants(pipe: &ScribePipeline) -> InvariantReport {
         }
     }
 
-    // Invariant: no duplicates survive the merge, and nothing is delivered
-    // that was never logged.
-    let mut delivered: BTreeSet<EntryId> = BTreeSet::new();
-    for id in pipe.delivered_ids() {
-        if !delivered.insert(*id) {
-            violations.push(format!("duplicate survived the log-mover merge: {id}"));
+    // The mover's committed seen set is the record of what was delivered.
+    // Invariant: nothing is delivered that was never logged — no watermark
+    // runs past its host's stamps, and no residual id is unknown.
+    let delivered = pipe.seen();
+    let (watermarks, residual) = delivered.snapshot();
+    for (host, next) in watermarks {
+        let stamped = pipe
+            .daemons()
+            .find(|d| d.host_id() == host)
+            .map_or(0, |d| d.logged);
+        if next > stamped {
+            violations.push(format!(
+                "delivered ids {host}:{stamped}..{next} were never logged"
+            ));
         }
-        if !logged.contains(id) {
+    }
+    for id in residual {
+        if !logged.contains(&id) {
             violations.push(format!("delivered id was never logged: {id}"));
         }
     }
-    // Invariant: the moved counter is exactly the delivered-id count (all
-    // pipeline traffic is stamped, so these must agree byte-for-byte).
+    // Invariant: no duplicates survive the merge. The moved counter counts
+    // every copy that landed and the seen set every distinct id (all
+    // pipeline traffic is stamped), so a surviving copy tips them apart.
     let report = pipe.report();
-    if report.moved != pipe.delivered_ids().len() as u64 {
+    if report.moved != delivered.len() {
         violations.push(format!(
-            "moved counter ({}) disagrees with delivered ids ({})",
+            "moved counter ({}) disagrees with the delivered ids ({}): a duplicate survived the merge",
             report.moved,
-            pipe.delivered_ids().len()
+            delivered.len()
         ));
     }
 

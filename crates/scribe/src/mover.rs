@@ -270,10 +270,10 @@ impl LogMover {
         self.obs = Some(DeliveryObs::new(registry));
     }
 
-    /// Canonical snapshot of the seen set (sorted watermarks + sorted
-    /// residual ids) — the identity tests' view of dedup state.
-    pub fn seen_snapshot(&self) -> (Vec<(u64, u64)>, Vec<EntryId>) {
-        self.seen.snapshot()
+    /// The committed seen set: every stamped id a successful slide made
+    /// visible, and nothing else — the record of what was delivered.
+    pub fn seen(&self) -> &SeenSet {
+        &self.seen
     }
 
     /// Attaches a delivery tap. Taps observe every record a successful
@@ -1049,7 +1049,7 @@ mod tests {
         mover.add_tap(Box::new(RecordingTap(tapped.clone())));
         let report = mover.move_hour(&p, &staging).unwrap();
         let digest = hour_digest(mover.main(), &p);
-        let seen = mover.seen_snapshot();
+        let seen = mover.seen().snapshot();
         let payloads = tapped.lock().unwrap().clone();
         (report, digest, seen, payloads)
     }
@@ -1096,7 +1096,7 @@ mod tests {
         seal_hour(&wh, &p).unwrap();
         let mut mover = LogMover::new(Warehouse::new(), 1000);
         mover.move_hour(&p, &[("dc1", &wh)]).unwrap();
-        let (watermarks, residual) = mover.seen_snapshot();
+        let (watermarks, residual) = mover.seen().snapshot();
         assert_eq!(watermarks, vec![(0, 10), (1, 10), (2, 10)]);
         assert!(
             residual.is_empty(),
@@ -1119,7 +1119,7 @@ mod tests {
         let mut mover = LogMover::new(Warehouse::new(), 1000);
         mover.move_hour(&h14, &[("dc1", &wh)]).unwrap();
         // The hour compacted: its ids live only in the host-5 watermark.
-        let (watermarks, residual) = mover.seen_snapshot();
+        let (watermarks, residual) = mover.seen().snapshot();
         assert_eq!(watermarks, vec![(5, 3)]);
         assert!(residual.is_empty());
 

@@ -86,6 +86,17 @@ impl Peer {
         queue.entries.push_back(entry);
         Ok(())
     }
+
+    /// Queues every entry of `batch`, in order, or hands the batch back
+    /// whole when the endpoint's [`Inbox`] is gone.
+    fn send_all(&self, batch: MessageBatch) -> Result<(), MessageBatch> {
+        let mut queue = lock(&self.0);
+        if queue.closed {
+            return Err(batch);
+        }
+        queue.entries.extend(batch.into_entries());
+        Ok(())
+    }
 }
 
 /// The receiving end of an endpoint: what [`Network::register`] hands the
@@ -191,6 +202,7 @@ impl Network {
     /// Sends a single entry to the named endpoint — a batch of one.
     pub fn send(&self, name: &str, entry: LogEntry) -> Result<(), PeerDown> {
         self.send_batch(name, MessageBatch::of(entry))
+            .map_err(|_| PeerDown)
     }
 
     /// Sends a batch of entries to the named endpoint as one message: one
@@ -199,7 +211,12 @@ impl Network {
     /// all entries but reports failure, duplicate re-delivers every entry,
     /// delay holds the batch intact until due. Delivery unpacks entries
     /// into the endpoint's queue in batch order.
-    pub fn send_batch(&self, name: &str, batch: MessageBatch) -> Result<(), PeerDown> {
+    ///
+    /// A send that fails hands the batch back, for the sender to keep and
+    /// retry: nothing is copied on the way out, and only a lost ack — the
+    /// one outcome that both delivers the entries and fails — delivers a
+    /// copy.
+    pub fn send_batch(&self, name: &str, batch: MessageBatch) -> Result<(), MessageBatch> {
         let mut s = lock(&self.inner);
         s.messages += 1;
         s.message_bytes += batch.wire_size() as u64;
@@ -230,10 +247,10 @@ impl Network {
         };
         if let Decision::Drop = decision {
             // Simulated timeout: nothing reaches the peer, sender retries.
-            return Err(PeerDown);
+            return Err(batch);
         }
         let Some(tx) = s.peers.get(name).cloned() else {
-            return Err(PeerDown);
+            return Err(batch);
         };
         if s.half_apply_armed && batch.len() >= 2 {
             // Sabotage: store only the first half, ack the whole batch.
@@ -253,27 +270,15 @@ impl Network {
                 s.delayed.push_back((due, name.to_string(), batch));
                 Ok(())
             }
-            Decision::Deliver => {
-                for entry in batch.into_entries() {
-                    tx.send(entry).map_err(|_| PeerDown)?;
-                }
-                Ok(())
-            }
+            Decision::Deliver => tx.send_all(batch),
             Decision::AckLoss => {
                 // Delivered, but the sender is told it failed.
-                for entry in batch.into_entries() {
-                    let _ = tx.send(entry);
-                }
-                Err(PeerDown)
+                let _ = tx.send_all(batch.clone());
+                Err(batch)
             }
             Decision::Duplicate => {
-                for entry in &batch {
-                    let _ = tx.send(entry.clone());
-                }
-                for entry in batch.into_entries() {
-                    tx.send(entry).map_err(|_| PeerDown)?;
-                }
-                Ok(())
+                let _ = tx.send_all(batch.clone());
+                tx.send_all(batch)
             }
         }
     }
@@ -310,10 +315,8 @@ impl Network {
             }
             match s.peers.get(&name).cloned() {
                 Some(tx) => {
-                    for entry in batch.into_entries() {
-                        if let Err(entry) = tx.send(entry) {
-                            dead.push(entry);
-                        }
+                    if let Err(batch) = tx.send_all(batch) {
+                        dead.extend(batch.into_entries());
                     }
                 }
                 None => dead.extend(batch.into_entries()),
@@ -511,8 +514,20 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(net.send_batch("a", batch_of(4)), Err(PeerDown));
+        assert_eq!(net.send_batch("a", batch_of(4)), Err(batch_of(4)));
         assert_eq!(rx.try_iter().count(), 0);
+
+        // Ack loss: every entry arrives once, and the batch comes back
+        // whole for the sender to retry.
+        net.set_faults(
+            1,
+            LinkFaults {
+                ack_loss_rate: 1.0,
+                ..Default::default()
+            },
+        );
+        assert_eq!(net.send_batch("a", batch_of(4)), Err(batch_of(4)));
+        assert_eq!(rx.try_iter().count(), 4);
 
         // Duplicate: every entry in the batch arrives twice.
         net.set_faults(

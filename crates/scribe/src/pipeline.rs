@@ -177,8 +177,6 @@ pub struct ScribePipeline {
     /// Ids of stamped entries lost in crashes (aggregator state and dead
     /// in-flight packets).
     lost_ids: Vec<EntryId>,
-    /// Ids of stamped entries the mover made visible.
-    delivered_ids: Vec<EntryId>,
     /// Policy-dropped ids carried over from crashed aggregators.
     policy_dropped_by_crashed: Vec<EntryId>,
     /// Registry-backed telemetry, when attached.
@@ -251,7 +249,6 @@ impl ScribePipeline {
             moved: 0,
             duplicates_merged: 0,
             lost_ids: Vec::new(),
-            delivered_ids: Vec::new(),
             policy_dropped_by_crashed: Vec::new(),
             obs,
         }
@@ -262,10 +259,10 @@ impl ScribePipeline {
         self.datacenters.len()
     }
 
-    /// The mover's committed seen-set, as `(watermarks, residual)` — see
-    /// [`crate::mover::LogMover::seen_snapshot`].
-    pub fn seen_snapshot(&self) -> (Vec<(u64, u64)>, Vec<crate::message::EntryId>) {
-        self.mover.seen_snapshot()
+    /// The mover's committed seen set — see [`crate::mover::LogMover::seen`].
+    /// It is the pipeline's one record of which ids were delivered.
+    pub fn seen(&self) -> &crate::seen::SeenSet {
+        self.mover.seen()
     }
 
     /// Logs an entry on a specific host.
@@ -369,7 +366,6 @@ impl ScribePipeline {
         let report = self.mover.move_hour(&partition, &staging)?;
         self.moved += report.records;
         self.duplicates_merged += report.duplicates;
-        self.delivered_ids.extend_from_slice(&report.moved_ids);
         self.sync_obs();
         Ok(report)
     }
@@ -477,11 +473,6 @@ impl ScribePipeline {
         &self.lost_ids
     }
 
-    /// Ids of stamped entries the mover has made visible so far.
-    pub fn delivered_ids(&self) -> &[EntryId] {
-        &self.delivered_ids
-    }
-
     /// Ids dropped by category policy, including by since-crashed
     /// aggregators.
     pub fn policy_dropped_ids(&self) -> Vec<EntryId> {
@@ -583,7 +574,7 @@ mod tests {
         assert_eq!(totals.lost_in_crashes, 0);
         assert_eq!(totals.host_buffered, 0);
         // Every logged entry's id is accounted as delivered.
-        assert_eq!(pipe.delivered_ids().len() as u64, logged);
+        assert_eq!(pipe.seen().len(), logged);
     }
 
     #[test]
@@ -624,7 +615,7 @@ mod tests {
         assert_eq!(totals.host_buffered, 0);
         // Lost ids and delivered ids partition the logged set.
         assert_eq!(pipe.lost_ids().len() as u64, lost);
-        assert_eq!(pipe.delivered_ids().len() as u64, moved);
+        assert_eq!(pipe.seen().len(), moved);
     }
 
     #[test]

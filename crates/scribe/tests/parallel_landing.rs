@@ -105,7 +105,7 @@ fn land(
             (f.as_str().to_string(), d)
         })
         .collect();
-    let seen = mover.seen_snapshot();
+    let seen = mover.seen().snapshot();
     let payloads = tapped.lock().unwrap().clone();
     (report, digests, seen, payloads)
 }

@@ -16,7 +16,7 @@ use uli_dataflow::{BlockPruner, Tuple, Value};
 use uli_obs::lock;
 use uli_warehouse::{HourlyPartition, ScanFile, Warehouse, WarehouseResult};
 
-use crate::hour::HourIndex;
+use crate::hour::{by_file, HourIndex};
 use crate::maintain::Inner;
 use crate::pruner::PostingsPruner;
 
@@ -136,7 +136,7 @@ impl ServeHandle {
         let mut stats = LookupStats::default();
         for hour in hours {
             if let Some(index) = self.hour(hour) {
-                total += index.names.get(name).map_or(0, |(count, _)| *count) as i64;
+                total += index.name(name).map_or(0, |(count, _)| count) as i64;
                 stats.groups_pruned += index.total_groups();
             }
         }
@@ -154,10 +154,10 @@ impl ServeHandle {
     pub fn top_names(&self, hour: u64, k: usize) -> ServeAnswer {
         let mut stats = LookupStats::default();
         let index = self.hour(hour);
-        let mut counts: Vec<(&String, u64)> = match &index {
+        let mut counts: Vec<(&str, u64)> = match &index {
             Some(index) => {
                 stats.groups_pruned = index.total_groups();
-                index.names.iter().map(|(n, (c, _))| (n, *c)).collect()
+                index.names().map(|(n, c, _)| (n, c)).collect()
             }
             None => Vec::new(),
         };
@@ -167,7 +167,7 @@ impl ServeHandle {
         ServeAnswer {
             rows: counts
                 .into_iter()
-                .map(|(name, count)| vec![Value::Str(name.clone()), Value::Int(count as i64)])
+                .map(|(name, count)| vec![Value::Str(name.to_string()), Value::Int(count as i64)])
                 .collect(),
             stats,
         }
@@ -216,9 +216,9 @@ fn collect_user_events(
 ) -> WarehouseResult<Vec<ClientEvent>> {
     let mut events = Vec::new();
     let mut groups_read = 0u64;
-    if let Some(postings) = index.users.get(&user) {
+    if let Some(postings) = index.user(user) {
         let dir = HourlyPartition::from_hour_index(category, hour).main_dir();
-        for (&file_no, groups) in postings {
+        for (file_no, groups) in by_file(postings) {
             let Some(entry) = index.files.get(file_no as usize) else {
                 continue;
             };
@@ -227,7 +227,7 @@ fn collect_user_events(
             groups_read += groups.len() as u64;
             // No mask means the file no longer matches the index: read it
             // all — the user filter below keeps the answer right.
-            let mask = index.unit_mask(file_no, &file, groups);
+            let mask = index.unit_mask(file_no, &file, groups.iter().map(|&(_, group)| group));
             let units = (0..file.units()).filter(|unit| mask.as_ref().is_none_or(|m| m[*unit]));
             // An answer row is the whole event, so every column is read;
             // but only the user id cell of a row is decoded until it matched.

@@ -13,7 +13,7 @@
 //! restarted server reloads committed hours and rebuilds missing ones. It
 //! stores what a lookup reads and nothing else.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use uli_core::columnar::{
     event_columns, for_each_event_row, EventColumns, NAME_COLUMN, USER_COLUMN,
@@ -37,10 +37,35 @@ pub struct FileEntry {
     pub columnar: bool,
 }
 
-/// Postings: file index → the row groups (ascending) containing the key.
-pub type Postings = BTreeMap<u32, BTreeSet<u32>>;
+/// Postings: the `(file, row group)` pairs that contain a key, ascending —
+/// file numbers index [`HourIndex::files`], groups count within their file.
+pub type Postings = [(u32, u32)];
 
-/// The secondary index over one delivered hour.
+/// `postings` cut by file: each file number with its run of the postings.
+pub fn by_file(postings: &Postings) -> impl Iterator<Item = (u32, &Postings)> {
+    postings
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, run))
+}
+
+/// The run of `postings` in file `file_no`.
+pub(crate) fn in_file(postings: &Postings, file_no: u32) -> &Postings {
+    let start = postings.partition_point(|&(file, _)| file < file_no);
+    let end = postings.partition_point(|&(file, _)| file <= file_no);
+    &postings[start..end]
+}
+
+/// An event name of an index: where its text ends, its exact event count,
+/// and where its postings end in the arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NameKey {
+    text_end: u32,
+    count: u64,
+    postings_end: u32,
+}
+
+/// The secondary index over one delivered hour, held flat: sorted key
+/// arrays and one posting arena the keys address by offset.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HourIndex {
     /// The hour this index covers.
@@ -51,12 +76,17 @@ pub struct HourIndex {
     pub events: u64,
     /// Files in the hour, in sorted (scan) order.
     pub files: Vec<FileEntry>,
-    /// Event name → its exact event count — `count` and `top-names` answer
-    /// from these without decoding anything — and the row groups containing
-    /// at least one such event.
-    pub names: BTreeMap<String, (u64, Postings)>,
-    /// User id → row groups containing at least one of the user's events.
-    pub users: BTreeMap<i64, Postings>,
+    /// Every event name's text, back to back, in name order.
+    name_text: String,
+    /// The event names, ascending — `count` and `top-names` answer from
+    /// their counts without decoding anything.
+    names: Vec<NameKey>,
+    /// The user ids, ascending.
+    users: Vec<i64>,
+    /// Where each user's postings end in the arena.
+    user_ends: Vec<u32>,
+    /// Every name's postings in name order, then every user's in user order.
+    postings: Vec<(u32, u32)>,
 }
 
 impl HourIndex {
@@ -65,12 +95,94 @@ impl HourIndex {
         self.files.iter().map(|f| f.groups as u64).sum()
     }
 
-    /// Row groups posted for `user`.
-    pub fn user_groups(&self, user: i64) -> u64 {
-        self.users
-            .get(&user)
-            .map(|p| p.values().map(|g| g.len() as u64).sum())
-            .unwrap_or(0)
+    /// The event names in order, each with its count and postings.
+    pub fn names(&self) -> impl ExactSizeIterator<Item = (&str, u64, &Postings)> + '_ {
+        (0..self.names.len()).map(|i| (self.name_at(i), self.names[i].count, self.name_postings(i)))
+    }
+
+    /// The count and postings of `name`, if any event of the hour has it.
+    pub fn name(&self, name: &str) -> Option<(u64, &Postings)> {
+        let (mut lo, mut hi) = (0, self.names.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.name_at(mid) < name {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < self.names.len() && self.name_at(lo) == name)
+            .then(|| (self.names[lo].count, self.name_postings(lo)))
+    }
+
+    /// The user ids in order, each with its postings.
+    pub fn users(&self) -> impl ExactSizeIterator<Item = (i64, &Postings)> + '_ {
+        (0..self.users.len()).map(|j| (self.users[j], self.user_postings(j)))
+    }
+
+    /// The postings of `user`, if any event of the hour is theirs.
+    pub fn user(&self, user: i64) -> Option<&Postings> {
+        let j = self.users.binary_search(&user).ok()?;
+        Some(self.user_postings(j))
+    }
+
+    fn name_at(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |i| self.names[i].text_end);
+        &self.name_text[start as usize..self.names[i].text_end as usize]
+    }
+
+    fn name_postings(&self, i: usize) -> &Postings {
+        let start = i.checked_sub(1).map_or(0, |i| self.names[i].postings_end);
+        &self.postings[start as usize..self.names[i].postings_end as usize]
+    }
+
+    fn user_postings(&self, j: usize) -> &Postings {
+        let names_end = self.names.last().map_or(0, |n| n.postings_end);
+        let start = j.checked_sub(1).map_or(names_end, |j| self.user_ends[j]);
+        &self.postings[start as usize..self.user_ends[j] as usize]
+    }
+
+    /// Appends the name after every name so far, before any user. `None`
+    /// when the text or the arena outgrows the offsets.
+    fn push_name(
+        &mut self,
+        name: &str,
+        count: u64,
+        postings: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Option<()> {
+        debug_assert!(self.users.is_empty(), "names come before users");
+        self.name_text.push_str(name);
+        self.postings.extend(postings);
+        self.names.push(NameKey {
+            text_end: u32::try_from(self.name_text.len()).ok()?,
+            count,
+            postings_end: u32::try_from(self.postings.len()).ok()?,
+        });
+        Some(())
+    }
+
+    /// Gives back what the arrays reserved while they grew: an index lives
+    /// as long as its hour is served.
+    fn shrink_to_fit(&mut self) {
+        self.name_text.shrink_to_fit();
+        self.names.shrink_to_fit();
+        self.users.shrink_to_fit();
+        self.user_ends.shrink_to_fit();
+        self.postings.shrink_to_fit();
+    }
+
+    /// Appends the user after every user so far. `None` when the arena
+    /// outgrows the offsets.
+    fn push_user(
+        &mut self,
+        user: i64,
+        postings: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Option<()> {
+        self.postings.extend(postings);
+        self.users.push(user);
+        self.user_ends
+            .push(u32::try_from(self.postings.len()).ok()?);
+        Some(())
     }
 
     /// Keep-mask over the scan units of `file`, the hour's file number
@@ -84,18 +196,18 @@ impl HourIndex {
     /// every unit. A re-landing that keeps the group count is not detected;
     /// the mover re-indexes every hour it lands, so only writes that bypass
     /// it can leave one.
-    pub fn unit_mask<'a>(
+    pub fn unit_mask(
         &self,
         file_no: u32,
         file: &ScanFile,
-        posted: impl IntoIterator<Item = &'a u32>,
+        posted: impl IntoIterator<Item = u32>,
     ) -> Option<Vec<bool>> {
         let entry = self.files.get(file_no as usize)?;
         let mut posted = posted.into_iter();
         match file {
             ScanFile::Columnar(_) if entry.columnar && entry.groups as usize == file.units() => {
                 let mut mask = vec![false; file.units()];
-                for &group in posted {
+                for group in posted {
                     *mask.get_mut(group as usize)? = true;
                 }
                 Some(mask)
@@ -135,12 +247,11 @@ const INDEX_FILE: &str = "hour.idx";
 /// while other readers use the warehouse. A missing hour directory yields
 /// an empty index (zero files) — the form a delivered-but-empty hour takes.
 ///
-/// Each file's number is preassigned from the sorted listing before any
-/// scan runs, so the postings a file contributes are identical regardless
-/// of which worker scans it or when; the merge folds partials in file
-/// order using only commutative operations (counter sums, map unions). The
-/// result therefore does not depend on the worker count — pinned by the
-/// determinism tests.
+/// A file's number is its place in the sorted listing, and the partials
+/// come back in that order whichever worker scanned them; the merge sums
+/// their counters and sorts the `(key, file, group)` triples they posted
+/// into the flat index. The result therefore does not depend on the worker
+/// count — pinned by the determinism tests.
 pub fn build_hour_index(
     warehouse: &Warehouse,
     category: &str,
@@ -159,39 +270,56 @@ pub fn build_hour_index(
         Err(WarehouseError::NotFound(_)) => return Ok((index, scanned)),
         Err(e) => return Err(e),
     };
-    let numbered: Vec<(u32, WhPath)> = files
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (i as u32, p))
-        .collect();
-    let partials = ScanPool::new(workers).map(numbered, |_i, (file_no, path)| {
-        scan_file(warehouse, &path, file_no)
-    });
+    let partials = ScanPool::new(workers).map(files, |_i, path| scan_file(warehouse, &path));
 
-    // Merge in file order. Postings merge by plain extension: each partial
-    // only posts its own (unique) file number.
+    // Per name and file its count and groups; per user, file and group one
+    // triple. A file posts each key's groups once, ascending, so sorting by
+    // key and file orders every key's postings.
+    let mut names: Vec<(String, u32, u64, Vec<u32>)> = Vec::new();
+    let mut users: Vec<(i64, u32, u32)> = Vec::new();
     for partial in partials {
         let (entry, partial, file_scanned) = partial?;
+        let file_no = index.files.len() as u32;
         scanned = scanned.plus(&file_scanned);
         index.records += partial.records;
         index.events += partial.events;
         index.files.push(entry);
-        // The first file's maps are the index so far; the others merge in.
-        if index.files.len() == 1 {
-            index.names = partial.names;
-            index.users = partial.users;
-            continue;
-        }
-        for (name, (count, postings)) in partial.names {
-            let merged = index.names.entry(name).or_default();
-            merged.0 += count;
-            merged.1.extend(postings);
-        }
-        for (user, postings) in partial.users {
-            index.users.entry(user).or_default().extend(postings);
+        names.extend(
+            (partial.names.into_iter())
+                .map(|(name, (count, groups))| (name, file_no, count, groups)),
+        );
+        for (user, groups) in partial.users {
+            users.extend(groups.into_iter().map(|group| (user, file_no, group)));
         }
     }
+    names.sort_unstable_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+    for run in names.chunk_by(|a, b| a.0 == b.0) {
+        let postings = run
+            .iter()
+            .flat_map(|(_, file, _, groups)| groups.iter().map(|group| (*file, *group)));
+        index
+            .push_name(&run[0].0, run.iter().map(|n| n.2).sum(), postings)
+            .expect(FITS);
+    }
+    users.sort_unstable();
+    for run in users.chunk_by(|a, b| a.0 == b.0) {
+        index
+            .push_user(run[0].0, run.iter().map(|&(_, file, group)| (file, group)))
+            .expect(FITS);
+    }
+    index.shrink_to_fit();
     Ok((index, scanned))
+}
+
+const FITS: &str = "an hour's index fits u32 offsets";
+
+/// What one landed file posts: its counts, per name its count and groups,
+/// per user its groups, each ascending.
+struct FilePostings {
+    records: u64,
+    events: u64,
+    names: HashMap<String, (u64, Vec<u32>)>,
+    users: HashMap<i64, Vec<u32>>,
 }
 
 /// What the index posts of an event — the only columns the build reads.
@@ -204,16 +332,14 @@ fn post_group(groups: &mut Vec<u32>, group: u32) {
     }
 }
 
-/// Scans one landed file into its entry, its partial index (postings keyed
-/// by the file's preassigned number) and what the scan cost — the parallel
-/// unit of the hour build. Pure per-file work: nothing here touches shared
-/// state. A row costs one hash probe by name and one by user; the ordered
-/// maps of the index are built once per file, from what the probes gathered.
+/// Scans one landed file into its entry, what it posts and what the scan
+/// cost — the parallel unit of the hour build. Pure per-file work: nothing
+/// here touches shared state. A row costs one hash probe by name and one by
+/// user; the keys are put in order once, by the merge.
 fn scan_file(
     warehouse: &Warehouse,
     path: &WhPath,
-    file_no: u32,
-) -> WarehouseResult<(FileEntry, HourIndex, ScanStats)> {
+) -> WarehouseResult<(FileEntry, FilePostings, ScanStats)> {
     // Per name its count and its groups, per user its groups, ascending.
     let mut names: HashMap<String, (u64, Vec<u32>)> = HashMap::new();
     let mut users: HashMap<i64, Vec<u32>> = HashMap::new();
@@ -236,22 +362,11 @@ fn scan_file(
             post_group(users.entry(row.user_id()?).or_default(), group);
             Ok(())
         })?;
-    let postings = |groups: Vec<u32>| Postings::from([(file_no, BTreeSet::from_iter(groups))]);
-    // Users in key order, so that every insert lands at the end of its map.
-    let mut users: Vec<(i64, Vec<u32>)> = users.into_iter().collect();
-    users.sort_unstable_by_key(|(user, _)| *user);
-    let partial = HourIndex {
+    let partial = FilePostings {
         records: events + skipped,
         events,
-        names: names
-            .into_iter()
-            .map(|(name, (count, groups))| (name, (count, postings(groups))))
-            .collect(),
-        users: users
-            .into_iter()
-            .map(|(user, groups)| (user, postings(groups)))
-            .collect(),
-        ..HourIndex::default()
+        names,
+        users,
     };
     let entry = FileEntry {
         name: path.name().to_string(),
@@ -283,9 +398,13 @@ fn put_ascending(out: &mut Vec<u8>, count: usize, values: impl Iterator<Item = u
 }
 
 fn put_postings(out: &mut Vec<u8>, postings: &Postings) {
-    put_ascending(out, postings.len(), postings.keys().copied());
-    for groups in postings.values() {
-        put_ascending(out, groups.len(), groups.iter().copied());
+    put_ascending(
+        out,
+        by_file(postings).count(),
+        by_file(postings).map(|(file, _)| file),
+    );
+    for (_, groups) in by_file(postings) {
+        put_ascending(out, groups.len(), groups.iter().map(|&(_, group)| group));
     }
 }
 
@@ -312,24 +431,24 @@ pub fn encode(index: &HourIndex) -> Vec<u8> {
     }
     varint::write_u64(&mut out, index.names.len() as u64);
     let mut last: &[u8] = &[];
-    for (name, (count, postings)) in &index.names {
+    for (name, count, postings) in index.names() {
         let name = name.as_bytes();
         let shared = name.iter().zip(last).take_while(|(a, b)| a == b).count();
         varint::write_u64(&mut out, shared as u64);
         put_text(&mut out, &name[shared..]);
-        varint::write_u64(&mut out, *count);
+        varint::write_u64(&mut out, count);
         put_postings(&mut out, postings);
         last = name;
     }
     varint::write_u64(&mut out, index.users.len() as u64);
     let mut last = None;
-    for (user, postings) in &index.users {
+    for (user, postings) in index.users() {
         match last {
-            None => varint::write_i64(&mut out, *user),
+            None => varint::write_i64(&mut out, user),
             Some(last) => varint::write_u64(&mut out, user.wrapping_sub(last) as u64),
         };
         put_postings(&mut out, postings);
-        last = Some(*user);
+        last = Some(user);
     }
     out
 }
@@ -384,13 +503,17 @@ impl<'a> IndexBytes<'a> {
         Some(values)
     }
 
-    /// Postings over `files`: a file number they lack, and a group past the
-    /// groups of its file, are structural errors.
-    fn postings(&mut self, files: &[FileEntry]) -> Option<Postings> {
-        let mut postings = Postings::new();
+    /// Postings over `files`: a file number they lack, a file posted with
+    /// no group, and a group past the groups of its file, are structural
+    /// errors.
+    fn postings(&mut self, files: &[FileEntry]) -> Option<Vec<(u32, u32)>> {
+        let mut postings = Vec::new();
         for file in self.ascending(files.len() as u64)? {
             let groups = self.ascending(u64::from(files[file as usize].groups))?;
-            postings.insert(file, groups.into_iter().collect());
+            if groups.is_empty() {
+                return None;
+            }
+            postings.extend(groups.into_iter().map(|group| (file, group)));
         }
         Some(postings)
     }
@@ -400,7 +523,8 @@ impl<'a> IndexBytes<'a> {
 /// or the magic of an older layout, truncation, an overlong varint, a count
 /// the remaining bytes cannot hold, a name that shares more than the name
 /// before has or is not UTF-8, names or users or postings that do not
-/// ascend, a posting outside the hour's files and their groups, a user's
+/// ascend, a file posted with no group, a posting outside the hour's files
+/// and their groups, a user's
 /// distance that overflows, trailing bytes: a committed index that does not
 /// decode is treated as absent and rebuilt from the landed hour. Nothing is
 /// sized by a count the bytes present could not pay for.
@@ -424,24 +548,25 @@ pub fn decode(bytes: &[u8]) -> Option<HourIndex> {
         });
     }
     for _ in 0..r.count()? {
-        let last = index.names.last_key_value().map(|(name, _)| name.as_str());
+        let last = index.names.len().checked_sub(1).map(|i| index.name_at(i));
         let shared = usize::try_from(r.u64()?).ok()?;
         let shared = last.unwrap_or("").as_bytes().get(..shared)?;
         let name = String::from_utf8([shared, r.text()?].concat()).ok()?;
         if last.is_some_and(|last| last >= name.as_str()) {
             return None;
         }
-        let posted = (r.u64()?, r.postings(&index.files)?);
-        index.names.insert(name, posted);
+        let (count, postings) = (r.u64()?, r.postings(&index.files)?);
+        index.push_name(&name, count, postings)?;
     }
     for _ in 0..r.count()? {
-        let user = match index.users.last_key_value() {
+        let user = match index.users.last() {
             None => varint::zigzag_decode(r.u64()?),
-            Some((last, _)) => last.checked_add_unsigned(r.u64().filter(|step| *step > 0)?)?,
+            Some(last) => last.checked_add_unsigned(r.u64().filter(|step| *step > 0)?)?,
         };
         let postings = r.postings(&index.files)?;
-        index.users.insert(user, postings);
+        index.push_user(user, postings)?;
     }
+    index.shrink_to_fit();
     r.0.is_empty().then_some(index)
 }
 
@@ -558,14 +683,15 @@ mod tests {
         assert_eq!(idx.files.len(), 1);
         assert_eq!(idx.files[0].groups, 3);
         assert!(idx.files[0].columnar);
-        let every_group = Postings::from([(0, BTreeSet::from([0, 1, 2]))]);
+        let every_group: &Postings = &[(0, 0), (0, 1), (0, 2)];
         assert_eq!(
-            idx.names.get("web:home:timeline:tweet:avatar:click"),
-            Some(&(10, every_group))
+            idx.name("web:home:timeline:tweet:avatar:click"),
+            Some((10, every_group))
         );
-        assert_eq!(idx.user_groups(0), 3);
-        assert_eq!(idx.user_groups(1), 3);
-        assert_eq!(idx.user_groups(42), 0);
+        assert_eq!(idx.name("web:home:timeline:tweet:avatar:hover"), None);
+        assert_eq!(idx.user(0), Some(every_group));
+        assert_eq!(idx.user(1), Some(every_group));
+        assert_eq!(idx.user(42), None);
     }
 
     #[test]
@@ -682,7 +808,12 @@ mod tests {
         let names_of = |entries: &[Vec<u8>]| {
             let mut names = vec![entries.len() as u8];
             names.extend(entries.iter().flatten());
-            decode(&forged(&names, &[0])).map(|index| index.names.into_keys().collect::<Vec<_>>())
+            decode(&forged(&names, &[0])).map(|index| {
+                index
+                    .names()
+                    .map(|(name, _, _)| name.to_string())
+                    .collect::<Vec<_>>()
+            })
         };
         let ab = || name(0, b"ab", &posted(0, 2));
         // Front coding: `ab` then `ab` + `c`.
@@ -722,11 +853,12 @@ mod tests {
             "a row-format sibling has one pseudo-group"
         );
         // Postings: groups that do not ascend, files that do not, a count
-        // of groups no bytes are left for.
+        // of groups no bytes are left for, a file with no group.
         for postings in [
             &[1, 0, 2, 1, 0][..],
             &[2, 0, 0, 1, 0, 1, 0],
             &[1, 0, 0x80, 0x80, 0x01],
+            &[1, 0, 0],
         ] {
             assert_eq!(names_of(&[name(0, b"ab", postings)]), None, "{postings:?}");
         }
@@ -743,7 +875,8 @@ mod tests {
                 users.extend_from_slice(id);
                 users.push(0); // posted nowhere
             }
-            decode(&forged(&[0], &users)).map(|index| index.users.into_keys().collect::<Vec<_>>())
+            decode(&forged(&[0], &users))
+                .map(|index| index.users().map(|(user, _)| user).collect::<Vec<_>>())
         };
         let zigzag = |v: i64| varints(&[varint::zigzag_encode(v)]);
         assert_eq!(
@@ -770,20 +903,23 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        type RawPostings = BTreeMap<u32, BTreeSet<u32>>;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        /// File numbers and group numbers, any, repeated or out of order.
+        type RawPostings = BTreeMap<u32, Vec<u32>>;
 
         fn raw_postings() -> impl Strategy<Value = RawPostings> {
             proptest::collection::btree_map(
                 any::<u32>(),
-                proptest::collection::btree_set(any::<u32>(), 0..6),
+                proptest::collection::vec(any::<u32>(), 0..6),
                 0..4,
             )
         }
 
         /// `raw` folded onto `files`: every file number one of theirs,
         /// every group one of its file's.
-        fn postings_over(files: &[FileEntry], raw: RawPostings) -> Postings {
-            let mut postings = Postings::new();
+        fn postings_over(files: &[FileEntry], raw: RawPostings) -> BTreeSet<(u32, u32)> {
+            let mut postings = BTreeSet::new();
             if files.is_empty() {
                 return postings;
             }
@@ -791,7 +927,7 @@ mod tests {
                 let file = file % files.len() as u32;
                 let of_file = files[file as usize].groups;
                 let groups = groups.into_iter().filter_map(|g| g.checked_rem(of_file));
-                postings.entry(file).or_default().extend(groups);
+                postings.extend(groups.map(|group| (file, group)));
             }
             postings
         }
@@ -825,21 +961,19 @@ mod tests {
                             columnar,
                         })
                         .collect();
-                    let over = |raw| postings_over(&files, raw);
-                    HourIndex {
+                    let mut index = HourIndex {
                         hour_index: counts.0,
                         records: counts.1,
                         events: counts.2,
-                        names: names
-                            .into_iter()
-                            .map(|(name, (count, raw))| (name, (count, over(raw))))
-                            .collect(),
-                        users: users
-                            .into_iter()
-                            .map(|(user, raw)| (user, over(raw)))
-                            .collect(),
-                        files,
+                        ..HourIndex::default()
+                    };
+                    for (name, (count, raw)) in names {
+                        index.push_name(&name, count, postings_over(&files, raw));
                     }
+                    for (user, raw) in users {
+                        index.push_user(user, postings_over(&files, raw));
+                    }
+                    HourIndex { files, ..index }
                 })
         }
 
@@ -914,8 +1048,10 @@ mod tests {
         let (serial, serial_cost) =
             build_hour_index(&wh, "client_events", hour, Parallelism::serial()).unwrap();
         assert_eq!(serial.files.len(), 6, "fixture should span several files");
-        assert!(serial.users.len() >= 7);
-        assert!(serial.users.values().any(|postings| postings.len() == 6));
+        assert!(serial.users().len() >= 7);
+        assert!(serial
+            .users()
+            .any(|(_, postings)| by_file(postings).count() == 6));
         assert_eq!(serial_cost.files_opened, 6);
         assert_eq!(serial_cost.records_read, serial.records);
         for workers in [4, 8] {

@@ -37,7 +37,8 @@ pub use batch::{
 };
 pub use handle::{event_tuple, LookupStats, ServeAnswer, ServeHandle};
 pub use hour::{
-    build_hour_index, commit_hour_index, index_dir, load_hour_index, FileEntry, HourIndex, Postings,
+    build_hour_index, by_file, commit_hour_index, index_dir, load_hour_index, FileEntry, HourIndex,
+    Postings,
 };
 pub use maintain::IndexMaintainer;
 pub use repl::run_repl;

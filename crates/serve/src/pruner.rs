@@ -16,7 +16,7 @@ use std::sync::Arc;
 use uli_dataflow::BlockPruner;
 use uli_warehouse::{tag_hash, HourlyPartition, ScanFile, WhPath, ZoneMapPruner};
 
-use crate::hour::HourIndex;
+use crate::hour::{in_file, HourIndex};
 
 /// Prunes scan units by the committed hours' name postings.
 pub(crate) struct PostingsPruner {
@@ -53,11 +53,10 @@ impl BlockPruner for PostingsPruner {
         let index = self.hours.get(&path.parent()?)?;
         let file_no = index.files.iter().position(|f| f.name == path.name())? as u32;
         let posted = index
-            .names
-            .iter()
-            .filter(|(name, _)| tags.contains(&tag_hash(name.as_bytes())))
-            .filter_map(|(_, (_, postings))| postings.get(&file_no))
-            .flatten();
+            .names()
+            .filter(|(name, _, _)| tags.contains(&tag_hash(name.as_bytes())))
+            .flat_map(|(_, _, postings)| in_file(postings, file_no))
+            .map(|&(_, group)| group);
         index.unit_mask(file_no, file, posted)
     }
 }

@@ -6,9 +6,11 @@
 //! be attached to a [`uli_scribe::ScribePipeline`] and observe exactly the
 //! records each successful atomic slide makes visible. A delivered hour is
 //! cut into one contiguous run of records per shard — the routing is pure
-//! partitioning and reads no payload, so because every [`StreamState`]
-//! operation commutes, the merged view is identical at *any* shard count
-//! and any merge order. The lambda invariant suite pins that: views at 1,
+//! partitioning and reads no payload — and the shard states are merged, in
+//! shard order, into the hour's one window state before the tap returns.
+//! Because every [`StreamState`] operation commutes, the window is
+//! identical at *any* shard count and any merge order while its names fit
+//! the trending tracker. The lambda invariant suite pins that: views at 1,
 //! 4, and 8 shards are asserted byte-equal.
 
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -23,7 +25,8 @@ use crate::state::{StreamState, DEFAULT_TRENDING_K};
 /// Speed-layer sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// Shard states per hour window. Purely a parallelism knob: views are
+    /// Shard states each delivered hour is folded into before they merge
+    /// into its window. Purely a parallelism knob: views are
     /// shard-count-invariant by the monoid laws.
     pub shards: usize,
     /// How many trending event names to report.
@@ -43,8 +46,8 @@ impl Default for StreamConfig {
 /// the streaming state stays authoritative, the registry can only show a
 /// value the monoid computed.
 struct StreamObs {
-    /// Every delivery so far, merged: advanced by each hour's own states,
-    /// so mirroring never re-merges the hours before it.
+    /// Every delivery so far, merged: advanced by each delivery's own
+    /// state, so mirroring never re-merges the hours before it.
     running: StreamState,
     records: Counter,
     events: Counter,
@@ -79,29 +82,19 @@ struct Inner {
     /// setting produces identical shard states because routing fixes each
     /// shard's observe sequence before any worker runs.
     workers: uli_warehouse::Parallelism,
-    /// Hour window → one [`StreamState`] per shard.
-    hours: BTreeMap<u64, Vec<StreamState>>,
+    /// Hour window → its one [`StreamState`].
+    hours: BTreeMap<u64, StreamState>,
     /// Successful slides observed.
     hours_moved: u64,
     obs: Option<StreamObs>,
 }
 
 impl Inner {
-    /// Deterministic fold: shards in index order, hours ascending.
-    fn view(states: &[StreamState], trending_k: usize) -> StreamState {
-        let mut out = StreamState::new(trending_k);
-        for s in states {
-            out.merge(s);
-        }
-        out
-    }
-
+    /// Deterministic fold: windows, hours ascending.
     fn running(&self) -> StreamState {
         let mut out = StreamState::new(self.config.trending_k);
-        for states in self.hours.values() {
-            for s in states {
-                out.merge(s);
-            }
+        for window in self.hours.values() {
+            out.merge(window);
         }
         out
     }
@@ -116,7 +109,7 @@ impl Inner {
         obs.distinct_users_est
             .set(obs.running.distinct_users_estimate().min(i64::MAX as u64) as i64);
         obs.hours_open.set(self.hours.len() as i64);
-        if let Some(states) = self.hours.get(&hour) {
+        if let Some(window) = self.hours.get(&hour) {
             let counter = obs.hour_records.entry(hour).or_insert_with(|| {
                 obs.registry.counter_labeled(
                     "stream",
@@ -124,7 +117,7 @@ impl Inner {
                     &[("hour", &hour.to_string())],
                 )
             });
-            counter.set_total(states.iter().map(|s| s.records()).sum());
+            counter.set_total(window.records());
         }
     }
 }
@@ -163,8 +156,8 @@ impl StreamAnalytics {
 
     /// Folds each delivered hour's shards across `workers`. Which records a
     /// shard folds, and in what order, is fixed by their position in the
-    /// delivery, so the states — and therefore every view — are identical
-    /// at any worker count.
+    /// delivery, and the shards merge in index order, so every view is
+    /// identical at any worker count.
     pub fn with_parallelism(self, workers: uli_warehouse::Parallelism) -> Self {
         lock(&self.inner).workers = workers;
         self
@@ -176,12 +169,10 @@ impl StreamAnalytics {
         Box::new(self.clone())
     }
 
-    /// The windowed view for one hour, merged across shards; `None` if no
-    /// slide has delivered that hour yet.
+    /// The windowed view for one hour; `None` if no slide has delivered
+    /// that hour yet.
     pub fn hour_view(&self, hour_index: u64) -> Option<StreamState> {
-        let inner = lock(&self.inner);
-        let k = inner.config.trending_k;
-        inner.hours.get(&hour_index).map(|s| Inner::view(s, k))
+        lock(&self.inner).hours.get(&hour_index).cloned()
     }
 
     /// The running (day-so-far) view: every delivered hour merged.
@@ -192,15 +183,6 @@ impl StreamAnalytics {
     /// Hour windows with delivered data, ascending.
     pub fn hours(&self) -> Vec<u64> {
         lock(&self.inner).hours.keys().copied().collect()
-    }
-
-    /// Raw per-shard partials for one hour (for merge-order tests).
-    pub fn shard_states(&self, hour_index: u64) -> Vec<StreamState> {
-        lock(&self.inner)
-            .hours
-            .get(&hour_index)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Successful slides observed.
@@ -224,23 +206,24 @@ impl DeliveryTap for StreamAnalytics {
             let run = payloads.len().div_ceil(shards);
             let mut runs: Vec<&[Vec<u8>]> = payloads.chunks(run).collect();
             runs.resize(shards, &[]);
-            let delivered = uli_warehouse::ScanPool::new(workers).map(runs, |_i, run| {
+            let states = uli_warehouse::ScanPool::new(workers).map(runs, |_i, run| {
                 let mut state = StreamState::new(k);
                 state.fold(run);
                 state
             });
+            // The shards merge into one state, in shard order, from empty;
+            // only that state outlives the delivery.
+            let mut delivered = StreamState::new(k);
+            states.iter().for_each(|state| delivered.merge(state));
+            drop(states);
             if let Some(obs) = &mut inner.obs {
-                delivered.iter().for_each(|state| obs.running.merge(state));
+                obs.running.merge(&delivered);
             }
             match inner.hours.entry(partition.hour_index()) {
                 Entry::Vacant(window) => {
                     window.insert(delivered);
                 }
-                Entry::Occupied(mut window) => {
-                    for (state, more) in window.get_mut().iter_mut().zip(&delivered) {
-                        state.merge(more);
-                    }
-                }
+                Entry::Occupied(mut window) => window.get_mut().merge(&delivered),
             }
         }
         inner.sync_obs(partition.hour_index());
@@ -302,14 +285,14 @@ mod tests {
             .with_parallelism(uli_warehouse::Parallelism::fixed(workers));
             deliver(&a, 2, &payloads[..250]);
             deliver(&a, 3, &payloads[250..]);
-            (a.shard_states(2), a.shard_states(3), a.running_view())
+            (a.hour_view(2), a.hour_view(3), a.running_view())
         };
         let serial = fold(1);
         for workers in [4, 8] {
             assert_eq!(
                 serial,
                 fold(workers),
-                "per-shard states must be identical at {workers} workers"
+                "windows must be identical at {workers} workers"
             );
         }
     }
@@ -367,7 +350,7 @@ mod tests {
         ];
         for (hour, range) in deliveries {
             deliver(&a, hour, &p[range]);
-            // `running_view` merges every shard of every window afresh.
+            // `running_view` merges every window afresh.
             let merged = a.running_view();
             let snap = registry.snapshot();
             assert_eq!(snap.counter_value("stream/records"), Some(merged.records()));

@@ -109,11 +109,6 @@ impl RecordFileWriter {
         self.append_record(record);
     }
 
-    /// Number of records appended so far.
-    pub fn records_written(&self) -> u64 {
-        self.data.total_records + self.pending_records
-    }
-
     /// Seals `record` into the file's first block, on its own: where a
     /// columnar file keeps its header. Nothing else goes through here — a
     /// row group is compressed chunk by chunk by its writer and stored

@@ -37,6 +37,16 @@ if grep -rnE 'UserHourSummary|user_summaries|fn joined' crates src tests example
     exit 1
 fi
 
+# A delivered day keeps each fact once: the mover's seen set is the record
+# of which ids were delivered (no list of them beside it), a stream window
+# is one state (no state per shard kept past the delivery), and an hour
+# index is sorted key arrays over one posting arena (no tree of groups).
+if grep -rnwE 'delivered_ids|shard_states' crates src tests examples ||
+    grep -rn 'BTreeSet<u32>' crates/serve/src; then
+    echo "one-record gate: a second copy of a delivered fact is back." >&2
+    exit 1
+fi
+
 # There is one landed layout behind every helper — the columnar one the log
 # mover's landing writes — and one way to run a query: no layout switch, no
 # layout-taking writer, no flag that turns pushdown off.

@@ -136,8 +136,8 @@ fn streaming_equals_batch_under_worker_counts() {
     assert_eq!(views[1], views[2], "4-shard and 8-shard views diverged");
 }
 
-/// Random shard counts and random merge orderings: flatten every per-hour
-/// shard partial, merge them in a seeded-random order (and separately via
+/// Random shard counts and random merge orderings: take every delivered
+/// hour's window, merge them in a seeded-random order (and separately via
 /// a random binary merge tree), and the result must equal both the running
 /// view and the batch answer. This is the monoid contract at system level.
 #[test]
@@ -156,11 +156,11 @@ fn random_shard_counts_and_merge_orders_converge() {
         let batch = batch_reference(pipe.main_warehouse(), CATEGORY, 0..24).expect("batch scan");
         let reference = analytics.running_view();
 
-        // Every shard partial from every delivered hour, flattened.
+        // Every delivered hour's window.
         let mut partials: Vec<StreamState> = analytics
             .hours()
             .into_iter()
-            .flat_map(|h| analytics.shard_states(h))
+            .map(|h| analytics.hour_view(h).expect("a delivered hour"))
             .collect();
 
         // Fisher–Yates shuffle, then a left fold in that order.

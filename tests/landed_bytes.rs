@@ -46,7 +46,7 @@ use uli_core::{ClientEvent, ClientEventLanding, EventInitiator, EventName, Times
 use uli_dataflow::Loader;
 use uli_scribe::message::LogEntry;
 use uli_scribe::{PipelineConfig, ScribePipeline};
-use uli_serve::hour::{index_dir, load_hour_index, Postings};
+use uli_serve::hour::{by_file, index_dir, load_hour_index, Postings};
 use uli_serve::IndexMaintainer;
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::{varint, CompactWriter, TType, ThriftRecord};
@@ -106,10 +106,10 @@ fn rows_digest(wh: &Warehouse, dir: &WhPath) -> u64 {
 
 /// What one posting list says: each posted file, then its groups.
 fn fold_postings(mut h: u64, postings: &Postings) -> u64 {
-    h = fold_u64(h, postings.len() as u64);
-    for (file, groups) in postings {
-        h = fold_u64(fold_u64(h, u64::from(*file)), groups.len() as u64);
-        for group in groups {
+    h = fold_u64(h, by_file(postings).count() as u64);
+    for (file, groups) in by_file(postings) {
+        h = fold_u64(fold_u64(h, u64::from(file)), groups.len() as u64);
+        for (_, group) in groups {
             h = fold_u64(h, u64::from(*group));
         }
     }
@@ -141,14 +141,14 @@ fn index_contents_digest(wh: &Warehouse, hour: u64) -> u64 {
             u64::from(file.columnar),
         );
     }
-    h = fold_u64(h, index.names.len() as u64);
-    for (name, (count, postings)) in &index.names {
-        h = fold_u64(fnv1a64_fold(h, name.as_bytes()), *count);
+    h = fold_u64(h, index.names().len() as u64);
+    for (name, count, postings) in index.names() {
+        h = fold_u64(fnv1a64_fold(h, name.as_bytes()), count);
         h = fold_postings(h, postings);
     }
-    h = fold_u64(h, index.users.len() as u64);
-    for (user, postings) in &index.users {
-        h = fold_postings(fold_u64(h, *user as u64), postings);
+    h = fold_u64(h, index.users().len() as u64);
+    for (user, postings) in index.users() {
+        h = fold_postings(fold_u64(h, user as u64), postings);
     }
     h
 }
@@ -327,7 +327,7 @@ fn deliver(
     };
     out.dictionary = artifact("dictionary");
     out.samples = artifact("samples");
-    let (watermarks, residual) = pipe.seen_snapshot();
+    let (watermarks, residual) = pipe.seen().snapshot();
     for (host, next) in watermarks {
         out.seen = fold_u64(fold_u64(out.seen, host), next);
     }

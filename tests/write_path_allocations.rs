@@ -14,8 +14,9 @@
 //! an hour and the same hour with every record delivered twice.
 //!
 //! Where a record *is* decoded, it costs four buffers — name, session id, ip
-//! and one details buffer — whether the generator draws it or a row view
-//! builds it, and encoding it allocates its payload and nothing else.
+//! and one details buffer — when a row view builds it, and three when the
+//! generator draws it, whose events share their name's one text; encoding
+//! it allocates its payload and nothing else.
 //!
 //! On the read side, loading a day's session sequences allocates per part
 //! file and row group — its arena, its columns and each group's reads —
@@ -23,10 +24,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use uli_analytics::load_sequences;
-use uli_core::session::{sequences_dir, Materializer};
+use uli_core::session::{day_dir, sequences_dir, Materializer};
 use uli_core::{ClientEvent, ClientEventLanding, EventRow};
+use uli_scribe::message::LogEntry;
+use uli_scribe::{PipelineConfig, ScribePipeline};
+use uli_serve::IndexMaintainer;
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
@@ -39,13 +44,23 @@ thread_local! {
     /// `Cell` of an integer: reading it from inside the allocator neither
     /// allocates nor registers a destructor.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated on this thread less bytes freed on it. A test that
+    /// reads it keeps its work on this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+/// Counts an allocation that grows the live bytes by `grown` (negative
+/// when a reallocation shrinks).
+fn count(grown: i64) {
     // Ignored while the thread is being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    free(-grown);
+}
+
+fn free(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() - bytes));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -53,24 +68,25 @@ fn count() {
 // integer.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        free(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -78,6 +94,11 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Bytes this thread holds: allocated on it and not yet freed.
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
 
 /// Allocations this thread makes while `f` runs.
 fn allocations_of(f: impl FnOnce()) -> u64 {
@@ -230,8 +251,21 @@ fn a_decoded_event_is_four_buffers_and_its_payload_one() {
         }))
     });
     assert_eq!(decoded, events);
+    // Every generated event of a name holds one of its name's texts: the
+    // universe's, or the funnel's for a name that is a funnel stage too.
+    let texts: std::collections::BTreeSet<*const u8> =
+        events.iter().map(|ev| ev.name.as_str().as_ptr()).collect();
+    let names: std::collections::BTreeSet<&str> =
+        events.iter().map(|ev| ev.name.as_str()).collect();
+    let stages = config.funnel.as_ref().map_or(0, |funnel| funnel.len());
+    assert!(
+        texts.len() <= names.len() + stages,
+        "{} texts for {} names",
+        texts.len(),
+        names.len()
+    );
     for (what, allocations, ceiling) in [
-        ("generating an event", generated, 4),
+        ("generating an event", generated, 3),
         ("building an event from its payload", rebuilt, 4),
         ("encoding an event", encoded, 1),
     ] {
@@ -286,4 +320,74 @@ fn loading_a_day_of_sequences_allocates_per_group_not_per_session() {
             "{cold} cold, {warm} warm, bound {bound}"
         );
     }
+}
+
+/// Live bytes a delivered day may leave resident, per landed byte.
+const HELD_PER_LANDED_BYTE: i64 = 20;
+
+/// What a delivered day leaves resident: the smoke day through the E22/E23
+/// pipeline shape — two datacenters, the columnar landing, the serve index
+/// and the stream fold on the delivery tap — on one worker, so that every
+/// byte it allocates is this thread's. Once the day has moved, the
+/// pipeline, the index and the stream hold the landed files, the committed
+/// indexes and what serves from them, each fact once: 15.0 bytes for every
+/// byte landed when this was recorded. A second copy of a per-record fact
+/// reads as many more — with a list of the delivered ids beside the seen
+/// set, tree nodes for every posting and a stream state per shard and hour,
+/// the same day held 34.8.
+#[test]
+fn a_delivered_day_holds_a_bounded_multiple_of_its_landed_bytes() {
+    const CATEGORY: &str = "client_events";
+    let mut by_hour: Vec<Vec<ClientEvent>> = vec![Vec::new(); 24];
+    for ev in DayStream::new(&Scale::Smoke.config(), 0) {
+        by_hour[ev.timestamp.hour_index() as usize].push(ev);
+    }
+    let before = live_bytes();
+    let workers = Parallelism::fixed(1);
+    let mut pipe = ScribePipeline::new(PipelineConfig {
+        datacenters: 2,
+        hosts_per_dc: 4,
+        aggregators_per_dc: 2,
+        records_per_file: 10_000,
+        workers,
+        ..Default::default()
+    });
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
+    let index =
+        IndexMaintainer::new(pipe.main_warehouse().clone(), CATEGORY).with_parallelism(workers);
+    let stream = StreamAnalytics::new(StreamConfig::default()).with_parallelism(workers);
+    pipe.add_delivery_tap(index.tap());
+    pipe.add_delivery_tap(stream.tap());
+    for (hour, events) in by_hour.iter().enumerate() {
+        for (i, ev) in events.iter().enumerate() {
+            let entry = LogEntry::new(CATEGORY, ev.to_bytes());
+            pipe.log((ev.user_id as usize) % 2, i % 4, entry);
+        }
+        pipe.step();
+        pipe.flush_hour(hour as u64);
+        pipe.seal_hour(CATEGORY, hour as u64);
+        pipe.move_hour(CATEGORY, hour as u64)
+            .expect("every hour moves");
+    }
+    let held = live_bytes() - before;
+    let landed = pipe
+        .main_warehouse()
+        .dir_meta(&day_dir(CATEGORY, 0))
+        .expect("a landed day")
+        .compressed_bytes as i64;
+    assert_eq!(
+        pipe.report().moved,
+        by_hour.iter().map(|h| h.len() as u64).sum::<u64>()
+    );
+    drop((pipe, index, stream));
+    let left = live_bytes() - before;
+    println!(
+        "a delivered smoke day holds {held} bytes, {:.1} a landed byte ({landed} landed); \
+         {left} left once it is dropped",
+        held as f64 / landed as f64
+    );
+    assert!(
+        held <= HELD_PER_LANDED_BYTE * landed,
+        "{held} bytes held for {landed} landed: over {HELD_PER_LANDED_BYTE} a landed byte"
+    );
 }
