@@ -70,11 +70,6 @@ impl CategoryRegistry {
         self.configs.insert(category.into(), config);
     }
 
-    /// The configuration for a category (default if unset).
-    pub fn get(&self, category: &str) -> CategoryConfig {
-        self.configs.get(category).cloned().unwrap_or_default()
-    }
-
     /// Decides a message's fate. Reads the category's configuration in
     /// place, and names where to store the message by borrowing: deciding
     /// allocates nothing.

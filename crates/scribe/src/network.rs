@@ -213,9 +213,9 @@ impl Network {
     /// into the endpoint's queue in batch order.
     ///
     /// A send that fails hands the batch back, for the sender to keep and
-    /// retry: nothing is copied on the way out, and only a lost ack — the
-    /// one outcome that both delivers the entries and fails — delivers a
-    /// copy.
+    /// retry, so nothing is copied on the way out. Only the outcomes that
+    /// deliver entries the sender still holds or sent once — a lost ack,
+    /// and a duplicate — deliver a copy.
     pub fn send_batch(&self, name: &str, batch: MessageBatch) -> Result<(), MessageBatch> {
         let mut s = lock(&self.inner);
         s.messages += 1;

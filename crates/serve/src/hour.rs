@@ -161,16 +161,6 @@ impl HourIndex {
         Some(())
     }
 
-    /// Gives back what the arrays reserved while they grew: an index lives
-    /// as long as its hour is served.
-    fn shrink_to_fit(&mut self) {
-        self.name_text.shrink_to_fit();
-        self.names.shrink_to_fit();
-        self.users.shrink_to_fit();
-        self.user_ends.shrink_to_fit();
-        self.postings.shrink_to_fit();
-    }
-
     /// Appends the user after every user so far. `None` when the arena
     /// outgrows the offsets.
     fn push_user(
@@ -183,6 +173,16 @@ impl HourIndex {
         self.user_ends
             .push(u32::try_from(self.postings.len()).ok()?);
         Some(())
+    }
+
+    /// Gives back what the arrays reserved while they grew: an index lives
+    /// as long as its hour is served.
+    fn shrink_to_fit(&mut self) {
+        self.name_text.shrink_to_fit();
+        self.names.shrink_to_fit();
+        self.users.shrink_to_fit();
+        self.user_ends.shrink_to_fit();
+        self.postings.shrink_to_fit();
     }
 
     /// Keep-mask over the scan units of `file`, the hour's file number
@@ -284,10 +284,8 @@ pub fn build_hour_index(
         index.records += partial.records;
         index.events += partial.events;
         index.files.push(entry);
-        names.extend(
-            (partial.names.into_iter())
-                .map(|(name, (count, groups))| (name, file_no, count, groups)),
-        );
+        let posted = partial.names.into_iter();
+        names.extend(posted.map(|(name, (count, groups))| (name, file_no, count, groups)));
         for (user, groups) in partial.users {
             users.extend(groups.into_iter().map(|group| (user, file_no, group)));
         }

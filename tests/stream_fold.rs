@@ -68,7 +68,7 @@ proptest! {
     }
 
     #[test]
-    fn every_window_equals_its_shards_record_by_record_at_any_worker_count(hour in arb_hour()) {
+    fn every_shard_equals_record_by_record_at_any_worker_count(hour in arb_hour()) {
         for shards in [1usize, 4, 8] {
             // Shard `s` folds the `s`-th contiguous run of the delivery, and
             // the window is the shards merged in shard order from empty.
