@@ -7,7 +7,9 @@
 //! the promoted, end-to-end path: the same selective query (timestamp
 //! window AND one event name, project 3 of 7 columns) over four landings —
 //!
-//! 1. **row-eager** — row blocks, every field of every record decoded;
+//! 1. **row-eager** — row blocks, every field of every record decoded: the
+//!    window predicate sits behind an identity UDF, the way a Pig job
+//!    filtered after decoding, so the planner pushes nothing into the scan;
 //! 2. **row-pushdown** — row blocks with predicate + zone-map pushdown:
 //!    the blocks zone maps disprove are skipped, and every record read is
 //!    decoded whole, as the paper's raw-log jobs decode it (E15, now a
@@ -19,8 +21,9 @@
 //!
 //! Two more cells run E20's `events-per-user` — an aggregate straight over
 //! the LOAD, which declares the one column it reads — over the default
-//! landing with and without pushdown. CI gates on the ratio of their decoded
-//! bytes, so the aggregate's projection cannot silently stop applying.
+//! landing, as is and behind an identity FOREACH over all seven columns,
+//! which masks none. CI gates on the ratio of their decoded bytes, so the
+//! aggregate's projection cannot silently stop applying.
 //!
 //! The default landing's stored bytes are also broken down by column, read
 //! off the row-group headers — where the day's bytes sit on disk, before
@@ -64,9 +67,9 @@ pub const PROJECTION_GATE: f64 = 0.20;
 /// One landing arm of the ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arm {
-    /// Row blocks, pushdown disabled.
+    /// Row blocks under a plan that pushes nothing into the scan.
     RowEager,
-    /// Row blocks, pushdown on.
+    /// Row blocks, predicates and zone maps pushed into the scan.
     RowPushdown,
     /// Columnar row groups without a dictionary column.
     Columnar,
@@ -139,23 +142,48 @@ pub struct Measurements {
     pub event_name: String,
 }
 
-/// The selective query: a timestamp window AND one event name, projecting
-/// (user_id, name) before a per-user count — the query E15 ran, so the
-/// row-pushdown arm here is directly comparable to E15's recorded table.
-fn selective_plan(name: &str, t0: i64, t1: i64) -> Plan {
+/// Returns its one argument. A FILTER that calls it runs on decoded
+/// tuples: the planner never pushes a UDF into the scan, nor a FILTER
+/// above one.
+struct Identity;
+
+impl ScalarUdf for Identity {
+    fn name(&self) -> &'static str {
+        "IDENTITY"
+    }
+
+    fn eval(&self, args: &[Value]) -> uli_dataflow::DataflowResult<Value> {
+        Ok(args[0].clone())
+    }
+}
+
+/// The day's LOAD.
+fn load() -> Plan {
     Plan::load(
         day_dir("client_events", 0),
         Arc::new(ClientEventLoader),
         CLIENT_EVENT_SCHEMA.to_vec(),
     )
-    .filter(
-        Expr::col(5)
-            .ge(Expr::lit(t0))
-            .and(Expr::col(5).le(Expr::lit(t1))),
-    )
-    .filter(Expr::col(1).eq(Expr::lit(name)))
-    .foreach(vec![("user_id", Expr::col(2)), ("name", Expr::col(1))])
-    .aggregate_by(vec![0], vec![Agg::count()])
+}
+
+/// The selective query: a timestamp window AND one event name, projecting
+/// (user_id, name) before a per-user count — the query E15 ran, so the
+/// row-pushdown arm here is directly comparable to E15's recorded table.
+/// The row-eager arm's window sits behind [`Identity`], so no predicate
+/// skips a record and no zone map prunes a block.
+fn selective_plan(arm: Arm, name: &str, t0: i64, t1: i64) -> Plan {
+    let window = Expr::col(5)
+        .ge(Expr::lit(t0))
+        .and(Expr::col(5).le(Expr::lit(t1)));
+    let window = match arm {
+        Arm::RowEager => Expr::udf(Arc::new(Identity), vec![window]),
+        _ => window,
+    };
+    load()
+        .filter(window)
+        .filter(Expr::col(1).eq(Expr::lit(name)))
+        .foreach(vec![("user_id", Expr::col(2)), ("name", Expr::col(1))])
+        .aggregate_by(vec![0], vec![Agg::count()])
 }
 
 /// Lands the day under one arm's layout into a fresh warehouse.
@@ -319,14 +347,12 @@ pub fn measure(smoke: bool) -> Measurements {
         .expect("generated day is non-empty");
     let span = t_max - t_min;
     let (t0, t1) = (t_min + span / 4, t_min + 3 * span / 4);
-    let plan = selective_plan(&event_name, t0, t1);
 
     let mut samples = Vec::new();
     // One cell: a fresh landing, one query, its sample and its rows.
-    let mut run_cell = |config, arm, pushdown, workers, plan: &Plan| {
-        let engine = Engine::new(land(arm, &day.events))
-            .with_parallelism(Parallelism::fixed(workers))
-            .with_pushdown(pushdown);
+    let mut run_cell = |config, arm, workers, plan: &Plan| {
+        let engine =
+            Engine::new(land(arm, &day.events)).with_parallelism(Parallelism::fixed(workers));
         let result = engine.run(plan).expect("runs");
         let s = &result.stats;
         samples.push(ArmSample {
@@ -347,36 +373,29 @@ pub fn measure(smoke: bool) -> Measurements {
     let mut reference: Option<Vec<Tuple>> = None;
     let mut outputs_identical = true;
     for (label, arm) in ARMS {
+        let plan = selective_plan(arm, &event_name, t0, t1);
         for workers in worker_counts {
-            let pushdown = match arm {
-                Arm::RowEager => Pushdown::Eager,
-                _ => Pushdown::On,
-            };
-            let rows = run_cell(label, arm, pushdown, workers, &plan);
+            let rows = run_cell(label, arm, workers, &plan);
             match &reference {
                 None => reference = Some(rows),
                 Some(rows0) => outputs_identical &= *rows0 == rows,
             }
         }
     }
-    let per_user = Plan::load(
-        day_dir("client_events", 0),
-        Arc::new(ClientEventLoader),
-        CLIENT_EVENT_SCHEMA.to_vec(),
-    )
-    .aggregate_by(vec![2], vec![Agg::count()]);
+    // The full-width twin passes every column through an identity
+    // FOREACH, so the aggregate's one column no longer bounds the mask.
+    let every_column: Vec<(&str, Expr)> = CLIENT_EVENT_SCHEMA
+        .iter()
+        .enumerate()
+        .map(|(c, name)| (*name, Expr::col(c)))
+        .collect();
     let [projected, full_width] = [
-        ("events-per-user", Pushdown::On),
-        ("events-per-user-full-width", Pushdown::Eager),
+        ("events-per-user", load()),
+        ("events-per-user-full-width", load().foreach(every_column)),
     ]
-    .map(|(label, pushdown)| {
-        run_cell(
-            label,
-            Arm::ColumnarDict,
-            pushdown,
-            worker_counts[0],
-            &per_user,
-        )
+    .map(|(label, source)| {
+        let per_user = source.aggregate_by(vec![2], vec![Agg::count()]);
+        run_cell(label, Arm::ColumnarDict, worker_counts[0], &per_user)
     });
     outputs_identical &= projected == full_width;
     // Ratios compare single-worker cells; the byte counters are

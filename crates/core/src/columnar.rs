@@ -145,10 +145,6 @@ pub struct ClientEventColumnar;
 pub static CLIENT_EVENT_COLUMNAR: ClientEventColumnar = ClientEventColumnar;
 
 impl ColumnarCodec for ClientEventColumnar {
-    fn columns(&self) -> usize {
-        7
-    }
-
     fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value> {
         match col {
             0 => Some(Value::Str(decode_initiator(bytes)?.to_string())),
@@ -515,9 +511,9 @@ mod tests {
     use crate::client_event::ClientEventLoader;
     use crate::time::Timestamp;
     use std::collections::BTreeMap;
-    use uli_dataflow::{scan_group, Loader, ScanSpec};
+    use uli_dataflow::{scan_unit, Loader, ScanSpec};
     use uli_thrift::ThriftRecord;
-    use uli_warehouse::ColumnarFile;
+    use uli_warehouse::{ColumnarFile, ScanFile};
 
     fn sample(i: i64) -> ClientEvent {
         let name = if i % 3 == 0 {
@@ -605,13 +601,12 @@ mod tests {
         let file = ColumnarFile::open(&wh, &path).unwrap();
         assert_eq!(file.columns(), 7);
         assert_eq!(file.dict_column(), Some(NAME_COLUMN));
+        let file = ScanFile::Columnar(file);
         let mut rows = Vec::new();
-        for g in 0..file.group_count() {
-            let (tuples, skipped) =
-                scan_group(&file, g, &CLIENT_EVENT_COLUMNAR, &ScanSpec::eager(7)).unwrap();
-            assert_eq!(skipped, 0);
-            rows.extend(tuples);
+        for g in 0..file.units() {
+            rows.extend(scan_unit(&file, g, &ClientEventLoader, &ScanSpec::full(7)).unwrap());
         }
+        assert_eq!(file.local_stats().records_skipped_by_predicate, 0);
         assert_eq!(rows.len(), events.len());
         for (row, ev) in rows.iter().zip(&events) {
             let expected = ClientEventLoader.parse(&ev.to_bytes()).unwrap().unwrap();
@@ -627,8 +622,8 @@ mod tests {
         write_client_events_columnar(&wh, &path, &events, false, 16).unwrap();
         let file = ColumnarFile::open(&wh, &path).unwrap();
         assert_eq!(file.dict_column(), None);
-        let (tuples, _) =
-            scan_group(&file, 0, &CLIENT_EVENT_COLUMNAR, &ScanSpec::eager(7)).unwrap();
+        let file = ScanFile::Columnar(file);
+        let tuples = scan_unit(&file, 0, &ClientEventLoader, &ScanSpec::full(7)).unwrap();
         let expected = ClientEventLoader.parse(&events[0].to_bytes()).unwrap();
         assert_eq!(tuples.first(), expected.as_ref());
     }

@@ -214,10 +214,6 @@ pub const SESSION_SEQUENCE_KINDS: [ColumnKind; 5] = [
 pub(crate) struct SessionSequenceColumnar;
 
 impl ColumnarCodec for SessionSequenceColumnar {
-    fn columns(&self) -> usize {
-        SESSION_SEQUENCE_KINDS.len()
-    }
-
     fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value> {
         match SESSION_SEQUENCE_KINDS.get(col)? {
             ColumnKind::I64 => Some(Value::Int(i64::from_le_bytes(bytes.try_into().ok()?))),
@@ -342,7 +338,6 @@ mod tests {
         let s = SessionSequence::encode(&record(), &dict()).unwrap();
         let parsed = SessionSequenceLoader.parse(&s.to_bytes()).unwrap().unwrap();
         let codec = SessionSequenceLoader.columnar().unwrap();
-        assert_eq!(codec.columns(), SESSION_SEQUENCE_SCHEMA.len());
         let cells: [&[u8]; 5] = [
             &s.user_id.to_le_bytes(),
             s.session_id.as_bytes(),

@@ -3,7 +3,8 @@
 //! row-format landing of the same events — regardless of the thrift field
 //! order the row writer happened to use, of which event names made the
 //! embedded dictionary (misses fall back to the inline-encoded cell), and
-//! of the worker count {1, 4, 8} or pushdown configuration. Beside it, a
+//! of the worker count {1, 4, 8} — and the rows of the same operators over
+//! what a bare LOAD of the row landing returns. Beside it, a
 //! random details map round-trips through a decoded event's details buffer
 //! into the columnar cell the map itself would make.
 
@@ -19,7 +20,7 @@ use uli_core::columnar::{
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::session::day_dir;
 use uli_core::time::Timestamp;
-use uli_dataflow::{Agg, ColumnarCodec, Engine, Expr, Parallelism, Plan, Pushdown, Value};
+use uli_dataflow::{Agg, ColumnarCodec, Engine, Expr, Parallelism, Plan, Value};
 use uli_thrift::{varint, CompactWriter};
 use uli_warehouse::{tag_hash, ColumnarFileWriter, Warehouse};
 
@@ -148,31 +149,38 @@ fn arb_event() -> impl Strategy<Value = ClientEvent> {
         })
 }
 
-/// The selective query shape every experiment uses: a timestamp window AND
-/// one event name, projected to (user_id, name), counted per user.
-fn selective_plan(name: &str, t0: i64, t1: i64) -> Plan {
+/// The day's LOAD.
+fn load() -> Plan {
     Plan::load(
         day_dir("client_events", 0),
         Arc::new(ClientEventLoader),
         CLIENT_EVENT_SCHEMA.to_vec(),
     )
-    .filter(
-        Expr::col(5)
-            .ge(Expr::lit(t0))
-            .and(Expr::col(5).le(Expr::lit(t1))),
-    )
-    .filter(Expr::col(1).eq(Expr::lit(name)))
-    .foreach(vec![("user_id", Expr::col(2)), ("name", Expr::col(1))])
-    .aggregate_by(vec![0], vec![Agg::count()])
+}
+
+/// The selective query shape every experiment uses over `source`: a
+/// timestamp window AND one event name, projected to (user_id, name),
+/// counted per user.
+fn selective_plan(source: Plan, name: &str, t0: i64, t1: i64) -> Plan {
+    source
+        .filter(
+            Expr::col(5)
+                .ge(Expr::lit(t0))
+                .and(Expr::col(5).le(Expr::lit(t1))),
+        )
+        .filter(Expr::col(1).eq(Expr::lit(name)))
+        .foreach(vec![("user_id", Expr::col(2)), ("name", Expr::col(1))])
+        .aggregate_by(vec![0], vec![Agg::count()])
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Eager-row, pushdown-row, and columnar-vectorized runs of the same
-    /// selective query return byte-identical rows at workers {1, 4, 8},
-    /// whatever the row field order, the dictionary subset (the queried
-    /// name itself may be a dictionary miss), or the row-group size.
+    /// Row and columnar-vectorized runs of the same selective query return
+    /// byte-identical rows at workers {1, 4, 8} — the rows of the same
+    /// operators over a bare LOAD of the row landing — whatever the row
+    /// field order, the dictionary subset (the queried name itself may be a
+    /// dictionary miss), or the row-group size.
     #[test]
     fn columnar_scan_equals_row_scan(
         events in prop::collection::vec(arb_event(), 1..120),
@@ -188,31 +196,32 @@ proptest! {
             .filter(|(i, _)| dict_mask & (1 << i) != 0)
             .map(|(_, n)| *n)
             .collect();
-        let plan = selective_plan(NAMES[queried], t0, t0.saturating_add(window));
+        let t1 = t0.saturating_add(window);
 
         let row_wh = land_rows(&events, order_seed);
         let col_wh = land_columnar(&events, &dict_names, rows_per_group);
 
-        let mut reference: Option<Vec<Vec<Value>>> = None;
+        let engine = Engine::new(row_wh.clone());
+        let bare = engine.run(&load()).expect("bare LOAD runs").rows;
+        let values = Plan::values(CLIENT_EVENT_SCHEMA.to_vec(), bare);
+        let reference = engine
+            .run(&selective_plan(values, NAMES[queried], t0, t1))
+            .expect("reference runs")
+            .rows;
         for (wh, label) in [(&row_wh, "row"), (&col_wh, "columnar")] {
-            for pushdown in [Pushdown::Eager, Pushdown::On] {
-                for workers in [1usize, 4, 8] {
-                    let engine = Engine::new(wh.clone())
-                        .with_parallelism(Parallelism::fixed(workers))
-                        .with_pushdown(pushdown);
-                    let result = engine.run(&plan).expect("query runs");
-                    match &reference {
-                        None => reference = Some(result.rows),
-                        Some(rows) => prop_assert_eq!(
-                            rows,
-                            &result.rows,
-                            "diverged at {} pushdown={:?} workers={}",
-                            label,
-                            pushdown,
-                            workers
-                        ),
-                    }
-                }
+            for workers in [1usize, 4, 8] {
+                let engine = Engine::new(wh.clone())
+                    .with_parallelism(Parallelism::fixed(workers));
+                let result = engine
+                    .run(&selective_plan(load(), NAMES[queried], t0, t1))
+                    .expect("query runs");
+                prop_assert_eq!(
+                    &reference,
+                    &result.rows,
+                    "diverged at {} workers={}",
+                    label,
+                    workers
+                );
             }
         }
     }

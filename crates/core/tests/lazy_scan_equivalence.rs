@@ -10,7 +10,8 @@
 //! exactly the payloads the reference rejects and land, for the rest, the
 //! cells the reference's event encodes to; and a whole query under
 //! projection + predicate pushdown must return byte-identical rows to the
-//! eager plan at every worker count. And a decoded event's
+//! same operators over the rows of a bare LOAD at every worker count. And
+//! a decoded event's
 //! details buffer answers as the map it was built from: the same Thrift
 //! bytes, the same printout, the same lookups and edits.
 
@@ -24,7 +25,7 @@ use uli_core::columnar::{ClientEventLanding, EventRow};
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::session::day_dir;
 use uli_core::time::Timestamp;
-use uli_dataflow::{Agg, Engine, Expr, Parallelism, Plan, Pushdown, Value};
+use uli_dataflow::{Agg, Engine, Expr, Parallelism, Plan};
 use uli_thrift::{
     varint, CompactReader, CompactWriter, TType, ThriftError, ThriftRecord, ThriftResult,
 };
@@ -615,48 +616,45 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// End to end: a selective 2-column query returns byte-identical rows
-    /// under every pushdown layer and worker count.
+    /// at every worker count, and the rows of the same operators over what
+    /// a bare LOAD returns (which pushes nothing down).
     #[test]
-    fn query_rows_identical_eager_vs_pushdown(
+    fn query_rows_equal_the_bare_load_reference(
         events in prop::collection::vec(arb_event(), 1..120),
         t0 in 0i64..10_000,
         window in 1i64..10_000,
     ) {
-        let plan = Plan::load(
-            day_dir("client_events", 0),
-            Arc::new(ClientEventLoader),
-            CLIENT_EVENT_SCHEMA.to_vec(),
-        )
-        .filter(
-            Expr::col(5)
-                .ge(Expr::lit(t0))
-                .and(Expr::col(5).le(Expr::lit(t0.saturating_add(window)))),
-        )
-        .filter(Expr::col(1).eq(Expr::lit("web:home:feed:stream:tweet:click")))
-        .foreach(vec![("user_id", Expr::col(2)), ("name", Expr::col(1))])
-        .aggregate_by(vec![0], vec![Agg::count()]);
-
-        let mut reference: Option<Vec<Vec<Value>>> = None;
-        for pushdown in [Pushdown::Eager, Pushdown::On] {
-            for workers in [1usize, 4] {
-                let engine = Engine::new(land(&events))
-                    .with_parallelism(Parallelism::fixed(workers))
-                    .with_pushdown(pushdown);
-                let result = engine.run(&plan).expect("query runs");
-                // Row records are decoded whole under either setting;
-                // only a columnar file skips the fields it does not read.
-                prop_assert_eq!(result.stats.fields_skipped, 0);
-                match &reference {
-                    None => reference = Some(result.rows),
-                    Some(rows) => prop_assert_eq!(
-                        rows,
-                        &result.rows,
-                        "diverged at pushdown={:?} workers={}",
-                        pushdown,
-                        workers
-                    ),
-                }
-            }
+        let load = || {
+            Plan::load(
+                day_dir("client_events", 0),
+                Arc::new(ClientEventLoader),
+                CLIENT_EVENT_SCHEMA.to_vec(),
+            )
+        };
+        let ops = |source: Plan| {
+            source
+                .filter(
+                    Expr::col(5)
+                        .ge(Expr::lit(t0))
+                        .and(Expr::col(5).le(Expr::lit(t0.saturating_add(window)))),
+                )
+                .filter(Expr::col(1).eq(Expr::lit("web:home:feed:stream:tweet:click")))
+                .foreach(vec![("user_id", Expr::col(2)), ("name", Expr::col(1))])
+                .aggregate_by(vec![0], vec![Agg::count()])
+        };
+        let engine = Engine::new(land(&events));
+        let bare = engine.run(&load()).expect("bare LOAD runs").rows;
+        let reference = engine
+            .run(&ops(Plan::values(CLIENT_EVENT_SCHEMA.to_vec(), bare)))
+            .expect("reference runs")
+            .rows;
+        for workers in [1usize, 4] {
+            let engine = Engine::new(land(&events)).with_parallelism(Parallelism::fixed(workers));
+            let result = engine.run(&ops(load())).expect("query runs");
+            // Row records are decoded whole; only a columnar file skips
+            // the fields it does not read.
+            prop_assert_eq!(result.stats.fields_skipped, 0);
+            prop_assert_eq!(&reference, &result.rows, "diverged at workers={}", workers);
         }
     }
 }

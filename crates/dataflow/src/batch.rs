@@ -1,11 +1,16 @@
-//! Column batches: vectorized scan units over columnar warehouse files.
+//! Column batches: the one way a LOAD scans a unit.
 //!
-//! The row path hands the loader one record at a time; the columnar path
-//! hands this module one *row group* at a time. A `ColumnBatch` is a
-//! fixed-size batch of decoded columns plus a selection mask: pushed
+//! Every scan unit — a columnar file's row group or a row file's block —
+//! becomes one `ColumnBatch`: the unit's columns plus a selection mask. A
+//! row group's cells decode from their chunks, late and only as far as the
+//! scan needs them; a row block's records are parsed whole by the loader,
+//! as the paper's raw-log jobs parse them, and arrive as the batch's
+//! already-decoded columns. From there both layouts take one path: pushed
 //! predicates evaluate over whole columns (keep-masks become selection
-//! masks), and output tuples materialize only for surviving rows. Columns
-//! the projection masked out were never even decompressed — the reader
+//! masks, after Boncz et al., *MonetDB/X100*, CIDR 2005), output tuples
+//! materialize only for surviving rows with every masked slot Null, and
+//! the predicate skips are charged to the file once. Columns the projection
+//! masked out of a row group were never even decompressed — the reader
 //! charged them to `fields_skipped` without touching their chunks.
 //!
 //! Equality predicates on the dictionary-encoded column compare integer
@@ -14,15 +19,15 @@
 //! missed the dictionary at write time are stored inline and compared by
 //! bytes, so unknown event names still admit correctly.
 //!
-//! Predicates that are not provably total ([`total_boolean`]) fall back to
-//! row-at-a-time [`ScanSpec::admit`] over gathered tuples, in row order, so
-//! evaluation errors surface against the same row the eager path would
-//! report.
+//! Predicates that are not provably total ([`total_boolean`]) run row at a
+//! time over the materialized survivors, in order, so evaluation errors
+//! surface against the same row the FILTER would report.
 
-use uli_warehouse::{ColumnCell, ColumnGroup, ColumnarFile};
+use uli_warehouse::{ColumnCell, ColumnGroup, ColumnarFile, FileBlocks, ScanFile};
 
-use crate::error::DataflowResult;
+use crate::error::{DataflowError, DataflowResult};
 use crate::expr::{BinOp, Expr};
+use crate::loader::Loader;
 use crate::pushdown::{total_boolean, ScanSpec};
 use crate::value::{Tuple, Value};
 
@@ -30,30 +35,34 @@ use crate::value::{Tuple, Value};
 /// loader would have produced for the same record.
 ///
 /// A loader that also understands a columnar layout returns a codec from
-/// [`Loader::columnar`](crate::loader::Loader::columnar); the executor then
-/// scans columnar files through [`ColumnBatch`] instead of feeding raw
-/// group records to [`Loader::parse`](crate::loader::Loader::parse).
+/// [`Loader::columnar`]; [`scan_unit`] then decodes a columnar file's cells
+/// with it, and parses a row file's records with [`Loader::parse`].
 pub trait ColumnarCodec: Send + Sync {
-    /// Number of columns in the layout — must equal the load schema width.
-    fn columns(&self) -> usize;
-
     /// Decodes one cell. `None` marks the cell undecodable, which drops the
     /// whole row exactly as a loader `parse` returning `Ok(None)` drops the
     /// whole record (tolerant-reader semantics).
     fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value>;
 }
 
-/// One row group's decoded columns plus a selection mask.
-///
-/// Decoding is late: a column is decoded when a predicate first reads it,
-/// and then only for the rows earlier predicates left selected; every other
-/// projected column is decoded in [`ColumnBatch::take_rows`], for surviving
-/// rows only, straight into the output tuple.
-struct ColumnBatch<'a> {
+/// A columnar row group whose cells a batch decodes on demand.
+#[derive(Clone, Copy)]
+struct GroupCells<'a> {
     file: &'a ColumnarFile,
     group: &'a ColumnGroup,
     codec: &'a dyn ColumnarCodec,
-    /// Columns a predicate has read (outer `None`: not decoded yet).
+}
+
+/// One scan unit's columns plus a selection mask.
+///
+/// A row group's decoding is late: a column is decoded when a predicate
+/// first reads it, and then only for the rows earlier predicates left
+/// selected; every other projected column is decoded in
+/// [`ColumnBatch::take_rows`], for surviving rows only, straight into the
+/// output tuple. A row block's columns all arrive decoded.
+struct ColumnBatch<'a> {
+    /// Where undecoded cells come from; `None` for a row block.
+    cells: Option<GroupCells<'a>>,
+    /// Columns decoded so far (outer `None`: not decoded yet).
     /// `columns[c][r]` is `None` for a row that was already deselected when
     /// the column was decoded, or whose cell was undecodable (which also
     /// marks the row dead).
@@ -67,17 +76,33 @@ struct ColumnBatch<'a> {
 
 impl<'a> ColumnBatch<'a> {
     /// Wraps one row group read from `file` with `codec`.
-    fn new(
+    fn of_group(
         file: &'a ColumnarFile,
         group: &'a ColumnGroup,
         codec: &'a dyn ColumnarCodec,
     ) -> ColumnBatch<'a> {
         let rows = group.rows();
         ColumnBatch {
-            file,
-            group,
-            codec,
+            cells: Some(GroupCells { file, group, codec }),
             columns: vec![None; file.columns()],
+            selection: vec![true; rows],
+            alive: vec![true; rows],
+        }
+    }
+
+    /// Wraps a row block's parsed records, `width` values each, as the
+    /// batch's decoded columns.
+    fn of_tuples(tuples: Vec<Tuple>, width: usize) -> ColumnBatch<'a> {
+        let rows = tuples.len();
+        let mut columns = vec![Some(Vec::with_capacity(rows)); width];
+        for tuple in tuples {
+            for (column, value) in columns.iter_mut().flatten().zip(tuple) {
+                column.push(Some(value));
+            }
+        }
+        ColumnBatch {
+            cells: None,
+            columns,
             selection: vec![true; rows],
             alive: vec![true; rows],
         }
@@ -92,8 +117,9 @@ impl<'a> ColumnBatch<'a> {
     /// group was read without `col` — a column missing from the planner's
     /// mask must never read as "every row is undecodable".
     fn decode_cell(&self, col: usize, row: usize) -> DataflowResult<Option<Value>> {
-        let bytes = self.file.cell_bytes(self.group, col, row)?;
-        Ok(self.codec.decode(col, bytes))
+        let cells = self.cells.expect("a row block's columns arrive decoded");
+        let bytes = cells.file.cell_bytes(cells.group, col, row)?;
+        Ok(cells.codec.decode(col, bytes))
     }
 
     /// Decodes column `col` for the rows still selected, marking rows with
@@ -143,14 +169,18 @@ impl<'a> ColumnBatch<'a> {
         // Dictionary fast path: `name == "literal"` (either operand order)
         // on the dictionary column compares integer codes; the literal
         // resolves once for the whole batch.
-        if let Some((positive, literal)) = dict_equality(pred, self.file.dict_column()) {
-            let dict_col = self.file.dict_column().expect("checked by dict_equality");
-            let code = self.file.dictionary_code(literal.as_bytes());
+        let dict = self.cells.and_then(|cells| {
+            let (positive, literal) = dict_equality(pred, cells.file.dict_column())?;
+            Some((cells, positive, literal))
+        });
+        if let Some((cells, positive, literal)) = dict {
+            let dict_col = cells.file.dict_column().expect("checked by dict_equality");
+            let code = cells.file.dictionary_code(literal.as_bytes());
             for r in 0..self.rows() {
                 if !self.selection[r] {
                     continue;
                 }
-                let hit = match self.group.read_cell(dict_col, r)? {
+                let hit = match cells.group.read_cell(dict_col, r)? {
                     ColumnCell::Code(c) => Some(c) == code,
                     ColumnCell::Bytes(b) => b == literal.as_bytes(),
                 };
@@ -234,8 +264,8 @@ impl<'a> ColumnBatch<'a> {
 
     /// Materializes output tuples for the selected rows, and only for them:
     /// a projected column no predicate read is decoded here, per surviving
-    /// row; values a predicate already decoded are moved, not cloned. Masked
-    /// columns come back as [`Value::Null`], as the row path masks them.
+    /// row; values already decoded are moved, not cloned. Masked columns
+    /// come back as [`Value::Null`] on either layout.
     fn take_rows(mut self, spec: &ScanSpec) -> DataflowResult<Vec<Tuple>> {
         let projected: Vec<usize> = (0..spec.width)
             .filter(|c| spec.projection.as_ref().is_none_or(|m| m[*c]))
@@ -255,13 +285,38 @@ impl<'a> ColumnBatch<'a> {
                 match cell {
                     Some(v) => tuple[c] = v,
                     // An undecodable cell drops the row, like a record the
-                    // row loader's `parse` rejected.
+                    // loader's `parse` rejected.
                     None => continue 'rows,
                 }
             }
             out.push(tuple);
         }
         Ok(out)
+    }
+
+    /// Narrows the selection by the spec's pushed predicates and
+    /// materializes the survivors. Returns them with the number of rows the
+    /// predicates dropped (rows the loader could not decode count nowhere).
+    fn select(mut self, spec: &ScanSpec) -> DataflowResult<(Vec<Tuple>, u64)> {
+        if spec.predicate.iter().all(|p| total_boolean(p, spec.width)) {
+            let skipped = self.apply_predicates(spec)?;
+            return Ok((self.take_rows(spec)?, skipped));
+        }
+        // A pushed predicate that may error runs row by row, in order, so
+        // the failing row is the one the FILTER reports; an earlier
+        // predicate that drops a row keeps the later ones off it.
+        let mut rows = Vec::new();
+        let mut skipped = 0;
+        'rows: for tuple in self.take_rows(spec)? {
+            for pred in &spec.predicate {
+                if !pred.keeps(&tuple)? {
+                    skipped += 1;
+                    continue 'rows;
+                }
+            }
+            rows.push(tuple);
+        }
+        Ok((rows, skipped))
     }
 }
 
@@ -284,79 +339,97 @@ fn dict_equality(pred: &Expr, dict_col: Option<usize>) -> Option<(bool, &str)> {
     }
 }
 
-/// Scans one row group end to end: read under the projection, apply pushed
-/// predicates vectorized, and materialize surviving tuples. Returns the
-/// tuples plus the predicate-skip count for [`JobStats`] accounting. The
-/// reader has already charged `fields_skipped` for unprojected columns, so
-/// callers must charge only the returned predicate skips.
-///
-/// [`JobStats`]: crate::exec::JobStats
-pub fn scan_group(
-    file: &ColumnarFile,
-    group_index: usize,
-    codec: &dyn ColumnarCodec,
-    spec: &ScanSpec,
-) -> DataflowResult<(Vec<Tuple>, u64)> {
-    let group = match &spec.projection {
-        Some(mask) => file.read_group(group_index, mask)?,
-        None => file.read_group(group_index, &vec![true; file.columns()])?,
-    };
-    let mut batch = ColumnBatch::new(file, &group, codec);
-    if spec.predicate.iter().all(|p| total_boolean(p, spec.width)) {
-        let skipped = batch.apply_predicates(spec)?;
-        return Ok((batch.take_rows(spec)?, skipped));
-    }
-    // A pushed predicate that may error runs against materialized tuples,
-    // row by row in row order, so the failing row is the one the eager path
-    // reports.
-    let mut rows = Vec::new();
-    let mut skipped = 0;
-    for tuple in batch.take_rows(spec)? {
-        match spec.admit(&tuple)? {
-            true => rows.push(tuple),
-            false => skipped += 1,
+/// Parses one row block's records whole, in order, each borrowed in place
+/// (no per-record copy is charged to `alloc_bytes`). Records the loader
+/// skips never enter the batch; a tuple of the wrong width is an error.
+fn parse_block(
+    blocks: &FileBlocks,
+    unit: usize,
+    loader: &dyn Loader,
+    width: usize,
+) -> DataflowResult<Vec<Tuple>> {
+    let mut tuples = Vec::with_capacity(blocks.block_records(unit) as usize);
+    let mut error = None;
+    blocks.for_each_record(unit, |record| {
+        if error.is_some() {
+            return;
         }
-    }
-    Ok((rows, skipped))
+        match loader.parse(record) {
+            Ok(Some(tuple)) if tuple.len() == width => tuples.push(tuple),
+            Ok(Some(_)) => {
+                error = Some(DataflowError::MalformedRecord {
+                    loader: loader.name(),
+                })
+            }
+            Ok(None) => {}
+            Err(e) => error = Some(e),
+        }
+    })?;
+    error.map_or(Ok(tuples), Err)
+}
+
+/// Scans one unit of `file` end to end under `spec`: a row group read
+/// under the projection and decoded with the loader's codec, or a row block
+/// parsed by the loader; then the pushed predicates and the projection,
+/// the same way for both. Returns the surviving tuples in row order and
+/// charges the predicate skips to `file`. A columnar reader has already
+/// charged `fields_skipped` for unprojected columns; a row record decodes
+/// whole and skips no field.
+pub fn scan_unit(
+    file: &ScanFile,
+    unit: usize,
+    loader: &dyn Loader,
+    spec: &ScanSpec,
+) -> DataflowResult<Vec<Tuple>> {
+    let group;
+    let batch = match file {
+        ScanFile::Columnar(columnar) => {
+            let codec = loader
+                .columnar()
+                .expect("columnar files are opened only with a codec");
+            group = match &spec.projection {
+                Some(mask) => columnar.read_group(unit, mask)?,
+                None => columnar.read_group(unit, &vec![true; columnar.columns()])?,
+            };
+            ColumnBatch::of_group(columnar, &group, codec)
+        }
+        ScanFile::Row(blocks) => {
+            ColumnBatch::of_tuples(parse_block(blocks, unit, loader, spec.width)?, spec.width)
+        }
+    };
+    let (rows, skipped) = batch.select(spec)?;
+    file.charge_pushdown(skipped, 0);
+    Ok(rows)
 }
 
 /// A codec usable by tests and the CSV examples: every cell is a UTF-8
-/// string parsed with the same `Int` → `Double` → `Str` fallback as
-/// [`CsvLoader`](crate::loader::CsvLoader) fields.
-#[derive(Debug, Clone, Default)]
-pub struct TextCodec {
-    columns: usize,
-}
-
-impl TextCodec {
-    /// A codec for `columns` text columns.
-    pub fn new(columns: usize) -> TextCodec {
-        assert!(columns > 0);
-        TextCodec { columns }
-    }
-}
+/// string read as [`text_value`] reads a
+/// [`CsvLoader`](crate::loader::CsvLoader) field.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TextCodec;
 
 impl ColumnarCodec for TextCodec {
-    fn columns(&self) -> usize {
-        self.columns
-    }
-
     fn decode(&self, _col: usize, bytes: &[u8]) -> Option<Value> {
-        let text = std::str::from_utf8(bytes).ok()?;
-        Some(if let Ok(i) = text.parse::<i64>() {
-            Value::Int(i)
-        } else if let Ok(d) = text.parse::<f64>() {
-            Value::Double(d)
-        } else {
-            Value::str(text)
-        })
+        std::str::from_utf8(bytes).ok().map(text_value)
+    }
+}
+
+/// A text field's value: `Int` when it parses as one, else `Double`, else
+/// `Str`.
+pub(crate) fn text_value(text: &str) -> Value {
+    if let Ok(i) = text.parse::<i64>() {
+        Value::Int(i)
+    } else if let Ok(d) = text.parse::<f64>() {
+        Value::Double(d)
+    } else {
+        Value::str(text)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::DataflowError;
+    use crate::loader::CsvLoader;
     use uli_warehouse::{ColumnKind, ColumnarFileWriter, Warehouse, WarehouseError, WhPath};
 
     fn p(s: &str) -> WhPath {
@@ -374,21 +447,12 @@ mod tests {
             Some((1, &dict)),
         )
         .unwrap();
-        for i in 0..rows {
-            let user = (i % 10).to_string();
-            let action = if i % 3 == 0 {
-                "click".to_string()
-            } else if i % 17 == 0 {
-                format!("rare-{i}") // dictionary miss, stored inline
-            } else {
-                "impression".to_string()
-            };
-            let amount = i.to_string();
+        for (i, [user, action, amount]) in fixture_rows(rows).into_iter().enumerate() {
             let code = dict.iter().position(|entry| *entry == action.as_bytes());
             w.append_row_coded(
                 &[user.as_bytes(), action.as_bytes(), amount.as_bytes()],
                 code.map(|c| c as u32),
-                i,
+                i as i64,
                 uli_warehouse::tag_hash(action.as_bytes()),
             );
         }
@@ -396,23 +460,72 @@ mod tests {
         ColumnarFile::open(wh, &p("/col")).unwrap()
     }
 
+    /// The fixture's cells, row by row.
+    fn fixture_rows(rows: i64) -> Vec<[String; 3]> {
+        (0..rows)
+            .map(|i| {
+                let action = if i % 3 == 0 {
+                    "click".to_string()
+                } else if i % 17 == 0 {
+                    format!("rare-{i}") // dictionary miss, stored inline
+                } else {
+                    "impression".to_string()
+                };
+                [(i % 10).to_string(), action, i.to_string()]
+            })
+            .collect()
+    }
+
+    /// A loader that reads only columnar files, through `codec`.
+    struct CodecLoader<'c>(&'c dyn ColumnarCodec);
+
+    impl Loader for CodecLoader<'_> {
+        fn name(&self) -> &'static str {
+            "CodecLoader"
+        }
+        fn parse(&self, _: &[u8]) -> DataflowResult<Option<Tuple>> {
+            unreachable!("a columnar scan never parses a record")
+        }
+        fn columnar(&self) -> Option<&dyn ColumnarCodec> {
+            Some(self.0)
+        }
+    }
+
+    /// Scans every unit of `file` through `loader`: the surviving rows, and
+    /// the predicate skips charged to the file.
+    fn scan_with(
+        file: ScanFile,
+        loader: &dyn Loader,
+        spec: &ScanSpec,
+    ) -> DataflowResult<(Vec<Tuple>, u64)> {
+        let skipped = || file.local_stats().records_skipped_by_predicate;
+        let before = skipped();
+        let mut rows = Vec::new();
+        for unit in 0..file.units() {
+            rows.extend(scan_unit(&file, unit, loader, spec)?);
+        }
+        Ok((rows, skipped() - before))
+    }
+
+    /// [`scan_with`] over a columnar file read with `codec`.
+    fn scan(
+        file: &ColumnarFile,
+        codec: &dyn ColumnarCodec,
+        spec: &ScanSpec,
+    ) -> DataflowResult<(Vec<Tuple>, u64)> {
+        scan_with(ScanFile::Columnar(file.clone()), &CodecLoader(codec), spec)
+    }
+
     #[test]
-    fn scan_group_matches_eager_semantics() {
+    fn scan_unit_has_filter_semantics() {
         let wh = Warehouse::new();
         let f = fixture(&wh, 100);
-        let codec = TextCodec::new(3);
         let spec = ScanSpec {
             projection: None,
             predicate: vec![Expr::col(1).eq(Expr::lit("click"))],
             width: 3,
         };
-        let mut rows = Vec::new();
-        let mut skipped = 0;
-        for g in 0..f.group_count() {
-            let (r, s) = scan_group(&f, g, &codec, &spec).unwrap();
-            rows.extend(r);
-            skipped += s;
-        }
+        let (rows, skipped) = scan(&f, &TextCodec, &spec).unwrap();
         assert_eq!(rows.len(), 34, "i % 3 == 0 for 0..100");
         assert_eq!(skipped, 66);
         assert!(rows.iter().all(|t| t[1] == Value::str("click")));
@@ -424,10 +537,50 @@ mod tests {
     }
 
     #[test]
+    fn a_row_block_takes_the_selection_of_a_row_group() {
+        let wh = Warehouse::new();
+        let f = fixture(&wh, 150);
+        let wh = Warehouse::with_block_capacity(256);
+        let mut w = wh.create(&p("/row")).unwrap();
+        for row in fixture_rows(150) {
+            w.append_record(row.join(",").as_bytes());
+        }
+        w.append_record(b"a,record,of,four"); // the loader skips it
+        w.finish().unwrap();
+        let blocks = ScanFile::Row(wh.open_blocks(&p("/row")).unwrap());
+        assert!(blocks.units() > 1);
+        let loader = CsvLoader::new(3);
+        let total = Expr::col(1).ne(Expr::lit("impression"));
+        let non_total = Expr::col(2).add(Expr::lit(1i64)).gt(Expr::lit(0i64));
+        for predicate in [vec![], vec![total.clone()], vec![total, non_total]] {
+            let spec = ScanSpec {
+                projection: Some(vec![false, true, true]),
+                predicate,
+                width: 3,
+            };
+            let row = scan_with(blocks.clone(), &loader, &spec).unwrap();
+            let col = scan(&f, &TextCodec, &spec).unwrap();
+            assert!(row.0.iter().all(|t| t[0] == Value::Null), "masked");
+            assert_eq!(row, col);
+        }
+        // A record of the wrong width is an error, not a skip.
+        let mut w = wh.create(&p("/wide")).unwrap();
+        w.append_record(b"1,click,2");
+        w.finish().unwrap();
+        let wide = ScanFile::Row(wh.open_blocks(&p("/wide")).unwrap());
+        assert_eq!(
+            scan_with(wide, &CsvLoader::new(3), &ScanSpec::full(2)).err(),
+            Some(DataflowError::MalformedRecord {
+                loader: "CsvLoader"
+            })
+        );
+    }
+
+    #[test]
     fn dict_fast_path_agrees_with_generic_eval_including_misses() {
         let wh = Warehouse::new();
         let f = fixture(&wh, 200);
-        let codec = TextCodec::new(3);
+        let codec = TextCodec;
         for literal in ["click", "impression", "rare-17", "absent"] {
             for negate in [false, true] {
                 let base = Expr::col(1).eq(Expr::lit(literal));
@@ -445,12 +598,8 @@ mod tests {
                     predicate: vec![pred.and(Expr::lit(true))],
                     width: 3,
                 };
-                let mut fast = Vec::new();
-                let mut generic = Vec::new();
-                for g in 0..f.group_count() {
-                    fast.extend(scan_group(&f, g, &codec, &spec).unwrap().0);
-                    generic.extend(scan_group(&f, g, &codec, &generic_spec).unwrap().0);
-                }
+                let fast = scan(&f, &codec, &spec).unwrap().0;
+                let generic = scan(&f, &codec, &generic_spec).unwrap().0;
                 assert_eq!(fast, generic, "literal={literal} negate={negate}");
             }
         }
@@ -460,13 +609,12 @@ mod tests {
     fn projection_nulls_masked_columns() {
         let wh = Warehouse::new();
         let f = fixture(&wh, 50);
-        let codec = TextCodec::new(3);
         let spec = ScanSpec {
             projection: Some(vec![false, true, false]),
             predicate: vec![],
             width: 3,
         };
-        let (rows, _) = scan_group(&f, 0, &codec, &spec).unwrap();
+        let (rows, _) = scan(&f, &TextCodec, &spec).unwrap();
         assert_eq!(rows.len(), 50);
         assert_eq!(rows[0][0], Value::Null);
         assert_eq!(rows[0][1], Value::str("click"));
@@ -487,12 +635,12 @@ mod tests {
         let wh = Warehouse::new();
         let f = fixture(&wh, 10);
         let group = f.read_group(0, &[true, false, true]).unwrap();
-        let codec = TextCodec::new(3);
-        let mut batch = ColumnBatch::new(&f, &group, &codec);
+        let codec = TextCodec;
+        let mut batch = ColumnBatch::of_group(&f, &group, &codec);
         let unread = DataflowError::Warehouse(WarehouseError::UnreadColumn(1));
         let scanned = batch
             .apply_predicates(spec)
-            .and_then(|_| batch.take_rows(&ScanSpec::eager(3)));
+            .and_then(|_| batch.take_rows(&ScanSpec::full(3)));
         assert_eq!(scanned.err(), Some(unread));
     }
 
@@ -522,9 +670,6 @@ mod tests {
         /// Counts decodes per column.
         struct Counting(TextCodec, [AtomicUsize; 3]);
         impl ColumnarCodec for Counting {
-            fn columns(&self) -> usize {
-                3
-            }
             fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value> {
                 self.1[col].fetch_add(1, Ordering::Relaxed);
                 self.0.decode(col, bytes)
@@ -532,7 +677,7 @@ mod tests {
         }
         let wh = Warehouse::new();
         let f = fixture(&wh, 64); // one group
-        let codec = Counting(TextCodec::new(3), Default::default());
+        let codec = Counting(TextCodec, Default::default());
         // user == 3 keeps rows 3, 13, …, 63; of those amount >= 40 keeps 3.
         let spec = ScanSpec {
             projection: None,
@@ -542,7 +687,7 @@ mod tests {
             ],
             width: 3,
         };
-        let (rows, skipped) = scan_group(&f, 0, &codec, &spec).unwrap();
+        let (rows, skipped) = scan(&f, &codec, &spec).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(skipped, 61);
         let decoded = codec.1.map(|n| n.into_inner());
@@ -572,7 +717,7 @@ mod tests {
                 predicate: vec![Expr::col(2).ge(Expr::lit(0i64))],
                 width: 3,
             };
-            let (rows, skipped) = scan_group(&f, 0, &TextCodec::new(3), &spec).unwrap();
+            let (rows, skipped) = scan(&f, &TextCodec, &spec).unwrap();
             assert_eq!(skipped, 0, "a loader skip is not a predicate skip");
             rows.iter().map(|t| t[0].clone()).collect::<Vec<_>>()
         };
@@ -586,30 +731,51 @@ mod tests {
     }
 
     #[test]
-    fn non_total_predicates_error_like_the_eager_path() {
+    fn non_total_predicates_error_like_the_filter() {
         let wh = Warehouse::new();
         let f = fixture(&wh, 10);
-        let codec = TextCodec::new(3);
+        let codec = TextCodec;
         // `action + 1` type-errors on the first row; not total, so the
-        // row-at-a-time fallback must surface the same error admit() would.
+        // row-at-a-time fallback must surface the error the FILTER would.
         let spec = ScanSpec {
             projection: None,
             predicate: vec![Expr::col(1).add(Expr::lit(1i64)).ge(Expr::lit(0i64))],
             width: 3,
         };
         assert!(matches!(
-            scan_group(&f, 0, &codec, &spec),
+            scan(&f, &codec, &spec),
             Err(DataflowError::TypeError { .. })
         ));
-        // A non-total predicate that happens not to error agrees with admit.
+        // A non-total predicate that happens not to error keeps its rows.
         let spec = ScanSpec {
             projection: None,
             predicate: vec![Expr::col(0).add(Expr::lit(0i64)).ge(Expr::lit(5i64))],
             width: 3,
         };
-        let (rows, skipped) = scan_group(&f, 0, &codec, &spec).unwrap();
+        let (rows, skipped) = scan(&f, &codec, &spec).unwrap();
         assert_eq!(rows.len(), 5);
         assert_eq!(skipped, 5);
+    }
+
+    #[test]
+    fn predicates_that_may_error_run_in_order_and_stop_at_a_drop() {
+        let wh = Warehouse::new();
+        let f = fixture(&wh, 10);
+        // The first drops every row before the second (a type error) runs,
+        // exactly like two chained Filter nodes.
+        let spec = ScanSpec {
+            predicate: vec![Expr::lit(false), Expr::lit(7i64)],
+            ..ScanSpec::full(3)
+        };
+        assert_eq!(scan(&f, &TextCodec, &spec), Ok((vec![], 10)));
+        let spec = ScanSpec {
+            predicate: vec![Expr::lit(true), Expr::lit(7i64)],
+            ..ScanSpec::full(3)
+        };
+        assert_eq!(
+            scan(&f, &TextCodec, &spec),
+            Err(DataflowError::TypeError { context: "FILTER" })
+        );
     }
 
     #[test]
@@ -623,8 +789,7 @@ mod tests {
         w.append_row(&[b"3", b"ok"]);
         w.finish().unwrap();
         let f = ColumnarFile::open(&wh, &p("/bad")).unwrap();
-        let codec = TextCodec::new(2);
-        let (rows, skipped) = scan_group(&f, 0, &codec, &ScanSpec::eager(2)).unwrap();
+        let (rows, skipped) = scan(&f, &TextCodec, &ScanSpec::full(2)).unwrap();
         assert_eq!(rows.len(), 2, "bad row dropped, others kept");
         assert_eq!(rows[0][0], Value::Int(1));
         assert_eq!(rows[1][0], Value::Int(3));

@@ -18,13 +18,13 @@ use uli_warehouse::{
     ZoneMapPruner, DEFAULT_MEM_BUDGET,
 };
 
-use crate::batch::scan_group;
+use crate::batch::scan_unit;
 use crate::error::{DataflowError, DataflowResult};
 use crate::expr::Expr;
 use crate::loader::{BlockPruner, Loader};
 use crate::plan::{Agg, Plan, PlanNode, SortOrder};
 use crate::pushdown::{
-    collect_columns, expr_has_udf, total_boolean, zone_constraints, Pushdown, ScanSpec, ZoneColumn,
+    collect_columns, expr_has_udf, total_boolean, zone_constraints, ScanSpec, ZoneColumn,
 };
 use crate::spill::{row_cost, AggSpiller, RowOrder, RowRuns, TopK};
 use crate::udf::{AggFunc, AggState};
@@ -300,9 +300,6 @@ pub struct Engine {
     /// Worker threads for the map phase (LOAD → FILTER → FOREACH chains run
     /// per scan unit on a [`ScanPool`]); results do not depend on it.
     parallelism: Parallelism,
-    /// Whether the planner pushes work into the scan; rows are
-    /// byte-identical either way, only the bytes decoded differ.
-    pushdown: Pushdown,
     /// Records per simulated reduce task.
     reduce_keys_per_task: u64,
     /// Operator memory budget in cost-model bytes: ORDER/GROUP/DISTINCT/
@@ -319,7 +316,6 @@ impl Engine {
             warehouse,
             cost: CostModel::default(),
             parallelism: Parallelism::default(),
-            pushdown: Pushdown::On,
             reduce_keys_per_task: 1 << 20,
             mem_budget: DEFAULT_MEM_BUDGET,
             obs: None,
@@ -350,14 +346,6 @@ impl Engine {
     /// scan inline on the calling thread.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets whether work is pushed into the scan. [`Pushdown::Eager`] —
-    /// the reference the equivalence suites compare against — decodes every
-    /// column of every record and evaluates every FILTER on full tuples.
-    pub fn with_pushdown(mut self, pushdown: Pushdown) -> Self {
-        self.pushdown = pushdown;
         self
     }
 
@@ -452,14 +440,14 @@ impl Engine {
         }
     }
 
-    /// Runs a map chain per scan unit (row block or columnar row group) on
-    /// the scan pool, applying `per_block` to each unit's mapped rows, one
-    /// window of units at a time, and hands every unit's result to `fold`
-    /// in scan order — so the map output alive at any moment is one window's,
-    /// not the day's, and what `fold` builds cannot depend on the window or
-    /// the worker count. Returns the pending map input and charges `stats`
-    /// from the per-handle scan counters (exact even while other scans hit
-    /// the same warehouse).
+    /// Runs a map chain per scan unit (row block or columnar row group, each
+    /// through [`scan_unit`]) on the scan pool, applying `per_block` to each
+    /// unit's mapped rows, one window of units at a time, and hands every
+    /// unit's result to `fold` in scan order — so the map output alive at
+    /// any moment is one window's, not the day's, and what `fold` builds
+    /// cannot depend on the window or the worker count. Returns the pending
+    /// map input and charges `stats` from the per-handle scan counters
+    /// (exact even while other scans hit the same warehouse).
     fn exec_chain_blocks<T: Send>(
         &self,
         chain: &MapChain<'_>,
@@ -473,11 +461,10 @@ impl Engine {
         // ascending. Pruned units are billed as skipped here and never
         // become work.
         let mut work: Vec<(usize, usize)> = Vec::new();
-        let codec = chain.loader.columnar();
         for path in &paths {
             // A loader without a columnar codec reads every file as opaque
             // rows and skips the records it cannot decode.
-            let file = match codec {
+            let file = match chain.loader.columnar() {
                 Some(_) => ScanFile::open(&self.warehouse, path)?,
                 None => ScanFile::Row(self.warehouse.open_blocks(path)?),
             };
@@ -513,62 +500,7 @@ impl Engine {
             files.push(file);
         }
         let map_unit = |_: usize, (fi, unit): (usize, usize)| {
-            let file = &files[fi];
-            let rows = match file {
-                ScanFile::Columnar(col) => {
-                    // Vectorized scan: one batch per row group, predicates
-                    // over whole columns, selection mask in place of the
-                    // per-record admit loop. The reader already charged
-                    // `fields_skipped` for masked columns.
-                    let codec = codec.expect("columnar files are opened only with a codec");
-                    let (rows, records_skipped) = scan_group(col, unit, codec, &chain.spec)?;
-                    file.charge_pushdown(records_skipped, 0);
-                    rows
-                }
-                ScanFile::Row(blocks) => {
-                    // Borrowing visit: the loader decodes each record whole
-                    // in place, so the scan never pays the one-Vec-per-record
-                    // copy that `read_block` charges to `alloc_bytes`. Slots
-                    // outside the projection are nulled before the pushed
-                    // predicates run, as the columnar path hands them out.
-                    let spec = &chain.spec;
-                    let mut rows = Vec::with_capacity(blocks.block_records(unit) as usize);
-                    let mut records_skipped = 0u64;
-                    let mut scan = |record: &[u8]| -> DataflowResult<()> {
-                        let Some(mut tuple) = chain.loader.parse(record)? else {
-                            return Ok(());
-                        };
-                        if tuple.len() != spec.width {
-                            return Err(DataflowError::MalformedRecord {
-                                loader: chain.loader.name(),
-                            });
-                        }
-                        if let Some(mask) = &spec.projection {
-                            for (slot, keep) in tuple.iter_mut().zip(mask) {
-                                if !keep {
-                                    *slot = Value::Null;
-                                }
-                            }
-                        }
-                        match spec.admit(&tuple)? {
-                            true => rows.push(tuple),
-                            false => records_skipped += 1,
-                        }
-                        Ok(())
-                    };
-                    let mut scan_err = None;
-                    blocks.for_each_record(unit, |record| {
-                        if scan_err.is_none() {
-                            scan_err = scan(record).err();
-                        }
-                    })?;
-                    if let Some(e) = scan_err {
-                        return Err(e);
-                    }
-                    file.charge_pushdown(records_skipped, 0);
-                    rows
-                }
-            };
+            let rows = scan_unit(&files[fi], unit, chain.loader.as_ref(), &chain.spec)?;
             per_block(chain.apply_ops(rows)?)
         };
         let pool = ScanPool::new(self.parallelism);
@@ -683,7 +615,7 @@ impl Engine {
         // per scan unit on the pool (inline at one worker). Unit results
         // concatenate in scan order, so rows and accounting do not depend on
         // the worker count.
-        if let Some(chain) = MapChain::extract(plan, self.pushdown, None) {
+        if let Some(chain) = MapChain::extract(plan, None) {
             let mut rows = Vec::new();
             let pending = self.exec_chain_blocks(&chain, stats, Ok, |unit_rows| {
                 rows.extend(unit_rows);
@@ -691,33 +623,17 @@ impl Engine {
             })?;
             return Ok((rows, pending));
         }
+        // Any other FILTER or FOREACH runs the same per-op code over its
+        // input's rows.
+        if let Some((op, input)) = MapOp::of(&plan.node) {
+            let (rows, pending) = self.exec(input, mem, stats)?;
+            return Ok((op.apply(rows)?, pending));
+        }
         match &plan.node {
-            PlanNode::Load { .. } => unreachable!("every LOAD is a map chain"),
+            PlanNode::Load { .. } | PlanNode::Filter { .. } | PlanNode::Foreach { .. } => {
+                unreachable!("map chains and map ops run above")
+            }
             PlanNode::Values { rows, .. } => Ok((rows.clone(), MapInput::default())),
-            PlanNode::Filter { input, predicate } => {
-                let (rows, pending) = self.exec(input, mem, stats)?;
-                let mut out = Vec::with_capacity(rows.len() / 2);
-                for row in rows {
-                    match predicate.eval(&row)? {
-                        Value::Bool(true) => out.push(row),
-                        Value::Bool(false) | Value::Null => {}
-                        _ => return Err(DataflowError::TypeError { context: "FILTER" }),
-                    }
-                }
-                Ok((out, pending))
-            }
-            PlanNode::Foreach { input, exprs } => {
-                let (rows, pending) = self.exec(input, mem, stats)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut t = Vec::with_capacity(exprs.len());
-                    for (_, e) in exprs {
-                        t.push(e.eval(&row)?);
-                    }
-                    out.push(t);
-                }
-                Ok((out, pending))
-            }
             PlanNode::GroupBy { input, keys } => {
                 let (rows, pending) = self.exec(input, mem, stats)?;
                 let rows_in = rows.len() as u64;
@@ -763,7 +679,7 @@ impl Engine {
                                 .map(|a| a.col),
                         )
                         .collect();
-                    if let Some(chain) = MapChain::extract(input, self.pushdown, Some(&reads)) {
+                    if let Some(chain) = MapChain::extract(input, Some(&reads)) {
                         return self.exec_chain_aggregate(&chain, keys, aggs, mem, stats);
                     }
                 }
@@ -901,7 +817,7 @@ impl Engine {
                     let mut best = TopK::new(&order, *n, Some(mem));
                     let mut shuffle_records = 0u64;
                     let mut shuffle_bytes = 0u64;
-                    let pending = match MapChain::extract(inner, self.pushdown, None) {
+                    let pending = match MapChain::extract(inner, None) {
                         Some(chain) => self.exec_chain_blocks(
                             &chain,
                             stats,
@@ -944,10 +860,48 @@ impl Engine {
     }
 }
 
-/// One mapper-side operator above a LOAD.
+/// One row-at-a-time operator: mapper-side above a LOAD, or over the rows
+/// of any other input.
 enum MapOp<'a> {
     Filter(&'a Expr),
     Foreach(&'a [(String, Expr)]),
+}
+
+impl<'a> MapOp<'a> {
+    /// The operator of a Filter or Foreach node, with the node's input.
+    fn of(node: &'a PlanNode) -> Option<(MapOp<'a>, &'a Plan)> {
+        match node {
+            PlanNode::Filter { input, predicate } => Some((MapOp::Filter(predicate), input)),
+            PlanNode::Foreach { input, exprs } => Some((MapOp::Foreach(exprs), input)),
+            _ => None,
+        }
+    }
+
+    /// Applies the operator to `rows`, preserving row order.
+    fn apply(&self, rows: Vec<Tuple>) -> DataflowResult<Vec<Tuple>> {
+        match self {
+            MapOp::Filter(predicate) => {
+                let mut out = Vec::with_capacity(rows.len() / 2);
+                for row in rows {
+                    if predicate.keeps(&row)? {
+                        out.push(row);
+                    }
+                }
+                Ok(out)
+            }
+            MapOp::Foreach(exprs) => {
+                let mut out = Vec::with_capacity(rows.len());
+                for row in rows {
+                    let mut t = Vec::with_capacity(exprs.len());
+                    for (_, e) in exprs.iter() {
+                        t.push(e.eval(&row)?);
+                    }
+                    out.push(t);
+                }
+                Ok(out)
+            }
+        }
+    }
 }
 
 /// A LOAD → FILTER/FOREACH chain: the part of a plan that is a pure map
@@ -969,12 +923,11 @@ struct MapChain<'a> {
 
 impl<'a> MapChain<'a> {
     /// Extracts the chain if `plan` is Filter/Foreach nodes over a Load,
-    /// pushing into the scan spec, unless `pushdown` is the eager reference:
+    /// pushing into the scan spec:
     ///
     /// * **predicate** — the maximal innermost run of UDF-free filters over
     ///   in-range columns moves into [`ScanSpec::predicate`] (order
-    ///   preserved; FILTER semantics are replicated exactly by
-    ///   [`ScanSpec::admit`]);
+    ///   preserved, FILTER semantics kept);
     /// * **projection** — when the loader supports a mask and something
     ///   bounds what is read of a row — a FOREACH in the chain, or `consumer`,
     ///   the columns of the chain's output its consuming node declares it
@@ -983,105 +936,59 @@ impl<'a> MapChain<'a> {
     /// * **zone maps** — pushed predicates that provably cannot error are
     ///   analyzed into a [`ZoneMapPruner`] over the loader's declared
     ///   key/tag columns.
-    fn extract(
-        plan: &'a Plan,
-        pushdown: Pushdown,
-        consumer: Option<&[usize]>,
-    ) -> Option<MapChain<'a>> {
+    fn extract(plan: &'a Plan, consumer: Option<&[usize]>) -> Option<MapChain<'a>> {
         let mut ops = Vec::new();
         let mut node = &plan.node;
-        loop {
-            match node {
-                PlanNode::Filter { input, predicate } => {
-                    ops.push(MapOp::Filter(predicate));
-                    node = &input.node;
-                }
-                PlanNode::Foreach { input, exprs } => {
-                    ops.push(MapOp::Foreach(exprs));
-                    node = &input.node;
-                }
-                PlanNode::Load {
-                    dir,
-                    loader,
-                    schema,
-                    pruner,
-                } => {
-                    ops.reverse();
-                    let width = schema.len();
-                    let mut spec = ScanSpec::eager(width);
-                    let mut zone = None;
-                    if pushdown == Pushdown::On {
-                        let pushed = ops
-                            .iter()
-                            .take_while(|op| match op {
-                                MapOp::Filter(pred) => pushable_predicate(pred, width),
-                                MapOp::Foreach(_) => false,
-                            })
-                            .count();
-                        for op in ops.drain(..pushed) {
-                            let MapOp::Filter(pred) = op else {
-                                unreachable!()
-                            };
-                            spec.predicate.push(pred.clone());
-                        }
-                        if loader.supports_projection() {
-                            spec.projection =
-                                projection_mask(&ops, &spec.predicate, consumer, width);
-                        }
-                        if !spec.predicate.is_empty()
-                            && spec.predicate.iter().all(|p| total_boolean(p, width))
-                        {
-                            let zone_col =
-                                |dim| (0..width).find(|c| loader.zone_column(*c) == Some(dim));
-                            zone = zone_constraints(
-                                &spec.predicate,
-                                zone_col(ZoneColumn::Key),
-                                zone_col(ZoneColumn::Tag),
-                            );
-                        }
-                    }
-                    return Some(MapChain {
-                        dir,
-                        loader,
-                        pruner,
-                        spec,
-                        zone,
-                        ops,
-                    });
-                }
-                _ => return None,
-            }
+        while let Some((op, input)) = MapOp::of(node) {
+            ops.push(op);
+            node = &input.node;
         }
+        let PlanNode::Load {
+            dir,
+            loader,
+            schema,
+            pruner,
+        } = node
+        else {
+            return None;
+        };
+        ops.reverse();
+        let width = schema.len();
+        let mut spec = ScanSpec::full(width);
+        while let Some(MapOp::Filter(pred)) = ops.first() {
+            if !pushable_predicate(pred, width) {
+                break;
+            }
+            spec.predicate.push((*pred).clone());
+            ops.remove(0);
+        }
+        if loader.supports_projection() {
+            spec.projection = projection_mask(&ops, &spec.predicate, consumer, width);
+        }
+        let zone_col = |dim| (0..width).find(|c| loader.zone_column(*c) == Some(dim));
+        let zone = match spec.predicate.iter().all(|p| total_boolean(p, width)) {
+            true => zone_constraints(
+                &spec.predicate,
+                zone_col(ZoneColumn::Key),
+                zone_col(ZoneColumn::Tag),
+            ),
+            false => None,
+        };
+        Some(MapChain {
+            dir,
+            loader,
+            pruner,
+            spec,
+            zone,
+            ops,
+        })
     }
 
-    /// Applies the chain's operators to one block's parsed rows, preserving
-    /// row order — the same work the serial Filter/Foreach arms do.
+    /// Applies the chain's operators to one unit's scanned rows, preserving
+    /// row order — the same per-op code the Filter/Foreach arms run.
     fn apply_ops(&self, mut rows: Vec<Tuple>) -> DataflowResult<Vec<Tuple>> {
         for op in &self.ops {
-            match op {
-                MapOp::Filter(predicate) => {
-                    let mut out = Vec::with_capacity(rows.len() / 2);
-                    for row in rows {
-                        match predicate.eval(&row)? {
-                            Value::Bool(true) => out.push(row),
-                            Value::Bool(false) | Value::Null => {}
-                            _ => return Err(DataflowError::TypeError { context: "FILTER" }),
-                        }
-                    }
-                    rows = out;
-                }
-                MapOp::Foreach(exprs) => {
-                    let mut out = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        let mut t = Vec::with_capacity(exprs.len());
-                        for (_, e) in exprs.iter() {
-                            t.push(e.eval(&row)?);
-                        }
-                        out.push(t);
-                    }
-                    rows = out;
-                }
-            }
+            rows = op.apply(rows)?;
         }
         Ok(rows)
     }
@@ -1089,7 +996,7 @@ impl<'a> MapChain<'a> {
 
 /// True when a filter predicate may move below tuple materialization:
 /// UDF-free (a UDF may panic or keep state) and reading only in-range
-/// columns (so evaluation against the materialized tuple matches eager
+/// columns (so evaluation against the scanned tuple matches the FILTER's
 /// evaluation exactly).
 fn pushable_predicate(pred: &Expr, width: usize) -> bool {
     if expr_has_udf(pred) {
@@ -1134,7 +1041,7 @@ fn projection_mask(
         collect_columns(pred, &mut cols);
     }
     // An out-of-range reference will error at eval; fail open so the error
-    // surfaces against a fully materialized tuple, exactly as eager does.
+    // surfaces against a fully materialized tuple, exactly as the FILTER's.
     if cols.iter().any(|c| *c >= width) {
         return None;
     }
@@ -1197,6 +1104,16 @@ mod tests {
         )
     }
 
+    /// The reference run of `ops` over `load`: the same operators over the
+    /// rows of the bare LOAD, which pushes nothing (no mask, no predicate,
+    /// no zone constraint), run by the engine's non-chain operators.
+    fn reference(engine: &Engine, load: Plan, ops: impl Fn(Plan) -> Plan) -> QueryResult {
+        let rows = engine.run(&load).unwrap().rows;
+        engine
+            .run(&ops(Plan::values(load.schema().to_vec(), rows)))
+            .unwrap()
+    }
+
     #[test]
     fn map_only_scan_counts_one_job() {
         let (wh, dir) = fixture();
@@ -1230,7 +1147,7 @@ mod tests {
         let plan = load(&dir);
         for workers in [1usize, 4] {
             let engine = Engine::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
-            let chain = MapChain::extract(&plan, engine.pushdown, None).unwrap();
+            let chain = MapChain::extract(&plan, None).unwrap();
             let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
             let mut units = 0usize;
             engine
@@ -1434,16 +1351,16 @@ mod tests {
     }
 
     #[test]
-    fn pushed_filter_matches_eager_and_counts_records() {
+    fn pushed_filter_matches_the_reference_and_counts_records() {
         let (wh, dir) = fixture();
-        let eager_engine = Engine::new(wh).with_pushdown(Pushdown::Eager);
-        let plan = load(&dir).filter(Expr::col(1).eq(Expr::lit("click")));
-        let eager = eager_engine.run(&plan).unwrap();
+        let engine = Engine::new(wh);
+        let ops = |p: Plan| p.filter(Expr::col(1).eq(Expr::lit("click")));
+        let bare = engine.run(&load(&dir)).unwrap();
+        assert_eq!(bare.stats.records_skipped_by_predicate, 0);
+        let reference = reference(&engine, load(&dir), ops);
         let (wh2, _) = fixture();
-        let pushed_engine = Engine::new(wh2); // pushdown on by default
-        let pushed = pushed_engine.run(&plan).unwrap();
-        assert_eq!(eager.rows, pushed.rows);
-        assert_eq!(eager.stats.records_skipped_by_predicate, 0);
+        let pushed = Engine::new(wh2).run(&ops(load(&dir))).unwrap();
+        assert_eq!(reference.rows, pushed.rows);
         assert_eq!(pushed.stats.records_skipped_by_predicate, 200);
         assert_eq!(
             pushed.stats.input_records, 300,
@@ -1468,7 +1385,10 @@ mod tests {
         let plan = load(&dir).filter(Expr::udf(Arc::new(IsClick), vec![Expr::col(1)]));
         let r = engine.run(&plan).unwrap();
         assert_eq!(r.rows.len(), 100);
-        assert_eq!(r.stats.records_skipped_by_predicate, 0, "UDF stays eager");
+        assert_eq!(
+            r.stats.records_skipped_by_predicate, 0,
+            "UDF stays above the scan"
+        );
     }
 
     #[test]
@@ -1546,15 +1466,16 @@ mod tests {
         let r = engine.run(&plan).unwrap();
         assert_eq!(r.rows.len(), 50);
         assert!(r.stats.blocks_skipped > 0, "leading blocks pruned");
-        // Eager reference on identical data.
+        // The reference on identical data: a bare LOAD prunes nothing.
         let (wh2, dir2) = zoned_fixture();
-        let eager = Engine::new(wh2)
-            .with_pushdown(Pushdown::Eager)
-            .run(&zoned_load(&dir2).filter(Expr::col(2).ge(Expr::lit(250i64))))
-            .unwrap();
-        assert_eq!(eager.rows, r.rows);
-        assert_eq!(eager.stats.blocks_skipped, 0);
-        assert!(r.stats.input_blocks < eager.stats.input_blocks);
+        let engine2 = Engine::new(wh2);
+        let bare = engine2.run(&zoned_load(&dir2)).unwrap();
+        assert_eq!(bare.stats.blocks_skipped, 0);
+        assert!(r.stats.input_blocks < bare.stats.input_blocks);
+        let reference = reference(&engine2, zoned_load(&dir2), |p| {
+            p.filter(Expr::col(2).ge(Expr::lit(250i64)))
+        });
+        assert_eq!(reference.rows, r.rows);
     }
 
     #[test]
@@ -1682,36 +1603,53 @@ mod tests {
 
     #[test]
     fn columnar_scan_matches_row_scan_at_all_worker_counts() {
-        let plans: [fn(&WhPath) -> Plan; 3] = [
-            |d| zoned_load(d),
-            |d| zoned_load(d).filter(Expr::col(1).eq(Expr::lit("click"))),
-            |d| {
-                zoned_load(d)
-                    .filter(Expr::col(2).ge(Expr::lit(100i64)))
+        let plans: [fn(Plan) -> Plan; 4] = [
+            |p| p,
+            |p| p.filter(Expr::col(1).eq(Expr::lit("click"))),
+            |p| {
+                p.filter(Expr::col(2).ge(Expr::lit(100i64)))
                     .foreach(vec![("user", Expr::col(0)), ("action", Expr::col(1))])
                     .aggregate_by(vec![1], vec![Agg::count()])
             },
+            // Not total (arithmetic may type-error): evaluated row by row
+            // on either layout, and no unit is pruned.
+            |p| {
+                p.filter(
+                    Expr::col(2)
+                        .add(Expr::lit(1i64))
+                        .gt(Expr::lit(0i64))
+                        .and(Expr::col(1).eq(Expr::lit("click"))),
+                )
+                .foreach(vec![("amount", Expr::col(2))])
+            },
         ];
-        for (pi, plan_of) in plans.iter().enumerate() {
+        for (pi, ops) in plans.iter().enumerate() {
             let (row_wh, row_dir) = zoned_fixture();
-            let reference = Engine::new(row_wh).run(&plan_of(&row_dir)).unwrap();
+            let reference = reference(&Engine::new(row_wh), zoned_load(&row_dir), ops);
             for workers in [1usize, 4, 8] {
-                let (wh, dir) = columnar_fixture(64);
-                let r = Engine::new(wh)
-                    .with_parallelism(Parallelism::fixed(workers))
-                    .run(&plan_of(&dir))
-                    .unwrap();
-                assert_eq!(r.rows, reference.rows, "plan {pi} workers {workers}");
+                let run = |(wh, dir): (Warehouse, WhPath)| {
+                    Engine::new(wh)
+                        .with_parallelism(Parallelism::fixed(workers))
+                        .run(&ops(zoned_load(&dir)))
+                        .unwrap()
+                };
+                let row = run(zoned_fixture());
+                let col = run(columnar_fixture(64));
+                assert_eq!(row.rows, reference.rows, "plan {pi} workers {workers}");
+                assert_eq!(col.rows, reference.rows, "plan {pi} workers {workers}");
+                // The layouts cut units differently, and rows of a pruned
+                // unit count as read by neither; where nothing is pruned,
+                // both skip the same records.
+                let passed = |s: &JobStats| s.input_records - s.records_skipped_by_predicate;
+                assert_eq!(passed(&row.stats), passed(&col.stats), "plan {pi}");
+                if row.stats.blocks_skipped + col.stats.blocks_skipped == 0 {
+                    assert_eq!(
+                        row.stats.records_skipped_by_predicate,
+                        col.stats.records_skipped_by_predicate,
+                        "plan {pi} workers {workers}"
+                    );
+                }
             }
-            // One worker, nothing pushed down: every column of every row
-            // decoded, every operator evaluated on full tuples.
-            let (wh, dir) = columnar_fixture(64);
-            let eager = Engine::new(wh)
-                .with_pushdown(Pushdown::Eager)
-                .with_parallelism(Parallelism::serial())
-                .run(&plan_of(&dir))
-                .unwrap();
-            assert_eq!(eager.rows, reference.rows, "plan {pi} eager");
         }
     }
 

@@ -148,6 +148,16 @@ impl Expr {
         Expr::Not(Box::new(self))
     }
 
+    /// Evaluates a FILTER predicate against a tuple: `true` keeps the row,
+    /// `false` or `Null` drops it, and any other value is a type error.
+    pub(crate) fn keeps(&self, row: &Tuple) -> DataflowResult<bool> {
+        match self.eval(row)? {
+            Value::Bool(keep) => Ok(keep),
+            Value::Null => Ok(false),
+            _ => Err(DataflowError::TypeError { context: "FILTER" }),
+        }
+    }
+
     /// Evaluates against a tuple.
     pub fn eval(&self, row: &Tuple) -> DataflowResult<Value> {
         match self {
@@ -258,6 +268,17 @@ mod tests {
             Expr::col(9).eval(&row()),
             Err(DataflowError::ColumnOutOfRange { index: 9, width: 3 })
         ));
+    }
+
+    #[test]
+    fn filter_keeps_true_drops_false_and_null_and_rejects_the_rest() {
+        assert!(Expr::col(0).gt(Expr::lit(5i64)).keeps(&row()).unwrap());
+        assert!(!Expr::col(0).gt(Expr::lit(50i64)).keeps(&row()).unwrap());
+        assert!(!Expr::lit(Value::Null).keeps(&row()).unwrap());
+        assert_eq!(
+            Expr::lit(7i64).keeps(&row()),
+            Err(DataflowError::TypeError { context: "FILTER" })
+        );
     }
 
     #[test]

@@ -59,13 +59,13 @@ pub mod udf;
 pub mod value;
 pub mod wire;
 
-pub use batch::{scan_group, ColumnarCodec, TextCodec};
+pub use batch::{scan_unit, ColumnarCodec, TextCodec};
 pub use error::{DataflowError, DataflowResult};
 pub use exec::{CostModel, Engine, JobStats, QueryResult};
 pub use expr::Expr;
 pub use loader::{BlockPruner, CsvLoader, Loader};
 pub use plan::{Agg, Plan, SortOrder};
-pub use pushdown::{Pushdown, ScanSpec, ZoneColumn};
+pub use pushdown::{ScanSpec, ZoneColumn};
 pub use script::{ScriptError, ScriptOutput, ScriptRunner};
 pub use udf::{AggFunc, ScalarUdf};
 pub use uli_warehouse::{Parallelism, ScanPool};
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::expr::Expr;
     pub use crate::loader::{BlockPruner, CsvLoader, Loader};
     pub use crate::plan::{Agg, Plan, SortOrder};
-    pub use crate::pushdown::{Pushdown, ScanSpec, ZoneColumn};
+    pub use crate::pushdown::{ScanSpec, ZoneColumn};
     pub use crate::script::{ScriptError, ScriptOutput, ScriptRunner};
     pub use crate::udf::{AggFunc, ScalarUdf};
     pub use crate::value::{Tuple, Value};

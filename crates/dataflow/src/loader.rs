@@ -11,10 +11,10 @@
 //! decompression. It is evidence kept alongside the data, checked against
 //! the same planner-derived constraint as the in-file zone maps.
 
-use crate::batch::{ColumnarCodec, TextCodec};
+use crate::batch::{text_value, ColumnarCodec, TextCodec};
 use crate::error::DataflowResult;
 use crate::pushdown::ZoneColumn;
-use crate::value::{Tuple, Value};
+use crate::value::Tuple;
 use uli_warehouse::{ScanFile, WhPath, ZoneMapPruner};
 
 /// Parses raw warehouse records into tuples.
@@ -27,10 +27,10 @@ pub trait Loader: Send + Sync {
     fn parse(&self, record: &[u8]) -> DataflowResult<Option<Tuple>>;
 
     /// True when the planner may mask this loader's columns
-    /// ([`ScanSpec::projection`](crate::ScanSpec::projection)): its columnar
-    /// codec then reads only the projected columns, and the row path nulls
-    /// the rest of each whole-record parse. False (the default) leaves every
-    /// column unmasked.
+    /// ([`ScanSpec::projection`](crate::ScanSpec::projection)): a columnar
+    /// file then decodes only the projected columns, a row record still
+    /// parses whole, and either way the masked slots come back Null. False
+    /// (the default) leaves every column unmasked.
     fn supports_projection(&self) -> bool {
         false
     }
@@ -43,10 +43,10 @@ pub trait Loader: Send + Sync {
     }
 
     /// The codec for this loader's columnar warehouse layout, when one
-    /// exists. The executor sniffs each file in a load directory and scans
-    /// columnar files through [`scan_group`](crate::batch::scan_group) with
-    /// this codec; `None` (the default) makes it treat them as opaque
-    /// row files, whose undecodable records the loader then skips.
+    /// exists. The executor then sniffs each file in a load directory, and
+    /// [`scan_unit`](crate::batch::scan_unit) decodes a columnar file's
+    /// cells with this codec; `None` (the default) makes it treat every file
+    /// as an opaque row file, whose undecodable records the loader skips.
     fn columnar(&self) -> Option<&dyn ColumnarCodec> {
         None
     }
@@ -78,17 +78,13 @@ pub trait BlockPruner: Send + Sync {
 #[derive(Debug, Clone)]
 pub struct CsvLoader {
     fields: usize,
-    codec: TextCodec,
 }
 
 impl CsvLoader {
     /// A loader expecting `fields` comma-separated columns.
     pub fn new(fields: usize) -> Self {
         assert!(fields > 0);
-        CsvLoader {
-            fields,
-            codec: TextCodec::new(fields),
-        }
+        CsvLoader { fields }
     }
 }
 
@@ -105,29 +101,18 @@ impl Loader for CsvLoader {
         if parts.len() != self.fields {
             return Ok(None);
         }
-        let tuple = parts
-            .into_iter()
-            .map(|p| {
-                if let Ok(i) = p.parse::<i64>() {
-                    Value::Int(i)
-                } else if let Ok(d) = p.parse::<f64>() {
-                    Value::Double(d)
-                } else {
-                    Value::str(p)
-                }
-            })
-            .collect();
-        Ok(Some(tuple))
+        Ok(Some(parts.into_iter().map(text_value).collect()))
     }
 
     fn columnar(&self) -> Option<&dyn ColumnarCodec> {
-        Some(&self.codec)
+        Some(&TextCodec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     #[test]
     fn csv_parses_types() {

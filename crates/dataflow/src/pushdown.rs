@@ -6,9 +6,11 @@
 //! [`ScanSpec`] names the columns a query actually touches and the cheap
 //! predicates it can evaluate before a tuple reaches the plan, and
 //! [`zone_constraints`] derives the block-level [`ZoneMapPruner`] that skips
-//! whole blocks before decompression. A columnar file decodes only the
-//! projected columns; a row-format record is decoded whole, as the paper's
-//! raw-log jobs decode it, and its unprojected slots are nulled.
+//! whole blocks before decompression. Every query runs under them; a plan
+//! that wants nothing pushed states so in its shape (a bare LOAD, a FILTER
+//! behind a UDF, a FOREACH over every column). A columnar file decodes only
+//! the projected columns; a row-format record is decoded whole, as the
+//! paper's raw-log jobs decode it, and its unprojected slots are nulled.
 //!
 //! Everything fails open. A loader that declares no projection support gets
 //! no mask; a predicate the analyzer cannot prove total stays out of the
@@ -16,23 +18,8 @@
 
 use uli_warehouse::ZoneMapPruner;
 
-use crate::error::{DataflowError, DataflowResult};
 use crate::expr::{BinOp, Expr};
-use crate::value::{Tuple, Value};
-
-/// Whether the engine pushes work into the scan. Rows are byte-identical
-/// either way; only what is read and decoded differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pushdown {
-    /// What every query runs under: FOREACH and consumer column sets pushed
-    /// into the loader, UDF-free FILTER predicates evaluated below tuple
-    /// materialization, and units whose zone maps disprove them skipped.
-    #[default]
-    On,
-    /// The equivalence suites' reference: full decode of every record,
-    /// every FILTER and FOREACH evaluated on materialized tuples.
-    Eager,
-}
+use crate::value::Value;
 
 /// What one scan asks of its loader: the columns to materialize and the
 /// predicates to evaluate before a tuple is surfaced.
@@ -43,35 +30,22 @@ pub struct ScanSpec {
     /// columns no downstream operator reads.
     pub projection: Option<Vec<bool>>,
     /// Pushed FILTER predicates, outermost-last — evaluated in order with
-    /// FILTER semantics (`true` keeps, `false`/`Null` drops, else a type
-    /// error), exactly as the peeled Filter nodes would have.
+    /// FILTER semantics, exactly as the peeled Filter nodes would have.
     pub predicate: Vec<Expr>,
-    /// Width of the load schema, for the malformed-record check that eager
-    /// parsing performs before any predicate runs.
+    /// Width of the load schema, for the malformed-record check a parse
+    /// performs before any predicate runs.
     pub width: usize,
 }
 
 impl ScanSpec {
-    /// A spec that pushes nothing down (eager behavior) for `width` columns.
-    pub fn eager(width: usize) -> ScanSpec {
+    /// A spec that pushes nothing down for `width` columns: every column,
+    /// no predicate.
+    pub fn full(width: usize) -> ScanSpec {
         ScanSpec {
             projection: None,
             predicate: Vec::new(),
             width,
         }
-    }
-
-    /// Evaluates the pushed predicates against a materialized tuple with
-    /// FILTER semantics. `Ok(true)` surfaces the tuple, `Ok(false)` drops it.
-    pub fn admit(&self, tuple: &Tuple) -> DataflowResult<bool> {
-        for pred in &self.predicate {
-            match pred.eval(tuple)? {
-                Value::Bool(true) => {}
-                Value::Bool(false) | Value::Null => return Ok(false),
-                _ => return Err(DataflowError::TypeError { context: "FILTER" }),
-            }
-        }
-        Ok(true)
     }
 }
 
@@ -118,7 +92,7 @@ pub fn collect_columns(expr: &Expr, out: &mut Vec<usize>) {
 /// [`Value`]'s ordering) composed with AND/OR/NOT over other total booleans.
 ///
 /// Only such predicates feed the zone analyzer — a pruned block can then
-/// never hide an evaluation error the eager path would have surfaced.
+/// never hide an evaluation error the FILTER would have surfaced.
 pub fn total_boolean(expr: &Expr, width: usize) -> bool {
     fn total_operand(e: &Expr, width: usize) -> bool {
         match e {
@@ -161,7 +135,7 @@ struct Constraint {
 ///
 /// Callers must pre-filter with [`total_boolean`]: pruning assumes the
 /// predicates cannot error, otherwise a skipped block could hide a type
-/// error the eager scan would have raised.
+/// error the FILTER would have raised.
 pub fn zone_constraints(
     predicates: &[Expr],
     key_col: Option<usize>,
@@ -286,45 +260,8 @@ fn intersect_tags(acc: &mut Option<Vec<u64>>, new: Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DataflowResult;
     use uli_warehouse::{tag_hash, ZoneMap};
-
-    #[test]
-    fn spec_admit_has_filter_semantics() {
-        let spec = ScanSpec {
-            projection: None,
-            predicate: vec![Expr::col(0).gt(Expr::lit(5i64))],
-            width: 2,
-        };
-        assert!(spec.admit(&vec![Value::Int(9), Value::Null]).unwrap());
-        assert!(!spec.admit(&vec![Value::Int(3), Value::Null]).unwrap());
-        // Null comparison result never happens for Gt (total), but a pushed
-        // predicate yielding Null must drop like FILTER does.
-        let null_spec = ScanSpec {
-            predicate: vec![Expr::lit(Value::Null)],
-            ..ScanSpec::eager(2)
-        };
-        assert!(!null_spec.admit(&vec![Value::Int(1), Value::Null]).unwrap());
-        // Non-boolean predicate values are type errors, like FILTER.
-        let bad = ScanSpec {
-            predicate: vec![Expr::lit(7i64)],
-            ..ScanSpec::eager(2)
-        };
-        assert!(matches!(
-            bad.admit(&vec![Value::Int(1), Value::Null]),
-            Err(DataflowError::TypeError { context: "FILTER" })
-        ));
-    }
-
-    #[test]
-    fn admit_evaluates_predicates_in_order() {
-        // First predicate drops the row before the second (erroring) one
-        // runs — exactly like two chained Filter nodes.
-        let spec = ScanSpec {
-            predicate: vec![Expr::lit(false), Expr::lit(7i64)],
-            ..ScanSpec::eager(1)
-        };
-        assert!(!spec.admit(&vec![Value::Int(1)]).unwrap());
-    }
 
     #[test]
     fn udf_detection_and_column_collection() {

@@ -286,15 +286,8 @@ impl LogMover {
     /// Lands merged hours columnar through `landing` instead of row-format.
     /// Payloads the codec rejects go to a row-format `…-rows` sibling file,
     /// so the slide still moves every sane record. Row landings stay
-    /// readable forever — readers sniff the layout per file — so flipping
-    /// this on (or back off) mid-history needs no migration.
-    pub fn with_landing(mut self, landing: Arc<dyn ColumnarLanding>) -> Self {
-        self.landing = Some(landing);
-        self
-    }
-
-    /// In-place form of [`LogMover::with_landing`], for movers owned by a
-    /// pipeline that was already built.
+    /// readable forever — readers sniff the layout per file — so switching
+    /// landings mid-history needs no migration.
     pub fn set_landing(&mut self, landing: Arc<dyn ColumnarLanding>) {
         self.landing = Some(landing);
     }
@@ -904,8 +897,8 @@ mod tests {
             ],
         );
         seal_hour(&wh, &p).unwrap();
-        let mut mover =
-            LogMover::new(Warehouse::new(), 1000).with_landing(std::sync::Arc::new(CsvLanding));
+        let mut mover = LogMover::new(Warehouse::new(), 1000);
+        mover.set_landing(std::sync::Arc::new(CsvLanding));
         let report = mover.move_hour(&p, &[("dc1", &wh)]).unwrap();
         assert_eq!(report.records, 3, "rejects still move, via the fallback");
         assert_eq!(report.output_files, 2, "one columnar + one fallback");
@@ -944,8 +937,8 @@ mod tests {
             w.finish().unwrap();
         }
         seal_hour(&wh, &p).unwrap();
-        let mut mover =
-            LogMover::new(Warehouse::new(), 25).with_landing(std::sync::Arc::new(CsvLanding));
+        let mut mover = LogMover::new(Warehouse::new(), 25);
+        mover.set_landing(std::sync::Arc::new(CsvLanding));
         let report = mover.move_hour(&p, &[("dc1", &wh)]).unwrap();
         assert_eq!(report.records, 40);
         assert_eq!(report.output_files, 2, "40 records at 25/file → 2 files");

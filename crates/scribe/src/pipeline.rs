@@ -278,7 +278,7 @@ impl ScribePipeline {
     }
 
     /// Lands merged hours columnar through `landing` instead of row-format.
-    /// See [`crate::mover::LogMover::with_landing`]: payloads the codec
+    /// See [`crate::mover::LogMover::set_landing`]: payloads the codec
     /// rejects still move, via a row-format sibling file.
     pub fn set_columnar_landing(
         &mut self,

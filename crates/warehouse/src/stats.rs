@@ -211,8 +211,8 @@ impl StatsCell {
         self.blocks_skipped.inc();
     }
 
-    /// Pushdown accounting: records dropped by a pushed predicate and cells
-    /// of masked columns a columnar read never decoded.
+    /// What pushing work into a scan saved: records dropped by a pushed
+    /// predicate and cells of masked columns a columnar read never decoded.
     pub(crate) fn pushdown_skips(&self, records_skipped: u64, fields_skipped: u64) {
         self.records_skipped_by_predicate.add(records_skipped);
         self.fields_skipped.add(fields_skipped);

@@ -49,9 +49,11 @@ fi
 
 # There is one landed layout behind every helper — the columnar one the log
 # mover's landing writes — and one way to run a query: no layout switch, no
-# layout-taking writer, no flag that turns pushdown off.
-if grep -rnE 'Layout::|write_client_events_layout|--layout|no[-_]pushdown' crates src tests examples; then
-    echo "landing gate: a layout switch or a pushdown-off flag is back." >&2
+# layout-taking writer, no flag or engine mode that turns pushdown off (a
+# reference run is a plan over the rows of a bare LOAD).
+if grep -rnE 'Layout::|write_client_events_layout|--layout|no[-_]pushdown|\bPushdown\b|\bwith_pushdown\b' \
+    crates src tests examples; then
+    echo "landing gate: a layout switch or a pushdown-off flag or mode is back." >&2
     exit 1
 fi
 # The paper's row-format raw log has one writer, and callers only where a

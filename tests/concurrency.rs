@@ -250,9 +250,7 @@ fn concurrent_readers_are_each_billed_exactly_their_own_bytes() {
         entered: std::sync::Barrier::new(2),
         resume: std::sync::Barrier::new(2),
     });
-    let engine = Engine::new(wh.clone())
-        .with_parallelism(Parallelism::serial())
-        .with_pushdown(Pushdown::Eager);
+    let engine = Engine::new(wh.clone()).with_parallelism(Parallelism::serial());
     let plan = Plan::load(dir.clone(), loader.clone(), CLIENT_EVENT_SCHEMA.to_vec());
 
     let run_engine = || {

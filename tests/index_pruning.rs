@@ -12,6 +12,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use unified_logging::core::write_client_events_columnar;
+use unified_logging::dataflow::{DataflowResult, ScalarUdf};
 use unified_logging::prelude::*;
 use unified_logging::serve::batch_user_events;
 use unified_logging::thrift::ThriftRecord;
@@ -102,26 +103,44 @@ fn name_is_any_of(names: &[&str]) -> Expr {
     })
 }
 
-/// `LOAD /logs/client_events [pruned] → FILTER predicate`, all columns out.
-fn scan(predicate: Expr, pruner: Option<Arc<dyn BlockPruner>>) -> Plan {
-    let plan = Plan::load(
+/// `LOAD /logs/client_events`, all columns out.
+fn load() -> Plan {
+    Plan::load(
         WhPath::parse("/logs/client_events").unwrap(),
         Arc::new(ClientEventLoader),
         CLIENT_EVENT_SCHEMA.to_vec(),
-    );
+    )
+}
+
+/// `LOAD /logs/client_events [pruned] → FILTER predicate`, all columns out.
+fn scan(predicate: Expr, pruner: Option<Arc<dyn BlockPruner>>) -> Plan {
     match pruner {
-        Some(pruner) => plan.with_pruner(pruner),
-        None => plan,
+        Some(pruner) => load().with_pruner(pruner),
+        None => load(),
     }
     .filter(predicate)
 }
 
-/// Runs the scan with and without `pruner`, checks the rows agree and every
-/// unit is either read or skipped, and returns (unpruned, pruned) stats.
+/// The rows `scan(predicate, _)` must return: the FILTER over the rows of
+/// the bare LOAD, which reads every unit — the pruner is attached, but a
+/// bare LOAD pushes nothing, so no constraint asks it anything.
+fn reference(engine: &Engine, predicate: &Expr, pruner: Arc<dyn BlockPruner>) -> Vec<Tuple> {
+    let bare = engine.run(&load().with_pruner(pruner)).unwrap();
+    assert_eq!(bare.stats.blocks_skipped, 0, "the full-scan reference");
+    let values = Plan::values(CLIENT_EVENT_SCHEMA.to_vec(), bare.rows);
+    engine.run(&values.filter(predicate.clone())).unwrap().rows
+}
+
+/// Runs the scan with and without `pruner`, checks the rows agree with each
+/// other and with the [`reference`] and every unit is either read or
+/// skipped, and returns (unpruned, pruned) stats.
 fn both(engine: &Engine, predicate: &Expr, pruner: Arc<dyn BlockPruner>) -> (JobStats, JobStats) {
     let plain = engine.run(&scan(predicate.clone(), None)).unwrap();
-    let pruned = engine.run(&scan(predicate.clone(), Some(pruner))).unwrap();
+    let pruned = engine
+        .run(&scan(predicate.clone(), Some(pruner.clone())))
+        .unwrap();
     assert_eq!(pruned.rows, plain.rows, "pruning must not change results");
+    assert_eq!(plain.rows, reference(engine, predicate, pruner));
     assert_eq!(
         pruned.stats.input_blocks + pruned.stats.blocks_skipped,
         plain.stats.input_blocks + plain.stats.blocks_skipped
@@ -133,7 +152,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random name subsets (logged and absent), random row-group size,
-    /// workers {1, 4}, pushdown on and off.
+    /// workers {1, 4}, each against the bare LOAD's rows.
     #[test]
     fn pruned_scan_returns_the_unpruned_rows(
         seed in 0u64..10_000,
@@ -143,16 +162,9 @@ proptest! {
         let (wh, m) = mixed_landing(seed, rows_per_group);
         let names: Vec<&str> = (0..8).filter(|i| picks & (1 << i) != 0).map(|i| NAMES[i]).collect();
         for workers in [1, 4] {
-            for pushdown in [Pushdown::On, Pushdown::Eager] {
-                let engine = Engine::new(wh.clone())
-                    .with_parallelism(Parallelism::fixed(workers))
-                    .with_pushdown(pushdown);
-                let (plain, pruned) = both(&engine, &name_is_any_of(&names), m.handle().pruner());
-                prop_assert!(pruned.blocks_skipped >= plain.blocks_skipped);
-                if pushdown == Pushdown::Eager {
-                    prop_assert_eq!(pruned.blocks_skipped, 0, "the full-scan reference");
-                }
-            }
+            let engine = Engine::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
+            let (plain, pruned) = both(&engine, &name_is_any_of(&names), m.handle().pruner());
+            prop_assert!(pruned.blocks_skipped >= plain.blocks_skipped);
         }
     }
 }
@@ -205,6 +217,18 @@ fn index_prunes_the_files_it_describes_and_fails_open_on_the_rest() {
     assert_eq!(rows.len(), 8);
 }
 
+/// Returns its one argument.
+struct Identity;
+
+impl ScalarUdf for Identity {
+    fn name(&self) -> &'static str {
+        "IDENTITY"
+    }
+    fn eval(&self, args: &[Value]) -> DataflowResult<Value> {
+        Ok(args[0].clone())
+    }
+}
+
 /// Counts consultations and answers each with a mask one unit too long.
 #[derive(Default)]
 struct Probe(AtomicUsize);
@@ -224,13 +248,12 @@ fn pruner_is_consulted_only_under_a_planner_derived_constraint() {
     let non_total = total
         .clone()
         .and(Expr::col(2).add(Expr::lit(1i64)).gt(Expr::lit(0i64)));
-    let on = Engine::new(wh.clone());
-    let off = Engine::new(wh.clone()).with_pushdown(Pushdown::Eager);
-    for (engine, predicate, consulted) in
-        [(&on, &total, 9), (&on, &non_total, 0), (&off, &total, 0)]
-    {
+    // Behind a UDF nothing is pushed: the FILTER runs after the decode.
+    let behind_udf = Expr::udf(Arc::new(Identity), vec![total.clone()]);
+    let engine = Engine::new(wh.clone());
+    for (predicate, consulted) in [(&total, 9), (&non_total, 0), (&behind_udf, 0)] {
         let probe = Arc::new(Probe::default());
-        let (plain, pruned) = both(engine, predicate, probe.clone());
+        let (plain, pruned) = both(&engine, predicate, probe.clone());
         assert_eq!(
             probe.0.load(Ordering::Relaxed),
             consulted,

@@ -284,8 +284,8 @@ proptest! {
 
     /// A random algebraic aggregate straight over the LOAD (optionally under
     /// a pushable filter, a non-pushable one, or both) reads only the
-    /// columns it declares under `Pushdown::On`, every column under
-    /// `Pushdown::Eager` — and returns the same rows either way, at
+    /// columns it declares — and returns the rows of the same operators
+    /// over what a bare LOAD returns, every column of every unit, at
     /// workers {1, 4}, at the default memory budget, a tiny one and one
     /// nothing can reach.
     #[test]
@@ -301,46 +301,53 @@ proptest! {
         let aggs: Vec<Agg> = aggs.into_iter().map(|(func, col)| agg_of(func, col)).collect();
         let mut reads: Vec<usize> = keys.clone();
         reads.extend(aggs.iter().filter(|a| a.func != AggFunc::Count).map(|a| a.col));
-        let mut plan = Plan::load(dir, Arc::new(ClientEventLoader), CLIENT_EVENT_SCHEMA.to_vec());
         if filters & 1 != 0 {
-            plan = plan.filter(Expr::col(5).ge(Expr::lit(3_000i64)));
             reads.push(5);
         }
         if filters & 2 != 0 {
-            plan = plan.filter(Expr::udf(Arc::new(IsEven), vec![Expr::col(2)]));
             reads.push(2);
         }
-        let plan = plan.aggregate_by(keys, aggs);
         reads.sort_unstable();
         reads.dedup();
-
-        let run = |pushdown: Pushdown, workers: usize, budget: Option<u64>| {
-            let mut engine = Engine::new(wh.clone())
-                .with_pushdown(pushdown)
-                .with_parallelism(Parallelism::fixed(workers));
-            if let Some(bytes) = budget {
-                engine = engine.with_mem_budget(bytes);
+        let ops = |source: Plan| {
+            let mut plan = source;
+            if filters & 1 != 0 {
+                plan = plan.filter(Expr::col(5).ge(Expr::lit(3_000i64)));
             }
-            engine.run(&plan).unwrap()
+            if filters & 2 != 0 {
+                plan = plan.filter(Expr::udf(Arc::new(IsEven), vec![Expr::col(2)]));
+            }
+            plan.aggregate_by(keys.clone(), aggs.clone())
         };
-        let full = run(Pushdown::Eager, 1, None);
-        prop_assert_eq!(full.stats.fields_skipped, 0, "the full-width reference");
-        prop_assert_eq!(full.stats.blocks_skipped, 0);
+
+        let engine = |workers: usize, budget: Option<u64>| {
+            let engine = Engine::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
+            match budget {
+                Some(bytes) => engine.with_mem_budget(bytes),
+                None => engine,
+            }
+        };
+        let load = Plan::load(dir, Arc::new(ClientEventLoader), CLIENT_EVENT_SCHEMA.to_vec());
+        let bare = engine(1, None).run(&load).unwrap();
+        prop_assert_eq!(bare.stats.fields_skipped, 0, "the full-width reference");
+        prop_assert_eq!(bare.stats.blocks_skipped, 0);
+        let reference = ops(Plan::values(CLIENT_EVENT_SCHEMA.to_vec(), bare.rows));
+        let full = engine(1, None).run(&reference).unwrap();
+        let plan = ops(load);
         for workers in [1, 4] {
             for budget in [None, Some(2048), Some(u64::MAX)] {
-                let narrow = run(Pushdown::On, workers, budget);
+                let narrow = engine(workers, budget).run(&plan).unwrap();
                 prop_assert_eq!(&narrow.rows, &full.rows, "workers {} budget {:?}", workers, budget);
-                let wide = run(Pushdown::Eager, workers, budget);
+                let wide = engine(workers, budget).run(&reference).unwrap();
                 prop_assert_eq!(&wide.rows, &full.rows, "workers {} budget {:?}", workers, budget);
-                prop_assert_eq!(wide.stats.fields_skipped, 0);
                 // Zone maps may skip whole units under the pushed filter;
                 // what is read, is read in full — records and all.
                 prop_assert_eq!(
                     narrow.stats.input_blocks + narrow.stats.blocks_skipped,
-                    full.stats.input_blocks
+                    bare.stats.input_blocks
                 );
                 if narrow.stats.blocks_skipped == 0 {
-                    prop_assert_eq!(narrow.stats.input_records, full.stats.input_records);
+                    prop_assert_eq!(narrow.stats.input_records, bare.stats.input_records);
                 }
                 prop_assert_eq!(
                     narrow.stats.fields_skipped > 0,
@@ -439,7 +446,6 @@ fn row_format_queries_match_the_recorded_digests() {
         let mut h = FNV1A64_OFFSET;
         for workers in [1, 4] {
             let result = Engine::new(raw_log_with_garbage(&events))
-                .with_pushdown(Pushdown::On)
                 .with_parallelism(Parallelism::fixed(workers))
                 .run(&plan)
                 .unwrap();
