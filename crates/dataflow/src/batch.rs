@@ -375,6 +375,10 @@ fn parse_block(
 /// charges the predicate skips to `file`. A columnar reader has already
 /// charged `fields_skipped` for unprojected columns; a row record decodes
 /// whole and skips no field.
+///
+/// # Panics
+/// If `file` is columnar and `loader` has no columnar codec (the engine
+/// opens every file of such a loader as a row file).
 pub fn scan_unit(
     file: &ScanFile,
     unit: usize,
@@ -403,8 +407,8 @@ pub fn scan_unit(
 }
 
 /// A codec usable by tests and the CSV examples: every cell is a UTF-8
-/// string read as [`text_value`] reads a
-/// [`CsvLoader`](crate::loader::CsvLoader) field.
+/// string read as a [`CsvLoader`](crate::loader::CsvLoader) field is —
+/// `Int` when it parses as one, else `Double`, else `Str`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TextCodec;
 
