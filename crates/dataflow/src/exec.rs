@@ -10,9 +10,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use uli_obs::{Counter, Gauge, Registry};
+use uli_obs::{lock, Counter, Mirror, Reading, Registry};
 use uli_warehouse::{
     MemoryTracker, MergedRuns, Parallelism, ScanFile, ScanPool, ScanStats, SpillSorter, Warehouse,
     ZoneMapPruner, DEFAULT_MEM_BUDGET,
@@ -173,36 +173,79 @@ fn stage_kind(node: &PlanNode) -> &'static str {
     }
 }
 
-/// Registry handles behind [`Engine::with_obs`].
-///
-/// [`JobStats`] remains the per-query result struct; these counters are
-/// *mirrors* fed from the same `JobStats` values at the end of every query,
-/// so the registry totals are sums over queries of the struct the tests
-/// already pin — the two views cannot diverge. Per-stage rows in/out come
-/// from the executor itself (one span + one counter update per visited plan
-/// node), and all handles register at `with_obs` time in a fixed order so
-/// snapshot order never depends on which plans later run.
-struct EngineObs {
-    registry: Registry,
-    queries: Counter,
-    mr_jobs: Counter,
-    map_tasks: Counter,
-    reduce_tasks: Counter,
-    input_records: Counter,
-    input_blocks: Counter,
-    blocks_skipped: Counter,
-    input_bytes_compressed: Counter,
-    input_bytes_uncompressed: Counter,
-    shuffle_records: Counter,
-    shuffle_bytes: Counter,
-    output_records: Counter,
-    records_skipped_by_predicate: Counter,
-    fields_skipped: Counter,
-    spill_runs: Counter,
-    spill_bytes: Counter,
-    /// Raise-only mirror of the per-query peak operator-buffer bytes, so
-    /// the exported value is the max over all queries this engine ran.
-    memory_high_water_bytes: Gauge,
+/// Every query an engine ran: how many, and their [`JobStats`] summed, the
+/// high-water mark as a max.
+#[derive(Default)]
+struct QueryTotals {
+    queries: u64,
+    stats: JobStats,
+}
+
+impl QueryTotals {
+    fn add(&mut self, s: &JobStats) {
+        let t = &mut self.stats;
+        self.queries += 1;
+        t.mr_jobs += s.mr_jobs;
+        t.map_tasks += s.map_tasks;
+        t.reduce_tasks += s.reduce_tasks;
+        t.input_records += s.input_records;
+        t.input_blocks += s.input_blocks;
+        t.blocks_skipped += s.blocks_skipped;
+        t.input_bytes_compressed += s.input_bytes_compressed;
+        t.input_bytes_uncompressed += s.input_bytes_uncompressed;
+        t.shuffle_records += s.shuffle_records;
+        t.shuffle_bytes += s.shuffle_bytes;
+        t.output_records += s.output_records;
+        t.records_skipped_by_predicate += s.records_skipped_by_predicate;
+        t.fields_skipped += s.fields_skipped;
+        t.spill_runs += s.spill_runs;
+        t.spill_bytes += s.spill_bytes;
+        t.mem_high_water_bytes = t.mem_high_water_bytes.max(s.mem_high_water_bytes);
+    }
+
+    /// The `dataflow/*` totals, in snapshot order.
+    fn metrics(&self) -> [(&'static str, Reading); 17] {
+        let t = &self.stats;
+        [
+            ("queries", Reading::Total(self.queries)),
+            ("mr_jobs", Reading::Total(t.mr_jobs)),
+            ("map_tasks", Reading::Total(t.map_tasks)),
+            ("reduce_tasks", Reading::Total(t.reduce_tasks)),
+            ("input_records", Reading::Total(t.input_records)),
+            ("input_blocks", Reading::Total(t.input_blocks)),
+            ("blocks_skipped", Reading::Total(t.blocks_skipped)),
+            (
+                "input_bytes_compressed",
+                Reading::Total(t.input_bytes_compressed),
+            ),
+            (
+                "input_bytes_uncompressed",
+                Reading::Total(t.input_bytes_uncompressed),
+            ),
+            ("shuffle_records", Reading::Total(t.shuffle_records)),
+            ("shuffle_bytes", Reading::Total(t.shuffle_bytes)),
+            ("output_records", Reading::Total(t.output_records)),
+            (
+                "records_skipped_by_predicate",
+                Reading::Total(t.records_skipped_by_predicate),
+            ),
+            ("fields_skipped", Reading::Total(t.fields_skipped)),
+            ("spill_runs", Reading::Total(t.spill_runs)),
+            ("spill_bytes", Reading::Total(t.spill_bytes)),
+            (
+                "memory_high_water_bytes",
+                Reading::level(t.mem_high_water_bytes),
+            ),
+        ]
+    }
+}
+
+/// What [`Engine::with_obs`] attaches: the registry view of the engine's
+/// [`QueryTotals`], and the per-stage row counters the executor adds to as
+/// it visits each plan node.
+struct Telemetry {
+    totals: Mutex<QueryTotals>,
+    mirror: Mirror,
     rows_in: BTreeMap<&'static str, Counter>,
     rows_out: BTreeMap<&'static str, Counter>,
     /// Rows returned by completed child stages of the node currently
@@ -212,26 +255,10 @@ struct EngineObs {
     child_rows: AtomicU64,
 }
 
-impl EngineObs {
-    fn new(registry: &Registry) -> EngineObs {
-        let c = |name: &str| registry.counter("dataflow", name);
-        let queries = c("queries");
-        let mr_jobs = c("mr_jobs");
-        let map_tasks = c("map_tasks");
-        let reduce_tasks = c("reduce_tasks");
-        let input_records = c("input_records");
-        let input_blocks = c("input_blocks");
-        let blocks_skipped = c("blocks_skipped");
-        let input_bytes_compressed = c("input_bytes_compressed");
-        let input_bytes_uncompressed = c("input_bytes_uncompressed");
-        let shuffle_records = c("shuffle_records");
-        let shuffle_bytes = c("shuffle_bytes");
-        let output_records = c("output_records");
-        let records_skipped_by_predicate = c("records_skipped_by_predicate");
-        let fields_skipped = c("fields_skipped");
-        let spill_runs = c("spill_runs");
-        let spill_bytes = c("spill_bytes");
-        let memory_high_water_bytes = registry.gauge("dataflow", "memory_high_water_bytes");
+impl Telemetry {
+    fn new(registry: &Registry) -> Telemetry {
+        let totals = QueryTotals::default();
+        let mirror = Mirror::attach(registry, "dataflow", &totals.metrics());
         let mut rows_in = BTreeMap::new();
         let mut rows_out = BTreeMap::new();
         for kind in STAGE_KINDS {
@@ -244,52 +271,13 @@ impl EngineObs {
                 registry.counter_labeled("dataflow", "stage_rows_out", &[("stage", kind)]),
             );
         }
-        EngineObs {
-            registry: registry.clone(),
-            queries,
-            mr_jobs,
-            map_tasks,
-            reduce_tasks,
-            input_records,
-            input_blocks,
-            blocks_skipped,
-            input_bytes_compressed,
-            input_bytes_uncompressed,
-            shuffle_records,
-            shuffle_bytes,
-            output_records,
-            records_skipped_by_predicate,
-            fields_skipped,
-            spill_runs,
-            spill_bytes,
-            memory_high_water_bytes,
+        Telemetry {
+            totals: Mutex::new(totals),
+            mirror,
             rows_in,
             rows_out,
             child_rows: AtomicU64::new(0),
         }
-    }
-
-    fn mirror(&self, s: &JobStats) {
-        self.queries.inc();
-        self.mr_jobs.add(s.mr_jobs);
-        self.map_tasks.add(s.map_tasks);
-        self.reduce_tasks.add(s.reduce_tasks);
-        self.input_records.add(s.input_records);
-        self.input_blocks.add(s.input_blocks);
-        self.blocks_skipped.add(s.blocks_skipped);
-        self.input_bytes_compressed.add(s.input_bytes_compressed);
-        self.input_bytes_uncompressed
-            .add(s.input_bytes_uncompressed);
-        self.shuffle_records.add(s.shuffle_records);
-        self.shuffle_bytes.add(s.shuffle_bytes);
-        self.output_records.add(s.output_records);
-        self.records_skipped_by_predicate
-            .add(s.records_skipped_by_predicate);
-        self.fields_skipped.add(s.fields_skipped);
-        self.spill_runs.add(s.spill_runs);
-        self.spill_bytes.add(s.spill_bytes);
-        self.memory_high_water_bytes
-            .raise(s.mem_high_water_bytes.min(i64::MAX as u64) as i64);
     }
 }
 
@@ -306,7 +294,7 @@ pub struct Engine {
     /// aggregation spill to warehouse run files instead of growing beyond it.
     mem_budget: u64,
     /// Registry-backed telemetry, when attached.
-    obs: Option<EngineObs>,
+    obs: Option<Telemetry>,
 }
 
 impl Engine {
@@ -333,12 +321,12 @@ impl Engine {
     }
 
     /// Attaches registry-backed telemetry under the `dataflow` component:
-    /// cumulative [`JobStats`] mirrors, per-stage `stage_rows_in`/`_out`
+    /// the sum of every query's [`JobStats`], per-stage `stage_rows_in`/`_out`
     /// counters, and one span per executed plan stage. All handles register
     /// here, in a fixed order, so snapshot order never depends on the plans
     /// that later run.
     pub fn with_obs(mut self, registry: &Registry) -> Self {
-        self.obs = Some(EngineObs::new(registry));
+        self.obs = Some(Telemetry::new(registry));
         self
     }
 
@@ -364,10 +352,10 @@ impl Engine {
         let mut stats = JobStats::default();
         let _query_span = self.obs.as_ref().map(|o| {
             o.child_rows.store(0, Ordering::Relaxed);
-            o.registry.span("dataflow", "query")
+            o.mirror.registry().span("dataflow", "query")
         });
         // Fresh tracker per query: spill counters and the high-water mark
-        // are per-query quantities (mirrored cumulatively by EngineObs).
+        // are per-query quantities (summed into the engine's QueryTotals).
         let mem = MemoryTracker::with_budget(self.mem_budget);
         let (rows, pending) = self.exec(plan, &mem, &mut stats)?;
         stats.spill_runs = mem.spill_runs();
@@ -380,7 +368,9 @@ impl Engine {
         }
         stats.output_records = rows.len() as u64;
         if let Some(obs) = &self.obs {
-            obs.mirror(&stats);
+            let mut totals = lock(&obs.totals);
+            totals.add(&stats);
+            obs.mirror.update(&totals.metrics());
         }
         let estimated_cluster_ms = self.cost.estimate_ms(&stats);
         Ok(QueryResult {
@@ -586,7 +576,7 @@ impl Engine {
             return self.exec_node(plan, mem, stats);
         };
         let kind = stage_kind(&plan.node);
-        let _span = obs.registry.span("dataflow", kind);
+        let _span = obs.mirror.registry().span("dataflow", kind);
         let scanned_before = stats.input_records;
         let parent_rows = obs.child_rows.swap(0, Ordering::Relaxed);
         let result = self.exec_node(plan, mem, stats);

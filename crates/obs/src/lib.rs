@@ -16,6 +16,9 @@
 //!   iterate in **registration order**, which is fixed by the (serial)
 //!   attach code, so for a given seed the snapshot is **byte-identical at
 //!   any `--workers` count**;
+//! * a [`Mirror`]: a component that keeps its counts in its own fields
+//!   declares them once, as an ordered list of name and [`Reading`], and
+//!   the registry shows that list as a view of the fields;
 //! * a **span tracer** ([`span`]) whose parent/child structure comes from a
 //!   deterministic logical clock — two ticks per span, no wall time — with
 //!   a per-run trace tree and a critical-path report;
@@ -52,12 +55,14 @@
 
 pub mod export;
 pub mod metric;
+pub mod mirror;
 pub mod registry;
 pub mod span;
 
 pub use metric::{
     bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
 };
+pub use mirror::{Mirror, Reading};
 pub use registry::{MetricKey, MetricValue, Registry, Snapshot};
 pub use span::{CriticalPathStep, SpanGuard, SpanNode, SpanRecord};
 

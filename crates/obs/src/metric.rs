@@ -13,9 +13,8 @@ use crate::lock;
 
 /// A monotonically increasing event count.
 ///
-/// `set_total` exists for *mirror* counters whose authoritative total is
-/// maintained elsewhere (e.g. the Scribe pipeline report): storing the
-/// source value on every sync makes divergence impossible by construction.
+/// `set_total` exists for counters whose total a component keeps in its own
+/// fields ([`crate::Mirror`] writes it) and for resets.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     value: Arc<AtomicU64>,

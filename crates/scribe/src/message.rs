@@ -1,5 +1,7 @@
 //! The Scribe log entry and the batched wire message.
 
+use uli_warehouse::varint::{read_varint, varint_len, write_varint};
+
 /// Identity of an entry as stamped by the host daemon that accepted it:
 /// the host id plus a per-host sequence number. Network faults can copy or
 /// re-deliver an entry, but its id never changes — the log mover dedups on
@@ -54,40 +56,6 @@ impl LogEntry {
 const TAG_STAMPED: u8 = 1;
 /// Entry tag inside a batch frame: no delivery id.
 const TAG_RAW: u8 = 0;
-
-fn varint_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
-}
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *bytes.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
-        value |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some(value);
-        }
-        shift += 7;
-    }
-}
 
 /// Frame-encoded size of one entry inside a batch: tag, optional 16-byte
 /// id, then length-prefixed category and message.
@@ -209,12 +177,8 @@ impl MessageBatch {
                 }
                 _ => return None,
             };
-            let cat_len = read_varint(bytes, &mut pos)? as usize;
-            let category = bytes.get(pos..pos + cat_len)?;
-            pos += cat_len;
-            let msg_len = read_varint(bytes, &mut pos)? as usize;
-            let message = bytes.get(pos..pos + msg_len)?;
-            pos += msg_len;
+            let category = read_slice(bytes, &mut pos)?;
+            let message = read_slice(bytes, &mut pos)?;
             let mut e = LogEntry::new(String::from_utf8(category.to_vec()).ok()?, message.to_vec());
             e.id = id;
             batch.push(e);
@@ -224,6 +188,15 @@ impl MessageBatch {
         }
         Some(batch)
     }
+}
+
+/// A varint length at `*pos` and that many bytes after it, advancing past
+/// both; `None` when the bytes run out first, however large the length.
+fn read_slice<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+    let len = usize::try_from(read_varint(bytes, pos)?).ok()?;
+    let slice = bytes.get(*pos..pos.checked_add(len)?)?;
+    *pos += len;
+    Some(slice)
 }
 
 impl<'a> IntoIterator for &'a MessageBatch {
@@ -297,6 +270,25 @@ mod tests {
         let mut bytes = Vec::new();
         write_varint(&mut bytes, u64::MAX);
         assert_eq!(MessageBatch::decode(&bytes), None);
+    }
+
+    #[test]
+    fn a_length_past_the_frame_is_rejected_not_added() {
+        // One raw entry whose category claims u64::MAX bytes.
+        let mut frame = vec![0x01, 0x00];
+        frame.extend_from_slice(&[0xff; 9]);
+        frame.push(0x01);
+        assert_eq!(MessageBatch::decode(&frame), None);
+    }
+
+    #[test]
+    fn a_length_varint_past_u64_is_rejected() {
+        // The category length's tenth byte carries more than the one bit a
+        // u64 has left; read as zero, the frame would be a one-entry batch.
+        let mut frame = vec![0x01, 0x00];
+        frame.extend_from_slice(&[0x80; 9]);
+        frame.extend_from_slice(&[0x02, 0x00]);
+        assert_eq!(MessageBatch::decode(&frame), None);
     }
 
     #[test]

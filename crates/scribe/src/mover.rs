@@ -51,6 +51,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use uli_obs::{Mirror, Reading};
 use uli_warehouse::{
     ColumnarLanding, HourlyPartition, Parallelism, ScanPool, Warehouse, WarehouseError,
     WarehouseResult, WhPath,
@@ -138,59 +139,29 @@ pub fn seal_hour(staging: &Warehouse, partition: &HourlyPartition) -> WarehouseR
     Ok(())
 }
 
-/// Registry-backed delivery metrics, attached via [`LogMover::attach_obs`].
-/// Counters accumulate across successful moves; gauges track the compacted
-/// seen set. The mover also opens `delivery/{decode,merge,land}` spans
-/// around the three pipeline stages when obs is attached.
-struct DeliveryObs {
-    registry: uli_obs::Registry,
-    hours_moved: uli_obs::Counter,
-    records_moved: uli_obs::Counter,
-    duplicates_squashed: uli_obs::Counter,
-    files_rejected: uli_obs::Counter,
-    records_dropped: uli_obs::Counter,
-    output_files: uli_obs::Counter,
-    decode_bytes: uli_obs::Counter,
-    encode_bytes: uli_obs::Counter,
-    seen_residual_ids: uli_obs::Gauge,
-    seen_watermark_hosts: uli_obs::Gauge,
+/// Every successful move so far, summed: what `delivery/*` reports.
+#[derive(Default)]
+struct MoveTotals {
+    hours: u64,
+    records: u64,
+    duplicates: u64,
+    rejected_files: u64,
+    dropped: u64,
+    output_files: u64,
+    decode_bytes: u64,
+    encode_bytes: u64,
 }
 
-impl DeliveryObs {
-    fn new(registry: &uli_obs::Registry) -> Self {
-        DeliveryObs {
-            registry: registry.clone(),
-            hours_moved: registry.counter("delivery", "hours_moved"),
-            records_moved: registry.counter("delivery", "records_moved"),
-            duplicates_squashed: registry.counter("delivery", "duplicates_squashed"),
-            files_rejected: registry.counter("delivery", "files_rejected"),
-            records_dropped: registry.counter("delivery", "records_dropped"),
-            output_files: registry.counter("delivery", "output_files"),
-            decode_bytes: registry.counter("delivery", "decode_bytes"),
-            encode_bytes: registry.counter("delivery", "encode_bytes"),
-            seen_residual_ids: registry.gauge("delivery", "seen_residual_ids"),
-            seen_watermark_hosts: registry.gauge("delivery", "seen_watermark_hosts"),
-        }
-    }
-
-    /// Folds one successful move into the counters and refreshes the
-    /// seen-set gauges.
-    fn record(&self, report: &MoveReport, seen: &SeenSet) {
-        self.hours_moved.inc();
-        self.records_moved.add(report.records);
-        self.duplicates_squashed.add(report.duplicates);
-        self.files_rejected.add(report.rejected_files);
-        self.records_dropped.add(report.dropped);
-        self.output_files.add(report.output_files);
-        self.decode_bytes.add(report.decode_bytes);
-        self.encode_bytes.add(report.encode_bytes);
-        self.seen_residual_ids.set(seen.residual_len() as i64);
-        self.seen_watermark_hosts
-            .set(seen.watermarked_hosts() as i64);
-    }
-
-    fn span(&self, name: &str) -> uli_obs::SpanGuard {
-        self.registry.span("delivery", name)
+impl MoveTotals {
+    fn add(&mut self, report: &MoveReport) {
+        self.hours += 1;
+        self.records += report.records;
+        self.duplicates += report.duplicates;
+        self.rejected_files += report.rejected_files;
+        self.dropped += report.dropped;
+        self.output_files += report.output_files;
+        self.decode_bytes += report.decode_bytes;
+        self.encode_bytes += report.encode_bytes;
     }
 }
 
@@ -232,8 +203,11 @@ pub struct LogMover {
     /// Worker count for the decode and land stages. Serial by default;
     /// every worker count lands byte-identical hours.
     workers: Parallelism,
-    /// Delivery counters + spans, when attached.
-    obs: Option<DeliveryObs>,
+    /// Every successful move, summed.
+    totals: MoveTotals,
+    /// The registry view of the totals and the seen set, when attached;
+    /// it also opens the `delivery/{decode,merge,land}` spans.
+    obs: Option<Mirror>,
 }
 
 impl LogMover {
@@ -248,6 +222,7 @@ impl LogMover {
             landing: None,
             taps: Vec::new(),
             workers: Parallelism::serial(),
+            totals: MoveTotals::default(),
             obs: None,
         }
     }
@@ -267,7 +242,36 @@ impl LogMover {
     /// Registers `delivery/*` counters and gauges in `registry` and opens
     /// `delivery/{decode,merge,land}` spans around every subsequent move.
     pub fn attach_obs(&mut self, registry: &uli_obs::Registry) {
-        self.obs = Some(DeliveryObs::new(registry));
+        self.obs = Some(Mirror::attach(registry, "delivery", &self.metrics()));
+    }
+
+    /// The `delivery/*` metrics, in snapshot order.
+    fn metrics(&self) -> [(&'static str, Reading); 10] {
+        let t = &self.totals;
+        [
+            ("hours_moved", Reading::Total(t.hours)),
+            ("records_moved", Reading::Total(t.records)),
+            ("duplicates_squashed", Reading::Total(t.duplicates)),
+            ("files_rejected", Reading::Total(t.rejected_files)),
+            ("records_dropped", Reading::Total(t.dropped)),
+            ("output_files", Reading::Total(t.output_files)),
+            ("decode_bytes", Reading::Total(t.decode_bytes)),
+            ("encode_bytes", Reading::Total(t.encode_bytes)),
+            (
+                "seen_residual_ids",
+                Reading::level(self.seen.residual_len()),
+            ),
+            (
+                "seen_watermark_hosts",
+                Reading::level(self.seen.watermarked_hosts()),
+            ),
+        ]
+    }
+
+    fn span(&self, name: &str) -> Option<uli_obs::SpanGuard> {
+        self.obs
+            .as_ref()
+            .map(|o| o.registry().span("delivery", name))
     }
 
     /// The committed seen set: every stamped id a successful slide made
@@ -356,7 +360,7 @@ impl LogMover {
                 inputs.push((wh, file));
             }
         }
-        let decode_span = self.obs.as_ref().map(|o| o.span("decode"));
+        let decode_span = self.span("decode");
         let decoded: Vec<Result<DecodedFile, WarehouseError>> =
             pool.map(inputs, |_i, (wh, file)| decode_staged_file(wh, &file));
         drop(decode_span);
@@ -376,7 +380,7 @@ impl LogMover {
         // `fresh` holds ids first seen during this move; it reaches
         // `self.seen` only once the slide succeeds, so a failed attempt
         // retries without its records counting as duplicates.
-        let merge_span = self.obs.as_ref().map(|o| o.span("merge"));
+        let merge_span = self.span("merge");
         let mut fresh: HashSet<EntryId> = HashSet::new();
         let mut accepted: Vec<Vec<u8>> = Vec::new();
         for file in decoded {
@@ -418,7 +422,7 @@ impl LogMover {
         let chunks: Vec<(u64, std::ops::Range<usize>)> = (0..n_chunks)
             .map(|i| (i as u64, i * rpf..((i + 1) * rpf).min(accepted.len())))
             .collect();
-        let land_span = self.obs.as_ref().map(|o| o.span("land"));
+        let land_span = self.span("land");
         let landed: Vec<Result<u64, MoveError>> = pool.map(chunks, |_i, (idx, range)| {
             land_chunk(
                 &self.main,
@@ -448,8 +452,9 @@ impl LogMover {
         for tap in &mut self.taps {
             tap.hour_delivered(partition, &accepted);
         }
+        self.totals.add(&report);
         if let Some(obs) = &self.obs {
-            obs.record(&report, &self.seen);
+            obs.update(&self.metrics());
         }
         for (_dc, wh) in staging {
             // Best-effort: what a staging outage keeps is never read again.

@@ -10,7 +10,7 @@
 //! them deterministically.
 
 use uli_coord::CoordService;
-use uli_obs::{Counter, Gauge, Registry};
+use uli_obs::{Mirror, Reading, Registry};
 use uli_warehouse::store::DEFAULT_BLOCK_CAPACITY;
 use uli_warehouse::{HourlyPartition, Warehouse};
 
@@ -96,68 +96,28 @@ pub struct PipelineReport {
     pub network_messages: u64,
 }
 
-/// Registry handles behind [`ScribePipeline::new_with_obs`].
-///
-/// Every handle mirrors one [`PipelineReport`] field via
-/// [`Counter::set_total`] / [`Gauge::set`] on each sync: the report stays
-/// the authoritative accounting, and the registry can only ever show a
-/// value the report computed — divergence is impossible by construction.
-struct PipelineObs {
-    registry: Registry,
-    logged: Counter,
-    accepted: Counter,
-    flushed: Counter,
-    moved: Counter,
-    duplicates_merged: Counter,
-    lost_in_crashes: Counter,
-    dropped_disk_full: Counter,
-    retried: Counter,
-    batches_sent: Counter,
-    wire_bytes_sent: Counter,
-    network_messages: Counter,
-    host_buffered: Gauge,
-    aggregator_buffered: Gauge,
-    in_flight: Gauge,
-}
-
-impl PipelineObs {
-    fn new(registry: &Registry) -> PipelineObs {
-        let c = |name: &str| registry.counter("scribe", name);
-        let g = |name: &str| registry.gauge("scribe", name);
-        PipelineObs {
-            registry: registry.clone(),
-            logged: c("logged"),
-            accepted: c("accepted"),
-            flushed: c("flushed"),
-            moved: c("moved"),
-            duplicates_merged: c("duplicates_merged"),
-            lost_in_crashes: c("lost_in_crashes"),
-            dropped_disk_full: c("dropped_disk_full"),
-            retried: c("retried"),
-            batches_sent: c("batches_sent"),
-            wire_bytes_sent: c("wire_bytes_sent"),
-            network_messages: c("network_messages"),
-            host_buffered: g("host_buffered"),
-            aggregator_buffered: g("aggregator_buffered"),
-            in_flight: g("in_flight"),
-        }
-    }
-
-    fn sync(&self, r: &PipelineReport) {
-        self.logged.set_total(r.logged);
-        self.accepted.set_total(r.accepted);
-        self.flushed.set_total(r.flushed);
-        self.moved.set_total(r.moved);
-        self.duplicates_merged.set_total(r.duplicates_merged);
-        self.lost_in_crashes.set_total(r.lost_in_crashes);
-        self.dropped_disk_full.set_total(r.dropped_disk_full);
-        self.retried.set_total(r.retried);
-        self.batches_sent.set_total(r.batches_sent);
-        self.wire_bytes_sent.set_total(r.wire_bytes_sent);
-        self.network_messages.set_total(r.network_messages);
-        self.host_buffered.set(r.host_buffered as i64);
-        self.aggregator_buffered.set(r.aggregator_buffered as i64);
-        self.in_flight.set(r.in_flight as i64);
+impl PipelineReport {
+    /// The `scribe/*` metrics, in snapshot order.
+    fn metrics(&self) -> [(&'static str, Reading); 14] {
+        [
+            ("logged", Reading::Total(self.logged)),
+            ("accepted", Reading::Total(self.accepted)),
+            ("flushed", Reading::Total(self.flushed)),
+            ("moved", Reading::Total(self.moved)),
+            ("duplicates_merged", Reading::Total(self.duplicates_merged)),
+            ("lost_in_crashes", Reading::Total(self.lost_in_crashes)),
+            ("dropped_disk_full", Reading::Total(self.dropped_disk_full)),
+            ("retried", Reading::Total(self.retried)),
+            ("batches_sent", Reading::Total(self.batches_sent)),
+            ("wire_bytes_sent", Reading::Total(self.wire_bytes_sent)),
+            ("network_messages", Reading::Total(self.network_messages)),
+            ("host_buffered", Reading::level(self.host_buffered)),
+            (
+                "aggregator_buffered",
+                Reading::level(self.aggregator_buffered),
+            ),
+            ("in_flight", Reading::level(self.in_flight)),
+        ]
     }
 }
 
@@ -179,8 +139,8 @@ pub struct ScribePipeline {
     lost_ids: Vec<EntryId>,
     /// Policy-dropped ids carried over from crashed aggregators.
     policy_dropped_by_crashed: Vec<EntryId>,
-    /// Registry-backed telemetry, when attached.
-    obs: Option<PipelineObs>,
+    /// The registry view of [`ScribePipeline::report`], when attached.
+    obs: Option<Mirror>,
 }
 
 impl ScribePipeline {
@@ -196,10 +156,11 @@ impl ScribePipeline {
     /// register under `warehouse` (staging clusters stay private — their
     /// reads are mover internals, not query traffic).
     pub fn new_with_obs(config: PipelineConfig, registry: &Registry) -> Self {
-        Self::build(config, Some(PipelineObs::new(registry)))
+        let list = PipelineReport::default().metrics();
+        Self::build(config, Some(Mirror::attach(registry, "scribe", &list)))
     }
 
-    fn build(config: PipelineConfig, obs: Option<PipelineObs>) -> Self {
+    fn build(config: PipelineConfig, obs: Option<Mirror>) -> Self {
         let coord = CoordService::new();
         let network = Network::new();
         let mut datacenters = Vec::with_capacity(config.datacenters);
@@ -230,13 +191,13 @@ impl ScribePipeline {
             });
         }
         let main = match &obs {
-            Some(o) => Warehouse::new_with_obs(&o.registry),
+            Some(o) => Warehouse::new_with_obs(o.registry()),
             None => Warehouse::new(),
         };
         let mut mover =
             LogMover::new(main, config.records_per_file).with_parallelism(config.workers);
         if let Some(o) = &obs {
-            mover.attach_obs(&o.registry);
+            mover.attach_obs(o.registry());
         }
         ScribePipeline {
             coord,
@@ -290,7 +251,10 @@ impl ScribePipeline {
     /// One delivery step: the network ticks (delivering delayed packets),
     /// every daemon pumps, every aggregator heartbeats and drains.
     pub fn step(&mut self) {
-        let _span = self.obs.as_ref().map(|o| o.registry.span("scribe", "step"));
+        let _span = self
+            .obs
+            .as_ref()
+            .map(|o| o.registry().span("scribe", "step"));
         let coord = self.coord.clone();
         for entry in self.network.advance_step() {
             // Acked to the sender, endpoint gone before delivery: the crash
@@ -312,7 +276,7 @@ impl ScribePipeline {
         self.sync_obs();
     }
 
-    /// Pushes the current report into the registry mirrors, if attached.
+    /// Writes the current report into the registry view, if attached.
     fn sync_obs(&self) {
         if self.obs.is_some() {
             let _ = self.report(); // report() syncs as a side effect
@@ -329,7 +293,7 @@ impl ScribePipeline {
     /// Flushes all aggregators for the given hour index.
     pub fn flush_hour(&mut self, hour_index: u64) {
         let _span = self.obs.as_ref().map(|o| {
-            o.registry
+            o.registry()
                 .span_labeled("scribe", "flush_hour", &[("hour", hour_index.to_string())])
         });
         for dc in &mut self.datacenters {
@@ -354,7 +318,7 @@ impl ScribePipeline {
     /// Moves a sealed category-hour into the main warehouse.
     pub fn move_hour(&mut self, category: &str, hour_index: u64) -> Result<MoveReport, MoveError> {
         let _span = self.obs.as_ref().map(|o| {
-            o.registry
+            o.registry()
                 .span_labeled("scribe", "move_hour", &[("hour", hour_index.to_string())])
         });
         let partition = HourlyPartition::from_hour_index(category, hour_index);
@@ -515,7 +479,7 @@ impl ScribePipeline {
             }
         }
         if let Some(obs) = &self.obs {
-            obs.sync(&r);
+            obs.update(&r.metrics());
         }
         r
     }

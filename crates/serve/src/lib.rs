@@ -13,7 +13,7 @@
 //! - [`maintain`] — [`IndexMaintainer`], a [`uli_scribe::DeliveryTap`]
 //!   that builds and commits an hour's index at the mover's exactly-once
 //!   delivery point, recovers crash-window victims by wholesale rebuild
-//!   (never double-counting), and mirrors its counters into `uli-obs`.
+//!   (never double-counting), and shows its counters in `uli-obs`.
 //! - [`handle`] — [`ServeHandle`], the programmatic query front-end:
 //!   point lookups that consult the index, prune to posted row groups,
 //!   and decode only those — never a full-day scan.

@@ -19,35 +19,11 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use uli_obs::{lock, Counter, Gauge, Registry};
+use uli_obs::{lock, Mirror, Reading, Registry};
 use uli_scribe::DeliveryTap;
 use uli_warehouse::{HourlyPartition, Warehouse, WarehouseResult, WhPath};
 
 use crate::hour::{build_hour_index, commit_hour_index, load_committed, HourIndex};
-
-/// Registry mirrors, `set_total` discipline: the maintainer state stays
-/// authoritative and the registry can only show values it computed.
-struct ServeObs {
-    hours_indexed: Counter,
-    postings_bytes: Counter,
-    lookups_served: Counter,
-    row_groups_pruned: Counter,
-    index_build_failures: Counter,
-    index_lag_hours: Gauge,
-}
-
-impl ServeObs {
-    fn new(registry: &Registry) -> ServeObs {
-        ServeObs {
-            hours_indexed: registry.counter("serve", "hours_indexed"),
-            postings_bytes: registry.counter("serve", "postings_bytes"),
-            lookups_served: registry.counter("serve", "lookups_served"),
-            row_groups_pruned: registry.counter("serve", "row_groups_pruned"),
-            index_build_failures: registry.counter("serve", "index_build_failures"),
-            index_lag_hours: registry.gauge("serve", "index_lag_hours"),
-        }
-    }
-}
 
 pub(crate) struct Inner {
     pub(crate) warehouse: Warehouse,
@@ -76,7 +52,8 @@ pub(crate) struct Inner {
     fail_commits: u64,
     /// Worker budget for the per-file scans inside an hour build.
     workers: uli_warehouse::Parallelism,
-    obs: Option<ServeObs>,
+    /// The registry view of [`Inner::metrics`], when attached.
+    obs: Option<Mirror>,
 }
 
 impl Inner {
@@ -93,15 +70,22 @@ impl Inner {
         }
     }
 
+    /// The `serve/*` metrics, in snapshot order.
+    fn metrics(&self) -> [(&'static str, Reading); 6] {
+        [
+            ("hours_indexed", Reading::Total(self.hours.len() as u64)),
+            ("postings_bytes", Reading::Total(self.postings_bytes)),
+            ("lookups_served", Reading::Total(self.lookups_served)),
+            ("row_groups_pruned", Reading::Total(self.row_groups_pruned)),
+            ("index_build_failures", Reading::Total(self.build_failures)),
+            ("index_lag_hours", Reading::level(self.lag_hours())),
+        ]
+    }
+
     pub(crate) fn sync_obs(&self) {
-        let Some(obs) = &self.obs else { return };
-        obs.hours_indexed.set_total(self.hours.len() as u64);
-        obs.postings_bytes.set_total(self.postings_bytes);
-        obs.lookups_served.set_total(self.lookups_served);
-        obs.row_groups_pruned.set_total(self.row_groups_pruned);
-        obs.index_build_failures.set_total(self.build_failures);
-        obs.index_lag_hours
-            .set(self.lag_hours().min(i64::MAX as u64) as i64);
+        if let Some(obs) = &self.obs {
+            obs.update(&self.metrics());
+        }
     }
 
     /// Builds and commits the index for one delivered hour, replacing any
@@ -146,25 +130,31 @@ impl IndexMaintainer {
         category: impl Into<String>,
         registry: &Registry,
     ) -> IndexMaintainer {
-        Self::build(warehouse, category.into(), Some(ServeObs::new(registry)))
+        Self::build(warehouse, category.into(), Some(registry))
     }
 
-    fn build(warehouse: Warehouse, category: String, obs: Option<ServeObs>) -> IndexMaintainer {
+    fn build(
+        warehouse: Warehouse,
+        category: String,
+        registry: Option<&Registry>,
+    ) -> IndexMaintainer {
+        let mut inner = Inner {
+            warehouse,
+            category,
+            hours: BTreeMap::new(),
+            newest_delivered: None,
+            postings_bytes: 0,
+            lookups_served: 0,
+            row_groups_pruned: 0,
+            build_decoded_bytes: 0,
+            build_failures: 0,
+            fail_commits: 0,
+            workers: uli_warehouse::Parallelism::serial(),
+            obs: None,
+        };
+        inner.obs = registry.map(|r| Mirror::attach(r, "serve", &inner.metrics()));
         IndexMaintainer {
-            inner: Arc::new(Mutex::new(Inner {
-                warehouse,
-                category,
-                hours: BTreeMap::new(),
-                newest_delivered: None,
-                postings_bytes: 0,
-                lookups_served: 0,
-                row_groups_pruned: 0,
-                build_decoded_bytes: 0,
-                build_failures: 0,
-                fail_commits: 0,
-                workers: uli_warehouse::Parallelism::serial(),
-                obs,
-            })),
+            inner: Arc::new(Mutex::new(inner)),
         }
     }
 

@@ -16,7 +16,8 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::{Arc, Mutex};
 
-use uli_obs::{lock, Counter, Gauge, Registry};
+use uli_dataflow::sketch::Hll;
+use uli_obs::{lock, Mirror, Reading, Registry};
 use uli_scribe::DeliveryTap;
 use uli_warehouse::HourlyPartition;
 
@@ -42,40 +43,6 @@ impl Default for StreamConfig {
     }
 }
 
-/// Registry mirrors for the running view. Counters use `set_total` —
-/// the streaming state stays authoritative, the registry can only show a
-/// value the monoid computed.
-struct StreamObs {
-    /// Every delivery so far, merged: advanced by each delivery's own
-    /// state, so mirroring never re-merges the hours before it.
-    running: StreamState,
-    records: Counter,
-    events: Counter,
-    malformed: Counter,
-    hours_moved: Counter,
-    distinct_users_est: Gauge,
-    hours_open: Gauge,
-    /// Per-hour windowed record counters, labeled by hour index.
-    hour_records: BTreeMap<u64, Counter>,
-    registry: Registry,
-}
-
-impl StreamObs {
-    fn new(registry: &Registry, trending_k: usize) -> StreamObs {
-        StreamObs {
-            running: StreamState::new(trending_k),
-            records: registry.counter("stream", "records"),
-            events: registry.counter("stream", "events"),
-            malformed: registry.counter("stream", "malformed"),
-            hours_moved: registry.counter("stream", "hours_moved"),
-            distinct_users_est: registry.gauge("stream", "distinct_users_est"),
-            hours_open: registry.gauge("stream", "hours_open"),
-            hour_records: BTreeMap::new(),
-            registry: registry.clone(),
-        }
-    }
-}
-
 struct Inner {
     config: StreamConfig,
     /// Worker count for the per-hour shard fold. Serial by default; every
@@ -86,7 +53,9 @@ struct Inner {
     hours: BTreeMap<u64, StreamState>,
     /// Successful slides observed.
     hours_moved: u64,
-    obs: Option<StreamObs>,
+    /// The registry view of [`Inner::metrics`] and of each window's
+    /// records, when attached.
+    obs: Option<Mirror>,
 }
 
 impl Inner {
@@ -99,26 +68,41 @@ impl Inner {
         out
     }
 
-    /// Mirrors the running view, and the window of `hour`, into the registry.
-    fn sync_obs(&mut self, hour: u64) {
-        let Some(obs) = &mut self.obs else { return };
-        obs.records.set_total(obs.running.records());
-        obs.events.set_total(obs.running.events());
-        obs.malformed.set_total(obs.running.malformed());
-        obs.hours_moved.set_total(self.hours_moved);
-        obs.distinct_users_est
-            .set(obs.running.distinct_users_estimate().min(i64::MAX as u64) as i64);
-        obs.hours_open.set(self.hours.len() as i64);
-        if let Some(window) = self.hours.get(&hour) {
-            let counter = obs.hour_records.entry(hour).or_insert_with(|| {
-                obs.registry.counter_labeled(
-                    "stream",
-                    "hour_records",
-                    &[("hour", &hour.to_string())],
-                )
-            });
-            counter.set_total(window.records());
+    /// The `stream/*` metrics of the running view, in snapshot order, read
+    /// off the windows: their counts add, and an HLL union is order-free.
+    fn metrics(&self) -> [(&'static str, Reading); 6] {
+        let windows = self.hours.values();
+        let sum = |count: fn(&StreamState) -> u64| windows.clone().map(count).sum();
+        let mut users = Hll::new();
+        for window in windows.clone() {
+            users.merge(window.users());
         }
+        [
+            ("records", Reading::Total(sum(StreamState::records))),
+            ("events", Reading::Total(sum(StreamState::events))),
+            ("malformed", Reading::Total(sum(StreamState::malformed))),
+            ("hours_moved", Reading::Total(self.hours_moved)),
+            ("distinct_users_est", Reading::level(users.estimate())),
+            ("hours_open", Reading::level(self.hours.len())),
+        ]
+    }
+
+    /// Writes the running view, and each window's records, into the
+    /// registry.
+    fn sync_obs(&mut self) {
+        let Some(mut obs) = self.obs.take() else {
+            return;
+        };
+        obs.update(&self.metrics());
+        for (hour, window) in &self.hours {
+            let hour = hour.to_string();
+            obs.update_labeled(
+                "hour_records",
+                ("hour", &hour),
+                Reading::Total(window.records()),
+            );
+        }
+        self.obs = Some(obs);
     }
 }
 
@@ -138,19 +122,21 @@ impl StreamAnalytics {
     /// A speed layer whose running and windowed views mirror into
     /// `stream/*` registry metrics on every delivered hour.
     pub fn with_obs(config: StreamConfig, registry: &Registry) -> StreamAnalytics {
-        Self::build(config, Some(StreamObs::new(registry, config.trending_k)))
+        Self::build(config, Some(registry))
     }
 
-    fn build(config: StreamConfig, obs: Option<StreamObs>) -> StreamAnalytics {
+    fn build(config: StreamConfig, registry: Option<&Registry>) -> StreamAnalytics {
         assert!(config.shards > 0, "at least one shard");
+        let mut inner = Inner {
+            config,
+            workers: uli_warehouse::Parallelism::serial(),
+            hours: BTreeMap::new(),
+            hours_moved: 0,
+            obs: None,
+        };
+        inner.obs = registry.map(|r| Mirror::attach(r, "stream", &inner.metrics()));
         StreamAnalytics {
-            inner: Arc::new(Mutex::new(Inner {
-                config,
-                workers: uli_warehouse::Parallelism::serial(),
-                hours: BTreeMap::new(),
-                hours_moved: 0,
-                obs,
-            })),
+            inner: Arc::new(Mutex::new(inner)),
         }
     }
 
@@ -216,9 +202,6 @@ impl DeliveryTap for StreamAnalytics {
             let mut delivered = StreamState::new(k);
             states.iter().for_each(|state| delivered.merge(state));
             drop(states);
-            if let Some(obs) = &mut inner.obs {
-                obs.running.merge(&delivered);
-            }
             match inner.hours.entry(partition.hour_index()) {
                 Entry::Vacant(window) => {
                     window.insert(delivered);
@@ -226,7 +209,7 @@ impl DeliveryTap for StreamAnalytics {
                 Entry::Occupied(mut window) => window.get_mut().merge(&delivered),
             }
         }
-        inner.sync_obs(partition.hour_index());
+        inner.sync_obs();
     }
 }
 
@@ -367,7 +350,6 @@ mod tests {
                 snap.gauge_value("stream/hours_open"),
                 Some(a.hours().len() as i64)
             );
-            assert_eq!(lock(&a.inner).obs.as_ref().unwrap().running, merged);
         }
         assert_eq!(
             registry.snapshot().counter_value("stream/hours_moved"),

@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use uli_core::columnar::EventRow;
-use uli_warehouse::{HourlyPartition, Warehouse, WarehouseError};
+use uli_warehouse::{sniff_columnar, HourlyPartition, Warehouse, WarehouseError};
 
 use crate::state::StreamState;
 
@@ -80,8 +80,11 @@ impl BatchSummary {
     }
 }
 
-/// Scans one delivered hour out of the main warehouse (row-format landing,
-/// the default mover output). A missing hour contributes nothing.
+/// Scans one delivered hour out of the main warehouse. A missing hour
+/// contributes nothing. It reads row-format landings only (the default
+/// mover output): the payload-size check needs each record's bytes, which a
+/// columnar file does not keep, so a columnar file is
+/// [`WarehouseError::ColumnarFile`].
 pub fn scan_hour(
     main: &Warehouse,
     category: &str,
@@ -95,6 +98,9 @@ pub fn scan_hour(
         Err(e) => return Err(e),
     };
     for file in files {
+        if sniff_columnar(main, &file)?.is_some() {
+            return Err(WarehouseError::ColumnarFile(file.to_string()));
+        }
         for record in main.open(&file)?.read_all()? {
             into.observe(&record);
         }
@@ -239,6 +245,37 @@ mod tests {
         assert!(c.topk_within_bound);
         assert!(c.percentile_within_bound);
         assert!(c.streaming_matches_batch);
+    }
+
+    #[test]
+    fn a_columnar_hour_is_named_as_such_not_called_corrupt() {
+        use std::sync::Arc;
+        use uli_core::ClientEventLanding;
+        use uli_scribe::{LogEntry, PipelineConfig, ScribePipeline};
+
+        let mut pipe = ScribePipeline::new(PipelineConfig {
+            datacenters: 1,
+            hosts_per_dc: 2,
+            aggregators_per_dc: 1,
+            ..Default::default()
+        });
+        pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
+        for i in 0..40 {
+            pipe.log(
+                0,
+                i as usize % 2,
+                LogEntry::new("client_events", payload(i)),
+            );
+        }
+        pipe.step();
+        pipe.flush_hour(0);
+        pipe.seal_hour("client_events", 0);
+        assert_eq!(pipe.move_hour("client_events", 0).unwrap().records, 40);
+
+        let mut summary = BatchSummary::default();
+        let err = scan_hour(pipe.main_warehouse(), "client_events", 0, &mut summary).unwrap_err();
+        assert!(matches!(err, WarehouseError::ColumnarFile(_)), "{err}");
+        assert!(err.to_string().contains("is columnar"), "{err}");
     }
 
     #[test]

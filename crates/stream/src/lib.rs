@@ -16,8 +16,7 @@
 //! * [`StreamAnalytics`] — the speed layer: implements
 //!   [`uli_scribe::DeliveryTap`], cuts each delivery into one run of
 //!   records per shard, and serves windowed (per-hour) and running
-//!   (day-so-far) views,
-//!   mirrored into `uli-obs` registry metrics.
+//!   (day-so-far) views; its `uli-obs` metrics are read off the windows.
 //! * [`BatchSummary`] / [`check_convergence`] — the batch layer and the
 //!   lambda invariant: streaming views over the delivered partition must
 //!   equal batch answers exactly for exact aggregates and fall within

@@ -23,6 +23,8 @@ use std::sync::Mutex;
 
 use uli_obs::lock;
 
+use crate::varint::{read_varint, write_varint};
+
 /// Minimum match length worth encoding.
 const MIN_MATCH: usize = 4;
 /// Maximum match length a single token can express.
@@ -31,35 +33,6 @@ const MAX_MATCH: usize = MIN_MATCH + 0x7f;
 const WINDOW: usize = 1 << 16;
 /// Hash table size (power of two).
 const HASH_BITS: u32 = 15;
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *input.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
-}
 
 /// What an empty table slot holds. Slots hold `base + position`, and
 /// `base` is never below 1, so no position ever encodes to this.
@@ -616,6 +589,15 @@ mod tests {
         let mut worse = Vec::new();
         write_varint(&mut worse, (1 << 30) + 1);
         assert_eq!(decompress(&worse), None);
+    }
+
+    #[test]
+    fn a_length_varint_past_u64_is_rejected() {
+        // Ten bytes whose last carries more than the one bit a u64 has
+        // left: the varint overflows, whatever the bits shifted out.
+        let mut bad = vec![0x80u8; 9];
+        bad.push(0x02);
+        assert_eq!(decompress(&bad), None);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod scan;
 pub mod spill;
 pub mod stats;
 pub mod store;
-mod varint;
+pub mod varint;
 pub mod zone;
 
 pub use cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};

@@ -1,5 +1,6 @@
 //! Unsigned LEB128 varints: the length prefix of every record, column
-//! chunk and cell the warehouse frames.
+//! chunk and cell the warehouse frames, of every `ulz` token distance, and
+//! of every entry in a Scribe batch frame.
 
 /// Encodes `v`, returning the bytes in a stack array plus how many of them
 /// are used — the record-append hot path writes them straight into the
@@ -20,12 +21,12 @@ pub(crate) fn encode_varint(mut v: u64) -> ([u8; 10], usize) {
 }
 
 /// How many bytes [`encode_varint`] uses for `v`.
-pub(crate) fn varint_len(v: u64) -> usize {
+pub fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Appends `v` to `out`.
-pub(crate) fn write_varint(out: &mut Vec<u8>, v: u64) {
+pub fn write_varint(out: &mut Vec<u8>, v: u64) {
     let (buf, n) = encode_varint(v);
     out.extend_from_slice(&buf[..n]);
 }
@@ -34,7 +35,7 @@ pub(crate) fn write_varint(out: &mut Vec<u8>, v: u64) {
 /// encoding that holds more than a `u64` can (an eleventh byte, or a tenth
 /// carrying more than the one bit left) — the rule of `uli_thrift::varint`,
 /// so a cell means the same to every reader.
-pub(crate) fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
+pub fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {

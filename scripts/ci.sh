@@ -65,6 +65,17 @@ if grep -rln 'write_paper_raw_log' crates src tests examples |
     exit 1
 fi
 
+# A component's counts live in its own fields and reach the registry one
+# way: its declared metric list, through uli_obs::Mirror. No hand-kept
+# mirror struct comes back, and no code writes a counter's total but
+# uli-obs and the warehouse's scan counters (there the counters are the
+# storage, and `reset` zeroes them).
+if grep -rnE 'struct (Pipeline|Delivery|Engine|Serve|Stream)Obs' crates src tests examples ||
+    grep -rn 'set_total(' crates src tests examples | grep -vE '^(crates/obs/src/|crates/warehouse/src/stats\.rs:)'; then
+    echo "mirror gate: a hand-kept registry mirror, or a set_total outside uli-obs, is back." >&2
+    exit 1
+fi
+
 # There is one way to read a landed client event (the row view of
 # uli_core::for_each_event_row, under the columns its caller declares); the
 # whole-struct-per-row visitor must not come back.
