@@ -90,6 +90,21 @@ fn plans(dir: &WhPath) -> Vec<(&'static str, Plan)> {
                 .order_by(vec![(2, SortOrder::Desc), (0, SortOrder::Asc)])
                 .limit(17),
         ),
+        // An algebraic aggregate whose input is not a map chain: the UNION
+        // reaches it as one unit of rows.
+        (
+            "union agg",
+            load(dir)
+                .union(vec![load(dir)])
+                .aggregate_by(vec![0], vec![Agg::count(), Agg::sum(2)]),
+        ),
+        // A holistic aggregate beside an algebraic one over a FILTER chain.
+        (
+            "filtered holistic agg",
+            load(dir)
+                .filter(Expr::col(1).ne(Expr::lit("search")))
+                .aggregate_by(vec![0], vec![Agg::count_distinct(1), Agg::sum(2)]),
+        ),
     ]
 }
 
@@ -145,8 +160,11 @@ fn bill_digest(r: &QueryResult) -> u64 {
 
 /// `(seed, plan, rows digest, bill digest)` of the unbudgeted in-memory
 /// operators, recorded before they were deleted. They were this suite's
-/// reference; these constants are what is left of them.
-const RECORDED: [(u64, &str, u64, u64); 14] = [
+/// reference; these constants are what is left of them. The `union agg` and
+/// `filtered holistic agg` pairs were recorded later, from the spilling
+/// operators while an aggregate still had a collected-rows arm beside its
+/// per-unit one.
+const RECORDED: [(u64, &str, u64, u64); 18] = [
     (11, "order", 0x0ad0_1bd6_60ca_f72e, 0xc5c3_42d1_9351_160b),
     (11, "group", 0x44f7_1d93_94b1_5de6, 0xe554_b0a0_e7eb_cf61),
     (11, "agg", 0xe623_0c9e_09ad_41df, 0x449b_263d_a99a_7a6b),
@@ -196,6 +214,30 @@ const RECORDED: [(u64, &str, u64, u64); 14] = [
         0x9416_7335_5102_8b27,
         0x3814_8d8e_65dc_3255,
     ),
+    (
+        11,
+        "union agg",
+        0x1e6f_4d05_3c7e_78d5,
+        0x7aff_559a_a4b4_e8b5,
+    ),
+    (
+        11,
+        "filtered holistic agg",
+        0x1a1f_3e4d_78e6_475c,
+        0xa73d_a79c_cc5e_dce9,
+    ),
+    (
+        137,
+        "union agg",
+        0x68a1_1062_8082_b75c,
+        0x34f4_55c8_7d48_c78c,
+    ),
+    (
+        137,
+        "filtered holistic agg",
+        0xa3d8_bb84_94c6_7e5b,
+        0x3fdf_ccb9_a8c1_22a0,
+    ),
 ];
 
 /// A budget far below the plan's reduce state. Aggregates hold one state
@@ -239,6 +281,8 @@ fn tiny_budget_spills_and_matches_the_default_budget() {
         "holistic agg",
         "sketch agg",
         "distinct",
+        "union agg",
+        "filtered holistic agg",
     ] {
         let (default, _) = run_one(11, name, 1, None);
         assert_eq!(default.stats.spill_runs, 0);
@@ -336,10 +380,11 @@ proptest! {
     fn rows_match_the_default_budget_for_any_budget_and_workers(
         seed in 1u64..200,
         budget in 4_096u64..262_144,
-        plan_idx in 0usize..7,
+        plan_idx in 0usize..9,
     ) {
         let name = ["order", "group", "agg", "holistic agg", "sketch agg",
-                    "distinct", "order+limit"][plan_idx];
+                    "distinct", "order+limit", "union agg",
+                    "filtered holistic agg"][plan_idx];
         let (reference, _) = run_one(seed, name, 1, None);
         prop_assert_eq!(reference.stats.spill_runs, 0);
         for workers in [1usize, 4, 8] {
