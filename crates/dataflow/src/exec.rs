@@ -139,6 +139,14 @@ struct MapInput {
     bytes: u64,
 }
 
+/// Rows, and their wire bytes, that entered a reducing operator or cross a
+/// shuffle.
+#[derive(Debug, Clone, Copy, Default)]
+struct Volume {
+    records: u64,
+    bytes: u64,
+}
+
 /// Scan units per worker in one map window (see [`Engine::map_window`]).
 const UNITS_PER_WORKER: usize = 8;
 
@@ -386,38 +394,82 @@ impl Engine {
         &self,
         stats: &mut JobStats,
         input: MapInput,
-        shuffle_records: u64,
-        shuffle_bytes: u64,
+        shuffled: Volume,
         groups: u64,
     ) -> MapInput {
         stats.mr_jobs += 1;
         stats.map_tasks += input.tasks.max(1);
         let reduce_tasks = groups.div_ceil(self.reduce_keys_per_task).max(1);
         stats.reduce_tasks += reduce_tasks;
-        stats.shuffle_records += shuffle_records;
-        stats.shuffle_bytes += shuffle_bytes;
+        stats.shuffle_records += shuffled.records;
+        stats.shuffle_bytes += shuffled.bytes;
         MapInput {
             tasks: reduce_tasks,
-            bytes: shuffle_bytes,
+            bytes: shuffled.bytes,
         }
     }
 
-    /// Feeds `rows` to an external merge sort under this query's budget and
-    /// returns the merged stream.
+    /// Feeds `input`'s rows to an external merge sort under this query's
+    /// budget, each unit's as it arrives (sequence numbers continue across
+    /// units), and returns the merged stream with what entered it.
     fn sorted(
         &self,
-        rows: Vec<Tuple>,
+        input: &Plan,
         order: RowOrder,
         label: &str,
         mem: &MemoryTracker,
-    ) -> DataflowResult<MergedRuns<RowRuns>> {
+        stats: &mut JobStats,
+    ) -> DataflowResult<(MergedRuns<RowRuns>, MapInput, Volume)> {
         let mut sorter =
             SpillSorter::new(self.warehouse.clone(), mem.clone(), RowRuns(order), label);
-        for (seq, row) in rows.into_iter().enumerate() {
-            let cost = row_cost(&row);
-            sorter.push((seq as u64, row), cost)?;
-        }
-        Ok(sorter.finish()?)
+        let mut seq = 0u64;
+        let (pending, volume) = self.exec_units(input, None, mem, stats, Ok, |rows| {
+            for row in rows {
+                let cost = row_cost(&row);
+                sorter.push((seq, row), cost)?;
+                seq += 1;
+            }
+            Ok(())
+        })?;
+        Ok((sorter.finish()?, pending, volume))
+    }
+
+    /// The one way a reducing operator reads its input, one unit at a time:
+    /// a map chain runs through [`Self::exec_chain_blocks`], its projection
+    /// bounded by `consumer` (the columns the operator reads of a row;
+    /// `None`: all of them), and any other input is executed and handed
+    /// over as a single unit. `per_unit` maps a unit's rows (on the scan
+    /// pool, for a chain); `fold` receives each result in scan order.
+    /// Returns the pending map input and the rows and bytes that entered.
+    fn exec_units<T: Send>(
+        &self,
+        input: &Plan,
+        consumer: Option<&[usize]>,
+        mem: &MemoryTracker,
+        stats: &mut JobStats,
+        per_unit: impl Fn(Vec<Tuple>) -> DataflowResult<T> + Sync,
+        mut fold: impl FnMut(T) -> DataflowResult<()>,
+    ) -> DataflowResult<(MapInput, Volume)> {
+        let mut volume = Volume::default();
+        let map = |rows: Vec<Tuple>| {
+            let records = rows.len() as u64;
+            let bytes = rows.iter().map(|t| tuple_wire_size(t)).sum();
+            Ok((Volume { records, bytes }, per_unit(rows)?))
+        };
+        let mut reduce = |(unit, mapped): (Volume, T)| {
+            volume.records += unit.records;
+            volume.bytes += unit.bytes;
+            fold(mapped)
+        };
+        let pending = match MapChain::extract(input, consumer) {
+            Some(chain) => self.exec_chain_blocks(&chain, stats, map, reduce)?,
+            None => {
+                let (rows, pending) = self.exec(input, mem, stats)?;
+                reduce(map(rows)?)?;
+                pending
+            }
+        };
+        Ok((pending, volume))
     }
 
     /// Scan units mapped between two folds: what bounds live map output. One
@@ -517,49 +569,6 @@ impl Engine {
         })
     }
 
-    /// Map phase feeding an algebraic aggregate: each unit's rows collapse
-    /// into per-group partial [`AggState`]s map-side, and partials merge into
-    /// the one budgeted table at the shuffle boundary, in scan order, as each
-    /// window of units completes. `shuffle_records` is the *actual* combiner
-    /// output — what really crosses the shuffle.
-    fn exec_chain_aggregate(
-        &self,
-        chain: &MapChain<'_>,
-        keys: &[usize],
-        aggs: &[Agg],
-        mem: &MemoryTracker,
-        stats: &mut JobStats,
-    ) -> DataflowResult<(Vec<Tuple>, MapInput)> {
-        let mut rows_in = 0u64;
-        let mut bytes_in = 0u64;
-        let mut combiner_records = 0u64;
-        let mut spiller = AggSpiller::new(self.warehouse.clone(), mem.clone(), aggs);
-        let pending = self.exec_chain_blocks(
-            chain,
-            stats,
-            |rows| {
-                let bytes: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
-                let groups = accumulate_groups(&rows, keys, aggs)?;
-                Ok((rows.len() as u64, bytes, groups))
-            },
-            |(n, bytes, partial)| {
-                rows_in += n;
-                bytes_in += bytes;
-                combiner_records += partial.len() as u64;
-                for (key, states) in partial {
-                    spiller.merge_partial(key, states)?;
-                }
-                Ok(())
-            },
-        )?;
-        let out = spiller.finish(keys.is_empty())?;
-        let n_groups = out.len() as u64;
-        let avg_record = bytes_in.checked_div(rows_in).unwrap_or(0);
-        let shuffle_bytes = combiner_records * avg_record.max(8);
-        let next = self.charge_shuffle(stats, pending, combiner_records, shuffle_bytes, n_groups);
-        Ok((out, next))
-    }
-
     /// Executes one plan node, with per-stage telemetry when attached: a
     /// `dataflow/<kind>` span around the node and `stage_rows_in`/`_out`
     /// counter updates. A stage's rows-in is what its child stages returned,
@@ -625,16 +634,14 @@ impl Engine {
             }
             PlanNode::Values { rows, .. } => Ok((rows.clone(), MapInput::default())),
             PlanNode::GroupBy { input, keys } => {
-                let (rows, pending) = self.exec(input, mem, stats)?;
-                let rows_in = rows.len() as u64;
-                let bytes_in: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
                 // External sort on the key columns (sequence numbers keep
                 // arrival order within a key), then one consecutive-grouping
                 // pass: groups in ascending key order, bags in arrival
                 // order. GROUP ALL over an empty input yields no group (Pig
                 // semantics: the group simply does not exist).
                 let order = RowOrder::Cols(keys.iter().map(|k| (*k, SortOrder::Asc)).collect());
-                let mut stream = self.sorted(rows, order, "group_by", mem)?;
+                let (mut stream, pending, volume) =
+                    self.sorted(input, order, "group_by", mem, stats)?;
                 let mut out: Vec<Tuple> = Vec::new();
                 while let Some((_, row)) = stream.next_entry()? {
                     let mut key: Vec<Value> = keys.iter().map(|k| row[*k].clone()).collect();
@@ -648,54 +655,51 @@ impl Engine {
                 }
                 let n_groups = out.len() as u64;
                 // Bags are holistic: every row crosses the shuffle.
-                let next = self.charge_shuffle(stats, pending, rows_in, bytes_in, n_groups);
+                let next = self.charge_shuffle(stats, pending, volume, n_groups);
                 Ok((out, next))
             }
             PlanNode::Aggregate { input, keys, aggs } => {
-                // Algebraic aggregates over a map chain run the whole map
-                // phase — scan, filter, project, map-side combine — per
-                // block in parallel; per-block partial states merge at the
-                // shuffle boundary in block order. The aggregate is the
-                // chain's consumer, so it declares what it reads of a row:
-                // its keys and the inputs of every aggregate but COUNT.
-                let algebraic = aggs.iter().all(|a| a.func.is_algebraic());
-                if algebraic {
-                    let reads: Vec<usize> = keys
-                        .iter()
-                        .copied()
-                        .chain(
-                            aggs.iter()
-                                .filter(|a| a.func != AggFunc::Count)
-                                .map(|a| a.col),
-                        )
-                        .collect();
-                    if let Some(chain) = MapChain::extract(input, Some(&reads)) {
-                        return self.exec_chain_aggregate(&chain, keys, aggs, mem, stats);
-                    }
-                }
-                let (rows, pending) = self.exec(input, mem, stats)?;
-                let rows_in = rows.len() as u64;
-                // The group→state table spills key-sorted runs when it
-                // outgrows the budget; runs merge back in arrival order.
+                // Map-side combine, for every function: each unit's rows
+                // collapse into per-group partial states, and partials merge
+                // into the one budgeted table in scan order. The aggregate
+                // declares what it reads of a row: its keys and the inputs
+                // of every aggregate but COUNT.
+                let reads: Vec<usize> = keys
+                    .iter()
+                    .copied()
+                    .chain(
+                        aggs.iter()
+                            .filter(|a| a.func != AggFunc::Count)
+                            .map(|a| a.col),
+                    )
+                    .collect();
                 let mut spiller = AggSpiller::new(self.warehouse.clone(), mem.clone(), aggs);
-                for row in &rows {
-                    let key: Vec<Value> = keys.iter().map(|k| row[*k].clone()).collect();
-                    spiller.accumulate_row(key, row)?;
-                }
+                let mut combined = 0u64;
+                let (pending, volume) = self.exec_units(
+                    input,
+                    Some(&reads),
+                    mem,
+                    stats,
+                    |rows| accumulate_groups(&rows, keys, aggs),
+                    |partial| {
+                        combined += partial.len() as u64;
+                        for (key, states) in partial {
+                            spiller.merge_partial(key, states)?;
+                        }
+                        Ok(())
+                    },
+                )?;
                 let out = spiller.finish(keys.is_empty())?;
                 let n_groups = out.len() as u64;
-                // Combiner: algebraic aggregates shuffle at most
-                // (groups × map tasks) records; holistic ones shuffle all.
-                let shuffle_records = if algebraic {
-                    rows_in.min(n_groups.saturating_mul(pending.tasks.max(1)))
-                } else {
-                    rows_in
+                // What crosses the shuffle: the combiner's output for
+                // algebraic functions, every row for holistic ones.
+                let records = match aggs.iter().all(|a| a.func.is_algebraic()) {
+                    true => combined,
+                    false => volume.records,
                 };
-                let bytes_in: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
-                let avg_record = bytes_in.checked_div(rows_in).unwrap_or(0);
-                let shuffle_bytes = shuffle_records * avg_record.max(8);
-                let next =
-                    self.charge_shuffle(stats, pending, shuffle_records, shuffle_bytes, n_groups);
+                let avg_record = volume.bytes.checked_div(volume.records).unwrap_or(0);
+                let bytes = records * avg_record.max(8);
+                let next = self.charge_shuffle(stats, pending, Volume { records, bytes }, n_groups);
                 Ok((out, next))
             }
             PlanNode::Join {
@@ -706,12 +710,10 @@ impl Engine {
             } => {
                 let (lrows, lpend) = self.exec(left, mem, stats)?;
                 let (rrows, rpend) = self.exec(right, mem, stats)?;
-                let shuffle_records = (lrows.len() + rrows.len()) as u64;
-                let shuffle_bytes: u64 = lrows
-                    .iter()
-                    .chain(rrows.iter())
-                    .map(|t| tuple_wire_size(t))
-                    .sum();
+                let shuffled = Volume {
+                    records: (lrows.len() + rrows.len()) as u64,
+                    bytes: lrows.iter().chain(&rrows).map(|t| tuple_wire_size(t)).sum(),
+                };
                 let mut table: BTreeMap<Vec<Value>, Vec<&Tuple>> = BTreeMap::new();
                 for row in &rrows {
                     let key: Vec<Value> = right_keys.iter().map(|k| row[*k].clone()).collect();
@@ -736,36 +738,26 @@ impl Engine {
                     tasks: lpend.tasks + rpend.tasks,
                     bytes: lpend.bytes + rpend.bytes,
                 };
-                let next =
-                    self.charge_shuffle(stats, input, shuffle_records, shuffle_bytes, groups);
+                let next = self.charge_shuffle(stats, input, shuffled, groups);
                 Ok((out, next))
             }
             PlanNode::OrderBy { input, keys } => {
-                let (rows, pending) = self.exec(input, mem, stats)?;
-                let shuffle_records = rows.len() as u64;
-                let shuffle_bytes: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
                 // External merge sort; sequence numbers make it stable.
-                let mut stream =
-                    self.sorted(rows, RowOrder::Cols(keys.clone()), "order_by", mem)?;
-                let mut rows = Vec::with_capacity(shuffle_records as usize);
+                let order = RowOrder::Cols(keys.clone());
+                let (mut stream, pending, volume) =
+                    self.sorted(input, order, "order_by", mem, stats)?;
+                let mut rows = Vec::with_capacity(volume.records as usize);
                 while let Some((_, row)) = stream.next_entry()? {
                     rows.push(row);
                 }
-                let next = self.charge_shuffle(
-                    stats,
-                    pending,
-                    shuffle_records,
-                    shuffle_bytes,
-                    shuffle_records,
-                );
+                let next = self.charge_shuffle(stats, pending, volume, volume.records);
                 Ok((rows, next))
             }
             PlanNode::Distinct { input } => {
-                let (rows, pending) = self.exec(input, mem, stats)?;
-                let rows_in = rows.len() as u64;
                 // Whole-tuple external sort, then drop consecutive
                 // duplicates: distinct tuples in ascending order.
-                let mut stream = self.sorted(rows, RowOrder::WholeTuple, "distinct", mem)?;
+                let (mut stream, pending, volume) =
+                    self.sorted(input, RowOrder::WholeTuple, "distinct", mem, stats)?;
                 let mut out: Vec<Tuple> = Vec::new();
                 while let Some((_, row)) = stream.next_entry()? {
                     if out.last().is_none_or(|prev| *prev != row) {
@@ -774,10 +766,13 @@ impl Engine {
                 }
                 let n_groups = out.len() as u64;
                 // DISTINCT has a combiner (dedup map-side).
-                let shuffle_records = rows_in.min(n_groups.saturating_mul(pending.tasks.max(1)));
-                let shuffle_bytes: u64 = out.iter().map(|t| tuple_wire_size(t)).sum();
-                let next =
-                    self.charge_shuffle(stats, pending, shuffle_records, shuffle_bytes, n_groups);
+                let shuffled = Volume {
+                    records: volume
+                        .records
+                        .min(n_groups.saturating_mul(pending.tasks.max(1))),
+                    bytes: out.iter().map(|t| tuple_wire_size(t)).sum(),
+                };
+                let next = self.charge_shuffle(stats, pending, shuffled, n_groups);
                 Ok((out, next))
             }
             PlanNode::Union { inputs } => {
@@ -795,55 +790,52 @@ impl Engine {
                 // ORDER → LIMIT(k): top-K short-circuit. Instead of fully
                 // sorting the input (O(n log n) time, O(n) reducer state),
                 // keep the best k rows, ties to the earlier arrival, so the
-                // output equals the stable full sort truncated to k. Over a
-                // map chain each unit keeps its own best k map-side and only
-                // those reach the running best, in (unit, row) order — no
-                // more than k rows per unit of the window plus k are ever
-                // held. The ORDER's shuffle is still charged for every row —
-                // rows cross the shuffle either way; only reducer work and
-                // memory shrink.
+                // output equals the stable full sort truncated to k. Each
+                // unit keeps its own best k map-side and only those reach
+                // the running best, in (unit, row) order — no more than k
+                // rows per unit of the window plus k are ever held. The
+                // ORDER's shuffle is still charged for every row — rows
+                // cross the shuffle either way; only reducer work and memory
+                // shrink.
                 if let PlanNode::OrderBy { input: inner, keys } = &input.node {
                     let order = RowOrder::Cols(keys.clone());
                     let mut best = TopK::new(&order, *n, Some(mem));
-                    let mut shuffle_records = 0u64;
-                    let mut shuffle_bytes = 0u64;
-                    let pending = match MapChain::extract(inner, None) {
-                        Some(chain) => self.exec_chain_blocks(
-                            &chain,
-                            stats,
-                            |rows| {
-                                let records = rows.len() as u64;
-                                let bytes: u64 = rows.iter().map(|t| tuple_wire_size(t)).sum();
-                                let mut unit_best = TopK::new(&order, *n, None);
-                                rows.into_iter().for_each(|row| unit_best.offer(row));
-                                Ok((records, bytes, unit_best.into_rows()))
-                            },
-                            |(records, bytes, unit_best)| {
-                                shuffle_records += records;
-                                shuffle_bytes += bytes;
-                                unit_best.into_iter().for_each(|row| best.offer(row));
-                                Ok(())
-                            },
-                        )?,
-                        None => {
-                            let (rows, pending) = self.exec(inner, mem, stats)?;
-                            shuffle_records = rows.len() as u64;
-                            shuffle_bytes = rows.iter().map(|t| tuple_wire_size(t)).sum();
-                            rows.into_iter().for_each(|row| best.offer(row));
-                            pending
-                        }
-                    };
-                    let next = self.charge_shuffle(
+                    let (pending, volume) = self.exec_units(
+                        inner,
+                        None,
+                        mem,
                         stats,
-                        pending,
-                        shuffle_records,
-                        shuffle_bytes,
-                        shuffle_records,
-                    );
+                        |rows| {
+                            let mut unit_best = TopK::new(&order, *n, None);
+                            rows.into_iter().for_each(|row| unit_best.offer(row));
+                            Ok(unit_best.into_rows())
+                        },
+                        |unit_best| {
+                            unit_best.into_iter().for_each(|row| best.offer(row));
+                            Ok(())
+                        },
+                    )?;
+                    let next = self.charge_shuffle(stats, pending, volume, volume.records);
                     return Ok((best.into_rows(), next));
                 }
-                let (mut rows, pending) = self.exec(input, mem, stats)?;
-                rows.truncate(*n);
+                // A plain LIMIT keeps the first n rows in scan order and
+                // drops the rest as they arrive; the scan still runs to the
+                // end, so it is billed as the unlimited input's.
+                let mut rows: Vec<Tuple> = Vec::new();
+                let (pending, _) = self.exec_units(
+                    input,
+                    None,
+                    mem,
+                    stats,
+                    |mut unit| {
+                        unit.truncate(*n);
+                        Ok(unit)
+                    },
+                    |unit| {
+                        rows.extend(unit.into_iter().take(*n - rows.len()));
+                        Ok(())
+                    },
+                )?;
                 Ok((rows, pending))
             }
         }
@@ -1299,6 +1291,37 @@ mod tests {
         let b = Plan::values(vec!["x"], vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
         let r = engine.run(&a.union(vec![b]).limit(2)).unwrap();
         assert_eq!(r.rows.len(), 2);
+    }
+
+    #[test]
+    fn plain_limit_over_a_chain_keeps_the_first_rows_and_scans_to_the_end() {
+        let ops = |p: Plan| p.filter(Expr::col(1).eq(Expr::lit("impression")));
+        // A fresh warehouse a run: a warm block cache reads no compressed
+        // bytes.
+        let run = |workers: usize, plan_of: &dyn Fn(Plan) -> Plan| {
+            let (wh, dir) = fixture();
+            let engine = Engine::new(wh).with_parallelism(Parallelism::fixed(workers));
+            let r = engine.run(&plan_of(load(&dir))).unwrap();
+            (r, engine, dir)
+        };
+        for workers in [1usize, 4] {
+            let (unlimited, engine, dir) = run(workers, &ops);
+            assert!(unlimited.stats.input_blocks > 1, "several units");
+            for n in [0usize, 1, 7, 150, 10_000] {
+                let reference = reference(&engine, load(&dir), |p| ops(p).limit(n));
+                let (limited, _, _) = run(workers, &|p| ops(p).limit(n));
+                assert_eq!(limited.rows, reference.rows, "limit {n} workers {workers}");
+                let output_records = limited.rows.len() as u64;
+                assert_eq!(
+                    limited.stats,
+                    JobStats {
+                        output_records,
+                        ..unlimited.stats
+                    },
+                    "limit {n} workers {workers}"
+                );
+            }
+        }
     }
 
     #[test]

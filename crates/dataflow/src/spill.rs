@@ -179,39 +179,33 @@ pub(crate) fn state_base_cost(agg: &Agg) -> u64 {
 }
 
 /// Variable (beyond base) cost of a state right now. O(1) for every
-/// algebraic state; O(set) for `CountDistinct`, which only the serial
-/// reduce path pays.
+/// algebraic state; O(set) for `CountDistinct`.
 fn state_dyn_cost(s: &AggState) -> i64 {
     match s {
         AggState::Min(v) | AggState::Max(v) => v.as_ref().map_or(0, |v| v.wire_size() as i64),
-        AggState::CountDistinct(set) => set.iter().map(|v| v.wire_size() as i64 + 16).sum::<i64>(),
+        AggState::CountDistinct(set) => set.iter().map(distinct_value_cost).sum::<i64>(),
         _ => 0,
     }
 }
 
-/// Accumulates `value` into `state` and returns the byte-cost delta.
-pub(crate) fn accumulate_costed(state: &mut AggState, value: &Value) -> DataflowResult<i64> {
-    if let AggState::CountDistinct(set) = &*state {
-        let delta = if !value.is_null() && !set.contains(value) {
-            value.wire_size() as i64 + 16
-        } else {
-            0
-        };
-        state.accumulate(value)?;
-        return Ok(delta);
-    }
-    let sized = matches!(state, AggState::Min(_) | AggState::Max(_));
-    let before = if sized { state_dyn_cost(state) } else { 0 };
-    state.accumulate(value)?;
-    Ok(if sized {
-        state_dyn_cost(state) - before
-    } else {
-        0
-    })
+/// What one value of a `CountDistinct` set is billed.
+fn distinct_value_cost(v: &Value) -> i64 {
+    v.wire_size() as i64 + 16
 }
 
 /// Merges `other` into `state` and returns the byte-cost delta.
 pub(crate) fn merge_costed(state: &mut AggState, other: AggState) -> DataflowResult<i64> {
+    // A set is billed the values it does not hold yet: O(incoming), not
+    // O(set), per merge.
+    if let (AggState::CountDistinct(set), AggState::CountDistinct(more)) = (&*state, &other) {
+        let delta = more
+            .iter()
+            .filter(|v| !set.contains(*v))
+            .map(distinct_value_cost)
+            .sum();
+        state.merge(other)?;
+        return Ok(delta);
+    }
     let before = state_dyn_cost(state);
     state.merge(other)?;
     Ok(state_dyn_cost(state) - before)
@@ -359,13 +353,14 @@ pub(crate) fn decode_state(bytes: &[u8]) -> DataflowResult<AggState> {
 // External aggregation
 // ---------------------------------------------------------------------------
 
-/// A budgeted group→states map that spills key-sorted runs.
+/// A budgeted group→states map that spills key-sorted runs, fed one scan
+/// unit's partial states at a time.
 ///
 /// Spilled partial states merge at `finish` in run order (earliest run
 /// first, the in-memory remainder last), which is the chronological order
 /// rows arrived in — exact for integer aggregates; floating-point sums can
 /// differ in final bits from the single-pass order (the usual FP
-/// non-associativity caveat, shared with the parallel combine path).
+/// non-associativity caveat, shared with the per-unit combine).
 pub(crate) struct AggSpiller<'a> {
     runs: RunSet<AggRuns>,
     map: BTreeMap<Vec<Value>, Vec<AggState>>,
@@ -412,65 +407,34 @@ impl<'a> AggSpiller<'a> {
         Ok(())
     }
 
-    /// Accumulates one row into its group (serial reduce path).
-    pub(crate) fn accumulate_row(&mut self, key: Vec<Value>, row: &Tuple) -> DataflowResult<()> {
-        // Upper bound for what this row can add: a fresh key entry plus one
-        // value per aggregate.
-        let bound = if self.map.contains_key(&key) {
-            self.aggs
-                .iter()
-                .map(|a| row.get(a.col).map_or(1, |v| v.wire_size()) + 16)
-                .sum()
-        } else {
-            self.new_key_cost(&key)
-                + self
-                    .aggs
-                    .iter()
-                    .map(|a| row.get(a.col).map_or(1, |v| v.wire_size()) + 16)
-                    .sum::<u64>()
-        };
-        self.reserve(bound)?;
-        if !self.map.contains_key(&key) {
-            let cost = self.new_key_cost(&key);
-            self.map.insert(
-                key.clone(),
-                self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-            );
-            self.charge(cost as i64);
-        }
-        let mut delta = 0i64;
-        let states = self.map.get_mut(&key).expect("just inserted");
-        for (agg, state) in self.aggs.iter().zip(states.iter_mut()) {
-            let v = row.get(agg.col).cloned().unwrap_or(Value::Null);
-            delta += accumulate_costed(state, &v)?;
-        }
-        self.charge(delta);
-        Ok(())
-    }
-
-    /// Merges one combiner partial into its group (parallel combine path;
-    /// algebraic aggregates only, so all deltas are O(1)).
+    /// Merges one unit's partial states into their group, spilling first
+    /// when the merge could outgrow the budget: a new group may add its
+    /// entry and the partial's states, an existing one at most the partial's
+    /// variable part (a MIN/MAX value, a COUNT DISTINCT set's values).
     pub(crate) fn merge_partial(
         &mut self,
         key: Vec<Value>,
         states: Vec<AggState>,
     ) -> DataflowResult<()> {
-        if let Some(acc) = self.map.get_mut(&key) {
-            let mut delta = 0i64;
-            for (a, s) in acc.iter_mut().zip(states) {
-                delta += merge_costed(a, s)?;
+        let incoming: u64 = states.iter().map(|s| state_dyn_cost(s) as u64).sum();
+        let entry = self.new_key_cost(&key);
+        self.reserve(match self.map.contains_key(&key) {
+            true => incoming,
+            false => entry + incoming,
+        })?;
+        match self.map.get_mut(&key) {
+            Some(acc) => {
+                let mut delta = 0i64;
+                for (a, s) in acc.iter_mut().zip(states) {
+                    delta += merge_costed(a, s)?;
+                }
+                self.charge(delta);
             }
-            self.charge(delta);
-            return Ok(());
+            None => {
+                self.map.insert(key, states);
+                self.charge((entry + incoming) as i64);
+            }
         }
-        let cost = self.new_key_cost(&key)
-            + states
-                .iter()
-                .map(|s| state_dyn_cost(s).max(0) as u64)
-                .sum::<u64>();
-        self.reserve(cost)?;
-        self.map.insert(key, states);
-        self.charge(cost as i64);
         Ok(())
     }
 
@@ -689,13 +653,22 @@ mod tests {
         let rows: Vec<Tuple> = (0..400)
             .map(|i| vec![Value::Int(i % 23), Value::Int((i * 31) % 67)])
             .collect();
-        // Reference: the same rows under a budget they never reach.
+        // Reference: the same rows under a budget they never reach. Each
+        // row arrives as a partial of its own.
         let run = |budget: u64| -> (Vec<Tuple>, u64) {
             let wh = Warehouse::new();
             let tracker = MemoryTracker::with_budget(budget);
             let mut sp = AggSpiller::new(wh, tracker.clone(), &aggs);
             for row in &rows {
-                sp.accumulate_row(vec![row[0].clone()], row).unwrap();
+                let states = aggs
+                    .iter()
+                    .map(|a| {
+                        let mut state = AggState::new(a.func);
+                        state.accumulate(&row[a.col]).unwrap();
+                        state
+                    })
+                    .collect();
+                sp.merge_partial(vec![row[0].clone()], states).unwrap();
             }
             (sp.finish(false).unwrap(), tracker.spill_runs())
         };

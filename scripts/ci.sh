@@ -76,6 +76,15 @@ if grep -rnE 'struct (Pipeline|Delivery|Engine|Serve|Stream)Obs' crates src test
     exit 1
 fi
 
+# A reducing operator reads its input one way, a scan unit at a time through
+# the engine's one driver: an aggregate merges per-unit partial states for
+# every function, so neither the chain-only aggregate arm nor the
+# row-at-a-time accumulate beside it comes back.
+if grep -rnwE 'accumulate_row|exec_chain_aggregate' crates src tests examples; then
+    echo "reduce-input gate: a second way to feed an aggregate is back." >&2
+    exit 1
+fi
+
 # There is one way to read a landed client event (the row view of
 # uli_core::for_each_event_row, under the columns its caller declares); the
 # whole-struct-per-row visitor must not come back.
