@@ -408,33 +408,28 @@ impl<'a> AggSpiller<'a> {
     }
 
     /// Merges one unit's partial states into their group, spilling first
-    /// when the merge could outgrow the budget: a new group may add its
-    /// entry and the partial's states, an existing one at most the partial's
-    /// variable part (a MIN/MAX value, a COUNT DISTINCT set's values).
+    /// when the merge could outgrow the budget: an existing group may grow
+    /// by the partial's variable part (a MIN/MAX value, a COUNT DISTINCT
+    /// set's values), a new one by its entry and the partial's states.
     pub(crate) fn merge_partial(
         &mut self,
         key: Vec<Value>,
         states: Vec<AggState>,
     ) -> DataflowResult<()> {
         let incoming: u64 = states.iter().map(|s| state_dyn_cost(s) as u64).sum();
-        let entry = self.new_key_cost(&key);
-        self.reserve(match self.map.contains_key(&key) {
-            true => incoming,
-            false => entry + incoming,
-        })?;
-        match self.map.get_mut(&key) {
-            Some(acc) => {
-                let mut delta = 0i64;
-                for (a, s) in acc.iter_mut().zip(states) {
-                    delta += merge_costed(a, s)?;
-                }
-                self.charge(delta);
+        self.reserve(incoming)?;
+        if let Some(acc) = self.map.get_mut(&key) {
+            let mut delta = 0i64;
+            for (a, s) in acc.iter_mut().zip(states) {
+                delta += merge_costed(a, s)?;
             }
-            None => {
-                self.map.insert(key, states);
-                self.charge((entry + incoming) as i64);
-            }
+            self.charge(delta);
+            return Ok(());
         }
+        let cost = self.new_key_cost(&key) + incoming;
+        self.reserve(cost)?;
+        self.map.insert(key, states);
+        self.charge(cost as i64);
         Ok(())
     }
 

@@ -272,9 +272,9 @@ fn rows_and_bill_match_the_recorded_digests() {
 
 #[test]
 fn tiny_budget_spills_and_matches_the_default_budget() {
-    // "agg" and "sketch agg" are chain aggregates: their partials reach the
-    // one budgeted table window by window, so the worker count moves where
-    // the windows fall but not what spills or what comes out.
+    // Every operator here folds its input unit by unit, window by window,
+    // so the worker count moves where the windows fall but not what spills
+    // or what comes out.
     for name in [
         "order",
         "group",
