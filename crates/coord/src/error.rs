@@ -15,19 +15,8 @@ pub enum CoordError {
     NoChildrenForEphemerals(String),
     /// A path failed syntactic validation.
     BadPath(String),
-    /// The node still has children and cannot be deleted.
-    NotEmpty(String),
     /// The session performing the operation has ended.
     SessionExpired,
-    /// A conditional write failed its version check.
-    BadVersion {
-        /// Path of the node.
-        path: String,
-        /// Version the caller expected.
-        expected: i64,
-        /// Version actually on the node.
-        actual: i64,
-    },
 }
 
 impl fmt::Display for CoordError {
@@ -40,16 +29,7 @@ impl fmt::Display for CoordError {
                 write!(f, "{p} is ephemeral and cannot have children")
             }
             CoordError::BadPath(p) => write!(f, "invalid znode path {p:?}"),
-            CoordError::NotEmpty(p) => write!(f, "{p} has children"),
             CoordError::SessionExpired => write!(f, "session expired"),
-            CoordError::BadVersion {
-                path,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "version mismatch at {path}: expected {expected}, found {actual}"
-            ),
         }
     }
 }

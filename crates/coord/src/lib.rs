@@ -9,8 +9,11 @@
 //! * a hierarchical namespace of data nodes ([`znode`]),
 //! * **ephemeral** znodes that vanish when the creating session ends,
 //! * **sequential** znodes for unique member names,
-//! * one-shot **watches** on data, existence, and children, and
-//! * explicit session lifecycle (close, simulated expiry).
+//! * reads of a znode's children and data, and
+//! * session lifecycle (drop, simulated expiry).
+//!
+//! Daemons list the live members whenever they need an aggregator, so
+//! nothing is pushed to them: there are no watches.
 //!
 //! Everything is in-process and deterministic; "network partitions" are
 //! modeled by expiring sessions.
@@ -45,5 +48,5 @@ pub mod service;
 pub mod znode;
 
 pub use error::{CoordError, CoordResult};
-pub use service::{CoordService, CreateMode, Session, SessionId, WatchEvent, WatchEventKind};
-pub use znode::{NodeStat, ZnodePath};
+pub use service::{CoordService, CreateMode, Session, SessionId};
+pub use znode::ZnodePath;

@@ -1,12 +1,13 @@
-//! The coordination service proper: sessions, znode CRUD, watches.
+//! The coordination service proper: sessions, and the ephemeral and
+//! sequential znodes they create, list and read.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use uli_obs::lock;
 
 use crate::error::{CoordError, CoordResult};
-use crate::znode::{NodeStat, ZnodePath};
+use crate::znode::ZnodePath;
 
 /// Identifies a client session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,85 +43,32 @@ impl CreateMode {
     }
 }
 
-/// The kind of change a watch observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WatchEventKind {
-    /// A node appeared at the watched path.
-    NodeCreated,
-    /// The watched node was deleted.
-    NodeDeleted,
-    /// The watched node's data changed.
-    NodeDataChanged,
-    /// The watched node's child set changed.
-    NodeChildrenChanged,
-}
-
-/// A fired watch, delivered to the session that registered it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchEvent {
-    /// Path the watch was registered on.
-    pub path: String,
-    /// What happened.
-    pub kind: WatchEventKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum WatchKind {
-    Data,
-    Exists,
-    Children,
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Node {
     data: Vec<u8>,
-    version: i64,
     ephemeral_owner: Option<SessionId>,
     children: BTreeSet<String>,
     next_sequence: u64,
-    created_at: u64,
-    modified_at: u64,
 }
 
-impl Node {
-    fn stat(&self) -> NodeStat {
-        NodeStat {
-            version: self.version,
-            num_children: self.children.len(),
-            ephemeral: self.ephemeral_owner.is_some(),
-            created_at: self.created_at,
-            modified_at: self.modified_at,
-        }
-    }
-}
-
-#[derive(Default)]
 struct State {
     nodes: BTreeMap<String, Node>,
     next_session: u64,
     live_sessions: BTreeSet<SessionId>,
-    event_queues: HashMap<SessionId, VecDeque<WatchEvent>>,
-    watches: HashMap<(String, WatchKind), Vec<SessionId>>,
-    tick: u64,
+}
+
+impl Default for State {
+    /// A namespace holding just the root znode.
+    fn default() -> Self {
+        State {
+            nodes: BTreeMap::from([("/".to_string(), Node::default())]),
+            next_session: 0,
+            live_sessions: BTreeSet::new(),
+        }
+    }
 }
 
 impl State {
-    fn fire(&mut self, path: &str, watch: WatchKind, kind: WatchEventKind) {
-        if let Some(sessions) = self.watches.remove(&(path.to_string(), watch)) {
-            for sid in sessions {
-                if self.live_sessions.contains(&sid) {
-                    self.event_queues
-                        .entry(sid)
-                        .or_default()
-                        .push_back(WatchEvent {
-                            path: path.to_string(),
-                            kind,
-                        });
-                }
-            }
-        }
-    }
-
     fn create_node(
         &mut self,
         sid: SessionId,
@@ -131,93 +79,44 @@ impl State {
         let parent = path
             .parent()
             .ok_or_else(|| CoordError::BadPath("/".into()))?;
-        self.tick += 1;
-        let tick = self.tick;
-        let actual = {
-            let parent_node = self
-                .nodes
-                .get_mut(parent.as_str())
-                .ok_or_else(|| CoordError::NoParent(path.as_str().to_string()))?;
-            if parent_node.ephemeral_owner.is_some() {
-                return Err(CoordError::NoChildrenForEphemerals(
-                    parent.as_str().to_string(),
-                ));
-            }
-            if mode.is_sequential() {
-                let seq = parent_node.next_sequence;
-                parent_node.next_sequence += 1;
-                format!("{}{:010}", path.as_str(), seq)
-            } else {
-                path.as_str().to_string()
-            }
-        };
-        if self.nodes.contains_key(&actual) {
+        let parent_node = self
+            .nodes
+            .get_mut(parent.as_str())
+            .ok_or_else(|| CoordError::NoParent(path.as_str().to_string()))?;
+        if parent_node.ephemeral_owner.is_some() {
+            return Err(CoordError::NoChildrenForEphemerals(
+                parent.as_str().to_string(),
+            ));
+        }
+        let mut name = path.name().to_string();
+        if mode.is_sequential() {
+            name.push_str(&format!("{:010}", parent_node.next_sequence));
+            parent_node.next_sequence += 1;
+        }
+        let actual = parent
+            .child(&name)
+            .expect("a valid name plus digits is a valid name")
+            .to_string();
+        if !parent_node.children.insert(name) {
             return Err(CoordError::NodeExists(actual));
         }
-        let name = ZnodePath::parse(&actual)
-            .expect("constructed path is valid")
-            .name()
-            .to_string();
-        self.nodes
-            .get_mut(parent.as_str())
-            .expect("parent checked above")
-            .children
-            .insert(name);
         self.nodes.insert(
             actual.clone(),
             Node {
                 data,
-                version: 0,
                 ephemeral_owner: mode.is_ephemeral().then_some(sid),
-                children: BTreeSet::new(),
-                next_sequence: 0,
-                created_at: tick,
-                modified_at: tick,
+                ..Node::default()
             },
         );
-        self.fire(&actual, WatchKind::Exists, WatchEventKind::NodeCreated);
-        self.fire(
-            parent.as_str(),
-            WatchKind::Children,
-            WatchEventKind::NodeChildrenChanged,
-        );
         Ok(actual)
-    }
-
-    fn delete_node(&mut self, path: &ZnodePath) -> CoordResult<()> {
-        let node = self
-            .nodes
-            .get(path.as_str())
-            .ok_or_else(|| CoordError::NoNode(path.as_str().to_string()))?;
-        if !node.children.is_empty() {
-            return Err(CoordError::NotEmpty(path.as_str().to_string()));
-        }
-        self.nodes.remove(path.as_str());
-        let parent = path.parent().expect("non-root: has a parent");
-        if let Some(parent_node) = self.nodes.get_mut(parent.as_str()) {
-            parent_node.children.remove(path.name());
-        }
-        self.fire(path.as_str(), WatchKind::Data, WatchEventKind::NodeDeleted);
-        self.fire(
-            path.as_str(),
-            WatchKind::Exists,
-            WatchEventKind::NodeDeleted,
-        );
-        self.fire(
-            parent.as_str(),
-            WatchKind::Children,
-            WatchEventKind::NodeChildrenChanged,
-        );
-        Ok(())
     }
 
     fn end_session(&mut self, sid: SessionId) {
         if !self.live_sessions.remove(&sid) {
             return;
         }
-        self.event_queues.remove(&sid);
-        // Delete this session's ephemerals (they cannot have children, so
-        // ordering does not matter).
+        // Delete this session's ephemerals. They cannot have children, so
+        // only their parents' child sets need updating.
         let owned: Vec<String> = self
             .nodes
             .iter()
@@ -225,16 +124,13 @@ impl State {
             .map(|(p, _)| p.clone())
             .collect();
         for path in owned {
+            self.nodes.remove(&path);
             let path = ZnodePath::parse(&path).expect("stored paths are valid");
-            // Ignore errors: concurrent structure changes cannot happen under
-            // the lock, so this only fails if the node vanished above.
-            let _ = self.delete_node(&path);
+            let parent = path.parent().expect("the root is not ephemeral");
+            if let Some(parent_node) = self.nodes.get_mut(parent.as_str()) {
+                parent_node.children.remove(path.name());
+            }
         }
-        // Drop the dead session's watch registrations.
-        for sessions in self.watches.values_mut() {
-            sessions.retain(|s| *s != sid);
-        }
-        self.watches.retain(|_, v| !v.is_empty());
     }
 }
 
@@ -247,22 +143,7 @@ pub struct CoordService {
 impl CoordService {
     /// Creates a service with just the root znode.
     pub fn new() -> Self {
-        let svc = CoordService {
-            state: Arc::new(Mutex::new(State::default())),
-        };
-        lock(&svc.state).nodes.insert(
-            "/".to_string(),
-            Node {
-                data: Vec::new(),
-                version: 0,
-                ephemeral_owner: None,
-                children: BTreeSet::new(),
-                next_sequence: 0,
-                created_at: 0,
-                modified_at: 0,
-            },
-        );
-        svc
+        CoordService::default()
     }
 
     /// Opens a new client session.
@@ -271,7 +152,6 @@ impl CoordService {
         st.next_session += 1;
         let sid = SessionId(st.next_session);
         st.live_sessions.insert(sid);
-        st.event_queues.insert(sid, VecDeque::new());
         Session {
             state: Arc::clone(&self.state),
             sid,
@@ -279,14 +159,9 @@ impl CoordService {
     }
 
     /// Forcibly expires a session, as a lost-heartbeat simulation. Its
-    /// ephemerals are removed and watches fire exactly as if the client died.
+    /// ephemerals are removed exactly as if the client died.
     pub fn expire_session(&self, sid: SessionId) {
         lock(&self.state).end_session(sid);
-    }
-
-    /// Number of currently live sessions.
-    pub fn session_count(&self) -> usize {
-        lock(&self.state).live_sessions.len()
     }
 
     /// Total number of znodes (including the root).
@@ -330,72 +205,28 @@ impl Session {
         st.create_node(self.sid, &path, data, mode)
     }
 
-    /// Deletes a znode (must have no children).
-    pub fn delete(&self, path: &str) -> CoordResult<()> {
-        let path = ZnodePath::parse(path)?;
-        if path.as_str() == "/" {
-            return Err(CoordError::BadPath("/".into()));
-        }
-        let mut st = lock(&self.state);
-        self.check_live(&st)?;
-        st.delete_node(&path)
-    }
-
-    /// Returns node metadata if the node exists.
-    pub fn exists(&self, path: &str) -> CoordResult<Option<NodeStat>> {
-        let path = ZnodePath::parse(path)?;
-        let st = lock(&self.state);
-        self.check_live(&st)?;
-        Ok(st.nodes.get(path.as_str()).map(Node::stat))
-    }
-
-    /// Reads a node's data and metadata.
-    pub fn get_data(&self, path: &str) -> CoordResult<(Vec<u8>, NodeStat)> {
+    /// Reads a node's data.
+    pub fn get_data(&self, path: &str) -> CoordResult<Vec<u8>> {
         let path = ZnodePath::parse(path)?;
         let st = lock(&self.state);
         self.check_live(&st)?;
         st.nodes
             .get(path.as_str())
-            .map(|n| (n.data.clone(), n.stat()))
+            .map(|n| n.data.clone())
             .ok_or_else(|| CoordError::NoNode(path.as_str().to_string()))
     }
 
-    /// Writes a node's data. If `expected_version` is given, the write is
-    /// conditional (compare-and-set).
-    pub fn set_data(
-        &self,
-        path: &str,
-        data: Vec<u8>,
-        expected_version: Option<i64>,
-    ) -> CoordResult<NodeStat> {
+    /// Replaces a node's data.
+    pub fn set_data(&self, path: &str, data: Vec<u8>) -> CoordResult<()> {
         let path = ZnodePath::parse(path)?;
         let mut st = lock(&self.state);
         self.check_live(&st)?;
-        st.tick += 1;
-        let tick = st.tick;
         let node = st
             .nodes
             .get_mut(path.as_str())
             .ok_or_else(|| CoordError::NoNode(path.as_str().to_string()))?;
-        if let Some(expected) = expected_version {
-            if node.version != expected {
-                return Err(CoordError::BadVersion {
-                    path: path.as_str().to_string(),
-                    expected,
-                    actual: node.version,
-                });
-            }
-        }
         node.data = data;
-        node.version += 1;
-        node.modified_at = tick;
-        let stat = node.stat();
-        st.fire(
-            path.as_str(),
-            WatchKind::Data,
-            WatchEventKind::NodeDataChanged,
-        );
-        Ok(stat)
+        Ok(())
     }
 
     /// Lists a node's children, sorted.
@@ -408,44 +239,6 @@ impl Session {
             .map(|n| n.children.iter().cloned().collect())
             .ok_or_else(|| CoordError::NoNode(path.as_str().to_string()))
     }
-
-    fn watch(&self, path: &str, kind: WatchKind) -> CoordResult<()> {
-        let path = ZnodePath::parse(path)?;
-        let mut st = lock(&self.state);
-        self.check_live(&st)?;
-        st.watches
-            .entry((path.as_str().to_string(), kind))
-            .or_default()
-            .push(self.sid);
-        Ok(())
-    }
-
-    /// Registers a one-shot watch that fires when the node's data changes or
-    /// the node is deleted.
-    pub fn watch_data(&self, path: &str) -> CoordResult<()> {
-        self.watch(path, WatchKind::Data)
-    }
-
-    /// Registers a one-shot watch that fires when a node is created or
-    /// deleted at `path`.
-    pub fn watch_exists(&self, path: &str) -> CoordResult<()> {
-        self.watch(path, WatchKind::Exists)
-    }
-
-    /// Registers a one-shot watch that fires when the node's child set
-    /// changes — this is how Scribe daemons notice aggregator churn.
-    pub fn watch_children(&self, path: &str) -> CoordResult<()> {
-        self.watch(path, WatchKind::Children)
-    }
-
-    /// Takes the next pending watch event, if any.
-    pub fn poll_event(&self) -> Option<WatchEvent> {
-        let mut st = lock(&self.state);
-        st.event_queues.get_mut(&self.sid)?.pop_front()
-    }
-
-    /// Ends the session explicitly. Equivalent to dropping.
-    pub fn close(self) {}
 }
 
 impl Drop for Session {
@@ -466,19 +259,17 @@ mod tests {
     }
 
     #[test]
-    fn create_get_set_delete() {
+    fn create_get_set() {
         let (_svc, s) = svc_with_root("/a");
         s.create("/a/b", b"v0".to_vec(), CreateMode::Persistent)
             .unwrap();
-        let (data, stat) = s.get_data("/a/b").unwrap();
-        assert_eq!(data, b"v0");
-        assert_eq!(stat.version, 0);
-        s.set_data("/a/b", b"v1".to_vec(), None).unwrap();
-        let (data, stat) = s.get_data("/a/b").unwrap();
-        assert_eq!(data, b"v1");
-        assert_eq!(stat.version, 1);
-        s.delete("/a/b").unwrap();
-        assert!(s.exists("/a/b").unwrap().is_none());
+        assert_eq!(s.get_data("/a/b").unwrap(), b"v0");
+        s.set_data("/a/b", b"v1".to_vec()).unwrap();
+        assert_eq!(s.get_data("/a/b").unwrap(), b"v1");
+        assert_eq!(
+            s.set_data("/a/c", vec![]),
+            Err(CoordError::NoNode("/a/c".into()))
+        );
     }
 
     #[test]
@@ -498,13 +289,6 @@ mod tests {
             s.create("/a", vec![], CreateMode::Persistent),
             Err(CoordError::NodeExists("/a".into()))
         );
-    }
-
-    #[test]
-    fn delete_nonempty_fails() {
-        let (_svc, s) = svc_with_root("/a");
-        s.create("/a/b", vec![], CreateMode::Persistent).unwrap();
-        assert_eq!(s.delete("/a"), Err(CoordError::NotEmpty("/a".into())));
     }
 
     #[test]
@@ -551,7 +335,7 @@ mod tests {
         svc.expire_session(member.id());
         assert!(admin.get_children("/agg").unwrap().is_empty());
         // The expired session now errors on use.
-        assert_eq!(member.exists("/agg"), Err(CoordError::SessionExpired));
+        assert_eq!(member.get_children("/agg"), Err(CoordError::SessionExpired));
     }
 
     #[test]
@@ -566,110 +350,14 @@ mod tests {
     }
 
     #[test]
-    fn children_watch_fires_once() {
-        let svc = CoordService::new();
-        let admin = svc.connect();
-        admin
-            .create("/agg", vec![], CreateMode::Persistent)
-            .unwrap();
-        let daemon = svc.connect();
-        daemon.watch_children("/agg").unwrap();
-        assert!(daemon.poll_event().is_none());
-
-        admin
-            .create("/agg/a", vec![], CreateMode::Persistent)
-            .unwrap();
-        assert_eq!(
-            daemon.poll_event(),
-            Some(WatchEvent {
-                path: "/agg".into(),
-                kind: WatchEventKind::NodeChildrenChanged
-            })
-        );
-        // One-shot: a second change does not fire.
-        admin
-            .create("/agg/b", vec![], CreateMode::Persistent)
-            .unwrap();
-        assert!(daemon.poll_event().is_none());
-    }
-
-    #[test]
-    fn data_watch_fires_on_set_and_delete() {
-        let svc = CoordService::new();
-        let s = svc.connect();
-        s.create("/n", vec![], CreateMode::Persistent).unwrap();
-        s.watch_data("/n").unwrap();
-        s.set_data("/n", b"x".to_vec(), None).unwrap();
-        assert_eq!(
-            s.poll_event().unwrap().kind,
-            WatchEventKind::NodeDataChanged
-        );
-
-        s.watch_data("/n").unwrap();
-        s.delete("/n").unwrap();
-        assert_eq!(s.poll_event().unwrap().kind, WatchEventKind::NodeDeleted);
-    }
-
-    #[test]
-    fn exists_watch_fires_on_create() {
-        let svc = CoordService::new();
-        let s = svc.connect();
-        s.watch_exists("/later").unwrap();
-        s.create("/later", vec![], CreateMode::Persistent).unwrap();
-        assert_eq!(s.poll_event().unwrap().kind, WatchEventKind::NodeCreated);
-    }
-
-    #[test]
-    fn watch_fires_on_session_expiry_of_ephemeral_owner() {
-        let svc = CoordService::new();
-        let admin = svc.connect();
-        admin
-            .create("/agg", vec![], CreateMode::Persistent)
-            .unwrap();
-        let member = svc.connect();
-        member
-            .create("/agg/m", vec![], CreateMode::Ephemeral)
-            .unwrap();
-        let watcher = svc.connect();
-        watcher.watch_children("/agg").unwrap();
-        svc.expire_session(member.id());
-        assert_eq!(
-            watcher.poll_event().unwrap().kind,
-            WatchEventKind::NodeChildrenChanged
-        );
-    }
-
-    #[test]
-    fn conditional_set_enforces_version() {
-        let svc = CoordService::new();
-        let s = svc.connect();
-        s.create("/n", vec![], CreateMode::Persistent).unwrap();
-        s.set_data("/n", b"a".to_vec(), Some(0)).unwrap();
-        let err = s.set_data("/n", b"b".to_vec(), Some(0)).unwrap_err();
-        assert!(matches!(err, CoordError::BadVersion { actual: 1, .. }));
-    }
-
-    #[test]
-    fn session_and_node_counts() {
+    fn node_count_includes_the_root_and_outlives_sessions() {
         let svc = CoordService::new();
         assert_eq!(svc.node_count(), 1);
         let a = svc.connect();
-        let b = svc.connect();
-        assert_eq!(svc.session_count(), 2);
         a.create("/x", vec![], CreateMode::Persistent).unwrap();
         assert_eq!(svc.node_count(), 2);
-        drop(b);
-        assert_eq!(svc.session_count(), 1);
         drop(a);
-        assert_eq!(svc.session_count(), 0);
         // Persistent node survives all sessions.
         assert_eq!(svc.node_count(), 2);
-    }
-
-    #[test]
-    fn root_cannot_be_deleted() {
-        let svc = CoordService::new();
-        let s = svc.connect();
-        assert!(s.delete("/").is_err());
     }
 }

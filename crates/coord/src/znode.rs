@@ -1,4 +1,4 @@
-//! Znode paths and metadata.
+//! Znode paths.
 
 use crate::error::{CoordError, CoordResult};
 
@@ -69,21 +69,6 @@ impl std::fmt::Display for ZnodePath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)
     }
-}
-
-/// Metadata returned with znode reads, analogous to ZooKeeper's `Stat`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeStat {
-    /// Monotonic version, incremented on every data write.
-    pub version: i64,
-    /// Number of children.
-    pub num_children: usize,
-    /// Whether the node is ephemeral.
-    pub ephemeral: bool,
-    /// Logical creation tick.
-    pub created_at: u64,
-    /// Logical tick of the last data write.
-    pub modified_at: u64,
 }
 
 #[cfg(test)]

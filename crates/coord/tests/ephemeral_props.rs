@@ -6,17 +6,14 @@
 //!
 //! * delete exactly the expired sessions' ephemerals (live sessions keep
 //!   theirs, persistents survive everything);
-//! * fire an armed exists/data watch on a deleted znode **exactly once**,
-//!   even when one expiry kills several znodes;
-//! * fire a one-shot children watch at most once per arming;
-//! * drop the dead session's own watch registrations (no posthumous
-//!   events) and fail every later call with `SessionExpired`.
+//! * list exactly the live members under the registry; and
+//! * fail every later call of an expired session with `SessionExpired`.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use uli_coord::{CoordError, CoordService, CreateMode, WatchEventKind};
+use uli_coord::{CoordError, CoordService, CreateMode};
 
 const REGISTRY: &str = "/chaos/registry";
 
@@ -30,13 +27,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn expiry_deletes_ephemerals_and_fires_watches_exactly_once(
+    fn expiry_deletes_exactly_the_expired_sessions_ephemerals(
         (nodes_per_session, expire) in arb_plan()
     ) {
         let svc = CoordService::new();
-        let watcher = svc.connect();
-        watcher.create("/chaos", Vec::new(), CreateMode::Persistent).unwrap();
-        watcher.create(REGISTRY, Vec::new(), CreateMode::Persistent).unwrap();
+        let reader = svc.connect();
+        reader.create("/chaos", Vec::new(), CreateMode::Persistent).unwrap();
+        reader.create(REGISTRY, Vec::new(), CreateMode::Persistent).unwrap();
 
         // Each session registers its ephemerals, like aggregators would.
         let mut owned: BTreeMap<usize, Vec<String>> = BTreeMap::new();
@@ -61,75 +58,29 @@ proptest! {
             })
             .collect();
 
-        // The watcher arms one exists-watch per znode and a single
-        // one-shot children watch on the registry.
-        for paths in owned.values() {
-            for p in paths {
-                watcher.watch_exists(p).unwrap();
-            }
-        }
-        watcher.watch_children(REGISTRY).unwrap();
-
-        // A doomed session arms watches too; they must die with it.
-        let doomed_watcher = svc.connect();
-        doomed_watcher.watch_children(REGISTRY).unwrap();
-        svc.expire_session(doomed_watcher.id());
-
-        let mut expected_deleted: Vec<String> = Vec::new();
         for (i, s) in sessions.iter().enumerate() {
             if expire[i] {
                 svc.expire_session(s.id());
-                expected_deleted.extend(owned[&i].iter().cloned());
             }
         }
 
-        // Count events per path: every watched-and-deleted znode fires
-        // exactly once; nothing else fires at all.
-        let mut deleted_events: BTreeMap<String, u32> = BTreeMap::new();
-        let mut children_events = 0u32;
-        while let Some(ev) = watcher.poll_event() {
-            match ev.kind {
-                WatchEventKind::NodeDeleted => {
-                    *deleted_events.entry(ev.path.clone()).or_insert(0) += 1;
-                }
-                WatchEventKind::NodeChildrenChanged => {
-                    prop_assert_eq!(&ev.path, REGISTRY);
-                    children_events += 1;
-                }
-                other => prop_assert!(false, "unexpected event kind {:?}", other),
-            }
-        }
-        for p in &expected_deleted {
-            prop_assert_eq!(
-                deleted_events.get(p).copied().unwrap_or(0),
-                1,
-                "znode {} must fire its watch exactly once",
-                p
-            );
-        }
-        prop_assert_eq!(
-            deleted_events.len(),
-            expected_deleted.len(),
-            "no deletion events for surviving znodes"
-        );
-        let any_deleted = !expected_deleted.is_empty();
-        prop_assert_eq!(
-            children_events,
-            u32::from(any_deleted),
-            "one-shot children watch fires at most once per arming"
-        );
-
-        // Survivors keep their znodes; the registry lists exactly them.
+        // Expired sessions' ephemerals are gone; survivors keep theirs; the
+        // registry lists exactly them.
         let mut expected_members: Vec<String> = Vec::new();
         for (i, paths) in &owned {
-            if !expire[*i] {
-                for p in paths {
-                    prop_assert!(watcher.exists(p).unwrap().is_some());
+            for p in paths {
+                if expire[*i] {
+                    prop_assert_eq!(
+                        reader.get_data(p).unwrap_err(),
+                        CoordError::NoNode(p.clone())
+                    );
+                } else {
+                    prop_assert_eq!(reader.get_data(p).unwrap(), b"endpoint".to_vec());
                     expected_members.push(p.rsplit('/').next().unwrap().to_string());
                 }
             }
         }
-        let mut members = watcher.get_children(REGISTRY).unwrap();
+        let mut members = reader.get_children(REGISTRY).unwrap();
         members.sort();
         expected_members.sort();
         prop_assert_eq!(members, expected_members);
@@ -146,25 +97,6 @@ proptest! {
                     CoordError::SessionExpired
                 );
             }
-        }
-
-        // Re-arming after a fire works: the watch is one-shot, not dead.
-        // (Only meaningful when the original arming was consumed above —
-        // otherwise re-arming would stack a second registration.)
-        if let Some((i, s)) = sessions
-            .iter()
-            .enumerate()
-            .find(|(i, _)| any_deleted && !expire[*i] && !owned[i].is_empty())
-        {
-            watcher.watch_children(REGISTRY).unwrap();
-            svc.expire_session(s.id());
-            let mut fired = 0;
-            while let Some(ev) = watcher.poll_event() {
-                if ev.kind == WatchEventKind::NodeChildrenChanged {
-                    fired += 1;
-                }
-            }
-            prop_assert_eq!(fired, 1, "re-armed children watch fires again: {}", i);
         }
     }
 }

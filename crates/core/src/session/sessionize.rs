@@ -57,30 +57,15 @@ impl From<ClientEvent> for SessionEvent {
     }
 }
 
-/// Groups client events into sessions.
-#[derive(Debug, Clone, Copy)]
-pub struct Sessionizer {
-    gap_ms: i64,
-}
-
-impl Default for Sessionizer {
-    fn default() -> Self {
-        Sessionizer {
-            gap_ms: SESSION_GAP_MS,
-        }
-    }
-}
+/// Groups client events into sessions, splitting at an inactivity gap of
+/// [`SESSION_GAP_MS`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sessionizer;
 
 impl Sessionizer {
     /// A sessionizer with the standard 30-minute inactivity threshold.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A sessionizer with a custom inactivity threshold (the ablation knob).
-    pub fn with_gap_ms(gap_ms: i64) -> Self {
-        assert!(gap_ms > 0, "inactivity gap must be positive");
-        Sessionizer { gap_ms }
+        Sessionizer
     }
 
     /// Reconstructs sessions: group by `(user_id, session_id)`, order by
@@ -113,7 +98,7 @@ impl Sessionizer {
             for ev in evs {
                 let split = current
                     .last()
-                    .is_some_and(|prev| ev.timestamp.since(prev.timestamp) > self.gap_ms);
+                    .is_some_and(|prev| ev.timestamp.since(prev.timestamp) > SESSION_GAP_MS);
                 if split {
                     out.push(Self::seal(
                         user_id,
@@ -205,13 +190,6 @@ mod tests {
         assert_eq!(sessions[0].events.len(), 2);
         assert_eq!(sessions[1].events.len(), 1);
         assert_eq!(sessions[1].start, Timestamp(2 * gap + 1));
-    }
-
-    #[test]
-    fn custom_gap_changes_split_points() {
-        let events = vec![ev(1, "a", 0, "impression"), ev(1, "a", 60_000, "click")];
-        assert_eq!(Sessionizer::new().sessionize(events.clone()).len(), 1);
-        assert_eq!(Sessionizer::with_gap_ms(30_000).sessionize(events).len(), 2);
     }
 
     #[test]

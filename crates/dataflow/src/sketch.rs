@@ -341,29 +341,6 @@ impl CountMin {
         self.total += other.total;
     }
 
-    /// Serialization: total then each counter, all big-endian u64.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 * (1 + self.rows.len()));
-        out.extend_from_slice(&self.total.to_be_bytes());
-        for &c in &self.rows {
-            out.extend_from_slice(&c.to_be_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`CountMin::to_bytes`]; `None` when the length is wrong.
-    pub fn from_bytes(bytes: &[u8]) -> Option<CountMin> {
-        if bytes.len() != 8 * (1 + CM_DEPTH * CM_WIDTH) {
-            return None;
-        }
-        let total = u64::from_be_bytes(bytes[..8].try_into().unwrap());
-        let rows: Vec<u64> = bytes[8..]
-            .chunks_exact(8)
-            .map(|c| u64::from_be_bytes(c.try_into().unwrap()))
-            .collect();
-        Some(CountMin { rows, total })
-    }
-
     /// Deterministic memory cost charged against the operator budget.
     pub fn cost_bytes() -> u64 {
         8 * (1 + (CM_DEPTH * CM_WIDTH) as u64)
@@ -497,49 +474,22 @@ impl TopK {
         ranked
     }
 
-    /// Serialization: k, CMS block, candidate count, then each candidate
-    /// length-prefixed.
+    /// The state as bytes, for digests: k, the Count-Min total and each
+    /// counter, the candidate count, then each candidate length-prefixed
+    /// (integers big-endian).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.k as u64).to_be_bytes());
-        let cms = self.cms.to_bytes();
-        out.extend_from_slice(&cms);
+        out.extend_from_slice(&self.cms.total.to_be_bytes());
+        for &c in &self.cms.rows {
+            out.extend_from_slice(&c.to_be_bytes());
+        }
         out.extend_from_slice(&(self.candidates.len() as u64).to_be_bytes());
         for key in &self.candidates {
             out.extend_from_slice(&(key.len() as u32).to_be_bytes());
             out.extend_from_slice(key);
         }
         out
-    }
-
-    /// Inverse of [`TopK::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Option<TopK> {
-        let cms_len = 8 * (1 + CM_DEPTH * CM_WIDTH);
-        if bytes.len() < 8 + cms_len + 8 {
-            return None;
-        }
-        let k = u64::from_be_bytes(bytes[..8].try_into().unwrap()) as usize;
-        let cms = CountMin::from_bytes(&bytes[8..8 + cms_len])?;
-        let mut at = 8 + cms_len;
-        let n = u64::from_be_bytes(bytes[at..at + 8].try_into().ok()?) as usize;
-        at += 8;
-        let mut candidates = BTreeSet::new();
-        for _ in 0..n {
-            if bytes.len() < at + 4 {
-                return None;
-            }
-            let len = u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-            at += 4;
-            if bytes.len() < at + len {
-                return None;
-            }
-            candidates.insert(bytes[at..at + len].to_vec());
-            at += len;
-        }
-        if at != bytes.len() {
-            return None;
-        }
-        Some(TopK { k, cms, candidates })
     }
 
     /// Memory cost: the CMS plus the bounded candidate slots (each
@@ -715,16 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn countmin_roundtrips_bytes() {
-        let mut cm = CountMin::new();
-        for i in 0..100u64 {
-            cm.add(format!("x{i}").as_bytes(), i + 1);
-        }
-        assert_eq!(CountMin::from_bytes(&cm.to_bytes()).unwrap(), cm);
-        assert!(CountMin::from_bytes(&[0u8; 9]).is_none());
-    }
-
-    #[test]
     fn topk_finds_heavy_hitters_exactly_on_skewed_stream() {
         let mut t = TopK::new(3);
         // 3 heavy keys far above the noise floor, 50 light keys.
@@ -785,15 +725,5 @@ mod tests {
         }
         assert!(t.candidates.len() <= TOPK_CANDIDATES);
         assert_eq!(t.top()[0].0, b"keeper".to_vec());
-    }
-
-    #[test]
-    fn topk_roundtrips_bytes() {
-        let mut t = TopK::new(7);
-        for i in 0..40u64 {
-            t.add(format!("ev{i}").as_bytes(), i);
-        }
-        assert_eq!(TopK::from_bytes(&t.to_bytes()).unwrap(), t);
-        assert!(TopK::from_bytes(&[1, 2, 3]).is_none());
     }
 }

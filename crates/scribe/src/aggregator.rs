@@ -357,7 +357,7 @@ fn register_member(session: &Session, dc: &str, endpoint: Option<&str>) -> (Stri
         None => endpoint_key(dc, &name),
     };
     session
-        .set_data(&member_path, endpoint.clone().into_bytes(), None)
+        .set_data(&member_path, endpoint.clone().into_bytes())
         .expect("member znode just created");
     (name, endpoint)
 }
@@ -392,7 +392,7 @@ mod tests {
         let members = admin.get_children(&registry_path("dc1")).unwrap();
         assert_eq!(members, vec![agg.name().to_string()]);
         // The member znode advertises the endpoint as its data.
-        let (data, _) = admin
+        let data = admin
             .get_data(&format!("{}/{}", registry_path("dc1"), agg.name()))
             .unwrap();
         assert_eq!(data, agg.endpoint().as_bytes());
@@ -506,7 +506,7 @@ mod tests {
         assert_eq!(agg.endpoint(), endpoint, "same network channel");
         let members = admin.get_children(&registry_path("dc1")).unwrap();
         assert_eq!(members, vec![agg.name().to_string()]);
-        let (data, _) = admin
+        let data = admin
             .get_data(&format!("{}/{}", registry_path("dc1"), agg.name()))
             .unwrap();
         assert_eq!(

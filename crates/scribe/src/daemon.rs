@@ -9,11 +9,10 @@
 //! across aggregators." (§2)
 //!
 //! Delivery failures are retried with bounded exponential backoff: each
-//! pump spends at most [`RetryPolicy::attempts_per_pump`] send/discovery
-//! attempts, rediscovering through the coordination service between
-//! attempts; when the budget is exhausted the queue stays on local disk and
-//! the daemon cools down for an exponentially growing (capped) number of
-//! pumps before trying again.
+//! pump spends at most four send/discovery attempts, rediscovering through
+//! the coordination service between attempts; when the budget is exhausted
+//! the queue stays on local disk and the daemon cools down for an
+//! exponentially growing (capped) number of pumps before trying again.
 
 use std::collections::VecDeque;
 
@@ -62,41 +61,25 @@ impl BatchPolicy {
     }
 }
 
-/// Retry/backoff knobs for the daemon's delivery path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Send or discovery attempts spent per pump before giving up and
-    /// leaving the queue on local disk.
-    pub attempts_per_pump: u32,
-    /// Cooldown (in pumps) after the second consecutive failed pump.
-    /// The first failure retries on the very next pump.
-    pub base_cooldown: u64,
-    /// Cooldown cap; backoff doubles up to this.
-    pub max_cooldown: u64,
-}
+/// Send or discovery attempts spent per pump before giving up and leaving
+/// the queue on local disk.
+const ATTEMPTS_PER_PUMP: u32 = 4;
+/// Cooldown (in pumps) after the second consecutive failed pump. The first
+/// failure retries on the very next pump.
+const BASE_COOLDOWN: u64 = 1;
+/// Cooldown cap; backoff doubles up to this.
+const MAX_COOLDOWN: u64 = 16;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts_per_pump: 4,
-            base_cooldown: 1,
-            max_cooldown: 16,
-        }
+/// Cooldown after `failures` consecutive failed pumps: 0, then
+/// `BASE_COOLDOWN`, twice that, four times, … capped at `MAX_COOLDOWN`.
+fn cooldown_after(failures: u32) -> u64 {
+    if failures <= 1 {
+        return 0;
     }
-}
-
-impl RetryPolicy {
-    /// Cooldown after `failures` consecutive failed pumps: 0, then
-    /// `base`, `2*base`, `4*base`, … capped at `max_cooldown`.
-    pub fn cooldown_after(&self, failures: u32) -> u64 {
-        if failures <= 1 {
-            return 0;
-        }
-        let doublings = (failures - 2).min(63);
-        self.base_cooldown
-            .saturating_mul(1u64 << doublings)
-            .min(self.max_cooldown)
-    }
+    let doublings = (failures - 2).min(63);
+    BASE_COOLDOWN
+        .saturating_mul(1u64 << doublings)
+        .min(MAX_COOLDOWN)
 }
 
 /// Outcome of one [`ScribeDaemon::pump`] call.
@@ -124,7 +107,6 @@ pub struct ScribeDaemon {
     queue: VecDeque<LogEntry>,
     /// Cached aggregator endpoint from the last discovery.
     current: Option<String>,
-    policy: RetryPolicy,
     batch: BatchPolicy,
     /// Consecutive pumps the current partial batch has lingered.
     lingered: u64,
@@ -165,7 +147,6 @@ impl ScribeDaemon {
             network,
             queue: VecDeque::new(),
             current: None,
-            policy: RetryPolicy::default(),
             batch: BatchPolicy::default(),
             lingered: 0,
             batches_sent: 0,
@@ -179,12 +160,6 @@ impl ScribeDaemon {
             send_failures: 0,
             logged: 0,
         }
-    }
-
-    /// Replaces the retry policy (builder style).
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Replaces the batching policy (builder style).
@@ -266,7 +241,7 @@ impl ScribeDaemon {
         // The endpoint lives in the znode's data, so an aggregator that
         // re-registers after a session expiry keeps its network channel.
         match self.session.get_data(&format!("{path}/{member}")) {
-            Ok((data, _)) if !data.is_empty() => String::from_utf8(data).ok(),
+            Ok(data) if !data.is_empty() => String::from_utf8(data).ok(),
             _ => Some(endpoint_key(&self.dc, member)),
         }
     }
@@ -307,7 +282,7 @@ impl ScribeDaemon {
     /// Attempts to drain the local queue to a live aggregator, in batches.
     ///
     /// Entries coalesce per [`BatchPolicy`]; each batch costs one network
-    /// message and one fault roll. Spends at most `attempts_per_pump`
+    /// message and one fault roll. Spends at most `ATTEMPTS_PER_PUMP`
     /// send/discovery attempts, rediscovering through the coordination
     /// service after every failure; a failed batch is re-queued whole at
     /// the front, preserving order. If the budget runs out the remaining
@@ -341,7 +316,7 @@ impl ScribeDaemon {
         'drain: while !self.queue.is_empty() {
             let mut batch = self.take_batch();
             loop {
-                if attempts >= self.policy.attempts_per_pump {
+                if attempts >= ATTEMPTS_PER_PUMP {
                     // Re-queue the whole batch at the front, in order.
                     for entry in batch.into_entries().into_iter().rev() {
                         self.queue.push_front(entry);
@@ -386,7 +361,7 @@ impl ScribeDaemon {
             self.cooldown = 0;
         } else {
             self.failed_pumps += 1;
-            self.cooldown = self.policy.cooldown_after(self.failed_pumps);
+            self.cooldown = cooldown_after(self.failed_pumps);
         }
         report
     }
@@ -510,33 +485,28 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_exponential_and_capped() {
-        let p = RetryPolicy {
-            attempts_per_pump: 4,
-            base_cooldown: 1,
-            max_cooldown: 16,
-        };
-        let schedule: Vec<u64> = (1..=8).map(|n| p.cooldown_after(n)).collect();
+        let schedule: Vec<u64> = (1..=8).map(cooldown_after).collect();
         assert_eq!(schedule, vec![0, 1, 2, 4, 8, 16, 16, 16]);
         // No overflow at absurd failure counts.
-        assert_eq!(p.cooldown_after(u32::MAX), 16);
+        assert_eq!(cooldown_after(u32::MAX), 16);
     }
 
     #[test]
     fn give_up_leaves_queue_on_local_buffer_and_cools_down() {
         let coord = CoordService::new();
         let net = Network::new();
-        let mut d = daemon(&coord, &net, 5).with_retry_policy(RetryPolicy {
-            attempts_per_pump: 2,
-            base_cooldown: 1,
-            max_cooldown: 4,
-        });
+        let mut d = daemon(&coord, &net, 5);
         for _ in 0..3 {
             d.log(LogEntry::new("ce", b"m".to_vec()));
         }
         // Pump 1: no aggregator; budget spent on discoveries, queue intact.
         let r1 = d.pump();
         assert_eq!((r1.sent, r1.still_buffered), (0, 3));
-        assert_eq!(r1.discoveries, 2, "attempt budget caps discovery retries");
+        assert_eq!(
+            r1.discoveries,
+            u64::from(ATTEMPTS_PER_PUMP),
+            "attempt budget caps discovery retries"
+        );
         assert!(!r1.cooling_down);
         // Pump 2: first failure retries immediately (cooldown 0).
         let r2 = d.pump();
@@ -689,11 +659,7 @@ mod tests {
     fn failed_batch_requeues_whole_preserving_order() {
         let coord = CoordService::new();
         let net = Network::new();
-        let mut d = daemon(&coord, &net, 5).with_retry_policy(RetryPolicy {
-            attempts_per_pump: 1,
-            base_cooldown: 1,
-            max_cooldown: 1,
-        });
+        let mut d = daemon(&coord, &net, 5);
         for i in 0..3u64 {
             d.log(LogEntry::new("ce", vec![i as u8]));
         }

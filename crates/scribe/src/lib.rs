@@ -43,7 +43,7 @@ pub mod tap;
 
 pub use aggregator::Aggregator;
 pub use config::{CategoryConfig, CategoryRegistry, Disposition};
-pub use daemon::{BatchPolicy, RetryPolicy, ScribeDaemon};
+pub use daemon::{BatchPolicy, ScribeDaemon};
 pub use faults::{
     check_invariants, run_chaos, run_chaos_prepared, run_chaos_tapped, run_chaos_with, ChaosConfig,
     ChaosOutcome, FaultConfig, FaultPlan, InvariantReport, Sabotage,

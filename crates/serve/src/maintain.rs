@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 
 use uli_obs::{lock, Mirror, Reading, Registry};
 use uli_scribe::DeliveryTap;
-use uli_warehouse::{HourlyPartition, Warehouse, WarehouseResult, WhPath};
+use uli_warehouse::{delivered_hours, HourlyPartition, Warehouse, WarehouseResult};
 
 use crate::hour::{build_hour_index, commit_hour_index, load_committed, HourIndex};
 
@@ -245,45 +245,6 @@ impl IndexMaintainer {
     }
 }
 
-/// Every delivered hour under `/logs/<category>`, ascending, by walking
-/// the year/month/day/hour directory tree.
-fn delivered_hours(warehouse: &Warehouse, category: &str) -> WarehouseResult<Vec<u64>> {
-    let root = match WhPath::parse(&format!("/logs/{category}")) {
-        Ok(p) => p,
-        Err(_) => return Ok(Vec::new()),
-    };
-    if !warehouse.is_dir(&root) {
-        return Ok(Vec::new());
-    }
-    let mut hours = Vec::new();
-    let mut stack = vec![(root, Vec::<u16>::new())];
-    while let Some((dir, parts)) = stack.pop() {
-        for (name, is_dir) in warehouse.list(&dir)? {
-            if !is_dir {
-                continue;
-            }
-            let Ok(n) = name.parse::<u16>() else { continue };
-            let mut next = parts.clone();
-            next.push(n);
-            let child = dir.child(&name)?;
-            if next.len() == 4 {
-                let partition = HourlyPartition {
-                    category: category.to_string(),
-                    year: next[0],
-                    month: next[1] as u8,
-                    day: next[2] as u8,
-                    hour: next[3] as u8,
-                };
-                hours.push(partition.hour_index());
-            } else {
-                stack.push((child, next));
-            }
-        }
-    }
-    hours.sort_unstable();
-    Ok(hours)
-}
-
 impl DeliveryTap for IndexMaintainer {
     fn hour_delivered(&mut self, partition: &HourlyPartition, _payloads: &[Vec<u8>]) {
         let mut inner = lock(&self.inner);
@@ -311,6 +272,7 @@ mod tests {
     use uli_core::{
         write_client_events_columnar, ClientEvent, EventInitiator, EventName, Timestamp,
     };
+    use uli_warehouse::WhPath;
 
     fn land_hour(wh: &Warehouse, hour: u64, n: i64) {
         let events: Vec<ClientEvent> = (0..n)
@@ -351,6 +313,21 @@ mod tests {
         let m2 = IndexMaintainer::new(wh.clone(), "client_events");
         assert_eq!(m2.recover().unwrap(), 0);
         assert_eq!(m2.hour_index(1), m.hour_index(1));
+    }
+
+    #[test]
+    fn recovery_indexes_only_hours_the_layout_could_have_written() {
+        let wh = Warehouse::new();
+        land_hour(&wh, 0, 20);
+        // Before the calendar's first hour, and a day the calendar lacks.
+        for stray in ["2011/01/01/00", "2012/08/31/00"] {
+            wh.mkdirs(&WhPath::parse(&format!("/logs/client_events/{stray}")).unwrap())
+                .unwrap();
+        }
+        let m = IndexMaintainer::new(wh.clone(), "client_events");
+        assert_eq!(m.recover().unwrap(), 1);
+        assert_eq!(m.indexed_hours(), vec![0]);
+        assert_eq!(m.hour_index(0).unwrap().events, 20);
     }
 
     #[test]

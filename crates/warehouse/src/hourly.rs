@@ -5,6 +5,7 @@
 
 use crate::error::{WarehouseError, WarehouseResult};
 use crate::path::WhPath;
+use crate::store::Warehouse;
 
 /// Identifies one hour of one log category.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,25 +98,6 @@ impl HourlyPartition {
         ))
         .expect("constructed path is valid")
     }
-
-    /// Next hour, rolling over day/month/year in the simplified calendar.
-    pub fn next_hour(&self) -> Self {
-        let mut p = self.clone();
-        p.hour += 1;
-        if p.hour == 24 {
-            p.hour = 0;
-            p.day += 1;
-            if p.day > 30 {
-                p.day = 1;
-                p.month += 1;
-                if p.month > 12 {
-                    p.month = 1;
-                    p.year += 1;
-                }
-            }
-        }
-        p
-    }
 }
 
 impl std::fmt::Display for HourlyPartition {
@@ -126,6 +108,48 @@ impl std::fmt::Display for HourlyPartition {
             self.category, self.year, self.month, self.day, self.hour
         )
     }
+}
+
+/// Every delivered hour of `category`, ascending: the hour indexes whose
+/// [`HourlyPartition::main_dir`] is a directory of `warehouse`. The walk is
+/// the checked inverse of `main_dir`: a directory under `/logs/<category>`
+/// counts only if [`HourlyPartition::from_hour_index`] names it exactly, so
+/// a year before the calendar starts, a 31st day or an unpadded name is
+/// skipped, never wrapped into some other hour.
+pub fn delivered_hours(warehouse: &Warehouse, category: &str) -> WarehouseResult<Vec<u64>> {
+    let Ok(root) = WhPath::parse(&format!("/logs/{category}")) else {
+        return Ok(Vec::new());
+    };
+    if !warehouse.is_dir(&root) {
+        return Ok(Vec::new());
+    }
+    let mut hours = Vec::new();
+    let mut stack = vec![(root, Vec::new())];
+    while let Some((dir, parts)) = stack.pop() {
+        for (name, is_dir) in warehouse.list(&dir)? {
+            let Ok(n) = name.parse::<u16>() else { continue };
+            if !is_dir {
+                continue;
+            }
+            let mut parts = parts.clone();
+            parts.push(u64::from(n));
+            let child = dir.child(&name)?;
+            let [year, month, day, hour] = parts[..] else {
+                stack.push((child, parts));
+                continue;
+            };
+            // `hour_index`, checked: segments are u16, so only the
+            // subtractions can leave range.
+            let index = (year * 12 + month)
+                .checked_sub(2012 * 12 + 8)
+                .and_then(|months| (months * 30 + day).checked_sub(1))
+                .map(|days| days * 24 + hour)
+                .filter(|&i| HourlyPartition::from_hour_index(category, i).main_dir() == child);
+            hours.extend(index);
+        }
+    }
+    hours.sort_unstable();
+    Ok(hours)
 }
 
 #[cfg(test)]
@@ -174,9 +198,32 @@ mod tests {
     }
 
     #[test]
-    fn next_hour_rolls_over() {
-        let p = HourlyPartition::new("ce", 2012, 12, 30, 23).unwrap();
-        let n = p.next_hour();
-        assert_eq!((n.year, n.month, n.day, n.hour), (2013, 1, 1, 0));
+    fn delivered_hours_are_exactly_the_written_hour_directories() {
+        let wh = Warehouse::new();
+        assert!(delivered_hours(&wh, "ce").unwrap().is_empty());
+        let written = [24 * 30 * 5 + 7, 0, 24 * 365, 25];
+        for idx in written {
+            wh.mkdirs(&HourlyPartition::from_hour_index("ce", idx).main_dir())
+                .unwrap();
+        }
+        for stray in [
+            "2011/01/01/00",
+            "2012/07/30/23",
+            "2012/08/00/00",
+            "2012/08/31/00",
+            "2012/13/01/00",
+            "2012/08/01/24",
+            "2012/8/01/00",
+            "+2012/08/01/00",
+            "2012/08/01",
+            "65535/65535/65535/65535",
+            "notes/08/01/00",
+        ] {
+            wh.mkdirs(&WhPath::parse(&format!("/logs/ce/{stray}")).unwrap())
+                .unwrap();
+        }
+        let mut want = written.to_vec();
+        want.sort_unstable();
+        assert_eq!(delivered_hours(&wh, "ce").unwrap(), want);
     }
 }

@@ -68,7 +68,7 @@ pub use compress::CompressorPool;
 pub use error::{WarehouseError, WarehouseResult};
 pub use file::{FileBlocks, RecordFileReader, RecordFileWriter};
 pub use hash::{block_checksum, fnv1a64, fnv1a64_fold, FNV1A64_OFFSET};
-pub use hourly::HourlyPartition;
+pub use hourly::{delivered_hours, HourlyPartition};
 pub use path::WhPath;
 pub use pool::{Parallelism, ScanPool};
 pub use scan::ScanFile;

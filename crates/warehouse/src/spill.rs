@@ -55,7 +55,6 @@ struct TrackerInner {
     high_water: AtomicU64,
     spill_runs: AtomicU64,
     spill_bytes: AtomicU64,
-    gauge: Option<uli_obs::Gauge>,
 }
 
 /// Deterministic operator-memory accounting shared by every spilling
@@ -85,19 +84,6 @@ impl MemoryTracker {
         }
     }
 
-    /// Attaches an observability gauge that mirrors the high-water mark
-    /// (raise-only, so concurrent jobs sharing a registry keep the max).
-    pub fn with_gauge(self, gauge: uli_obs::Gauge) -> MemoryTracker {
-        let inner = TrackerInner {
-            budget: self.inner.budget,
-            gauge: Some(gauge),
-            ..Default::default()
-        };
-        MemoryTracker {
-            inner: Arc::new(inner),
-        }
-    }
-
     /// True when buffering `incoming` more bytes would exceed the budget.
     pub fn would_exceed(&self, incoming: u64) -> bool {
         self.current().saturating_add(incoming) > self.inner.budget
@@ -107,9 +93,6 @@ impl MemoryTracker {
     pub fn grow(&self, bytes: u64) {
         let now = self.inner.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.inner.high_water.fetch_max(now, Ordering::Relaxed);
-        if let Some(g) = &self.inner.gauge {
-            g.raise(now.min(i64::MAX as u64) as i64);
-        }
     }
 
     /// Releases `bytes` of buffered state (spilled or consumed).
@@ -471,17 +454,6 @@ mod tests {
         t.note_spill(1234);
         assert_eq!(t.spill_runs(), 1);
         assert_eq!(t.spill_bytes(), 1234);
-    }
-
-    #[test]
-    fn tracker_mirrors_gauge() {
-        let registry = uli_obs::Registry::new();
-        let gauge = registry.gauge("dataflow", "memory_high_water_bytes");
-        let t = MemoryTracker::with_budget(1 << 20).with_gauge(gauge.clone());
-        t.grow(4096);
-        t.shrink(4096);
-        t.grow(100);
-        assert_eq!(gauge.get(), 4096, "gauge keeps the peak");
     }
 
     #[test]

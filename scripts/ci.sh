@@ -85,6 +85,17 @@ if grep -rnwE 'accumulate_row|exec_chain_aggregate' crates src tests examples; t
     exit 1
 fi
 
+# The coordination service keeps what Scribe's discovery uses: ephemeral and
+# sequential znodes, children and data reads, session expiry. Watches,
+# compare-and-set versions and node stats, and the knobs nothing set (the
+# tracker's gauge, the daemon's retry policy, the sessionizer's gap), must
+# not come back.
+if grep -rnwE 'WatchEvent|WatchEventKind|watch_data|watch_exists|watch_children|poll_event|NodeStat|BadVersion|expected_version|with_gauge|with_retry_policy|with_gap_ms' \
+    crates src tests examples; then
+    echo "coord gate: a watch, a znode version or stat, or an unset knob is back." >&2
+    exit 1
+fi
+
 # There is one way to read a landed client event (the row view of
 # uli_core::for_each_event_row, under the columns its caller declares); the
 # whole-struct-per-row visitor must not come back.
