@@ -11,7 +11,7 @@ use std::ops::Range;
 
 use uli_core::session::{sequences_dir, Sequence, SessionRef, SESSION_SEQUENCE_KINDS};
 use uli_warehouse::{
-    ColumnCell, ColumnGroup, ColumnarFile, Warehouse, WarehouseError, WarehouseResult, WhPath,
+    Column, ColumnGroup, ColumnarFile, Warehouse, WarehouseError, WarehouseResult, WhPath,
 };
 
 /// Every column of a part file: a load builds whole sessions.
@@ -76,17 +76,17 @@ impl SequenceCorpus {
 
     /// Builds the corpus of a day's parts, one column at a time.
     fn from_parts(parts: &[Part]) -> WarehouseResult<SequenceCorpus> {
-        let n = parts
+        let groups = || {
+            parts
+                .iter()
+                .flat_map(|(f, groups)| groups.iter().map(move |g| (f, g)))
+        };
+        let n = groups().map(|(_, group)| group.rows()).sum();
+        // Room for every cell the parts were read as: no text is longer than
+        // its cell, and a dictionary value, stored once, may make it grow.
+        let cells: u64 = parts
             .iter()
-            .flat_map(|(_, groups)| groups)
-            .map(ColumnGroup::rows)
-            .sum();
-        // Room for every inline text cell; a dictionary value is stored
-        // once, so a file that has any may make the arena grow.
-        let text_len = parts
-            .iter()
-            .flat_map(|(_, groups)| groups)
-            .flat_map(|group| TEXT_COLUMNS.map(|col| group.chunk_len(col).unwrap_or(0)))
+            .map(|(f, _)| f.local_stats().uncompressed_bytes_read)
             .sum();
         let mut corpus = SequenceCorpus {
             user_ids: Vec::with_capacity(n),
@@ -95,19 +95,23 @@ impl SequenceCorpus {
             bounds: Vec::with_capacity(TEXT_COLUMNS.len() * n + 1),
         };
         for (col, ints) in [(0, &mut corpus.user_ids), (4, &mut corpus.durations)] {
-            each_cell(parts, col, |cell| {
-                ints.push(integer(cell)?);
-                Ok(())
-            })?;
+            for (_, group) in groups() {
+                match group.column(col)? {
+                    Column::I64(values) => ints.extend_from_slice(values),
+                    _ => return Err(WarehouseError::Corrupt("session-sequence integer column")),
+                }
+            }
         }
-        let mut text = Vec::with_capacity(text_len);
+        let mut text = Vec::with_capacity(cells as usize);
         corpus.bounds.push(0);
         for col in TEXT_COLUMNS {
-            each_cell(parts, col, |cell| {
-                text.extend_from_slice(cell);
-                corpus.bounds.push(text.len());
-                Ok(())
-            })?;
+            for (file, group) in groups() {
+                let column = group.column(col)?;
+                for row in 0..group.rows() {
+                    text.extend_from_slice(file.resolve(column, row).ok_or(NOT_TEXT)?);
+                    corpus.bounds.push(text.len());
+                }
+            }
         }
         // Whole and cut on characters, every field is UTF-8.
         corpus.text = String::from_utf8(text).map_err(|_| NOT_UTF8)?;
@@ -155,33 +159,7 @@ impl ExactSizeIterator for Sessions<'_> {}
 
 const NOT_UTF8: WarehouseError = WarehouseError::Corrupt("session-sequence text is not UTF-8");
 
-/// Hands `f` every cell of column `col` of the day, in part order.
-fn each_cell<'a>(
-    parts: &'a [Part],
-    col: usize,
-    mut f: impl FnMut(&'a [u8]) -> WarehouseResult<()>,
-) -> WarehouseResult<()> {
-    for (file, groups) in parts {
-        for group in groups {
-            for cell in group.cells(col).ok_or(WarehouseError::UnreadColumn(col))? {
-                f(match cell {
-                    ColumnCell::Bytes(bytes) => bytes,
-                    ColumnCell::Code(code) => file
-                        .dictionary_value(code)
-                        .ok_or(WarehouseError::Corrupt("cell code"))?,
-                })?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// An integer cell: eight little-endian bytes.
-fn integer(cell: &[u8]) -> WarehouseResult<i64> {
-    cell.try_into()
-        .map(i64::from_le_bytes)
-        .map_err(|_| WarehouseError::Corrupt("session-sequence integer cell"))
-}
+const NOT_TEXT: WarehouseError = WarehouseError::Corrupt("session-sequence text column");
 
 /// Opens one part file, which must be a columnar file of the relation's
 /// five columns, and reads its row groups.
@@ -197,7 +175,7 @@ fn read_part(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<Part> {
 }
 
 /// Reads every session sequence materialized for `day_index`. A part file
-/// that is not a columnar file of the relation's five columns, or a cell
+/// that is not a columnar file of the relation's five columns, or a value
 /// that is not what its column holds, is an error: nothing is dropped.
 pub fn load_sequences(warehouse: &Warehouse, day_index: u64) -> WarehouseResult<SequenceCorpus> {
     let parts = warehouse

@@ -385,12 +385,13 @@ impl<'a> Details<'a> {
 }
 
 /// One client event, as far as the reader declared it: accessors borrow
-/// from where the event lies — a Thrift payload, the cells of a row group,
+/// from where the event lies — a Thrift payload, the columns of a row group,
 /// a [`ClientEvent`] — and allocate nothing. A row is only handed out once
 /// every field of it decoded, so accessors never fail on the data; asking
 /// for a column *outside* the declared set is a bug in the caller — it
 /// panics in debug builds and is [`WarehouseError::UnreadColumn`] in
 /// release, never a made-up value.
+#[derive(Default)]
 pub struct EventRow<'a> {
     pub(crate) initiator: Option<EventInitiator>,
     pub(crate) name: Option<&'a str>,

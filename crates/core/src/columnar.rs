@@ -21,6 +21,11 @@
 //! a code a row; and
 //! the block compressor squeezes each column chunk (now full of same-shaped
 //! values) far better than it does interleaved rows.
+//!
+//! A read hands each declared column back decoded once, as a typed
+//! [`Column`](uli_warehouse::Column) — the user id and the timestamp as
+//! `i64`s, the name as a code a row, the rest as their cells' bytes — and
+//! [`for_each_event_row`] and [`ClientEventColumnar`] read those.
 
 use std::collections::HashMap;
 
@@ -28,8 +33,8 @@ use uli_dataflow::{ColumnarCodec, Value};
 use uli_thrift::CompactReader;
 use uli_warehouse::chunk::string_map_cell;
 use uli_warehouse::{
-    tag_hash, ColumnCell, ColumnGroup, ColumnKind, ColumnarFile, ColumnarFileWriter,
-    ColumnarLanding, ScanFile, Warehouse, WarehouseError, WarehouseResult, WhPath,
+    tag_hash, ColumnGroup, ColumnKind, ColumnarFile, ColumnarFileWriter, ColumnarLanding, ScanFile,
+    Warehouse, WarehouseError, WarehouseResult, WhPath,
 };
 
 use crate::client_event::{ClientEvent, Details};
@@ -130,11 +135,12 @@ pub fn client_event_cells(ev: &ClientEvent) -> [Vec<u8>; 7] {
         .map(<[u8]>::to_vec)
 }
 
-/// Columnar codec for client events: decodes the cells written by
-/// [`client_event_cells`] into exactly the tuple
+/// Columnar codec for client events: decodes the bytes of the cells written
+/// by [`client_event_cells`] into exactly the tuple
 /// [`ClientEventLoader::parse`](crate::client_event::ClientEventLoader)
 /// produces from a Thrift record, so row and columnar scans of the same
-/// events are byte-identical. Any malformed cell returns `None`, dropping
+/// events are byte-identical; the two integer columns reach the batch as
+/// `Int`s, never this codec. Any malformed value returns `None`, dropping
 /// the whole row — the columnar analogue of the tolerant row loader
 /// skipping an undecodable record.
 #[derive(Debug, Clone, Copy, Default)]
@@ -154,7 +160,6 @@ impl ColumnarCodec for ClientEventColumnar {
                 // not a six-level name drops the record.
                 EventName::is_valid(s).then(|| Value::Str(s.to_string()))
             }
-            2 | 5 => Some(Value::Int(decode_i64(bytes)?)),
             3 | 4 => {
                 let s = std::str::from_utf8(bytes).ok()?;
                 Some(Value::Str(s.to_string()))
@@ -170,40 +175,11 @@ fn decode_initiator(bytes: &[u8]) -> Option<EventInitiator> {
     EventInitiator::from_code(*code as i8)
 }
 
-fn decode_i64(bytes: &[u8]) -> Option<i64> {
-    Some(i64::from_le_bytes(bytes.try_into().ok()?))
-}
-
 /// A details cell, walked once; `None` when it is malformed. Allocates
 /// nothing.
 fn details_cell(bytes: &[u8]) -> Option<Details<'_>> {
     let (count, pairs) = string_map_cell(bytes)?;
     Details::parse(count, pairs)
-}
-
-/// `Some(None)`: the column is not declared. `None`: its cell is
-/// undecodable, which drops the row.
-fn column<'a, T>(
-    cell: Option<&'a [u8]>,
-    decode: impl FnOnce(&'a [u8]) -> Option<T>,
-) -> Option<Option<T>> {
-    cell.map_or(Some(None), |bytes| decode(bytes).map(Some))
-}
-
-/// The view of one columnar row from the cells of its declared columns
-/// (`None` for the others; the name is resolved by the caller). `None`
-/// when any declared cell is undecodable.
-fn cells_row<'a>(cells: [Option<&'a [u8]>; 7], name: Option<&'a str>) -> Option<EventRow<'a>> {
-    let text = |bytes| std::str::from_utf8(bytes).ok();
-    Some(EventRow {
-        initiator: column(cells[0], decode_initiator)?,
-        name,
-        user_id: column(cells[USER_COLUMN], decode_i64)?,
-        session_id: column(cells[SESSION_COLUMN], text)?,
-        ip: column(cells[IP_COLUMN], text)?,
-        timestamp: column(cells[TIMESTAMP_COLUMN], decode_i64)?.map(Timestamp),
-        details: column(cells[6], details_cell)?,
-    })
 }
 
 /// Where a visited row is stored: its scan unit, and its position among the
@@ -220,7 +196,7 @@ pub struct RowAt {
 /// Visits the client events of `units` of a landed file — blocks of a row
 /// file, row groups of a columnar one — in stored order, handing `f` where
 /// the row is stored and a borrowed [`EventRow`] over the `columns` the
-/// caller declares it reads. Nothing else is decompressed, split, decoded or
+/// caller declares it reads. Nothing else is decompressed, decoded or
 /// allocated: a columnar group is read under exactly that projection, and a
 /// dictionary-coded name is validated once per dictionary entry of the
 /// file, not once per row.
@@ -263,12 +239,12 @@ pub fn for_each_event_row_where(
     visit_event_rows(file, units, columns, Some((column, test)), f).map(|_| ())
 }
 
-/// Dictionary code → validated name of one columnar file, resolved on first
-/// sight; `None`: not a six-level name, so its rows are skipped.
-type ResolvedNames<'f> = HashMap<u32, Option<&'f str>>;
+/// Validated names of one columnar file's dictionary by code, resolved on
+/// first sight; `None`: not a six-level name, so its rows are skipped.
+type ResolvedNames<'f> = Vec<Option<Option<&'f str>>>;
 
-/// The view of row `row` of `group` over `columns`; `None` when a cell of
-/// theirs does not decode.
+/// The view of row `row` of `group` over `columns`; `None` when a value of
+/// theirs does not decode (an integer column holding bytes is one).
 fn group_row<'g, 'f: 'g>(
     col: &'f ColumnarFile,
     group: &'g ColumnGroup,
@@ -280,21 +256,36 @@ fn group_row<'g, 'f: 'g>(
         let name = std::str::from_utf8(bytes).ok()?;
         EventName::is_valid(name).then_some(name)
     }
-    let mut cells = [None; 7];
-    for c in (0..7).filter(|c| columns[*c] && *c != NAME_COLUMN) {
-        cells[c] = Some(col.cell_bytes(group, c, row)?);
+    let mut view = EventRow::default();
+    for c in (0..7).filter(|c| columns[*c]) {
+        let column = group.column(c)?;
+        let bytes = || col.resolve(column, row);
+        // `None`: the value does not decode, which drops the row.
+        let mut decode = || {
+            match c {
+                0 => view.initiator = Some(decode_initiator(bytes()?)?),
+                NAME_COLUMN => match column.code(row) {
+                    Some(code) => {
+                        let at = code as usize;
+                        names.resize(names.len().max(at + 1), None);
+                        let name = || col.dictionary_value(code).and_then(parse);
+                        view.name = Some((*names[at].get_or_insert_with(name))?);
+                    }
+                    None => view.name = Some(parse(column.bytes(row)?)?),
+                },
+                USER_COLUMN => view.user_id = Some(column.int(row)?),
+                SESSION_COLUMN => view.session_id = Some(std::str::from_utf8(bytes()?).ok()?),
+                IP_COLUMN => view.ip = Some(std::str::from_utf8(bytes()?).ok()?),
+                TIMESTAMP_COLUMN => view.timestamp = Some(Timestamp(column.int(row)?)),
+                _ => view.details = Some(details_cell(bytes()?)?),
+            }
+            Some(())
+        };
+        if decode().is_none() {
+            return Ok(None);
+        }
     }
-    let name: Option<Option<&'g str>> = match columns[NAME_COLUMN] {
-        false => Some(None),
-        true => match group.read_cell(NAME_COLUMN, row)? {
-            ColumnCell::Bytes(bytes) => parse(bytes).map(Some),
-            ColumnCell::Code(code) => names
-                .entry(code)
-                .or_insert_with(|| col.dictionary_value(code).and_then(parse))
-                .map(Some),
-        },
-    };
-    Ok(name.and_then(|name| cells_row(cells, name)))
+    Ok(Some(view))
 }
 
 /// The one visit behind [`for_each_event_row`] and
@@ -540,9 +531,12 @@ mod tests {
             let expected = ClientEventLoader.parse(&ev.to_bytes()).unwrap().unwrap();
             let cells = client_event_cells(&ev);
             for (col, cell) in cells.iter().enumerate() {
+                // The integer columns reach the batch as `i64`s, never the
+                // codec: bytes there are a group that fell back.
+                let want = (CLIENT_EVENT_KINDS[col] != ColumnKind::I64).then_some(&expected[col]);
                 assert_eq!(
                     CLIENT_EVENT_COLUMNAR.decode(col, cell).as_ref(),
-                    Some(&expected[col]),
+                    want,
                     "column {col} of event {i}"
                 );
             }
@@ -710,10 +704,12 @@ mod tests {
         let file = file_with_bad_cell(&Warehouse::new(), 6, &[5]);
         assert_eq!(users(&file, narrow), (vec![0, 1, 2], (3, 0)));
         assert_eq!(users(&file, ALL_COLUMNS), (vec![0, 2], (2, 1)));
-        // A short user id is in the declared set of both.
+        // A short user id is in the declared set of both. It leaves its
+        // group's user column stored as cells, which reads as bytes, not
+        // integers: no row of the group has a user id.
         let file = file_with_bad_cell(&Warehouse::new(), USER_COLUMN, &[1, 2, 3]);
-        assert_eq!(users(&file, narrow), (vec![0, 2], (2, 1)));
-        assert_eq!(users(&file, ALL_COLUMNS), (vec![0, 2], (2, 1)));
+        assert_eq!(users(&file, narrow), (vec![], (0, 3)));
+        assert_eq!(users(&file, ALL_COLUMNS), (vec![], (0, 3)));
         // So is a name that is not a six-level name.
         let file = file_with_bad_cell(&Warehouse::new(), NAME_COLUMN, b"not-a-name");
         assert_eq!(users(&file, narrow), (vec![0, 2], (2, 1)));
@@ -754,10 +750,14 @@ mod tests {
             users_where(&file, USER_COLUMN, |row| Ok(row.user_id()? != 1)),
             [0, 2]
         );
-        // A tested cell that does not decode drops its row, whatever the
-        // test would have said.
+        // A tested value that does not decode drops its row, whatever the
+        // test would have said: a short user id leaves no row of its group
+        // an integer user id.
         let file = file_with_bad_cell(&Warehouse::new(), USER_COLUMN, &[1, 2, 3]);
-        assert_eq!(users_where(&file, USER_COLUMN, |_| Ok(true)), [0, 2]);
+        assert_eq!(
+            users_where(&file, USER_COLUMN, |_| Ok(true)),
+            Vec::<i64>::new()
+        );
         // Any declared column can carry the test: the name resolves through
         // the dictionary, once for the test and once for the row.
         let wh = Warehouse::new();
@@ -847,7 +847,11 @@ mod tests {
 
     /// Recorded from the format as it stood before typed chunks: a cell
     /// that does not fit its column's kind must still come back as the
-    /// bytes that were written, and drop (or not drop) the same rows.
+    /// bytes that were written, and drop (or not drop) the same rows. Bar
+    /// one change, recorded when reads began decoding typed columns: a
+    /// misfit integer cell stores its group's chunk as cells, which read as
+    /// bytes, so a reader that declares that column gets no row of the
+    /// group (before, the rows whose cells were eight bytes).
     #[test]
     fn bad_cell_fixtures_decode_to_the_recorded_digests() {
         let narrow = event_columns([NAME_COLUMN, USER_COLUMN]);
@@ -858,13 +862,15 @@ mod tests {
         // The middle row dropped, and all three rows kept.
         const TWO_ROWS: (u64, u64) = (9776231977043857231, 12040047780805572083);
         const ALL_NARROW: u64 = 8312493058707573376;
+        // Every row skipped.
+        const NO_ROWS: u64 = 12041190276437290630;
         let fixtures: [(usize, &[u8], u64, u64); 7] = [
             (6, &[5], TWO_ROWS.0, ALL_NARROW),
             (6, &unsorted, 2431056907248152995, ALL_NARROW),
             (6, &duplicate, 5252390381555452002, ALL_NARROW),
-            (USER_COLUMN, &[1, 2, 3], TWO_ROWS.0, TWO_ROWS.1),
-            (TIMESTAMP_COLUMN, &[0; 9], TWO_ROWS.0, ALL_NARROW),
-            (TIMESTAMP_COLUMN, &[], TWO_ROWS.0, ALL_NARROW),
+            (USER_COLUMN, &[1, 2, 3], NO_ROWS, NO_ROWS),
+            (TIMESTAMP_COLUMN, &[0; 9], NO_ROWS, ALL_NARROW),
+            (TIMESTAMP_COLUMN, &[], NO_ROWS, ALL_NARROW),
             (NAME_COLUMN, b"not-a-name", TWO_ROWS.0, TWO_ROWS.1),
         ];
         for (col, bad, full, name_and_user) in fixtures {

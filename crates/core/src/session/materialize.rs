@@ -728,9 +728,10 @@ mod tests {
         for g in 0..file.group_count() {
             let group = file.read_group(g, &[true; 5]).unwrap();
             for row in 0..group.rows() {
-                let cell = |col| file.cell_bytes(&group, col, row).unwrap();
-                let int = |col| i64::from_le_bytes(cell(col).try_into().unwrap());
-                let text = |col| String::from_utf8(cell(col).to_vec()).unwrap();
+                let column = |col| group.column(col).unwrap();
+                let int = |col| column(col).int(row).unwrap();
+                let text = |col| file.resolve(column(col), row).unwrap().to_vec();
+                let text = |col| String::from_utf8(text(col)).unwrap();
                 let session = SessionSequence {
                     user_id: int(0),
                     session_id: text(1),

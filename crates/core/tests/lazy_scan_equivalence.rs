@@ -438,8 +438,15 @@ proptest! {
         for g in 0..file.group_count() {
             let group = file.read_group(g, &[true; 7]).unwrap();
             for row in 0..group.rows() {
+                // An integer as the eight little-endian bytes of its cell.
                 let cells: Vec<Vec<u8>> = (0..7)
-                    .map(|c| file.cell_bytes(&group, c, row).unwrap().to_vec())
+                    .map(|c| {
+                        let column = group.column(c).unwrap();
+                        match column.int(row) {
+                            Some(int) => int.to_le_bytes().to_vec(),
+                            None => file.resolve(column, row).unwrap().to_vec(),
+                        }
+                    })
                     .collect();
                 landed.push(cells);
             }

@@ -100,10 +100,11 @@ fn sequence_rows_digest(wh: &Warehouse) -> u64 {
         for g in 0..file.group_count() {
             let group = file.read_group(g, &[true; 5]).unwrap();
             for row in 0..group.rows() {
-                let cell = |col| file.cell_bytes(&group, col, row).unwrap();
-                let int = |col| u64::from_le_bytes(cell(col).try_into().unwrap());
+                let column = |col| group.column(col).unwrap();
+                let int = |col| column(col).int(row).unwrap() as u64;
+                let text = |col| file.resolve(column(col), row).unwrap();
                 h = fold_u64(h, int(0));
-                for text in [cell(1), cell(2), cell(3)] {
+                for text in [text(1), text(2), text(3)] {
                     assert!(std::str::from_utf8(text).is_ok());
                     h = fnv1a64_fold(fold_u64(h, text.len() as u64), text);
                 }

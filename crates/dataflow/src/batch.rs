@@ -2,8 +2,9 @@
 //!
 //! Every scan unit — a columnar file's row group or a row file's block —
 //! becomes one `ColumnBatch`: the unit's columns plus a selection mask. A
-//! row group's cells decode from their chunks, late and only as far as the
-//! scan needs them; a row block's records are parsed whole by the loader,
+//! row group's typed columns become [`Value`]s late and only as far as the
+//! scan needs them — integers as `Int`s, bytes through the loader's codec;
+//! a row block's records are parsed whole by the loader,
 //! as the paper's raw-log jobs parse them, and arrive as the batch's
 //! already-decoded columns. From there both layouts take one path: pushed
 //! predicates evaluate over whole columns (keep-masks become selection
@@ -14,16 +15,16 @@
 //! charged them to `fields_skipped` without touching their chunks.
 //!
 //! Equality predicates on the dictionary-encoded column compare integer
-//! codes: the literal resolves to a code once per batch, and rows whose
-//! cells are dictionary hits never decode their strings at all. Cells that
-//! missed the dictionary at write time are stored inline and compared by
-//! bytes, so unknown event names still admit correctly.
+//! codes: the literal resolves to a code once per batch, and rows that are
+//! dictionary hits never decode their strings at all. Values that missed
+//! the dictionary at write time are stored inline and compared by bytes,
+//! so unknown event names still admit correctly.
 //!
 //! Predicates that are not provably total ([`total_boolean`]) run row at a
 //! time over the materialized survivors, in order, so evaluation errors
 //! surface against the same row the FILTER would report.
 
-use uli_warehouse::{ColumnCell, ColumnGroup, ColumnarFile, FileBlocks, ScanFile};
+use uli_warehouse::{Column, ColumnGroup, ColumnarFile, FileBlocks, ScanFile};
 
 use crate::error::{DataflowError, DataflowResult};
 use crate::expr::{BinOp, Expr};
@@ -31,46 +32,39 @@ use crate::loader::Loader;
 use crate::pushdown::{total_boolean, ScanSpec};
 use crate::value::{Tuple, Value};
 
-/// Decodes one column's cell bytes into the [`Value`]s the row-format
-/// loader would have produced for the same record.
+/// Decodes the bytes a row of a columnar file stores into the [`Value`]
+/// the row-format loader would have produced for the same field. An integer
+/// column never reaches a codec: its values are `Int`s as read.
 ///
 /// A loader that also understands a columnar layout returns a codec from
-/// [`Loader::columnar`]; [`scan_unit`] then decodes a columnar file's cells
+/// [`Loader::columnar`]; [`scan_unit`] then decodes a columnar file's bytes
 /// with it, and parses a row file's records with [`Loader::parse`].
 pub trait ColumnarCodec: Send + Sync {
-    /// Decodes one cell. `None` marks the cell undecodable, which drops the
+    /// Decodes one value. `None` marks it undecodable, which drops the
     /// whole row exactly as a loader `parse` returning `Ok(None)` drops the
     /// whole record (tolerant-reader semantics).
     fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value>;
 }
 
-/// A columnar row group whose cells a batch decodes on demand.
-#[derive(Clone, Copy)]
-struct GroupCells<'a> {
-    file: &'a ColumnarFile,
-    group: &'a ColumnGroup,
-    codec: &'a dyn ColumnarCodec,
-}
-
 /// One scan unit's columns plus a selection mask.
 ///
-/// A row group's decoding is late: a column is decoded when a predicate
-/// first reads it, and then only for the rows earlier predicates left
-/// selected; every other projected column is decoded in
-/// [`ColumnBatch::take_rows`], for surviving rows only, straight into the
-/// output tuple. A row block's columns all arrive decoded.
+/// A row group's values are made late: a column's when a predicate first
+/// reads it, and then only for the rows earlier predicates left selected;
+/// every other projected column's in [`ColumnBatch::take_rows`], for
+/// surviving rows only, straight into the output tuple. A row block's
+/// columns all arrive as values.
 struct ColumnBatch<'a> {
-    /// Where undecoded cells come from; `None` for a row block.
-    cells: Option<GroupCells<'a>>,
-    /// Columns decoded so far (outer `None`: not decoded yet).
-    /// `columns[c][r]` is `None` for a row that was already deselected when
-    /// the column was decoded, or whose cell was undecodable (which also
-    /// marks the row dead).
+    /// A row group as read, the file whose dictionary resolves its codes,
+    /// and the codec of its bytes; `None` for a row block.
+    group: Option<(&'a ColumnarFile, &'a ColumnGroup, &'a dyn ColumnarCodec)>,
+    /// Columns made values so far (outer `None`: not yet). `columns[c][r]`
+    /// is `None` for a row that was already deselected then, or whose value
+    /// was undecodable (which also marks the row dead).
     columns: Vec<Option<Vec<Option<Value>>>>,
     /// Selection mask: rows still admitted by the predicates run so far.
     selection: Vec<bool>,
-    /// Rows whose decoded cells were valid so far. A dead row is a loader
-    /// skip, not a predicate skip.
+    /// Rows whose values decoded so far. A dead row is a loader skip, not a
+    /// predicate skip.
     alive: Vec<bool>,
 }
 
@@ -83,7 +77,7 @@ impl<'a> ColumnBatch<'a> {
     ) -> ColumnBatch<'a> {
         let rows = group.rows();
         ColumnBatch {
-            cells: Some(GroupCells { file, group, codec }),
+            group: Some((file, group, codec)),
             columns: vec![None; file.columns()],
             selection: vec![true; rows],
             alive: vec![true; rows],
@@ -94,14 +88,15 @@ impl<'a> ColumnBatch<'a> {
     /// batch's decoded columns.
     fn of_tuples(tuples: Vec<Tuple>, width: usize) -> ColumnBatch<'a> {
         let rows = tuples.len();
-        let mut columns = vec![Some(Vec::with_capacity(rows)); width];
+        // A column each: a clone of an empty `Vec` would drop its capacity.
+        let mut columns: Vec<_> = (0..width).map(|_| Some(Vec::with_capacity(rows))).collect();
         for tuple in tuples {
             for (column, value) in columns.iter_mut().flatten().zip(tuple) {
                 column.push(Some(value));
             }
         }
         ColumnBatch {
-            cells: None,
+            group: None,
             columns,
             selection: vec![true; rows],
             alive: vec![true; rows],
@@ -113,17 +108,20 @@ impl<'a> ColumnBatch<'a> {
         self.selection.len()
     }
 
-    /// Decodes one cell; `Ok(None)` marks it undecodable. Errors when the
-    /// group was read without `col` — a column missing from the planner's
-    /// mask must never read as "every row is undecodable".
-    fn decode_cell(&self, col: usize, row: usize) -> DataflowResult<Option<Value>> {
-        let cells = self.cells.expect("a row block's columns arrive decoded");
-        let bytes = cells.file.cell_bytes(cells.group, col, row)?;
-        Ok(cells.codec.decode(col, bytes))
+    /// Row `row` of column `col` of the group as a value; `Ok(None)` marks
+    /// it undecodable. Errors when the group was read without `col` — a
+    /// column missing from the planner's mask must never read as "every row
+    /// is undecodable".
+    fn value(&self, col: usize, row: usize) -> DataflowResult<Option<Value>> {
+        let (file, group, codec) = self.group.expect("a row block's columns arrive decoded");
+        Ok(match group.column(col)? {
+            Column::I64(ints) => ints.get(row).map(|int| Value::Int(*int)),
+            column => file.resolve(column, row).and_then(|b| codec.decode(col, b)),
+        })
     }
 
-    /// Decodes column `col` for the rows still selected, marking rows with
-    /// undecodable cells dead.
+    /// Makes column `col` values for the rows still selected, marking rows
+    /// with undecodable values dead.
     fn ensure_column(&mut self, col: usize) -> DataflowResult<()> {
         if self.columns[col].is_some() {
             return Ok(());
@@ -135,7 +133,7 @@ impl<'a> ColumnBatch<'a> {
                 out.push(None);
                 continue;
             }
-            let v = self.decode_cell(col, r)?;
+            let v = self.value(col, r)?;
             if v.is_none() {
                 self.alive[r] = false;
                 self.selection[r] = false;
@@ -148,13 +146,13 @@ impl<'a> ColumnBatch<'a> {
 
     /// Applies the spec's pushed predicates — all provably total — to the
     /// whole batch, in order, narrowing the selection mask. Returns the
-    /// number of rows dropped by predicates (not by dead cells).
+    /// number of rows dropped by predicates (not by undecodable values).
     fn apply_predicates(&mut self, spec: &ScanSpec) -> DataflowResult<u64> {
         for pred in &spec.predicate {
             self.apply_total(pred)?;
         }
         // Alive-but-deselected rows were dropped by a predicate; rows whose
-        // cells failed to decode are loader skips and count nowhere, exactly
+        // values failed to decode are loader skips and count nowhere, exactly
         // like a row-format record the loader's `parse` rejected.
         Ok(self
             .alive
@@ -169,20 +167,20 @@ impl<'a> ColumnBatch<'a> {
         // Dictionary fast path: `name == "literal"` (either operand order)
         // on the dictionary column compares integer codes; the literal
         // resolves once for the whole batch.
-        let dict = self.cells.and_then(|cells| {
-            let (positive, literal) = dict_equality(pred, cells.file.dict_column())?;
-            Some((cells, positive, literal))
+        let dict = self.group.and_then(|(file, group, _)| {
+            let (positive, literal) = dict_equality(pred, file.dict_column())?;
+            Some((file, group, positive, literal))
         });
-        if let Some((cells, positive, literal)) = dict {
-            let dict_col = cells.file.dict_column().expect("checked by dict_equality");
-            let code = cells.file.dictionary_code(literal.as_bytes());
+        if let Some((file, group, positive, literal)) = dict {
+            let names = group.column(file.dict_column().expect("checked by dict_equality"))?;
+            let code = file.dictionary_code(literal.as_bytes());
             for r in 0..self.rows() {
                 if !self.selection[r] {
                     continue;
                 }
-                let hit = match cells.group.read_cell(dict_col, r)? {
-                    ColumnCell::Code(c) => Some(c) == code,
-                    ColumnCell::Bytes(b) => b == literal.as_bytes(),
+                let hit = match names.code(r) {
+                    Some(c) => Some(c) == code,
+                    None => names.bytes(r) == Some(literal.as_bytes()),
                 };
                 if hit != positive {
                     self.selection[r] = false;
@@ -263,8 +261,8 @@ impl<'a> ColumnBatch<'a> {
     }
 
     /// Materializes output tuples for the selected rows, and only for them:
-    /// a projected column no predicate read is decoded here, per surviving
-    /// row; values already decoded are moved, not cloned. Masked columns
+    /// a projected column no predicate read is made values here, per
+    /// surviving row; values already made are moved, not cloned. Masked columns
     /// come back as [`Value::Null`] on either layout.
     fn take_rows(mut self, spec: &ScanSpec) -> DataflowResult<Vec<Tuple>> {
         let projected: Vec<usize> = (0..spec.width)
@@ -278,13 +276,13 @@ impl<'a> ColumnBatch<'a> {
             }
             let mut tuple = vec![Value::Null; spec.width];
             for &c in &projected {
-                let cell = match &mut self.columns[c] {
-                    Some(decoded) => decoded[r].take(),
-                    None => self.decode_cell(c, r)?,
+                let value = match &mut self.columns[c] {
+                    Some(made) => made[r].take(),
+                    None => self.value(c, r)?,
                 };
-                match cell {
+                match value {
                     Some(v) => tuple[c] = v,
-                    // An undecodable cell drops the row, like a record the
+                    // An undecodable value drops the row, like a record the
                     // loader's `parse` rejected.
                     None => continue 'rows,
                 }
@@ -406,7 +404,7 @@ pub fn scan_unit(
     Ok(rows)
 }
 
-/// A codec usable by tests and the CSV examples: every cell is a UTF-8
+/// A codec usable by tests and the CSV examples: every value is a UTF-8
 /// string read as a [`CsvLoader`](crate::loader::CsvLoader) field is —
 /// `Int` when it parses as one, else `Double`, else `Str`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -780,6 +778,15 @@ mod tests {
             scan(&f, &TextCodec, &spec),
             Err(DataflowError::TypeError { context: "FILTER" })
         );
+    }
+
+    #[test]
+    fn a_row_block_gives_every_column_room_for_its_rows() {
+        let tuples = (0..10).map(|i| vec![Value::Int(i); 3]).collect();
+        let batch = ColumnBatch::of_tuples(tuples, 3);
+        for column in batch.columns.iter().flatten() {
+            assert_eq!((column.len(), column.capacity()), (10, 10), "never regrown");
+        }
     }
 
     #[test]

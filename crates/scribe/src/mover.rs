@@ -919,10 +919,8 @@ mod tests {
         let file = uli_warehouse::ColumnarFile::open(main, col).unwrap();
         let group = file.read_group(0, &[true, true]).unwrap();
         assert_eq!(group.rows(), 2);
-        assert_eq!(
-            group.cell(0, 1),
-            Some(uli_warehouse::ColumnCell::Bytes(b"b"))
-        );
+        let first = group.column(0).unwrap();
+        assert_eq!(file.resolve(first, 1), Some(&b"b"[..]));
         assert_eq!(
             main.open(rows).unwrap().read_all().unwrap(),
             vec![b"not columnar".to_vec()]

@@ -1,24 +1,27 @@
-//! Decompressed-block cache.
+//! Decoded-block cache.
 //!
 //! Repeated queries over the same hour re-decompress the same blocks — in
 //! the paper's terms, every brute-force scan pays the full I/O and codec
 //! cost even when the working set is hot. This module adds a bounded,
-//! byte-capacity LRU cache of **decompressed** block payloads shared by all
-//! readers of a [`crate::Warehouse`].
+//! byte-capacity LRU cache of row blocks' **decompressed** payloads and
+//! column chunks **decoded** into their [`Column`]s, shared by all readers
+//! of a [`crate::Warehouse`].
 //!
 //! Entries are keyed by what the block footer or group header already
 //! stores about the bytes — their checksum, a length and how they are
 //! encoded — so the key is content-addressed and costs no hashing: renames
 //! and deletes need no invalidation, and a re-written block with different
 //! bytes can never alias a stale entry (up to a 64-bit checksum collision,
-//! which also bounds the checksum verification itself). Payloads are
-//! handed out as `Arc<Vec<u8>>`, so concurrent scans share one copy.
+//! which also bounds the checksum verification itself). Entries are handed
+//! out behind an `Arc`, so concurrent scans share one copy.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use uli_obs::lock;
+
+use crate::chunk::Column;
 
 /// Default cache capacity: big enough to hold a laptop-scale hot hour. It
 /// is not small: 64 MB is eight times the benchmark's whole landed day, and
@@ -52,10 +55,11 @@ impl BlockKey {
         }
     }
 
-    /// A column chunk: its encoding tag, stored checksum and stored length,
-    /// and the group's row count, all read off the row group's header. The
-    /// rows are part of the address because the same stored bytes can stand
-    /// for groups of different sizes: integers of no bits each.
+    /// A column chunk: its encoding tag (its top bit set when the chunk is
+    /// decoded as codes), stored checksum and stored length, and the group's
+    /// row count, all read off the row group's header. The rows are part of
+    /// the address because the same stored bytes can stand for groups of
+    /// different sizes: integers of no bits each.
     pub(crate) fn chunk(tag: u8, checksum: u64, stored_len: u64, rows: u32) -> BlockKey {
         BlockKey {
             checksum,
@@ -66,8 +70,17 @@ impl BlockKey {
     }
 }
 
+/// A row block's payload, or a chunk's column and the cells it stands for,
+/// which is what it takes of the capacity.
+#[derive(Clone)]
+pub(crate) enum Cached {
+    Block(Arc<Vec<u8>>),
+    Column(Arc<Column>, usize),
+}
+
 struct CacheEntry {
-    data: Arc<Vec<u8>>,
+    data: Cached,
+    charge: usize,
     /// Recency stamp; also the entry's key in `CacheInner::order`.
     tick: u64,
 }
@@ -94,7 +107,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Blocks currently resident.
     pub entries: u64,
-    /// Decompressed bytes currently resident.
+    /// Bytes currently resident, as charged.
     pub bytes: u64,
     /// Configured capacity in bytes (0 = disabled).
     pub capacity: u64,
@@ -112,8 +125,9 @@ impl CacheStats {
     }
 }
 
-/// A bounded LRU cache of decompressed block payloads. Thread-safe; one
-/// instance is shared by every reader of a warehouse.
+/// A bounded LRU cache of decompressed row blocks and decoded column
+/// chunks. Thread-safe; one instance is shared by every reader of a
+/// warehouse.
 pub struct BlockCache {
     capacity: usize,
     inner: Mutex<CacheInner>,
@@ -124,7 +138,7 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// A cache holding at most `capacity` decompressed bytes. Capacity 0
+    /// A cache holding at most `capacity` bytes, as charged. Capacity 0
     /// disables caching entirely (every lookup misses, inserts are dropped).
     pub fn new(capacity: usize) -> Self {
         BlockCache {
@@ -142,7 +156,7 @@ impl BlockCache {
         self.capacity
     }
 
-    pub(crate) fn get(&self, key: BlockKey) -> Option<Arc<Vec<u8>>> {
+    pub(crate) fn get(&self, key: BlockKey) -> Option<Cached> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -156,7 +170,7 @@ impl BlockCache {
                 entry.tick = inner.next_tick;
                 inner.next_tick += 1;
                 inner.order.insert(entry.tick, key);
-                let data = Arc::clone(&entry.data);
+                let data = entry.data.clone();
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(data)
             }
@@ -167,8 +181,12 @@ impl BlockCache {
         }
     }
 
-    pub(crate) fn insert(&self, key: BlockKey, data: Arc<Vec<u8>>) {
-        if data.len() > self.capacity {
+    pub(crate) fn insert(&self, key: BlockKey, data: Cached) {
+        let charge = match &data {
+            Cached::Block(data) => data.len(),
+            Cached::Column(_, cells) => *cells,
+        };
+        if charge > self.capacity {
             // Never evict the whole cache for one oversized block.
             return;
         }
@@ -177,18 +195,18 @@ impl BlockCache {
             return; // Racing reader already inserted the same content.
         }
         let mut evicted = 0u64;
-        while inner.bytes + data.len() > self.capacity {
+        while inner.bytes + charge > self.capacity {
             let (&tick, &victim) = inner.order.iter().next().expect("bytes>0 implies entries");
             inner.order.remove(&tick);
             let gone = inner.map.remove(&victim).expect("order and map agree");
-            inner.bytes -= gone.data.len();
+            inner.bytes -= gone.charge;
             evicted += 1;
         }
         let tick = inner.next_tick;
         inner.next_tick += 1;
-        inner.bytes += data.len();
+        inner.bytes += charge;
         inner.order.insert(tick, key);
-        inner.map.insert(key, CacheEntry { data, tick });
+        inner.map.insert(key, CacheEntry { data, charge, tick });
         drop(inner);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted > 0 {
@@ -239,8 +257,8 @@ mod tests {
         BlockKey::row_block(n, 10)
     }
 
-    fn block(n: usize) -> Arc<Vec<u8>> {
-        Arc::new(vec![0u8; n])
+    fn block(n: usize) -> Cached {
+        Cached::Block(Arc::new(vec![0u8; n]))
     }
 
     #[test]
@@ -248,7 +266,9 @@ mod tests {
         let c = BlockCache::new(1024);
         assert!(c.get(key(1)).is_none());
         c.insert(key(1), block(10));
-        let got = c.get(key(1)).expect("hit");
+        let Some(Cached::Block(got)) = c.get(key(1)) else {
+            panic!("a hit")
+        };
         assert_eq!(got.len(), 10);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
@@ -314,6 +334,18 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.entries, s.bytes), (0, 0));
         assert_eq!(s.hits, 1);
+    }
+
+    #[test]
+    fn a_decoded_column_takes_the_capacity_it_is_charged() {
+        let c = BlockCache::new(30);
+        let column = Cached::Column(Arc::new(Column::I64(vec![1, 2])), 18);
+        c.insert(key(1), column);
+        c.insert(key(2), block(10));
+        assert_eq!(c.stats().bytes, 28, "the column's cells, not its heap");
+        c.insert(key(3), block(10));
+        assert!(c.get(key(1)).is_none(), "the column was the LRU entry");
+        assert_eq!(c.stats().bytes, 20);
     }
 
     #[test]

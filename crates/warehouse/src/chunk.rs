@@ -1,10 +1,9 @@
 //! Typed column chunks: what a column's declared kind, and the values its
 //! cells hold, let a sealed row group do to them before the block
-//! compressor sees them.
+//! compressor sees them, and the one [`Column`] a read decodes them into.
 //!
 //! The columnar writer buffers every column of a group the same way — each
-//! cell behind a varint length — and that buffer is also what a reader gets
-//! back. In between, a chunk is *transposed*:
+//! cell behind a varint length. At seal, a chunk is *transposed*:
 //!
 //! * [`ColumnKind::I64`] — every cell is eight little-endian bytes. Stored
 //!   as the group's minimum (zigzag varint) followed by each row's distance
@@ -59,8 +58,8 @@
 //! whose grammar every tail matches is laid out too, and the shorter of the
 //! two is kept, the dictionary on a tie — a few long numbers recurring are a
 //! dictionary, fifteen dotted quads seen once each are quads. Each grammar
-//! admits exactly the strings its decoder prints, so [`rebuild`] returns the
-//! bytes that were buffered. A run no shape fits is `Raw`.
+//! admits exactly the strings its decoder prints, so a read gets back the
+//! values that were buffered. A run no shape fits is `Raw`.
 //!
 //! Whether a chunk is transposed, and into which shapes, is decided by its
 //! data, never by an option: a group holding any cell that does not fit the
@@ -68,6 +67,10 @@
 //! ascending, a length that is not a minimal varint — stores that chunk as
 //! plain cells ([`StoredAs::Cells`]), as does a `Bytes` chunk no shape
 //! fits, so the file never refuses a row.
+//!
+//! A read decodes a chunk once, into a [`Column`], and is charged the
+//! length of the cells it stands for without building them: nine bytes an
+//! integer, what a transposed payload declares, a chunk of cells' own.
 
 use crate::varint::{read_varint, varint_len, write_varint};
 
@@ -161,12 +164,12 @@ const SPARSE: u8 = 0x10;
 /// The most distinct values a `Dict` run holds.
 const MAX_ENTRIES: usize = 16;
 
-/// No chunk rebuilds to more than this (the bound `ulz` puts on a block).
-const MAX_REBUILT: usize = 1 << 30;
+/// No chunk decodes to more than this (the bound `ulz` puts on a block).
+const MAX_DECODED: usize = 1 << 30;
 
-/// Output reserved up front when rebuilding; the rest is grown only as real
-/// output accumulates, so a hostile length cannot force an allocation.
-const REBUILD_PREALLOC: usize = 64 * 1024;
+/// Values reserved up front when decoding; the rest is grown only as real
+/// values arrive, so a hostile length cannot force an allocation.
+const DECODE_PREALLOC: usize = 64 * 1024;
 
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -919,23 +922,141 @@ impl Transposer {
     }
 }
 
-// -------------------------------------------------------------------- rebuild
+// --------------------------------------------------------------------- decode
 
-/// The inverse of [`Transposer::transpose`]: the `rows` length-prefixed
-/// cells the decompressed `payload` of a chunk stored as `stored` stands
-/// for, byte for byte what the writer buffered (of a chunk stored as cells,
-/// the payload itself). `None` on any structural error; hostile input never
-/// panics and never allocates past what it really decodes to.
-pub(crate) fn rebuild(stored: StoredAs, payload: Vec<u8>, rows: usize) -> Option<Vec<u8>> {
-    match stored {
-        StoredAs::Cells => Some(payload),
-        StoredAs::I64 | StoredAs::PackedI64 => rebuild_i64(stored, &payload, rows),
-        StoredAs::StringMap => rebuild_string_map(&payload, rows),
-        StoredAs::ValueRun => rebuild_values(&payload, rows),
+/// One column of a row group, decoded once from its chunk: what a read
+/// hands out and the chunk cache holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Column {
+    I64(Vec<i64>),
+    /// A value run's values, a string map's rows as canonical
+    /// [cells](string_map_cell), or plain cells as appended.
+    Bytes(Texts),
+    /// The file-dictionary column as its cells hold it: a row's code plus
+    /// one, or 0 where the value missed the dictionary and is in `inline`.
+    Coded {
+        codes: Vec<u32>,
+        inline: Texts,
+    },
+}
+
+/// Byte strings, one a row, back to back in one arena.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Texts {
+    /// Where each row's value ends in `arena`, and the next one's starts.
+    ends: Vec<u32>,
+    arena: Vec<u8>,
+}
+
+impl Texts {
+    /// Room for `rows` values of `bytes` in all, up to [`DECODE_PREALLOC`].
+    fn with_capacity(rows: usize, bytes: usize) -> Texts {
+        Texts {
+            ends: Vec::with_capacity(rows.min(DECODE_PREALLOC)),
+            arena: Vec::with_capacity(bytes.min(DECODE_PREALLOC)),
+        }
+    }
+
+    /// Ends a row: what the arena gained since the last, then `value`. An
+    /// arena is at most [`MAX_DECODED`] bytes, so an end fits 32 bits.
+    fn push(&mut self, value: &[u8]) {
+        self.arena.extend_from_slice(value);
+        self.ends.push(self.arena.len() as u32);
+    }
+
+    fn get(&self, row: usize) -> Option<&[u8]> {
+        let end = *self.ends.get(row)? as usize;
+        let start = if row == 0 {
+            0
+        } else {
+            self.ends[row - 1] as usize
+        };
+        Some(&self.arena[start..end])
     }
 }
 
-fn rebuild_i64(stored: StoredAs, payload: &[u8], rows: usize) -> Option<Vec<u8>> {
+impl Column {
+    /// Row `row` of an integer column; `None` past the last row or for bytes.
+    pub fn int(&self, row: usize) -> Option<i64> {
+        match self {
+            Column::I64(values) => values.get(row).copied(),
+            _ => None,
+        }
+    }
+
+    /// Row `row`'s dictionary code; `None` past the last row, for an inline
+    /// row and for a column not coded.
+    pub fn code(&self, row: usize) -> Option<u32> {
+        match self {
+            Column::Coded { codes, .. } => codes.get(row)?.checked_sub(1),
+            _ => None,
+        }
+    }
+
+    /// Row `row`'s bytes as stored; `None` past the last row, for an
+    /// integer and for a code.
+    pub fn bytes(&self, row: usize) -> Option<&[u8]> {
+        match self {
+            Column::I64(_) => None,
+            Column::Bytes(texts) => texts.get(row),
+            Column::Coded { codes, inline } => (*codes.get(row)? == 0).then(|| inline.get(row))?,
+        }
+    }
+}
+
+/// Decodes the `payload` of a `rows`-row chunk stored as `stored` — the
+/// file-dictionary column's if `coded` — with the length of the cells it
+/// stands for. `None` on any structural error; hostile input never panics
+/// and never allocates past what it really decodes to.
+pub(crate) fn decode(
+    stored: StoredAs,
+    payload: &[u8],
+    rows: usize,
+    coded: bool,
+) -> Option<(Column, usize)> {
+    match (stored, coded) {
+        // Every cell costs a byte at least: reject a hostile count before
+        // allocating for it.
+        (StoredAs::Cells, _) if rows > payload.len() => None,
+        (StoredAs::Cells, false) => Some((decode_cells(payload, rows)?, payload.len())),
+        (StoredAs::Cells, true) => Some((decode_coded(payload, rows)?, payload.len())),
+        // The writer stores the dictionary's codes as cells.
+        (_, true) => None,
+        (StoredAs::I64 | StoredAs::PackedI64, false) => decode_integers(stored, payload, rows),
+        (StoredAs::StringMap, false) => decode_string_map(payload, rows),
+        (StoredAs::ValueRun, false) => decode_values(payload, rows),
+    }
+}
+
+/// `rows` cells, each behind its varint length, and nothing after them.
+fn decode_cells(payload: &[u8], rows: usize) -> Option<Column> {
+    let mut texts = Texts::with_capacity(rows, payload.len());
+    let mut pos = 0;
+    for _ in 0..rows {
+        texts.push(read_string(payload, &mut pos)?);
+    }
+    (pos == payload.len()).then_some(Column::Bytes(texts))
+}
+
+/// `rows` dictionary cells, each a `varint(code + 1)` or a 0 before the
+/// cell of a miss, and nothing after them; each read checks the codes
+/// against its file's dictionary.
+fn decode_coded(payload: &[u8], rows: usize) -> Option<Column> {
+    let (mut codes, mut inline) = (Vec::with_capacity(rows), Texts::with_capacity(0, 0));
+    let mut pos = 0;
+    for row in 0..rows {
+        let code = u32::try_from(read_varint(payload, &mut pos)?).ok()?;
+        if code == 0 {
+            // Inline values end at the last miss: rows before it hold none.
+            inline.ends.resize(row, inline.arena.len() as u32);
+            inline.push(read_string(payload, &mut pos)?);
+        }
+        codes.push(code);
+    }
+    (pos == payload.len()).then_some(Column::Coded { codes, inline })
+}
+
+fn decode_integers(stored: StoredAs, payload: &[u8], rows: usize) -> Option<(Column, usize)> {
     let mut pos = 0;
     let min = unzigzag(read_varint(payload, &mut pos)?);
     let mut varints = &payload[pos..];
@@ -948,10 +1069,10 @@ fn rebuild_i64(stored: StoredAs, payload: &[u8], rows: usize) -> Option<Vec<u8>>
         // allocating for it.
         return None;
     }
-    // Nine bytes a cell; a packed row may cost no bits at all, so what is
-    // reserved up front is bounded too.
-    let len = rows.checked_mul(9).filter(|len| *len <= MAX_REBUILT)?;
-    let mut out = Vec::with_capacity(len.min(REBUILD_PREALLOC));
+    // Nine bytes a cell; a packed row may cost no bits at all, so its count
+    // is held to what its cells may come to.
+    let cells = rows.checked_mul(9).filter(|len| *len <= MAX_DECODED)?;
+    let mut values = Vec::with_capacity(rows.min(DECODE_PREALLOC));
     for _ in 0..rows {
         let distance = match &mut packed {
             Some(bits) => bits.next()?,
@@ -962,20 +1083,20 @@ fn rebuild_i64(stored: StoredAs, payload: &[u8], rows: usize) -> Option<Vec<u8>>
                 distance
             }
         };
-        out.push(8);
-        out.extend_from_slice(&min.wrapping_add(distance as i64).to_le_bytes());
+        values.push(min.wrapping_add(distance as i64));
     }
-    (packed.is_some() || varints.is_empty()).then_some(out)
+    (packed.is_some() || varints.is_empty()).then_some((Column::I64(values), cells))
 }
 
-/// The length a transposed payload says it rebuilds to, and the rest of it.
+/// The length of the cells a transposed payload stands for, and the rest
+/// of it.
 fn declared_len(payload: &[u8]) -> Option<(usize, &[u8])> {
     let mut pos = 0;
     let declared = usize::try_from(read_varint(payload, &mut pos)?).ok()?;
-    (declared <= MAX_REBUILT).then_some((declared, &payload[pos..]))
+    (declared <= MAX_DECODED).then_some((declared, &payload[pos..]))
 }
 
-fn rebuild_values(payload: &[u8], rows: usize) -> Option<Vec<u8>> {
+fn decode_values(payload: &[u8], rows: usize) -> Option<(Column, usize)> {
     let (declared, run) = declared_len(payload)?;
     let mut run = Run::parse(run, rows)?;
     // A column's run has every row, in a shape: one that no shape fits is
@@ -983,24 +1104,23 @@ fn rebuild_values(payload: &[u8], rows: usize) -> Option<Vec<u8>> {
     if run.presence.is_some() || run.shape == ValueShape::Raw {
         return None;
     }
-    let mut out = Vec::with_capacity(declared.min(REBUILD_PREALLOC));
+    let mut texts = Texts::with_capacity(rows, declared);
+    // What the cells to come may take of the declared length.
+    let mut left = declared;
     for _ in 0..rows {
         let value = run.next()??;
-        if declared - out.len() < varint_len(value.len() as u64) + value.len() {
-            return None;
-        }
-        write_varint(&mut out, value.len() as u64);
-        out.extend_from_slice(value);
+        left = left.checked_sub(varint_len(value.len() as u64) + value.len())?;
+        texts.push(value);
     }
-    (out.len() == declared).then_some(out)
+    (left == 0).then_some((Column::Bytes(texts), declared))
 }
 
 /// The keys of a transposed string-map payload, each with the bytes of its
 /// run.
 type KeyedRuns<'a> = Vec<(&'a [u8], &'a [u8])>;
 
-/// The key list of a transposed string-map payload: the length it rebuilds
-/// to, and each key with the bytes of its run.
+/// The key list of a transposed string-map payload: the length of the
+/// cells it stands for, and each key with the bytes of its run.
 fn string_map_runs(payload: &[u8]) -> Option<(usize, KeyedRuns<'_>)> {
     let (declared, list) = declared_len(payload)?;
     let mut pos = 0;
@@ -1022,33 +1142,31 @@ fn string_map_runs(payload: &[u8]) -> Option<(usize, KeyedRuns<'_>)> {
     (pos == list.len()).then_some((declared, runs))
 }
 
-fn rebuild_string_map(payload: &[u8], rows: usize) -> Option<Vec<u8>> {
+fn decode_string_map(payload: &[u8], rows: usize) -> Option<(Column, usize)> {
     let (declared, runs) = string_map_runs(payload)?;
     let mut subs = Vec::with_capacity(runs.len());
     for (key, run) in runs {
         subs.push((key, Run::parse(run, rows)?));
     }
-    let mut out = Vec::with_capacity(declared.min(REBUILD_PREALLOC));
+    let mut texts = Texts::with_capacity(rows, declared);
+    let mut left = declared;
     let mut pairs = Vec::new();
     for _ in 0..rows {
         pairs.clear();
-        let mut count = 0u64;
+        let mut count = 0;
         for (key, run) in &mut subs {
             if let Some(value) = run.next()? {
                 count += 1;
                 write_string_map_pair(&mut pairs, key, value);
             }
         }
-        let cell_len = varint_len(count) + pairs.len();
-        if declared - out.len() < varint_len(cell_len as u64) + cell_len {
-            return None;
-        }
-        write_varint(&mut out, cell_len as u64);
-        write_varint(&mut out, count);
-        out.extend_from_slice(&pairs);
+        let cell = varint_len(count as u64) + pairs.len();
+        left = left.checked_sub(varint_len(cell as u64) + cell)?;
+        write_string_map_count(&mut texts.arena, count);
+        texts.push(&pairs);
     }
     let spent = subs.iter().all(|(_, run)| run.is_spent());
-    (spent && out.len() == declared).then_some(out)
+    (spent && left == 0).then_some((Column::Bytes(texts), declared))
 }
 
 /// One value run of a stored chunk, for whoever asks where a file's bytes
@@ -1112,7 +1230,28 @@ mod tests {
         cell
     }
 
-    /// The layout `cells` are transposed into, which must rebuild to them,
+    /// What the column the `payload` of a `rows`-row chunk stored as `stored`
+    /// decodes into stands for: its cells printed back as the writer
+    /// buffered them (an integer as its eight little-endian bytes), whose
+    /// length must be what the read is charged.
+    fn decoded_cells(stored: StoredAs, payload: Vec<u8>, rows: usize) -> Option<Vec<u8>> {
+        let (column, charged) = decode(stored, &payload, rows, false)?;
+        assert!(column.int(rows).is_none() && column.bytes(rows).is_none());
+        let mut out = Vec::new();
+        for row in 0..rows {
+            let int = column.int(row).map(i64::to_le_bytes);
+            let cell = int
+                .as_ref()
+                .map_or_else(|| column.bytes(row), |int| Some(&int[..]));
+            let cell = cell.expect("a value on every row");
+            write_varint(&mut out, cell.len() as u64);
+            out.extend_from_slice(cell);
+        }
+        assert_eq!(out.len(), charged, "charged the cells it stands for");
+        Some(out)
+    }
+
+    /// The layout `cells` are transposed into, which must decode to them,
     /// and its length, under a compressor that leaves the bytes as they are.
     fn round_trip(kind: ColumnKind, cells: &[&[u8]]) -> Option<(StoredAs, usize)> {
         round_trip_through(kind, cells, &mut |bytes| bytes.to_vec(), &mut |stored| {
@@ -1134,7 +1273,7 @@ mod tests {
         let (stored, out) = transposer.transpose(kind, &buf, cells.len(), compress)?;
         let payload = decompress(&out).expect("a stream the compressor made");
         assert_eq!(
-            rebuild(stored, payload, cells.len()).as_deref(),
+            decoded_cells(stored, payload, cells.len()).as_deref(),
             Some(&buf[..])
         );
         Some((stored, out.len()))
@@ -1249,7 +1388,7 @@ mod tests {
             .transpose(ColumnKind::StringMap, &buf, 4, &mut |bytes| bytes.to_vec())
             .expect("canonical cells");
         assert_eq!(
-            rebuild(StoredAs::StringMap, out.to_vec(), 4).as_deref(),
+            decoded_cells(StoredAs::StringMap, out.to_vec(), 4).as_deref(),
             Some(&buf[..])
         );
         // Each key string appears once in the transposed chunk.
@@ -1602,13 +1741,13 @@ mod tests {
     }
 
     /// `bytes` as the run of a `rows`-row column, and as the one run of a
-    /// string-map chunk of as many rows: what each rebuilds to.
-    fn rebuild_run(bytes: &[u8], rows: usize) -> [Option<Vec<u8>>; 2] {
+    /// string-map chunk of as many rows: what each decodes to.
+    fn decoded_run(bytes: &[u8], rows: usize) -> [Option<Vec<u8>>; 2] {
         let column = [&[40][..], bytes].concat();
         let map = [&[40, 1, 1, b'k', bytes.len() as u8][..], bytes].concat();
         [
-            rebuild(StoredAs::ValueRun, column, rows),
-            rebuild(StoredAs::StringMap, map, rows),
+            decoded_cells(StoredAs::ValueRun, column, rows),
+            decoded_cells(StoredAs::StringMap, map, rows),
         ]
     }
 
@@ -1719,7 +1858,7 @@ mod tests {
         ];
         for (what, bytes, rows) in forged {
             assert!(Run::parse(bytes, rows).is_none(), "{what}");
-            assert_eq!(rebuild_run(bytes, rows), [None, None], "{what}");
+            assert_eq!(decoded_run(bytes, rows), [None, None], "{what}");
         }
         // A number past u64::MAX, and a code past the dictionary's values,
         // are found out when their row is read.
@@ -1727,12 +1866,12 @@ mod tests {
         let code = [DICT, 0, 3, 1, b'a', 1, b'b', 1, b'c', 0b11];
         for bytes in [&past[..], &code] {
             assert!(Run::parse(bytes, 1).is_some_and(|mut run| run.next().is_none()));
-            assert_eq!(rebuild_run(bytes, 1), [None, None]);
+            assert_eq!(decoded_run(bytes, 1), [None, None]);
         }
         // The forger can be honest; a column's run cannot be sparse or raw,
-        // nor rebuild to another length than its chunk declares.
+        // nor decode to another length than its chunk declares.
         let column = |declared: u8, run: &[u8], rows| {
-            rebuild(StoredAs::ValueRun, [&[declared][..], run].concat(), rows)
+            decoded_cells(StoredAs::ValueRun, [&[declared][..], run].concat(), rows)
         };
         let quads = |n: usize| b"\x071.2.3.4".repeat(n);
         assert_eq!(column(8, &[QUAD, 0, 1, 2, 3, 4], 1), Some(quads(1)));
@@ -1841,7 +1980,7 @@ mod tests {
                 prop_assert!(round_trip(ColumnKind::StringMap, &cells).is_some());
             }
 
-            /// Any integers round-trip, and both layouts of them rebuild
+            /// Any integers round-trip, and both layouts of them decode
             /// them, whichever the writer keeps.
             #[test]
             fn any_integers_round_trip(
@@ -1868,7 +2007,7 @@ mod tests {
                 pack_bits(&mut packed, width, distances.iter().copied());
                 let buf = buffered(&cells);
                 for (stored, payload) in [(StoredAs::I64, varints), (StoredAs::PackedI64, packed)] {
-                    let cells = rebuild(stored, payload, values.len());
+                    let cells = decoded_cells(stored, payload, values.len());
                     prop_assert_eq!(cells.as_deref(), Some(&buf[..]));
                 }
             }
@@ -1943,12 +2082,12 @@ mod tests {
                         6 if !bits.is_multiple_of(8) => *spoiled.last_mut().expect("a byte") |= 0x80,
                         _ => continue,
                     }
-                    prop_assert_eq!(rebuild_run(&spoiled, rows), [None, None], "spoil {}", spoil);
+                    prop_assert_eq!(decoded_run(&spoiled, rows), [None, None], "spoil {}", spoil);
                 }
             }
 
             /// Whatever a cell holds, a chunk either round-trips or says it
-            /// does not fit; it never rebuilds to other bytes.
+            /// does not fit; it never decodes to other bytes.
             #[test]
             fn arbitrary_cells_fit_or_fall_back(
                 cells in proptest::collection::vec(
@@ -1984,7 +2123,7 @@ mod tests {
                     (true, StoredAs::ValueRun) => [&[90][..], &payload].concat(),
                     _ => payload,
                 };
-                if let Some(cells) = rebuild(stored, payload, rows) {
+                if let Some(cells) = decoded_cells(stored, payload, rows) {
                     let mut pos = 0;
                     for _ in 0..rows {
                         prop_assert!(read_string(&cells, &mut pos).is_some());

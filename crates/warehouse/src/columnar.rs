@@ -31,17 +31,18 @@
 //! fit the kind is transposed before compression — its values stored in the
 //! shape they have, packed hex digits, numbers and timestamps at their bit
 //! width, dotted quads, a few values once each and a code a row, where they
-//! have one (see [`crate::chunk`]) — and rebuilt on read to exactly the cells
-//! that were appended, so nothing above [`ColumnGroup`] can tell. Dictionary-column cells store a small
+//! have one (see [`crate::chunk`]). Dictionary-column cells store a small
 //! integer code instead of the value — the code its writer, who built the
 //! dictionary, hands over with the row; values missing from the dictionary
 //! fall back to inline bytes, so the file never refuses a row.
+//! A read decodes each projected chunk once, into the typed [`Column`] the
+//! cache holds and every reader above [`ColumnGroup`] works on.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use crate::cache::BlockKey;
-use crate::chunk::{self, ColumnKind, StoredAs, StoredRun};
+use crate::cache::{BlockKey, Cached};
+use crate::chunk::{self, Column, ColumnKind, StoredAs, StoredRun};
 use crate::compress;
 use crate::error::{WarehouseError, WarehouseResult};
 use crate::file::FileBlocks;
@@ -302,7 +303,7 @@ impl FirstRecord {
 pub(crate) fn first_record(fb: &FileBlocks) -> Option<FirstRecord> {
     let block = fb.data.blocks.first()?;
     let key = BlockKey::row_block(block.checksum, block.uncompressed_len);
-    if let Some(cached) = fb.cache.get(key) {
+    if let Some(Cached::Block(cached)) = fb.cache.get(key) {
         return FirstRecord::of(cached);
     }
     let first = FirstRecord::of(Arc::new(compress::decompress(&block.compressed)?))?;
@@ -312,7 +313,7 @@ pub(crate) fn first_record(fb: &FileBlocks) -> Option<FirstRecord> {
         && first.block.len() as u64 == block.uncompressed_len
         && block_checksum(&block.compressed) == block.checksum
     {
-        fb.cache.insert(key, Arc::clone(&first.block));
+        fb.cache.insert(key, Cached::Block(first.block.clone()));
     }
     Some(first)
 }
@@ -331,46 +332,10 @@ pub fn sniff_columnar(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<O
     Ok(first.and_then(|first| first.version()))
 }
 
-/// One decoded cell of a projected column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColumnCell<'a> {
-    /// The cell's bytes, decoded or stored inline.
-    Bytes(&'a [u8]),
-    /// A dictionary code; resolve via [`ColumnarFile::dictionary_value`].
-    Code(u32),
-}
-
-/// Cell offsets into a decoded chunk. `code == 0` marks an inline cell at
-/// `start..start+len`; otherwise the cell is dictionary code `code - 1`.
-#[derive(Debug, Clone, Copy)]
-struct CellRef {
-    start: u32,
-    len: u32,
-    code: u32,
-}
-
-/// One projected column's decoded chunk plus per-row cell offsets.
-struct ColumnChunk {
-    data: Arc<Vec<u8>>,
-    cells: Vec<CellRef>,
-}
-
-impl ColumnChunk {
-    #[inline]
-    fn cell(&self, r: CellRef) -> ColumnCell<'_> {
-        if r.code != 0 {
-            ColumnCell::Code(r.code - 1)
-        } else {
-            ColumnCell::Bytes(&self.data[r.start as usize..(r.start + r.len) as usize])
-        }
-    }
-}
-
-/// One decoded row group: the projected columns' chunks, addressable by
-/// `(column, row)`. Unprojected columns answer `None`.
+/// One decoded row group: its projected columns, each decoded once.
 pub struct ColumnGroup {
     rows: usize,
-    columns: Vec<Option<ColumnChunk>>,
+    columns: Vec<Option<Arc<Column>>>,
 }
 
 impl ColumnGroup {
@@ -379,35 +344,14 @@ impl ColumnGroup {
         self.rows
     }
 
-    /// The cell at `(col, row)`, or `None` when the column was not
-    /// projected.
-    pub fn cell(&self, col: usize, row: usize) -> Option<ColumnCell<'_>> {
-        let chunk = self.columns.get(col)?.as_ref()?;
-        Some(chunk.cell(chunk.cells[row]))
-    }
-
-    /// The decoded bytes of column `col`'s chunk — its cells, each behind
-    /// its length or as a dictionary code — or `None` when the column was
-    /// not projected. No less than the total length of its inline cells.
-    pub fn chunk_len(&self, col: usize) -> Option<usize> {
-        Some(self.columns.get(col)?.as_ref()?.data.len())
-    }
-
-    /// Every cell of column `col`, in row order, or `None` when the column
-    /// was not projected: a whole column read without a lookup a row.
-    pub fn cells(&self, col: usize) -> Option<impl ExactSizeIterator<Item = ColumnCell<'_>>> {
-        let chunk = self.columns.get(col)?.as_ref()?;
-        Some(chunk.cells.iter().map(|r| chunk.cell(*r)))
-    }
-
-    /// The cell at `(col, row)` of a column the caller declared it reads.
-    /// Asking for a column the projection left out is a bug in the caller's
-    /// mask: it panics in debug builds and is a typed error in release, so
-    /// it can never pass for "no such row".
-    pub fn read_cell(&self, col: usize, row: usize) -> WarehouseResult<ColumnCell<'_>> {
-        let cell = self.cell(col, row);
-        debug_assert!(cell.is_some(), "column {col} was not read");
-        cell.ok_or(WarehouseError::UnreadColumn(col))
+    /// Column `col`, of `rows()` values, of a column the caller declared it
+    /// reads. Asking for a column the projection left out is a bug in the
+    /// caller's mask: it panics in debug builds and is a typed error in
+    /// release, so it can never pass for "no such row".
+    pub fn column(&self, col: usize) -> WarehouseResult<&Column> {
+        let column = self.columns.get(col).and_then(Option::as_deref);
+        debug_assert!(column.is_some(), "column {col} was not read");
+        column.ok_or(WarehouseError::UnreadColumn(col))
     }
 }
 
@@ -451,25 +395,26 @@ fn group_header(block: &[u8], columns: usize) -> Option<(usize, Vec<ChunkHeader>
     for chunk in &mut chunks {
         chunk.start += pos;
     }
-    // Cell offsets are 32-bit.
+    // A chunk's cache key holds the rows in 32 bits.
     (rows <= u32::MAX as usize).then_some((rows, chunks, pos))
 }
 
 /// Random-access, thread-safe reader of a v5 columnar file — the columnar
 /// counterpart of [`FileBlocks`]. Groups can be read from any thread in any
-/// order (each group ≈ one map task); every read is charged both to the
-/// warehouse-global counters and to a per-handle cell.
+/// order (each group ≈ one map task), each into typed [`Column`]s; every
+/// read is charged both to the warehouse-global counters and to a
+/// per-handle cell.
 ///
 /// Accounting: reading a group charges one `blocks_read` and, as
 /// `compressed_bytes_read`, the stored bytes the read addresses — the group
-/// header plus every *projected* chunk; each projected chunk also charges
-/// its decoded bytes as `uncompressed_bytes_read`, the bytes a projection
-/// actually materializes. Both are charged on cache hits and misses alike,
-/// so the byte counters of a scan depend on neither the worker count nor
-/// what an earlier scan left in the cache; what a hit saves is the verify,
-/// decompress and rebuild work (`cache_hits`). A chunk outside the
-/// projection charges nothing. A skipped group counts `blocks_skipped` and
-/// never consults the cache.
+/// header plus every *projected* chunk; each projected chunk also charges,
+/// as `uncompressed_bytes_read`, the length of the cells it stands for (see
+/// [`crate::chunk`]), never built. Both are charged on cache hits and
+/// misses alike, so the byte counters of a scan depend on neither the
+/// worker count nor what an earlier scan left in the cache; what a hit
+/// saves is the verify, decompress and decode work (`cache_hits`). A chunk
+/// outside the projection charges nothing. A skipped group counts
+/// `blocks_skipped` and never consults the cache.
 #[derive(Clone)]
 pub struct ColumnarFile {
     fb: FileBlocks,
@@ -612,20 +557,13 @@ impl ColumnarFile {
         self.dict.value(code)
     }
 
-    /// The bytes of cell `(col, row)` of `group`, dictionary codes resolved
-    /// through the embedded dictionary. Errors (see
-    /// [`ColumnGroup::read_cell`]) when `group` was read without `col`.
-    pub fn cell_bytes<'a>(
-        &'a self,
-        group: &'a ColumnGroup,
-        col: usize,
-        row: usize,
-    ) -> WarehouseResult<&'a [u8]> {
-        match group.read_cell(col, row)? {
-            ColumnCell::Bytes(b) => Ok(b),
-            ColumnCell::Code(c) => self
-                .dictionary_value(c)
-                .ok_or(WarehouseError::Corrupt("cell code")),
+    /// The bytes row `row` of `column`, one of this file's, stands for: its
+    /// own, or its dictionary code's value. `None` past the last row and for
+    /// an integer.
+    pub fn resolve<'a>(&'a self, column: &'a Column, row: usize) -> Option<&'a [u8]> {
+        match column.code(row) {
+            Some(code) => self.dictionary_value(code),
+            None => column.bytes(row),
         }
     }
 
@@ -717,7 +655,7 @@ impl ColumnarFile {
         self.fb.stats.block_read(addressed, 0);
         self.fb.local.block_read(addressed, 0);
 
-        let mut columns: Vec<Option<ColumnChunk>> = Vec::with_capacity(chunks.len());
+        let mut columns = Vec::with_capacity(chunks.len());
         let mut fields_skipped = 0u64;
         for (c, (chunk, &projected)) in chunks.iter().zip(projection).enumerate() {
             if !projected {
@@ -725,10 +663,15 @@ impl ColumnarFile {
                 columns.push(None);
                 continue;
             }
-            let data = self.chunk_cells(idx, chunk, stored, rows)?;
-            let dict_len = (Some(c) == self.dict_col).then(|| self.dict.entries.len() as u64);
-            let cells = split_cells(&data, rows, dict_len)?;
-            columns.push(Some(ColumnChunk { data, cells }));
+            let column = self.chunk_column(idx, chunk, stored, rows, Some(c) == self.dict_col)?;
+            // A cached column may have been decoded for another dictionary.
+            if let Column::Coded { codes, .. } = &*column {
+                let entries = self.dict.entries.len() as u32;
+                if codes.iter().fold(false, |past, c| past | (*c > entries)) {
+                    return Err(WarehouseError::Corrupt("cell code"));
+                }
+            }
+            columns.push(Some(column));
         }
         self.fb.stats.records_read_n(rows as u64);
         self.fb.local.records_read_n(rows as u64);
@@ -760,83 +703,38 @@ impl ColumnarFile {
         compress::decompress(stored).ok_or(WarehouseError::Corrupt("column chunk decompress"))
     }
 
-    /// Fetches the cells of one chunk of block `block` (each behind its
-    /// varint length, as the writer buffered them) — from the shared cache
-    /// when hot, keyed by what the group header already says of the chunk;
-    /// verified, decompressed and rebuilt (and cached) when cold. Hits and
-    /// misses charge the same decoded bytes.
-    fn chunk_cells(
+    /// The column of one chunk of block `block` — the dictionary column's if
+    /// `coded` — from the shared cache when hot, keyed by what the group
+    /// header says of the chunk; verified, decompressed, decoded and cached
+    /// when cold. Hits and misses charge the same cells.
+    fn chunk_column(
         &self,
         block: usize,
         chunk: &ChunkHeader,
         stored: &[u8],
         rows: usize,
-    ) -> WarehouseResult<Arc<Vec<u8>>> {
-        // `group_header` holds a group's rows to 32 bits.
-        let key = BlockKey::chunk(
-            chunk.stored_as.tag(),
-            chunk.checksum,
-            chunk.len as u64,
-            rows as u32,
-        );
-        if let Some(data) = self.fb.cache.get(key) {
-            self.fb.stats.chunk_cache_hit(data.len() as u64);
-            self.fb.local.chunk_cache_hit(data.len() as u64);
-            return Ok(data);
-        }
-        let payload = self.chunk_payload(block, chunk, stored)?;
-        let cells = chunk::rebuild(chunk.stored_as, payload, rows)
-            .ok_or(WarehouseError::Corrupt("column chunk layout"))?;
-        self.fb.stats.chunk_cache_miss(cells.len() as u64);
-        self.fb.local.chunk_cache_miss(cells.len() as u64);
-        let data = Arc::new(cells);
-        self.fb.cache.insert(key, Arc::clone(&data));
-        Ok(data)
-    }
-}
-
-/// Splits a decoded chunk into exactly `rows` cell references, validating
-/// the whole chunk (trailing garbage is corruption, not slack). For a
-/// dictionary column, `dict_len` bounds the codes a cell may carry.
-fn split_cells(data: &[u8], rows: usize, dict_len: Option<u64>) -> WarehouseResult<Vec<CellRef>> {
-    // Every cell costs at least one byte, so `rows` beyond the chunk length
-    // is structurally impossible — reject before allocating.
-    if rows > data.len() {
-        return Err(WarehouseError::Corrupt("cell count"));
-    }
-    let mut cells = Vec::with_capacity(rows);
-    let mut pos = 0;
-    for _ in 0..rows {
-        if let Some(dict_len) = dict_len {
-            let v = read_varint(data, &mut pos).ok_or(WarehouseError::Corrupt("cell code"))?;
-            if v != 0 {
-                if v > dict_len {
-                    return Err(WarehouseError::Corrupt("cell code"));
-                }
-                cells.push(CellRef {
-                    start: 0,
-                    len: 0,
-                    code: v as u32,
-                });
-                continue;
+        coded: bool,
+    ) -> WarehouseResult<Arc<Column>> {
+        // Cells are codes in one file, bytes in another; rows fit 32 bits.
+        let tag = chunk.stored_as.tag() | u8::from(coded) << 7;
+        let key = BlockKey::chunk(tag, chunk.checksum, chunk.len as u64, rows as u32);
+        let (column, cells, hit) = match self.fb.cache.get(key) {
+            Some(Cached::Column(column, cells)) => (column, cells, true),
+            _ => {
+                let payload = self.chunk_payload(block, chunk, stored)?;
+                let (column, cells) = chunk::decode(chunk.stored_as, &payload, rows, coded)
+                    .ok_or(WarehouseError::Corrupt("column chunk layout"))?;
+                let column = Arc::new(column);
+                let cached = Cached::Column(Arc::clone(&column), cells);
+                self.fb.cache.insert(key, cached);
+                (column, cells, false)
             }
+        };
+        for stats in [&self.fb.stats, &self.fb.local] {
+            stats.chunk_read(cells as u64, hit);
         }
-        let len = read_varint(data, &mut pos).ok_or(WarehouseError::Corrupt("cell length"))?;
-        let len = usize::try_from(len).map_err(|_| WarehouseError::Corrupt("cell length"))?;
-        if data.len() - pos < len {
-            return Err(WarehouseError::Corrupt("cell body"));
-        }
-        cells.push(CellRef {
-            start: pos as u32,
-            len: len as u32,
-            code: 0,
-        });
-        pos += len;
+        Ok(column)
     }
-    if pos != data.len() {
-        return Err(WarehouseError::Corrupt("cell trailing bytes"));
-    }
-    Ok(cells)
 }
 
 #[cfg(test)]
@@ -866,6 +764,17 @@ mod tests {
         let block = wh.file_data(path).unwrap().blocks[g + 1].compressed.clone();
         let (_, chunks, header_len) = group_header(&block, columns).expect("a written group");
         (chunks, header_len, block)
+    }
+
+    /// Row `row` of column `col` of `group` as the cell it was appended as:
+    /// an integer as its eight little-endian bytes, a code as its value.
+    /// `None` when the column was not read.
+    fn cell(f: &ColumnarFile, group: &ColumnGroup, col: usize, row: usize) -> Option<Vec<u8>> {
+        let column = group.columns.get(col)?.as_deref()?;
+        match column.int(row) {
+            Some(int) => Some(int.to_le_bytes().to_vec()),
+            None => f.resolve(column, row).map(<[u8]>::to_vec),
+        }
     }
 
     fn map_cell(pairs: &[(&str, &str)]) -> Vec<u8> {
@@ -1005,9 +914,8 @@ mod tests {
                                 let grp = f.read_group(g, &projection).unwrap();
                                 for r in 0..grp.rows() {
                                     for c in 0..3 {
-                                        let want = projection[c]
-                                            .then_some(ColumnCell::Bytes(&rows[i][c]));
-                                        prop_assert_eq!(grp.cell(c, r), want);
+                                        let want = projection[c].then(|| rows[i][c].clone());
+                                        prop_assert_eq!(cell(&f, &grp, c, r), want);
                                     }
                                     i += 1;
                                 }
@@ -1075,21 +983,13 @@ mod tests {
             expect
         }
 
-        fn resolve<'a>(f: &'a ColumnarFile, cell: ColumnCell<'a>) -> &'a [u8] {
-            match cell {
-                ColumnCell::Bytes(b) => b,
-                ColumnCell::Code(c) => f.dictionary_value(c).expect("code in range"),
-            }
-        }
-
         fn read_back(f: &ColumnarFile, expect: &[[Vec<u8>; 3]]) {
             let mut i = 0;
             for g in 0..f.group_count() {
                 let grp = f.read_group(g, &[true, true, true]).unwrap();
                 for r in 0..grp.rows() {
                     for (c, want) in expect[i].iter().enumerate() {
-                        let cell = grp.cell(c, r).unwrap();
-                        assert_eq!(resolve(f, cell), want.as_slice(), "row {i} col {c}");
+                        assert_eq!(cell(f, &grp, c, r).as_ref(), Some(want), "row {i} col {c}");
                     }
                     i += 1;
                 }
@@ -1110,10 +1010,11 @@ mod tests {
             read_back(&f, &expect);
             // Dictionary hits come back as codes, misses inline.
             let grp = f.read_group(0, &[false, true, false]).unwrap();
+            let names = grp.column(1).unwrap();
             for r in 0..grp.rows() {
-                match grp.cell(1, r).unwrap() {
-                    ColumnCell::Code(code) => assert!(code < 2),
-                    ColumnCell::Bytes(b) => assert!(b.starts_with(b"rare-")),
+                match names.code(r) {
+                    Some(code) => assert!(code < 2 && names.bytes(r).is_none()),
+                    None => assert!(names.bytes(r).unwrap().starts_with(b"rare-")),
                 }
             }
         }
@@ -1199,8 +1100,8 @@ mod tests {
             let narrow = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             for g in 0..narrow.group_count() {
                 let grp = narrow.read_group(g, &[false, true, false]).unwrap();
-                assert!(grp.cell(0, 0).is_none(), "unprojected column");
-                assert!(grp.cell(1, 0).is_some());
+                assert!(cell(&narrow, &grp, 0, 0).is_none(), "unprojected column");
+                assert!(cell(&narrow, &grp, 1, 0).is_some());
             }
             let n = narrow.local_stats();
             assert_eq!(n.blocks_read, w.blocks_read, "groups visited unchanged");
@@ -1251,18 +1152,63 @@ mod tests {
             );
         }
 
+        /// Every chunk is charged the cells it stands for, each behind its
+        /// length, as appended — integers as their eight bytes — and holds
+        /// as much of the cache.
+        #[test]
+        fn a_read_is_charged_the_cells_a_chunk_stands_for() {
+            let wh = Warehouse::new();
+            let expect = write_typed(&wh, "/typed", 100, 50);
+            let header = wh.file_data(&p("/typed")).unwrap().blocks[0].uncompressed_len;
+            let f = ColumnarFile::open(&wh, &p("/typed")).unwrap();
+            for g in 0..f.group_count() {
+                f.read_group(g, &[true, true, true]).unwrap();
+            }
+            let cells: usize = expect
+                .iter()
+                .flatten()
+                .map(|cell| crate::varint::varint_len(cell.len() as u64) + cell.len())
+                .sum();
+            assert_eq!(f.local_stats().uncompressed_bytes_read, cells as u64);
+            assert_eq!(wh.cache_stats().bytes, header + cells as u64);
+        }
+
+        /// Past the last row every column answers `None`, whatever it holds.
+        #[test]
+        fn a_row_past_the_group_is_none_in_every_column() {
+            let wh = Warehouse::new();
+            write_v5(&wh, "/v5", 40, 32);
+            write_typed(&wh, "/typed", 40, 32);
+            for path in ["/v5", "/typed"] {
+                let f = ColumnarFile::open(&wh, &p(path)).unwrap();
+                for g in 0..f.group_count() {
+                    let grp = f.read_group(g, &[true; 3]).unwrap();
+                    let rows = grp.rows();
+                    for c in 0..3 {
+                        let column = grp.column(c).unwrap();
+                        assert!(
+                            f.resolve(column, rows - 1).is_some() || column.int(rows - 1).is_some()
+                        );
+                        assert_eq!(column.int(rows), None);
+                        assert_eq!(column.code(rows), None);
+                        assert_eq!(column.bytes(rows), None);
+                        assert_eq!(f.resolve(column, rows), None);
+                    }
+                }
+            }
+        }
+
         /// Twelve rows of one integer in groups of eight: both groups store
         /// the same chunk, no bits a row, and the cache must not hand the
-        /// cells of one to the other.
+        /// column of one to the other.
         #[test]
         fn groups_of_two_sizes_storing_one_chunk_are_read_apart() {
             let wh = Warehouse::new();
             let path = p("/same");
             let mut w =
                 ColumnarFileWriter::create(&wh, &path, &[ColumnKind::I64], 8, None).unwrap();
-            let cell = 42i64.to_le_bytes();
             for _ in 0..12 {
-                w.append_row(&[&cell]);
+                w.append_row(&[&42i64.to_le_bytes()]);
             }
             w.finish().unwrap();
             let (a, _, block_a) = stored_group(&wh, &path, 0, 1);
@@ -1280,7 +1226,7 @@ mod tests {
                 let grp = f.read_group(g, &[true]).unwrap();
                 assert_eq!(grp.rows(), rows);
                 for r in 0..rows {
-                    assert_eq!(grp.cell(0, r), Some(ColumnCell::Bytes(&cell)));
+                    assert_eq!(grp.column(0).unwrap().int(r), Some(42));
                 }
             }
             assert_eq!(f.local_stats().cache_hits, 2);
@@ -1795,20 +1741,19 @@ mod tests {
                     })
             }
 
-            /// A group that reads must be whole: every projected cell
-            /// addressable, every code in the dictionary.
+            /// A group that reads must be whole: every projected column a
+            /// value a row, every code in the dictionary.
             fn check_group(f: &ColumnarFile, projection: &[bool]) {
                 if let Ok(g) = f.read_group(0, projection) {
-                    for r in 0..g.rows().min(1000) {
-                        for (c, projected) in projection.iter().enumerate() {
-                            match g.cell(c, r) {
-                                Some(ColumnCell::Code(code)) => {
-                                    assert!(f.dictionary_value(code).is_some())
-                                }
-                                Some(ColumnCell::Bytes(_)) => {}
-                                None => assert!(!projected),
-                            }
-                        }
+                    for (c, projected) in projection.iter().enumerate() {
+                        let Some(column) = g.columns[c].as_deref() else {
+                            assert!(!projected);
+                            continue;
+                        };
+                        let rows = g.rows();
+                        let present = |r| column.int(r).is_some() || f.resolve(column, r).is_some();
+                        assert!((0..rows.min(1000)).chain(rows.checked_sub(1)).all(present));
+                        assert!(!present(rows));
                     }
                 }
             }

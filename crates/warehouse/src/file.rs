@@ -8,7 +8,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::cache::{BlockCache, BlockKey};
+use crate::cache::{BlockCache, BlockKey, Cached};
 use crate::compress;
 use crate::error::{WarehouseError, WarehouseResult};
 use crate::hash::block_checksum;
@@ -268,7 +268,7 @@ fn read_block_payload(
     cells: &[&StatsCell],
 ) -> WarehouseResult<Arc<Vec<u8>>> {
     let key = BlockKey::row_block(block.checksum, block.uncompressed_len);
-    if let Some(data) = cache.get(key) {
+    if let Some(Cached::Block(data)) = cache.get(key) {
         for cell in cells {
             cell.block_cache_hit(data.len() as u64);
         }
@@ -290,7 +290,7 @@ fn read_block_payload(
         cell.block_cache_miss();
     }
     let data = Arc::new(decompressed);
-    cache.insert(key, Arc::clone(&data));
+    cache.insert(key, Cached::Block(Arc::clone(&data)));
     Ok(data)
 }
 

@@ -59,10 +59,10 @@ pub mod varint;
 pub mod zone;
 
 pub use cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};
-pub use chunk::{ColumnKind, StoredAs, StoredRun, ValueShape};
+pub use chunk::{Column, ColumnKind, StoredAs, StoredRun, Texts, ValueShape};
 pub use columnar::{
-    sniff_columnar, ColumnCell, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding,
-    COLUMNAR_MAGIC, COLUMNAR_VERSION,
+    sniff_columnar, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding, COLUMNAR_MAGIC,
+    COLUMNAR_VERSION,
 };
 pub use compress::CompressorPool;
 pub use error::{WarehouseError, WarehouseResult};

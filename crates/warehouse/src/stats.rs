@@ -184,19 +184,16 @@ impl StatsCell {
         self.cache_misses.inc();
     }
 
-    /// A column chunk served from the decompressed-chunk cache: its
-    /// uncompressed bytes were logically read, and — unlike a whole-block
-    /// hit — no additional `blocks_read` (the enclosing row group already
-    /// counted, with the stored bytes of the chunks its read addressed).
-    pub(crate) fn chunk_cache_hit(&self, uncompressed: u64) {
-        self.uncompressed_bytes_read.add(uncompressed);
-        self.cache_hits.inc();
-    }
-
-    /// A column chunk that had to be decompressed because the cache missed.
-    pub(crate) fn chunk_cache_miss(&self, uncompressed: u64) {
-        self.uncompressed_bytes_read.add(uncompressed);
-        self.cache_misses.inc();
+    /// A column chunk read, from the cache (`hit`) or not: the `cells` it
+    /// stands for were logically read, and — unlike a whole-block hit — no
+    /// additional `blocks_read` (the enclosing row group already counted,
+    /// with the stored bytes of the chunks its read addressed).
+    pub(crate) fn chunk_read(&self, cells: u64, hit: bool) {
+        self.uncompressed_bytes_read.add(cells);
+        match hit {
+            true => self.cache_hits.inc(),
+            false => self.cache_misses.inc(),
+        }
     }
 
     pub(crate) fn record_read(&self) {

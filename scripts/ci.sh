@@ -139,11 +139,14 @@ fi
 # One decoder per format. A client event has one typed walk
 # (EventRow::read), a field no reader knows has one structural walk
 # (CompactReader::skip), and a row-format record reaches the engine one way,
-# decoded whole by Loader::parse and masked to the projection. The dynamic
-# value decoder and the schema registry that validated it, the lazy row
-# scan beside the parse, the tree event name no experiment compared and the
-# cost-model setter no caller used must not come back.
-if grep -rnwE 'TValue|read_struct_value|SchemaRegistry|StructDescriptor|ScanOutcome|TreeEventName|with_cost_model' \
+# decoded whole by Loader::parse and masked to the projection. A column
+# chunk is decoded once, into the typed uli_warehouse::Column every reader
+# works on: no cell buffer is printed back, split into cell references and
+# parsed again per cell. The dynamic value decoder and the schema registry
+# that validated it, the lazy row scan beside the parse, the tree event name
+# no experiment compared, the cost-model setter no caller used and the
+# read side's cell API must not come back.
+if grep -rnwE 'TValue|read_struct_value|SchemaRegistry|StructDescriptor|ScanOutcome|TreeEventName|with_cost_model|split_cells|CellRef|ColumnCell|ColumnChunk|cell_bytes|chunk_len|GroupCells|decode_cell' \
     crates src tests examples; then
     echo "decoder gate: a second decoder of a format, or a removed twin, is back." >&2
     exit 1

@@ -184,10 +184,11 @@ fn sequence_rows_digest(wh: &Warehouse) -> u64 {
         for g in 0..file.group_count() {
             let group = file.read_group(g, &[true; 5]).expect("a clean group");
             for row in 0..group.rows() {
-                let cell = |col| file.cell_bytes(&group, col, row).expect("a cell");
-                let int = |col| u64::from_le_bytes(cell(col).try_into().expect("eight bytes"));
+                let column = |col| group.column(col).expect("a read column");
+                let int = |col| column(col).int(row).expect("an integer") as u64;
+                let text = |col| file.resolve(column(col), row).expect("bytes");
                 h = fold_u64(h, int(0));
-                for text in [cell(1), cell(2), cell(3)] {
+                for text in [text(1), text(2), text(3)] {
                     assert!(std::str::from_utf8(text).is_ok(), "text is UTF-8");
                     h = fnv1a64_fold(fold_u64(h, text.len() as u64), text);
                 }
@@ -897,7 +898,13 @@ fn hostile_details_decode_and_reencode_to_the_recorded_bytes() {
         let group = file.read_group(g, &ALL_COLUMNS).expect("a clean group");
         for row in 0..group.rows() {
             for c in 0..7 {
-                let cell = file.cell_bytes(&group, c, row).expect("a read column");
+                // An integer as the eight little-endian bytes of its cell.
+                let column = group.column(c).expect("a read column");
+                let int = column.int(row).map(i64::to_le_bytes);
+                let cell = match &int {
+                    Some(int) => &int[..],
+                    None => file.resolve(column, row).expect("bytes"),
+                };
                 h = fnv1a64_fold(fold_u64(h, cell.len() as u64), cell);
             }
         }
