@@ -11,7 +11,7 @@ use std::ops::Range;
 
 use uli_core::session::{sequences_dir, Sequence, SessionRef, SESSION_SEQUENCE_KINDS};
 use uli_warehouse::{
-    Column, ColumnGroup, ColumnarFile, Warehouse, WarehouseError, WarehouseResult, WhPath,
+    ColumnGroup, ColumnarFile, Warehouse, WarehouseError, WarehouseResult, WhPath,
 };
 
 /// Every column of a part file: a load builds whole sessions.
@@ -82,12 +82,14 @@ impl SequenceCorpus {
                 .flat_map(|(f, groups)| groups.iter().map(move |g| (f, g)))
         };
         let n = groups().map(|(_, group)| group.rows()).sum();
-        // Room for every cell the parts were read as: no text is longer than
-        // its cell, and a dictionary value, stored once, may make it grow.
-        let cells: u64 = parts
-            .iter()
-            .map(|(f, _)| f.local_stats().uncompressed_bytes_read)
-            .sum();
+        // Room for every inline text value; a dictionary value is stored
+        // once, so a file that has any may make the arena grow.
+        let mut text_len = 0;
+        for (_, group) in groups() {
+            for col in TEXT_COLUMNS {
+                text_len += group.column(col)?.byte_len();
+            }
+        }
         let mut corpus = SequenceCorpus {
             user_ids: Vec::with_capacity(n),
             durations: Vec::with_capacity(n),
@@ -96,13 +98,13 @@ impl SequenceCorpus {
         };
         for (col, ints) in [(0, &mut corpus.user_ids), (4, &mut corpus.durations)] {
             for (_, group) in groups() {
-                match group.column(col)? {
-                    Column::I64(values) => ints.extend_from_slice(values),
-                    _ => return Err(WarehouseError::Corrupt("session-sequence integer column")),
+                let column = group.column(col)?;
+                for row in 0..group.rows() {
+                    ints.push(column.int(row).ok_or(NOT_INTEGER)?);
                 }
             }
         }
-        let mut text = Vec::with_capacity(cells as usize);
+        let mut text = Vec::with_capacity(text_len);
         corpus.bounds.push(0);
         for col in TEXT_COLUMNS {
             for (file, group) in groups() {
@@ -158,6 +160,8 @@ impl<'a> Iterator for Sessions<'a> {
 impl ExactSizeIterator for Sessions<'_> {}
 
 const NOT_UTF8: WarehouseError = WarehouseError::Corrupt("session-sequence text is not UTF-8");
+
+const NOT_INTEGER: WarehouseError = WarehouseError::Corrupt("session-sequence integer cell");
 
 const NOT_TEXT: WarehouseError = WarehouseError::Corrupt("session-sequence text column");
 

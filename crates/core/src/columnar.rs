@@ -168,6 +168,10 @@ impl ColumnarCodec for ClientEventColumnar {
             _ => None,
         }
     }
+
+    fn integer(&self, col: usize) -> bool {
+        CLIENT_EVENT_KINDS.get(col) == Some(&ColumnKind::I64)
+    }
 }
 
 fn decode_initiator(bytes: &[u8]) -> Option<EventInitiator> {
@@ -244,7 +248,7 @@ pub fn for_each_event_row_where(
 type ResolvedNames<'f> = Vec<Option<Option<&'f str>>>;
 
 /// The view of row `row` of `group` over `columns`; `None` when a value of
-/// theirs does not decode (an integer column holding bytes is one).
+/// theirs does not decode (an integer cell not eight bytes is one).
 fn group_row<'g, 'f: 'g>(
     col: &'f ColumnarFile,
     group: &'g ColumnGroup,
@@ -504,7 +508,7 @@ mod tests {
     use std::collections::BTreeMap;
     use uli_dataflow::{scan_unit, Loader, ScanSpec};
     use uli_thrift::ThriftRecord;
-    use uli_warehouse::{ColumnarFile, ScanFile};
+    use uli_warehouse::{ColumnarFile, ScanFile, StoredAs};
 
     fn sample(i: i64) -> ClientEvent {
         let name = if i % 3 == 0 {
@@ -531,12 +535,15 @@ mod tests {
             let expected = ClientEventLoader.parse(&ev.to_bytes()).unwrap().unwrap();
             let cells = client_event_cells(&ev);
             for (col, cell) in cells.iter().enumerate() {
-                // The integer columns reach the batch as `i64`s, never the
-                // codec: bytes there are a group that fell back.
-                let want = (CLIENT_EVENT_KINDS[col] != ColumnKind::I64).then_some(&expected[col]);
+                // An integer column's cells are read as integers, never by
+                // the codec.
+                let value = match CLIENT_EVENT_COLUMNAR.integer(col) {
+                    true => Some(Value::Int(i64::from_le_bytes(cell[..].try_into().unwrap()))),
+                    false => CLIENT_EVENT_COLUMNAR.decode(col, cell),
+                };
                 assert_eq!(
-                    CLIENT_EVENT_COLUMNAR.decode(col, cell).as_ref(),
-                    want,
+                    value.as_ref(),
+                    Some(&expected[col]),
                     "column {col} of event {i}"
                 );
             }
@@ -688,6 +695,31 @@ mod tests {
         ScanFile::open(wh, &path).unwrap()
     }
 
+    /// A scan reads an integer column whose group fell back to cells as the
+    /// row view does: a row whose cell is eight bytes keeps its integer,
+    /// the row whose cell is not is dropped.
+    #[test]
+    fn a_batch_keeps_the_eight_byte_rows_of_a_fallen_back_integer_column() {
+        for col in [USER_COLUMN, TIMESTAMP_COLUMN] {
+            let file = file_with_bad_cell(&Warehouse::new(), col, &[1, 2, 3]);
+            let ScanFile::Columnar(columnar) = &file else {
+                panic!("a columnar file")
+            };
+            assert_eq!(columnar.stored_chunks(0).unwrap()[col].0, StoredAs::Cells);
+            let rows = scan_unit(&file, 0, &ClientEventLoader, &ScanSpec::full(7)).unwrap();
+            let expected: Vec<_> = [0, 2]
+                .into_iter()
+                .map(|i| {
+                    ClientEventLoader
+                        .parse(&sample(i).to_bytes())
+                        .unwrap()
+                        .unwrap()
+                })
+                .collect();
+            assert_eq!(rows, expected, "column {col}");
+        }
+    }
+
     #[test]
     fn only_a_declared_column_can_drop_a_row() {
         let narrow = event_columns([NAME_COLUMN, USER_COLUMN]);
@@ -704,12 +736,10 @@ mod tests {
         let file = file_with_bad_cell(&Warehouse::new(), 6, &[5]);
         assert_eq!(users(&file, narrow), (vec![0, 1, 2], (3, 0)));
         assert_eq!(users(&file, ALL_COLUMNS), (vec![0, 2], (2, 1)));
-        // A short user id is in the declared set of both. It leaves its
-        // group's user column stored as cells, which reads as bytes, not
-        // integers: no row of the group has a user id.
+        // A short user id is in the declared set of both.
         let file = file_with_bad_cell(&Warehouse::new(), USER_COLUMN, &[1, 2, 3]);
-        assert_eq!(users(&file, narrow), (vec![], (0, 3)));
-        assert_eq!(users(&file, ALL_COLUMNS), (vec![], (0, 3)));
+        assert_eq!(users(&file, narrow), (vec![0, 2], (2, 1)));
+        assert_eq!(users(&file, ALL_COLUMNS), (vec![0, 2], (2, 1)));
         // So is a name that is not a six-level name.
         let file = file_with_bad_cell(&Warehouse::new(), NAME_COLUMN, b"not-a-name");
         assert_eq!(users(&file, narrow), (vec![0, 2], (2, 1)));
@@ -750,14 +780,10 @@ mod tests {
             users_where(&file, USER_COLUMN, |row| Ok(row.user_id()? != 1)),
             [0, 2]
         );
-        // A tested value that does not decode drops its row, whatever the
-        // test would have said: a short user id leaves no row of its group
-        // an integer user id.
+        // A tested cell that does not decode drops its row, whatever the
+        // test would have said.
         let file = file_with_bad_cell(&Warehouse::new(), USER_COLUMN, &[1, 2, 3]);
-        assert_eq!(
-            users_where(&file, USER_COLUMN, |_| Ok(true)),
-            Vec::<i64>::new()
-        );
+        assert_eq!(users_where(&file, USER_COLUMN, |_| Ok(true)), [0, 2]);
         // Any declared column can carry the test: the name resolves through
         // the dictionary, once for the test and once for the row.
         let wh = Warehouse::new();
@@ -847,11 +873,7 @@ mod tests {
 
     /// Recorded from the format as it stood before typed chunks: a cell
     /// that does not fit its column's kind must still come back as the
-    /// bytes that were written, and drop (or not drop) the same rows. Bar
-    /// one change, recorded when reads began decoding typed columns: a
-    /// misfit integer cell stores its group's chunk as cells, which read as
-    /// bytes, so a reader that declares that column gets no row of the
-    /// group (before, the rows whose cells were eight bytes).
+    /// bytes that were written, and drop (or not drop) the same rows.
     #[test]
     fn bad_cell_fixtures_decode_to_the_recorded_digests() {
         let narrow = event_columns([NAME_COLUMN, USER_COLUMN]);
@@ -862,15 +884,13 @@ mod tests {
         // The middle row dropped, and all three rows kept.
         const TWO_ROWS: (u64, u64) = (9776231977043857231, 12040047780805572083);
         const ALL_NARROW: u64 = 8312493058707573376;
-        // Every row skipped.
-        const NO_ROWS: u64 = 12041190276437290630;
         let fixtures: [(usize, &[u8], u64, u64); 7] = [
             (6, &[5], TWO_ROWS.0, ALL_NARROW),
             (6, &unsorted, 2431056907248152995, ALL_NARROW),
             (6, &duplicate, 5252390381555452002, ALL_NARROW),
-            (USER_COLUMN, &[1, 2, 3], NO_ROWS, NO_ROWS),
-            (TIMESTAMP_COLUMN, &[0; 9], NO_ROWS, ALL_NARROW),
-            (TIMESTAMP_COLUMN, &[], NO_ROWS, ALL_NARROW),
+            (USER_COLUMN, &[1, 2, 3], TWO_ROWS.0, TWO_ROWS.1),
+            (TIMESTAMP_COLUMN, &[0; 9], TWO_ROWS.0, ALL_NARROW),
+            (TIMESTAMP_COLUMN, &[], TWO_ROWS.0, ALL_NARROW),
             (NAME_COLUMN, b"not-a-name", TWO_ROWS.0, TWO_ROWS.1),
         ];
         for (col, bad, full, name_and_user) in fixtures {

@@ -44,6 +44,13 @@ pub trait ColumnarCodec: Send + Sync {
     /// whole row exactly as a loader `parse` returning `Ok(None)` drops the
     /// whole record (tolerant-reader semantics).
     fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value>;
+
+    /// Whether column `col` is written as integers: its rows are read by
+    /// [`Column::int`] — an eight-byte cell of a group that fell back to
+    /// cells too — and never reach [`decode`](Self::decode).
+    fn integer(&self, _col: usize) -> bool {
+        false
+    }
 }
 
 /// One scan unit's columns plus a selection mask.
@@ -114,9 +121,11 @@ impl<'a> ColumnBatch<'a> {
     /// is undecodable".
     fn value(&self, col: usize, row: usize) -> DataflowResult<Option<Value>> {
         let (file, group, codec) = self.group.expect("a row block's columns arrive decoded");
-        Ok(match group.column(col)? {
-            Column::I64(ints) => ints.get(row).map(|int| Value::Int(*int)),
-            column => file.resolve(column, row).and_then(|b| codec.decode(col, b)),
+        let column = group.column(col)?;
+        Ok(match column {
+            Column::I64(_) => column.int(row).map(Value::Int),
+            _ if codec.integer(col) => column.int(row).map(Value::Int),
+            _ => file.resolve(column, row).and_then(|b| codec.decode(col, b)),
         })
     }
 

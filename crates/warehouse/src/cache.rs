@@ -34,13 +34,15 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024 * 1024;
 /// Content address of a cached payload: the stored checksum of the bytes
 /// it was decoded from, plus a length (cheap extra guard against checksum
 /// collisions), the encoding that says what "decoded" meant and, of a
-/// column chunk, the rows it was decoded into.
+/// column chunk, the rows it was decoded into and, of one decoded as codes,
+/// the entries of the dictionary they were checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct BlockKey {
     checksum: u64,
     len: u64,
     encoding: u8,
     rows: u32,
+    dictionary: Option<u32>,
 }
 
 impl BlockKey {
@@ -52,26 +54,38 @@ impl BlockKey {
             len: uncompressed_len,
             encoding: u8::MAX,
             rows: 0,
+            dictionary: None,
         }
     }
 
-    /// A column chunk: its encoding tag (its top bit set when the chunk is
-    /// decoded as codes), stored checksum and stored length, and the group's
-    /// row count, all read off the row group's header. The rows are part of
-    /// the address because the same stored bytes can stand for groups of
-    /// different sizes: integers of no bits each.
-    pub(crate) fn chunk(tag: u8, checksum: u64, stored_len: u64, rows: u32) -> BlockKey {
+    /// A column chunk: its encoding tag, stored checksum and stored length,
+    /// and the group's row count, all read off the row group's header, and
+    /// the entry count of the dictionary whose codes it holds, if it is the
+    /// file-dictionary column. The rows are part of the address because the
+    /// same stored bytes can stand for groups of different sizes: integers
+    /// of no bits each; the dictionary, because the same cells are bytes in
+    /// one file and codes in another, and are checked against a dictionary
+    /// of that size.
+    pub(crate) fn chunk(
+        tag: u8,
+        checksum: u64,
+        len: u64,
+        rows: u32,
+        dict: Option<u32>,
+    ) -> BlockKey {
         BlockKey {
             checksum,
-            len: stored_len,
+            len,
             encoding: tag,
             rows,
+            dictionary: dict,
         }
     }
 }
 
-/// A row block's payload, or a chunk's column and the cells it stands for,
-/// which is what it takes of the capacity.
+/// A row block's payload, or a chunk's column and the length of the cells
+/// it stands for, which a read of it is charged as decoded bytes. Either
+/// takes of the capacity the heap it holds.
 #[derive(Clone)]
 pub(crate) enum Cached {
     Block(Arc<Vec<u8>>),
@@ -184,7 +198,7 @@ impl BlockCache {
     pub(crate) fn insert(&self, key: BlockKey, data: Cached) {
         let charge = match &data {
             Cached::Block(data) => data.len(),
-            Cached::Column(_, cells) => *cells,
+            Cached::Column(column, _) => column.heap_len(),
         };
         if charge > self.capacity {
             // Never evict the whole cache for one oversized block.
@@ -337,12 +351,12 @@ mod tests {
     }
 
     #[test]
-    fn a_decoded_column_takes_the_capacity_it_is_charged() {
+    fn a_decoded_column_takes_the_capacity_of_its_heap() {
         let c = BlockCache::new(30);
         let column = Cached::Column(Arc::new(Column::I64(vec![1, 2])), 18);
         c.insert(key(1), column);
         c.insert(key(2), block(10));
-        assert_eq!(c.stats().bytes, 28, "the column's cells, not its heap");
+        assert_eq!(c.stats().bytes, 26, "the column's heap, not its cells");
         c.insert(key(3), block(10));
         assert!(c.get(key(1)).is_none(), "the column was the LRU entry");
         assert_eq!(c.stats().bytes, 20);

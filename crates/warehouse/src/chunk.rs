@@ -949,11 +949,12 @@ pub struct Texts {
 }
 
 impl Texts {
-    /// Room for `rows` values of `bytes` in all, up to [`DECODE_PREALLOC`].
-    fn with_capacity(rows: usize, bytes: usize) -> Texts {
+    /// Room for `rows` values whose cells take `cells` bytes in all — each
+    /// a byte of length at least — up to [`DECODE_PREALLOC`] of each.
+    fn with_capacity(rows: usize, cells: usize) -> Texts {
         Texts {
             ends: Vec::with_capacity(rows.min(DECODE_PREALLOC)),
-            arena: Vec::with_capacity(bytes.min(DECODE_PREALLOC)),
+            arena: Vec::with_capacity(cells.saturating_sub(rows).min(DECODE_PREALLOC)),
         }
     }
 
@@ -976,11 +977,15 @@ impl Texts {
 }
 
 impl Column {
-    /// Row `row` of an integer column; `None` past the last row or for bytes.
+    /// Row `row` of a [`ColumnKind::I64`] column: its value, or — where
+    /// the group fell back to cells because some cell was not eight bytes —
+    /// its cell's eight little-endian bytes. `None` for any other cell,
+    /// past the last row and for a code.
     pub fn int(&self, row: usize) -> Option<i64> {
         match self {
             Column::I64(values) => values.get(row).copied(),
-            _ => None,
+            Column::Bytes(texts) => texts.get(row)?.try_into().ok().map(i64::from_le_bytes),
+            Column::Coded { .. } => None,
         }
     }
 
@@ -990,6 +995,24 @@ impl Column {
         match self {
             Column::Coded { codes, .. } => codes.get(row)?.checked_sub(1),
             _ => None,
+        }
+    }
+
+    /// The heap this column holds, which is what it takes of a cache.
+    pub(crate) fn heap_len(&self) -> usize {
+        let texts = |t: &Texts| t.ends.capacity() * 4 + t.arena.capacity();
+        match self {
+            Column::I64(values) => values.capacity() * 8,
+            Column::Bytes(bytes) => texts(bytes),
+            Column::Coded { codes, inline } => codes.capacity() * 4 + texts(inline),
+        }
+    }
+
+    /// The bytes [`bytes`](Self::bytes) hands out over every row.
+    pub fn byte_len(&self) -> usize {
+        match self {
+            Column::I64(_) => 0,
+            Column::Bytes(texts) | Column::Coded { inline: texts, .. } => texts.arena.len(),
         }
     }
 
@@ -1004,28 +1027,37 @@ impl Column {
     }
 }
 
-/// Decodes the `payload` of a `rows`-row chunk stored as `stored` — the
-/// file-dictionary column's if `coded` — with the length of the cells it
-/// stands for. `None` on any structural error; hostile input never panics
-/// and never allocates past what it really decodes to.
+/// Decodes the `payload` of a `rows`-row chunk stored as `stored` — if it
+/// is the file-dictionary column, as codes of a `dictionary` of that many
+/// entries — with the length of the cells it stands for. `None` on any
+/// structural error; hostile input never panics and never allocates past
+/// what it really decodes to.
 pub(crate) fn decode(
     stored: StoredAs,
     payload: &[u8],
     rows: usize,
-    coded: bool,
+    dictionary: Option<u32>,
 ) -> Option<(Column, usize)> {
-    match (stored, coded) {
+    let (mut column, cells) = match (stored, dictionary) {
         // Every cell costs a byte at least: reject a hostile count before
         // allocating for it.
         (StoredAs::Cells, _) if rows > payload.len() => None,
-        (StoredAs::Cells, false) => Some((decode_cells(payload, rows)?, payload.len())),
-        (StoredAs::Cells, true) => Some((decode_coded(payload, rows)?, payload.len())),
+        (StoredAs::Cells, None) => Some((decode_cells(payload, rows)?, payload.len())),
+        (StoredAs::Cells, Some(entries)) => {
+            Some((decode_coded(payload, rows, entries)?, payload.len()))
+        }
         // The writer stores the dictionary's codes as cells.
-        (_, true) => None,
-        (StoredAs::I64 | StoredAs::PackedI64, false) => decode_integers(stored, payload, rows),
-        (StoredAs::StringMap, false) => decode_string_map(payload, rows),
-        (StoredAs::ValueRun, false) => decode_values(payload, rows),
+        (_, Some(_)) => None,
+        (StoredAs::I64 | StoredAs::PackedI64, None) => decode_integers(stored, payload, rows),
+        (StoredAs::StringMap, None) => decode_string_map(payload, rows),
+        (StoredAs::ValueRun, None) => decode_values(payload, rows),
+    }?;
+    // Held as it is: what growing left unused is given back.
+    if let Column::Bytes(texts) | Column::Coded { inline: texts, .. } = &mut column {
+        texts.ends.shrink_to_fit();
+        texts.arena.shrink_to_fit();
     }
+    Some((column, cells))
 }
 
 /// `rows` cells, each behind its varint length, and nothing after them.
@@ -1038,10 +1070,9 @@ fn decode_cells(payload: &[u8], rows: usize) -> Option<Column> {
     (pos == payload.len()).then_some(Column::Bytes(texts))
 }
 
-/// `rows` dictionary cells, each a `varint(code + 1)` or a 0 before the
-/// cell of a miss, and nothing after them; each read checks the codes
-/// against its file's dictionary.
-fn decode_coded(payload: &[u8], rows: usize) -> Option<Column> {
+/// `rows` dictionary cells, each a `varint(code + 1)` of a code under
+/// `entries` or a 0 before the cell of a miss, and nothing after them.
+fn decode_coded(payload: &[u8], rows: usize, entries: u32) -> Option<Column> {
     let (mut codes, mut inline) = (Vec::with_capacity(rows), Texts::with_capacity(0, 0));
     let mut pos = 0;
     for row in 0..rows {
@@ -1053,7 +1084,9 @@ fn decode_coded(payload: &[u8], rows: usize) -> Option<Column> {
         }
         codes.push(code);
     }
-    (pos == payload.len()).then_some(Column::Coded { codes, inline })
+    // Folded, not searched: a pass over every code vectorises.
+    let past = codes.iter().fold(false, |p, c| p | (*c > entries));
+    (pos == payload.len() && !past).then_some(Column::Coded { codes, inline })
 }
 
 fn decode_integers(stored: StoredAs, payload: &[u8], rows: usize) -> Option<(Column, usize)> {
@@ -1235,7 +1268,7 @@ mod tests {
     /// buffered them (an integer as its eight little-endian bytes), whose
     /// length must be what the read is charged.
     fn decoded_cells(stored: StoredAs, payload: Vec<u8>, rows: usize) -> Option<Vec<u8>> {
-        let (column, charged) = decode(stored, &payload, rows, false)?;
+        let (column, charged) = decode(stored, &payload, rows, None)?;
         assert!(column.int(rows).is_none() && column.bytes(rows).is_none());
         let mut out = Vec::new();
         for row in 0..rows {
@@ -1248,6 +1281,14 @@ mod tests {
             out.extend_from_slice(cell);
         }
         assert_eq!(out.len(), charged, "charged the cells it stands for");
+        if let Column::Bytes(texts) = &column {
+            let held = texts.ends.len() * 4 + texts.arena.len();
+            assert_eq!(
+                column.heap_len(),
+                held,
+                "held without the room growing left"
+            );
+        }
         Some(out)
     }
 
@@ -1277,6 +1318,18 @@ mod tests {
             Some(&buf[..])
         );
         Some((stored, out.len()))
+    }
+
+    /// A column decoded past what is reserved up front is held, and taken
+    /// of a cache, without the room its growing left.
+    #[test]
+    fn a_column_grown_past_the_reservation_is_held_without_slack() {
+        let values: Vec<String> = (0..1000).map(|i| format!("v{i:099}")).collect();
+        let cells: Vec<&[u8]> = values.iter().map(|v| v.as_bytes()).collect();
+        assert!(cells.concat().len() > DECODE_PREALLOC);
+        let buf = buffered(&cells);
+        let decoded = decoded_cells(StoredAs::Cells, buf.clone(), cells.len());
+        assert_eq!(decoded, Some(buf));
     }
 
     fn integer_cells(values: &[i64]) -> Vec<[u8; 8]> {

@@ -652,8 +652,8 @@ impl ColumnarFile {
             .zip(projection)
             .filter(|(_, projected)| **projected)
             .fold(header_len, |sum, (chunk, _)| sum + chunk.len) as u64;
-        self.fb.stats.block_read(addressed, 0);
-        self.fb.local.block_read(addressed, 0);
+        self.fb.stats.block_read(addressed);
+        self.fb.local.block_read(addressed);
 
         let mut columns = Vec::with_capacity(chunks.len());
         let mut fields_skipped = 0u64;
@@ -663,15 +663,10 @@ impl ColumnarFile {
                 columns.push(None);
                 continue;
             }
-            let column = self.chunk_column(idx, chunk, stored, rows, Some(c) == self.dict_col)?;
-            // A cached column may have been decoded for another dictionary.
-            if let Column::Coded { codes, .. } = &*column {
-                let entries = self.dict.entries.len() as u32;
-                if codes.iter().fold(false, |past, c| past | (*c > entries)) {
-                    return Err(WarehouseError::Corrupt("cell code"));
-                }
-            }
-            columns.push(Some(column));
+            let dictionary = (Some(c) == self.dict_col).then_some(self.dict.entries.len() as u32);
+            columns.push(Some(
+                self.chunk_column(idx, chunk, stored, rows, dictionary)?,
+            ));
         }
         self.fb.stats.records_read_n(rows as u64);
         self.fb.local.records_read_n(rows as u64);
@@ -703,26 +698,27 @@ impl ColumnarFile {
         compress::decompress(stored).ok_or(WarehouseError::Corrupt("column chunk decompress"))
     }
 
-    /// The column of one chunk of block `block` — the dictionary column's if
-    /// `coded` — from the shared cache when hot, keyed by what the group
-    /// header says of the chunk; verified, decompressed, decoded and cached
-    /// when cold. Hits and misses charge the same cells.
+    /// The column of one chunk of block `block` — if it is the dictionary
+    /// column, codes of a `dictionary` of that many entries — from the
+    /// shared cache when hot, keyed by what the group header says of the
+    /// chunk; verified, decompressed, decoded and cached when cold. Hits and
+    /// misses charge the same cells.
     fn chunk_column(
         &self,
         block: usize,
         chunk: &ChunkHeader,
         stored: &[u8],
         rows: usize,
-        coded: bool,
+        dictionary: Option<u32>,
     ) -> WarehouseResult<Arc<Column>> {
-        // Cells are codes in one file, bytes in another; rows fit 32 bits.
-        let tag = chunk.stored_as.tag() | u8::from(coded) << 7;
-        let key = BlockKey::chunk(tag, chunk.checksum, chunk.len as u64, rows as u32);
+        // Rows fit 32 bits.
+        let (tag, checksum, len) = (chunk.stored_as.tag(), chunk.checksum, chunk.len as u64);
+        let key = BlockKey::chunk(tag, checksum, len, rows as u32, dictionary);
         let (column, cells, hit) = match self.fb.cache.get(key) {
             Some(Cached::Column(column, cells)) => (column, cells, true),
             _ => {
                 let payload = self.chunk_payload(block, chunk, stored)?;
-                let (column, cells) = chunk::decode(chunk.stored_as, &payload, rows, coded)
+                let (column, cells) = chunk::decode(chunk.stored_as, &payload, rows, dictionary)
                     .ok_or(WarehouseError::Corrupt("column chunk layout"))?;
                 let column = Arc::new(column);
                 let cached = Cached::Column(Arc::clone(&column), cells);
@@ -731,7 +727,7 @@ impl ColumnarFile {
             }
         };
         for stats in [&self.fb.stats, &self.fb.local] {
-            stats.chunk_read(cells as u64, hit);
+            stats.decoded(cells as u64, hit);
         }
         Ok(column)
     }
@@ -1154,15 +1150,19 @@ mod tests {
 
         /// Every chunk is charged the cells it stands for, each behind its
         /// length, as appended — integers as their eight bytes — and holds
-        /// as much of the cache.
+        /// its column's heap of the cache.
         #[test]
         fn a_read_is_charged_the_cells_a_chunk_stands_for() {
             let wh = Warehouse::new();
             let expect = write_typed(&wh, "/typed", 100, 50);
             let header = wh.file_data(&p("/typed")).unwrap().blocks[0].uncompressed_len;
             let f = ColumnarFile::open(&wh, &p("/typed")).unwrap();
+            let mut heap = 0;
             for g in 0..f.group_count() {
-                f.read_group(g, &[true, true, true]).unwrap();
+                let group = f.read_group(g, &[true, true, true]).unwrap();
+                heap += (0..3)
+                    .map(|c| group.column(c).unwrap().heap_len())
+                    .sum::<usize>();
             }
             let cells: usize = expect
                 .iter()
@@ -1170,7 +1170,7 @@ mod tests {
                 .map(|cell| crate::varint::varint_len(cell.len() as u64) + cell.len())
                 .sum();
             assert_eq!(f.local_stats().uncompressed_bytes_read, cells as u64);
-            assert_eq!(wh.cache_stats().bytes, header + cells as u64);
+            assert_eq!(wh.cache_stats().bytes, header + heap as u64);
         }
 
         /// Past the last row every column answers `None`, whatever it holds.
@@ -1436,6 +1436,46 @@ mod tests {
                 out.extend_from_slice(cell);
             }
             out
+        }
+
+        /// A dictionary column's codes are checked against the reading
+        /// file's dictionary once, when decoded: one stored chunk holding
+        /// code 2 is a code in a file of three entries and corrupt in a file
+        /// of two, whichever of the two one cache reads first.
+        #[test]
+        fn a_code_is_checked_against_its_own_files_dictionary() {
+            for three_first in [true, false] {
+                let wh = Warehouse::new();
+                let two = forge(&wh, 1, true, &[Forged::of(StoredAs::Cells, &[3])]);
+                let block = wh.file_data(&two).unwrap().blocks[1].clone();
+                let mut header = file_header(COLUMNAR_VERSION, 1, false);
+                header.pop(); // no dictionary
+                write_varint(&mut header, 1);
+                write_varint(&mut header, 3);
+                for value in [b"aa", b"bb", b"cc"] {
+                    write_varint(&mut header, 2);
+                    header.extend_from_slice(value);
+                }
+                let three = p("/three");
+                let mut w = wh.create(&three).unwrap();
+                w.append_header_record(&header);
+                w.append_stored_block(block.compressed, block.checksum, None);
+                w.finish().unwrap();
+                let read = |path: &WhPath| {
+                    let f = ColumnarFile::open(&wh, path).unwrap();
+                    let group = f.read_group(0, &[true]);
+                    group.map(|g| f.resolve(g.column(0).unwrap(), 0).map(<[u8]>::to_vec))
+                };
+                let (of_three, of_two) = if three_first {
+                    let of_three = read(&three);
+                    (of_three, read(&two))
+                } else {
+                    let of_two = read(&two);
+                    (read(&three), of_two)
+                };
+                assert_eq!(of_three, Ok(Some(b"cc".to_vec())));
+                assert_eq!(of_two, Err(WarehouseError::Corrupt("column chunk layout")));
+            }
         }
 
         #[test]

@@ -233,7 +233,7 @@ impl RecordFileReader {
             }
         }
         let body = framed_record(&self.buf, &mut self.buf_pos)?;
-        self.stats.record_read();
+        self.stats.records_read_n(1);
         Ok(Some(&self.buf[body]))
     }
 
@@ -270,7 +270,8 @@ fn read_block_payload(
     let key = BlockKey::row_block(block.checksum, block.uncompressed_len);
     if let Some(Cached::Block(data)) = cache.get(key) {
         for cell in cells {
-            cell.block_cache_hit(data.len() as u64);
+            cell.block_read(0);
+            cell.decoded(data.len() as u64, true);
         }
         return Ok(data);
     }
@@ -286,8 +287,8 @@ fn read_block_payload(
         return Err(WarehouseError::Corrupt("block length mismatch"));
     }
     for cell in cells {
-        cell.block_read(block.compressed.len() as u64, decompressed.len() as u64);
-        cell.block_cache_miss();
+        cell.block_read(block.compressed.len() as u64);
+        cell.decoded(decompressed.len() as u64, false);
     }
     let data = Arc::new(decompressed);
     cache.insert(key, Cached::Block(Arc::clone(&data)));

@@ -7,77 +7,98 @@
 
 use uli_obs::{Counter, Registry};
 
-/// A snapshot of cumulative scan counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScanStats {
+/// Declares [`ScanStats`] and the [`StatsCell`] behind it from one list, so
+/// a counter is named once: every snapshot, difference, sum, registration
+/// and reset covers it.
+macro_rules! scan_counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// A snapshot of cumulative scan counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct ScanStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl ScanStats {
+            /// Each counter of `self` and of `other`, under `op`.
+            fn zip(&self, other: &ScanStats, op: fn(u64, u64) -> u64) -> ScanStats {
+                ScanStats { $($field: op(self.$field, other.$field),)* }
+            }
+        }
+
+        /// Thread-safe counters behind the snapshots.
+        ///
+        /// Every field is a `uli_obs::Counter` handle. A cell built with
+        /// `Default` holds detached counters (private accounting, exactly the
+        /// old `AtomicU64` behavior); one built with [`StatsCell::registered`]
+        /// shares its cells with a [`Registry`], so the exported snapshot and
+        /// `ScanStats` are two views of the *same* atomics and can never
+        /// diverge.
+        #[derive(Debug, Default)]
+        pub(crate) struct StatsCell {
+            $($field: Counter,)*
+        }
+
+        impl StatsCell {
+            /// A cell whose counters are registered under `component` in
+            /// `registry`.
+            pub(crate) fn registered(registry: &Registry, component: &str) -> StatsCell {
+                StatsCell { $($field: registry.counter(component, stringify!($field)),)* }
+            }
+
+            pub(crate) fn snapshot(&self) -> ScanStats {
+                ScanStats { $($field: self.$field.get(),)* }
+            }
+
+            pub(crate) fn reset(&self) {
+                $(self.$field.set_total(0);)*
+            }
+        }
+    };
+}
+
+scan_counters! {
     /// Record files opened for reading.
-    pub files_opened: u64,
+    files_opened,
     /// Blocks decompressed. One block ≈ one HDFS block ≈ one map task's
     /// input split in the simulated cost model.
-    pub blocks_read: u64,
+    blocks_read,
     /// Compressed bytes read off "disk".
-    pub compressed_bytes_read: u64,
+    compressed_bytes_read,
     /// Bytes after decompression — what mappers actually process.
-    pub uncompressed_bytes_read: u64,
+    uncompressed_bytes_read,
     /// Individual records yielded to readers.
-    pub records_read: u64,
+    records_read,
     /// Blocks skipped without decompression thanks to index pushdown.
-    pub blocks_skipped: u64,
+    blocks_skipped,
     /// Blocks served from the decompressed-block cache. A hit still counts
     /// in `blocks_read` and `uncompressed_bytes_read`, but charges no
     /// `compressed_bytes_read` (nothing came off "disk").
-    pub cache_hits: u64,
+    cache_hits,
     /// Blocks that had to be decompressed because the cache missed.
-    pub cache_misses: u64,
+    cache_misses,
     /// Records decoded but dropped by a pushed-down predicate before any
     /// tuple reached the query plan.
-    pub records_skipped_by_predicate: u64,
+    records_skipped_by_predicate,
     /// Cells of masked columns a columnar read never decoded, thanks to
     /// projection pushdown: a columnar count. A row-format record is decoded
     /// whole, so a row scan charges nothing here.
-    pub fields_skipped: u64,
+    fields_skipped,
     /// Cost-model bytes copied into per-record owned buffers by eager read
     /// paths (`read_all`, `read_block`). The borrowing visitor paths charge
     /// nothing here — the counter measures avoidable allocation churn.
-    pub alloc_bytes: u64,
+    alloc_bytes,
 }
 
 impl ScanStats {
     /// Difference of two snapshots (for measuring one query).
     pub fn since(&self, earlier: &ScanStats) -> ScanStats {
-        ScanStats {
-            files_opened: self.files_opened - earlier.files_opened,
-            blocks_read: self.blocks_read - earlier.blocks_read,
-            compressed_bytes_read: self.compressed_bytes_read - earlier.compressed_bytes_read,
-            uncompressed_bytes_read: self.uncompressed_bytes_read - earlier.uncompressed_bytes_read,
-            records_read: self.records_read - earlier.records_read,
-            blocks_skipped: self.blocks_skipped - earlier.blocks_skipped,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            records_skipped_by_predicate: self.records_skipped_by_predicate
-                - earlier.records_skipped_by_predicate,
-            fields_skipped: self.fields_skipped - earlier.fields_skipped,
-            alloc_bytes: self.alloc_bytes - earlier.alloc_bytes,
-        }
+        self.zip(earlier, |a, b| a - b)
     }
 
     /// Field-wise sum of two snapshots (for totalling the handles of one
     /// query).
     pub fn plus(&self, other: &ScanStats) -> ScanStats {
-        ScanStats {
-            files_opened: self.files_opened + other.files_opened,
-            blocks_read: self.blocks_read + other.blocks_read,
-            compressed_bytes_read: self.compressed_bytes_read + other.compressed_bytes_read,
-            uncompressed_bytes_read: self.uncompressed_bytes_read + other.uncompressed_bytes_read,
-            records_read: self.records_read + other.records_read,
-            blocks_skipped: self.blocks_skipped + other.blocks_skipped,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            records_skipped_by_predicate: self.records_skipped_by_predicate
-                + other.records_skipped_by_predicate,
-            fields_skipped: self.fields_skipped + other.fields_skipped,
-            alloc_bytes: self.alloc_bytes + other.alloc_bytes,
-        }
+        self.zip(other, |a, b| a + b)
     }
 
     /// Cache hits as a fraction of blocks read (0.0 when nothing was read).
@@ -91,113 +112,27 @@ impl ScanStats {
     }
 }
 
-/// Thread-safe counters behind the snapshots.
-///
-/// Every field is a `uli_obs::Counter` handle. A cell built with
-/// `Default` holds detached counters (private accounting, exactly the old
-/// `AtomicU64` behavior); one built with [`StatsCell::registered`] shares
-/// its cells with a [`Registry`], so the exported snapshot and `ScanStats`
-/// are two views of the *same* atomics and can never diverge.
-#[derive(Debug, Default)]
-pub(crate) struct StatsCell {
-    files_opened: Counter,
-    blocks_read: Counter,
-    compressed_bytes_read: Counter,
-    uncompressed_bytes_read: Counter,
-    records_read: Counter,
-    blocks_skipped: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    records_skipped_by_predicate: Counter,
-    fields_skipped: Counter,
-    alloc_bytes: Counter,
-}
-
 impl StatsCell {
-    /// A cell whose counters are registered under `component` in `registry`.
-    pub(crate) fn registered(registry: &Registry, component: &str) -> StatsCell {
-        StatsCell {
-            files_opened: registry.counter(component, "files_opened"),
-            blocks_read: registry.counter(component, "blocks_read"),
-            compressed_bytes_read: registry.counter(component, "compressed_bytes_read"),
-            uncompressed_bytes_read: registry.counter(component, "uncompressed_bytes_read"),
-            records_read: registry.counter(component, "records_read"),
-            blocks_skipped: registry.counter(component, "blocks_skipped"),
-            cache_hits: registry.counter(component, "cache_hits"),
-            cache_misses: registry.counter(component, "cache_misses"),
-            records_skipped_by_predicate: registry
-                .counter(component, "records_skipped_by_predicate"),
-            fields_skipped: registry.counter(component, "fields_skipped"),
-            alloc_bytes: registry.counter(component, "alloc_bytes"),
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> ScanStats {
-        ScanStats {
-            files_opened: self.files_opened.get(),
-            blocks_read: self.blocks_read.get(),
-            compressed_bytes_read: self.compressed_bytes_read.get(),
-            uncompressed_bytes_read: self.uncompressed_bytes_read.get(),
-            records_read: self.records_read.get(),
-            blocks_skipped: self.blocks_skipped.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            records_skipped_by_predicate: self.records_skipped_by_predicate.get(),
-            fields_skipped: self.fields_skipped.get(),
-            alloc_bytes: self.alloc_bytes.get(),
-        }
-    }
-
-    pub(crate) fn reset(&self) {
-        self.files_opened.set_total(0);
-        self.blocks_read.set_total(0);
-        self.compressed_bytes_read.set_total(0);
-        self.uncompressed_bytes_read.set_total(0);
-        self.records_read.set_total(0);
-        self.blocks_skipped.set_total(0);
-        self.cache_hits.set_total(0);
-        self.cache_misses.set_total(0);
-        self.records_skipped_by_predicate.set_total(0);
-        self.fields_skipped.set_total(0);
-        self.alloc_bytes.set_total(0);
-    }
-
     pub(crate) fn file_opened(&self) {
         self.files_opened.inc();
     }
 
-    pub(crate) fn block_read(&self, compressed: u64, uncompressed: u64) {
+    /// A block read: one `blocks_read`, and the `compressed` bytes that
+    /// came off "disk" for it (none when the cache served it).
+    pub(crate) fn block_read(&self, compressed: u64) {
         self.blocks_read.inc();
         self.compressed_bytes_read.add(compressed);
-        self.uncompressed_bytes_read.add(uncompressed);
     }
 
-    /// A block served from the decompressed-block cache: logically read
-    /// (blocks + uncompressed bytes) but with no compressed disk traffic.
-    pub(crate) fn block_cache_hit(&self, uncompressed: u64) {
-        self.blocks_read.inc();
-        self.uncompressed_bytes_read.add(uncompressed);
-        self.cache_hits.inc();
-    }
-
-    pub(crate) fn block_cache_miss(&self) {
-        self.cache_misses.inc();
-    }
-
-    /// A column chunk read, from the cache (`hit`) or not: the `cells` it
-    /// stands for were logically read, and — unlike a whole-block hit — no
-    /// additional `blocks_read` (the enclosing row group already counted,
-    /// with the stored bytes of the chunks its read addressed).
-    pub(crate) fn chunk_read(&self, cells: u64, hit: bool) {
-        self.uncompressed_bytes_read.add(cells);
+    /// Bytes a read decoded — a row block's payload, or the cells a column
+    /// chunk stands for — from the cache (`hit`) or not. A chunk counts no
+    /// `blocks_read` of its own: its row group counted one.
+    pub(crate) fn decoded(&self, bytes: u64, hit: bool) {
+        self.uncompressed_bytes_read.add(bytes);
         match hit {
             true => self.cache_hits.inc(),
             false => self.cache_misses.inc(),
         }
-    }
-
-    pub(crate) fn record_read(&self) {
-        self.records_read.inc();
     }
 
     pub(crate) fn records_read_n(&self, n: u64) {
@@ -229,9 +164,11 @@ mod tests {
     fn snapshot_reflects_increments() {
         let cell = StatsCell::default();
         cell.file_opened();
-        cell.block_read(100, 400);
-        cell.block_read(50, 200);
-        cell.record_read();
+        cell.block_read(100);
+        cell.decoded(400, false);
+        cell.block_read(50);
+        cell.decoded(200, false);
+        cell.records_read_n(1);
         cell.block_skipped();
         let s = cell.snapshot();
         assert_eq!(s.files_opened, 1);
@@ -245,9 +182,11 @@ mod tests {
     #[test]
     fn since_subtracts() {
         let cell = StatsCell::default();
-        cell.block_read(10, 20);
+        cell.block_read(10);
+        cell.decoded(20, false);
         let before = cell.snapshot();
-        cell.block_read(5, 9);
+        cell.block_read(5);
+        cell.decoded(9, false);
         let delta = cell.snapshot().since(&before);
         assert_eq!(delta.blocks_read, 1);
         assert_eq!(delta.compressed_bytes_read, 5);
@@ -257,10 +196,12 @@ mod tests {
     #[test]
     fn plus_inverts_since() {
         let cell = StatsCell::default();
-        cell.block_read(10, 20);
+        cell.block_read(10);
+        cell.decoded(20, false);
         cell.pushdown_skips(1, 2);
         let first = cell.snapshot();
-        cell.block_cache_hit(9);
+        cell.block_read(0);
+        cell.decoded(9, true);
         cell.record_alloc(4);
         let second = cell.snapshot();
         assert_eq!(first.plus(&second.since(&first)), second);
@@ -269,9 +210,10 @@ mod tests {
     #[test]
     fn cache_hits_count_as_logical_reads() {
         let cell = StatsCell::default();
-        cell.block_cache_miss();
-        cell.block_read(100, 400);
-        cell.block_cache_hit(400);
+        cell.block_read(100);
+        cell.decoded(400, false);
+        cell.block_read(0);
+        cell.decoded(400, true);
         cell.records_read_n(7);
         let s = cell.snapshot();
         assert_eq!(s.blocks_read, 2);
@@ -322,7 +264,7 @@ mod tests {
     fn registered_cell_shares_atomics_with_registry() {
         let registry = Registry::new();
         let cell = StatsCell::registered(&registry, "warehouse");
-        cell.block_read(100, 400);
+        cell.block_read(100);
         cell.block_skipped();
         let snap = registry.snapshot();
         assert_eq!(snap.counter_value("warehouse/blocks_read"), Some(1));
