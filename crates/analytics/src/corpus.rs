@@ -197,7 +197,7 @@ mod tests {
     use proptest::prelude::*;
     use uli_core::session::{Materializer, SessionSequence};
     use uli_thrift::ThriftRecord;
-    use uli_warehouse::{ColumnKind, ColumnarFileWriter};
+    use uli_warehouse::{Cell, ColumnKind, ColumnarFileWriter};
 
     #[test]
     fn loads_what_the_materializer_wrote() {
@@ -232,12 +232,18 @@ mod tests {
         sequences_dir(0).child(name).unwrap()
     }
 
-    /// Writes `rows` as a columnar part file of `kinds`, four rows a group.
+    /// Writes `rows` as a columnar part file of `kinds`, four rows a group:
+    /// an integer column's cells, eight little-endian bytes, as integers.
     fn write_part(wh: &Warehouse, path: &WhPath, kinds: &[ColumnKind], rows: &[Vec<Vec<u8>>]) {
         let mut w = ColumnarFileWriter::create(wh, path, kinds, 4, None).unwrap();
         for row in rows {
-            let cells: Vec<&[u8]> = row.iter().map(Vec::as_slice).collect();
-            w.append_row(&cells);
+            let cells: Vec<Cell<'_>> = (kinds.iter().zip(row))
+                .map(|(kind, cell)| match kind {
+                    ColumnKind::I64 => Cell::Int(i64::from_le_bytes(cell[..].try_into().unwrap())),
+                    _ => Cell::Bytes(cell),
+                })
+                .collect();
+            w.append_row(&cells, None);
         }
         w.finish().unwrap();
     }
@@ -321,6 +327,7 @@ mod tests {
             let mut cells = rows(&forged);
             let at = pick % cells.len();
             let text_col = 1 + pick % 3;
+            let int_col = if pick % 2 == 0 { 0 } else { 4 };
             let path = part("part-00001");
             match forgery {
                 // A byte that starts no character.
@@ -332,10 +339,18 @@ mod tests {
                     cells[at][text_col].push(0xc3);
                     cells[next][text_col].insert(0, 0xa9);
                 }
-                2 => cells[at][if pick % 2 == 0 { 0 } else { 4 }] = vec![7; bad_len],
+                2 => cells[at][int_col] = vec![7; bad_len],
                 _ => {}
             }
             match forgery {
+                // The misfit's column is one of bytes, which holds anything
+                // and which a reader, who never sees a column's kind, reads
+                // as any other.
+                2 => {
+                    let mut kinds = SESSION_SEQUENCE_KINDS;
+                    kinds[int_col] = ColumnKind::Bytes;
+                    write_part(&wh, &path, &kinds, &cells);
+                }
                 3 => {
                     let narrow: Vec<Vec<Vec<u8>>> = cells
                         .iter()

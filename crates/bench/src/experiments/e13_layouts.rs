@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use uli_core::client_event::ClientEvent;
 use uli_core::session::{day_dir, sequences_dir};
 use uli_thrift::ThriftRecord;
-use uli_warehouse::{ColumnKind, ColumnarFile, ColumnarFileWriter, Warehouse, WhPath};
+use uli_warehouse::{Cell, ColumnKind, ColumnarFile, ColumnarFileWriter, Warehouse, WhPath};
 
 use crate::cells;
 use crate::harness::{prepare_day, standard_config, Table};
@@ -74,7 +74,7 @@ fn materialize_columnar(wh: &Warehouse, events: &[ClientEvent]) -> (WhPath, u64)
             details.as_bytes(),
         ];
         logical_bytes += cells.iter().map(|c| c.len() as u64).sum::<u64>();
-        w.append_row(&cells);
+        w.append_row(&cells.map(Cell::Bytes), None);
     }
     w.finish().expect("writes succeed");
     (dir, logical_bytes)

@@ -9,18 +9,19 @@
 //! codes for frequent events), and name predicates compare integer codes
 //! instead of strings.
 //!
-//! Cell encodings are deliberately trivial — fixed-width integers, raw
-//! UTF-8, the details map as counted pairs — because the compression
-//! happens at three other layers: the dictionary replaces repeated name
-//! strings with varint codes; the warehouse writer, told each column's kind
-//! ([`CLIENT_EVENT_KINDS`]), stores a row group's integers as distances
-//! from their minimum, its details one key at a time, and a run of values
-//! that are all hex digits, numbers or dotted quads — a key's, or the `ip`
-//! column's — as those bytes, numbers and octets, not as their print, and a
-//! run of a few values (a user agent, the initiator) as each value once and
-//! a code a row; and
-//! the block compressor squeezes each column chunk (now full of same-shaped
-//! values) far better than it does interleaved rows.
+//! A row lands as typed cells — the initiator as its one-byte wire code,
+//! the user id and the timestamp (ms) as integers, the name as its
+//! dictionary code, the details as a string-map cell in map order, the rest
+//! as UTF-8 — and is compressed at three layers: the dictionary replaces
+//! repeated name strings with varint codes; the warehouse writer, told each
+//! column's kind ([`CLIENT_EVENT_KINDS`]), stores a row group's integers as
+//! distances from their minimum, its details one key at a time, and a run
+//! of values that are all hex digits, numbers or dotted quads — a key's, or
+//! the `ip` column's — as those bytes, numbers and octets, not as their
+//! print, and a run of a few values (a user agent, the initiator) as each
+//! value once and a code a row; and the block compressor squeezes each
+//! column chunk (now full of same-shaped values) far better than it does
+//! interleaved rows.
 //!
 //! A read hands each declared column back decoded once, as a typed
 //! [`Column`](uli_warehouse::Column) — the user id and the timestamp as
@@ -33,8 +34,8 @@ use uli_dataflow::{ColumnarCodec, Value};
 use uli_thrift::CompactReader;
 use uli_warehouse::chunk::string_map_cell;
 use uli_warehouse::{
-    tag_hash, ColumnGroup, ColumnKind, ColumnarFile, ColumnarFileWriter, ColumnarLanding, ScanFile,
-    Warehouse, WarehouseError, WarehouseResult, WhPath,
+    tag_hash, Cell, ColumnGroup, ColumnKind, ColumnarFile, ColumnarFileWriter, ColumnarLanding,
+    ScanFile, Warehouse, WarehouseError, WarehouseResult, WhPath,
 };
 
 use crate::client_event::{ClientEvent, Details};
@@ -55,9 +56,10 @@ pub const IP_COLUMN: usize = 4;
 /// Column index of the event timestamp.
 pub const TIMESTAMP_COLUMN: usize = 5;
 
-/// What the cells of each column are ([`CellScratch::cells`]), index-aligned
-/// with [`CLIENT_EVENT_SCHEMA`](crate::client_event::CLIENT_EVENT_SCHEMA):
-/// what every writer of client events tells the columnar file.
+/// What each column holds, index-aligned with
+/// [`CLIENT_EVENT_SCHEMA`](crate::client_event::CLIENT_EVENT_SCHEMA) (see
+/// the module docs): what every writer of client events tells the columnar
+/// file.
 pub const CLIENT_EVENT_KINDS: [ColumnKind; 7] = [
     ColumnKind::Bytes,
     ColumnKind::Bytes,
@@ -91,52 +93,8 @@ pub const fn event_columns<const N: usize>(columns: [usize; N]) -> EventColumns 
 /// zone maps prune at sub-file granularity.
 pub const DEFAULT_ROWS_PER_GROUP: usize = 512;
 
-/// Where the cells of a row that are not already bytes somewhere get
-/// encoded; one per file written, reused row after row.
-#[derive(Default)]
-struct CellScratch {
-    initiator: [u8; 1],
-    user_id: [u8; 8],
-    timestamp: [u8; 8],
-    details: Vec<u8>,
-}
-
-impl CellScratch {
-    /// The seven column cells of `row` (every column declared), index-aligned
-    /// with [`CLIENT_EVENT_SCHEMA`](crate::client_event::CLIENT_EVENT_SCHEMA):
-    /// initiator as its one-byte wire code, name as raw UTF-8 (the writer's
-    /// dictionary substitutes codes for known names), the two integers as
-    /// fixed 8-byte little-endian, the two strings raw, and details as a
-    /// string-map cell ([`uli_warehouse::chunk`]) in map order. The one cell
-    /// encoder: every writer of client events goes through it.
-    fn cells<'s>(&'s mut self, row: &EventRow<'s>) -> WarehouseResult<[&'s [u8]; 7]> {
-        self.initiator = [row.initiator()?.code() as u8];
-        self.user_id = row.user_id()?.to_le_bytes();
-        self.timestamp = row.timestamp()?.millis().to_le_bytes();
-        self.details.clear();
-        row.details()?.write_cell(&mut self.details);
-        Ok([
-            &self.initiator,
-            row.name()?.as_bytes(),
-            &self.user_id,
-            row.session_id()?.as_bytes(),
-            row.ip()?.as_bytes(),
-            &self.timestamp,
-            &self.details,
-        ])
-    }
-}
-
-/// One event's seven column cells, owned (see [`CellScratch::cells`]).
-pub fn client_event_cells(ev: &ClientEvent) -> [Vec<u8>; 7] {
-    CellScratch::default()
-        .cells(&EventRow::of(ev))
-        .expect("a view of an event declares every column")
-        .map(<[u8]>::to_vec)
-}
-
-/// Columnar codec for client events: decodes the bytes of the cells written
-/// by [`client_event_cells`] into exactly the tuple
+/// Columnar codec for client events: decodes the bytes of the cells
+/// [`write_client_events_columnar`] lands into exactly the tuple
 /// [`ClientEventLoader::parse`](crate::client_event::ClientEventLoader)
 /// produces from a Thrift record, so row and columnar scans of the same
 /// events are byte-identical; the two integer columns reach the batch as
@@ -432,15 +390,28 @@ fn write_event_rows(
             .as_ref()
             .map(|(entries, _)| (NAME_COLUMN, entries.as_slice())),
     )?;
-    let mut scratch = CellScratch::default();
+    let mut details = Vec::new();
     for (i, row) in rows.iter().enumerate() {
-        let cells = scratch.cells(row)?;
-        let code = coded.as_ref().map(|(_, codes)| codes[i]);
-        let tag = code.map_or_else(
-            || tag_hash(cells[NAME_COLUMN]),
-            |code| entry_tags[code as usize],
-        );
-        w.append_row_coded(&cells, code, row.timestamp()?.millis(), tag);
+        let (name, tag) = match &coded {
+            Some((_, codes)) => (Cell::Code(codes[i]), entry_tags[codes[i] as usize]),
+            None => {
+                let name = row.name()?.as_bytes();
+                (Cell::Bytes(name), tag_hash(name))
+            }
+        };
+        details.clear();
+        row.details()?.write_cell(&mut details);
+        let (initiator, timestamp) = ([row.initiator()?.code() as u8], row.timestamp()?.millis());
+        let cells = [
+            Cell::Bytes(&initiator),
+            name,
+            Cell::Int(row.user_id()?),
+            Cell::Bytes(row.session_id()?.as_bytes()),
+            Cell::Bytes(row.ip()?.as_bytes()),
+            Cell::Int(timestamp),
+            Cell::Bytes(&details),
+        ];
+        w.append_row(&cells, Some((timestamp, tag)));
     }
     w.finish()
 }
@@ -528,19 +499,35 @@ mod tests {
         .with_detail("lang", "en")
     }
 
+    /// Every column of every row of a file of `events` landed with no
+    /// dictionary, as the codec decodes its bytes — an integer column's
+    /// values as `Int`s, which never reach the codec.
+    fn landed_values(events: &[ClientEvent]) -> Vec<Vec<Option<Value>>> {
+        let wh = Warehouse::new();
+        let path = WhPath::parse("/logs/ce/part-0").unwrap();
+        write_client_events_columnar(&wh, &path, events, false, events.len()).unwrap();
+        let group = ColumnarFile::open(&wh, &path)
+            .unwrap()
+            .read_group(0, &ALL_COLUMNS)
+            .unwrap();
+        let value = |row, col| {
+            let column = group.column(col).unwrap();
+            match CLIENT_EVENT_COLUMNAR.integer(col) {
+                true => column.int(row).map(Value::Int),
+                false => CLIENT_EVENT_COLUMNAR.decode(col, column.bytes(row)?),
+            }
+        };
+        (0..events.len())
+            .map(|row| (0..7).map(|col| value(row, col)).collect())
+            .collect()
+    }
+
     #[test]
     fn cells_decode_to_the_row_loader_tuple() {
-        for i in 0..20 {
-            let ev = sample(i);
+        let events: Vec<ClientEvent> = (0..20).map(sample).collect();
+        for (i, (ev, values)) in events.iter().zip(landed_values(&events)).enumerate() {
             let expected = ClientEventLoader.parse(&ev.to_bytes()).unwrap().unwrap();
-            let cells = client_event_cells(&ev);
-            for (col, cell) in cells.iter().enumerate() {
-                // An integer column's cells are read as integers, never by
-                // the codec.
-                let value = match CLIENT_EVENT_COLUMNAR.integer(col) {
-                    true => Some(Value::Int(i64::from_le_bytes(cell[..].try_into().unwrap()))),
-                    false => CLIENT_EVENT_COLUMNAR.decode(col, cell),
-                };
+            for (col, value) in values.iter().enumerate() {
                 assert_eq!(
                     value.as_ref(),
                     Some(&expected[col]),
@@ -554,9 +541,8 @@ mod tests {
     fn empty_details_decode_to_an_empty_map() {
         let mut ev = sample(1);
         ev.details = crate::client_event::EventDetails::default();
-        let cells = client_event_cells(&ev);
         assert_eq!(
-            CLIENT_EVENT_COLUMNAR.decode(6, &cells[6]),
+            landed_values(&[ev])[0][6],
             Some(Value::Map(BTreeMap::new()))
         );
     }
@@ -682,22 +668,14 @@ mod tests {
     /// A 3-row columnar file whose middle row carries `bad` in column `col`.
     fn file_with_bad_cell(wh: &Warehouse, col: usize, bad: &[u8]) -> ScanFile {
         let path = WhPath::parse("/logs/ce/bad").unwrap();
-        let mut w = ColumnarFileWriter::create(wh, &path, &CLIENT_EVENT_KINDS, 8, None).unwrap();
-        for i in 0..3 {
-            let cells = client_event_cells(&sample(i));
-            let mut refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
-            if i == 1 {
-                refs[col] = bad;
-            }
-            w.append_row(&refs);
-        }
-        w.finish().unwrap();
+        let events = [sample(0), sample(1), sample(2)];
+        test_support::write_with_bad_cells(wh, &path, &events, 8, (col, bad, &[1]));
         ScanFile::open(wh, &path).unwrap()
     }
 
-    /// A scan reads an integer column whose group fell back to cells as the
-    /// row view does: a row whose cell is eight bytes keeps its integer,
-    /// the row whose cell is not is dropped.
+    /// A scan reads an integer column of bytes as the row view does: a row
+    /// whose cell is eight bytes keeps its integer, the row whose cell is
+    /// not is dropped.
     #[test]
     fn a_batch_keeps_the_eight_byte_rows_of_a_fallen_back_integer_column() {
         for col in [USER_COLUMN, TIMESTAMP_COLUMN] {
@@ -705,7 +683,9 @@ mod tests {
             let ScanFile::Columnar(columnar) = &file else {
                 panic!("a columnar file")
             };
-            assert_eq!(columnar.stored_chunks(0).unwrap()[col].0, StoredAs::Cells);
+            // Three values, each once: a dictionary's value run.
+            let stored = columnar.stored_chunks(0).unwrap()[col].0;
+            assert_eq!(stored, StoredAs::ValueRun);
             let rows = scan_unit(&file, 0, &ClientEventLoader, &ScanSpec::full(7)).unwrap();
             let expected: Vec<_> = [0, 2]
                 .into_iter()
@@ -872,8 +852,9 @@ mod tests {
     }
 
     /// Recorded from the format as it stood before typed chunks: a cell
-    /// that does not fit its column's kind must still come back as the
-    /// bytes that were written, and drop (or not drop) the same rows.
+    /// that does not fit what its column's reader expects must still come
+    /// back as the bytes that were written, and drop (or not drop) the same
+    /// rows.
     #[test]
     fn bad_cell_fixtures_decode_to_the_recorded_digests() {
         let narrow = event_columns([NAME_COLUMN, USER_COLUMN]);
@@ -951,5 +932,55 @@ mod tests {
         assert_eq!(z.min_key, 1_000_000);
         assert_eq!(z.max_key, 1_000_031);
         assert!(z.may_contain_tag(tag_hash(b"web:home:home:stream:tweet:click")));
+    }
+}
+
+/// Shared fixtures for this crate's tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+
+    /// Writes `events` to one columnar file in groups of `rows_per_group`,
+    /// without a dictionary, where the rows `bad.2` names carry `bad.1` in
+    /// column `bad.0`. That column is declared one of bytes, which holds
+    /// anything and which a reader, who never sees a column's kind, reads as
+    /// it reads any other; its other rows hold their cells, an integer as
+    /// its eight little-endian bytes.
+    pub(crate) fn write_with_bad_cells(
+        wh: &Warehouse,
+        path: &WhPath,
+        events: &[ClientEvent],
+        rows_per_group: usize,
+        (col, bad, bad_rows): (usize, &[u8], &[usize]),
+    ) {
+        let mut kinds = CLIENT_EVENT_KINDS;
+        kinds[col] = ColumnKind::Bytes;
+        let mut w = ColumnarFileWriter::create(wh, path, &kinds, rows_per_group, None).unwrap();
+        for (i, ev) in events.iter().enumerate() {
+            let initiator = [ev.initiator.code() as u8];
+            let mut details = Vec::new();
+            EventRow::of(ev).details().unwrap().write_cell(&mut details);
+            let user = ev.user_id.to_le_bytes();
+            let timestamp = ev.timestamp.millis().to_le_bytes();
+            let mut cells = [
+                Cell::Bytes(&initiator),
+                Cell::Bytes(ev.name.as_str().as_bytes()),
+                Cell::Int(ev.user_id),
+                Cell::Bytes(ev.session_id.as_bytes()),
+                Cell::Bytes(ev.ip.as_bytes()),
+                Cell::Int(ev.timestamp.millis()),
+                Cell::Bytes(&details),
+            ];
+            match col {
+                USER_COLUMN => cells[col] = Cell::Bytes(&user),
+                TIMESTAMP_COLUMN => cells[col] = Cell::Bytes(&timestamp),
+                _ => {}
+            }
+            if bad_rows.contains(&i) {
+                cells[col] = Cell::Bytes(bad);
+            }
+            w.append_row(&cells, None);
+        }
+        w.finish().unwrap();
     }
 }

@@ -59,8 +59,8 @@ pub use anonymize::Anonymizer;
 pub use catalog::ClientEventCatalog;
 pub use client_event::{ClientEvent, ClientEventLoader, EventDetails};
 pub use columnar::{
-    client_event_cells, for_each_event_row, write_client_events_columnar, ClientEventColumnar,
-    ClientEventLanding, EventRow, CLIENT_EVENT_COLUMNAR,
+    for_each_event_row, write_client_events_columnar, ClientEventColumnar, ClientEventLanding,
+    EventRow, CLIENT_EVENT_COLUMNAR,
 };
 pub use event::{EventInitiator, EventName, EventPattern};
 pub use scrape::FormatScrape;

@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use uli_thrift::ThriftRecord;
 use uli_warehouse::{
-    ColumnarFileWriter, ExternalByteSorter, HourlyPartition, MemoryTracker, Parallelism, ScanFile,
-    ScanPool, Warehouse, WarehouseError, WarehouseResult, WhPath, DEFAULT_MEM_BUDGET,
+    Cell, ColumnarFileWriter, ExternalByteSorter, HourlyPartition, MemoryTracker, Parallelism,
+    ScanFile, ScanPool, Warehouse, WarehouseError, WarehouseResult, WhPath, DEFAULT_MEM_BUDGET,
 };
 
 use super::dictionary::{char_for_rank, EventDictionary};
@@ -248,13 +248,15 @@ impl PartFiles<'_> {
             )?);
             self.files += 1;
         }
-        self.writer.as_mut().expect("created above").append_row(&[
-            &user_id.to_le_bytes(),
-            &self.session_id,
-            session.ip.as_bytes(),
-            session.sequence.as_bytes(),
-            &duration_secs.to_le_bytes(),
-        ]);
+        let cells = [
+            Cell::Int(user_id),
+            Cell::Bytes(&self.session_id),
+            Cell::Bytes(session.ip.as_bytes()),
+            Cell::Bytes(session.sequence.as_bytes()),
+            Cell::Int(duration_secs),
+        ];
+        let writer = self.writer.as_mut().expect("created above");
+        writer.append_row(&cells, None);
         self.records += 1;
         if self.records.is_multiple_of(self.records_per_file) {
             self.writer.take().expect("present").finish()?;
@@ -894,8 +896,7 @@ mod tests {
     /// its session dropped (a `debug_assert` in debug builds).
     #[test]
     fn a_row_with_undecodable_details_is_counted_and_sessionized_but_not_sampled() {
-        use crate::columnar::{client_event_cells, CLIENT_EVENT_KINDS};
-        use uli_warehouse::ColumnarFileWriter;
+        use crate::columnar::test_support::write_with_bad_cells;
         let garbled = n("web:home:home:stream:tweet:garbled");
         let impression = n("web:home:home:stream:tweet:impression");
         // 4 users × 10 events, and one more user whose only event is the one
@@ -920,17 +921,11 @@ mod tests {
             // Groups of 8, so candidates sit in several units of two files.
             for (part, rows) in [(0, 0..20), (1, 20..events.len())] {
                 let path = dir.child(&format!("part-{part:05}")).unwrap();
-                let mut w =
-                    ColumnarFileWriter::create(&wh, &path, &CLIENT_EVENT_KINDS, 8, None).unwrap();
-                for i in rows {
-                    let cells = client_event_cells(&events[i]);
-                    let mut refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
-                    if bad_rows.contains(&i) {
-                        refs[6] = &[5];
-                    }
-                    w.append_row(&refs);
-                }
-                w.finish().unwrap();
+                let bad: Vec<usize> = (rows.clone())
+                    .filter(|i| bad_rows.contains(i))
+                    .map(|i| i - rows.start)
+                    .collect();
+                write_with_bad_cells(&wh, &path, &events[rows], 8, (6, &[5], &bad));
             }
             let m = Materializer::new(wh.clone()).with_parallelism(Parallelism::fixed(workers));
             let dict = m.build_dictionary(0).unwrap();

@@ -196,9 +196,9 @@ impl ThriftRecord for SessionSequence {
 pub const SESSION_SEQUENCE_SCHEMA: [&str; 5] =
     ["user_id", "session_id", "ip", "sequence", "duration"];
 
-/// What the cells of each column of a part file are, index-aligned with
-/// [`SESSION_SEQUENCE_SCHEMA`]: the two integers as eight little-endian
-/// bytes, the three strings as their UTF-8.
+/// What each column of a part file holds, index-aligned with
+/// [`SESSION_SEQUENCE_SCHEMA`]: the user id and the duration in seconds as
+/// integers, the three strings as their UTF-8.
 pub const SESSION_SEQUENCE_KINDS: [ColumnKind; 5] = [
     ColumnKind::I64,
     ColumnKind::Bytes,

@@ -15,14 +15,15 @@ use proptest::prelude::*;
 
 use uli_core::client_event::{ClientEvent, ClientEventLoader, CLIENT_EVENT_SCHEMA};
 use uli_core::columnar::{
-    client_event_cells, ClientEventColumnar, CLIENT_EVENT_KINDS, NAME_COLUMN,
+    write_client_events_columnar, ClientEventColumnar, CLIENT_EVENT_KINDS, NAME_COLUMN,
 };
 use uli_core::event::{EventInitiator, EventName};
 use uli_core::session::day_dir;
 use uli_core::time::Timestamp;
 use uli_dataflow::{Agg, ColumnarCodec, Engine, Expr, Parallelism, Plan, Value};
 use uli_thrift::{varint, CompactWriter};
-use uli_warehouse::{tag_hash, ColumnarFileWriter, Warehouse};
+use uli_warehouse::chunk::{write_string_map_count, write_string_map_pair};
+use uli_warehouse::{tag_hash, Cell, ColumnarFile, ColumnarFileWriter, Warehouse};
 
 /// The name pool: queries select the first entry; the dictionary subset is
 /// chosen per case, so any of these can be an unknown (inline) name.
@@ -102,15 +103,26 @@ fn land_columnar(events: &[ClientEvent], dict_names: &[&str], rows_per_group: us
     )
     .unwrap();
     for ev in events {
-        let cells = client_event_cells(ev);
-        let refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
-        let code = dict_names.iter().position(|n| *n == ev.name.as_str());
-        w.append_row_coded(
-            &refs,
-            code.map(|c| c as u32),
-            ev.timestamp.millis(),
-            tag_hash(ev.name.as_str().as_bytes()),
-        );
+        let name = match dict_names.iter().position(|n| *n == ev.name.as_str()) {
+            Some(code) => Cell::Code(code as u32),
+            None => Cell::Bytes(ev.name.as_str().as_bytes()),
+        };
+        let mut details = Vec::new();
+        write_string_map_count(&mut details, ev.details.len());
+        for (key, value) in ev.details.iter() {
+            write_string_map_pair(&mut details, key.as_bytes(), value.as_bytes());
+        }
+        let cells = [
+            Cell::Bytes(&[ev.initiator.code() as u8]),
+            name,
+            Cell::Int(ev.user_id),
+            Cell::Bytes(ev.session_id.as_bytes()),
+            Cell::Bytes(ev.ip.as_bytes()),
+            Cell::Int(ev.timestamp.millis()),
+            Cell::Bytes(&details),
+        ];
+        let zone = (ev.timestamp.millis(), tag_hash(ev.name.as_str().as_bytes()));
+        w.append_row(&cells, Some(zone));
     }
     w.finish().unwrap();
     wh
@@ -231,8 +243,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// A details map round-trips through an event's details buffer: the
-    /// columnar cell of the event's row view is the cell the map makes —
-    /// its count, then its pairs in key order — the event prints its
+    /// details cell the event lands as is the cell the map makes — its
+    /// count, then its pairs in key order — the event prints its
     /// details as the map prints, and the columnar codec decodes the cell
     /// to the loader's map of the same pairs.
     #[test]
@@ -252,7 +264,13 @@ proptest! {
             varint::write_u64(&mut cell, text.len() as u64);
             cell.extend_from_slice(text.as_bytes());
         }
-        prop_assert_eq!(&client_event_cells(&ev)[6], &cell);
+        let wh = Warehouse::new();
+        let path = day_dir("client_events", 0).child("part-00000").unwrap();
+        write_client_events_columnar(&wh, &path, &[ev.clone()], false, 1).unwrap();
+        let mut columns = [false; 7];
+        columns[6] = true;
+        let group = ColumnarFile::open(&wh, &path).unwrap().read_group(0, &columns).unwrap();
+        prop_assert_eq!(group.column(6).unwrap().bytes(0), Some(&cell[..]));
         prop_assert_eq!(format!("{:?}", ev.details), format!("{details:?}"));
         let loaded = details.iter().map(|(k, v)| (k.clone(), Value::str(v))).collect();
         prop_assert_eq!(ClientEventColumnar.decode(6, &cell), Some(Value::Map(loaded)));

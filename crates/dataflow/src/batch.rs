@@ -46,8 +46,8 @@ pub trait ColumnarCodec: Send + Sync {
     fn decode(&self, col: usize, bytes: &[u8]) -> Option<Value>;
 
     /// Whether column `col` is written as integers: its rows are read by
-    /// [`Column::int`] — an eight-byte cell of a group that fell back to
-    /// cells too — and never reach [`decode`](Self::decode).
+    /// [`Column::int`] — eight bytes of a column of bytes too — and never
+    /// reach [`decode`](Self::decode).
     fn integer(&self, _col: usize) -> bool {
         false
     }
@@ -441,7 +441,7 @@ pub(crate) fn text_value(text: &str) -> Value {
 mod tests {
     use super::*;
     use crate::loader::CsvLoader;
-    use uli_warehouse::{ColumnKind, ColumnarFileWriter, Warehouse, WarehouseError, WhPath};
+    use uli_warehouse::{Cell, ColumnKind, ColumnarFileWriter, Warehouse, WarehouseError, WhPath};
 
     fn p(s: &str) -> WhPath {
         WhPath::parse(s).unwrap()
@@ -459,13 +459,17 @@ mod tests {
         )
         .unwrap();
         for (i, [user, action, amount]) in fixture_rows(rows).into_iter().enumerate() {
-            let code = dict.iter().position(|entry| *entry == action.as_bytes());
-            w.append_row_coded(
-                &[user.as_bytes(), action.as_bytes(), amount.as_bytes()],
-                code.map(|c| c as u32),
-                i as i64,
-                uli_warehouse::tag_hash(action.as_bytes()),
-            );
+            let name = match dict.iter().position(|entry| *entry == action.as_bytes()) {
+                Some(code) => Cell::Code(code as u32),
+                None => Cell::Bytes(action.as_bytes()),
+            };
+            let cells = [
+                Cell::Bytes(user.as_bytes()),
+                name,
+                Cell::Bytes(amount.as_bytes()),
+            ];
+            let zone = (i as i64, uli_warehouse::tag_hash(action.as_bytes()));
+            w.append_row(&cells, Some(zone));
         }
         w.finish().unwrap();
         ColumnarFile::open(wh, &p("/col")).unwrap()
@@ -717,9 +721,13 @@ mod tests {
         // Column 1 of the middle row is invalid UTF-8.
         let mut w =
             ColumnarFileWriter::create(&wh, &p("/bad"), &[ColumnKind::Bytes; 3], 8, None).unwrap();
-        w.append_row(&[b"1", b"ok", b"10"]);
-        w.append_row(&[b"2", &[0xff, 0xfe], b"20"]);
-        w.append_row(&[b"3", b"ok", b"30"]);
+        for row in [
+            [&b"1"[..], b"ok", b"10"],
+            [b"2", &[0xff, 0xfe], b"20"],
+            [b"3", b"ok", b"30"],
+        ] {
+            w.append_row(&row.map(Cell::Bytes), None);
+        }
         w.finish().unwrap();
         let f = ColumnarFile::open(&wh, &p("/bad")).unwrap();
         let scan = |projection: Option<Vec<bool>>| {
@@ -804,9 +812,9 @@ mod tests {
         // No dictionary; column 1 row 1 is invalid UTF-8.
         let mut w =
             ColumnarFileWriter::create(&wh, &p("/bad"), &[ColumnKind::Bytes; 2], 8, None).unwrap();
-        w.append_row(&[b"1", b"ok"]);
-        w.append_row(&[b"2", &[0xff, 0xfe]]);
-        w.append_row(&[b"3", b"ok"]);
+        for row in [[&b"1"[..], b"ok"], [b"2", &[0xff, 0xfe]], [b"3", b"ok"]] {
+            w.append_row(&row.map(Cell::Bytes), None);
+        }
         w.finish().unwrap();
         let f = ColumnarFile::open(&wh, &p("/bad")).unwrap();
         let (rows, skipped) = scan(&f, &TextCodec, &ScanSpec::full(2)).unwrap();

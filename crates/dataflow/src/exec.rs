@@ -1063,7 +1063,7 @@ mod tests {
     use crate::loader::CsvLoader;
     use crate::plan::Plan;
     use std::sync::Arc;
-    use uli_warehouse::WhPath;
+    use uli_warehouse::{Cell, WhPath};
 
     fn fixture() -> (Warehouse, WhPath) {
         let wh = Warehouse::with_block_capacity(512);
@@ -1603,11 +1603,14 @@ mod tests {
             let action = if i % 3 == 0 { "click" } else { "impression" };
             let user = (i % 10).to_string();
             let amount = i.to_string();
-            w.append_row_coded(
-                &[user.as_bytes(), action.as_bytes(), amount.as_bytes()],
-                Some(u32::from(i % 3 != 0)),
-                i,
-                uli_warehouse::tag_hash(action.as_bytes()),
+            let cells = [
+                Cell::Bytes(user.as_bytes()),
+                Cell::Code(u32::from(i % 3 != 0)),
+                Cell::Bytes(amount.as_bytes()),
+            ];
+            w.append_row(
+                &cells,
+                Some((i, uli_warehouse::tag_hash(action.as_bytes()))),
             );
         }
         w.finish().unwrap();

@@ -877,7 +877,8 @@ mod tests {
                 match (std::str::from_utf8(p), cell_count) {
                     (Ok(s), 1) => {
                         let (k, v) = s.split_once(',').expect("one comma counted");
-                        w.append_row(&[k.as_bytes(), v.as_bytes()]);
+                        let cells = [k, v].map(|cell| uli_warehouse::Cell::Bytes(cell.as_bytes()));
+                        w.append_row(&cells, None);
                     }
                     _ => rejected.push(i),
                 }

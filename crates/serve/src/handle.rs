@@ -365,9 +365,10 @@ mod tests {
     /// answered from record by record.
     #[test]
     fn garbage_cells_and_a_rows_sibling_answer_as_recorded() {
-        use uli_core::columnar::{client_event_cells, CLIENT_EVENT_KINDS};
+        use uli_core::columnar::CLIENT_EVENT_KINDS;
         use uli_thrift::ThriftRecord;
-        use uli_warehouse::ColumnarFileWriter;
+        use uli_warehouse::chunk::{write_string_map_count, write_string_map_pair};
+        use uli_warehouse::{Cell, ColumnKind, ColumnarFileWriter};
 
         let wh = Warehouse::new();
         let dir = HourlyPartition::from_hour_index("client_events", 0).main_dir();
@@ -379,21 +380,32 @@ mod tests {
                     .with_detail("rank", i.to_string())
             })
             .collect();
-        let mut w = ColumnarFileWriter::create(
-            &wh,
-            &dir.child("part-00000").unwrap(),
-            &CLIENT_EVENT_KINDS,
-            4,
-            None,
-        )
-        .unwrap();
+        // The details are a column of bytes, which holds anything and which
+        // a reader, who never sees a column's kind, reads as any other.
+        let mut kinds = CLIENT_EVENT_KINDS;
+        kinds[6] = ColumnKind::Bytes;
+        let mut w =
+            ColumnarFileWriter::create(&wh, &dir.child("part-00000").unwrap(), &kinds, 4, None)
+                .unwrap();
         for (i, ev) in events.iter().enumerate() {
-            let cells = client_event_cells(ev);
-            let mut refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
-            if i == 5 || i == 6 {
-                refs[6] = &[5];
+            let mut details = Vec::new();
+            write_string_map_count(&mut details, ev.details.len());
+            for (key, value) in ev.details.iter() {
+                write_string_map_pair(&mut details, key.as_bytes(), value.as_bytes());
             }
-            w.append_row(&refs);
+            if i == 5 || i == 6 {
+                details = vec![5];
+            }
+            let cells = [
+                Cell::Bytes(&[ev.initiator.code() as u8]),
+                Cell::Bytes(ev.name.as_str().as_bytes()),
+                Cell::Int(ev.user_id),
+                Cell::Bytes(ev.session_id.as_bytes()),
+                Cell::Bytes(ev.ip.as_bytes()),
+                Cell::Int(ev.timestamp.millis()),
+                Cell::Bytes(&details),
+            ];
+            w.append_row(&cells, None);
         }
         w.finish().unwrap();
         // The sibling: two of user 7's events around a record that is none.

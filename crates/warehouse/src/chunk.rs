@@ -1,23 +1,23 @@
-//! Typed column chunks: what a column's declared kind, and the values its
-//! cells hold, let a sealed row group do to them before the block
-//! compressor sees them, and the one [`Column`] a read decodes them into.
+//! Typed column chunks: the one [`Column`] a column of a row group is held
+//! as, by the writer and by a read, and what a sealed group does to it
+//! before the block compressor sees it.
 //!
-//! The columnar writer buffers every column of a group the same way — each
-//! cell behind a varint length. At seal, a chunk is *transposed*:
+//! The writer buffers each column of a group as the [`Column`] a read
+//! decodes, a [`Cell`] a row; at seal it is *encoded*, the inverse of `decode`:
 //!
-//! * [`ColumnKind::I64`] — every cell is eight little-endian bytes. Stored
-//!   as the group's minimum (zigzag varint) followed by each row's distance
-//!   from it: one varint a row ([`StoredAs::I64`]), or a byte `w` in 0..=64
-//!   and the distances packed at `w` bits, the fewest that hold the largest
-//!   ([`StoredAs::PackedI64`]). The writer keeps whichever layout the block
-//!   compressor makes the shorter stream of, the varints on a tie: a
-//!   timestamp column spends under three bytes a row where it spent nine.
-//! * [`ColumnKind::StringMap`] — every cell is a [string-map
+//! * [`ColumnKind::I64`] — stored as the group's minimum (zigzag varint)
+//!   followed by each row's distance from it: one varint a row
+//!   ([`StoredAs::I64`]), or a byte `w` in 0..=64 and the distances packed
+//!   at `w` bits, the fewest that hold the largest ([`StoredAs::PackedI64`]).
+//!   The writer keeps whichever layout the block compressor makes the
+//!   shorter stream of, the varints on a tie: a timestamp column spends
+//!   under three bytes a row where its cells would spend nine.
+//! * [`ColumnKind::StringMap`] — every row a [string-map
 //!   cell](string_map_cell). Stored as the sorted list of the keys the
 //!   group uses, each with one *value run* over the group's rows. The key
 //!   strings, repeated on every row of the cell layout, are stored once,
 //!   and each key's values sit together.
-//! * [`ColumnKind::Bytes`] — the cells are one value run, when a shape fits
+//! * [`ColumnKind::Bytes`] — the values as one value run, when a shape fits
 //!   them ([`StoredAs::ValueRun`]).
 //!
 //! A **packed** stream of `n` values of `w` bits is `⌈n·w / 8⌉` bytes: the
@@ -62,11 +62,11 @@
 //! values that were buffered. A run no shape fits is `Raw`.
 //!
 //! Whether a chunk is transposed, and into which shapes, is decided by its
-//! data, never by an option: a group holding any cell that does not fit the
-//! kind — not eight bytes, pairs that do not parse, keys not strictly
-//! ascending, a length that is not a minimal varint — stores that chunk as
-//! plain cells ([`StoredAs::Cells`]), as does a `Bytes` chunk no shape
-//! fits, so the file never refuses a row.
+//! data, never by an option: a string-map column holding a cell that is not
+//! canonical — pairs that do not parse, keys not strictly ascending, a
+//! length that is not a minimal varint — is stored as plain cells
+//! ([`StoredAs::Cells`]), as is a `Bytes` column no shape fits and the
+//! dictionary column, so the file never refuses a row.
 //!
 //! A read decodes a chunk once, into a [`Column`], and is charged the
 //! length of the cells it stands for without building them: nine bytes an
@@ -79,19 +79,30 @@ use crate::varint::{read_varint, varint_len, write_varint};
 pub enum ColumnKind {
     /// Opaque bytes; the only kind a dictionary-coded column can have.
     Bytes,
-    /// Eight little-endian bytes: a signed 64-bit integer.
+    /// A signed 64-bit integer, appended as a [`Cell::Int`].
     I64,
     /// A [string-map cell](string_map_cell).
     StringMap,
 }
 
+/// One cell of a row handed to the columnar writer: an `I64` column's
+/// `Int`; the dictionary column's `Code` — where its value sits in the
+/// file's dictionary — or the `Bytes` of a value it lacks; else `Bytes`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cell<'a> {
+    Int(i64),
+    Bytes(&'a [u8]),
+    Code(u32),
+}
+
 /// How a stored chunk is laid out — the tag of its entry in the group
 /// header. Chosen by the writer at seal from the column's kind and the
-/// group's cells; nobody declares it.
+/// group's values; nobody declares it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoredAs {
-    /// The cells as buffered: a `Bytes` column no shape fits, the
-    /// dictionary-coded column, a typed column holding a misfit cell.
+    /// Each row's cell behind its varint length (a dictionary row: its code
+    /// plus one, or 0 and a miss's cell): the dictionary column, a `Bytes`
+    /// column no shape fits, a string map holding a non-canonical cell.
     Cells,
     /// An [`ColumnKind::I64`] column, transposed: a varint a row.
     I64,
@@ -317,7 +328,7 @@ const HEX_PAIRS: [[u8; 2]; 256] = {
     table
 };
 
-/// Where one row's value sits in the cells being transposed.
+/// Where one row's value sits in the arena of the values being transposed.
 #[derive(Clone, Copy)]
 struct Span {
     start: u32,
@@ -343,9 +354,9 @@ impl Span {
         self.len != Span::ABSENT.len
     }
 
-    fn value(self, cells: &[u8]) -> Option<&[u8]> {
+    fn value(self, arena: &[u8]) -> Option<&[u8]> {
         self.is_present()
-            .then(|| &cells[self.start as usize..][..self.len as usize])
+            .then(|| &arena[self.start as usize..][..self.len as usize])
     }
 }
 
@@ -471,17 +482,17 @@ fn push_tails<'a>(
     Some(())
 }
 
-/// Appends `spans` — one per row, into `cells` — to `out` as a value run in
+/// Appends `spans` — one per row, into `arena` — to `out` as a value run in
 /// a shape that fits (see the module docs for which), and says which;
 /// `None`, and nothing appended, when none does.
 fn push_fitted_run(
     out: &mut Vec<u8>,
-    cells: &[u8],
+    arena: &[u8],
     spans: &[Span],
     numbers: &mut Vec<u64>,
 ) -> Option<ValueShape> {
     let start = out.len();
-    let present = || spans.iter().filter_map(|span| span.value(cells));
+    let present = || spans.iter().filter_map(|span| span.value(arena));
     let first = present().next()?;
     let sparse = spans.iter().any(|span| !span.is_present());
     // How much of the first value every other starts with.
@@ -531,13 +542,13 @@ fn push_fitted_run(
 }
 
 /// Appends `spans` to `out` as a value run: fitted, or `Raw`.
-fn push_run(out: &mut Vec<u8>, cells: &[u8], spans: &[Span], numbers: &mut Vec<u64>) -> ValueShape {
-    if let Some(shape) = push_fitted_run(out, cells, spans, numbers) {
+fn push_run(out: &mut Vec<u8>, arena: &[u8], spans: &[Span], numbers: &mut Vec<u64>) -> ValueShape {
+    if let Some(shape) = push_fitted_run(out, arena, spans, numbers) {
         return shape;
     }
     out.push(ValueShape::Raw as u8);
     for span in spans {
-        match span.value(cells) {
+        match span.value(arena) {
             Some(value) => {
                 write_varint(out, value.len() as u64 + 1);
                 out.extend_from_slice(value);
@@ -721,7 +732,7 @@ impl<'a> Run<'a> {
 /// One key of a group's string-map chunk while it is being transposed.
 #[derive(Default)]
 struct SubChunk {
-    /// Where the key's bytes sit in the cells being transposed.
+    /// Where the key's bytes sit in the arena of the cells being transposed.
     key: std::ops::Range<usize>,
     /// Per row so far, where the key's value sits.
     spans: Vec<Span>,
@@ -750,56 +761,40 @@ pub(crate) struct Transposer {
 }
 
 impl Transposer {
-    /// Transposes `cells` — the `rows` length-prefixed cells of one column
-    /// of one group, as the writer buffered them — into a layout of
-    /// `kind`'s, and hands back its tag and what `compress` makes of it: of
-    /// an integer column's two layouts, the shorter, the varints on a tie.
-    /// `None` when a cell does not fit the kind, or no shape the values of a
-    /// `Bytes` column: the chunk is then stored as it stands.
-    pub(crate) fn transpose(
+    /// Encodes `column` of one group, of `kind`, as [`decode`]'s inverse, and
+    /// hands back its tag and what `compress` makes of the layout: of an
+    /// integer column's two, the shorter, the varints on a tie (see the
+    /// module docs for what is stored as cells).
+    pub(crate) fn encode(
         &mut self,
         kind: ColumnKind,
-        cells: &[u8],
-        rows: usize,
+        column: &Column,
         compress: &mut impl FnMut(&[u8]) -> Vec<u8>,
-    ) -> Option<(StoredAs, Vec<u8>)> {
+    ) -> (StoredAs, Vec<u8>) {
         self.out.clear();
-        // A span is two 32-bit numbers.
-        if cells.len() >= u32::MAX as usize {
-            return None;
-        }
-        let stored = match kind {
-            ColumnKind::Bytes => {
-                self.transpose_values(cells, rows)?;
-                StoredAs::ValueRun
-            }
-            ColumnKind::I64 => return self.transpose_i64(cells, rows, compress),
-            ColumnKind::StringMap => {
-                self.transpose_string_map(cells, rows)?;
-                StoredAs::StringMap
-            }
+        let transposed = match (kind, column) {
+            (_, Column::I64(values)) => return self.transpose_i64(values, compress),
+            (ColumnKind::Bytes, Column::Bytes(texts)) => self.transpose_values(texts),
+            (ColumnKind::StringMap, Column::Bytes(texts)) => self.transpose_string_map(texts),
+            _ => None,
         };
-        Some((stored, compress(&self.out)))
+        let stored = transposed.unwrap_or_else(|| {
+            self.out.clear();
+            write_cells(&mut self.out, column);
+            StoredAs::Cells
+        });
+        (stored, compress(&self.out))
     }
 
     fn transpose_i64(
         &mut self,
-        cells: &[u8],
-        rows: usize,
+        values: &[i64],
         compress: &mut impl FnMut(&[u8]) -> Vec<u8>,
-    ) -> Option<(StoredAs, Vec<u8>)> {
-        let value = |cell: &[u8]| i64::from_le_bytes(cell[1..].try_into().expect("9-byte cell"));
-        if cells.len() != rows * 9 || cells.chunks_exact(9).any(|cell| cell[0] != 8) {
-            return None;
-        }
-        let min = cells.chunks_exact(9).map(value).min()?;
+    ) -> (StoredAs, Vec<u8>) {
+        let min = values.iter().copied().min().unwrap_or(0);
         let distances = &mut self.numbers;
         distances.clear();
-        distances.extend(
-            cells
-                .chunks_exact(9)
-                .map(|cell| value(cell).wrapping_sub(min) as u64),
-        );
+        distances.extend(values.iter().map(|value| value.wrapping_sub(min) as u64));
         let out = &mut self.out;
         write_varint(out, zigzag(min));
         let head = out.len();
@@ -808,36 +803,29 @@ impl Transposer {
         }
         let varints = compress(out);
         out.truncate(head);
-        let width = bit_width(distances.iter().copied().max()?);
+        let width = bit_width(distances.iter().copied().max().unwrap_or(0));
         out.push(width as u8);
         pack_bits(out, width, distances.iter().copied());
         let packed = compress(out);
-        Some(match packed.len() < varints.len() {
+        match packed.len() < varints.len() {
             true => (StoredAs::PackedI64, packed),
             false => (StoredAs::I64, varints),
-        })
+        }
     }
 
-    fn transpose_values(&mut self, cells: &[u8], rows: usize) -> Option<()> {
+    fn transpose_values(&mut self, texts: &Texts) -> Option<StoredAs> {
         self.spans.clear();
-        let mut pos = 0;
-        for _ in 0..rows {
-            let value = read_string(cells, &mut pos)?;
-            self.spans.push(Span::ending(pos, value.len()));
-        }
-        if pos != cells.len() {
-            return None;
-        }
-        write_varint(&mut self.out, cells.len() as u64);
-        push_fitted_run(&mut self.out, cells, &self.spans, &mut self.numbers)?;
-        Some(())
+        self.spans.extend(texts.spans());
+        write_varint(&mut self.out, texts.cells_len() as u64);
+        push_fitted_run(&mut self.out, &texts.arena, &self.spans, &mut self.numbers)
+            .map(|_| StoredAs::ValueRun)
     }
 
-    /// The sub-chunk of `key` (a range of `cells`), opened if the chunk has
+    /// The sub-chunk of `key` (a range of `arena`), opened if the chunk has
     /// not met the key yet.
-    fn sub_chunk(&mut self, cells: &[u8], key: std::ops::Range<usize>, hint: usize) -> usize {
+    fn sub_chunk(&mut self, arena: &[u8], key: std::ops::Range<usize>, hint: usize) -> usize {
         let open = &self.subs[..self.keys];
-        let is_key = |sub: &SubChunk| cells[sub.key.clone()] == cells[key.clone()];
+        let is_key = |sub: &SubChunk| arena[sub.key.clone()] == arena[key.clone()];
         if open.get(hint).is_some_and(is_key) {
             return hint;
         }
@@ -854,12 +842,12 @@ impl Transposer {
         self.keys - 1
     }
 
-    fn transpose_string_map(&mut self, cells: &[u8], rows: usize) -> Option<()> {
+    fn transpose_string_map(&mut self, texts: &Texts) -> Option<StoredAs> {
         self.keys = 0;
-        let mut pos = 0;
-        for row in 0..rows {
-            let cell = read_string(cells, &mut pos)?;
-            let cell_at = pos - cell.len();
+        let arena = &texts.arena[..];
+        let rows = texts.ends.len();
+        for (row, span) in texts.spans().enumerate() {
+            let (cell_at, cell) = (span.start as usize, span.value(arena)?);
             let (count, pairs) = string_map_cell(cell)?;
             let pairs_at = cell_at + (cell.len() - pairs.len());
             let mut canonical = varint_len(count as u64);
@@ -880,57 +868,76 @@ impl Transposer {
                     + key.len()
                     + varint_len(value.len() as u64)
                     + value.len();
-                let i = self.sub_chunk(cells, key_at..key_at + key.len(), next);
+                let i = self.sub_chunk(arena, key_at..key_at + key.len(), next);
                 next = i + 1;
                 let spans = &mut self.subs[i].spans;
                 spans.resize(row, Span::ABSENT);
                 spans.push(Span::ending(pairs_at + at, value.len()));
             }
             // Every varint minimal and nothing after the last pair: the cell
-            // is the one encoding of its map, which is what `rebuild` writes.
+            // is the one encoding of its map, so the map `decode_string_map`
+            // rebuilds from the key runs prints back as this very cell.
             if at != pairs.len() || canonical != cell.len() {
                 return None;
             }
-        }
-        if pos != cells.len() {
-            return None;
         }
         let subs = &mut self.subs[..self.keys];
         self.order.clear();
         self.order.extend(0..subs.len());
         self.order
-            .sort_unstable_by_key(|i| &cells[subs[*i].key.clone()]);
+            .sort_unstable_by_key(|i| &arena[subs[*i].key.clone()]);
         self.runs.clear();
         for &i in &self.order {
             let sub = &mut subs[i];
             sub.spans.resize(rows, Span::ABSENT);
             let start = self.runs.len();
-            push_run(&mut self.runs, cells, &sub.spans, &mut self.numbers);
+            push_run(&mut self.runs, arena, &sub.spans, &mut self.numbers);
             sub.run_len = self.runs.len() - start;
         }
         let out = &mut self.out;
-        write_varint(out, cells.len() as u64);
+        write_varint(out, texts.cells_len() as u64);
         write_varint(out, subs.len() as u64);
         for &i in &self.order {
-            let key = &cells[subs[i].key.clone()];
+            let key = &arena[subs[i].key.clone()];
             write_varint(out, key.len() as u64);
             out.extend_from_slice(key);
             write_varint(out, subs[i].run_len as u64);
         }
         out.extend_from_slice(&self.runs);
-        Some(())
+        Some(StoredAs::StringMap)
+    }
+}
+
+/// Appends every row of a column of bytes as a cell behind its varint
+/// length; a dictionary row as its code plus one, or 0 and a miss's cell.
+fn write_cells(out: &mut Vec<u8>, column: &Column) {
+    let (codes, texts) = match column {
+        Column::Bytes(texts) => (None, texts),
+        Column::Coded { codes, inline } => (Some(codes), inline),
+        Column::I64(_) => unreachable!("an integer column is always transposed"),
+    };
+    for row in 0..codes.map_or(texts.ends.len(), Vec::len) {
+        if let Some(code) = codes.map(|codes| codes[row]) {
+            write_varint(out, u64::from(code));
+            if code > 0 {
+                continue;
+            }
+        }
+        let value = texts.get(row).expect("a value on the row");
+        write_varint(out, value.len() as u64);
+        out.extend_from_slice(value);
     }
 }
 
 // --------------------------------------------------------------------- decode
 
-/// One column of a row group, decoded once from its chunk: what a read
-/// hands out and the chunk cache holds.
+/// One column of a row group: what the writer buffers, and what a read
+/// decodes its chunk to once, hands out and the chunk cache holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Column {
     I64(Vec<i64>),
     /// A value run's values, a string map's rows as canonical
-    /// [cells](string_map_cell), or plain cells as appended.
+    /// [cells](string_map_cell), or plain cells as stored.
     Bytes(Texts),
     /// The file-dictionary column as its cells hold it: a row's code plus
     /// one, or 0 where the value missed the dictionary and is in `inline`.
@@ -941,7 +948,7 @@ pub enum Column {
 }
 
 /// Byte strings, one a row, back to back in one arena.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Texts {
     /// Where each row's value ends in `arena`, and the next one's starts.
     ends: Vec<u32>,
@@ -958,29 +965,92 @@ impl Texts {
         }
     }
 
-    /// Ends a row: what the arena gained since the last, then `value`. An
-    /// arena is at most [`MAX_DECODED`] bytes, so an end fits 32 bits.
+    /// Ends a row with `value`. The arena stays under `u32::MAX` bytes (a
+    /// read's, under [`MAX_DECODED`]), so no end, and no span, wraps.
     fn push(&mut self, value: &[u8]) {
         self.arena.extend_from_slice(value);
+        assert!(self.arena.len() < u32::MAX as usize, "a 4 GiB column");
         self.ends.push(self.arena.len() as u32);
+    }
+
+    /// [`push`](Self::push) at `row`, rows before it ending where the last did.
+    fn push_at(&mut self, row: usize, value: &[u8]) {
+        self.ends.resize(row, self.arena.len() as u32);
+        self.push(value);
     }
 
     fn get(&self, row: usize) -> Option<&[u8]> {
         let end = *self.ends.get(row)? as usize;
-        let start = if row == 0 {
-            0
-        } else {
-            self.ends[row - 1] as usize
-        };
+        let start = row.checked_sub(1).map_or(0, |last| self.ends[last]) as usize;
         Some(&self.arena[start..end])
+    }
+
+    /// Where each row's value sits in the arena, row by row.
+    fn spans(&self) -> impl Iterator<Item = Span> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        (starts.zip(&self.ends))
+            .map(|(start, end)| Span::ending(*end as usize, (end - start) as usize))
+    }
+
+    /// The length of the values as cells, each behind its varint length.
+    fn cells_len(&self) -> usize {
+        let lengths = self.spans().map(|span| varint_len(u64::from(span.len)));
+        self.arena.len() + lengths.sum::<usize>()
     }
 }
 
 impl Column {
-    /// Row `row` of a [`ColumnKind::I64`] column: its value, or — where
-    /// the group fell back to cells because some cell was not eight bytes —
-    /// its cell's eight little-endian bytes. `None` for any other cell,
-    /// past the last row and for a code.
+    /// An empty column to buffer `rows` rows of `kind` in, coded if `coded`.
+    pub(crate) fn buffer(kind: ColumnKind, coded: bool, rows: usize) -> Column {
+        let rows = rows.min(DECODE_PREALLOC);
+        match (kind, coded) {
+            (_, true) => Column::Coded {
+                codes: Vec::with_capacity(rows),
+                inline: Texts::default(),
+            },
+            (ColumnKind::I64, false) => Column::I64(Vec::with_capacity(rows)),
+            _ => Column::Bytes(Texts::with_capacity(rows, 0)),
+        }
+    }
+
+    /// Appends `cell` to a buffered column — a dictionary column's, coded
+    /// under `entries` entries; a cell the column cannot hold panics.
+    pub(crate) fn push(&mut self, cell: Cell<'_>, entries: usize) {
+        match (self, cell) {
+            (Column::I64(values), Cell::Int(value)) => values.push(value),
+            (Column::Bytes(texts), Cell::Bytes(value)) => texts.push(value),
+            (Column::Coded { codes, .. }, Cell::Code(code)) => {
+                assert!((code as usize) < entries, "a code past the dictionary");
+                codes.push(code + 1);
+            }
+            (Column::Coded { codes, inline }, Cell::Bytes(value)) => {
+                inline.push_at(codes.len(), value);
+                codes.push(0);
+            }
+            (_, Cell::Int(_)) => panic!("an integer cell in a column that is not I64"),
+            (_, Cell::Code(_)) => panic!("a code outside the dictionary column"),
+            (Column::I64(_), Cell::Bytes(_)) => panic!("bytes in an I64 column"),
+        }
+    }
+
+    /// Empties a buffered column, keeping its room for the next group.
+    pub(crate) fn clear(&mut self) {
+        let texts = match self {
+            Column::I64(values) => return values.clear(),
+            Column::Bytes(texts) => texts,
+            Column::Coded { codes, inline } => {
+                codes.clear();
+                inline
+            }
+        };
+        texts.ends.clear();
+        texts.arena.clear();
+    }
+
+    /// Row `row` as an integer: an integer column's value, or a byte
+    /// column's eight little-endian bytes — a file read as integers may
+    /// hold bytes where its reader expects them. `None` for any other
+    /// value, past the last row and for a code.
     pub fn int(&self, row: usize) -> Option<i64> {
         match self {
             Column::I64(values) => values.get(row).copied(),
@@ -1073,14 +1143,12 @@ fn decode_cells(payload: &[u8], rows: usize) -> Option<Column> {
 /// `rows` dictionary cells, each a `varint(code + 1)` of a code under
 /// `entries` or a 0 before the cell of a miss, and nothing after them.
 fn decode_coded(payload: &[u8], rows: usize, entries: u32) -> Option<Column> {
-    let (mut codes, mut inline) = (Vec::with_capacity(rows), Texts::with_capacity(0, 0));
+    let (mut codes, mut inline) = (Vec::with_capacity(rows), Texts::default());
     let mut pos = 0;
     for row in 0..rows {
         let code = u32::try_from(read_varint(payload, &mut pos)?).ok()?;
         if code == 0 {
-            // Inline values end at the last miss: rows before it hold none.
-            inline.ends.resize(row, inline.arena.len() as u32);
-            inline.push(read_string(payload, &mut pos)?);
+            inline.push_at(row, read_string(payload, &mut pos)?);
         }
         codes.push(code);
     }
@@ -1244,16 +1312,6 @@ pub(crate) fn stored_runs(stored: StoredAs, payload: &[u8], rows: usize) -> Opti
 mod tests {
     use super::*;
 
-    /// Buffers `cells` the way the writer does.
-    fn buffered(cells: &[&[u8]]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for cell in cells {
-            write_varint(&mut out, cell.len() as u64);
-            out.extend_from_slice(cell);
-        }
-        out
-    }
-
     fn map_cell(pairs: &[(&str, &str)]) -> Vec<u8> {
         let mut cell = Vec::new();
         write_string_map_count(&mut cell, pairs.len());
@@ -1263,24 +1321,59 @@ mod tests {
         cell
     }
 
-    /// What the column the `payload` of a `rows`-row chunk stored as `stored`
-    /// decodes into stands for: its cells printed back as the writer
-    /// buffered them (an integer as its eight little-endian bytes), whose
-    /// length must be what the read is charged.
-    fn decoded_cells(stored: StoredAs, payload: Vec<u8>, rows: usize) -> Option<Vec<u8>> {
-        let (column, charged) = decode(stored, &payload, rows, None)?;
-        assert!(column.int(rows).is_none() && column.bytes(rows).is_none());
-        let mut out = Vec::new();
-        for row in 0..rows {
-            let int = column.int(row).map(i64::to_le_bytes);
-            let cell = int
-                .as_ref()
-                .map_or_else(|| column.bytes(row), |int| Some(&int[..]));
-            let cell = cell.expect("a value on every row");
-            write_varint(&mut out, cell.len() as u64);
-            out.extend_from_slice(cell);
+    /// A column of `values`, one a row, as the writer buffers it.
+    fn bytes_column<V: AsRef<[u8]>>(values: &[V]) -> Column {
+        let mut column = Column::buffer(ColumnKind::Bytes, false, 0);
+        for value in values {
+            column.push(Cell::Bytes(value.as_ref()), 0);
         }
-        assert_eq!(out.len(), charged, "charged the cells it stands for");
+        column
+    }
+
+    fn rows_of(column: &Column) -> usize {
+        match column {
+            Column::I64(values) => values.len(),
+            Column::Bytes(texts) => texts.ends.len(),
+            Column::Coded { codes, .. } => codes.len(),
+        }
+    }
+
+    /// What a read of `column` is charged: the length of its cells, each
+    /// behind its varint length — an integer as its eight bytes, a
+    /// dictionary row as its code plus one and, for a miss, the cell.
+    fn cells_len(column: &Column) -> usize {
+        let cell = |len: usize| varint_len(len as u64) + len;
+        match column {
+            Column::I64(values) => values.len() * cell(8),
+            Column::Bytes(texts) => (0..rows_of(column))
+                .map(|row| cell(texts.get(row).expect("a row").len()))
+                .sum(),
+            Column::Coded { codes, inline } => (codes.iter().enumerate())
+                .map(|(row, code)| match code {
+                    0 => 1 + cell(inline.get(row).expect("a miss").len()),
+                    _ => varint_len(u64::from(*code)),
+                })
+                .sum(),
+        }
+    }
+
+    /// The column the `payload` of a `rows`-row chunk stored as `stored`
+    /// decodes into, checked to be charged its cells and held without the
+    /// room its growing left.
+    fn decoded(
+        stored: StoredAs,
+        payload: &[u8],
+        rows: usize,
+        dictionary: Option<u32>,
+    ) -> Option<Column> {
+        let (column, charged) = decode(stored, payload, rows, dictionary)?;
+        assert_eq!(rows_of(&column), rows);
+        assert!(column.int(rows).is_none() && column.bytes(rows).is_none());
+        assert_eq!(
+            charged,
+            cells_len(&column),
+            "charged the cells it stands for"
+        );
         if let Column::Bytes(texts) = &column {
             let held = texts.ends.len() * 4 + texts.arena.len();
             assert_eq!(
@@ -1289,13 +1382,14 @@ mod tests {
                 "held without the room growing left"
             );
         }
-        Some(out)
+        Some(column)
     }
 
-    /// The layout `cells` are transposed into, which must decode to them,
-    /// and its length, under a compressor that leaves the bytes as they are.
-    fn round_trip(kind: ColumnKind, cells: &[&[u8]]) -> Option<(StoredAs, usize)> {
-        round_trip_through(kind, cells, &mut |bytes| bytes.to_vec(), &mut |stored| {
+    /// The layout `column` of `kind` is encoded into, which must decode to
+    /// it, and its length, under a compressor that leaves the bytes as they
+    /// are.
+    fn round_trip(kind: ColumnKind, column: &Column) -> (StoredAs, usize) {
+        round_trip_through(kind, column, &mut |bytes| bytes.to_vec(), &mut |stored| {
             Some(stored.to_vec())
         })
     }
@@ -1303,21 +1397,26 @@ mod tests {
     /// [`round_trip`] through `compress` and its inverse, `decompress`.
     fn round_trip_through(
         kind: ColumnKind,
-        cells: &[&[u8]],
+        column: &Column,
         compress: &mut impl FnMut(&[u8]) -> Vec<u8>,
         decompress: &mut impl FnMut(&[u8]) -> Option<Vec<u8>>,
-    ) -> Option<(StoredAs, usize)> {
-        let buf = buffered(cells);
+    ) -> (StoredAs, usize) {
         let mut transposer = Transposer::default();
         // Twice: the second chunk meets the buffers the first one left.
-        transposer.transpose(kind, &buf, cells.len(), compress)?;
-        let (stored, out) = transposer.transpose(kind, &buf, cells.len(), compress)?;
+        transposer.encode(kind, column, compress);
+        let (stored, out) = transposer.encode(kind, column, compress);
         let payload = decompress(&out).expect("a stream the compressor made");
+        // The smallest dictionary that holds every code.
+        let dictionary = match column {
+            Column::Coded { codes, .. } => codes.iter().max().copied(),
+            _ => None,
+        };
+        let rows = rows_of(column);
         assert_eq!(
-            decoded_cells(stored, payload, cells.len()).as_deref(),
-            Some(&buf[..])
+            decoded(stored, &payload, rows, dictionary).as_ref(),
+            Some(column)
         );
-        Some((stored, out.len()))
+        (stored, out.len())
     }
 
     /// A column decoded past what is reserved up front is held, and taken
@@ -1325,19 +1424,9 @@ mod tests {
     #[test]
     fn a_column_grown_past_the_reservation_is_held_without_slack() {
         let values: Vec<String> = (0..1000).map(|i| format!("v{i:099}")).collect();
-        let cells: Vec<&[u8]> = values.iter().map(|v| v.as_bytes()).collect();
-        assert!(cells.concat().len() > DECODE_PREALLOC);
-        let buf = buffered(&cells);
-        let decoded = decoded_cells(StoredAs::Cells, buf.clone(), cells.len());
-        assert_eq!(decoded, Some(buf));
-    }
-
-    fn integer_cells(values: &[i64]) -> Vec<[u8; 8]> {
-        values.iter().map(|v| v.to_le_bytes()).collect()
-    }
-
-    fn as_cells(cells: &[[u8; 8]]) -> Vec<&[u8]> {
-        cells.iter().map(|c| &c[..]).collect()
+        assert!(values.concat().len() > DECODE_PREALLOC);
+        let column = bytes_column(&values);
+        assert_eq!(round_trip(ColumnKind::Bytes, &column).0, StoredAs::Cells);
     }
 
     #[test]
@@ -1375,15 +1464,15 @@ mod tests {
             ("a tie", &[0, 127, 1, 2, 3, 4, 5, 6], StoredAs::I64, 1 + 8),
         ];
         for (what, values, stored, len) in cases {
-            let cells = integer_cells(values);
+            let column = Column::I64(values.to_vec());
             assert_eq!(
-                round_trip(ColumnKind::I64, &as_cells(&cells)),
-                Some((stored, len)),
+                round_trip(ColumnKind::I64, &column),
+                (stored, len),
                 "{what}"
             );
         }
-        let extremes = integer_cells(&[i64::MIN, i64::MAX, 0, -1]);
-        assert!(round_trip(ColumnKind::I64, &as_cells(&extremes)).is_some());
+        let extremes = Column::I64(vec![i64::MIN, i64::MAX, 0, -1]);
+        round_trip(ColumnKind::I64, &extremes);
     }
 
     /// What decides is the stream the block compressor makes, not the
@@ -1401,29 +1490,15 @@ mod tests {
                 (1 << 40) + [0, 20_000, 21_000, 22_000, 23_000][(state >> 60) as usize % 5]
             })
             .collect();
-        let cells = integer_cells(&ids);
-        let cells = as_cells(&cells);
-        assert_eq!(
-            round_trip(ColumnKind::I64, &cells).map(|(stored, _)| stored),
-            Some(StoredAs::PackedI64)
-        );
+        let column = Column::I64(ids);
+        assert_eq!(round_trip(ColumnKind::I64, &column).0, StoredAs::PackedI64);
         let ulz = round_trip_through(
             ColumnKind::I64,
-            &cells,
+            &column,
             &mut |bytes| crate::compress::compress(bytes),
             &mut |stored| crate::compress::decompress(stored),
         );
-        assert_eq!(ulz.map(|(stored, _)| stored), Some(StoredAs::I64));
-    }
-
-    #[test]
-    fn a_cell_that_is_not_eight_bytes_does_not_fit_an_integer_column() {
-        let eight = 7i64.to_le_bytes();
-        for bad in [&[1u8, 2, 3][..], &[], &[0; 9]] {
-            assert_eq!(round_trip(ColumnKind::I64, &[&eight, bad, &eight]), None);
-        }
-        // Seven bytes and nine: the buffer is as long as two cells of eight.
-        assert_eq!(round_trip(ColumnKind::I64, &[&[0; 7], &[0; 9]]), None);
+        assert_eq!(ulz.0, StoredAs::I64);
     }
 
     #[test]
@@ -1434,24 +1509,20 @@ mod tests {
             map_cell(&[("lang", "en"), ("tweet_id", "12345")]),
             map_cell(&[("a", ""), ("lang", "fr")]),
         ];
-        let cells: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
-        let buf = buffered(&cells);
+        let column = bytes_column(&rows);
         let mut transposer = Transposer::default();
-        let (_, out) = transposer
-            .transpose(ColumnKind::StringMap, &buf, 4, &mut |bytes| bytes.to_vec())
-            .expect("canonical cells");
-        assert_eq!(
-            decoded_cells(StoredAs::StringMap, out.to_vec(), 4).as_deref(),
-            Some(&buf[..])
-        );
+        let (stored, out) =
+            transposer.encode(ColumnKind::StringMap, &column, &mut |bytes| bytes.to_vec());
+        assert_eq!(stored, StoredAs::StringMap, "canonical cells");
+        assert_eq!(decoded(stored, &out, 4, None), Some(column));
         // Each key string appears once in the transposed chunk.
         let count = |needle: &[u8]| out.windows(needle.len()).filter(|w| *w == needle).count();
         assert_eq!(count(b"lang"), 1);
         assert_eq!(count(b"tweet_id"), 1);
         // A group of empty maps is a key list of none.
         assert_eq!(
-            round_trip(ColumnKind::StringMap, &[&[0], &[0]]),
-            Some((StoredAs::StringMap, 2))
+            round_trip(ColumnKind::StringMap, &bytes_column(&[[0], [0]])),
+            (StoredAs::StringMap, 2)
         );
     }
 
@@ -1468,13 +1539,18 @@ mod tests {
             ("empty cell", vec![]),
         ];
         for (what, cell) in &bad {
+            let column = bytes_column(&[&good, cell, &good]);
             assert_eq!(
-                round_trip(ColumnKind::StringMap, &[&good, cell, &good]),
-                None,
+                round_trip(ColumnKind::StringMap, &column).0,
+                StoredAs::Cells,
                 "{what}"
             );
         }
-        assert!(round_trip(ColumnKind::StringMap, &[&good, &good]).is_some());
+        let column = bytes_column(&[&good, &good]);
+        assert_eq!(
+            round_trip(ColumnKind::StringMap, &column).0,
+            StoredAs::StringMap
+        );
     }
 
     /// The run [`push_run`] makes of `values`, which must read back as them.
@@ -1795,12 +1871,12 @@ mod tests {
 
     /// `bytes` as the run of a `rows`-row column, and as the one run of a
     /// string-map chunk of as many rows: what each decodes to.
-    fn decoded_run(bytes: &[u8], rows: usize) -> [Option<Vec<u8>>; 2] {
+    fn decoded_run(bytes: &[u8], rows: usize) -> [Option<Column>; 2] {
         let column = [&[40][..], bytes].concat();
         let map = [&[40, 1, 1, b'k', bytes.len() as u8][..], bytes].concat();
         [
-            decoded_cells(StoredAs::ValueRun, column, rows),
-            decoded_cells(StoredAs::StringMap, map, rows),
+            decoded(StoredAs::ValueRun, &column, rows, None),
+            decoded(StoredAs::StringMap, &map, rows, None),
         ]
     }
 
@@ -1924,14 +2000,19 @@ mod tests {
         // The forger can be honest; a column's run cannot be sparse or raw,
         // nor decode to another length than its chunk declares.
         let column = |declared: u8, run: &[u8], rows| {
-            decoded_cells(StoredAs::ValueRun, [&[declared][..], run].concat(), rows)
+            decoded(
+                StoredAs::ValueRun,
+                &[&[declared][..], run].concat(),
+                rows,
+                None,
+            )
         };
-        let quads = |n: usize| b"\x071.2.3.4".repeat(n);
-        assert_eq!(column(8, &[QUAD, 0, 1, 2, 3, 4], 1), Some(quads(1)));
+        let quads = |n: usize| Some(bytes_column(&vec!["1.2.3.4"; n]));
+        assert_eq!(column(8, &[QUAD, 0, 1, 2, 3, 4], 1), quads(1));
         assert_eq!(column(8, &[QUAD | SPARSE, 0, 1, 1, 2, 3, 4], 1), None);
         assert_eq!(column(8, b"\x00\x081.2.3.4", 1), None);
         let five = [&[QUAD, 0][..], &[1, 2, 3, 4].repeat(5)].concat();
-        assert_eq!(column(40, &five, 5), Some(quads(5)));
+        assert_eq!(column(40, &five, 5), quads(5));
         assert_eq!(column(39, &five, 5), None);
         assert_eq!(column(41, &five, 5), None);
     }
@@ -2020,8 +2101,7 @@ mod tests {
                     .collect();
                 run_of(&run);
                 run_of(&run);
-                let cells: Vec<&[u8]> = values.iter().map(String::as_bytes).collect();
-                round_trip(ColumnKind::Bytes, &cells);
+                round_trip(ColumnKind::Bytes, &bytes_column(&values));
                 let maps: Vec<Vec<u8>> = run
                     .iter()
                     .map(|value| match value {
@@ -2029,8 +2109,8 @@ mod tests {
                         None => map_cell(&[]),
                     })
                     .collect();
-                let cells: Vec<&[u8]> = maps.iter().map(Vec::as_slice).collect();
-                prop_assert!(round_trip(ColumnKind::StringMap, &cells).is_some());
+                let maps = bytes_column(&maps);
+                prop_assert_eq!(round_trip(ColumnKind::StringMap, &maps).0, StoredAs::StringMap);
             }
 
             /// Any integers round-trip, and both layouts of them decode
@@ -2043,9 +2123,8 @@ mod tests {
                     (any::<i64>(), 1usize..80).prop_map(|(v, n)| vec![v; n]),
                 ],
             ) {
-                let cells = integer_cells(&values);
-                let cells = as_cells(&cells);
-                prop_assert!(round_trip(ColumnKind::I64, &cells).is_some());
+                let column = Column::I64(values.clone());
+                round_trip(ColumnKind::I64, &column);
                 let min = *values.iter().min().expect("a row");
                 let distances: Vec<u64> =
                     values.iter().map(|v| v.wrapping_sub(min) as u64).collect();
@@ -2058,10 +2137,9 @@ mod tests {
                 let width = bit_width(*distances.iter().max().expect("a row"));
                 packed.push(width as u8);
                 pack_bits(&mut packed, width, distances.iter().copied());
-                let buf = buffered(&cells);
                 for (stored, payload) in [(StoredAs::I64, varints), (StoredAs::PackedI64, packed)] {
-                    let cells = decoded_cells(stored, payload, values.len());
-                    prop_assert_eq!(cells.as_deref(), Some(&buf[..]));
+                    let decoded = decoded(stored, &payload, values.len(), None);
+                    prop_assert_eq!(decoded.as_ref(), Some(&column));
                 }
             }
 
@@ -2069,8 +2147,8 @@ mod tests {
             fn any_canonical_maps_round_trip(
                 rows in proptest::collection::vec(arbitrary_map(), 1..40),
             ) {
-                let cells: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
-                prop_assert!(round_trip(ColumnKind::StringMap, &cells).is_some());
+                let column = bytes_column(&rows);
+                prop_assert_eq!(round_trip(ColumnKind::StringMap, &column).0, StoredAs::StringMap);
             }
 
             /// A dictionary or a run of numbers, spoiled each way a forger
@@ -2139,19 +2217,6 @@ mod tests {
                 }
             }
 
-            /// Whatever a cell holds, a chunk either round-trips or says it
-            /// does not fit; it never decodes to other bytes.
-            #[test]
-            fn arbitrary_cells_fit_or_fall_back(
-                cells in proptest::collection::vec(
-                    proptest::collection::vec(any::<u8>(), 0..12), 1..12),
-                kind in 0usize..3,
-            ) {
-                let kind = [ColumnKind::Bytes, ColumnKind::I64, ColumnKind::StringMap][kind];
-                let cells: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
-                round_trip(kind, &cells);
-            }
-
             /// Arbitrary bytes in place of a transposed payload — or of a
             /// value run, under every shape byte, in a payload otherwise
             /// well formed — under any row count, are an error or a
@@ -2176,14 +2241,102 @@ mod tests {
                     (true, StoredAs::ValueRun) => [&[90][..], &payload].concat(),
                     _ => payload,
                 };
-                if let Some(cells) = decoded_cells(stored, payload, rows) {
-                    let mut pos = 0;
-                    for _ in 0..rows {
-                        prop_assert!(read_string(&cells, &mut pos).is_some());
+                // A chunk that decodes holds `rows` rows and is charged
+                // their cells (see `decoded`).
+                decoded(stored, &payload, rows, None);
+            }
+        }
+
+        /// A column of 1..=600 rows as a writer buffers it, and its kind:
+        /// integers; values of a shape, nearly of one or of none, from a
+        /// pool of a few or of many; maps, now and then one that is not
+        /// canonical; a dictionary column's codes and misses.
+        fn buffered_column() -> impl Strategy<Value = (ColumnKind, Column)> {
+            const ROWS: std::ops::Range<usize> = 1..601;
+            let integers = prop_oneof![
+                proptest::collection::vec(any::<i64>(), ROWS),
+                proptest::collection::vec(-3000i64..3000, ROWS),
+                (any::<i64>(), ROWS).prop_map(|(v, n)| vec![v; n]),
+                // Mostly near the minimum, now and then far: one byte a row
+                // as varints, forty bits packed.
+                proptest::collection::vec(
+                    prop_oneof![0i64..128, 0i64..128, 0i64..128, 0i64..1 << 40],
+                    ROWS
+                ),
+            ]
+            .prop_map(|values| (ColumnKind::I64, Column::I64(values)));
+            let values = (
+                prop_oneof![
+                    proptest::collection::vec(drawn_values(), 1..6),
+                    proptest::collection::vec(drawn_values(), 17..60),
+                ],
+                proptest::collection::vec(any::<prop::sample::Index>(), ROWS),
+                0usize..5,
+            )
+                .prop_map(|(pool, picks, kind)| {
+                    let values: Vec<&str> = picks
+                        .iter()
+                        .map(|pick| pick.get(&pool)[kind].as_str())
+                        .collect();
+                    (ColumnKind::Bytes, bytes_column(&values))
+                });
+            let bytes =
+                proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), ROWS)
+                    .prop_map(|values| (ColumnKind::Bytes, bytes_column(&values)));
+            let maps = (
+                proptest::collection::vec(arbitrary_map(), ROWS),
+                any::<prop::sample::Index>(),
+                prop_oneof![
+                    Just(None),
+                    proptest::collection::vec(any::<u8>(), 0..7).prop_map(Some)
+                ],
+            )
+                .prop_map(|(mut maps, at, spoiler)| {
+                    if let Some(bad) = spoiler {
+                        let at = at.index(maps.len());
+                        maps[at] = bad;
                     }
-                    prop_assert_eq!(pos, cells.len());
+                    (ColumnKind::StringMap, bytes_column(&maps))
+                });
+            let coded = proptest::collection::vec(
+                prop_oneof![
+                    (0u32..40).prop_map(Ok),
+                    proptest::collection::vec(any::<u8>(), 0..8).prop_map(Err),
+                ],
+                ROWS,
+            )
+            .prop_map(|cells| {
+                let mut column = Column::buffer(ColumnKind::Bytes, true, 0);
+                for cell in &cells {
+                    let cell = match cell {
+                        Ok(code) => Cell::Code(*code),
+                        Err(miss) => Cell::Bytes(miss),
+                    };
+                    column.push(cell, 40);
+                }
+                (ColumnKind::Bytes, column)
+            });
+            prop_oneof![integers, values, bytes, maps, coded]
+        }
+
+        /// Whatever column a writer buffers, `decode(encode(column))` is the
+        /// column, charged its cells; and the columns drawn meet every
+        /// layout a chunk can take.
+        #[test]
+        fn any_buffered_column_decodes_to_itself_under_every_tag() {
+            let strategy = buffered_column();
+            let mut rng = proptest::test_runner::TestRng::deterministic("buffered columns");
+            let mut tags = Vec::new();
+            for _ in 0..160 {
+                let (kind, column) = strategy.gen_value(&mut rng);
+                let (stored, _) = round_trip(kind, &column);
+                if !tags.contains(&stored) {
+                    tags.push(stored);
                 }
             }
+            tags.sort_by_key(|stored| stored.tag());
+            use StoredAs::*;
+            assert_eq!(tags, [Cells, I64, StringMap, ValueRun, PackedI64]);
         }
     }
 }

@@ -27,22 +27,23 @@
 //! projection names; the stored chunk checksum doubles as the key of the
 //! shared cache of decoded chunks, so a warm read hashes nothing.
 //!
-//! The writer is told each column's [`ColumnKind`]; a chunk whose cells all
-//! fit the kind is transposed before compression — its values stored in the
-//! shape they have, packed hex digits, numbers and timestamps at their bit
-//! width, dotted quads, a few values once each and a code a row, where they
-//! have one (see [`crate::chunk`]). Dictionary-column cells store a small
+//! The writer is told each column's [`ColumnKind`], takes typed [`Cell`]s
+//! and buffers a group as the [`Column`]s a read decodes; a sealed chunk is
+//! transposed before compression — its values stored in the shape they
+//! have, packed hex digits, numbers and timestamps at their bit width,
+//! dotted quads, a few values once each and a code a row, where they have
+//! one (see [`crate::chunk`]). Dictionary-column cells store a small
 //! integer code instead of the value — the code its writer, who built the
-//! dictionary, hands over with the row; values missing from the dictionary
-//! fall back to inline bytes, so the file never refuses a row.
-//! A read decodes each projected chunk once, into the typed [`Column`] the
-//! cache holds and every reader above [`ColumnGroup`] works on.
+//! dictionary, hands over as the cell; values missing from the dictionary
+//! fall back to inline bytes, so the file never refuses a row. A read
+//! decodes each projected chunk once, into the [`Column`] the cache holds
+//! and every reader above [`ColumnGroup`] works on.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::cache::{BlockKey, Cached};
-use crate::chunk::{self, Column, ColumnKind, StoredAs, StoredRun};
+use crate::chunk::{self, Cell, Column, ColumnKind, StoredAs, StoredRun};
 use crate::compress;
 use crate::error::{WarehouseError, WarehouseResult};
 use crate::file::FileBlocks;
@@ -65,14 +66,13 @@ pub const COLUMNAR_VERSION: u8 = 5;
 /// exactly like the row-format writer.
 pub struct ColumnarFileWriter {
     inner: crate::file::RecordFileWriter,
-    /// Each column's declared kind; its length is the row width.
-    schema: Vec<ColumnKind>,
     rows_per_group: usize,
-    /// The dictionary-coded column and how many entries its dictionary has.
-    dictionary: Option<(usize, usize)>,
-    /// Per column, the open group's cells, each behind its varint length.
-    buffers: Vec<Vec<u8>>,
-    /// Where a typed chunk is transposed before it is compressed.
+    /// How many entries the dictionary has; none without one.
+    entries: usize,
+    /// Per column, its declared kind and the open group's rows as a read
+    /// decodes them; its length is the row width.
+    columns: Vec<(ColumnKind, Column)>,
+    /// Where a chunk is encoded before it is compressed.
     transposer: chunk::Transposer,
     buffered_rows: usize,
     group_zone: ZoneMap,
@@ -82,9 +82,8 @@ pub struct ColumnarFileWriter {
 impl ColumnarFileWriter {
     /// Opens a v5 columnar file at `path` whose rows have one cell per
     /// entry of `schema`. `dictionary` optionally names one column plus its
-    /// code table (index = code); a cell of that column appended with its
-    /// code ([`append_row_coded`](Self::append_row_coded)) is stored as the
-    /// code, any other inline.
+    /// code table (index = code); that column's cells are codes
+    /// ([`Cell::Code`]), or the bytes of a value the table lacks.
     pub fn create(
         warehouse: &Warehouse,
         path: &WhPath,
@@ -116,12 +115,14 @@ impl ColumnarFileWriter {
             None => write_varint(&mut header, 0),
         }
         inner.append_header_record(&header);
+        let coded = |c| dictionary.is_some_and(|(col, _)| col == c);
         Ok(ColumnarFileWriter {
             inner,
-            schema: schema.to_vec(),
             rows_per_group,
-            dictionary: dictionary.map(|(col, entries)| (col, entries.len())),
-            buffers: vec![Vec::new(); schema.len()],
+            entries: dictionary.map_or(0, |(_, entries)| entries.len()),
+            columns: (schema.iter().enumerate())
+                .map(|(c, kind)| (*kind, Column::buffer(*kind, coded(c), rows_per_group)))
+                .collect(),
             transposer: chunk::Transposer::default(),
             buffered_rows: 0,
             group_zone: ZoneMap::empty(),
@@ -129,57 +130,21 @@ impl ColumnarFileWriter {
         })
     }
 
-    /// Appends one row, every cell inline; `cells.len()` must equal the
-    /// column count.
-    pub fn append_row(&mut self, cells: &[&[u8]]) {
-        self.push_cells(cells, None);
-        self.maybe_seal();
-    }
-
-    /// Appends one row, every cell inline, with zone annotations: `key`
-    /// folds into the group's min/max range and `tag` into its membership
-    /// bitmap, like `append_record_annotated` does for row-format blocks.
-    pub fn append_row_annotated(&mut self, cells: &[&[u8]], key: i64, tag: u64) {
-        self.append_row_coded(cells, None, key, tag);
-    }
-
-    /// [`append_row_annotated`](Self::append_row_annotated) with the
-    /// dictionary column's cell stored as `code` — the index, in the
-    /// dictionary given to [`create`](Self::create), of an entry equal to
-    /// that cell. `None` stores the cell inline, as a value the dictionary
-    /// lacks must be. The writer looks nothing up: whoever built the
-    /// dictionary knows its codes.
-    pub fn append_row_coded(&mut self, cells: &[&[u8]], code: Option<u32>, key: i64, tag: u64) {
-        self.group_zone.fold(key, tag);
-        self.group_annotated += 1;
-        self.push_cells(cells, code);
-        self.maybe_seal();
-    }
-
-    fn push_cells(&mut self, cells: &[&[u8]], code: Option<u32>) {
-        assert_eq!(cells.len(), self.schema.len(), "row width");
-        let (dict_col, dict_len) = self.dictionary.unzip();
-        assert!(
-            code.is_none_or(|code| (code as usize) < dict_len.unwrap_or(0)),
-            "dictionary code in range"
-        );
-        for (c, (buf, cell)) in self.buffers.iter_mut().zip(cells).enumerate() {
-            if Some(c) == dict_col {
-                // Dictionary cell: varint(code + 1) on a hit, or a 0 marker
-                // followed by the ordinary length-prefixed inline bytes.
-                if let Some(code) = code {
-                    write_varint(buf, u64::from(code) + 1);
-                    continue;
-                }
-                buf.push(0);
-            }
-            write_varint(buf, cell.len() as u64);
-            buf.extend_from_slice(cell);
+    /// Appends one row, a [`Cell`] per column; one its column cannot hold
+    /// panics. The writer looks no code up: whoever built the dictionary
+    /// knows them. With `zone` = `(key, tag)`, `key` folds into the group's
+    /// min/max range and `tag` into its membership bitmap, like
+    /// `append_record_annotated` does for row-format blocks.
+    pub fn append_row(&mut self, cells: &[Cell<'_>], zone: Option<(i64, u64)>) {
+        assert_eq!(cells.len(), self.columns.len(), "row width");
+        for ((_, column), cell) in self.columns.iter_mut().zip(cells) {
+            column.push(*cell, self.entries);
+        }
+        if let Some((key, tag)) = zone {
+            self.group_zone.fold(key, tag);
+            self.group_annotated += 1;
         }
         self.buffered_rows += 1;
-    }
-
-    fn maybe_seal(&mut self) {
         if self.buffered_rows >= self.rows_per_group {
             self.seal_group();
         }
@@ -188,11 +153,10 @@ impl ColumnarFileWriter {
     /// Seals the open group into one stored block: the header (varint row
     /// count, then per column a tag byte, the varint stored length and the
     /// eight checksum bytes of its chunk), then the chunks back to back.
-    /// Each chunk is one `ulz` stream — of the column's transposed cells
-    /// when they all fit its kind, of the cells as buffered otherwise (the
-    /// dictionary column's always: they are codes already) — and that is the
-    /// only time these bytes meet the compressor (an integer column's two
-    /// layouts meet it once each, and the shorter stream is kept).
+    /// Each chunk is one `ulz` stream of the column's encoded layout (see
+    /// [`crate::chunk`]), and that is the only time these bytes meet the
+    /// compressor (an integer column's two layouts meet it once each, and
+    /// the shorter stream is kept).
     fn seal_group(&mut self) {
         if self.buffered_rows == 0 {
             return;
@@ -205,24 +169,16 @@ impl ColumnarFileWriter {
             compressor.write(bytes);
             compressor.finish_block()
         };
-        let mut header = Vec::with_capacity(4 + 12 * self.schema.len());
+        let mut header = Vec::with_capacity(4 + 12 * self.columns.len());
         write_varint(&mut header, self.buffered_rows as u64);
-        let mut chunks = Vec::with_capacity(self.schema.len());
-        let dict_col = self.dictionary.map(|(col, _)| col);
-        for (c, (kind, buf)) in self.schema.iter().zip(&mut self.buffers).enumerate() {
-            let transposed = match Some(c) == dict_col {
-                true => None,
-                false => self
-                    .transposer
-                    .transpose(*kind, buf, self.buffered_rows, &mut compress),
-            };
-            let (stored_as, stored) =
-                transposed.unwrap_or_else(|| (StoredAs::Cells, compress(buf)));
+        let mut chunks = Vec::with_capacity(self.columns.len());
+        for (kind, column) in &mut self.columns {
+            let (stored_as, stored) = self.transposer.encode(*kind, column, &mut compress);
             header.push(stored_as.tag());
             write_varint(&mut header, stored.len() as u64);
             header.extend_from_slice(&block_checksum(&stored).to_le_bytes());
             chunks.push(stored);
-            buf.clear();
+            column.clear();
         }
         let checksum = block_checksum(&header);
         let mut block = header;
@@ -600,7 +556,8 @@ impl ColumnarFile {
     }
 
     /// How each column of group `g` is stored: the layout of its chunk (a
-    /// typed column's reads `Cells` where the group fell back) and the
+    /// string map's reads `Cells` where the group holds a cell that is not
+    /// canonical) and the
     /// chunk's stored bytes. File metadata like the zone map: read off the
     /// group header, uncharged, for whoever asks where a file's bytes went.
     pub fn stored_chunks(&self, g: usize) -> WarehouseResult<Vec<(StoredAs, u64)>> {
@@ -773,6 +730,17 @@ mod tests {
         }
     }
 
+    /// `row` as a writer of `schema` appends it: an integer column's cell,
+    /// eight little-endian bytes, as the integer.
+    fn typed<'a>(schema: &[ColumnKind], row: &'a [Vec<u8>]) -> Vec<Cell<'a>> {
+        (schema.iter().zip(row))
+            .map(|(kind, cell)| match kind {
+                ColumnKind::I64 => Cell::Int(i64::from_le_bytes(cell[..].try_into().unwrap())),
+                _ => Cell::Bytes(cell),
+            })
+            .collect()
+    }
+
     fn map_cell(pairs: &[(&str, &str)]) -> Vec<u8> {
         let mut cell = Vec::new();
         write_string_map_count(&mut cell, pairs.len());
@@ -788,7 +756,43 @@ mod tests {
         let wh = Warehouse::new();
         let mut w =
             ColumnarFileWriter::create(&wh, &p("/x"), &[ColumnKind::Bytes; 2], 8, None).unwrap();
-        w.append_row(&[b"only-one"]);
+        w.append_row(&[Cell::Bytes(b"only-one")], None);
+    }
+
+    /// Appends `cells` to a file of a dictionary column of two entries, an
+    /// integer column and a column of bytes.
+    fn append_to_a_coded_file(cells: &[Cell<'_>]) {
+        let wh = Warehouse::new();
+        let dict: [&[u8]; 2] = [b"a", b"b"];
+        let schema = [ColumnKind::Bytes, ColumnKind::I64, ColumnKind::Bytes];
+        let mut w =
+            ColumnarFileWriter::create(&wh, &p("/x"), &schema, 8, Some((0, &dict))).unwrap();
+        w.append_row(&[Cell::Code(1), Cell::Int(7), Cell::Bytes(b"fits")], None);
+        w.append_row(cells, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "an integer cell in a column that is not I64")]
+    fn an_integer_outside_an_integer_column_panics() {
+        append_to_a_coded_file(&[Cell::Code(0), Cell::Int(1), Cell::Int(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bytes in an I64 column")]
+    fn bytes_in_an_integer_column_panic() {
+        append_to_a_coded_file(&[Cell::Code(0), Cell::Bytes(b"1"), Cell::Bytes(b"x")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a code outside the dictionary column")]
+    fn a_code_outside_the_dictionary_column_panics() {
+        append_to_a_coded_file(&[Cell::Code(0), Cell::Int(1), Cell::Code(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a code past the dictionary")]
+    fn a_code_past_the_dictionary_panics() {
+        append_to_a_coded_file(&[Cell::Code(2), Cell::Int(1), Cell::Bytes(b"x")]);
     }
 
     #[test]
@@ -840,13 +844,11 @@ mod tests {
             }
         }
 
-        /// Rows of three columns whose cells are of the three kinds in some
-        /// order — so under any schema some columns fit their declared kind
-        /// and some never do — with, sometimes, one cell of one row replaced
-        /// by bytes that fit nothing.
+        /// Rows of a cell of each of the three kinds, [`KINDS`] in order —
+        /// with, sometimes, one map cell replaced by bytes that are no
+        /// canonical map.
         fn rows() -> impl Strategy<Value = Vec<[Vec<u8>; 3]>> {
             (
-                0usize..6,
                 proptest::collection::vec(
                     (cell_of(KINDS[0]), cell_of(KINDS[1]), cell_of(KINDS[2])),
                     0..40,
@@ -857,25 +859,12 @@ mod tests {
                     proptest::collection::vec(any::<u8>(), 0..7).prop_map(Some)
                 ],
             )
-                .prop_map(|(order, rows, at, spoiler)| {
-                    const ORDERS: [[usize; 3]; 6] = [
-                        [0, 1, 2],
-                        [0, 2, 1],
-                        [1, 0, 2],
-                        [1, 2, 0],
-                        [2, 0, 1],
-                        [2, 1, 0],
-                    ];
-                    let mut rows: Vec<[Vec<u8>; 3]> = rows
-                        .into_iter()
-                        .map(|(a, b, c)| {
-                            let by_kind = [a, b, c];
-                            ORDERS[order].map(|k| by_kind[k].clone())
-                        })
-                        .collect();
+                .prop_map(|(rows, at, spoiler)| {
+                    let mut rows: Vec<[Vec<u8>; 3]> =
+                        rows.into_iter().map(|(a, b, c)| [a, b, c]).collect();
                     if let (Some(bad), false) = (spoiler, rows.is_empty()) {
-                        let i = at.index(rows.len() * 3);
-                        rows[i / 3][i % 3] = bad;
+                        let at = at.index(rows.len());
+                        rows[at][2] = bad;
                     }
                     rows
                 })
@@ -886,19 +875,22 @@ mod tests {
 
             /// Any rows × every assignment of kinds to the columns × every
             /// projection × group sizes {1, 8, 512}: every projected cell
-            /// comes back byte for byte, whether its chunk was transposed
-            /// or fell back.
+            /// comes back as appended, whether its chunk was transposed or
+            /// stored as cells.
             #[test]
-            fn round_trips_under_every_schema_and_projection(rows in rows()) {
+            fn round_trips_under_every_schema_and_projection(by_kind in rows()) {
                 for schema in 0..27usize {
-                    let schema = [KINDS[schema % 3], KINDS[schema / 3 % 3], KINDS[schema / 9]];
+                    let picks = [schema % 3, schema / 3 % 3, schema / 9];
+                    let schema = picks.map(|k| KINDS[k]);
+                    let rows: Vec<[Vec<u8>; 3]> =
+                        by_kind.iter().map(|row| picks.map(|k| row[k].clone())).collect();
                     for group in [1usize, 8, 512] {
                         let wh = Warehouse::new();
                         let path = p("/prop");
                         let mut w =
                             ColumnarFileWriter::create(&wh, &path, &schema, group, None).unwrap();
                         for row in &rows {
-                            w.append_row(&[&row[0], &row[1], &row[2]]);
+                            w.append_row(&typed(&schema, row), None);
                         }
                         w.finish().unwrap();
                         let f = ColumnarFile::open(&wh, &path).unwrap();
@@ -947,8 +939,12 @@ mod tests {
                     b"view".to_vec()
                 };
                 let c = format!("payload-{i}-{}", "x".repeat(40)).into_bytes();
-                let code = dict.iter().position(|entry| *entry == b).map(|c| c as u32);
-                w.append_row_coded(&[&a, &b, &c], code, i as i64, crate::zone::tag_hash(&b));
+                let name = match dict.iter().position(|entry| *entry == b) {
+                    Some(code) => Cell::Code(code as u32),
+                    None => Cell::Bytes(&b),
+                };
+                let zone = Some((i as i64, crate::zone::tag_hash(&b)));
+                w.append_row(&[Cell::Bytes(&a), name, Cell::Bytes(&c)], zone);
                 expect.push([a, b, c]);
             }
             w.finish().unwrap();
@@ -972,8 +968,9 @@ mod tests {
                     ]),
                     _ => map_cell(&[]),
                 };
-                w.append_row(&[&a, &b, &c]);
-                expect.push([a, b, c]);
+                let row = [a, b, c];
+                w.append_row(&typed(&KINDS, &row), None);
+                expect.push(row);
             }
             w.finish().unwrap();
             expect
@@ -1045,32 +1042,25 @@ mod tests {
         }
 
         #[test]
-        fn a_cell_that_does_not_fit_stores_its_groups_chunk_as_bytes() {
+        fn a_map_cell_that_is_not_canonical_stores_its_groups_chunk_as_cells() {
             let unsorted = map_cell(&[("b", "y"), ("a", "x")]);
             let duplicate = map_cell(&[("a", "x"), ("a", "y")]);
-            let cases: [(usize, &[u8]); 6] = [
-                (1, &[1, 2, 3]),
-                (1, &[]),
-                (2, &[5]),
-                (2, &unsorted),
-                (2, &duplicate),
-                (2, &[0x80, 0x00]),
-            ];
-            for (col, bad) in cases {
+            let cases: [&[u8]; 4] = [&[5], &unsorted, &duplicate, &[0x80, 0x00]];
+            for bad in cases {
                 let wh = Warehouse::new();
                 let mut expect = write_typed(&wh, "/scratch", 20, 8);
                 // The misfit sits in the second of three groups.
-                expect[11][col] = bad.to_vec();
+                expect[11][2] = bad.to_vec();
                 let mut w = ColumnarFileWriter::create(&wh, &p("/f"), &KINDS, 8, None).unwrap();
                 for row in &expect {
-                    w.append_row(&[&row[0], &row[1], &row[2]]);
+                    w.append_row(&typed(&KINDS, row), None);
                 }
                 w.finish().unwrap();
                 for g in 0..3 {
                     let (chunks, _, _) = stored_group(&wh, &p("/f"), g, 3);
                     let mut want = STORED;
                     if g == 1 {
-                        want[col] = StoredAs::Cells;
+                        want[2] = StoredAs::Cells;
                     }
                     // Of the four-row tail's timestamps, `ulz` makes the
                     // varints the shorter stream.
@@ -1078,7 +1068,7 @@ mod tests {
                         want[1] = StoredAs::I64;
                     }
                     let stored_as: Vec<StoredAs> = chunks.iter().map(|c| c.stored_as).collect();
-                    assert_eq!(stored_as, want, "group {g}, column {col} holding {bad:?}");
+                    assert_eq!(stored_as, want, "group {g} holding {bad:?}");
                 }
                 read_back(&ColumnarFile::open(&wh, &p("/f")).unwrap(), &expect);
             }
@@ -1208,7 +1198,7 @@ mod tests {
             let mut w =
                 ColumnarFileWriter::create(&wh, &path, &[ColumnKind::I64], 8, None).unwrap();
             for _ in 0..12 {
-                w.append_row(&[&42i64.to_le_bytes()]);
+                w.append_row(&[Cell::Int(42)], None);
             }
             w.finish().unwrap();
             let (a, _, block_a) = stored_group(&wh, &path, 0, 1);
@@ -1638,7 +1628,8 @@ mod tests {
                 Some((1, &dict)),
             )
             .unwrap();
-            w.append_row_coded(&[b"u", b"tap", b"x"], Some(1), 0, 0);
+            let cells = [Cell::Bytes(b"u"), Cell::Code(1), Cell::Bytes(b"x")];
+            w.append_row(&cells, Some((0, 0)));
             w.finish().unwrap();
             let relanded = ColumnarFile::open(&wh, &p("/v5")).unwrap();
             assert_eq!(relanded.dictionary_value(1), Some(&b"tap"[..]));

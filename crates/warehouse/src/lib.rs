@@ -59,7 +59,7 @@ pub mod varint;
 pub mod zone;
 
 pub use cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};
-pub use chunk::{Column, ColumnKind, StoredAs, StoredRun, Texts, ValueShape};
+pub use chunk::{Cell, Column, ColumnKind, StoredAs, StoredRun, Texts, ValueShape};
 pub use columnar::{
     sniff_columnar, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding, COLUMNAR_MAGIC,
     COLUMNAR_VERSION,

@@ -90,7 +90,7 @@ impl ScanFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::ColumnKind;
+    use crate::chunk::{Cell, ColumnKind};
     use crate::columnar::ColumnarFileWriter;
     use crate::error::WarehouseError;
 
@@ -109,7 +109,10 @@ mod tests {
         let mut w =
             ColumnarFileWriter::create(&wh, &p("/col"), &[ColumnKind::Bytes; 2], 4, None).unwrap();
         for i in 0..10 {
-            w.append_row(&[b"a", i.to_string().as_bytes()]);
+            w.append_row(
+                &[Cell::Bytes(b"a"), Cell::Bytes(i.to_string().as_bytes())],
+                None,
+            );
         }
         w.finish().unwrap();
         let w = wh.create(&p("/empty")).unwrap();
@@ -141,7 +144,7 @@ mod tests {
         let mut w =
             ColumnarFileWriter::create(&wh, &p("/col"), &[ColumnKind::Bytes], 4, None).unwrap();
         for i in 0..12 {
-            w.append_row_annotated(&[i.to_string().as_bytes()], i, 0);
+            w.append_row(&[Cell::Bytes(i.to_string().as_bytes())], Some((i, 0)));
         }
         w.finish().unwrap();
         let a = ScanFile::open(&wh, &p("/col")).unwrap();

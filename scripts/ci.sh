@@ -142,11 +142,13 @@ fi
 # decoded whole by Loader::parse and masked to the projection. A column
 # chunk is decoded once, into the typed uli_warehouse::Column every reader
 # works on: no cell buffer is printed back, split into cell references and
-# parsed again per cell. The dynamic value decoder and the schema registry
-# that validated it, the lazy row scan beside the parse, the tree event name
-# no experiment compared, the cost-model setter no caller used and the
-# read side's cell API must not come back.
-if grep -rnwE 'TValue|read_struct_value|SchemaRegistry|StructDescriptor|ScanOutcome|TreeEventName|with_cost_model|split_cells|CellRef|ColumnCell|ColumnChunk|cell_bytes|chunk_len|GroupCells|decode_cell' \
+# parsed again per cell. The writer buffers the same typed column, fed typed
+# cells through one append: no row is printed into cells and parsed again at
+# seal. The dynamic value decoder and the schema registry that validated it,
+# the lazy row scan beside the parse, the tree event name no experiment
+# compared, the cost-model setter no caller used, the read side's cell API
+# and the write side's cell buffer must not come back.
+if grep -rnwE 'TValue|read_struct_value|SchemaRegistry|StructDescriptor|ScanOutcome|TreeEventName|with_cost_model|split_cells|CellRef|ColumnCell|ColumnChunk|cell_bytes|chunk_len|GroupCells|decode_cell|CellScratch|client_event_cells|append_row_coded|append_row_annotated|push_cells' \
     crates src tests examples; then
     echo "decoder gate: a second decoder of a format, or a removed twin, is back." >&2
     exit 1

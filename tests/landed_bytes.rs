@@ -38,8 +38,7 @@ use std::sync::Arc;
 
 use uli_core::client_event::{ClientEventLoader, CLIENT_EVENTS_CATEGORY};
 use uli_core::columnar::{
-    client_event_cells, event_columns, for_each_event_row, write_client_events_columnar,
-    ALL_COLUMNS, NAME_COLUMN,
+    event_columns, for_each_event_row, write_client_events_columnar, ALL_COLUMNS, NAME_COLUMN,
 };
 use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer};
 use uli_core::{ClientEvent, ClientEventLanding, EventInitiator, EventName, Timestamp};
@@ -50,6 +49,7 @@ use uli_serve::hour::{by_file, index_dir, load_hour_index, Postings};
 use uli_serve::IndexMaintainer;
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
 use uli_thrift::{varint, CompactWriter, TType, ThriftRecord};
+use uli_warehouse::chunk::{write_string_map_count, write_string_map_pair};
 use uli_warehouse::{
     fnv1a64_fold, ColumnarFile, ColumnarLanding, HourlyPartition, Parallelism, ScanFile, ScanStats,
     Warehouse, WhPath, DEFAULT_MEM_BUDGET, FNV1A64_OFFSET,
@@ -752,7 +752,10 @@ fn runs_at_the_edges_of_every_layout_decode_to_the_recorded_digest() {
 
 /// Everything a decoded event hands out, folded into `h`: its Thrift
 /// encoding, how its details print, the tuple the row loader makes of that
-/// encoding, and the seven columnar cells of its row view.
+/// encoding, and its seven fields as cells, each behind its length — the
+/// initiator's wire code, the user id and the timestamp as eight
+/// little-endian bytes, the details as a string-map cell, the rest as
+/// their UTF-8.
 fn fold_event(mut h: u64, ev: &ClientEvent) -> u64 {
     let bytes = ev.to_bytes();
     h = fnv1a64_fold(h, &bytes);
@@ -761,8 +764,22 @@ fn fold_event(mut h: u64, ev: &ClientEvent) -> u64 {
         .parse(&bytes)
         .expect("the loader skips, never fails");
     h = fnv1a64_fold(h, format!("{tuple:?}").as_bytes());
-    for cell in client_event_cells(ev) {
-        h = fnv1a64_fold(fold_u64(h, cell.len() as u64), &cell);
+    let mut details = Vec::new();
+    write_string_map_count(&mut details, ev.details.len());
+    for (key, value) in ev.details.iter() {
+        write_string_map_pair(&mut details, key.as_bytes(), value.as_bytes());
+    }
+    let cells: [&[u8]; 7] = [
+        &[ev.initiator.code() as u8],
+        ev.name.as_str().as_bytes(),
+        &ev.user_id.to_le_bytes(),
+        ev.session_id.as_bytes(),
+        ev.ip.as_bytes(),
+        &ev.timestamp.millis().to_le_bytes(),
+        &details,
+    ];
+    for cell in cells {
+        h = fnv1a64_fold(fold_u64(h, cell.len() as u64), cell);
     }
     h
 }
