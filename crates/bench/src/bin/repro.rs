@@ -23,53 +23,43 @@ use uli_bench::{harness, Run, EXPERIMENTS};
 use uli_workload::Scale;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut scale = Scale::OneM;
-    let mut mem_budget: Option<u64> = None;
-    let mut skip_value = false;
-    let mut named: Vec<&str> = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
+    let mut args = std::env::args().skip(1);
+    let (mut smoke, mut scale, mut mem_budget) = (false, Scale::OneM, None);
+    let mut named: Vec<String> = Vec::new();
+    while let Some(arg) = args.next() {
         // `--flag value` and `--flag=value` both work.
-        let valued = |flag: &str, skip: &mut bool| -> Option<&str> {
-            if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-                Some(v)
-            } else if a == flag {
-                *skip = true;
-                args.get(i + 1).map(String::as_str)
-            } else {
-                None
-            }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_string())),
+            _ => (arg.as_str(), None),
         };
-        if a == "--scale" || a.starts_with("--scale=") {
-            scale = match valued("--scale", &mut skip_value).and_then(Scale::parse) {
-                Some(s) => s,
+        match flag {
+            "--smoke" => smoke = true,
+            "--scale" => match inline
+                .or_else(|| args.next())
+                .as_deref()
+                .and_then(Scale::parse)
+            {
+                Some(s) => scale = s,
                 None => {
                     eprintln!("--scale takes one of: smoke, default, 1m");
                     return ExitCode::FAILURE;
                 }
-            };
-            continue;
-        }
-        if a == "--mem-budget" || a.starts_with("--mem-budget=") {
-            mem_budget = match valued("--mem-budget", &mut skip_value)
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|b| *b > 0)
-            {
-                Some(b) => Some(b),
-                None => {
-                    eprintln!("--mem-budget takes a positive byte count");
-                    return ExitCode::FAILURE;
+            },
+            "--mem-budget" => {
+                let budget = inline.or_else(|| args.next());
+                match budget
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .filter(|b| *b > 0)
+                {
+                    Some(b) => mem_budget = Some(b),
+                    None => {
+                        eprintln!("--mem-budget takes a positive byte count");
+                        return ExitCode::FAILURE;
+                    }
                 }
-            };
-            continue;
-        }
-        if !a.starts_with("--") {
-            named.push(a);
+            }
+            flag if flag.starts_with("--") => {}
+            _ => named.push(arg),
         }
     }
     let run = Run {
@@ -78,10 +68,10 @@ fn main() -> ExitCode {
         mem_budget: mem_budget.filter(|_| !smoke),
     };
     let all: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
-    let ids: Vec<&str> = if named.is_empty() || named.contains(&"all") {
+    let ids: Vec<&str> = if named.is_empty() || named.iter().any(|n| n == "all") {
         all.clone()
     } else {
-        named
+        named.iter().map(String::as_str).collect()
     };
     let mut failed = false;
     for id in ids {

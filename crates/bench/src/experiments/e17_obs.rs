@@ -16,6 +16,9 @@
 //! 2. **Determinism** — the exported snapshot (metrics, span forest, and
 //!    critical path) is byte-identical at every worker count, so a golden
 //!    file diff is a meaningful CI gate.
+//!
+//! Both are its gates, as is that no metric is registered twice: no test
+//! but this module's threads one registry through all four layers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -25,66 +28,23 @@ use uli_core::session::{day_dir, Materializer};
 use uli_dataflow::prelude::*;
 use uli_obs::Registry;
 use uli_oink::Oink;
-use uli_scribe::pipeline::PipelineConfig;
 use uli_scribe::{LogEntry, ScribePipeline};
 use uli_thrift::ThriftRecord;
 use uli_workload::{generate_day, WorkloadConfig};
 
-use crate::harness::Table;
-use crate::{cells, Measured, Metrics};
-
-/// One run of the instrumented day at a fixed worker count.
-pub struct ObsSample {
-    /// Worker count used by the materializer and the query engine.
-    pub workers: usize,
-    /// `scribe/logged` — entries logged on production hosts.
-    pub logged: u64,
-    /// `scribe/moved` — entries merged into the main warehouse.
-    pub moved: u64,
-    /// `scribe/lost_in_crashes` — entries lost to the hour-6 crash.
-    pub crash_lost: u64,
-    /// `scribe/dropped_disk_full` — entries dropped at full host buffers.
-    pub dropped: u64,
-    /// `dataflow/input_records` — records scanned by the count query's
-    /// source stage.
-    pub scanned: u64,
-    /// Sessions materialized by the Oink-scheduled daily job.
-    pub sessions: u64,
-    /// The count the query itself returned (must equal `scanned`).
-    pub counted: u64,
-    /// `oink/jobs_failed` — mover attempts that failed during the outage.
-    pub oink_failures: u64,
-    /// The full exported snapshot (metrics + span forest + critical path).
-    pub snapshot_json: String,
-    /// The rendered critical-path report.
-    pub critical_path: String,
-}
-
-/// The full sweep result.
-pub struct Measurements {
-    /// Samples in worker order.
-    pub samples: Vec<ObsSample>,
-    /// True when every worker count exported a byte-identical snapshot.
-    pub snapshots_identical: bool,
-    /// True when `logged == scanned + crash_lost + dropped` in every
-    /// sample (and the query's own count agrees with the scan counter).
-    pub reconciled: bool,
-    /// True when no sample recorded a duplicate metric registration.
-    pub duplicates_clean: bool,
-}
+use crate::harness::{object, topology, Body};
+use crate::{Metrics, Outcome};
 
 /// Drives one instrumented day: Scribe delivery with E1's fault plan, the
 /// Oink-scheduled hourly mover (retried through the outage), and the daily
-/// materialize + count-query jobs, all sharing one registry.
-fn run_once(users: u64, workers: usize) -> ObsSample {
+/// materialize + count-query jobs, all sharing one registry. Returns the
+/// registry's export (metrics, span forest and critical path), the day's
+/// sample row, and whether its layers reconcile: entries logged by Scribe
+/// equal records scanned by the query's source stage plus crash losses and
+/// policy drops, and the query's own count agrees with the scan counter.
+fn run_once(users: u64, workers: usize) -> (String, String, bool) {
     let registry = Registry::new();
-    let config = PipelineConfig {
-        datacenters: 2,
-        hosts_per_dc: 4,
-        aggregators_per_dc: 2,
-        records_per_file: 10_000,
-        ..Default::default()
-    };
+    let config = topology();
     let day = generate_day(
         &WorkloadConfig {
             users,
@@ -178,197 +138,110 @@ fn run_once(users: u64, workers: usize) -> ObsSample {
 
     let snap = registry.snapshot();
     let counter = |key: &str| snap.counter_value(key).unwrap_or(0);
-    ObsSample {
-        workers,
-        logged: counter("scribe/logged"),
-        moved: counter("scribe/moved"),
-        crash_lost: counter("scribe/lost_in_crashes"),
-        dropped: counter("scribe/dropped_disk_full"),
-        scanned: counter("dataflow/input_records"),
-        sessions: sessions_out.load(Ordering::SeqCst),
-        counted: counted_out.load(Ordering::SeqCst),
-        oink_failures: counter("oink/jobs_failed"),
-        critical_path: snap.critical_path_report(),
-        snapshot_json: snap.to_json(),
-    }
+    let [logged, moved, crash_lost, dropped, scanned, oink_failures] = [
+        "scribe/logged",
+        "scribe/moved",
+        "scribe/lost_in_crashes",
+        "scribe/dropped_disk_full",
+        "dataflow/input_records",
+        "oink/jobs_failed",
+    ]
+    .map(counter);
+    let (sessions, counted) = (
+        sessions_out.load(Ordering::SeqCst),
+        counted_out.load(Ordering::SeqCst),
+    );
+    let row = object(&[
+        ("workers", &workers),
+        ("logged", &logged),
+        ("moved", &moved),
+        ("crash_lost", &crash_lost),
+        ("scanned", &scanned),
+        ("counted", &counted),
+        ("sessions", &sessions),
+        ("oink_failures", &oink_failures),
+    ]);
+    let reconciled = logged == scanned + crash_lost + dropped && counted == scanned;
+    (snap.to_json(), row, reconciled)
 }
 
 /// Runs the sweep: 300 users at workers {1, 4, 8}, or for a smoke run the
 /// 120-user day at workers {1, 2}, whose snapshot CI golden-diffs.
-pub fn measure(smoke: bool) -> Measurements {
+pub fn measure(smoke: bool) -> Outcome {
     if smoke {
-        sweep(120, &[1, 2])
+        sweep(120, &[1, 2], true)
     } else {
-        sweep(300, &[1, 4, 8])
+        sweep(300, &[1, 4, 8], false)
     }
 }
 
 /// One instrumented day per worker count, and the verdicts across them.
-fn sweep(users: u64, worker_counts: &[usize]) -> Measurements {
-    let samples: Vec<ObsSample> = worker_counts
+///
+/// The metrics are the first sample's registry snapshot, byte-identical to
+/// every other sample's whenever the snapshot gate holds: on a smoke run
+/// the file is the snapshot, on a full run the sweep's verdicts and samples
+/// come ahead of its members.
+fn sweep(users: u64, worker_counts: &[usize], smoke: bool) -> Outcome {
+    let samples: Vec<(String, String, bool)> = worker_counts
         .iter()
         .map(|&workers| run_once(users, workers))
         .collect();
-    let snapshots_identical = samples
-        .windows(2)
-        .all(|w| w[0].snapshot_json == w[1].snapshot_json);
-    let reconciled = samples
+    let identical = samples.windows(2).all(|w| w[0].0 == w[1].0);
+    let reconciled = samples.iter().all(|s| s.2);
+    let clean = samples
         .iter()
-        .all(|s| s.logged == s.scanned + s.crash_lost + s.dropped && s.counted == s.scanned);
-    let duplicates_clean = samples
-        .iter()
-        .all(|s| !s.snapshot_json.contains("\"duplicate_registrations\": [\""));
-    Measurements {
-        samples,
-        snapshots_identical,
-        reconciled,
-        duplicates_clean,
-    }
-}
-
-impl Measured for Measurements {
-    fn render(&self) -> String {
-        let m = self;
-        let mut out = String::from(
-            "E17 — unified observability: one registry across scribe, warehouse,\n\
-             oink, and dataflow; E1 fault plan; Oink-scheduled mover + daily jobs\n\n",
-        );
-        let mut t = Table::new(&[
-            "workers",
-            "logged",
-            "moved",
-            "crash-lost",
-            "scanned",
-            "counted",
-            "sessions",
-            "mover-failures",
-            "snapshot-bytes",
-        ]);
-        for s in &m.samples {
-            t.row(cells![
-                s.workers,
-                s.logged,
-                s.moved,
-                s.crash_lost,
-                s.scanned,
-                s.counted,
-                s.sessions,
-                s.oink_failures,
-                s.snapshot_json.len()
-            ]);
-        }
-        out.push_str(&t.render());
-        out.push_str(&format!(
-            "\nreconciled (logged == scanned + crash-lost + dropped): {}\n\
-             snapshots byte-identical across worker counts: {}\n\
-             duplicate registrations: {}\n\ncritical path (workers={}):\n{}",
-            m.reconciled,
-            m.snapshots_identical,
-            if m.duplicates_clean { "none" } else { "FOUND" },
-            m.samples[0].workers,
-            m.samples[0].critical_path,
-        ));
-        out
-    }
-
-    fn gates(&self) -> Vec<(String, bool)> {
-        vec![
-            (
-                "cross-layer totals did not reconcile".into(),
-                self.reconciled,
-            ),
-            (
-                "snapshot differs across worker counts".into(),
-                self.snapshots_identical,
-            ),
-            (
-                "duplicate metric registrations found".into(),
-                self.duplicates_clean,
-            ),
-        ]
-    }
-
-    /// The first sample's registry snapshot, byte-identical to every other
-    /// sample's whenever `snapshots_identical` holds: on a smoke run the
-    /// file is the snapshot, on a full run the sweep's verdicts and samples
-    /// come ahead of its members.
-    fn metrics(&self, smoke: bool) -> Metrics {
-        let snapshot = self.samples[0]
-            .snapshot_json
-            .strip_prefix("{\n  \"schema\": \"uli-obs-v1\",\n")
-            .and_then(|s| s.strip_suffix("\n}\n"))
-            .expect("a uli-obs-v1 export");
-        let body = if smoke {
-            snapshot.to_string()
-        } else {
-            let rows: Vec<String> = self
-                .samples
-                .iter()
-                .map(|s| {
-                    format!(
-                        "    {{\"workers\": {}, \"logged\": {}, \"moved\": {}, \"crash_lost\": {}, \
-                         \"scanned\": {}, \"counted\": {}, \"sessions\": {}, \"oink_failures\": {}}}",
-                        s.workers,
-                        s.logged,
-                        s.moved,
-                        s.crash_lost,
-                        s.scanned,
-                        s.counted,
-                        s.sessions,
-                        s.oink_failures
-                    )
-                })
-                .collect();
-            format!(
-                "  \"reconciled\": {},\n  \"snapshots_identical\": {},\n  \
-                 \"duplicates_clean\": {},\n  \"samples\": [\n{}\n  ],\n{snapshot}",
-                self.reconciled,
-                self.snapshots_identical,
-                self.duplicates_clean,
-                rows.join(",\n"),
-            )
-        };
-        Metrics {
-            experiment: (!smoke).then_some("obs"),
-            schema: "uli-obs-v1",
-            body,
-            bench_file: "BENCH_obs.json",
-        }
-    }
+        .all(|s| !s.0.contains("\"duplicate_registrations\": [\""));
+    let snapshot = samples[0]
+        .0
+        .strip_prefix("{\n  \"schema\": \"uli-obs-v1\",\n")
+        .and_then(|s| s.strip_suffix("\n}\n"))
+        .expect("a uli-obs-v1 export");
+    let body = if smoke {
+        snapshot.to_string()
+    } else {
+        let verdicts = Body::default()
+            .put("reconciled", reconciled)
+            .put("snapshots_identical", identical)
+            .put("duplicates_clean", clean)
+            .rows("samples", samples.iter().map(|s| s.1.clone()));
+        format!("{},\n{snapshot}", verdicts.finish())
+    };
+    let gates = vec![
+        ("cross-layer totals did not reconcile".into(), reconciled),
+        ("snapshot differs across worker counts".into(), identical),
+        ("duplicate metric registrations found".into(), clean),
+    ];
+    let metrics = Metrics {
+        experiment: (!smoke).then_some("obs"),
+        schema: "uli-obs-v1",
+        body,
+        bench_file: "BENCH_obs.json",
+    };
+    Outcome::measured(gates, metrics, smoke)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uli_core::json::Json;
 
     #[test]
     fn snapshots_reconcile_and_are_worker_invariant() {
-        let m = sweep(60, &[1, 4, 8]);
-        assert!(m.reconciled, "cross-layer totals must reconcile");
-        assert!(
-            m.snapshots_identical,
-            "metrics + span snapshot must not depend on worker count"
-        );
-        assert!(m.duplicates_clean, "no metric may be registered twice");
-        assert!(
-            m.samples.iter().all(|s| s.crash_lost > 0),
-            "the hour-6 crash must lose something or the fault plan is dead"
-        );
-        assert!(
-            m.samples.iter().all(|s| s.oink_failures > 0),
-            "the staging outage must make the mover retry"
-        );
-        assert_eq!(
-            m.samples[0].critical_path, m.samples[2].critical_path,
-            "critical-path report must be identical at 1 and 8 workers"
-        );
-        // What a smoke run writes: the registry's export, headed by its
-        // schema alone.
+        let m = sweep(60, &[1, 4, 8], false);
         let json = crate::tests::assert_smoke_run(&m);
-        assert!(json.get("experiment").is_none());
-        assert_eq!(
-            json.get("schema").and_then(uli_core::json::Json::as_str),
-            Some("uli-obs-v1")
-        );
+        let Some(Json::Array(samples)) = json.get("samples") else {
+            panic!("no samples array");
+        };
+        for s in samples {
+            let count = |key| s.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+            assert!(
+                count("crash_lost") > 0.0,
+                "the hour-6 crash must lose something or the fault plan is dead"
+            );
+            assert!(
+                count("oink_failures") > 0.0,
+                "the staging outage must make the mover retry"
+            );
+        }
     }
 }

@@ -1,13 +1,16 @@
 //! Shared fixtures and formatting for the experiments.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::process::Command;
 use std::time::Instant;
 
 use crate::Metrics;
+use uli_core::client_event::CLIENT_EVENTS_CATEGORY;
 use uli_core::session::Materializer;
+use uli_scribe::{LogEntry, MoveReport, PipelineConfig, ScribePipeline};
+use uli_thrift::ThriftRecord;
 use uli_warehouse::Warehouse;
-use uli_workload::{generate_day, write_paper_raw_log, DayWorkload, WorkloadConfig};
+use uli_workload::{generate_day, write_paper_raw_log, DayStream, DayWorkload, WorkloadConfig};
 
 /// The standard workload used by most experiments: large enough to have
 /// stable statistics, small enough to run in seconds.
@@ -60,6 +63,47 @@ pub fn prepare_days(config: &WorkloadConfig, days: u64) -> (Warehouse, Vec<DayWo
     (warehouse, out)
 }
 
+/// Datacenters and hosts a datacenter in [`topology`].
+const DATACENTERS: usize = 2;
+const HOSTS_PER_DC: usize = 4;
+
+/// The delivery topology of every pipeline experiment: two datacenters of
+/// four hosts and two aggregators each, 10,000 records a landed file.
+pub fn topology() -> PipelineConfig {
+    PipelineConfig {
+        datacenters: DATACENTERS,
+        hosts_per_dc: HOSTS_PER_DC,
+        aggregators_per_dc: 2,
+        records_per_file: 10_000,
+        ..Default::default()
+    }
+}
+
+/// Delivers day 0 of `day` through `pipe` — built on [`topology`], its
+/// landing and taps already set — hour by hour, as production does: an
+/// hour's events are logged (datacenter by user id, host by arrival), then
+/// the pipeline steps, flushes, seals and moves the hour. Returns each
+/// hour's move report.
+pub fn deliver_day(pipe: &mut ScribePipeline, day: &WorkloadConfig) -> Vec<MoveReport> {
+    let mut by_hour: Vec<Vec<(i64, Vec<u8>)>> = vec![Vec::new(); 24];
+    for ev in DayStream::new(day, 0) {
+        by_hour[ev.timestamp.hour_index() as usize].push((ev.user_id, ev.to_bytes()));
+    }
+    let mut reports = Vec::new();
+    for (hour, events) in (0u64..).zip(by_hour) {
+        for (i, (user, bytes)) in events.into_iter().enumerate() {
+            let entry = LogEntry::new(CLIENT_EVENTS_CATEGORY, bytes);
+            pipe.log((user as usize) % DATACENTERS, i % HOSTS_PER_DC, entry);
+        }
+        pipe.step();
+        pipe.flush_hour(hour);
+        pipe.seal_hour(CLIENT_EVENTS_CATEGORY, hour);
+        let report = pipe.move_hour(CLIENT_EVENTS_CATEGORY, hour);
+        reports.push(report.expect("fault-free day: every hour moves"));
+    }
+    reports
+}
+
 /// A persisted metrics file: `{`, the head, the experiment's body, `}`.
 ///
 /// The head is the experiment and its schema and, on full runs only, the
@@ -91,6 +135,66 @@ pub fn envelope(metrics: &Metrics, smoke: bool) -> String {
     out.push_str(&metrics.body);
     out.push_str("\n}\n");
     out
+}
+
+/// A metrics body under construction: its members in order, one a line,
+/// as [`Metrics::body`] holds them.
+#[derive(Default)]
+pub struct Body(Vec<String>);
+
+impl Body {
+    /// Adds a member whose value is printed as it is: a number, a bool, or
+    /// an array or object already written.
+    pub fn put(mut self, key: &str, value: impl Display) -> Body {
+        self.0.push(format!("  \"{key}\": {value}"));
+        self
+    }
+
+    /// Adds an array of objects, one a line.
+    pub fn rows(self, key: &str, rows: impl IntoIterator<Item = String>) -> Body {
+        let rows: Vec<String> = rows.into_iter().map(|r| format!("    {r}")).collect();
+        self.put(key, format!("[\n{}\n  ]", rows.join(",\n")))
+    }
+
+    /// The members, as [`Metrics::body`] holds them.
+    pub fn finish(self) -> String {
+        self.0.join(",\n")
+    }
+
+    /// The metrics `experiment` persists in `bench_file` under `schema`.
+    pub fn metrics(
+        self,
+        experiment: &'static str,
+        schema: &'static str,
+        bench_file: &'static str,
+    ) -> Metrics {
+        Metrics {
+            experiment: Some(experiment),
+            schema,
+            body: self.finish(),
+            bench_file,
+        }
+    }
+}
+
+/// A string as a JSON string (the experiments' strings need no escapes).
+pub fn quoted(s: &str) -> String {
+    format!("\"{s}\"")
+}
+
+/// A one-line JSON object: `{"key": value, ...}`, each value printed as it
+/// is (see [`quoted`] for a string).
+pub fn object_of<K: Display, V: Display>(members: impl IntoIterator<Item = (K, V)>) -> String {
+    let members: Vec<String> = members
+        .into_iter()
+        .map(|(key, value)| format!("\"{key}\": {value}"))
+        .collect();
+    format!("{{{}}}", members.join(", "))
+}
+
+/// [`object_of`] a fixed list of members of any printable types.
+pub fn object(members: &[(&str, &dyn Display)]) -> String {
+    object_of(members.iter().copied())
 }
 
 /// Peak resident memory (`VmHWM`) of this process so far, MB; 0 where

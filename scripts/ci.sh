@@ -265,15 +265,14 @@ echo "== chaos gate (seeded sweep + delivery-invariant checker)"
 cargo test -q --test chaos
 cargo run --release -q -p uli-bench --bin repro -- --smoke e16
 
-# golden_gate <exp> <label> [required-grep…]
-# Runs `repro --smoke <exp>` (which exits nonzero if any of the experiment's
-# own invariants fails), diffs the machine-independent metrics it writes
-# against the committed golden, and requires every grep pattern in them —
-# the greps keep a gate honest against accidental removal of an invariant
-# from the experiment.
+# golden_gate <exp> <label>
+# Runs `repro --smoke <exp>`, which exits nonzero if any of the experiment's
+# own gates fails, and diffs the machine-independent metrics it writes
+# against the committed golden. A bound lives in one place: the
+# experiment's gates or the test that holds it (DESIGN.md's experiment
+# index names which), never in a grep here.
 golden_gate() {
     local exp=$1 label=$2
-    shift 2
     local out=target/${exp}_smoke.metrics.json
     local golden=crates/bench/golden/${exp}_smoke.golden.json
     echo "== $label gate ($exp smoke metrics vs golden)"
@@ -284,114 +283,15 @@ golden_gate() {
         echo "  cp $out $golden" >&2
         exit 1
     fi
-    local pattern
-    for pattern in "$@"; do
-        if ! grep -q -- "$pattern" "$out"; then
-            echo "$label gate: $out lacks $pattern" >&2
-            exit 1
-        fi
-    done
 }
 
-# forbid <exp> <grep> <why>: the metrics of <exp> must not contain <grep>.
-forbid() {
-    if grep -q -- "$2" "target/$1_smoke.metrics.json"; then
-        echo "$1 gate: $3" >&2
-        exit 1
-    fi
-}
-
-# e17: the registry snapshot of one instrumented run.
 golden_gate e17 obs
-forbid e17 '"duplicate_registrations": \["' "a metric was registered twice."
-
-# e18: batched ingest.
 golden_gate e18 ingest
-
-# e19: every columnar arm returns the row reference's rows, and an aggregate
-# straight over the LOAD still reads only the column it declares: a ratio of
-# two byte counts, so the gate holds on any machine.
-golden_gate e19 columnar '"outputs_identical": true'
-forbid e19 '"arm": "events-per-user", .*"fields_skipped": 0,' \
-    "events-per-user skipped no field — the aggregate's projection mask is not applied."
-ratio=$(sed -n 's/.*"projection_bytes_ratio": \([0-9.]*\).*/\1/p' target/e19_smoke.metrics.json)
-if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 <= 0.20) }'; then
-    echo "e19 gate: events-per-user decodes ${ratio:-?} of its full-width bytes (limit 0.20)." >&2
-    exit 1
-fi
-# Values are stored as what they are: on the smoke day every run of the ids,
-# timings and ranks of `details`, and every `ip` chunk, took a shape. A
-# count, so a writer that quietly falls back to raw everywhere fails here on
-# any host, not only in the benchmark's bytes a record.
-for run in '"column": "ip", "key": ""' \
-    '"key": "request_id"' '"key": "page_load_ms"' '"key": "target_id"' '"key": "tweet_id"' '"key": "rank"'; do
-    if ! grep -q -- "$run, \"raw\": 0, " target/e19_smoke.metrics.json; then
-        echo "e19 gate: a value run of {$run} is missing or stayed raw." >&2
-        exit 1
-    fi
-done
-# A few values are stored once each: the initiator column and the free-text
-# details keys took the dictionary shape in every group, and timestamps the
-# bit-packed layout in most.
-for run in '"column": "initiator", "key": ""' '"key": "user_agent"' '"key": "referrer"' \
-    '"key": "lang"' '"key": "client_version"'; do
-    if ! grep -qE -- "$run, \"raw\": 0, \"hex\": 0, \"quad\": 0, \"decimal\": 0, \"dict\": [1-9]" \
-        target/e19_smoke.metrics.json; then
-        echo "e19 gate: a value run of {$run} is missing or not a dictionary in every group." >&2
-        exit 1
-    fi
-done
-layouts=$(sed -n 's/.*"timestamp": {"varints": \([0-9]*\), "packed": \([0-9]*\)}.*/\1 \2/p' \
-    target/e19_smoke.metrics.json)
-if ! awk -v l="$layouts" 'BEGIN { split(l, n, " "); exit !(l != "" && n[2] + 0 > n[1] + 0) }'; then
-    echo "e19 gate: timestamp chunks (varints, packed) = (${layouts:-?}): packing is not taken." >&2
-    exit 1
-fi
-
-# e20: tiny budgets on a real (smoke-sized) day: the materializer and at
-# least one query's tight arm must spill, every tight arm must return the
-# default arm's rows — and the tight pass 2 the default pass 2's part
-# files — byte for byte, and every stage must keep its high-water mark
-# under its budget.
-golden_gate e20 bounded-memory \
-    '"queries_identical": true' \
-    '"mat_identical": true' \
-    '"peaks_within_budget": true'
-forbid e20 '"budgeted_spill_runs": 0,' "no stage spilled — the tiny budgets are not binding."
-if ! grep -q '"arm": "tight", .*"spill_runs": [1-9]' target/e20_smoke.metrics.json; then
-    echo "e20 gate: no tight-arm query spilled — the tight budget is not binding." >&2
-    exit 1
-fi
-
-# e21: streaming analytics vs batch over the pinned smoke day plus a seeded
-# chaos sweep: views identical across worker counts, equal to batch for
-# exact aggregates, within every sketch's declared error bound, and
-# reconciled against the audited delivered partition.
-golden_gate e21 lambda \
-    '"streaming_matches_batch": true' \
-    '"hll_within_bound": true' \
-    '"topk_within_bound": true' \
-    '"percentile_within_bound": true' \
-    '"chaos_reconciled": true'
-
-# e22: point lookups off the incrementally-maintained index vs the batch
-# engine: byte-identical answers at every worker count, >=50x fewer decoded
-# bytes, serve/* registry reconciled against the maintainer, and chaos
-# indexes (with crash-window injection between hour-land and index-commit)
-# accounting for exactly the delivered partition after recovery.
-golden_gate e22 serving \
-    '"answers_match": true' \
-    '"index_lag_hours": 0,' \
-    '"obs_reconciled": true' \
-    '"chaos_consistent": true'
-
-# e23: the parallel mover: landed files, seen-set and tap dispatch
-# byte-identical at workers {1,4,8}, the seeded chaos sweep invariant-clean
-# and identical at 8 workers, and >=3x at 8 workers in the cost model.
-golden_gate e23 delivery \
-    '"identical_across_workers": true' \
-    '"chaos_clean": true' \
-    '"chaos_matches_serial": true'
+golden_gate e19 columnar
+golden_gate e20 bounded-memory
+golden_gate e21 lambda
+golden_gate e22 serving
+golden_gate e23 delivery
 
 # Counts, not clocks: no smoke metrics file, and no persisted BENCH file but
 # E20's, carries a wall-clock key (a cost-model figure says `cost` in its

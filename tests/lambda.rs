@@ -204,11 +204,12 @@ fn random_shard_counts_and_merge_orders_converge() {
 /// Chaos reconciliation: under seeded crash/expiry/outage/link-fault
 /// schedules, the streaming layer must observe exactly the records the
 /// audited run delivered — `check_invariants`' `delivered` partition — and
-/// nothing from the lost or dropped partitions.
+/// nothing from the lost or dropped partitions. Sixteen seeds, as E21's
+/// full run swept before the sweep moved here.
 #[test]
 fn chaos_streaming_totals_match_delivered_partition() {
     let cfg = ChaosConfig::default();
-    for seed in 0..10u64 {
+    for seed in 0..16u64 {
         let analytics = StreamAnalytics::new(StreamConfig::default());
         let o = run_chaos_tapped(seed, &cfg, analytics.tap());
         assert!(

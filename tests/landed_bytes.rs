@@ -6,12 +6,12 @@
 //! delivery leaves behind is digested against recorded constants: every
 //! landed file (block streams and zone maps), every `hour.idx`, the mover's
 //! seen-set snapshot and the merged stream views. A write-path change that
-//! moves a single landed byte, at any worker count, fails here. The seen
-//! set and the views stand as first recorded; the landed files and the
-//! indexes were recorded again when their formats changed (columnar v3, v4
-//! and v5, the varint `hour.idx` and its v2), and the session-sequence part
-//! files when they became columnar, against the decoded-row digests and the
-//! decoded-index digest below.
+//! moves a single landed byte, at any worker count or batch policy, fails
+//! here. The seen set and the views stand as first recorded; the landed
+//! files and the indexes were recorded again when their formats changed
+//! (columnar v3, v4 and v5, the varint `hour.idx` and its v2), and the
+//! session-sequence part files when they became columnar, against the
+//! decoded-row digests and the decoded-index digest below.
 //!
 //! The second shape cuts the same day into 40-record files of 16-row
 //! groups and slips an undecodable payload into every traffic hour, so
@@ -44,7 +44,7 @@ use uli_core::session::{day_dir, dictionary_dir, sequences_dir, Materializer};
 use uli_core::{ClientEvent, ClientEventLanding, EventInitiator, EventName, Timestamp};
 use uli_dataflow::Loader;
 use uli_scribe::message::LogEntry;
-use uli_scribe::{PipelineConfig, ScribePipeline};
+use uli_scribe::{BatchPolicy, PipelineConfig, ScribePipeline};
 use uli_serve::hour::{by_file, index_dir, load_hour_index, Postings};
 use uli_serve::IndexMaintainer;
 use uli_stream::{StreamAnalytics, StreamConfig, StreamState};
@@ -245,6 +245,7 @@ fn deliver(
     landing: ClientEventLanding,
     records_per_file: u64,
     garbage: bool,
+    batch: BatchPolicy,
 ) -> (Delivered, Warehouse) {
     let workers = Parallelism::fixed(workers);
     let mut pipe = ScribePipeline::new(PipelineConfig {
@@ -253,7 +254,7 @@ fn deliver(
         aggregators_per_dc: 2,
         records_per_file,
         workers,
-        ..Default::default()
+        batch,
     });
     pipe.set_columnar_landing(Arc::new(landing));
     let index = IndexMaintainer::new(pipe.main_warehouse().clone(), CLIENT_EVENTS_CATEGORY)
@@ -393,7 +394,14 @@ fn delivered_day_matches_the_recorded_digests() {
         sequence_rows: 11853522486906104997,
     };
     for workers in [1, 4] {
-        let (delivered, wh) = deliver(workers, ClientEventLanding::default(), 10_000, false);
+        let default = BatchPolicy::default();
+        let (delivered, wh) = deliver(
+            workers,
+            ClientEventLanding::default(),
+            10_000,
+            false,
+            default,
+        );
         assert_eq!(
             delivered, pipeline_shape,
             "E22/E23 shape at {workers} workers"
@@ -402,7 +410,7 @@ fn delivered_day_matches_the_recorded_digests() {
             dictionary: true,
             rows_per_group: 16,
         };
-        let (delivered_small, wh_small) = deliver(workers, small, 40, true);
+        let (delivered_small, wh_small) = deliver(workers, small, 40, true, default);
         assert_eq!(
             delivered_small, stress_shape,
             "40-record files of 16-row groups at {workers} workers"
@@ -410,6 +418,17 @@ fn delivered_day_matches_the_recorded_digests() {
         if workers == 1 {
             assert_sequences_at_any_worker_count_and_budget(&wh, &pipeline_shape);
             assert_sequences_at_any_worker_count_and_budget(&wh_small, &stress_shape);
+            // Batching changes how entries share network messages, never
+            // what lands: one entry a message, or up to 8 or 128.
+            let caps = [8, 128].map(|max_records| BatchPolicy {
+                max_records,
+                ..default
+            });
+            for batch in [BatchPolicy::unbatched()].into_iter().chain(caps) {
+                let landing = ClientEventLanding::default();
+                let (delivered, _) = deliver(workers, landing, 10_000, false, batch);
+                assert_eq!(delivered, pipeline_shape, "{batch:?}");
+            }
         }
     }
 }
@@ -418,7 +437,8 @@ fn delivered_day_matches_the_recorded_digests() {
 /// keep, and how little of it a one-column question takes off disk.
 #[test]
 fn the_landed_day_stays_small_and_a_name_only_pass_reads_a_sliver_of_it() {
-    let (delivered, wh) = deliver(1, ClientEventLanding::default(), 10_000, false);
+    let default = BatchPolicy::default();
+    let (delivered, wh) = deliver(1, ClientEventLanding::default(), 10_000, false, default);
     let day = day_dir(CLIENT_EVENTS_CATEGORY, 0);
     let stored = wh.dir_meta(&day).expect("a landed day").compressed_bytes;
     // 43.49 bytes a record when this was recorded (columnar v4 landed 47.3,

@@ -16,7 +16,8 @@ use proptest::prelude::*;
 use unified_logging::core::write_client_events_columnar;
 use unified_logging::prelude::*;
 use unified_logging::serve::{
-    batch_count, batch_sessions, batch_top_names, batch_user_events, user_events_plan, ServeHandle,
+    batch_count, batch_sessions, batch_top_names, batch_user_events, IndexMaintainer, LookupStats,
+    ServeHandle,
 };
 use unified_logging::warehouse::HourlyPartition;
 
@@ -38,57 +39,61 @@ struct Fixture {
 
 static FIX: OnceLock<Fixture> = OnceLock::new();
 
-/// One landed day, built once: generated events bucketed per hour, landed
-/// columnar with small row groups, indexed through the delivery-tap path.
+/// The landed day the properties share, built once.
 fn fixture() -> &'static Fixture {
-    FIX.get_or_init(|| {
-        let day = generate_day(
-            &WorkloadConfig {
-                users: 60,
-                ..Default::default()
-            },
-            0,
-        );
-        let wh = Warehouse::new();
-        let mut by_hour: Vec<Vec<ClientEvent>> = vec![Vec::new(); 24];
-        let mut users: Vec<i64> = Vec::new();
-        let mut names: Vec<String> = Vec::new();
-        for ev in day.events {
-            let hour = ev.timestamp.hour_index();
-            if hour >= TRUNCATE_AT {
-                continue;
-            }
-            users.push(ev.user_id);
-            names.push(ev.name.as_str().to_string());
-            by_hour[hour as usize].push(ev);
+    FIX.get_or_init(|| landed_day(&Registry::new()))
+}
+
+/// One landed day: generated events bucketed per hour, landed columnar with
+/// small row groups, indexed through the delivery-tap path by a maintainer
+/// mirroring into `registry`.
+fn landed_day(registry: &Registry) -> Fixture {
+    let day = generate_day(
+        &WorkloadConfig {
+            users: 60,
+            ..Default::default()
+        },
+        0,
+    );
+    let wh = Warehouse::new();
+    let mut by_hour: Vec<Vec<ClientEvent>> = vec![Vec::new(); 24];
+    let mut users: Vec<i64> = Vec::new();
+    let mut names: Vec<String> = Vec::new();
+    for ev in day.events {
+        let hour = ev.timestamp.hour_index();
+        if hour >= TRUNCATE_AT {
+            continue;
         }
-        users.sort_unstable();
-        users.dedup();
-        names.sort_unstable();
-        names.dedup();
-        let m = unified_logging::serve::IndexMaintainer::new(wh.clone(), "client_events");
-        for (hour, events) in by_hour.iter().enumerate() {
-            if events.is_empty() {
-                continue;
-            }
-            let partition = HourlyPartition::from_hour_index("client_events", hour as u64);
-            write_client_events_columnar(
-                &wh,
-                &partition.main_dir().child("part-00000").unwrap(),
-                events,
-                true,
-                8,
-            )
-            .unwrap();
-            m.tap().hour_delivered(&partition, &[]);
+        users.push(ev.user_id);
+        names.push(ev.name.as_str().to_string());
+        by_hour[hour as usize].push(ev);
+    }
+    users.sort_unstable();
+    users.dedup();
+    names.sort_unstable();
+    names.dedup();
+    let m = IndexMaintainer::with_obs(wh.clone(), "client_events", registry);
+    for (hour, events) in by_hour.iter().enumerate() {
+        if events.is_empty() {
+            continue;
         }
-        Fixture {
-            wh,
-            handle: m.handle(),
-            users,
-            names,
-        }
-    })
+        let partition = HourlyPartition::from_hour_index("client_events", hour as u64);
+        write_client_events_columnar(
+            &wh,
+            &partition.main_dir().child("part-00000").unwrap(),
+            events,
+            true,
+            8,
+        )
+        .unwrap();
+        m.tap().hour_delivered(&partition, &[]);
+    }
+    Fixture {
+        wh,
+        handle: m.handle(),
+        users,
+        names,
+    }
 }
 
 /// Maps a raw pick onto a user the day saw (even picks) or one it never
@@ -172,30 +177,76 @@ proptest! {
     }
 }
 
-/// The serving layer never decodes more than the batch engine for the
-/// same lookup — pruning can only shrink the bill. Both bills come from
-/// the file handles each side opened itself, so the proptests reading the
-/// shared fixture beside this test cannot leak into either.
+/// The serving layer never decodes more than the batch engine for the same
+/// lookup — pruning can only shrink the bill — and over the lookup suite E22
+/// bills (the sessions of a present and an absent user; user events of
+/// present and absent users in traffic hours and past the day; counts of a
+/// logged and an unlogged name over the day, one hour and hours past it; top
+/// names) it decodes at least 50× fewer bytes, while the `serve/*` registry
+/// counts every lookup and every group the index pruned. The test lands a
+/// day of its own, so the proptests reading the shared fixture beside it
+/// cannot leak into its bills or counters.
 #[test]
 fn serve_never_decodes_more_than_batch() {
-    let f = fixture();
-    let engine = Engine::new(f.wh.clone()).with_parallelism(Parallelism::fixed(1));
-    for user in [f.users[0], f.users[f.users.len() / 2], -1] {
+    let registry = Registry::new();
+    let f = landed_day(&registry);
+    let (h, wh) = (&f.handle, &f.wh);
+    let (mut serve, mut batch) = (Vec::new(), 0);
+    // Bills one lookup: the serving layer's stats, then the bytes the
+    // warehouse decoded for its batch twin.
+    let mut bill = |what: String, stats: LookupStats, twin: &mut dyn FnMut()| {
+        let before = wh.stats();
+        twin();
+        let bytes = wh.stats().since(&before).uncompressed_bytes_read;
+        assert!(
+            stats.decoded_bytes <= bytes,
+            "{what}: serve decoded {} B, batch {bytes} B",
+            stats.decoded_bytes
+        );
+        serve.push(stats);
+        batch += bytes;
+    };
+    let (first, median, absent) = (f.users[0], f.users[f.users.len() / 2], -1);
+    for u in [median, absent] {
+        let stats = h.sessions(u, 0).unwrap().1;
+        bill(format!("sessions {u}"), stats, &mut || {
+            drop(batch_sessions(wh, "client_events", 0, u, 1).unwrap())
+        });
+    }
+    for u in [first, median, absent] {
         for hour in [0u64, 7, 25] {
-            let serve_bytes = f
-                .handle
-                .user_events(user, hour)
-                .unwrap()
-                .stats
-                .decoded_bytes;
-            let batch_bytes = match user_events_plan(&f.wh, "client_events", hour, user) {
-                Some(plan) => engine.run(&plan).unwrap().stats.input_bytes_uncompressed,
-                None => 0,
-            };
-            assert!(
-                serve_bytes <= batch_bytes,
-                "user {user} hour {hour}: serve decoded {serve_bytes} B, batch {batch_bytes} B"
-            );
+            let stats = h.user_events(u, hour).unwrap().stats;
+            bill(format!("user {u} hour {hour}"), stats, &mut || {
+                drop(batch_user_events(wh, "client_events", hour, u, 1).unwrap())
+            });
         }
     }
+    let (name, unlogged) = (f.names[0].as_str(), "never:logged:by:any:client:ever");
+    for (n, hours) in [
+        (name, 0..24),
+        (unlogged, 0..24),
+        (name, 7..8),
+        (name, 24..48),
+    ] {
+        let stats = h.count(n, hours.clone()).stats;
+        bill(format!("count {n} {hours:?}"), stats, &mut || {
+            drop(batch_count(wh, "client_events", hours.clone(), n, 1).unwrap())
+        });
+    }
+    for (hour, k) in [(7, 5), (3, 3), (25, 5)] {
+        let stats = h.top_names(hour, k).stats;
+        bill(format!("top-names {hour} {k}"), stats, &mut || {
+            drop(batch_top_names(wh, "client_events", hour, k, 1).unwrap())
+        });
+    }
+    let decoded: u64 = serve.iter().map(|s| s.decoded_bytes).sum();
+    assert!(
+        batch >= 50 * decoded,
+        "the suite decoded {decoded} B off the index and {batch} B off batch: under 50x"
+    );
+    let snap = registry.snapshot();
+    let pruned: u64 = serve.iter().map(|s| s.groups_pruned).sum();
+    let lookups = serve.len() as u64;
+    assert_eq!(snap.counter_value("serve/lookups_served"), Some(lookups));
+    assert_eq!(snap.counter_value("serve/row_groups_pruned"), Some(pruned));
 }
