@@ -156,9 +156,10 @@ pub const I64_LAYOUTS: [(&str, StoredAs); 2] =
 
 /// Value runs that must never stay raw on the smoke day: ids, timings and
 /// addresses are stored as what they are.
-const NEVER_RAW: [(&str, &str); 6] = [
+const NEVER_RAW: [(&str, &str); 7] = [
     ("ip", ""),
     ("details", "request_id"),
+    ("details", "target_url"),
     ("details", "page_load_ms"),
     ("details", "target_id"),
     ("details", "tweet_id"),
