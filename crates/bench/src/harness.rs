@@ -63,8 +63,9 @@ pub fn prepare_days(config: &WorkloadConfig, days: u64) -> (Warehouse, Vec<DayWo
     (warehouse, out)
 }
 
-/// Datacenters and hosts a datacenter in [`topology`].
+/// Datacenters in [`topology`]; [`deliver_day`] spreads users over them.
 const DATACENTERS: usize = 2;
+/// Hosts a datacenter in [`topology`]; [`deliver_day`] deals events over them.
 const HOSTS_PER_DC: usize = 4;
 
 /// The delivery topology of every pipeline experiment: two datacenters of
