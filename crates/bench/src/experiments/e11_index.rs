@@ -19,7 +19,7 @@ use uli_warehouse::{Warehouse, WhPath};
 use uli_workload::{generate_day, write_client_events};
 
 use crate::cells;
-use crate::harness::{standard_config, timed, Table};
+use crate::harness::{standard_config, Table};
 
 /// Runs the experiment.
 pub fn run() -> String {
@@ -33,11 +33,11 @@ pub fn run() -> String {
     // them from the log. Drop-and-rebuild is that same path from scratch;
     // it writes under `/index/serve` only, never a data file.
     let first = IndexMaintainer::new(wh.clone(), CLIENT_EVENTS_CATEGORY);
-    let (hours, build_ms) = timed(|| first.recover().expect("data present"));
+    let hours = first.recover().expect("data present");
     wh.delete_dir(&WhPath::parse("/index/serve").expect("valid path"))
         .expect("index committed");
     let maintainer = IndexMaintainer::new(wh.clone(), CLIENT_EVENTS_CATEGORY);
-    let (rebuilt, rebuild_ms) = timed(|| maintainer.recover().expect("rebuild from scratch"));
+    let rebuilt = maintainer.recover().expect("rebuild from scratch");
     assert_eq!(rebuilt, hours, "every dropped hour is rebuilt");
     for hour in first.indexed_hours() {
         assert_eq!(maintainer.hour_index(hour), first.hour_index(hour));
@@ -46,8 +46,7 @@ pub fn run() -> String {
 
     let mut out = format!(
         "E11 — Elephant Twin index pushdown (§6)\n\
-         index over {} files in {hours} hours built in {build_ms:.0} ms; \
-         drop-and-rebuild {rebuild_ms:.0} ms\n\
+         index over {} files in {hours} hours built, dropped and rebuilt\n\
          (rebuild never rewrites data files — the anti-Trojan-layout design).\n\n",
         files.len()
     );
@@ -60,7 +59,6 @@ pub fn run() -> String {
         "mappers",
         "groups read",
         "groups skipped",
-        "wall ms",
     ]);
     let names: BTreeSet<_> = day.events.iter().map(|e| &e.name).collect();
     let engine = Engine::new(wh.clone());
@@ -82,19 +80,16 @@ pub fn run() -> String {
             )
         };
         let query = |load: Plan| load.filter(predicate.clone()).aggregate(vec![Agg::count()]);
-        let (full, full_ms) = timed(|| engine.run(&query(load())).expect("runs"));
+        let full = engine.run(&query(load())).expect("runs");
         let indexed = query(load().with_pruner(Arc::clone(&pruner)));
-        let (pruned, pruned_ms) = timed(|| engine.run(&indexed).expect("runs"));
+        let pruned = engine.run(&indexed).expect("runs");
         assert_eq!(
             full.rows[0][0], pruned.rows[0][0],
             "answers agree: {pattern}"
         );
 
         let selectivity = full.rows[0][0].as_int().unwrap_or(0) as f64 / day.events.len() as f64;
-        for (label, r, ms) in [
-            ("full scan", &full, full_ms),
-            ("indexed", &pruned, pruned_ms),
-        ] {
+        for (label, r) in [("full scan", &full), ("indexed", &pruned)] {
             t.row(cells![
                 pattern,
                 format!("{:.2}%", selectivity * 100.0),
@@ -102,8 +97,7 @@ pub fn run() -> String {
                 r.rows[0][0],
                 r.stats.map_tasks,
                 r.stats.input_blocks,
-                r.stats.blocks_skipped,
-                format!("{ms:.1}")
+                r.stats.blocks_skipped
             ]);
         }
         // "full scan" still checks in-file zone maps; postings only add.

@@ -25,23 +25,25 @@ use std::sync::{Arc, Mutex};
 
 use uli_core::client_event::{ClientEventLoader, CLIENT_EVENT_SCHEMA};
 use uli_core::session::{day_dir, Materializer};
+use uli_core::ClientEventLanding;
 use uli_dataflow::prelude::*;
 use uli_obs::Registry;
 use uli_oink::Oink;
-use uli_scribe::{LogEntry, ScribePipeline};
-use uli_thrift::ThriftRecord;
+use uli_scribe::ScribePipeline;
 use uli_workload::{generate_day, WorkloadConfig};
 
+use crate::experiments::e1_scribe::log_hour;
 use crate::harness::{object, topology, Body};
 use crate::{Metrics, Outcome};
 
-/// Drives one instrumented day: Scribe delivery with E1's fault plan, the
-/// Oink-scheduled hourly mover (retried through the outage), and the daily
-/// materialize + count-query jobs, all sharing one registry. Returns the
-/// registry's export (metrics, span forest and critical path), the day's
-/// sample row, and whether its layers reconcile: entries logged by Scribe
-/// equal records scanned by the query's source stage plus crash losses and
-/// policy drops, and the query's own count agrees with the scan counter.
+/// Drives one instrumented day: Scribe delivery, landing columnar, with
+/// E1's fault plan, the Oink-scheduled hourly mover (retried through the
+/// outage), and the daily materialize + count-query jobs, all sharing one
+/// registry. Returns the registry's export (metrics, span forest and
+/// critical path), the day's sample row, and whether its layers reconcile:
+/// entries logged by Scribe equal records scanned by the query's source
+/// stage plus crash losses and policy drops, and the query's own count
+/// agrees with the scan counter.
 fn run_once(users: u64, workers: usize) -> (String, String, bool) {
     let registry = Registry::new();
     let config = topology();
@@ -52,7 +54,9 @@ fn run_once(users: u64, workers: usize) -> (String, String, bool) {
         },
         0,
     );
-    let pipe = Arc::new(Mutex::new(ScribePipeline::new_with_obs(config, &registry)));
+    let mut pipe = ScribePipeline::new_with_obs(config, &registry);
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
+    let pipe = Arc::new(Mutex::new(pipe));
     let main = pipe.lock().unwrap().main_warehouse().clone();
 
     let mut oink = Oink::new();
@@ -102,30 +106,7 @@ fn run_once(users: u64, workers: usize) -> (String, String, bool) {
     for hour in 0..24u64 {
         {
             let mut p = pipe.lock().unwrap();
-            for (i, ev) in day
-                .events
-                .iter()
-                .filter(|e| e.timestamp.hour_index() == hour)
-                .enumerate()
-            {
-                let dc = (ev.user_id as usize) % config.datacenters;
-                p.log(
-                    dc,
-                    i % config.hosts_per_dc,
-                    LogEntry::new("client_events", ev.to_bytes()),
-                );
-            }
-            p.step();
-            match hour {
-                6 => {
-                    p.crash_aggregator(0, 0);
-                    p.spawn_aggregator(0, 0);
-                    p.step();
-                }
-                12 => p.set_staging_available(1, false),
-                14 => p.set_staging_available(1, true),
-                _ => {}
-            }
+            log_hour(&mut p, &config, &day.events, hour, true);
             p.flush_hour(hour);
         }
         oink.advance_hour(hour);

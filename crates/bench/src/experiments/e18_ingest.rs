@@ -9,8 +9,11 @@
 //! encode-allocation bytes. That batching lands the same bytes is
 //! `tests/landed_bytes.rs`'s to hold.
 
-use uli_core::session::day_dir;
+use std::sync::Arc;
+
+use uli_core::ClientEventLanding;
 use uli_scribe::{BatchPolicy, PipelineConfig, ScribePipeline};
+use uli_stream::PayloadSizes;
 use uli_workload::WorkloadConfig;
 
 use crate::harness::{deliver_day, object, quoted, topology, Body};
@@ -37,6 +40,9 @@ fn run_once(users: u64, label: &str, batch: BatchPolicy) -> (u64, u64, u64, Stri
         batch,
         ..topology()
     });
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
+    let sizes = PayloadSizes::default();
+    pipe.add_delivery_tap(Box::new(sizes.clone()));
     let day = WorkloadConfig {
         users,
         ..Default::default()
@@ -45,19 +51,12 @@ fn run_once(users: u64, label: &str, batch: BatchPolicy) -> (u64, u64, u64, Stri
     let report = pipe.report();
     let (messages, wire_bytes) = pipe.network().message_cost();
 
-    // Encode-allocation cost model, from measured byte totals: the legacy
-    // aggregator allocated one envelope Vec per record; the scratch path
-    // reuses one buffer per file, which grows to the largest envelope.
-    let wh = pipe.main_warehouse();
+    // Encode-allocation cost model, from the payload sizes the delivery
+    // handed its taps: the legacy aggregator allocated one envelope Vec per
+    // record; the scratch path reuses one buffer per hour's file, which
+    // grows to the largest envelope.
     let (mut legacy, mut scratch) = (0u64, 0u64);
-    let day_files = wh.list_files_recursive(&day_dir("client_events", 0));
-    for path in day_files.expect("day landed") {
-        let records = wh.open(&path).expect("file").read_all();
-        let lens: Vec<u64> = records
-            .expect("clean read")
-            .iter()
-            .map(|r| r.len() as u64)
-            .collect();
+    for lens in (0..24).map(|hour| sizes.hour(hour)) {
         legacy += lens.iter().sum::<u64>();
         scratch += lens.iter().max().unwrap_or(&0);
     }

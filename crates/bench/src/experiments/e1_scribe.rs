@@ -6,17 +6,54 @@
 //! case of HDFS outages." Hard crashes may lose unflushed data (Scribe is
 //! not a database); the experiment quantifies the envelope.
 
+use std::sync::Arc;
+
+use uli_core::client_event::{ClientEvent, CLIENT_EVENTS_CATEGORY};
+use uli_core::ClientEventLanding;
 use uli_scribe::pipeline::PipelineConfig;
 use uli_scribe::{LogEntry, ScribePipeline};
 use uli_thrift::ThriftRecord;
 use uli_workload::{generate_day, WorkloadConfig};
 
 use crate::cells;
-use crate::harness::{timed, Table};
+use crate::harness::Table;
 
-/// Drives one day through the pipeline with the given fault plan. Returns
-/// (pipeline, wall ms).
-pub fn drive(faults: bool) -> (ScribePipeline, f64) {
+/// Logs hour `hour` of `events` through `pipe`, built on `config` — each
+/// event to a datacenter by user id and a host by arrival — and steps the
+/// pipeline; then, with `faults`, applies the fault plan: an aggregator
+/// crash at hour 6 and a staging outage in datacenter 1 over hours 12–13.
+pub fn log_hour(
+    pipe: &mut ScribePipeline,
+    config: &PipelineConfig,
+    events: &[ClientEvent],
+    hour: u64,
+    faults: bool,
+) {
+    let hour_events = events.iter().filter(|e| e.timestamp.hour_index() == hour);
+    for (i, ev) in hour_events.enumerate() {
+        let entry = LogEntry::new(CLIENT_EVENTS_CATEGORY, ev.to_bytes());
+        pipe.log(
+            (ev.user_id as usize) % config.datacenters,
+            i % config.hosts_per_dc,
+            entry,
+        );
+    }
+    pipe.step();
+    match (faults, hour) {
+        (true, 6) => {
+            pipe.crash_aggregator(0, 0);
+            pipe.spawn_aggregator(0, 0);
+            pipe.step();
+        }
+        (true, 12) => pipe.set_staging_available(1, false),
+        (true, 14) => pipe.set_staging_available(1, true),
+        _ => {}
+    }
+}
+
+/// Drives one day through the pipeline, landing it columnar, with or
+/// without the fault plan of [`log_hour`].
+pub fn drive(faults: bool) -> ScribePipeline {
     let config = PipelineConfig {
         datacenters: 3,
         hosts_per_dc: 16,
@@ -32,46 +69,20 @@ pub fn drive(faults: bool) -> (ScribePipeline, f64) {
         0,
     );
     let mut pipe = ScribePipeline::new(config);
-    let ((), ms) = timed(|| {
-        for hour in 0..24u64 {
-            for (i, ev) in day
-                .events
-                .iter()
-                .filter(|e| e.timestamp.hour_index() == hour)
-                .enumerate()
-            {
-                let dc = (ev.user_id as usize) % config.datacenters;
-                pipe.log(
-                    dc,
-                    i % config.hosts_per_dc,
-                    LogEntry::new("client_events", ev.to_bytes()),
-                );
-            }
-            pipe.step();
-            if faults {
-                match hour {
-                    6 => {
-                        pipe.crash_aggregator(0, 0);
-                        pipe.spawn_aggregator(0, 0);
-                        pipe.step();
-                    }
-                    12 => pipe.set_staging_available(1, false),
-                    14 => pipe.set_staging_available(1, true),
-                    _ => {}
-                }
-            }
-            pipe.flush_hour(hour);
-            pipe.seal_hour("client_events", hour);
-            let _ = pipe.move_hour("client_events", hour);
-        }
-        // Recovery sweep: flush buffers and move any deferred hours.
-        pipe.flush_hour(23);
-        for hour in 0..24u64 {
-            pipe.seal_hour("client_events", hour);
-            let _ = pipe.move_hour("client_events", hour);
-        }
-    });
-    (pipe, ms)
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
+    for hour in 0..24u64 {
+        log_hour(&mut pipe, &config, &day.events, hour, faults);
+        pipe.flush_hour(hour);
+        pipe.seal_hour(CLIENT_EVENTS_CATEGORY, hour);
+        let _ = pipe.move_hour(CLIENT_EVENTS_CATEGORY, hour);
+    }
+    // Recovery sweep: flush buffers and move any deferred hours.
+    pipe.flush_hour(23);
+    for hour in 0..24u64 {
+        pipe.seal_hour(CLIENT_EVENTS_CATEGORY, hour);
+        let _ = pipe.move_hour(CLIENT_EVENTS_CATEGORY, hour);
+    }
+    pipe
 }
 
 /// Runs the experiment.
@@ -89,10 +100,9 @@ pub fn run() -> String {
         "moved",
         "crash-lost",
         "host-buffered",
-        "wall-ms",
     ]);
     for (label, faults) in [("fault-free", false), ("with-faults", true)] {
-        let (pipe, ms) = drive(faults);
+        let pipe = drive(faults);
         let r = pipe.report();
         table.row(cells![
             label,
@@ -101,8 +111,7 @@ pub fn run() -> String {
             r.flushed,
             r.moved,
             r.lost_in_crashes,
-            r.host_buffered,
-            format!("{ms:.0}")
+            r.host_buffered
         ]);
         assert_eq!(
             r.moved + r.lost_in_crashes,

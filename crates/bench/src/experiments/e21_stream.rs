@@ -4,19 +4,24 @@
 //! layered a Summingbird speed layer over the same Scribe stream, trusting
 //! the Algebird monoid laws to make streaming answers converge to batch.
 //! This experiment reports that reproduction (`uli-stream`) on one day
-//! delivered with a speed-layer tap: the streaming view's sketches (HLL
-//! distinct users, Count-Min/TopK trending, percentile payload sizes) beside
-//! the exact answers of a batch scan of the landed warehouse, and the sketch
+//! delivered columnar with a speed-layer tap: the streaming view's sketches
+//! (HLL distinct users, Count-Min/TopK trending, percentile payload sizes)
+//! beside the exact answers of a batch scan of the landed warehouse — the
+//! payload sizes recorded by a second tap, since a columnar file keeps no
+//! payload bytes — and the sketch
 //! state's fixed bytes against the exact state a batch job holds. The
 //! invariant itself — at any shard count, within every declared bound,
 //! under chaos — is `tests/lambda.rs`'s. What the tap costs a record is the
 //! benchmark's `stream.fold_ns_per_record`.
 
+use std::sync::Arc;
+
 use uli_core::client_event::CLIENT_EVENTS_CATEGORY;
+use uli_core::ClientEventLanding;
 use uli_scribe::ScribePipeline;
 use uli_stream::{
-    batch_reference, check_convergence, StreamAnalytics, StreamConfig, StreamState,
-    CHECKED_QUANTILES,
+    batch_reference, check_convergence, exact_quantile_bp, PayloadSizes, StreamAnalytics,
+    StreamConfig, StreamState, CHECKED_QUANTILES,
 };
 use uli_workload::Scale;
 
@@ -29,20 +34,25 @@ pub fn measure(smoke: bool) -> Outcome {
     let scale = if smoke { Scale::Smoke } else { Scale::Default };
     let config = scale.config();
     let mut pipe = ScribePipeline::new(topology());
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
     let analytics = StreamAnalytics::new(StreamConfig {
         shards: 1,
         trending_k: 5,
     });
+    let sizes = PayloadSizes::default();
     pipe.add_delivery_tap(analytics.tap());
+    pipe.add_delivery_tap(Box::new(sizes.clone()));
     deliver_day(&mut pipe, &config);
     let batch = batch_reference(pipe.main_warehouse(), CLIENT_EVENTS_CATEGORY, 0..24)
         .expect("batch scan of the landed day");
     let stream = analytics.running_view();
-    let c = check_convergence(&stream, &batch);
-    // Streaming's log-linear upper-bound estimate beside the exact value.
+    let sizes = sizes.all();
+    let c = check_convergence(&stream, &batch, &sizes);
+    // Streaming's log-linear upper-bound estimate beside the exact value:
+    // the sizes the delivery handed its taps.
     let quantiles = CHECKED_QUANTILES.iter().map(|&q_bp| {
         let estimate = stream.payload_bytes().quantile_bp(q_bp).unwrap_or(0);
-        let exact = batch.payload_quantile_bp(q_bp).unwrap_or(0);
+        let exact = exact_quantile_bp(&sizes, q_bp).unwrap_or(0);
         object(&[("q_bp", &q_bp), ("estimate", &estimate), ("exact", &exact)])
     });
     let metrics = Body::default()

@@ -17,6 +17,9 @@
 //! `units(w) = (decode_bytes + encode_bytes)/w + 16·(records + duplicates)`
 //! — Amdahl's law with the measured byte totals as the parallel fraction.
 
+use std::sync::Arc;
+
+use uli_core::ClientEventLanding;
 use uli_scribe::{MoveReport, ScribePipeline};
 use uli_workload::Scale;
 
@@ -42,6 +45,7 @@ pub fn measure(smoke: bool) -> Outcome {
     let scale = if smoke { Scale::Smoke } else { Scale::OneM };
     let config = scale.config();
     let mut pipe = ScribePipeline::new(topology());
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
     let reports = deliver_day(&mut pipe, &config);
     let sum = |field: fn(&MoveReport) -> u64| reports.iter().map(field).sum::<u64>();
     let (records, duplicates) = (sum(|r| r.records), sum(|r| r.duplicates));

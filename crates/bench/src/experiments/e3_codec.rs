@@ -7,7 +7,7 @@ use uli_thrift::{CompactReader, ThriftRecord};
 use uli_workload::{generate_day, legacy_category_for, WorkloadConfig};
 
 use crate::cells;
-use crate::harness::{timed, Table};
+use crate::harness::Table;
 
 /// Runs the experiment.
 pub fn run() -> String {
@@ -24,14 +24,12 @@ pub fn run() -> String {
          timestamp, details — with identical semantics everywhere.\n\n",
     );
 
-    // Round-trip every event; measure encode/decode throughput.
-    let (encoded, enc_ms) = timed(|| day.events.iter().map(|e| e.to_bytes()).collect::<Vec<_>>());
-    let (decoded, dec_ms) = timed(|| {
-        encoded
-            .iter()
-            .map(|b| ClientEvent::from_bytes(b).expect("own encoding decodes"))
-            .collect::<Vec<_>>()
-    });
+    // Round-trip every event.
+    let encoded: Vec<Vec<u8>> = day.events.iter().map(|e| e.to_bytes()).collect();
+    let decoded: Vec<ClientEvent> = encoded
+        .iter()
+        .map(|b| ClientEvent::from_bytes(b).expect("own encoding decodes"))
+        .collect();
     assert_eq!(
         decoded, day.events,
         "lossless round trip over the whole day"
@@ -39,10 +37,8 @@ pub fn run() -> String {
     let n = day.events.len() as f64;
     let thrift_bytes: usize = encoded.iter().map(Vec::len).sum();
     out.push_str(&format!(
-        "{} events round-tripped losslessly; encode {:.2} us/event, decode {:.2} us/event\n\n",
-        day.events.len(),
-        enc_ms * 1000.0 / n,
-        dec_ms * 1000.0 / n,
+        "{} events round-tripped losslessly\n\n",
+        day.events.len()
     ));
 
     // Size comparison: unified Thrift vs what each legacy format would use.

@@ -17,7 +17,7 @@ use uli_dataflow::prelude::*;
 use uli_warehouse::Warehouse;
 
 use crate::cells;
-use crate::harness::{prepare_day, standard_config, timed, Table};
+use crate::harness::{prepare_day, standard_config, Table};
 
 /// Counting query over the raw logs: load → filter by name → count.
 pub fn raw_count_plan(dict: &EventDictionary, pattern: &EventPattern) -> Plan {
@@ -86,17 +86,15 @@ pub fn run() -> String {
         "mappers",
         "KB scanned",
         "shuffle KB",
-        "wall ms",
         "est. cluster s",
     ]);
     for pattern in ["*:impression", "*:profile_click", "web:search:*"] {
         let p = EventPattern::parse(pattern).expect("valid");
         let raw_plan = raw_count_plan(&dict, &p);
-        let (raw, raw_ms) = timed(|| engine.run(&raw_plan).expect("runs"));
-        let seq_plan = sequence_count_plan(&dict, &p);
-        let (seq, seq_ms) = timed(|| engine.run(&seq_plan).expect("runs"));
+        let raw = engine.run(&raw_plan).expect("runs");
+        let seq = engine.run(&sequence_count_plan(&dict, &p)).expect("runs");
         assert_eq!(raw.rows[0][0], seq.rows[0][0], "answers agree: {pattern}");
-        for (label, r, ms) in [("raw", &raw, raw_ms), ("sequences", &seq, seq_ms)] {
+        for (label, r) in [("raw", &raw), ("sequences", &seq)] {
             t.row(cells![
                 pattern,
                 label,
@@ -104,7 +102,6 @@ pub fn run() -> String {
                 r.stats.map_tasks,
                 format!("{:.1}", r.stats.input_bytes_uncompressed as f64 / 1024.0),
                 r.stats.shuffle_bytes / 1024,
-                format!("{ms:.1}"),
                 format!("{:.2}", r.estimated_cluster_ms / 1000.0)
             ]);
         }
@@ -116,16 +113,15 @@ pub fn run() -> String {
     out.push_str(&t.render());
 
     // The group-by the sequences pre-materialize.
-    let (group, group_ms) = timed(|| engine.run(&raw_sessionize_plan()).expect("runs"));
+    let group = engine.run(&raw_sessionize_plan()).expect("runs");
     out.push_str(&format!(
         "\nsession reconstruction over raw logs (the job sequences replace):\n\
-         {} sessions rebuilt; {} mappers, {} KB shuffled, {:.1} ms wall,\n\
+         {} sessions rebuilt; {} mappers, {} KB shuffled,\n\
          {:.2} s estimated cluster time — paid by EVERY session-level query\n\
          before unification; amortized once by materialization after.\n",
         group.rows.len(),
         group.stats.map_tasks,
         group.stats.shuffle_bytes / 1024,
-        group_ms,
         group.estimated_cluster_ms / 1000.0,
     ));
     assert_eq!(group.rows.len() as u64, prepared.report.sessions);

@@ -20,7 +20,7 @@ use uli_warehouse::Warehouse;
 use uli_workload::{generate_day, write_legacy_events, write_paper_raw_log, WorkloadConfig};
 
 use crate::cells;
-use crate::harness::{timed, Table};
+use crate::harness::Table;
 
 /// Runs the experiment.
 pub fn run() -> String {
@@ -50,7 +50,7 @@ pub fn run() -> String {
         ("session_id", Expr::col(3)),
     ])
     .group_by(vec![0, 1]);
-    let (unified, unified_ms) = timed(|| engine.run(&unified_plan).expect("runs"));
+    let unified = engine.run(&unified_plan).expect("runs");
     let unified_sessions = unified.rows.len() as u64;
 
     // --- Legacy path: three categories, three formats, union, then a
@@ -66,7 +66,7 @@ pub fn run() -> String {
         let first = loads.next().expect("three categories");
         first.union(loads.collect()).group_by(vec![0])
     };
-    let (legacy, legacy_ms) = timed(|| engine.run(&legacy_plan).expect("runs"));
+    let legacy = engine.run(&legacy_plan).expect("runs");
 
     let mut t = Table::new(&[
         "path",
@@ -74,23 +74,20 @@ pub fn run() -> String {
         "formats parsed",
         "mappers",
         "shuffle KB",
-        "wall ms",
     ]);
     t.row(cells![
         "unified",
         1,
         "thrift only",
         unified.stats.map_tasks,
-        unified.stats.shuffle_bytes / 1024,
-        format!("{unified_ms:.1}")
+        unified.stats.shuffle_bytes / 1024
     ]);
     t.row(cells![
         "legacy",
         3,
         "json+tsv+natural",
         legacy.stats.map_tasks,
-        legacy.stats.shuffle_bytes / 1024,
-        format!("{legacy_ms:.1}")
+        legacy.stats.shuffle_bytes / 1024
     ]);
     out.push_str(&t.render());
 

@@ -517,8 +517,9 @@ fn decode_staged_file(wh: &Warehouse, file: &WhPath) -> Result<DecodedFile, Ware
 }
 
 /// Land-stage worker: writes one chunk of the accepted sequence as
-/// `part-{idx:05}` (plus a row-format `-rows` sibling for payloads a
-/// columnar codec rejects). Returns the number of files written.
+/// `part-{idx:05}` — through the columnar landing when there is one, whose
+/// rejected payloads go whole to a row-format `part-{idx:05}-rows` sibling.
+/// Returns the number of files written.
 fn land_chunk(
     main: &Warehouse,
     landing: Option<&dyn ColumnarLanding>,
@@ -526,49 +527,35 @@ fn land_chunk(
     idx: u64,
     payloads: &[Vec<u8>],
 ) -> Result<u64, MoveError> {
-    match landing {
-        Some(landing) => flush_columnar(main, landing, assembly_dir, idx, payloads),
-        None => {
-            let path = assembly_dir
-                .child(&format!("part-{idx:05}"))
-                .expect("valid part name");
-            let mut w = main.create(&path)?;
-            for p in payloads {
-                w.append_record(p);
-            }
-            w.finish()?;
-            Ok(1)
-        }
+    let part = |suffix| {
+        assembly_dir
+            .child(&format!("part-{idx:05}{suffix}"))
+            .expect("valid part name")
+    };
+    let Some(landing) = landing else {
+        write_rows(main, &part(""), payloads)?;
+        return Ok(1);
+    };
+    let rejected = landing.write_file(main, &part(""), payloads)?;
+    if rejected.is_empty() {
+        return Ok(1);
     }
+    write_rows(main, &part("-rows"), rejected.iter().map(|&i| &payloads[i]))?;
+    Ok(2)
 }
 
-/// Lands one output chunk columnar: the codec writes what it can decode to
-/// `part-NNNNN`; rejected payloads go whole to a row-format
-/// `part-NNNNN-rows` sibling. Returns the number of files written.
-fn flush_columnar(
+/// Writes `payloads` as one row-format file at `path`.
+fn write_rows<'p>(
     main: &Warehouse,
-    landing: &dyn ColumnarLanding,
-    assembly_dir: &WhPath,
-    idx: u64,
-    chunk: &[Vec<u8>],
-) -> Result<u64, MoveError> {
-    let path = assembly_dir
-        .child(&format!("part-{idx:05}"))
-        .expect("valid part name");
-    let rejected = landing.write_file(main, &path, chunk)?;
-    let mut files = 1;
-    if !rejected.is_empty() {
-        let fallback = assembly_dir
-            .child(&format!("part-{idx:05}-rows"))
-            .expect("valid part name");
-        let mut w = main.create(&fallback)?;
-        for &i in &rejected {
-            w.append_record(&chunk[i]);
-        }
-        w.finish()?;
-        files += 1;
+    path: &WhPath,
+    payloads: impl IntoIterator<Item = &'p Vec<u8>>,
+) -> Result<(), MoveError> {
+    let mut w = main.create(path)?;
+    for p in payloads {
+        w.append_record(p);
     }
-    Ok(files)
+    w.finish()?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -916,7 +903,6 @@ mod tests {
             .iter()
             .find(|f| f.name() == "part-00000-rows")
             .unwrap();
-        assert!(uli_warehouse::sniff_columnar(main, col).unwrap().is_some());
         let file = uli_warehouse::ColumnarFile::open(main, col).unwrap();
         let group = file.read_group(0, &[true, true]).unwrap();
         assert_eq!(group.rows(), 2);

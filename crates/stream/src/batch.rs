@@ -1,19 +1,25 @@
 //! The batch side of the lambda architecture, and the convergence check.
 //!
 //! [`BatchSummary`] computes the *exact* answers a batch job reads out of
-//! the main warehouse: it scans the landed per-hour partitions (the
-//! row-format files the default mover writes), decodes each record, and
-//! folds exact counts — the ground truth the streaming sketches must
-//! converge to. [`check_convergence`] then asserts the lambda invariant:
-//! exact streaming aggregates equal batch byte-for-byte; sketch
-//! aggregates land within their declared error bounds.
+//! the main warehouse: it scans the landed per-hour partitions — columnar
+//! parts and their row-format `-rows` siblings alike — through `uli-core`'s
+//! one client-event reader, and folds exact counts — the ground truth the
+//! streaming sketches must converge to. [`check_convergence`] then asserts
+//! the lambda invariant: exact streaming aggregates equal batch
+//! byte-for-byte; sketch aggregates land within their declared error
+//! bounds. A columnar file keeps no payload bytes, so the exact side of the
+//! payload-size check is the sizes the delivery handed its taps, which a
+//! [`PayloadSizes`] tap records beside the stream's.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
-use uli_core::columnar::EventRow;
-use uli_warehouse::{sniff_columnar, HourlyPartition, Warehouse, WarehouseError};
+use uli_core::for_each_event_row;
+use uli_obs::lock;
+use uli_scribe::DeliveryTap;
+use uli_warehouse::{HourlyPartition, ScanFile, Warehouse, WarehouseError};
 
-use crate::state::StreamState;
+use crate::state::{client, StreamState, FOLDED_COLUMNS};
 
 /// Exact aggregates over a set of delivered warehouse hours.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -22,7 +28,7 @@ pub struct BatchSummary {
     pub records: u64,
     /// Records that decoded as client events.
     pub events: u64,
-    /// Records that did not decode.
+    /// Records that did not decode: the rows the reader skips.
     pub malformed: u64,
     /// Exact per-name event counts.
     pub by_name: BTreeMap<String, u64>,
@@ -30,46 +36,9 @@ pub struct BatchSummary {
     pub by_client: BTreeMap<String, u64>,
     /// Exact distinct logged-in users.
     pub distinct_users: BTreeSet<i64>,
-    /// Every payload size, for exact percentile checks. Sorted on demand.
-    payload_sizes: Vec<u64>,
 }
 
 impl BatchSummary {
-    /// Folds one record payload in — the same decode rules as
-    /// [`StreamState::observe`], but with exact (holistic) state.
-    pub fn observe(&mut self, payload: &[u8]) {
-        self.records += 1;
-        self.payload_sizes.push(payload.len() as u64);
-        match EventRow::from_bytes(payload) {
-            Ok(ev) => {
-                let name = ev.name().expect("every column is declared");
-                self.events += 1;
-                *self.by_name.entry(name.to_string()).or_insert(0) += 1;
-                let client = name.split(':').next().expect("split yields a first part");
-                *self.by_client.entry(client.to_string()).or_insert(0) += 1;
-                match ev.user_id().expect("every column is declared") {
-                    0 => {}
-                    user => {
-                        self.distinct_users.insert(user);
-                    }
-                }
-            }
-            Err(_) => self.malformed += 1,
-        }
-    }
-
-    /// The exact value at quantile `q_bp` (basis points) of the payload
-    /// sizes, or `None` when empty.
-    pub fn payload_quantile_bp(&self, q_bp: u32) -> Option<u64> {
-        if self.payload_sizes.is_empty() {
-            return None;
-        }
-        let mut sorted = self.payload_sizes.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as u128 * q_bp as u128).div_ceil(10_000) as usize).max(1);
-        Some(sorted[rank - 1])
-    }
-
     /// Deterministic cost of the exact state a batch job would hold to
     /// answer the same questions: the name/client maps plus the distinct
     /// user set (8 bytes per id).
@@ -80,11 +49,44 @@ impl BatchSummary {
     }
 }
 
-/// Scans one delivered hour out of the main warehouse. A missing hour
-/// contributes nothing. It reads row-format landings only (the default
-/// mover output): the payload-size check needs each record's bytes, which a
-/// columnar file does not keep, so a columnar file is
-/// [`WarehouseError::ColumnarFile`].
+/// The exact value at quantile `q_bp` (basis points) of `sizes`, or `None`
+/// when there are none.
+pub fn exact_quantile_bp(sizes: &[u64], q_bp: u32) -> Option<u64> {
+    let mut sorted = sizes.to_vec();
+    sorted.sort_unstable();
+    let rank = ((sorted.len() as u128 * q_bp as u128).div_ceil(10_000) as usize).max(1);
+    sorted.get(rank - 1).copied()
+}
+
+/// A delivery tap that records the size of every payload the delivery hands
+/// its taps, by hour: the exact side of the payload-size check. Clones
+/// share one record.
+#[derive(Debug, Clone, Default)]
+pub struct PayloadSizes(Arc<Mutex<BTreeMap<u64, Vec<u64>>>>);
+
+impl PayloadSizes {
+    /// The sizes delivered for `hour`, in delivery order.
+    pub fn hour(&self, hour: u64) -> Vec<u64> {
+        lock(&self.0).get(&hour).cloned().unwrap_or_default()
+    }
+
+    /// Every size delivered, hour by hour.
+    pub fn all(&self) -> Vec<u64> {
+        lock(&self.0).values().flatten().copied().collect()
+    }
+}
+
+impl DeliveryTap for PayloadSizes {
+    fn hour_delivered(&mut self, partition: &HourlyPartition, payloads: &[Vec<u8>]) {
+        let mut hours = lock(&self.0);
+        let sizes = hours.entry(partition.hour_index()).or_default();
+        sizes.extend(payloads.iter().map(|p| p.len() as u64));
+    }
+}
+
+/// Scans one delivered hour out of the main warehouse, in whichever layout
+/// each of its files landed, reading the columns the stream folds. A
+/// missing hour contributes nothing.
 pub fn scan_hour(
     main: &Warehouse,
     category: &str,
@@ -98,12 +100,23 @@ pub fn scan_hour(
         Err(e) => return Err(e),
     };
     for file in files {
-        if sniff_columnar(main, &file)?.is_some() {
-            return Err(WarehouseError::ColumnarFile(file.to_string()));
-        }
-        for record in main.open(&file)?.read_all()? {
-            into.observe(&record);
-        }
+        let file = ScanFile::open(main, &file)?;
+        let (events, skipped) =
+            for_each_event_row(&file, 0..file.units(), FOLDED_COLUMNS, |_, row| {
+                let name = row.name()?;
+                *into.by_name.entry(name.to_string()).or_insert(0) += 1;
+                *into.by_client.entry(client(name).to_string()).or_insert(0) += 1;
+                match row.user_id()? {
+                    0 => {}
+                    user => {
+                        into.distinct_users.insert(user);
+                    }
+                }
+                Ok(())
+            })?;
+        into.records += events + skipped;
+        into.events += events;
+        into.malformed += skipped;
     }
     Ok(())
 }
@@ -151,8 +164,13 @@ pub struct Convergence {
 }
 
 /// Checks the lambda invariant for one (streaming view, batch answer)
-/// pair over the same delivered record set.
-pub fn check_convergence(stream: &StreamState, batch: &BatchSummary) -> Convergence {
+/// pair over the same delivered record set, whose payload sizes — as the
+/// delivery handed them to its taps — are `payload_sizes`.
+pub fn check_convergence(
+    stream: &StreamState,
+    batch: &BatchSummary,
+    payload_sizes: &[u64],
+) -> Convergence {
     let exact_match = stream.records() == batch.records
         && stream.events() == batch.events
         && stream.malformed() == batch.malformed
@@ -182,7 +200,7 @@ pub fn check_convergence(stream: &StreamState, batch: &BatchSummary) -> Converge
     for q_bp in CHECKED_QUANTILES {
         match (
             stream.payload_bytes().quantile_bp(q_bp),
-            batch.payload_quantile_bp(q_bp),
+            exact_quantile_bp(payload_sizes, q_bp),
         ) {
             (Some(est), Some(exact)) => {
                 if est < exact || est as f64 > exact as f64 * 1.25 + 1.0 {
@@ -210,8 +228,9 @@ pub fn check_convergence(stream: &StreamState, batch: &BatchSummary) -> Converge
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uli_core::{ClientEvent, EventInitiator, EventName, Timestamp};
+    use uli_core::{ClientEvent, ClientEventLanding, EventInitiator, EventName, Timestamp};
     use uli_thrift::ThriftRecord;
+    use uli_warehouse::ColumnarLanding;
 
     fn payload(i: i64) -> Vec<u8> {
         ClientEvent::new(
@@ -230,16 +249,36 @@ mod tests {
         .to_bytes()
     }
 
+    /// `payloads` landed as hour 0 the way the mover lands them: a columnar
+    /// part, and what it rejects in a row-format `-rows` sibling.
+    fn landed(payloads: &[Vec<u8>]) -> BatchSummary {
+        let wh = Warehouse::new();
+        let dir = HourlyPartition::from_hour_index("client_events", 0).main_dir();
+        let part = dir.child("part-00000").unwrap();
+        let rejected = ClientEventLanding::default()
+            .write_file(&wh, &part, payloads)
+            .unwrap();
+        let mut w = wh.create(&dir.child("part-00000-rows").unwrap()).unwrap();
+        for i in rejected {
+            w.append_record(&payloads[i]);
+        }
+        w.finish().unwrap();
+        batch_reference(&wh, "client_events", 0..24).unwrap()
+    }
+
+    fn sizes(payloads: &[Vec<u8>]) -> Vec<u64> {
+        payloads.iter().map(|p| p.len() as u64).collect()
+    }
+
     #[test]
     fn streaming_and_batch_converge_over_the_same_records() {
         let mut stream = StreamState::new(3);
-        let mut batch = BatchSummary::default();
-        for i in 0..500 {
-            let p = payload(i);
-            stream.observe(&p);
-            batch.observe(&p);
-        }
-        let c = check_convergence(&stream, &batch);
+        let mut payloads: Vec<Vec<u8>> = (0..500).map(payload).collect();
+        payloads.insert(250, b"not a client event".to_vec());
+        stream.fold(&payloads);
+        let batch = landed(&payloads);
+        assert_eq!((batch.records, batch.malformed), (501, 1));
+        let c = check_convergence(&stream, &batch, &sizes(&payloads));
         assert!(c.exact_match, "exact aggregates must be identical");
         assert!(c.hll_within_bound, "hll error {}", c.hll_rel_error);
         assert!(c.topk_within_bound);
@@ -248,49 +287,20 @@ mod tests {
     }
 
     #[test]
-    fn a_columnar_hour_is_named_as_such_not_called_corrupt() {
-        use std::sync::Arc;
-        use uli_core::ClientEventLanding;
-        use uli_scribe::{LogEntry, PipelineConfig, ScribePipeline};
-
-        let mut pipe = ScribePipeline::new(PipelineConfig {
-            datacenters: 1,
-            hosts_per_dc: 2,
-            aggregators_per_dc: 1,
-            ..Default::default()
-        });
-        pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
-        for i in 0..40 {
-            pipe.log(
-                0,
-                i as usize % 2,
-                LogEntry::new("client_events", payload(i)),
-            );
-        }
-        pipe.step();
-        pipe.flush_hour(0);
-        pipe.seal_hour("client_events", 0);
-        assert_eq!(pipe.move_hour("client_events", 0).unwrap().records, 40);
-
-        let mut summary = BatchSummary::default();
-        let err = scan_hour(pipe.main_warehouse(), "client_events", 0, &mut summary).unwrap_err();
-        assert!(matches!(err, WarehouseError::ColumnarFile(_)), "{err}");
-        assert!(err.to_string().contains("is columnar"), "{err}");
-    }
-
-    #[test]
     fn divergence_is_detected() {
         let mut stream = StreamState::new(3);
-        let mut batch = BatchSummary::default();
-        for i in 0..100 {
-            let p = payload(i);
-            stream.observe(&p);
-            batch.observe(&p);
-        }
+        let mut payloads: Vec<Vec<u8>> = (0..100).map(payload).collect();
+        stream.fold(&payloads);
         // One record the stream never saw: exactness must fail.
-        batch.observe(&payload(1000));
-        let c = check_convergence(&stream, &batch);
+        payloads.push(payload(1000));
+        let c = check_convergence(&stream, &landed(&payloads), &sizes(&payloads));
         assert!(!c.exact_match);
+        assert!(!c.streaming_matches_batch);
+        // Sizes the stream never saw: the percentile check must fail.
+        let doubled: Vec<u64> = sizes(&payloads[..100]).iter().map(|n| 2 * n).collect();
+        let c = check_convergence(&stream, &landed(&payloads[..100]), &doubled);
+        assert!(c.exact_match);
+        assert!(!c.percentile_within_bound);
         assert!(!c.streaming_matches_batch);
     }
 }

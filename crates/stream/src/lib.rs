@@ -20,7 +20,9 @@
 //! * [`BatchSummary`] / [`check_convergence`] — the batch layer and the
 //!   lambda invariant: streaming views over the delivered partition must
 //!   equal batch answers exactly for exact aggregates and fall within
-//!   declared error bounds for sketches.
+//!   declared error bounds for sketches. The landed hours are read in
+//!   whichever layout they landed; the exact payload sizes, which a
+//!   columnar file does not keep, come from a [`PayloadSizes`] tap.
 //!
 //! The tap rides the mover's exactly-once delivery point (after duplicate
 //! squashing, committed only on a successful atomic slide), so the
@@ -34,7 +36,7 @@ pub mod state;
 
 pub use analytics::{StreamAnalytics, StreamConfig};
 pub use batch::{
-    batch_reference, check_convergence, scan_hour, BatchSummary, Convergence, CHECKED_QUANTILES,
-    HLL_REL_BOUND,
+    batch_reference, check_convergence, exact_quantile_bp, scan_hour, BatchSummary, Convergence,
+    PayloadSizes, CHECKED_QUANTILES, HLL_REL_BOUND,
 };
 pub use state::{StreamState, DEFAULT_TRENDING_K};

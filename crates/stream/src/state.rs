@@ -24,7 +24,7 @@ use uli_dataflow::Value;
 use uli_thrift::CompactReader;
 
 /// What the fold reads of an event.
-const FOLDED_COLUMNS: EventColumns = event_columns([NAME_COLUMN, USER_COLUMN]);
+pub(crate) const FOLDED_COLUMNS: EventColumns = event_columns([NAME_COLUMN, USER_COLUMN]);
 
 /// The name and user id of `payload`, when it is a client event.
 fn event(payload: &[u8]) -> Option<(&str, i64)> {
@@ -33,7 +33,7 @@ fn event(payload: &[u8]) -> Option<(&str, i64)> {
 }
 
 /// The client of an event name: its first level.
-fn client(name: &str) -> &str {
+pub(crate) fn client(name: &str) -> &str {
     name.split(':').next().expect("split yields a first part")
 }
 

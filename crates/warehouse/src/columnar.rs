@@ -274,20 +274,6 @@ pub(crate) fn first_record(fb: &FileBlocks) -> Option<FirstRecord> {
     Some(first)
 }
 
-/// Peeks at a file's first block without charging scan counters or touching
-/// the cache: `Ok(Some(version))` when it carries the columnar magic,
-/// `Ok(None)` for anything else (row-format files, headerless column
-/// files, garbage — those surface their own errors on their own read
-/// paths).
-pub fn sniff_columnar(warehouse: &Warehouse, path: &WhPath) -> WarehouseResult<Option<u8>> {
-    let data = warehouse.file_data(path)?;
-    let block = data.blocks.first();
-    let first = block
-        .and_then(|block| compress::decompress(&block.compressed))
-        .and_then(|block| FirstRecord::of(Arc::new(block)));
-    Ok(first.and_then(|first| first.version()))
-}
-
 /// One decoded row group: its projected columns, each decoded once.
 pub struct ColumnGroup {
     rows: usize,
@@ -918,6 +904,7 @@ mod tests {
 
     mod v5 {
         use super::*;
+        use crate::scan::ScanFile;
 
         /// A 3-column fixture: col 1 is dictionary-encoded over two known
         /// values, with every 10th row carrying a value outside the
@@ -1280,20 +1267,21 @@ mod tests {
         }
 
         #[test]
-        fn sniff_tells_layouts_apart() {
+        fn scan_open_tells_layouts_apart() {
             let wh = Warehouse::new();
+            let opens_row = |path| matches!(ScanFile::open(&wh, &p(path)), Ok(ScanFile::Row(_)));
             write_v5(&wh, "/v5", 10, 4);
-            assert_eq!(
-                sniff_columnar(&wh, &p("/v5")).unwrap(),
-                Some(COLUMNAR_VERSION)
-            );
+            assert!(matches!(
+                ScanFile::open(&wh, &p("/v5")),
+                Ok(ScanFile::Columnar(_))
+            ));
             // Row-format file: no magic.
             let mut w = wh.create(&p("/row")).unwrap();
             w.append_record(b"plain record");
             w.finish().unwrap();
-            assert_eq!(sniff_columnar(&wh, &p("/row")).unwrap(), None);
+            assert!(opens_row("/row"));
             // A headerless column file (the retired v1 shape: row-group
-            // records from the first block on) sniffs as a row file.
+            // records from the first block on) opens as a row file.
             let mut group = Vec::new();
             write_varint(&mut group, 1); // rows
             write_varint(&mut group, 2); // columns
@@ -1305,11 +1293,11 @@ mod tests {
             let mut w = wh.create(&p("/v1")).unwrap();
             w.append_record(&group);
             w.finish().unwrap();
-            assert_eq!(sniff_columnar(&wh, &p("/v1")).unwrap(), None);
+            assert!(opens_row("/v1"));
             // Empty file.
             let w = wh.create(&p("/empty")).unwrap();
             w.finish().unwrap();
-            assert_eq!(sniff_columnar(&wh, &p("/empty")).unwrap(), None);
+            assert!(opens_row("/empty"));
         }
 
         /// A file header for `cols` columns declaring `version`, optionally
@@ -1341,13 +1329,18 @@ mod tests {
                 let mut w = wh.create(&path).unwrap();
                 w.append_header_record(&file_header(version, 3, false));
                 w.finish().unwrap();
-                assert_eq!(sniff_columnar(&wh, &path).unwrap(), Some(version));
-                assert!(matches!(
-                    ColumnarFile::open(&wh, &path),
-                    Err(WarehouseError::Corrupt(
-                        "unsupported columnar format version"
-                    ))
-                ));
+                // The magic makes it columnar: an error, not a row file.
+                for opened in [
+                    ColumnarFile::open(&wh, &path).err(),
+                    ScanFile::open(&wh, &path).err(),
+                ] {
+                    assert!(matches!(
+                        opened,
+                        Some(WarehouseError::Corrupt(
+                            "unsupported columnar format version"
+                        ))
+                    ));
+                }
             }
             // And a non-columnar file is "not a columnar file", not a panic.
             let mut w = wh.create(&p("/row")).unwrap();

@@ -29,8 +29,6 @@ pub enum WarehouseError {
     /// A reader asked for a cell of a column its projection did not read —
     /// a bug in whoever derived the projection, never a property of the data.
     UnreadColumn(usize),
-    /// A healthy columnar file given to a reader of row-format records.
-    ColumnarFile(String),
 }
 
 impl fmt::Display for WarehouseError {
@@ -49,7 +47,6 @@ impl fmt::Display for WarehouseError {
             WarehouseError::UnreadColumn(col) => {
                 write!(f, "column {col} was not read by the projection")
             }
-            WarehouseError::ColumnarFile(p) => write!(f, "{p} is columnar, not row-format"),
         }
     }
 }

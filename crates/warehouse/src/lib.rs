@@ -61,7 +61,7 @@ pub mod zone;
 pub use cache::{BlockCache, CacheStats, DEFAULT_CACHE_CAPACITY};
 pub use chunk::{Cell, Column, ColumnKind, StoredAs, StoredRun, Texts, ValueShape};
 pub use columnar::{
-    sniff_columnar, ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding, COLUMNAR_MAGIC,
+    ColumnGroup, ColumnarFile, ColumnarFileWriter, ColumnarLanding, COLUMNAR_MAGIC,
     COLUMNAR_VERSION,
 };
 pub use compress::CompressorPool;

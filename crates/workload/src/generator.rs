@@ -817,7 +817,6 @@ mod tests {
             assert_eq!(decoded_by_hour(&wh), arrivals, "cut {cut}");
             for (path, events) in decoded_files(&wh) {
                 assert!(events.len() <= cut, "{} over the cut", path.as_str());
-                assert!(uli_warehouse::sniff_columnar(&wh, &path).unwrap().is_some());
                 let file = uli_warehouse::ColumnarFile::open(&wh, &path).unwrap();
                 assert_eq!(
                     file.dict_column(),
@@ -965,8 +964,12 @@ mod tests {
         let (row_files, col_files) = (decoded_files(&row), decoded_files(&col));
         assert_eq!(row_files, col_files);
         for (path, _) in &row_files {
-            assert!(uli_warehouse::sniff_columnar(&row, path).unwrap().is_none());
-            assert!(uli_warehouse::sniff_columnar(&col, path).unwrap().is_some());
+            use uli_warehouse::ScanFile;
+            assert!(matches!(ScanFile::open(&row, path), Ok(ScanFile::Row(_))));
+            assert!(matches!(
+                ScanFile::open(&col, path),
+                Ok(ScanFile::Columnar(_))
+            ));
         }
     }
 

@@ -9,7 +9,10 @@
 //!
 //! Run with: `cargo run --example end_to_end_pipeline`
 
+use std::sync::Arc;
+
 use uli_thrift::ThriftRecord;
+use unified_logging::core::ClientEventLanding;
 use unified_logging::oink::scheduler::JobStatus;
 use unified_logging::prelude::*;
 use unified_logging::scribe::message::LogEntry as Entry;
@@ -23,6 +26,7 @@ fn main() {
         ..Default::default()
     };
     let mut pipe = ScribePipeline::new(config);
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
 
     // Synthetic traffic for the first two hours of day 0.
     let day = generate_day(

@@ -1,10 +1,14 @@
 //! End-to-end integration: workload → Scribe → log mover → Oink daily jobs
 //! → session sequences → analytics, checked against generator ground truth.
 
+use std::sync::Arc;
+
+use unified_logging::core::{for_each_event_row, ClientEventLanding};
 use unified_logging::oink::scheduler::JobStatus;
 use unified_logging::prelude::*;
 use unified_logging::scribe::message::LogEntry;
 use unified_logging::thrift::ThriftRecord;
+use unified_logging::warehouse::ScanFile;
 
 fn workload() -> unified_logging::workload::DayWorkload {
     generate_day(
@@ -16,7 +20,8 @@ fn workload() -> unified_logging::workload::DayWorkload {
     )
 }
 
-/// Pushes a day through the delivery pipeline hour by hour.
+/// Pushes a day through the delivery pipeline hour by hour, landing it
+/// columnar.
 fn deliver(day: &unified_logging::workload::DayWorkload) -> ScribePipeline {
     let config = PipelineConfig {
         datacenters: 2,
@@ -26,6 +31,7 @@ fn deliver(day: &unified_logging::workload::DayWorkload) -> ScribePipeline {
         ..Default::default()
     };
     let mut pipe = ScribePipeline::new(config);
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
     for hour in 0..24u64 {
         for (i, ev) in day
             .events
@@ -57,12 +63,18 @@ fn scribe_delivery_preserves_every_event() {
     assert_eq!(totals.moved, totals.logged);
     assert_eq!(totals.lost_in_crashes, 0);
 
-    // The main warehouse holds exactly the day's records.
-    let meta = pipe
-        .main_warehouse()
-        .dir_meta(&unified_logging::core::session::day_dir("client_events", 0))
-        .expect("day dir exists");
-    assert_eq!(meta.records as usize, day.events.len());
+    // The main warehouse holds exactly the day's records, every one an
+    // event.
+    let wh = pipe.main_warehouse();
+    let (mut events, mut skipped) = (0, 0);
+    let day_dir = unified_logging::core::session::day_dir("client_events", 0);
+    for path in wh.list_files_recursive(&day_dir).expect("day dir exists") {
+        let file = ScanFile::open(wh, &path).expect("a landed file opens");
+        let (e, s) = for_each_event_row(&file, 0..file.units(), [false; 7], |_, _| Ok(()))
+            .expect("a landed file reads");
+        (events, skipped) = (events + e, skipped + s);
+    }
+    assert_eq!((events as usize, skipped), (day.events.len(), 0));
 }
 
 #[test]

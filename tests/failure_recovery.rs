@@ -139,15 +139,23 @@ fn warehouse_checksums_catch_corruption() {
         w.append_record(format!("record-{i}").as_bytes());
     }
     w.finish().unwrap();
-    // Reading with a tampered checksum is simulated via the corrupt-stream
-    // guards in the compressor; here we verify a clean read passes its
-    // checksums end to end.
+    assert_eq!(wh.open(&path).unwrap().read_all().unwrap().len(), 100);
+
+    // Flip a stored byte of the second block, its checksum left as it was.
+    wh.corrupt_block(&path, 1).unwrap();
     let records = wh.open(&path).unwrap().read_all();
-    assert!(records.is_ok());
-    assert!(!matches!(
-        records,
-        Err(WarehouseError::ChecksumMismatch { .. })
-    ));
+    assert!(
+        matches!(
+            records,
+            Err(WarehouseError::ChecksumMismatch { block: 1, .. } | WarehouseError::Corrupt(_))
+        ),
+        "{records:?}"
+    );
+    // The damage stays in its block: the first still reads clean.
+    let blocks = wh.open_blocks(&path).unwrap();
+    assert!(blocks.block_count() > 1);
+    blocks.for_each_record(0, |_| {}).unwrap();
+    assert!(blocks.for_each_record(1, |_| {}).is_err());
 }
 
 /// Files of hour 0 on each datacenter's staging cluster, done marker

@@ -18,6 +18,11 @@
 //! crash/retry/duplicate chaos schedules. Every test here carries its
 //! seed or its shard count in the assertion message, so any failure
 //! reproduces deterministically.
+//!
+//! The day lands columnar, as the system lands it. A columnar file keeps
+//! no payload bytes, so the exact payload sizes the percentile sketch is
+//! checked against are what the delivery handed its taps, recorded by a
+//! [`PayloadSizes`] tap beside the speed layer.
 
 use std::sync::Arc;
 
@@ -28,7 +33,8 @@ use uli_scribe::message::LogEntry;
 use uli_scribe::network::LinkFaults;
 use uli_scribe::{run_chaos_tapped, ChaosConfig, FaultConfig, PipelineConfig, ScribePipeline};
 use uli_stream::{
-    batch_reference, check_convergence, BatchSummary, StreamAnalytics, StreamConfig, StreamState,
+    batch_reference, check_convergence, BatchSummary, PayloadSizes, StreamAnalytics, StreamConfig,
+    StreamState,
 };
 use uli_thrift::{CompactWriter, ThriftRecord};
 use uli_warehouse::{HourlyPartition, Parallelism, ScanFile};
@@ -43,13 +49,14 @@ fn smoke_config(users: u64) -> WorkloadConfig {
     }
 }
 
-/// Drives one day of client events through the Scribe pipeline with a
-/// speed-layer tap attached, hour by hour (the end-to-end idiom), and
-/// returns the pipeline plus the tapped analytics handle.
+/// Drives one day of client events through the Scribe pipeline, landing
+/// columnar, with a speed-layer tap and a [`PayloadSizes`] tap attached,
+/// hour by hour (the end-to-end idiom), and returns the pipeline plus both
+/// taps' handles.
 fn deliver_tapped(
     events: &[uli_core::ClientEvent],
     stream_cfg: StreamConfig,
-) -> (ScribePipeline, StreamAnalytics) {
+) -> (ScribePipeline, StreamAnalytics, PayloadSizes) {
     let config = PipelineConfig {
         datacenters: 2,
         hosts_per_dc: 4,
@@ -58,8 +65,11 @@ fn deliver_tapped(
         ..Default::default()
     };
     let mut pipe = ScribePipeline::new(config);
+    pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
     let analytics = StreamAnalytics::new(stream_cfg);
+    let sizes = PayloadSizes::default();
     pipe.add_delivery_tap(analytics.tap());
+    pipe.add_delivery_tap(Box::new(sizes.clone()));
     for hour in 0..24u64 {
         for (i, ev) in events
             .iter()
@@ -77,7 +87,7 @@ fn deliver_tapped(
         pipe.seal_hour(CATEGORY, hour);
         pipe.move_hour(CATEGORY, hour).expect("all DCs sealed");
     }
-    (pipe, analytics)
+    (pipe, analytics, sizes)
 }
 
 /// The core invariant: for each worker (shard) count in {1, 4, 8}, the
@@ -90,7 +100,7 @@ fn streaming_equals_batch_under_worker_counts() {
     let day = generate_day(&smoke_config(120), 0);
     let mut views: Vec<StreamState> = Vec::new();
     for shards in [1usize, 4, 8] {
-        let (pipe, analytics) = deliver_tapped(
+        let (pipe, analytics, sizes) = deliver_tapped(
             &day.events,
             StreamConfig {
                 shards,
@@ -104,7 +114,7 @@ fn streaming_equals_batch_under_worker_counts() {
             "shards {shards}: batch layer must see the whole day"
         );
         let stream = analytics.running_view();
-        let c = check_convergence(&stream, &batch);
+        let c = check_convergence(&stream, &batch, &sizes.all());
         assert!(
             c.streaming_matches_batch,
             "shards {shards}: lambda invariant failed: {c:?}"
@@ -119,7 +129,7 @@ fn streaming_equals_batch_under_worker_counts() {
             let mut hour_batch = BatchSummary::default();
             uli_stream::scan_hour(pipe.main_warehouse(), CATEGORY, hour, &mut hour_batch)
                 .expect("hour scan");
-            let hc = check_convergence(&window, &hour_batch);
+            let hc = check_convergence(&window, &hour_batch, &sizes.hour(hour));
             assert!(
                 hc.streaming_matches_batch,
                 "shards {shards} hour {hour}: window diverged: {hc:?}"
@@ -146,7 +156,7 @@ fn random_shard_counts_and_merge_orders_converge() {
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(0x1a3b_da00 + seed);
         let shards = rng.gen_range(1usize..=12);
-        let (pipe, analytics) = deliver_tapped(
+        let (pipe, analytics, sizes) = deliver_tapped(
             &day.events,
             StreamConfig {
                 shards,
@@ -193,7 +203,7 @@ fn random_shard_counts_and_merge_orders_converge() {
             "seed {seed} shards {shards}: random merge tree diverged"
         );
 
-        let c = check_convergence(&reference, &batch);
+        let c = check_convergence(&reference, &batch, &sizes.all());
         assert!(
             c.streaming_matches_batch,
             "seed {seed} shards {shards}: lambda invariant failed: {c:?}"
@@ -294,8 +304,8 @@ fn daystream_edge_cases_match_batch_byte_for_byte() {
     // Streamed generation vs batch generation: same delivered state.
     let streamed: Vec<uli_core::ClientEvent> = DayStream::new(&config, 0).collect();
     assert_eq!(streamed, day.events, "generator streams diverged");
-    let (_, from_stream) = deliver_tapped(&streamed, StreamConfig::default());
-    let (pipe, from_batch) = deliver_tapped(&day.events, StreamConfig::default());
+    let (_, from_stream, _) = deliver_tapped(&streamed, StreamConfig::default());
+    let (pipe, from_batch, sizes) = deliver_tapped(&day.events, StreamConfig::default());
     assert_eq!(
         from_stream.running_view(),
         from_batch.running_view(),
@@ -325,7 +335,7 @@ fn daystream_edge_cases_match_batch_byte_for_byte() {
         assert_eq!(empty.records, 0, "hour {hour}: empty hour has batch rows");
     }
     let batch = batch_reference(pipe.main_warehouse(), CATEGORY, 0..24).expect("batch scan");
-    let c = check_convergence(&from_batch.running_view(), &batch);
+    let c = check_convergence(&from_batch.running_view(), &batch, &sizes.all());
     assert!(c.streaming_matches_batch, "{c:?}");
 
     // Day whose last hour is empty: drop hour-23 traffic explicitly.
@@ -335,14 +345,14 @@ fn daystream_edge_cases_match_batch_byte_for_byte() {
         .filter(|e| e.timestamp.hour_index() != 23)
         .cloned()
         .collect();
-    let (tpipe, tstream) = deliver_tapped(&truncated, StreamConfig::default());
+    let (tpipe, tstream, tsizes) = deliver_tapped(&truncated, StreamConfig::default());
     assert!(
         tstream.hour_view(23).is_none(),
         "empty last hour grew a window"
     );
     let tbatch = batch_reference(tpipe.main_warehouse(), CATEGORY, 0..24).expect("batch scan");
     assert_eq!(tbatch.records as usize, truncated.len());
-    let tc = check_convergence(&tstream.running_view(), &tbatch);
+    let tc = check_convergence(&tstream.running_view(), &tbatch, &tsizes.all());
     assert!(tc.streaming_matches_batch, "truncated day: {tc:?}");
 }
 
@@ -415,7 +425,8 @@ fn landed_rows_and_rejects(
 /// levels, a detail that is not UTF-8, a missing field, a field id carried
 /// past `i16::MAX`, and, accepted by both, a 200-byte detail value — folds
 /// to as many events as landed rows, and to as many malformed records as
-/// the `-rows` siblings hold, at every worker count.
+/// the `-rows` siblings hold, at every worker count; and the batch side,
+/// reading that mixed hour back, converges with the stream.
 #[test]
 fn the_stream_and_the_landing_reject_the_same_payloads() {
     let day = generate_day(&smoke_config(120), 0);
@@ -470,7 +481,9 @@ fn the_stream_and_the_landing_reject_the_same_payloads() {
         });
         pipe.set_columnar_landing(Arc::new(ClientEventLanding::default()));
         let analytics = StreamAnalytics::new(StreamConfig::default()).with_parallelism(workers);
+        let sizes = PayloadSizes::default();
         pipe.add_delivery_tap(analytics.tap());
+        pipe.add_delivery_tap(Box::new(sizes.clone()));
         for (i, payload) in payloads.iter().enumerate() {
             pipe.log(i % 2, i % 4, LogEntry::new(CATEGORY, payload.clone()));
         }
@@ -489,6 +502,14 @@ fn the_stream_and_the_landing_reject_the_same_payloads() {
         );
         assert_eq!((rows, rejects), (accepted, rejected), "{workers:?}");
         assert_eq!(view.records(), payloads.len() as u64, "{workers:?}");
+        let batch = batch_reference(pipe.main_warehouse(), CATEGORY, 0..24).expect("batch scan");
+        let c = check_convergence(&view, &batch, &sizes.hour(hour));
+        assert!(c.streaming_matches_batch, "{workers:?}: {c:?}");
+        assert_eq!(
+            (batch.events, batch.malformed),
+            (rows, rejects),
+            "{workers:?}"
+        );
     }
 }
 
@@ -498,11 +519,11 @@ fn the_stream_and_the_landing_reject_the_same_payloads() {
 #[test]
 fn single_user_day_converges() {
     let day = generate_day(&smoke_config(1), 0);
-    let (pipe, analytics) = deliver_tapped(&day.events, StreamConfig::default());
+    let (pipe, analytics, sizes) = deliver_tapped(&day.events, StreamConfig::default());
     let batch = batch_reference(pipe.main_warehouse(), CATEGORY, 0..24).expect("batch scan");
     assert_eq!(batch.records as usize, day.events.len());
     let stream = analytics.running_view();
-    let c = check_convergence(&stream, &batch);
+    let c = check_convergence(&stream, &batch, &sizes.all());
     assert!(c.streaming_matches_batch, "{c:?}");
     assert!(
         batch.distinct_users.len() <= 1,
@@ -521,7 +542,7 @@ fn single_user_day_converges() {
 #[test]
 fn per_client_rollup_and_trending_names_match_batch_truth() {
     let day = generate_day(&smoke_config(120), 0);
-    let (pipe, analytics) = deliver_tapped(&day.events, StreamConfig::default());
+    let (pipe, analytics, _) = deliver_tapped(&day.events, StreamConfig::default());
     let batch = batch_reference(pipe.main_warehouse(), CATEGORY, 0..24).expect("batch scan");
     let stream = analytics.running_view();
 
