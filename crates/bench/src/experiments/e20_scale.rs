@@ -14,8 +14,10 @@
 //! 2. **materialize** — pass 2 sorts the day's events under a memory
 //!    budget, spilling sorted runs to scratch files; it runs at the default
 //!    budget and under a tight one;
-//! 3. **query** — each query runs twice, at the engine's default budget
-//!    and under a tight one, with its spill runs and high-water mark.
+//! 3. **query** — each query runs at the engine's default budget and
+//!    again under a quarter of the memory that arm held, with its spill
+//!    runs and high-water mark; the top-K query, whose state is its k
+//!    rows, runs the default arm alone.
 //!
 //! The full run (`--scale 1m`: one million users, >10M events) persists
 //! `BENCH_scale.json` and must finish under [`ONE_M_PEAK_RSS_CEILING_MB`]
@@ -82,8 +84,14 @@ fn queries() -> Vec<(&'static str, Plan)> {
     ]
 }
 
-/// Runs the pipeline at the run's scale under the scale's tight stage
-/// budgets, the query one overridden by `--mem-budget` if given. The smoke
+/// The query that runs no tight arm: a top-K holds at most its k rows a
+/// window, whatever the day, and has no spill path, so no budget makes it
+/// spill.
+const DEFAULT_ARM_ONLY: &str = "top-20-latest";
+
+/// Runs the pipeline at the run's scale: pass 2 under the scale's tight
+/// budget, each query under a quarter of its default arm's high-water mark
+/// (every tight arm's budget is `--mem-budget` if given). The smoke
 /// run (`Scale::Smoke`, no override) is what CI golden-diffs; the full run
 /// is `Scale::OneM`: a million users, >10M events, budgets far below the
 /// day's working set. A full run's file also holds its peak resident memory
@@ -91,8 +99,7 @@ fn queries() -> Vec<(&'static str, Plan)> {
 /// runs that day.
 pub fn measure(run: &Run) -> Outcome {
     let scale = run.scale;
-    let (mat_budget, default_query_budget) = tight_budgets(scale);
-    let query_budget = run.mem_budget.unwrap_or(default_query_budget);
+    let mat_budget = mat_budget(scale);
     let config = scale.config();
     let wh = Warehouse::new();
     let ((landed, truth), land_ms) = timed(|| {
@@ -117,16 +124,24 @@ pub fn measure(run: &Run) -> Outcome {
 
     let mut samples = Vec::new();
     for (query, plan) in queries() {
-        for (arm, budget) in [("default", DEFAULT_MEM_BUDGET), ("tight", query_budget)] {
+        let run_arm = |budget| {
             let engine = Engine::new(wh.clone()).with_mem_budget(budget);
-            let (result, query_ms) = timed(|| engine.run(&plan).expect("query runs"));
+            timed(|| engine.run(&plan).expect("query runs"))
+        };
+        let default = run_arm(DEFAULT_MEM_BUDGET);
+        let tight_budget = (run.mem_budget).unwrap_or(default.0.stats.mem_high_water_bytes / 4);
+        let tight =
+            (query != DEFAULT_ARM_ONLY).then(|| ("tight", tight_budget, run_arm(tight_budget)));
+        let arms = std::iter::once(("default", DEFAULT_MEM_BUDGET, default)).chain(tight);
+        for (arm, budget, (result, query_ms)) in arms {
             let s = result.stats;
             let (query, arm) = (quoted(query), quoted(arm));
             let query_ms = format!("{query_ms:.3}");
             let cost = format!("{:.3}", result.estimated_cluster_ms);
-            let members: [(&str, &dyn Display); 10] = [
+            let members: [(&str, &dyn Display); 11] = [
                 ("query", &query),
                 ("arm", &arm),
+                ("budget", &budget),
                 ("query_ms", &query_ms),
                 ("cost_model_ms", &cost),
                 ("input_records", &s.input_records),
@@ -173,7 +188,6 @@ pub fn measure(run: &Run) -> Outcome {
         .put("mat_spill_runs", mat_tight.spill_runs)
         .put("mat_spill_bytes", mat_tight.spill_bytes)
         .put("mat_high_water_bytes", mat_tight.mem_high_water_bytes)
-        .put("query_budget", query_budget)
         .rows("samples", samples)
         .metrics("scale", "uli-scale-v1", "BENCH_scale.json");
     let ceiling = ONE_M_PEAK_RSS_CEILING_MB;
@@ -184,16 +198,13 @@ pub fn measure(run: &Run) -> Outcome {
     Outcome::measured(vec![gate], metrics, run.smoke)
 }
 
-/// Per-scale tight budgets for the two stages, each sized well below the
-/// scale's working set so the stage genuinely spills (at `1m` the per-user
-/// table peaks at ~35 MB, inside the default budget and far past 8 MB; on
-/// the smoke day the sketch states are ~6 KB per group, so the query budget
-/// sits above one entry but far below the group count × entry size).
-fn tight_budgets(scale: Scale) -> (u64, u64) {
+/// Pass 2's per-scale tight budget, sized well below the scale's day of
+/// events so the external sort genuinely spills.
+fn mat_budget(scale: Scale) -> u64 {
     match scale {
-        Scale::Smoke => (2048, 32 * 1024),
-        Scale::Default => (4096, 64 * 1024),
-        Scale::OneM => (16 << 20, 8 << 20),
+        Scale::Smoke => 2048,
+        Scale::Default => 4096,
+        Scale::OneM => 16 << 20,
     }
 }
 
@@ -301,9 +312,19 @@ mod tests {
         let Some(Json::Array(samples)) = json.get("samples") else {
             panic!("no samples array");
         };
-        assert_eq!(samples.len(), 6);
+        assert_eq!(
+            samples.len(),
+            5,
+            "a default arm a query, a tight arm but top-K's"
+        );
         for sample in samples {
             assert!(sample.get("query_ms").and_then(Json::as_f64).is_some());
+            let tight = sample.get("arm").and_then(Json::as_str) == Some("tight");
+            let spilled = sample.get("spill_runs").and_then(Json::as_f64);
+            assert!(
+                !tight || spilled >= Some(1.0),
+                "a tight arm that never spills"
+            );
         }
     }
 }

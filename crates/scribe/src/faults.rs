@@ -316,21 +316,12 @@ pub fn run_chaos_with(seed: u64, cfg: &ChaosConfig, sabotage: Sabotage) -> Chaos
     run_chaos_impl(seed, cfg, sabotage, |_| {})
 }
 
-/// [`run_chaos`] with a delivery tap installed before any traffic flows —
-/// the streaming layer's chaos entry point. The tap observes exactly the
-/// records the audited run delivers.
-pub fn run_chaos_tapped(
-    seed: u64,
-    cfg: &ChaosConfig,
-    tap: Box<dyn crate::tap::DeliveryTap>,
-) -> ChaosOutcome {
-    run_chaos_impl(seed, cfg, Sabotage::None, |pipe| pipe.add_delivery_tap(tap))
-}
-
 /// [`run_chaos`] with arbitrary pipeline preparation before any traffic
-/// flows. The serving layer uses this to bind an index maintainer to the
-/// run's own main warehouse (`pipe.main_warehouse()`) and to switch the
-/// mover to a columnar landing, before installing its tap.
+/// flows. The streaming layer installs its delivery tap here, so the tap
+/// observes exactly the records the audited run delivers; the serving
+/// layer binds an index maintainer to the run's own main warehouse
+/// (`pipe.main_warehouse()`) and switches the mover to a columnar landing
+/// before installing its tap.
 pub fn run_chaos_prepared(
     seed: u64,
     cfg: &ChaosConfig,

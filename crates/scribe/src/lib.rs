@@ -45,8 +45,8 @@ pub use aggregator::Aggregator;
 pub use config::{CategoryConfig, CategoryRegistry, Disposition};
 pub use daemon::{BatchPolicy, ScribeDaemon};
 pub use faults::{
-    check_invariants, run_chaos, run_chaos_prepared, run_chaos_tapped, run_chaos_with, ChaosConfig,
-    ChaosOutcome, FaultConfig, FaultPlan, InvariantReport, Sabotage,
+    check_invariants, run_chaos, run_chaos_prepared, run_chaos_with, ChaosConfig, ChaosOutcome,
+    FaultConfig, FaultPlan, InvariantReport, Sabotage,
 };
 pub use message::{EntryId, LogEntry, MessageBatch};
 pub use mover::{LogMover, MoveReport};

@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use uli_core::ClientEventLanding;
 use uli_scribe::message::LogEntry;
 use uli_scribe::network::LinkFaults;
-use uli_scribe::{run_chaos_tapped, ChaosConfig, FaultConfig, PipelineConfig, ScribePipeline};
+use uli_scribe::{run_chaos_prepared, ChaosConfig, FaultConfig, PipelineConfig, ScribePipeline};
 use uli_stream::{
     batch_reference, check_convergence, BatchSummary, PayloadSizes, StreamAnalytics, StreamConfig,
     StreamState,
@@ -221,7 +221,7 @@ fn chaos_streaming_totals_match_delivered_partition() {
     let cfg = ChaosConfig::default();
     for seed in 0..16u64 {
         let analytics = StreamAnalytics::new(StreamConfig::default());
-        let o = run_chaos_tapped(seed, &cfg, analytics.tap());
+        let o = run_chaos_prepared(seed, &cfg, |p| p.add_delivery_tap(analytics.tap()));
         assert!(
             o.is_clean(),
             "seed {seed}: chaos run itself violated delivery invariants: {:?}",
@@ -275,7 +275,7 @@ fn chaos_duplicates_never_double_count_in_streaming_views() {
     let mut dup_merges = 0u64;
     for seed in 7000..7008u64 {
         let analytics = StreamAnalytics::new(StreamConfig::default());
-        let o = run_chaos_tapped(seed, &cfg, analytics.tap());
+        let o = run_chaos_prepared(seed, &cfg, |p| p.add_delivery_tap(analytics.tap()));
         assert!(o.is_clean(), "seed {seed}: {:?}", o.accounting.violations);
         dup_merges += o.report.duplicates_merged;
         assert_eq!(
