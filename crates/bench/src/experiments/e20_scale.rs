@@ -14,10 +14,8 @@
 //! 2. **materialize** — pass 2 sorts the day's events under a memory
 //!    budget, spilling sorted runs to scratch files; it runs at the default
 //!    budget and under a tight one;
-//! 3. **query** — each query runs at the engine's default budget and
-//!    again under a budget just below the memory that arm held, so the
-//!    budget binds, with its spill runs and high-water mark; the top-K
-//!    query, whose state is its k rows, runs the default arm alone.
+//! 3. **query** — each query runs at the engine's default budget and, but
+//!    for top-K, under one that binds; spill runs and high-water marks.
 //!
 //! The full run (`--scale 1m`: one million users, >10M events) persists
 //! `BENCH_scale.json` and must finish under [`ONE_M_PEAK_RSS_CEILING_MB`]
@@ -84,23 +82,8 @@ fn queries() -> Vec<(&'static str, Plan)> {
     ]
 }
 
-/// The query that runs no tight arm: a top-K holds at most its k rows a
-/// window, whatever the day, and has no spill path, so no budget makes it
-/// spill.
-const DEFAULT_ARM_ONLY: &str = "top-20-latest";
-
-/// A tight query arm's budget: its default arm's high-water mark less a
-/// hundredth, the loosest budget that binds. A lower one costs more than
-/// it shows at 1m: `sketch-by-name` holds nearly every name's sketch
-/// within a few units, so under any budget below that it spills about
-/// once per refill, and a quarter of its mark spilled gigabytes.
-fn tight_budget(default_high_water: u64) -> u64 {
-    default_high_water - default_high_water / 100
-}
-
-/// Runs the pipeline at the run's scale: pass 2 under the scale's tight
-/// budget, each query under [`tight_budget`] of its default arm (every
-/// tight arm's budget is `--mem-budget` if given). The smoke
+/// Runs the pipeline at the run's scale, each stage at the default budget
+/// and a tight one (a query's is `--mem-budget` if given). The smoke
 /// run (`Scale::Smoke`, no override) is what CI golden-diffs; the full run
 /// is `Scale::OneM`: a million users, >10M events, budgets far below the
 /// day's working set. A full run's file also holds its peak resident memory
@@ -138,8 +121,14 @@ pub fn measure(run: &Run) -> Outcome {
             timed(|| engine.run(&plan).expect("query runs"))
         };
         let default = run_arm(DEFAULT_MEM_BUDGET);
-        let budget = (run.mem_budget).unwrap_or(tight_budget(default.0.stats.mem_high_water_bytes));
-        let tight = (query != DEFAULT_ARM_ONLY).then(|| ("tight", budget, run_arm(budget)));
+        // The tight arm runs a hundredth under what the default arm held,
+        // the loosest budget that binds: `sketch-by-name` refills nearly
+        // every name's sketch within a few dozen units, so a quarter of its
+        // mark spilled gigabytes at 1m. A top-K holds at most its k rows and
+        // cannot spill, so it runs no tight arm.
+        let held = default.0.stats.mem_high_water_bytes;
+        let budget = run.mem_budget.unwrap_or(held - held / 100);
+        let tight = (query != "top-20-latest").then(|| ("tight", budget, run_arm(budget)));
         let arms = std::iter::once(("default", DEFAULT_MEM_BUDGET, default)).chain(tight);
         for (arm, budget, (result, query_ms)) in arms {
             let s = result.stats;

@@ -46,8 +46,7 @@ pub(crate) struct FileData {
 pub struct FileMeta {
     /// Number of blocks (= simulated map tasks to scan the file).
     pub blocks: u64,
-    /// Stored records across all blocks: a row file's rows; a columnar
-    /// file's header plus one per row group, never its rows.
+    /// Stored records: a row file's rows, a columnar file's header and groups.
     pub records: u64,
     /// Compressed (on-disk) size.
     pub compressed_bytes: u64,
